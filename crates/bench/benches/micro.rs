@@ -7,7 +7,7 @@ use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
 
 use cedar_restructure::PassConfig;
-use cedar_sim::MachineConfig;
+use cedar_sim::{Engine, MachineConfig};
 
 fn front_end(c: &mut Criterion) {
     let src = cedar_workloads::linalg::cg(128).source;
@@ -99,15 +99,23 @@ fn simulator(c: &mut Criterion) {
     .unwrap();
     let mut g = c.benchmark_group("simulator");
     g.throughput(Throughput::Elements(256 * 256));
-    g.bench_function("scalar-interpret-64k-stmts", |b| {
-        b.iter(|| {
-            black_box(
-                cedar_sim::run(&scalar, MachineConfig::cedar_config1())
-                    .unwrap()
-                    .cycles(),
-            )
-        })
-    });
+    // The same scalar nest on the tree-walker and on the bytecode VM,
+    // back to back: CI's vm-smoke job fails unless the second is the
+    // cheaper per statement.
+    for (id, engine) in [
+        ("scalar-interpret-64k-stmts", Engine::Interp),
+        ("scalar-vm-64k-stmts", Engine::Vm),
+    ] {
+        g.bench_function(id, |b| {
+            b.iter(|| {
+                black_box(
+                    cedar_sim::run(&scalar, MachineConfig::cedar_config1().with_engine(engine))
+                        .unwrap()
+                        .cycles(),
+                )
+            })
+        });
+    }
     g.throughput(Throughput::Elements(65536));
     g.bench_function("vector-interpret-64k-lanes", |b| {
         b.iter(|| {

@@ -581,12 +581,33 @@ fn bundle_lock() -> &'static Mutex<()> {
     L.get_or_init(Default::default)
 }
 
-/// Append one hit line for `label` to `dir/hits.txt`. The file is
-/// opened `O_APPEND`, so each line lands atomically even when several
-/// *processes* (campaign workers sharing one `CEDAR_BUNDLE_DIR`)
-/// quarantine the same failure concurrently — the hit count of a
-/// bundle is exact, not last-writer-wins. Counted on read by
-/// [`bundle_hits`].
+/// When a hit happened, finer than a file's mtime: wall-clock
+/// nanoseconds, pushed past the last stamp this process handed out so
+/// that two hits never share one.
+fn hit_stamp() -> u64 {
+    use std::sync::atomic::{AtomicU64, Ordering};
+    // Relaxed: the stamp publishes nothing but itself.
+    static LAST: AtomicU64 = AtomicU64::new(0);
+    let now = std::time::SystemTime::now()
+        .duration_since(std::time::UNIX_EPOCH)
+        .map_or(0, |d| d.as_nanos() as u64);
+    let mut last = LAST.load(Ordering::Relaxed);
+    loop {
+        let stamp = now.max(last + 1);
+        match LAST.compare_exchange_weak(last, stamp, Ordering::Relaxed, Ordering::Relaxed) {
+            Ok(_) => return stamp,
+            Err(seen) => last = seen,
+        }
+    }
+}
+
+/// Append one hit line, `<label>\t<stamp>`, to `dir/hits.txt`. The
+/// file is opened `O_APPEND`, so each line lands atomically even when
+/// several *processes* (campaign workers sharing one
+/// `CEDAR_BUNDLE_DIR`) quarantine the same failure concurrently — the
+/// hit count of a bundle is exact, not last-writer-wins. Counted on
+/// read by [`bundle_hits`]; the stamp ([`hit_stamp`]) orders bundles
+/// whose `hits.txt` mtimes tie in [`enforce_bundle_cap`].
 fn append_hit(dir: &std::path::Path, label: &str) -> Option<()> {
     use std::io::Write;
     let mut f = std::fs::OpenOptions::new()
@@ -594,7 +615,7 @@ fn append_hit(dir: &std::path::Path, label: &str) -> Option<()> {
         .create(true)
         .open(dir.join("hits.txt"))
         .ok()?;
-    f.write_all(format!("{label}\n").as_bytes()).ok()
+    f.write_all(format!("{label}\t{}\n", hit_stamp()).as_bytes()).ok()
 }
 
 /// Write (or re-hit) a crash bundle for a quarantined cell. Bundles are
@@ -691,7 +712,9 @@ fn write_bundle(
 /// Evict least-recently-hit bundle directories until at most `cap`
 /// remain, sparing `keep` (the bundle just written/re-hit). Recency is
 /// the mtime of `hits.txt` — every quarantine touches it, so a bundle
-/// that keeps firing keeps surviving. Each eviction appends
+/// that keeps firing keeps surviving — and, between bundles whose
+/// mtimes tie (file timestamps can be coarser than the gap between two
+/// quarantines), the stamp of the last hit line. Each eviction appends
 /// `<digest> <hits>` to `<bundle_dir>/evicted.txt` (`O_APPEND`, one
 /// line, atomic across processes) before the directory is removed, so
 /// the count is preserved: [`bundle_hits`] folds ledger lines back in,
@@ -699,7 +722,7 @@ fn write_bundle(
 fn enforce_bundle_cap(root: &std::path::Path, cap: usize, keep: u64) {
     let keep_name = format!("{keep:016x}");
     let Ok(dirents) = std::fs::read_dir(root) else { return };
-    let mut bundles: Vec<(PathBuf, String, std::time::SystemTime)> = dirents
+    let mut bundles: Vec<(PathBuf, String)> = dirents
         .flatten()
         .filter_map(|ent| {
             let name = ent.file_name().to_string_lossy().into_owned();
@@ -707,22 +730,29 @@ fn enforce_bundle_cap(root: &std::path::Path, cap: usize, keep: u64) {
             // and any stray files are never eviction candidates.
             let is_digest =
                 name.len() == 16 && name.bytes().all(|b| b.is_ascii_hexdigit());
-            if !is_digest || !ent.path().is_dir() {
-                return None;
-            }
-            let mtime = std::fs::metadata(ent.path().join("hits.txt"))
-                .or_else(|_| ent.metadata())
-                .and_then(|m| m.modified())
-                .unwrap_or(std::time::UNIX_EPOCH);
-            Some((ent.path(), name, mtime))
+            (is_digest && ent.path().is_dir()).then(|| (ent.path(), name))
         })
         .collect();
     if bundles.len() <= cap {
         return;
     }
-    bundles.sort_by_key(|b| b.2);
+    // The name last, so that even equal keys evict in a fixed order
+    // rather than in `read_dir`'s.
+    bundles.sort_by_cached_key(|(path, name)| {
+        let hits = path.join("hits.txt");
+        let mtime = std::fs::metadata(&hits)
+            .or_else(|_| std::fs::metadata(path))
+            .and_then(|m| m.modified())
+            .unwrap_or(std::time::UNIX_EPOCH);
+        // A line written before hits carried stamps reads as 0.
+        let stamp: u64 = std::fs::read_to_string(&hits)
+            .ok()
+            .and_then(|s| s.lines().last()?.rsplit_once('\t')?.1.parse().ok())
+            .unwrap_or(0);
+        (mtime, stamp, name.clone())
+    });
     let mut excess = bundles.len() - cap;
-    for (path, name, _) in bundles {
+    for (path, name) in bundles {
         if excess == 0 {
             break;
         }
@@ -1002,9 +1032,16 @@ mod tests {
         write_quarantine_bundle(&s, "t/a2", Some("x = 1\nend\n"), &err()).unwrap();
         write_quarantine_bundle(&s, "t/a3", Some("x = 1\nend\n"), &err()).unwrap();
         assert_eq!(bundle_hits(&first), 3);
-        std::thread::sleep(Duration::from_millis(5));
+        // Make the first bundle the least recently hit by the clock
+        // eviction reads, not by how long this test sleeps.
+        let hour_ago = std::time::SystemTime::now() - Duration::from_secs(3600);
+        std::fs::File::options()
+            .append(true)
+            .open(PathBuf::from(&first).join("hits.txt"))
+            .unwrap()
+            .set_modified(hour_ago)
+            .unwrap();
         write_quarantine_bundle(&s, "t/b", Some("y = 2\nend\n"), &err()).unwrap();
-        std::thread::sleep(Duration::from_millis(5));
         write_quarantine_bundle(&s, "t/c", Some("z = 3\nend\n"), &err()).unwrap();
 
         let live: Vec<_> = std::fs::read_dir(&s.bundle_dir)
@@ -1024,6 +1061,40 @@ mod tests {
             write_quarantine_bundle(&s, "t/a4", Some("x = 1\nend\n"), &err()).unwrap();
         assert_eq!(again, first, "same minimized source → same digest → same dir");
         assert_eq!(bundle_hits(&again), 4, "ledger + fresh hit");
+    }
+
+    #[test]
+    fn bundle_cap_breaks_mtime_ties_by_hit_stamp() {
+        let s = sup("cap-ties");
+        let _ = std::fs::remove_dir_all(&s.bundle_dir);
+        let err = [(
+            "normal",
+            CellError {
+                kind: CellErrorKind::Panicked,
+                msg: "kaboom".into(),
+                sim: None,
+                backtrace: None,
+            },
+        )];
+        // Hit in the order a, b, c, a: b is now the least recently hit.
+        let (a, b, c) = ("x = 1\nend\n", "y = 2\nend\n", "z = 3\nend\n");
+        let dirs: Vec<String> = [("t/a", a), ("t/b", b), ("t/c", c), ("t/a2", a)]
+            .iter()
+            .map(|(label, src)| write_quarantine_bundle(&s, label, Some(src), &err).unwrap())
+            .collect();
+        // A file system with coarse timestamps: every mtime the same.
+        let instant = std::time::SystemTime::now();
+        for d in &dirs {
+            std::fs::File::options()
+                .append(true)
+                .open(PathBuf::from(d).join("hits.txt"))
+                .unwrap()
+                .set_modified(instant)
+                .unwrap();
+        }
+        enforce_bundle_cap(&s.bundle_dir, 2, bundle_digest("t/c", Some(c)));
+        assert!(!PathBuf::from(&dirs[1]).exists(), "b was hit longest ago");
+        assert!(PathBuf::from(&dirs[0]).exists() && PathBuf::from(&dirs[2]).exists());
     }
 
     #[test]

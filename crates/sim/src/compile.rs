@@ -1,38 +1,60 @@
-//! One-shot lowering of IR unit bodies into flat bytecode (DESIGN.md
-//! §14).
+//! One-shot lowering of IR unit bodies into flat, statically typed
+//! register bytecode (DESIGN.md §14).
 //!
 //! [`compile_program`] walks every unit once and emits a contiguous
-//! `Vec<Instr>` per unit: stack-machine expression ops with the
-//! statement watchdog/race-span bookkeeping folded into a single
-//! [`Instr::Gate`] per statement, jump-target-patched `IF` control
-//! flow, and loop/while/call/sync descriptors in side tables. The
-//! artifact is **config-independent and immutable** — verify's K-seed
-//! sweeps, the fuzz oracles, and the serve retry ladder compile once
-//! and share it by `Arc` across many `(seed, config)` executions.
+//! `Vec<Instr>` per unit: three-address ops over per-activation
+//! `f64`/`i64`/`bool` register files, with the statement
+//! watchdog/race-span bookkeeping folded into a single [`Instr::Gate`]
+//! per statement, jump-target-patched `IF` control flow, and
+//! loop/while/call/sync descriptors in side tables. The artifact is
+//! **config-independent and immutable** — verify's K-seed sweeps, the
+//! fuzz oracles, and the serve retry ladder compile once and share it
+//! by `Arc` across many `(seed, config)` executions.
+//!
+//! ## The typing rule
+//!
+//! Every scalar expression gets a static [`Class`] (`R`/`I`/`B`) from
+//! the declared `Ty` of its symbols and the promotion rules of
+//! `value_ops::{bin, un}`: two integers stay integral for `+ - * / **`
+//! and compare as integers, anything else promotes both sides through
+//! `as_f64`; the logical operators read both sides through `as_bool`;
+//! unary minus on a LOGICAL yields an INTEGER. Conversions are explicit
+//! `Cvt*` ops that charge nothing — exactly the `as_f64`/`as_i64`/
+//! `as_bool` calls the tree-walker makes. A load yields the *storage*
+//! type, so the VM only runs an activation whose every binding's
+//! storage class and rank agree with the declaration (`Simulator::
+//! seal_frame`); any other activation walks the IR tree.
 //!
 //! ## The fallback rule (bit-identity by construction)
 //!
 //! Every statement is compiled under exactly one of two regimes:
 //!
-//! * **Native** — a `Gate` followed by specialized ops whose charge /
-//!   stat / fault / race sequences mirror the interpreter instruction
-//!   by instruction (the VM handlers in `sim::vm` call the *same*
-//!   `bind_of` / `linearize` / `bind_access_cost` / `load` / `store_at`
-//!   seams).
+//! * **Native** — a `Gate` followed by typed ops whose charge / stat /
+//!   fault / race sequences mirror the interpreter instruction by
+//!   instruction.
 //! * **Interp** — a single [`Instr::Interp`] holding the cloned
 //!   statement; the VM hands it to `exec_stmt`, which performs its own
 //!   gating. Vector sections, `WHERE`, task starts, unknown callees,
-//!   and rank-overflow subscript lists take this path, so the complex
-//!   cost model (vector startup, prefetch, bulk section ops and their
-//!   `without_fast_paths` ablation) has exactly one implementation.
+//!   and rank-mismatched or rank-overflow element stores take this
+//!   path, so the complex cost model (vector startup, prefetch, bulk
+//!   section ops and their `without_fast_paths` ablation) has exactly
+//!   one implementation.
 //!
-//! Within a native statement, any sub-expression the stack ops cannot
-//! reproduce faithfully (intrinsics, function calls, sections) is kept
-//! as a **whole** cloned subtree behind [`Instr::EvalTree`] — the VM
-//! evaluates it with the interpreter's `eval_scalar`, never mixing
-//! per-node regimes inside one subtree.
+//! Within a native statement, a right-hand side, subscript, condition
+//! or loop bound the typed ops cannot reproduce faithfully (it contains
+//! a reduction, a function call, a section, or a subscript list whose
+//! rank disagrees with the declaration) is kept as a **whole** cloned
+//! tree behind [`Instr::EvalTree`] — the VM evaluates it with the
+//! interpreter's `eval_scalar` into the activation's one boxed value
+//! register. Those four positions read the value class-blind (coercing
+//! store, `as_i64`, `as_bool`), so a boxed value never meets a typed
+//! op. Elemental intrinsics are typed ([`intrinsic_class`]) and run
+//! through `value_ops::intrinsic`, the interpreter's own.
 
-use cedar_ir::{BinOp, Expr, LValue, Loop, LoopClass, Program, Span, Stmt, SymbolId, SyncOp, UnOp};
+use cedar_ir::{
+    BinOp, Expr, Intrinsic, LValue, Loop, LoopClass, Program, Span, Stmt, SymbolId, SyncOp, Ty,
+    UnOp, Unit,
+};
 use std::collections::HashMap;
 
 /// Fortran 77 caps array rank at 7; the interpreter's stack-allocated
@@ -41,31 +63,109 @@ use std::collections::HashMap;
 /// to reproduce that error (including its partial charge sequence).
 const MAX_RANK: usize = 8;
 
-/// One bytecode instruction. Expression ops operate on the VM's value
-/// stack; statement ops carry side-table indices.
+/// Longest argument list of a natively compiled intrinsic (the VM boxes
+/// the operands into a buffer of this size).
+pub(crate) const MAX_INTR_ARGS: usize = 8;
+
+/// Index into one of an activation's register files.
+pub(crate) type Reg = u32;
+
+/// Static type of a scalar value, and the payload type of the storage
+/// slot a binding resolves to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Class {
+    /// REAL / DOUBLE PRECISION (`f64` registers).
+    R,
+    /// INTEGER (`i64` registers).
+    I,
+    /// LOGICAL (`bool` registers).
+    B,
+}
+
+impl Class {
+    pub(crate) fn of(ty: Ty) -> Class {
+        match ty {
+            Ty::Real | Ty::Double => Class::R,
+            Ty::Int => Class::I,
+            Ty::Logical => Class::B,
+        }
+    }
+}
+
+/// One bytecode instruction. `d` is the destination register, `a`/`b`
+/// the operands, `s` a stored value; the op's suffix names the register
+/// file(s) it works on. Every arithmetic, comparison and logical op
+/// charges one scalar op; loads and stores charge what the
+/// interpreter's `load`/`store_at` paths charge; `Cvt*` ops are free.
 #[derive(Debug, Clone)]
+#[allow(missing_docs)]
+#[rustfmt::skip] // one op per line reads as the table it is
 pub(crate) enum Instr {
-    // ---- expression ops (stack machine) ----
-    /// Push an integer constant.
-    PushI(i64),
-    /// Push a real constant.
-    PushR(f64),
-    /// Push a logical constant.
-    PushB(bool),
+    // ---- loads ----
     /// Load a scalar variable (cache-hit charge, then element load).
-    LoadScalar(SymbolId),
+    LoadR { d: Reg, sym: SymbolId },
+    LoadI { d: Reg, sym: SymbolId },
+    LoadB { d: Reg, sym: SymbolId },
+    /// Linearize integer registers `subs[sub..sub + rank]` against
+    /// `arr`'s resolved dims, charge the placement-dependent access
+    /// cost, load the element.
+    ElemR { d: Reg, arr: SymbolId, sub: u32, rank: u8 },
+    ElemI { d: Reg, arr: SymbolId, sub: u32, rank: u8 },
+    ElemB { d: Reg, arr: SymbolId, sub: u32, rank: u8 },
     /// Charge one subscript's address arithmetic (after its value ops).
     ChargeIdx,
-    /// Pop `rank` subscripts, linearize against `arr`'s binding, charge
-    /// the placement-dependent access cost, push the element.
-    LoadElem { arr: SymbolId, rank: u8 },
-    /// Pop one value, apply a unary op (one scalar-op charge).
-    Un(UnOp),
-    /// Pop two values, apply a binary op (one scalar-op charge).
-    Bin(BinOp),
+
+    // ---- arithmetic ----
+    AddR { d: Reg, a: Reg, b: Reg },
+    SubR { d: Reg, a: Reg, b: Reg },
+    MulR { d: Reg, a: Reg, b: Reg },
+    DivR { d: Reg, a: Reg, b: Reg },
+    /// `powf`.
+    PowR { d: Reg, a: Reg, b: Reg },
+    /// `powi`: real base, integer exponent.
+    PowRI { d: Reg, a: Reg, b: Reg },
+    AddI { d: Reg, a: Reg, b: Reg },
+    SubI { d: Reg, a: Reg, b: Reg },
+    MulI { d: Reg, a: Reg, b: Reg },
+    /// Truncating division; faults on a zero divisor.
+    DivI { d: Reg, a: Reg, b: Reg },
+    /// Saturating-loop integer power; faults on `0 ** negative`.
+    PowI { d: Reg, a: Reg, b: Reg },
+    NegR { d: Reg, a: Reg },
+    NegI { d: Reg, a: Reg },
+    /// Elemental intrinsic `f` over the `n` operands
+    /// `intr_args[args..]`, through `value_ops::intrinsic` (two scalar
+    /// ops; faults as it does). The suffix is the result's class.
+    IntrR { f: Intrinsic, n: u8, d: Reg, args: u32 },
+    IntrI { f: Intrinsic, n: u8, d: Reg, args: u32 },
+
+    // ---- comparisons and logic ----
+    /// `mask` holds one bit per `Ordering` (see [`cmp_mask`]); an
+    /// unordered pair (NaN) reads `Equal`, like `value_ops::bin`.
+    CmpR { d: Reg, a: Reg, b: Reg, mask: u8 },
+    CmpI { d: Reg, a: Reg, b: Reg, mask: u8 },
+    AndB { d: Reg, a: Reg, b: Reg },
+    OrB { d: Reg, a: Reg, b: Reg },
+    EqvB { d: Reg, a: Reg, b: Reg },
+    NeqvB { d: Reg, a: Reg, b: Reg },
+    NotB { d: Reg, a: Reg },
+
+    // ---- conversions (`Value::{as_f64, as_i64, as_bool}`) ----
+    CvtIR { d: Reg, a: Reg },
+    CvtBR { d: Reg, a: Reg },
+    CvtRI { d: Reg, a: Reg },
+    CvtBI { d: Reg, a: Reg },
+    CvtRB { d: Reg, a: Reg },
+    CvtIB { d: Reg, a: Reg },
+
+    // ---- whole-tree fallback ----
     /// Evaluate side-table expression `exprs[i]` with the interpreter's
-    /// `eval_scalar` and push the result (whole-subtree fallback).
+    /// `eval_scalar` into the boxed value register.
     EvalTree(u32),
+    /// `as_i64` of the boxed value register.
+    CvtVI { d: Reg },
+    /// `as_bool` of the boxed value register.
+    CvtVB { d: Reg },
 
     // ---- statement ops ----
     /// Statement prologue: count the watchdog budget, poll the cancel
@@ -74,16 +174,24 @@ pub(crate) enum Instr {
     Gate { span: Span, stamp: Span },
     /// Charge the conditional-branch test of an `IF` (no stat count).
     Branch,
-    /// Pop a value; jump to the absolute target when it is false.
-    JumpIfFalse(u32),
+    /// Jump to the absolute target when logical register `c` is false.
+    JumpIfFalse { c: Reg, t: u32 },
     /// Unconditional jump to the absolute target.
     Jump(u32),
-    /// Pop a value and store it to a scalar variable.
-    StoreScalar(SymbolId),
-    /// Pop a value then `rank` subscripts; store to an array element.
-    StoreElem { arr: SymbolId, rank: u8 },
-    /// Run side-table loop `loops[i]` (bounds, schedule, body ranges),
-    /// then continue at its `end_pc`.
+    /// Store register `s` to a scalar variable of the same class.
+    StoreR { sym: SymbolId, s: Reg },
+    StoreI { sym: SymbolId, s: Reg },
+    StoreB { sym: SymbolId, s: Reg },
+    /// Store the boxed value register to a scalar variable (coercing).
+    StoreV { sym: SymbolId },
+    /// Store register `s` to an array element of the same class.
+    SetElemR { arr: SymbolId, sub: u32, rank: u8, s: Reg },
+    SetElemI { arr: SymbolId, sub: u32, rank: u8, s: Reg },
+    SetElemB { arr: SymbolId, sub: u32, rank: u8, s: Reg },
+    /// Store the boxed value register to an array element (coercing).
+    SetElemV { arr: SymbolId, sub: u32, rank: u8 },
+    /// Run side-table loop `loops[i]` (bound registers, schedule, body
+    /// ranges), then continue at its `end_pc`.
     LoopStmt(u32),
     /// Run side-table DO WHILE `whiles[i]`, then continue at `end_pc`.
     WhileStmt(u32),
@@ -106,6 +214,45 @@ pub(crate) enum Instr {
     Interp(u32),
 }
 
+/// The class of an elemental intrinsic's result over arguments of the
+/// given classes — the dynamic rule of `value_ops::intrinsic`, decided
+/// statically. `None` for intrinsics that are not elemental and for
+/// argument lists `value_ops` rejects.
+fn intrinsic_class(f: Intrinsic, args: &[Class]) -> Option<Class> {
+    use Intrinsic::*;
+    let int = |k: usize| args.get(k) == Some(&Class::I);
+    let int_if = |yes: bool| if yes { Class::I } else { Class::R };
+    if args.is_empty() {
+        return None;
+    }
+    Some(match f {
+        Abs => int_if(int(0)),
+        Sqrt | Exp | Log | Log10 | Sin | Cos | Tan | Atan | Sinh | Cosh | Tanh | Real | Dble => {
+            Class::R
+        }
+        Atan2 if args.len() >= 2 => Class::R,
+        Sign if args.len() >= 2 => int_if(int(0)),
+        Mod if args.len() >= 2 => int_if(int(0) && int(1)),
+        Min | Max => int_if(args.iter().all(|&c| c == Class::I)),
+        Int | Nint => Class::I,
+        _ => return None,
+    })
+}
+
+/// Bit set of the `Ordering`s a comparison accepts: bit 0 `Less`,
+/// bit 1 `Equal`, bit 2 `Greater`.
+fn cmp_mask(op: BinOp) -> Option<u8> {
+    Some(match op {
+        BinOp::Eq => 0b010,
+        BinOp::Ne => 0b101,
+        BinOp::Lt => 0b001,
+        BinOp::Le => 0b011,
+        BinOp::Gt => 0b100,
+        BinOp::Ge => 0b110,
+        _ => return None,
+    })
+}
+
 /// A pre-resolved CALL site.
 #[derive(Debug, Clone)]
 pub(crate) struct CallSite {
@@ -118,16 +265,17 @@ pub(crate) struct CallSite {
     pub span: Span,
 }
 
-/// Compiled form of a DO loop: bounds as expression trees (evaluated
-/// with the interpreter's exact charge order), compiled code ranges for
-/// the preamble/body/postamble, and the scheduler inputs.
+/// Compiled form of a DO loop: the integer registers its bound code
+/// (emitted just before the `LoopStmt`) leaves the bounds in, compiled
+/// code ranges for the preamble/body/postamble, and the scheduler
+/// inputs.
 #[derive(Debug, Clone)]
 pub(crate) struct VmLoop {
     pub class: LoopClass,
     pub var: SymbolId,
-    pub start: Expr,
-    pub end: Expr,
-    pub step: Option<Expr>,
+    pub start: Reg,
+    pub end: Reg,
+    pub step: Option<Reg>,
     pub locals: Vec<SymbolId>,
     /// `[lo, hi)` code range of the once-per-participant preamble.
     pub pre: (u32, u32),
@@ -140,28 +288,56 @@ pub(crate) struct VmLoop {
     pub end_pc: u32,
 }
 
-/// Compiled form of a DO WHILE: tree condition + compiled body range.
+/// Compiled form of a DO WHILE: a code range leaving the condition in
+/// logical register `cond_reg`, and the compiled body range.
 #[derive(Debug, Clone)]
 pub(crate) struct VmWhile {
-    pub cond: Expr,
+    /// `[lo, hi)` code range of the condition.
+    pub cond: (u32, u32),
+    pub cond_reg: Reg,
     /// `[lo, hi)` code range of the body.
     pub body: (u32, u32),
     pub span: Span,
     pub end_pc: u32,
 }
 
+/// What the code of a unit assumes of one of its symbols; an
+/// activation whose binding has another storage class or rank cannot
+/// run it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct SymShape {
+    pub class: Class,
+    pub rank: u32,
+    /// Sum of the ranks of the symbols before this one: where its
+    /// dimensions start in an activation's flat dimension table.
+    pub dims: u32,
+}
+
 /// One unit's compiled body plus its side tables.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct CompiledUnit {
     pub code: Vec<Instr>,
+    /// Per symbol of the unit, in symbol order.
+    pub shapes: Vec<SymShape>,
     /// Cloned statements behind [`Instr::Interp`].
     pub stmts: Vec<Stmt>,
     /// Cloned expressions behind [`Instr::EvalTree`].
     pub exprs: Vec<Expr>,
+    /// Integer registers holding subscript lists, addressed by the
+    /// `sub`/`rank` fields of the element ops.
+    pub subs: Vec<Reg>,
+    /// Operands of the intrinsic ops, addressed by their `args`/`n`.
+    pub intr_args: Vec<(Class, Reg)>,
     pub loops: Vec<VmLoop>,
     pub whiles: Vec<VmWhile>,
     pub calls: Vec<CallSite>,
     pub syncs: Vec<SyncOp>,
+    /// Register-file sizes (`f64`, `i64`, `bool`).
+    pub nregs: [u32; 3],
+    /// Constants, preloaded into their registers once per activation.
+    pub fconsts: Vec<(Reg, f64)>,
+    pub iconsts: Vec<(Reg, i64)>,
+    pub bconsts: Vec<(Reg, bool)>,
 }
 
 /// The immutable compiled artifact: one [`CompiledUnit`] per program
@@ -184,6 +360,13 @@ impl CompiledProgram {
     pub fn fallback_count(&self) -> usize {
         self.units.iter().map(|u| u.stmts.len()).sum()
     }
+
+    /// How many expression sites (right-hand sides, subscripts,
+    /// conditions, loop bounds) are evaluated by the tree-walker
+    /// ([`Instr::EvalTree`]), across all units (introspection/tests).
+    pub fn eval_tree_count(&self) -> usize {
+        self.units.iter().map(|u| u.exprs.len()).sum()
+    }
 }
 
 /// Lower every unit of `program` to bytecode. Pure function of the
@@ -200,7 +383,27 @@ pub fn compile_program(program: &Program) -> CompiledProgram {
         .units
         .iter()
         .map(|u| {
-            let mut c = Compiler { cu: CompiledUnit::default(), unit_index: &unit_index };
+            let mut c = Compiler {
+                unit: u,
+                cu: CompiledUnit::default(),
+                unit_index: &unit_index,
+                next: [0; 3],
+                base: [0; 3],
+                fconst: HashMap::new(),
+                iconst: HashMap::new(),
+                bconst: [None; 2],
+            };
+            let mut dims = 0;
+            for sym in &u.symbols {
+                let rank = sym.dims.len() as u32;
+                c.cu.shapes.push(SymShape {
+                    class: Class::of(sym.ty),
+                    rank,
+                    dims,
+                });
+                dims += rank;
+            }
+            c.collect_consts();
             c.emit_block(&u.body);
             c.cu
         })
@@ -208,27 +411,19 @@ pub fn compile_program(program: &Program) -> CompiledProgram {
     CompiledProgram { units }
 }
 
-/// True when the stack ops reproduce `e`'s evaluation (values, charge
-/// order, stat counts, and error order) exactly. Anything else is kept
-/// as a whole subtree behind [`Instr::EvalTree`].
-fn scalar_compilable(e: &Expr) -> bool {
-    match e {
-        Expr::ConstI(_) | Expr::ConstR { .. } | Expr::ConstB(_) | Expr::Scalar(_) => true,
-        // Rank overflow must raise mid-subscript-list, after the
-        // overflowing subscript's evaluation but before its charge —
-        // only the tree walk gets that sequence right.
-        Expr::Elem { idx, .. } => idx.len() <= MAX_RANK && idx.iter().all(scalar_compilable),
-        Expr::Un(_, inner) => scalar_compilable(inner),
-        Expr::Bin(_, l, r) => scalar_compilable(l) && scalar_compilable(r),
-        // Intrinsics (incl. reductions/iota type errors), function
-        // calls, and sections keep the interpreter's logic.
-        Expr::Intr { .. } | Expr::Call { .. } | Expr::Section { .. } => false,
-    }
-}
-
 struct Compiler<'a> {
+    unit: &'a Unit,
     cu: CompiledUnit,
     unit_index: &'a HashMap<&'a str, usize>,
+    /// Next free register per class (indexed by `Class as usize`).
+    next: [Reg; 3],
+    /// Where a statement's temporaries start: the registers below hold
+    /// the unit's constants. No value lives across statements, so every
+    /// statement starts allocating here again.
+    base: [Reg; 3],
+    fconst: HashMap<u64, Reg>,
+    iconst: HashMap<i64, Reg>,
+    bconst: [Option<Reg>; 2],
 }
 
 impl Compiler<'_> {
@@ -236,17 +431,77 @@ impl Compiler<'_> {
         self.cu.code.len() as u32
     }
 
+    fn push(&mut self, i: Instr) {
+        self.cu.code.push(i);
+    }
+
+    fn fresh(&mut self, c: Class) -> Reg {
+        let k = c as usize;
+        let r = self.next[k];
+        self.next[k] += 1;
+        self.cu.nregs[k] = self.cu.nregs[k].max(self.next[k]);
+        r
+    }
+
+    /// Give every literal of the unit a register of its own, below all
+    /// temporaries, to be loaded once per activation.
+    fn collect_consts(&mut self) {
+        let unit = self.unit;
+        cedar_ir::visit::walk_stmts(&unit.body, &mut |s| {
+            cedar_ir::visit::walk_stmt_exprs(s, false, &mut |e| match e {
+                Expr::ConstR { value, .. } if !self.fconst.contains_key(&value.to_bits()) => {
+                    let r = self.fresh(Class::R);
+                    self.fconst.insert(value.to_bits(), r);
+                    self.cu.fconsts.push((r, *value));
+                }
+                Expr::ConstI(v) if !self.iconst.contains_key(v) => {
+                    let r = self.fresh(Class::I);
+                    self.iconst.insert(*v, r);
+                    self.cu.iconsts.push((r, *v));
+                }
+                Expr::ConstB(v) if self.bconst[*v as usize].is_none() => {
+                    let r = self.fresh(Class::B);
+                    self.bconst[*v as usize] = Some(r);
+                    self.cu.bconsts.push((r, *v));
+                }
+                _ => {}
+            });
+        });
+        self.base = self.next;
+    }
+
+    /// The register holding a literal, if [`Compiler::collect_consts`]
+    /// saw it.
+    fn const_reg(&self, e: &Expr) -> Option<(Class, Reg)> {
+        match e {
+            Expr::ConstR { value, .. } => Some((Class::R, *self.fconst.get(&value.to_bits())?)),
+            Expr::ConstI(v) => Some((Class::I, *self.iconst.get(v)?)),
+            Expr::ConstB(v) => Some((Class::B, self.bconst[*v as usize]?)),
+            _ => None,
+        }
+    }
+
+    fn class(&self, s: SymbolId) -> Class {
+        self.cu.shapes[s.index()].class
+    }
+
+    /// An element access the typed ops handle: the subscript list fits
+    /// the interpreter's buffer and matches the declared rank (the only
+    /// rank an activation the VM runs can be bound with).
+    fn elem_ok(&self, arr: SymbolId, rank: usize) -> bool {
+        rank <= MAX_RANK && rank == self.cu.shapes[arr.index()].rank as usize
+    }
+
     fn gate(&mut self, span: Span, stamp: Span) {
-        self.cu.code.push(Instr::Gate { span, stamp });
+        self.push(Instr::Gate { span, stamp });
     }
 
     /// Emit a placeholder jump; returns its index for patching.
-    fn emit_jump_placeholder(&mut self, conditional: bool) -> usize {
+    fn emit_jump_placeholder(&mut self, cond: Option<Reg>) -> usize {
         let at = self.cu.code.len();
-        self.cu.code.push(if conditional {
-            Instr::JumpIfFalse(u32::MAX)
-        } else {
-            Instr::Jump(u32::MAX)
+        self.push(match cond {
+            Some(c) => Instr::JumpIfFalse { c, t: u32::MAX },
+            None => Instr::Jump(u32::MAX),
         });
         at
     }
@@ -255,7 +510,7 @@ impl Compiler<'_> {
     fn patch_jump(&mut self, at: usize) {
         let target = self.pc();
         match &mut self.cu.code[at] {
-            Instr::JumpIfFalse(t) | Instr::Jump(t) => *t = target,
+            Instr::JumpIfFalse { t, .. } | Instr::Jump(t) => *t = target,
             other => unreachable!("patching non-jump {other:?}"),
         }
     }
@@ -278,89 +533,304 @@ impl Compiler<'_> {
     fn fallback(&mut self, s: &Stmt) {
         let i = self.cu.stmts.len() as u32;
         self.cu.stmts.push(s.clone());
-        self.cu.code.push(Instr::Interp(i));
+        self.push(Instr::Interp(i));
     }
 
-    /// Emit ops leaving `e`'s scalar value on the stack: native ops
-    /// when faithful, otherwise one whole-subtree [`Instr::EvalTree`].
-    fn emit_scalar_value(&mut self, e: &Expr) {
-        if scalar_compilable(e) {
-            self.emit_expr(e);
-        } else {
-            let i = self.cu.exprs.len() as u32;
-            self.cu.exprs.push(e.clone());
-            self.cu.code.push(Instr::EvalTree(i));
+    /// Emit ops computing `e`: `Some(class, register)` when the typed
+    /// ops are faithful, otherwise (whatever was emitted for its parts
+    /// taken back) one whole-tree [`Instr::EvalTree`] leaving the result
+    /// in the boxed value register (`None`).
+    fn emit_value(&mut self, e: &Expr) -> Option<(Class, Reg)> {
+        let cu = &self.cu;
+        let mark = (
+            cu.code.len(),
+            cu.subs.len(),
+            cu.intr_args.len(),
+            cu.exprs.len(),
+            self.next,
+        );
+        if let Some(v) = self.emit_expr(e) {
+            return Some(v);
+        }
+        self.cu.code.truncate(mark.0);
+        self.cu.subs.truncate(mark.1);
+        self.cu.intr_args.truncate(mark.2);
+        self.cu.exprs.truncate(mark.3);
+        self.next = mark.4;
+        let i = self.cu.exprs.len() as u32;
+        self.cu.exprs.push(e.clone());
+        self.push(Instr::EvalTree(i));
+        None
+    }
+
+    /// `e`'s value through `as_i64`, in an integer register.
+    fn emit_int(&mut self, e: &Expr) -> Reg {
+        match self.emit_value(e) {
+            Some((c, r)) => self.convert(c, r, Class::I),
+            None => {
+                let d = self.fresh(Class::I);
+                self.push(Instr::CvtVI { d });
+                d
+            }
         }
     }
 
-    /// Emit native ops for a [`scalar_compilable`] expression.
-    fn emit_expr(&mut self, e: &Expr) {
-        match e {
-            Expr::ConstI(v) => self.cu.code.push(Instr::PushI(*v)),
-            Expr::ConstR { value, .. } => self.cu.code.push(Instr::PushR(*value)),
-            Expr::ConstB(b) => self.cu.code.push(Instr::PushB(*b)),
-            Expr::Scalar(s) => self.cu.code.push(Instr::LoadScalar(*s)),
-            Expr::Elem { arr, idx } => {
-                for ie in idx {
-                    self.emit_expr(ie);
-                    self.cu.code.push(Instr::ChargeIdx);
-                }
-                self.cu.code.push(Instr::LoadElem { arr: *arr, rank: idx.len() as u8 });
+    /// `e`'s value through `as_bool`, in a logical register.
+    fn emit_bool(&mut self, e: &Expr) -> Reg {
+        match self.emit_value(e) {
+            Some((c, r)) => self.convert(c, r, Class::B),
+            None => {
+                let d = self.fresh(Class::B);
+                self.push(Instr::CvtVB { d });
+                d
             }
-            Expr::Un(op, inner) => {
-                self.emit_expr(inner);
-                self.cu.code.push(Instr::Un(*op));
+        }
+    }
+
+    /// Reinterpret register `a` of class `from` as class `to` (what
+    /// `value_ops::coerce` does to a boxed value).
+    fn convert(&mut self, from: Class, a: Reg, to: Class) -> Reg {
+        if from == to {
+            return a;
+        }
+        let d = self.fresh(to);
+        self.push(match (from, to) {
+            (Class::I, Class::R) => Instr::CvtIR { d, a },
+            (Class::B, Class::R) => Instr::CvtBR { d, a },
+            (Class::R, Class::I) => Instr::CvtRI { d, a },
+            (Class::B, Class::I) => Instr::CvtBI { d, a },
+            (Class::R, Class::B) => Instr::CvtRB { d, a },
+            (Class::I, Class::B) => Instr::CvtIB { d, a },
+            _ => unreachable!("identity conversion handled above"),
+        });
+        d
+    }
+
+    /// Evaluate a subscript list left to right (value, then its address
+    /// charge) and record the registers in the `subs` side table. A
+    /// subscript is read through `as_i64` whatever its class, so one the
+    /// typed ops cannot compute is boxed on its own.
+    fn emit_subs(&mut self, idx: &[Expr]) -> u32 {
+        let regs: Vec<Reg> = idx
+            .iter()
+            .map(|e| {
+                let r = self.emit_int(e);
+                self.push(Instr::ChargeIdx);
+                r
+            })
+            .collect();
+        let at = self.cu.subs.len() as u32;
+        self.cu.subs.extend(regs);
+        at
+    }
+
+    /// Emit typed ops for `e` when they reproduce its evaluation
+    /// (values, charge order, stat counts, and error order) exactly;
+    /// `None` — with ops for some of its parts possibly emitted, for
+    /// [`Compiler::emit_value`] to take back — when only the tree walk
+    /// does.
+    fn emit_expr(&mut self, e: &Expr) -> Option<(Class, Reg)> {
+        Some(match e {
+            Expr::ConstI(_) | Expr::ConstR { .. } | Expr::ConstB(_) => self.const_reg(e)?,
+            Expr::Scalar(s) => {
+                let (c, sym) = (self.class(*s), *s);
+                let d = self.fresh(c);
+                self.push(match c {
+                    Class::R => Instr::LoadR { d, sym },
+                    Class::I => Instr::LoadI { d, sym },
+                    Class::B => Instr::LoadB { d, sym },
+                });
+                (c, d)
+            }
+            // Rank overflow must raise mid-subscript-list, after the
+            // overflowing subscript's evaluation but before its charge,
+            // and a rank mismatch after the whole list — only the tree
+            // walk gets those sequences right.
+            Expr::Elem { arr, idx } if self.elem_ok(*arr, idx.len()) => {
+                let sub = self.emit_subs(idx);
+                let (c, arr, rank) = (self.class(*arr), *arr, idx.len() as u8);
+                let d = self.fresh(c);
+                self.push(match c {
+                    Class::R => Instr::ElemR { d, arr, sub, rank },
+                    Class::I => Instr::ElemI { d, arr, sub, rank },
+                    Class::B => Instr::ElemB { d, arr, sub, rank },
+                });
+                (c, d)
+            }
+            Expr::Un(UnOp::Neg, inner) => {
+                let (c, a) = self.emit_expr(inner)?;
+                if c == Class::R {
+                    let d = self.fresh(Class::R);
+                    self.push(Instr::NegR { d, a });
+                    (Class::R, d)
+                } else {
+                    // `-(.true.)` is the integer -1.
+                    let a = self.convert(c, a, Class::I);
+                    let d = self.fresh(Class::I);
+                    self.push(Instr::NegI { d, a });
+                    (Class::I, d)
+                }
+            }
+            Expr::Un(UnOp::Not, inner) => {
+                let (c, a) = self.emit_expr(inner)?;
+                let a = self.convert(c, a, Class::B);
+                let d = self.fresh(Class::B);
+                self.push(Instr::NotB { d, a });
+                (Class::B, d)
             }
             Expr::Bin(op, l, r) => {
-                self.emit_expr(l);
-                self.emit_expr(r);
-                self.cu.code.push(Instr::Bin(*op));
+                let l = self.emit_expr(l)?;
+                let r = self.emit_expr(r)?;
+                self.emit_bin(*op, l, r)
             }
-            Expr::Intr { .. } | Expr::Call { .. } | Expr::Section { .. } => {
-                unreachable!("emit_expr on non-compilable expression")
+            Expr::Intr { f, args, .. } if args.len() <= MAX_INTR_ARGS => {
+                let ops = args
+                    .iter()
+                    .map(|a| self.emit_expr(a))
+                    .collect::<Option<Vec<_>>>()?;
+                let classes: Vec<Class> = ops.iter().map(|&(c, _)| c).collect();
+                let c = intrinsic_class(*f, &classes)?;
+                let (f, n, args) = (*f, ops.len() as u8, self.cu.intr_args.len() as u32);
+                self.cu.intr_args.extend(ops);
+                let d = self.fresh(c);
+                self.push(match c {
+                    Class::R => Instr::IntrR { f, n, d, args },
+                    _ => Instr::IntrI { f, n, d, args },
+                });
+                (c, d)
             }
+            // Reductions, iota, function calls, sections, and element
+            // accesses of the wrong rank keep the interpreter's logic.
+            _ => return None,
+        })
+    }
+
+    /// The promotion rules of `value_ops::bin`, decided statically.
+    fn emit_bin(
+        &mut self,
+        op: BinOp,
+        (cl, a): (Class, Reg),
+        (cr, b): (Class, Reg),
+    ) -> (Class, Reg) {
+        use BinOp::*;
+        let ints = cl == Class::I && cr == Class::I;
+        if let Some(mask) = cmp_mask(op) {
+            let d = self.fresh(Class::B);
+            if ints {
+                self.push(Instr::CmpI { d, a, b, mask });
+            } else {
+                let (a, b) = (self.convert(cl, a, Class::R), self.convert(cr, b, Class::R));
+                self.push(Instr::CmpR { d, a, b, mask });
+            }
+            return (Class::B, d);
         }
+        if matches!(op, And | Or | Eqv | Neqv) {
+            let (a, b) = (self.convert(cl, a, Class::B), self.convert(cr, b, Class::B));
+            let d = self.fresh(Class::B);
+            self.push(match op {
+                And => Instr::AndB { d, a, b },
+                Or => Instr::OrB { d, a, b },
+                Eqv => Instr::EqvB { d, a, b },
+                _ => Instr::NeqvB { d, a, b },
+            });
+            return (Class::B, d);
+        }
+        if ints {
+            let d = self.fresh(Class::I);
+            self.push(match op {
+                Add => Instr::AddI { d, a, b },
+                Sub => Instr::SubI { d, a, b },
+                Mul => Instr::MulI { d, a, b },
+                Div => Instr::DivI { d, a, b },
+                _ => Instr::PowI { d, a, b },
+            });
+            return (Class::I, d);
+        }
+        let a = self.convert(cl, a, Class::R);
+        // Any non-integer base with an integer exponent is `powi`.
+        let b = if op == Pow && cr == Class::I {
+            b
+        } else {
+            self.convert(cr, b, Class::R)
+        };
+        let d = self.fresh(Class::R);
+        self.push(match op {
+            Add => Instr::AddR { d, a, b },
+            Sub => Instr::SubR { d, a, b },
+            Mul => Instr::MulR { d, a, b },
+            Div => Instr::DivR { d, a, b },
+            _ if cr == Class::I => Instr::PowRI { d, a, b },
+            _ => Instr::PowR { d, a, b },
+        });
+        (Class::R, d)
     }
 
     fn emit_stmt(&mut self, s: &Stmt) {
+        self.next = self.base;
         match s {
             Stmt::Assign { lhs, rhs, span } => match lhs {
                 LValue::Scalar(sv) => {
                     self.gate(*span, *span);
-                    self.emit_scalar_value(rhs);
-                    self.cu.code.push(Instr::StoreScalar(*sv));
-                }
-                LValue::Elem { arr, idx } if idx.len() <= MAX_RANK => {
-                    self.gate(*span, *span);
-                    for e in idx {
-                        self.emit_scalar_value(e);
-                        self.cu.code.push(Instr::ChargeIdx);
+                    let sym = *sv;
+                    match self.emit_value(rhs) {
+                        Some((c, r)) => {
+                            let to = self.class(sym);
+                            let s = self.convert(c, r, to);
+                            self.push(match to {
+                                Class::R => Instr::StoreR { sym, s },
+                                Class::I => Instr::StoreI { sym, s },
+                                Class::B => Instr::StoreB { sym, s },
+                            });
+                        }
+                        None => self.push(Instr::StoreV { sym }),
                     }
-                    self.emit_scalar_value(rhs);
-                    self.cu.code.push(Instr::StoreElem { arr: *arr, rank: idx.len() as u8 });
+                }
+                LValue::Elem { arr, idx } if self.elem_ok(*arr, idx.len()) => {
+                    self.gate(*span, *span);
+                    let sub = self.emit_subs(idx);
+                    let (arr, rank) = (*arr, idx.len() as u8);
+                    match self.emit_value(rhs) {
+                        Some((c, r)) => {
+                            let to = self.class(arr);
+                            let s = self.convert(c, r, to);
+                            self.push(match to {
+                                Class::R => Instr::SetElemR { arr, sub, rank, s },
+                                Class::I => Instr::SetElemI { arr, sub, rank, s },
+                                Class::B => Instr::SetElemB { arr, sub, rank, s },
+                            });
+                        }
+                        None => self.push(Instr::SetElemV { arr, sub, rank }),
+                    }
                 }
                 // Vector sections (bulk ops, masks, fast-path ablation)
-                // and rank-overflow element stores keep the
-                // interpreter's single implementation.
+                // and rank-mismatched or rank-overflow element stores
+                // keep the interpreter's single implementation.
                 _ => self.fallback(s),
             },
             Stmt::WhereAssign { .. } => self.fallback(s),
-            Stmt::If { cond, then_body, elifs, else_body, span } => {
+            Stmt::If {
+                cond,
+                then_body,
+                elifs,
+                else_body,
+                span,
+            } => {
                 self.gate(*span, *span);
-                self.emit_scalar_value(cond);
+                let c = self.emit_bool(cond);
                 // The interpreter charges the branch test once, after
                 // the IF condition only (elif conditions are free).
-                self.cu.code.push(Instr::Branch);
+                self.push(Instr::Branch);
                 let mut end_jumps = Vec::with_capacity(1 + elifs.len());
-                let mut next = self.emit_jump_placeholder(true);
+                let mut next = self.emit_jump_placeholder(Some(c));
                 self.emit_block(then_body);
-                end_jumps.push(self.emit_jump_placeholder(false));
+                end_jumps.push(self.emit_jump_placeholder(None));
                 for (ec, eb) in elifs {
                     self.patch_jump(next);
-                    self.emit_scalar_value(ec);
-                    next = self.emit_jump_placeholder(true);
+                    self.next = self.base;
+                    let c = self.emit_bool(ec);
+                    next = self.emit_jump_placeholder(Some(c));
                     self.emit_block(eb);
-                    end_jumps.push(self.emit_jump_placeholder(false));
+                    end_jumps.push(self.emit_jump_placeholder(None));
                 }
                 self.patch_jump(next);
                 self.emit_block(else_body);
@@ -372,26 +842,39 @@ impl Compiler<'_> {
             Stmt::DoWhile { cond, body, span } => {
                 self.gate(*span, Span::NONE);
                 let wi = self.cu.whiles.len();
+                self.push(Instr::WhileStmt(wi as u32));
+                let lo = self.pc();
+                let cond_reg = self.emit_bool(cond);
+                let cond = (lo, self.pc());
+                // Reserve the side-table slot first: nested DO WHILEs
+                // take the following ones.
                 self.cu.whiles.push(VmWhile {
-                    cond: cond.clone(),
+                    cond,
+                    cond_reg,
                     body: (0, 0),
                     span: *span,
                     end_pc: 0,
                 });
-                self.cu.code.push(Instr::WhileStmt(wi as u32));
-                let body_range = self.emit_range(body);
-                self.cu.whiles[wi].body = body_range;
-                self.cu.whiles[wi].end_pc = self.pc();
+                let body = self.emit_range(body);
+                let end_pc = self.pc();
+                let w = &mut self.cu.whiles[wi];
+                (w.body, w.end_pc) = (body, end_pc);
             }
             Stmt::Call { callee, args, span } => {
                 if cedar_ir::is_timer_call(callee) {
                     self.gate(*span, *span);
-                    self.cu.code.push(Instr::Timer { start: callee == "tstart" });
+                    self.push(Instr::Timer {
+                        start: callee == "tstart",
+                    });
                 } else if let Some(&ridx) = self.unit_index.get(callee.as_str()) {
                     self.gate(*span, *span);
                     let ci = self.cu.calls.len() as u32;
-                    self.cu.calls.push(CallSite { ridx, args: args.clone(), span: *span });
-                    self.cu.code.push(Instr::CallSub(ci));
+                    self.cu.calls.push(CallSite {
+                        ridx,
+                        args: args.clone(),
+                        span: *span,
+                    });
+                    self.push(Instr::CallSub(ci));
                 } else {
                     // Unknown callee: the interpreter's error (span,
                     // message, gating) is authoritative.
@@ -403,7 +886,7 @@ impl Compiler<'_> {
             Stmt::TaskStart { .. } => self.fallback(s),
             Stmt::TaskWait { span } => {
                 self.gate(*span, Span::NONE);
-                self.cu.code.push(Instr::TaskWait);
+                self.push(Instr::TaskWait);
             }
             Stmt::Sync(op) => {
                 // `Stmt::span()` is NONE for sync ops, and the
@@ -411,32 +894,39 @@ impl Compiler<'_> {
                 self.gate(Span::NONE, Span::NONE);
                 let si = self.cu.syncs.len() as u32;
                 self.cu.syncs.push(op.clone());
-                self.cu.code.push(Instr::SyncStmt(si));
+                self.push(Instr::SyncStmt(si));
             }
             Stmt::Return => {
                 self.gate(Span::NONE, Span::NONE);
-                self.cu.code.push(Instr::Return);
+                self.push(Instr::Return);
             }
             Stmt::Stop => {
                 self.gate(Span::NONE, Span::NONE);
-                self.cu.code.push(Instr::Stop);
+                self.push(Instr::Stop);
             }
             Stmt::Io { span } => {
                 self.gate(*span, Span::NONE);
-                self.cu.code.push(Instr::Io);
+                self.push(Instr::Io);
             }
         }
     }
 
     fn emit_loop(&mut self, l: &Loop) {
+        // Bounds evaluate under a NONE stamp: the interpreter's
+        // `exec_loop` is not wrapped in `with_span`.
         self.gate(l.span, Span::NONE);
+        let start = self.emit_int(&l.start);
+        let end = self.emit_int(&l.end);
+        let step = l.step.as_ref().map(|e| self.emit_int(e));
+        // Reserve the side-table slot first: nested loops take the
+        // following ones.
         let li = self.cu.loops.len();
         self.cu.loops.push(VmLoop {
             class: l.class,
             var: l.var,
-            start: l.start.clone(),
-            end: l.end.clone(),
-            step: l.step.clone(),
+            start,
+            end,
+            step,
             locals: l.locals.clone(),
             pre: (0, 0),
             body: (0, 0),
@@ -444,7 +934,7 @@ impl Compiler<'_> {
             span: l.span,
             end_pc: 0,
         });
-        self.cu.code.push(Instr::LoopStmt(li as u32));
+        self.push(Instr::LoopStmt(li as u32));
         // The loop's blocks live inline after the LoopStmt; straight-
         // line execution continues at end_pc, and only the schedulers
         // enter the ranges (per participant / per iteration).
@@ -453,10 +943,7 @@ impl Compiler<'_> {
         let post = self.emit_range(&l.postamble);
         let end_pc = self.pc();
         let lp = &mut self.cu.loops[li];
-        lp.pre = pre;
-        lp.body = body;
-        lp.post = post;
-        lp.end_pc = end_pc;
+        (lp.pre, lp.body, lp.post, lp.end_pc) = (pre, body, post, end_pc);
     }
 }
 
@@ -471,11 +958,94 @@ mod tests {
 
     #[test]
     fn straight_line_assign_compiles_without_fallback() {
-        let cp = compile_src(
-            "program t\nreal a(10)\nreal x\nx = 1.5\na(3) = x * 2.0\nend\n",
-        );
+        let cp = compile_src("program t\nreal a(10)\nreal x\nx = 1.5\na(3) = x * 2.0\nend\n");
         assert_eq!(cp.fallback_count(), 0, "scalar assigns must go native");
         assert!(cp.instr_count() > 0);
+    }
+
+    #[test]
+    fn expressions_are_typed_from_declarations_and_promotion_rules() {
+        let cp = compile_src(
+            "program t\ninteger i, k\nreal x\nlogical l\ni = 2\nx = i * 1.5 + i / 2\n\
+             k = -l\nl = i .lt. x\nx = sqrt(x) + mod(i, 2)\nend\n",
+        );
+        assert_eq!((cp.eval_tree_count(), cp.fallback_count()), (0, 0));
+        let code = &cp.units[0].code;
+        let has = |f: fn(&Instr) -> bool| code.iter().any(f);
+        assert!(
+            has(|i| matches!(i, Instr::DivI { .. })),
+            "i / 2 stays integral"
+        );
+        assert!(has(|i| matches!(i, Instr::MulR { .. })), "i * 1.5 promotes");
+        assert!(
+            has(|i| matches!(i, Instr::CvtIR { .. })),
+            "through an explicit conversion"
+        );
+        assert!(
+            has(|i| matches!(i, Instr::CvtBI { .. })),
+            "-l negates the integer of l"
+        );
+        assert!(
+            has(|i| matches!(i, Instr::CmpR { .. })),
+            "i .lt. x compares as reals"
+        );
+        assert!(
+            has(|i| matches!(i, Instr::IntrR { .. })),
+            "sqrt yields a real"
+        );
+        assert!(
+            has(|i| matches!(i, Instr::IntrI { .. })),
+            "mod of two integers an integer"
+        );
+        // Every literal has a register below the temporaries, loaded
+        // once per activation.
+        let u = &cp.units[0];
+        assert_eq!(
+            u.iconsts.len(),
+            1,
+            "the one integer literal, 2: {:?}",
+            u.iconsts
+        );
+        assert_eq!(u.fconsts.len(), 1, "{:?}", u.fconsts);
+    }
+
+    #[test]
+    fn what_the_typed_ops_cannot_compute_is_boxed_where_it_is_consumed() {
+        // A call in a subscript boxes the subscript alone; a call in
+        // arithmetic boxes the right-hand side, taking back the ops
+        // already emitted for its other operand.
+        let cp = compile_src(
+            "program t\nreal a(4)\nx = a(nf(1)) + 1.0\ny = a(2) * g(3.0)\nend\n\
+             integer function nf(k)\nnf = k\nend\nreal function g(v)\ng = v\nend\n",
+        );
+        let u = &cp.units[0];
+        assert_eq!(cp.eval_tree_count(), 2);
+        assert!(matches!(u.exprs[0], Expr::Call { .. }), "{:?}", u.exprs[0]);
+        assert!(matches!(u.exprs[1], Expr::Bin(..)), "{:?}", u.exprs[1]);
+        assert!(u.code.iter().any(|i| matches!(i, Instr::CvtVI { .. })));
+        assert!(u.code.iter().any(|i| matches!(i, Instr::StoreV { .. })));
+        let elem_loads = u
+            .code
+            .iter()
+            .filter(|i| matches!(i, Instr::ElemR { .. }))
+            .count();
+        assert_eq!(elem_loads, 1, "a(2) of the boxed statement was taken back");
+    }
+
+    #[test]
+    fn an_access_of_the_wrong_rank_is_left_to_the_tree_walker() {
+        let mut p =
+            cedar_ir::compile_free("program t\nreal a(4, 4)\nx = a(2, 3)\na(1, 2) = x\nend\n")
+                .expect("compiles");
+        // The front end checks ranks; retag the array by hand.
+        let a = p.units[0]
+            .symbols
+            .iter_mut()
+            .find(|s| s.name == "a")
+            .expect("a");
+        a.dims.truncate(1);
+        let cp = compile_program(&p);
+        assert_eq!((cp.eval_tree_count(), cp.fallback_count()), (1, 1));
     }
 
     #[test]
@@ -504,7 +1074,7 @@ mod tests {
         for u in &cp.units {
             for i in &u.code {
                 match i {
-                    Instr::Jump(t) | Instr::JumpIfFalse(t) => {
+                    Instr::Jump(t) | Instr::JumpIfFalse { t, .. } => {
                         assert!(*t != u32::MAX, "unpatched jump");
                         assert!((*t as usize) <= u.code.len(), "jump out of range");
                     }
@@ -532,10 +1102,9 @@ mod tests {
     fn first_unit_definition_wins_for_calls() {
         // Mirror of the prepass rule: duplicate unit names resolve to
         // the first definition.
-        let p = cedar_ir::compile_free(
-            "program t\ncall s\nend\nsubroutine s\nreal x\nx = 1.0\nend\n",
-        )
-        .expect("compiles");
+        let p =
+            cedar_ir::compile_free("program t\ncall s\nend\nsubroutine s\nreal x\nx = 1.0\nend\n")
+                .expect("compiles");
         let cp = compile_program(&p);
         let u = &cp.units[0];
         assert_eq!(u.calls.len(), 1);

@@ -30,11 +30,12 @@ use crate::config::MachineConfig;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(usize)]
 pub enum CostClass {
-    /// One scalar ALU/FPU operation (`Un`, `Bin`, subscript address
-    /// arithmetic): [`MachineConfig::scalar_op`].
+    /// One scalar ALU/FPU operation (every arithmetic, comparison and
+    /// logical op, subscript address arithmetic):
+    /// [`MachineConfig::scalar_op`].
     ScalarOp = 0,
-    /// Register/cache-resident scalar access (`LoadScalar`,
-    /// `StoreScalar`): [`MachineConfig::cache_hit`].
+    /// Register/cache-resident scalar access (scalar loads and
+    /// stores): [`MachineConfig::cache_hit`].
     CacheHit = 1,
     /// Conditional-branch test of an `IF` statement (the interpreter
     /// charges one scalar op after evaluating the condition):

@@ -43,11 +43,18 @@ fn kerr<T>(kind: SimErrorKind, span: cedar_ir::Span, msg: impl Into<String>) -> 
     Err(SimError::new(kind, span, msg))
 }
 
-/// One activation record: per-symbol bindings of the current unit.
-#[derive(Clone)]
+/// One activation record: per-symbol bindings of the current unit,
+/// plus what compiled code runs on (empty for tree-walked activations).
 struct Frame {
     unit: usize,
     binds: Vec<Option<VarBind>>,
+    vm: vm::VmState,
+}
+
+impl Frame {
+    fn new(unit: usize, symbols: usize) -> Frame {
+        Frame { unit, binds: vec![None; symbols], vm: vm::VmState::default() }
+    }
 }
 
 /// Execution context: where and when we are.
@@ -175,6 +182,11 @@ pub struct Simulator<'p> {
     compiled: Option<Arc<CompiledProgram>>,
     /// Static per-instruction cycle charges (see [`crate::cost`]).
     costs: CostTable,
+    /// Register files and operand tables of returned activations, for
+    /// the next ones to reuse.
+    retired: Vec<vm::VmState>,
+    /// See [`Simulator::tree_walked_activations`].
+    tree_walked: u64,
 }
 
 impl<'p> Simulator<'p> {
@@ -230,6 +242,8 @@ impl<'p> Simulator<'p> {
             scratch_lin: Vec::new(),
             compiled,
             costs,
+            retired: Vec::new(),
+            tree_walked: 0,
         };
         sim.allocate_commons()?;
         Ok(sim)
@@ -262,6 +276,15 @@ impl<'p> Simulator<'p> {
         self.races.as_ref().map_or(0, |rd| rd.total())
     }
 
+    /// How many unit activations the VM engine handed to the
+    /// tree-walker because a binding's storage type or rank disagreed
+    /// with the unit's declaration (always 0 on the tree-walking
+    /// engine). Not part of [`ExecStats`]: it differs between engines
+    /// by design.
+    pub fn tree_walked_activations(&self) -> u64 {
+        self.tree_walked
+    }
+
     /// Total simulated cycles so far.
     pub fn cycles(&self) -> f64 {
         self.stats.cycles
@@ -285,8 +308,8 @@ impl<'p> Simulator<'p> {
             })?;
         let mut ctx = Ctx { cluster: 0, time: 0.0, active: 1 };
         let mut frame = self.new_frame(idx, &mut ctx)?;
-        let flow = self.exec_unit_body(&mut frame, idx, &mut ctx)?;
-        let _ = flow;
+        self.seal_frame(&mut frame);
+        self.exec_unit_body(&mut frame, idx, &mut ctx)?;
         self.stats.cycles = ctx.time;
         self.entry_frame = Some(frame);
         Ok(())
@@ -470,7 +493,7 @@ impl<'p> Simulator<'p> {
     /// Argument symbols are left unbound (the caller binds them).
     fn new_frame(&mut self, idx: usize, ctx: &mut Ctx) -> Result<Frame> {
         let unit = &self.program.units[idx];
-        let mut frame = Frame { unit: idx, binds: vec![None; unit.symbols.len()] };
+        let mut frame = Frame::new(idx, unit.symbols.len());
         // Two passes: scalars first (so array dims referencing scalar
         // PARAMETERs / locals resolve), then arrays.
         for pass in 0..2 {
@@ -615,8 +638,21 @@ impl<'p> Simulator<'p> {
     /// placement. `vector` selects the pipelined path; `read` matters
     /// for prefetch (reads only).
     fn mem_cost(&mut self, placement: Placement, n: u64, vector: bool, read: bool, ctx: &Ctx) -> f64 {
+        self.mem_cost_inline(placement, n, vector, read, ctx)
+    }
+
+    /// [`Simulator::mem_cost`], to be specialized where it is inlined
+    /// (the scalar access path knows `n` and `vector`).
+    #[inline(always)]
+    fn mem_cost_inline(
+        &mut self,
+        placement: Placement,
+        n: u64,
+        vector: bool,
+        read: bool,
+        ctx: &Ctx,
+    ) -> f64 {
         let cfg = &self.config;
-        let contention = (ctx.active as f64 / cfg.global_streams).max(1.0);
         let (per_elem, paged_pool) = match placement {
             Placement::Private => {
                 self.stats.private_accesses += n;
@@ -636,6 +672,7 @@ impl<'p> Simulator<'p> {
                     } else {
                         cfg.global_vector
                     };
+                    let contention = (ctx.active as f64 / cfg.global_streams).max(1.0);
                     (base * contention, None)
                 } else {
                     // Scalar global accesses are latency-bound; the
@@ -668,25 +705,20 @@ impl<'p> Simulator<'p> {
         cost
     }
 
-    /// Cost of an element access through a specific bind. Partitioned
-    /// placement models the paper's §4.2.3 measurement directly: "this
-    /// variant has 50% of its data references localized to the cluster
-    /// memory" — half of each access streams from the owning cluster's
-    /// memory, half still crosses the global interconnect.
-    fn bind_access_cost(
-        &mut self,
-        bind: &VarBind,
-        _lin: usize,
-        vector: bool,
-        read: bool,
-        ctx: &Ctx,
-    ) -> f64 {
-        if bind.placement == Placement::Partitioned {
-            let local = self.mem_cost(Placement::Cluster, 1, vector, read, ctx);
-            let remote = self.mem_cost(Placement::Global, 1, vector, read, ctx);
+    /// Cost of one scalar element access to storage of the given
+    /// placement. Partitioned placement models the paper's §4.2.3
+    /// measurement directly: "this variant has 50% of its data
+    /// references localized to the cluster memory" — half of each
+    /// access streams from the owning cluster's memory, half still
+    /// crosses the global interconnect.
+    #[inline]
+    fn scalar_access_cost(&mut self, placement: Placement, read: bool, ctx: &Ctx) -> f64 {
+        if placement == Placement::Partitioned {
+            let local = self.mem_cost(Placement::Cluster, 1, false, read, ctx);
+            let remote = self.mem_cost(Placement::Global, 1, false, read, ctx);
             return 0.5 * (local + remote);
         }
-        self.mem_cost(bind.placement, 1, vector, read, ctx)
+        self.mem_cost_inline(placement, 1, false, read, ctx)
     }
 
     // ================== scratch buffers ==================
@@ -751,6 +783,12 @@ impl<'p> Simulator<'p> {
     /// through here, so this is where the race detector observes reads.
     fn load(&mut self, slot: SlotId, lin: usize) -> Result<Value> {
         let v = self.load_raw(slot, lin)?;
+        self.note_read(slot, lin)?;
+        Ok(v)
+    }
+
+    /// Show the race detector (when live) one element read.
+    fn note_read(&mut self, slot: SlotId, lin: usize) -> Result<()> {
         if let Some(rd) = self.races.as_mut() {
             if let Some(race) = rd.record_read(slot, lin) {
                 if let Some(e) = rd.flag(race) {
@@ -758,29 +796,11 @@ impl<'p> Simulator<'p> {
                 }
             }
         }
-        Ok(v)
+        Ok(())
     }
 
-    /// [`Simulator::load`] without the race hook — for vector gather
-    /// loops whose reads the detector observes through a bulk recorder
-    /// instead.
-    fn load_raw(&mut self, slot: SlotId, lin: usize) -> Result<Value> {
-        self.store.slot(slot).try_get(lin).ok_or_else(|| {
-            SimError::new(
-                SimErrorKind::OutOfBounds,
-                cedar_ir::Span::NONE,
-                format!(
-                    "linear index {lin} outside storage of {} element(s)",
-                    self.store.slot(slot).len()
-                ),
-            )
-        })
-    }
-
-    /// Checked element write through a resolved slot (the write-side
-    /// counterpart of [`Simulator::load`] for race detection).
-    fn store_at(&mut self, slot: SlotId, lin: usize, v: Value, ty: Ty) -> Result<()> {
-        self.store_at_raw(slot, lin, v, ty)?;
+    /// Show the race detector (when live) one element write.
+    fn note_write(&mut self, slot: SlotId, lin: usize) -> Result<()> {
         if let Some(rd) = self.races.as_mut() {
             if let Some(race) = rd.record_write(slot, lin) {
                 if let Some(e) = rd.flag(race) {
@@ -791,19 +811,40 @@ impl<'p> Simulator<'p> {
         Ok(())
     }
 
+    /// The error of an element access outside its slot.
+    fn storage_error(&self, slot: SlotId, lin: usize) -> SimError {
+        SimError::new(
+            SimErrorKind::OutOfBounds,
+            cedar_ir::Span::NONE,
+            format!(
+                "linear index {lin} outside storage of {} element(s)",
+                self.store.slot(slot).len()
+            ),
+        )
+    }
+
+    /// [`Simulator::load`] without the race hook — for vector gather
+    /// loops whose reads the detector observes through a bulk recorder
+    /// instead.
+    fn load_raw(&mut self, slot: SlotId, lin: usize) -> Result<Value> {
+        self.store.slot(slot).try_get(lin).ok_or_else(|| self.storage_error(slot, lin))
+    }
+
+    /// Checked element write through a resolved slot (the write-side
+    /// counterpart of [`Simulator::load`] for race detection).
+    fn store_at(&mut self, slot: SlotId, lin: usize, v: Value, ty: Ty) -> Result<()> {
+        self.store_at_raw(slot, lin, v, ty)?;
+        self.note_write(slot, lin)
+    }
+
     /// [`Simulator::store_at`] without the race hook — for vector
     /// scatter loops whose writes the detector observes through a bulk
     /// recorder instead.
     fn store_at_raw(&mut self, slot: SlotId, lin: usize, v: Value, ty: Ty) -> Result<()> {
-        let len = self.store.slot(slot).len();
         if self.store.slot_mut(slot).try_set(lin, value_ops::coerce(v, ty)) {
             Ok(())
         } else {
-            kerr(
-                SimErrorKind::OutOfBounds,
-                cedar_ir::Span::NONE,
-                format!("linear index {lin} outside storage of {len} element(s)"),
-            )
+            Err(self.storage_error(slot, lin))
         }
     }
 
@@ -829,7 +870,7 @@ impl<'p> Simulator<'p> {
                 }
                 let bind = self.bind_of(frame, *arr)?;
                 let lin = self.linearize(frame, *arr, bind, subs.as_slice())?;
-                ctx.time += self.bind_access_cost(bind, lin, false, true, ctx);
+                ctx.time += self.scalar_access_cost(bind.placement, true, ctx);
                 let slot = self.resolve_slot(bind, ctx.cluster);
                 self.load(slot, lin)
             }
@@ -1484,7 +1525,7 @@ impl<'p> Simulator<'p> {
 
         // `&'p` borrow independent of `&mut self` (see run_main).
         let callee_unit = &{ self.program }.units[ridx];
-        let mut frame = Frame { unit: ridx, binds: vec![None; callee_unit.symbols.len()] };
+        let mut frame = Frame::new(ridx, callee_unit.symbols.len());
 
         // Pass 1: bind arguments (aliases or value temps).
         if args.len() != callee_unit.args.len() {
@@ -1532,6 +1573,7 @@ impl<'p> Simulator<'p> {
         };
         let mut frame = local_frame;
 
+        self.seal_frame(&mut frame);
         self.exec_unit_body(&mut frame, ridx, ctx)?;
 
         let result = match callee_unit.result {
@@ -1556,6 +1598,7 @@ impl<'p> Simulator<'p> {
                 }
             }
         }
+        self.retire_frame(&mut frame);
         self.call_depth -= 1;
         Ok(result)
     }
@@ -1689,8 +1732,23 @@ impl<'p> Simulator<'p> {
     /// first, so a pre-expired token aborts before any work). One
     /// `Instant::now()` per window keeps the host cost invisible; the
     /// abort is cooperative, so no simulator state tears.
+    #[inline]
     fn statement_gate(&mut self, span: cedar_ir::Span) -> Result<()> {
         self.ops_executed += 1;
+        if self.ops_executed > self.config.watchdog_ops || self.ops_executed & 0x3FF == 1 {
+            self.watchdog(span)?;
+        }
+        if let Some(rd) = self.races.as_mut() {
+            // Accesses report the statement they ran under.
+            rd.set_span(span);
+        }
+        Ok(())
+    }
+
+    /// The rare part of [`Simulator::statement_gate`]: the budget is
+    /// spent, or a 1024-statement window opens.
+    #[cold]
+    fn watchdog(&mut self, span: cedar_ir::Span) -> Result<()> {
         if self.ops_executed > self.config.watchdog_ops {
             return kerr(
                 SimErrorKind::Limit,
@@ -1719,10 +1777,6 @@ impl<'p> Simulator<'p> {
                     );
                 }
             }
-        }
-        if let Some(rd) = self.races.as_mut() {
-            // Accesses report the statement they ran under.
-            rd.set_span(span);
         }
         Ok(())
     }
@@ -1866,7 +1920,7 @@ impl<'p> Simulator<'p> {
                 let v = self.eval_scalar(frame, rhs, ctx)?;
                 let bind = self.bind_of(frame, *arr)?;
                 let lin = self.linearize(frame, *arr, bind, subs.as_slice())?;
-                ctx.time += self.bind_access_cost(bind, lin, false, false, ctx);
+                ctx.time += self.scalar_access_cost(bind.placement, false, ctx);
                 let slot = self.resolve_slot(bind, ctx.cluster);
                 let ty = bind.ty;
                 self.store_at(slot, lin, v, ty)
@@ -2020,12 +2074,7 @@ impl<'p> Simulator<'p> {
                 let d = match dist {
                     Expr::ConstI(v) => *v,
                     e => {
-                        // Distance may be an expression; evaluate against
-                        // an empty frame is unsafe — use frame.
                         let mut c2 = *ctx;
-                        let f = Frame { unit: 0, binds: vec![] };
-                        let _ = f;
-                        // Fall back: evaluate with the real frame.
                         let v = self.eval_scalar(_frame, e, &mut c2)?;
                         ctx.time = c2.time;
                         v.as_i64()
@@ -2188,17 +2237,20 @@ impl<'p> Simulator<'p> {
                 self.exec_block(frame, b, ctx)
             }
             LoopBlocks::Vm { cu, lp } => {
-                let (lo, hi) = match which {
+                let range = match which {
                     Blk::Pre => lp.pre,
                     Blk::Body => lp.body,
                     Blk::Post => lp.post,
                 };
-                self.vm_run_range(frame, cu, lo, hi, ctx)
+                self.vm_run_range(frame, cu, range, cedar_ir::Span::NONE, ctx)
             }
         }
     }
 
     fn set_loop_var(&mut self, frame: &Frame, var: SymbolId, value: i64, ctx: &Ctx) -> Result<()> {
+        if self.set_loop_var_resolved(frame, var, value, ctx.cluster) {
+            return Ok(());
+        }
         let bind = self.bind_of(frame, var)?;
         let slot = self.resolve_slot(bind, ctx.cluster);
         let (offset, ty) = (bind.offset, bind.ty);
@@ -2317,7 +2369,7 @@ impl<'p> Simulator<'p> {
                 }
             }
             // Bind participant 0 by default.
-            frame.binds[loc.index()] = Some(per_part[0].clone());
+            self.rebind(frame, loc, &per_part[0]);
             out.push((loc, per_part));
         }
         Ok(out)
@@ -2415,7 +2467,7 @@ impl<'p> Simulator<'p> {
         if lr.has_pre() {
             for p in 0..participants {
                 for (loc, per_part) in &locals {
-                    frame.binds[loc.index()] = Some(per_part[p].clone());
+                    self.rebind(frame, *loc, &per_part[p]);
                 }
                 let mut cctx = Ctx {
                     cluster: self.participant_cluster(lr.class, p, ctx),
@@ -2444,7 +2496,7 @@ impl<'p> Simulator<'p> {
             let p = self.pick_participant(&clocks);
             if p != bound_p {
                 for (loc, per_part) in &locals {
-                    frame.binds[loc.index()] = Some(per_part[p].clone());
+                    self.rebind(frame, *loc, &per_part[p]);
                 }
                 bound_p = p;
             }
@@ -2478,7 +2530,7 @@ impl<'p> Simulator<'p> {
         if lr.has_post() {
             for p in 0..participants {
                 for (loc, per_part) in &locals {
-                    frame.binds[loc.index()] = Some(per_part[p].clone());
+                    self.rebind(frame, *loc, &per_part[p]);
                 }
                 let mut cctx = Ctx {
                     cluster: self.participant_cluster(lr.class, p, ctx),

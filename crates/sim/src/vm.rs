@@ -1,19 +1,42 @@
-//! The bytecode dispatch loop (DESIGN.md §14).
+//! The bytecode dispatch loop and the per-activation state it runs on
+//! (DESIGN.md §14).
 //!
 //! This module is a child of [`exec`](super) so it can execute
-//! instructions through the interpreter's own private seams — `load` /
-//! `store_at` (race-detector shadow memory), `bind_access_cost` /
-//! `mem_cost` (placement + paging + fault jitter), `exec_sync`
-//! (cascades, locks, deadlock detection), `invoke` (frames, recursion
-//! guard), and the shared loop schedulers. The VM replaces only the
-//! *walk*: statement dispatch, expression recursion, and static cycle
-//! charges. Everything observable (cycles, stats, outputs, errors, race
-//! reports, fault-RNG draw order) is produced by the same code in the
-//! same order as the tree-walker, which is what makes the two engines
-//! bit-identical — gated by the `vm_identity` tests and the
-//! `vm-vs-interpreter` fuzz lane.
+//! instructions through the interpreter's own private seams —
+//! `scalar_access_cost` / `mem_cost` (placement + paging + fault
+//! jitter), `note_read` / `note_write` (race-detector shadow memory),
+//! `exec_sync` (cascades, locks, deadlock detection), `invoke` (frames,
+//! recursion guard), and the shared loop schedulers. The VM replaces
+//! only the *walk*: statement dispatch, expression recursion, value
+//! boxing, and per-access binding resolution. Everything observable
+//! (cycles, stats, outputs, errors, race reports, fault-RNG draw order)
+//! is produced in the same order as the tree-walker, which is what
+//! makes the two engines bit-identical — gated by the `vm_identity`
+//! tests and the `vm-vs-interpreter` fuzz lane.
 //!
-//! ## Error stamping
+//! ## Activation state
+//!
+//! A [`VmState`] sits beside `frame.binds`: typed register files sized
+//! by the compiler (constants preloaded), one boxed value register for
+//! [`Instr::EvalTree`] results, and the **resolved-operand table** —
+//! per symbol, the slot of every cluster, the element offset, the
+//! storage class, the placement, and `(lo, hi, stride)` per dimension —
+//! so an access is an indexed read instead of `bind_of` +
+//! `resolve_slot` + a stride walk over `Vec<(i64, i64)>`. The table is
+//! filled by [`Simulator::seal_frame`] once an activation's bindings
+//! are complete and refreshed by [`Simulator::rebind`], the one way a
+//! binding changes afterwards (loop locals at loop entry, and per
+//! participant inside `exec_parallel_loop`).
+//!
+//! ## Faults and error stamping
+//!
+//! Typed ops are infallible or fail without a payload (unbound operand,
+//! subscript or storage out of range, integer `/0`, `0 ** -k`). A
+//! failing op leaves the loop through [`Simulator::vm_fault`], which
+//! re-runs the interpreter's checked path over the same operands to
+//! build the error — same kind, same message — and stamps it. (The
+//! intrinsic ops call `value_ops::intrinsic` itself and stamp what it
+//! returns.)
 //!
 //! The interpreter wraps some statement bodies in
 //! `map_err(with_span(span))`. The VM reproduces this with a running
@@ -25,165 +48,568 @@
 //! through unchanged — exactly the interpreter's behavior.
 
 use super::{err, kerr, with_span, Ctx, Flow, Frame, LoopBlocks, LoopRef, Result, Simulator, Subs};
-use crate::compile::{CompiledUnit, Instr};
+use crate::compile::{Class, CompiledUnit, Instr, Reg, MAX_INTR_ARGS};
 use crate::cost::CostClass;
 use crate::error::{SimError, SimErrorKind};
+use crate::store::{ArrayData, SlotId, StorageRef, Store, VarBind};
 use crate::value_ops;
-use cedar_ir::{LoopClass, Span, Value};
+use cedar_ir::{BinOp, LoopClass, Placement, Span, SymbolId, Value};
+use std::cmp::Ordering;
+use std::sync::Arc;
+
+/// One dimension of a resolved array operand.
+#[derive(Clone, Copy, Default)]
+struct DimStride {
+    lo: i64,
+    hi: i64,
+    stride: i64,
+}
+
+/// One symbol's entry in the resolved-operand table.
+#[derive(Clone, Copy)]
+struct Operand {
+    bound: bool,
+    /// Declared class; a bound operand's storage has the same one.
+    class: Class,
+    placement: Placement,
+    /// Declared rank; a bound operand's dims have the same one.
+    rank: u32,
+    /// First of this symbol's `rank` entries in [`VmState::dims`].
+    dims: u32,
+    offset: usize,
+}
+
+/// What compiled code needs of an activation besides `frame.binds`.
+/// Empty (and `live` false) for activations the tree-walker runs.
+#[derive(Default)]
+pub(super) struct VmState {
+    /// The activation runs compiled code.
+    pub(super) live: bool,
+    ops: Vec<Operand>,
+    /// Slot per (symbol, cluster): `slots[sym * width + cluster]`.
+    slots: Vec<SlotId>,
+    width: usize,
+    dims: Vec<DimStride>,
+    f: Vec<f64>,
+    i: Vec<i64>,
+    b: Vec<bool>,
+    /// Result of the last [`Instr::EvalTree`].
+    v: Option<Value>,
+}
+
+impl VmState {
+    #[inline(always)]
+    fn slot(&self, sym: usize, cluster: usize) -> SlotId {
+        self.slots[sym * self.width + cluster.min(self.width - 1)]
+    }
+
+    /// `VarBind::linearize` over the resolved dims, reading the
+    /// subscripts from integer registers. `None` = unbound or out of
+    /// bounds (the fault path works out which).
+    #[inline(always)]
+    fn linearize(&self, op: &Operand, sub_regs: &[Reg]) -> Option<usize> {
+        if !op.bound {
+            return None;
+        }
+        let dims = &self.dims[op.dims as usize..][..sub_regs.len()];
+        let mut lin: i64 = 0;
+        for (&r, d) in sub_regs.iter().zip(dims) {
+            let s = self.i[r as usize];
+            if s < d.lo || s > d.hi {
+                return None;
+            }
+            lin = lin.wrapping_add((s - d.lo).wrapping_mul(d.stride));
+        }
+        usize::try_from(lin).ok().map(|l| l + op.offset)
+    }
+
+    /// Fill symbol `si`'s entry from `bind`; `false` (entry left
+    /// unbound) when the storage class or the rank differs from the
+    /// declaration the code was typed against.
+    fn resolve(&mut self, si: usize, bind: &VarBind, store: &Store) -> bool {
+        let op = &mut self.ops[si];
+        op.bound = false;
+        let slots = match &bind.sref {
+            StorageRef::One(s) => std::slice::from_ref(s),
+            StorageRef::PerCluster(v) | StorageRef::PerParticipant(v) => v.as_slice(),
+        };
+        let Some(&first) = slots.first() else {
+            return false;
+        };
+        let class = match store.slot(first) {
+            ArrayData::R(_) => Class::R,
+            ArrayData::I(_) => Class::I,
+            ArrayData::B(_) => Class::B,
+        };
+        if class != op.class || bind.dims.len() != op.rank as usize {
+            return false;
+        }
+        // `resolve_slot`, once per cluster: a per-participant binding
+        // is rebound per participant, so its first slot is the one.
+        let per_cluster = matches!(bind.sref, StorageRef::PerCluster(_));
+        for c in 0..self.width {
+            let k = if per_cluster {
+                c.min(slots.len() - 1)
+            } else {
+                0
+            };
+            self.slots[si * self.width + c] = slots[k];
+        }
+        let mut stride: i64 = 1;
+        for (d, &(lo, hi)) in self.dims[op.dims as usize..].iter_mut().zip(&bind.dims) {
+            *d = DimStride { lo, hi, stride };
+            stride = stride.wrapping_mul(hi.wrapping_sub(lo).wrapping_add(1));
+        }
+        op.placement = bind.placement;
+        op.offset = bind.offset;
+        op.bound = true;
+        true
+    }
+
+    /// The subscript values of an element op, as the interpreter's
+    /// subscript buffer.
+    fn subs(&self, cu: &CompiledUnit, sub: u32, rank: u8) -> Subs {
+        let mut subs = Subs::new();
+        for &r in &cu.subs[sub as usize..][..rank as usize] {
+            subs.push(self.i[r as usize])
+                .expect("compiler admits rank <= 8 only");
+        }
+        subs
+    }
+}
+
+#[cold]
+fn class_bug() -> ! {
+    unreachable!("a value of another class than the compiler typed it")
+}
 
 impl Simulator<'_> {
+    /// Called once an activation's bindings are complete: when the
+    /// engine is [`Engine::Vm`](crate::Engine::Vm) and every binding's
+    /// storage class and rank agree with the unit's declarations, build
+    /// the register files and the resolved-operand table, making the
+    /// activation run compiled code. A load yields the *storage* type —
+    /// an INTEGER actual behind a REAL dummy reads as an integer, a
+    /// COMMON member takes the first declaring unit's type — so an
+    /// activation where they differ stays on the tree-walker, which
+    /// types dynamically.
+    pub(super) fn seal_frame(&mut self, frame: &mut Frame) {
+        let Some(cp) = &self.compiled else { return };
+        let cu = &cp.units[frame.unit];
+        // Buffers of a finished activation (see `retire_frame`): a call
+        // in an inner loop seals without allocating.
+        let mut vm = self.retired.pop().unwrap_or_default();
+        vm.width = self.config.clusters.max(1);
+        vm.ops.clear();
+        vm.ops.extend(cu.shapes.iter().map(|s| Operand {
+            bound: false,
+            class: s.class,
+            placement: Placement::Default,
+            rank: s.rank,
+            dims: s.dims,
+            offset: 0,
+        }));
+        vm.slots.clear();
+        vm.slots.resize(cu.shapes.len() * vm.width, SlotId(0));
+        vm.dims.clear();
+        vm.dims.resize(
+            cu.shapes.last().map_or(0, |s| (s.dims + s.rank) as usize),
+            DimStride::default(),
+        );
+        for (si, bind) in frame.binds.iter().enumerate() {
+            if let Some(bind) = bind {
+                if !vm.resolve(si, bind, &self.store) {
+                    self.retired.push(vm);
+                    return;
+                }
+            }
+        }
+        vm.f.clear();
+        vm.f.resize(cu.nregs[Class::R as usize] as usize, 0.0);
+        vm.i.clear();
+        vm.i.resize(cu.nregs[Class::I as usize] as usize, 0);
+        vm.b.clear();
+        vm.b.resize(cu.nregs[Class::B as usize] as usize, false);
+        for &(r, v) in &cu.fconsts {
+            vm.f[r as usize] = v;
+        }
+        for &(r, v) in &cu.iconsts {
+            vm.i[r as usize] = v;
+        }
+        for &(r, v) in &cu.bconsts {
+            vm.b[r as usize] = v;
+        }
+        vm.live = true;
+        frame.vm = vm;
+    }
+
+    /// A returning activation hands its buffers to the next one sealed.
+    pub(super) fn retire_frame(&mut self, frame: &mut Frame) {
+        if frame.vm.live {
+            self.retired.push(std::mem::take(&mut frame.vm));
+        }
+    }
+
+    /// Change one binding of a sealed activation (the only way
+    /// `frame.binds` changes after [`Simulator::seal_frame`]), keeping
+    /// the resolved-operand table in step.
+    pub(super) fn rebind(&self, frame: &mut Frame, sym: SymbolId, bind: &VarBind) {
+        frame.binds[sym.index()] = Some(bind.clone());
+        if frame.vm.live {
+            // Loop locals are allocated from their own declaration.
+            let agrees = frame.vm.resolve(sym.index(), bind, &self.store);
+            debug_assert!(agrees, "loop local bound to storage of another class");
+        }
+    }
+
+    /// [`Simulator::set_loop_var`] through the resolved-operand table:
+    /// `true` when the store was done. Only without a race detector —
+    /// with one the general path's suspend/resume bracket runs.
+    pub(super) fn set_loop_var_resolved(
+        &mut self,
+        frame: &Frame,
+        var: SymbolId,
+        value: i64,
+        cluster: usize,
+    ) -> bool {
+        let vm = &frame.vm;
+        if !vm.live || self.races.is_some() {
+            return false;
+        }
+        let op = vm.ops[var.index()];
+        if !op.bound {
+            return false;
+        }
+        let stored = match self.store.slot_mut(vm.slot(var.index(), cluster)) {
+            ArrayData::I(d) => d.get_mut(op.offset).map(|x| *x = value),
+            ArrayData::R(d) => d.get_mut(op.offset).map(|x| *x = value as f64),
+            ArrayData::B(d) => d.get_mut(op.offset).map(|x| *x = value != 0),
+        };
+        stored.is_some()
+    }
+
     /// Execute the body of unit `ridx`: compiled bytecode when the
-    /// engine is [`Engine::Vm`](crate::Engine::Vm) (entered from
-    /// `run_main` *and* `invoke`, so callees run compiled no matter how
-    /// they were reached), the IR tree otherwise.
+    /// activation was sealed for it (from `run_main` *and* `invoke`, so
+    /// callees run compiled no matter how they were reached), the IR
+    /// tree otherwise.
     pub(super) fn exec_unit_body(
         &mut self,
         frame: &mut Frame,
         ridx: usize,
         ctx: &mut Ctx,
     ) -> Result<Flow> {
-        if let Some(cp) = self.compiled.clone() {
+        if frame.vm.live {
+            let cp = Arc::clone(self.compiled.as_ref().expect("sealed without an artifact"));
             let cu = &cp.units[ridx];
-            return self.vm_run_range(frame, cu, 0, cu.code.len() as u32, ctx);
+            return self.vm_run_range(frame, cu, (0, cu.code.len() as u32), Span::NONE, ctx);
         }
+        self.tree_walked += self.compiled.is_some() as u64;
         let program = self.program;
         self.exec_block(frame, &program.units[ridx].body, ctx)
     }
 
-    /// Run the instructions in `[lo, hi)` of a compiled unit with a
-    /// pooled value stack (statement boundaries leave it empty, so
-    /// nested ranges — loop bodies, DO WHILE bodies — use fresh stacks
-    /// without copying).
+    /// Run the instructions in `range` of a compiled unit; `stamp` is
+    /// the error stamp in force until the first [`Instr::Gate`]. No
+    /// register holds a value across a statement boundary, so nested
+    /// ranges (loop bodies, DO WHILE conditions) share the activation's
+    /// register files.
     pub(super) fn vm_run_range(
         &mut self,
         frame: &mut Frame,
         cu: &CompiledUnit,
-        lo: u32,
-        hi: u32,
+        range: (u32, u32),
+        mut stamp: Span,
         ctx: &mut Ctx,
     ) -> Result<Flow> {
-        let mut stack = self.take_buf(8);
-        let r = self.vm_dispatch(frame, cu, lo, hi, ctx, &mut stack);
-        self.put_buf(stack);
-        r
-    }
+        let code = &cu.code[..range.1 as usize];
+        let mut pc = range.0 as usize;
+        // The clock lives in a local while this loop runs: charged
+        // through `ctx`, every addition of the chain waits for a store
+        // to reach the load after it. `ctx.time` is made current around
+        // every call that is handed `ctx` to charge, and at every exit.
+        let mut time = ctx.time;
 
-    fn vm_dispatch(
-        &mut self,
-        frame: &mut Frame,
-        cu: &CompiledUnit,
-        lo: u32,
-        hi: u32,
-        ctx: &mut Ctx,
-        stack: &mut Vec<Value>,
-    ) -> Result<Flow> {
-        let code = &cu.code[..];
-        let hi = hi as usize;
-        let mut pc = lo as usize;
-        let mut stamp = Span::NONE;
-        while pc < hi {
-            let instr = &code[pc];
+        macro_rules! exit {
+            ($r:expr) => {{
+                ctx.time = time;
+                return $r;
+            }};
+        }
+        macro_rules! tri {
+            ($e:expr) => {
+                match $e {
+                    Ok(v) => v,
+                    Err(e) => exit!(Err(e)),
+                }
+            };
+        }
+        // A call that charges through `ctx`.
+        macro_rules! charging {
+            ($e:expr) => {{
+                ctx.time = time;
+                let r = $e;
+                time = ctx.time;
+                r
+            }};
+        }
+        macro_rules! fault {
+            ($instr:expr) => {
+                exit!(Err(self.vm_fault(frame, cu, $instr, stamp, ctx.cluster)))
+            };
+        }
+        macro_rules! charge_op {
+            () => {
+                self.stats.scalar_ops += 1;
+                time += self.costs.get(CostClass::ScalarOp);
+            };
+        }
+        // `dst[d] = e(src[a], src[b])`, one scalar op.
+        macro_rules! bin {
+            ($dst:ident <- $src:ident, $d:ident, $a:ident, $b:ident, |$x:ident, $y:ident| $e:expr) => {{
+                charge_op!();
+                let vm = &mut frame.vm;
+                let ($x, $y) = (vm.$src[*$a as usize], vm.$src[*$b as usize]);
+                vm.$dst[*$d as usize] = $e;
+            }};
+        }
+        // `dst[d] = e(src[a])`, free.
+        macro_rules! cvt {
+            ($dst:ident <- $src:ident, $d:ident, $a:ident, |$x:ident| $e:expr) => {{
+                let vm = &mut frame.vm;
+                let $x = vm.$src[*$a as usize];
+                vm.$dst[*$d as usize] = $e;
+            }};
+        }
+        // The tail of `load` / `store_at`.
+        macro_rules! note {
+            ($hook:ident, $slot:expr, $lin:expr) => {
+                if self.races.is_some() {
+                    tri!(self.$hook($slot, $lin).map_err(|e| with_span(e, stamp)));
+                }
+            };
+        }
+        // Where an access lands and what it costs. A scalar is
+        // register/cache resident; an element pays the
+        // placement-dependent access cost once its subscripts linearize.
+        macro_rules! address {
+            ($op:ident, scalar) => {
+                $op.bound.then_some($op.offset)
+            };
+            ($op:ident, elem $sub:ident $rank:ident) => {
+                frame
+                    .vm
+                    .linearize(&$op, &cu.subs[*$sub as usize..][..*$rank as usize])
+            };
+        }
+        macro_rules! access_cost {
+            ($op:ident, $read:literal, scalar) => {
+                self.costs.get(CostClass::CacheHit)
+            };
+            ($op:ident, $read:literal, elem $sub:ident $rank:ident) => {
+                self.scalar_access_cost($op.placement, $read, ctx)
+            };
+        }
+        macro_rules! load {
+            ($instr:ident, $V:ident, $file:ident, $d:ident, $sym:ident, $($how:tt)+) => {{
+                let si = $sym.index();
+                let op = frame.vm.ops[si];
+                let Some(lin) = address!(op, $($how)+) else { fault!($instr) };
+                time += access_cost!(op, true, $($how)+);
+                let slot = frame.vm.slot(si, ctx.cluster);
+                let ArrayData::$V(data) = self.store.slot(slot) else { class_bug() };
+                let Some(&x) = data.get(lin) else { fault!($instr) };
+                frame.vm.$file[*$d as usize] = x;
+                note!(note_read, slot, lin);
+            }};
+        }
+        macro_rules! store {
+            ($instr:ident, $V:ident, $file:ident, $s:ident, $sym:ident, $($how:tt)+) => {{
+                let si = $sym.index();
+                let op = frame.vm.ops[si];
+                let Some(lin) = address!(op, $($how)+) else { fault!($instr) };
+                time += access_cost!(op, false, $($how)+);
+                let slot = frame.vm.slot(si, ctx.cluster);
+                let x = frame.vm.$file[*$s as usize];
+                let ArrayData::$V(data) = self.store.slot_mut(slot) else { class_bug() };
+                let Some(cell) = data.get_mut(lin) else { fault!($instr) };
+                *cell = x;
+                note!(note_write, slot, lin);
+            }};
+        }
+
+        while let Some(instr) = code.get(pc) {
             pc += 1;
             match instr {
                 Instr::Gate { span, stamp: st } => {
-                    self.statement_gate(*span)?;
+                    tri!(self.statement_gate(*span));
                     stamp = *st;
                 }
-                Instr::PushI(v) => stack.push(Value::I(*v)),
-                Instr::PushR(v) => stack.push(Value::R(*v)),
-                Instr::PushB(b) => stack.push(Value::B(*b)),
-                Instr::LoadScalar(sym) => {
-                    let bind =
-                        self.bind_of(frame, *sym).map_err(|e| with_span(e, stamp))?;
-                    ctx.time += self.costs.get(CostClass::CacheHit);
-                    let slot = self.resolve_slot(bind, ctx.cluster);
-                    let offset = bind.offset;
-                    let v = self.load(slot, offset).map_err(|e| with_span(e, stamp))?;
-                    stack.push(v);
-                }
+
+                Instr::LoadR { d, sym } => load!(instr, R, f, d, sym, scalar),
+                Instr::LoadI { d, sym } => load!(instr, I, i, d, sym, scalar),
+                Instr::LoadB { d, sym } => load!(instr, B, b, d, sym, scalar),
+                Instr::ElemR { d, arr, sub, rank } => load!(instr, R, f, d, arr, elem sub rank),
+                Instr::ElemI { d, arr, sub, rank } => load!(instr, I, i, d, arr, elem sub rank),
+                Instr::ElemB { d, arr, sub, rank } => load!(instr, B, b, d, arr, elem sub rank),
                 Instr::ChargeIdx => {
-                    self.stats.scalar_ops += 1;
-                    ctx.time += self.costs.get(CostClass::ScalarOp);
+                    charge_op!();
                 }
-                Instr::LoadElem { arr, rank } => {
-                    let subs = pop_subs(stack, *rank as usize);
-                    let bind =
-                        self.bind_of(frame, *arr).map_err(|e| with_span(e, stamp))?;
-                    let lin = self
-                        .linearize(frame, *arr, bind, subs.as_slice())
-                        .map_err(|e| with_span(e, stamp))?;
-                    ctx.time += self.bind_access_cost(bind, lin, false, true, ctx);
-                    let slot = self.resolve_slot(bind, ctx.cluster);
-                    let v = self.load(slot, lin).map_err(|e| with_span(e, stamp))?;
-                    stack.push(v);
+
+                Instr::AddR { d, a, b } => bin!(f <- f, d, a, b, |x, y| x + y),
+                Instr::SubR { d, a, b } => bin!(f <- f, d, a, b, |x, y| x - y),
+                Instr::MulR { d, a, b } => bin!(f <- f, d, a, b, |x, y| x * y),
+                Instr::DivR { d, a, b } => bin!(f <- f, d, a, b, |x, y| x / y),
+                Instr::PowR { d, a, b } => bin!(f <- f, d, a, b, |x, y| x.powf(y)),
+                Instr::PowRI { d, a, b } => {
+                    charge_op!();
+                    let vm = &mut frame.vm;
+                    vm.f[*d as usize] = vm.f[*a as usize].powi(vm.i[*b as usize] as i32);
                 }
-                Instr::Un(op) => {
-                    let v = stack.pop().expect("vm stack: unary operand");
-                    self.stats.scalar_ops += 1;
-                    ctx.time += self.costs.get(CostClass::ScalarOp);
-                    stack.push(value_ops::un(*op, v));
+                Instr::AddI { d, a, b } => bin!(i <- i, d, a, b, |x, y| x.wrapping_add(y)),
+                Instr::SubI { d, a, b } => bin!(i <- i, d, a, b, |x, y| x.wrapping_sub(y)),
+                Instr::MulI { d, a, b } => bin!(i <- i, d, a, b, |x, y| x.wrapping_mul(y)),
+                Instr::DivI { d, a, b } => {
+                    charge_op!();
+                    let vm = &mut frame.vm;
+                    let (x, y) = (vm.i[*a as usize], vm.i[*b as usize]);
+                    if y == 0 {
+                        fault!(instr);
+                    }
+                    vm.i[*d as usize] = x / y;
                 }
-                Instr::Bin(op) => {
-                    let r = stack.pop().expect("vm stack: binary rhs");
-                    let l = stack.pop().expect("vm stack: binary lhs");
-                    self.stats.scalar_ops += 1;
-                    ctx.time += self.costs.get(CostClass::ScalarOp);
-                    let v = value_ops::bin(*op, l, r)
-                        .map_err(|e| with_span(SimError::from_op(e, Span::NONE), stamp))?;
-                    stack.push(v);
+                Instr::PowI { d, a, b } => {
+                    charge_op!();
+                    let vm = &mut frame.vm;
+                    let (x, y) = (Value::I(vm.i[*a as usize]), Value::I(vm.i[*b as usize]));
+                    let Ok(Value::I(p)) = value_ops::bin(BinOp::Pow, x, y) else {
+                        fault!(instr)
+                    };
+                    vm.i[*d as usize] = p;
                 }
+                Instr::NegR { d, a } => {
+                    charge_op!();
+                    cvt!(f <- f, d, a, |x| -x);
+                }
+                Instr::NegI { d, a } => {
+                    charge_op!();
+                    cvt!(i <- i, d, a, |x| -x);
+                }
+                Instr::IntrR { f, n, d, args } | Instr::IntrI { f, n, d, args } => {
+                    let vm = &mut frame.vm;
+                    let mut argv = [Value::I(0); MAX_INTR_ARGS];
+                    let operands = &cu.intr_args[*args as usize..][..*n as usize];
+                    for (v, &(c, r)) in argv.iter_mut().zip(operands) {
+                        *v = match c {
+                            Class::R => Value::R(vm.f[r as usize]),
+                            Class::I => Value::I(vm.i[r as usize]),
+                            Class::B => Value::B(vm.b[r as usize]),
+                        };
+                    }
+                    self.stats.scalar_ops += 2;
+                    time += self.costs.get(CostClass::ScalarOp) * 2.0;
+                    match (value_ops::intrinsic(*f, &argv[..*n as usize]), instr) {
+                        (Ok(Value::R(x)), Instr::IntrR { .. }) => vm.f[*d as usize] = x,
+                        (Ok(Value::I(x)), Instr::IntrI { .. }) => vm.i[*d as usize] = x,
+                        (Ok(_), _) => class_bug(),
+                        (Err(e), _) => {
+                            exit!(Err(with_span(SimError::from_op(e, Span::NONE), stamp)))
+                        }
+                    }
+                }
+
+                Instr::CmpR { d, a, b, mask } => bin!(b <- f, d, a, b, |x, y| {
+                    let ord = x.partial_cmp(&y).unwrap_or(Ordering::Equal);
+                    (*mask >> (ord as i8 + 1)) & 1 != 0
+                }),
+                Instr::CmpI { d, a, b, mask } => {
+                    bin!(b <- i, d, a, b, |x, y| (*mask >> (x.cmp(&y) as i8 + 1)) & 1 != 0)
+                }
+                Instr::AndB { d, a, b } => bin!(b <- b, d, a, b, |x, y| x && y),
+                Instr::OrB { d, a, b } => bin!(b <- b, d, a, b, |x, y| x || y),
+                Instr::EqvB { d, a, b } => bin!(b <- b, d, a, b, |x, y| x == y),
+                Instr::NeqvB { d, a, b } => bin!(b <- b, d, a, b, |x, y| x != y),
+                Instr::NotB { d, a } => {
+                    charge_op!();
+                    cvt!(b <- b, d, a, |x| !x);
+                }
+
+                Instr::CvtIR { d, a } => cvt!(f <- i, d, a, |x| x as f64),
+                Instr::CvtBR { d, a } => cvt!(f <- b, d, a, |x| if x { 1.0 } else { 0.0 }),
+                Instr::CvtRI { d, a } => cvt!(i <- f, d, a, |x| x.trunc() as i64),
+                Instr::CvtBI { d, a } => cvt!(i <- b, d, a, |x| x as i64),
+                Instr::CvtRB { d, a } => cvt!(b <- f, d, a, |x| x != 0.0),
+                Instr::CvtIB { d, a } => cvt!(b <- i, d, a, |x| x != 0),
+
                 Instr::EvalTree(i) => {
-                    let v = self
-                        .eval_scalar(frame, &cu.exprs[*i as usize], ctx)
-                        .map_err(|e| with_span(e, stamp))?;
-                    stack.push(v);
+                    let v = charging!(self.eval_scalar(frame, &cu.exprs[*i as usize], ctx));
+                    let v = tri!(v.map_err(|e| with_span(e, stamp)));
+                    frame.vm.v = Some(v);
                 }
+                Instr::CvtVI { d } => {
+                    let v = boxed(frame);
+                    frame.vm.i[*d as usize] = v.as_i64();
+                }
+                Instr::CvtVB { d } => {
+                    let v = boxed(frame);
+                    frame.vm.b[*d as usize] = v.as_bool();
+                }
+
                 Instr::Branch => {
-                    ctx.time += self.costs.get(CostClass::Branch);
+                    time += self.costs.get(CostClass::Branch);
                 }
-                Instr::JumpIfFalse(t) => {
-                    let c = stack.pop().expect("vm stack: branch condition");
-                    if !c.as_bool() {
+                Instr::JumpIfFalse { c, t } => {
+                    if !frame.vm.b[*c as usize] {
                         pc = *t as usize;
                     }
                 }
                 Instr::Jump(t) => pc = *t as usize,
-                Instr::StoreScalar(sym) => {
-                    let v = stack.pop().expect("vm stack: store value");
-                    let bind =
-                        self.bind_of(frame, *sym).map_err(|e| with_span(e, stamp))?;
-                    ctx.time += self.costs.get(CostClass::CacheHit);
+
+                Instr::StoreR { sym, s } => store!(instr, R, f, s, sym, scalar),
+                Instr::StoreI { sym, s } => store!(instr, I, i, s, sym, scalar),
+                Instr::StoreB { sym, s } => store!(instr, B, b, s, sym, scalar),
+                Instr::SetElemR { arr, sub, rank, s } => {
+                    store!(instr, R, f, s, arr, elem sub rank)
+                }
+                Instr::SetElemI { arr, sub, rank, s } => {
+                    store!(instr, I, i, s, arr, elem sub rank)
+                }
+                Instr::SetElemB { arr, sub, rank, s } => {
+                    store!(instr, B, b, s, arr, elem sub rank)
+                }
+                // A boxed value has no static class: it goes through
+                // the interpreter's coercing store.
+                Instr::StoreV { sym } => {
+                    let v = boxed(frame);
+                    let bind = tri!(self.bind_of(frame, *sym).map_err(|e| with_span(e, stamp)));
+                    time += self.costs.get(CostClass::CacheHit);
                     let slot = self.resolve_slot(bind, ctx.cluster);
                     let (offset, ty) = (bind.offset, bind.ty);
-                    self.store_at(slot, offset, v, ty)
-                        .map_err(|e| with_span(e, stamp))?;
+                    tri!(self
+                        .store_at(slot, offset, v, ty)
+                        .map_err(|e| with_span(e, stamp)));
                 }
-                Instr::StoreElem { arr, rank } => {
-                    let v = stack.pop().expect("vm stack: store value");
-                    let subs = pop_subs(stack, *rank as usize);
-                    let bind =
-                        self.bind_of(frame, *arr).map_err(|e| with_span(e, stamp))?;
-                    let lin = self
+                Instr::SetElemV { arr, sub, rank } => {
+                    let v = boxed(frame);
+                    let subs = frame.vm.subs(cu, *sub, *rank);
+                    let bind = tri!(self.bind_of(frame, *arr).map_err(|e| with_span(e, stamp)));
+                    let lin = tri!(self
                         .linearize(frame, *arr, bind, subs.as_slice())
-                        .map_err(|e| with_span(e, stamp))?;
-                    ctx.time += self.bind_access_cost(bind, lin, false, false, ctx);
+                        .map_err(|e| with_span(e, stamp)));
+                    time += self.scalar_access_cost(bind.placement, false, ctx);
                     let slot = self.resolve_slot(bind, ctx.cluster);
                     let ty = bind.ty;
-                    self.store_at(slot, lin, v, ty)
-                        .map_err(|e| with_span(e, stamp))?;
+                    tri!(self
+                        .store_at(slot, lin, v, ty)
+                        .map_err(|e| with_span(e, stamp)));
                 }
+
                 Instr::LoopStmt(li) => {
                     let lp = &cu.loops[*li as usize];
-                    // Bounds evaluate unstamped, like the interpreter's
-                    // `exec_loop` (its caller applies no `with_span`).
-                    let start = self.eval_scalar(frame, &lp.start, ctx)?.as_i64();
-                    let end = self.eval_scalar(frame, &lp.end, ctx)?.as_i64();
-                    let step = match &lp.step {
-                        Some(e) => self.eval_scalar(frame, e, ctx)?.as_i64(),
-                        None => 1,
-                    };
+                    let regs = &frame.vm.i;
+                    let (start, end) = (regs[lp.start as usize], regs[lp.end as usize]);
+                    let step = lp.step.map_or(1, |r| regs[r as usize]);
                     if step == 0 {
-                        return err(lp.span, "DO step of zero");
+                        exit!(err(lp.span, "DO step of zero"));
                     }
                     let trip = ((end - start + step) / step).max(0) as usize;
                     let lr = LoopRef {
@@ -193,63 +619,68 @@ impl Simulator<'_> {
                         span: lp.span,
                         blocks: LoopBlocks::Vm { cu, lp },
                     };
-                    let flow = if lp.class == LoopClass::Seq {
-                        self.exec_seq_loop(frame, &lr, start, step, trip, ctx)?
+                    let flow = charging!(if lp.class == LoopClass::Seq {
+                        self.exec_seq_loop(frame, &lr, start, step, trip, ctx)
                     } else {
-                        self.exec_parallel_loop(frame, &lr, start, step, trip, ctx)?
-                    };
-                    match flow {
+                        self.exec_parallel_loop(frame, &lr, start, step, trip, ctx)
+                    });
+                    match tri!(flow) {
                         Flow::Normal => pc = lp.end_pc as usize,
-                        other => return Ok(other),
+                        other => exit!(Ok(other)),
                     }
                 }
                 Instr::WhileStmt(wi) => {
                     let w = &cu.whiles[*wi as usize];
                     let mut iters = 0u64;
                     let broke = loop {
-                        let c = self
-                            .eval_scalar(frame, &w.cond, ctx)
-                            .map_err(|e| with_span(e, w.span))?;
-                        if !c.as_bool() {
+                        // The interpreter stamps condition errors with
+                        // the DO WHILE's own span.
+                        tri!(charging!(self.vm_run_range(frame, cu, w.cond, w.span, ctx)));
+                        if !frame.vm.b[w.cond_reg as usize] {
                             break Flow::Normal;
                         }
-                        match self.vm_run_range(frame, cu, w.body.0, w.body.1, ctx)? {
+                        let body = charging!(self.vm_run_range(frame, cu, w.body, Span::NONE, ctx));
+                        match tri!(body) {
                             Flow::Normal => {}
                             other => break other,
                         }
                         iters += 1;
                         if iters > self.config.max_while_iters {
-                            return kerr(
+                            exit!(kerr(
                                 SimErrorKind::Limit,
                                 w.span,
                                 "DO WHILE exceeded iteration bound",
-                            );
+                            ));
                         }
                     };
                     match broke {
                         Flow::Normal => pc = w.end_pc as usize,
-                        other => return Ok(other),
+                        other => exit!(Ok(other)),
                     }
                 }
                 Instr::CallSub(ci) => {
                     let cs = &cu.calls[*ci as usize];
-                    self.invoke(frame, cs.ridx, &cs.args, ctx)
-                        .map_err(|e| with_span(e, cs.span))?;
+                    let r = charging!(self.invoke(frame, cs.ridx, &cs.args, ctx));
+                    tri!(r.map_err(|e| with_span(e, cs.span)));
                 }
                 Instr::Timer { start } => {
                     if *start {
-                        self.stats.region_open = Some(ctx.time);
+                        self.stats.region_open = Some(time);
                     } else if let Some(t0) = self.stats.region_open.take() {
-                        self.stats.region_cycles += ctx.time - t0;
+                        self.stats.region_cycles += time - t0;
                     }
                 }
                 Instr::SyncStmt(si) => {
-                    self.exec_sync(frame, &cu.syncs[*si as usize], ctx)?;
+                    tri!(charging!(self.exec_sync(
+                        frame,
+                        &cu.syncs[*si as usize],
+                        ctx
+                    )));
                 }
                 Instr::TaskWait => {
                     for t in self.task_ends.drain(..) {
-                        if t > ctx.time {
-                            ctx.time = t;
+                        if t > time {
+                            time = t;
                         }
                     }
                     if let Some(rd) = self.races.as_mut() {
@@ -260,32 +691,95 @@ impl Simulator<'_> {
                 }
                 Instr::Io => {
                     self.stats.io_statements += 1;
-                    ctx.time += self.costs.get(CostClass::Io);
+                    time += self.costs.get(CostClass::Io);
                 }
-                Instr::Return => return Ok(Flow::Return),
-                Instr::Stop => return Ok(Flow::Stop),
+                Instr::Return => exit!(Ok(Flow::Return)),
+                Instr::Stop => exit!(Ok(Flow::Stop)),
                 Instr::Interp(i) => {
-                    match self.exec_stmt(frame, &cu.stmts[*i as usize], ctx)? {
+                    let flow = charging!(self.exec_stmt(frame, &cu.stmts[*i as usize], ctx));
+                    match tri!(flow) {
                         Flow::Normal => {}
-                        other => return Ok(other),
+                        other => exit!(Ok(other)),
                     }
                 }
             }
         }
-        Ok(Flow::Normal)
+        exit!(Ok(Flow::Normal))
+    }
+
+    /// The one exit of a typed op that failed: build the error the
+    /// interpreter raises for the same operands, by running its checked
+    /// path over them, and stamp it. The op has charged exactly what the
+    /// interpreter charges before the failing check; nothing here
+    /// charges or counts.
+    #[cold]
+    #[inline(never)]
+    fn vm_fault(
+        &self,
+        frame: &Frame,
+        cu: &CompiledUnit,
+        instr: &Instr,
+        stamp: Span,
+        cluster: usize,
+    ) -> SimError {
+        let vm = &frame.vm;
+        let int_op = |op, a: Reg, b: Reg| {
+            let (x, y) = (Value::I(vm.i[a as usize]), Value::I(vm.i[b as usize]));
+            let e = value_ops::bin(op, x, y).expect_err("typed integer op faulted without cause");
+            SimError::from_op(e, Span::NONE)
+        };
+        let e = match *instr {
+            Instr::LoadR { sym, .. }
+            | Instr::LoadI { sym, .. }
+            | Instr::LoadB { sym, .. }
+            | Instr::StoreR { sym, .. }
+            | Instr::StoreI { sym, .. }
+            | Instr::StoreB { sym, .. } => self.access_error(frame, sym, None, cluster),
+            Instr::ElemR { arr, sub, rank, .. }
+            | Instr::ElemI { arr, sub, rank, .. }
+            | Instr::ElemB { arr, sub, rank, .. }
+            | Instr::SetElemR { arr, sub, rank, .. }
+            | Instr::SetElemI { arr, sub, rank, .. }
+            | Instr::SetElemB { arr, sub, rank, .. } => {
+                let subs = vm.subs(cu, sub, rank);
+                self.access_error(frame, arr, Some(subs.as_slice()), cluster)
+            }
+            Instr::DivI { a, b, .. } => int_op(BinOp::Div, a, b),
+            Instr::PowI { a, b, .. } => int_op(BinOp::Pow, a, b),
+            ref other => unreachable!("{other:?} cannot fault"),
+        };
+        with_span(e, stamp)
+    }
+
+    /// Why a typed access failed, in the interpreter's check order:
+    /// unbound, then subscripts, then the storage extent.
+    fn access_error(
+        &self,
+        frame: &Frame,
+        sym: SymbolId,
+        subs: Option<&[i64]>,
+        cluster: usize,
+    ) -> SimError {
+        let bind = match self.bind_of(frame, sym) {
+            Ok(b) => b,
+            Err(e) => return e,
+        };
+        let lin = match subs {
+            Some(s) => match self.linearize(frame, sym, bind, s) {
+                Ok(lin) => lin,
+                Err(e) => return e,
+            },
+            None => bind.offset,
+        };
+        self.storage_error(self.resolve_slot(bind, cluster), lin)
     }
 }
 
-/// Pop `rank` subscripts (pushed left to right, so they sit below the
-/// stack top in order) into a fixed subscript buffer. The compiler
-/// rejects rank > 8 statements, so the pushes cannot fail.
-fn pop_subs(stack: &mut Vec<Value>, rank: usize) -> Subs {
-    let base = stack.len() - rank;
-    let mut subs = Subs::new();
-    for v in &stack[base..] {
-        subs.push(v.as_i64())
-            .expect("vm: compiler admitted rank > 8");
-    }
-    stack.truncate(base);
-    subs
+/// The boxed value register; the compiler emits its readers right after
+/// the [`Instr::EvalTree`] that fills it.
+fn boxed(frame: &Frame) -> Value {
+    frame
+        .vm
+        .v
+        .expect("EvalTree precedes every reader of the value register")
 }

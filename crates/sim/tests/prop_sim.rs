@@ -109,6 +109,103 @@ proptest! {
     }
 }
 
+// ---------- typed register code vs. the tree walk ----------
+
+/// Deterministic source of choices for [`numeric`] / [`logical`].
+struct Choices(u64);
+
+impl Choices {
+    /// A number below `n` (xorshift64).
+    fn below(&mut self, n: u64) -> u64 {
+        self.0 ^= self.0 << 13;
+        self.0 ^= self.0 >> 7;
+        self.0 ^= self.0 << 17;
+        self.0 % n
+    }
+
+    fn pick<'a>(&mut self, from: &[&'a str]) -> &'a str {
+        from[self.below(from.len() as u64) as usize]
+    }
+}
+
+/// A random INTEGER- or REAL-valued expression over `i1 i2 r1 r2`.
+fn numeric(c: &mut Choices, depth: u32) -> String {
+    if depth == 0 || c.below(4) == 0 {
+        return c.pick(&["i1", "i2", "r1", "r2", "3", "(-2)", "1.5", "0.25", "0"]).to_string();
+    }
+    match c.below(7) {
+        0 => format!("(-{})", numeric(c, depth - 1)),
+        1 => {
+            let exponent = c.pick(&["0", "2", "3", "(-1)", "i2", "0.5"]);
+            format!("({} ** {exponent})", numeric(c, depth - 1))
+        }
+        _ => {
+            let op = c.pick(&["+", "-", "*", "/"]);
+            format!("({} {op} {})", numeric(c, depth - 1), numeric(c, depth - 1))
+        }
+    }
+}
+
+/// A random LOGICAL-valued expression over `l1 l2` and comparisons of
+/// [`numeric`] expressions.
+fn logical(c: &mut Choices, depth: u32) -> String {
+    if depth == 0 || c.below(5) == 0 {
+        return c.pick(&["l1", "l2", ".true.", ".false."]).to_string();
+    }
+    match c.below(3) {
+        0 => format!("(.not. {})", logical(c, depth - 1)),
+        1 => {
+            let op = c.pick(&[".and.", ".or.", ".eqv.", ".neqv."]);
+            format!("({} {op} {})", logical(c, depth - 1), logical(c, depth - 1))
+        }
+        _ => {
+            let op = c.pick(&[".eq.", ".ne.", ".lt.", ".le.", ".gt.", ".ge."]);
+            format!("({} {op} {})", numeric(c, depth - 1), numeric(c, depth - 1))
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(192))]
+
+    /// Well-typed scalar expression trees evaluate to bit-identical
+    /// values, cycles and operation counts on both engines — or fail
+    /// with the same error (an integer division by zero is in reach).
+    #[test]
+    fn typed_expressions_match_the_tree_walk(seed in 1u64..1_000_000_000) {
+        use cedar_sim::Engine;
+        let mut c = Choices(seed);
+        let src = format!(
+            "program p\ninteger i1, i2, ri\nreal r1, r2, rr\nlogical l1, l2, rl\n\
+             i1 = {}\ni2 = {}\nr1 = {}.5\nr2 = -0.{}\nl1 = .true.\nl2 = .false.\n\
+             ri = {}\nrr = {}\nrl = {}\nif ({}) rr = rr + {}\nend\n",
+            c.below(9), c.below(5) as i64 - 2, c.below(4), c.below(90) + 10,
+            numeric(&mut c, 4), numeric(&mut c, 4), logical(&mut c, 4),
+            logical(&mut c, 3), numeric(&mut c, 2),
+        );
+        let p = cedar_ir::compile_free(&src).unwrap();
+        let run = |e| cedar_sim::run(&p, MachineConfig::cedar_config1().with_engine(e));
+        match (run(Engine::Interp), run(Engine::Vm)) {
+            (Ok(i), Ok(v)) => {
+                prop_assert_eq!(i.cycles().to_bits(), v.cycles().to_bits(), "cycles: {}", src);
+                prop_assert_eq!(i.stats.scalar_ops, v.stats.scalar_ops, "scalar_ops: {}", src);
+                for var in ["ri", "rr", "rl"] {
+                    // Debug keeps -0.0 apart from 0.0 and a NaN equal to itself.
+                    prop_assert_eq!(
+                        format!("{:?}", i.read_var(var)),
+                        format!("{:?}", v.read_var(var)),
+                        "{}: {}", var, src
+                    );
+                }
+            }
+            (Err(i), Err(v)) => {
+                prop_assert_eq!((i.kind, &i.msg, i.span), (v.kind, &v.msg, v.span), "{}", src);
+            }
+            (i, v) => prop_assert!(false, "{:?} vs {:?}: {}", i.err(), v.err(), src),
+        }
+    }
+}
+
 // ---------- subroutine-level tasking (§2.2.2) ----------
 
 #[test]

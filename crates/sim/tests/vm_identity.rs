@@ -39,11 +39,23 @@ fn assert_same_sim(interp: &Simulator<'_>, vm: &Simulator<'_>, vars: &[&str], la
     );
     for v in vars {
         assert_eq!(
-            interp.read_var(v),
-            vm.read_var(v),
+            bit_patterns(interp.read_var(v)),
+            bit_patterns(vm.read_var(v)),
             "{label}: output `{v}` diverges"
         );
     }
+}
+
+/// Values by class and bit pattern: a NaN must equal itself, and -0.0
+/// must differ from 0.0.
+fn bit_patterns(values: Option<Vec<cedar_ir::Value>>) -> Option<Vec<(char, u64)>> {
+    use cedar_ir::Value;
+    let bits = |v: Value| match v {
+        Value::R(x) => ('r', x.to_bits()),
+        Value::I(x) => ('i', x as u64),
+        Value::B(x) => ('b', x as u64),
+    };
+    values.map(|vs| vs.into_iter().map(bits).collect())
 }
 
 /// Run `src` under both engines and require bit-identity of cycles,
@@ -67,10 +79,14 @@ fn assert_same_error(src: &str, label: &str) -> SimError {
     let ev = run_with(src, cfg(Engine::Vm)).err().unwrap_or_else(|| {
         panic!("{label}: vm unexpectedly succeeded");
     });
+    assert_errors_equal(&ei, &ev, label);
+    ev
+}
+
+fn assert_errors_equal(ei: &SimError, ev: &SimError, label: &str) {
     assert_eq!(ei.kind, ev.kind, "{label}: error kind diverges ({ei} vs {ev})");
     assert_eq!(ei.msg, ev.msg, "{label}: error message diverges");
     assert_eq!(ei.span, ev.span, "{label}: error span diverges");
-    ev
 }
 
 // ---------------------------------------------------------------------
@@ -383,5 +399,329 @@ fn precompiled_artifact_reuse_is_identical_to_fresh_compile() {
     for _ in 0..3 {
         let reused = cedar_sim::run_precompiled(p, cfg(Engine::Vm), &artifact).unwrap();
         assert_same_sim(&fresh, &reused, &["a", "s"], "artifact reuse");
+    }
+}
+
+// ---------------------------------------------------------------------
+// The typed register ops, family by family. Each scenario runs under
+// four configurations: plain, with the race detector live (every access
+// takes the shadow-memory hooks), under a legal fault profile (every
+// access cost draws from the fault RNG), and without the prepass fast
+// paths.
+// ---------------------------------------------------------------------
+
+type Tweak = fn(MachineConfig) -> MachineConfig;
+
+const CONFIGS: [(&str, Tweak, bool); 4] = [
+    ("plain", |c| c, false),
+    ("races", MachineConfig::with_race_detection, false),
+    ("faults", |c| c, true),
+    ("no-fast-paths", MachineConfig::without_fast_paths, false),
+];
+
+fn run_under(
+    p: &'static cedar_ir::Program,
+    config: MachineConfig,
+    faults: bool,
+) -> Result<Simulator<'static>, SimError> {
+    if faults {
+        cedar_sim::run_with_faults(p, config, FaultConfig::legal(7))
+    } else {
+        cedar_sim::run(p, config)
+    }
+}
+
+fn leak(src: &str) -> &'static cedar_ir::Program {
+    Box::leak(Box::new(cedar_ir::compile_free(src).unwrap()))
+}
+
+/// [`assert_identical`] of a program under every configuration, each
+/// further adjusted by `tweak`.
+fn identical_everywhere(p: &'static cedar_ir::Program, tweak: Tweak, vars: &[&str], label: &str) {
+    for (name, config, faults) in CONFIGS {
+        let label = format!("{label} [{name}]");
+        let run = |engine| {
+            run_under(p, tweak(config(cfg(engine))), faults)
+                .unwrap_or_else(|e| panic!("{label}: {engine:?} failed: {e}"))
+        };
+        assert_same_sim(&run(Engine::Interp), &run(Engine::Vm), vars, &label);
+    }
+}
+
+/// [`assert_same_error`] of a program under every configuration.
+fn same_error_everywhere(p: &'static cedar_ir::Program, tweak: Tweak, label: &str) -> SimError {
+    let mut last = None;
+    for (name, config, faults) in CONFIGS {
+        let label = format!("{label} [{name}]");
+        let run = |engine| match run_under(p, tweak(config(cfg(engine))), faults) {
+            Err(e) => e,
+            Ok(_) => panic!("{label}: {engine:?} unexpectedly succeeded"),
+        };
+        let (ei, ev) = (run(Engine::Interp), run(Engine::Vm));
+        assert_errors_equal(&ei, &ev, &label);
+        last = Some(ev);
+    }
+    last.expect("four configurations")
+}
+
+/// Declarations and values shared by the expression scenarios.
+const OPERANDS: &str = "program p\ninteger i, j, k(40)\nreal x, y, z, r(60)\n\
+     logical l, m, b(40)\ni = 7\nj = -3\nx = 2.5\ny = -0.75\nl = .true.\nm = .false.\n";
+
+#[test]
+fn mixed_mode_promotion_in_every_operand_order() {
+    // Every pairing of INTEGER, REAL and LOGICAL operands, both ways
+    // round, stored to a REAL (exact), an INTEGER (truncating) and a
+    // LOGICAL (non-zero) target.
+    let pairs = [
+        ("i", "j"), ("i", "x"), ("x", "i"), ("x", "y"), ("l", "i"), ("i", "l"),
+        ("l", "x"), ("x", "l"), ("l", "m"), ("m", "l"),
+    ];
+    let mut src = String::from(OPERANDS);
+    let mut n = 0;
+    for (a, b) in pairs {
+        for op in ["+", "-", "*"] {
+            n += 1;
+            let e = format!("{a} {op} {b}");
+            src += &format!("r({n}) = {e}\nk({n}) = {e}\nb({n}) = {e}\n");
+        }
+    }
+    // Division by anything but the false LOGICAL and a zero INTEGER.
+    let dividable =
+        [("i", "j"), ("i", "x"), ("x", "i"), ("x", "y"), ("i", "l"), ("x", "l"), ("l", "x")];
+    for (a, b) in dividable {
+        n += 1;
+        src += &format!("r({n}) = {a} / {b}\nk({n}) = {a} / {b}\n");
+    }
+    src += "end\n";
+    identical_everywhere(leak(&src), |c| c, &["r", "k", "b"], "promotion");
+}
+
+#[test]
+fn integer_division_truncates_toward_zero_and_faults_on_zero() {
+    let src = format!(
+        "{OPERANDS}k(1) = i / 2\nk(2) = (-i) / 2\nk(3) = i / (-2)\nk(4) = i / j\n\
+         k(5) = j / i\nr(1) = i / 2\nr(2) = j / 2 * 2.0\nend\n"
+    );
+    identical_everywhere(leak(&src), |c| c, &["k", "r"], "integer division");
+    for stmt in ["k(1) = i / (j + 3)", "if (i / (j + 3) .gt. 0) x = 1.0", "r(i / (j + 3)) = 1.0"] {
+        let e = same_error_everywhere(
+            leak(&format!("{OPERANDS}{stmt}\nend\n")),
+            |c| c,
+            "integer division by zero",
+        );
+        assert_eq!(e.kind, cedar_sim::SimErrorKind::DivByZero, "{e}");
+        assert_eq!(e.span, cedar_ir::Span::new(11), "{e}");
+    }
+    // A REAL zero divisor is IEEE, not a fault.
+    let src = format!("{OPERANDS}z = 0.0\nr(1) = x / z\nr(2) = z / z\nr(3) = i / z\nend\n");
+    identical_everywhere(leak(&src), |c| c, &["r"], "real division by zero");
+}
+
+#[test]
+fn power_operator_families() {
+    let src = format!(
+        "{OPERANDS}k(1) = i ** 2\nk(2) = i ** 0\nk(3) = 2 ** j\nk(4) = 1 ** j\n\
+         k(5) = (-1) ** j\nk(6) = (-1) ** (j - 1)\nk(7) = i ** 70\nk(8) = j ** 3\n\
+         r(1) = x ** i\nr(2) = x ** j\nr(3) = x ** y\nr(4) = i ** x\nr(5) = i ** y\n\
+         r(6) = y ** 2\nr(7) = y ** 0.5\nr(8) = l ** i\nr(9) = x ** l\nr(10) = i ** l\n\
+         k(9) = x ** 2\nend\n"
+    );
+    identical_everywhere(leak(&src), |c| c, &["k", "r"], "power");
+    let e = same_error_everywhere(
+        leak(&format!("{OPERANDS}k(1) = (i - 7) ** (j + 2)\nend\n")),
+        |c| c,
+        "zero to a negative power",
+    );
+    assert_eq!(e.kind, cedar_sim::SimErrorKind::DivByZero, "{e}");
+    assert!(e.msg.contains("0 ** negative"), "{e}");
+}
+
+#[test]
+fn comparisons_including_nan() {
+    let ops = [".eq.", ".ne.", ".lt.", ".le.", ".gt.", ".ge."];
+    let pairs = [
+        ("i", "j"), ("j", "i"), ("i", "i"), ("i", "x"), ("x", "i"), ("x", "y"), ("x", "x"),
+        ("z", "z"), ("z", "x"), ("x", "z"), ("i", "z"), ("l", "i"), ("l", "m"), ("l", "x"),
+    ];
+    // z is a NaN: an unordered pair reads as equal.
+    let mut src = format!("{OPERANDS}z = 0.0\nz = z / z\n");
+    let mut n = 0;
+    for (a, b) in pairs {
+        n += 1;
+        for (k, op) in ops.iter().enumerate() {
+            // Six results per pair, packed into one integer cell and
+            // kept apart in the logical array of the first pairs.
+            src += &format!("if ({a} {op} {b}) k({n}) = k({n}) + {}\n", 1 << k);
+        }
+    }
+    for (k, op) in ops.iter().enumerate() {
+        src += &format!("b({}) = z {op} z\nb({}) = i {op} x\n", k + 1, k + 7);
+    }
+    src += "end\n";
+    identical_everywhere(leak(&src), |c| c, &["k", "b"], "comparisons");
+}
+
+#[test]
+fn logical_operators_and_unary_minus_on_a_logical() {
+    let src = format!(
+        "{OPERANDS}b(1) = .not. l\nb(2) = .not. m\nb(3) = l .and. m\nb(4) = l .or. m\n\
+         b(5) = l .eqv. m\nb(6) = l .neqv. m\nb(7) = l .eqv. (i .gt. j)\n\
+         b(8) = (x .lt. y) .neqv. (i .lt. j)\nb(9) = .not. (l .and. .not. m)\n\
+         b(10) = i .and. x\nb(11) = .not. i\nb(12) = (i - 7) .or. m\n\
+         k(1) = -l\nk(2) = -m\nk(3) = -(-l)\nr(1) = -l\nr(2) = -l * x\nr(3) = -x\n\
+         k(4) = -i\nb(13) = -l\nend\n"
+    );
+    identical_everywhere(leak(&src), |c| c, &["b", "k", "r"], "logical");
+}
+
+#[test]
+fn elemental_intrinsics_over_every_operand_class() {
+    let src = format!(
+        "{OPERANDS}r(1) = real(i)\nr(2) = dble(l)\nr(3) = real(x)\nk(1) = int(x)\nk(2) = int(y)\n\
+         k(3) = nint(y)\nk(4) = nint(x)\nk(5) = int(l)\nk(6) = abs(j)\nr(4) = abs(y)\n\
+         r(5) = abs(l)\nr(6) = sqrt(x)\nr(7) = sqrt(y)\nr(8) = exp(y) + log(x) + log10(x)\n\
+         r(9) = sin(x) + cos(x) + tan(y) + atan(y) + atan2(y, x)\n\
+         r(10) = sinh(y) + cosh(y) + tanh(y)\nk(7) = sign(i, j)\nr(11) = sign(x, y)\n\
+         r(12) = sign(x, j)\nk(8) = sign(i, y)\nk(9) = mod(i, j)\nk(10) = mod(j, i)\n\
+         r(13) = mod(x, y)\nr(14) = mod(i, x)\nk(11) = min(i, j, 2)\nk(12) = max(i, j, 2)\n\
+         r(15) = min(i, x)\nr(16) = max(y, j, x)\nr(17) = sqrt(real(i)) * abs(y - x)\n\
+         r(18) = r(int(x)) + r(mod(i, 3) + 1)\nend\n"
+    );
+    identical_everywhere(leak(&src), |c| c, &["r", "k"], "intrinsics");
+    let e = same_error_everywhere(
+        leak(&format!("{OPERANDS}k(1) = mod(i, j + 3)\nend\n")),
+        |c| c,
+        "mod by zero",
+    );
+    assert_eq!(e.kind, cedar_sim::SimErrorKind::DivByZero, "{e}");
+    assert_eq!(e.span, cedar_ir::Span::new(11), "{e}");
+}
+
+#[test]
+fn an_actual_of_another_type_reads_and_writes_as_its_storage() {
+    // Trap (a): the dummy is REAL, the storage behind it INTEGER (a
+    // variable, an expression temporary, a COMMON member declared
+    // otherwise elsewhere). `v / 2` is an integer division there, and
+    // a store truncates.
+    let src = "program p\ninteger n, na(3)\nreal y, ya(4)\ncommon /blk/ ic, rc\n\
+         integer ic\nn = 5\nna(2) = 9\nic = 11\nrc = 0.5\n\
+         call half(n, ya(1))\ncall half(na(2), ya(2))\ncall half(n + 2, ya(3))\n\
+         call viacommon(ya(4))\ny = n + na(2) + ic\nend\n\
+         subroutine half(v, out)\nreal v, out\nout = v / 2\nv = v + 1.75\n\
+         out = out + v * 0.5\nend\n\
+         subroutine viacommon(out)\ncommon /blk/ c1, c2\nreal c1\ninteger c2\nreal out\n\
+         out = c1 / 2 + c2\nc1 = c1 * 1.5\nc2 = 7\nend\n";
+    identical_everywhere(leak(src), |c| c, &["n", "na", "y", "ya", "ic", "rc"], "retyped actuals");
+}
+
+#[test]
+fn rank_seven_access_and_the_rank_nine_error() {
+    let src = "program p\nreal a(2, 2, 2, 2, 2, 2, 2)\ns = 0.0\ndo i = 1, 2\ndo j = 1, 2\n\
+         a(i, j, 1, 2, i, j, 2) = i * 10.0 + j\ns = s + a(i, j, 1, 2, i, j, 2)\n\
+         end do\nend do\nend\n";
+    identical_everywhere(leak(src), |c| c, &["a", "s"], "rank 7");
+    for stmt in ["x = c(1, 1, 1, 1, 1, 1, 1, 1, 1)", "c(1, 1, 1, 1, 1, 1, 1, 1, 1) = 2.0"] {
+        let e = same_error_everywhere(
+            leak(&format!("program p\nreal c(1, 1, 1, 1, 1, 1, 1, 1, 1)\n{stmt}\nend\n")),
+            |c| c,
+            "rank 9",
+        );
+        assert!(e.msg.contains("rank exceeds"), "{e}");
+    }
+}
+
+#[test]
+fn out_of_bounds_in_the_second_dimension() {
+    for stmt in ["x = a(2, j)", "a(2, j) = 1.0", "x = a(2, j - 4)", "k = ia(ia(2, 1), 4)"] {
+        let e = same_error_everywhere(
+            leak(&format!(
+                "program p\nreal a(3, 3)\ninteger ia(3, 3)\nj = 4\nia(2, 1) = 2\n{stmt}\nend\n"
+            )),
+            |c| c,
+            "second dimension",
+        );
+        assert_eq!(e.kind, cedar_sim::SimErrorKind::OutOfBounds, "{e}");
+        assert_eq!(e.span, cedar_ir::Span::new(6), "{e}");
+    }
+    // Inside the declared bounds of a dummy, outside the actual's storage.
+    let e = same_error_everywhere(
+        leak(
+            "program p\nreal a(4)\ncall f(a)\nend\n\
+             subroutine f(d)\nreal d(8)\nd(2) = 1.0\nx = d(7)\nend\n",
+        ),
+        |c| c,
+        "beyond the actual's storage",
+    );
+    assert!(e.msg.contains("outside storage"), "{e}");
+}
+
+#[test]
+fn use_of_an_unbound_variable() {
+    use cedar_ir::SymKind;
+    for stmt in ["y = t + 1.0", "t = 2.0", "y = a(it)", "do i = 1, it\nend do"] {
+        // A loop local outside its loop has no binding; the front end
+        // never produces that, so retag a plain variable by hand.
+        let mut p =
+            cedar_ir::compile_free(&format!("program p\nreal a(4)\nt = 1.0\nit = 1\n{stmt}\nend\n"))
+                .unwrap();
+        for sym in &mut p.units[0].symbols {
+            if sym.name == "t" || sym.name == "it" {
+                sym.kind = SymKind::LoopLocal;
+            }
+        }
+        let e = same_error_everywhere(Box::leak(Box::new(p)), |c| c, "unbound");
+        assert_eq!(e.kind, cedar_sim::SimErrorKind::Uninit, "{e}");
+        assert!(e.msg.contains("used before binding"), "{e}");
+    }
+}
+
+#[test]
+fn loop_bounds_and_step_over_array_elements() {
+    let src = "program p\ninteger lim(3), hits(40)\nreal rl(2)\nlogical one\nlim(1) = 2\n\
+         lim(2) = 31\nlim(3) = 3\nrl(1) = 1.9\nrl(2) = 6.2\none = .true.\nn = 0\n\
+         do i = lim(1), lim(2) - lim(1), lim(3)\nn = n + 1\nhits(i) = n\nend do\n\
+         do i = lim(lim(1) + 1) * 2, lim(1), -lim(3)\nhits(i + 20) = i\nend do\n\
+         do i = rl(1), rl(2), one\nn = n + i\nend do\n\
+         x = 10.0\ndo while (x .gt. rl(1) * lim(1))\nx = x - rl(2) / lim(3)\nend do\nend\n";
+    identical_everywhere(leak(src), |c| c, &["hits", "n", "x", "i"], "computed bounds");
+}
+
+#[test]
+fn watchdog_trips_inside_a_compiled_loop_bound() {
+    // The bound calls a function whose loop exhausts the budget: the
+    // error must name the same statement with the same count.
+    let p = leak(
+        "program p\ns = 0.0\ndo i = 1, nlim(3)\ns = s + 1.0\nend do\nend\n\
+         integer function nlim(k)\nnlim = 0\ndo j = 1, 100\nnlim = nlim + k\nend do\nend\n",
+    );
+    let e = same_error_everywhere(
+        p,
+        |mut c| {
+            c.watchdog_ops = 50;
+            c
+        },
+        "watchdog in bound",
+    );
+    assert_eq!(e.kind, cedar_sim::SimErrorKind::Limit, "{e}");
+    identical_everywhere(p, |c| c, &["s"], "bound calling a function");
+}
+
+#[test]
+fn condition_errors_carry_the_statement_they_belong_to() {
+    // IF and ELSE IF conditions are stamped with the IF; a DO WHILE
+    // condition with the DO WHILE; loop bounds with nothing.
+    for (stmt, line) in [
+        ("if (a(j) .gt. 0.0) x = 1.0", 4),
+        ("if (j .lt. 0) then\nx = 1.0\nelse if (a(j) .gt. 0.0) then\nx = 2.0\nend if", 4),
+        ("do while (a(j) .lt. 1.0)\nj = j + 1\nend do", 4),
+        ("do i = 1, a(j)\nend do", 0),
+    ] {
+        let e = same_error_everywhere(
+            leak(&format!("program p\nreal a(3)\nj = 4\n{stmt}\nend\n")),
+            |c| c,
+            "condition stamp",
+        );
+        assert_eq!(e.span.line, line, "{e}");
     }
 }

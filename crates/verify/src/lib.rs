@@ -502,14 +502,7 @@ pub fn restructure_validated(
     watch: &[&str],
     vcfg: &ValidationConfig,
 ) -> Result<Validated, SimError> {
-    // The serial reference is engine-independent (the vm_identity suite
-    // gates bit-identical watched values between engines), so always
-    // take it on the tree-walker: the VM pays per-iteration dispatch
-    // overhead on serial scalar loop nests that the tree-walker does
-    // not, and the reference is the one run the candidate's compiled
-    // artifact can never amortize.
-    let ref_mc = mc.clone().with_engine(Engine::Interp);
-    let (reference, _) = run_watched(program, &ref_mc, None, watch, None)?;
+    let (reference, _) = run_watched(program, mc, None, watch, None)?;
 
     let mut cfg = cfg.clone();
     let mut fallbacks: Vec<FallbackNote> = Vec::new();

@@ -1,0 +1,128 @@
+//! How much of the pool's serial originals the bytecode VM runs as
+//! typed register code — counted, not assumed (DESIGN.md §14).
+//!
+//! Two deterministic counts per program: expression sites the compiler
+//! boxed behind `EvalTree` and statements it left to `Interp`. Both are
+//! pinned at zero for all 22 serial originals, and an independent walk
+//! of the IR checks the rule behind the pin: nothing is boxed unless it
+//! contains a function call, a reduction, `iota` or a section. A third
+//! count, taken from a run, pins that no activation was handed back to
+//! the tree-walker for a binding of another type than declared.
+//!
+//! `cargo test -p cedar-workloads --test vm_coverage -- --nocapture`
+//! prints the table (CI's vm-smoke job does).
+
+use cedar_ir::visit::{walk_expr, walk_stmts};
+use cedar_ir::{Expr, Intrinsic, Stmt};
+use cedar_sim::{Engine, MachineConfig};
+use cedar_workloads::{table1_workloads, table2_workloads};
+
+/// Sites the typed ops cannot compute: those containing a function
+/// call, a reduction or `iota`, or a section.
+fn boxable_sites(p: &cedar_ir::Program) -> usize {
+    let mut sites = 0;
+    for unit in &p.units {
+        walk_stmts(&unit.body, &mut |s| {
+            if matches!(s, Stmt::Call { .. }) {
+                // Actual arguments are bound by `invoke`, not compiled.
+                return;
+            }
+            let mut tops: Vec<&Expr> = Vec::new();
+            match s {
+                Stmt::Assign { lhs, rhs, .. } => {
+                    if let cedar_ir::LValue::Elem { idx, .. } = lhs {
+                        tops.extend(idx);
+                    }
+                    tops.push(rhs);
+                }
+                Stmt::If { cond, elifs, .. } => {
+                    tops.push(cond);
+                    tops.extend(elifs.iter().map(|(c, _)| c));
+                }
+                Stmt::DoWhile { cond, .. } => tops.push(cond),
+                Stmt::Loop(l) => {
+                    tops.extend([&l.start, &l.end]);
+                    tops.extend(&l.step);
+                }
+                _ => {}
+            }
+            for e in tops {
+                let mut plain = true;
+                walk_expr(e, &mut |n| match n {
+                    Expr::Call { .. } | Expr::Section { .. } => plain = false,
+                    Expr::Intr { f, .. } if f.is_reduction() || *f == Intrinsic::Iota => {
+                        plain = false
+                    }
+                    _ => {}
+                });
+                sites += !plain as usize;
+            }
+        });
+    }
+    sites
+}
+
+#[test]
+fn serial_originals_compile_and_run_as_typed_code() {
+    println!(
+        "{:<8} {:>6} {:>10} {:>12} {:>12}",
+        "program", "instrs", "eval-trees", "interp-stmts", "tree-walked"
+    );
+    for w in table1_workloads().into_iter().chain(table2_workloads()) {
+        let p = w.compile();
+        let art = cedar_sim::compile(&p);
+        let mc = MachineConfig::cedar_config1().with_engine(Engine::Vm);
+        let sim = cedar_sim::run_precompiled(&p, mc, &art).expect("serial original runs");
+        println!(
+            "{:<8} {:>6} {:>10} {:>12} {:>12}",
+            w.name,
+            art.instr_count(),
+            art.eval_tree_count(),
+            art.fallback_count(),
+            sim.tree_walked_activations()
+        );
+        assert!(
+            art.eval_tree_count() <= boxable_sites(&p),
+            "{}: an expression over plain scalars, constants, elements and elemental \
+             intrinsics was boxed",
+            w.name
+        );
+        // The pins. A workload that gains a function call or a vector
+        // statement moves them on purpose: update the number here and
+        // the table in EXPERIMENTS.md ("Engine split").
+        assert_eq!(art.eval_tree_count(), 0, "{}: EvalTree sites", w.name);
+        assert_eq!(art.fallback_count(), 0, "{}: Interp statements", w.name);
+        assert_eq!(
+            sim.tree_walked_activations(),
+            0,
+            "{}: tree-walked activations",
+            w.name
+        );
+    }
+}
+
+#[test]
+fn the_counts_see_what_falls_back() {
+    // One of each: a function call (boxed site), a vector statement
+    // (Interp), and an INTEGER actual behind a REAL dummy (the callee's
+    // activation is tree-walked; the main program's is not).
+    let p = cedar_ir::compile_free(
+        "program p\nreal a(8)\ninteger n\nn = 3\na(1:8) = 1.0\nx = f(2.0) + a(n)\n\
+         call g(n)\nend\nreal function f(v)\nf = v * 2.0\nend\n\
+         subroutine g(v)\nreal v\nv = v + 1.0\nend\n",
+    )
+    .unwrap();
+    let art = cedar_sim::compile(&p);
+    assert_eq!((art.eval_tree_count(), art.fallback_count()), (1, 1));
+    assert_eq!(
+        boxable_sites(&p),
+        1,
+        "only the call; the vector statement's sides are plain"
+    );
+    let mc = MachineConfig::cedar_config1();
+    let vm = cedar_sim::run_precompiled(&p, mc.clone().with_engine(Engine::Vm), &art).unwrap();
+    assert_eq!(vm.tree_walked_activations(), 1);
+    let interp = cedar_sim::run(&p, mc.with_engine(Engine::Interp)).unwrap();
+    assert_eq!(interp.tree_walked_activations(), 0);
+    assert_eq!(vm.cycles().to_bits(), interp.cycles().to_bits());
+}
