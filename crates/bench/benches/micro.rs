@@ -126,7 +126,52 @@ fn simulator(c: &mut Criterion) {
             )
         })
     });
+    // One vector statement, many times over: the inner statement of
+    // `ludcmp`/`gaussj` at 64 lanes (three stream loads, two vector
+    // ops, one stream store). Throughput is statements, so ns per
+    // statement is the time over `VECTOR_STMTS`; the two engines share
+    // the implementation and must read alike. CI's vm-smoke job holds
+    // the default engine to a third of what boxed lanes cost (3039 ns).
+    let stmt = cedar_ir::compile_source(&vector_stmt_source(64)).unwrap();
+    g.throughput(Throughput::Elements(VECTOR_STMTS));
+    for (id, engine) in [
+        ("vector-stmt-64-lanes", Engine::Vm),
+        ("vector-stmt-64-lanes-interp", Engine::Interp),
+    ] {
+        g.bench_function(id, |b| {
+            b.iter(|| {
+                black_box(
+                    cedar_sim::run(&stmt, MachineConfig::cedar_config1().with_engine(engine))
+                        .unwrap()
+                        .cycles(),
+                )
+            })
+        });
+    }
     g.finish();
+}
+
+/// Executions of the statement in [`vector_stmt_source`].
+const VECTOR_STMTS: u64 = 64 * 127;
+
+/// `a(lo:128, j) = a(lo:128, j) - a(lo:128, 1) * a(1, j)` over `lanes`
+/// lanes, `VECTOR_STMTS` times.
+fn vector_stmt_source(lanes: usize) -> String {
+    format!(
+        "
+      PROGRAM V
+      PARAMETER (N = 128)
+      REAL A(N, N)
+      LO = N - {lanes} + 1
+      A(1:N, 1) = 0.5
+      DO 30 K = 1, 64
+        DO 20 J = 2, N
+          A(LO:N, J) = A(LO:N, J) - A(LO:N, 1) * A(1, J)
+   20   CONTINUE
+   30 CONTINUE
+      END
+"
+    )
 }
 
 criterion_group!(benches, front_end, analysis, restructurer, simulator);

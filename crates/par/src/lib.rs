@@ -24,6 +24,25 @@
 //!    spawned at all),
 //! 3. `std::thread::available_parallelism()`.
 //!
+//! **The caller is the first worker.** A sweep on `n` workers spawns
+//! `n − 1` scoped threads; the calling thread claims item 0 before any
+//! of them exists and then keeps claiming like the others, marked as a
+//! worker for as long as it does (a drop guard unmarks it, also when an
+//! item's panic is resumed). It already holds the ambient context, so
+//! nothing is installed or restored on it. Besides saving a spawn per
+//! sweep this keeps memory where it was: glibc gives each thread its
+//! own malloc arena, and a caller that parks while spawned threads
+//! build and free simulators leaves those blocks in arenas of their
+//! own. Measured on the repo benchmark's `validate_pool` (parent: peak
+//! RSS 10.8–12.0 MB over seven runs) when a verdict's simulations
+//! became one sweep: 13.8–16.1 MB with the caller parked; 12.0–13.7,
+//! once 15.9 (and 11.8 under `MALLOC_ARENA_MAX=1`: it is the arenas),
+//! with the caller working but the race-collecting run — the one with
+//! the large footprint — on whichever thread claimed it; 10.9–11.9 with
+//! that run always on the caller. Hence the second half of the rule:
+//! which item lands on the caller is fixed (item 0), so a sweep can put
+//! its largest item there.
+//!
 //! Nested calls run serially: a `par_map` issued from inside a worker
 //! (e.g. cedar-verify's per-seed sweep under the robustness binary's
 //! per-workload sweep) degrades to the serial path instead of
@@ -181,7 +200,8 @@ impl<R> TryCell<R> {
 }
 
 /// Core supervised engine shared by [`par_map`] and [`try_par_map`]:
-/// map `f` over `items` on up to [`jobs`] scoped threads, catching
+/// map `f` over `items` on up to [`jobs`] workers — the calling thread
+/// and scoped threads for the rest — catching
 /// per-item panics so a failing item can never abort the scoped join,
 /// and handing each item a fresh [`CancelToken`] (with `budget` as its
 /// wall-clock deadline when given). Results come back in input order.
@@ -218,34 +238,50 @@ where
     let output: Vec<Mutex<Option<Supervised<R>>>> =
         (0..n).map(|_| Mutex::new(None)).collect();
     let next = AtomicUsize::new(0);
-    let run_one = &run_one;
     let inherited = context();
-    // Borrow the shared state so each worker's `move` closure copies
-    // the borrows and moves only its context clone.
-    let (input_ref, output_ref, next_ref) = (&input, &output, &next);
 
+    // Run item `k`, then claim items off the shared counter until none
+    // are left.
+    let work = |mut k: usize| {
+        while k < n {
+            let item = input[k]
+                .lock()
+                .expect("par_map input slot poisoned")
+                .take()
+                .expect("par_map slot claimed twice");
+            let r = run_one(item);
+            *output[k].lock().expect("par_map output slot poisoned") = Some(r);
+            k = next.fetch_add(1, Ordering::Relaxed);
+        }
+    };
+    // Shared by reference, so that each spawned worker's `move` closure
+    // moves only its clone of the context.
+    let (work, next) = (&work, &next);
+
+    // The caller is the first worker, and item 0 is its first item —
+    // claimed before any thread exists, so where a sweep's first item
+    // runs does not depend on how fast a thread starts.
+    let first = next.fetch_add(1, Ordering::Relaxed);
     std::thread::scope(|scope| {
-        for _ in 0..workers {
-            let (input, output, next) = (input_ref, output_ref, next_ref);
+        for _ in 1..workers {
             let inherited = inherited.clone();
             scope.spawn(move || {
                 IN_WORKER.with(|flag| flag.set(true));
                 set_context(inherited);
-                loop {
-                    let k = next.fetch_add(1, Ordering::Relaxed);
-                    if k >= n {
-                        break;
-                    }
-                    let item = input[k]
-                        .lock()
-                        .expect("par_map input slot poisoned")
-                        .take()
-                        .expect("par_map slot claimed twice");
-                    let r = run_one(item);
-                    *output[k].lock().expect("par_map output slot poisoned") = Some(r);
-                }
+                work(next.fetch_add(1, Ordering::Relaxed));
             });
         }
+        // The caller already has the context, and is marked a worker
+        // for as long as it runs items, so that a nested call from one
+        // of them stays serial.
+        struct Unmark(bool);
+        impl Drop for Unmark {
+            fn drop(&mut self) {
+                IN_WORKER.with(|flag| flag.set(self.0));
+            }
+        }
+        let _unmark = Unmark(IN_WORKER.with(|flag| flag.replace(true)));
+        work(first);
     });
 
     output
@@ -532,5 +568,77 @@ mod tests {
         });
         set_context(prev);
         assert!(seen.iter().all(|&v| v == 42), "context lost in workers: {seen:?}");
+    }
+
+    // ---- the caller is the first worker ----
+
+    #[test]
+    fn the_caller_runs_the_first_item_and_one_thread_fewer_is_spawned() {
+        let caller = std::thread::current().id();
+        let ran_on = with_jobs(3, || {
+            par_map((0..24usize).collect(), |_| std::thread::current().id())
+        });
+        assert_eq!(
+            ran_on[0], caller,
+            "item 0 is claimed before any thread is spawned"
+        );
+        let spawned: std::collections::HashSet<_> =
+            ran_on.iter().filter(|&&id| id != caller).collect();
+        assert!(
+            spawned.len() <= 2,
+            "3 workers are the caller and at most 2 threads: {spawned:?}"
+        );
+    }
+
+    #[test]
+    fn a_nested_call_from_the_callers_own_item_stays_serial() {
+        let caller = std::thread::current().id();
+        let inner_threads = with_jobs(4, || {
+            par_map(vec![0usize, 1], |k| {
+                assert!(
+                    in_worker(),
+                    "item {k}: the caller counts as a worker while it works"
+                );
+                // Serial: every inner item runs on the thread of the outer one.
+                let me = std::thread::current().id();
+                let inner = par_map(vec![0usize; 6], |_| std::thread::current().id());
+                (me, inner.iter().all(|&id| id == me))
+            })
+        });
+        assert_eq!(inner_threads[0].0, caller);
+        assert!(inner_threads.iter().all(|&(_, serial)| serial));
+        assert!(!in_worker(), "and is the caller again afterwards");
+    }
+
+    #[test]
+    fn a_panicking_item_leaves_the_caller_unmarked_and_its_context_in_place() {
+        let prev = set_context(Some(Arc::new("ambient")));
+        // Item 0 — the caller's own — panics; `try_par_map` contains it.
+        let cells = with_jobs(2, || {
+            try_par_map(vec![0u32, 1, 2, 3], None, |k, _| {
+                if k == 0 {
+                    panic!("the caller's item");
+                }
+                context().and_then(|c| c.downcast_ref::<&str>().copied())
+            })
+        });
+        assert!(matches!(&cells[0], TryCell::Panicked(m) if m == "the caller's item"));
+        for c in &cells[1..] {
+            assert!(matches!(c, TryCell::Ok(Some("ambient"))), "{c:?}");
+        }
+        assert!(
+            !in_worker(),
+            "the flag is restored after a sweep whose item panicked"
+        );
+        let ambient = context().and_then(|c| c.downcast_ref::<&str>().copied());
+        assert_eq!(ambient, Some("ambient"), "the caller keeps its context");
+        // `par_map` resumes the panic on the caller; the flag is restored then too.
+        let resumed = std::panic::catch_unwind(|| {
+            with_jobs(2, || {
+                par_map(vec![0u32, 1], |k| assert_ne!(k, 0, "resumed"))
+            })
+        });
+        assert!(resumed.is_err() && !in_worker());
+        set_context(prev);
     }
 }

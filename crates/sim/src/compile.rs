@@ -15,7 +15,9 @@
 //!
 //! Every scalar expression gets a static [`Class`] (`R`/`I`/`B`) from
 //! the declared `Ty` of its symbols and the promotion rules of
-//! `value_ops::{bin, un}`: two integers stay integral for `+ - * / **`
+//! `value_ops::{bin, un}` (stated once, as `value_ops::{bin_class,
+//! un_class, intrinsic_class}`, and shared with the vector lanes): two
+//! integers stay integral for `+ - * / **`
 //! and compare as integers, anything else promotes both sides through
 //! `as_f64`; the logical operators read both sides through `as_bool`;
 //! unary minus on a LOGICAL yields an INTEGER. Conversions are explicit
@@ -51,9 +53,10 @@
 //! op. Elemental intrinsics are typed ([`intrinsic_class`]) and run
 //! through `value_ops::intrinsic`, the interpreter's own.
 
+use crate::value_ops::{bin_class, cmp_mask, intrinsic_class, un_class, Class};
 use cedar_ir::{
-    BinOp, Expr, Intrinsic, LValue, Loop, LoopClass, Program, Span, Stmt, SymbolId, SyncOp, Ty,
-    UnOp, Unit,
+    BinOp, Expr, Intrinsic, LValue, Loop, LoopClass, Program, Span, Stmt, SymbolId, SyncOp, UnOp,
+    Unit,
 };
 use std::collections::HashMap;
 
@@ -69,28 +72,6 @@ pub(crate) const MAX_INTR_ARGS: usize = 8;
 
 /// Index into one of an activation's register files.
 pub(crate) type Reg = u32;
-
-/// Static type of a scalar value, and the payload type of the storage
-/// slot a binding resolves to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Class {
-    /// REAL / DOUBLE PRECISION (`f64` registers).
-    R,
-    /// INTEGER (`i64` registers).
-    I,
-    /// LOGICAL (`bool` registers).
-    B,
-}
-
-impl Class {
-    pub(crate) fn of(ty: Ty) -> Class {
-        match ty {
-            Ty::Real | Ty::Double => Class::R,
-            Ty::Int => Class::I,
-            Ty::Logical => Class::B,
-        }
-    }
-}
 
 /// One bytecode instruction. `d` is the destination register, `a`/`b`
 /// the operands, `s` a stored value; the op's suffix names the register
@@ -212,45 +193,6 @@ pub(crate) enum Instr {
     /// Full interpreter fallback: execute cloned statement `stmts[i]`
     /// via `exec_stmt` (which gates itself — no `Gate` precedes this).
     Interp(u32),
-}
-
-/// The class of an elemental intrinsic's result over arguments of the
-/// given classes — the dynamic rule of `value_ops::intrinsic`, decided
-/// statically. `None` for intrinsics that are not elemental and for
-/// argument lists `value_ops` rejects.
-fn intrinsic_class(f: Intrinsic, args: &[Class]) -> Option<Class> {
-    use Intrinsic::*;
-    let int = |k: usize| args.get(k) == Some(&Class::I);
-    let int_if = |yes: bool| if yes { Class::I } else { Class::R };
-    if args.is_empty() {
-        return None;
-    }
-    Some(match f {
-        Abs => int_if(int(0)),
-        Sqrt | Exp | Log | Log10 | Sin | Cos | Tan | Atan | Sinh | Cosh | Tanh | Real | Dble => {
-            Class::R
-        }
-        Atan2 if args.len() >= 2 => Class::R,
-        Sign if args.len() >= 2 => int_if(int(0)),
-        Mod if args.len() >= 2 => int_if(int(0) && int(1)),
-        Min | Max => int_if(args.iter().all(|&c| c == Class::I)),
-        Int | Nint => Class::I,
-        _ => return None,
-    })
-}
-
-/// Bit set of the `Ordering`s a comparison accepts: bit 0 `Less`,
-/// bit 1 `Equal`, bit 2 `Greater`.
-fn cmp_mask(op: BinOp) -> Option<u8> {
-    Some(match op {
-        BinOp::Eq => 0b010,
-        BinOp::Ne => 0b101,
-        BinOp::Lt => 0b001,
-        BinOp::Le => 0b011,
-        BinOp::Gt => 0b100,
-        BinOp::Ge => 0b110,
-        _ => return None,
-    })
 }
 
 /// A pre-resolved CALL site.
@@ -657,26 +599,19 @@ impl Compiler<'_> {
                 });
                 (c, d)
             }
-            Expr::Un(UnOp::Neg, inner) => {
+            Expr::Un(op, inner) => {
                 let (c, a) = self.emit_expr(inner)?;
-                if c == Class::R {
-                    let d = self.fresh(Class::R);
-                    self.push(Instr::NegR { d, a });
-                    (Class::R, d)
-                } else {
-                    // `-(.true.)` is the integer -1.
-                    let a = self.convert(c, a, Class::I);
-                    let d = self.fresh(Class::I);
-                    self.push(Instr::NegI { d, a });
-                    (Class::I, d)
-                }
-            }
-            Expr::Un(UnOp::Not, inner) => {
-                let (c, a) = self.emit_expr(inner)?;
-                let a = self.convert(c, a, Class::B);
-                let d = self.fresh(Class::B);
-                self.push(Instr::NotB { d, a });
-                (Class::B, d)
+                // The operand is read as the result's class: `-(.true.)`
+                // is the integer -1, `.not.` reads through `as_bool`.
+                let to = un_class(*op, c);
+                let a = self.convert(c, a, to);
+                let d = self.fresh(to);
+                self.push(match (op, to) {
+                    (UnOp::Neg, Class::R) => Instr::NegR { d, a },
+                    (UnOp::Neg, _) => Instr::NegI { d, a },
+                    (UnOp::Not, _) => Instr::NotB { d, a },
+                });
+                (to, d)
             }
             Expr::Bin(op, l, r) => {
                 let l = self.emit_expr(l)?;
@@ -705,7 +640,9 @@ impl Compiler<'_> {
         })
     }
 
-    /// The promotion rules of `value_ops::bin`, decided statically.
+    /// One typed op for `bin(op, l, r)`: the result's class is
+    /// [`bin_class`]'s, and the operands are converted the way
+    /// `value_ops::bin` reads them.
     fn emit_bin(
         &mut self,
         op: BinOp,
@@ -713,56 +650,40 @@ impl Compiler<'_> {
         (cr, b): (Class, Reg),
     ) -> (Class, Reg) {
         use BinOp::*;
-        let ints = cl == Class::I && cr == Class::I;
+        let to = bin_class(op, cl, cr);
+        let d = self.fresh(to);
         if let Some(mask) = cmp_mask(op) {
-            let d = self.fresh(Class::B);
-            if ints {
+            // Two integers compare as integers, anything else as reals.
+            if cl == Class::I && cr == Class::I {
                 self.push(Instr::CmpI { d, a, b, mask });
             } else {
                 let (a, b) = (self.convert(cl, a, Class::R), self.convert(cr, b, Class::R));
                 self.push(Instr::CmpR { d, a, b, mask });
             }
-            return (Class::B, d);
+            return (to, d);
         }
-        if matches!(op, And | Or | Eqv | Neqv) {
-            let (a, b) = (self.convert(cl, a, Class::B), self.convert(cr, b, Class::B));
-            let d = self.fresh(Class::B);
-            self.push(match op {
-                And => Instr::AndB { d, a, b },
-                Or => Instr::OrB { d, a, b },
-                Eqv => Instr::EqvB { d, a, b },
-                _ => Instr::NeqvB { d, a, b },
-            });
-            return (Class::B, d);
-        }
-        if ints {
-            let d = self.fresh(Class::I);
-            self.push(match op {
-                Add => Instr::AddI { d, a, b },
-                Sub => Instr::SubI { d, a, b },
-                Mul => Instr::MulI { d, a, b },
-                Div => Instr::DivI { d, a, b },
-                _ => Instr::PowI { d, a, b },
-            });
-            return (Class::I, d);
-        }
-        let a = self.convert(cl, a, Class::R);
         // Any non-integer base with an integer exponent is `powi`.
-        let b = if op == Pow && cr == Class::I {
-            b
-        } else {
-            self.convert(cr, b, Class::R)
-        };
-        let d = self.fresh(Class::R);
-        self.push(match op {
-            Add => Instr::AddR { d, a, b },
-            Sub => Instr::SubR { d, a, b },
-            Mul => Instr::MulR { d, a, b },
-            Div => Instr::DivR { d, a, b },
-            _ if cr == Class::I => Instr::PowRI { d, a, b },
+        let powi = op == Pow && to == Class::R && cr == Class::I;
+        let a = self.convert(cl, a, to);
+        let b = if powi { b } else { self.convert(cr, b, to) };
+        self.push(match (op, to) {
+            (And, _) => Instr::AndB { d, a, b },
+            (Or, _) => Instr::OrB { d, a, b },
+            (Eqv, _) => Instr::EqvB { d, a, b },
+            (Neqv, _) => Instr::NeqvB { d, a, b },
+            (Add, Class::I) => Instr::AddI { d, a, b },
+            (Sub, Class::I) => Instr::SubI { d, a, b },
+            (Mul, Class::I) => Instr::MulI { d, a, b },
+            (Div, Class::I) => Instr::DivI { d, a, b },
+            (_, Class::I) => Instr::PowI { d, a, b },
+            (Add, _) => Instr::AddR { d, a, b },
+            (Sub, _) => Instr::SubR { d, a, b },
+            (Mul, _) => Instr::MulR { d, a, b },
+            (Div, _) => Instr::DivR { d, a, b },
+            _ if powi => Instr::PowRI { d, a, b },
             _ => Instr::PowR { d, a, b },
         });
-        (Class::R, d)
+        (to, d)
     }
 
     fn emit_stmt(&mut self, s: &Stmt) {

@@ -10,10 +10,11 @@ use crate::compile::{CompiledProgram, CompiledUnit, VmLoop};
 use crate::config::{Engine, MachineConfig};
 use crate::cost::{CostClass, CostTable};
 use crate::fault::{FaultConfig, FaultState};
+use crate::lanes::{LanePool, Lanes};
 use crate::prepass::Prepass;
 use crate::race::{RaceDetector, RaceInfo};
 use crate::stats::ExecStats;
-use crate::store::{SlotId, StorageRef, Store, VarBind};
+use crate::store::{ArrayData, SlotId, StorageRef, Store, VarBind};
 use crate::value_ops;
 use cedar_ir::{
     BinOp, Expr, Index, Intrinsic, LValue, Loop, LoopClass, ParMode, Placement, Program, Stmt,
@@ -68,9 +69,6 @@ struct Ctx {
     /// region (1 when serial) — drives global-memory contention.
     active: usize,
 }
-
-/// Vector of values (one per lane of a vector statement).
-type VecVal = Vec<Value>;
 
 /// Sync-point ids below this bound use the dense per-point table;
 /// anything larger (hand-written adversarial sources) overflows to a
@@ -170,12 +168,10 @@ pub struct Simulator<'p> {
     /// One-time derived data (callee index, constant-folded dims); see
     /// [`crate::prepass`].
     pre: Prepass,
-    /// Recycled lane-value buffers: vector statements take a buffer
-    /// here instead of allocating a fresh `Vec` per operand per
-    /// statement, and return it when the lanes are consumed.
-    scratch: Vec<VecVal>,
-    /// Recycled linear-index buffers for section lane lists.
-    scratch_lin: Vec<Vec<usize>>,
+    /// Recycled lane and index buffers of vector statements.
+    pool: LanePool,
+    /// See [`Simulator::section_counts`].
+    sections: SectionCounts,
     /// Bytecode artifact (Some iff [`MachineConfig::engine`] is
     /// [`Engine::Vm`]); `Arc`-shared so verify / fuzz / serve compile
     /// once and run many (seed, config) executions off it.
@@ -238,8 +234,8 @@ impl<'p> Simulator<'p> {
             ops_executed: 0,
             races,
             pre,
-            scratch: Vec::new(),
-            scratch_lin: Vec::new(),
+            pool: LanePool::default(),
+            sections: SectionCounts::default(),
             compiled,
             costs,
             retired: Vec::new(),
@@ -283,6 +279,14 @@ impl<'p> Simulator<'p> {
     /// by design.
     pub fn tree_walked_activations(&self) -> u64 {
         self.tree_walked
+    }
+
+    /// How the run's vector sections were resolved to element indices
+    /// (the same on both engines — vector statements have one
+    /// implementation — but not under `without_fast_paths`, which is
+    /// why this is not part of [`ExecStats`]).
+    pub fn section_counts(&self) -> SectionCounts {
+        self.sections
     }
 
     /// Total simulated cycles so far.
@@ -609,6 +613,7 @@ impl<'p> Simulator<'p> {
         Some(dims)
     }
 
+    #[inline]
     fn resolve_slot(&self, bind: &VarBind, cluster: usize) -> SlotId {
         match &bind.sref {
             StorageRef::One(s) => *s,
@@ -721,66 +726,32 @@ impl<'p> Simulator<'p> {
         self.mem_cost_inline(placement, 1, false, read, ctx)
     }
 
-    // ================== scratch buffers ==================
-
-    /// Take a recycled lane-value buffer (cleared; best-effort capacity).
-    fn take_buf(&mut self, cap: usize) -> VecVal {
-        match self.scratch.pop() {
-            Some(mut v) => {
-                v.clear();
-                v.reserve(cap);
-                v
-            }
-            None => Vec::with_capacity(cap),
-        }
-    }
-
-    /// Return a consumed lane-value buffer to the pool.
-    fn put_buf(&mut self, mut v: VecVal) {
-        if self.scratch.len() < 32 {
-            v.clear();
-            self.scratch.push(v);
-        }
-    }
-
-    /// Take a recycled linear-index buffer.
-    fn take_lin(&mut self, cap: usize) -> Vec<usize> {
-        match self.scratch_lin.pop() {
-            Some(mut v) => {
-                v.clear();
-                v.reserve(cap);
-                v
-            }
-            None => Vec::with_capacity(cap),
-        }
-    }
-
-    /// Return a consumed linear-index buffer to the pool.
-    fn put_lin(&mut self, mut v: Vec<usize>) {
-        if self.scratch_lin.len() < 32 {
-            v.clear();
-            self.scratch_lin.push(v);
-        }
-    }
-
     // ================== scalar evaluation ==================
 
+    #[inline]
     fn bind_of<'f>(&self, frame: &'f Frame, sym: SymbolId) -> Result<&'f VarBind> {
-        frame.binds[sym.index()].as_ref().ok_or_else(|| {
-            SimError::new(
-                SimErrorKind::Uninit,
-                cedar_ir::Span::NONE,
-                format!(
-                    "variable `{}` used before binding",
-                    self.program.units[frame.unit].symbol(sym).name
-                ),
-            )
-        })
+        match &frame.binds[sym.index()] {
+            Some(bind) => Ok(bind),
+            None => Err(self.unbound_error(frame, sym)),
+        }
+    }
+
+    #[cold]
+    fn unbound_error(&self, frame: &Frame, sym: SymbolId) -> SimError {
+        SimError::new(
+            SimErrorKind::Uninit,
+            cedar_ir::Span::NONE,
+            format!(
+                "variable `{}` used before binding",
+                self.program.units[frame.unit].symbol(sym).name
+            ),
+        )
     }
 
     /// Checked element read through a resolved slot. Every element read
     /// of the interpreter (scalar, indexed, section lane) funnels
     /// through here, so this is where the race detector observes reads.
+    #[inline]
     fn load(&mut self, slot: SlotId, lin: usize) -> Result<Value> {
         let v = self.load_raw(slot, lin)?;
         self.note_read(slot, lin)?;
@@ -788,6 +759,7 @@ impl<'p> Simulator<'p> {
     }
 
     /// Show the race detector (when live) one element read.
+    #[inline]
     fn note_read(&mut self, slot: SlotId, lin: usize) -> Result<()> {
         if let Some(rd) = self.races.as_mut() {
             if let Some(race) = rd.record_read(slot, lin) {
@@ -812,6 +784,7 @@ impl<'p> Simulator<'p> {
     }
 
     /// The error of an element access outside its slot.
+    #[cold]
     fn storage_error(&self, slot: SlotId, lin: usize) -> SimError {
         SimError::new(
             SimErrorKind::OutOfBounds,
@@ -826,8 +799,12 @@ impl<'p> Simulator<'p> {
     /// [`Simulator::load`] without the race hook — for vector gather
     /// loops whose reads the detector observes through a bulk recorder
     /// instead.
+    #[inline]
     fn load_raw(&mut self, slot: SlotId, lin: usize) -> Result<Value> {
-        self.store.slot(slot).try_get(lin).ok_or_else(|| self.storage_error(slot, lin))
+        match self.store.slot(slot).try_get(lin) {
+            Some(v) => Ok(v),
+            None => Err(self.storage_error(slot, lin)),
+        }
     }
 
     /// Checked element write through a resolved slot (the write-side
@@ -846,6 +823,31 @@ impl<'p> Simulator<'p> {
         } else {
             Err(self.storage_error(slot, lin))
         }
+    }
+
+    /// [`Simulator::eval_scalar`] read through `as_i64`, for section
+    /// bounds: constants and plain variables (nearly all of them) are
+    /// handled here, without entering the recursive evaluator, and an
+    /// INTEGER cell is read as what it is, unboxed.
+    #[inline]
+    fn eval_i64(&mut self, frame: &Frame, e: &Expr, ctx: &mut Ctx) -> Result<i64> {
+        Ok(match e {
+            Expr::ConstI(v) => *v,
+            Expr::Scalar(s) => {
+                let bind = self.bind_of(frame, *s)?;
+                ctx.time += self.config.cache_hit;
+                let (slot, at) = (self.resolve_slot(bind, ctx.cluster), bind.offset);
+                match self.store.slot(slot) {
+                    ArrayData::I(v) if at < v.len() => {
+                        let x = v[at];
+                        self.note_read(slot, at)?;
+                        x
+                    }
+                    _ => self.load(slot, at)?.as_i64(),
+                }
+            }
+            _ => self.eval_scalar(frame, e, ctx)?.as_i64(),
+        })
     }
 
     fn eval_scalar(&mut self, frame: &Frame, e: &Expr, ctx: &mut Ctx) -> Result<Value> {
@@ -934,20 +936,18 @@ impl<'p> Simulator<'p> {
 
     // ================== vector evaluation ==================
 
-    /// Resolve the index list of a section into per-dimension iteration
-    /// descriptors and a total lane count. Returns (per-lane subscript
-    /// generator data): for each dim either Fixed(v) or Range{lo, len,
-    /// step}.
+    /// Evaluate the subscripts of a section into `sec` (fresh from
+    /// [`Section::new`]): a descriptor per dimension — a fixed
+    /// subscript, a range, or a gather vector — and the lane count.
     fn section_lanes(
         &mut self,
         frame: &Frame,
         arr: SymbolId,
         idx: &[Index],
         ctx: &mut Ctx,
-    ) -> Result<(Vec<SectionDim>, usize)> {
+        sec: &mut Section,
+    ) -> Result<()> {
         let bind = self.bind_of(frame, arr)?;
-        let mut dims = Vec::with_capacity(idx.len());
-        let mut lanes = 1usize;
         for (k, i) in idx.iter().enumerate() {
             let (dlo, dhi) = *bind.dims.get(k).ok_or_else(|| {
                 SimError::new(
@@ -957,7 +957,10 @@ impl<'p> Simulator<'p> {
                 )
             })?;
             match i {
-                Index::At(e) if e.is_vector_valued() => {
+                // (A constant or a variable is not; skip the tree walk.)
+                Index::At(e)
+                    if !matches!(e, Expr::Scalar(_) | Expr::ConstI(_)) && e.is_vector_valued() =>
+                {
                     // Vector-valued subscript: hardware gather. Lane
                     // count comes from the subscript vector itself.
                     let n = self.infer_lanes(frame, e, ctx)?.ok_or_else(|| {
@@ -968,27 +971,25 @@ impl<'p> Simulator<'p> {
                         )
                     })?;
                     let vals = self.eval_vec(frame, e, n, ctx)?;
-                    dims.push(SectionDim::Gather(
-                        vals.iter().map(|v| v.as_i64()).collect(),
-                    ));
-                    self.put_buf(vals);
-                    lanes = lanes.max(n);
+                    sec.push(SectionDim::Gather(sec.gathers.len()));
+                    sec.gathers.push(self.pool.ints(vals));
+                    sec.lanes = sec.lanes.max(n);
                 }
                 Index::At(e) => {
-                    let v = self.eval_scalar(frame, e, ctx)?.as_i64();
-                    dims.push(SectionDim::Fixed(v));
+                    let v = self.eval_i64(frame, e, ctx)?;
+                    sec.push(SectionDim::Fixed(v));
                 }
                 Index::Range { lo, hi, step } => {
                     let lo = match lo {
-                        Some(e) => self.eval_scalar(frame, e, ctx)?.as_i64(),
+                        Some(e) => self.eval_i64(frame, e, ctx)?,
                         None => dlo,
                     };
                     let hi = match hi {
-                        Some(e) => self.eval_scalar(frame, e, ctx)?.as_i64(),
+                        Some(e) => self.eval_i64(frame, e, ctx)?,
                         None => dhi,
                     };
                     let step = match step {
-                        Some(e) => self.eval_scalar(frame, e, ctx)?.as_i64(),
+                        Some(e) => self.eval_i64(frame, e, ctx)?,
                         None => 1,
                     };
                     if step == 0 {
@@ -997,89 +998,91 @@ impl<'p> Simulator<'p> {
                     let len = ((hi - lo + step) / step).max(0) as usize;
                     // Multiple range dims form a cartesian product in
                     // column-major order; checked_mul bounds the total.
-                    lanes = lanes.checked_mul(len).ok_or_else(|| {
+                    sec.lanes = sec.lanes.checked_mul(len).ok_or_else(|| {
                         SimError::new(
                             SimErrorKind::Limit,
                             cedar_ir::Span::NONE,
                             "section too large",
                         )
                     })?;
-                    dims.push(SectionDim::RangeLen { lo, step, len });
+                    sec.push(SectionDim::RangeLen { lo, step, len });
                 }
             }
         }
-        Ok((dims, lanes))
+        Ok(())
     }
 
-    /// Gather the linear indices of all lanes of a section into `out`
-    /// (cleared first), column-major. The out-param lets callers reuse
-    /// a pooled buffer instead of allocating per statement. Returns
-    /// `true` when the lanes are provably a contiguous ascending run
-    /// (`out[k+1] == out[k] + 1`), which unlocks the callers' bulk
-    /// load/store paths.
-    fn section_linear_indices(
-        &self,
-        bind: &VarBind,
-        dims: &[SectionDim],
-        lanes: usize,
-        out: &mut Vec<usize>,
-    ) -> Result<bool> {
-        out.clear();
-        out.reserve(lanes);
-        // Odometer over range dims (column-major: leftmost fastest).
-        let mut counters = [0usize; 8];
-        if dims.len() > counters.len() {
+    /// Return a section's gather vectors to the pool.
+    #[inline]
+    fn release_section(&mut self, sec: &mut Section) {
+        for v in sec.gathers.drain(..) {
+            self.pool.put_i(v);
+        }
+    }
+
+    /// Resolve the lanes of a section to linear indices, column-major.
+    ///
+    /// Exactly one range dimension and no gather (`a(lo:hi)`,
+    /// `rs(1:n, i)`, `a(i, lo:hi:2)` …) makes the lanes an arithmetic
+    /// progression: bounds-checking the two end lanes covers every
+    /// interior lane (the varying subscript is monotonic between them),
+    /// and the section is carried as `(first, stride, len)` — no index
+    /// per lane is ever written down. Everything else (several ranges,
+    /// gathers, an out-of-bounds end lane, `without_fast_paths`) takes
+    /// the odometer walk, which checks each lane and raises the error
+    /// naming its subscripts.
+    fn section_index(&mut self, bind: &VarBind, sec: &Section) -> Result<LaneIdx> {
+        if sec.rank > MAX_SECTION_RANK {
             return kerr(
                 SimErrorKind::TypeError,
                 cedar_ir::Span::NONE,
                 "array rank exceeds the Fortran 77 limit of 7",
             );
         }
-        // Fast path (`a(lo:hi)`, `rs(1:n, i)`, `a(i, lo:hi)` …): exactly
-        // one range dimension and no gathers makes the lanes an
-        // arithmetic progression, so bounds-checking the two end lanes
-        // covers every interior lane (the varying subscript is monotonic
-        // between them) and the odometer walk collapses to a fill.
-        if self.pre.enabled && lanes > 0 {
-            let mut range_dim: Option<(usize, i64, i64, usize)> = None;
-            let simple = dims.iter().enumerate().all(|(k, d)| match d {
-                SectionDim::Fixed(_) => true,
-                SectionDim::RangeLen { lo, step, len } if range_dim.is_none() => {
-                    range_dim = Some((k, *lo, *step, *len));
-                    true
-                }
-                _ => false,
+        let (dims, lanes) = (&sec.dims[..sec.rank], sec.lanes);
+        if lanes == 0 {
+            return Ok(LaneIdx::Prog {
+                first: 0,
+                stride: 0,
+                len: 0,
             });
-            if simple {
-                if let Some((k, lo, step, len)) = range_dim {
-                    debug_assert_eq!(len, lanes);
-                    let mut subs = [0i64; 8];
-                    for (j, d) in dims.iter().enumerate() {
-                        subs[j] = match d {
-                            SectionDim::Fixed(v) => *v,
-                            SectionDim::RangeLen { lo, .. } => *lo,
-                            SectionDim::Gather(_) => unreachable!("excluded above"),
-                        };
-                    }
-                    let first = bind.linearize(&subs[..dims.len()], false);
-                    subs[k] = lo + (len as i64 - 1) * step;
-                    let last = bind.linearize(&subs[..dims.len()], false);
-                    if let (Some(first), Some(last)) = (first, last) {
-                        let stride = if len > 1 {
-                            (last as i64 - first as i64) / (len as i64 - 1)
-                        } else {
-                            0
-                        };
-                        out.extend(
-                            (0..len as i64).map(|j| (first as i64 + j * stride) as usize),
-                        );
-                        return Ok(len <= 1 || stride == 1);
-                    }
-                    // An end lane is out of bounds: fall through to the
-                    // general walk, which raises the usual error.
-                }
-            }
         }
+        let mut range: Option<(usize, i64, i64, usize)> = None;
+        let only_fixed_otherwise = dims.iter().enumerate().all(|(k, d)| match d {
+            SectionDim::Fixed(_) => true,
+            SectionDim::RangeLen { lo, step, len } if range.is_none() => {
+                range = Some((k, *lo, *step, *len));
+                true
+            }
+            _ => false,
+        });
+        let single = range.filter(|_| only_fixed_otherwise);
+        if let (true, Some((k, lo, step, len))) = (self.pre.enabled, single) {
+            debug_assert_eq!(len, lanes);
+            let mut subs = [0i64; MAX_SECTION_RANK];
+            for (j, d) in dims.iter().enumerate() {
+                subs[j] = match d {
+                    SectionDim::Fixed(v) => *v,
+                    SectionDim::RangeLen { lo, .. } => *lo,
+                    SectionDim::Gather(_) => unreachable!("excluded above"),
+                };
+            }
+            let last = lo + (len as i64 - 1) * step;
+            if let Some((first, dim_stride)) = bind.linearize_ends(&subs[..dims.len()], k, last) {
+                let stride = if len > 1 {
+                    (step * dim_stride) as isize
+                } else {
+                    0
+                };
+                self.sections.progressions += 1;
+                return Ok(LaneIdx::Prog { first, stride, len });
+            }
+            // An end lane is out of bounds: fall through to the general
+            // walk, which raises the usual error.
+        }
+        // Odometer over range dims (column-major: leftmost fastest).
+        let mut out = self.pool.lin(lanes);
+        let mut counters = [0usize; MAX_SECTION_RANK];
         let counters = &mut counters[..dims.len()];
         let mut subs = Subs::new();
         for lane in 0..lanes {
@@ -1090,9 +1093,10 @@ impl<'p> Simulator<'p> {
                     SectionDim::RangeLen { lo, step, .. } => {
                         subs.push(lo + (c as i64) * step)?
                     }
-                    SectionDim::Gather(vals) => subs.push(
-                        vals.get(lane).or_else(|| vals.last()).copied().unwrap_or(0),
-                    )?,
+                    SectionDim::Gather(g) => {
+                        let vals = &sec.gathers[*g];
+                        subs.push(vals.get(lane).or_else(|| vals.last()).copied().unwrap_or(0))?
+                    }
                 }
             }
             let lin = bind.linearize(subs.as_slice(), false).ok_or_else(|| {
@@ -1111,7 +1115,7 @@ impl<'p> Simulator<'p> {
             for (k, d) in dims.iter().enumerate() {
                 let lim = match d {
                     SectionDim::RangeLen { len, .. } => *len,
-                    SectionDim::Gather(_) => 1, // advanced by the lane counter
+                    // A gather is advanced by the lane counter.
                     _ => 1,
                 };
                 if lim <= 1 {
@@ -1124,34 +1128,63 @@ impl<'p> Simulator<'p> {
                 counters[k] = 0;
             }
         }
-        // The general walk makes no contiguity claim (gathers and
-        // multi-range products can still be contiguous, but proving it
-        // would cost the scan the fast path exists to avoid).
-        Ok(false)
+        match single {
+            Some(_) => self.sections.single_range_lists += 1,
+            None => self.sections.other_lists += 1,
+        }
+        Ok(LaneIdx::List(out))
     }
 
-    /// Evaluate an expression as a vector of `lanes` values. Sections
-    /// gather; scalars broadcast (evaluated once).
-    fn eval_vec(&mut self, frame: &Frame, e: &Expr, lanes: usize, ctx: &mut Ctx) -> Result<VecVal> {
+    /// Return a resolved section's index list, if it has one, to the pool.
+    fn release_index(&mut self, at: LaneIdx) {
+        if let LaneIdx::List(l) = at {
+            self.pool.put_lin(l);
+        }
+    }
+
+    /// Load the lanes of a resolved section from `slot`: one slice copy
+    /// for a contiguous run, else element by element (which is also the
+    /// path that names an element outside the slot). The detector, when
+    /// live, observes the same per-element reads in lane order.
+    fn load_section(&mut self, slot: SlotId, at: &LaneIdx) -> Result<Lanes> {
+        let data = self.store.slot(slot);
+        let bulk = at
+            .run()
+            .and_then(|(first, n)| data.load_run(first, n, &mut self.pool));
+        let out = match bulk {
+            Some(out) => out,
+            None => each_index!(at, lins => data.load_at(lins, &mut self.pool))
+                .map_err(|lin| self.storage_error(slot, lin))?,
+        };
+        if let Some(rd) = self.races.as_mut() {
+            let races = each_index!(at, lins => rd.record_reads(slot, at.upper(), lins));
+            flag_all(rd, races)?;
+        }
+        Ok(out)
+    }
+
+    /// Evaluate an expression as `lanes` lanes of one class. Sections
+    /// load; scalars broadcast (evaluated once).
+    fn eval_vec(&mut self, frame: &Frame, e: &Expr, lanes: usize, ctx: &mut Ctx) -> Result<Lanes> {
+        let op_err = |e| SimError::from_op(e, cedar_ir::Span::NONE);
         match e {
             Expr::Section { arr, idx } => {
-                let (dims, n) = self.section_lanes(frame, arr_id(*arr), idx, ctx)?;
-                if n != lanes {
+                let mut sec = Section::new();
+                self.section_lanes(frame, *arr, idx, ctx, &mut sec)?;
+                if sec.lanes != lanes {
                     return kerr(
                         SimErrorKind::TypeError,
                         cedar_ir::Span::NONE,
-                        format!("vector length mismatch: {n} vs {lanes}"),
+                        format!("vector length mismatch: {} vs {lanes}", sec.lanes),
                     );
                 }
-                let mut lins = self.take_lin(lanes);
                 let bind = self.bind_of(frame, *arr)?;
-                let contiguous = self.section_linear_indices(bind, &dims, lanes, &mut lins)?;
+                let at = self.section_index(bind, &sec)?;
                 // Cost: one vector stream. Gathers cannot use the
                 // sequential prefetch unit.
-                let is_gather = dims.iter().any(|d| matches!(d, SectionDim::Gather(_)));
                 ctx.time += self.config.vector_startup / 4.0; // per-operand share
                 let saved_prefetch = self.config.prefetch;
-                if is_gather {
+                if !sec.gathers.is_empty() {
                     self.config.prefetch = false;
                 }
                 let placement = bind.placement;
@@ -1165,59 +1198,23 @@ impl<'p> Simulator<'p> {
                 };
                 self.config.prefetch = saved_prefetch;
                 ctx.time += cost;
-                let mut out = self.take_buf(lanes);
-                // Contiguous run: one slice copy instead of `lanes`
-                // checked element loads; the detector (when live)
-                // observes the same per-element reads through its bulk
-                // recorder. The fallback path produces the
-                // out-of-bounds error.
-                let bulk = contiguous
-                    && !lins.is_empty()
-                    && self.store.slot(slot).extend_range(lins[0], lanes, &mut out);
-                if bulk {
-                    if let Some(rd) = self.races.as_mut() {
-                        for race in rd.record_read_range(slot, lins[0], lanes) {
-                            if let Some(e) = rd.flag(race) {
-                                return Err(e);
-                            }
-                        }
-                    }
-                } else {
-                    out.clear();
-                    for &l in &lins {
-                        out.push(self.load_raw(slot, l)?);
-                    }
-                    if let Some(rd) = self.races.as_mut() {
-                        for race in rd.record_read_lins(slot, &lins) {
-                            if let Some(e) = rd.flag(race) {
-                                return Err(e);
-                            }
-                        }
-                    }
-                }
-                self.put_lin(lins);
+                let out = self.load_section(slot, &at)?;
+                self.release_index(at);
+                self.release_section(&mut sec);
                 Ok(out)
             }
             Expr::Un(op, inner) => {
-                let mut v = self.eval_vec(frame, inner, lanes, ctx)?;
+                let v = self.eval_vec(frame, inner, lanes, ctx)?;
                 self.stats.vector_elems += lanes as u64;
                 ctx.time += self.config.vector_op * lanes as f64;
-                for x in v.iter_mut() {
-                    *x = value_ops::un(*op, *x);
-                }
-                Ok(v)
+                Ok(self.pool.un(*op, v))
             }
             Expr::Bin(op, l, r) => {
-                let mut lv = self.eval_vec(frame, l, lanes, ctx)?;
+                let lv = self.eval_vec(frame, l, lanes, ctx)?;
                 let rv = self.eval_vec(frame, r, lanes, ctx)?;
                 self.stats.vector_elems += lanes as u64;
                 ctx.time += self.config.vector_op * lanes as f64;
-                for (a, b) in lv.iter_mut().zip(&rv) {
-                    *a = value_ops::bin(*op, *a, *b)
-                        .map_err(|e| SimError::from_op(e, cedar_ir::Span::NONE))?;
-                }
-                self.put_buf(rv);
-                Ok(lv)
+                self.pool.bin(*op, lv, rv).map_err(op_err)
             }
             Expr::Intr { f: Intrinsic::Iota, args, .. } => {
                 let first = args.first().ok_or_else(|| {
@@ -1230,48 +1227,29 @@ impl<'p> Simulator<'p> {
                 let lo = self.eval_scalar(frame, first, ctx)?.as_i64();
                 ctx.time += self.config.vector_op * lanes as f64;
                 self.stats.vector_elems += lanes as u64;
-                let mut out = self.take_buf(lanes);
-                out.extend((0..lanes as i64).map(|k| Value::I(lo + k)));
-                Ok(out)
+                Ok(self.pool.iota(lo, lanes))
             }
-            Expr::Intr { f, args, par } => {
-                if f.is_reduction() {
-                    // A reduction inside a vector expression produces a
-                    // broadcast scalar.
-                    let v = self.eval_intrinsic(frame, *f, args, *par, ctx)?;
-                    let mut out = self.take_buf(lanes);
-                    out.resize(lanes, v);
-                    return Ok(out);
-                }
-                let mut cols: Vec<VecVal> = Vec::with_capacity(args.len());
+            // A reduction inside a vector expression produces a
+            // broadcast scalar.
+            Expr::Intr { f, args, par } if f.is_reduction() => {
+                let v = self.eval_intrinsic(frame, *f, args, *par, ctx)?;
+                Ok(self.pool.splat(v, lanes))
+            }
+            Expr::Intr { f, args, .. } => {
+                let mut cols = self.pool.cols(args.len());
                 for a in args {
                     cols.push(self.eval_vec(frame, a, lanes, ctx)?);
                 }
                 self.stats.vector_elems += lanes as u64;
                 ctx.time += self.config.vector_op * lanes as f64 * 2.0; // intrinsics cost more
-                let mut out = self.take_buf(lanes);
-                let mut argv = Vec::with_capacity(cols.len());
-                for lane in 0..lanes {
-                    argv.clear();
-                    for c in &cols {
-                        argv.push(c[lane]);
-                    }
-                    out.push(
-                        value_ops::intrinsic(*f, &argv)
-                            .map_err(|e| SimError::from_op(e, cedar_ir::Span::NONE))?,
-                    );
-                }
-                for c in cols {
-                    self.put_buf(c);
-                }
+                let out = self.pool.intrinsic(*f, &mut cols, lanes).map_err(op_err)?;
+                self.pool.put_cols(cols);
                 Ok(out)
             }
             // Scalar subexpression: evaluate once, broadcast.
             other => {
                 let v = self.eval_scalar(frame, other, ctx)?;
-                let mut out = self.take_buf(lanes);
-                out.resize(lanes, v);
-                Ok(out)
+                Ok(self.pool.splat(v, lanes))
             }
         }
     }
@@ -1285,8 +1263,10 @@ impl<'p> Simulator<'p> {
                 Ok(Some(usize::try_from((hi - lo + 1).max(0)).unwrap_or(0)))
             }
             Expr::Section { arr, idx } => {
-                let (_, n) = self.section_lanes(frame, arr_id(*arr), idx, ctx)?;
-                Ok(Some(n))
+                let mut sec = Section::new();
+                self.section_lanes(frame, *arr, idx, ctx, &mut sec)?;
+                self.release_section(&mut sec);
+                Ok(Some(sec.lanes))
             }
             Expr::Un(_, inner) => self.infer_lanes(frame, inner, ctx),
             Expr::Bin(_, l, r) => {
@@ -1367,49 +1347,49 @@ impl<'p> Simulator<'p> {
                 )
             }
         };
-        let mut cols = Vec::with_capacity(args.len());
+        // Only the first two operands enter a value; any other is
+        // evaluated for its charges.
+        let (mut first, mut second) = (None, None);
         let mem_t0 = ctx.time;
-        for a in args {
-            cols.push(self.eval_vec(frame, a, lanes, ctx)?);
+        for (k, a) in args.iter().enumerate() {
+            let col = self.eval_vec(frame, a, lanes, ctx)?;
+            match k {
+                0 => first = Some(col),
+                1 => second = Some(col),
+                _ => self.pool.put(col),
+            }
         }
         let mem_cost = ctx.time - mem_t0;
 
-        // Value.
+        // Value: the lanes read through `as_f64`, folded in lane order.
+        let a = self
+            .pool
+            .reals(first.expect("a reduction has a first operand"));
         let value = match f {
-            Intrinsic::Sum => Value::R(cols[0].iter().map(|v| v.as_f64()).sum()),
-            Intrinsic::Product => Value::R(cols[0].iter().map(|v| v.as_f64()).product()),
+            Intrinsic::Sum => Value::R(a.iter().copied().sum()),
+            Intrinsic::Product => Value::R(a.iter().copied().product()),
             Intrinsic::DotProduct => {
-                if cols.len() != 2 {
+                let Some(b) = second.take().filter(|_| args.len() == 2) else {
                     return kerr(
                         SimErrorKind::TypeError,
                         cedar_ir::Span::NONE,
                         "dotproduct needs two vectors",
                     );
-                }
-                Value::R(
-                    cols[0]
-                        .iter()
-                        .zip(&cols[1])
-                        .map(|(a, b)| a.as_f64() * b.as_f64())
-                        .sum(),
-                )
+                };
+                let b = self.pool.reals(b);
+                let dot = a.iter().zip(&b).map(|(a, b)| a * b).sum();
+                self.pool.put(Lanes::R(b));
+                Value::R(dot)
             }
-            Intrinsic::MaxVal => Value::R(
-                cols[0]
-                    .iter()
-                    .map(|v| v.as_f64())
-                    .fold(f64::NEG_INFINITY, f64::max),
-            ),
-            Intrinsic::MinVal => Value::R(
-                cols[0].iter().map(|v| v.as_f64()).fold(f64::INFINITY, f64::min),
-            ),
+            Intrinsic::MaxVal => Value::R(a.iter().copied().fold(f64::NEG_INFINITY, f64::max)),
+            Intrinsic::MinVal => Value::R(a.iter().copied().fold(f64::INFINITY, f64::min)),
             Intrinsic::MaxLoc | Intrinsic::MinLoc => {
                 let mut best = 0usize;
-                for (i, v) in cols[0].iter().enumerate() {
+                for (i, &v) in a.iter().enumerate() {
                     let better = if f == Intrinsic::MaxLoc {
-                        v.as_f64() > cols[0][best].as_f64()
+                        v > a[best]
                     } else {
-                        v.as_f64() < cols[0][best].as_f64()
+                        v < a[best]
                     };
                     if better {
                         best = i;
@@ -1425,6 +1405,10 @@ impl<'p> Simulator<'p> {
                 )
             }
         };
+        self.pool.put(Lanes::R(a));
+        if let Some(b) = second {
+            self.pool.put(b);
+        }
 
         // Cost by execution mode. eval_vec already charged one CE's
         // vector-stream memory cost (mem_cost); parallel modes divide
@@ -1465,9 +1449,6 @@ impl<'p> Simulator<'p> {
                 self.stats.vector_elems += lanes as u64;
                 self.stats.parallel_loops += 1;
             }
-        }
-        for c in cols {
-            self.put_buf(c);
         }
         Ok(value)
     }
@@ -1665,18 +1646,18 @@ impl<'p> Simulator<'p> {
             Expr::Section { arr, idx } => {
                 // Whole-array pass (full section) or sub-section starting
                 // point; we alias from the section's first element.
-                let (dims, lanes) = self.section_lanes(caller, *arr, idx, ctx)?;
-                let _ = lanes;
-                let mut subs = Vec::with_capacity(dims.len());
-                for d in &dims {
-                    match d {
-                        SectionDim::Fixed(v) => subs.push(*v),
-                        SectionDim::RangeLen { lo, .. } => subs.push(*lo),
-                        SectionDim::Gather(vals) => {
-                            subs.push(vals.first().copied().unwrap_or(1))
-                        }
-                    }
-                }
+                let mut sec = Section::new();
+                self.section_lanes(caller, *arr, idx, ctx, &mut sec)?;
+                let subs: Vec<i64> = sec.dims[..sec.rank.min(MAX_SECTION_RANK)]
+                    .iter()
+                    .chain(&sec.spill)
+                    .map(|d| match d {
+                        SectionDim::Fixed(v) => *v,
+                        SectionDim::RangeLen { lo, .. } => *lo,
+                        SectionDim::Gather(g) => sec.gathers[*g].first().copied().unwrap_or(1),
+                    })
+                    .collect();
+                self.release_section(&mut sec);
                 let bind = self.bind_of(caller, *arr)?;
                 let lin = bind.linearize(&subs, false).unwrap_or(bind.offset);
                 let mut nb = bind.clone();
@@ -1926,10 +1907,12 @@ impl<'p> Simulator<'p> {
                 self.store_at(slot, lin, v, ty)
             }
             LValue::Section { arr, idx } => {
-                let (dims, lanes) = self.section_lanes(frame, *arr, idx, ctx)?;
-                let mut lins = self.take_lin(lanes);
+                let mut sec = Section::new();
+                self.section_lanes(frame, *arr, idx, ctx, &mut sec)?;
+                let lanes = sec.lanes;
                 let bind = self.bind_of(frame, *arr)?;
-                let contiguous = self.section_linear_indices(bind, &dims, lanes, &mut lins)?;
+                let at = self.section_index(bind, &sec)?;
+                self.release_section(&mut sec);
                 let (placement, ty) = (bind.placement, bind.ty);
                 let vals = self.eval_vec(frame, rhs, lanes, ctx)?;
                 let mvals = match mask {
@@ -1947,55 +1930,41 @@ impl<'p> Simulator<'p> {
                 }
                 let bind = self.bind_of(frame, *arr)?;
                 let slot = self.resolve_slot(bind, ctx.cluster);
-                // Unmasked contiguous store: one coercing slice write
-                // instead of `lanes` checked element stores; the
-                // detector (when live) observes the same per-element
-                // writes through its bulk recorder.
-                let bulk = contiguous
-                    && mvals.is_none()
-                    && !lins.is_empty()
-                    && self.store.slot_mut(slot).set_range(lins[0], &vals, ty);
-                if bulk {
-                    if let Some(rd) = self.races.as_mut() {
-                        for race in rd.record_write_range(slot, lins[0], lanes) {
-                            if let Some(e) = rd.flag(race) {
-                                return Err(e);
+                match &mvals {
+                    // Unmasked: one coercing slice write for a
+                    // contiguous run, else element by element (which
+                    // also names an element outside the slot); the
+                    // detector (when live) observes the same
+                    // per-element writes in lane order.
+                    None => {
+                        let data = self.store.slot_mut(slot);
+                        let bulk = at
+                            .run()
+                            .is_some_and(|(first, _)| data.store_run(first, &vals, ty));
+                        if !bulk {
+                            each_index!(&at, lins => data.store_at(lins, &vals, ty))
+                                .map_err(|lin| self.storage_error(slot, lin))?;
+                        }
+                        if let Some(rd) = self.races.as_mut() {
+                            let races =
+                                each_index!(&at, lins => rd.record_writes(slot, at.upper(), lins));
+                            flag_all(rd, races)?;
+                        }
+                    }
+                    // Masked stores skip elements, so each one goes
+                    // through the checked scalar path.
+                    Some(m) => {
+                        for k in 0..lanes {
+                            if m.get(k).as_bool() {
+                                self.store_at(slot, at.get(k), vals.get(k), ty)?;
                             }
                         }
                     }
                 }
-                if !bulk {
-                    match &mvals {
-                        // Unmasked scatter: raw element stores, then
-                        // one bulk record pass over the index list.
-                        None => {
-                            for (&lin, &v) in lins.iter().zip(&vals) {
-                                self.store_at_raw(slot, lin, v, ty)?;
-                            }
-                            if let Some(rd) = self.races.as_mut() {
-                                for race in rd.record_write_lins(slot, &lins) {
-                                    if let Some(e) = rd.flag(race) {
-                                        return Err(e);
-                                    }
-                                }
-                            }
-                        }
-                        // Masked stores skip elements, so each one goes
-                        // through the checked scalar path.
-                        Some(m) => {
-                            for (k, (&lin, &v)) in lins.iter().zip(&vals).enumerate() {
-                                if !m[k].as_bool() {
-                                    continue;
-                                }
-                                self.store_at(slot, lin, v, ty)?;
-                            }
-                        }
-                    }
-                }
-                self.put_lin(lins);
-                self.put_buf(vals);
+                self.release_index(at);
+                self.pool.put(vals);
                 if let Some(m) = mvals {
-                    self.put_buf(m);
+                    self.pool.put(m);
                 }
                 Ok(())
             }
@@ -2594,13 +2563,141 @@ impl Subs {
     }
 }
 
+/// Most subscripts a section descriptor holds inline — the size of
+/// [`Subs`], so the 9th is what reports the rank violation.
+const MAX_SECTION_RANK: usize = 8;
+
 /// Per-dimension descriptor of a section.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 enum SectionDim {
     Fixed(i64),
     RangeLen { lo: i64, step: i64, len: usize },
-    /// Vector-valued subscript (gather/scatter through an index vector).
-    Gather(Vec<i64>),
+    /// Vector-valued subscript (gather/scatter through an index
+    /// vector): which of [`Section::gathers`].
+    Gather(usize),
+}
+
+/// A section with its subscripts evaluated: a descriptor per dimension
+/// and the lane count. Lives on the caller's stack and is filled in
+/// place; gather vectors come from the lane pool
+/// ([`Simulator::release_section`] returns them).
+struct Section {
+    dims: [SectionDim; MAX_SECTION_RANK],
+    /// Subscripts given. More than fit in `dims` is an error wherever
+    /// the lanes are resolved; the one consumer that only wants the
+    /// first element (an actual argument) finds the rest in `spill`.
+    rank: usize,
+    spill: Vec<SectionDim>,
+    lanes: usize,
+    /// The index vectors of the gather subscripts.
+    gathers: Vec<Vec<i64>>,
+}
+
+impl Section {
+    fn new() -> Section {
+        Section {
+            dims: [SectionDim::Fixed(0); MAX_SECTION_RANK],
+            rank: 0,
+            spill: Vec::new(),
+            lanes: 1,
+            gathers: Vec::new(),
+        }
+    }
+
+    fn push(&mut self, d: SectionDim) {
+        match self.dims.get_mut(self.rank) {
+            Some(slot) => *slot = d,
+            None => self.spill.push(d),
+        }
+        self.rank += 1;
+    }
+}
+
+/// The linear indices of a section's lanes, in lane order.
+enum LaneIdx {
+    /// `first + k * stride` for `k < len`, every one inside the
+    /// binding's declared shape.
+    Prog {
+        first: usize,
+        stride: isize,
+        len: usize,
+    },
+    /// One index per lane.
+    List(Vec<usize>),
+}
+
+/// Index `k` of a [`LaneIdx::Prog`].
+fn progression_at(first: usize, stride: isize, k: usize) -> usize {
+    (first as isize + k as isize * stride) as usize
+}
+
+/// The indices of [`LaneIdx::Prog`].
+fn progression(first: usize, stride: isize, len: usize) -> impl ExactSizeIterator<Item = usize> {
+    (0..len).map(move |k| progression_at(first, stride, k))
+}
+
+/// Evaluate `$body` with `$lins` bound to the index iterator of a
+/// [`LaneIdx`] (one monomorphic copy per representation).
+macro_rules! each_index {
+    ($at:expr, $lins:ident => $body:expr) => {
+        match $at {
+            LaneIdx::Prog { first, stride, len } => {
+                let $lins = progression(*first, *stride, *len);
+                $body
+            }
+            LaneIdx::List(list) => {
+                let $lins = list.iter().copied();
+                $body
+            }
+        }
+    };
+}
+use each_index;
+
+impl LaneIdx {
+    /// `(first, len)` when the lanes are a non-empty ascending
+    /// contiguous run.
+    fn run(&self) -> Option<(usize, usize)> {
+        match *self {
+            LaneIdx::Prog { first, stride, len } if len == 1 || (len > 1 && stride == 1) => {
+                Some((first, len))
+            }
+            _ => None,
+        }
+    }
+
+    /// Index of lane `k`.
+    fn get(&self, k: usize) -> usize {
+        match self {
+            LaneIdx::Prog { first, stride, .. } => progression_at(*first, *stride, k),
+            LaneIdx::List(list) => list[k],
+        }
+    }
+
+    /// One past the largest index (0 without lanes).
+    fn upper(&self) -> usize {
+        match self {
+            LaneIdx::Prog { len: 0, .. } => 0,
+            LaneIdx::Prog { first, len, .. } => (*first).max(self.get(len - 1)) + 1,
+            LaneIdx::List(list) => list.iter().max().map_or(0, |m| m + 1),
+        }
+    }
+}
+
+/// How a run's vector sections were resolved to element indices (see
+/// [`Simulator::section_counts`]). Sections without lanes are not
+/// counted.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SectionCounts {
+    /// One range dimension, no gather: carried as `(first, stride,
+    /// length)`, no index list built.
+    pub progressions: u64,
+    /// One range dimension, no gather, and an index list all the same:
+    /// the fast paths were off, or an end lane was out of bounds.
+    pub single_range_lists: u64,
+    /// Several range dimensions, a gather, or no range at all: an index
+    /// list from the odometer walk.
+    pub other_lists: u64,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -2662,17 +2759,18 @@ impl LoopRef<'_> {
     }
 }
 
+/// Count the races a bulk recorder found; the first one aborts a
+/// fail-fast run.
+fn flag_all(rd: &mut RaceDetector, races: Vec<RaceInfo>) -> Result<()> {
+    races.into_iter().try_for_each(|race| rd.flag(race).map_or(Ok(()), Err))
+}
+
 fn with_span(mut e: SimError, span: cedar_ir::Span) -> SimError {
     if e.span == cedar_ir::Span::NONE {
         e.span = span;
     }
     e
 }
-
-fn arr_id(s: SymbolId) -> SymbolId {
-    s
-}
-
 
 
 /// Static constant evaluation against PARAMETER symbols only (used for

@@ -43,6 +43,7 @@ pub mod cost;
 pub mod error;
 pub mod exec;
 pub mod fault;
+pub(crate) mod lanes;
 pub(crate) mod prepass;
 pub mod race;
 pub mod stats;
@@ -54,7 +55,7 @@ pub use compile::CompiledProgram;
 pub use config::{Engine, MachineConfig};
 pub use cost::{CostClass, CostTable};
 pub use error::{OpError, SimError, SimErrorKind};
-pub use exec::Simulator;
+pub use exec::{SectionCounts, Simulator};
 pub use fault::{FaultConfig, FaultRng};
 pub use race::{RaceInfo, RaceKind};
 pub use stats::ExecStats;

@@ -727,105 +727,32 @@ impl RaceDetector {
         (&mut cells[..], &self.stack, &self.accesses, &mut self.memo)
     }
 
-    /// Record reads of the contiguous run `slot[start..start + n]` —
-    /// equivalent to [`RaceDetector::record_read`] once per element in
-    /// ascending order, with the per-element context snapshot hoisted
-    /// out of the loop. Returns the completed races in element order
-    /// (empty in the common race-free case: no allocation). This is
-    /// what keeps vector statements on the bulk load path when the
-    /// detector is live.
-    pub(crate) fn record_read_range(
+    /// Record reads of the elements `lins` of `slot` — a contiguous run,
+    /// an arithmetic progression or an index list, as the vector
+    /// statement resolved its section — equivalent to
+    /// [`RaceDetector::record_read`] once per element in iteration
+    /// order, with the guard checks and the context snapshot hoisted out
+    /// of the loop. `len` bounds the indices (`lin < len` for each).
+    /// Returns the completed races in element order (empty in the common
+    /// race-free case: no allocation). This is what keeps vector
+    /// statements on the bulk load path when the detector is live.
+    pub(crate) fn record_reads(
         &mut self,
         slot: SlotId,
-        start: usize,
-        n: usize,
+        len: usize,
+        lins: impl Iterator<Item = usize>,
     ) -> Vec<RaceInfo> {
-        if self.suspend > 0 || self.stack.is_empty() || self.is_exempt(slot) {
+        if self.suspend > 0 || self.stack.is_empty() || self.is_exempt(slot) || len == 0 {
             return Vec::new();
         }
-        let cur = self.cur_access_id();
-        let (cells, stack, accesses, memo) = self.cells_stack_accesses(slot, start + n);
-        let cur_path = &accesses[cur as usize].path;
-        let mut pending: Vec<(usize, AccessId, u32, u32)> = Vec::new();
-        // Consecutive cells were typically last written by one vector
-        // statement sharing a single interned record, so memoize the
-        // happens-before test by access id.
-        for (lin, cell) in cells[start..start + n].iter_mut().enumerate() {
-            if cell.write != NO_ACCESS {
-                if let Some((wi, ci)) = memo.check(stack, accesses, cell.write) {
-                    pending.push((start + lin, cell.write, wi, ci));
-                }
-            }
-            let last = cell.last_read();
-            let dup = last == cur
-                || (last != NO_ACCESS && paths_equal(&accesses[last as usize].path, cur_path));
-            if !dup {
-                cell.push_read(cur);
-            }
-        }
-        pending
-            .into_iter()
-            .map(|(lin, w, wi, ci)| self.make_race(RaceKind::WriteRead, w, wi, ci, slot, lin))
-            .collect()
-    }
-
-    /// Write-side counterpart of [`RaceDetector::record_read_range`]:
-    /// equivalent to [`RaceDetector::record_write`] once per element in
-    /// ascending order.
-    pub(crate) fn record_write_range(
-        &mut self,
-        slot: SlotId,
-        start: usize,
-        n: usize,
-    ) -> Vec<RaceInfo> {
-        if self.suspend > 0 || self.stack.is_empty() || self.is_exempt(slot) {
-            return Vec::new();
-        }
-        let cur = self.cur_access_id();
-        let (cells, stack, accesses, memo) = self.cells_stack_accesses(slot, start + n);
-        let mut pending: Vec<(usize, RaceKind, AccessId, u32, u32)> = Vec::new();
-        for (lin, cell) in cells[start..start + n].iter_mut().enumerate() {
-            let prior_write = std::mem::replace(&mut cell.write, cur);
-            let (read0, more) = cell.take_reads();
-            let mut hit = None;
-            if prior_write != NO_ACCESS {
-                if let Some((wi, ci)) = memo.check(stack, accesses, prior_write) {
-                    hit = Some((start + lin, RaceKind::WriteWrite, prior_write, wi, ci));
-                }
-            }
-            if hit.is_none() {
-                for r in reads_iter(read0, &more) {
-                    if let Some((ri, ci)) = memo.check(stack, accesses, r) {
-                        hit = Some((start + lin, RaceKind::ReadWrite, r, ri, ci));
-                        break;
-                    }
-                }
-            }
-            if let Some(h) = hit {
-                pending.push(h);
-            }
-        }
-        pending
-            .into_iter()
-            .map(|(lin, kind, a, pi, ci)| self.make_race(kind, a, pi, ci, slot, lin))
-            .collect()
-    }
-
-    /// Record reads of the (possibly non-contiguous) elements `lins` —
-    /// equivalent to [`RaceDetector::record_read`] once per element in
-    /// slice order, with the guard checks and the context snapshot
-    /// hoisted out of the loop. This keeps strided and gathered vector
-    /// operands off the scalar recorder.
-    pub(crate) fn record_read_lins(&mut self, slot: SlotId, lins: &[usize]) -> Vec<RaceInfo> {
-        if self.suspend > 0 || self.stack.is_empty() || self.is_exempt(slot) || lins.is_empty() {
-            return Vec::new();
-        }
-        let len = lins.iter().copied().max().unwrap_or(0) + 1;
         let cur = self.cur_access_id();
         let (cells, stack, accesses, memo) = self.cells_stack_accesses(slot, len);
         let cur_path = &accesses[cur as usize].path;
         let mut pending: Vec<(usize, AccessId, u32, u32)> = Vec::new();
-        for &lin in lins {
+        // Consecutive cells were typically last written by one vector
+        // statement sharing a single interned record, so the
+        // happens-before test is memoized by access id.
+        for lin in lins {
             let cell = &mut cells[lin];
             if cell.write != NO_ACCESS {
                 if let Some((wi, ci)) = memo.check(stack, accesses, cell.write) {
@@ -845,18 +772,22 @@ impl RaceDetector {
             .collect()
     }
 
-    /// Write-side counterpart of [`RaceDetector::record_read_lins`]:
+    /// Write-side counterpart of [`RaceDetector::record_reads`]:
     /// equivalent to [`RaceDetector::record_write`] once per element in
-    /// slice order.
-    pub(crate) fn record_write_lins(&mut self, slot: SlotId, lins: &[usize]) -> Vec<RaceInfo> {
-        if self.suspend > 0 || self.stack.is_empty() || self.is_exempt(slot) || lins.is_empty() {
+    /// iteration order.
+    pub(crate) fn record_writes(
+        &mut self,
+        slot: SlotId,
+        len: usize,
+        lins: impl Iterator<Item = usize>,
+    ) -> Vec<RaceInfo> {
+        if self.suspend > 0 || self.stack.is_empty() || self.is_exempt(slot) || len == 0 {
             return Vec::new();
         }
-        let len = lins.iter().copied().max().unwrap_or(0) + 1;
         let cur = self.cur_access_id();
         let (cells, stack, accesses, memo) = self.cells_stack_accesses(slot, len);
         let mut pending: Vec<(usize, RaceKind, AccessId, u32, u32)> = Vec::new();
-        for &lin in lins {
+        for lin in lins {
             let cell = &mut cells[lin];
             let prior_write = std::mem::replace(&mut cell.write, cur);
             let (read0, more) = cell.take_reads();

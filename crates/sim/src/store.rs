@@ -1,6 +1,8 @@
 //! Simulated storage: typed slots, placement-aware bindings, and the
 //! capacity pools behind the paging model.
 
+use crate::lanes::{LanePool, Lanes};
+use crate::value_ops::Class;
 use cedar_ir::{Placement, Ty, Value};
 
 /// One contiguous storage slot (column-major array or scalar cell).
@@ -69,59 +71,111 @@ impl ArrayData {
         }
     }
 
-    /// Append elements `i .. i + n` to `out`; `false` when the range is
-    /// outside the slot (the caller falls back to the checked
-    /// per-element path, which produces the error). Semantically equal
-    /// to `n` consecutive [`ArrayData::try_get`] calls.
-    pub fn extend_range(&self, i: usize, n: usize, out: &mut Vec<Value>) -> bool {
+    /// The payload class.
+    pub(crate) fn class(&self) -> Class {
         match self {
-            ArrayData::R(v) => match v.get(i..i + n) {
-                Some(s) => out.extend(s.iter().map(|&x| Value::R(x))),
-                None => return false,
-            },
-            ArrayData::I(v) => match v.get(i..i + n) {
-                Some(s) => out.extend(s.iter().map(|&x| Value::I(x))),
-                None => return false,
-            },
-            ArrayData::B(v) => match v.get(i..i + n) {
-                Some(s) => out.extend(s.iter().map(|&x| Value::B(x))),
-                None => return false,
-            },
+            ArrayData::R(_) => Class::R,
+            ArrayData::I(_) => Class::I,
+            ArrayData::B(_) => Class::B,
         }
-        true
     }
 
-    /// Store `vals` (each first coerced to `ty`, as the interpreter's
-    /// element store does) at consecutive indices starting at `i`;
-    /// `false` when the range is outside the slot.
-    pub fn set_range(&mut self, i: usize, vals: &[Value], ty: Ty) -> bool {
-        match self {
-            ArrayData::R(dst) => match dst.get_mut(i..i + vals.len()) {
-                Some(s) => {
-                    for (d, v) in s.iter_mut().zip(vals) {
-                        *d = crate::value_ops::coerce(*v, ty).as_f64();
-                    }
-                }
-                None => return false,
-            },
-            ArrayData::I(dst) => match dst.get_mut(i..i + vals.len()) {
-                Some(s) => {
-                    for (d, v) in s.iter_mut().zip(vals) {
-                        *d = crate::value_ops::coerce(*v, ty).as_i64();
-                    }
-                }
-                None => return false,
-            },
-            ArrayData::B(dst) => match dst.get_mut(i..i + vals.len()) {
-                Some(s) => {
-                    for (d, v) in s.iter_mut().zip(vals) {
-                        *d = crate::value_ops::coerce(*v, ty).as_bool();
-                    }
-                }
-                None => return false,
-            },
+    /// Elements `first .. first + n` as lanes of the slot's class — one
+    /// slice copy; `None` when the run is outside the slot (the caller
+    /// takes [`ArrayData::load_at`], which names the element).
+    pub(crate) fn load_run(&self, first: usize, n: usize, pool: &mut LanePool) -> Option<Lanes> {
+        fn copy<T: Copy>(src: &[T], first: usize, n: usize, mut out: Vec<T>) -> Option<Vec<T>> {
+            out.extend_from_slice(src.get(first..first + n)?);
+            Some(out)
         }
-        true
+        Some(match self {
+            ArrayData::R(v) => Lanes::R(copy(v, first, n, pool.r(n))?),
+            ArrayData::I(v) => Lanes::I(copy(v, first, n, pool.i(n))?),
+            ArrayData::B(v) => Lanes::B(copy(v, first, n, pool.b(n))?),
+        })
+    }
+
+    /// The elements at the linear indices `at`, in order, as lanes of
+    /// the slot's class; `Err` with the first index outside the slot.
+    /// Semantically one [`ArrayData::try_get`] per index.
+    pub(crate) fn load_at(
+        &self,
+        at: impl ExactSizeIterator<Item = usize>,
+        pool: &mut LanePool,
+    ) -> Result<Lanes, usize> {
+        fn gather<T: Copy>(
+            src: &[T],
+            at: impl Iterator<Item = usize>,
+            mut out: Vec<T>,
+        ) -> Result<Vec<T>, usize> {
+            for lin in at {
+                out.push(*src.get(lin).ok_or(lin)?);
+            }
+            Ok(out)
+        }
+        let n = at.len();
+        Ok(match self {
+            ArrayData::R(v) => Lanes::R(gather(v, at, pool.r(n))?),
+            ArrayData::I(v) => Lanes::I(gather(v, at, pool.i(n))?),
+            ArrayData::B(v) => Lanes::B(gather(v, at, pool.b(n))?),
+        })
+    }
+
+    /// Store `vals` at consecutive indices from `first`, each lane
+    /// coerced to `ty` and then to the payload type as the element
+    /// store does; `false`, with nothing written, when the run is
+    /// outside the slot.
+    pub(crate) fn store_run(&mut self, first: usize, vals: &Lanes, ty: Ty) -> bool {
+        fn copy<T: Copy>(dst: &mut [T], first: usize, src: &[T]) -> bool {
+            dst.get_mut(first..first + src.len()).map(|run| run.copy_from_slice(src)).is_some()
+        }
+        match (&mut *self, vals, Class::of(ty)) {
+            (ArrayData::R(dst), Lanes::R(src), Class::R) => copy(dst, first, src),
+            (ArrayData::I(dst), Lanes::I(src), Class::I) => copy(dst, first, src),
+            (ArrayData::B(dst), Lanes::B(src), Class::B) => copy(dst, first, src),
+            _ => {
+                let end = first + vals.len();
+                end <= self.len() && self.store_at(first..end, vals, ty).is_ok()
+            }
+        }
+    }
+
+    /// Store lane `k` of `vals` at the `k`-th index of `at`, coerced as
+    /// in [`ArrayData::store_run`]; `Err` with the first index outside
+    /// the slot (the lanes before it are written). Semantically one
+    /// coercing [`ArrayData::try_set`] per index.
+    pub(crate) fn store_at(
+        &mut self,
+        at: impl Iterator<Item = usize>,
+        vals: &Lanes,
+        ty: Ty,
+    ) -> Result<(), usize> {
+        fn scatter<T, U: Copy>(
+            dst: &mut [T],
+            at: impl Iterator<Item = usize>,
+            src: &[U],
+            coerce: impl Fn(U) -> T,
+        ) -> Result<(), usize> {
+            for (lin, &v) in at.zip(src) {
+                *dst.get_mut(lin).ok_or(lin)? = coerce(v);
+            }
+            Ok(())
+        }
+        match (&mut *self, vals, Class::of(ty)) {
+            (ArrayData::R(dst), Lanes::R(src), Class::R) => scatter(dst, at, src, |v| v),
+            (ArrayData::I(dst), Lanes::I(src), Class::I) => scatter(dst, at, src, |v| v),
+            (ArrayData::R(dst), Lanes::I(src), Class::R) => {
+                scatter(dst, at, src, |v| Value::I(v).as_f64())
+            }
+            (ArrayData::I(dst), Lanes::R(src), Class::I) => {
+                scatter(dst, at, src, |v| Value::R(v).as_i64())
+            }
+            // The rarer pairings, one boxed lane at a time.
+            _ => at.take(vals.len()).enumerate().try_for_each(|(k, lin)| {
+                let v = crate::value_ops::coerce(vals.get(k), ty);
+                self.try_set(lin, v).then_some(()).ok_or(lin)
+            }),
+        }
     }
 
     /// Store `val` at linear index `i`; `false` when out of range.
@@ -195,6 +249,28 @@ impl VarBind {
             stride *= hi - lo + 1;
         }
         usize::try_from(lin).ok().map(|l| l + self.offset)
+    }
+
+    /// Both end lanes of a one-range section in one pass: the
+    /// [`VarBind::linearize`] of `subs`, and the element stride of
+    /// dimension `k` — `None` when `subs`, or `subs` with subscript `k`
+    /// replaced by `last`, is out of declared bounds.
+    pub fn linearize_ends(&self, subs: &[i64], k: usize, last: i64) -> Option<(usize, i64)> {
+        debug_assert_eq!(subs.len(), self.dims.len());
+        let (mut lin, mut stride, mut stride_k) = (0i64, 1i64, 0i64);
+        for (j, (&s, &(lo, hi))) in subs.iter().zip(&self.dims).enumerate() {
+            if s < lo || s > hi || (j == k && (last < lo || last > hi)) {
+                return None;
+            }
+            if j == k {
+                stride_k = stride;
+            }
+            lin += (s - lo) * stride;
+            stride *= hi - lo + 1;
+        }
+        usize::try_from(lin)
+            .ok()
+            .map(|l| (l + self.offset, stride_k))
     }
 
     /// Element count implied by the bound dimensions.
@@ -292,6 +368,34 @@ mod tests {
         assert_eq!(b.linearize(&[3, 2], false), Some(5));
         assert_eq!(b.linearize(&[4, 1], false), None);
         assert_eq!(b.linearize(&[0, 1], false), None);
+    }
+
+    #[test]
+    fn linearize_ends_agrees_with_two_linearizations() {
+        let b = VarBind {
+            sref: StorageRef::One(SlotId(0)),
+            offset: 7,
+            dims: vec![(1, 3), (0, 4), (2, 3)],
+            ty: Ty::Real,
+            placement: Placement::Default,
+        };
+        for k in 0..3 {
+            for first in -1..6 {
+                for last in -1..6 {
+                    let mut subs = [2, 1, 3];
+                    subs[k] = first;
+                    let mut ends = subs;
+                    ends[k] = last;
+                    let want = b.linearize(&subs, false).zip(b.linearize(&ends, false));
+                    let got = b.linearize_ends(&subs, k, last);
+                    assert_eq!(got.is_some(), want.is_some(), "{subs:?} {k} {last}");
+                    if let (Some((f, stride)), Some((wf, wl))) = (got, want) {
+                        assert_eq!(f, wf);
+                        assert_eq!(f as i64 + (last - first) * stride, wl as i64);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

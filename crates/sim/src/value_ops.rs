@@ -1,7 +1,113 @@
-//! Scalar value operations with Fortran semantics.
+//! Scalar value operations with Fortran semantics, and the **class
+//! rule** that goes with them: the class (`R`/`I`/`B`) of every result
+//! is a function of the operand classes alone, never of the values.
+//! The bytecode compiler types scalar code with it and the vector lanes
+//! (`crate::lanes`) tag a whole operand buffer with it once.
 
 use crate::error::{OpError, SimErrorKind};
 use cedar_ir::{BinOp, Intrinsic, Ty, UnOp, Value};
+use std::cmp::Ordering;
+
+/// Static type of a value, and the payload type of a storage slot.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Class {
+    /// REAL / DOUBLE PRECISION (`f64`).
+    R,
+    /// INTEGER (`i64`).
+    I,
+    /// LOGICAL (`bool`).
+    B,
+}
+
+impl Class {
+    pub(crate) fn of(ty: Ty) -> Class {
+        match ty {
+            Ty::Real | Ty::Double => Class::R,
+            Ty::Int => Class::I,
+            Ty::Logical => Class::B,
+        }
+    }
+
+    pub(crate) fn of_value(v: Value) -> Class {
+        match v {
+            Value::R(_) => Class::R,
+            Value::I(_) => Class::I,
+            Value::B(_) => Class::B,
+        }
+    }
+}
+
+/// Bit set of the `Ordering`s a comparison accepts (bit 0 `Less`, bit 1
+/// `Equal`, bit 2 `Greater`); `None` for any other operator.
+pub(crate) fn cmp_mask(op: BinOp) -> Option<u8> {
+    Some(match op {
+        BinOp::Eq => 0b010,
+        BinOp::Ne => 0b101,
+        BinOp::Lt => 0b001,
+        BinOp::Le => 0b011,
+        BinOp::Gt => 0b100,
+        BinOp::Ge => 0b110,
+        _ => return None,
+    })
+}
+
+/// Does a [`cmp_mask`] accept this ordering?
+#[inline]
+pub(crate) fn mask_accepts(mask: u8, ord: Ordering) -> bool {
+    (mask >> (ord as i8 + 1)) & 1 != 0
+}
+
+/// How [`bin`] orders two non-integer operands: an unordered pair (a
+/// NaN on either side) reads `Equal`, so `.le.` and `.ge.` hold on it.
+#[inline]
+pub(crate) fn cmp_f64(a: f64, b: f64) -> Ordering {
+    a.partial_cmp(&b).unwrap_or(Ordering::Equal)
+}
+
+/// The class of `bin(op, l, r)`: comparisons and the logical operators
+/// yield `B`, two integers stay integral, anything else promotes to `R`.
+pub(crate) fn bin_class(op: BinOp, l: Class, r: Class) -> Class {
+    use BinOp::*;
+    match op {
+        Add | Sub | Mul | Div | Pow if l == Class::I && r == Class::I => Class::I,
+        Add | Sub | Mul | Div | Pow => Class::R,
+        _ => Class::B,
+    }
+}
+
+/// The class of `un(op, v)`: `-(.true.)` is the integer -1.
+pub(crate) fn un_class(op: UnOp, c: Class) -> Class {
+    match (op, c) {
+        (UnOp::Neg, Class::R) => Class::R,
+        (UnOp::Neg, _) => Class::I,
+        (UnOp::Not, _) => Class::B,
+    }
+}
+
+/// The class of an elemental intrinsic's result over arguments of the
+/// given classes — the dynamic rule of [`intrinsic`], decided
+/// statically. `None` for intrinsics that are not elemental and for
+/// argument lists [`intrinsic`] rejects.
+pub(crate) fn intrinsic_class(f: Intrinsic, args: &[Class]) -> Option<Class> {
+    use Intrinsic::*;
+    let int = |k: usize| args.get(k) == Some(&Class::I);
+    let int_if = |yes: bool| if yes { Class::I } else { Class::R };
+    if args.is_empty() {
+        return None;
+    }
+    Some(match f {
+        Abs => int_if(int(0)),
+        Sqrt | Exp | Log | Log10 | Sin | Cos | Tan | Atan | Sinh | Cosh | Tanh | Real | Dble => {
+            Class::R
+        }
+        Atan2 if args.len() >= 2 => Class::R,
+        Sign if args.len() >= 2 => int_if(int(0)),
+        Mod if args.len() >= 2 => int_if(int(0) && int(1)),
+        Min | Max => int_if(args.iter().all(|&c| c == Class::I)),
+        Int | Nint => Class::I,
+        _ => return None,
+    })
+}
 
 fn div_zero(msg: &str) -> OpError {
     OpError::new(SimErrorKind::DivByZero, msg)
@@ -59,12 +165,10 @@ pub fn bin(op: BinOp, l: Value, r: Value) -> Result<Value, OpError> {
             (a, Value::I(b)) => Value::R(a.as_f64().powi(b as i32)),
             (a, b) => Value::R(a.as_f64().powf(b.as_f64())),
         },
-        Eq => Value::B(cmp(l, r) == std::cmp::Ordering::Equal),
-        Ne => Value::B(cmp(l, r) != std::cmp::Ordering::Equal),
-        Lt => Value::B(cmp(l, r) == std::cmp::Ordering::Less),
-        Le => Value::B(cmp(l, r) != std::cmp::Ordering::Greater),
-        Gt => Value::B(cmp(l, r) == std::cmp::Ordering::Greater),
-        Ge => Value::B(cmp(l, r) != std::cmp::Ordering::Less),
+        Eq | Ne | Lt | Le | Gt | Ge => {
+            let mask = cmp_mask(op).expect("the arm lists the comparisons");
+            Value::B(mask_accepts(mask, cmp(l, r)))
+        }
         And => Value::B(l.as_bool() && r.as_bool()),
         Or => Value::B(l.as_bool() || r.as_bool()),
         Eqv => Value::B(l.as_bool() == r.as_bool()),
@@ -72,13 +176,10 @@ pub fn bin(op: BinOp, l: Value, r: Value) -> Result<Value, OpError> {
     })
 }
 
-fn cmp(l: Value, r: Value) -> std::cmp::Ordering {
+fn cmp(l: Value, r: Value) -> Ordering {
     match (l, r) {
         (Value::I(a), Value::I(b)) => a.cmp(&b),
-        (a, b) => a
-            .as_f64()
-            .partial_cmp(&b.as_f64())
-            .unwrap_or(std::cmp::Ordering::Equal),
+        (a, b) => cmp_f64(a.as_f64(), b.as_f64()),
     }
 }
 
@@ -283,6 +384,56 @@ mod tests {
             intrinsic(Intrinsic::Sum, &[Value::R(1.0)]).unwrap_err().kind,
             SimErrorKind::Unsupported
         );
+    }
+
+    /// The class rule against the operations themselves: every
+    /// operator and elemental intrinsic over every pairing of operand
+    /// classes, on values that exercise each branch.
+    #[test]
+    fn result_class_depends_on_operand_classes_alone() {
+        use BinOp::*;
+        let samples = [
+            vec![Value::R(2.5), Value::R(-0.0), Value::R(f64::NAN)],
+            vec![Value::I(7), Value::I(-3), Value::I(1)],
+            vec![Value::B(true), Value::B(false)],
+        ];
+        let all = || samples.iter().flatten().copied();
+        for op in [
+            Add, Sub, Mul, Div, Pow, Eq, Ne, Lt, Le, Gt, Ge, And, Or, Eqv, Neqv,
+        ] {
+            for (l, r) in all().flat_map(|l| all().map(move |r| (l, r))) {
+                if let Ok(v) = bin(op, l, r) {
+                    let want = bin_class(op, Class::of_value(l), Class::of_value(r));
+                    assert_eq!(Class::of_value(v), want, "{op:?} {l:?} {r:?}");
+                }
+            }
+        }
+        for v in all() {
+            for op in [UnOp::Neg, UnOp::Not] {
+                assert_eq!(Class::of_value(un(op, v)), un_class(op, Class::of_value(v)));
+            }
+        }
+        use Intrinsic::*;
+        let elemental = [
+            Abs, Sqrt, Exp, Log, Log10, Sin, Cos, Tan, Atan, Atan2, Sinh, Cosh, Tanh, Sign, Mod,
+            Min, Max, Int, Nint, Real, Dble,
+        ];
+        for f in elemental.into_iter().chain([Sum, Iota]) {
+            for n in 0..=3usize {
+                // Every class assignment of n arguments.
+                for code in 0..3usize.pow(n as u32) {
+                    let args: Vec<Value> = (0..n)
+                        .map(|k| samples[code / 3usize.pow(k as u32) % 3][0])
+                        .collect();
+                    let classes: Vec<Class> = args.iter().map(|&v| Class::of_value(v)).collect();
+                    match (intrinsic(f, &args), intrinsic_class(f, &classes)) {
+                        (Ok(v), Some(c)) => assert_eq!(Class::of_value(v), c, "{f:?} {args:?}"),
+                        (Err(_), None) => {}
+                        (got, want) => panic!("{f:?} {args:?}: {got:?} vs rule {want:?}"),
+                    }
+                }
+            }
+        }
     }
 
     #[test]

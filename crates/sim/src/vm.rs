@@ -48,13 +48,12 @@
 //! through unchanged — exactly the interpreter's behavior.
 
 use super::{err, kerr, with_span, Ctx, Flow, Frame, LoopBlocks, LoopRef, Result, Simulator, Subs};
-use crate::compile::{Class, CompiledUnit, Instr, Reg, MAX_INTR_ARGS};
+use crate::compile::{CompiledUnit, Instr, Reg, MAX_INTR_ARGS};
 use crate::cost::CostClass;
 use crate::error::{SimError, SimErrorKind};
 use crate::store::{ArrayData, SlotId, StorageRef, Store, VarBind};
-use crate::value_ops;
+use crate::value_ops::{self, cmp_f64, mask_accepts, Class};
 use cedar_ir::{BinOp, LoopClass, Placement, Span, SymbolId, Value};
-use std::cmp::Ordering;
 use std::sync::Arc;
 
 /// One dimension of a resolved array operand.
@@ -136,12 +135,7 @@ impl VmState {
         let Some(&first) = slots.first() else {
             return false;
         };
-        let class = match store.slot(first) {
-            ArrayData::R(_) => Class::R,
-            ArrayData::I(_) => Class::I,
-            ArrayData::B(_) => Class::B,
-        };
-        if class != op.class || bind.dims.len() != op.rank as usize {
+        if store.slot(first).class() != op.class || bind.dims.len() != op.rank as usize {
             return false;
         }
         // `resolve_slot`, once per cluster: a per-participant binding
@@ -517,12 +511,11 @@ impl Simulator<'_> {
                     }
                 }
 
-                Instr::CmpR { d, a, b, mask } => bin!(b <- f, d, a, b, |x, y| {
-                    let ord = x.partial_cmp(&y).unwrap_or(Ordering::Equal);
-                    (*mask >> (ord as i8 + 1)) & 1 != 0
-                }),
+                Instr::CmpR { d, a, b, mask } => {
+                    bin!(b <- f, d, a, b, |x, y| mask_accepts(*mask, cmp_f64(x, y)))
+                }
                 Instr::CmpI { d, a, b, mask } => {
-                    bin!(b <- i, d, a, b, |x, y| (*mask >> (x.cmp(&y) as i8 + 1)) & 1 != 0)
+                    bin!(b <- i, d, a, b, |x, y| mask_accepts(*mask, x.cmp(&y)))
                 }
                 Instr::AndB { d, a, b } => bin!(b <- b, d, a, b, |x, y| x && y),
                 Instr::OrB { d, a, b } => bin!(b <- b, d, a, b, |x, y| x || y),

@@ -206,6 +206,106 @@ proptest! {
     }
 }
 
+/// [`numeric`]/[`logical`] text with each scalar leaf replaced by an
+/// array operand: a section (`vector`) or the element `i` of the same
+/// walk (scalar loop).
+fn over_arrays(expr: &str, vector: bool) -> String {
+    let leaves = [
+        ("i1", "ia(1:n)", "ia(i)"),
+        ("i2", "ib(n:1:-1)", "ib(n + 1 - i)"),
+        ("r1", "ra(1:n)", "ra(i)"),
+        ("r2", "rb(2:2 * n:2)", "rb(2 * i)"),
+        ("l1", "la(1:n)", "la(i)"),
+        ("l2", "lb(1:n)", "lb(i)"),
+    ];
+    leaves
+        .iter()
+        .fold(expr.to_string(), |e, (leaf, section, elem)| {
+            e.replace(leaf, if vector { section } else { elem })
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Well-typed *vector* expression trees over INTEGER, REAL and
+    /// LOGICAL sections (contiguous, reversed, strided): values, cycles,
+    /// stats and race reports are bit-identical across engines and
+    /// across `without_fast_paths` — or the error is — and the values
+    /// are those of the same expression in a scalar loop, which goes
+    /// through `value_ops` one boxed element at a time.
+    #[test]
+    fn typed_vector_expressions_match_across_engines_and_the_scalar_loop(
+        seed in 1u64..1_000_000_000,
+    ) {
+        use cedar_sim::Engine;
+        let mut c = Choices(seed);
+        let setup = format!(
+            "program p\nparameter (n = 12)\ninteger ia(n), ib(n), vi(n), si(n)\n\
+             real ra(n), rb(2 * n), vr(n), sr(n), wr(n), cr(n)\nlogical la(n), lb(n), vl(n), sl(n)\n\
+             global cr\ndo i = 1, n\nia(i) = mod(i * {}, 7) - 3\nib(i) = i - {}\n\
+             ra(i) = i * 0.5 - {}.25\nrb(2 * i) = {} - i * 0.75\nla(i) = mod(i, 3) .eq. 0\n\
+             lb(i) = i .gt. {}\nend do\n",
+            c.below(5) + 1, c.below(12), c.below(6), c.below(9), c.below(12),
+        );
+        let exprs = [numeric(&mut c, 3), numeric(&mut c, 3), logical(&mut c, 3)];
+        let (mask, update) = (logical(&mut c, 2), numeric(&mut c, 2));
+        let mut src = setup;
+        for (e, to) in exprs.iter().zip(["vi", "vr", "vl"]) {
+            src += &format!("{to}(1:n) = {}\n", over_arrays(e, true));
+        }
+        // A masked store, and two iterations racing on one section.
+        src += &format!(
+            "where ({}) wr(1:n) = {}\ncdoall j = 1, 2\ncr(j:n:2) = vr(j:n:2) + cr(n:1:-2)\nend cdoall\ndo i = 1, n\n",
+            over_arrays(&mask, true), over_arrays(&update, true),
+        );
+        for (e, to) in exprs.iter().zip(["si", "sr", "sl"]) {
+            src += &format!("{to}(i) = {}\n", over_arrays(e, false));
+        }
+        src += "end do\nend\n";
+        let p = cedar_ir::compile_free(&src).unwrap();
+        let run = |e, fast: bool| {
+            let mc = MachineConfig::cedar_config1().with_engine(e);
+            cedar_sim::run_collecting_races(&p, if fast { mc } else { mc.without_fast_paths() })
+        };
+        let reference = run(Engine::Interp, true);
+        for (e, fast) in [(Engine::Vm, true), (Engine::Vm, false), (Engine::Interp, false)] {
+            match (&reference, run(e, fast)) {
+                (Ok(i), Ok(v)) => {
+                    prop_assert_eq!(i.cycles().to_bits(), v.cycles().to_bits(), "cycles: {}", src);
+                    prop_assert_eq!(format!("{:?}", i.stats), format!("{:?}", v.stats), "{}", src);
+                    prop_assert_eq!(
+                        format!("{:?}", i.race_report()),
+                        format!("{:?}", v.race_report()),
+                        "races: {}", src
+                    );
+                    prop_assert!(v.races_detected() > 0, "the seeded race: {}", src);
+                    for var in ["vi", "vr", "vl", "wr", "cr"] {
+                        prop_assert_eq!(
+                            format!("{:?}", i.read_var(var)),
+                            format!("{:?}", v.read_var(var)),
+                            "{}: {}", var, src
+                        );
+                    }
+                }
+                (Err(i), Err(v)) => {
+                    prop_assert_eq!((i.kind, &i.msg, i.span), (v.kind, &v.msg, v.span), "{}", src);
+                }
+                (i, v) => prop_assert!(false, "{:?} vs {:?}: {}", i.as_ref().err(), v.err(), src),
+            }
+        }
+        if let Ok(sim) = &reference {
+            for (vector, scalar) in [("vi", "si"), ("vr", "sr"), ("vl", "sl")] {
+                prop_assert_eq!(
+                    format!("{:?}", sim.read_var(vector)),
+                    format!("{:?}", sim.read_var(scalar)),
+                    "{} against the scalar loop: {}", vector, src
+                );
+            }
+        }
+    }
+}
+
 // ---------- subroutine-level tasking (§2.2.2) ----------
 
 #[test]

@@ -725,3 +725,603 @@ fn condition_errors_carry_the_statement_they_belong_to() {
         assert_eq!(e.span.line, line, "{e}");
     }
 }
+
+// ---------------------------------------------------------------------
+// Typed lanes: vector statements work on one class-tagged buffer per
+// operand (DESIGN.md §14, "The lane model"). Both engines run the same
+// implementation, so besides engine identity under the four
+// configurations each scenario is held against an independent oracle:
+// the same computation written as a scalar loop, which goes through
+// `value_ops` one boxed element at a time.
+// ---------------------------------------------------------------------
+
+/// Arrays of each class with a zero, negative values and a NaN-free
+/// REAL column; `n` lanes.
+const LANES: &str = "program p\nparameter (n = 9)\n\
+     integer ia(n), ib(n), id(n), ip(n), k\nreal ra(n), rb(n), rp(n), x, y\n\
+     logical la(n), lb(n)\nreal m2(4, 5)\ninteger im(4, 5)\n\
+     do i = 1, n\nia(i) = i - 4\nib(i) = 5 - i\nid(i) = i\nip(i) = n + 1 - i\n\
+     ra(i) = i * 1.5 - 6.0\nrb(i) = 2.0 - i * 0.25\nrp(i) = i + 0.7\n\
+     la(i) = mod(i, 2) .eq. 0\nlb(i) = i .gt. 4\nend do\n\
+     do j = 1, 5\ndo i = 1, 4\nm2(i, j) = i * 10.0 + j\nim(i, j) = i - j\nend do\nend do\n\
+     x = 0.0\ny = 0.0\nk = 3\n";
+
+/// `cases` of `(vector form, scalar form)` right-hand sides: each is
+/// stored to a REAL, an INTEGER and a LOGICAL column, once as a vector
+/// statement over `(1:n)` and once by a scalar loop over `(i)`; the
+/// columns must agree bit for bit, and the engines everywhere.
+fn vector_matches_scalar(cases: &[(String, String)], setup: &str, label: &str) {
+    let m = cases.len();
+    let mut src = LANES.replacen(
+        "logical la(n), lb(n)\n",
+        &format!(
+            "logical la(n), lb(n)\nreal vr(n, {m}), sr(n, {m})\ninteger vi(n, {m}), si(n, {m})\n\
+             logical vl(n, {m}), sl(n, {m})\n"
+        ),
+        1,
+    );
+    src += setup;
+    for (c, (vector, scalar)) in cases.iter().enumerate() {
+        let c = c + 1;
+        src += &format!(
+            "vr(1:n, {c}) = {vector}\nvi(1:n, {c}) = {vector}\nvl(1:n, {c}) = {vector}\n\
+             do i = 1, n\nsr(i, {c}) = {scalar}\nsi(i, {c}) = {scalar}\nsl(i, {c}) = {scalar}\nend do\n"
+        );
+    }
+    src += "end\n";
+    let p = leak(&src);
+    identical_everywhere(p, |c| c, &["vr", "vi", "vl", "sr", "si", "sl"], label);
+    let sim = cedar_sim::run(p, cfg(Engine::Vm)).unwrap();
+    for (v, s) in [("vr", "sr"), ("vi", "si"), ("vl", "sl")] {
+        let (v, s) = (
+            bit_patterns(sim.read_var(v)).unwrap(),
+            bit_patterns(sim.read_var(s)).unwrap(),
+        );
+        for (at, (a, b)) in v.iter().zip(&s).enumerate() {
+            let (vector, _) = &cases[at / 9];
+            assert_eq!(
+                a,
+                b,
+                "{label}: `{vector}` lane {} differs from the scalar loop",
+                at % 9 + 1
+            );
+        }
+    }
+}
+
+/// `name(1:n)` / `name(i)` for an array, the text itself for a scalar.
+fn operand(name: &str) -> (String, String) {
+    if name.len() == 2 && name.chars().all(|c| c.is_ascii_lowercase()) {
+        (format!("{name}(1:n)"), format!("{name}(i)"))
+    } else {
+        (name.to_string(), name.to_string())
+    }
+}
+
+#[test]
+fn every_operator_over_every_pairing_of_lane_classes() {
+    // INTEGER, REAL and LOGICAL arrays and scalars on either side of
+    // every operator; the right operand is never an integer zero.
+    let ops = [
+        "+", "-", "*", "/", "**", ".eq.", ".ne.", ".lt.", ".le.", ".gt.", ".ge.", ".and.", ".or.",
+        ".eqv.", ".neqv.",
+    ];
+    let mut cases = Vec::new();
+    for op in ops {
+        for l in ["ia", "ra", "la", "x", "k", "2.5"] {
+            for r in ["id", "rb", "lb", "2", "0.5"] {
+                let ((lv, ls), (rv, rs)) = (operand(l), operand(r));
+                if lv == ls && rv == rs {
+                    continue; // no vector operand
+                }
+                cases.push((format!("{lv} {op} {rv}"), format!("{ls} {op} {rs}")));
+            }
+        }
+    }
+    // `I ** I` by cases: a negative exponent under a base of 1, -1, 2.
+    for base in ["1", "(-1)", "2", "id"] {
+        let (bv, bs) = operand(base);
+        cases.push((format!("{bv} ** ia(1:n)"), format!("{bs} ** ia(i)")));
+    }
+    vector_matches_scalar(&cases, "x = 1.25\n", "operators");
+}
+
+#[test]
+fn unary_operators_and_coercing_stores_over_every_lane_class() {
+    // The three target columns of `vector_matches_scalar` are the
+    // coercing stores: REAL lanes truncate into an INTEGER array,
+    // INTEGER lanes widen into a REAL one, anything non-zero is true.
+    let mut cases = Vec::new();
+    for a in ["ia", "ra", "la", "rp"] {
+        let (v, s) = operand(a);
+        cases.push((v.clone(), s.clone()));
+        cases.push((format!("-{v}"), format!("-{s}")));
+        cases.push((format!(".not. {v}"), format!(".not. {s}")));
+        cases.push((format!("-(-{v}) * (-1.5)"), format!("-(-{s}) * (-1.5)")));
+    }
+    vector_matches_scalar(&cases, "", "unary and stores");
+    // And back: a truncated column read as REAL lanes again.
+    let src = format!(
+        "{LANES}ib(1:n) = rp(1:n) * (-1.0)\nrb(1:n) = ib(1:n)\nla(1:n) = rb(1:n) + 2\n\
+         id(1:n) = la(1:n)\nend\n"
+    );
+    identical_everywhere(
+        leak(&src),
+        |c| c,
+        &["ib", "rb", "la", "id"],
+        "store and back",
+    );
+}
+
+#[test]
+fn nan_lanes_under_all_six_comparisons() {
+    // Trap (a): an unordered pair reads `Equal`, so `.le.` and `.ge.`
+    // hold on a NaN lane and `.lt.`, `.gt.`, `.ne.` do not.
+    let mut cases = Vec::new();
+    for op in [".eq.", ".ne.", ".lt.", ".le.", ".gt.", ".ge."] {
+        for (l, r) in [
+            ("ra", "rb"),
+            ("rb", "ra"),
+            ("ra", "ra"),
+            ("ia", "ra"),
+            ("ra", "ia"),
+            ("la", "ra"),
+            ("ra", "0.0"),
+        ] {
+            let ((lv, ls), (rv, rs)) = (operand(l), operand(r));
+            cases.push((format!("{lv} {op} {rv}"), format!("{ls} {op} {rs}")));
+        }
+    }
+    vector_matches_scalar(
+        &cases,
+        "ra(3) = x / x\nrb(7) = x / x\nra(5) = rb(5)\n",
+        "NaN comparisons",
+    );
+    // The reductions see the NaN lanes too, folded in lane order.
+    let src = format!(
+        "{LANES}ra(3) = x / x\nx = maxval(ra(1:n)) + minval(ra(1:n))\nk = maxloc(ra(1:n)) + minloc(ra(1:n))\n\
+         y = sum(ra(1:n))\nwhere (ra(1:n) .le. rb(1:n)) rp(1:n) = 1.0\nend\n"
+    );
+    identical_everywhere(leak(&src), |c| c, &["x", "k", "y", "rp"], "NaN reductions");
+}
+
+#[test]
+fn a_failing_lane_raises_the_scalar_error_at_that_lane() {
+    // `ib` is zero in lane 5 and `ia` in lane 4: the lanes before them
+    // are computed, the statement is stamped, nothing is stored.
+    for (stmt, msg) in [
+        ("id(1:n) = ia(1:n) / ib(1:n)", "integer division by zero"),
+        ("id(1:n) = ia(1:n) ** (-id(1:n))", "0 ** negative"),
+        ("id(1:n) = mod(ia(1:n), ib(1:n))", "mod by zero"),
+        (
+            "rp(1:n) = ra(1:n) + ia(1:n) / ib(1:n)",
+            "integer division by zero",
+        ),
+        (
+            "where (ia(1:n) / ib(1:n) .gt. 0) rp(1:n) = 1.0",
+            "integer division by zero",
+        ),
+        ("x = sum(ia(1:n) / ib(1:n))", "integer division by zero"),
+        ("rp(ia(1:n) / ib(1:n)) = 1.0", "integer division by zero"),
+        ("k = 0 ** (-1) + sum(id(1:n))", "0 ** negative"),
+    ] {
+        let e = same_error_everywhere(leak(&format!("{LANES}{stmt}\nend\n")), |c| c, stmt);
+        assert_eq!(e.kind, cedar_sim::SimErrorKind::DivByZero, "{stmt}: {e}");
+        assert!(e.msg.contains(msg), "{stmt}: {e}");
+        assert_eq!(
+            e.span,
+            cedar_ir::Span::new(LANES.lines().count() as u32 + 1),
+            "{stmt}: {e}"
+        );
+    }
+}
+
+#[test]
+fn where_with_masks_of_every_class_and_shape() {
+    let src = format!(
+        "{LANES}where (ia(1:n)) rp(1:n) = ra(1:n) * 2.0\nwhere (ra(1:n) + 1.5) id(1:n) = ib(1:n)\n\
+         where (la(1:n)) lb(1:n) = .not. lb(1:n)\nwhere (ia(1:7:2) .gt. 0) rb(1:7:2) = 9.0\n\
+         where (ia(1:4)) rb(ip(1:4)) = ra(1:4)\nwhere (lb(1:n)) ib(1:n) = ra(1:n)\n\
+         where (ia(1:n)) ra(n:1:-1) = sqrt(rp(1:n))\nwhere (im(1:4, 2:3) .lt. 0) m2(1:4, 2:3) = 0.5\nend\n"
+    );
+    identical_everywhere(
+        leak(&src),
+        |c| c,
+        &["rp", "id", "lb", "rb", "ib", "ra", "m2"],
+        "where",
+    );
+    // The scalar form of an INTEGER mask: non-zero is true.
+    let (sim, want) = (
+        cedar_sim::run(
+            leak(&format!("{LANES}where (ia(1:n)) rp(1:n) = -1.0\nend\n")),
+            cfg(Engine::Vm),
+        ),
+        cedar_sim::run(
+            leak(&format!(
+                "{LANES}do i = 1, n\nif (ia(i) .ne. 0) rp(i) = -1.0\nend do\nend\n"
+            )),
+            cfg(Engine::Vm),
+        ),
+    );
+    assert_eq!(sim.unwrap().read_f64("rp"), want.unwrap().read_f64("rp"));
+    let e = same_error_everywhere(
+        leak(&format!(
+            "{LANES}where (ia(1:n) .gt. 0) rb(1:7:2) = 9.0\nend\n"
+        )),
+        |c| c,
+        "mask length",
+    );
+    assert!(e.msg.contains("vector length mismatch: 9 vs 4"), "{e}");
+}
+
+#[test]
+fn iota_gathers_and_scatters() {
+    let src = format!(
+        "{LANES}id(1:n) = iota(1, n)\nrb(1:n) = ra(iota(1, n))\nrp(1:n) = ra(ip(1:n))\n\
+         rb(ip(1:n)) = rp(1:n)\nrp(1:4) = ra(rp(1:4))\nib(1:5) = ia(iota(3, 7)) + iota(0, 4)\n\
+         rp(1:4) = m2(iota(1, 4), 2)\nrp(5:8) = m2(2, ip(6:9))\nm2(ip(6:9), 3) = ra(1:4)\n\
+         ra(1:n) = ra(ip(1:n)) * rb(ip(1:n)) + iota(1, n)\nx = sum(ra(ip(1:n)))\n\
+         y = dotproduct(ra(ip(1:5)), rb(iota(1, 5)))\ncall first(ra(ip(2:4)), x)\nend\n\
+         subroutine first(d, s)\nreal d(2), s\ns = s + d(1) + d(2)\nend\n"
+    );
+    identical_everywhere(
+        leak(&src),
+        |c| c,
+        &["id", "rb", "rp", "ib", "m2", "ra", "x", "y"],
+        "gather",
+    );
+    // A gather is the subscripted loop.
+    let sim = cedar_sim::run(
+        leak(&format!(
+            "{LANES}rp(1:n) = ra(ip(1:n)) + id(iota(1, n))\nend\n"
+        )),
+        cfg(Engine::Vm),
+    );
+    let want = cedar_sim::run(
+        leak(&format!(
+            "{LANES}do i = 1, n\nrp(i) = ra(ip(i)) + id(i)\nend do\nend\n"
+        )),
+        cfg(Engine::Vm),
+    );
+    assert_eq!(sim.unwrap().read_f64("rp"), want.unwrap().read_f64("rp"));
+    for (stmt, msg) in [
+        (
+            "rp(1:4) = ra(ip(1:4) + 7)",
+            "section lane out of bounds: [16]",
+        ),
+        (
+            "rp(ip(1:4) + 7) = ra(1:4)",
+            "section lane out of bounds: [16]",
+        ),
+        ("rp(1:4) = ra(iota(1, 3))", "vector length mismatch: 3 vs 4"),
+    ] {
+        let e = same_error_everywhere(leak(&format!("{LANES}{stmt}\nend\n")), |c| c, stmt);
+        assert!(e.msg.contains(msg), "{stmt}: {e}");
+    }
+}
+
+#[test]
+fn multi_range_strided_and_empty_sections() {
+    let src = format!(
+        "{}m3(1:3, 1:4, 1:2) = 2.0\nm2(2:3, 2:4) = m2(1:2, 1:3) * 2.0\n\
+         m3(1:3, 2:3, 2) = m2(1:3, 4:5) + 1.0\nim(1:4, 1:5) = m2(1:4, 1:5)\n\
+         x = sum(m2(1:4, 1:5)) + sum(m3(1:3, 1:4, 1:2))\nm2(4:1:-1, 1:5:2) = m2(1:4, 1:3)\n\
+         m2(1:4, 2) = m2(1:4, 3)\nm2(3, 1:5) = m2(2, 5:1:-1)\nm2(:, 4) = m2(:, 1)\nm3(2, :, 1) = m2(:, 2)\n\
+         y = sum(m2(2, :)) + sum(im(:, 3))\n\
+         rb(n:1:-1) = ra(1:n)\nrp(1:7:2) = ra(2:8:2)\nrp(9:1:-2) = ra(1:5)\nrp(2:8:3) = rb(9:3:-3)\n\
+         ib(n:1:-1) = ia(1:n) * id(n:1:-1)\nx = x + sum(ra(1:n:2)) + sum(ra(n:2:-3))\n\
+         lb(1:n:4) = la(n:1:-4)\nrp(3:3) = ra(9:9)\nrp(4:4:5) = ra(1:1:-1)\n\
+         rp(5:4) = ra(5:4)\nx = x + sum(ra(5:4)) + product(ra(3:2)) + maxval(ra(9:1))\nk = maxloc(ra(5:4))\n\
+         rp(1:0) = 1.0\nib(2:1) = ia(7:6) + 1\nwhere (ia(2:1)) rp(2:1) = 1.0\n\
+         y = y + dotproduct(ra(2:1), rb(2:1))\nrp(12:11) = ra(20:19)\nrp(5:4) = sqrt(ra(5:4))\n\
+         rp(5:4) = max(ra(5:4), 1.0)\nend\n",
+        LANES.replacen("real m2(4, 5)\n", "real m2(4, 5), m3(3, 4, 2)\n", 1)
+    );
+    identical_everywhere(
+        leak(&src),
+        |c| c,
+        &["m2", "m3", "im", "rb", "rp", "ib", "lb", "x", "y", "k"],
+        "section shapes",
+    );
+    // A strided section is the strided loop.
+    let sim = cedar_sim::run(
+        leak(&format!("{LANES}rp(9:1:-2) = ra(1:5) - rb(1:n:2)\nend\n")),
+        cfg(Engine::Vm),
+    );
+    let want = cedar_sim::run(
+        leak(&format!(
+            "{LANES}do i = 1, 5\nrp(11 - 2 * i) = ra(i) - rb(2 * i - 1)\nend do\nend\n"
+        )),
+        cfg(Engine::Vm),
+    );
+    assert_eq!(sim.unwrap().read_f64("rp"), want.unwrap().read_f64("rp"));
+}
+
+#[test]
+fn section_shape_errors_name_the_same_lane() {
+    // Trap (e): an out-of-bounds end lane falls through to the lane by
+    // lane walk, whose error names the subscripts.
+    for (stmt, msg) in [
+        ("rp(1:4) = ra(1:5)", "vector length mismatch: 5 vs 4"),
+        (
+            "rp(1:4) = ra(1:4) + rb(1:5)",
+            "vector length mismatch: 5 vs 4",
+        ),
+        (
+            "x = dotproduct(ra(1:4), rb(1:5))",
+            "vector length mismatch: 5 vs 4",
+        ),
+        (
+            "rp(1:n + 1) = 1.0",
+            "section lane out of bounds: [10] dims [(1, 9)]",
+        ),
+        (
+            "rp(1:4) = ra(7:10)",
+            "section lane out of bounds: [10] dims [(1, 9)]",
+        ),
+        (
+            "x = sum(ra(1:11:2))",
+            "section lane out of bounds: [11] dims [(1, 9)]",
+        ),
+        (
+            "rp(0:3) = 1.0",
+            "section lane out of bounds: [0] dims [(1, 9)]",
+        ),
+        (
+            "rp(1:9:4) = ra(2:12:5)",
+            "section lane out of bounds: [12] dims [(1, 9)]",
+        ),
+        (
+            "rp(10:10) = 1.0",
+            "section lane out of bounds: [10] dims [(1, 9)]",
+        ),
+        (
+            "rp(9:10) = ra(1:2)",
+            "section lane out of bounds: [10] dims [(1, 9)]",
+        ),
+        (
+            "m2(1:4, 1:6) = 1.0",
+            "section lane out of bounds: [1, 6] dims [(1, 4), (1, 5)]",
+        ),
+        (
+            "m2(2:5, 1:2) = 1.0",
+            "section lane out of bounds: [5, 1] dims [(1, 4), (1, 5)]",
+        ),
+        (
+            "x = sum(m2(1:4, 0:2))",
+            "section lane out of bounds: [1, 0] dims [(1, 4), (1, 5)]",
+        ),
+    ] {
+        let e = same_error_everywhere(leak(&format!("{LANES}{stmt}\nend\n")), |c| c, stmt);
+        assert!(e.msg.contains(msg), "{stmt}: {e}");
+        assert_eq!(
+            e.span,
+            cedar_ir::Span::new(LANES.lines().count() as u32 + 1),
+            "{stmt}: {e}"
+        );
+    }
+    // Nine subscripts: the descriptor holds eight. An actual argument
+    // only wants the first element and is not an error.
+    const RANK9: &str = "program p\nreal c(1, 1, 1, 1, 1, 1, 1, 1, 1)\n";
+    for stmt in [
+        "c(1:1, 1, 1, 1, 1, 1, 1, 1, 1) = 2.0",
+        "x = sum(c(1:1, 1, 1, 1, 1, 1, 1, 1, 1))",
+    ] {
+        let e = same_error_everywhere(leak(&format!("{RANK9}{stmt}\nend\n")), |c| c, stmt);
+        assert!(e.msg.contains("rank exceeds"), "{stmt}: {e}");
+    }
+    identical_everywhere(
+        leak(&format!(
+            "{RANK9}real c8(2, 1, 1, 1, 1, 1, 1, 2)\ncall z(c(1:1, 1, 1, 1, 1, 1, 1, 1, 1))\n\
+             c8(1:2, 1, 1, 1, 1, 1, 1, 2) = 3.0\nx = sum(c8(1:2, 1, 1, 1, 1, 1, 1, 1:2))\nend\n\
+             subroutine z(d)\nreal d(1)\nd(1) = 4.0\nend\n"
+        )),
+        |c| c,
+        &["c", "c8", "x"],
+        "ranks eight and nine",
+    );
+}
+
+#[test]
+fn a_sub_array_actual_shorter_than_its_dummys_shape() {
+    // Trap (e): inside the dummy's declared bounds, outside the storage
+    // behind it — the slice fetch fails and the element by element path
+    // names the element.
+    const CALLEES: &str = "subroutine f(d)\nreal d(8)\nd(1:4) = 2.0\nd(1:8) = 1.0\nend\n\
+         subroutine g(d)\nreal d(8)\nx = sum(d(1:8))\nend\n\
+         subroutine h(d)\nreal d(8)\nx = sum(d(1:8:7))\nend\n\
+         subroutine h2(d)\nreal d(8)\nd(2:8:3) = 5.0\nend\n";
+    for (call, lin) in [
+        ("f(ra(6))", 9),
+        ("g(ra(6))", 9),
+        ("h(ra(6))", 12),
+        ("h2(ra(6))", 9),
+        ("f(m2(3, 4))", 20),
+    ] {
+        let e = same_error_everywhere(
+            leak(&format!("{LANES}call {call}\nend\n{CALLEES}")),
+            |c| c,
+            call,
+        );
+        assert!(
+            e.msg
+                .contains(&format!("linear index {lin} outside storage")),
+            "{call}: {e}"
+        );
+    }
+    // Trap (c): a load yields the slot's class, a store coerces to the
+    // binding's type and then to the slot's.
+    let src = format!(
+        "{LANES}call ok(ra(6), 4)\ncall ok(m2(1, 2), 8)\ncall ok(ra(2:5), 3)\ncall ig(ia)\ncall rg(rb)\n\
+         call ig(id(1))\nx = sum(ra(1:n)) + sum(ia(1:n))\nend\n\
+         subroutine ok(d, m)\nreal d(m)\nd(1:m) = d(1:m) * 2.0\nd(m:1:-1) = d(1:m) + 1.0\nend\n\
+         subroutine ig(d)\nreal d(9)\nd(1:9) = d(1:9) / 2\nd(1:7:2) = d(2:8:2) + 0.75\n\
+         where (d(1:9) .gt. 0.5) d(1:9) = d(1:9) * 1.5\nend\n\
+         subroutine rg(d)\ninteger d(9)\nd(1:9) = d(1:9) / 2\nd(1:7:2) = d(2:8:2) + 3\nend\n"
+    );
+    identical_everywhere(
+        leak(&src),
+        |c| c,
+        &["ra", "m2", "ia", "rb", "id", "x"],
+        "retyped sections",
+    );
+}
+
+#[test]
+fn every_reduction_in_every_mode_over_integer_and_real_sections() {
+    let mut body = String::new();
+    for f in ["sum", "product", "maxval", "minval", "maxloc", "minloc"] {
+        for mode in ["", "$v", "$c", "$x"] {
+            for a in [
+                "ra(1:n)",
+                "ia(1:n)",
+                "la(1:n)",
+                "ra(n:1:-2)",
+                "ra(ip(1:n))",
+                "ra(1:n) * rb(1:n)",
+            ] {
+                body += &format!("x = x * 0.5 + {f}{mode}({a})\n");
+            }
+        }
+    }
+    for mode in ["", "$v", "$c", "$x"] {
+        for (a, b) in [("ra", "rb"), ("ia", "rb"), ("ia", "id"), ("ra", "la")] {
+            body += &format!("y = y * 0.5 + dotproduct{mode}({a}(1:n), {b}(1:n))\n");
+        }
+    }
+    body +=
+        "rp(1:n) = ra(1:n) / sum(ra(1:n)) + maxval(rb(1:n))\nid(1:n) = ia(1:n) * maxloc(ra(1:n))\n";
+    // Cluster memory, then global memory behind the prefetch unit.
+    for placement in ["", "global ra, rb, ia, id, la\n"] {
+        let decls = format!("logical la(n), lb(n)\n{placement}");
+        let src = format!(
+            "{}{body}end\n",
+            LANES.replacen("logical la(n), lb(n)\n", &decls, 1)
+        );
+        identical_everywhere(leak(&src), |c| c, &["x", "y", "rp", "id"], "reductions");
+    }
+    // The values are the scalar folds.
+    let sim = cedar_sim::run(
+        leak(&format!("{LANES}x = sum$x(ia(1:n))\ny = dotproduct$c(ia(1:n), rb(1:n))\nk = minloc$v(ra(n:1:-1))\nend\n")),
+        cfg(Engine::Vm),
+    )
+    .unwrap();
+    let want = cedar_sim::run(
+        leak(&format!(
+            "{LANES}do i = 1, n\nx = x + ia(i)\ny = y + ia(i) * rb(i)\nend do\nk = n\nend\n"
+        )),
+        cfg(Engine::Vm),
+    )
+    .unwrap();
+    for v in ["x", "y", "k"] {
+        assert_eq!(
+            bit_patterns(sim.read_var(v)),
+            bit_patterns(want.read_var(v)),
+            "{v}"
+        );
+    }
+}
+
+#[test]
+fn elemental_intrinsics_over_every_lane_class() {
+    let mut cases = Vec::new();
+    for f in [
+        "sqrt", "exp", "log", "log10", "sin", "cos", "tan", "atan", "sinh", "cosh", "tanh", "abs",
+        "real", "dble", "int", "nint",
+    ] {
+        for a in ["ra", "ia", "la", "rp"] {
+            let (v, s) = operand(a);
+            cases.push((format!("{f}({v})"), format!("{f}({s})")));
+        }
+    }
+    for f in ["sign", "mod", "min", "max", "atan2"] {
+        for (a, b) in [
+            ("ra", "rb"),
+            ("ia", "id"),
+            ("ia", "rb"),
+            ("ra", "id"),
+            ("la", "id"),
+            ("ra", "2.0"),
+            ("id", "3"),
+            ("x", "rb"),
+        ] {
+            let ((av, a_s), (bv, bs)) = (operand(a), operand(b));
+            cases.push((format!("{f}({av}, {bv})"), format!("{f}({a_s}, {bs})")));
+        }
+    }
+    cases.push((
+        "max(ra(1:n), rb(1:n), 0.5, rp(1:n))".into(),
+        "max(ra(i), rb(i), 0.5, rp(i))".into(),
+    ));
+    cases.push((
+        "min(ia(1:n), id(1:n), 2)".into(),
+        "min(ia(i), id(i), 2)".into(),
+    ));
+    cases.push((
+        "sqrt(abs(ra(1:n))) + abs(-rb(1:n)) ** 2".into(),
+        "sqrt(abs(ra(i))) + abs(-rb(i)) ** 2".into(),
+    ));
+    vector_matches_scalar(&cases, "x = -1.5\n", "intrinsics");
+}
+
+#[test]
+fn vector_statements_under_every_loop_class_and_placement() {
+    let src = "program p\nreal g1(64), g2(64), c1(64)\nglobal g1, g2\ncluster c1\n\
+         g1(1:64) = 1.0\nc1(1:64) = 2.0\n\
+         cdoall i = 1, 8\nreal t(8)\nt(1:8) = g1(i * 8 - 7:i * 8) + c1(i * 8 - 7:i * 8)\n\
+         g2(i * 8 - 7:i * 8) = t(1:8) * 2.0\nend cdoall\n\
+         sdoall i = 1, 4\ng1(i:64:4) = g2(i:64:4) + 1.0\nend sdoall\n\
+         xdoall i = 1, 16\ng2(i * 4 - 3:i * 4) = sqrt(g1(i * 4 - 3:i * 4))\nend xdoall\n\
+         x = sum$x(g2(1:64)) + sum$c(g1(1:64))\nend\n";
+    identical_everywhere(leak(src), |c| c, &["g1", "g2", "x"], "loop classes");
+    // Every CE writing the same eight elements: the strided and the
+    // contiguous recorder report the same races on both engines.
+    let racy = leak(
+        "program p\nreal g1(64)\nglobal g1\ng1(1:64) = 1.0\n\
+         cdoall i = 1, 8\ng1(1:8) = g1(1:8) + 1.0\ng1(9:64:8) = g1(10:64:8)\nend cdoall\nend\n",
+    );
+    for config in [
+        cfg(Engine::Interp),
+        cfg(Engine::Interp).without_fast_paths(),
+    ] {
+        let engine =
+            |e| cedar_sim::run_collecting_races(racy, config.clone().with_engine(e)).unwrap();
+        let (i, v) = (engine(Engine::Interp), engine(Engine::Vm));
+        assert!(v.races_detected() > 0);
+        assert_eq!(i.races_detected(), v.races_detected());
+        assert_eq!(
+            format!("{:?}", i.race_report()),
+            format!("{:?}", v.race_report())
+        );
+    }
+    // With and without the index list, the detector is told the same.
+    let fast = cedar_sim::run_collecting_races(racy, cfg(Engine::Vm)).unwrap();
+    let slow = cedar_sim::run_collecting_races(racy, cfg(Engine::Vm).without_fast_paths()).unwrap();
+    assert_eq!(
+        format!("{:?}", fast.race_report()),
+        format!("{:?}", slow.race_report())
+    );
+    assert_same_sim(&fast, &slow, &["g1"], "race run, list or no list");
+}
+
+#[test]
+fn sections_are_counted_as_progressions_or_lists() {
+    let p = leak(&format!(
+        "{LANES}rp(1:n) = ra(1:n)\nrp(n:1:-2) = ra(1:5)\nm2(2, 1:5) = 1.0\nm2(1:2, 1:2) = 0.0\n\
+         rp(1:4) = ra(ip(1:4))\nrp(5:4) = 1.0\nend\n"
+    ));
+    let counts = |config| cedar_sim::run(p, config).unwrap().section_counts();
+    let fast = counts(cfg(Engine::Vm));
+    // Five one-range sections; a two-range one; a gather and its index
+    // section (one range); the empty section is not counted.
+    assert_eq!(
+        (fast.progressions, fast.single_range_lists, fast.other_lists),
+        (7, 0, 2)
+    );
+    assert_eq!(fast, counts(cfg(Engine::Interp)));
+    let slow = counts(cfg(Engine::Vm).without_fast_paths());
+    assert_eq!(
+        (slow.progressions, slow.single_range_lists, slow.other_lists),
+        (0, 7, 2)
+    );
+}

@@ -12,6 +12,32 @@
 //! insensitive to all of these — any divergence, runtime fault, or
 //! watchdog-detected deadlock is evidence of an illegal transform.
 //!
+//! ## A verdict is one task set
+//!
+//! The simulations behind a verdict are independent of each other: the
+//! serial reference, the unperturbed candidate (with the happens-before
+//! detector collecting, when asked for — it charges no cycles, so that
+//! run doubles as the base run) and one perturbed run per seed. Each
+//! attempt hands them to a single index-ordered [`cedar_par::par_map`]
+//! and judges afterwards, in the order a one-after-the-other schedule
+//! would have met the failures:
+//!
+//! 1. the reference's error — returned as `Err`, it is the input that
+//!    is broken;
+//! 2. the base run's simulator error, then its divergence from the
+//!    reference, then its first race;
+//! 3. the first failing seed **in seed order** (error or divergence
+//!    from the base run).
+//!
+//! Later attempts reuse the reference's results and overlap base run
+//! and seeds the same way. A failing candidate's seed runs are spent
+//! for nothing; they are milliseconds, and bounded like every run by
+//! the simulator's statement budget and `MachineConfig::cancel`.
+//! Verdicts, reports and seed-run vectors do not depend on the worker
+//! count (`tests/verdict_jobs.rs`).
+//!
+//! ## Fallback
+//!
 //! On failure the validator does not give up: it reverts the implicated
 //! loop nest to its serial form (via `PassConfig::suppress_nests`),
 //! re-restructures, and tries again — so the output program is always
@@ -269,6 +295,9 @@ pub struct Validated {
 
 /// Why a candidate program was rejected.
 enum Failure {
+    /// Not the candidate's fault: the serial original itself cannot
+    /// run, so there is nothing to validate against.
+    Reference { err: SimError },
     /// A run died with a structured error (deadlock, out-of-bounds, ...).
     Sim { seed: Option<u64>, err: SimError },
     /// A run completed but computed different results; carries the
@@ -285,6 +314,7 @@ impl fmt::Display for Failure {
             None => "unperturbed run".to_string(),
         };
         match self {
+            Failure::Reference { err } => write!(f, "serial reference failed: {err}"),
             Failure::Sim { seed: s, err } => write!(f, "{} failed: {}", seed(s), err),
             Failure::Divergence { seed: s, diff, max_rel_err } => write!(
                 f,
@@ -368,44 +398,103 @@ fn compare(a: &Watched, b: &Watched, rel_tol: f64) -> (bool, f64, Option<CellDif
     (bitwise, max_err, diff)
 }
 
+/// One simulation of a verdict's task set.
+enum Task {
+    /// The serial original, unperturbed.
+    Reference,
+    /// The candidate, unperturbed (race-collecting when asked for).
+    Base,
+    /// The candidate under the perturbation of one seed.
+    Seed(u64),
+}
+
+/// What one task observed: the watched results, the cycle count, and —
+/// from a race-collecting base run — the first race.
+type Observed = (Watched, f64, Option<RaceInfo>);
+
 /// Check one candidate program: unperturbed against the serial
 /// reference, then every seed against the unperturbed candidate.
+///
+/// All of it is **one task set**: the reference (on the first attempt;
+/// later attempts find it in `reference`), the base run and the K seed
+/// runs are independent simulations and go through a single
+/// index-ordered [`cedar_par::par_map`]. Judging happens afterwards, in
+/// the order a one-after-the-other schedule would have met the
+/// failures: the reference's error; the base run's error, its
+/// divergence from the reference, its first race; then the first
+/// failing seed in seed order. A failing candidate's seed runs are
+/// spent for nothing — a few milliseconds, bounded like every run by
+/// the statement budget and `mc.cancel`.
 fn check(
+    program: &Program,
     candidate: &Program,
     mc: &MachineConfig,
     watch: &[&str],
     vcfg: &ValidationConfig,
-    reference: &Watched,
+    reference: &mut Option<Watched>,
 ) -> Result<Vec<SeedRun>, Failure> {
     // One lowering of the candidate serves the base run, the race run,
     // and every perturbed seed (compile is pure: config-independent).
     let artifact = (mc.engine == Engine::Vm).then(|| cedar_sim::compile(candidate));
     let artifact = artifact.as_ref();
 
-    // Base run + third layer in one simulation: the happens-before
-    // detector (collect-all mode, unperturbed schedule) charges zero
-    // cycles and never perturbs results, so the race-collecting run
-    // doubles as the base run. The simulator executes iterations in
-    // host order, so a racy nest can produce matching results yet
-    // still be wrong on a real machine — the detector catches exactly
-    // that, while the divergence check below (reported first, as a
-    // more direct failure) uses the same run's outputs.
-    let (base, first_race) = if vcfg.detect_races {
-        let traced = match artifact {
-            Some(a) => cedar_sim::run_collecting_races_precompiled(candidate, mc.clone(), a),
-            None => cedar_sim::run_collecting_races(candidate, mc.clone()),
+    // The base run goes first: `par_map` runs a sweep's first item on
+    // the calling thread, and the race-collecting run is the one with
+    // the large footprint (shadow cells) — kept on one thread, it keeps
+    // to one allocator arena.
+    let mut tasks = Vec::with_capacity(vcfg.seeds.len() + 2);
+    tasks.push(Task::Base);
+    if reference.is_none() {
+        tasks.push(Task::Reference);
+    }
+    tasks.extend(vcfg.seeds.iter().map(|&s| Task::Seed(s)));
+    let mut ran = cedar_par::par_map(tasks, |task| -> Result<Observed, SimError> {
+        let plain = |p: &Program, faults, artifact| {
+            run_watched(p, mc, faults, watch, artifact).map(|(got, cycles)| (got, cycles, None))
+        };
+        match task {
+            Task::Reference => plain(program, None, None),
+            // Base run + third layer in one simulation: the
+            // happens-before detector (collect-all mode, unperturbed
+            // schedule) charges zero cycles and never perturbs results,
+            // so the race-collecting run doubles as the base run. The
+            // simulator executes iterations in host order, so a racy
+            // nest can produce matching results yet still be wrong on a
+            // real machine — the detector catches exactly that.
+            Task::Base if vcfg.detect_races => {
+                let traced = match artifact {
+                    Some(a) => {
+                        cedar_sim::run_collecting_races_precompiled(candidate, mc.clone(), a)
+                    }
+                    None => cedar_sim::run_collecting_races(candidate, mc.clone()),
+                }?;
+                let base = watch
+                    .iter()
+                    .filter_map(|w| traced.read_f64(w).map(|v| (w.to_string(), v)))
+                    .collect();
+                Ok((base, traced.cycles(), traced.race_report().first().cloned()))
+            }
+            Task::Base => plain(candidate, None, artifact),
+            Task::Seed(s) => plain(candidate, Some(vcfg.profile(s)), artifact),
         }
-        .map_err(|err| Failure::Sim { seed: None, err })?;
-        let base: Watched = watch
-            .iter()
-            .filter_map(|w| traced.read_f64(w).map(|v| (w.to_string(), v)))
-            .collect();
-        (base, traced.race_report().first().cloned())
-    } else {
-        let (base, _) = run_watched(candidate, mc, None, watch, artifact)
-            .map_err(|err| Failure::Sim { seed: None, err })?;
-        (base, None)
-    };
+    })
+    .into_iter();
+
+    let base = ran.next().expect("the base task");
+    if reference.is_none() {
+        let (serial, _, _) = ran
+            .next()
+            .expect("the reference task")
+            .map_err(|err| Failure::Reference { err })?;
+        *reference = Some(serial);
+    }
+    let reference = reference
+        .as_ref()
+        .expect("set above or by an earlier attempt");
+
+    // The divergence is reported before the race, as the more direct
+    // failure; both come from the same run's outputs.
+    let (base, _, first_race) = base.map_err(|err| Failure::Sim { seed: None, err })?;
     let (_, max_rel_err, diff) = compare(reference, &base, vcfg.rel_tol);
     if let Some(diff) = diff {
         return Err(Failure::Divergence { seed: None, diff, max_rel_err });
@@ -414,20 +503,29 @@ fn check(
         return Err(Failure::Race { info: Box::new(first) });
     }
 
-    // Each perturbed schedule is an independent simulation; results
-    // come back in seed order, so collecting into `Result` still
-    // reports the first failing seed, exactly as the serial loop did.
-    cedar_par::par_map(vcfg.seeds.clone(), |s| {
-        let (got, cycles) = run_watched(candidate, mc, Some(vcfg.profile(s)), watch, artifact)
-            .map_err(|err| Failure::Sim { seed: Some(s), err })?;
-        let (bit_identical, max_rel_err, diff) = compare(&base, &got, vcfg.rel_tol);
-        if let Some(diff) = diff {
-            return Err(Failure::Divergence { seed: Some(s), diff, max_rel_err });
-        }
-        Ok(SeedRun { seed: s, cycles, bit_identical, max_rel_err })
-    })
-    .into_iter()
-    .collect()
+    // Results are in seed order, so collecting into `Result` reports
+    // the first failing seed, exactly as a serial loop would.
+    vcfg.seeds
+        .iter()
+        .zip(ran)
+        .map(|(&s, run)| {
+            let (got, cycles, _) = run.map_err(|err| Failure::Sim { seed: Some(s), err })?;
+            let (bit_identical, max_rel_err, diff) = compare(&base, &got, vcfg.rel_tol);
+            if let Some(diff) = diff {
+                return Err(Failure::Divergence {
+                    seed: Some(s),
+                    diff,
+                    max_rel_err,
+                });
+            }
+            Ok(SeedRun {
+                seed: s,
+                cycles,
+                bit_identical,
+                max_rel_err,
+            })
+        })
+        .collect()
 }
 
 /// Parallel nest headers `(unit, line)` eligible for suppression: the
@@ -502,15 +600,16 @@ pub fn restructure_validated(
     watch: &[&str],
     vcfg: &ValidationConfig,
 ) -> Result<Validated, SimError> {
-    let (reference, _) = run_watched(program, mc, None, watch, None)?;
-
+    // Run by the first attempt's task set, reused by every later one.
+    let mut reference = None;
     let mut cfg = cfg.clone();
     let mut fallbacks: Vec<FallbackNote> = Vec::new();
     let mut attempts = 0;
     loop {
         attempts += 1;
         let rr = restructure(program, &cfg);
-        match check(&rr.program, mc, watch, vcfg, &reference) {
+        match check(program, &rr.program, mc, watch, vcfg, &mut reference) {
+            Err(Failure::Reference { err }) => return Err(err),
             Ok(seed_runs) => {
                 return Ok(Validated {
                     program: rr.program,
@@ -552,8 +651,8 @@ pub fn restructure_validated(
                         reason: format!("degraded to fully serial: {failure}"),
                         diff: failure.diff(),
                     });
-                    let seed_runs =
-                        check(&rr.program, mc, watch, vcfg, &reference).unwrap_or_default();
+                    let seed_runs = check(program, &rr.program, mc, watch, vcfg, &mut reference)
+                        .unwrap_or_default();
                     return Ok(Validated {
                         program: rr.program,
                         report,
@@ -818,5 +917,136 @@ mod tests {
         let (got, _) = run_watched(&v.program, &mc, None, &["x"], None).unwrap();
         let (reference, _) = run_watched(&p, &mc, None, &["x"], None).unwrap();
         assert_eq!(got, reference);
+    }
+
+    // ---- the verdict's task set: judged in the order a
+    // one-after-the-other schedule would have met the failures ----
+
+    /// A candidate whose results depend on the schedule and on nothing
+    /// else: each CE counts the iterations it has run in its own copy of
+    /// `t`. No race (loop locals are per CE), no fault — only which CE
+    /// took which of the unevenly long iterations, which every
+    /// perturbation seed reshuffles.
+    fn schedule_dependent_src() -> &'static str {
+        "program p\nparameter (n = 32)\nreal a(n)\nglobal a\n\
+         cdoall i = 1, n\ninteger t\nreal w\nt = t + 1\ndo j = 1, mod(i * 7, 11)\n\
+         w = w + sqrt(real(j))\nend do\na(i) = t * 1.0\nend cdoall\nend\n"
+    }
+
+    fn judge(program: &str, candidate: &str, seeds: &[u64]) -> Result<Vec<SeedRun>, Failure> {
+        let vcfg = ValidationConfig {
+            seeds: seeds.to_vec(),
+            rel_tol: 1e-9,
+            ..Default::default()
+        };
+        check(
+            &compile_free(program).unwrap(),
+            &compile_free(candidate).unwrap(),
+            &MachineConfig::cedar_config1(),
+            &["a"],
+            &vcfg,
+            &mut None,
+        )
+    }
+
+    #[test]
+    fn a_failing_reference_outranks_a_racing_candidate() {
+        // The input races in its directive loop *and* runs off the end
+        // of `a`: there is nothing to validate against, and the error
+        // returned is the reference's, not a fallback note.
+        let src = "program p\nparameter (n = 16)\nreal a(n), t\n\
+                   cdoall i = 1, n\nt = i * 2.0\na(i) = t + 1.0\nend cdoall\n\
+                   do i = 1, n + 1\na(i) = a(i) + 1.0\nend do\nend\n";
+        let p = compile_free(src).unwrap();
+        let mc = MachineConfig::cedar_config1();
+        let want = cedar_sim::run(&p, mc.clone())
+            .err()
+            .expect("the input cannot run");
+        let got = restructure_validated(
+            &p,
+            &PassConfig::automatic_1991(),
+            &mc,
+            &["a"],
+            &ValidationConfig {
+                seeds: vec![1, 2],
+                ..Default::default()
+            },
+        )
+        .expect_err("a broken input is refused");
+        assert_eq!(
+            (got.kind, &got.msg, got.span),
+            (want.kind, &want.msg, want.span)
+        );
+        assert!(matches!(
+            judge(src, src, &[1, 2]),
+            Err(Failure::Reference { err }) if err.kind == want.kind
+        ));
+    }
+
+    #[test]
+    fn the_first_failing_seed_is_reported_and_the_base_run_before_any_seed() {
+        let racing = schedule_dependent_src();
+        let seeds = [5u64, 1, 9, 4, 3, 7, 2];
+        // Against itself the base run matches the reference, so what
+        // fails are the seeds — which ones, found one run at a time.
+        let (p, mc) = (
+            compile_free(racing).unwrap(),
+            MachineConfig::cedar_config1(),
+        );
+        let (base, _) = run_watched(&p, &mc, None, &["a"], None).unwrap();
+        let failing: Vec<u64> = seeds
+            .iter()
+            .copied()
+            .filter(|&s| {
+                let (got, _) =
+                    run_watched(&p, &mc, Some(FaultConfig::legal(s)), &["a"], None).unwrap();
+                compare(&base, &got, 1e-9).2.is_some()
+            })
+            .collect();
+        assert!(
+            failing.len() >= 2 && failing[0] != seeds[0],
+            "seeds to choose between: {failing:?}"
+        );
+        for jobs in [1, 4] {
+            let verdict = cedar_par::with_jobs(jobs, || judge(racing, racing, &seeds));
+            assert!(
+                matches!(verdict, Err(Failure::Divergence { seed: Some(s), .. }) if s == failing[0]),
+                "jobs {jobs}: the first failing seed in seed order is {}",
+                failing[0]
+            );
+            // Held against another program's results, the same candidate
+            // fails in its base run already; that is what is reported.
+            let other = "program p\nparameter (n = 32)\nreal a(n)\na(1:n) = 1.0\nend\n";
+            let verdict = cedar_par::with_jobs(jobs, || judge(other, racing, &seeds));
+            assert!(
+                matches!(verdict, Err(Failure::Divergence { seed: None, .. })),
+                "jobs {jobs}: the base run's divergence comes first"
+            );
+        }
+    }
+
+    #[test]
+    fn later_attempts_reuse_the_reference() {
+        let p = compile_free(doall_src()).unwrap();
+        let rr = restructure(&p, &PassConfig::automatic_1991());
+        let (mc, vcfg) = (MachineConfig::cedar_config1(), ValidationConfig::default());
+        let mut reference = None;
+        let first = check(&p, &rr.program, &mc, &["x", "y"], &vcfg, &mut reference)
+            .ok()
+            .unwrap();
+        let kept = reference
+            .clone()
+            .expect("the first attempt ran the reference");
+        // A reference that is already there is used, not run again.
+        reference.as_mut().unwrap()[0].1[0] += 1.0;
+        let second = check(&p, &rr.program, &mc, &["x", "y"], &vcfg, &mut reference);
+        assert!(matches!(
+            second,
+            Err(Failure::Divergence { seed: None, .. })
+        ));
+        let third = check(&p, &rr.program, &mc, &["x", "y"], &vcfg, &mut Some(kept))
+            .ok()
+            .unwrap();
+        assert_eq!(format!("{first:?}"), format!("{third:?}"));
     }
 }

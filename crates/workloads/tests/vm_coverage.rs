@@ -9,8 +9,14 @@
 //! count, taken from a run, pins that no activation was handed back to
 //! the tree-walker for a binding of another type than declared.
 //!
+//! The restructured programs are vector statements, which both engines
+//! hand to the one shared implementation; there the count is of how
+//! each section was resolved to element indices: as an arithmetic
+//! progression (no index list) or through a list. A one-range section
+//! must never build a list under the default configuration.
+//!
 //! `cargo test -p cedar-workloads --test vm_coverage -- --nocapture`
-//! prints the table (CI's vm-smoke job does).
+//! prints the tables (CI's vm-smoke job does).
 
 use cedar_ir::visit::{walk_expr, walk_stmts};
 use cedar_ir::{Expr, Intrinsic, Stmt};
@@ -99,6 +105,51 @@ fn serial_originals_compile_and_run_as_typed_code() {
             w.name
         );
     }
+}
+
+#[test]
+fn restructured_programs_resolve_one_range_sections_without_an_index_list() {
+    use cedar_restructure::{restructure, PassConfig};
+    println!(
+        "{:<8} {:<9} {:>12} {:>18} {:>11}",
+        "program", "passes", "progressions", "single-range lists", "other lists"
+    );
+    let (mut progressions, mut other) = (0, 0);
+    for w in table1_workloads().into_iter().chain(table2_workloads()) {
+        let configs = [
+            ("automatic", PassConfig::automatic_1991()),
+            ("manual", PassConfig::manual_improved()),
+        ];
+        for (passes, cfg) in configs {
+            let p = restructure(&w.compile(), &cfg).program;
+            let sim = cedar_sim::run(&p, MachineConfig::cedar_config1()).expect("candidate runs");
+            let c = sim.section_counts();
+            println!(
+                "{:<8} {:<9} {:>12} {:>18} {:>11}",
+                w.name, passes, c.progressions, c.single_range_lists, c.other_lists
+            );
+            // The pin: what can be a progression is one.
+            assert_eq!(c.single_range_lists, 0, "{} ({passes})", w.name);
+            // Without the fast paths every one of them is a list again,
+            // and nothing else changes category.
+            let slow = cedar_sim::run(&p, MachineConfig::cedar_config1().without_fast_paths())
+                .expect("candidate runs")
+                .section_counts();
+            assert_eq!(
+                (slow.progressions, slow.single_range_lists, slow.other_lists),
+                (0, c.progressions, c.other_lists),
+                "{} ({passes})",
+                w.name
+            );
+            progressions += c.progressions;
+            other += c.other_lists;
+        }
+    }
+    println!("{:<18} {progressions:>12} {:>18} {other:>11}", "total", 0);
+    assert!(
+        progressions > 0,
+        "the pool's candidates are vector statements"
+    );
 }
 
 #[test]

@@ -10,6 +10,11 @@
 //!   --fx80        target the Alliant FX/80 (cluster classes only)
 //!   --report      print per-loop decisions instead of the output code
 //!   --simulate    also run serial vs. restructured on the Cedar model
+//!   --validate    differentially validate instead (serial reference,
+//!                 race-collecting run, 4 perturbed schedules; racy or
+//!                 diverging nests are demoted) and print the accepted
+//!                 program and the verdict. The output does not depend
+//!                 on `CEDAR_JOBS` — CI diffs it between 1 and 4.
 //! ```
 
 use cedar_restructure::{restructure, PassConfig, Target};
@@ -41,6 +46,34 @@ fn main() {
     };
     if flags.contains(&"--fx80") {
         cfg = cfg.for_target(Target::Fx80);
+    }
+
+    if flags.contains(&"--validate") {
+        // Watch the arrays of the main program: its data. (Scalars are
+        // mostly loop indices and temporaries, whose values after a
+        // parallel loop are not defined.)
+        let watch: Vec<&str> = program
+            .units
+            .iter()
+            .filter(|u| u.kind == cedar_ir::UnitKind::Program)
+            .flat_map(|u| {
+                u.symbols
+                    .iter()
+                    .filter(|s| s.is_array())
+                    .map(|s| s.name.as_str())
+            })
+            .collect();
+        let vcfg = cedar_verify::ValidationConfig {
+            seeds: (1..=4).collect(),
+            ..Default::default()
+        };
+        let mc = MachineConfig::cedar_config1_scaled();
+        let v = cedar_verify::restructure_validated(&program, &cfg, &mc, &watch, &vcfg)
+            .unwrap_or_else(|e| die(&format!("serial reference: {e}")));
+        print!("{}", cedar_ir::print::print_program(&v.program));
+        // `Debug` prints every cycle count and error bound exactly.
+        println!("{:?}\n{:?}", v.report, v.validation);
+        return;
     }
 
     let result = restructure(&program, &cfg);
