@@ -66,9 +66,7 @@ impl Affine {
 
     fn normalize(mut self) -> Self {
         self.sym.retain(|(c, _)| *c != 0);
-        self.sym.sort_by(|(_, a), (_, b)| {
-            format!("{a:?}").cmp(&format!("{b:?}"))
-        });
+        self.sym.sort_by_cached_key(|(_, e)| format!("{e:?}"));
         let mut merged: Vec<(i64, Expr)> = Vec::with_capacity(self.sym.len());
         for (c, e) in self.sym.drain(..) {
             match merged.last_mut() {

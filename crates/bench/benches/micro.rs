@@ -6,7 +6,7 @@
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
 
-use cedar_restructure::PassConfig;
+use cedar_restructure::{BackendKind, EmitInput, PassConfig};
 use cedar_sim::{Engine, MachineConfig};
 
 fn front_end(c: &mut Criterion) {
@@ -19,6 +19,49 @@ fn front_end(c: &mut Criterion) {
     g.bench_function("parse+lower-cg", |b| {
         b.iter(|| black_box(cedar_ir::compile_source(&src).unwrap()))
     });
+    let pool = pool();
+    g.throughput(Throughput::Bytes(pool.iter().map(|w| w.source.len() as u64).sum()));
+    g.bench_function("parse-pool", |b| {
+        b.iter(|| {
+            for w in &pool {
+                black_box(cedar_f77::parse_source(&w.source).unwrap());
+            }
+        })
+    });
+    g.finish();
+}
+
+/// The 22 paper workloads.
+fn pool() -> Vec<cedar_workloads::Workload> {
+    let mut pool = cedar_workloads::table1_workloads();
+    pool.extend(cedar_workloads::table2_workloads());
+    pool
+}
+
+fn emission(c: &mut Criterion) {
+    // Restructure once; time only the printing of each backend.
+    let cfg = PassConfig::manual_improved();
+    let compiled: Vec<_> = pool()
+        .iter()
+        .map(|w| {
+            let p = w.compile();
+            let r = cedar_restructure::restructure(&p, &cfg);
+            (p, r)
+        })
+        .collect();
+    let mut g = c.benchmark_group("emission");
+    for kind in BackendKind::all() {
+        let backend = kind.backend();
+        g.bench_function(&format!("emit-pool-{kind}"), |b| {
+            b.iter(|| {
+                for (p, r) in &compiled {
+                    let input =
+                        EmitInput { original: p, restructured: &r.program, report: &r.report };
+                    black_box(backend.emit(&input));
+                }
+            })
+        });
+    }
     g.finish();
 }
 
@@ -174,5 +217,5 @@ fn vector_stmt_source(lanes: usize) -> String {
     )
 }
 
-criterion_group!(benches, front_end, analysis, restructurer, simulator);
+criterion_group!(benches, front_end, emission, analysis, restructurer, simulator);
 criterion_main!(benches);

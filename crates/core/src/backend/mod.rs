@@ -2,19 +2,21 @@
 //! dialect.
 //!
 //! The transform pipeline (`crate::passes`) is dialect-agnostic; what
-//! varies is only how the final IR is spelled out. Three backends are
-//! provided:
+//! varies is only how the final IR is spelled out. All three backends
+//! print through the one streaming writer of `cedar_ir::print`, each in
+//! its [`cedar_ir::print::Dialect`] (the table of spelling decisions is
+//! on that type):
 //!
 //! * [`BackendKind::Cedar`] — Cedar Fortran, the paper's target: the
 //!   parallel loop classes, `loop`/`endloop` pre/postamble markers,
 //!   loop-local declarations, `global`/`cluster` placement lines and
-//!   cascade synchronization, exactly as `cedar_ir::print` renders them.
+//!   cascade synchronization.
 //! * [`BackendKind::OpenMp`] — fixed-form Fortran with `!$omp parallel
 //!   do` directives. DOALL nests become directive loops with
 //!   `private(...)` clauses for their loop locals and `reduction(op:x)`
 //!   clauses recovered from the partials machinery; DOACROSS nests (no
-//!   OpenMP `ordered` analogue in our subset) fall back to serial loops
-//!   with their cascades stripped. Critical sections map to
+//!   OpenMP `ordered` analogue in our subset) print as serial loops
+//!   without their cascades. Critical sections map to
 //!   `omp_set_lock`/`omp_unset_lock`. Placement lines are omitted:
 //!   OpenMP assumes flat shared memory, and the front end restores that
 //!   model at lowering time by globalizing shared data.
@@ -22,6 +24,10 @@
 //!   *original* (pre-restructuring) program with any hand-written
 //!   directives demoted; the reference every other backend is compared
 //!   against.
+//!
+//! Only a unit whose loops carry Cedar furniture (locals, a preamble or
+//! a postamble) is copied and rewritten before the last two print it —
+//! see `serial.rs`; everything else is printed from the borrowed IR.
 //!
 //! Every backend's output is legal input to `cedar_ir::compile_source`,
 //! which is what the cross-backend comparator (`cedar-verify`) relies
@@ -180,6 +186,48 @@ mod tests {
         // The output must be legal input to the front end.
         cedar_ir::compile_source(&text)
             .unwrap_or_else(|e| panic!("serial emission does not re-parse: {e}\n{text}"));
+    }
+
+    #[test]
+    fn dialects_spell_tasking_locks_and_cascades_per_their_table() {
+        // Hand-written Cedar Fortran with everything the dialects spell
+        // differently, passed through unrestructured: a task, a lock
+        // outside any loop, a cascade whose `await` is alone in an ELSE,
+        // a shadowing loop local, a non-reduction pre/postamble, a
+        // machine-wide library reduction.
+        let p = compile_free(
+            "program t\nreal a(10), s\ncall ctskstart(w, a, 10)\ncall tskwait\n\
+             call lock(1)\ns = 1.0\ncall unlock(1)\ncdoacross i = 2, 10\n\
+             if (i .gt. 3) then\na(i) = a(i - 1)\nelse\ncall await(1, 1)\nend if\n\
+             call advance(1)\nend cdoacross\nxdoall i = 1, 10\nreal s\ns = 2.0\nloop\n\
+             a(i) = s\nendloop\ncall lock(2)\na(1) = a(1) + s\ncall unlock(2)\n\
+             end xdoall\nend\nsubroutine w(a, n)\nreal a(n)\na(1) = sum$x(a(1:n))\nend\n",
+        )
+        .unwrap();
+        let r = crate::driver::restructure(&p, &PassConfig::serial());
+        let input = EmitInput { original: &p, restructured: &r.program, report: &r.report };
+        let decls = "      program t\n      real a(10)\n      real s\n      integer i\n      real s$1\n";
+        let loops = "        do i = 2, 10\n          if (i .gt. 3) then\n            \
+                     a(i) = a(i - 1)\n          end if\n        end do\n        s$1 = 2.0\n        \
+                     do i = 1, 10\n          a(i) = s$1\n        end do\n";
+        let w = "      subroutine w(a, n)\n      real a(n)\n      integer n\n        \
+                 a(1) = sum(a(1:n))\n      end\n\n";
+        assert_eq!(
+            OpenMp.emit(&input),
+            format!(
+                "{decls}        call ctskstart(w, a(:), 10)\n        call tskwait\n        \
+                 call omp_set_lock(1)\n        s = 1.0\n        call omp_unset_lock(1)\n{loops}        \
+                 call omp_set_lock(2)\n        a(1) = a(1) + s$1\n        \
+                 call omp_unset_lock(2)\n      end\n\n{w}"
+            )
+        );
+        assert_eq!(
+            SerialF77.emit(&input),
+            format!(
+                "{decls}        call w(a(:), 10)\n        s = 1.0\n{loops}        \
+                 a(1) = a(1) + s$1\n      end\n\n{w}"
+            )
+        );
     }
 
     #[test]

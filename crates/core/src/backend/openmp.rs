@@ -1,7 +1,8 @@
 //! OpenMP Fortran emission.
 //!
-//! The restructured program is rewritten into fixed-form Fortran whose
-//! only parallel construct is `!$omp parallel do`:
+//! The restructured program is printed in [`Dialect::OpenMp`]:
+//! fixed-form Fortran whose only parallel construct is `!$omp parallel
+//! do`.
 //!
 //! * DOALL nests (any Cedar class) become directive loops. Loop locals
 //!   hoist to unit scope and reappear in a `private(...)` clause; the
@@ -11,9 +12,9 @@
 //!   partial renamed to its target in the body. A pre/postamble that
 //!   is not reduction-shaped has no OpenMP spelling, so that loop falls
 //!   back to serial.
-//! * DOACROSS nests fall back to serial loops (our OpenMP subset has no
-//!   cross-iteration cascade analogue); their `await`/`advance` calls
-//!   are dropped, which is exactly their one-participant meaning.
+//! * DOACROSS nests print as serial loops (our OpenMP subset has no
+//!   cross-iteration cascade analogue); `await`/`advance` calls are
+//!   dropped, which is exactly their one-participant meaning.
 //! * Critical sections print as `call omp_set_lock(id)` /
 //!   `call omp_unset_lock(id)`; the front end lowers those names back
 //!   to the same [`SyncOp`]s.
@@ -22,19 +23,19 @@
 //!   it lowers a directive program, by placing shared data in global
 //!   memory.
 //!
+//! Only the first item moves anything, and only units with loop
+//! furniture go through it (see [`super::serial`]); the rest is the
+//! dialect's spelling.
+//!
 //! Scheduling-class distinctions (`CDOALL` vs `SDOALL` vs `XDOALL`) are
 //! deliberately not encoded: every directive loop re-parses as a
 //! machine-wide `XDOALL`. Cross-backend comparison is about *values*,
 //! not cycle counts, and DOALL semantics are identical across classes.
 
-use super::serial::{demote_intr_par, hoist_locals, strip_cascades_deep};
+use super::serial::{emit_units, without_furniture};
 use super::{Backend, BackendKind, EmitInput};
-use cedar_ir::print::{decl_text, expr_text, lvalue_text, push_card, value_text, FIXED_FORM_WIDTH};
-use cedar_ir::{
-    BinOp, Expr, Intrinsic, LValue, Loop, LoopClass, Placement, Program, Stmt, SymKind, Symbol,
-    SymbolId, SyncOp, Unit, UnitKind,
-};
-use std::fmt::Write as _;
+use cedar_ir::print::{print_unit_as, Dialect, OmpReduction};
+use cedar_ir::{BinOp, Expr, Intrinsic, LValue, Loop, Stmt, SymbolId, SyncOp, Unit};
 
 /// The OpenMP backend.
 pub struct OpenMp;
@@ -45,114 +46,39 @@ impl Backend for OpenMp {
     }
 
     fn emit(&self, input: &EmitInput<'_>) -> String {
-        let mut p: Program = input.restructured.clone();
-        let mut out = String::new();
-        for u in &mut p.units {
-            let mut clauses = Vec::new();
-            let mut body = std::mem::take(&mut u.body);
-            prep_body(u, &mut body, &mut clauses);
-            u.body = body;
-            for s in &mut u.symbols {
-                if !matches!(s.kind, SymKind::LoopLocal) {
-                    s.placement = Placement::Default;
-                }
-            }
-            print_omp_unit(u, &clauses, &mut out);
-            out.push('\n');
+        emit_units(input.restructured, |u, out| {
+            // The writer numbers directive loops as it prints them; this
+            // numbers them in the same order, outer before inner.
+            let mut reductions = Vec::new();
+            let mut directives = 0;
+            let u = without_furniture(u, &mut |u, l| {
+                let kept = l.class.is_parallel()
+                    && !l.class.is_ordered()
+                    && fold_reductions(u, l, directives, &mut reductions);
+                directives += kept as usize;
+                kept
+            });
+            print_unit_as(&u, Dialect::OpenMp { reductions: &reductions }, out);
+        })
+    }
+}
+
+/// `x op y` of a merge statement as (clause operator, `x`, `y`), both
+/// operands scalars.
+fn merge_operands(rhs: &Expr) -> Option<(&'static str, SymbolId, SymbolId)> {
+    let (op, x, y) = match rhs {
+        Expr::Bin(BinOp::Add, x, y) => ("+", &**x, &**y),
+        Expr::Bin(BinOp::Mul, x, y) => ("*", &**x, &**y),
+        Expr::Intr { f: Intrinsic::Min, args, .. } if args.len() == 2 => {
+            ("min", &args[0], &args[1])
         }
-        out
-    }
-}
-
-/// One recovered `reduction(op:target)` clause.
-struct RedClause {
-    op: &'static str,
-    target: SymbolId,
-}
-
-/// Rewrite a statement list for OpenMP emission. Directive clause
-/// strings are pushed in emission order (outer loops before their inner
-/// loops); the printer pops them in the same traversal order.
-fn prep_body(u: &mut Unit, body: &mut Vec<Stmt>, clauses: &mut Vec<String>) {
-    let mut out = Vec::with_capacity(body.len());
-    for s in body.drain(..) {
-        match s {
-            Stmt::Loop(l) if l.class.is_ordered() => serialize_loop(u, l, &mut out, clauses),
-            Stmt::Loop(mut l) if l.class.is_parallel() => {
-                match extract_reductions(u, &mut l) {
-                    Some(reds) => {
-                        let ids: Vec<SymbolId> = l.locals.clone();
-                        hoist_locals(u, &mut l.locals);
-                        let privates: Vec<String> =
-                            ids.iter().map(|id| u.symbol(*id).name.clone()).collect();
-                        let mut c = String::from("parallel do");
-                        if !privates.is_empty() {
-                            let _ = write!(c, " private({})", privates.join(", "));
-                        }
-                        for r in &reds {
-                            let _ = write!(c, " reduction({}:{})", r.op, u.symbol(r.target).name);
-                        }
-                        clauses.push(c);
-                        prep_body(u, &mut l.body, clauses);
-                        out.push(Stmt::Loop(l));
-                    }
-                    // A pre/postamble we cannot spell in OpenMP: demote.
-                    None => serialize_loop(u, l, &mut out, clauses),
-                }
-            }
-            // A sequential loop may still carry Cedar furniture (a
-            // suppressed directive nest keeps its locals and blocks);
-            // the same hoist-and-splice normalization applies, and is a
-            // no-op on plain loops.
-            Stmt::Loop(l) => serialize_loop(u, l, &mut out, clauses),
-            Stmt::If { cond, mut then_body, elifs, mut else_body, span } => {
-                prep_body(u, &mut then_body, clauses);
-                let elifs = elifs
-                    .into_iter()
-                    .map(|(c, mut b)| {
-                        prep_body(u, &mut b, clauses);
-                        (c, b)
-                    })
-                    .collect();
-                prep_body(u, &mut else_body, clauses);
-                out.push(Stmt::If { cond, then_body, elifs, else_body, span });
-            }
-            Stmt::DoWhile { cond, mut body, span } => {
-                prep_body(u, &mut body, clauses);
-                out.push(Stmt::DoWhile { cond, body, span });
-            }
-            // A cascade op outside any ordered loop has no meaning; a
-            // lock stays (prints as omp_set_lock).
-            Stmt::Sync(SyncOp::Await { .. } | SyncOp::Advance { .. }) => {}
-            other => out.push(other),
+        Expr::Intr { f: Intrinsic::Max, args, .. } if args.len() == 2 => {
+            ("max", &args[0], &args[1])
         }
-    }
-    for s in out.iter_mut() {
-        demote_intr_par(s);
-    }
-    *body = out;
-}
-
-/// Serial fallback for one loop: demote to `DO`, strip cascades, splice
-/// the per-participant blocks around the loop (one participant ⇒ once),
-/// hoist locals. The body is still prepped — parallel loops nested in a
-/// demoted one keep their directives.
-fn serialize_loop(u: &mut Unit, mut l: Loop, out: &mut Vec<Stmt>, clauses: &mut Vec<String>) {
-    l.class = LoopClass::Seq;
-    hoist_locals(u, &mut l.locals);
-    strip_cascades_deep(&mut l.body);
-    prep_body(u, &mut l.preamble, clauses);
-    prep_body(u, &mut l.body, clauses);
-    prep_body(u, &mut l.postamble, clauses);
-    out.append(&mut l.preamble);
-    let mut post = std::mem::take(&mut l.postamble);
-    out.push(Stmt::Loop(l));
-    out.append(&mut post);
-}
-
-fn as_scalar(e: &Expr) -> Option<SymbolId> {
-    match e {
-        Expr::Scalar(s) => Some(*s),
+        _ => return None,
+    };
+    match (x, y) {
+        (Expr::Scalar(x), Expr::Scalar(y)) => Some((op, *x, *y)),
         _ => None,
     }
 }
@@ -160,14 +86,20 @@ fn as_scalar(e: &Expr) -> Option<SymbolId> {
 /// Recognize the reduction-partials shape produced by
 /// `crate::passes::reductions::reduction_partials` and fold it back
 /// into clause form: empty the pre/postamble, rename each partial to
-/// its target in the body, and return the clauses. `None` means the
-/// pre/postamble has some other shape and the loop must stay serial.
-fn extract_reductions(u: &Unit, l: &mut Loop) -> Option<Vec<RedClause>> {
+/// its target in the body, drop it from the locals and push one clause
+/// for it. `false` means the pre/postamble has some other shape (the
+/// loop is untouched and must become serial).
+fn fold_reductions(
+    u: &Unit,
+    l: &mut Loop,
+    directive: usize,
+    clauses: &mut Vec<OmpReduction>,
+) -> bool {
     if l.preamble.is_empty() && l.postamble.is_empty() {
-        return Some(Vec::new());
+        return true;
     }
     if !l.postamble.len().is_multiple_of(3) {
-        return None;
+        return false;
     }
     // (op, target, partial) per lock-protected merge triple.
     let mut pairs: Vec<(&'static str, SymbolId, SymbolId)> = Vec::new();
@@ -175,262 +107,31 @@ fn extract_reductions(u: &Unit, l: &mut Loop) -> Option<Vec<RedClause>> {
         let [Stmt::Sync(SyncOp::Lock { id: a }), Stmt::Assign { lhs: LValue::Scalar(t), rhs, .. }, Stmt::Sync(SyncOp::Unlock { id: b })] =
             w
         else {
-            return None;
+            return false;
         };
-        if a != b {
-            return None;
-        }
-        let (op, first, second) = match rhs {
-            Expr::Bin(BinOp::Add, x, y) => ("+", as_scalar(x)?, as_scalar(y)?),
-            Expr::Bin(BinOp::Mul, x, y) => ("*", as_scalar(x)?, as_scalar(y)?),
-            Expr::Intr { f: Intrinsic::Min, args, .. } if args.len() == 2 => {
-                ("min", as_scalar(&args[0])?, as_scalar(&args[1])?)
-            }
-            Expr::Intr { f: Intrinsic::Max, args, .. } if args.len() == 2 => {
-                ("max", as_scalar(&args[0])?, as_scalar(&args[1])?)
-            }
-            _ => return None,
+        let Some((op, first, partial)) = merge_operands(rhs) else {
+            return false;
         };
-        if first != *t || !l.locals.contains(&second) || u.symbol(second).is_array() {
-            return None;
+        if a != b || first != *t || !l.locals.contains(&partial) || u.symbol(partial).is_array() {
+            return false;
         }
-        pairs.push((op, *t, second));
+        pairs.push((op, *t, partial));
     }
     // The preamble must be exactly the identity assignments of those
     // partials, nothing else.
-    if l.preamble.len() != pairs.len() {
-        return None;
+    let is_identity = |s: &Stmt| {
+        matches!(s, Stmt::Assign { lhs: LValue::Scalar(p), rhs: Expr::ConstI(_) | Expr::ConstR { .. }, .. }
+            if pairs.iter().any(|(_, _, partial)| partial == p))
+    };
+    if l.preamble.len() != pairs.len() || !l.preamble.iter().all(is_identity) {
+        return false;
     }
-    for s in &l.preamble {
-        let Stmt::Assign { lhs: LValue::Scalar(p), rhs, .. } = s else {
-            return None;
-        };
-        if !pairs.iter().any(|(_, _, partial)| partial == p) {
-            return None;
-        }
-        if !matches!(rhs, Expr::ConstI(_) | Expr::ConstR { .. }) {
-            return None;
-        }
-    }
-    for (_, target, partial) in &pairs {
-        crate::passes::privatize::remap_symbol_in_stmts(&mut l.body, *partial, *target);
-        l.locals.retain(|x| x != partial);
+    for (op, target, partial) in pairs {
+        crate::passes::privatize::remap_symbol_in_stmts(&mut l.body, partial, target);
+        l.locals.retain(|x| *x != partial);
+        clauses.push(OmpReduction { directive, op, target });
     }
     l.preamble.clear();
     l.postamble.clear();
-    Some(
-        pairs
-            .into_iter()
-            .map(|(op, target, _)| RedClause { op, target })
-            .collect(),
-    )
-}
-
-/// Emit one `!$omp` directive, wrapping at column 72 with `!$omp&`
-/// continuation cards (sentinel in columns 1–5, `&` in column 6).
-fn push_omp(out: &mut String, text: &str) {
-    let mut rest = text;
-    let mut lead = "!$omp ";
-    loop {
-        let budget = FIXED_FORM_WIDTH.saturating_sub(lead.len());
-        if rest.len() <= budget {
-            let _ = writeln!(out, "{lead}{rest}");
-            return;
-        }
-        let cut = match rest[..budget + 1].rfind(' ') {
-            Some(i) if i > 0 => Some(i),
-            _ => rest[1..].find(' ').map(|i| i + 1),
-        };
-        match cut {
-            Some(i) => {
-                let _ = writeln!(out, "{lead}{}", &rest[..i]);
-                rest = &rest[i + 1..];
-            }
-            None => {
-                let _ = writeln!(out, "{lead}{rest}");
-                return;
-            }
-        }
-        lead = "!$omp&  ";
-    }
-}
-
-/// Fixed-form printer for the OpenMP dialect. Mirrors
-/// `cedar_ir::print`, differing only where the dialects differ:
-/// parallel loops print as directive + plain `DO`, locks print as
-/// OpenMP lock calls, and no placement lines are emitted.
-struct OmpPrinter<'a> {
-    unit: &'a Unit,
-    out: &'a mut String,
-    indent: usize,
-    clauses: &'a [String],
-    next: usize,
-}
-
-fn print_omp_unit(u: &Unit, clauses: &[String], out: &mut String) {
-    let mut pr = OmpPrinter { unit: u, out, indent: 0, clauses, next: 0 };
-    pr.unit_header();
-    pr.decls();
-    pr.body(&u.body);
-    pr.line("end");
-    debug_assert_eq!(pr.next, clauses.len(), "directive clause left over");
-}
-
-impl OmpPrinter<'_> {
-    fn line(&mut self, text: &str) {
-        push_card(self.out, self.indent, text);
-    }
-
-    fn unit_header(&mut self) {
-        let u = self.unit;
-        let args: Vec<&str> = u.args.iter().map(|a| u.symbol(*a).name.as_str()).collect();
-        let arglist = if args.is_empty() {
-            String::new()
-        } else {
-            format!("({})", args.join(", "))
-        };
-        match u.kind {
-            UnitKind::Program => self.line(&format!("program {}", u.name)),
-            UnitKind::Subroutine => self.line(&format!("subroutine {}{arglist}", u.name)),
-            UnitKind::Function => {
-                let ret = u.result.map(|r| u.symbol(r).ty).unwrap_or(cedar_ir::Ty::Real);
-                self.line(&format!("{ret} function {}{arglist}", u.name));
-            }
-        }
-    }
-
-    fn decls(&mut self) {
-        for s in &self.unit.symbols {
-            if matches!(s.kind, SymKind::LoopLocal) {
-                continue;
-            }
-            self.line(&decl_text(self.unit, s));
-        }
-        let mut blocks: Vec<(&str, Vec<(usize, &Symbol)>)> = Vec::new();
-        for s in &self.unit.symbols {
-            if let SymKind::Common { block, member } = &s.kind {
-                match blocks.iter_mut().find(|(b, _)| b == block) {
-                    Some((_, v)) => v.push((*member, s)),
-                    None => blocks.push((block, vec![(*member, s)])),
-                }
-            }
-        }
-        for (block, mut members) in blocks {
-            members.sort_by_key(|(m, _)| *m);
-            let names: Vec<&str> = members.iter().map(|(_, s)| s.name.as_str()).collect();
-            self.line(&format!("common /{block}/ {}", names.join(", ")));
-        }
-        for s in &self.unit.symbols {
-            if !s.init.is_empty() && !s.is_param() {
-                let vals: Vec<String> = s.init.iter().map(value_text).collect();
-                self.line(&format!("data {} /{}/", s.name, vals.join(", ")));
-            }
-        }
-    }
-
-    fn body(&mut self, stmts: &[Stmt]) {
-        self.indent += 1;
-        for s in stmts {
-            self.stmt(s);
-        }
-        self.indent -= 1;
-    }
-
-    fn stmt(&mut self, s: &Stmt) {
-        match s {
-            Stmt::Assign { lhs, rhs, .. } => {
-                let text =
-                    format!("{} = {}", lvalue_text(self.unit, lhs), expr_text(self.unit, rhs));
-                self.line(&text);
-            }
-            Stmt::WhereAssign { mask, lhs, rhs, .. } => {
-                let text = format!(
-                    "where ({}) {} = {}",
-                    expr_text(self.unit, mask),
-                    lvalue_text(self.unit, lhs),
-                    expr_text(self.unit, rhs)
-                );
-                self.line(&text);
-            }
-            Stmt::If { cond, then_body, elifs, else_body, .. } => {
-                let c = expr_text(self.unit, cond);
-                self.line(&format!("if ({c}) then"));
-                self.body(then_body);
-                for (ec, eb) in elifs {
-                    let c = expr_text(self.unit, ec);
-                    self.line(&format!("else if ({c}) then"));
-                    self.body(eb);
-                }
-                if !else_body.is_empty() {
-                    self.line("else");
-                    self.body(else_body);
-                }
-                self.line("end if");
-            }
-            Stmt::Loop(l) => self.print_loop(l),
-            Stmt::DoWhile { cond, body, .. } => {
-                let c = expr_text(self.unit, cond);
-                self.line(&format!("do while ({c})"));
-                self.body(body);
-                self.line("end do");
-            }
-            Stmt::Call { callee, args, .. } => {
-                let a: Vec<String> = args.iter().map(|e| expr_text(self.unit, e)).collect();
-                if a.is_empty() {
-                    self.line(&format!("call {callee}"));
-                } else {
-                    self.line(&format!("call {callee}({})", a.join(", ")));
-                }
-            }
-            Stmt::TaskStart { callee, args, lib, .. } => {
-                let kw = if *lib { "mtskstart" } else { "ctskstart" };
-                let mut a: Vec<String> = vec![callee.clone()];
-                a.extend(args.iter().map(|e| expr_text(self.unit, e)));
-                self.line(&format!("call {kw}({})", a.join(", ")));
-            }
-            Stmt::TaskWait { .. } => self.line("call tskwait"),
-            Stmt::Sync(op) => {
-                let text = match op {
-                    // Should have been stripped in prep; keep the Cedar
-                    // spelling rather than lose the statement.
-                    SyncOp::Await { point, dist } => {
-                        format!("call await({point}, {})", expr_text(self.unit, dist))
-                    }
-                    SyncOp::Advance { point } => format!("call advance({point})"),
-                    SyncOp::Lock { id } => format!("call omp_set_lock({id})"),
-                    SyncOp::Unlock { id } => format!("call omp_unset_lock({id})"),
-                };
-                self.line(&text);
-            }
-            Stmt::Return => self.line("return"),
-            Stmt::Stop => self.line("stop"),
-            Stmt::Io { .. } => self.line("print *"),
-        }
-    }
-
-    fn print_loop(&mut self, l: &Loop) {
-        let u = self.unit;
-        if l.class.is_parallel() {
-            let clause = &self.clauses[self.next];
-            self.next += 1;
-            // Directives are comment-position cards: no statement indent.
-            push_omp(self.out, clause);
-        }
-        debug_assert!(
-            l.locals.is_empty() && l.preamble.is_empty() && l.postamble.is_empty(),
-            "prep left Cedar loop furniture behind"
-        );
-        let mut head = format!(
-            "do {} = {}, {}",
-            u.symbol(l.var).name,
-            expr_text(u, &l.start),
-            expr_text(u, &l.end)
-        );
-        if let Some(st) = &l.step {
-            let _ = write!(head, ", {}", expr_text(u, st));
-        }
-        self.line(&head);
-        self.body(&l.body);
-        self.line("end do");
-    }
+    true
 }

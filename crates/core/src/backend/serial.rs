@@ -1,27 +1,30 @@
 //! Plain Fortran 77 emission: the serial reference.
 //!
-//! Emits from the *original* program (the restructurer's input), with
-//! anything outside the F77 subset rewritten away so the text is
-//! ordinary sequential Fortran:
+//! Emits from the *original* program (the restructurer's input) in
+//! [`Dialect::Serial`]: every loop class prints as a plain `DO`, all
+//! synchronization disappears (single thread), task starts print as
+//! plain calls and task waits disappear, parallel library-reduction
+//! variants (`sum$x` …) print as their serial intrinsics, and no
+//! placement lines are emitted. Those are spelling, decided while
+//! printing.
 //!
-//! * every concurrent loop class demotes to a plain `DO`;
+//! What a dialect cannot decide while printing is where a statement or
+//! a declaration *goes*. A unit whose loops carry Cedar furniture is
+//! copied and rewritten first ([`splice_furniture`]):
+//!
 //! * loop-local declarations hoist to unit scope (renamed if the name
 //!   is shadowed elsewhere — symbol references are by id, so a rename
 //!   is just a table edit);
 //! * pre/postambles splice around the loop (a serial loop is a
-//!   one-participant schedule, so "once per participant" means once);
-//! * all synchronization disappears (single thread);
-//! * task starts become plain calls, task waits disappear;
-//! * parallel library-reduction variants (`sum$x` …) demote to their
-//!   serial intrinsics, and `global`/`cluster` placements reset so no
-//!   placement lines are emitted.
+//!   one-participant schedule, so "once per participant" means once).
+//!
+//! A sequential input has no such unit and is printed as it stands.
 
 use super::{Backend, BackendKind, EmitInput};
-use cedar_ir::print::print_program;
-use cedar_ir::visit::{map_stmt_exprs, walk_stmts_mut};
-use cedar_ir::{
-    Expr, LoopClass, ParMode, Placement, Program, Stmt, SymKind, SymbolId, SyncOp, Unit,
-};
+use cedar_ir::print::{print_unit_as, Dialect};
+use cedar_ir::visit::walk_stmts;
+use cedar_ir::{Loop, LoopClass, Program, Stmt, SymKind, SymbolId, Unit};
+use std::borrow::Cow;
 
 /// The serial-F77 backend.
 pub struct SerialF77;
@@ -32,63 +35,89 @@ impl Backend for SerialF77 {
     }
 
     fn emit(&self, input: &EmitInput<'_>) -> String {
-        let mut p: Program = input.original.clone();
-        for u in &mut p.units {
-            let mut body = std::mem::take(&mut u.body);
-            serialize_body(u, &mut body);
-            u.body = body;
-            for s in &mut u.symbols {
-                s.placement = Placement::Default;
-            }
-        }
-        print_program(&p)
+        emit_units(input.original, |u, out| {
+            let u = without_furniture(u, &mut |_, _| false);
+            print_unit_as(&u, Dialect::Serial, out);
+        })
     }
 }
 
-/// Rewrite a statement list into the serial subset (see module docs).
-/// Used on whole units here and on individual demoted loops by the
-/// OpenMP backend's serial fallback.
-pub(crate) fn serialize_body(u: &mut Unit, body: &mut Vec<Stmt>) {
+/// Print every unit of the program with `print`, a blank line after each.
+pub(super) fn emit_units(p: &Program, mut print: impl FnMut(&Unit, &mut String)) -> String {
+    let mut out = String::new();
+    for u in &p.units {
+        print(u, &mut out);
+        out.push('\n');
+    }
+    out
+}
+
+/// The unit itself if none of its loops has locals, a preamble or a
+/// postamble; otherwise a copy put through [`splice_furniture`].
+pub(super) fn without_furniture<'a>(
+    u: &'a Unit,
+    keep: &mut impl FnMut(&Unit, &mut Loop) -> bool,
+) -> Cow<'a, Unit> {
+    let mut furnished = false;
+    walk_stmts(&u.body, &mut |s| {
+        if let Stmt::Loop(l) = s {
+            furnished |= !(l.locals.is_empty() && l.preamble.is_empty() && l.postamble.is_empty());
+        }
+    });
+    if !furnished {
+        return Cow::Borrowed(u);
+    }
+    let mut u = u.clone();
+    let mut body = std::mem::take(&mut u.body);
+    splice_furniture(&mut u, &mut body, keep);
+    u.body = body;
+    Cow::Owned(u)
+}
+
+/// Hoist the locals of every loop in `body` to unit scope. A loop that
+/// `keep` accepts stays a loop of its class with its body rewritten (it
+/// is `keep`'s job to dispose of the pre/postamble); any other loop
+/// becomes a `DO` with its pre/postamble spliced before and after it.
+fn splice_furniture(
+    u: &mut Unit,
+    body: &mut Vec<Stmt>,
+    keep: &mut impl FnMut(&Unit, &mut Loop) -> bool,
+) {
     let mut out = Vec::with_capacity(body.len());
     for s in body.drain(..) {
         match s {
             Stmt::Loop(mut l) => {
+                let kept = keep(u, &mut l);
+                hoist_locals(u, &l.locals);
+                if kept {
+                    splice_furniture(u, &mut l.body, keep);
+                    out.push(Stmt::Loop(l));
+                    continue;
+                }
                 l.class = LoopClass::Seq;
-                hoist_locals(u, &mut l.locals);
-                serialize_body(u, &mut l.preamble);
-                serialize_body(u, &mut l.body);
-                serialize_body(u, &mut l.postamble);
+                splice_furniture(u, &mut l.preamble, keep);
+                splice_furniture(u, &mut l.body, keep);
+                splice_furniture(u, &mut l.postamble, keep);
                 out.append(&mut l.preamble);
                 let mut post = std::mem::take(&mut l.postamble);
                 out.push(Stmt::Loop(l));
                 out.append(&mut post);
             }
-            Stmt::Sync(_) => {}
-            Stmt::TaskStart { callee, args, span, .. } => {
-                out.push(Stmt::Call { callee, args, span });
+            mut other => {
+                match &mut other {
+                    Stmt::If { then_body, elifs, else_body, .. } => {
+                        splice_furniture(u, then_body, keep);
+                        for (_, b) in elifs {
+                            splice_furniture(u, b, keep);
+                        }
+                        splice_furniture(u, else_body, keep);
+                    }
+                    Stmt::DoWhile { body, .. } => splice_furniture(u, body, keep),
+                    _ => {}
+                }
+                out.push(other);
             }
-            Stmt::TaskWait { .. } => {}
-            Stmt::If { cond, mut then_body, elifs, mut else_body, span } => {
-                serialize_body(u, &mut then_body);
-                let elifs = elifs
-                    .into_iter()
-                    .map(|(c, mut b)| {
-                        serialize_body(u, &mut b);
-                        (c, b)
-                    })
-                    .collect();
-                serialize_body(u, &mut else_body);
-                out.push(Stmt::If { cond, then_body, elifs, else_body, span });
-            }
-            Stmt::DoWhile { cond, mut body, span } => {
-                serialize_body(u, &mut body);
-                out.push(Stmt::DoWhile { cond, body, span });
-            }
-            other => out.push(other),
         }
-    }
-    for s in out.iter_mut() {
-        demote_intr_par(s);
     }
     *body = out;
 }
@@ -97,58 +126,15 @@ pub(crate) fn serialize_body(u: &mut Unit, body: &mut Vec<Stmt>) {
 /// are by [`SymbolId`], so only the symbol table changes; a rename is
 /// needed only when the local's name shadows another symbol (the
 /// emitted unit-level declarations must stay unambiguous for re-parse).
-pub(crate) fn hoist_locals(u: &mut Unit, locals: &mut Vec<SymbolId>) {
-    for id in locals.drain(..) {
-        let name = u.symbol(id).name.clone();
-        let shadowed = u
-            .symbols
-            .iter()
-            .enumerate()
-            .any(|(i, s)| i != id.index() && s.name == name);
+fn hoist_locals(u: &mut Unit, locals: &[SymbolId]) {
+    for &id in locals {
+        let name = &u.symbol(id).name;
+        let shadowed =
+            u.symbols.iter().enumerate().any(|(i, s)| i != id.index() && s.name == *name);
         if shadowed {
-            let fresh = u.fresh_name(&name);
+            let fresh = u.fresh_name(name);
             u.symbol_mut(id).name = fresh;
         }
-        let s = u.symbol_mut(id);
-        s.kind = SymKind::Local;
-        s.placement = Placement::Default;
+        u.symbol_mut(id).kind = SymKind::Local;
     }
-}
-
-/// Demote every parallel library-reduction intrinsic (`sum$x(..)` …)
-/// in the statement (and its nested bodies) to the serial variant.
-pub(crate) fn demote_intr_par(s: &mut Stmt) {
-    map_stmt_exprs(s, &mut |e| match e {
-        Expr::Intr { f, args, par: _ } => Expr::Intr { f, args, par: ParMode::Serial },
-        other => other,
-    });
-}
-
-/// Strip cascade synchronization (`await`/`advance`) from a demoted
-/// DOACROSS body, nested statements included. Locks are kept — the
-/// caller decides how to spell them.
-pub(crate) fn strip_cascades_deep(body: &mut Vec<Stmt>) {
-    body.retain(|s| !matches!(s, Stmt::Sync(SyncOp::Await { .. } | SyncOp::Advance { .. })));
-    walk_stmts_mut(body, &mut |s| {
-        let nested: Option<&mut Vec<Stmt>> = match s {
-            Stmt::Loop(l) => Some(&mut l.body),
-            Stmt::DoWhile { body, .. } => Some(body),
-            _ => None,
-        };
-        if let Some(b) = nested {
-            b.retain(|s| {
-                !matches!(s, Stmt::Sync(SyncOp::Await { .. } | SyncOp::Advance { .. }))
-            });
-        }
-        if let Stmt::If { then_body, elifs, else_body, .. } = s {
-            for b in std::iter::once(then_body)
-                .chain(elifs.iter_mut().map(|(_, b)| b))
-                .chain(std::iter::once(else_body))
-            {
-                b.retain(|s| {
-                    !matches!(s, Stmt::Sync(SyncOp::Await { .. } | SyncOp::Advance { .. }))
-                });
-            }
-        }
-    });
 }

@@ -135,16 +135,12 @@ impl ProgramPass for RestructureNests {
         "restructure-nests"
     }
     fn run(&self, program: &mut Program, ctx: &mut PipelineCtx) {
-        for ui in 0..program.units.len() {
-            let fused_lines = if ctx.cfg.loop_fusion {
-                fusion::fuse_unit(&mut program.units[ui])
-            } else {
-                Vec::new()
-            };
-            let mut unit = program.units[ui].clone();
+        for unit in &mut program.units {
+            let fused_lines =
+                if ctx.cfg.loop_fusion { fusion::fuse_unit(unit) } else { Vec::new() };
             let body = std::mem::take(&mut unit.body);
             let mut nctx = nest::NestCtx::new(ctx.cfg, ctx.summaries.as_ref(), &mut ctx.report);
-            unit.body = nctx.transform_block(&mut unit, body);
+            unit.body = nctx.transform_block(unit, body);
             // Credit fusion on the surviving loops' report entries (the
             // fused loop was classified above under its own header line).
             for l in ctx.report.loops.iter_mut() {
@@ -155,7 +151,6 @@ impl ProgramPass for RestructureNests {
                     l.techniques.push(Technique::LoopFusion);
                 }
             }
-            program.units[ui] = unit;
         }
     }
 }

@@ -4,6 +4,7 @@
 use crate::error::{Error, Result};
 use crate::span::Span;
 use crate::token::Tok;
+use std::borrow::Cow;
 
 /// One logical statement line after card assembly: label (if any), the
 /// statement text with continuations joined, and the line number of the
@@ -125,42 +126,40 @@ pub fn assemble_free_form(src: &str) -> Result<Vec<LogicalLine>> {
         let t = raw.trim_start();
         // `!$omp` sentinel (directive, not comment) — same as fixed form;
         // a trailing `&` continues it through the ordinary mechanism.
-        let line = if t.get(..5).is_some_and(|p| p.eq_ignore_ascii_case("!$omp"))
+        let line: Cow<'_, str> = if t.get(..5).is_some_and(|p| p.eq_ignore_ascii_case("!$omp"))
             && t.len() > 5
         {
-            format!("$omp {}", strip_inline_comment(&t[5..]).trim())
+            format!("$omp {}", strip_inline_comment(&t[5..]).trim()).into()
         } else {
-            strip_inline_comment(raw).trim().to_string()
+            strip_inline_comment(raw).trim().into()
         };
         if line.is_empty() {
             pending_cont = false;
             continue;
         }
         let (body, continues) = match line.strip_suffix('&') {
-            Some(b) => (b.trim_end().to_string(), true),
-            None => (line, false),
+            Some(b) => (b.trim_end(), true),
+            None => (&*line, false),
         };
         if pending_cont {
             let prev = out.last_mut().expect("continuation without previous line");
             prev.text.push(' ');
-            prev.text.push_str(&body);
+            prev.text.push_str(body);
         } else {
             // Leading integer token is a statement label.
             let trimmed = body.trim_start();
-            let digits: String = trimmed.chars().take_while(|c| c.is_ascii_digit()).collect();
-            let (label, text) = if !digits.is_empty()
-                && trimmed[digits.len()..].starts_with([' ', '\t'])
-            {
+            let digits = trimmed.bytes().take_while(u8::is_ascii_digit).count();
+            let (label, text) = if digits > 0 && trimmed[digits..].starts_with([' ', '\t']) {
                 (
-                    Some(digits.parse::<u32>().map_err(|_| {
+                    Some(trimmed[..digits].parse::<u32>().map_err(|_| {
                         Error::lex(Span::new(lineno), "label too large")
                     })?),
-                    trimmed[digits.len()..].trim().to_string(),
+                    trimmed[digits..].trim(),
                 )
             } else {
-                (None, trimmed.to_string())
+                (None, trimmed)
             };
-            out.push(LogicalLine { label, text, line: lineno });
+            out.push(LogicalLine { label, text: text.to_string(), line: lineno });
         }
         pending_cont = continues;
     }
@@ -191,7 +190,8 @@ fn strip_inline_comment(s: &str) -> &str {
 pub fn tokenize(text: &str, line: u32) -> Result<Vec<Tok>> {
     let span = Span::new(line);
     let b = text.as_bytes();
-    let mut toks = Vec::new();
+    // A token is rarely shorter than two characters with its blank.
+    let mut toks = Vec::with_capacity(text.len() / 2 + 1);
     let mut i = 0usize;
     while i < b.len() {
         let c = b[i] as char;

@@ -12,9 +12,11 @@ use crate::ast::*;
 use crate::error::{Error, Result};
 use crate::span::Span;
 use crate::token::Tok;
+use std::borrow::Cow;
 
-/// One tokenized logical statement.
-#[derive(Debug, Clone)]
+/// One tokenized logical statement. The parser consumes it: identifier
+/// text moves from the tokens into the syntax tree.
+#[derive(Debug)]
 pub struct RawStmt {
     /// Statement label, if any.
     pub label: Option<u32>,
@@ -33,26 +35,31 @@ impl RawStmt {
     /// `END DO` → `enddo`, `END CDOALL` → `endcdoall`,
     /// `DOUBLE PRECISION` → `doubleprecision`,
     /// `PROCESS COMMON` → `processcommon`, `DO WHILE` → `dowhile`,
-    /// `IMPLICIT NONE` → `implicitnone`).
-    fn keyword(&self) -> Option<String> {
+    /// `IMPLICIT NONE` → `implicitnone`). Borrowed for every form the
+    /// grammar knows; only an `END` before an unknown word ending in
+    /// `doall`/`doacross` (which no statement matches, but a diagnostic
+    /// quotes) is joined on the heap.
+    fn keyword(&self) -> Option<Cow<'_, str>> {
         let first = self.tokens.first()?.ident()?;
         let second = self.tokens.get(1).and_then(|t| t.ident());
-        let joined = match (first, second) {
-            ("go", Some("to")) => Some("goto"),
-            ("end", Some(k2 @ ("if" | "do" | "where"))) => {
-                return Some(format!("end{k2}"));
-            }
+        Some(Cow::Borrowed(match (first, second) {
+            ("go", Some("to")) => "goto",
+            ("end", Some("if")) => "endif",
+            ("end", Some("do")) => "enddo",
+            ("end", Some("where")) => "endwhere",
             ("end", Some(k2)) if k2.ends_with("doall") || k2.ends_with("doacross") => {
-                return Some(format!("end{k2}"));
+                match PARALLEL_DO_KEYWORDS.iter().find(|(k, ..)| *k == k2) {
+                    Some(&(_, end_kw, _)) => end_kw,
+                    None => return Some(Cow::Owned(format!("end{k2}"))),
+                }
             }
-            ("else", Some("if")) => Some("elseif"),
-            ("double", Some("precision")) => Some("doubleprecision"),
-            ("process", Some("common")) => Some("processcommon"),
-            ("implicit", Some("none")) => Some("implicitnone"),
-            ("do", Some("while")) => Some("dowhile"),
-            _ => None,
-        };
-        Some(joined.map(str::to_string).unwrap_or_else(|| first.to_string()))
+            ("else", Some("if")) => "elseif",
+            ("double", Some("precision")) => "doubleprecision",
+            ("process", Some("common")) => "processcommon",
+            ("implicit", Some("none")) => "implicitnone",
+            ("do", Some("while")) => "dowhile",
+            _ => first,
+        }))
     }
 
     /// True if the statement is an assignment (`name = ...` or
@@ -97,21 +104,27 @@ const DECL_KEYWORDS: &[&str] = &[
     "equivalence",
 ];
 
-const PARALLEL_DO_KEYWORDS: &[(&str, LoopClass)] = &[
-    ("cdoall", LoopClass::CDoall),
-    ("sdoall", LoopClass::SDoall),
-    ("xdoall", LoopClass::XDoall),
-    ("doall", LoopClass::XDoall), // generic DOALL defaults to machine-wide
-    ("cdoacross", LoopClass::CDoacross),
-    ("sdoacross", LoopClass::SDoacross),
-    ("xdoacross", LoopClass::XDoacross),
-    ("doacross", LoopClass::CDoacross),
+/// Concurrent loop keyword, the joined keyword of its `END`, and class.
+const PARALLEL_DO_KEYWORDS: &[(&str, &str, LoopClass)] = &[
+    ("cdoall", "endcdoall", LoopClass::CDoall),
+    ("sdoall", "endsdoall", LoopClass::SDoall),
+    ("xdoall", "endxdoall", LoopClass::XDoall),
+    ("doall", "enddoall", LoopClass::XDoall), // generic DOALL defaults to machine-wide
+    ("cdoacross", "endcdoacross", LoopClass::CDoacross),
+    ("sdoacross", "endsdoacross", LoopClass::SDoacross),
+    ("xdoacross", "endxdoacross", LoopClass::XDoacross),
+    ("doacross", "enddoacross", LoopClass::CDoacross),
 ];
 
 /// Parse the full statement stream into program units.
 pub fn parse_units(raw: Vec<RawStmt>) -> Result<SourceFile> {
     let raw = rewrite_labeled_dos(raw)?;
-    let mut p = Units { stmts: raw, pos: 0, recover: false, errors: Vec::new(), reported_eof: false };
+    let mut p = Units {
+        stmts: raw.into_iter(),
+        recover: false,
+        errors: Vec::new(),
+        reported_eof: false,
+    };
     let mut units = Vec::new();
     while !p.at_end() {
         units.push(p.parse_unit()?);
@@ -131,23 +144,21 @@ pub fn parse_units(raw: Vec<RawStmt>) -> Result<SourceFile> {
 /// identical to what [`parse_units`] would return.
 pub fn parse_units_recovering(raw: Vec<RawStmt>) -> (SourceFile, Vec<Error>) {
     let (raw, errors) = rewrite_labeled_dos_recovering(raw);
-    let mut p = Units { stmts: raw, pos: 0, recover: true, errors, reported_eof: false };
+    let mut p = Units { stmts: raw.into_iter(), recover: true, errors, reported_eof: false };
     let mut units = Vec::new();
     while !p.at_end() {
-        let start = p.pos;
+        let left = p.stmts.len();
         match p.parse_unit() {
             Ok(u) => units.push(u),
             Err(e) => {
                 p.errors.push(e);
                 // Resync: skip to just past the next top-level END so the
                 // following unit gets a clean start.
-                if p.pos == start {
-                    p.pos += 1;
+                if p.stmts.len() == left {
+                    p.next();
                 }
-                while let Some(st) = p.peek() {
-                    let is_end = st.keyword().as_deref() == Some("end");
-                    p.pos += 1;
-                    if is_end {
+                while let Some(st) = p.next() {
+                    if st.keyword().as_deref() == Some("end") {
                         break;
                     }
                 }
@@ -241,8 +252,8 @@ fn rewrite_labeled_dos_recovering(raw: Vec<RawStmt>) -> (Vec<RawStmt>, Vec<Error
 }
 
 struct Units {
-    stmts: Vec<RawStmt>,
-    pos: usize,
+    /// The statements not yet consumed.
+    stmts: std::vec::IntoIter<RawStmt>,
     /// Statement-boundary recovery: record diagnostics in `errors` and
     /// keep parsing instead of propagating the first failure.
     recover: bool,
@@ -253,64 +264,52 @@ struct Units {
 
 impl Units {
     fn at_end(&self) -> bool {
-        self.pos >= self.stmts.len()
+        self.stmts.as_slice().is_empty()
     }
     fn peek(&self) -> Option<&RawStmt> {
-        self.stmts.get(self.pos)
+        self.stmts.as_slice().first()
     }
     fn next(&mut self) -> Option<RawStmt> {
-        let s = self.stmts.get(self.pos).cloned();
-        if s.is_some() {
-            self.pos += 1;
-        }
-        s
+        self.stmts.next()
     }
 
     fn parse_unit(&mut self) -> Result<ProgramUnit> {
-        let head = self.peek().expect("parse_unit at end").clone();
+        let head = self.peek().expect("parse_unit at end");
         let span = head.span();
-        let kw = head.keyword();
-        let (kind, name, args) = match kw.as_deref() {
-            Some("program") => {
-                self.next();
-                let mut t = TokParser::new(&head.tokens[1..], span);
-                let name = t.expect_ident("program name")?;
-                t.expect_end()?;
-                (UnitKind::Program, name, Vec::new())
-            }
-            Some("subroutine") => {
-                self.next();
-                let mut t = TokParser::new(&head.tokens[1..], span);
-                let name = t.expect_ident("subroutine name")?;
-                let args = t.opt_dummy_args()?;
-                t.expect_end()?;
-                (UnitKind::Subroutine, name, args)
-            }
-            Some("function") => {
-                self.next();
-                let mut t = TokParser::new(&head.tokens[1..], span);
-                let name = t.expect_ident("function name")?;
-                let args = t.opt_dummy_args()?;
-                t.expect_end()?;
-                (UnitKind::Function(None), name, args)
-            }
-            Some(k) if type_keyword(k).is_some() && is_typed_function(&head) => {
-                self.next();
-                let ty = type_keyword(k).unwrap();
-                let skip = if k == "doubleprecision" { 2 } else { 1 };
-                let mut t = TokParser::new(&head.tokens[skip..], span);
-                // Optional `*len` after the type.
-                if t.eat(&Tok::Star) {
-                    t.expect_int("type length")?;
+        // What the header declares and how many tokens spell its keyword;
+        // a unit with no header is an unnamed main program.
+        let header = match head.keyword().as_deref() {
+            Some("program") => Some((UnitKind::Program, 1)),
+            Some("subroutine") => Some((UnitKind::Subroutine, 1)),
+            Some("function") => Some((UnitKind::Function(None), 1)),
+            Some(k) => type_keyword(k).filter(|_| is_typed_function(head)).map(|ty| {
+                (UnitKind::Function(Some(ty)), if k == "doubleprecision" { 2 } else { 1 })
+            }),
+            None => None,
+        };
+        let (kind, name, args) = match header {
+            Some((kind, skip)) => {
+                let head = self.next().expect("peeked");
+                let mut t = TokParser::new(head.tokens, skip, span);
+                let what = match kind {
+                    UnitKind::Program => "program name",
+                    UnitKind::Subroutine => "subroutine name",
+                    UnitKind::Function(_) => "function name",
+                };
+                if let UnitKind::Function(Some(_)) = kind {
+                    // Optional `*len` after the type.
+                    if t.eat(&Tok::Star) {
+                        t.expect_int("type length")?;
+                    }
+                    t.expect_kw("function")?;
                 }
-                t.expect_kw("function")?;
-                let name = t.expect_ident("function name")?;
-                let args = t.opt_dummy_args()?;
+                let name = t.expect_ident(what)?;
+                let args =
+                    if kind == UnitKind::Program { Vec::new() } else { t.opt_dummy_args()? };
                 t.expect_end()?;
-                (UnitKind::Function(Some(ty)), name, args)
+                (kind, name, args)
             }
-            // A unit with no header is an unnamed main program.
-            _ => (UnitKind::Program, "main".to_string(), Vec::new()),
+            None => (UnitKind::Program, "main".to_string(), Vec::new()),
         };
 
         let mut decls = Vec::new();
@@ -321,7 +320,7 @@ impl Units {
                 }
                 Some(k) if DECL_KEYWORDS.contains(&k) => {
                     let st = self.next().unwrap();
-                    match parse_decl(&st) {
+                    match parse_decl(st) {
                         Ok(d) => decls.push(d),
                         Err(e) if self.recover => self.errors.push(e),
                         Err(e) => return Err(e),
@@ -377,7 +376,7 @@ impl Units {
                 return Ok(out);
             };
             if let Some(kw) = st.keyword() {
-                if terminators.contains(&kw.as_str()) {
+                if terminators.contains(&&*kw) {
                     return Ok(out);
                 }
                 if kw == "format" {
@@ -404,20 +403,20 @@ impl Units {
         // satisfy the assignment heuristic. Variables named after
         // statement keywords are not supported (documented restriction).
         let kw = st.keyword().unwrap_or_default();
-        let kind = match kw.as_str() {
-            "if" => self.parse_if(&st)?,
-            "do" => self.parse_do(&st, LoopClass::Seq)?,
-            "dowhile" => self.parse_do_while(&st)?,
-            "$omp" => self.parse_omp(&st)?,
+        let kind = match &*kw {
+            "if" => self.parse_if(st)?,
+            "do" => self.parse_do(st, LoopClass::Seq, "enddo")?,
+            "dowhile" => self.parse_do_while(st)?,
+            "$omp" => self.parse_omp(st)?,
             "continue" | "return" | "stop" | "call" | "goto" | "where" | "print"
-            | "write" | "read" | "assign" => parse_simple_stmt(&st)?,
+            | "write" | "read" | "assign" => parse_simple_stmt(st)?,
             _ => {
-                if let Some(&(_, class)) =
-                    PARALLEL_DO_KEYWORDS.iter().find(|(k, _)| *k == kw)
+                if let Some(&(_, end_kw, class)) =
+                    PARALLEL_DO_KEYWORDS.iter().find(|(k, ..)| *k == kw)
                 {
-                    self.parse_do(&st, class)?
+                    self.parse_do(st, class, end_kw)?
                 } else if st.looks_like_assignment() {
-                    parse_simple_stmt(&st)?
+                    parse_simple_stmt(st)?
                 } else {
                     return Err(Error::parse(
                         span,
@@ -430,9 +429,9 @@ impl Units {
     }
 
     /// `IF (cond) THEN` block form, or `IF (cond) stmt` logical form.
-    fn parse_if(&mut self, st: &RawStmt) -> Result<StmtKind> {
+    fn parse_if(&mut self, st: RawStmt) -> Result<StmtKind> {
         let span = st.span();
-        let mut t = TokParser::new(&st.tokens[1..], span);
+        let mut t = TokParser::new(st.tokens, 1, span);
         t.expect(&Tok::LParen)?;
         let cond = t.expr()?;
         t.expect(&Tok::RParen)?;
@@ -447,7 +446,7 @@ impl Units {
                 })?;
                 match nxt.keyword().as_deref() {
                     Some("elseif") => {
-                        let mut t2 = TokParser::new(&nxt.tokens[2..], nxt.span());
+                        let mut t2 = TokParser::new(nxt.tokens, 2, Span::new(nxt.line));
                         t2.expect(&Tok::LParen)?;
                         let c = t2.expr()?;
                         t2.expect(&Tok::RParen)?;
@@ -473,11 +472,7 @@ impl Units {
             Ok(StmtKind::If { cond, then_body, elifs, else_body })
         } else {
             // Logical IF: the rest of the tokens form one simple statement.
-            let rest = RawStmt {
-                label: None,
-                tokens: t.remaining().to_vec(),
-                line: st.line,
-            };
+            let rest = RawStmt { label: None, tokens: t.toks.collect(), line: span.line };
             if rest.tokens.is_empty() {
                 return Err(Error::parse(span, "logical IF with no statement"));
             }
@@ -490,7 +485,7 @@ impl Units {
                     "logical IF may only control a simple statement",
                 ));
             }
-            let inner = parse_simple_stmt(&rest)?;
+            let inner = parse_simple_stmt(rest)?;
             Ok(StmtKind::If {
                 cond,
                 then_body: vec![Stmt::new(span, inner)],
@@ -504,9 +499,13 @@ impl Units {
     /// additionally allow loop-local declarations, a preamble before a
     /// `LOOP` marker, and (SDO/XDO) a postamble after `ENDLOOP`
     /// (paper Figure 3).
-    fn parse_do(&mut self, st: &RawStmt, class: LoopClass) -> Result<StmtKind> {
-        let span = st.span();
-        let mut t = TokParser::new(&st.tokens[1..], span);
+    fn parse_do(
+        &mut self,
+        st: RawStmt,
+        class: LoopClass,
+        end_kw: &'static str,
+    ) -> Result<StmtKind> {
+        let mut t = TokParser::new(st.tokens, 1, Span::new(st.line));
         let var = t.expect_ident("loop control variable")?;
         t.expect(&Tok::Equals)?;
         let start = t.expr()?;
@@ -515,8 +514,7 @@ impl Units {
         let step = if t.eat(&Tok::Comma) { Some(t.expr()?) } else { None };
         t.expect_end()?;
 
-        let end_kw = format!("end{}", st.keyword().unwrap());
-        let end_kws: &[&str] = &[&end_kw, "enddo"];
+        let end_kws: &[&str] = &[end_kw, "enddo"];
 
         let mut decls = Vec::new();
         let mut preamble = Vec::new();
@@ -525,7 +523,7 @@ impl Units {
                 match nxt.keyword().as_deref() {
                     Some(k) if DECL_KEYWORDS.contains(&k) => {
                         let d = self.next().unwrap();
-                        decls.push(parse_decl(&d)?);
+                        decls.push(parse_decl(d)?);
                     }
                     _ => break,
                 }
@@ -554,9 +552,9 @@ impl Units {
     /// the lexer into a `$omp ...` statement), annotating the sequential
     /// `DO` on the next statement. Only the clause subset our OpenMP
     /// emission backend produces is accepted.
-    fn parse_omp(&mut self, st: &RawStmt) -> Result<StmtKind> {
+    fn parse_omp(&mut self, st: RawStmt) -> Result<StmtKind> {
         let span = st.span();
-        let mut t = TokParser::new(&st.tokens[1..], span);
+        let mut t = TokParser::new(st.tokens, 1, span);
         t.expect_kw("parallel")?;
         t.expect_kw("do")?;
         let mut privates = Vec::new();
@@ -619,9 +617,9 @@ impl Units {
     /// before the loop's END keyword? (Scan ahead tracking nesting.)
     fn block_contains_marker(&self, marker: &str, end_kws: &[&str]) -> bool {
         let mut depth = 0usize;
-        for st in &self.stmts[self.pos..] {
+        for st in self.stmts.as_slice() {
             let Some(kw) = st.keyword() else { continue };
-            let kw = kw.as_str();
+            let kw = &*kw;
             if depth == 0 {
                 if kw == marker {
                     return true;
@@ -632,7 +630,7 @@ impl Units {
             }
             if kw == "do"
                 || kw == "dowhile"
-                || PARALLEL_DO_KEYWORDS.iter().any(|(k, _)| *k == kw)
+                || PARALLEL_DO_KEYWORDS.iter().any(|(k, ..)| *k == kw)
             {
                 depth += 1;
             } else if kw.starts_with("end") && kw != "end" && kw != "endif" && kw != "endwhere"
@@ -643,9 +641,8 @@ impl Units {
         false
     }
 
-    fn parse_do_while(&mut self, st: &RawStmt) -> Result<StmtKind> {
-        let span = st.span();
-        let mut t = TokParser::new(&st.tokens[2..], span);
+    fn parse_do_while(&mut self, st: RawStmt) -> Result<StmtKind> {
+        let mut t = TokParser::new(st.tokens, 2, Span::new(st.line));
         t.expect(&Tok::LParen)?;
         let cond = t.expr()?;
         t.expect(&Tok::RParen)?;
@@ -678,7 +675,7 @@ fn type_keyword(k: &str) -> Option<TypeSpec> {
 }
 
 /// Parse a simple (non-block) executable statement.
-fn parse_simple_stmt(st: &RawStmt) -> Result<StmtKind> {
+fn parse_simple_stmt(st: RawStmt) -> Result<StmtKind> {
     let span = st.span();
     let is_simple_kw = matches!(
         st.keyword().as_deref(),
@@ -688,7 +685,7 @@ fn parse_simple_stmt(st: &RawStmt) -> Result<StmtKind> {
         )
     );
     if !is_simple_kw && st.looks_like_assignment() {
-        let mut t = TokParser::new(&st.tokens, span);
+        let mut t = TokParser::new(st.tokens, 0, span);
         let lhs = t.designator()?;
         t.expect(&Tok::Equals)?;
         let rhs = t.expr()?;
@@ -696,12 +693,12 @@ fn parse_simple_stmt(st: &RawStmt) -> Result<StmtKind> {
         return Ok(StmtKind::Assign { lhs, rhs });
     }
     let kw = st.keyword().unwrap_or_default();
-    match kw.as_str() {
+    match &*kw {
         "continue" => Ok(StmtKind::Continue),
         "return" => Ok(StmtKind::Return),
         "stop" => Ok(StmtKind::Stop),
         "call" => {
-            let mut t = TokParser::new(&st.tokens[1..], span);
+            let mut t = TokParser::new(st.tokens, 1, span);
             let name = t.expect_ident("subroutine name")?;
             let mut args = Vec::new();
             if t.eat(&Tok::LParen) && !t.eat(&Tok::RParen) {
@@ -719,7 +716,7 @@ fn parse_simple_stmt(st: &RawStmt) -> Result<StmtKind> {
         }
         "goto" => {
             let skip = if st.tokens[0].is_kw("go") { 2 } else { 1 };
-            let mut t = TokParser::new(&st.tokens[skip..], span);
+            let mut t = TokParser::new(st.tokens, skip, span);
             let target = t.expect_int("statement label")?;
             t.expect_end()?;
             let target = u32::try_from(target)
@@ -727,7 +724,7 @@ fn parse_simple_stmt(st: &RawStmt) -> Result<StmtKind> {
             Ok(StmtKind::Goto(target))
         }
         "where" => {
-            let mut t = TokParser::new(&st.tokens[1..], span);
+            let mut t = TokParser::new(st.tokens, 1, span);
             t.expect(&Tok::LParen)?;
             let mask = t.expr()?;
             t.expect(&Tok::RParen)?;
@@ -737,13 +734,13 @@ fn parse_simple_stmt(st: &RawStmt) -> Result<StmtKind> {
             t.expect_end()?;
             Ok(StmtKind::Where { mask, lhs, rhs })
         }
-        "print" | "write" | "read" => {
-            let io = match kw.as_str() {
+        io @ ("print" | "write" | "read") => {
+            let io = match io {
                 "print" => IoKind::Print,
                 "write" => IoKind::Write,
                 _ => IoKind::Read,
             };
-            let mut t = TokParser::new(&st.tokens[1..], span);
+            let mut t = TokParser::new(st.tokens, 1, span);
             // Control list: `(unit, fmt)` for WRITE/READ, `*,`/`fmt,` for
             // PRINT. We skip the control part entirely.
             if t.eat(&Tok::LParen) {
@@ -788,14 +785,14 @@ fn parse_simple_stmt(st: &RawStmt) -> Result<StmtKind> {
 }
 
 /// Parse one specification statement.
-fn parse_decl(st: &RawStmt) -> Result<Decl> {
+fn parse_decl(st: RawStmt) -> Result<Decl> {
     let span = st.span();
     let kw = st.keyword().unwrap();
-    let kind = match kw.as_str() {
-        "integer" | "real" | "doubleprecision" | "logical" | "character" => {
-            let mut ty = type_keyword(&kw).unwrap();
-            let skip = if kw == "doubleprecision" { 2 } else { 1 };
-            let mut t = TokParser::new(&st.tokens[skip..], span);
+    let kind = match &*kw {
+        ty @ ("integer" | "real" | "doubleprecision" | "logical" | "character") => {
+            let skip = if ty == "doubleprecision" { 2 } else { 1 };
+            let mut ty = type_keyword(ty).unwrap();
+            let mut t = TokParser::new(st.tokens, skip, span);
             if t.eat(&Tok::Star) {
                 let len = t.expect_int("type length")?;
                 ty = match (ty, len) {
@@ -811,13 +808,13 @@ fn parse_decl(st: &RawStmt) -> Result<Decl> {
             DeclKind::Type { ty, entities }
         }
         "dimension" => {
-            let mut t = TokParser::new(&st.tokens[1..], span);
+            let mut t = TokParser::new(st.tokens, 1, span);
             let entities = t.entity_list()?;
             t.expect_end()?;
             DeclKind::Dimension { entities }
         }
         "parameter" => {
-            let mut t = TokParser::new(&st.tokens[1..], span);
+            let mut t = TokParser::new(st.tokens, 1, span);
             t.expect(&Tok::LParen)?;
             let mut assigns = Vec::new();
             loop {
@@ -833,10 +830,10 @@ fn parse_decl(st: &RawStmt) -> Result<Decl> {
             t.expect_end()?;
             DeclKind::Parameter { assigns }
         }
-        "common" | "processcommon" => {
-            let process = kw == "processcommon";
+        common @ ("common" | "processcommon") => {
+            let process = common == "processcommon";
             let skip = if process { 2 } else { 1 };
-            let mut t = TokParser::new(&st.tokens[skip..], span);
+            let mut t = TokParser::new(st.tokens, skip, span);
             let block = if t.eat(&Tok::Slash) {
                 let name = t.expect_ident("common block name")?;
                 t.expect(&Tok::Slash)?;
@@ -851,15 +848,15 @@ fn parse_decl(st: &RawStmt) -> Result<Decl> {
             t.expect_end()?;
             DeclKind::Common { block, entities, process }
         }
-        "global" | "cluster" => {
-            let vis = if kw == "global" { Visibility::Global } else { Visibility::Cluster };
-            let mut t = TokParser::new(&st.tokens[1..], span);
+        vis @ ("global" | "cluster") => {
+            let vis = if vis == "global" { Visibility::Global } else { Visibility::Cluster };
+            let mut t = TokParser::new(st.tokens, 1, span);
             let names = t.name_list()?;
             t.expect_end()?;
             DeclKind::Visibility { vis, names }
         }
         "data" => {
-            let mut t = TokParser::new(&st.tokens[1..], span);
+            let mut t = TokParser::new(st.tokens, 1, span);
             let mut names = Vec::new();
             let mut values = Vec::new();
             loop {
@@ -888,15 +885,16 @@ fn parse_decl(st: &RawStmt) -> Result<Decl> {
             t.expect_end()?;
             DeclKind::Data { names, values }
         }
-        "external" | "intrinsic" | "save" => {
-            let mut t = TokParser::new(&st.tokens[1..], span);
+        list @ ("external" | "intrinsic" | "save") => {
+            let kind = match list {
+                "external" => DeclKind::External,
+                "intrinsic" => DeclKind::Intrinsic,
+                _ => DeclKind::Save,
+            };
+            let mut t = TokParser::new(st.tokens, 1, span);
             let names = t.name_list()?;
             t.expect_end()?;
-            match kw.as_str() {
-                "external" => DeclKind::External(names),
-                "intrinsic" => DeclKind::Intrinsic(names),
-                _ => DeclKind::Save(names),
-            }
+            kind(names)
         }
         "implicitnone" => DeclKind::ImplicitNone,
         "implicit" => {
@@ -906,7 +904,7 @@ fn parse_decl(st: &RawStmt) -> Result<Decl> {
             ))
         }
         "equivalence" => {
-            let mut t = TokParser::new(&st.tokens[1..], span);
+            let mut t = TokParser::new(st.tokens, 1, span);
             let mut groups = Vec::new();
             loop {
                 t.expect(&Tok::LParen)?;
@@ -933,51 +931,47 @@ fn parse_decl(st: &RawStmt) -> Result<Decl> {
     Ok(Decl { span, kind })
 }
 
-/// Token-level parser for the inside of one statement.
-struct TokParser<'a> {
-    toks: &'a [Tok],
-    pos: usize,
+/// Token-level parser for the inside of one statement. It owns the
+/// statement's tokens and hands each out once.
+struct TokParser {
+    toks: std::vec::IntoIter<Tok>,
     span: Span,
 }
 
-impl<'a> TokParser<'a> {
-    fn new(toks: &'a [Tok], span: Span) -> Self {
-        TokParser { toks, pos: 0, span }
+impl TokParser {
+    /// A parser positioned after the first `skip` tokens (the keyword).
+    fn new(toks: Vec<Tok>, skip: usize, span: Span) -> Self {
+        let mut toks = toks.into_iter();
+        if skip > 0 {
+            toks.nth(skip - 1);
+        }
+        TokParser { toks, span }
     }
     fn peek(&self) -> Option<&Tok> {
-        self.toks.get(self.pos)
+        self.toks.as_slice().first()
     }
     fn peek2(&self) -> Option<&Tok> {
-        self.toks.get(self.pos + 1)
+        self.toks.as_slice().get(1)
     }
     fn next(&mut self) -> Option<Tok> {
-        let t = self.toks.get(self.pos).cloned();
-        if t.is_some() {
-            self.pos += 1;
-        }
-        t
+        self.toks.next()
     }
     fn at_end(&self) -> bool {
-        self.pos >= self.toks.len()
-    }
-    fn remaining(&self) -> &'a [Tok] {
-        &self.toks[self.pos..]
+        self.toks.as_slice().is_empty()
     }
     fn eat(&mut self, t: &Tok) -> bool {
-        if self.peek() == Some(t) {
-            self.pos += 1;
-            true
-        } else {
-            false
+        let hit = self.peek() == Some(t);
+        if hit {
+            self.toks.next();
         }
+        hit
     }
     fn eat_kw(&mut self, kw: &str) -> bool {
-        if self.peek().is_some_and(|t| t.is_kw(kw)) {
-            self.pos += 1;
-            true
-        } else {
-            false
+        let hit = self.peek().is_some_and(|t| t.is_kw(kw));
+        if hit {
+            self.toks.next();
         }
+        hit
     }
     fn expect(&mut self, t: &Tok) -> Result<()> {
         if self.eat(t) {

@@ -1,16 +1,67 @@
-//! Cedar Fortran source emission.
+//! Fixed-form source emission: one streaming writer, three dialects.
 //!
-//! Renders a [`Program`] back to fixed-form Cedar Fortran text — the
+//! Renders a [`Program`] back to fixed-form Fortran text — the
 //! restructurer's user-visible output format, and the basis of the
 //! round-trip property tests (emit → parse → lower → compare).
+//!
+//! Every statement is written piece by piece into one reusable buffer
+//! and wrapped at column 72 straight into the output; no expression,
+//! argument list or card has a string of its own. What differs between
+//! the emission backends of `cedar-restructure` is a [`Dialect`]: a
+//! handful of spelling decisions taken while printing, not a rewrite of
+//! the tree beforehand.
 
 use crate::expr::{BinOp, Expr, Index, UnOp};
 use crate::program::{Program, Unit, UnitKind};
 use crate::stmt::{LValue, Loop, Stmt, SyncOp};
-use crate::symbol::{Placement, SymKind, Symbol};
+use crate::symbol::{Placement, SymKind, Symbol, SymbolId};
 use crate::types::{Ty, Value};
-use cedar_f77::ast::LoopClass;
+use crate::ParMode;
 use std::fmt::Write;
+
+/// One `reduction(op:target)` clause of an OpenMP directive, attached to
+/// the `directive`-th directive loop of its unit in print order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct OmpReduction {
+    /// Which directive loop of the unit, counting from 0 as printed.
+    pub directive: usize,
+    /// `+`, `*`, `min` or `max`.
+    pub op: &'static str,
+    /// The reduced variable.
+    pub target: SymbolId,
+}
+
+/// How the writer spells what the dialects spell differently.
+///
+/// | decision | `Cedar` | `OpenMp` | `Serial` |
+/// |---|---|---|---|
+/// | loop head / tail | class keyword, `end <class>` | `do`, `end do` | `do`, `end do` |
+/// | directive card before a DOALL | — | `!$omp parallel do` + clauses | — |
+/// | loop locals | declared inside the loop | `private(...)` clause | — |
+/// | pre/postamble | `loop` / `endloop` markers | none may be left | none may be left |
+/// | lock, unlock | `call lock(k)` | `call omp_set_lock(k)` | dropped |
+/// | await, advance | printed | dropped | dropped |
+/// | task start | `call ctskstart(f, ..)` | as Cedar | `call f(..)` |
+/// | task wait | `call tskwait` | as Cedar | dropped |
+/// | `$v`/`$c`/`$x` reduction suffix | printed | — | — |
+/// | `global` / `cluster` lines | printed | — | — |
+///
+/// Outside `Cedar` a loop-local symbol is only printed once something
+/// has turned it into an ordinary local, and a loop must have lost its
+/// pre/postamble: that part is structural and stays with the backends.
+#[derive(Debug, Clone, Copy)]
+pub enum Dialect<'a> {
+    /// Cedar Fortran, the paper's dialect.
+    Cedar,
+    /// Fortran with `!$omp parallel do` directives. DOACROSS classes
+    /// print as plain loops.
+    OpenMp {
+        /// Clauses of the unit's directive loops, in print order.
+        reductions: &'a [OmpReduction],
+    },
+    /// Plain sequential Fortran 77.
+    Serial,
+}
 
 /// Render the whole program as Cedar Fortran source.
 pub fn print_program(p: &Program) -> String {
@@ -22,19 +73,22 @@ pub fn print_program(p: &Program) -> String {
     out
 }
 
-/// Render one unit.
+/// Render one unit as Cedar Fortran.
 pub fn print_unit(u: &Unit, out: &mut String) {
-    let mut pr = Printer { unit: u, out, indent: 0 };
-    pr.unit_header();
-    pr.decls();
-    pr.body(&u.body);
-    pr.line("end");
+    print_unit_as(u, Dialect::Cedar, out);
 }
 
-struct Printer<'a> {
-    unit: &'a Unit,
-    out: &'a mut String,
-    indent: usize,
+/// Render one unit in the given dialect.
+pub fn print_unit_as(u: &Unit, dialect: Dialect<'_>, out: &mut String) {
+    let mut w = Writer::new(u, dialect, out);
+    w.unit_header();
+    w.decls();
+    w.body(&u.body);
+    w.line("end");
+    debug_assert!(
+        !matches!(w.dialect, Dialect::OpenMp { reductions: [_, ..] }),
+        "reduction clause left over"
+    );
 }
 
 /// Column past which fixed-form statement text must continue on a new
@@ -42,98 +96,155 @@ struct Printer<'a> {
 /// stay legal F77 for external tools.
 pub const FIXED_FORM_WIDTH: usize = 72;
 
+/// Columns 1–5 of an ordinary statement card.
+const BLANK: &str = "     ";
+
 /// Emit one fixed-form statement, wrapping text that would extend past
-/// column 72 onto `&`-continuation cards. The split points are spaces:
-/// the lexer reassembles continuations by joining with exactly one
-/// space, so space-splitting reproduces the statement text
-/// byte-for-byte on re-parse. A single token longer than the card
-/// budget is emitted overlong rather than broken mid-token.
+/// column 72 onto `&`-continuation cards.
 pub fn push_card(out: &mut String, indent: usize, text: &str) {
+    wrap(out, BLANK, indent, text);
+}
+
+/// The one wrapping loop: `sentinel` fills columns 1–5 of every card
+/// (blank for a statement, `!$omp` for a directive), column 6 is blank
+/// on the first card and `&` on continuations, which sit one indent
+/// level deeper. The split points are spaces: the lexer reassembles
+/// continuations by joining with exactly one space, so space-splitting
+/// reproduces the statement text byte-for-byte on re-parse. A single
+/// token longer than the card budget is emitted overlong rather than
+/// broken mid-token.
+fn wrap(out: &mut String, sentinel: &str, indent: usize, text: &str) {
     let mut rest = text;
-    let mut lead = format!("      {}", "  ".repeat(indent));
-    let mut first = true;
+    let (mut mark, mut depth) = (' ', indent);
     loop {
-        let budget = FIXED_FORM_WIDTH.saturating_sub(lead.len());
-        if rest.len() <= budget {
-            let _ = writeln!(out, "{lead}{rest}");
-            return;
+        out.push_str(sentinel);
+        out.push(mark);
+        for _ in 0..depth {
+            out.push_str("  ");
         }
+        let budget = FIXED_FORM_WIDTH.saturating_sub(6 + 2 * depth);
         // Longest space-split that keeps this card within the budget;
         // if no space fits, break at the next space anyway (overlong
         // card) rather than splitting inside a token.
-        let cut = match rest[..budget + 1].rfind(' ') {
-            Some(i) if i > 0 => Some(i),
-            _ => rest[1..].find(' ').map(|i| i + 1),
+        let cut = if rest.len() <= budget {
+            None
+        } else {
+            match rest[..budget + 1].rfind(' ') {
+                Some(i) if i > 0 => Some(i),
+                _ => rest[1..].find(' ').map(|i| i + 1),
+            }
         };
-        match cut {
-            Some(i) => {
-                let _ = writeln!(out, "{lead}{}", &rest[..i]);
-                rest = &rest[i + 1..];
-            }
-            None => {
-                let _ = writeln!(out, "{lead}{rest}");
-                return;
-            }
-        }
-        if first {
-            first = false;
-            lead = format!("     &{}", "  ".repeat(indent + 1));
-        }
+        let Some(i) = cut else {
+            out.push_str(rest);
+            out.push('\n');
+            return;
+        };
+        out.push_str(&rest[..i]);
+        out.push('\n');
+        rest = &rest[i + 1..];
+        (mark, depth) = ('&', indent + 1);
     }
 }
 
-impl Printer<'_> {
-    /// Emit one statement line with the fixed-form 6-column prefix.
+struct Writer<'a> {
+    unit: &'a Unit,
+    dialect: Dialect<'a>,
+    out: &'a mut String,
+    /// The statement being written; [`Writer::flush`] wraps it into `out`.
+    stmt: String,
+    indent: usize,
+    /// Directive loops printed so far (see [`OmpReduction::directive`]).
+    directives: usize,
+}
+
+impl<'a> Writer<'a> {
+    fn new(unit: &'a Unit, dialect: Dialect<'a>, out: &'a mut String) -> Self {
+        Writer { unit, dialect, out, stmt: String::with_capacity(128), indent: 0, directives: 0 }
+    }
+
+    /// End the statement in `stmt`: wrap it into the output as cards.
+    fn flush(&mut self) {
+        wrap(self.out, BLANK, self.indent, &self.stmt);
+        self.stmt.clear();
+    }
+
     fn line(&mut self, text: &str) {
-        push_card(self.out, self.indent, text);
+        wrap(self.out, BLANK, self.indent, text);
+    }
+
+    fn put(&mut self, text: &str) {
+        self.stmt.push_str(text);
+    }
+
+    fn name(&mut self, id: SymbolId) {
+        self.stmt.push_str(&self.unit.symbol(id).name);
+    }
+
+    /// `each` item of `items`, separated by `, `.
+    fn list<T>(&mut self, items: impl IntoIterator<Item = T>, mut each: impl FnMut(&mut Self, T)) {
+        for (i, item) in items.into_iter().enumerate() {
+            if i > 0 {
+                self.put(", ");
+            }
+            each(self, item);
+        }
+    }
+
+    /// `(a, b, c)`.
+    fn args<T>(&mut self, items: &[T], each: impl FnMut(&mut Self, &T)) {
+        self.put("(");
+        self.list(items, each);
+        self.put(")");
+    }
+
+    /// `(a, b, c)`, or nothing for an empty list.
+    fn opt_args<T>(&mut self, items: &[T], each: impl FnMut(&mut Self, &T)) {
+        if !items.is_empty() {
+            self.args(items, each);
+        }
     }
 
     fn unit_header(&mut self) {
         let u = self.unit;
-        let args: Vec<&str> = u.args.iter().map(|a| u.symbol(*a).name.as_str()).collect();
-        let arglist = if args.is_empty() {
-            String::new()
-        } else {
-            format!("({})", args.join(", "))
-        };
         match u.kind {
-            UnitKind::Program => self.line(&format!("program {}", u.name)),
-            UnitKind::Subroutine => self.line(&format!("subroutine {}{arglist}", u.name)),
+            UnitKind::Program => self.put("program "),
+            UnitKind::Subroutine => self.put("subroutine "),
             UnitKind::Function => {
-                let ret = u
-                    .result
-                    .map(|r| u.symbol(r).ty)
-                    .unwrap_or(Ty::Real);
-                self.line(&format!("{ret} function {}{arglist}", u.name));
+                let ret = u.result.map(|r| u.symbol(r).ty).unwrap_or(Ty::Real);
+                let _ = write!(self.stmt, "{ret} function ");
             }
         }
+        self.put(&u.name);
+        if u.kind != UnitKind::Program {
+            self.opt_args(&u.args, |w, a| w.name(*a));
+        }
+        self.flush();
     }
 
     fn decls(&mut self) {
+        let u = self.unit;
         // Type declarations for every non-loop-local symbol (loop locals
         // print inside their loops).
-        let mut globals: Vec<&str> = Vec::new();
-        let mut clusters: Vec<&str> = Vec::new();
-        for s in &self.unit.symbols {
-            if matches!(s.kind, SymKind::LoopLocal) {
-                continue;
-            }
-            self.line(&decl_text(self.unit, s));
-            match s.placement {
-                Placement::Global => globals.push(&s.name),
-                Placement::Cluster => clusters.push(&s.name),
-                _ => {}
-            }
+        let declared = || u.symbols.iter().filter(|s| !matches!(s.kind, SymKind::LoopLocal));
+        for s in declared() {
+            self.decl(s);
+            self.flush();
         }
-        if !globals.is_empty() {
-            self.line(&format!("global {}", globals.join(", ")));
-        }
-        if !clusters.is_empty() {
-            self.line(&format!("cluster {}", clusters.join(", ")));
+        if matches!(self.dialect, Dialect::Cedar) {
+            for (kw, placement) in
+                [("global ", Placement::Global), ("cluster ", Placement::Cluster)]
+            {
+                let mut placed = declared().filter(|s| s.placement == placement).peekable();
+                if placed.peek().is_some() {
+                    self.put(kw);
+                    self.list(placed, |w, s| w.put(&s.name));
+                    self.flush();
+                }
+            }
         }
         // COMMON membership, grouped by block in member order.
         let mut blocks: Vec<(&str, Vec<(usize, &Symbol)>)> = Vec::new();
-        for s in &self.unit.symbols {
+        for s in &u.symbols {
             if let SymKind::Common { block, member } = &s.kind {
                 match blocks.iter_mut().find(|(b, _)| b == block) {
                     Some((_, v)) => v.push((*member, s)),
@@ -143,16 +254,34 @@ impl Printer<'_> {
         }
         for (block, mut members) in blocks {
             members.sort_by_key(|(m, _)| *m);
-            let names: Vec<&str> = members.iter().map(|(_, s)| s.name.as_str()).collect();
-            self.line(&format!("common /{block}/ {}", names.join(", ")));
+            let _ = write!(self.stmt, "common /{block}/ ");
+            self.list(members, |w, (_, s)| w.put(&s.name));
+            self.flush();
         }
         // DATA initializers.
-        for s in &self.unit.symbols {
+        for s in &u.symbols {
             if !s.init.is_empty() && !s.is_param() {
-                let vals: Vec<String> = s.init.iter().map(value_text).collect();
-                self.line(&format!("data {} /{}/", s.name, vals.join(", ")));
+                let _ = write!(self.stmt, "data {} /", s.name);
+                self.list(&s.init, |w, v| write_value(&mut w.stmt, v));
+                self.put("/");
+                self.flush();
             }
         }
+    }
+
+    /// One type declaration (`real a(n, m)`), unterminated.
+    fn decl(&mut self, s: &Symbol) {
+        let _ = write!(self.stmt, "{} {}", s.ty, s.name);
+        self.opt_args(&s.dims, |w, d| {
+            if d.lower.as_const_int() != Some(1) {
+                w.expr(&d.lower, 0);
+                w.put(":");
+            }
+            match &d.upper {
+                Some(e) => w.expr(e, 0),
+                None => w.put("*"),
+            }
+        });
     }
 
     fn body(&mut self, stmts: &[Stmt]) {
@@ -163,95 +292,149 @@ impl Printer<'_> {
         self.indent -= 1;
     }
 
-    fn stmt(&mut self, s: &Stmt) {
-        match s {
-            Stmt::Assign { lhs, rhs, .. } => {
-                let text = format!("{} = {}", lvalue_text(self.unit, lhs), expr_text(self.unit, rhs));
-                self.line(&text);
-            }
-            Stmt::WhereAssign { mask, lhs, rhs, .. } => {
-                let text = format!(
-                    "where ({}) {} = {}",
-                    expr_text(self.unit, mask),
-                    lvalue_text(self.unit, lhs),
-                    expr_text(self.unit, rhs)
-                );
-                self.line(&text);
-            }
-            Stmt::If { cond, then_body, elifs, else_body, .. } => {
-                let c = expr_text(self.unit, cond);
-                self.line(&format!("if ({c}) then"));
-                self.body(then_body);
-                for (ec, eb) in elifs {
-                    let c = expr_text(self.unit, ec);
-                    self.line(&format!("else if ({c}) then"));
-                    self.body(eb);
-                }
-                if !else_body.is_empty() {
-                    self.line("else");
-                    self.body(else_body);
-                }
-                self.line("end if");
-            }
-            Stmt::Loop(l) => self.print_loop(l),
-            Stmt::DoWhile { cond, body, .. } => {
-                let c = expr_text(self.unit, cond);
-                self.line(&format!("do while ({c})"));
-                self.body(body);
-                self.line("end do");
-            }
-            Stmt::Call { callee, args, .. } => {
-                let a: Vec<String> = args.iter().map(|e| expr_text(self.unit, e)).collect();
-                if a.is_empty() {
-                    self.line(&format!("call {callee}"));
-                } else {
-                    self.line(&format!("call {callee}({})", a.join(", ")));
-                }
-            }
-            Stmt::TaskStart { callee, args, lib, .. } => {
-                let kw = if *lib { "mtskstart" } else { "ctskstart" };
-                let mut a: Vec<String> = vec![callee.clone()];
-                a.extend(args.iter().map(|e| expr_text(self.unit, e)));
-                self.line(&format!("call {kw}({})", a.join(", ")));
-            }
-            Stmt::TaskWait { .. } => self.line("call tskwait"),
-            Stmt::Sync(op) => {
-                let text = match op {
-                    SyncOp::Await { point, dist } => {
-                        format!("call await({point}, {})", expr_text(self.unit, dist))
-                    }
-                    SyncOp::Advance { point } => format!("call advance({point})"),
-                    SyncOp::Lock { id } => format!("call lock({id})"),
-                    SyncOp::Unlock { id } => format!("call unlock({id})"),
-                };
-                self.line(&text);
-            }
-            Stmt::Return => self.line("return"),
-            Stmt::Stop => self.line("stop"),
-            Stmt::Io { .. } => self.line("print *"),
+    /// Does the dialect drop this statement?
+    fn dropped(&self, s: &Stmt) -> bool {
+        match (self.dialect, s) {
+            (Dialect::Cedar, _) => false,
+            (Dialect::Serial, Stmt::Sync(_) | Stmt::TaskWait { .. }) => true,
+            (_, Stmt::Sync(SyncOp::Await { .. } | SyncOp::Advance { .. })) => true,
+            _ => false,
         }
     }
 
+    fn stmt(&mut self, s: &Stmt) {
+        if self.dropped(s) {
+            return;
+        }
+        match s {
+            Stmt::Assign { lhs, rhs, .. } => {
+                self.lvalue(lhs);
+                self.put(" = ");
+                self.expr(rhs, 0);
+            }
+            Stmt::WhereAssign { mask, lhs, rhs, .. } => {
+                self.put("where (");
+                self.expr(mask, 0);
+                self.put(") ");
+                self.lvalue(lhs);
+                self.put(" = ");
+                self.expr(rhs, 0);
+            }
+            Stmt::If { cond, then_body, elifs, else_body, .. } => {
+                self.cond("if (", cond, ") then");
+                self.body(then_body);
+                for (ec, eb) in elifs {
+                    self.cond("else if (", ec, ") then");
+                    self.body(eb);
+                }
+                if else_body.iter().any(|s| !self.dropped(s)) {
+                    self.line("else");
+                    self.body(else_body);
+                }
+                self.put("end if");
+            }
+            Stmt::Loop(l) => return self.print_loop(l),
+            Stmt::DoWhile { cond, body, .. } => {
+                self.cond("do while (", cond, ")");
+                self.body(body);
+                self.put("end do");
+            }
+            Stmt::Call { callee, args, .. } => self.call(callee, args),
+            Stmt::TaskStart { callee, args, lib, .. } => {
+                if matches!(self.dialect, Dialect::Serial) {
+                    self.call(callee, args);
+                } else {
+                    self.put(if *lib { "call mtskstart(" } else { "call ctskstart(" });
+                    self.put(callee);
+                    for a in args {
+                        self.put(", ");
+                        self.expr(a, 0);
+                    }
+                    self.put(")");
+                }
+            }
+            Stmt::TaskWait { .. } => self.put("call tskwait"),
+            Stmt::Sync(op) => {
+                let omp = matches!(self.dialect, Dialect::OpenMp { .. });
+                let _ = match op {
+                    SyncOp::Await { point, dist } => {
+                        let _ = write!(self.stmt, "call await({point}, ");
+                        self.expr(dist, 0);
+                        write!(self.stmt, ")")
+                    }
+                    SyncOp::Advance { point } => write!(self.stmt, "call advance({point})"),
+                    SyncOp::Lock { id } if omp => write!(self.stmt, "call omp_set_lock({id})"),
+                    SyncOp::Unlock { id } if omp => write!(self.stmt, "call omp_unset_lock({id})"),
+                    SyncOp::Lock { id } => write!(self.stmt, "call lock({id})"),
+                    SyncOp::Unlock { id } => write!(self.stmt, "call unlock({id})"),
+                };
+            }
+            Stmt::Return => self.put("return"),
+            Stmt::Stop => self.put("stop"),
+            Stmt::Io { .. } => self.put("print *"),
+        }
+        self.flush();
+    }
+
+    /// A complete `<open><cond><close>` line.
+    fn cond(&mut self, open: &str, cond: &Expr, close: &str) {
+        self.put(open);
+        self.expr(cond, 0);
+        self.put(close);
+        self.flush();
+    }
+
+    fn call(&mut self, callee: &str, args: &[Expr]) {
+        self.put("call ");
+        self.put(callee);
+        self.opt_args(args, |w, a| w.expr(a, 0));
+    }
+
     fn print_loop(&mut self, l: &Loop) {
-        let u = self.unit;
-        let kw = l.class.keyword();
-        let mut head = format!(
-            "{kw} {} = {}, {}",
-            u.symbol(l.var).name,
-            expr_text(u, &l.start),
-            expr_text(u, &l.end)
-        );
+        let cedar = matches!(self.dialect, Dialect::Cedar);
+        if let Dialect::OpenMp { reductions } = self.dialect {
+            if l.class.is_parallel() && !l.class.is_ordered() {
+                self.put("parallel do");
+                if !l.locals.is_empty() {
+                    self.put(" private");
+                    self.args(&l.locals, |w, id| w.name(*id));
+                }
+                let mine = reductions.iter().take_while(|r| r.directive == self.directives).count();
+                for r in &reductions[..mine] {
+                    let _ = write!(self.stmt, " reduction({}:", r.op);
+                    self.name(r.target);
+                    self.put(")");
+                }
+                self.dialect = Dialect::OpenMp { reductions: &reductions[mine..] };
+                self.directives += 1;
+                // Directives are comment-position cards: no statement indent.
+                wrap(self.out, "!$omp", 0, &self.stmt);
+                self.stmt.clear();
+            }
+        }
+        let kw = if cedar { l.class.keyword() } else { "do" };
+        self.put(kw);
+        self.put(" ");
+        self.name(l.var);
+        self.put(" = ");
+        self.expr(&l.start, 0);
+        self.put(", ");
+        self.expr(&l.end, 0);
         if let Some(st) = &l.step {
-            let _ = write!(head, ", {}", expr_text(u, st));
+            self.put(", ");
+            self.expr(st, 0);
         }
-        self.line(&head);
-        self.indent += 1;
-        for loc in &l.locals {
-            let text = decl_text(u, u.symbol(*loc));
-            self.line(&text);
-        }
+        self.flush();
         let has_markers = !l.preamble.is_empty() || !l.postamble.is_empty();
-        self.indent -= 1;
+        debug_assert!(cedar || !has_markers, "only Cedar Fortran can spell a pre/postamble");
+        if cedar {
+            self.indent += 1;
+            for loc in &l.locals {
+                self.decl(self.unit.symbol(*loc));
+                self.flush();
+            }
+            self.indent -= 1;
+        }
         if has_markers {
             self.body(&l.preamble);
             self.line("loop");
@@ -261,102 +444,146 @@ impl Printer<'_> {
             self.line("endloop");
             self.body(&l.postamble);
         }
-        if l.class == LoopClass::Seq {
-            self.line("end do");
-        } else {
-            self.line(&format!("end {kw}"));
+        self.put("end ");
+        self.put(kw);
+        self.flush();
+    }
+
+    fn lvalue(&mut self, l: &LValue) {
+        match l {
+            LValue::Scalar(s) => self.name(*s),
+            LValue::Elem { arr, idx } => self.elem(*arr, idx),
+            LValue::Section { arr, idx } => self.section(*arr, idx),
         }
     }
-}
 
-/// Render one type-declaration statement (`real a(n, m)`), shared with
-/// the alternative emission backends in `cedar-restructure`.
-pub fn decl_text(u: &Unit, s: &Symbol) -> String {
-    let mut t = format!("{} {}", s.ty, s.name);
-    if s.is_array() {
-        let dims: Vec<String> = s
-            .dims
-            .iter()
-            .map(|d| {
-                let lo = d.lower.as_const_int();
-                let hi = d.upper.as_ref().map(|e| expr_text(u, e));
-                match (lo, hi) {
-                    (Some(1), Some(h)) => h,
-                    (_, Some(h)) => format!("{}:{h}", expr_text(u, &d.lower)),
-                    (Some(1), None) => "*".to_string(),
-                    (_, None) => format!("{}:*", expr_text(u, &d.lower)),
-                }
-            })
-            .collect();
-        let _ = write!(t, "({})", dims.join(", "));
+    fn elem(&mut self, arr: SymbolId, idx: &[Expr]) {
+        self.name(arr);
+        self.args(idx, |w, e| w.expr(e, 0));
     }
-    t
-}
 
-/// Render a DATA / PARAMETER value.
-pub fn value_text(v: &Value) -> String {
-    match v {
-        Value::I(i) => i.to_string(),
-        Value::R(r) => real_text(*r, false),
-        Value::B(true) => ".true.".into(),
-        Value::B(false) => ".false.".into(),
-    }
-}
-
-fn real_text(v: f64, double: bool) -> String {
-    let mut s = format!("{v:?}"); // Debug for f64 always keeps a decimal point
-    if double {
-        if let Some(epos) = s.find(['e', 'E']) {
-            s.replace_range(epos..=epos, "d");
-        } else {
-            s.push_str("d0");
-        }
-    }
-    s
-}
-
-/// Render an lvalue.
-pub fn lvalue_text(u: &Unit, l: &LValue) -> String {
-    match l {
-        LValue::Scalar(s) => u.symbol(*s).name.clone(),
-        LValue::Elem { arr, idx } => elem_text(u, *arr, idx),
-        LValue::Section { arr, idx } => section_text(u, *arr, idx),
-    }
-}
-
-fn elem_text(u: &Unit, arr: crate::SymbolId, idx: &[Expr]) -> String {
-    let subs: Vec<String> = idx.iter().map(|e| expr_text(u, e)).collect();
-    format!("{}({})", u.symbol(arr).name, subs.join(", "))
-}
-
-fn section_text(u: &Unit, arr: crate::SymbolId, idx: &[Index]) -> String {
-    let subs: Vec<String> = idx
-        .iter()
-        .map(|i| match i {
-            Index::At(e) => expr_text(u, e),
+    fn section(&mut self, arr: SymbolId, idx: &[Index]) {
+        self.name(arr);
+        self.args(idx, |w, i| match i {
+            Index::At(e) => w.expr(e, 0),
             Index::Range { lo, hi, step } => {
-                let mut s = String::new();
                 if let Some(e) = lo {
-                    s.push_str(&expr_text(u, e));
+                    w.expr(e, 0);
                 }
-                s.push(':');
+                w.put(":");
                 if let Some(e) = hi {
-                    s.push_str(&expr_text(u, e));
+                    w.expr(e, 0);
                 }
                 if let Some(e) = step {
-                    s.push(':');
-                    s.push_str(&expr_text(u, e));
+                    w.put(":");
+                    w.expr(e, 0);
                 }
-                s
             }
-        })
-        .collect();
-    format!("{}({})", u.symbol(arr).name, subs.join(", "))
+        });
+    }
+
+    /// An expression with minimal parenthesization: parenthesized when
+    /// it binds looser than `min`.
+    fn expr(&mut self, e: &Expr, min: u8) {
+        let paren = match e {
+            Expr::ConstI(v) => *v < 0,
+            Expr::ConstR { value, .. } => *value < 0.0,
+            Expr::Un(UnOp::Neg, _) => min > 6,
+            Expr::Un(UnOp::Not, _) => min > 4,
+            Expr::Bin(op, ..) => prec(*op) < min,
+            _ => false,
+        };
+        if paren {
+            self.put("(");
+        }
+        match e {
+            Expr::ConstI(v) => {
+                let _ = write!(self.stmt, "{v}");
+            }
+            Expr::ConstR { value, double } => write_real(&mut self.stmt, *value, *double),
+            Expr::ConstB(true) => self.put(".true."),
+            Expr::ConstB(false) => self.put(".false."),
+            Expr::Scalar(s) => self.name(*s),
+            Expr::Elem { arr, idx } => self.elem(*arr, idx),
+            Expr::Section { arr, idx } => self.section(*arr, idx),
+            Expr::Un(UnOp::Neg, inner) => {
+                self.put("-");
+                self.expr(inner, 8);
+            }
+            Expr::Un(UnOp::Not, inner) => {
+                self.put(".not. ");
+                self.expr(inner, 4);
+            }
+            Expr::Bin(op, l, r) => {
+                let p = prec(*op);
+                // Left-assoc: right side needs p+1 (except POW: right-assoc).
+                let (lp, rp) = if *op == BinOp::Pow { (p + 1, p) } else { (p, p + 1) };
+                self.expr(l, lp);
+                self.put(op_text(*op));
+                self.expr(r, rp);
+            }
+            Expr::Intr { f, args, par } => {
+                self.put(f.name());
+                // Runtime-library reductions exist in per-level scheduling
+                // variants (§3.3); the variant is part of the name so the
+                // emitted source round-trips: `$v` vector, `$c` one cluster,
+                // `$x` whole machine.
+                if f.is_reduction() && matches!(self.dialect, Dialect::Cedar) {
+                    self.put(match par {
+                        ParMode::Serial => "",
+                        ParMode::Vector => "$v",
+                        ParMode::ClusterParallel => "$c",
+                        ParMode::CedarParallel => "$x",
+                    });
+                }
+                self.args(args, |w, x| w.expr(x, 0));
+            }
+            Expr::Call { unit, args } => {
+                self.put(unit);
+                self.args(args, |w, x| w.expr(x, 0));
+            }
+        }
+        if paren {
+            self.put(")");
+        }
+    }
 }
 
 /// Render an expression with minimal parenthesization.
 pub fn expr_text(u: &Unit, e: &Expr) -> String {
-    expr_prec(u, e, 0)
+    let mut out = String::new();
+    let mut w = Writer::new(u, Dialect::Cedar, &mut out);
+    w.expr(e, 0);
+    w.stmt
+}
+
+/// Render a DATA / PARAMETER value.
+pub fn value_text(v: &Value) -> String {
+    let mut s = String::new();
+    write_value(&mut s, v);
+    s
+}
+
+fn write_value(buf: &mut String, v: &Value) {
+    match v {
+        Value::I(i) => {
+            let _ = write!(buf, "{i}");
+        }
+        Value::R(r) => write_real(buf, *r, false),
+        Value::B(true) => buf.push_str(".true."),
+        Value::B(false) => buf.push_str(".false."),
+    }
+}
+
+fn write_real(buf: &mut String, v: f64, double: bool) {
+    let start = buf.len();
+    let _ = write!(buf, "{v:?}"); // Debug for f64 always keeps a decimal point
+    if double {
+        match buf[start..].find(['e', 'E']) {
+            Some(e) => buf.replace_range(start + e..=start + e, "d"),
+            None => buf.push_str("d0"),
+        }
+    }
 }
 
 /// Operator precedence for printing (higher binds tighter).
@@ -389,84 +616,6 @@ fn op_text(op: BinOp) -> &'static str {
         BinOp::Or => " .or. ",
         BinOp::Eqv => " .eqv. ",
         BinOp::Neqv => " .neqv. ",
-    }
-}
-
-fn expr_prec(u: &Unit, e: &Expr, min: u8) -> String {
-    match e {
-        Expr::ConstI(v) => {
-            if *v < 0 {
-                format!("({v})")
-            } else {
-                v.to_string()
-            }
-        }
-        Expr::ConstR { value, double } => {
-            if *value < 0.0 {
-                format!("({})", real_text(*value, *double))
-            } else {
-                real_text(*value, *double)
-            }
-        }
-        Expr::ConstB(true) => ".true.".into(),
-        Expr::ConstB(false) => ".false.".into(),
-        Expr::Scalar(s) => u.symbol(*s).name.clone(),
-        Expr::Elem { arr, idx } => elem_text(u, *arr, idx),
-        Expr::Section { arr, idx } => section_text(u, *arr, idx),
-        Expr::Un(UnOp::Neg, inner) => {
-            let s = format!("-{}", expr_prec(u, inner, 8));
-            if min > 6 {
-                format!("({s})")
-            } else {
-                s
-            }
-        }
-        Expr::Un(UnOp::Not, inner) => {
-            let s = format!(".not. {}", expr_prec(u, inner, 4));
-            if min > 4 {
-                format!("({s})")
-            } else {
-                s
-            }
-        }
-        Expr::Bin(op, l, r) => {
-            let p = prec(*op);
-            // Left-assoc: right side needs p+1 (except POW: right-assoc).
-            let (lp, rp) = if *op == BinOp::Pow { (p + 1, p) } else { (p, p + 1) };
-            let s = format!(
-                "{}{}{}",
-                expr_prec(u, l, lp),
-                op_text(*op),
-                expr_prec(u, r, rp)
-            );
-            if p < min {
-                format!("({s})")
-            } else {
-                s
-            }
-        }
-        Expr::Intr { f, args, par } => {
-            let a: Vec<String> = args.iter().map(|x| expr_text(u, x)).collect();
-            // Runtime-library reductions exist in per-level scheduling
-            // variants (§3.3); the variant is part of the name so the
-            // emitted source round-trips: `$v` vector, `$c` one cluster,
-            // `$x` whole machine.
-            let suffix = if f.is_reduction() {
-                match par {
-                    crate::ParMode::Serial => "",
-                    crate::ParMode::Vector => "$v",
-                    crate::ParMode::ClusterParallel => "$c",
-                    crate::ParMode::CedarParallel => "$x",
-                }
-            } else {
-                ""
-            };
-            format!("{}{suffix}({})", f.name(), a.join(", "))
-        }
-        Expr::Call { unit, args } => {
-            let a: Vec<String> = args.iter().map(|x| expr_text(u, x)).collect();
-            format!("{unit}({})", a.join(", "))
-        }
     }
 }
 
@@ -575,6 +724,95 @@ mod tests {
         out.clear();
         push_card(&mut out, 0, &format!("y = {token}"));
         assert_eq!(out, format!("      y =\n     &  {token}\n"));
+    }
+
+    /// `push_card` output, one card per line, without the final newline.
+    fn cards(indent: usize, text: &str) -> String {
+        let mut out = String::new();
+        push_card(&mut out, indent, text);
+        assert!(out.ends_with('\n'));
+        out.trim_end_matches('\n').to_string()
+    }
+
+    #[test]
+    fn continuation_cards_sit_one_level_deeper_than_an_indented_statement() {
+        let terms: Vec<String> = (1..=9).map(|k| format!("a(i + {k}) * b(i + {k})")).collect();
+        assert_eq!(
+            cards(2, &format!("x = x + {}", terms.join(" + "))),
+            "          x = x + a(i + 1) * b(i + 1) + a(i + 2) * b(i + 2) + a(i + 3) *\n     \
+             &      b(i + 3) + a(i + 4) * b(i + 4) + a(i + 5) * b(i + 5) + a(i +\n     \
+             &      6) * b(i + 6) + a(i + 7) * b(i + 7) + a(i + 8) * b(i + 8) +\n     \
+             &      a(i + 9) * b(i + 9)"
+        );
+    }
+
+    #[test]
+    fn a_lead_past_column_72_puts_one_token_on_each_card() {
+        let (first, cont) = (" ".repeat(6 + 80), format!("     &{}", " ".repeat(82)));
+        assert_eq!(
+            cards(40, "x = y + z"),
+            format!("{first}x\n{cont}=\n{cont}y\n{cont}+\n{cont}z")
+        );
+        // Four columns left on the first card, two on the others.
+        let (first, cont) = (" ".repeat(6 + 62), format!("     &{}", " ".repeat(64)));
+        assert_eq!(cards(31, "x = y + zed"), format!("{first}x =\n{cont}y\n{cont}+\n{cont}zed"));
+    }
+
+    #[test]
+    fn a_long_private_list_continues_on_omp_sentinel_cards() {
+        let locals: Vec<String> = (1..=16).map(|k| format!("work{k}")).collect();
+        let src = format!(
+            "subroutine s(a, n, total)\nreal a(n), total\nxdoall i = 1, n\nreal {}\n\
+             a(i) = 1.0\nend xdoall\nend\n",
+            locals.join(", ")
+        );
+        let p = compile_free(&src).unwrap();
+        let u = &p.units[0];
+        let total = u.find_symbol("total").unwrap();
+        let reductions = [OmpReduction { directive: 0, op: "+", target: total }];
+        let mut out = String::new();
+        print_unit_as(u, Dialect::OpenMp { reductions: &reductions }, &mut out);
+        assert!(
+            out.contains(
+                "\n!$omp parallel do private(work1, work2, work3, work4, work5, work6,\n\
+                 !$omp&  work7, work8, work9, work10, work11, work12, work13, work14,\n\
+                 !$omp&  work15, work16) reduction(+:total)\n        do i = 1, n\n"
+            ),
+            "got:\n{out}"
+        );
+        assert!(out.contains("          a(i) = 1.0\n        end do\n      end\n"), "got:\n{out}");
+        assert!(!out.contains("xdoall") && !out.contains("real work1"), "got:\n{out}");
+    }
+
+    #[test]
+    fn signs_and_exponents_print_as_f77_constants() {
+        let p = compile_free(
+            "subroutine s(a, b, c, n)\ndouble precision a, b, c\ninteger n\n\
+             a = -(b + c) * (-2) - (-b) ** (-n) + 1.5d0 * 1d-7 - (-2.5d3)\n\
+             b = 1e-7 + 1.0e21 * (-0.5)\nc = .not. (a .lt. -b)\nend\n",
+        )
+        .unwrap();
+        assert_eq!(
+            print_program(&p),
+            "      subroutine s(a, b, c, n)\n      double precision a\n      \
+             double precision b\n      double precision c\n      integer n\n        \
+             a = -((b + c) * (-2)) - (-b) ** (-n) + 1.5d0 * 1d-7 -\n     \
+             &    (-2500.0d0)\n        b = 1e-7 + 1e21 * (-0.5)\n        \
+             c = .not. a .lt. -b\n      end\n\n"
+        );
+        let u = &p.units[0];
+        let real = |value, double| expr_text(u, &Expr::ConstR { value, double });
+        assert_eq!(expr_text(u, &Expr::ConstI(-3)), "(-3)");
+        assert_eq!(real(-1.5, true), "(-1.5d0)");
+        assert_eq!(real(1e-7, true), "1d-7");
+        assert_eq!(real(1e21, true), "1d21");
+        assert_eq!(real(1e21, false), "1e21");
+        assert_eq!(real(2.0, true), "2.0d0");
+        // DATA values carry their sign bare.
+        assert_eq!(value_text(&Value::I(-3)), "-3");
+        assert_eq!(value_text(&Value::R(-1.5)), "-1.5");
+        assert_eq!(value_text(&Value::R(1e-7)), "1e-7");
+        assert_eq!(value_text(&Value::B(false)), ".false.");
     }
 
     #[test]
