@@ -22,11 +22,12 @@
 //! | `GET /status`           | shard-state counts                           |
 
 use crate::triage;
-use crate::wal::{self, fnv1a, replay, Record, Wal};
+use crate::wal::{self, replay, Record, Wal};
 use cedar_experiments::jsonio::Json;
 use cedar_experiments::json_escape;
 use cedar_fuzz::shard::{merge_shards, MergedCampaign, ShardSummary, LEAD_DIGESTS};
 use cedar_fuzz::OracleConfig;
+use cedar_store::fnv1a;
 use std::collections::BTreeMap;
 use std::io::ErrorKind;
 use std::net::{TcpListener, TcpStream};

@@ -310,20 +310,10 @@ pub fn replay(path: &Path) -> Result<Vec<Record>, String> {
     Ok(records)
 }
 
-/// FNV-1a over a byte string — the checksum `completed` records carry
-/// for their shard files.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf29ce484222325u64;
-    for b in bytes {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cedar_store::fnv1a;
 
     fn all_kinds() -> Vec<Record> {
         vec![

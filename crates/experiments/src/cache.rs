@@ -1,44 +1,65 @@
-//! Process-wide compile and restructure caches.
+//! The process-wide memo the experiment sweeps share.
 //!
 //! Every experiment cell starts from the same place: lower a workload's
 //! Fortran source to IR, optionally restructure it under a
-//! [`PassConfig`], then simulate. The simulation differs per cell
-//! (machine, seed, fault profile), but the compile and restructure
-//! stages are pure functions of `(source, PassConfig)` — the robustness
-//! sweep re-restructures the same program once per seed, and the figure
-//! sweeps once per curve point. These caches share that work across a
-//! whole harness run.
+//! [`PassConfig`], then simulate. All three stages are pure functions
+//! of their inputs, and the paper's evaluation is a finite set that
+//! asks for the same ones again and again — the figure sweeps
+//! re-restructure one program per curve point, every variant re-runs
+//! the serial reference. One [`Memo`] type, instantiated three times,
+//! shares that work across a harness run (DESIGN.md §9 has the counted
+//! hit rates that justify each use).
 //!
-//! Results are held as `Arc<Program>` behind mutexed maps, so
-//! [`cedar_par::par_map`] workers can hit the caches concurrently; a
-//! miss computes outside the lock (two racing workers may both compute,
-//! the first insert wins, both results are identical by purity).
+//! The memo is unbounded, which is right for a finite sweep and wrong
+//! for a server: `cedar-serve` does not use it.
 //!
-//! Keys are content hashes — the workload *source text* for the compile
-//! cache, the *printed IR* plus the `PassConfig` debug form for the
-//! restructure cache — so two workloads that happen to share a name but
+//! Values are held as `Arc`s behind a mutexed map, so
+//! [`cedar_par::par_map`] workers can look up concurrently; a miss
+//! computes outside the lock (two racing workers may both compute, the
+//! first insert wins, both results are identical by purity).
+//!
+//! Keys are content hashes — the workload *source text* for
+//! [`compiled`], the *printed IR* plus the `PassConfig` debug form for
+//! [`restructured`] — so two workloads that happen to share a name but
 //! differ in scaled size never collide.
 
+use crate::pipeline::Outcome;
 use cedar_ir::Program;
-use cedar_restructure::{restructure, PassConfig, Report};
+use cedar_restructure::{restructure, PassConfig};
 use cedar_workloads::Workload;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, LazyLock, Mutex};
 
-type Map = Mutex<HashMap<u64, Arc<Program>>>;
+struct Memo<V>(LazyLock<Mutex<HashMap<u64, Arc<V>>>>);
 
-fn compile_cache() -> &'static Map {
-    static C: OnceLock<Map> = OnceLock::new();
-    C.get_or_init(Default::default)
+impl<V> Memo<V> {
+    const fn new() -> Memo<V> {
+        Memo(LazyLock::new(Default::default))
+    }
+
+    /// The value memoized under `parts`, computing it on a miss.
+    fn get_or(&self, parts: &[&str], compute: impl FnOnce() -> V) -> Arc<V> {
+        let key = key(parts);
+        if let Some(v) = self.0.lock().unwrap().get(&key) {
+            return Arc::clone(v);
+        }
+        let v = Arc::new(compute());
+        self.0.lock().unwrap().entry(key).or_insert(v).clone()
+    }
+
+    fn clear(&self) {
+        self.0.lock().unwrap().clear();
+    }
+
+    fn len(&self) -> usize {
+        self.0.lock().unwrap().len()
+    }
 }
 
-fn restructure_cache() -> &'static Map {
-    static C: OnceLock<Map> = OnceLock::new();
-    C.get_or_init(Default::default)
-}
-
-fn fnv(parts: &[&str]) -> u64 {
+/// Hash of the key parts in order; `str`'s `Hash` closes each part with
+/// a terminator, so `["ab", "c"]` and `["a", "bc"]` are different keys.
+fn key(parts: &[&str]) -> u64 {
     let mut h = std::collections::hash_map::DefaultHasher::new();
     for p in parts {
         p.hash(&mut h);
@@ -46,100 +67,35 @@ fn fnv(parts: &[&str]) -> u64 {
     h.finish()
 }
 
+static COMPILED: Memo<Program> = Memo::new();
+static RESTRUCTURED: Memo<Program> = Memo::new();
+static OUTCOME: Memo<Outcome> = Memo::new();
+
 /// Lower a workload's source, reusing a prior lowering of byte-identical
 /// source. Equivalent to `Arc::new(w.compile())`.
 pub fn compiled(w: &Workload) -> Arc<Program> {
     // Chaos gate ahead of the lookup: a cached program must not mask an
     // injected compile-phase fault (no-op without a supervisor).
     crate::supervise::gate("compile");
-    let key = fnv(&[&w.source]);
-    if let Some(p) = compile_cache().lock().unwrap().get(&key) {
-        return Arc::clone(p);
-    }
-    let p = Arc::new(w.compile());
-    compile_cache()
-        .lock()
-        .unwrap()
-        .entry(key)
-        .or_insert(p)
-        .clone()
+    COMPILED.get_or(&[&w.source], || w.compile())
 }
 
 /// Restructure `program` under `cfg`, reusing a prior restructure of an
 /// identical (printed IR, config) pair. Equivalent to
 /// `Arc::new(restructure(program, cfg).program)`.
 pub fn restructured(program: &Program, cfg: &PassConfig) -> Arc<Program> {
-    let printed = cedar_ir::print::print_program(program);
-    let key = fnv(&[&printed, &format!("{cfg:?}")]);
-    if let Some(p) = restructure_cache().lock().unwrap().get(&key) {
-        return Arc::clone(p);
-    }
-    let p = Arc::new(restructure(program, cfg).program);
-    restructure_cache()
-        .lock()
-        .unwrap()
-        .entry(key)
-        .or_insert(p)
-        .clone()
+    restructured_printed(program, &cedar_ir::print::print_program(program), cfg)
 }
 
-type FullMap = Mutex<HashMap<u64, Arc<(Program, Report)>>>;
-
-fn restructure_full_cache() -> &'static FullMap {
-    static C: OnceLock<FullMap> = OnceLock::new();
-    C.get_or_init(Default::default)
-}
-
-/// Like [`restructured`], but keeps the restructurer's [`Report`] next
-/// to the output program. The service path needs both — the report is
-/// part of every response body — and coalesced identical requests must
-/// not re-run the restructurer just to regenerate it. Same key scheme
-/// as [`restructured`] (printed IR + config debug form), separate map.
-pub fn restructured_full(program: &Program, cfg: &PassConfig) -> Arc<(Program, Report)> {
-    let printed = cedar_ir::print::print_program(program);
-    let key = fnv(&[&printed, &format!("{cfg:?}")]);
-    if let Some(p) = restructure_full_cache().lock().unwrap().get(&key) {
-        return Arc::clone(p);
-    }
-    let r = restructure(program, cfg);
-    let p = Arc::new((r.program, r.report));
-    restructure_full_cache()
-        .lock()
-        .unwrap()
-        .entry(key)
-        .or_insert(p)
-        .clone()
-}
-
-type BytecodeMap = Mutex<HashMap<u64, Arc<cedar_sim::CompiledProgram>>>;
-
-fn bytecode_cache() -> &'static BytecodeMap {
-    static C: OnceLock<BytecodeMap> = OnceLock::new();
-    C.get_or_init(Default::default)
-}
-
-/// Compile `program` to the simulator's immutable bytecode artifact,
-/// reusing a prior compilation of an identical printed IR. The artifact
-/// depends only on the program — never on a `MachineConfig` — so one
-/// entry serves every machine, seed, and fault profile that simulates
-/// the same program (the robustness sweep's per-seed runs, the service
-/// path's coalesced identical requests). Equivalent to
-/// `cedar_sim::compile(program)`.
-pub fn bytecode(program: &Program) -> Arc<cedar_sim::CompiledProgram> {
-    let printed = cedar_ir::print::print_program(program);
-    let key = fnv(&[&printed]);
-    if let Some(a) = bytecode_cache().lock().unwrap().get(&key) {
-        return Arc::clone(a);
-    }
-    let a = cedar_sim::compile(program);
-    bytecode_cache().lock().unwrap().entry(key).or_insert(a).clone()
-}
-
-type OutcomeMap = Mutex<HashMap<u64, Arc<crate::pipeline::Outcome>>>;
-
-fn outcome_cache() -> &'static OutcomeMap {
-    static C: OnceLock<OutcomeMap> = OnceLock::new();
-    C.get_or_init(Default::default)
+/// [`restructured`] for a caller that has already printed `program`.
+pub(crate) fn restructured_printed(
+    program: &Program,
+    printed: &str,
+    cfg: &PassConfig,
+) -> Arc<Program> {
+    RESTRUCTURED.get_or(&[printed, &format!("{cfg:?}")], || {
+        restructure(program, cfg).program
+    })
 }
 
 /// Memoize a deterministic simulation outcome keyed by the full cell
@@ -151,47 +107,37 @@ fn outcome_cache() -> &'static OutcomeMap {
 /// by the automatic and manual columns.
 ///
 /// [`run_program`]: crate::pipeline::run_program
-pub fn outcome(
-    key_parts: &[&str],
-    compute: impl FnOnce() -> crate::pipeline::Outcome,
-) -> Arc<crate::pipeline::Outcome> {
-    let key = fnv(key_parts);
-    if let Some(o) = outcome_cache().lock().unwrap().get(&key) {
-        return Arc::clone(o);
-    }
-    let o = Arc::new(compute());
-    outcome_cache().lock().unwrap().entry(key).or_insert(o).clone()
+pub fn outcome(key_parts: &[&str], compute: impl FnOnce() -> Outcome) -> Arc<Outcome> {
+    OUTCOME.get_or(key_parts, compute)
 }
 
-/// Drop every cached entry. Results are pure functions of their keys,
+/// Drop every memoized entry. Results are pure functions of their keys,
 /// so clearing is always safe — determinism tests clear between runs to
 /// force real recomputation instead of comparing a memo against itself.
 pub fn clear() {
-    compile_cache().lock().unwrap().clear();
-    restructure_cache().lock().unwrap().clear();
-    restructure_full_cache().lock().unwrap().clear();
-    bytecode_cache().lock().unwrap().clear();
-    outcome_cache().lock().unwrap().clear();
+    COMPILED.clear();
+    RESTRUCTURED.clear();
+    OUTCOME.clear();
 }
 
-/// Cache occupancy `(compiled, restructured, bytecode, outcomes)` —
-/// used by the bench harness to report how much work the caches
-/// absorbed.
+/// Memo occupancy `(compiled, restructured, 0, outcomes)`. The third
+/// count was the bytecode cache, which is retired: it always reads 0
+/// and is kept so the tuple's callers do not move.
 pub fn sizes() -> (usize, usize, usize, usize) {
-    (
-        compile_cache().lock().unwrap().len(),
-        restructure_cache().lock().unwrap().len(),
-        bytecode_cache().lock().unwrap().len(),
-        outcome_cache().lock().unwrap().len(),
-    )
+    (COMPILED.len(), RESTRUCTURED.len(), 0, OUTCOME.len())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// `clear` between another test's two lookups would break its
+    /// pointer comparison: the tests of this module take turns.
+    static TURN: Mutex<()> = Mutex::new(());
+
     #[test]
     fn compile_cache_returns_same_program() {
+        let _turn = TURN.lock().unwrap();
         let w = cedar_workloads::linalg::tridag(32);
         let a = compiled(&w);
         let b = compiled(&w);
@@ -199,32 +145,8 @@ mod tests {
     }
 
     #[test]
-    fn full_cache_keeps_the_report() {
-        let w = cedar_workloads::linalg::tridag(32);
-        let p = compiled(&w);
-        let auto = PassConfig::automatic_1991();
-        let a = restructured_full(&p, &auto);
-        let b = restructured_full(&p, &auto);
-        assert!(Arc::ptr_eq(&a, &b), "second lookup must hit the cache");
-        let direct = cedar_restructure::restructure(&p, &auto);
-        assert_eq!(
-            a.1.to_string(),
-            direct.report.to_string(),
-            "cached report must match a direct restructure"
-        );
-    }
-
-    #[test]
-    fn bytecode_cache_returns_same_artifact() {
-        let w = cedar_workloads::linalg::tridag(32);
-        let p = compiled(&w);
-        let a = bytecode(&p);
-        let b = bytecode(&p);
-        assert!(Arc::ptr_eq(&a, &b), "second lookup must hit the cache");
-    }
-
-    #[test]
     fn restructure_cache_discriminates_configs() {
+        let _turn = TURN.lock().unwrap();
         let w = cedar_workloads::linalg::tridag(32);
         let p = compiled(&w);
         let auto = PassConfig::automatic_1991();
@@ -234,5 +156,31 @@ mod tests {
         let serial_cfg = PassConfig::serial();
         let c = restructured(&p, &serial_cfg);
         assert!(!Arc::ptr_eq(&a, &c), "different configs must not collide");
+    }
+
+    #[test]
+    fn clear_empties_every_instance_and_key_parts_stay_apart() {
+        let _turn = TURN.lock().unwrap();
+        assert_ne!(key(&["ab", "c"]), key(&["a", "bc"]));
+        let blank = || Outcome { cycles: 0.0, stats: Default::default(), results: Vec::new() };
+
+        let w = cedar_workloads::linalg::tridag(32);
+        let auto = PassConfig::automatic_1991();
+        let p = compiled(&w);
+        let r = restructured(&p, &auto);
+        let o = outcome(&["cache-test", "ab", "c"], blank);
+        assert!(
+            !Arc::ptr_eq(&o, &outcome(&["cache-test", "a", "bc"], blank)),
+            "the same text split elsewhere is another key"
+        );
+        assert!(Arc::ptr_eq(&o, &outcome(&["cache-test", "ab", "c"], blank)));
+
+        // Other tests of this binary fill the memo as they run, so the
+        // counts of `sizes` are not this test's to assert: an entry is
+        // gone when its key computes a new value.
+        clear();
+        assert!(!Arc::ptr_eq(&p, &compiled(&w)));
+        assert!(!Arc::ptr_eq(&r, &restructured(&p, &auto)));
+        assert!(!Arc::ptr_eq(&o, &outcome(&["cache-test", "ab", "c"], blank)));
     }
 }

@@ -57,13 +57,12 @@ pub use robustness::json_escape;
 pub use supervise::Supervisor;
 
 /// Unified exit-code taxonomy for the experiment binaries (`all`,
-/// `robustness`, `races`, `bench`); see README "Exit codes".
+/// `robustness`, `races`); see README "Exit codes".
 pub mod exitcode {
     /// Everything ran and every check passed.
     pub const OK: i32 = 0;
     /// The experiments ran to completion but a *validation* check
-    /// failed: a serial fallback, a race-matrix miss, a perf
-    /// regression beyond tolerance.
+    /// failed: a serial fallback, a race-matrix miss.
     pub const VALIDATION: i32 = 1;
     /// A *harness* error: one or more cells were quarantined by the
     /// supervisor (panic, timeout, simulator fault at every ladder

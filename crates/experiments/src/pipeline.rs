@@ -18,9 +18,10 @@ pub struct Outcome {
 }
 
 /// Run an already-lowered program (optionally restructuring first).
-/// Restructure results are shared across calls via the process-wide
-/// [`crate::cache`], so sweeps that re-run the same `(program, cfg)`
-/// pair under different machines/seeds transform it once.
+/// Restructure results and whole outcomes are shared across calls via
+/// the process-wide [`crate::cache`], so sweeps that re-run the same
+/// `(program, cfg)` pair under different machines/seeds transform it
+/// once, and a repeated serial reference is simulated once.
 pub fn run_program(
     program: &Program,
     cfg: Option<&PassConfig>,
@@ -46,49 +47,52 @@ pub fn run_program(
     let cfg_key = format!("{cfg:?}");
     let mc_key = format!("{mc:?}");
     let watch_key = watch.join("\u{1f}");
-    let out = crate::cache::outcome(&[&printed, &cfg_key, &mc_key, &watch_key], || {
-        let transformed;
-        let to_run = match cfg {
-            Some(c) => {
-                transformed = crate::cache::restructured(program, c);
-                &*transformed
-            }
-            None => program,
-        };
-        // The VM engine runs off the shared bytecode cache: one compile
-        // per distinct program, however many cells simulate it.
-        let sim = match mc.engine {
-            cedar_sim::Engine::Vm => {
-                let artifact = crate::cache::bytecode(to_run);
-                cedar_sim::run_precompiled(to_run, mc.clone(), &artifact)
-            }
-            cedar_sim::Engine::Interp => cedar_sim::run(to_run, mc.clone()),
+    let out = crate::cache::outcome(&[&printed, &cfg_key, &mc_key, &watch_key], || match cfg {
+        Some(c) => {
+            let transformed = crate::cache::restructured_printed(program, &printed, c);
+            execute(&transformed, mc.clone(), watch)
         }
-        .unwrap_or_else(|e| {
-            // Hand the structured error to the supervisor (when one is
-            // active) before the harness panic, so the failure is
-            // classified as a sim-error/timeout rather than a panic.
-            crate::supervise::note_sim_error(&e);
-            panic!(
-                "simulation failed: {e}\n---\n{}",
-                cedar_ir::print::print_program(to_run)
-            )
-        });
-        let results = watch
-            .iter()
-            .filter_map(|w| sim.read_f64(w).map(|v| (w.to_string(), v)))
-            .collect();
-        // Timer regions (CALL TSTART/TSTOP) report routine time, as the
-        // paper does for Table 1; programs without timers report total
-        // time.
-        let cycles = if sim.stats.region_cycles > 0.0 {
-            sim.stats.region_cycles
-        } else {
-            sim.cycles()
-        };
-        Outcome { cycles, stats: sim.stats.clone(), results }
+        None => execute(program, mc.clone(), watch),
     });
     (*out).clone()
+}
+
+/// Simulate `program` as it stands, with no memo: what [`run_program`]
+/// does on a miss when handed no pass configuration — the same
+/// `simulate` chaos gate, the same rung adjustment of the machine, the
+/// same failure contract. For callers whose set of programs is not
+/// finite (the service), which must keep nothing per program.
+pub fn simulate(program: &Program, mc: &MachineConfig, watch: &[&str]) -> Outcome {
+    crate::supervise::gate("simulate");
+    execute(program, crate::supervise::adjust_machine(mc), watch)
+}
+
+/// One fault-free run on an already adjusted machine. A simulator error
+/// is a harness panic, after the supervisor has been told what it was.
+fn execute(program: &Program, mc: MachineConfig, watch: &[&str]) -> Outcome {
+    let sim = cedar_sim::run(program, mc).unwrap_or_else(|e| {
+        // Hand the structured error to the supervisor (when one is
+        // active) before the harness panic, so the failure is
+        // classified as a sim-error/timeout rather than a panic.
+        crate::supervise::note_sim_error(&e);
+        panic!(
+            "simulation failed: {e}\n---\n{}",
+            cedar_ir::print::print_program(program)
+        )
+    });
+    let results = watch
+        .iter()
+        .filter_map(|w| sim.read_f64(w).map(|v| (w.to_string(), v)))
+        .collect();
+    // Timer regions (CALL TSTART/TSTOP) report routine time, as the
+    // paper does for Table 1; programs without timers report total
+    // time.
+    let cycles = if sim.stats.region_cycles > 0.0 {
+        sim.stats.region_cycles
+    } else {
+        sim.cycles()
+    };
+    Outcome { cycles, stats: sim.stats.clone(), results }
 }
 
 /// Run one workload under a pass configuration, verifying semantic

@@ -33,6 +33,7 @@ use crate::chaos::{self, Injection};
 use cedar_par::{panic_message, CancelToken, Context};
 use cedar_restructure::PassConfig;
 use cedar_sim::{MachineConfig, SimError, SimErrorKind};
+use cedar_store::fnv1a;
 use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -547,16 +548,6 @@ fn minimize_source(src: &str) -> String {
         out.push('\n');
     }
     out
-}
-
-/// FNV-1a over a byte string (bundle digests).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// The digest a quarantined cell's bundle is keyed by: the *minimized

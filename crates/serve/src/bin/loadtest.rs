@@ -113,11 +113,15 @@ struct Tally {
 fn main() {
     let args = parse_args();
 
-    // Seeds repeat so the run exercises the content-keyed caches and
-    // in-flight coalescing, not just cold work: adjacent indices are
-    // duplicates (picked up near-simultaneously by different clients,
-    // so they overlap in flight), and the index space wraps so later
-    // requests replay earlier programs against warm caches.
+    // Seeds repeat so the run exercises in-flight coalescing, not just
+    // distinct work: adjacent indices are duplicates (picked up
+    // near-simultaneously by different clients, so they overlap in
+    // flight), and the index space wraps so later requests replay
+    // earlier programs. This server has no store and the service keeps
+    // no memo, so those later repeats are computed again: the run
+    // prices a repeat at its worst (what a memo would shave off this
+    // mix, p50 4.1 against 2.6 ms, is in EXPERIMENTS.md "One memo for
+    // the sweeps, none for the service").
     let unique = (args.requests * 2 / 5).max(1);
     let seed_of = |i: usize| ((i / 2) % unique) as u64;
     eprintln!(

@@ -21,7 +21,8 @@ use crate::breaker::Breaker;
 use crate::error::{self, kind};
 use crate::json::Json;
 use cedar_experiments::supervise::{self, CellError, Rung, Supervisor};
-use cedar_experiments::{cache, json_escape, run_program};
+use cedar_experiments::json_escape;
+use cedar_experiments::pipeline::simulate;
 use cedar_restructure::{BackendKind, EmitInput, PassConfig, Target};
 use cedar_sim::{MachineConfig, SimError};
 use cedar_verify::{restructure_validated, ValidationConfig, ValidationReport};
@@ -177,7 +178,8 @@ impl ServeRequest {
 
     /// Content key: two requests with equal keys are behaviorally
     /// identical end to end, so the server coalesces them in flight and
-    /// the process-wide caches absorb repeats.
+    /// keys the store on it. A later repeat is answered by the store
+    /// when one is configured and recomputed when not.
     pub fn key(&self) -> u64 {
         let mut h = std::collections::hash_map::DefaultHasher::new();
         self.source.hash(&mut h);
@@ -264,8 +266,9 @@ fn attempt_body(
     let program = compiled.map_err(|e| AttemptFail::Compile(e.to_string()))?;
     let watch: Vec<&str> = req.watch.iter().map(String::as_str).collect();
 
-    // Serial reference (memoized; gates "simulate" internally).
-    let serial = run_program(&program, None, mc, &watch);
+    // Serial reference (gates "simulate" internally). Nothing here is
+    // memoized: what outlives a request is the server's to hold.
+    let serial = simulate(&program, mc, &watch);
 
     if req.validate {
         supervise::gate("validate");
@@ -281,7 +284,7 @@ fn attempt_body(
             &vcfg,
         )
         .map_err(AttemptFail::Sim)?;
-        let out = run_program(&v.program, None, mc, &watch);
+        let out = simulate(&v.program, mc, &watch);
         let emitted = req.backend.backend().emit(&EmitInput {
             original: &program,
             restructured: &v.program,
@@ -297,16 +300,16 @@ fn attempt_body(
         })
     } else {
         supervise::gate("restructure");
-        let full = cache::restructured_full(&program, &supervise::adjust_pass(pass));
-        let out = run_program(&full.0, None, mc, &watch);
+        let r = cedar_restructure::restructure(&program, &supervise::adjust_pass(pass));
+        let out = simulate(&r.program, mc, &watch);
         let emitted = req.backend.backend().emit(&EmitInput {
             original: &program,
-            restructured: &full.0,
-            report: &full.1,
+            restructured: &r.program,
+            report: &r.report,
         });
         Ok(Output {
             restructured: emitted,
-            report: full.1.to_string(),
+            report: r.report.to_string(),
             serial_cycles: serial.cycles,
             parallel_cycles: out.cycles,
             stats: out.stats,
@@ -495,7 +498,7 @@ mod tests {
         assert!(!text.contains("doall") && !text.contains("!$omp"), "{text}");
 
         // Backend choice is part of the content key: the coalescer and
-        // caches must not serve one backend's emission for another.
+        // the store must not serve one backend's emission for another.
         assert_ne!(req.key(), serial.key());
         assert_ne!(req.key(), ServeRequest::new(CLEAN).key());
     }

@@ -22,8 +22,9 @@
 //!   rescue starts subsequent requests at the rung that saves it
 //!   ([`breaker`]);
 //! * **coalescing** — identical in-flight requests share one
-//!   computation ([`server`]), stacked on the content-keyed result
-//!   caches in `cedar-experiments`;
+//!   computation ([`server`]); a later repeat is answered by the store
+//!   when one is configured and recomputed when not — the service holds
+//!   no unbounded memo;
 //! * **graceful shutdown** — draining finishes admitted work, new
 //!   arrivals get 503 ([`server`]);
 //! * **structured errors** — the full `SimError` taxonomy and the

@@ -57,9 +57,10 @@ const MAGIC: &[u8; 8] = b"cedarst1";
 /// Trailer size: payload length (8) + FNV-1a checksum (8) + magic (8).
 const TRAILER: usize = 24;
 
-/// FNV-1a over raw bytes — the same digest family the rest of the
-/// workspace keys caches with, reimplemented here so the store stays
-/// dependency-free.
+/// FNV-1a over raw bytes: the entry checksum, and the workspace's one
+/// copy of the digest for the crates above the store — the campaign
+/// journal's shard checksums and the crash-bundle directory names are
+/// this function.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h = 0xcbf29ce484222325u64;
     for &b in bytes {

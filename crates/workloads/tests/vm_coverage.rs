@@ -13,7 +13,9 @@
 //! hand to the one shared implementation; there the count is of how
 //! each section was resolved to element indices: as an arithmetic
 //! progression (no index list) or through a list. A one-range section
-//! must never build a list under the default configuration.
+//! must never build a list under the default configuration. The same
+//! runs pin that neither the fast paths nor the engine moves a cycle
+//! of any of the 22 restructured programs.
 //!
 //! `cargo test -p cedar-workloads --test vm_coverage -- --nocapture`
 //! prints the tables (CI's vm-smoke job does).
@@ -132,15 +134,26 @@ fn restructured_programs_resolve_one_range_sections_without_an_index_list() {
             assert_eq!(c.single_range_lists, 0, "{} ({passes})", w.name);
             // Without the fast paths every one of them is a list again,
             // and nothing else changes category.
-            let slow = cedar_sim::run(&p, MachineConfig::cedar_config1().without_fast_paths())
-                .expect("candidate runs")
-                .section_counts();
+            let slow_sim = cedar_sim::run(&p, MachineConfig::cedar_config1().without_fast_paths())
+                .expect("candidate runs");
+            let slow = slow_sim.section_counts();
             assert_eq!(
                 (slow.progressions, slow.single_range_lists, slow.other_lists),
                 (0, c.progressions, c.other_lists),
                 "{} ({passes})",
                 w.name
             );
+            // Neither the fast paths nor the engine may move a cycle.
+            let interp = MachineConfig::cedar_config1().with_engine(Engine::Interp);
+            let walked = cedar_sim::run(&p, interp).expect("candidate runs");
+            for (what, other) in [("fast paths off", &slow_sim), ("tree-walker", &walked)] {
+                assert_eq!(
+                    other.cycles().to_bits(),
+                    sim.cycles().to_bits(),
+                    "{} ({passes}): {what}",
+                    w.name
+                );
+            }
             progressions += c.progressions;
             other += c.other_lists;
         }
