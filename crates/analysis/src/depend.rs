@@ -87,11 +87,6 @@ impl LoopDeps {
     pub fn has_carried_array_dep(&self) -> bool {
         !self.deps.is_empty() || !self.unanalyzable_written.is_empty()
     }
-
-    /// Carried dependences on a given array.
-    pub fn deps_on(&self, arr: SymbolId) -> impl Iterator<Item = &Dependence> + '_ {
-        self.deps.iter().filter(move |d| d.arr == arr)
-    }
 }
 
 const BIG: i128 = 1 << 40;
@@ -103,11 +98,11 @@ pub fn analyze_loop(
     summaries: Option<&ProgramSummaries>,
 ) -> LoopDeps {
     let refs = refs::collect(unit, l, summaries);
-    analyze_from_refs(unit, l, refs)
+    analyze_from_refs(l, refs)
 }
 
 /// As [`analyze_loop`] but with pre-collected references.
-pub fn analyze_from_refs(unit: &Unit, l: &Loop, refs: BodyRefs) -> LoopDeps {
+pub fn analyze_from_refs(l: &Loop, refs: BodyRefs) -> LoopDeps {
     // Arrays that are unanalyzable *and* written (directly or via call)
     // serialize the loop.
     let mut unanalyzable_written: BTreeSet<SymbolId> = BTreeSet::new();
@@ -121,7 +116,7 @@ pub fn analyze_from_refs(unit: &Unit, l: &Loop, refs: BodyRefs) -> LoopDeps {
         if written_direct
             || refs.has_opaque_calls
             || refs.call_written.contains(arr)
-            || written_via_section(unit, l, *arr)
+            || written_via_section(l, *arr)
         {
             unanalyzable_written.insert(*arr);
         }
@@ -177,7 +172,7 @@ pub fn analyze_from_refs(unit: &Unit, l: &Loop, refs: BodyRefs) -> LoopDeps {
                 continue; // already handled wholesale
             }
             // Test: `a` in iteration k1, `b` in iteration k2 = k1 + d, d>=1.
-            if let Some(distance) = test_pair(unit, a, b, &levels, &invariant) {
+            if let Some(distance) = test_pair(a, b, &levels, &invariant) {
                 deps.push(Dependence {
                     arr: a.arr,
                     kind: match (a.kind, b.kind) {
@@ -199,7 +194,7 @@ pub fn analyze_from_refs(unit: &Unit, l: &Loop, refs: BodyRefs) -> LoopDeps {
 /// Did a vector (section) write to `arr` appear in the body? The
 /// collector marks the array unanalyzable; this distinguishes "written"
 /// for the serialization decision.
-fn written_via_section(_unit: &Unit, l: &Loop, arr: SymbolId) -> bool {
+fn written_via_section(l: &Loop, arr: SymbolId) -> bool {
     let mut found = false;
     walk_stmts(&l.body, &mut |s: &Stmt| {
         if let Stmt::Assign { lhs, .. } | Stmt::WhereAssign { lhs, .. } = s {
@@ -215,7 +210,6 @@ fn written_via_section(_unit: &Unit, l: &Loop, arr: SymbolId) -> bool {
 /// `None` = provably independent; `Some(d)` = dependent with exact
 /// distance `d` when `d.is_some()`.
 fn test_pair(
-    _unit: &Unit,
     a: &ArrayAccess,
     b: &ArrayAccess,
     levels: &[(SymbolId, LoopLevel)],
@@ -252,13 +246,10 @@ fn test_pair(
 
     // Normalized affine of each subscript dim, in joint k-space.
     // Extraction failure is conservative: assume a dependence.
-    let Some(norm_a) =
-        normalize_access(a, levels, invariant, 0, false, inner_a.len(), nvars, 2)
-    else {
+    let Some(norm_a) = normalize_access(a, levels, invariant, false, nvars, 2) else {
         return Some(None);
     };
-    let Some(norm_b) =
-        normalize_access(b, levels, invariant, 0, true, inner_b.len(), nvars, 2 + inner_a.len())
+    let Some(norm_b) = normalize_access(b, levels, invariant, true, nvars, 2 + inner_a.len())
     else {
         return Some(None);
     };
@@ -379,14 +370,11 @@ fn gcd(a: i128, b: i128) -> i128 {
 ///   (positions 0 and 1) instead of `k1` alone.
 /// * `inner_pos0`: the joint position of the access's first inner
 ///   variable.
-#[allow(clippy::too_many_arguments)]
 fn normalize_access(
     acc: &ArrayAccess,
     levels: &[(SymbolId, LoopLevel)],
     invariant: &dyn Fn(SymbolId) -> bool,
-    _k_base: usize,
     use_d: bool,
-    n_inner: usize,
     nvars: usize,
     inner_pos0: usize,
 ) -> Option<Vec<Affine>> {
@@ -423,7 +411,6 @@ fn normalize_access(
             form.coeffs[1] += step;
         }
         var_forms.push(form);
-        debug_assert!(depth < 1 + n_inner);
     }
 
     // Now each subscript: affine over ivars, composed through var_forms.
@@ -576,21 +563,6 @@ pub fn interchange_legal(unit: &Unit, outer: &Loop, inner: &Loop) -> bool {
         }
     }
     true
-}
-
-/// Convenience used by tests and the restructurer: does any expression in
-/// the loop reference symbol `s`?
-pub fn loop_uses_symbol(l: &Loop, s: SymbolId) -> bool {
-    let mut used = false;
-    walk_stmts(&l.body, &mut |st: &Stmt| {
-        cedar_ir::visit::walk_stmt_exprs(st, false, &mut |e: &Expr| {
-            if matches!(e, Expr::Scalar(x) | Expr::Elem { arr: x, .. } | Expr::Section { arr: x, .. } if *x == s)
-            {
-                used = true;
-            }
-        });
-    });
-    used
 }
 
 #[cfg(test)]

@@ -82,11 +82,6 @@ impl NestInfo {
         );
         NestInfo { level, all_ivars, ivar_ranges, trip_expr }
     }
-
-    /// Position of `v` in [`NestInfo::all_ivars`], if it is one.
-    pub fn ivar_index(&self, v: SymbolId) -> Option<usize> {
-        self.all_ivars.iter().position(|x| *x == v)
-    }
 }
 
 /// Depth of the deepest loop nest within (and including) `l`.

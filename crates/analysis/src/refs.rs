@@ -277,10 +277,6 @@ impl BodyRefs {
     }
 }
 
-// `Unit` is accepted for future shape checks; silence the lint tidily.
-#[allow(dead_code)]
-fn _unused(_: &Unit) {}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -796,9 +796,4 @@ impl Coordinator {
             }
         }
     }
-
-    /// Per-worker stats (for tests and the triage report).
-    pub fn worker_stats(&self) -> &BTreeMap<String, WorkerStats> {
-        &self.workers
-    }
 }

@@ -10,21 +10,14 @@
 //!
 //! Exit codes (see README "Exit codes"): 0 = every cell completed,
 //! 2 = harness error (at least one cell quarantined; crash bundles are
-//! under `target/crash-bundles/`).
+//! under `target/crash-bundles/`) or a bad command line.
 
 use cedar_experiments::exitcode;
 use cedar_experiments::supervise::{self, Quarantine, Recovery, Supervisor};
 
 fn main() {
-    let mut json_path = String::from("target/artifacts.json");
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        if a == "--json" {
-            if let Some(p) = args.next() {
-                json_path = p;
-            }
-        }
-    }
+    let json_path =
+        cedar_experiments::sweep_args("usage: all [--json PATH]", "target/artifacts.json", |_| false);
 
     let sup = Supervisor::from_env();
     let t0 = std::time::Instant::now();

@@ -14,20 +14,14 @@
 //! Exit codes (see README "Exit codes"): 0 = clean; 1 = validation
 //! failure (false positive/negative or detector-induced cycle
 //! difference); 2 = harness error (at least one cell quarantined — the
-//! confusion matrix is incomplete, so this outranks code 1).
+//! confusion matrix is incomplete, so this outranks code 1) or a bad
+//! command line.
 
 use cedar_experiments::{exitcode, races, Supervisor};
 
 fn main() {
-    let mut json_path = String::from("target/races.json");
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        if a == "--json" {
-            if let Some(p) = args.next() {
-                json_path = p;
-            }
-        }
-    }
+    let json_path =
+        cedar_experiments::sweep_args("usage: races [--json PATH]", "target/races.json", |_| false);
 
     let sup = Supervisor::from_env();
     let (rows, recovered, quarantined) = races::run_supervised(&sup);

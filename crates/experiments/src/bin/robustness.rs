@@ -13,28 +13,18 @@
 //! Exit codes (see README "Exit codes"): 0 = clean; 1 = validation
 //! failure (a workload needed a serial fallback or degraded entirely);
 //! 2 = harness error (at least one cell quarantined — the validation
-//! verdict is incomplete, so this outranks code 1).
+//! verdict is incomplete, so this outranks code 1) or a bad command
+//! line.
 
 use cedar_experiments::{exitcode, robustness, Supervisor};
 
 fn main() {
     let mut n_seeds: u64 = 8;
-    let mut json_path = String::from("target/robustness.json");
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--json" => {
-                if let Some(p) = args.next() {
-                    json_path = p;
-                }
-            }
-            other => {
-                if let Ok(n) = other.parse() {
-                    n_seeds = n;
-                }
-            }
-        }
-    }
+    let json_path = cedar_experiments::sweep_args(
+        "usage: robustness [N_SEEDS] [--json PATH]",
+        "target/robustness.json",
+        |a| a.parse().map(|n| n_seeds = n).is_ok(),
+    );
 
     let sup = Supervisor::from_env();
     let (rows, recovered, quarantined) = robustness::run_supervised(n_seeds, &sup);

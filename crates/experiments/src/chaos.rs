@@ -26,7 +26,7 @@
 //! its own; it only fails a cell whose wall-clock budget is already
 //! tight).
 
-use std::hash::{Hash, Hasher};
+use cedar_par::sip_parts;
 
 /// One injected fault, decided by [`draw`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -49,14 +49,6 @@ const STICKY_MOD: u64 = 24;
 /// ladder recovery.
 const TRANSIENT_MOD: u64 = 16;
 
-fn fnv(parts: &[&str]) -> u64 {
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    for p in parts {
-        p.hash(&mut h);
-    }
-    h.finish()
-}
-
 /// Map a firing draw's hash to a fault kind. Divisions decorrelate the
 /// kind from the `% MOD == 0` firing decision.
 fn kind(h: u64) -> Injection {
@@ -72,11 +64,11 @@ fn kind(h: u64) -> Injection {
 /// phase proceeds untouched.
 pub(crate) fn draw(seed: u64, cell: &str, rung: &str, phase: &str) -> Option<Injection> {
     let seed_s = seed.to_string();
-    let sticky = fnv(&["sticky", &seed_s, cell, phase]);
+    let sticky = sip_parts(&["sticky", &seed_s, cell, phase]);
     if sticky.is_multiple_of(STICKY_MOD) {
         return Some(kind(sticky));
     }
-    let transient = fnv(&["transient", &seed_s, cell, rung, phase]);
+    let transient = sip_parts(&["transient", &seed_s, cell, rung, phase]);
     if transient.is_multiple_of(TRANSIENT_MOD) {
         return Some(kind(transient));
     }
@@ -108,23 +100,25 @@ pub fn probe(seed: u64, cell: &str, rung: &str, phase: &str) -> Option<&'static 
 /// that request deterministically quarantines.
 pub fn probe_sticky(seed: u64, cell: &str, phase: &str) -> Option<&'static str> {
     let seed_s = seed.to_string();
-    let sticky = fnv(&["sticky", &seed_s, cell, phase]);
+    let sticky = sip_parts(&["sticky", &seed_s, cell, phase]);
     sticky.is_multiple_of(STICKY_MOD).then(|| tag(kind(sticky)))
 }
 
 /// Seeded **filesystem** fault lane for [`cedar_store`] durable writes
 /// (DESIGN.md §15.4).
 ///
-/// This lane rides its own environment variable, `CEDAR_CHAOS_FS`,
-/// rather than `CEDAR_CHAOS`: the predicted-behavior chaos tests
-/// enumerate exactly which cells fault under a `CEDAR_CHAOS` seed, and
-/// adding draws to that keyspace would silently shift their
-/// predictions. Like the engine lane, draws here are pure functions —
-/// of `(seed, stage, entry name)` — so a faulting run is exactly
-/// reproducible and tests can *predict* which store writes fail and
-/// how, instead of asserting statistically.
+/// No environment variable or binary switches this lane on: tests
+/// drive it by handing [`fs::hook`]`(seed)` to a store
+/// (`tests/prop_store.rs`). It is kept out of the `CEDAR_CHAOS` lane
+/// because the predicted-behavior chaos tests enumerate exactly which
+/// cells fault under a `CEDAR_CHAOS` seed, and adding draws to that
+/// keyspace would silently shift their predictions. Like the engine
+/// lane, draws here are pure functions — of `(seed, stage, entry
+/// name)` — so a faulting run is exactly reproducible and tests can
+/// *predict* which store writes fail and how, instead of asserting
+/// statistically.
 pub mod fs {
-    use super::fnv;
+    use cedar_par::sip_parts;
     use cedar_store::{FaultHook, FsFault, FsStage};
     use std::sync::Arc;
 
@@ -149,21 +143,13 @@ pub mod fs {
     /// injected under `seed`. Pure; `None` means the syscall proceeds.
     pub fn draw(seed: u64, stage: FsStage, name: &str) -> Option<FsFault> {
         let seed_s = seed.to_string();
-        let h = fnv(&["fs", &seed_s, stage.tag(), name]);
+        let h = sip_parts(&["fs", &seed_s, stage.tag(), name]);
         h.is_multiple_of(FS_MOD).then(|| shape(h))
     }
 
     /// Package [`draw`] under a fixed seed as a store fault hook.
     pub fn hook(seed: u64) -> FaultHook {
         Arc::new(move |stage, name| draw(seed, stage, name))
-    }
-
-    /// The fault hook `CEDAR_CHAOS_FS` asks for, if set. Accepts the
-    /// same seed syntax as `CEDAR_CHAOS` (decimal, or any string
-    /// hashed to a seed).
-    pub fn hook_from_env() -> Option<FaultHook> {
-        let v = std::env::var("CEDAR_CHAOS_FS").ok()?;
-        super::parse_seed(&v).map(hook)
     }
 
     #[cfg(test)]
@@ -230,7 +216,7 @@ pub fn parse_seed(s: &str) -> Option<u64> {
     if s.is_empty() {
         return None;
     }
-    Some(s.parse().unwrap_or_else(|_| fnv(&["seed", s])))
+    Some(s.parse().unwrap_or_else(|_| sip_parts(&["seed", s])))
 }
 
 #[cfg(test)]
@@ -259,7 +245,7 @@ mod tests {
             let hits: Vec<_> =
                 rungs.iter().map(|r| draw(seed, "cell-x", r, "compile")).collect();
             let seed_s = seed.to_string();
-            if fnv(&["sticky", &seed_s, "cell-x", "compile"]).is_multiple_of(STICKY_MOD) {
+            if sip_parts(&["sticky", &seed_s, "cell-x", "compile"]).is_multiple_of(STICKY_MOD) {
                 assert!(hits.iter().all(|h| h == &hits[0]), "seed {seed}: {hits:?}");
                 assert!(hits[0].is_some());
                 found += 1;

@@ -84,6 +84,37 @@ pub mod exitcode {
     }
 }
 
+/// Command line of a sweep binary (`all`, `races`, `robustness`):
+/// returns the report path given after `--json`, or `default_json`.
+/// Any other argument is offered to `positional`, which says whether
+/// it took it. An argument nobody takes, or a `--json` with no value,
+/// prints `usage` on stderr and exits with [`exitcode::HARNESS`]: a
+/// mistyped flag in a CI gate must not pass vacuously.
+pub fn sweep_args(
+    usage: &str,
+    default_json: &str,
+    mut positional: impl FnMut(&str) -> bool,
+) -> String {
+    let mut json_path = default_json.to_string();
+    let mut args = std::env::args().skip(1);
+    while let Some(a) = args.next() {
+        let problem = match a.as_str() {
+            "--json" => match args.next() {
+                Some(p) => {
+                    json_path = p;
+                    continue;
+                }
+                None => "--json needs a value".to_string(),
+            },
+            other if positional(other) => continue,
+            other => format!("unknown argument `{other}`"),
+        };
+        eprintln!("{problem}\n{usage}");
+        std::process::exit(exitcode::HARNESS);
+    }
+    json_path
+}
+
 /// Render a simple aligned text table.
 pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
     let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();

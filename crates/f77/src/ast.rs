@@ -394,13 +394,6 @@ pub enum BinOp {
 }
 
 impl BinOp {
-    /// `.EQ.`/`.NE.`/`.LT.`/`.LE.`/`.GT.`/`.GE.`.
-    pub fn is_relational(self) -> bool {
-        matches!(
-            self,
-            BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge
-        )
-    }
     /// `.AND.`/`.OR.`/`.EQV.`/`.NEQV.`.
     pub fn is_logical(self) -> bool {
         matches!(self, BinOp::And | BinOp::Or | BinOp::Eqv | BinOp::Neqv)

@@ -5,7 +5,7 @@
 //! surface outlier seeds (a seed that takes 50× the median is a
 //! generator or simulator pathology worth a look even when its oracles
 //! pass), and the `cedar-serve` load-test harness records per-request
-//! service times for its `BENCH_serve.json` report. Percentiles are
+//! service times for its `target/BENCH_serve.json` report. Percentiles are
 //! nearest-rank over the recorded samples — simple, exact for the
 //! sample sizes involved, and free of interpolation ambiguity when two
 //! reports are diffed.

@@ -191,13 +191,6 @@ pub enum Index {
     },
 }
 
-impl Index {
-    /// Is this subscript a section range?
-    pub fn is_range(&self) -> bool {
-        matches!(self, Index::Range { .. })
-    }
-}
-
 /// A resolved expression.
 #[derive(Debug, Clone, PartialEq)]
 #[allow(missing_docs)] // payload fields are described by the variant docs

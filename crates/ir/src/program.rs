@@ -148,11 +148,6 @@ impl Program {
         self.units.iter().find(|u| u.name == name)
     }
 
-    /// Mutable lookup by (lower-case) name.
-    pub fn unit_mut(&mut self, name: &str) -> Option<&mut Unit> {
-        self.units.iter_mut().find(|u| u.name == name)
-    }
-
     /// The main program unit (the entry point for simulation).
     pub fn main(&self) -> Option<&Unit> {
         self.units.iter().find(|u| u.kind == UnitKind::Program)

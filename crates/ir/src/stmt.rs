@@ -155,14 +155,6 @@ impl Stmt {
             _ => None,
         }
     }
-
-    /// Mutable variant of [`Stmt::as_loop`].
-    pub fn as_loop_mut(&mut self) -> Option<&mut Loop> {
-        match self {
-            Stmt::Loop(l) => Some(l),
-            _ => None,
-        }
-    }
 }
 
 #[cfg(test)]

@@ -18,11 +18,6 @@ pub enum Ty {
 }
 
 impl Ty {
-    /// INTEGER/REAL/DOUBLE.
-    pub fn is_numeric(self) -> bool {
-        matches!(self, Ty::Int | Ty::Real | Ty::Double)
-    }
-
     /// Element size in bytes, used for working-set / capacity accounting
     /// in the simulator's paging model.
     pub fn size_bytes(self) -> u64 {

@@ -9,23 +9,15 @@
 //! tests predict recovery timing from the label alone — no RNG state,
 //! no host time).
 
-use std::hash::{Hash, Hasher};
+use crate::sip_parts;
 use std::time::Duration;
-
-fn fnv(parts: &[&str]) -> u64 {
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    for p in parts {
-        p.hash(&mut h);
-    }
-    h.finish()
-}
 
 /// Backoff before retry `k` (k ≥ 1) of the work named `label`:
 /// exponential in `base` (capped at `base · 2^4`) plus a deterministic
 /// 0–50 % jitter keyed on `(label, k)`.
 pub fn backoff(base: Duration, label: &str, k: usize) -> Duration {
     let exp = base.saturating_mul(1u32 << (k - 1).min(4));
-    let jitter_pct = fnv(&[label, &k.to_string()]) % 50;
+    let jitter_pct = sip_parts(&[label, &k.to_string()]) % 50;
     exp + exp.mul_f64(jitter_pct as f64 / 100.0)
 }
 

@@ -63,9 +63,11 @@
 
 mod backoff;
 mod cancel;
+mod hash;
 
 pub use backoff::backoff;
 pub use cancel::CancelToken;
+pub use hash::sip_parts;
 
 use std::any::Any;
 use std::cell::RefCell;

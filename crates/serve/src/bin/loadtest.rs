@@ -1,10 +1,12 @@
 //! `loadtest` — replay the `cedar-fuzz` generator against an
 //! in-process server at configurable concurrency, optionally under
 //! `CEDAR_CHAOS`, and write latency/throughput/robustness numbers to
-//! `BENCH_serve.json`.
+//! `target/BENCH_serve.json`.
 //!
-//! The run doubles as the acceptance harness for the service's
-//! robustness guarantees (gated here and in CI's serve-smoke job):
+//! The numbers are a report, not a gate: host time is judged by
+//! `benchmark/` (`serve_cold`, `serve_replay`). What the run gates is
+//! the service's robustness under load (here and in CI's serve-smoke
+//! job), which no other test drives with more clients than queue slots:
 //!
 //! * **nothing is lost** — every submitted request receives a
 //!   response; shed requests (429) are retried until admitted;
@@ -26,14 +28,13 @@ use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 const USAGE: &str = "usage: loadtest [--requests N] [--clients N] [--workers N] [--queue N]
-                [--chaos SEED] [--out PATH] [--check PATH]
+                [--chaos SEED] [--out PATH]
   --requests N   total requests to replay (default 500)
   --clients N    concurrent client threads (default 8)
   --workers N    server worker threads (default 2)
   --queue N      admission queue capacity (default 2)
   --chaos SEED   chaos seed (default: CEDAR_CHAOS from the environment)
-  --out PATH     where to write the benchmark JSON (default BENCH_serve.json)
-  --check PATH   fail (exit 1) if p99 regressed >25% +25ms vs this baseline";
+  --out PATH     where to write the report JSON (default target/BENCH_serve.json)";
 
 struct Args {
     requests: usize,
@@ -42,7 +43,6 @@ struct Args {
     queue: usize,
     chaos: Option<u64>,
     out: PathBuf,
-    check: Option<PathBuf>,
 }
 
 fn harness_fail(msg: &str) -> ! {
@@ -59,8 +59,7 @@ fn parse_args() -> Args {
         chaos: std::env::var("CEDAR_CHAOS")
             .ok()
             .and_then(|s| cedar_experiments::chaos::parse_seed(&s)),
-        out: PathBuf::from("BENCH_serve.json"),
-        check: None,
+        out: PathBuf::from("target/BENCH_serve.json"),
     };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -81,7 +80,6 @@ fn parse_args() -> Args {
                 );
             }
             "--out" => a.out = PathBuf::from(take("--out")),
-            "--check" => a.check = Some(PathBuf::from(take("--check"))),
             "--help" | "-h" => {
                 println!("{USAGE}");
                 std::process::exit(0);
@@ -265,6 +263,9 @@ fn main() {
         coalesced,
         tally.latency.slowest_json(5),
     );
+    if let Some(dir) = args.out.parent() {
+        let _ = std::fs::create_dir_all(dir);
+    }
     if let Err(e) = std::fs::write(&args.out, &bench) {
         harness_fail(&format!("writing {}: {e}", args.out.display()));
     }
@@ -298,22 +299,6 @@ fn main() {
     if args.chaos.is_some() && recovered == 0 {
         failures.push("chaos was on but no request recovered via ladder retries".to_string());
     }
-    if let Some(check) = &args.check {
-        match baseline_p99(check) {
-            Ok(old) => {
-                let new = tally.latency.percentile(99.0);
-                let limit = old * 1.25 + 25.0;
-                if new > limit {
-                    failures.push(format!(
-                        "p99 regression: {new:.1} ms > {limit:.1} ms (baseline {old:.1} ms +25% +25ms)"
-                    ));
-                } else {
-                    eprintln!("loadtest: p99 {new:.1} ms within {limit:.1} ms budget (baseline {old:.1} ms)");
-                }
-            }
-            Err(e) => harness_fail(&format!("baseline {}: {e}", check.display())),
-        }
-    }
 
     if !failures.is_empty() {
         eprintln!("loadtest: {} gate failure(s):", failures.len());
@@ -323,13 +308,4 @@ fn main() {
         std::process::exit(cedar_experiments::exitcode::VALIDATION);
     }
     eprintln!("loadtest: all gates passed; wrote {}", args.out.display());
-}
-
-fn baseline_p99(path: &PathBuf) -> Result<f64, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| e.to_string())?;
-    let v = Json::parse(&text).map_err(|e| format!("not JSON: {e}"))?;
-    v.get("latency_ms")
-        .and_then(|l| l.get("p99"))
-        .and_then(Json::as_f64)
-        .ok_or_else(|| "missing latency_ms.p99".to_string())
 }

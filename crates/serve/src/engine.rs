@@ -11,7 +11,7 @@
 //! client gets a structured error referencing the bundle instead of a
 //! stack trace.
 //!
-//! Determinism note: the request **label** (`serve/<fnv of the request
+//! Determinism note: the request **label** (`serve/<hex of the request
 //! key>`) keys the chaos draws, so a given `(CEDAR_CHAOS, request)`
 //! pair always injects the same faults — the chaos integration tests
 //! and the load-test gates rely on predicting recovery vs quarantine
@@ -512,6 +512,17 @@ mod tests {
         b.config = "manual".into();
         assert_ne!(a.key(), b.key());
         assert!(a.label().starts_with("serve/"));
+    }
+
+    /// The key names the entries of the *persistent* store, and std
+    /// leaves `DefaultHasher`'s algorithm unspecified: a toolchain that
+    /// changed it would turn every warm restart into all-misses with no
+    /// other test failing.
+    #[test]
+    fn request_key_is_pinned() {
+        let mut req = ServeRequest::new("program p\nend\n");
+        req.watch = vec!["a1".into()];
+        assert_eq!(req.key(), 0xb256_cfe7_93e1_aa79);
     }
 
     #[test]

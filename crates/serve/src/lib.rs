@@ -34,7 +34,7 @@
 //! Binaries: `serve` runs the server; `loadtest` replays the
 //! `cedar-fuzz` generator against an in-process server under
 //! `CEDAR_CHAOS` and writes latency/throughput/shed/recovery numbers
-//! to `BENCH_serve.json`.
+//! to `target/BENCH_serve.json`.
 
 #![warn(missing_docs)]
 

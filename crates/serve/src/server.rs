@@ -540,10 +540,11 @@ mod tests {
     #[test]
     fn concurrent_identical_requests_coalesce() {
         let mut cfg = test_config("coalesce");
-        // Hundreds of perturbed validation runs keep the leader in
-        // flight for tens of milliseconds — long enough that the
-        // followers, sent a few ms later, reliably find it computing.
-        cfg.engine.validate_seeds = (1..=400).collect();
+        // 20 000 perturbed validation runs (about 5 µs each) keep the
+        // leader in flight for a hundred milliseconds — long enough
+        // that the followers, sent a few ms later, find it computing
+        // even when the rest of the suite keeps every processor busy.
+        cfg.engine.validate_seeds = (1..=20_000).collect();
         let server = Server::start(cfg).unwrap();
         let addr = server.addr();
         let req = ServeRequest::new(

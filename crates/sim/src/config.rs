@@ -20,18 +20,6 @@ pub enum Engine {
     Vm,
 }
 
-impl Engine {
-    /// Engine requested via the `CEDAR_ENGINE` environment variable
-    /// (`vm` or `interp`); `None` when unset or unrecognized.
-    pub fn from_env() -> Option<Engine> {
-        match std::env::var("CEDAR_ENGINE").ok()?.as_str() {
-            "vm" => Some(Engine::Vm),
-            "interp" | "interpreter" | "tree" => Some(Engine::Interp),
-            _ => None,
-        }
-    }
-}
-
 /// All cost-model parameters of a simulated machine. The named
 /// constructors encode the two Cedar configurations the paper used plus
 /// the Alliant FX/80 baseline (one Cedar-like cluster).
@@ -153,9 +141,9 @@ pub struct MachineConfig {
     /// with or without a token: the deadline can only *abort*, never
     /// change what the program computes.
     pub cancel: Option<CancelToken>,
-    /// Execution engine ([`Engine::Vm`] by default; `CEDAR_ENGINE=interp`
-    /// selects the tree-walking differential oracle). Bit-identical
-    /// either way — see DESIGN.md §14.
+    /// Execution engine ([`Engine::Vm`] by default;
+    /// [`MachineConfig::with_engine`] selects the tree-walking
+    /// differential oracle). Bit-identical either way — see DESIGN.md §14.
     pub engine: Engine,
 }
 
@@ -207,7 +195,7 @@ impl MachineConfig {
             detect_races: false,
             fast_paths: true,
             cancel: None,
-            engine: Engine::from_env().unwrap_or(Engine::Vm),
+            engine: Engine::Vm,
         }
     }
 
@@ -319,8 +307,8 @@ impl MachineConfig {
         self.with_cancel(CancelToken::with_budget(budget))
     }
 
-    /// Select the execution engine (overrides the `CEDAR_ENGINE`
-    /// default). The differential tests run every program under both.
+    /// Select the execution engine. The differential tests run every
+    /// program under both.
     pub fn with_engine(mut self, engine: Engine) -> MachineConfig {
         self.engine = engine;
         self
@@ -365,11 +353,7 @@ mod tests {
 
     #[test]
     fn engine_selection_defaults_to_vm_and_overrides() {
-        // CI never sets CEDAR_ENGINE for unit tests; guard anyway so a
-        // locally exported override does not turn this into a flake.
-        if std::env::var("CEDAR_ENGINE").is_err() {
-            assert_eq!(MachineConfig::cedar_config1().engine, Engine::Vm);
-        }
+        assert_eq!(MachineConfig::cedar_config1().engine, Engine::Vm);
         let c = MachineConfig::cedar_config1().with_engine(Engine::Interp);
         assert_eq!(c.engine, Engine::Interp);
     }

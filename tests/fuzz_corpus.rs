@@ -1,6 +1,8 @@
 //! Tier-1 regression-corpus replay: every checked-in `tests/corpus/*.f`
 //! entry runs through the full oracle stack (differential, metamorphic,
-//! race/audit agreement) on every test run.
+//! race/audit agreement) on every test run, once with the bytecode VM
+//! as the primary engine and once with the tree-walker, so a
+//! regression in either engine trips a historical find.
 //!
 //! Entries are self-describing — a `! cedar-fuzz seed=... config=...`
 //! header plus `! watch <var> exact|approx` lines — so the checked-in
@@ -8,6 +10,7 @@
 //! silently rewrite what a historical find tested.
 
 use cedar_fuzz::{corpus, coverage::Coverage, run_oracles};
+use cedar_sim::Engine;
 use std::path::PathBuf;
 
 fn corpus_dir() -> PathBuf {
@@ -22,9 +25,14 @@ fn every_corpus_entry_passes_all_oracles() {
     assert!(entries.len() >= 8, "corpus shrank to {} entries", entries.len());
     let mut cov = Coverage::default();
     for e in &entries {
-        let stats = run_oracles(&e.rendered, &e.oracle_config())
-            .unwrap_or_else(|f| panic!("corpus entry {} (seed {}) failed: {f}", e.name, e.seed));
-        cov.absorb(&stats.report);
+        for engine in [Engine::Vm, Engine::Interp] {
+            let mut cfg = e.oracle_config();
+            cfg.mc = cfg.mc.with_engine(engine);
+            let stats = run_oracles(&e.rendered, &cfg).unwrap_or_else(|f| {
+                panic!("corpus entry {} (seed {}) failed on {engine:?}: {f}", e.name, e.seed)
+            });
+            cov.absorb(&stats.report);
+        }
     }
     // The corpus is curated to jointly exercise every required pass, so
     // replay doubles as a coverage regression test for the pinned seeds.
