@@ -55,8 +55,6 @@ pub struct MachineConfig {
     pub global_prefetch: f64,
     /// Is compiler-inserted prefetch enabled (§2.2.3)?
     pub prefetch: bool,
-    /// Elements per prefetch trigger (the paper's hardware fetches 32).
-    pub prefetch_block: usize,
 
     // ---- computation costs ----
     /// One scalar ALU/FPU operation.
@@ -169,7 +167,6 @@ impl MachineConfig {
             global_vector: 3.0,
             global_prefetch: 0.75,
             prefetch: true,
-            prefetch_block: 32,
             scalar_op: 1.0,
             vector_op: 0.5,
             vector_startup: 25.0,

@@ -1,87 +1,343 @@
-//! Static per-instruction cycle-cost table for the bytecode VM.
+//! The cost model: every simulated cycle is charged here.
 //!
-//! The tree-walking interpreter charges simulated cycles by reading
-//! [`MachineConfig`] fields at every expression node. The VM splits
-//! those charges in two:
+//! [`CostModel`] is built once per simulator from the [`MachineConfig`]
+//! and is the only reader of its cost fields: the executor keeps the
+//! machine's topology and run limits and no cost field, so tree-walker,
+//! VM dispatch loop and prepass all charge through these entry points
+//! by construction, not by convention.
 //!
-//! * **Static costs** — fixed per instruction class, independent of
-//!   where the accessed data lives. These are snapshotted into a flat
-//!   [`CostTable`] at [`Simulator::new`](crate::Simulator::new) so the
-//!   dispatch loop charges them with one indexed load instead of a
-//!   field walk through the config struct.
-//! * **Dynamic costs** — memory-placement, contention, paging, and
-//!   fault-jitter dependent charges. These stay on the interpreter's
-//!   `mem_cost` / `bind_access_cost` model (shared by both engines) so
-//!   the two engines cannot drift.
+//! * [`CostModel::charge`] — a **fixed** charge. Its [`CostClass`]
+//!   selects the table entry *and* the [`ExecStats`] counter, bumped in
+//!   the same call, so a count and its cost cannot drift.
+//! * [`CostModel::access`], [`CostModel::vector_node`],
+//!   [`CostModel::reduction`] — the **computed** charges: memory by
+//!   placement × [`Access`] × contention × paging × fault jitter,
+//!   vector-expression nodes by lane count, reductions by [`ParMode`].
+//! * [`CostModel::loop_shape`] — participants, start-up and dispatch
+//!   of a loop class, for the scheduler and parallel reductions alike.
 //!
-//! ## Bit-identity
+//! DESIGN.md §14.1 tabulates every class (trigger, formula, fields and
+//! constants read, counter bumped) and lists the clock moves that are
+//! not charges (stalls, joins, fault skew), which stay where they are
+//! scheduled.
 //!
-//! Every table entry is either a *verbatim copy* of a config field or a
-//! product the interpreter also computes identically on every charge
-//! (`f64` multiplication is deterministic: `scalar_op * 2.0` yields the
-//! same bits whether computed once at table build or once per loop
-//! iteration). No entry ever sums charges the interpreter adds
-//! separately — float addition does not associate, and simulated time
-//! is an `f64` accumulator (see `sim::prepass` for the same rule).
+//! **Bit-identity.** Simulated time is an `f64` accumulator and float
+//! addition does not associate, so an entry point makes exactly the
+//! additions the statement it models always made, one at a time and in
+//! that order. A table entry is a *verbatim copy* of a config field, or
+//! a product that would otherwise be computed identically on every
+//! charge (`scalar_op * 2.0` has the same bits computed once or per
+//! iteration); nothing folds two charges into one addition, and there
+//! is one `mem_jitter` draw per memory level charged, in order.
+//! `tests/cycle_bits.rs` pins the result.
 
 use crate::config::MachineConfig;
+use crate::fault::FaultState;
+use crate::stats::ExecStats;
+use crate::store::Store;
+use cedar_ir::{LoopClass, ParMode, Placement};
 
-/// Instruction cost classes charged by the VM dispatch loop.
+/// What `ctskstart` / `mtskstart` cost the *starter*: the dispatch
+/// handshake (the thread begins `ctsk_start` / `mtsk_start` later).
+const CTSK_HANDSHAKE: f64 = 200.0;
+const MTSK_HANDSHAKE: f64 = 40.0;
+/// Operand streams sharing one vector start-up: a loaded section pays
+/// `vector_startup / 4`, the store stream all of it.
+const STARTUP_OPERANDS: f64 = 4.0;
+/// A vector access to cluster memory, as a share of a scalar one.
+const CLUSTER_VECTOR_DISCOUNT: f64 = 0.5;
+/// Vector ops per lane of an elementwise vector intrinsic.
+const VECTOR_INTRINSIC_OPS: f64 = 2.0;
+/// Scalar ops of a scalar intrinsic call; of a sequential loop step
+/// (increment + test).
+const INTRINSIC_OPS: u64 = 2;
+const LOOP_STEP_OPS: u64 = 2;
+/// Flops per element of `DOTPRODUCT` (every other reduction: 1).
+const DOT_FLOPS: f64 = 2.0;
+/// Share of a `Partitioned` access served by the owning cluster's
+/// memory (§4.2.3: "50% of its data references localized").
+const PARTITIONED_LOCAL_SHARE: f64 = 0.5;
+
+/// The fixed charges, one table entry each: [`CostModel::build`] says
+/// what each costs, [`CostModel::charge`] what it counts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(usize)]
-pub enum CostClass {
-    /// One scalar ALU/FPU operation (every arithmetic, comparison and
-    /// logical op, subscript address arithmetic):
-    /// [`MachineConfig::scalar_op`].
-    ScalarOp = 0,
-    /// Register/cache-resident scalar access (scalar loads and
-    /// stores): [`MachineConfig::cache_hit`].
-    CacheHit = 1,
-    /// Conditional-branch test of an `IF` statement (the interpreter
-    /// charges one scalar op after evaluating the condition):
-    /// [`MachineConfig::scalar_op`].
-    Branch = 2,
-    /// One buffered I/O statement: [`MachineConfig::io_cost`].
-    Io = 3,
-    /// Loop-iteration bookkeeping (induction increment + bounds test,
-    /// two scalar ops): `scalar_op * 2.0`.
-    LoopStep = 4,
+pub(crate) enum CostClass {
+    ScalarOp,
+    Intrinsic,
+    CacheHit,
+    Branch,
+    Io,
+    LoopStep,
+    VectorStartup,
+    OperandStartup,
+    Call,
+    Await,
+    Advance,
+    Lock,
+    CdoStart,
+    SdoStart,
+    XdoStart,
+    CdoDispatch,
+    LibDispatch,
+    Barrier,
+    CtskStart,
+    MtskStart,
+    CtskHandshake,
+    MtskHandshake,
 }
 
-const N_CLASSES: usize = 5;
+const N_CLASSES: usize = CostClass::MtskHandshake as usize + 1;
 
-/// Flat cycle-cost table indexed by [`CostClass`]; built once per
-/// simulator from the machine config.
-#[derive(Debug, Clone)]
-pub struct CostTable {
-    t: [f64; N_CLASSES],
+/// How a memory access reaches storage: one element through the scalar
+/// unit, or a vector stream — which the prefetch unit runs ahead of
+/// only when it is a read that no index vector steers.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Access {
+    ScalarRead,
+    ScalarWrite,
+    VectorRead,
+    Gather,
+    VectorWrite,
 }
 
-impl CostTable {
-    /// Snapshot the static charges of `config`.
-    pub fn build(config: &MachineConfig) -> CostTable {
-        let mut t = [0.0; N_CLASSES];
-        t[CostClass::ScalarOp as usize] = config.scalar_op;
-        t[CostClass::CacheHit as usize] = config.cache_hit;
-        t[CostClass::Branch as usize] = config.scalar_op;
-        t[CostClass::Io as usize] = config.io_cost;
-        t[CostClass::LoopStep as usize] = config.scalar_op * 2.0;
-        CostTable { t }
+/// Where a memory charge is made from and what of the run it touches:
+/// the pools behind paging, the counters, the fault stream.
+pub(crate) struct Site<'a> {
+    pub cluster: usize,
+    /// CEs running concurrently (global-memory contention).
+    pub active: usize,
+    pub store: &'a Store,
+    pub stats: &'a mut ExecStats,
+    pub faults: Option<&'a mut FaultState>,
+}
+
+/// The machine's cost model (see the module docs).
+pub(crate) struct CostModel {
+    /// Cycles per [`CostClass`].
+    fixed: [f64; N_CLASSES],
+    /// What the computed charges read.
+    cfg: MachineConfig,
+}
+
+impl CostModel {
+    /// Take over the cost fields of `cfg`.
+    pub(crate) fn build(cfg: MachineConfig) -> CostModel {
+        use CostClass::*;
+        let mut fixed = [0.0; N_CLASSES];
+        let mut set = |class: CostClass, cycles: f64| fixed[class as usize] = cycles;
+        set(ScalarOp, cfg.scalar_op); // subscript address arithmetic too
+        set(Intrinsic, cfg.scalar_op * INTRINSIC_OPS as f64);
+        set(CacheHit, cfg.cache_hit); // scalar loads and stores
+        set(Branch, cfg.scalar_op); // the test of an IF
+        set(Io, cfg.io_cost);
+        set(LoopStep, cfg.scalar_op * LOOP_STEP_OPS as f64);
+        set(VectorStartup, cfg.vector_startup);
+        set(OperandStartup, cfg.vector_startup / STARTUP_OPERANDS);
+        set(Call, cfg.call_overhead);
+        set(Await, cfg.await_cost); // stall time excluded, as for Lock
+        set(Advance, cfg.advance_cost);
+        set(Lock, cfg.lock_cost);
+        set(CdoStart, cfg.cdo_start);
+        set(SdoStart, cfg.sdo_start);
+        set(XdoStart, cfg.xdo_start);
+        set(CdoDispatch, cfg.cdo_dispatch);
+        set(LibDispatch, cfg.lib_dispatch);
+        set(Barrier, cfg.barrier);
+        set(CtskStart, cfg.ctsk_start);
+        set(MtskStart, cfg.mtsk_start);
+        set(CtskHandshake, CTSK_HANDSHAKE);
+        set(MtskHandshake, MTSK_HANDSHAKE);
+        CostModel { fixed, cfg }
     }
 
-    /// Cycles charged for one instruction of class `c`.
+    /// The cycles of a `class` charge, uncharged (what scales a fault
+    /// perturbation of a start-up).
     #[inline(always)]
-    pub fn get(&self, c: CostClass) -> f64 {
-        self.t[c as usize]
+    pub(crate) fn fixed(&self, class: CostClass) -> f64 {
+        self.fixed[class as usize]
+    }
+
+    /// Charge one fixed cost to `clock` and count it.
+    #[inline(always)]
+    pub(crate) fn charge(&self, class: CostClass, stats: &mut ExecStats, clock: &mut f64) {
+        use CostClass::*;
+        match class {
+            ScalarOp => stats.scalar_ops += 1,
+            Intrinsic => stats.scalar_ops += INTRINSIC_OPS,
+            LoopStep => stats.scalar_ops += LOOP_STEP_OPS,
+            Io => stats.io_statements += 1,
+            Call => stats.calls += 1,
+            Await => stats.awaits += 1,
+            Advance => stats.advances += 1,
+            Lock => stats.lock_acquisitions += 1,
+            CdoStart | SdoStart | XdoStart => stats.parallel_loops += 1,
+            CtskStart | MtskStart => stats.tasks_started += 1,
+            CacheHit | Branch | VectorStartup | OperandStartup | CdoDispatch | LibDispatch
+            | Barrier | CtskHandshake | MtskHandshake => {}
+        }
+        *clock += self.fixed(class);
+    }
+
+    /// Participants of a parallel loop of `class` and the classes of
+    /// its start-up and per-iteration dispatch; `None` for `Seq`.
+    pub(crate) fn loop_shape(&self, class: LoopClass) -> Option<(usize, CostClass, CostClass)> {
+        use CostClass::*;
+        let cfg = &self.cfg;
+        Some(match class {
+            LoopClass::CDoall | LoopClass::CDoacross => (cfg.ces_per_cluster, CdoStart, CdoDispatch),
+            LoopClass::SDoall | LoopClass::SDoacross => (cfg.clusters, SdoStart, LibDispatch),
+            LoopClass::XDoall | LoopClass::XDoacross => (cfg.total_ces(), XdoStart, LibDispatch),
+            LoopClass::Seq => return None,
+        })
+    }
+
+    /// Count `n` element accesses to storage of `placement` and return
+    /// their cycles for the caller's clock (one addition; returned, not
+    /// added, so that the VM's clock can stay in a register).
+    #[inline]
+    pub(crate) fn access(&self, placement: Placement, n: u64, how: Access, at: &mut Site) -> f64 {
+        if placement == Placement::Partitioned {
+            return self.partitioned(n, how, at);
+        }
+        self.level(placement, n, how, at)
+    }
+
+    /// Partitioned placement models the paper's §4.2.3 measurement
+    /// directly: a share of each access streams from the owning
+    /// cluster's memory, the rest still crosses the global
+    /// interconnect.
+    #[inline(never)]
+    fn partitioned(&self, n: u64, how: Access, at: &mut Site) -> f64 {
+        let local = self.level(Placement::Cluster, n, how, at);
+        let remote = self.level(Placement::Global, n, how, at);
+        PARTITIONED_LOCAL_SHARE * (local + remote)
+    }
+
+    /// Cycles of `n` accesses at one memory level; specialized where it
+    /// is inlined (the scalar access path knows `n` and `how`).
+    #[inline(always)]
+    fn level(&self, placement: Placement, n: u64, how: Access, at: &mut Site) -> f64 {
+        let (cfg, store, stats) = (&self.cfg, at.store, &mut *at.stats);
+        let vector = !matches!(how, Access::ScalarRead | Access::ScalarWrite);
+        let (per_elem, thrash) = match placement {
+            Placement::Private => {
+                stats.private_accesses += n;
+                (cfg.cache_hit, 0.0)
+            }
+            Placement::Cluster | Placement::Default => {
+                stats.cluster_accesses += n;
+                let thrash = thrash_factor(store.cluster_pool[at.cluster], cfg.cluster_capacity);
+                if vector {
+                    (cfg.cluster_mem * CLUSTER_VECTOR_DISCOUNT, thrash)
+                } else {
+                    (cfg.cluster_mem, thrash)
+                }
+            }
+            Placement::Global | Placement::Partitioned => {
+                let thrash = thrash_factor(store.global_pool, cfg.global_capacity);
+                if vector {
+                    stats.global_vector_elems += n;
+                    let base = if cfg.prefetch && how == Access::VectorRead {
+                        stats.prefetched_elems += n;
+                        cfg.global_prefetch
+                    } else {
+                        cfg.global_vector
+                    };
+                    let contention = (at.active as f64 / cfg.global_streams).max(1.0);
+                    (base * contention, thrash)
+                } else {
+                    // Scalar global accesses are latency-bound; the
+                    // interleaved banks absorb their low request rate,
+                    // so no contention multiplier applies.
+                    stats.global_scalar_accesses += n;
+                    (cfg.global_scalar, thrash)
+                }
+            }
+        };
+        let mut cost = per_elem * n as f64;
+        if thrash > 0.0 {
+            // Paging surcharge.
+            stats.paged_accesses += thrash * n as f64;
+            cost += thrash * cfg.page_fault_cost * n as f64;
+        }
+        if let Some(f) = at.faults.as_deref_mut().filter(|f| f.cfg.mem_jitter > 0.0) {
+            // Legal perturbation: network/bank contention noise.
+            cost *= 1.0 + f.cfg.mem_jitter * f.rng.unit_f64();
+        }
+        cost
+    }
+
+    /// Charge one elementwise node of a vector expression over `lanes`
+    /// lanes: an operator or `iota`, or an intrinsic.
+    #[inline]
+    pub(crate) fn vector_node(
+        &self,
+        intrinsic: bool,
+        lanes: usize,
+        stats: &mut ExecStats,
+        clock: &mut f64,
+    ) {
+        stats.vector_elems += lanes as u64;
+        let cycles = self.cfg.vector_op * lanes as f64;
+        *clock += if intrinsic { cycles * VECTOR_INTRINSIC_OPS } else { cycles };
+    }
+
+    /// Charge the combining of a `lanes`-lane reduction by execution
+    /// mode. Evaluating the operands already charged one CE's vector
+    /// streams, `operand_cycles` in all; the parallel modes divide that
+    /// work across participants and add start-up and combining.
+    pub(crate) fn reduction(
+        &self,
+        par: ParMode,
+        dot: bool,
+        lanes: usize,
+        operand_cycles: f64,
+        stats: &mut ExecStats,
+        clock: &mut f64,
+    ) {
+        let cfg = &self.cfg;
+        let n = lanes as f64;
+        let flop_per_elem = if dot { DOT_FLOPS } else { 1.0 };
+        match par {
+            ParMode::Serial => {
+                // Undo the vector-memory discount: serial gathers cost
+                // scalar accesses and scalar flops.
+                *clock += n * (cfg.scalar_op * flop_per_elem);
+                *clock += operand_cycles; // scalar path ≈ 2× vector path
+                stats.scalar_ops += lanes as u64;
+            }
+            ParMode::Vector => {
+                *clock += cfg.vector_startup + n * cfg.vector_op * flop_per_elem;
+                stats.vector_elems += lanes as u64;
+            }
+            ParMode::ClusterParallel | ParMode::CedarParallel => {
+                let cluster = par == ParMode::ClusterParallel;
+                let class = if cluster { LoopClass::CDoall } else { LoopClass::XDoall };
+                let (participants, start, _) =
+                    self.loop_shape(class).expect("CDOALL and XDOALL are parallel classes");
+                let (p, startup) = (participants as f64, self.fixed(start));
+                // Memory streams parallelize too: refund the serial
+                // stream and charge the parallel one.
+                *clock -= operand_cycles;
+                *clock += operand_cycles / p * (p / cfg.global_streams).max(1.0);
+                *clock += startup
+                    + (n / p) * cfg.vector_op * flop_per_elem
+                    + (cfg.clusters as f64).log2().ceil().max(1.0) * cfg.barrier;
+                stats.vector_elems += lanes as u64;
+                stats.parallel_loops += 1;
+            }
+        }
     }
 }
 
-impl std::ops::Index<CostClass> for CostTable {
-    type Output = f64;
-
-    #[inline(always)]
-    fn index(&self, c: CostClass) -> &f64 {
-        &self.t[c as usize]
+/// Thrashing probability of a pool: 0 while the working set fits,
+/// then the probability an access misses physical memory,
+/// `1 − capacity/allocated`.
+fn thrash_factor(allocated: u64, capacity: u64) -> f64 {
+    if allocated <= capacity || allocated == 0 {
+        0.0
+    } else {
+        1.0 - capacity as f64 / allocated as f64
     }
 }
 
@@ -92,27 +348,104 @@ mod tests {
     #[test]
     fn table_entries_are_verbatim_config_bits() {
         let cfg = MachineConfig::cedar_config1();
-        let t = CostTable::build(&cfg);
-        assert_eq!(t[CostClass::ScalarOp].to_bits(), cfg.scalar_op.to_bits());
-        assert_eq!(t[CostClass::CacheHit].to_bits(), cfg.cache_hit.to_bits());
-        assert_eq!(t[CostClass::Branch].to_bits(), cfg.scalar_op.to_bits());
-        assert_eq!(t[CostClass::Io].to_bits(), cfg.io_cost.to_bits());
+        let t = CostModel::build(cfg.clone());
+        assert_eq!(t.fixed(CostClass::ScalarOp).to_bits(), cfg.scalar_op.to_bits());
+        assert_eq!(t.fixed(CostClass::CacheHit).to_bits(), cfg.cache_hit.to_bits());
+        assert_eq!(t.fixed(CostClass::Branch).to_bits(), cfg.scalar_op.to_bits());
+        assert_eq!(t.fixed(CostClass::Io).to_bits(), cfg.io_cost.to_bits());
         assert_eq!(
-            t[CostClass::LoopStep].to_bits(),
+            t.fixed(CostClass::LoopStep).to_bits(),
             (cfg.scalar_op * 2.0).to_bits(),
             "loop step must be the same product the interpreter computes"
         );
     }
 
     #[test]
-    fn table_tracks_nondefault_configs() {
-        let mut cfg = MachineConfig::fx80();
-        cfg.scalar_op = 1.75;
-        cfg.io_cost = 12.5;
-        let t = CostTable::build(&cfg);
-        assert_eq!(t.get(CostClass::ScalarOp), 1.75);
-        assert_eq!(t.get(CostClass::Branch), 1.75);
-        assert_eq!(t.get(CostClass::LoopStep), 3.5);
-        assert_eq!(t.get(CostClass::Io), 12.5);
+    fn thrash_factor_behaviour() {
+        assert_eq!(thrash_factor(100, 200), 0.0);
+        assert_eq!(thrash_factor(200, 200), 0.0);
+        assert!((thrash_factor(400, 200) - 0.5).abs() < 1e-12);
+        assert_eq!(thrash_factor(0, 0), 0.0);
+    }
+
+    /// One-screen programs that between them make every charge.
+    const PROBES: [&str; 12] = [
+        // scalar loop over cluster data; over global data
+        "program p\nreal a(64)\ndo i = 1, 64\na(i) = a(i) + 1.0\nend do\nend\n",
+        "program p\nreal g(64)\nglobal g\ndo i = 1, 64\ng(i) = g(i) + 1.0\nend do\nend\n",
+        // vector statement on global data; gather
+        "program p\nreal a(256), b(256)\nglobal a, b\nb(1:256) = 1.0\n\
+         a(1:256) = b(1:256) * 2.0\nend\n",
+        "program p\nreal a(8), b(8)\ninteger idx(8)\nglobal a\ndo i = 1, 8\nidx(i) = 9 - i\n\
+         end do\nb(1:8) = a(idx(1:8))\nend\n",
+        // CDOALL; SDOALL; XDOALL of global vector statements
+        "program p\nreal a(64)\ncdoall i = 1, 64\na(i) = 1.0\nend cdoall\nend\n",
+        "program p\nreal a(64)\nglobal a\nsdoall i = 1, 64\na(i) = 1.0\nend sdoall\nend\n",
+        "program p\nreal a(256), b(256)\nglobal a, b\nb(1:256) = 1.0\nxdoall i = 1, 32\n\
+         a(1:256) = b(1:256)\nend xdoall\nend\n",
+        // cascade; critical section
+        "program p\nreal a(17)\na(1) = 1.0\ncdoacross i = 2, 17\ncall await(1, 1)\n\
+         a(i) = a(i-1) + 1.0\ncall advance(1)\nend cdoacross\nend\n",
+        "program p\nreal t\nt = 0.0\ncdoall i = 1, 8\ncall lock(1)\nt = t + 1.0\n\
+         call unlock(1)\nend cdoall\nend\n",
+        // ctskstart, mtskstart, call; PRINT
+        "program p\nreal x\ncall ctskstart(f, x)\ncall tskwait\ncall mtskstart(f, x)\n\
+         call tskwait\ncall f(x)\nend\nsubroutine f(v)\nreal v\nv = 1.0\nend\n",
+        "program p\nx = 1.0\nprint *, x\nend\n",
+        // cluster and global pools both overflowing (scaled capacities)
+        "program p\nreal a(65536), g(262144)\nglobal g\na(1) = 1.0\ng(1) = a(1)\nend\n",
+    ];
+
+    /// The `f64` cost fields by name. Every field of the configuration
+    /// is named here: a new one does not compile until it is sorted
+    /// into the costs (and so scaled by the test below) or the rest.
+    fn cost_fields(cfg: &mut MachineConfig) -> Vec<(&'static str, &mut f64)> {
+        macro_rules! named {
+            ($($f:ident),*) => { vec![$((stringify!($f), $f)),*] };
+        }
+        let MachineConfig {
+            name: _, clusters: _, ces_per_cluster: _, cache_hit, cluster_mem, global_scalar,
+            global_vector, global_prefetch, prefetch: _, scalar_op, vector_op, vector_startup,
+            call_overhead, io_cost, cdo_start, cdo_dispatch, sdo_start, xdo_start, lib_dispatch,
+            barrier, ctsk_start, mtsk_start, await_cost, advance_cost, lock_cost, global_streams,
+            cluster_capacity: _, global_capacity: _, page_fault_cost, max_while_iters: _,
+            watchdog_ops: _, detect_races: _, fast_paths: _, cancel: _, engine: _,
+        } = cfg;
+        named!(
+            cache_hit, cluster_mem, global_scalar, global_vector, global_prefetch, scalar_op,
+            vector_op, vector_startup, call_overhead, io_cost, cdo_start, cdo_dispatch, sdo_start,
+            xdo_start, lib_dispatch, barrier, ctsk_start, mtsk_start, await_cost, advance_cost,
+            lock_cost, global_streams, page_fault_cost
+        )
+    }
+
+    /// A parameter that moves no cycle cannot be calibrated (and
+    /// `prefetch_block`, which nothing read, was once listed as one).
+    #[test]
+    fn every_cost_field_is_live() {
+        let programs: Vec<_> = PROBES.iter().map(|src| cedar_ir::compile_free(src).unwrap()).collect();
+        let cycles = |cfg: &MachineConfig| -> Vec<u64> {
+            let run = |p| crate::run(p, cfg.clone()).unwrap().cycles().to_bits();
+            programs.iter().map(run).collect()
+        };
+        let base = MachineConfig::cedar_config1_scaled();
+        let at_base = cycles(&base);
+        let mut variants = vec![
+            ("prefetch", base.clone().without_prefetch()),
+            ("cluster_capacity", base.clone()),
+            ("global_capacity", base.clone()),
+        ];
+        variants[1].1.cluster_capacity = base.cluster_capacity * 3 / 2;
+        variants[2].1.global_capacity = base.global_capacity * 3 / 2;
+        for k in 0..cost_fields(&mut base.clone()).len() {
+            let mut cfg = base.clone();
+            let (name, field) = cost_fields(&mut cfg).swap_remove(k);
+            *field *= 1.5;
+            variants.push((name, cfg));
+        }
+        assert_eq!(variants.len(), 26);
+        for (name, cfg) in &variants {
+            assert_ne!(cycles(cfg), at_base, "`{name}` moves no cycle of any probe");
+        }
     }
 }

@@ -5,14 +5,18 @@
 //! The simulator executes the shared IR (`cedar-ir`) directly — the same
 //! programs the restructurer produces — and reports **simulated cycles**
 //! from an explicit cost model of the Cedar architecture described in
-//! the paper's §1–§2:
+//! the paper's §1–§2. The model is one module, `cost`: the only reader
+//! of [`MachineConfig`]'s cost fields, through which the executor
+//! ([`exec`]: frames, scalar and vector evaluation, statements, sync,
+//! loop scheduling; and the bytecode VM) charges every cycle. It covers:
 //!
 //! * four clusters of eight computational elements (CEs), each CE with
 //!   scalar and vector units;
 //! * per-cluster memory and shared data cache; machine-wide global
 //!   memory behind a two-stage interconnect with bounded bandwidth;
-//! * a vector **prefetch** unit that streams 32-element blocks from
-//!   global memory into a CE-local buffer (§2.2.3);
+//! * a vector **prefetch** unit that streams contiguous vector reads
+//!   from global memory into a CE-local buffer (§2.2.3), as a
+//!   per-element rate;
 //! * hardware microtasking for `CDOALL`/`CDOACROSS` (cheap startup via
 //!   the concurrency control bus) vs. runtime-library helper-task
 //!   microtasking for `SDOALL`/`XDOALL` (expensive startup, §2.2.1/.2);
@@ -39,7 +43,7 @@
 
 pub mod compile;
 pub mod config;
-pub mod cost;
+pub(crate) mod cost;
 pub mod error;
 pub mod exec;
 pub mod fault;
@@ -53,7 +57,6 @@ pub mod value_ops;
 pub use cedar_par::CancelToken;
 pub use compile::CompiledProgram;
 pub use config::{Engine, MachineConfig};
-pub use cost::{CostClass, CostTable};
 pub use error::{OpError, SimError, SimErrorKind};
 pub use exec::{SectionCounts, Simulator};
 pub use fault::{FaultConfig, FaultRng};

@@ -9,10 +9,11 @@
 //!   on every call. Pure lookup: cannot affect simulated behavior.
 //! * **Constant-folded declared dims** — for every symbol whose declared
 //!   bounds fold to integer constants against `PARAMETER`s, the dims
-//!   *and the exact cost-charge sequence the interpreter's slow path
-//!   would have emitted while evaluating them*. Frame construction
+//!   *and the exact sequence of charges the interpreter's slow path
+//!   would have made while evaluating them*. Frame construction
 //!   (`new_frame`, `bind_locals`, `eval_dummy_dims`) then replays the
-//!   recorded charge sequence instead of walking the expression trees.
+//!   recorded sequence through [`CostModel::charge`](crate::cost::CostModel::charge)
+//!   instead of walking the expression trees.
 //!
 //! ## Why the replay is bit-identical
 //!
@@ -20,8 +21,8 @@
 //! associate: collapsing k unit charges into one `k × cost` add could
 //! drift by an ULP once the clock holds a non-dyadic value (e.g. after a
 //! contention-scaled memory cost). So the fold does **not** sum the
-//! charges — it records the *sequence* of `ctx.time +=` increments the
-//! tree walk performs, in evaluation order (lower bound then upper
+//! charges — it records the *sequence* of charges, by class, that the
+//! tree walk makes, in evaluation order (lower bound then upper
 //! bound per dim; post-order within an expression), and the fast path
 //! replays them one by one. Same adds, same order, same rounding —
 //! bit-identical cycles by construction, which the fast-path
@@ -37,7 +38,7 @@
 //! path's `PARAMETER` reads pass through the detector's shadow memory,
 //! and skipping them must not change detector state.
 
-use crate::config::MachineConfig;
+use crate::cost::CostClass;
 use cedar_ir::{BinOp, Expr, Program, SymKind, Unit, UnOp, Value};
 use std::collections::HashMap;
 
@@ -46,11 +47,8 @@ use std::collections::HashMap;
 pub(crate) struct ConstDims {
     /// `(lower, upper)` per declared dimension.
     pub dims: Vec<(i64, i64)>,
-    /// `ctx.time +=` increments in slow-path evaluation order.
-    pub charges: Vec<f64>,
-    /// Total `stats.scalar_ops` the slow path would add (order-free:
-    /// integer counter).
-    pub scalar_ops: u64,
+    /// The charges of the slow path, in its evaluation order.
+    pub charges: Vec<CostClass>,
 }
 
 /// Program-wide derived data, computed once per simulator.
@@ -60,13 +58,14 @@ pub(crate) struct Prepass {
     /// Per unit, per symbol: `Some` iff every declared bound folds to an
     /// integer constant. Indexed `[unit][symbol]`.
     pub sym_dims: Vec<Vec<Option<ConstDims>>>,
-    /// Master switch ([`MachineConfig::fast_paths`]); when false the
-    /// dim cache is ignored and only the pure callee index is used.
+    /// Master switch ([`MachineConfig::fast_paths`](crate::MachineConfig::fast_paths));
+    /// when false the dim cache is ignored and only the pure callee
+    /// index is used.
     pub enabled: bool,
 }
 
 impl Prepass {
-    pub fn build(program: &Program, config: &MachineConfig) -> Prepass {
+    pub fn build(program: &Program, enabled: bool) -> Prepass {
         let mut unit_index = HashMap::with_capacity(program.units.len());
         for (i, u) in program.units.iter().enumerate() {
             // First definition wins, matching `Iterator::position`.
@@ -78,11 +77,11 @@ impl Prepass {
             .map(|u| {
                 u.symbols
                     .iter()
-                    .map(|sym| fold_sym_dims(u, sym, config))
+                    .map(|sym| fold_sym_dims(u, sym))
                     .collect()
             })
             .collect();
-        Prepass { unit_index, sym_dims, enabled: config.fast_paths }
+        Prepass { unit_index, sym_dims, enabled }
     }
 
     /// Cached dims for `[unit][symbol]`, honoring the master switch.
@@ -97,32 +96,26 @@ impl Prepass {
 /// Fold the declared dims of one symbol. `None` when any bound needs
 /// runtime evaluation (adjustable arrays, assumed-size, real-typed
 /// parameters, foldable-but-error cases like division by zero).
-fn fold_sym_dims(
-    unit: &Unit,
-    sym: &cedar_ir::Symbol,
-    config: &MachineConfig,
-) -> Option<ConstDims> {
+fn fold_sym_dims(unit: &Unit, sym: &cedar_ir::Symbol) -> Option<ConstDims> {
     if sym.dims.is_empty() {
         // Scalars pay nothing in eval_dims; caching buys nothing.
         return None;
     }
-    let mut f = Folder { unit, config, charges: Vec::new(), scalar_ops: 0 };
+    let mut f = Folder { unit, charges: Vec::new() };
     let mut dims = Vec::with_capacity(sym.dims.len());
     for d in &sym.dims {
         let lo = f.fold(&d.lower)?;
         let hi = f.fold(d.upper.as_ref()?)?;
         dims.push((lo, hi));
     }
-    Some(ConstDims { dims, charges: f.charges, scalar_ops: f.scalar_ops })
+    Some(ConstDims { dims, charges: f.charges })
 }
 
 /// Symbolic mirror of `Simulator::eval_scalar` over the constant subset
 /// of the expression language, recording the charge stream.
 struct Folder<'a> {
     unit: &'a Unit,
-    config: &'a MachineConfig,
-    charges: Vec<f64>,
-    scalar_ops: u64,
+    charges: Vec<CostClass>,
 }
 
 impl Folder<'_> {
@@ -132,15 +125,14 @@ impl Folder<'_> {
             Expr::Scalar(s) => match &self.unit.symbol(*s).kind {
                 // Slow path: one cache-hit charge, then an integer load.
                 SymKind::Param(Value::I(v)) => {
-                    self.charges.push(self.config.cache_hit);
+                    self.charges.push(CostClass::CacheHit);
                     Some(*v)
                 }
                 _ => None,
             },
             Expr::Un(UnOp::Neg, inner) => {
                 let v = self.fold(inner)?;
-                self.charges.push(self.config.scalar_op);
-                self.scalar_ops += 1;
+                self.charges.push(CostClass::ScalarOp);
                 // `value_ops::un` computes `-a`; delegate the i64::MIN
                 // edge to the slow path so overflow behavior matches.
                 v.checked_neg()
@@ -148,8 +140,7 @@ impl Folder<'_> {
             Expr::Bin(op, l, r) => {
                 let a = self.fold(l)?;
                 let b = self.fold(r)?;
-                self.charges.push(self.config.scalar_op);
-                self.scalar_ops += 1;
+                self.charges.push(CostClass::ScalarOp);
                 // Mirror value_ops: wrapping + - *, truncating /.
                 Some(match op {
                     BinOp::Add => a.wrapping_add(b),
@@ -181,8 +172,7 @@ mod tests {
              \x20     a(1, 1) = 0.0\n\
              \x20     end\n",
         );
-        let cfg = MachineConfig::cedar_config1();
-        let pre = Prepass::build(&p, &cfg);
+        let pre = Prepass::build(&p, true);
         let ui = pre.unit_index["t"];
         let si = p.units[ui].find_symbol("a").unwrap().index();
         let cd = pre.dims(ui, si).expect("dims fold");
@@ -190,8 +180,7 @@ mod tests {
         // Lowering substitutes PARAMETER refs with constants, so dim 1
         // (`n` → 8) charges nothing; dim 2 keeps the `2*8` multiply and
         // charges one scalar op, exactly like the slow walk.
-        assert_eq!(cd.charges, vec![cfg.scalar_op]);
-        assert_eq!(cd.scalar_ops, 1);
+        assert_eq!(cd.charges, vec![CostClass::ScalarOp]);
     }
 
     #[test]
@@ -202,8 +191,7 @@ mod tests {
              \x20     a(1) = 0.0\n\
              \x20     end\n",
         );
-        let cfg = MachineConfig::cedar_config1();
-        let pre = Prepass::build(&p, &cfg);
+        let pre = Prepass::build(&p, true);
         let ui = pre.unit_index["s"];
         let si = p.units[ui].find_symbol("a").unwrap().index();
         assert!(pre.dims(ui, si).is_none(), "runtime bound must not fold");
@@ -217,9 +205,7 @@ mod tests {
              \x20     a(1) = 0.0\n\
              \x20     end\n",
         );
-        let mut cfg = MachineConfig::cedar_config1();
-        cfg.fast_paths = false;
-        let pre = Prepass::build(&p, &cfg);
+        let pre = Prepass::build(&p, false);
         let ui = pre.unit_index["t"];
         let si = p.units[ui].find_symbol("a").unwrap().index();
         assert!(pre.dims(ui, si).is_none());

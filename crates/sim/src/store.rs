@@ -335,17 +335,6 @@ impl Store {
     pub fn release_global(&mut self, bytes: u64) {
         self.global_pool = self.global_pool.saturating_sub(bytes);
     }
-
-    /// Thrashing probability of a pool: 0 while the working set fits,
-    /// then the probability an access misses physical memory,
-    /// `1 − capacity/allocated`.
-    pub fn thrash_factor(allocated: u64, capacity: u64) -> f64 {
-        if allocated <= capacity || allocated == 0 {
-            0.0
-        } else {
-            1.0 - capacity as f64 / allocated as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -422,14 +411,6 @@ mod tests {
         };
         assert_eq!(b.linearize(&[5], true), Some(4));
         assert_eq!(b.linearize(&[5], false), None);
-    }
-
-    #[test]
-    fn thrash_factor_behaviour() {
-        assert_eq!(Store::thrash_factor(100, 200), 0.0);
-        assert_eq!(Store::thrash_factor(200, 200), 0.0);
-        assert!((Store::thrash_factor(400, 200) - 0.5).abs() < 1e-12);
-        assert_eq!(Store::thrash_factor(0, 0), 0.0);
     }
 
     #[test]

@@ -2,9 +2,10 @@
 //! (DESIGN.md §14).
 //!
 //! This module is a child of [`exec`](super) so it can execute
-//! instructions through the interpreter's own private seams —
-//! `scalar_access_cost` / `mem_cost` (placement + paging + fault
-//! jitter), `note_read` / `note_write` (race-detector shadow memory),
+//! instructions through the interpreter's own private seams — the cost
+//! model's entry points (`costs.charge`, `access_cost`: placement +
+//! paging + fault jitter), `note_read` / `note_write` (race-detector
+//! shadow memory),
 //! `exec_sync` (cascades, locks, deadlock detection), `invoke` (frames,
 //! recursion guard), and the shared loop schedulers. The VM replaces
 //! only the *walk*: statement dispatch, expression recursion, value
@@ -47,9 +48,10 @@
 //! no-op, and errors that arrive pre-stamped from nested calls pass
 //! through unchanged — exactly the interpreter's behavior.
 
-use super::{err, kerr, with_span, Ctx, Flow, Frame, LoopBlocks, LoopRef, Result, Simulator, Subs};
+use super::types::{with_span, Flow, LoopBlocks, LoopRef, Subs};
+use super::{err, kerr, Ctx, Frame, Result, Simulator};
 use crate::compile::{CompiledUnit, Instr, Reg, MAX_INTR_ARGS};
-use crate::cost::CostClass;
+use crate::cost::{Access, CostClass};
 use crate::error::{SimError, SimErrorKind};
 use crate::store::{ArrayData, SlotId, StorageRef, Store, VarBind};
 use crate::value_ops::{self, cmp_f64, mask_accepts, Class};
@@ -193,7 +195,7 @@ impl Simulator<'_> {
         // Buffers of a finished activation (see `retire_frame`): a call
         // in an inner loop seals without allocating.
         let mut vm = self.retired.pop().unwrap_or_default();
-        vm.width = self.config.clusters.max(1);
+        vm.width = self.clusters.max(1);
         vm.ops.clear();
         vm.ops.extend(cu.shapes.iter().map(|s| Operand {
             bound: false,
@@ -351,16 +353,16 @@ impl Simulator<'_> {
                 exit!(Err(self.vm_fault(frame, cu, $instr, stamp, ctx.cluster)))
             };
         }
-        macro_rules! charge_op {
-            () => {
-                self.stats.scalar_ops += 1;
-                time += self.costs.get(CostClass::ScalarOp);
+        // The cost model's fixed charge, on the local clock.
+        macro_rules! charge {
+            ($class:ident) => {
+                self.costs.charge(CostClass::$class, &mut self.stats, &mut time)
             };
         }
         // `dst[d] = e(src[a], src[b])`, one scalar op.
         macro_rules! bin {
             ($dst:ident <- $src:ident, $d:ident, $a:ident, $b:ident, |$x:ident, $y:ident| $e:expr) => {{
-                charge_op!();
+                charge!(ScalarOp);
                 let vm = &mut frame.vm;
                 let ($x, $y) = (vm.$src[*$a as usize], vm.$src[*$b as usize]);
                 vm.$dst[*$d as usize] = $e;
@@ -395,12 +397,12 @@ impl Simulator<'_> {
                     .linearize(&$op, &cu.subs[*$sub as usize..][..*$rank as usize])
             };
         }
-        macro_rules! access_cost {
-            ($op:ident, $read:literal, scalar) => {
-                self.costs.get(CostClass::CacheHit)
+        macro_rules! charge_access {
+            ($op:ident, $how:ident, scalar) => {
+                charge!(CacheHit)
             };
-            ($op:ident, $read:literal, elem $sub:ident $rank:ident) => {
-                self.scalar_access_cost($op.placement, $read, ctx)
+            ($op:ident, $how:ident, elem $sub:ident $rank:ident) => {
+                time += self.access_cost($op.placement, 1, Access::$how, ctx)
             };
         }
         macro_rules! load {
@@ -408,7 +410,7 @@ impl Simulator<'_> {
                 let si = $sym.index();
                 let op = frame.vm.ops[si];
                 let Some(lin) = address!(op, $($how)+) else { fault!($instr) };
-                time += access_cost!(op, true, $($how)+);
+                charge_access!(op, ScalarRead, $($how)+);
                 let slot = frame.vm.slot(si, ctx.cluster);
                 let ArrayData::$V(data) = self.store.slot(slot) else { class_bug() };
                 let Some(&x) = data.get(lin) else { fault!($instr) };
@@ -421,7 +423,7 @@ impl Simulator<'_> {
                 let si = $sym.index();
                 let op = frame.vm.ops[si];
                 let Some(lin) = address!(op, $($how)+) else { fault!($instr) };
-                time += access_cost!(op, false, $($how)+);
+                charge_access!(op, ScalarWrite, $($how)+);
                 let slot = frame.vm.slot(si, ctx.cluster);
                 let x = frame.vm.$file[*$s as usize];
                 let ArrayData::$V(data) = self.store.slot_mut(slot) else { class_bug() };
@@ -446,7 +448,7 @@ impl Simulator<'_> {
                 Instr::ElemI { d, arr, sub, rank } => load!(instr, I, i, d, arr, elem sub rank),
                 Instr::ElemB { d, arr, sub, rank } => load!(instr, B, b, d, arr, elem sub rank),
                 Instr::ChargeIdx => {
-                    charge_op!();
+                    charge!(ScalarOp);
                 }
 
                 Instr::AddR { d, a, b } => bin!(f <- f, d, a, b, |x, y| x + y),
@@ -455,7 +457,7 @@ impl Simulator<'_> {
                 Instr::DivR { d, a, b } => bin!(f <- f, d, a, b, |x, y| x / y),
                 Instr::PowR { d, a, b } => bin!(f <- f, d, a, b, |x, y| x.powf(y)),
                 Instr::PowRI { d, a, b } => {
-                    charge_op!();
+                    charge!(ScalarOp);
                     let vm = &mut frame.vm;
                     vm.f[*d as usize] = vm.f[*a as usize].powi(vm.i[*b as usize] as i32);
                 }
@@ -463,7 +465,7 @@ impl Simulator<'_> {
                 Instr::SubI { d, a, b } => bin!(i <- i, d, a, b, |x, y| x.wrapping_sub(y)),
                 Instr::MulI { d, a, b } => bin!(i <- i, d, a, b, |x, y| x.wrapping_mul(y)),
                 Instr::DivI { d, a, b } => {
-                    charge_op!();
+                    charge!(ScalarOp);
                     let vm = &mut frame.vm;
                     let (x, y) = (vm.i[*a as usize], vm.i[*b as usize]);
                     if y == 0 {
@@ -472,7 +474,7 @@ impl Simulator<'_> {
                     vm.i[*d as usize] = x / y;
                 }
                 Instr::PowI { d, a, b } => {
-                    charge_op!();
+                    charge!(ScalarOp);
                     let vm = &mut frame.vm;
                     let (x, y) = (Value::I(vm.i[*a as usize]), Value::I(vm.i[*b as usize]));
                     let Ok(Value::I(p)) = value_ops::bin(BinOp::Pow, x, y) else {
@@ -481,11 +483,11 @@ impl Simulator<'_> {
                     vm.i[*d as usize] = p;
                 }
                 Instr::NegR { d, a } => {
-                    charge_op!();
+                    charge!(ScalarOp);
                     cvt!(f <- f, d, a, |x| -x);
                 }
                 Instr::NegI { d, a } => {
-                    charge_op!();
+                    charge!(ScalarOp);
                     cvt!(i <- i, d, a, |x| -x);
                 }
                 Instr::IntrR { f, n, d, args } | Instr::IntrI { f, n, d, args } => {
@@ -499,8 +501,7 @@ impl Simulator<'_> {
                             Class::B => Value::B(vm.b[r as usize]),
                         };
                     }
-                    self.stats.scalar_ops += 2;
-                    time += self.costs.get(CostClass::ScalarOp) * 2.0;
+                    charge!(Intrinsic);
                     match (value_ops::intrinsic(*f, &argv[..*n as usize]), instr) {
                         (Ok(Value::R(x)), Instr::IntrR { .. }) => vm.f[*d as usize] = x,
                         (Ok(Value::I(x)), Instr::IntrI { .. }) => vm.i[*d as usize] = x,
@@ -522,7 +523,7 @@ impl Simulator<'_> {
                 Instr::EqvB { d, a, b } => bin!(b <- b, d, a, b, |x, y| x == y),
                 Instr::NeqvB { d, a, b } => bin!(b <- b, d, a, b, |x, y| x != y),
                 Instr::NotB { d, a } => {
-                    charge_op!();
+                    charge!(ScalarOp);
                     cvt!(b <- b, d, a, |x| !x);
                 }
 
@@ -547,9 +548,7 @@ impl Simulator<'_> {
                     frame.vm.b[*d as usize] = v.as_bool();
                 }
 
-                Instr::Branch => {
-                    time += self.costs.get(CostClass::Branch);
-                }
+                Instr::Branch => charge!(Branch),
                 Instr::JumpIfFalse { c, t } => {
                     if !frame.vm.b[*c as usize] {
                         pc = *t as usize;
@@ -574,7 +573,7 @@ impl Simulator<'_> {
                 Instr::StoreV { sym } => {
                     let v = boxed(frame);
                     let bind = tri!(self.bind_of(frame, *sym).map_err(|e| with_span(e, stamp)));
-                    time += self.costs.get(CostClass::CacheHit);
+                    charge!(CacheHit);
                     let slot = self.resolve_slot(bind, ctx.cluster);
                     let (offset, ty) = (bind.offset, bind.ty);
                     tri!(self
@@ -588,7 +587,7 @@ impl Simulator<'_> {
                     let lin = tri!(self
                         .linearize(frame, *arr, bind, subs.as_slice())
                         .map_err(|e| with_span(e, stamp)));
-                    time += self.scalar_access_cost(bind.placement, false, ctx);
+                    time += self.access_cost(bind.placement, 1, Access::ScalarWrite, ctx);
                     let slot = self.resolve_slot(bind, ctx.cluster);
                     let ty = bind.ty;
                     tri!(self
@@ -638,7 +637,7 @@ impl Simulator<'_> {
                             other => break other,
                         }
                         iters += 1;
-                        if iters > self.config.max_while_iters {
+                        if iters > self.max_while_iters {
                             exit!(kerr(
                                 SimErrorKind::Limit,
                                 w.span,
@@ -682,10 +681,7 @@ impl Simulator<'_> {
                         }
                     }
                 }
-                Instr::Io => {
-                    self.stats.io_statements += 1;
-                    time += self.costs.get(CostClass::Io);
-                }
+                Instr::Io => charge!(Io),
                 Instr::Return => exit!(Ok(Flow::Return)),
                 Instr::Stop => exit!(Ok(Flow::Stop)),
                 Instr::Interp(i) => {

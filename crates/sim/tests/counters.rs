@@ -174,6 +174,30 @@ fn gather_subscript_reads_through_index_vector() {
     );
     let b = s.read_f64("b").unwrap();
     assert_eq!(b, vec![8.0, 7.0, 6.0, 5.0, 4.0, 3.0, 2.0, 1.0]);
+
+    // Gathers bypass the prefetch unit (DESIGN.md §6.7): from a GLOBAL
+    // array, through an index vector in cluster memory, the lanes cross
+    // the interconnect unprefetched — so with the gather as the only
+    // global vector read, switching prefetch off moves no cycle. The
+    // contiguous read of the same array is prefetched, and does move.
+    let program = |read: &str| {
+        format!(
+            "program p\nreal a(8), b(8)\ninteger idx(8)\nglobal a\ndo i = 1, 8\n\
+             a(i) = real(i)\nidx(i) = 9 - i\nend do\nb(1:8) = {read}\nend\n"
+        )
+    };
+    let (gather, contiguous) = (program("a(idx(1:8))"), program("a(1:8)"));
+    let mc = MachineConfig::cedar_config1;
+    let g = sim_on(&gather, mc());
+    assert_eq!(g.read_f64("b").unwrap(), b);
+    assert_eq!(g.stats.global_vector_elems, 8);
+    assert_eq!(g.stats.prefetched_elems, 0);
+    let g_off = sim_on(&gather, mc().without_prefetch());
+    assert_eq!(g.cycles().to_bits(), g_off.cycles().to_bits());
+    let c = sim_on(&contiguous, mc());
+    assert_eq!((c.stats.global_vector_elems, c.stats.prefetched_elems), (8, 8));
+    let c_off = sim_on(&contiguous, mc().without_prefetch());
+    assert!(c_off.cycles() > c.cycles(), "{} vs {}", c_off.cycles(), c.cycles());
 }
 
 // ---------------------------------------------------------------------

@@ -49,10 +49,11 @@ fn line(label: &str, run: Result<Simulator<'_>, SimError>) -> String {
 
 /// The lines of one pool workload.
 fn pool_lines(w: &cedar_workloads::Workload) -> Vec<String> {
+    // (machine, restructuring target, also run faulted and race-collecting)
     let machines = [
-        (MachineConfig::cedar_config1_scaled(), Target::Cedar),
-        (MachineConfig::cedar_config2_scaled(), Target::Cedar),
-        (MachineConfig::fx80_scaled(), Target::Fx80),
+        (MachineConfig::cedar_config1_scaled(), Target::Cedar, true),
+        (MachineConfig::cedar_config2_scaled(), Target::Cedar, false),
+        (MachineConfig::fx80_scaled(), Target::Fx80, false),
     ];
     let passes = [
         ("automatic_1991", PassConfig::automatic_1991()),
@@ -60,14 +61,14 @@ fn pool_lines(w: &cedar_workloads::Workload) -> Vec<String> {
     ];
     let serial = w.compile();
     let mut out = Vec::new();
-    for (mc, target) in &machines {
+    for (mc, target, perturbed) in &machines {
         let label = format!("pool {} serial {}", w.name, mc.name);
         out.push(line(&label, cedar_sim::run(&serial, mc.clone())));
         for (pname, pass) in &passes {
             let candidate: Program = restructure(&serial, &pass.clone().for_target(*target)).program;
             let label = format!("pool {} {pname} {}", w.name, mc.name);
             out.push(line(&label, cedar_sim::run(&candidate, mc.clone())));
-            if mc.name != machines[0].0.name {
+            if !perturbed {
                 continue;
             }
             let faulted = cedar_sim::run_with_faults(&candidate, mc.clone(), FaultConfig::legal(1));

@@ -10,7 +10,7 @@
 use cedar_experiments::chaos;
 use cedar_store::{FaultHook, FsFault, FsStage, Store, StoreError};
 use proptest::prelude::*;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 fn fresh_dir(tag: &str) -> PathBuf {
@@ -29,13 +29,13 @@ fn payload(key: u64) -> Vec<u8> {
 /// After an interrupted put of `key`, the store must be readable and
 /// the entry absent or exactly `expect` — and the invariant must
 /// survive a reopen (the "restart after the crash" view).
-fn assert_never_torn(root: &PathBuf, key: u64, expect: &[u8], probe: u64) {
+fn assert_never_torn(root: &Path, key: u64, expect: &[u8], probe: u64) {
     for pass in 0..2 {
         let store = if pass == 0 {
-            Store::open_read_only(root.clone())
+            Store::open_read_only(root)
         } else {
             // A writable reopen also sweeps tmp litter.
-            Store::open(root.clone()).unwrap()
+            Store::open(root).unwrap()
         };
         match store.get(key) {
             None => {}
@@ -49,7 +49,7 @@ fn assert_never_torn(root: &PathBuf, key: u64, expect: &[u8], probe: u64) {
         // Unrelated entries stay readable.
         assert_eq!(store.get(probe).as_deref(), Some(&payload(probe)[..]), "pass {pass}");
     }
-    let store = Store::open(root.clone()).unwrap();
+    let store = Store::open(root).unwrap();
     assert_eq!(
         std::fs::read_dir(root.join("tmp")).unwrap().count(),
         0,
