@@ -1,0 +1,550 @@
+//! Every JSON document the workspace writes, pinned byte for byte.
+//!
+//! The sweeps' reports, the fuzz and campaign reports, crash bundles,
+//! the `cedar-serve` wire protocol and the campaign journal are all
+//! compared byte for byte by some gate (`determinism`,
+//! `campaign_cluster`, `serve_store`, the CI `cmp` steps), but each of
+//! those compares two runs of the *same* writer: a comma that moves in
+//! the code both runs share passes all of them.
+//! `tests/fixtures/json_bytes.txt` holds one entry per document,
+//! rendered from fixed synthetic inputs (strings with `"`, `\`,
+//! newline, tab, a control character and a non-BMP character among
+//! them): the bytes themselves, or `fnv1a=… len=…` for a document over
+//! 4 KiB. A refactor of the writers leaves the fixture byte-unchanged;
+//! a deliberate change of a schema regenerates it, and the diff shows
+//! which documents moved:
+//!
+//! ```text
+//! UPDATE_JSON_BYTES=1 cargo test -p cedar-campaign --test json_bytes
+//! ```
+
+use cedar_campaign::triage::{triage_json, QuarantinedShard};
+use cedar_campaign::wal::{Record, ShardSnap};
+use cedar_campaign::{Coordinator, CoordinatorConfig, WorkerStats};
+use cedar_experiments::supervise::{
+    self, CellError, CellErrorKind, Quarantine, Recovery, Rung, Supervisor,
+};
+use cedar_experiments::{races, robustness};
+use cedar_fuzz::shard::{MergedCampaign, ShardSummary};
+use cedar_fuzz::{run_campaign, CampaignConfig, Coverage, FailureLine, Latency, OracleConfig};
+use cedar_serve::{http, Breaker, EngineConfig, ServeRequest, Server, ServerConfig};
+use std::collections::BTreeMap;
+use std::path::{Path, PathBuf};
+use std::time::{Duration, Instant};
+
+/// Everything an escaper can get wrong, in one string.
+const NASTY: &str = "q\"uote back\\slash\nnewline\ttab \u{1}ctl\rcr \u{1F980} end";
+
+const T: Duration = Duration::from_secs(60);
+
+fn fixture_path() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/fixtures/json_bytes.txt")
+}
+
+fn scratch(tag: &str) -> PathBuf {
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join("json_bytes").join(tag);
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+/// The entries, in fixture order.
+#[derive(Default)]
+struct Entries(Vec<(String, String)>);
+
+impl Entries {
+    fn push(&mut self, name: &str, bytes: impl Into<String>) {
+        self.0.push((name.to_string(), bytes.into()));
+    }
+}
+
+fn quarantine() -> Quarantine {
+    Quarantine {
+        cell: format!("table1/{NASTY}"),
+        kind: "panicked",
+        attempts: vec![
+            ("normal", "panicked", NASTY.to_string()),
+            ("serial", "timed-out", "deadline lapsed".to_string()),
+        ],
+        bundle: Some(format!("target/crash-bundles/{NASTY}")),
+    }
+}
+
+fn quarantine_without_bundle() -> Quarantine {
+    Quarantine {
+        cell: "fig6".into(),
+        kind: "sim-error",
+        attempts: vec![("normal", "sim-error", "deadlock".to_string())],
+        bundle: None,
+    }
+}
+
+fn sweeps(e: &mut Entries) {
+    let q = [quarantine(), quarantine_without_bundle()];
+    e.push("supervise quarantined_json empty", supervise::quarantined_json(&[]));
+    e.push("supervise quarantined_json", supervise::quarantined_json(&q));
+    e.push("supervise recovered_json empty", supervise::recovered_json(&[]));
+    let recovered = [
+        Recovery { cell: NASTY.into(), rung: "no-fast-paths", errors: vec![("normal", "x".into())] },
+        Recovery { cell: "fig9".into(), rung: "serial", errors: Vec::new() },
+    ];
+    e.push("supervise recovered_json", supervise::recovered_json(&recovered));
+
+    let mut rows = robustness::run_filtered(2, Some(&["tridag", "lubksb"]));
+    assert_eq!(rows.len(), 2, "filter missed a workload");
+    rows.push(robustness::Row {
+        workload: "syn\"thetic\\\n",
+        suite: "table2",
+        config: "manual",
+        attempts: 3,
+        fallbacks: 2,
+        degraded: true,
+        bit_identical: false,
+        max_rel_err: f64::INFINITY,
+        seed_runs: vec![(1, 1234.5, true, 0.0), (2, f64::NAN, false, 2.5e-7)],
+        fallback_notes: vec![NASTY.to_string(), "main:line 4: race".to_string()],
+    });
+    e.push("robustness to_json", robustness::to_json(&rows, 2, &q));
+    e.push("robustness to_json clean", robustness::to_json(&rows[..1], 2, &[]));
+
+    let mut rows = races::run_filtered(Some(&["lubksb", "shared-temp"]));
+    assert_eq!(rows.len(), 2, "filter missed a program");
+    rows.push(races::Row {
+        name: NASTY.into(),
+        suite: "negative",
+        expect_race: true,
+        races: 7,
+        deadlock: true,
+        first_race: Some(NASTY.into()),
+        audit_findings: 2,
+        cycles_identical: false,
+    });
+    e.push("races to_json", races::to_json(&rows, &q));
+    e.push("races to_json clean", races::to_json(&rows[..1], &[]));
+}
+
+fn bundles(e: &mut Entries) {
+    let dir = scratch("bundles");
+    let read = |bundle: Option<String>| {
+        let dir = bundle.expect("the bundle is written");
+        std::fs::read_to_string(Path::new(&dir).join("bundle.json")).unwrap()
+    };
+    let error = |kind, msg: &str, backtrace: Option<&str>| CellError {
+        kind,
+        msg: msg.to_string(),
+        sim: None,
+        backtrace: backtrace.map(str::to_string),
+    };
+    let sup = Supervisor {
+        chaos: Some(7),
+        deadline: Some(Duration::from_millis(1500)),
+        bundle_dir: dir.clone(),
+        bundle_cap: 0,
+    };
+    let attempts = [
+        ("normal", error(CellErrorKind::Panicked, NASTY, Some("frame 0\nframe 1\n"))),
+        ("races-on", error(CellErrorKind::TimedOut, "deadline", None)),
+        ("serial", error(CellErrorKind::Failed, "deadlock at line 3", None)),
+    ];
+    let source = "program p\nreal a(8)\na(1) = 1.0\nend\n";
+    e.push(
+        "bundle.json with source, backtrace, chaos, deadline",
+        read(supervise::write_quarantine_bundle(&sup, NASTY, Some(source), &attempts)),
+    );
+    let sup = Supervisor { chaos: None, deadline: None, bundle_dir: dir, bundle_cap: 0 };
+    e.push(
+        "bundle.json bare",
+        read(supervise::write_quarantine_bundle(&sup, "fig7", None, &attempts[2..])),
+    );
+}
+
+fn fragments(e: &mut Entries) {
+    let mut cov = Coverage::default();
+    e.push("Coverage to_json empty", cov.to_json());
+    cov.add("doacross", 3).unwrap();
+    cov.add("privatize", 41).unwrap();
+    cov.add("giv", 2).unwrap();
+    cov.add("two-version", 1).unwrap();
+    e.push("Coverage to_json", cov.to_json());
+
+    let mut lat = Latency::new();
+    e.push("Latency summary_json empty", lat.summary_json());
+    e.push("Latency slowest_json empty", lat.slowest_json(5));
+    for (k, ms) in [0.125, 17.0, 3.3333, 250.75, 0.0004].into_iter().enumerate() {
+        lat.record(format!("s{k}"), ms);
+    }
+    lat.record(NASTY, 9.0);
+    e.push("Latency summary_json", lat.summary_json());
+    e.push("Latency slowest_json", lat.slowest_json(4));
+}
+
+const CLEAN: &str = "program p\nreal a(64)\ninteger i\ndo 10 i = 1, 64\n  a(i) = real(i) * 2.0\n10 continue\nprint *, a(64)\nend\n";
+
+fn serve(e: &mut Entries) {
+    let mut req = ServeRequest::new(NASTY);
+    req.watch = vec!["a".into(), NASTY.into()];
+    e.push("ServeRequest to_json", req.to_json());
+    req.free_form = false;
+    req.config = "manual".into();
+    req.machine = "fx80".into();
+    req.backend = "openmp".parse().unwrap();
+    req.watch.clear();
+    req.validate = false;
+    req.deadline_ms = Some(1500);
+    e.push("ServeRequest to_json every member", req.to_json());
+
+    use cedar_serve::error::{error_json, kind};
+    e.push("error_json bare", error_json(kind::BAD_REQUEST, NASTY, None, &[]));
+    e.push(
+        "error_json quarantined",
+        error_json(
+            kind::PANICKED,
+            "internal engine failure",
+            Some(NASTY),
+            &[("normal", kind::PANICKED), ("serial", kind::TIMED_OUT)],
+        ),
+    );
+
+    let breaker = Breaker::new(2, Duration::from_secs(3600));
+    e.push("Breaker status_json empty", breaker.status_json());
+    breaker.record("manual", Rung::Normal, Some(Rung::Normal));
+    breaker.record("auto", Rung::Normal, Some(Rung::RacesOn));
+    breaker.record("auto", Rung::Normal, None);
+    breaker.record(NASTY, Rung::Normal, Some(Rung::NoFastPaths));
+    e.push("Breaker status_json", breaker.status_json());
+
+    let mut engine = EngineConfig::default();
+    engine.sup.deadline = None;
+    engine.sup.bundle_dir = scratch("serve-bundles");
+    let breaker = Breaker::new(3, Duration::from_secs(5));
+    let upto_duration = |body: String| {
+        let cut = body.find("\"duration_ms\": ").expect("a success body") + "\"duration_ms\": ".len();
+        body[..cut].to_string()
+    };
+    let mut req = ServeRequest::new(CLEAN);
+    req.watch = vec!["a".into()];
+    let handled = cedar_serve::handle(&req, &engine, &breaker);
+    assert_eq!(handled.status, 200, "{}", handled.body);
+    e.push("handle success validated", upto_duration(handled.body));
+    req.validate = false;
+    req.machine = "fx80".into();
+    req.backend = "openmp".parse().unwrap();
+    let handled = cedar_serve::handle(&req, &engine, &breaker);
+    assert_eq!(handled.status, 200, "{}", handled.body);
+    e.push("handle success unvalidated fx80 openmp", upto_duration(handled.body));
+    let handled = cedar_serve::handle(&ServeRequest::new("program p\nx = = 1\nend\n"), &engine, &breaker);
+    e.push(&format!("handle compile error {}", handled.status), handled.body);
+
+    for (tag, store_dir) in [("memory", None), ("store", Some(scratch("serve-store")))] {
+        let server = Server::start(ServerConfig {
+            workers: 1,
+            engine: engine.clone(),
+            store_dir,
+            ..ServerConfig::default()
+        })
+        .unwrap();
+        let addr = server.addr();
+        let get = |path: &str| http::get(&addr, path, T).unwrap();
+        if tag == "memory" {
+            for path in ["/healthz", "/readyz", "/nope"] {
+                let (status, body) = get(path);
+                e.push(&format!("server GET {path} {status}"), body);
+            }
+            for (what, body) in [("not json", "{not json"), ("no source", "{\"x\": 1}")] {
+                let (status, body) = http::post(&addr, "/restructure", body, T).unwrap();
+                e.push(&format!("server POST /restructure {what} {status}"), body);
+            }
+        }
+        e.push(&format!("server /metrics fresh {tag}"), get("/metrics").1);
+        let (status, body) = http::post(&addr, "/shutdown", "", T).unwrap();
+        if tag == "store" {
+            e.push(&format!("server POST /shutdown {status}"), body);
+        }
+        server.join();
+    }
+}
+
+fn journal(e: &mut Entries) {
+    let snap = |shard, state: &str, file: Option<&str>, checksum: Option<&str>, errors: &[&str]| ShardSnap {
+        shard,
+        state: state.into(),
+        attempts: errors.len() as u64,
+        file: file.map(str::to_string),
+        checksum: checksum.map(str::to_string),
+        errors: errors.iter().map(|s| s.to_string()).collect(),
+    };
+    let records = [
+        Record::Campaign {
+            seed_start: 0,
+            seed_end: 3000,
+            shard_size: 250,
+            config: "manual".into(),
+            jobs_check: 4,
+            retry_budget: 2,
+        },
+        Record::Leased { shard: 3, worker: NASTY.into() },
+        Record::Completed {
+            shard: 3,
+            file: "shards/shard0003.json".into(),
+            checksum: "00000000deadbeef".into(),
+        },
+        Record::Reassigned { shard: 4, attempts: 1, reason: NASTY.into() },
+        Record::Quarantined { shard: 4, attempts: 3, reason: "lease-expired (w2)".into() },
+        Record::Checkpoint { reassignments: 0, shards: Vec::new() },
+        Record::Checkpoint {
+            reassignments: 5,
+            shards: vec![
+                snap(0, "completed", Some("shards/shard0000.json"), Some("0123456789abcdef"), &[]),
+                snap(1, "pending", None, None, &[NASTY, "w1: boom"]),
+                snap(2, "quarantined", None, None, &["a", "b", "c"]),
+                snap(7, "pending", None, None, &[]),
+            ],
+        },
+    ];
+    for (k, r) in records.iter().enumerate() {
+        let line = r.to_line();
+        assert_eq!(Record::parse(&line).as_ref(), Ok(r), "{line}");
+        e.push(&format!("journal record {k}"), line);
+    }
+}
+
+fn failure(seed: u64, bundle: Option<&str>) -> FailureLine {
+    FailureLine {
+        seed,
+        phase: "differential".into(),
+        detail: NASTY.into(),
+        diff: format!("s[3]: {NASTY}"),
+        tags: vec!["reduction".into(), "giv".into()],
+        bundle: bundle.map(str::to_string),
+    }
+}
+
+/// A report's wall-clock section with every number masked: the part
+/// `to_json_full` adds to `to_json`, whose digits vary run to run.
+fn full_framing(det: &str, full: &str) -> String {
+    let shared = det.len() - "\n}\n".len();
+    assert_eq!(det[..shared], full[..shared], "to_json_full must extend to_json");
+    let mut out = String::new();
+    let mut in_number = false;
+    for c in full[shared..].chars() {
+        if c.is_ascii_digit() || (in_number && c == '.') {
+            if !in_number {
+                out.push('#');
+            }
+            in_number = true;
+        } else {
+            in_number = false;
+            out.push(c);
+        }
+    }
+    out
+}
+
+fn campaigns(e: &mut Entries) {
+    let corpus = scratch("corpus");
+    for (tag, rel_tol) in [("clean", 1e-3), ("rel_tol 0", 0.0)] {
+        let summary = run_campaign(&CampaignConfig {
+            seed_start: 0,
+            seed_end: 48,
+            oracle: OracleConfig { rel_tol, ..OracleConfig::default() },
+            bundles: false,
+            jobs_check: 2,
+            corpus_dir: (tag == "clean").then(|| corpus.clone()),
+            ..CampaignConfig::default()
+        });
+        assert_eq!(summary.failures.is_empty(), tag == "clean", "{tag}");
+        let det = summary.to_json();
+        e.push(&format!("CampaignSummary to_json_full framing 0..48 {tag}"), full_framing(&det, &summary.to_json_full()));
+        e.push(&format!("CampaignSummary to_json 0..48 {tag}"), det);
+        e.push(
+            &format!("ShardSummary to_json 0..48 {tag}"),
+            ShardSummary::from_summary(&summary).to_json(),
+        );
+    }
+    e.push(
+        "corpus ledger.json 0..48",
+        std::fs::read_to_string(corpus.join("ledger.json")).unwrap(),
+    );
+
+    let mut coverage = Coverage::default();
+    coverage.add("doall", 5).unwrap();
+    let shard = ShardSummary {
+        seed_start: 10,
+        seed_end: 14,
+        executed: 4,
+        skipped_for_budget: 0,
+        failures: vec![failure(11, None), failure(13, Some(NASTY))],
+        coverage: coverage.clone(),
+        known_gaps: 2,
+        gap_examples: vec![NASTY.into(), "gap two".into()],
+        speedup_samples: vec![1.5, 0.1 + 0.2],
+        lead_digests: vec![(10, 0xdead_beef), (12, u64::MAX)],
+        bundle_digests: vec!["00000000000000aa".into(), "00000000000000bb".into()],
+    };
+    let text = shard.to_json();
+    assert_eq!(ShardSummary::parse(&text).as_ref(), Ok(&shard));
+    e.push("ShardSummary to_json synthetic", text);
+    let merged = MergedCampaign {
+        seed_start: 10,
+        seed_end: 14,
+        executed: 4,
+        skipped_for_budget: 0,
+        failures: shard.failures.clone(),
+        coverage,
+        known_gaps: 2,
+        gap_examples: shard.gap_examples.clone(),
+        speedup: Some((0.5, 1.25, 2.0)),
+        jobs_checked: 2,
+        jobs_mismatch: Some(NASTY.into()),
+        bundle_digests: shard.bundle_digests.clone(),
+    };
+    e.push("MergedCampaign to_json synthetic", merged.to_json());
+
+    let cfg = CoordinatorConfig {
+        seed_start: 0,
+        seed_end: 100,
+        shard_size: 25,
+        config_name: "manual".into(),
+        ..CoordinatorConfig::default()
+    };
+    let quarantined = [
+        QuarantinedShard {
+            shard: 2,
+            seed_start: 50,
+            seed_end: 75,
+            attempts: 3,
+            errors: vec![NASTY.into(), "lease-expired (w2)".into()],
+        },
+        QuarantinedShard { shard: 3, seed_start: 75, seed_end: 100, attempts: 1, errors: Vec::new() },
+    ];
+    let mut workers = BTreeMap::new();
+    workers.insert(NASTY.to_string(), WorkerStats { leased: 3, completed: 2, failed: 1 });
+    workers.insert("w2".to_string(), WorkerStats { leased: 1, completed: 0, failed: 1 });
+    e.push("triage_json", triage_json(&cfg, 4, 2, &quarantined, Some(&merged), &workers));
+    e.push("triage_json empty", triage_json(&cfg, 4, 0, &[], None, &BTreeMap::new()));
+}
+
+fn coordinator(e: &mut Entries) {
+    let mut c = Coordinator::new(CoordinatorConfig {
+        seed_start: 0,
+        seed_end: 4,
+        shard_size: 2,
+        lease: Duration::from_secs(30),
+        retry_budget: 2,
+        jobs_check: 0,
+        config_name: "manual".into(),
+        dir: scratch("coordinator"),
+        checkpoint_every: 0,
+    })
+    .unwrap();
+    let summary = |a, b| {
+        let s = run_campaign(&CampaignConfig {
+            seed_start: a,
+            seed_end: b,
+            bundles: false,
+            jobs_check: 0,
+            ..CampaignConfig::default()
+        });
+        ShardSummary::from_summary(&s).to_json()
+    };
+    let complete = |shard: u64, summary: &str| {
+        format!(
+            "{{\"worker\": \"w1\", \"shard\": {shard}, \"summary\": \"{}\"}}",
+            cedar_experiments::json_escape(summary)
+        )
+    };
+    let now = Instant::now();
+    let script: Vec<(&str, &str, &str, String)> = vec![
+        ("lease", "POST", "/lease", "{\"worker\": \"w1\"}".into()),
+        ("lease not json", "POST", "/lease", "nope".into()),
+        ("lease no worker", "POST", "/lease", "{}".into()),
+        ("heartbeat held", "POST", "/heartbeat", "{\"worker\": \"w1\", \"shard\": 0}".into()),
+        ("heartbeat lost", "POST", "/heartbeat", "{\"worker\": \"w2\", \"shard\": 0}".into()),
+        ("heartbeat no shard", "POST", "/heartbeat", "{\"worker\": \"w1\"}".into()),
+        ("heartbeat no such shard", "POST", "/heartbeat", "{\"worker\": \"w1\", \"shard\": 9}".into()),
+        ("lease second", "POST", "/lease", "{\"worker\": \"w2\"}".into()),
+        ("lease wait", "POST", "/lease", "{\"worker\": \"w3\"}".into()),
+        ("status busy", "GET", "/status", String::new()),
+        ("complete no summary", "POST", "/complete", "{\"worker\": \"w1\", \"shard\": 0}".into()),
+        ("complete bad summary", "POST", "/complete", complete(0, "garbage")),
+        ("complete wrong range", "POST", "/complete", complete(0, &summary(2, 4))),
+        ("complete", "POST", "/complete", complete(0, &summary(0, 2))),
+        ("complete duplicate", "POST", "/complete", complete(0, &summary(0, 2))),
+        ("fail", "POST", "/fail", "{\"worker\": \"w2\", \"shard\": 1, \"error\": \"boom\"}".into()),
+        ("fail stale", "POST", "/fail", "{\"worker\": \"w2\", \"shard\": 0}".into()),
+        ("no such endpoint", "GET", "/nope", String::new()),
+        ("complete last", "POST", "/complete", complete(1, &summary(2, 4))),
+        ("lease done", "POST", "/lease", "{\"worker\": \"w1\"}".into()),
+        ("status done", "GET", "/status", String::new()),
+    ];
+    for (name, method, path, body) in script {
+        let (status, reply) = c.handle(method, path, &body, now);
+        e.push(&format!("coordinator {name} {status}"), reply);
+    }
+    assert!(c.finished());
+}
+
+fn entries() -> Vec<(String, String)> {
+    let mut e = Entries::default();
+    sweeps(&mut e);
+    bundles(&mut e);
+    fragments(&mut e);
+    serve(&mut e);
+    journal(&mut e);
+    campaigns(&mut e);
+    coordinator(&mut e);
+    e.0
+}
+
+/// `### name`, then the bytes (or their digest), then a newline.
+fn render(entries: &[(String, String)]) -> String {
+    let mut out = String::new();
+    for (name, bytes) in entries {
+        out.push_str(&format!("### {name}\n"));
+        if bytes.len() > 4096 {
+            out.push_str(&format!(
+                "fnv1a={:016x} len={}",
+                cedar_store::fnv1a(bytes.as_bytes()),
+                bytes.len()
+            ));
+        } else {
+            out.push_str(bytes);
+        }
+        out.push('\n');
+    }
+    out
+}
+
+#[test]
+fn every_document_matches_the_recorded_bytes() {
+    let got = entries();
+    let path = fixture_path();
+    if std::env::var("UPDATE_JSON_BYTES").is_ok_and(|v| !v.is_empty() && v != "0") {
+        std::fs::write(&path, render(&got)).unwrap();
+        println!("json_bytes: {} entries written to {}", got.len(), path.display());
+        return;
+    }
+    let want = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+    let mut rest = want.as_str();
+    let mut moved = Vec::new();
+    for entry in &got {
+        let block = render(std::slice::from_ref(entry));
+        match rest.strip_prefix(block.as_str()) {
+            Some(tail) => rest = tail,
+            None => {
+                // Resynchronise on the next recorded header so one moved
+                // document is reported as one.
+                let end = rest[1.min(rest.len())..].find("\n### ").map_or(rest.len(), |k| k + 2);
+                moved.push(format!("  recorded:\n{}  written:\n{block}", &rest[..end]));
+                rest = &rest[end..];
+            }
+        }
+    }
+    assert!(
+        moved.is_empty() && rest.is_empty(),
+        "{} of {} documents moved ({} recorded bytes unmatched); the first:\n{}",
+        moved.len(),
+        got.len(),
+        rest.len(),
+        moved.first().map_or("", String::as_str)
+    );
+}
