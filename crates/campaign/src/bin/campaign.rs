@@ -23,7 +23,7 @@ use std::time::Duration;
 
 const USAGE: &str = "usage:
   campaign coordinate --addr H:P --seeds A..B --dir DIR [--shard N] [--lease-ms N]
-                      [--retry-budget N] [--jobs-check N] [--config manual|auto] [--linger-ms N]
+                      [--retry-budget N] [--jobs-check N] [--config manual|auto|serial] [--linger-ms N]
                       [--checkpoint-every N]
   campaign work --addr H:P --name NAME [--budget SECS] [--no-shrink] [--poll-ms N]
                 [--corpus DIR]";

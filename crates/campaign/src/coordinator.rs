@@ -23,8 +23,7 @@
 
 use crate::triage;
 use crate::wal::{self, replay, Record, Wal};
-use cedar_experiments::jsonio::Json;
-use cedar_experiments::json_escape;
+use cedar_experiments::jsonio::{flags, Json, Writer};
 use cedar_fuzz::shard::{merge_shards, MergedCampaign, ShardSummary, LEAD_DIGESTS};
 use cedar_fuzz::OracleConfig;
 use cedar_store::fnv1a;
@@ -83,13 +82,22 @@ impl Default for CoordinatorConfig {
 }
 
 impl CoordinatorConfig {
-    /// The oracle configuration the name denotes.
-    pub fn oracle(&self) -> OracleConfig {
-        match self.config_name.as_str() {
-            "auto" => OracleConfig::automatic(),
-            _ => OracleConfig::default(),
-        }
+    /// The oracle configuration the name denotes; an unknown name is an
+    /// error, never a different configuration.
+    pub fn oracle(&self) -> Result<OracleConfig, String> {
+        OracleConfig::named(&self.config_name)
+            .ok_or_else(|| format!("unknown config `{}`", self.config_name))
     }
+}
+
+/// A status and its JSON body.
+type Reply = (u16, String);
+
+/// The `{"error": message}` reply.
+fn error(status: u16, message: impl std::fmt::Display) -> Reply {
+    let mut w = Writer::new();
+    w.obj().key("error").str(message);
+    (status, w.finish())
 }
 
 #[derive(Debug)]
@@ -164,6 +172,7 @@ impl Coordinator {
         if cfg.shard_size == 0 {
             return Err("shard size must be positive".into());
         }
+        cfg.oracle()?;
         if cfg.jobs_check > LEAD_DIGESTS {
             return Err(format!(
                 "jobs_check {} exceeds the {LEAD_DIGESTS} lead digests shards carry",
@@ -404,30 +413,28 @@ impl Coordinator {
             ("POST", "/complete") => self.complete(body),
             ("POST", "/fail") => self.fail(body),
             ("GET", "/status") => (200, self.status_json()),
-            _ => (404, format!("{{\"error\": \"no such endpoint: {} {}\"}}", json_escape(method), json_escape(path))),
+            _ => error(404, format_args!("no such endpoint: {method} {path}")),
         }
     }
 
-    fn parse_worker(body: &str) -> Result<(Json, String), (u16, String)> {
-        let v = Json::parse(body)
-            .map_err(|e| (400, format!("{{\"error\": \"body is not JSON: {}\"}}", json_escape(&e))))?;
-        let worker = v
-            .get("worker")
-            .and_then(Json::as_str)
-            .ok_or((400, "{\"error\": \"missing worker name\"}".to_string()))?
-            .to_string();
+    fn parse_worker(body: &str) -> Result<(Json, String), Reply> {
+        let v = Json::parse(body).map_err(|e| error(400, format_args!("body is not JSON: {e}")))?;
+        let worker = v.str_at("worker").map_err(|_| error(400, "missing worker name"))?.to_string();
         Ok((v, worker))
     }
 
-    fn parse_shard(&self, v: &Json) -> Result<usize, (u16, String)> {
-        let k = v
-            .get("shard")
-            .and_then(Json::as_f64)
-            .ok_or((400, "{\"error\": \"missing shard index\"}".to_string()))? as usize;
-        if k >= self.shards.len() {
-            return Err((404, format!("{{\"error\": \"no shard {k}\"}}")));
+    /// The shard a request names: an exact index ([`Json::u64_at`]; `-1`
+    /// and `1.9` are refused, not saturated to a neighbour) of a shard
+    /// that exists.
+    fn parse_shard(&self, v: &Json) -> Result<usize, Reply> {
+        if v.get("shard").is_none() {
+            return Err(error(400, "missing shard index"));
         }
-        Ok(k)
+        let k = v.u64_at("shard").map_err(|e| error(400, e))?;
+        usize::try_from(k)
+            .ok()
+            .filter(|k| *k < self.shards.len())
+            .ok_or_else(|| error(404, format_args!("no shard {k}")))
     }
 
     fn lease(&mut self, body: &str, now: Instant) -> (u16, String) {
@@ -436,7 +443,7 @@ impl Coordinator {
             Err(e) => return e,
         };
         if self.finished() {
-            return (200, "{\"done\": true}".into());
+            return (200, flags(&[("done", true)]));
         }
         let next = self
             .shards
@@ -451,18 +458,15 @@ impl Coordinator {
                     // Couldn't journal the lease: revert and make the
                     // worker retry rather than hand out unrecorded work.
                     self.shards[k].state = ShardState::Pending;
-                    return (500, format!("{{\"error\": \"{}\"}}", json_escape(&e)));
+                    return error(500, e);
                 }
-                (
-                    200,
-                    format!(
-                        "{{\"done\": false, \"shard\": {k}, \"seed_start\": {}, \"seed_end\": {}, \"lease_ms\": {}, \"config\": \"{}\"}}",
-                        self.shards[k].start,
-                        self.shards[k].end,
-                        self.cfg.lease.as_millis(),
-                        json_escape(&self.cfg.config_name),
-                    ),
-                )
+                let mut w = Writer::new();
+                w.obj().key("done").bool(false).key("shard").int(k);
+                w.key("seed_start").int(self.shards[k].start);
+                w.key("seed_end").int(self.shards[k].end);
+                w.key("lease_ms").int(self.cfg.lease.as_millis());
+                w.key("config").str(&self.cfg.config_name);
+                (200, w.finish())
             }
             None => {
                 // Everything is in flight; tell the worker when the
@@ -479,7 +483,9 @@ impl Coordinator {
                     .min()
                     .unwrap_or(self.cfg.lease);
                 let wait_ms = wait.as_millis().clamp(20, 2000);
-                (200, format!("{{\"done\": false, \"wait_ms\": {wait_ms}}}"))
+                let mut w = Writer::new();
+                w.obj().key("done").bool(false).key("wait_ms").int(wait_ms);
+                (200, w.finish())
             }
         }
     }
@@ -496,12 +502,12 @@ impl Coordinator {
         match &mut self.shards[k].state {
             ShardState::Leased { worker: holder, expires } if *holder == worker => {
                 *expires = now + self.cfg.lease;
-                (200, "{\"ok\": true}".into())
+                (200, flags(&[("ok", true)]))
             }
             // Lost the lease (expired, reassigned, or resolved): the
             // worker should stop — though if it completes anyway, the
             // result is still welcome (first result wins).
-            _ => (200, "{\"ok\": false}".into()),
+            _ => (200, flags(&[("ok", false)])),
         }
     }
 
@@ -518,10 +524,10 @@ impl Coordinator {
             // A slow worker finishing after reassignment-and-completion:
             // the campaign content is deterministic, so the copies are
             // interchangeable. Idempotent accept.
-            return (200, "{\"ok\": true, \"duplicate\": true}".into());
+            return (200, flags(&[("ok", true), ("duplicate", true)]));
         }
-        let Some(text) = v.get("summary").and_then(Json::as_str) else {
-            return (400, "{\"error\": \"missing summary\"}".to_string());
+        let Ok(text) = v.str_at("summary") else {
+            return error(400, "missing summary");
         };
         let summary = match ShardSummary::parse(text) {
             Ok(s) => s,
@@ -530,7 +536,7 @@ impl Coordinator {
                 // on this shard — repeated garbage quarantines it.
                 self.workers.entry(worker).or_default().failed += 1;
                 self.revoke(k, format!("unparseable shard summary: {e}"));
-                return (422, format!("{{\"error\": \"bad summary: {}\"}}", json_escape(&e)));
+                return error(422, format_args!("bad summary: {e}"));
             }
         };
         if (summary.seed_start, summary.seed_end) != (self.shards[k].start, self.shards[k].end)
@@ -550,7 +556,7 @@ impl Coordinator {
                     summary.skipped_for_budget,
                 ),
             );
-            return (422, "{\"error\": \"summary does not cover the shard\"}".to_string());
+            return error(422, "summary does not cover the shard");
         }
         let file = format!("shards/shard{k:04}.json");
         let bytes = summary.to_json();
@@ -559,14 +565,14 @@ impl Coordinator {
         // (what merge and downstream tooling read), written atomically
         // so neither can be observed torn.
         if let Err(e) = self.results.put(k as u64, bytes.as_bytes()) {
-            return (500, format!("{{\"error\": \"persist shard result: {}\"}}", json_escape(&e.to_string())));
+            return error(500, format_args!("persist shard result: {e}"));
         }
         if let Err(e) = cedar_store::atomic_write(&self.cfg.dir.join(&file), bytes.as_bytes()) {
-            return (500, format!("{{\"error\": \"persist shard: {}\"}}", json_escape(&e.to_string())));
+            return error(500, format_args!("persist shard: {e}"));
         }
         let checksum = format!("{:016x}", fnv1a(bytes.as_bytes()));
         if let Err(e) = self.append(Record::Completed { shard: k as u64, file, checksum }) {
-            return (500, format!("{{\"error\": \"{}\"}}", json_escape(&e)));
+            return error(500, e);
         }
         self.shards[k].state = ShardState::Completed;
         self.workers.entry(worker).or_default().completed += 1;
@@ -582,7 +588,7 @@ impl Coordinator {
                 self.completions_since_checkpoint = 0;
             }
         }
-        (200, "{\"ok\": true}".into())
+        (200, flags(&[("ok", true)]))
     }
 
     /// Snapshot the shard table into a [`Record::Checkpoint`] and
@@ -658,12 +664,12 @@ impl Coordinator {
             Err(e) => return e,
         };
         if matches!(self.shards[k].state, ShardState::Completed | ShardState::Quarantined) {
-            return (200, "{\"ok\": true, \"stale\": true}".into());
+            return (200, flags(&[("ok", true), ("stale", true)]));
         }
-        let error = v.get("error").and_then(Json::as_str).unwrap_or("unspecified");
+        let reason = v.str_at("error").unwrap_or("unspecified");
         self.workers.entry(worker.clone()).or_default().failed += 1;
-        self.revoke(k, format!("{worker}: {error}"));
-        (200, "{\"ok\": true}".into())
+        self.revoke(k, format!("{worker}: {reason}"));
+        (200, flags(&[("ok", true)]))
     }
 
     fn status_json(&self) -> String {
@@ -679,14 +685,15 @@ impl Coordinator {
                 ShardState::Quarantined => quarantined += 1,
             }
         }
-        format!(
-            "{{\"schema\": \"cedar-campaign-status-v1\", \"seed_start\": {}, \"seed_end\": {}, \"shards\": {}, \"pending\": {pending}, \"leased\": {leased}, \"completed\": {completed}, \"quarantined\": {quarantined}, \"reassignments\": {}, \"done\": {}}}",
-            self.cfg.seed_start,
-            self.cfg.seed_end,
-            self.shards.len(),
-            self.reassignments,
-            self.finished(),
-        )
+        let mut w = Writer::new();
+        w.obj().key("schema").str("cedar-campaign-status-v1");
+        w.key("seed_start").int(self.cfg.seed_start).key("seed_end").int(self.cfg.seed_end);
+        w.key("shards").int(self.shards.len());
+        w.key("pending").int(pending).key("leased").int(leased);
+        w.key("completed").int(completed).key("quarantined").int(quarantined);
+        w.key("reassignments").int(self.reassignments);
+        w.key("done").bool(self.finished());
+        w.finish()
     }
 
     /// Merge completed shards and write the artifacts. Call after
@@ -718,7 +725,7 @@ impl Coordinator {
             .collect();
 
         let merged = if quarantined.is_empty() && !summaries.is_empty() {
-            Some(merge_shards(&summaries, self.cfg.jobs_check, &self.cfg.oracle())?)
+            Some(merge_shards(&summaries, self.cfg.jobs_check, &self.cfg.oracle()?)?)
         } else {
             None
         };
@@ -788,11 +795,8 @@ impl Coordinator {
                 cedar_serve::http::write_response(stream, status, &body);
             }
             Err(e) => {
-                cedar_serve::http::write_response(
-                    stream,
-                    400,
-                    &format!("{{\"error\": \"malformed request: {}\"}}", json_escape(&e)),
-                );
+                let (status, body) = error(400, format_args!("malformed request: {e}"));
+                cedar_serve::http::write_response(stream, status, &body);
             }
         }
     }

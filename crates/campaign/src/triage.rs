@@ -12,7 +12,7 @@
 //! campaign readable.
 
 use crate::coordinator::{CoordinatorConfig, WorkerStats};
-use cedar_experiments::json_escape;
+use cedar_experiments::Writer;
 use cedar_fuzz::shard::MergedCampaign;
 use std::collections::BTreeMap;
 
@@ -40,92 +40,53 @@ pub fn triage_json(
     merged: Option<&MergedCampaign>,
     workers: &BTreeMap<String, WorkerStats>,
 ) -> String {
-    let mut out = String::from("{\n  \"schema\": \"cedar-campaign-triage-v1\",\n");
-    out.push_str(&format!(
-        "  \"campaign\": {{\"seed_start\": {}, \"seed_end\": {}, \"shard_size\": {}, \"config\": \"{}\"}},\n",
-        cfg.seed_start,
-        cfg.seed_end,
-        cfg.shard_size,
-        json_escape(&cfg.config_name),
-    ));
-    out.push_str(&format!(
-        "  \"shards\": {{\"total\": {total_shards}, \"completed\": {}, \"quarantined\": {}, \"reassignments\": {reassignments}}},\n",
-        total_shards - quarantined.len() as u64,
-        quarantined.len(),
-    ));
+    let mut w = Writer::document();
+    w.key("schema").str("cedar-campaign-triage-v1");
+    w.key("campaign").obj();
+    w.key("seed_start").int(cfg.seed_start).key("seed_end").int(cfg.seed_end);
+    w.key("shard_size").int(cfg.shard_size).key("config").str(&cfg.config_name).end();
+    w.key("shards").obj();
+    w.key("total").int(total_shards);
+    w.key("completed").int(total_shards - quarantined.len() as u64);
+    w.key("quarantined").int(quarantined.len());
+    w.key("reassignments").int(reassignments).end();
 
-    out.push_str("  \"quarantined\": [");
-    for (i, q) in quarantined.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "\n    {{\"shard\": {}, \"seed_start\": {}, \"seed_end\": {}, \"attempts\": {}, \"errors\": [{}]}}",
-            q.shard,
-            q.seed_start,
-            q.seed_end,
-            q.attempts,
-            q.errors
-                .iter()
-                .map(|e| format!("\"{}\"", json_escape(e)))
-                .collect::<Vec<_>>()
-                .join(", "),
-        ));
+    w.key("quarantined").rows();
+    for q in quarantined {
+        w.obj().key("shard").int(q.shard);
+        w.key("seed_start").int(q.seed_start).key("seed_end").int(q.seed_end);
+        w.key("attempts").int(q.attempts).key("errors").strs(&q.errors).end();
     }
-    out.push_str(if quarantined.is_empty() { "],\n" } else { "\n  ],\n" });
+    w.end();
 
     // Oracle-failure clusters from the merged report (empty when the
     // merge was withheld — the quarantined section is the lead then).
     let mut clusters: BTreeMap<&str, Vec<u64>> = BTreeMap::new();
-    if let Some(m) = merged {
-        for f in &m.failures {
-            clusters.entry(&f.phase).or_default().push(f.seed);
-        }
+    let failures = merged.map_or(&[][..], |m| &m.failures);
+    for f in failures {
+        clusters.entry(&f.phase).or_default().push(f.seed);
     }
-    out.push_str("  \"clusters\": [");
-    for (i, (phase, seeds)) in clusters.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
+    w.key("clusters").rows();
+    for (phase, seeds) in &clusters {
+        w.obj().key("phase").str(phase).key("oracle").str(&cfg.config_name);
+        w.key("count").int(seeds.len());
+        w.key("example_seeds").arr();
+        for seed in seeds.iter().take(10) {
+            w.int(seed);
         }
-        let examples: Vec<String> = seeds.iter().take(10).map(u64::to_string).collect();
-        out.push_str(&format!(
-            "\n    {{\"phase\": \"{}\", \"oracle\": \"{}\", \"count\": {}, \"example_seeds\": [{}]}}",
-            phase,
-            json_escape(&cfg.config_name),
-            seeds.len(),
-            examples.join(", "),
-        ));
+        w.end().end();
     }
-    out.push_str(if clusters.is_empty() { "],\n" } else { "\n  ],\n" });
+    w.end();
 
-    out.push_str(&format!(
-        "  \"bundle_digests\": [{}],\n",
-        merged
-            .map(|m| {
-                m.bundle_digests
-                    .iter()
-                    .map(|d| format!("\"{d}\""))
-                    .collect::<Vec<_>>()
-                    .join(", ")
-            })
-            .unwrap_or_default(),
-    ));
+    w.key("bundle_digests").strs(merged.map_or(&[][..], |m| &m.bundle_digests));
 
-    out.push_str("  \"workers\": [");
-    for (i, (name, w)) in workers.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "\n    {{\"name\": \"{}\", \"leased\": {}, \"completed\": {}, \"failed\": {}}}",
-            json_escape(name),
-            w.leased,
-            w.completed,
-            w.failed,
-        ));
+    w.key("workers").rows();
+    for (name, stats) in workers {
+        w.obj().key("name").str(name).key("leased").int(stats.leased);
+        w.key("completed").int(stats.completed).key("failed").int(stats.failed).end();
     }
-    out.push_str(if workers.is_empty() { "]\n}\n" } else { "\n  ]\n}\n" });
-    out
+    w.end();
+    w.finish()
 }
 
 #[cfg(test)]

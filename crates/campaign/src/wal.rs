@@ -15,8 +15,7 @@
 //! interior record could resurrect completed work as pending — wasteful
 //! but safe — or worse, forget a quarantine.
 
-use cedar_experiments::jsonio::Json;
-use cedar_experiments::json_escape;
+use cedar_experiments::jsonio::{Json, Writer};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
@@ -110,150 +109,109 @@ pub struct ShardSnap {
 }
 
 impl ShardSnap {
-    fn to_json(&self) -> String {
-        let mut s = format!(
-            "{{\"shard\": {}, \"state\": \"{}\", \"attempts\": {}",
-            self.shard,
-            json_escape(&self.state),
-            self.attempts
-        );
+    fn write_json(&self, w: &mut Writer) {
+        w.obj().key("shard").int(self.shard).key("state").str(&self.state);
+        w.key("attempts").int(self.attempts);
         if let Some(file) = &self.file {
-            s.push_str(&format!(", \"file\": \"{}\"", json_escape(file)));
+            w.key("file").str(file);
         }
         if let Some(sum) = &self.checksum {
-            s.push_str(&format!(", \"checksum\": \"{sum}\""));
+            w.key("checksum").str(sum);
         }
         if !self.errors.is_empty() {
-            s.push_str(", \"errors\": [");
-            for (i, e) in self.errors.iter().enumerate() {
-                if i > 0 {
-                    s.push_str(", ");
-                }
-                s.push_str(&format!("\"{}\"", json_escape(e)));
-            }
-            s.push(']');
+            w.key("errors").strs(&self.errors);
         }
-        s.push('}');
-        s
+        w.end();
     }
 
     fn parse(v: &Json) -> Result<ShardSnap, String> {
-        let shard = v
-            .get("shard")
-            .and_then(Json::as_f64)
-            .ok_or("checkpoint shard missing index")? as u64;
-        let state = v
-            .get("state")
-            .and_then(Json::as_str)
-            .ok_or("checkpoint shard missing state")?
-            .to_string();
-        let attempts = v.get("attempts").and_then(Json::as_f64).unwrap_or(0.0) as u64;
-        let text = |key: &str| {
-            v.get(key).and_then(Json::as_str).map(str::to_string)
-        };
-        let errors = v
-            .get("errors")
-            .and_then(Json::as_arr)
-            .map(|arr| arr.iter().filter_map(|e| e.as_str().map(str::to_string)).collect())
-            .unwrap_or_default();
-        Ok(ShardSnap { shard, state, attempts, file: text("file"), checksum: text("checksum"), errors })
+        let text = |key: &str| v.str_at(key).ok().map(str::to_string);
+        Ok(ShardSnap {
+            shard: v.u64_at("shard")?,
+            state: v.str_at("state")?.to_string(),
+            attempts: v.u64_at("attempts")?,
+            file: text("file"),
+            checksum: text("checksum"),
+            errors: if v.get("errors").is_some() { v.strs_at("errors")? } else { Vec::new() },
+        })
     }
 }
 
 impl Record {
     /// One JSONL line, newline-terminated.
     pub fn to_line(&self) -> String {
+        let mut w = Writer::new();
+        w.obj().key("rec");
         match self {
             Record::Campaign { seed_start, seed_end, shard_size, config, jobs_check, retry_budget } => {
-                format!(
-                    "{{\"rec\": \"campaign\", \"seed_start\": {seed_start}, \"seed_end\": {seed_end}, \"shard_size\": {shard_size}, \"config\": \"{}\", \"jobs_check\": {jobs_check}, \"retry_budget\": {retry_budget}}}\n",
-                    json_escape(config),
-                )
+                w.str("campaign").key("seed_start").int(seed_start).key("seed_end").int(seed_end);
+                w.key("shard_size").int(shard_size).key("config").str(config);
+                w.key("jobs_check").int(jobs_check).key("retry_budget").int(retry_budget);
             }
             Record::Leased { shard, worker } => {
-                format!(
-                    "{{\"rec\": \"leased\", \"shard\": {shard}, \"worker\": \"{}\"}}\n",
-                    json_escape(worker),
-                )
+                w.str("leased").key("shard").int(shard).key("worker").str(worker);
             }
             Record::Completed { shard, file, checksum } => {
-                format!(
-                    "{{\"rec\": \"completed\", \"shard\": {shard}, \"file\": \"{}\", \"checksum\": \"{checksum}\"}}\n",
-                    json_escape(file),
-                )
+                w.str("completed").key("shard").int(shard);
+                w.key("file").str(file).key("checksum").str(checksum);
             }
             Record::Reassigned { shard, attempts, reason } => {
-                format!(
-                    "{{\"rec\": \"reassigned\", \"shard\": {shard}, \"attempts\": {attempts}, \"reason\": \"{}\"}}\n",
-                    json_escape(reason),
-                )
+                w.str("reassigned").key("shard").int(shard);
+                w.key("attempts").int(attempts).key("reason").str(reason);
             }
             Record::Quarantined { shard, attempts, reason } => {
-                format!(
-                    "{{\"rec\": \"quarantined\", \"shard\": {shard}, \"attempts\": {attempts}, \"reason\": \"{}\"}}\n",
-                    json_escape(reason),
-                )
+                w.str("quarantined").key("shard").int(shard);
+                w.key("attempts").int(attempts).key("reason").str(reason);
             }
             Record::Checkpoint { reassignments, shards } => {
-                let snaps: Vec<String> = shards.iter().map(ShardSnap::to_json).collect();
-                format!(
-                    "{{\"rec\": \"checkpoint\", \"reassignments\": {reassignments}, \"shards\": [{}]}}\n",
-                    snaps.join(", "),
-                )
+                w.str("checkpoint").key("reassignments").int(reassignments);
+                w.key("shards").arr();
+                for snap in shards {
+                    snap.write_json(&mut w);
+                }
+                w.end();
             }
         }
+        w.finish() + "\n"
     }
 
-    /// Parse one line back.
+    /// Parse one line back. Every integer is read exactly
+    /// ([`Json::u64_at`]): a `"shard": -1` is a corrupt record, not
+    /// shard 0.
     pub fn parse(line: &str) -> Result<Record, String> {
         let v = Json::parse(line)?;
-        let num = |key: &str| -> Result<u64, String> {
-            let n = v
-                .get(key)
-                .and_then(Json::as_f64)
-                .ok_or_else(|| format!("journal record missing number `{key}`"))?;
-            Ok(n as u64)
-        };
-        let text = |key: &str| -> Result<String, String> {
-            Ok(v.get(key)
-                .and_then(Json::as_str)
-                .ok_or_else(|| format!("journal record missing string `{key}`"))?
-                .to_string())
-        };
+        let text = |key: &str| v.str_at(key).map(str::to_string);
         match v.get("rec").and_then(Json::as_str) {
             Some("campaign") => Ok(Record::Campaign {
-                seed_start: num("seed_start")?,
-                seed_end: num("seed_end")?,
-                shard_size: num("shard_size")?,
+                seed_start: v.u64_at("seed_start")?,
+                seed_end: v.u64_at("seed_end")?,
+                shard_size: v.u64_at("shard_size")?,
                 config: text("config")?,
-                jobs_check: num("jobs_check")?,
-                retry_budget: num("retry_budget")?,
+                jobs_check: v.u64_at("jobs_check")?,
+                retry_budget: v.u64_at("retry_budget")?,
             }),
-            Some("leased") => Ok(Record::Leased { shard: num("shard")?, worker: text("worker")? }),
+            Some("leased") => Ok(Record::Leased { shard: v.u64_at("shard")?, worker: text("worker")? }),
             Some("completed") => Ok(Record::Completed {
-                shard: num("shard")?,
+                shard: v.u64_at("shard")?,
                 file: text("file")?,
                 checksum: text("checksum")?,
             }),
             Some("reassigned") => Ok(Record::Reassigned {
-                shard: num("shard")?,
-                attempts: num("attempts")?,
+                shard: v.u64_at("shard")?,
+                attempts: v.u64_at("attempts")?,
                 reason: text("reason")?,
             }),
             Some("quarantined") => Ok(Record::Quarantined {
-                shard: num("shard")?,
-                attempts: num("attempts")?,
+                shard: v.u64_at("shard")?,
+                attempts: v.u64_at("attempts")?,
                 reason: text("reason")?,
             }),
             Some("checkpoint") => {
-                let shards = v
-                    .get("shards")
-                    .and_then(Json::as_arr)
-                    .ok_or("checkpoint record missing shards array")?
-                    .iter()
-                    .map(ShardSnap::parse)
-                    .collect::<Result<Vec<_>, _>>()?;
-                Ok(Record::Checkpoint { reassignments: num("reassignments")?, shards })
+                let shards = v.arr_at("shards")?.iter().map(ShardSnap::parse);
+                Ok(Record::Checkpoint {
+                    reassignments: v.u64_at("reassignments")?,
+                    shards: shards.collect::<Result<_, _>>()?,
+                })
             }
             other => Err(format!("unknown journal record kind {other:?}")),
         }
@@ -379,24 +337,29 @@ mod tests {
         let dir = std::path::PathBuf::from("target/test-campaign-wal/torn");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("journal.jsonl");
-        let mut text = String::new();
-        for rec in all_kinds() {
-            text.push_str(&rec.to_line());
-        }
-        text.push_str("{\"rec\": \"leased\", \"shard\": 9, \"wor"); // torn mid-append
-        std::fs::write(&path, &text).unwrap();
-        let recs = replay(&path).unwrap();
-        assert_eq!(recs, all_kinds());
+        // A line torn mid-append, and two whose shard is no index at
+        // all: `as u64` replayed -1 as shard 0 and 1.9 as shard 1.
+        for fragment in [
+            "{\"rec\": \"leased\", \"shard\": 9, \"wor",
+            "{\"rec\": \"reassigned\", \"shard\": -1, \"attempts\": 1, \"reason\": \"x\"}",
+            "{\"rec\": \"leased\", \"shard\": 1.9, \"worker\": \"w\"}",
+        ] {
+            let mut text = String::new();
+            for rec in all_kinds() {
+                text.push_str(&rec.to_line());
+            }
+            text.push_str(fragment);
+            std::fs::write(&path, &text).unwrap();
+            let recs = replay(&path).unwrap();
+            assert_eq!(recs, all_kinds(), "{fragment}");
 
-        // The same fragment *inside* the journal is corruption.
-        let bad = format!(
-            "{}{{\"rec\": \"leased\", \"shard\": 9, \"wor\n{}",
-            all_kinds()[0].to_line(),
-            all_kinds()[1].to_line(),
-        );
-        std::fs::write(&path, bad).unwrap();
-        let err = replay(&path).unwrap_err();
-        assert!(err.contains("corrupt journal record"), "{err}");
+            // The same fragment *inside* the journal is corruption.
+            let bad =
+                format!("{}{fragment}\n{}", all_kinds()[0].to_line(), all_kinds()[1].to_line());
+            std::fs::write(&path, bad).unwrap();
+            let err = replay(&path).unwrap_err();
+            assert!(err.contains("corrupt journal record"), "{fragment}: {err}");
+        }
     }
 
     #[test]

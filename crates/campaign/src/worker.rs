@@ -23,8 +23,7 @@
 //! `fail_on_shards` are the deterministic test hooks for the same two
 //! paths.
 
-use cedar_experiments::jsonio::Json;
-use cedar_experiments::json_escape;
+use cedar_experiments::jsonio::{Json, Writer};
 use cedar_fuzz::shard::ShardSummary;
 use cedar_fuzz::{run_campaign, CampaignConfig, OracleConfig};
 use cedar_serve::http;
@@ -100,7 +99,20 @@ pub fn run_worker(cfg: &WorkerConfig) -> Result<WorkerReport, String> {
     let mut report = WorkerReport::default();
     let mut consecutive_errors = 0usize;
     let mut ever_reached = false;
-    let lease_body = format!("{{\"worker\": \"{}\"}}", json_escape(&cfg.name));
+    // Every request names the worker; `/heartbeat`, `/fail` and
+    // `/complete` add the shard and their own member.
+    let request = |shard: Option<u64>, member: Option<(&str, &str)>| {
+        let mut w = Writer::new();
+        w.obj().key("worker").str(&cfg.name);
+        if let Some(shard) = shard {
+            w.key("shard").int(shard);
+        }
+        if let Some((key, value)) = member {
+            w.key(key).str(value);
+        }
+        w.finish()
+    };
+    let lease_body = request(None, None);
     loop {
         let reply = match http::post(&cfg.addr, "/lease", &lease_body, T) {
             Ok((200, body)) => body,
@@ -133,31 +145,17 @@ pub fn run_worker(cfg: &WorkerConfig) -> Result<WorkerReport, String> {
         if v.get("done").and_then(Json::as_bool) == Some(true) {
             return Ok(report);
         }
-        if let Some(wait) = v.get("wait_ms").and_then(Json::as_f64) {
-            std::thread::sleep(Duration::from_millis(wait as u64));
+        if let Ok(wait) = v.u64_at("wait_ms") {
+            std::thread::sleep(Duration::from_millis(wait));
             continue;
         }
-        let shard = v
-            .get("shard")
-            .and_then(Json::as_f64)
-            .ok_or_else(|| format!("lease reply has no shard: {reply}"))? as u64;
-        let seed_start = v
-            .get("seed_start")
-            .and_then(Json::as_f64)
-            .ok_or("lease reply has no seed_start")? as u64;
-        let seed_end = v
-            .get("seed_end")
-            .and_then(Json::as_f64)
-            .ok_or("lease reply has no seed_end")? as u64;
-        let lease_ms = v.get("lease_ms").and_then(Json::as_f64).unwrap_or(30_000.0) as u64;
-        let config_name = match v.get("config").and_then(Json::as_str) {
-            Some("auto") => "auto",
-            _ => "manual",
-        };
-        let oracle = match config_name {
-            "auto" => OracleConfig::automatic(),
-            _ => OracleConfig::default(),
-        };
+        let lease = |key: &str| v.u64_at(key).map_err(|e| format!("bad lease reply: {e}: {reply}"));
+        let (shard, seed_start, seed_end) =
+            (lease("shard")?, lease("seed_start")?, lease("seed_end")?);
+        let lease_ms = lease("lease_ms")?;
+        let config_name = v.str_at("config").map_err(|e| format!("bad lease reply: {e}"))?;
+        let oracle = OracleConfig::named(config_name)
+            .ok_or_else(|| format!("lease names an unknown config `{config_name}`"))?;
 
         let crash = cfg.die_on_shards.contains(&shard)
             || cfg.chaos.is_some_and(|seed| {
@@ -173,10 +171,7 @@ pub fn run_worker(cfg: &WorkerConfig) -> Result<WorkerReport, String> {
             return Ok(report);
         }
         if cfg.fail_on_shards.contains(&shard) {
-            let body = format!(
-                "{{\"worker\": \"{}\", \"shard\": {shard}, \"error\": \"injected failure\"}}",
-                json_escape(&cfg.name),
-            );
+            let body = request(Some(shard), Some(("error", "injected failure")));
             let _ = http::post(&cfg.addr, "/fail", &body, T);
             report.failed += 1;
             continue;
@@ -187,10 +182,7 @@ pub fn run_worker(cfg: &WorkerConfig) -> Result<WorkerReport, String> {
         let beat = {
             let stop = Arc::clone(&stop);
             let addr = cfg.addr.clone();
-            let body = format!(
-                "{{\"worker\": \"{}\", \"shard\": {shard}}}",
-                json_escape(&cfg.name),
-            );
+            let body = request(Some(shard), None);
             let interval = Duration::from_millis((lease_ms / 3).max(10));
             std::thread::spawn(move || {
                 while !stop.load(Ordering::Relaxed) {
@@ -218,22 +210,15 @@ pub fn run_worker(cfg: &WorkerConfig) -> Result<WorkerReport, String> {
         let _ = beat.join();
 
         if summary.skipped_for_budget > 0 {
-            let body = format!(
-                "{{\"worker\": \"{}\", \"shard\": {shard}, \"error\": \"budget lapsed after {} of {} seeds\"}}",
-                json_escape(&cfg.name),
-                summary.executed,
-                seed_end - seed_start,
-            );
+            let lapsed =
+                format!("budget lapsed after {} of {} seeds", summary.executed, seed_end - seed_start);
+            let body = request(Some(shard), Some(("error", &lapsed)));
             let _ = http::post(&cfg.addr, "/fail", &body, T);
             report.failed += 1;
             continue;
         }
         let shard_json = ShardSummary::from_summary(&summary).to_json();
-        let body = format!(
-            "{{\"worker\": \"{}\", \"shard\": {shard}, \"summary\": \"{}\"}}",
-            json_escape(&cfg.name),
-            json_escape(&shard_json),
-        );
+        let body = request(Some(shard), Some(("summary", &shard_json)));
         match http::post(&cfg.addr, "/complete", &body, T) {
             Ok((200, _)) => report.completed += 1,
             Ok((status, reply)) => {

@@ -36,12 +36,7 @@ fn main() -> ExitCode {
                 Ok(())
             }),
             "--config" => value("--config").and_then(|v| {
-                cfg = match v.as_str() {
-                    "auto" => PassConfig::automatic_1991(),
-                    "manual" => PassConfig::manual_improved(),
-                    "serial" => PassConfig::serial(),
-                    other => return Err(format!("unknown config `{other}`")),
-                };
+                cfg = PassConfig::named(&v).ok_or_else(|| format!("unknown config `{v}`"))?;
                 Ok(())
             }),
             "--free" => {

@@ -140,6 +140,19 @@ impl PassConfig {
         }
     }
 
+    /// The configuration a command line, a request or a report names:
+    /// `auto` (`automatic` in the robustness report), `manual` or
+    /// `serial`. `None` for anything else: a mistyped name must not
+    /// quietly run a different configuration.
+    pub fn named(name: &str) -> Option<PassConfig> {
+        match name {
+            "auto" | "automatic" => Some(Self::automatic_1991()),
+            "manual" => Some(Self::manual_improved()),
+            "serial" => Some(Self::serial()),
+            _ => None,
+        }
+    }
+
     /// Builder-style target override.
     pub fn for_target(mut self, t: Target) -> PassConfig {
         self.target = t;

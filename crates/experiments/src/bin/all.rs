@@ -12,7 +12,7 @@
 //! 2 = harness error (at least one cell quarantined; crash bundles are
 //! under `target/crash-bundles/`) or a bad command line.
 
-use cedar_experiments::exitcode;
+use cedar_experiments::{exitcode, Writer};
 use cedar_experiments::supervise::{self, Quarantine, Recovery, Supervisor};
 
 fn main() {
@@ -84,27 +84,17 @@ fn main() {
 
     eprintln!("total wall time: {:.1}s", t0.elapsed().as_secs_f64());
 
-    let mut json = String::from("{\n  \"schema\": \"cedar-artifacts-v1\",\n");
-    json.push_str(&format!(
-        "  \"chaos_seed\": {},\n",
-        sup.chaos.map_or("null".to_string(), |s| s.to_string())
-    ));
-    json.push_str(&format!(
-        "  \"deadline_s\": {},\n",
-        sup.deadline.map_or("null".to_string(), |d| format!("{}", d.as_secs_f64()))
-    ));
-    json.push_str(&format!(
-        "  \"recovered\": {},\n",
-        supervise::recovered_json(&recovered)
-    ));
-    json.push_str(&format!(
-        "  \"quarantined\": {}\n}}\n",
-        supervise::quarantined_json(&quarantined)
-    ));
+    let mut w = Writer::document();
+    w.key("schema").str("cedar-artifacts-v1");
+    w.key("chaos_seed").opt(sup.chaos, Writer::int);
+    let deadline = sup.deadline.map(|d| d.as_secs_f64());
+    w.key("deadline_s").opt(deadline, |w, s| w.float(s, format_args!("{s}")));
+    w.key("recovered").raw(supervise::recovered_json(&recovered));
+    w.key("quarantined").raw(supervise::quarantined_json(&quarantined));
     if let Some(dir) = std::path::Path::new(&json_path).parent() {
         let _ = std::fs::create_dir_all(dir);
     }
-    match std::fs::write(&json_path, json) {
+    match std::fs::write(&json_path, w.finish()) {
         Ok(()) => eprintln!("wrote {json_path}"),
         Err(e) => eprintln!("could not write {json_path}: {e}"),
     }

@@ -1,15 +1,28 @@
-//! Minimal JSON value + recursive-descent parser.
+//! The workspace's JSON: one value type with its recursive-descent
+//! parser, and one streaming [`Writer`].
 //!
-//! The build environment is fully offline (no registry crates), so the
-//! workspace parses JSON with the same hand-rolled approach it uses for
-//! *writing* JSON. This is a strict subset parser sized to its
-//! consumers' needs: objects, arrays, strings (with the standard
-//! escapes incl. `\uXXXX`), numbers, bools, null. It started life as
-//! `cedar-serve`'s request-body reader and moved here when the
-//! campaign coordinator needed to parse worker shard uploads and WAL
-//! journal records too; the service re-exports it unchanged. Writers
-//! keep using `format!` + [`crate::json_escape`] like every other
-//! artifact writer in the repo — only the reader lives here.
+//! The build is fully offline (no registry crates), so both sides are
+//! sized to their consumers. Every JSON document the workspace produces
+//! — the sweep reports, `cedar-fuzz-v1` and its shards, crash bundles,
+//! the `cedar-serve` and campaign wire replies, the campaign journal
+//! (DESIGN.md, "JSON documents", lists them) — is written through
+//! [`Writer`], and every one it consumes is read through [`Json`]. This
+//! module is therefore the only place that knows how a string is
+//! escaped, where a comma goes, that `None` and a non-finite float are
+//! `null`, and that an integer read from outside must be exact
+//! ([`Json::u64_at`]); `tests/json_bytes.rs` fails on a hand-spelled
+//! key anywhere else under `crates/*/src`.
+//!
+//! The parser is a strict subset parser: objects, arrays, strings (with
+//! the standard escapes incl. `\uXXXX`), numbers, bools, null. It
+//! started life as `cedar-serve`'s request-body reader and moved here
+//! when the campaign coordinator needed it too; the service re-exports
+//! it unchanged. The writer is not a value tree: `Json::Num(f64)`
+//! cannot carry the `{}` / `{:.3}` / `{:e}` / exact-`u64` spellings the
+//! pinned bytes need, so numbers are written with the caller's
+//! spelling straight into the output.
+
+use std::fmt::{self, Display, Write as _};
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -85,6 +98,254 @@ impl Json {
     /// True for `null`.
     pub fn is_null(&self) -> bool {
         matches!(self, Json::Null)
+    }
+
+    /// Member `key` as a string.
+    pub fn str_at(&self, key: &str) -> Result<&str, String> {
+        self.get(key).and_then(Json::as_str).ok_or_else(|| format!("`{key}` (string) is required"))
+    }
+
+    /// Member `key` as an unsigned integer: the one rule by which a
+    /// number from outside becomes an index or a count. It must be one
+    /// exactly (non-negative, integral, at most 2^53): `-1`, `1.9` and
+    /// `1e30` are refused, not rounded or saturated.
+    pub fn u64_at(&self, key: &str) -> Result<u64, String> {
+        let n = self.get(key).and_then(Json::as_f64);
+        let n = n.ok_or_else(|| format!("`{key}` (unsigned integer) is required"))?;
+        let exact = n >= 0.0 && n.fract() == 0.0 && n <= (1u64 << 53) as f64;
+        exact.then_some(n as u64).ok_or_else(|| format!("`{key}` = {n} is not an exact unsigned integer"))
+    }
+
+    /// Member `key` as an array.
+    pub fn arr_at(&self, key: &str) -> Result<&[Json], String> {
+        self.get(key).and_then(Json::as_arr).ok_or_else(|| format!("`{key}` (array) is required"))
+    }
+
+    /// Member `key` as an array of strings.
+    pub fn strs_at(&self, key: &str) -> Result<Vec<String>, String> {
+        let strs = self.arr_at(key)?.iter().map(|s| s.as_str().map(str::to_string));
+        strs.collect::<Option<_>>().ok_or_else(|| format!("`{key}` entries must be strings"))
+    }
+}
+
+/// Streaming JSON writer: every document, wire reply and journal line
+/// of the workspace is written through one, piece by piece into one
+/// `String`. It owns the comma, the quoting and the spelling of absence
+/// (`None` and a non-finite float are `null`), in two layouts chosen by
+/// which container is opened and by nothing else:
+///
+/// * **inline** — [`obj`](Writer::obj) / [`arr`](Writer::arr):
+///   `{"k": v, "k": v}`, `[a, b]`;
+/// * **document** — [`Writer::document`] puts each member on its own
+///   2-space line ([`and_key`](Writer::and_key) keeps one on the line
+///   before) and ends `\n}\n`; in it [`rows`](Writer::rows) and
+///   [`row_obj`](Writer::row_obj) put each element on a 4-space line
+///   and close on a 2-space one, or print `[]` / `{}` when empty.
+#[derive(Default)]
+pub struct Writer {
+    out: String,
+    /// Open containers, innermost last.
+    open: Vec<Open>,
+    /// A key was just written: the next value follows it directly.
+    keyed: bool,
+}
+
+struct Open {
+    close: &'static str,
+    /// Indent of the one-per-line elements; 0 = inline.
+    indent: usize,
+    len: usize,
+}
+
+impl Writer {
+    /// A writer with nothing open: the next value is the whole output.
+    pub fn new() -> Writer {
+        Writer::default()
+    }
+
+    /// A writer with the document object open.
+    pub fn document() -> Writer {
+        let mut w = Writer::new();
+        w.begin('{', "}\n", 2);
+        w
+    }
+
+    /// The text. Closes the outermost container if it is still open.
+    pub fn finish(mut self) -> String {
+        if self.open.len() == 1 {
+            self.end();
+        }
+        debug_assert!(self.open.is_empty() && !self.keyed, "unfinished JSON: {}", self.out);
+        self.out
+    }
+
+    /// The separator before the next key or element.
+    fn sep(&mut self, same_line: bool) {
+        if std::mem::take(&mut self.keyed) {
+            return;
+        }
+        let Some(o) = self.open.last_mut() else { return };
+        if o.len > 0 {
+            self.out.push(',');
+        }
+        if o.indent > 0 && !(same_line && o.len > 0) {
+            self.out.push('\n');
+            self.out.extend(std::iter::repeat_n(' ', o.indent));
+        } else if o.len > 0 {
+            self.out.push(' ');
+        }
+        o.len += 1;
+    }
+
+    fn begin(&mut self, open: char, close: &'static str, indent: usize) -> &mut Self {
+        self.sep(false);
+        self.out.push(open);
+        self.open.push(Open { close, indent, len: 0 });
+        self
+    }
+
+    /// Open an inline object.
+    pub fn obj(&mut self) -> &mut Self {
+        self.begin('{', "}", 0)
+    }
+
+    /// Open an inline array.
+    pub fn arr(&mut self) -> &mut Self {
+        self.begin('[', "]", 0)
+    }
+
+    /// Open an array of one element per line (a document member).
+    pub fn rows(&mut self) -> &mut Self {
+        self.begin('[', "]", 4)
+    }
+
+    /// Open an object of one member per line (a document member).
+    pub fn row_obj(&mut self) -> &mut Self {
+        self.begin('{', "}", 4)
+    }
+
+    /// Close the innermost container.
+    pub fn end(&mut self) -> &mut Self {
+        let o = self.open.pop().expect("end() closes a container that was opened");
+        if o.indent > 0 && o.len > 0 {
+            self.out.push('\n');
+            self.out.extend(std::iter::repeat_n(' ', o.indent - 2));
+        }
+        self.out.push_str(o.close);
+        self
+    }
+
+    /// The next member's key; its value follows.
+    pub fn key(&mut self, key: &str) -> &mut Self {
+        self.member(key, false)
+    }
+
+    /// [`key`](Writer::key), kept on the previous member's line.
+    pub fn and_key(&mut self, key: &str) -> &mut Self {
+        self.member(key, true)
+    }
+
+    fn member(&mut self, key: &str, same_line: bool) -> &mut Self {
+        self.sep(same_line);
+        self.quoted(key);
+        self.out.push_str(": ");
+        self.keyed = true;
+        self
+    }
+
+    fn quoted(&mut self, s: impl Display) {
+        self.out.push('"');
+        let _ = write!(Escaped(&mut self.out), "{s}");
+        self.out.push('"');
+    }
+
+    /// A string value: what `s` displays, escaped.
+    pub fn str(&mut self, s: impl Display) -> &mut Self {
+        self.sep(false);
+        self.quoted(s);
+        self
+    }
+
+    /// A value another writer already rendered, exactly as it displays.
+    pub fn raw(&mut self, json: impl Display) -> &mut Self {
+        self.sep(false);
+        let _ = write!(self.out, "{json}");
+        self
+    }
+
+    /// An integer value, as it displays.
+    pub fn int(&mut self, n: impl Display) -> &mut Self {
+        self.raw(n)
+    }
+
+    /// `true` / `false`.
+    pub fn bool(&mut self, b: bool) -> &mut Self {
+        self.raw(b)
+    }
+
+    /// A float `x` as the caller spells it (`format_args!("{x:.3}")`),
+    /// or `null` when it is not finite.
+    pub fn float(&mut self, x: f64, spelled: fmt::Arguments<'_>) -> &mut Self {
+        if x.is_finite() { self.raw(spelled) } else { self.raw("null") }
+    }
+
+    /// `null` for `None`, else the value as `write` writes it:
+    /// `w.opt(bundle, Writer::str)`.
+    pub fn opt<T>(
+        &mut self,
+        v: Option<T>,
+        write: impl for<'a> FnOnce(&'a mut Self, T) -> &'a mut Self,
+    ) -> &mut Self {
+        match v {
+            Some(v) => write(self, v),
+            None => self.raw("null"),
+        }
+    }
+
+    /// An inline array of strings.
+    pub fn strs<S: Display>(&mut self, items: impl IntoIterator<Item = S>) -> &mut Self {
+        self.arr();
+        for s in items {
+            self.str(s);
+        }
+        self.end()
+    }
+}
+
+/// `{"ok": true}`: the fixed replies of both wire protocols.
+pub fn flags(members: &[(&str, bool)]) -> String {
+    let mut w = Writer::new();
+    w.obj();
+    for (key, value) in members {
+        w.key(key).bool(*value);
+    }
+    w.finish()
+}
+
+/// Escapes what is written through it for a JSON string literal: `\"`,
+/// `\\`, `\n`, `\u00XX` for the other control characters.
+struct Escaped<'a>(&'a mut String);
+
+impl fmt::Write for Escaped<'_> {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        let mut from = 0;
+        for (i, b) in s.bytes().enumerate() {
+            let esc = match b {
+                b'"' => "\\\"",
+                b'\\' => "\\\\",
+                b'\n' => "\\n",
+                0..=0x1f => "",
+                _ => continue,
+            };
+            self.0.push_str(&s[from..i]);
+            self.0.push_str(esc);
+            if esc.is_empty() {
+                write!(self.0, "\\u{b:04x}")?;
+            }
+            from = i + 1;
+        }
+        self.0.push_str(&s[from..]);
+        Ok(())
     }
 }
 
@@ -288,10 +549,49 @@ mod tests {
 
     #[test]
     fn escapes_round_trip_through_the_repo_writer() {
-        let original = "line1\nline2\t\"quoted\" \\ end";
-        let body = format!("{{\"s\": \"{}\"}}", crate::json_escape(original));
+        let original = "line1\nline2\t\"quoted\" \\ \u{1}\r \u{1F980} end";
+        let mut w = Writer::new();
+        w.obj().key(original).str(original);
+        let body = w.finish();
+        assert!(body.contains("\\u0009\\\"quoted\\\" \\\\ \\u0001\\u000d \u{1F980}"), "{body}");
         let v = Json::parse(&body).unwrap();
-        assert_eq!(v.get("s").unwrap().as_str().unwrap(), original);
+        assert_eq!(v.get(original).unwrap().as_str().unwrap(), original);
+    }
+
+    #[test]
+    fn the_two_layouts() {
+        let mut w = Writer::new();
+        w.obj().key("a").int(1).key("b").arr().float(0.5, format_args!("{:.3}", 0.5));
+        w.float(f64::NAN, format_args!("NaN")).end();
+        w.key("c").opt(None::<&str>, Writer::str).key("d").opt(Some("x"), Writer::str);
+        assert_eq!(w.finish(), r#"{"a": 1, "b": [0.500, null], "c": null, "d": "x"}"#);
+
+        let mut w = Writer::document();
+        w.key("n").int(2).and_key("m").float(1.5, format_args!("{}", 1.5));
+        w.key("none").rows().end();
+        w.key("rows").rows();
+        w.obj().key("k").bool(true).end().strs(["s"]).end();
+        w.key("map").row_obj().key("x").obj().end().end();
+        assert_eq!(
+            w.finish(),
+            "{\n  \"n\": 2, \"m\": 1.5,\n  \"none\": [],\n  \"rows\": [\n    {\"k\": true},\n    \
+             [\"s\"]\n  ],\n  \"map\": {\n    \"x\": {}\n  }\n}\n"
+        );
+    }
+
+    #[test]
+    fn integers_from_outside_are_exact_or_refused() {
+        let v = Json::parse(r#"{"a": 7, "b": -1, "c": 1.9, "d": 1e30, "e": "7", "f": 9007199254740992}"#)
+            .unwrap();
+        assert_eq!(v.u64_at("a"), Ok(7));
+        assert_eq!(v.u64_at("f"), Ok(1 << 53));
+        for key in ["b", "c", "d"] {
+            let e = v.u64_at(key).unwrap_err();
+            assert!(e.contains("not an exact unsigned integer"), "{key}: {e}");
+        }
+        assert!(v.u64_at("e").unwrap_err().contains("is required"));
+        assert!(v.u64_at("missing").unwrap_err().contains("`missing`"));
+        assert!(v.strs_at("a").is_err() && v.str_at("a").is_err());
     }
 
     #[test]

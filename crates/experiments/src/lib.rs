@@ -51,9 +51,8 @@ pub mod supervise;
 pub mod table1;
 pub mod table2;
 
-pub use jsonio::Json;
+pub use jsonio::{Json, Writer};
 pub use pipeline::{run_program, run_workload, Outcome};
-pub use robustness::json_escape;
 pub use supervise::Supervisor;
 
 /// Unified exit-code taxonomy for the experiment binaries (`all`,

@@ -280,44 +280,31 @@ pub fn render(rows: &[Row]) -> String {
     )
 }
 
-/// JSON rendering (no external dependencies). Quarantined cells —
-/// programs the supervisor gave up on — are reported alongside the
-/// confusion matrix rather than silently missing from it.
+/// JSON rendering. Quarantined cells — programs the supervisor gave up
+/// on — are reported alongside the confusion matrix rather than
+/// silently missing from it.
 pub fn to_json(rows: &[Row], quarantined: &[crate::supervise::Quarantine]) -> String {
     let c = confusion(rows);
-    let mut out = String::from("{\n");
-    out.push_str(&format!(
-        "  \"confusion\": {{\"true_positive\": {}, \"false_negative\": {}, \
-         \"false_positive\": {}, \"true_negative\": {}}},\n",
-        c.true_positive, c.false_negative, c.false_positive, c.true_negative
-    ));
-    out.push_str(&format!(
-        "  \"quarantined\": {},\n",
-        crate::supervise::quarantined_json(quarantined)
-    ));
-    out.push_str("  \"rows\": [\n");
-    for (k, r) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"suite\": \"{}\", \"expect_race\": {}, \
-             \"races\": {}, \"deadlock\": {}, \"audit_findings\": {}, \
-             \"cycles_identical\": {}, \"flagged\": {}, \"first_race\": {}}}",
-            crate::robustness::json_escape(&r.name),
-            r.suite,
-            r.expect_race,
-            r.races,
-            r.deadlock,
-            r.audit_findings,
-            r.cycles_identical,
-            r.flagged(),
-            match &r.first_race {
-                Some(s) => format!("\"{}\"", crate::robustness::json_escape(s)),
-                None => "null".to_string(),
-            },
-        ));
-        out.push_str(if k + 1 < rows.len() { ",\n" } else { "\n" });
+    let mut w = crate::Writer::document();
+    w.key("confusion").obj();
+    w.key("true_positive").int(c.true_positive).key("false_negative").int(c.false_negative);
+    w.key("false_positive").int(c.false_positive).key("true_negative").int(c.true_negative).end();
+    w.key("quarantined").raw(crate::supervise::quarantined_json(quarantined));
+    w.key("rows").rows();
+    for r in rows {
+        w.obj();
+        w.key("name").str(&r.name);
+        w.key("suite").str(r.suite);
+        w.key("expect_race").bool(r.expect_race);
+        w.key("races").int(r.races);
+        w.key("deadlock").bool(r.deadlock);
+        w.key("audit_findings").int(r.audit_findings);
+        w.key("cycles_identical").bool(r.cycles_identical);
+        w.key("flagged").bool(r.flagged());
+        w.key("first_race").opt(r.first_race.as_deref(), crate::Writer::str).end();
     }
-    out.push_str("  ]\n}\n");
-    out
+    w.end();
+    w.finish()
 }
 
 #[cfg(test)]

@@ -44,10 +44,8 @@ fn validate(w: &Workload, suite: &'static str, config: &'static str, seeds: &[u6
     // (all identities without a supervisor).
     crate::supervise::gate("validate");
     let program = crate::cache::compiled(w);
-    let cfg = match config {
-        "manual" => cedar_restructure::PassConfig::manual_improved(),
-        _ => cedar_restructure::PassConfig::automatic_1991(),
-    };
+    let cfg = cedar_restructure::PassConfig::named(config)
+        .unwrap_or_else(|| panic!("`{config}` names no pass configuration"));
     let cfg = crate::supervise::adjust_pass(&cfg);
     let mc = crate::supervise::adjust_machine(&MachineConfig::cedar_config1_scaled());
     let vcfg = ValidationConfig { seeds: seeds.to_vec(), ..Default::default() };
@@ -172,77 +170,38 @@ pub fn render(rows: &[Row]) -> String {
     )
 }
 
-/// Escape a string for embedding in a JSON string literal (shared by
-/// every hand-rolled report writer in the workspace, including
-/// `cedar-fuzz`).
-pub fn json_escape(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => "\\\"".chars().collect::<Vec<_>>(),
-            '\\' => "\\\\".chars().collect(),
-            '\n' => "\\n".chars().collect(),
-            c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
-            c => vec![c],
-        })
-        .collect()
-}
-
-fn json_f64(x: f64) -> String {
-    if x.is_finite() { format!("{x:e}") } else { "null".to_string() }
-}
-
-/// JSON rendering (no external dependencies). Quarantined cells — jobs
-/// the supervisor gave up on — are first-class report citizens, not
-/// silently missing rows.
+/// JSON rendering. Quarantined cells — jobs the supervisor gave up on
+/// — are first-class report citizens, not silently missing rows.
 pub fn to_json(
     rows: &[Row],
     n_seeds: u64,
     quarantined: &[crate::supervise::Quarantine],
 ) -> String {
-    let mut out = String::from("{\n");
-    out.push_str(&format!("  \"seeds\": {n_seeds},\n"));
-    out.push_str(&format!(
-        "  \"quarantined\": {},\n",
-        crate::supervise::quarantined_json(quarantined)
-    ));
-    out.push_str("  \"workloads\": [\n");
-    for (k, r) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"suite\": \"{}\", \"config\": \"{}\", \
-             \"attempts\": {}, \"fallbacks\": {}, \"degraded_to_serial\": {}, \
-             \"bit_identical\": {}, \"max_rel_err\": {}, \"seed_runs\": [",
-            json_escape(r.workload),
-            r.suite,
-            r.config,
-            r.attempts,
-            r.fallbacks,
-            r.degraded,
-            r.bit_identical,
-            json_f64(r.max_rel_err),
-        ));
-        for (j, (seed, cycles, bit, err)) in r.seed_runs.iter().enumerate() {
-            out.push_str(&format!(
-                "{{\"seed\": {seed}, \"cycles\": {}, \"bit_identical\": {bit}, \
-                 \"max_rel_err\": {}}}",
-                json_f64(*cycles),
-                json_f64(*err),
-            ));
-            if j + 1 < r.seed_runs.len() {
-                out.push_str(", ");
-            }
+    let mut w = crate::Writer::document();
+    w.key("seeds").int(n_seeds);
+    w.key("quarantined").raw(crate::supervise::quarantined_json(quarantined));
+    w.key("workloads").rows();
+    for r in rows {
+        w.obj();
+        w.key("name").str(r.workload);
+        w.key("suite").str(r.suite);
+        w.key("config").str(r.config);
+        w.key("attempts").int(r.attempts);
+        w.key("fallbacks").int(r.fallbacks);
+        w.key("degraded_to_serial").bool(r.degraded);
+        w.key("bit_identical").bool(r.bit_identical);
+        w.key("max_rel_err").float(r.max_rel_err, format_args!("{:e}", r.max_rel_err));
+        w.key("seed_runs").arr();
+        for &(seed, cycles, bit, err) in &r.seed_runs {
+            w.obj().key("seed").int(seed).key("cycles").float(cycles, format_args!("{cycles:e}"));
+            w.key("bit_identical").bool(bit);
+            w.key("max_rel_err").float(err, format_args!("{err:e}")).end();
         }
-        out.push_str("], \"fallback_notes\": [");
-        for (j, note) in r.fallback_notes.iter().enumerate() {
-            out.push_str(&format!("\"{}\"", json_escape(note)));
-            if j + 1 < r.fallback_notes.len() {
-                out.push_str(", ");
-            }
-        }
-        out.push_str("]}");
-        out.push_str(if k + 1 < rows.len() { ",\n" } else { "\n" });
+        w.end();
+        w.key("fallback_notes").strs(&r.fallback_notes).end();
     }
-    out.push_str("  ]\n}\n");
-    out
+    w.end();
+    w.finish()
 }
 
 #[cfg(test)]

@@ -30,6 +30,7 @@
 //! are byte-for-byte unaffected.
 
 use crate::chaos::{self, Injection};
+use crate::Writer;
 use cedar_par::{panic_message, CancelToken, Context};
 use cedar_restructure::PassConfig;
 use cedar_sim::{MachineConfig, SimError, SimErrorKind};
@@ -652,42 +653,23 @@ fn write_bundle(
             std::fs::write(dir.join("backtrace.txt"), bt).ok()?;
         }
 
-        let esc = crate::robustness::json_escape;
-        let mut json = String::from("{\n  \"schema\": \"cedar-crash-bundle-v1\",\n");
-        json.push_str(&format!("  \"digest\": \"{digest:016x}\",\n"));
-        json.push_str(&format!("  \"cell\": \"{}\",\n", esc(label)));
-        json.push_str(&format!(
-            "  \"chaos_seed\": {},\n",
-            sup.chaos.map_or("null".to_string(), |s| s.to_string())
-        ));
-        json.push_str(&format!(
-            "  \"deadline_s\": {},\n",
-            sup.deadline.map_or("null".to_string(), |d| format!("{}", d.as_secs_f64()))
-        ));
-        json.push_str(&format!(
-            "  \"source\": {},\n",
-            if minimized.is_some() { "\"source.f\"" } else { "null" }
-        ));
-        json.push_str(&format!(
-            "  \"backtrace\": {},\n",
-            if errors.iter().any(|(_, e)| e.backtrace.is_some()) {
-                "\"backtrace.txt\""
-            } else {
-                "null"
-            }
-        ));
-        json.push_str("  \"hits\": \"hits.txt\",\n");
-        json.push_str("  \"attempts\": [\n");
-        for (k, (rung, e)) in errors.iter().enumerate() {
-            json.push_str(&format!(
-                "    {{\"rung\": \"{rung}\", \"kind\": \"{}\", \"error\": \"{}\"}}{}\n",
-                e.kind.as_str(),
-                esc(&e.msg),
-                if k + 1 < errors.len() { "," } else { "" }
-            ));
+        let mut w = Writer::document();
+        w.key("schema").str("cedar-crash-bundle-v1");
+        w.key("digest").str(format_args!("{digest:016x}"));
+        w.key("cell").str(label);
+        w.key("chaos_seed").opt(sup.chaos, Writer::int);
+        let deadline = sup.deadline.map(|d| d.as_secs_f64());
+        w.key("deadline_s").opt(deadline, |w, s| w.float(s, format_args!("{s}")));
+        w.key("source").opt(minimized.as_ref().map(|_| "source.f"), Writer::str);
+        w.key("backtrace").opt(backtrace.map(|_| "backtrace.txt"), Writer::str);
+        w.key("hits").str("hits.txt");
+        w.key("attempts").rows();
+        for (rung, e) in errors {
+            w.obj().key("rung").str(rung).key("kind").str(e.kind.as_str());
+            w.key("error").str(&e.msg).end();
         }
-        json.push_str("  ]\n}\n");
-        bundle_file.write_all(json.as_bytes()).ok()?;
+        w.end();
+        bundle_file.write_all(w.finish().as_bytes()).ok()?;
     }
 
     // Every hit — including the first — records its cell label; the
@@ -813,54 +795,28 @@ pub fn bundle_hits(bundle_dir: &str) -> usize {
 /// every sweep report writer so failed cells are first-class citizens
 /// of the artifact JSON instead of vanishing from it.
 pub fn quarantined_json(q: &[Quarantine]) -> String {
-    if q.is_empty() {
-        return "[]".to_string();
-    }
-    let esc = crate::robustness::json_escape;
-    let mut out = String::from("[\n");
-    for (k, item) in q.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"cell\": \"{}\", \"kind\": \"{}\", \"bundle\": {}, \"attempts\": [",
-            esc(&item.cell),
-            item.kind,
-            match &item.bundle {
-                Some(p) => format!("\"{}\"", esc(p)),
-                None => "null".to_string(),
-            },
-        ));
-        for (j, (rung, kind, msg)) in item.attempts.iter().enumerate() {
-            out.push_str(&format!(
-                "{{\"rung\": \"{rung}\", \"kind\": \"{kind}\", \"error\": \"{}\"}}",
-                esc(msg)
-            ));
-            if j + 1 < item.attempts.len() {
-                out.push_str(", ");
-            }
+    let mut w = Writer::new();
+    w.rows();
+    for item in q {
+        w.obj().key("cell").str(&item.cell).key("kind").str(item.kind);
+        w.key("bundle").opt(item.bundle.as_deref(), Writer::str);
+        w.key("attempts").arr();
+        for (rung, kind, msg) in &item.attempts {
+            w.obj().key("rung").str(rung).key("kind").str(kind).key("error").str(msg).end();
         }
-        out.push_str("]}");
-        out.push_str(if k + 1 < q.len() { ",\n" } else { "\n" });
+        w.end().end();
     }
-    out.push_str("  ]");
-    out
+    w.finish()
 }
 
 /// Render a `recovered` JSON array (no trailing newline).
 pub fn recovered_json(r: &[Recovery]) -> String {
-    if r.is_empty() {
-        return "[]".to_string();
+    let mut w = Writer::new();
+    w.rows();
+    for item in r {
+        w.obj().key("cell").str(&item.cell).key("rung").str(item.rung).end();
     }
-    let esc = crate::robustness::json_escape;
-    let mut out = String::from("[\n");
-    for (k, item) in r.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"cell\": \"{}\", \"rung\": \"{}\"}}",
-            esc(&item.cell),
-            item.rung
-        ));
-        out.push_str(if k + 1 < r.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("  ]");
-    out
+    w.finish()
 }
 
 #[cfg(test)]

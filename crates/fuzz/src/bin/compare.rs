@@ -16,13 +16,13 @@
 //! Exit codes: `0` all backends agree everywhere, `1` at least one
 //! divergence/failure, `2` usage or harness error.
 
-use cedar_experiments::json_escape;
+use cedar_experiments::Writer;
 use cedar_restructure::PassConfig;
 use cedar_sim::MachineConfig;
 use cedar_verify::{compare_backends, BackendComparison};
 use std::process::ExitCode;
 
-const USAGE: &str = "usage: compare [--workloads] [--seeds A..B] [--config manual|auto] \
+const USAGE: &str = "usage: compare [--workloads] [--seeds A..B] [--config manual|auto|serial] \
                      [--rel-tol X] [--json PATH] [--bundle-dir DIR]";
 
 struct Args {
@@ -63,11 +63,8 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
                 out.seeds = Some((a, b));
             }
             "--config" => {
-                out.pass = match value("--config")?.as_str() {
-                    "manual" => PassConfig::manual_improved(),
-                    "auto" => PassConfig::automatic_1991(),
-                    other => return Err(format!("unknown config `{other}`")),
-                };
+                let v = value("--config")?;
+                out.pass = PassConfig::named(&v).ok_or_else(|| format!("unknown config `{v}`"))?;
             }
             "--rel-tol" => {
                 let v = value("--rel-tol")?;
@@ -95,35 +92,22 @@ impl Case {
         self.comparison.as_ref().map(|c| c.agree()).unwrap_or(false)
     }
 
-    fn to_json(&self) -> String {
+    fn write_json(&self, w: &mut Writer) {
+        w.obj().key("name").str(&self.name).key("agree").bool(self.agree());
         match &self.comparison {
-            Err(e) => format!(
-                "{{\"name\":\"{}\",\"agree\":false,\"error\":\"{}\"}}",
-                json_escape(&self.name),
-                json_escape(e)
-            ),
+            Err(e) => w.key("error").str(e),
             Ok(c) => {
-                let backends: Vec<String> = c
-                    .runs
-                    .iter()
-                    .map(|r| {
-                        format!(
-                            "{{\"backend\":\"{}\",\"agree\":{},\"cycles\":{},\"outcome\":\"{}\"}}",
-                            r.backend.name(),
-                            r.outcome.is_agreement(),
-                            r.cycles.map(|c| format!("{c}")).unwrap_or("null".into()),
-                            json_escape(&r.outcome.to_string()),
-                        )
-                    })
-                    .collect();
-                format!(
-                    "{{\"name\":\"{}\",\"agree\":{},\"backends\":[{}]}}",
-                    json_escape(&self.name),
-                    c.agree(),
-                    backends.join(",")
-                )
+                w.key("backends").arr();
+                for r in &c.runs {
+                    w.obj().key("backend").str(r.backend.name());
+                    w.key("agree").bool(r.outcome.is_agreement());
+                    w.key("cycles").opt(r.cycles, |w, c| w.float(c, format_args!("{c}")));
+                    w.key("outcome").str(&r.outcome).end();
+                }
+                w.end()
             }
-        }
+        };
+        w.end();
     }
 }
 
@@ -214,14 +198,14 @@ fn main() -> ExitCode {
     }
 
     if let Some(path) = &args.json {
-        let body: Vec<String> = cases.iter().map(|(c, _)| c.to_json()).collect();
-        let json = format!(
-            "{{\"cases\":{},\"failures\":{},\"results\":[{}]}}\n",
-            cases.len(),
-            failures,
-            body.join(",")
-        );
-        if let Err(e) = std::fs::write(path, json) {
+        let mut w = Writer::new();
+        w.obj().key("cases").int(cases.len()).key("failures").int(failures);
+        w.key("results").arr();
+        for (case, _) in &cases {
+            case.write_json(&mut w);
+        }
+        w.end().end();
+        if let Err(e) = std::fs::write(path, w.finish() + "\n") {
             eprintln!("compare: write {path}: {e}");
             return ExitCode::from(2);
         }

@@ -16,7 +16,7 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 const USAGE: &str = "usage: fuzz --seeds A..B [--budget SECS] [--json PATH] [--det-json PATH] \
-                     [--config manual|auto] [--no-shrink] [--no-bundles] [--jobs-check N] \
+                     [--config manual|auto|serial] [--no-shrink] [--no-bundles] [--jobs-check N] \
                      [--corpus DIR] [--emit-corpus DIR]";
 
 struct Args {
@@ -62,11 +62,8 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
             "--det-json" => det_json = Some(value("--det-json")?),
             "--config" => {
                 let v = value("--config")?;
-                cfg.oracle = match v.as_str() {
-                    "manual" => OracleConfig::default(),
-                    "auto" => OracleConfig::automatic(),
-                    other => return Err(format!("unknown config `{other}`")),
-                };
+                cfg.oracle =
+                    OracleConfig::named(&v).ok_or_else(|| format!("unknown config `{v}`"))?;
                 config_name = v;
             }
             "--no-shrink" => cfg.shrink = false,
@@ -129,7 +126,7 @@ fn main() -> ExitCode {
         cfg.seed_start,
         cfg.seed_end,
         cfg.seed_end - cfg.seed_start,
-        if cfg.oracle.pass.array_privatization { "manual" } else { "auto" },
+        config_name,
         cfg.shrink,
         cfg.bundles,
     );

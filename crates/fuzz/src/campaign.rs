@@ -16,8 +16,8 @@ use crate::latency::Latency;
 use crate::oracle::{run_oracles, OracleConfig, OracleFailure, OracleStats};
 use crate::persist::PersistentCorpus;
 use crate::shrink::shrink;
-use cedar_experiments::json_escape;
 use cedar_experiments::supervise::{run_cells, Cell, Supervisor};
+use cedar_experiments::Writer;
 use std::time::{Duration, Instant};
 
 /// Campaign parameters.
@@ -152,73 +152,47 @@ pub struct ReportView<'a> {
     pub jobs_mismatch: Option<&'a str>,
 }
 
-/// Write the `cedar-fuzz-v1` document for a report view. `extra`
-/// appends pre-rendered top-level members (the wall-clock section);
-/// empty keeps the byte-deterministic form.
-pub fn render_report(v: &ReportView<'_>, extra: &str) -> String {
-    let mut out = String::from("{\n  \"schema\": \"cedar-fuzz-v1\",\n");
-    out.push_str(&format!(
-        "  \"seed_start\": {}, \"seed_end\": {},\n  \"executed\": {}, \"skipped_for_budget\": {}, \"clean\": {},\n",
-        v.seed_start,
-        v.seed_end,
-        v.executed,
-        v.skipped_for_budget,
-        v.executed - v.failures.len() as u64,
-    ));
-    out.push_str("  \"failures\": [");
-    for (k, f) in v.failures.iter().enumerate() {
-        if k > 0 {
-            out.push(',');
+/// Write the `failures` member shared by `cedar-fuzz-v1` and
+/// `cedar-fuzz-shard-v1`: one row per failing seed.
+pub(crate) fn write_failures(w: &mut Writer, failures: &[FailureLine]) {
+    w.key("failures").rows();
+    for f in failures {
+        w.obj().key("seed").int(f.seed).key("phase").str(&f.phase);
+        w.key("detail").str(&f.detail).key("cell").str(&f.diff);
+        w.key("tags").strs(&f.tags);
+        w.key("bundle").opt(f.bundle.as_deref(), Writer::str).end();
+    }
+    w.end();
+}
+
+/// Write the `cedar-fuzz-v1` document for a report view. `latency`
+/// appends the wall-clock section; `None` keeps the byte-deterministic
+/// form.
+pub fn render_report(v: &ReportView<'_>, latency: Option<&Latency>) -> String {
+    let mut w = Writer::document();
+    w.key("schema").str("cedar-fuzz-v1");
+    w.key("seed_start").int(v.seed_start).and_key("seed_end").int(v.seed_end);
+    w.key("executed").int(v.executed).and_key("skipped_for_budget").int(v.skipped_for_budget);
+    w.and_key("clean").int(v.executed - v.failures.len() as u64);
+    write_failures(&mut w, v.failures);
+    w.key("coverage").raw(v.coverage.to_json());
+    w.key("unreachable").strs(v.coverage.unreachable());
+    w.key("known_gaps").int(v.known_gaps).and_key("gap_examples").strs(v.gap_examples);
+    w.key("speedup").opt(v.speedup, |w, (lo, mean, hi)| {
+        w.obj();
+        for (key, x) in [("min", lo), ("mean", mean), ("max", hi)] {
+            w.key(key).float(x, format_args!("{x:.3}"));
         }
-        out.push_str(&format!(
-            "\n    {{\"seed\": {}, \"phase\": \"{}\", \"detail\": \"{}\", \"cell\": \"{}\", \"tags\": [{}], \"bundle\": {}}}",
-            f.seed,
-            f.phase,
-            json_escape(&f.detail),
-            json_escape(&f.diff),
-            f.tags.iter().map(|t| format!("\"{t}\"")).collect::<Vec<_>>().join(", "),
-            match &f.bundle {
-                Some(b) => format!("\"{}\"", json_escape(b)),
-                None => "null".to_string(),
-            },
-        ));
+        w.end()
+    });
+    w.key("jobs_invariance").obj().key("checked").int(v.jobs_checked);
+    w.key("ok").bool(v.jobs_mismatch.is_none());
+    w.key("detail").opt(v.jobs_mismatch, Writer::str).end();
+    if let Some(latency) = latency {
+        w.key("latency_ms").raw(latency.summary_json());
+        w.key("slowest_seeds").raw(latency.slowest_json(5));
     }
-    out.push_str(if v.failures.is_empty() { "],\n" } else { "\n  ],\n" });
-    out.push_str(&format!("  \"coverage\": {},\n", v.coverage.to_json()));
-    out.push_str(&format!(
-        "  \"unreachable\": [{}],\n",
-        v.coverage.unreachable().iter().map(|p| format!("\"{p}\"")).collect::<Vec<_>>().join(", "),
-    ));
-    out.push_str(&format!(
-        "  \"known_gaps\": {}, \"gap_examples\": [{}],\n",
-        v.known_gaps,
-        v.gap_examples
-            .iter()
-            .map(|g| format!("\"{}\"", json_escape(g)))
-            .collect::<Vec<_>>()
-            .join(", "),
-    ));
-    match v.speedup {
-        Some((lo, mean, hi)) => out.push_str(&format!(
-            "  \"speedup\": {{\"min\": {lo:.3}, \"mean\": {mean:.3}, \"max\": {hi:.3}}},\n"
-        )),
-        None => out.push_str("  \"speedup\": null,\n"),
-    }
-    out.push_str(&format!(
-        "  \"jobs_invariance\": {{\"checked\": {}, \"ok\": {}, \"detail\": {}}}",
-        v.jobs_checked,
-        v.jobs_mismatch.is_none(),
-        match v.jobs_mismatch {
-            Some(m) => format!("\"{}\"", json_escape(m)),
-            None => "null".to_string(),
-        },
-    ));
-    if !extra.is_empty() {
-        out.push_str(",\n");
-        out.push_str(extra);
-    }
-    out.push_str("\n}\n");
-    out
+    w.finish()
 }
 
 /// `(min, mean, max)` over per-seed speedup samples. The mean is the
@@ -340,7 +314,7 @@ impl CampaignSummary {
     /// fields) — the determinism and jobs-invariance tests diff this
     /// form directly.
     pub fn to_json(&self) -> String {
-        self.render_json("")
+        self.render_json(None)
     }
 
     /// [`to_json`] plus the wall-clock section: a `"latency_ms"`
@@ -350,15 +324,10 @@ impl CampaignSummary {
     ///
     /// [`to_json`]: CampaignSummary::to_json
     pub fn to_json_full(&self) -> String {
-        let extra = format!(
-            "  \"latency_ms\": {},\n  \"slowest_seeds\": {}",
-            self.latency.summary_json(),
-            self.latency.slowest_json(5),
-        );
-        self.render_json(&extra)
+        self.render_json(Some(&self.latency))
     }
 
-    fn render_json(&self, extra: &str) -> String {
+    fn render_json(&self, latency: Option<&Latency>) -> String {
         let failures: Vec<FailureLine> = self.failures.iter().map(SeedFailure::line).collect();
         render_report(
             &ReportView {
@@ -374,7 +343,7 @@ impl CampaignSummary {
                 jobs_checked: self.jobs_checked,
                 jobs_mismatch: self.jobs_mismatch.as_deref(),
             },
-            extra,
+            latency,
         )
     }
 }

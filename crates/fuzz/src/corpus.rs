@@ -40,10 +40,7 @@ pub struct CorpusEntry {
 impl CorpusEntry {
     /// The oracle configuration this entry asks for.
     pub fn oracle_config(&self) -> OracleConfig {
-        match self.config.as_str() {
-            "auto" => OracleConfig::automatic(),
-            _ => OracleConfig::default(),
-        }
+        OracleConfig::named(&self.config).expect("parse_entry admits only named configurations")
     }
 }
 
@@ -74,6 +71,9 @@ pub fn parse_entry(name: &str, text: &str) -> Result<CorpusEntry, String> {
                 if let Some(v) = field.strip_prefix("seed=") {
                     seed = Some(v.parse::<u64>().map_err(|e| format!("bad seed: {e}"))?);
                 } else if let Some(v) = field.strip_prefix("config=") {
+                    if OracleConfig::named(v).is_none() {
+                        return Err(format!("unknown config `{v}`"));
+                    }
                     config = v.to_string();
                 }
             }

@@ -10,6 +10,7 @@
 //! tests, ...) are tracked as `extras` for the JSON report but are not
 //! gated — their triggering shapes depend on the pass configuration.
 
+use cedar_experiments::Writer;
 use cedar_restructure::{LoopDecision, Report, Technique};
 use std::collections::BTreeMap;
 
@@ -108,14 +109,17 @@ impl Coverage {
     /// JSON object: required passes first (always present, even at 0),
     /// then any extras that fired.
     pub fn to_json(&self) -> String {
-        let mut parts: Vec<String> =
-            REQUIRED.iter().map(|p| format!("\"{p}\": {}", self.count(p))).collect();
+        let mut w = Writer::new();
+        w.obj();
+        for p in REQUIRED {
+            w.key(p).int(self.count(p));
+        }
         for (pass, n) in &self.counts {
             if !REQUIRED.contains(pass) {
-                parts.push(format!("\"{pass}\": {n}"));
+                w.key(pass).int(n);
             }
         }
-        format!("{{{}}}", parts.join(", "))
+        w.finish()
     }
 }
 

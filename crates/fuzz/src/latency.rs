@@ -10,6 +10,7 @@
 //! sample sizes involved, and free of interpolation ambiguity when two
 //! reports are diffed.
 
+use cedar_experiments::Writer;
 use std::time::Duration;
 
 /// A set of labelled wall-clock samples (label, milliseconds).
@@ -88,30 +89,29 @@ impl Latency {
     /// Summary object: `{"p50": …, "p99": …, "mean": …, "max": …,
     /// "count": N}` (times in milliseconds, no trailing newline).
     pub fn summary_json(&self) -> String {
-        format!(
-            "{{\"p50\": {:.3}, \"p99\": {:.3}, \"mean\": {:.3}, \"max\": {:.3}, \"count\": {}}}",
-            self.percentile(50.0),
-            self.percentile(99.0),
-            self.mean(),
-            self.max(),
-            self.len(),
-        )
+        let mut w = Writer::new();
+        w.obj();
+        for (key, ms) in [
+            ("p50", self.percentile(50.0)),
+            ("p99", self.percentile(99.0)),
+            ("mean", self.mean()),
+            ("max", self.max()),
+        ] {
+            w.key(key).float(ms, format_args!("{ms:.3}"));
+        }
+        w.key("count").int(self.len());
+        w.finish()
     }
 
     /// The `n` slowest samples as a JSON array of
     /// `{"label": …, "ms": …}` objects (no trailing newline).
     pub fn slowest_json(&self, n: usize) -> String {
-        let items: Vec<String> = self
-            .slowest(n)
-            .iter()
-            .map(|(l, m)| {
-                format!(
-                    "{{\"label\": \"{}\", \"ms\": {m:.3}}}",
-                    cedar_experiments::json_escape(l)
-                )
-            })
-            .collect();
-        format!("[{}]", items.join(", "))
+        let mut w = Writer::new();
+        w.arr();
+        for (label, ms) in self.slowest(n) {
+            w.obj().key("label").str(label).key("ms").float(ms, format_args!("{ms:.3}")).end();
+        }
+        w.finish()
     }
 }
 

@@ -149,9 +149,12 @@ impl Default for OracleConfig {
 }
 
 impl OracleConfig {
-    /// The paper's automatic-only configuration (§3).
-    pub fn automatic() -> OracleConfig {
-        OracleConfig { pass: PassConfig::automatic_1991(), ..Default::default() }
+    /// The configuration `--config`, a lease or a corpus entry names
+    /// ([`PassConfig::named`]: `manual`, `auto`, `serial`); `None` for
+    /// an unknown name, which callers reject instead of judging under
+    /// a different configuration than the one they report.
+    pub fn named(name: &str) -> Option<OracleConfig> {
+        PassConfig::named(name).map(|pass| OracleConfig { pass, ..Default::default() })
     }
 }
 

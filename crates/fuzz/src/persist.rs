@@ -32,7 +32,7 @@
 use crate::corpus::{self, CorpusEntry};
 use crate::coverage::Coverage;
 use crate::gen::Rendered;
-use cedar_experiments::jsonio::Json;
+use cedar_experiments::jsonio::{Json, Writer};
 use cedar_restructure::Report;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -89,7 +89,7 @@ impl PersistentCorpus {
                 .map_err(|e| format!("{}: {e}", ledger.display()))?;
             if let Some(Json::Obj(members)) = v.get("combos") {
                 for (name, row) in members {
-                    let seen = row.get("seen").and_then(Json::as_f64).unwrap_or(0.0) as u64;
+                    let seen = row.u64_at("seen").unwrap_or(0);
                     combos.insert(name.clone(), ComboStats { seen, kept: 0 });
                 }
             }
@@ -148,17 +148,15 @@ impl PersistentCorpus {
 
     /// Persist the ledger (atomic replace; readers see old or new).
     pub fn save(&self) -> Result<(), String> {
-        let rows: Vec<String> = self
-            .combos
-            .iter()
-            .map(|(c, s)| format!("    \"{c}\": {{\"seen\": {}, \"kept\": {}}}", s.seen, s.kept))
-            .collect();
-        let text = format!(
-            "{{\n  \"schema\": \"cedar-fuzz-corpus-v1\",\n  \"combos\": {{\n{}\n  }}\n}}\n",
-            rows.join(",\n"),
-        );
+        let mut w = Writer::document();
+        w.key("schema").str("cedar-fuzz-corpus-v1");
+        w.key("combos").row_obj();
+        for (combo, s) in &self.combos {
+            w.key(combo).obj().key("seen").int(s.seen).key("kept").int(s.kept).end();
+        }
+        w.end();
         let path = self.dir.join("ledger.json");
-        cedar_store::atomic_write(&path, text.as_bytes())
+        cedar_store::atomic_write(&path, w.finish().as_bytes())
             .map_err(|e| format!("write {}: {e}", path.display()))
     }
 

@@ -27,12 +27,12 @@
 //!   an end-to-end corruption check on worker-reported digests.
 
 use crate::campaign::{
-    jobs_invariance, render_report, speedup_triple, CampaignSummary, FailureLine, ReportView,
+    jobs_invariance, render_report, speedup_triple, write_failures, CampaignSummary, FailureLine,
+    ReportView,
 };
 use crate::coverage::Coverage;
 use crate::oracle::OracleConfig;
-use cedar_experiments::jsonio::Json;
-use cedar_experiments::json_escape;
+use cedar_experiments::jsonio::{Json, Writer};
 use cedar_experiments::supervise::bundle_digest;
 
 /// Clean-seed digests carried per shard for the merged jobs-invariance
@@ -108,65 +108,26 @@ impl ShardSummary {
     /// The `cedar-fuzz-shard-v1` JSON document. Byte-deterministic for
     /// a given sub-range, like everything else in the campaign path.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n  \"schema\": \"cedar-fuzz-shard-v1\",\n");
-        out.push_str(&format!(
-            "  \"seed_start\": {}, \"seed_end\": {}, \"executed\": {}, \"skipped_for_budget\": {},\n",
-            self.seed_start, self.seed_end, self.executed, self.skipped_for_budget,
-        ));
-        out.push_str("  \"failures\": [");
-        for (k, f) in self.failures.iter().enumerate() {
-            if k > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\n    {{\"seed\": {}, \"phase\": \"{}\", \"detail\": \"{}\", \"cell\": \"{}\", \"tags\": [{}], \"bundle\": {}}}",
-                f.seed,
-                f.phase,
-                json_escape(&f.detail),
-                json_escape(&f.diff),
-                f.tags.iter().map(|t| format!("\"{t}\"")).collect::<Vec<_>>().join(", "),
-                match &f.bundle {
-                    Some(b) => format!("\"{}\"", json_escape(b)),
-                    None => "null".to_string(),
-                },
-            ));
+        let mut w = Writer::document();
+        w.key("schema").str("cedar-fuzz-shard-v1");
+        w.key("seed_start").int(self.seed_start).and_key("seed_end").int(self.seed_end);
+        w.and_key("executed").int(self.executed);
+        w.and_key("skipped_for_budget").int(self.skipped_for_budget);
+        write_failures(&mut w, &self.failures);
+        w.key("coverage").raw(self.coverage.to_json());
+        w.key("known_gaps").int(self.known_gaps).and_key("gap_examples").strs(&self.gap_examples);
+        w.key("speedup_samples").arr();
+        for x in &self.speedup_samples {
+            w.str(format_args!("{:016x}", x.to_bits()));
         }
-        out.push_str(if self.failures.is_empty() { "],\n" } else { "\n  ],\n" });
-        out.push_str(&format!("  \"coverage\": {},\n", self.coverage.to_json()));
-        out.push_str(&format!(
-            "  \"known_gaps\": {}, \"gap_examples\": [{}],\n",
-            self.known_gaps,
-            self.gap_examples
-                .iter()
-                .map(|g| format!("\"{}\"", json_escape(g)))
-                .collect::<Vec<_>>()
-                .join(", "),
-        ));
-        out.push_str(&format!(
-            "  \"speedup_samples\": [{}],\n",
-            self.speedup_samples
-                .iter()
-                .map(|x| format!("\"{:016x}\"", x.to_bits()))
-                .collect::<Vec<_>>()
-                .join(", "),
-        ));
-        out.push_str(&format!(
-            "  \"lead_digests\": [{}],\n",
-            self.lead_digests
-                .iter()
-                .map(|(seed, d)| format!("{{\"seed\": {seed}, \"digest\": \"{d:016x}\"}}"))
-                .collect::<Vec<_>>()
-                .join(", "),
-        ));
-        out.push_str(&format!(
-            "  \"bundle_digests\": [{}]\n}}\n",
-            self.bundle_digests
-                .iter()
-                .map(|d| format!("\"{d}\""))
-                .collect::<Vec<_>>()
-                .join(", "),
-        ));
-        out
+        w.end();
+        w.key("lead_digests").arr();
+        for (seed, d) in &self.lead_digests {
+            w.obj().key("seed").int(seed).key("digest").str(format_args!("{d:016x}")).end();
+        }
+        w.end();
+        w.key("bundle_digests").strs(&self.bundle_digests);
+        w.finish()
     }
 
     /// Parse a `cedar-fuzz-shard-v1` document.
@@ -176,13 +137,13 @@ impl ShardSummary {
             return Err("not a cedar-fuzz-shard-v1 document".into());
         }
         let mut failures = Vec::new();
-        for f in need_arr(&v, "failures")? {
+        for f in v.arr_at("failures")? {
             failures.push(FailureLine {
-                seed: need_u64(f, "seed")?,
-                phase: need_str(f, "phase")?.to_string(),
-                detail: need_str(f, "detail")?.to_string(),
-                diff: need_str(f, "cell")?.to_string(),
-                tags: str_arr(f, "tags")?,
+                seed: f.u64_at("seed")?,
+                phase: f.str_at("phase")?.to_string(),
+                detail: f.str_at("detail")?.to_string(),
+                diff: f.str_at("cell")?.to_string(),
+                tags: f.strs_at("tags")?,
                 bundle: match f.get("bundle") {
                     Some(Json::Str(s)) => Some(s.clone()),
                     _ => None,
@@ -191,60 +152,35 @@ impl ShardSummary {
         }
         let mut coverage = Coverage::default();
         match v.get("coverage") {
-            Some(Json::Obj(members)) => {
-                for (pass, n) in members {
-                    let n = n.as_f64().ok_or_else(|| format!("coverage.{pass}: not a number"))?;
-                    coverage.add(pass, n as u64)?;
+            Some(counts @ Json::Obj(members)) => {
+                for (pass, _) in members {
+                    coverage.add(pass, counts.u64_at(pass)?)?;
                 }
             }
             _ => return Err("missing coverage object".into()),
         }
         let mut speedup_samples = Vec::new();
-        for s in need_arr(&v, "speedup_samples")? {
-            let hex = s.as_str().ok_or("speedup_samples: not a string")?;
-            speedup_samples.push(f64::from_bits(hex_u64(hex)?));
+        for hex in v.strs_at("speedup_samples")? {
+            speedup_samples.push(f64::from_bits(hex_u64(&hex)?));
         }
         let mut lead_digests = Vec::new();
-        for d in need_arr(&v, "lead_digests")? {
-            lead_digests.push((need_u64(d, "seed")?, hex_u64(need_str(d, "digest")?)?));
+        for d in v.arr_at("lead_digests")? {
+            lead_digests.push((d.u64_at("seed")?, hex_u64(d.str_at("digest")?)?));
         }
         Ok(ShardSummary {
-            seed_start: need_u64(&v, "seed_start")?,
-            seed_end: need_u64(&v, "seed_end")?,
-            executed: need_u64(&v, "executed")?,
-            skipped_for_budget: need_u64(&v, "skipped_for_budget")?,
+            seed_start: v.u64_at("seed_start")?,
+            seed_end: v.u64_at("seed_end")?,
+            executed: v.u64_at("executed")?,
+            skipped_for_budget: v.u64_at("skipped_for_budget")?,
             failures,
             coverage,
-            known_gaps: need_u64(&v, "known_gaps")?,
-            gap_examples: str_arr(&v, "gap_examples")?,
+            known_gaps: v.u64_at("known_gaps")?,
+            gap_examples: v.strs_at("gap_examples")?,
             speedup_samples,
             lead_digests,
-            bundle_digests: str_arr(&v, "bundle_digests")?,
+            bundle_digests: v.strs_at("bundle_digests")?,
         })
     }
-}
-
-fn need_arr<'a>(v: &'a Json, key: &str) -> Result<&'a [Json], String> {
-    v.get(key).and_then(Json::as_arr).ok_or_else(|| format!("missing array `{key}`"))
-}
-
-fn need_str<'a>(v: &'a Json, key: &str) -> Result<&'a str, String> {
-    v.get(key).and_then(Json::as_str).ok_or_else(|| format!("missing string `{key}`"))
-}
-
-fn need_u64(v: &Json, key: &str) -> Result<u64, String> {
-    let n = v.get(key).and_then(Json::as_f64).ok_or_else(|| format!("missing number `{key}`"))?;
-    if n < 0.0 || n.fract() != 0.0 || n > (1u64 << 53) as f64 {
-        return Err(format!("`{key}` = {n} is not an exact unsigned integer"));
-    }
-    Ok(n as u64)
-}
-
-fn str_arr(v: &Json, key: &str) -> Result<Vec<String>, String> {
-    need_arr(v, key)?
-        .iter()
-        .map(|s| s.as_str().map(str::to_string).ok_or_else(|| format!("{key}: not a string")))
-        .collect()
 }
 
 fn hex_u64(s: &str) -> Result<u64, String> {
@@ -311,7 +247,7 @@ impl MergedCampaign {
                 jobs_checked: self.jobs_checked,
                 jobs_mismatch: self.jobs_mismatch.as_deref(),
             },
-            "",
+            None,
         )
     }
 }
@@ -427,6 +363,30 @@ mod tests {
         assert!(!s.bundle_digests.is_empty());
         let parsed = ShardSummary::parse(&s.to_json()).unwrap();
         assert_eq!(parsed, s);
+    }
+
+    #[test]
+    fn worker_supplied_strings_are_escaped() {
+        // `tags` and `phase` were printed unescaped: an upload carrying
+        // this line passed `parse`, was written back unparseable, and
+        // broke the merged report.
+        let oracle = OracleConfig::default();
+        let mut s = shard(0, 4, &oracle);
+        s.failures.push(FailureLine {
+            seed: 3,
+            phase: "differ\nential".into(),
+            detail: "d".into(),
+            diff: String::new(),
+            tags: vec!["a\"b".into()],
+            bundle: None,
+        });
+        s.bundle_digests.push("00\"11".into());
+        assert_eq!(ShardSummary::parse(&s.to_json()).as_ref(), Ok(&s));
+        let merged = merge_shards(&[s], 0, &oracle).unwrap().to_json();
+        let v = Json::parse(&merged).expect("the merged report is JSON");
+        let failure = &v.arr_at("failures").unwrap()[0];
+        assert_eq!(failure.strs_at("tags").unwrap(), ["a\"b"]);
+        assert_eq!(failure.str_at("phase"), Ok("differ\nential"));
     }
 
     #[test]

@@ -20,6 +20,7 @@
 //! Exit codes follow the repo convention: 0 ok, 1 a gate failed,
 //! 2 harness error.
 
+use cedar_experiments::Writer;
 use cedar_fuzz::{GenProgram, Latency};
 use cedar_serve::{http, Json, ServeRequest, Server, ServerConfig};
 use std::path::PathBuf;
@@ -227,10 +228,8 @@ fn main() {
         .unwrap_or_else(|e| harness_fail(&format!("metrics not JSON: {e}")));
     let counter = |name: &str| {
         metrics
-            .get(name)
-            .and_then(Json::as_f64)
-            .unwrap_or_else(|| harness_fail(&format!("metrics missing {name}: {metrics_body}")))
-            as u64
+            .u64_at(name)
+            .unwrap_or_else(|e| harness_fail(&format!("metrics: {e}: {metrics_body}")))
     };
     let (shed, recovered, quarantined_srv, coalesced) = (
         counter("shed"),
@@ -247,26 +246,25 @@ fn main() {
     server.join();
 
     let throughput = args.requests as f64 / wall.as_secs_f64();
-    let bench = format!(
-        "{{\n  \"schema\": \"cedar-serve-bench-v1\",\n  \"requests\": {},\n  \"clients\": {},\n  \"workers\": {},\n  \"queue_cap\": {},\n  \"chaos\": {},\n  \"latency_ms\": {},\n  \"throughput_rps\": {:.2},\n  \"shed\": {},\n  \"shed_retries\": {},\n  \"recovered\": {},\n  \"quarantined\": {},\n  \"coalesced\": {},\n  \"slowest\": {}\n}}\n",
-        args.requests,
-        args.clients,
-        args.workers,
-        args.queue,
-        args.chaos.map_or("null".to_string(), |s| s.to_string()),
-        tally.latency.summary_json(),
-        throughput,
-        shed,
-        tally.shed_retries,
-        recovered,
-        quarantined_srv,
-        coalesced,
-        tally.latency.slowest_json(5),
-    );
+    let mut w = Writer::document();
+    w.key("schema").str("cedar-serve-bench-v1");
+    w.key("requests").int(args.requests);
+    w.key("clients").int(args.clients);
+    w.key("workers").int(args.workers);
+    w.key("queue_cap").int(args.queue);
+    w.key("chaos").opt(args.chaos, Writer::int);
+    w.key("latency_ms").raw(tally.latency.summary_json());
+    w.key("throughput_rps").float(throughput, format_args!("{throughput:.2}"));
+    w.key("shed").int(shed);
+    w.key("shed_retries").int(tally.shed_retries);
+    w.key("recovered").int(recovered);
+    w.key("quarantined").int(quarantined_srv);
+    w.key("coalesced").int(coalesced);
+    w.key("slowest").raw(tally.latency.slowest_json(5));
     if let Some(dir) = args.out.parent() {
         let _ = std::fs::create_dir_all(dir);
     }
-    if let Err(e) = std::fs::write(&args.out, &bench) {
+    if let Err(e) = std::fs::write(&args.out, w.finish()) {
         harness_fail(&format!("writing {}: {e}", args.out.display()));
     }
     eprintln!(

@@ -22,6 +22,7 @@
 //! cooldown.
 
 use cedar_experiments::supervise::Rung;
+use cedar_experiments::Writer;
 use std::collections::HashMap;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -101,21 +102,16 @@ impl Breaker {
         let state = self.state.lock().unwrap_or_else(|e| e.into_inner());
         let mut passes: Vec<&String> = state.keys().collect();
         passes.sort();
-        let items: Vec<String> = passes
-            .iter()
-            .map(|p| {
-                let s = &state[*p];
-                let open = s.open_until.is_some_and(|t| Instant::now() < t);
-                format!(
-                    "\"{}\": {{\"state\": \"{}\", \"consecutive\": {}, \"entry_rung\": \"{}\"}}",
-                    cedar_experiments::json_escape(p),
-                    if open { "open" } else { "closed" },
-                    s.consecutive,
-                    if open { s.rescue.label() } else { Rung::Normal.label() },
-                )
-            })
-            .collect();
-        format!("{{{}}}", items.join(", "))
+        let mut w = Writer::new();
+        w.obj();
+        for p in passes {
+            let s = &state[p];
+            let open = s.open_until.is_some_and(|t| Instant::now() < t);
+            w.key(p).obj().key("state").str(if open { "open" } else { "closed" });
+            w.key("consecutive").int(s.consecutive);
+            w.key("entry_rung").str(if open { s.rescue } else { Rung::Normal }.label()).end();
+        }
+        w.finish()
     }
 }
 

@@ -21,8 +21,8 @@ use crate::breaker::Breaker;
 use crate::error::{self, kind};
 use crate::json::Json;
 use cedar_experiments::supervise::{self, CellError, Rung, Supervisor};
-use cedar_experiments::json_escape;
 use cedar_experiments::pipeline::simulate;
+use cedar_experiments::Writer;
 use cedar_restructure::{BackendKind, EmitInput, PassConfig, Target};
 use cedar_sim::{MachineConfig, SimError};
 use cedar_verify::{restructure_validated, ValidationConfig, ValidationReport};
@@ -100,10 +100,7 @@ impl ServeRequest {
 
     /// Parse the JSON request body.
     pub fn from_json(v: &Json) -> Result<ServeRequest, String> {
-        let source = v
-            .get("source")
-            .and_then(Json::as_str)
-            .ok_or("`source` (string) is required")?;
+        let source = v.str_at("source")?;
         if source.trim().is_empty() {
             return Err("`source` is empty".into());
         }
@@ -131,49 +128,33 @@ impl ServeRequest {
             let s = b.as_str().ok_or("`backend` must be a string")?;
             req.backend = s.parse().map_err(|e| format!("`backend`: {e}"))?;
         }
-        if let Some(w) = v.get("watch") {
-            let items = w.as_arr().ok_or("`watch` must be an array of strings")?;
-            for item in items {
-                req.watch.push(
-                    item.as_str()
-                        .ok_or("`watch` entries must be strings")?
-                        .to_string(),
-                );
-            }
+        if v.get("watch").is_some() {
+            req.watch = v.strs_at("watch")?;
         }
         if let Some(b) = v.get("validate") {
             req.validate = b.as_bool().ok_or("`validate` must be a boolean")?;
         }
-        if let Some(d) = v.get("deadline_ms") {
-            let ms = d.as_f64().ok_or("`deadline_ms` must be a number")?;
-            if ms <= 0.0 || !ms.is_finite() {
-                return Err("`deadline_ms` must be positive".into());
-            }
-            req.deadline_ms = Some(ms as u64);
+        if v.get("deadline_ms").is_some() {
+            let ms = v.u64_at("deadline_ms").ok().filter(|ms| *ms > 0);
+            req.deadline_ms = Some(ms.ok_or("`deadline_ms` must be a positive whole number")?);
         }
         Ok(req)
     }
 
     /// Serialize back to a request body (clients: load test, tests).
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\"source\": \"{}\", \"form\": \"{}\", \"config\": \"{}\", \"machine\": \"{}\", \"backend\": \"{}\", \"watch\": [{}], \"validate\": {}{}}}",
-            json_escape(&self.source),
-            if self.free_form { "free" } else { "fixed" },
-            self.config,
-            self.machine,
-            self.backend,
-            self.watch
-                .iter()
-                .map(|w| format!("\"{}\"", json_escape(w)))
-                .collect::<Vec<_>>()
-                .join(", "),
-            self.validate,
-            match self.deadline_ms {
-                Some(ms) => format!(", \"deadline_ms\": {ms}"),
-                None => String::new(),
-            },
-        )
+        let mut w = Writer::new();
+        w.obj().key("source").str(&self.source);
+        w.key("form").str(if self.free_form { "free" } else { "fixed" });
+        w.key("config").str(&self.config);
+        w.key("machine").str(&self.machine);
+        w.key("backend").str(self.backend);
+        w.key("watch").strs(&self.watch);
+        w.key("validate").bool(self.validate);
+        if let Some(ms) = self.deadline_ms {
+            w.key("deadline_ms").int(ms);
+        }
+        w.finish()
     }
 
     /// Content key: two requests with equal keys are behaviorally
@@ -230,11 +211,9 @@ struct Output {
 }
 
 fn pass_for(req: &ServeRequest) -> PassConfig {
-    let base = match req.config.as_str() {
-        "manual" => PassConfig::manual_improved(),
-        "serial" => PassConfig::serial(),
-        _ => PassConfig::automatic_1991(),
-    };
+    // `from_json` admits only named configurations; a hand-built
+    // request with any other name runs the default.
+    let base = PassConfig::named(&req.config).unwrap_or_else(PassConfig::automatic_1991);
     if req.machine == "fx80" {
         base.for_target(Target::Fx80)
     } else {
@@ -318,19 +297,6 @@ fn attempt_body(
     }
 }
 
-fn verification_json(v: &Option<ValidationReport>) -> String {
-    match v {
-        None => "null".to_string(),
-        Some(v) => format!(
-            "{{\"attempts\": {}, \"fallbacks\": {}, \"seed_runs\": {}, \"all_bit_identical\": {}, \"degraded_to_serial\": {}}}",
-            v.attempts,
-            v.fallbacks.len(),
-            v.seed_runs.len(),
-            v.all_bit_identical(),
-            v.degraded_to_serial,
-        ),
-    }
-}
 
 fn success_body(
     out: &Output,
@@ -344,22 +310,44 @@ fn success_body(
     } else {
         0.0
     };
-    format!(
-        "{{\"schema\": \"cedar-serve-v1\", \"restructured\": \"{}\", \"report\": \"{}\", \"stats\": {{\"serial_cycles\": {:.1}, \"parallel_cycles\": {:.1}, \"speedup\": {:.3}, \"scalar_ops\": {}, \"vector_elems\": {}, \"parallel_loops\": {}}}, \"verification\": {}, \"service\": {{\"rung\": \"{}\", \"entry_rung\": \"{}\", \"retries\": {}, \"coalesced\": false, \"duration_ms\": {:.1}}}}}",
-        json_escape(&out.restructured),
-        json_escape(&out.report),
-        out.serial_cycles,
-        out.parallel_cycles,
-        speedup,
-        out.stats.scalar_ops,
-        out.stats.vector_elems,
-        out.stats.parallel_loops,
-        verification_json(&out.validation),
-        rung.label(),
-        entry.label(),
-        retries,
-        duration.as_secs_f64() * 1e3,
-    )
+    let mut w = Writer::new();
+    w.obj().key("schema").str("cedar-serve-v1");
+    w.key("restructured").str(&out.restructured);
+    w.key("report").str(&out.report);
+    w.key("stats").obj();
+    let (serial, parallel) = (out.serial_cycles, out.parallel_cycles);
+    w.key("serial_cycles").float(serial, format_args!("{serial:.1}"));
+    w.key("parallel_cycles").float(parallel, format_args!("{parallel:.1}"));
+    w.key("speedup").float(speedup, format_args!("{speedup:.3}"));
+    w.key("scalar_ops").int(out.stats.scalar_ops);
+    w.key("vector_elems").int(out.stats.vector_elems);
+    w.key("parallel_loops").int(out.stats.parallel_loops).end();
+    w.key("verification").opt(out.validation.as_ref(), |w, v| {
+        w.obj().key("attempts").int(v.attempts).key("fallbacks").int(v.fallbacks.len());
+        w.key("seed_runs").int(v.seed_runs.len());
+        w.key("all_bit_identical").bool(v.all_bit_identical());
+        w.key("degraded_to_serial").bool(v.degraded_to_serial).end()
+    });
+    w.key("service").obj();
+    w.key("rung").str(rung.label()).key("entry_rung").str(entry.label());
+    w.key("retries").int(retries);
+    w.key("coalesced").bool(false);
+    let ms = duration.as_secs_f64() * 1e3;
+    w.key("duration_ms").float(ms, format_args!("{ms:.1}")).end();
+    w.finish()
+}
+
+/// A leader's response as the followers of its coalesced flight
+/// receive it: the `service` block's `coalesced` member flipped (a
+/// success body carries exactly one such member; error bodies carry
+/// none and pass through unchanged).
+pub(crate) fn coalesced_copy(body: &str) -> String {
+    let member = |coalesced| {
+        let mut w = Writer::new();
+        w.key("coalesced").bool(coalesced);
+        w.finish()
+    };
+    body.replacen(&member(false), &member(true), 1)
 }
 
 /// Run one request through the retry ladder. Never panics: every

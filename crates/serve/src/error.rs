@@ -14,7 +14,7 @@
 //!    fixed message, and the gory details go to the crash bundle the
 //!    response references instead.
 
-use cedar_experiments::json_escape;
+use cedar_experiments::Writer;
 use cedar_experiments::supervise::{CellError, CellErrorKind};
 
 /// Service-side error kinds (program/simulator kinds come from
@@ -104,22 +104,17 @@ pub fn error_json(
     bundle: Option<&str>,
     attempts: &[(&'static str, &'static str)],
 ) -> String {
-    let attempts_json = attempts
-        .iter()
-        .map(|(rung, k)| format!("{{\"rung\": \"{rung}\", \"kind\": \"{k}\"}}"))
-        .collect::<Vec<_>>()
-        .join(", ");
-    format!(
-        "{{\"schema\": \"cedar-serve-v1\", \"error\": {{\"kind\": \"{}\", \"message\": \"{}\", \"exit_class\": {}, \"bundle\": {}, \"attempts\": [{}]}}}}",
-        json_escape(kind),
-        json_escape(message),
-        exit_class(kind),
-        match bundle {
-            Some(b) => format!("\"{}\"", json_escape(b)),
-            None => "null".to_string(),
-        },
-        attempts_json,
-    )
+    let mut w = Writer::new();
+    w.obj().key("schema").str("cedar-serve-v1");
+    w.key("error").obj().key("kind").str(kind).key("message").str(message);
+    w.key("exit_class").int(exit_class(kind));
+    w.key("bundle").opt(bundle, Writer::str);
+    w.key("attempts").arr();
+    for (rung, k) in attempts {
+        w.obj().key("rung").str(rung).key("kind").str(k).end();
+    }
+    w.end().end();
+    w.finish()
 }
 
 #[cfg(test)]

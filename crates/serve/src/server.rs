@@ -22,6 +22,7 @@ use crate::engine::{self, EngineConfig, ServeRequest};
 use crate::error::{self, kind};
 use crate::http;
 use crate::json::Json;
+use cedar_experiments::jsonio::{flags, Writer};
 use std::collections::{HashMap, VecDeque};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -119,29 +120,24 @@ pub struct Counters {
 
 impl Counters {
     fn json(&self, draining: bool, breaker: &Breaker, store: Option<&cedar_store::Store>) -> String {
-        let store_json = match store {
-            None => "null".to_string(),
-            Some(s) => {
-                let st = s.stats();
-                format!(
-                    "{{\"hits\": {}, \"misses\": {}, \"corrupt_recovered\": {}, \"puts\": {}, \"entries\": {}}}",
-                    st.hits, st.misses, st.corrupt_recovered, st.puts, s.len(),
-                )
-            }
-        };
-        format!(
-            "{{\"schema\": \"cedar-serve-metrics-v1\", \"accepted\": {}, \"served\": {}, \"shed\": {}, \"recovered\": {}, \"quarantined\": {}, \"coalesced\": {}, \"client_errors\": {}, \"draining\": {}, \"breaker\": {}, \"store\": {}}}",
-            self.accepted.load(Ordering::Relaxed),
-            self.served.load(Ordering::Relaxed),
-            self.shed.load(Ordering::Relaxed),
-            self.recovered.load(Ordering::Relaxed),
-            self.quarantined.load(Ordering::Relaxed),
-            self.coalesced.load(Ordering::Relaxed),
-            self.client_errors.load(Ordering::Relaxed),
-            draining,
-            breaker.status_json(),
-            store_json,
-        )
+        let mut w = Writer::new();
+        w.obj().key("schema").str("cedar-serve-metrics-v1");
+        w.key("accepted").int(self.accepted.load(Ordering::Relaxed));
+        w.key("served").int(self.served.load(Ordering::Relaxed));
+        w.key("shed").int(self.shed.load(Ordering::Relaxed));
+        w.key("recovered").int(self.recovered.load(Ordering::Relaxed));
+        w.key("quarantined").int(self.quarantined.load(Ordering::Relaxed));
+        w.key("coalesced").int(self.coalesced.load(Ordering::Relaxed));
+        w.key("client_errors").int(self.client_errors.load(Ordering::Relaxed));
+        w.key("draining").bool(draining);
+        w.key("breaker").raw(breaker.status_json());
+        w.key("store").opt(store, |w, s| {
+            let st = s.stats();
+            w.obj().key("hits").int(st.hits).key("misses").int(st.misses);
+            w.key("corrupt_recovered").int(st.corrupt_recovered);
+            w.key("puts").int(st.puts).key("entries").int(s.len()).end()
+        });
+        w.finish()
     }
 }
 
@@ -339,7 +335,7 @@ fn handle_connection(shared: &Shared, stream: &mut TcpStream) {
     };
     let draining = shared.draining.load(Ordering::SeqCst);
     match (req.method.as_str(), req.path.as_str()) {
-        ("GET", "/healthz") => http::write_response(stream, 200, "{\"ok\": true}"),
+        ("GET", "/healthz") => http::write_response(stream, 200, &flags(&[("ok", true)])),
         ("GET", "/readyz") => {
             if draining {
                 http::write_response(
@@ -348,7 +344,7 @@ fn handle_connection(shared: &Shared, stream: &mut TcpStream) {
                     &error::error_json(kind::SHUTTING_DOWN, "draining", None, &[]),
                 );
             } else {
-                http::write_response(stream, 200, "{\"ready\": true}");
+                http::write_response(stream, 200, &flags(&[("ready", true)]));
             }
         }
         ("GET", "/metrics") => {
@@ -357,7 +353,7 @@ fn handle_connection(shared: &Shared, stream: &mut TcpStream) {
         }
         ("POST", "/shutdown") => {
             begin_drain(shared);
-            http::write_response(stream, 200, "{\"ok\": true, \"draining\": true}");
+            http::write_response(stream, 200, &flags(&[("ok", true), ("draining", true)]));
         }
         ("POST", "/restructure") => restructure_endpoint(shared, stream, &req.body),
         _ => {
@@ -474,12 +470,7 @@ fn restructure_endpoint(shared: &Shared, stream: &mut TcpStream, body: &str) {
 
     http::write_response(stream, handled.status, &handled.body);
     if !waiters.is_empty() {
-        // Followers get the same response with the coalesced marker
-        // flipped (the success body carries exactly one such field;
-        // error bodies carry none and pass through unchanged).
-        let body = handled
-            .body
-            .replacen("\"coalesced\": false", "\"coalesced\": true", 1);
+        let body = engine::coalesced_copy(&handled.body);
         for mut w in waiters {
             http::write_response(&mut w, handled.status, &body);
         }

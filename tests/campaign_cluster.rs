@@ -8,8 +8,7 @@
 //! without re-running completed shards.
 
 use cedar_campaign::{run_worker, Coordinator, CoordinatorConfig, WorkerConfig};
-use cedar_experiments::jsonio::Json;
-use cedar_experiments::json_escape;
+use cedar_experiments::jsonio::{Json, Writer};
 use cedar_fuzz::shard::ShardSummary;
 use cedar_fuzz::{run_campaign, CampaignConfig};
 use std::path::PathBuf;
@@ -42,10 +41,10 @@ fn complete_body(worker: &str, shard: u64, seed_start: u64, seed_end: u64) -> St
         jobs_check: 0,
         ..CampaignConfig::default()
     });
-    format!(
-        "{{\"worker\": \"{worker}\", \"shard\": {shard}, \"summary\": \"{}\"}}",
-        json_escape(&ShardSummary::from_summary(&summary).to_json()),
-    )
+    let mut w = Writer::new();
+    w.obj().key("worker").str(worker).key("shard").int(shard);
+    w.key("summary").str(ShardSummary::from_summary(&summary).to_json());
+    w.finish()
 }
 
 #[test]
@@ -276,6 +275,53 @@ fn poison_shards_are_quarantined_and_triaged_without_wedging_the_campaign() {
         errors.iter().any(|e| e.as_str().unwrap().contains("w1: panic: shard is cursed")),
         "{triage}"
     );
+}
+
+#[test]
+fn an_inexact_shard_index_is_a_bad_request_not_a_neighbouring_shard() {
+    let cfg = CoordinatorConfig {
+        seed_start: 0,
+        seed_end: 16,
+        shard_size: 8,
+        lease: Duration::from_secs(30),
+        retry_budget: 0, // one burnt attempt would quarantine shard 0
+        jobs_check: 0,
+        config_name: "manual".into(),
+        checkpoint_every: 0,
+        dir: fresh_dir("inexact"),
+    };
+    let mut c = Coordinator::new(cfg).unwrap();
+    let now = Instant::now();
+    let (_, reply) = c.handle("POST", "/lease", "{\"worker\": \"w1\"}", now);
+    assert!(reply.contains("\"shard\": 0"), "{reply}");
+    // `as usize` saturated -1 to shard 0 and truncated 1.9 to shard 1.
+    for shard in ["-1", "1.9", "1e30"] {
+        for path in ["/fail", "/heartbeat"] {
+            let body = format!("{{\"worker\": \"x\", \"shard\": {shard}}}");
+            let (status, reply) = c.handle("POST", path, &body, now);
+            assert_eq!(status, 400, "{path} {body}: {reply}");
+            assert!(reply.contains("not an exact unsigned integer"), "{reply}");
+        }
+    }
+    let (_, status) = c.handle("GET", "/status", "", now);
+    assert!(status.contains("\"leased\": 1, \"completed\": 0, \"quarantined\": 0"), "{status}");
+    assert!(status.contains("\"reassignments\": 0"), "{status}");
+    let (_, reply) = c.handle("POST", "/heartbeat", "{\"worker\": \"w1\", \"shard\": 0}", now);
+    assert_eq!(reply, "{\"ok\": true}", "w1 still holds shard 0");
+}
+
+#[test]
+fn a_mistyped_config_name_is_refused_not_judged_under_another() {
+    let cfg = CoordinatorConfig {
+        seed_end: 16,
+        config_name: "atuo".into(),
+        dir: fresh_dir("atuo"),
+        ..CoordinatorConfig::default()
+    };
+    let dir = cfg.dir.clone();
+    let e = Coordinator::new(cfg).err().expect("`atuo` names no configuration");
+    assert!(e.contains("unknown config `atuo`"), "{e}");
+    assert!(!dir.exists(), "nothing is journaled under a name that judges nothing");
 }
 
 #[test]

@@ -17,6 +17,10 @@
 //! ```text
 //! UPDATE_JSON_BYTES=1 cargo test -p cedar-campaign --test json_bytes
 //! ```
+//!
+//! The second test keeps the seam the documents are written through:
+//! outside `jsonio.rs`, no code under `crates/*/src` spells a JSON key,
+//! an escape, a `null` or an inexact integer read by hand.
 
 use cedar_campaign::triage::{triage_json, QuarantinedShard};
 use cedar_campaign::wal::{Record, ShardSnap};
@@ -447,10 +451,9 @@ fn coordinator(e: &mut Entries) {
         ShardSummary::from_summary(&s).to_json()
     };
     let complete = |shard: u64, summary: &str| {
-        format!(
-            "{{\"worker\": \"w1\", \"shard\": {shard}, \"summary\": \"{}\"}}",
-            cedar_experiments::json_escape(summary)
-        )
+        let mut w = cedar_experiments::Writer::new();
+        w.obj().key("worker").str("w1").key("shard").int(shard).key("summary").str(summary);
+        w.finish()
     };
     let now = Instant::now();
     let script: Vec<(&str, &str, &str, String)> = vec![
@@ -547,4 +550,53 @@ fn every_document_matches_the_recorded_bytes() {
         rest.len(),
         moved.first().map_or("", String::as_str)
     );
+}
+
+/// Every `.rs` file under `dir`, recursively.
+fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
+    for entry in std::fs::read_dir(dir).unwrap().map(|e| e.unwrap().path()) {
+        if entry.is_dir() {
+            rust_files(&entry, out);
+        } else if entry.extension().is_some_and(|x| x == "rs") {
+            out.push(entry);
+        }
+    }
+}
+
+#[test]
+fn json_is_spelled_only_in_jsonio() {
+    let mut files = Vec::new();
+    rust_files(&Path::new(env!("CARGO_MANIFEST_DIR")).join(".."), &mut files);
+    files.retain(|f| f.components().any(|c| c.as_os_str() == "src") && !f.ends_with("jsonio.rs"));
+    files.sort();
+    assert!(files.len() > 100, "crates/*/src was not found: {} files", files.len());
+    let mut findings = Vec::new();
+    for file in &files {
+        let text = std::fs::read_to_string(file).unwrap();
+        // Code above the file's test module: tests may spell what they expect.
+        let code = text.split("\n#[cfg(test)]").next().unwrap();
+        for (n, line) in code.lines().enumerate() {
+            let what = if line.contains("\\\":") || (line.contains("r#\"") && line.contains("\":")) {
+                "a string literal spells a JSON key"
+            } else if line.contains("json_escape") {
+                "an escape outside the writer"
+            } else if line.contains("\"null\"") {
+                "`null` spelled by hand"
+            } else {
+                continue;
+            };
+            findings.push(format!("{}:{}: {what}: {}", file.display(), n + 1, line.trim()));
+        }
+        for statement in code.split(';') {
+            let Some(read) = statement.find("as_f64").map(|at| &statement[at..]) else { continue };
+            if read.contains(" as u64") || read.contains(" as usize") {
+                let cast = read.split_whitespace().collect::<Vec<_>>().join(" ");
+                findings.push(format!(
+                    "{}: an integer cast from `as_f64` (use `Json::u64_at`): {cast}",
+                    file.display()
+                ));
+            }
+        }
+    }
+    assert!(findings.is_empty(), "write and read JSON through `jsonio`:\n{}", findings.join("\n"));
 }
