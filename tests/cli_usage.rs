@@ -1,58 +1,378 @@
-//! The sweep binaries reject a command line they do not understand:
-//! usage on stderr, exit code 2 (`exitcode::HARNESS`), nothing run.
-//! Before, `robustness --sedes 3` ran the default 8 seeds and exited 0,
-//! so a typo in a CI gate passed vacuously.
-
+//! The command line of every binary and of `parallelize_file`, as one
+//! table: binary, argv, environment → exit code, whether stdout is
+//! empty, a substring of stderr. Recorded from the binaries of the
+//! commit before `cedar_par::cli` (ISSUE 20); a row with a `// parent:`
+//! comment records a defect of those binaries as it behaved then.
 //!
 //! Cargo sets `CARGO_BIN_EXE_<name>` only while compiling the package
 //! that owns the binary, so this file is registered in each of the
-//! three packages whose binaries it drives (`cedar-experiments`,
-//! `cedar-fuzz`, `cedar-campaign`) and every run checks its own.
+//! four packages whose binaries it drives (`cedar-experiments`,
+//! `cedar-fuzz`, `cedar-campaign`, `cedar-serve`) and every run checks
+//! its own rows. `parallelize_file` is an example of
+//! `cedar-experiments`: plain `cargo test` builds it; a filtered run
+//! needs `cargo build -p cedar-experiments --example parallelize_file`
+//! with the same profile first.
 
-use std::process::Command;
+use std::io::{BufRead, BufReader, Read, Write};
+use std::path::{Path, PathBuf};
+use std::process::{Command, Stdio};
 
 macro_rules! exe {
     ($name:literal) => {
-        option_env!(concat!("CARGO_BIN_EXE_", $name))
+        option_env!(concat!("CARGO_BIN_EXE_", $name)).map(PathBuf::from)
     };
 }
 
-#[test]
-fn sweep_binaries_reject_unknown_arguments_and_a_json_without_a_value() {
-    let bins = [("all", exe!("all")), ("races", exe!("races")), ("robustness", exe!("robustness"))];
-    for (name, exe) in bins {
-        let Some(exe) = exe else { continue };
-        for args in [&["--sedes", "3"][..], &["--json"][..]] {
-            let out = Command::new(exe).args(args).output().unwrap();
-            assert_eq!(
-                out.status.code(),
-                Some(cedar_experiments::exitcode::HARNESS),
-                "{name} {args:?}"
+fn workspace() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
+}
+
+/// The executable behind a name of the table, `None` when another
+/// package owns it.
+fn locate(bin: &str) -> Option<PathBuf> {
+    match bin {
+        "all" => exe!("all"),
+        "races" => exe!("races"),
+        "robustness" => exe!("robustness"),
+        "fuzz" => exe!("fuzz"),
+        "compare" => exe!("compare"),
+        "campaign" => exe!("campaign"),
+        "serve" => exe!("serve"),
+        "loadtest" => exe!("loadtest"),
+        "parallelize_file" => {
+            exe!("all")?;
+            // target/<profile>/deps/cli_usage-… → target/<profile>/examples/
+            let me = std::env::current_exe().unwrap();
+            let path = me.parent().unwrap().parent().unwrap().join("examples/parallelize_file");
+            assert!(
+                path.exists(),
+                "{} is not built: cargo build -p cedar-experiments --example parallelize_file",
+                path.display()
             );
-            assert!(out.stdout.is_empty(), "{name} {args:?} ran its sweep");
-            let err = String::from_utf8_lossy(&out.stderr);
-            assert!(err.contains(&format!("usage: {name} ")), "{name} {args:?}: {err}");
+            Some(path)
+        }
+        other => panic!("no binary `{other}`"),
+    }
+}
+
+/// The directory the binaries run in (their `target/…` defaults land
+/// under it), one per package so that parallel runs do not collide.
+/// Holds `bad.f`, a program with a syntax error.
+fn scratch() -> PathBuf {
+    let dir = workspace().join("target/cli-usage").join(env!("CARGO_PKG_NAME"));
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(dir.join("bad.f"), "      PROGRAM T\n      X =\n      END\n").unwrap();
+    dir
+}
+
+/// A command in the scratch directory with every `CEDAR_*` variable of
+/// the caller's environment removed and `{F}` in `argv` replaced by one
+/// of the 22 pool programs.
+fn command(exe: &Path, argv: &[&str], env: &[(&str, &str)]) -> Command {
+    let golden = workspace().join("tests/golden/ADM.expected.serial.f");
+    let mut cmd = Command::new(exe);
+    cmd.current_dir(scratch());
+    cmd.args(argv.iter().map(|a| a.replace("{F}", golden.to_str().unwrap())));
+    for (name, _) in std::env::vars_os() {
+        if name.to_string_lossy().starts_with("CEDAR_") {
+            cmd.env_remove(name);
         }
     }
+    cmd.envs(env.iter().copied());
+    cmd
+}
+
+/// binary, argv, environment → exit code, stdout is empty, stderr has.
+type Row = (
+    &'static str,
+    &'static [&'static str],
+    &'static [(&'static str, &'static str)],
+    i32,
+    bool,
+    &'static str,
+);
+
+/// An address no bind or connect succeeds on, refused without a lookup:
+/// the smallest command line that gets a server binary past its parser.
+const NOWHERE: &str = "127.0.0.1:99999";
+
+#[rustfmt::skip]
+const TABLE: &[Row] = &[
+    // ---- all
+    ("all", &["--bogus"], &[], 2, true, "usage: all"),
+    ("all", &["--json"], &[], 2, true, "usage: all"),
+    ("all", &[], &[], 0, false, "wrote target/artifacts.json"),
+    // parent: `--help` is an unknown argument of six binaries.
+    ("all", &["--help"], &[], 2, true, "usage: all"),
+    // parent: a sweep whose report cannot be written exits 0.
+    ("all", &["--json", "/proc/nope/r.json"], &[], 0, false, "/proc/nope/r.json"),
+    ("all", &[], &[("CEDAR_CHAOS", "1")], 2, false, "HARNESS ERROR: 4 cell(s) quarantined"),
+
+    // ---- races
+    ("races", &["--bogus"], &[], 2, true, "usage: races"),
+    ("races", &["--json"], &[], 2, true, "usage: races"),
+    ("races", &[], &[], 0, false, ""),
+    // parent: unknown argument.
+    ("races", &["--help"], &[], 2, true, "usage: races"),
+    // parent: exit 0 with no report.
+    ("races", &["--json", "/proc/nope/r.json"], &[], 0, false, "/proc/nope/r.json"),
+    // `CEDAR_CHAOS`: any non-empty string is hashed to a seed.
+    ("races", &[], &[("CEDAR_CHAOS", "kaboom")], 2, false, "QUARANTINED `races/table2/BDNA`"),
+    ("races", &[], &[("CEDAR_CELL_DEADLINE", "0")], 0, false, ""),
+    ("races", &[], &[("CEDAR_CELL_DEADLINE", "2.5")], 0, false, ""),
+    // parent: `Duration::from_secs_f64` panics.
+    ("races", &[], &[("CEDAR_CELL_DEADLINE", "inf")], 101, true, "panicked"),
+    // parent: switches the watchdog off.
+    ("races", &[], &[("CEDAR_CELL_DEADLINE", "abc")], 0, false, ""),
+    // parent: means 64.
+    ("races", &[], &[("CEDAR_BUNDLE_CAP", "lots")], 0, false, ""),
+    // parent: a variable nobody reads is accepted in silence.
+    ("races", &[], &[("CEDAR_ENGINE", "interp")], 0, false, ""),
+
+    // ---- robustness
+    ("robustness", &["--sedes", "3"], &[], 2, true, "usage: robustness"),
+    ("robustness", &["--json"], &[], 2, true, "usage: robustness"),
+    ("robustness", &["x"], &[], 2, true, "usage: robustness"),
+    ("robustness", &["1"], &[], 0, false, ""),
+    // parent: unknown argument.
+    ("robustness", &["--help"], &[], 2, true, "usage: robustness"),
+    // parent: perturbs nothing, "22 workloads x 0 seeds: 22 bit-identical".
+    ("robustness", &["0"], &[], 0, false, ""),
+    // parent: the last one wins.
+    ("robustness", &["1", "2"], &[], 0, false, ""),
+    // parent: exit 0 with no report.
+    ("robustness", &["1", "--json", "/proc/nope/r.json"], &[], 0, false, "/proc/nope/r.json"),
+
+    // ---- parallelize_file
+    ("parallelize_file", &[], &[], 0, false, "using the built-in MDG sample"),
+    ("parallelize_file", &["{F}"], &[], 0, false, ""),
+    ("parallelize_file", &["{F}", "--report"], &[], 0, false, ""),
+    ("parallelize_file", &["{F}", "--manual", "--fx80", "--simulate"], &[], 0, false, "speedup"),
+    ("parallelize_file", &["{F}", "--validate"], &[], 0, false, ""),
+    ("parallelize_file", &["bad.f"], &[], 1, true, "syntax error"),
+    // parent: flags it does not know are ignored; CI `cmp`s two such outputs.
+    ("parallelize_file", &["{F}", "--validat"], &[], 0, false, ""),
+    // parent: ignored, the MDG sample is restructured.
+    ("parallelize_file", &["--help"], &[], 0, false, "using the built-in MDG sample"),
+    // parent: the second file is ignored.
+    ("parallelize_file", &["{F}", "bad.f"], &[], 0, false, ""),
+    // parent: exits 1 for everything (`emit`: 2).
+    ("parallelize_file", &["/nope.f"], &[], 1, true, "/nope.f"),
+    // parent: `--backend` and `--free` are flags of `emit`; here the
+    // one is ignored and its value is a second file.
+    ("parallelize_file", &["{F}", "--backend"], &[], 0, false, ""),
+    ("parallelize_file", &["{F}", "--backend", "x"], &[], 0, false, ""),
+
+    // ---- fuzz
+    ("fuzz", &["--bogus"], &[], 2, true, "usage: fuzz"),
+    ("fuzz", &[], &[], 2, true, "usage: fuzz"),
+    ("fuzz", &["--seeds"], &[], 2, true, "usage: fuzz"),
+    ("fuzz", &["--seeds", "0..1", "--budget"], &[], 2, true, "usage: fuzz"),
+    ("fuzz", &["--seeds", "0..1", "--json"], &[], 2, true, "usage: fuzz"),
+    ("fuzz", &["--seeds", "0..1", "--det-json"], &[], 2, true, "usage: fuzz"),
+    ("fuzz", &["--seeds", "0..1", "--config"], &[], 2, true, "usage: fuzz"),
+    ("fuzz", &["--seeds", "0..1", "--jobs-check"], &[], 2, true, "usage: fuzz"),
+    ("fuzz", &["--seeds", "0..1", "--corpus"], &[], 2, true, "usage: fuzz"),
+    ("fuzz", &["--seeds", "0..1", "--emit-corpus"], &[], 2, true, "usage: fuzz"),
+    ("fuzz", &["--seeds", "5..5"], &[], 2, true, "usage: fuzz"),
+    ("fuzz", &["--seeds", "x"], &[], 2, true, "usage: fuzz"),
+    ("fuzz", &["--seeds", "0..1", "--budget", "x"], &[], 2, true, "usage: fuzz"),
+    ("fuzz", &["--seeds", "0..1", "--jobs-check", "x"], &[], 2, true, "usage: fuzz"),
+    // One seed reaches few passes: findings.
+    ("fuzz", &["--seeds", "0..1", "--no-bundles", "--no-shrink"], &[], 1, false, "fuzz: 1 executed, 1 clean"),
+    ("fuzz", &["--seeds", "0..2", "--emit-corpus", "corpus"], &[], 0, true, "fuzz: wrote corpus/seed0001"),
+    ("fuzz", &["--seeds", "0..1", "--no-bundles", "--json", "/proc/nope/r.json"], &[], 2, true, "/proc/nope/r.json"),
+    ("fuzz", &["--seeds", "0..1", "--no-bundles", "--json", "f.json", "--det-json", "/proc/nope/r.json"], &[], 2, true, "/proc/nope/r.json"),
+    // parent: unknown argument.
+    ("fuzz", &["--help"], &[], 2, true, "usage: fuzz"),
+    // parent: `Duration::from_secs_f64` panics.
+    ("fuzz", &["--seeds", "0..1", "--budget", "-1"], &[], 101, true, "panicked"),
+    ("fuzz", &["--seeds", "0..1", "--budget", "nan"], &[], 101, true, "panicked"),
+
+    // ---- compare
+    ("compare", &["--bogus"], &[], 2, true, "usage: compare"),
+    ("compare", &["--seeds"], &[], 2, true, "usage: compare"),
+    ("compare", &["--config"], &[], 2, true, "usage: compare"),
+    ("compare", &["--rel-tol"], &[], 2, true, "usage: compare"),
+    ("compare", &["--json"], &[], 2, true, "usage: compare"),
+    ("compare", &["--bundle-dir"], &[], 2, true, "usage: compare"),
+    ("compare", &["--seeds", "5..5"], &[], 2, true, "usage: compare"),
+    ("compare", &["--seeds", "x"], &[], 2, true, "usage: compare"),
+    ("compare", &["--config", "atuo"], &[], 2, true, "usage: compare"),
+    ("compare", &["--rel-tol", "x"], &[], 2, true, "usage: compare"),
+    ("compare", &["--seeds", "0..1"], &[], 0, false, ""),
+    ("compare", &["--seeds", "0..1", "--json", "/proc/nope/r.json"], &[], 2, true, "/proc/nope/r.json"),
+    ("compare", &["--seeds", "0..1"], &[("CEDAR_JOBS", "2")], 0, false, ""),
+    // parent: unknown argument.
+    ("compare", &["--help"], &[], 2, true, "usage: compare"),
+    // parent: nothing is `> NaN`, "all backends agree".
+    ("compare", &["--seeds", "0..1", "--rel-tol", "nan"], &[], 0, false, ""),
+    // parent: both mean "all cores".
+    ("compare", &["--seeds", "0..1"], &[("CEDAR_JOBS", "four")], 0, false, ""),
+    ("compare", &["--seeds", "0..1"], &[("CEDAR_JOBS", "0")], 0, false, ""),
+    // parent: a mistyped name is no variable at all.
+    ("compare", &["--seeds", "0..1"], &[("CEDAR_JOB", "4")], 0, false, ""),
+
+    // ---- campaign
+    ("campaign", &[], &[], 2, true, "campaign work --addr"),
+    ("campaign", &["bogus"], &[], 2, true, "campaign work --addr"),
+    ("campaign", &["coordinate"], &[], 2, true, "campaign coordinate --addr"),
+    ("campaign", &["coordinate", "--bogus"], &[], 2, true, "campaign coordinate --addr"),
+    ("campaign", &["coordinate", "--addr"], &[], 2, true, "campaign coordinate --addr"),
+    ("campaign", &["coordinate", "--seeds"], &[], 2, true, "campaign coordinate --addr"),
+    ("campaign", &["coordinate", "--dir"], &[], 2, true, "campaign coordinate --addr"),
+    ("campaign", &["coordinate", "--shard"], &[], 2, true, "campaign coordinate --addr"),
+    ("campaign", &["coordinate", "--lease-ms"], &[], 2, true, "campaign coordinate --addr"),
+    ("campaign", &["coordinate", "--retry-budget"], &[], 2, true, "campaign coordinate --addr"),
+    ("campaign", &["coordinate", "--jobs-check"], &[], 2, true, "campaign coordinate --addr"),
+    ("campaign", &["coordinate", "--config"], &[], 2, true, "campaign coordinate --addr"),
+    ("campaign", &["coordinate", "--linger-ms"], &[], 2, true, "campaign coordinate --addr"),
+    ("campaign", &["coordinate", "--checkpoint-every"], &[], 2, true, "campaign coordinate --addr"),
+    ("campaign", &["coordinate", "--addr", NOWHERE, "--dir", "c-empty", "--seeds", "5..5"], &[], 2, true, "campaign coordinate --addr"),
+    ("campaign", &["coordinate", "--addr", NOWHERE, "--dir", "c-x", "--seeds", "x"], &[], 2, true, "campaign coordinate --addr"),
+    ("campaign", &["coordinate", "--addr", NOWHERE, "--dir", "c-shard", "--seeds", "0..4", "--shard", "x"], &[], 2, true, "campaign coordinate --addr"),
+    ("campaign", &["coordinate", "--addr", NOWHERE, "--dir", "c-retry", "--seeds", "0..4", "--retry-budget", "-1"], &[], 2, true, "campaign coordinate --addr"),
+    ("campaign", &["coordinate", "--addr", NOWHERE, "--dir", "c-bind", "--seeds", "0..4"], &[], 2, true, "invalid port value"),
+    ("campaign", &["work"], &[], 2, true, "campaign work --addr"),
+    ("campaign", &["work", "--bogus"], &[], 2, true, "campaign work --addr"),
+    ("campaign", &["work", "--addr"], &[], 2, true, "campaign work --addr"),
+    ("campaign", &["work", "--name"], &[], 2, true, "campaign work --addr"),
+    ("campaign", &["work", "--budget"], &[], 2, true, "campaign work --addr"),
+    ("campaign", &["work", "--poll-ms"], &[], 2, true, "campaign work --addr"),
+    ("campaign", &["work", "--corpus"], &[], 2, true, "campaign work --addr"),
+    ("campaign", &["work", "--addr", NOWHERE, "--name", "w", "--budget", "x"], &[], 2, true, "campaign work --addr"),
+    ("campaign", &["work", "--addr", NOWHERE, "--name", "w"], &[], 2, true, "coordinator unreachable"),
+    // parent: neither a subcommand nor an argument of one.
+    ("campaign", &["--help"], &[], 2, true, "campaign work --addr"),
+    ("campaign", &["coordinate", "--help"], &[], 2, true, "campaign coordinate --addr"),
+    ("campaign", &["work", "--help"], &[], 2, true, "campaign work --addr"),
+    // parent: `Duration::from_secs_f64` panics.
+    ("campaign", &["work", "--addr", NOWHERE, "--name", "w", "--budget", "-1"], &[], 101, true, "panicked"),
+
+    // ---- serve
+    ("serve", &["--bogus"], &[], 2, true, "usage: serve"),
+    ("serve", &["extra"], &[], 2, true, "usage: serve"),
+    ("serve", &["--help"], &[], 0, false, ""),
+    ("serve", &["--addr"], &[], 2, true, "usage: serve"),
+    ("serve", &["--workers"], &[], 2, true, "usage: serve"),
+    ("serve", &["--queue"], &[], 2, true, "usage: serve"),
+    ("serve", &["--store"], &[], 2, true, "usage: serve"),
+    ("serve", &["--workers", "0"], &[], 2, true, "usage: serve"),
+    ("serve", &["--workers", "x"], &[], 2, true, "usage: serve"),
+    ("serve", &["--queue", "0"], &[], 2, true, "usage: serve"),
+    ("serve", &["--addr", NOWHERE], &[], 2, true, "invalid port value"),
+    // parent: one of four variables that duplicate a flag; it is read,
+    // and the bind fails as in the row above.
+    ("serve", &["--addr", NOWHERE], &[("CEDAR_SERVE_WORKERS", "8")], 2, true, "invalid port value"),
+
+    // ---- loadtest
+    ("loadtest", &["--bogus"], &[], 2, true, "usage: loadtest"),
+    ("loadtest", &["--help"], &[], 0, false, ""),
+    ("loadtest", &["--requests"], &[], 2, true, "usage: loadtest"),
+    ("loadtest", &["--clients"], &[], 2, true, "usage: loadtest"),
+    ("loadtest", &["--workers"], &[], 2, true, "usage: loadtest"),
+    ("loadtest", &["--queue"], &[], 2, true, "usage: loadtest"),
+    ("loadtest", &["--chaos"], &[], 2, true, "usage: loadtest"),
+    ("loadtest", &["--out"], &[], 2, true, "usage: loadtest"),
+    ("loadtest", &["--requests", "0"], &[], 2, true, "usage: loadtest"),
+    ("loadtest", &["--workers", "0"], &[], 2, true, "usage: loadtest"),
+    ("loadtest", &["--clients", "x"], &[], 2, true, "usage: loadtest"),
+    ("loadtest", &["--requests", "4", "--clients", "2", "--out", "lt.json"], &[], 0, true, "all gates passed; wrote lt.json"),
+    ("loadtest", &["--requests", "4", "--clients", "2", "--out", "/proc/nope/lt.json"], &[], 2, true, "/proc/nope/lt.json"),
+    ("loadtest", &["--requests", "100", "--out", "lt-chaos.json"], &[("CEDAR_CHAOS", "42")], 0, true, "chaos=42"),
+    // parent: a second spelling of `CEDAR_CHAOS`, for this binary only.
+    ("loadtest", &["--requests", "100", "--out", "lt-chaos.json", "--chaos", "42"], &[], 0, true, "chaos=42"),
+];
+
+#[test]
+fn every_row_of_the_table_holds() {
+    let mut wrong = Vec::new();
+    let mut ran = 0;
+    for &(bin, argv, env, code, quiet, needle) in TABLE {
+        let Some(exe) = locate(bin) else { continue };
+        ran += 1;
+        let out = command(&exe, argv, env).output().unwrap();
+        let err = String::from_utf8_lossy(&out.stderr);
+        if out.status.code() != Some(code) || out.stdout.is_empty() != quiet || !err.contains(needle) {
+            wrong.push(format!(
+                "{env:?} {bin} {argv:?}: wanted exit {code}, stdout empty {quiet}, stderr with {needle:?}; \
+                 got exit {:?}, {} bytes of stdout, stderr:\n{err}",
+                out.status.code(),
+                out.stdout.len(),
+            ));
+        }
+    }
+    assert!(ran > 0, "this package owns no binary of the table");
+    assert!(wrong.is_empty(), "{} of {ran} rows:\n{}", wrong.len(), wrong.join("\n"));
+}
+
+/// `serve`'s smallest valid command line runs until it is told to
+/// drain, so it is not a row: start it on a free port, read the address
+/// from its first line, `POST /shutdown`, and it exits 0.
+#[test]
+fn serve_starts_on_a_free_port_and_drains_on_shutdown() {
+    let Some(exe) = locate("serve") else { return };
+    let mut child = command(&exe, &["--addr", "127.0.0.1:0", "--workers", "1", "--queue", "1"], &[])
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    let mut stderr = BufReader::new(child.stderr.take().unwrap());
+    let mut line = String::new();
+    stderr.read_line(&mut line).unwrap();
+    let addr = line.trim().strip_prefix("cedar-serve listening on ").expect(&line).to_string();
+    let mut conn = std::net::TcpStream::connect(&addr).unwrap();
+    write!(conn, "POST /shutdown HTTP/1.1\r\nHost: {addr}\r\nContent-Length: 0\r\nConnection: close\r\n\r\n")
+        .unwrap();
+    let mut reply = String::new();
+    conn.read_to_string(&mut reply).unwrap();
+    assert!(reply.starts_with("HTTP/1.1 200"), "{reply}");
+    let mut rest = String::new();
+    stderr.read_to_string(&mut rest).unwrap();
+    assert_eq!(child.wait().unwrap().code(), Some(0), "{rest}");
+    assert!(rest.contains("drained"), "{rest}");
+}
+
+/// `campaign`'s smallest valid command lines need each other: a
+/// coordinator over four seeds in two shards and one worker, both
+/// exit 0 and the merged report is on disk.
+#[test]
+fn a_coordinator_and_a_worker_finish_a_campaign() {
+    let Some(exe) = locate("campaign") else { return };
+    let dir = scratch().join("pair");
+    let _ = std::fs::remove_dir_all(&dir);
+    let port = std::net::TcpListener::bind("127.0.0.1:0").unwrap().local_addr().unwrap().port();
+    let addr = format!("127.0.0.1:{port}");
+    let coordinate =
+        ["coordinate", "--addr", &addr, "--seeds", "0..4", "--dir", "pair", "--shard", "2", "--lease-ms", "300"];
+    let mut coordinator = command(&exe, &coordinate, &[]).stderr(Stdio::piped()).spawn().unwrap();
+    let mut stderr = BufReader::new(coordinator.stderr.take().unwrap());
+    let mut line = String::new();
+    stderr.read_line(&mut line).unwrap();
+    assert!(line.contains("coordinating on"), "{line}");
+    let worker = command(&exe, &["work", "--addr", &addr, "--name", "w1", "--no-shrink"], &[]).output().unwrap();
+    let said = String::from_utf8_lossy(&worker.stderr);
+    assert_eq!(worker.status.code(), Some(0), "{said}");
+    assert!(said.contains("campaign[w1]: done — 2 completed, 0 failed"), "{said}");
+    let mut rest = String::new();
+    stderr.read_to_string(&mut rest).unwrap();
+    assert_eq!(coordinator.wait().unwrap().code(), Some(0), "{rest}");
+    assert!(rest.contains("campaign: clean"), "{rest}");
+    assert!(dir.join("merged.json").exists());
 }
 
 /// `--config atuo` used to journal and report `atuo` while judging
 /// every seed under `manual`.
 #[test]
 fn a_mistyped_config_name_is_usage_not_a_different_configuration() {
-    let coordinate =
-        ["coordinate", "--addr", "127.0.0.1:0", "--seeds", "0..4", "--dir", "target/cli-usage-atuo"];
-    let cases = [
-        ("campaign", exe!("campaign"), &coordinate[..]),
-        ("fuzz", exe!("fuzz"), &["--seeds", "0..1"][..]),
-    ];
-    for (name, exe, args) in cases {
-        let Some(exe) = exe else { continue };
-        let out = Command::new(exe).args(args).args(["--config", "atuo"]).output().unwrap();
+    let coordinate = ["coordinate", "--addr", "127.0.0.1:0", "--seeds", "0..4", "--dir", "atuo"];
+    let cases = [("campaign", &coordinate[..]), ("fuzz", &["--seeds", "0..1"][..])];
+    for (name, args) in cases {
+        let Some(exe) = locate(name) else { continue };
+        let out = command(&exe, args, &[]).args(["--config", "atuo"]).output().unwrap();
         assert_eq!(out.status.code(), Some(2), "{name} {args:?}");
         assert!(out.stdout.is_empty(), "{name} ran");
         let err = String::from_utf8_lossy(&out.stderr);
         assert!(err.contains("unknown config `atuo`") && err.contains("usage:"), "{name}: {err}");
     }
-    assert!(!std::path::Path::new("target/cli-usage-atuo").exists(), "nothing was journaled");
+    assert!(!scratch().join("atuo").exists(), "nothing was journaled");
 }
