@@ -18,65 +18,39 @@
 //! `kill -9`; chaos covers the same path deterministically in tests).
 
 use cedar_campaign::{Coordinator, CoordinatorConfig, WorkerConfig};
-use std::process::ExitCode;
+use cedar_par::cli::{exitcode, Args};
 use std::time::Duration;
 
-const USAGE: &str = "usage:
-  campaign coordinate --addr H:P --seeds A..B --dir DIR [--shard N] [--lease-ms N]
-                      [--retry-budget N] [--jobs-check N] [--config manual|auto|serial] [--linger-ms N]
-                      [--checkpoint-every N]
-  campaign work --addr H:P --name NAME [--budget SECS] [--no-shrink] [--poll-ms N]
-                [--corpus DIR]";
+const COORDINATE: &str = "usage: campaign coordinate --addr H:P --seeds A..B --dir DIR [--shard N]
+                           [--lease-ms N] [--retry-budget N] [--jobs-check N]
+                           [--config manual|auto|serial] [--checkpoint-every N]";
+const WORK: &str = "usage: campaign work --addr H:P --name NAME [--budget SECS] [--no-shrink]
+                     [--corpus DIR]";
 
-fn coordinate(args: &[String]) -> Result<ExitCode, String> {
+/// How long a finished coordinator keeps answering `done`, so that slow
+/// workers hear it and exit.
+const LINGER: Duration = Duration::from_millis(500);
+
+fn coordinate(args: &mut Args) -> Result<i32, String> {
+    args.usage = COORDINATE.into();
     let mut cfg = CoordinatorConfig::default();
-    let mut addr = None;
-    let mut seeds_given = false;
-    let mut dir_given = false;
-    let mut linger = Duration::from_millis(500);
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |name: &str| {
-            it.next().cloned().ok_or_else(|| format!("{name} needs a value"))
-        };
-        match arg.as_str() {
-            "--addr" => addr = Some(value("--addr")?),
-            "--seeds" => {
-                let v = value("--seeds")?;
-                let (a, b) = v
-                    .split_once("..")
-                    .ok_or_else(|| format!("--seeds wants A..B, got `{v}`"))?;
-                cfg.seed_start = a.parse().map_err(|e| format!("bad seed start `{a}`: {e}"))?;
-                cfg.seed_end = b.parse().map_err(|e| format!("bad seed end `{b}`: {e}"))?;
-                seeds_given = true;
-            }
-            "--shard" => cfg.shard_size = parse(&value("--shard")?)?,
-            "--lease-ms" => cfg.lease = Duration::from_millis(parse(&value("--lease-ms")?)?),
-            "--retry-budget" => cfg.retry_budget = parse(&value("--retry-budget")?)? as u32,
-            "--jobs-check" => cfg.jobs_check = parse(&value("--jobs-check")?)? as usize,
-            "--config" => cfg.config_name = value("--config")?,
-            "--dir" => {
-                cfg.dir = value("--dir")?.into();
-                dir_given = true;
-            }
-            "--linger-ms" => linger = Duration::from_millis(parse(&value("--linger-ms")?)?),
-            "--checkpoint-every" => {
-                cfg.checkpoint_every = parse(&value("--checkpoint-every")?)? as usize
-            }
-            other => return Err(format!("unknown argument `{other}`")),
-        }
-    }
-    let addr = addr.ok_or("--addr is required")?;
-    if !seeds_given {
-        return Err("--seeds A..B is required".into());
-    }
-    if !dir_given {
-        return Err("--dir DIR is required".into());
-    }
+    let addr: Option<String> = args.value("--addr");
+    let seeds = args.seeds("--seeds");
+    let dir = args.value("--dir");
+    cfg.shard_size = args.value("--shard").unwrap_or(cfg.shard_size);
+    cfg.lease = args.value("--lease-ms").map_or(cfg.lease, Duration::from_millis);
+    cfg.retry_budget = args.value("--retry-budget").unwrap_or(cfg.retry_budget);
+    cfg.jobs_check = args.value("--jobs-check").unwrap_or(cfg.jobs_check);
+    cfg.config_name = args.value("--config").unwrap_or(cfg.config_name);
+    cfg.checkpoint_every = args.value("--checkpoint-every").unwrap_or(cfg.checkpoint_every);
+    args.finish();
+    let addr = addr.unwrap_or_else(|| args.fail("--addr is required"));
+    (cfg.seed_start, cfg.seed_end) = seeds.unwrap_or_else(|| args.fail("--seeds A..B is required"));
+    cfg.dir = dir.unwrap_or_else(|| args.fail("--dir DIR is required"));
     let coordinator = Coordinator::new(cfg)?;
     let listener = std::net::TcpListener::bind(&addr).map_err(|e| format!("bind {addr}: {e}"))?;
     eprintln!("campaign: coordinating on {addr}");
-    let outcome = coordinator.serve(listener, linger)?;
+    let outcome = coordinator.serve(listener, LINGER)?;
     eprintln!(
         "campaign: done — {} reassignments, {} quarantined, triage at {}",
         outcome.reassignments,
@@ -85,7 +59,7 @@ fn coordinate(args: &[String]) -> Result<ExitCode, String> {
     );
     if outcome.quarantined > 0 {
         eprintln!("campaign: quarantined shards leave holes; merged report withheld");
-        return Ok(ExitCode::from(2));
+        return Ok(exitcode::HARNESS);
     }
     match &outcome.merged {
         Some(m) => {
@@ -95,72 +69,49 @@ fn coordinate(args: &[String]) -> Result<ExitCode, String> {
             );
             if m.failed() {
                 eprintln!("campaign: findings — {} failures", m.failures.len());
-                Ok(ExitCode::from(1))
+                Ok(exitcode::VALIDATION)
             } else {
                 eprintln!("campaign: clean");
-                Ok(ExitCode::SUCCESS)
+                Ok(exitcode::OK)
             }
         }
         None => Err("campaign finished with no shards at all".into()),
     }
 }
 
-fn work(args: &[String]) -> Result<ExitCode, String> {
+fn work(args: &mut Args) -> Result<i32, String> {
+    args.usage = WORK.into();
     let mut cfg = WorkerConfig {
-        chaos: std::env::var("CEDAR_CHAOS").ok().as_deref().and_then(cedar_experiments::chaos::parse_seed),
+        chaos: cedar_experiments::Supervisor::from_env().chaos,
         ..WorkerConfig::default()
     };
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |name: &str| {
-            it.next().cloned().ok_or_else(|| format!("{name} needs a value"))
-        };
-        match arg.as_str() {
-            "--addr" => cfg.addr = value("--addr")?,
-            "--name" => cfg.name = value("--name")?,
-            "--budget" => {
-                let secs: f64 = value("--budget")?
-                    .parse()
-                    .map_err(|e| format!("bad budget: {e}"))?;
-                cfg.budget = Some(Duration::from_secs_f64(secs));
-            }
-            "--no-shrink" => cfg.shrink = false,
-            "--poll-ms" => cfg.poll_base = Duration::from_millis(parse(&value("--poll-ms")?)?),
-            "--corpus" => cfg.corpus_dir = Some(value("--corpus")?.into()),
-            other => return Err(format!("unknown argument `{other}`")),
-        }
-    }
+    cfg.addr = args.value("--addr").unwrap_or_default();
+    cfg.name = args.value("--name").unwrap_or(cfg.name);
+    cfg.budget = args.secs("--budget");
+    cfg.shrink = !args.flag("--no-shrink");
+    cfg.corpus_dir = args.value("--corpus");
+    args.finish();
     if cfg.addr.is_empty() {
-        return Err("--addr is required".into());
+        args.fail("--addr is required");
     }
     let report = cedar_campaign::run_worker(&cfg)?;
     if let Some(shard) = report.crashed {
         eprintln!("campaign[{}]: chaos crash holding shard {shard}", cfg.name);
-        return Ok(ExitCode::from(3));
+        return Ok(exitcode::CRASHED);
     }
     eprintln!(
         "campaign[{}]: done — {} completed, {} failed",
         cfg.name, report.completed, report.failed,
     );
-    Ok(ExitCode::SUCCESS)
+    Ok(exitcode::OK)
 }
 
-fn parse(v: &str) -> Result<u64, String> {
-    v.parse().map_err(|e| format!("bad number `{v}`: {e}"))
-}
-
-fn main() -> ExitCode {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let result = match argv.first().map(String::as_str) {
-        Some("coordinate") => coordinate(&argv[1..]),
-        Some("work") => work(&argv[1..]),
-        _ => Err("expected `coordinate` or `work`".into()),
+fn main() {
+    let mut args = Args::from_env("campaign", &format!("{COORDINATE}\n{WORK}"));
+    let result = match args.positional().as_deref() {
+        Some("coordinate") => coordinate(&mut args),
+        Some("work") => work(&mut args),
+        _ => args.fail("expected `coordinate` or `work`"),
     };
-    match result {
-        Ok(code) => code,
-        Err(e) => {
-            eprintln!("campaign: {e}\n{USAGE}");
-            ExitCode::from(2)
-        }
-    }
+    std::process::exit(result.unwrap_or_else(|e| args.fail(e)));
 }

@@ -10,14 +10,17 @@
 //!
 //! Exit codes (see README "Exit codes"): 0 = every cell completed,
 //! 2 = harness error (at least one cell quarantined; crash bundles are
-//! under `target/crash-bundles/`) or a bad command line.
+//! under `target/crash-bundles/`), a bad command line or environment,
+//! or a report that cannot be written.
 
-use cedar_experiments::{exitcode, Writer};
 use cedar_experiments::supervise::{self, Quarantine, Recovery, Supervisor};
+use cedar_experiments::Writer;
+use cedar_par::cli::{exitcode, Args};
 
 fn main() {
-    let json_path =
-        cedar_experiments::sweep_args("usage: all [--json PATH]", "target/artifacts.json", |_| false);
+    let mut args = Args::from_env("all", "usage: all [--json PATH]");
+    let json_path = args.value("--json").unwrap_or_else(|| "target/artifacts.json".to_string());
+    args.finish();
 
     let sup = Supervisor::from_env();
     let t0 = std::time::Instant::now();
@@ -91,13 +94,8 @@ fn main() {
     w.key("deadline_s").opt(deadline, |w, s| w.float(s, format_args!("{s}")));
     w.key("recovered").raw(supervise::recovered_json(&recovered));
     w.key("quarantined").raw(supervise::quarantined_json(&quarantined));
-    if let Some(dir) = std::path::Path::new(&json_path).parent() {
-        let _ = std::fs::create_dir_all(dir);
-    }
-    match std::fs::write(&json_path, w.finish()) {
-        Ok(()) => eprintln!("wrote {json_path}"),
-        Err(e) => eprintln!("could not write {json_path}: {e}"),
-    }
+    args.write_report(&json_path, &w.finish());
+    eprintln!("wrote {json_path}");
 
     if !recovered.is_empty() {
         for r in &recovered {

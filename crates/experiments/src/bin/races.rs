@@ -14,14 +14,16 @@
 //! Exit codes (see README "Exit codes"): 0 = clean; 1 = validation
 //! failure (false positive/negative or detector-induced cycle
 //! difference); 2 = harness error (at least one cell quarantined — the
-//! confusion matrix is incomplete, so this outranks code 1) or a bad
-//! command line.
+//! confusion matrix is incomplete, so this outranks code 1), a bad
+//! command line or environment, or a report that cannot be written.
 
-use cedar_experiments::{exitcode, races, Supervisor};
+use cedar_experiments::{races, Supervisor};
+use cedar_par::cli::{exitcode, Args};
 
 fn main() {
-    let json_path =
-        cedar_experiments::sweep_args("usage: races [--json PATH]", "target/races.json", |_| false);
+    let mut args = Args::from_env("races", "usage: races [--json PATH]");
+    let json_path = args.value("--json").unwrap_or_else(|| "target/races.json".to_string());
+    args.finish();
 
     let sup = Supervisor::from_env();
     let (rows, recovered, quarantined) = races::run_supervised(&sup);
@@ -35,14 +37,8 @@ fn main() {
         c.true_positive, c.false_negative, c.false_positive, c.true_negative, cycle_breaks
     );
 
-    let json = races::to_json(&rows, &quarantined);
-    if let Some(dir) = std::path::Path::new(&json_path).parent() {
-        let _ = std::fs::create_dir_all(dir);
-    }
-    match std::fs::write(&json_path, json) {
-        Ok(()) => println!("wrote {json_path}"),
-        Err(e) => eprintln!("could not write {json_path}: {e}"),
-    }
+    args.write_report(&json_path, &races::to_json(&rows, &quarantined));
+    println!("wrote {json_path}");
 
     for r in &recovered {
         eprintln!("recovered `{}` at rung `{}`", r.cell, r.rung);

@@ -13,18 +13,21 @@
 //! Exit codes (see README "Exit codes"): 0 = clean; 1 = validation
 //! failure (a workload needed a serial fallback or degraded entirely);
 //! 2 = harness error (at least one cell quarantined — the validation
-//! verdict is incomplete, so this outranks code 1) or a bad command
-//! line.
+//! verdict is incomplete, so this outranks code 1), a bad command
+//! line or environment, or a report that cannot be written.
 
-use cedar_experiments::{exitcode, robustness, Supervisor};
+use cedar_experiments::{robustness, Supervisor};
+use cedar_par::cli::{exitcode, Args};
 
 fn main() {
-    let mut n_seeds: u64 = 8;
-    let json_path = cedar_experiments::sweep_args(
-        "usage: robustness [N_SEEDS] [--json PATH]",
-        "target/robustness.json",
-        |a| a.parse().map(|n| n_seeds = n).is_ok(),
-    );
+    let mut args = Args::from_env("robustness", "usage: robustness [N_SEEDS] [--json PATH]");
+    let json_path = args.value("--json").unwrap_or_else(|| "target/robustness.json".to_string());
+    let n_seeds: u64 = match args.positional().map(|n| n.parse()) {
+        None => 8,
+        Some(Ok(n)) if n >= 1 => n,
+        Some(_) => args.fail("N_SEEDS is a count of at least 1"),
+    };
+    args.finish();
 
     let sup = Supervisor::from_env();
     let (rows, recovered, quarantined) = robustness::run_supervised(n_seeds, &sup);
@@ -42,14 +45,8 @@ fn main() {
         degraded
     );
 
-    let json = robustness::to_json(&rows, n_seeds, &quarantined);
-    if let Some(dir) = std::path::Path::new(&json_path).parent() {
-        let _ = std::fs::create_dir_all(dir);
-    }
-    match std::fs::write(&json_path, json) {
-        Ok(()) => println!("wrote {json_path}"),
-        Err(e) => eprintln!("could not write {json_path}: {e}"),
-    }
+    args.write_report(&json_path, &robustness::to_json(&rows, n_seeds, &quarantined));
+    println!("wrote {json_path}");
 
     for r in &recovered {
         eprintln!("recovered `{}` at rung `{}`", r.cell, r.rung);

@@ -55,65 +55,6 @@ pub use jsonio::{Json, Writer};
 pub use pipeline::{run_program, run_workload, Outcome};
 pub use supervise::Supervisor;
 
-/// Unified exit-code taxonomy for the experiment binaries (`all`,
-/// `robustness`, `races`); see README "Exit codes".
-pub mod exitcode {
-    /// Everything ran and every check passed.
-    pub const OK: i32 = 0;
-    /// The experiments ran to completion but a *validation* check
-    /// failed: a serial fallback, a race-matrix miss.
-    pub const VALIDATION: i32 = 1;
-    /// A *harness* error: one or more cells were quarantined by the
-    /// supervisor (panic, timeout, simulator fault at every ladder
-    /// rung), or the binary was invoked incorrectly. Results for the
-    /// surviving cells are still reported.
-    pub const HARNESS: i32 = 2;
-
-    /// Combine the two failure dimensions into one process exit code;
-    /// harness errors outrank validation failures (a quarantined cell
-    /// means the validation verdict is incomplete).
-    pub fn classify(validation_failed: bool, quarantined: usize) -> i32 {
-        if quarantined > 0 {
-            HARNESS
-        } else if validation_failed {
-            VALIDATION
-        } else {
-            OK
-        }
-    }
-}
-
-/// Command line of a sweep binary (`all`, `races`, `robustness`):
-/// returns the report path given after `--json`, or `default_json`.
-/// Any other argument is offered to `positional`, which says whether
-/// it took it. An argument nobody takes, or a `--json` with no value,
-/// prints `usage` on stderr and exits with [`exitcode::HARNESS`]: a
-/// mistyped flag in a CI gate must not pass vacuously.
-pub fn sweep_args(
-    usage: &str,
-    default_json: &str,
-    mut positional: impl FnMut(&str) -> bool,
-) -> String {
-    let mut json_path = default_json.to_string();
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        let problem = match a.as_str() {
-            "--json" => match args.next() {
-                Some(p) => {
-                    json_path = p;
-                    continue;
-                }
-                None => "--json needs a value".to_string(),
-            },
-            other if positional(other) => continue,
-            other => format!("unknown argument `{other}`"),
-        };
-        eprintln!("{problem}\n{usage}");
-        std::process::exit(exitcode::HARNESS);
-    }
-    json_path
-}
-
 /// Render a simple aligned text table.
 pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
     let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();

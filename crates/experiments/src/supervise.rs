@@ -31,7 +31,7 @@
 
 use crate::chaos::{self, Injection};
 use crate::Writer;
-use cedar_par::{panic_message, CancelToken, Context};
+use cedar_par::{cli, panic_message, CancelToken, Context};
 use cedar_restructure::PassConfig;
 use cedar_sim::{MachineConfig, SimError, SimErrorKind};
 use cedar_store::fnv1a;
@@ -231,26 +231,24 @@ pub struct Supervisor {
 pub const DEFAULT_BUNDLE_CAP: usize = 64;
 
 impl Supervisor {
-    /// Read the supervisor configuration from the environment.
+    /// The sweep binaries' supervisor (120 s a cell) under the
+    /// variables that are set.
     pub fn from_env() -> Supervisor {
-        let chaos = std::env::var("CEDAR_CHAOS")
-            .ok()
-            .and_then(|s| chaos::parse_seed(&s));
-        let deadline = match std::env::var("CEDAR_CELL_DEADLINE") {
-            Ok(s) => match s.trim().parse::<f64>() {
-                Ok(secs) if secs > 0.0 => Some(Duration::from_secs_f64(secs)),
-                _ => None,
-            },
-            Err(_) => Some(Duration::from_secs(120)),
-        };
-        let bundle_dir = std::env::var("CEDAR_BUNDLE_DIR")
-            .map(PathBuf::from)
-            .unwrap_or_else(|_| PathBuf::from("target/crash-bundles"));
-        let bundle_cap = std::env::var("CEDAR_BUNDLE_CAP")
-            .ok()
-            .and_then(|s| s.trim().parse().ok())
-            .unwrap_or(DEFAULT_BUNDLE_CAP);
-        Supervisor { chaos, deadline, bundle_dir, bundle_cap }
+        let deadline = Some(Duration::from_secs(120));
+        let bundle_dir = PathBuf::from("target/crash-bundles");
+        Supervisor { chaos: None, deadline, bundle_dir, bundle_cap: DEFAULT_BUNDLE_CAP }.overlay_env()
+    }
+
+    /// `self` with each of the four supervisor variables that is set
+    /// laid over it (DESIGN.md §18.2).
+    pub fn overlay_env(self) -> Supervisor {
+        let deadline = cli::env_secs("CEDAR_CELL_DEADLINE").map(|d| (!d.is_zero()).then_some(d));
+        Supervisor {
+            chaos: cli::env::<String>("CEDAR_CHAOS").map_or(self.chaos, |s| chaos::parse_seed(&s)),
+            deadline: deadline.unwrap_or(self.deadline),
+            bundle_dir: cli::env("CEDAR_BUNDLE_DIR").unwrap_or(self.bundle_dir),
+            bundle_cap: cli::env("CEDAR_BUNDLE_CAP").unwrap_or(self.bundle_cap),
+        }
     }
 }
 

@@ -17,69 +17,16 @@
 //! divergence/failure, `2` usage or harness error.
 
 use cedar_experiments::Writer;
+use cedar_par::cli::{exitcode, Args};
 use cedar_restructure::PassConfig;
 use cedar_sim::MachineConfig;
 use cedar_verify::{compare_backends, BackendComparison};
-use std::process::ExitCode;
 
 const USAGE: &str = "usage: compare [--workloads] [--seeds A..B] [--config manual|auto|serial] \
-                     [--rel-tol X] [--json PATH] [--bundle-dir DIR]";
+                     [--json PATH] [--bundle-dir DIR]";
 
-struct Args {
-    workloads: bool,
-    seeds: Option<(u64, u64)>,
-    pass: PassConfig,
-    rel_tol: f64,
-    json: Option<String>,
-    bundle_dir: Option<String>,
-}
-
-fn parse_args(args: &[String]) -> Result<Args, String> {
-    let mut out = Args {
-        workloads: false,
-        seeds: None,
-        pass: PassConfig::manual_improved(),
-        rel_tol: 1e-3,
-        json: None,
-        bundle_dir: None,
-    };
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |name: &str| {
-            it.next().cloned().ok_or_else(|| format!("{name} needs a value"))
-        };
-        match arg.as_str() {
-            "--workloads" => out.workloads = true,
-            "--seeds" => {
-                let v = value("--seeds")?;
-                let (a, b) = v
-                    .split_once("..")
-                    .ok_or_else(|| format!("--seeds wants A..B, got `{v}`"))?;
-                let a = a.parse().map_err(|e| format!("bad seed start `{a}`: {e}"))?;
-                let b = b.parse().map_err(|e| format!("bad seed end `{b}`: {e}"))?;
-                if b <= a {
-                    return Err(format!("empty seed range `{v}`"));
-                }
-                out.seeds = Some((a, b));
-            }
-            "--config" => {
-                let v = value("--config")?;
-                out.pass = PassConfig::named(&v).ok_or_else(|| format!("unknown config `{v}`"))?;
-            }
-            "--rel-tol" => {
-                let v = value("--rel-tol")?;
-                out.rel_tol = v.parse().map_err(|e| format!("bad tolerance `{v}`: {e}"))?;
-            }
-            "--json" => out.json = Some(value("--json")?),
-            "--bundle-dir" => out.bundle_dir = Some(value("--bundle-dir")?),
-            other => return Err(format!("unknown argument `{other}`")),
-        }
-    }
-    if !out.workloads && out.seeds.is_none() {
-        out.workloads = true; // the default sweep
-    }
-    Ok(out)
-}
+/// The relative tolerance backends must agree within (README "Backends").
+const REL_TOL: f64 = 1e-3;
 
 /// One compared case for the JSON report.
 struct Case {
@@ -134,20 +81,23 @@ fn write_bundle(dir: &str, case: &Case, source: &str) -> Result<(), String> {
     Ok(())
 }
 
-fn main() -> ExitCode {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let args = match parse_args(&argv) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("compare: {e}\n{USAGE}");
-            return ExitCode::from(2);
-        }
-    };
+fn main() {
+    let mut args = Args::from_env("compare", USAGE);
+    let seeds = args.seeds("--seeds");
+    // With neither, the workloads are the default sweep.
+    let workloads = args.flag("--workloads") || seeds.is_none();
+    let config: Option<String> = args.value("--config");
+    let json: Option<String> = args.value("--json");
+    let bundle_dir: Option<String> = args.value("--bundle-dir");
+    args.finish();
+    let pass = config.map_or_else(PassConfig::manual_improved, |v| {
+        PassConfig::named(&v).unwrap_or_else(|| args.fail(format!("unknown config `{v}`")))
+    });
     let mc = MachineConfig::cedar_config1_scaled();
 
     // Collect (name, source, program, watch) for every requested case.
     let mut inputs: Vec<(String, String, cedar_ir::Program, Vec<String>)> = Vec::new();
-    if args.workloads {
+    if workloads {
         for w in cedar_workloads::table1_workloads()
             .into_iter()
             .chain(cedar_workloads::table2_workloads())
@@ -157,16 +107,12 @@ fn main() -> ExitCode {
             inputs.push((w.name.to_string(), w.source.clone(), program, watch));
         }
     }
-    if let Some((a, b)) = args.seeds {
+    if let Some((a, b)) = seeds {
         for seed in a..b {
             let r = cedar_fuzz::GenProgram::generate(seed).render();
-            let program = match cedar_ir::compile_free(&r.source) {
-                Ok(p) => p,
-                Err(e) => {
-                    eprintln!("compare: seed {seed} does not compile (generator bug): {e}");
-                    return ExitCode::from(2);
-                }
-            };
+            let program = cedar_ir::compile_free(&r.source).unwrap_or_else(|e| {
+                args.fail(format!("seed {seed} does not compile (generator bug): {e}"))
+            });
             let watch = r.watch.iter().map(|w| w.name.clone()).collect();
             inputs.push((format!("seed{seed:04}"), r.source, program, watch));
         }
@@ -174,8 +120,7 @@ fn main() -> ExitCode {
 
     let cases: Vec<(Case, String)> = cedar_par::par_map(inputs, |(name, source, program, watch)| {
         let watch_refs: Vec<&str> = watch.iter().map(String::as_str).collect();
-        let comparison =
-            compare_backends(&program, &args.pass, &mc, &watch_refs, args.rel_tol);
+        let comparison = compare_backends(&program, &pass, &mc, &watch_refs, REL_TOL);
         (Case { name, comparison }, source)
     });
 
@@ -189,15 +134,12 @@ fn main() -> ExitCode {
             Err(e) => eprintln!("compare: {}: harness error: {e}", case.name),
             Ok(c) => eprint!("compare: {} disagrees:\n{c}", case.name),
         }
-        if let Some(dir) = &args.bundle_dir {
-            if let Err(e) = write_bundle(dir, case, source) {
-                eprintln!("compare: {e}");
-                return ExitCode::from(2);
-            }
+        if let Some(dir) = &bundle_dir {
+            write_bundle(dir, case, source).unwrap_or_else(|e| args.fail(e));
         }
     }
 
-    if let Some(path) = &args.json {
+    if let Some(path) = &json {
         let mut w = Writer::new();
         w.obj().key("cases").int(cases.len()).key("failures").int(failures);
         w.key("results").arr();
@@ -205,10 +147,7 @@ fn main() -> ExitCode {
             case.write_json(&mut w);
         }
         w.end().end();
-        if let Err(e) = std::fs::write(path, w.finish() + "\n") {
-            eprintln!("compare: write {path}: {e}");
-            return ExitCode::from(2);
-        }
+        args.write_report(path, &(w.finish() + "\n"));
     }
 
     println!(
@@ -217,5 +156,5 @@ fn main() -> ExitCode {
         failures,
         if failures == 0 { " — all backends agree" } else { "" }
     );
-    ExitCode::from(if failures == 0 { 0 } else { 1 })
+    std::process::exit(exitcode::classify(failures > 0, 0));
 }

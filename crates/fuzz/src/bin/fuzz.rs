@@ -12,77 +12,11 @@
 //! harness error.
 
 use cedar_fuzz::{run_campaign, CampaignConfig, OracleConfig};
-use std::process::ExitCode;
-use std::time::Duration;
+use cedar_par::cli::{exitcode, Args};
 
 const USAGE: &str = "usage: fuzz --seeds A..B [--budget SECS] [--json PATH] [--det-json PATH] \
                      [--config manual|auto|serial] [--no-shrink] [--no-bundles] [--jobs-check N] \
                      [--corpus DIR] [--emit-corpus DIR]";
-
-struct Args {
-    cfg: CampaignConfig,
-    json: Option<String>,
-    det_json: Option<String>,
-    config_name: String,
-    emit_corpus: Option<String>,
-}
-
-fn parse_args(args: &[String]) -> Result<Args, String> {
-    let mut cfg = CampaignConfig::default();
-    let mut json = None;
-    let mut det_json = None;
-    let mut config_name = String::from("manual");
-    let mut emit_corpus = None;
-    let mut seeds_given = false;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |name: &str| {
-            it.next().cloned().ok_or_else(|| format!("{name} needs a value"))
-        };
-        match arg.as_str() {
-            "--seeds" => {
-                let v = value("--seeds")?;
-                let (a, b) = v
-                    .split_once("..")
-                    .ok_or_else(|| format!("--seeds wants A..B, got `{v}`"))?;
-                cfg.seed_start =
-                    a.parse().map_err(|e| format!("bad seed start `{a}`: {e}"))?;
-                cfg.seed_end = b.parse().map_err(|e| format!("bad seed end `{b}`: {e}"))?;
-                if cfg.seed_end <= cfg.seed_start {
-                    return Err(format!("empty seed range `{v}`"));
-                }
-                seeds_given = true;
-            }
-            "--budget" => {
-                let v = value("--budget")?;
-                let secs: f64 = v.parse().map_err(|e| format!("bad budget `{v}`: {e}"))?;
-                cfg.budget = Some(Duration::from_secs_f64(secs));
-            }
-            "--json" => json = Some(value("--json")?),
-            "--det-json" => det_json = Some(value("--det-json")?),
-            "--config" => {
-                let v = value("--config")?;
-                cfg.oracle =
-                    OracleConfig::named(&v).ok_or_else(|| format!("unknown config `{v}`"))?;
-                config_name = v;
-            }
-            "--no-shrink" => cfg.shrink = false,
-            "--no-bundles" => cfg.bundles = false,
-            "--jobs-check" => {
-                let v = value("--jobs-check")?;
-                cfg.jobs_check = v.parse().map_err(|e| format!("bad count `{v}`: {e}"))?;
-            }
-            "--corpus" => cfg.corpus_dir = Some(value("--corpus")?.into()),
-            "--emit-corpus" => emit_corpus = Some(value("--emit-corpus")?),
-            other => return Err(format!("unknown argument `{other}`")),
-        }
-    }
-    if !seeds_given {
-        return Err("--seeds A..B is required".into());
-    }
-    cfg.corpus_config = config_name.clone();
-    Ok(Args { cfg, json, det_json, config_name, emit_corpus })
-}
 
 /// `--emit-corpus DIR`: pin every seed in the range as a corpus entry
 /// (a self-describing `.f` file, see `cedar_fuzz::corpus`) instead of
@@ -101,24 +35,27 @@ fn emit_corpus(dir: &str, cfg: &CampaignConfig, config_name: &str) -> Result<(),
     Ok(())
 }
 
-fn main() -> ExitCode {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let Args { cfg, json: json_path, det_json, config_name, emit_corpus: emit_dir } =
-        match parse_args(&argv) {
-            Ok(v) => v,
-            Err(e) => {
-                eprintln!("fuzz: {e}\n{USAGE}");
-                return ExitCode::from(2);
-            }
-        };
+fn main() {
+    let mut args = Args::from_env("fuzz", USAGE);
+    let mut cfg = CampaignConfig::default();
+    let seeds = args.seeds("--seeds");
+    cfg.budget = args.secs("--budget");
+    let json_path: Option<String> = args.value("--json");
+    let det_json: Option<String> = args.value("--det-json");
+    let config_name = args.value("--config").unwrap_or_else(|| String::from("manual"));
+    cfg.shrink = !args.flag("--no-shrink");
+    cfg.bundles = !args.flag("--no-bundles");
+    cfg.jobs_check = args.value("--jobs-check").unwrap_or(cfg.jobs_check);
+    cfg.corpus_dir = args.value("--corpus");
+    let emit_dir: Option<String> = args.value("--emit-corpus");
+    args.finish();
+    (cfg.seed_start, cfg.seed_end) = seeds.unwrap_or_else(|| args.fail("--seeds A..B is required"));
+    cfg.oracle = OracleConfig::named(&config_name)
+        .unwrap_or_else(|| args.fail(format!("unknown config `{config_name}`")));
+    cfg.corpus_config = config_name.clone();
     if let Some(dir) = emit_dir {
-        return match emit_corpus(&dir, &cfg, &config_name) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("fuzz: {e}");
-                ExitCode::from(2)
-            }
-        };
+        emit_corpus(&dir, &cfg, &config_name).unwrap_or_else(|e| args.fail(e));
+        return;
     }
 
     eprintln!(
@@ -135,13 +72,7 @@ fn main() -> ExitCode {
     // summary + slowest seeds); determinism tests use `to_json()`.
     let json = summary.to_json_full();
     if let Some(path) = json_path {
-        if let Some(parent) = std::path::Path::new(&path).parent() {
-            let _ = std::fs::create_dir_all(parent);
-        }
-        if let Err(e) = std::fs::write(&path, &json) {
-            eprintln!("fuzz: write {path}: {e}");
-            return ExitCode::from(2);
-        }
+        args.write_report(&path, &json);
         eprintln!("fuzz: summary written to {path}");
     } else {
         println!("{json}");
@@ -149,13 +80,7 @@ fn main() -> ExitCode {
     // `--det-json` writes the timing-free form — the byte-deterministic
     // reference a distributed campaign's merged report is diffed against.
     if let Some(path) = det_json {
-        if let Some(parent) = std::path::Path::new(&path).parent() {
-            let _ = std::fs::create_dir_all(parent);
-        }
-        if let Err(e) = std::fs::write(&path, summary.to_json()) {
-            eprintln!("fuzz: write {path}: {e}");
-            return ExitCode::from(2);
-        }
+        args.write_report(&path, &summary.to_json());
         eprintln!("fuzz: deterministic summary written to {path}");
     }
 
@@ -213,9 +138,7 @@ fn main() -> ExitCode {
     }
 
     if summary.failed() {
-        ExitCode::from(1)
-    } else {
-        eprintln!("fuzz: clean");
-        ExitCode::SUCCESS
+        std::process::exit(exitcode::VALIDATION);
     }
+    eprintln!("fuzz: clean");
 }

@@ -21,7 +21,8 @@
 //! 1. [`with_jobs`] override (used by determinism tests),
 //! 2. the `CEDAR_JOBS` environment variable (`CEDAR_JOBS=1` is the
 //!    debugging escape hatch: pure serial `Iterator::map`, no threads
-//!    spawned at all),
+//!    spawned at all; a value that is not a positive integer is refused,
+//!    by the binary at start-up and by [`jobs`] with a panic),
 //! 3. `std::thread::available_parallelism()`.
 //!
 //! **The caller is the first worker.** A sweep on `n` workers spawns
@@ -60,9 +61,17 @@
 //! optional per-item wall-clock budget that cooperative workloads (the
 //! simulator watchdog) poll. Supervisors build on these primitives; see
 //! `cedar-experiments::supervise`.
+//!
+//! ## The shared front door
+//!
+//! This is the dependency-free base crate of every package that owns a
+//! binary, so it also hosts what they share: [`backoff`], [`sip_parts`],
+//! [`CancelToken`], and [`cli`], the one reader of argument vectors,
+//! `CEDAR_*` variables and exit codes (DESIGN.md §18).
 
 mod backoff;
 mod cancel;
+pub mod cli;
 mod hash;
 
 pub use backoff::backoff;
@@ -117,12 +126,8 @@ pub fn jobs() -> usize {
     if ov > 0 {
         return ov;
     }
-    if let Ok(s) = std::env::var("CEDAR_JOBS") {
-        if let Ok(n) = s.trim().parse::<usize>() {
-            if n >= 1 {
-                return n;
-            }
-        }
+    if let Some(n) = cli::env("CEDAR_JOBS") {
+        return n;
     }
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
 }

@@ -22,81 +22,22 @@
 
 use cedar_experiments::Writer;
 use cedar_fuzz::{GenProgram, Latency};
+use cedar_par::cli::{exitcode, Args};
 use cedar_serve::{http, Json, ServeRequest, Server, ServerConfig};
+use std::num::NonZeroUsize;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 const USAGE: &str = "usage: loadtest [--requests N] [--clients N] [--workers N] [--queue N]
-                [--chaos SEED] [--out PATH]
+                [--out PATH]
   --requests N   total requests to replay (default 500)
   --clients N    concurrent client threads (default 8)
   --workers N    server worker threads (default 2)
   --queue N      admission queue capacity (default 2)
-  --chaos SEED   chaos seed (default: CEDAR_CHAOS from the environment)
-  --out PATH     where to write the report JSON (default target/BENCH_serve.json)";
-
-struct Args {
-    requests: usize,
-    clients: usize,
-    workers: usize,
-    queue: usize,
-    chaos: Option<u64>,
-    out: PathBuf,
-}
-
-fn harness_fail(msg: &str) -> ! {
-    eprintln!("loadtest: {msg}");
-    std::process::exit(cedar_experiments::exitcode::HARNESS);
-}
-
-fn parse_args() -> Args {
-    let mut a = Args {
-        requests: 500,
-        clients: 8,
-        workers: 2,
-        queue: 2,
-        chaos: std::env::var("CEDAR_CHAOS")
-            .ok()
-            .and_then(|s| cedar_experiments::chaos::parse_seed(&s)),
-        out: PathBuf::from("target/BENCH_serve.json"),
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut take = |name: &str| {
-            args.next()
-                .unwrap_or_else(|| harness_fail(&format!("{name} needs a value\n{USAGE}")))
-        };
-        match arg.as_str() {
-            "--requests" => a.requests = parse_n(&take("--requests")),
-            "--clients" => a.clients = parse_n(&take("--clients")),
-            "--workers" => a.workers = parse_n(&take("--workers")),
-            "--queue" => a.queue = parse_n(&take("--queue")),
-            "--chaos" => {
-                let s = take("--chaos");
-                a.chaos = Some(
-                    cedar_experiments::chaos::parse_seed(&s)
-                        .unwrap_or_else(|| harness_fail(&format!("bad chaos seed {s:?}"))),
-                );
-            }
-            "--out" => a.out = PathBuf::from(take("--out")),
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                std::process::exit(0);
-            }
-            other => harness_fail(&format!("unknown flag {other}\n{USAGE}")),
-        }
-    }
-    a
-}
-
-fn parse_n(s: &str) -> usize {
-    match s.trim().parse::<usize>() {
-        Ok(n) if n > 0 => n,
-        _ => harness_fail(&format!("expected a positive integer, got {s:?}\n{USAGE}")),
-    }
-}
+  --out PATH     where to write the report JSON (default target/BENCH_serve.json)
+CEDAR_CHAOS=SEED runs the server under chaos injection.";
 
 /// Per-client tally, merged after the run.
 #[derive(Default)]
@@ -110,7 +51,12 @@ struct Tally {
 }
 
 fn main() {
-    let args = parse_args();
+    let mut args = Args::from_env("loadtest", USAGE);
+    let mut size = |name, default| args.value(name).map_or(default, NonZeroUsize::get);
+    let (requests, clients) = (size("--requests", 500), size("--clients", 8));
+    let (workers, queue) = (size("--workers", 2), size("--queue", 2));
+    let out = args.value("--out").unwrap_or_else(|| PathBuf::from("target/BENCH_serve.json"));
+    args.finish();
 
     // Seeds repeat so the run exercises in-flight coalescing, not just
     // distinct work: adjacent indices are duplicates (picked up
@@ -121,13 +67,13 @@ fn main() {
     // prices a repeat at its worst (what a memo would shave off this
     // mix, p50 4.1 against 2.6 ms, is in EXPERIMENTS.md "One memo for
     // the sweeps, none for the service").
-    let unique = (args.requests * 2 / 5).max(1);
+    let unique = (requests * 2 / 5).max(1);
     let seed_of = |i: usize| ((i / 2) % unique) as u64;
     eprintln!(
         "loadtest: generating {} requests ({} unique programs) ...",
-        args.requests, unique
+        requests, unique
     );
-    let bodies: Vec<String> = (0..args.requests)
+    let bodies: Vec<String> = (0..requests)
         .map(|i| {
             let seed = seed_of(i);
             let mut req = ServeRequest::new(GenProgram::generate(seed).render().source);
@@ -136,34 +82,30 @@ fn main() {
         })
         .collect();
 
-    let mut cfg = ServerConfig {
-        workers: args.workers,
-        queue_cap: args.queue,
-        ..ServerConfig::default()
-    };
-    cfg.engine.sup.chaos = args.chaos;
-    cfg.engine.sup.deadline = Some(Duration::from_secs(30));
+    let mut cfg = ServerConfig { workers, queue_cap: queue, ..ServerConfig::default() };
     cfg.engine.sup.bundle_dir = PathBuf::from("target/crash-bundles/loadtest");
+    cfg.engine.sup = cfg.engine.sup.overlay_env();
+    let chaos = cfg.engine.sup.chaos;
     cfg.engine.backoff_base = Duration::from_millis(2);
     let server = match Server::start(cfg) {
         Ok(s) => s,
-        Err(e) => harness_fail(&format!("bind failed: {e}")),
+        Err(e) => args.fail(format!("bind failed: {e}")),
     };
     let addr = server.addr();
     eprintln!(
         "loadtest: {} clients -> {} (workers={}, queue={}, chaos={})",
-        args.clients,
+        clients,
         addr,
-        args.workers,
-        args.queue,
-        args.chaos.map_or("off".to_string(), |s| s.to_string()),
+        workers,
+        queue,
+        chaos.map_or("off".to_string(), |s| s.to_string()),
     );
 
     let next = AtomicUsize::new(0);
     let merged = Mutex::new(Tally::default());
     let started = Instant::now();
     std::thread::scope(|scope| {
-        for _ in 0..args.clients {
+        for _ in 0..clients {
             scope.spawn(|| {
                 let mut t = Tally::default();
                 let timeout = Duration::from_secs(120);
@@ -223,13 +165,13 @@ fn main() {
     let tally = merged.into_inner().unwrap();
 
     let (_, metrics_body) = http::get(&addr, "/metrics", Duration::from_secs(10))
-        .unwrap_or_else(|e| harness_fail(&format!("metrics fetch failed: {e}")));
+        .unwrap_or_else(|e| args.fail(format!("metrics fetch failed: {e}")));
     let metrics = Json::parse(&metrics_body)
-        .unwrap_or_else(|e| harness_fail(&format!("metrics not JSON: {e}")));
+        .unwrap_or_else(|e| args.fail(format!("metrics not JSON: {e}")));
     let counter = |name: &str| {
         metrics
             .u64_at(name)
-            .unwrap_or_else(|e| harness_fail(&format!("metrics: {e}: {metrics_body}")))
+            .unwrap_or_else(|e| args.fail(format!("metrics: {e}: {metrics_body}")))
     };
     let (shed, recovered, quarantined_srv, coalesced) = (
         counter("shed"),
@@ -241,18 +183,18 @@ fn main() {
     // Graceful shutdown must drain: the server joins without force.
     match http::post(&addr, "/shutdown", "", Duration::from_secs(10)) {
         Ok((200, _)) => {}
-        other => harness_fail(&format!("shutdown request failed: {other:?}")),
+        other => args.fail(format!("shutdown request failed: {other:?}")),
     }
     server.join();
 
-    let throughput = args.requests as f64 / wall.as_secs_f64();
+    let throughput = requests as f64 / wall.as_secs_f64();
     let mut w = Writer::document();
     w.key("schema").str("cedar-serve-bench-v1");
-    w.key("requests").int(args.requests);
-    w.key("clients").int(args.clients);
-    w.key("workers").int(args.workers);
-    w.key("queue_cap").int(args.queue);
-    w.key("chaos").opt(args.chaos, Writer::int);
+    w.key("requests").int(requests);
+    w.key("clients").int(clients);
+    w.key("workers").int(workers);
+    w.key("queue_cap").int(queue);
+    w.key("chaos").opt(chaos, Writer::int);
     w.key("latency_ms").raw(tally.latency.summary_json());
     w.key("throughput_rps").float(throughput, format_args!("{throughput:.2}"));
     w.key("shed").int(shed);
@@ -261,12 +203,7 @@ fn main() {
     w.key("quarantined").int(quarantined_srv);
     w.key("coalesced").int(coalesced);
     w.key("slowest").raw(tally.latency.slowest_json(5));
-    if let Some(dir) = args.out.parent() {
-        let _ = std::fs::create_dir_all(dir);
-    }
-    if let Err(e) = std::fs::write(&args.out, w.finish()) {
-        harness_fail(&format!("writing {}: {e}", args.out.display()));
-    }
+    args.write_report(&out, &w.finish());
     eprintln!(
         "loadtest: {} ok, {} quarantined, shed {} (retries {}), recovered {}, coalesced {}, {:.1} req/s, p50 {:.1} ms, p99 {:.1} ms",
         tally.ok,
@@ -282,19 +219,19 @@ fn main() {
 
     // Gates.
     let mut failures = tally.violations;
-    if tally.ok + tally.quarantined != args.requests as u64 {
+    if tally.ok + tally.quarantined != requests as u64 {
         failures.push(format!(
             "accounting: {} ok + {} quarantined != {} submitted",
-            tally.ok, tally.quarantined, args.requests
+            tally.ok, tally.quarantined, requests
         ));
     }
-    if args.clients > args.workers + args.queue && shed == 0 {
+    if clients > workers + queue && shed == 0 {
         failures.push(format!(
             "no load shedding: {} clients against {} workers + {} queue slots never hit a full queue",
-            args.clients, args.workers, args.queue
+            clients, workers, queue
         ));
     }
-    if args.chaos.is_some() && recovered == 0 {
+    if chaos.is_some() && recovered == 0 {
         failures.push("chaos was on but no request recovered via ladder retries".to_string());
     }
 
@@ -303,7 +240,7 @@ fn main() {
         for (i, f) in failures.iter().enumerate().take(20) {
             eprintln!("  [{i}] {f}");
         }
-        std::process::exit(cedar_experiments::exitcode::VALIDATION);
+        std::process::exit(exitcode::VALIDATION);
     }
-    eprintln!("loadtest: all gates passed; wrote {}", args.out.display());
+    eprintln!("loadtest: all gates passed; wrote {}", out.display());
 }

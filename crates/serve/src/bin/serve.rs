@@ -1,13 +1,15 @@
 //! `serve` — run the restructurer service until told to drain.
 //!
-//! Configuration comes from the environment (`CEDAR_SERVE_ADDR`,
-//! `CEDAR_SERVE_WORKERS`, `CEDAR_SERVE_QUEUE`, `CEDAR_SERVE_STORE`,
-//! `CEDAR_CHAOS`, `CEDAR_CELL_DEADLINE`, `CEDAR_BUNDLE_DIR`) with
-//! flag overrides.
-//! The process exits when a client POSTs `/shutdown` and the drain
-//! completes.
+//! Deployment settings are flags; the supervisor's `CEDAR_CHAOS`,
+//! `CEDAR_CELL_DEADLINE`, `CEDAR_BUNDLE_DIR` and `CEDAR_BUNDLE_CAP`
+//! are laid over [`ServerConfig::default`], so an attempt's deadline is
+//! the 30 s of every in-process server unless the variable says
+//! otherwise. The process exits when a client POSTs `/shutdown` and the
+//! drain completes.
 
+use cedar_par::cli::Args;
 use cedar_serve::{Server, ServerConfig};
+use std::num::NonZeroUsize;
 
 const USAGE: &str = "usage: serve [--addr HOST:PORT] [--workers N] [--queue N] [--store DIR]
   --addr HOST:PORT   bind address (default 127.0.0.1:0, i.e. any free port)
@@ -17,50 +19,18 @@ const USAGE: &str = "usage: serve [--addr HOST:PORT] [--workers N] [--queue N] [
                      restarted server replays them byte-identically";
 
 fn main() {
-    let mut cfg = ServerConfig::from_env();
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut take = |name: &str| {
-            args.next().unwrap_or_else(|| {
-                eprintln!("{name} needs a value\n{USAGE}");
-                std::process::exit(cedar_experiments::exitcode::HARNESS);
-            })
-        };
-        match arg.as_str() {
-            "--addr" => cfg.addr = take("--addr"),
-            "--workers" => cfg.workers = parse_n(&take("--workers")),
-            "--queue" => cfg.queue_cap = parse_n(&take("--queue")),
-            "--store" => cfg.store_dir = Some(take("--store").into()),
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                return;
-            }
-            other => {
-                eprintln!("unknown flag {other}\n{USAGE}");
-                std::process::exit(cedar_experiments::exitcode::HARNESS);
-            }
-        }
-    }
+    let mut args = Args::from_env("serve", USAGE);
+    let mut cfg = ServerConfig::default();
+    cfg.addr = args.value("--addr").unwrap_or(cfg.addr);
+    cfg.workers = args.value("--workers").map_or(cfg.workers, NonZeroUsize::get);
+    cfg.queue_cap = args.value("--queue").map_or(cfg.queue_cap, NonZeroUsize::get);
+    cfg.store_dir = args.value("--store");
+    args.finish();
+    cfg.engine.sup = cfg.engine.sup.overlay_env();
 
-    let server = match Server::start(cfg) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("serve: bind failed: {e}");
-            std::process::exit(cedar_experiments::exitcode::HARNESS);
-        }
-    };
+    let server = Server::start(cfg).unwrap_or_else(|e| args.fail(format!("bind failed: {e}")));
     eprintln!("cedar-serve listening on {}", server.addr());
     eprintln!("POST /restructure to submit work, POST /shutdown to drain and exit");
     server.join();
     eprintln!("cedar-serve drained; exiting");
-}
-
-fn parse_n(s: &str) -> usize {
-    match s.trim().parse::<usize>() {
-        Ok(n) if n > 0 => n,
-        _ => {
-            eprintln!("expected a positive integer, got {s:?}\n{USAGE}");
-            std::process::exit(cedar_experiments::exitcode::HARNESS);
-        }
-    }
 }

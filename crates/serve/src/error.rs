@@ -1,7 +1,7 @@
 //! The service's error taxonomy: every failure a request can hit maps
 //! onto a stable `error.kind` string, an HTTP status, and one of the
 //! repo's exit classes (0 ok / 1 program-or-validation / 2 harness —
-//! the same taxonomy `cedar_experiments::exitcode` gives the batch
+//! the same taxonomy `cedar_par::cli::exitcode` gives the batch
 //! binaries), rendered as a structured JSON body.
 //!
 //! Two invariants, enforced here and tested in `tests/serve_chaos.rs`:
@@ -57,13 +57,13 @@ pub fn status_for(kind: &str) -> u16 {
     }
 }
 
-/// The repo-wide exit class (`cedar_experiments::exitcode`) a kind
+/// The repo-wide exit class (`cedar_par::cli::exitcode`) a kind
 /// belongs to: program/validation faults are class 1, harness-side
 /// conditions (shed, drain, panic, deadline) are class 2.
 pub fn exit_class(kind: &str) -> i32 {
     match status_for(kind) {
-        400 | 404 | 422 => cedar_experiments::exitcode::VALIDATION,
-        _ => cedar_experiments::exitcode::HARNESS,
+        400 | 404 | 422 => cedar_par::cli::exitcode::VALIDATION,
+        _ => cedar_par::cli::exitcode::HARNESS,
     }
 }
 

@@ -67,37 +67,6 @@ impl Default for ServerConfig {
     }
 }
 
-impl ServerConfig {
-    /// Read overrides from the environment: `CEDAR_SERVE_ADDR`,
-    /// `CEDAR_SERVE_WORKERS`, `CEDAR_SERVE_QUEUE`, `CEDAR_SERVE_STORE`
-    /// (persistent result-store directory), plus the supervised
-    /// engine's own `CEDAR_CHAOS` / `CEDAR_CELL_DEADLINE` /
-    /// `CEDAR_BUNDLE_DIR`.
-    pub fn from_env() -> ServerConfig {
-        let mut cfg = ServerConfig::default();
-        if let Ok(addr) = std::env::var("CEDAR_SERVE_ADDR") {
-            cfg.addr = addr;
-        }
-        if let Some(n) = env_usize("CEDAR_SERVE_WORKERS") {
-            cfg.workers = n.max(1);
-        }
-        if let Some(n) = env_usize("CEDAR_SERVE_QUEUE") {
-            cfg.queue_cap = n.max(1);
-        }
-        if let Ok(dir) = std::env::var("CEDAR_SERVE_STORE") {
-            if !dir.trim().is_empty() {
-                cfg.store_dir = Some(dir.into());
-            }
-        }
-        cfg.engine.sup = cedar_experiments::Supervisor::from_env();
-        cfg
-    }
-}
-
-fn env_usize(name: &str) -> Option<usize> {
-    std::env::var(name).ok().and_then(|s| s.trim().parse().ok())
-}
-
 /// Monotonic service counters, exposed at `/metrics` and read by the
 /// load-test gates.
 #[derive(Debug, Default)]
@@ -495,6 +464,18 @@ mod tests {
     }
 
     const T: Duration = Duration::from_secs(30);
+
+    /// The `serve` binary lays the supervisor variables over the default
+    /// (`from_env` replaced it by the sweeps' 120 s profile), so with
+    /// none set it runs the 30 s attempt deadline of every in-process
+    /// server.
+    #[test]
+    fn the_binary_shares_the_in_process_attempt_deadline() {
+        if cedar_par::cli::env_secs("CEDAR_CELL_DEADLINE").is_none() {
+            let sup = ServerConfig::default().engine.sup.overlay_env();
+            assert_eq!(sup.deadline, Some(Duration::from_secs(30)));
+        }
+    }
 
     #[test]
     fn health_endpoints_and_unknown_routes() {

@@ -1,54 +1,63 @@
-//! A command-line front door to the restructurer: read fixed-form
-//! Fortran 77, emit Cedar Fortran.
+//! The command-line front door to the restructurer: read Fortran 77,
+//! emit Cedar Fortran (or OpenMP, or the directive-free reference).
 //!
 //! ```text
 //! cargo run --release --example parallelize_file -- [FILE.f] [flags]
-//!
-//!   FILE.f        fixed-form Fortran 77 source (reads a built-in MDG
-//!                 sample when omitted)
-//!   --manual      enable the §4.1 "manually improved" technique set
-//!   --fx80        target the Alliant FX/80 (cluster classes only)
-//!   --report      print per-loop decisions instead of the output code
-//!   --simulate    also run serial vs. restructured on the Cedar model
-//!   --validate    differentially validate instead (serial reference,
-//!                 race-collecting run, 4 perturbed schedules; racy or
-//!                 diverging nests are demoted) and print the accepted
-//!                 program and the verdict. The output does not depend
-//!                 on `CEDAR_JOBS` — CI diffs it between 1 and 4.
 //! ```
+//!
+//! `--help` prints the flags. Exit codes: `0` ok, `1` the program does
+//! not compile or its simulation fails, `2` a bad command line or an
+//! input that cannot be read.
 
-use cedar_restructure::{restructure, PassConfig, Target};
+use cedar_par::cli::{exitcode, Args};
+use cedar_restructure::{restructure, BackendKind, EmitInput, PassConfig, Target};
 use cedar_sim::MachineConfig;
 
+const USAGE: &str = "usage: parallelize_file [FILE.f] [--free] [--manual] [--fx80] \
+[--backend cedar|openmp|serial] [--report] [--simulate] [--validate]
+  FILE.f        fixed-form Fortran 77 source (a built-in MDG sample when omitted)
+  --free        FILE.f is free-form source
+  --manual      enable the §4.1 \"manually improved\" technique set
+  --fx80        target the Alliant FX/80 (cluster classes only)
+  --backend B   emission dialect (default cedar)
+  --report      print per-loop decisions instead of the output code
+  --simulate    also run serial vs. restructured on the machine model
+  --validate    differentially validate instead (serial reference,
+                race-collecting run, 4 perturbed schedules; racy or
+                diverging nests are demoted) and print the accepted
+                program and the verdict. The output does not depend
+                on CEDAR_JOBS: CI diffs it between 1 and 4.";
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let flags: Vec<&str> = args.iter().map(|s| s.as_str()).filter(|s| s.starts_with("--")).collect();
-    let file = args.iter().find(|s| !s.starts_with("--"));
+    let mut args = Args::from_env("parallelize_file", USAGE);
+    let backend = args.value("--backend").unwrap_or(BackendKind::Cedar);
+    let (free, manual, fx80) = (args.flag("--free"), args.flag("--manual"), args.flag("--fx80"));
+    let report = args.flag("--report");
+    let (simulate, validate) = (args.flag("--simulate"), args.flag("--validate"));
+    let file = args.positional();
+    args.finish();
 
     let src = match file {
-        Some(path) => std::fs::read_to_string(path)
-            .unwrap_or_else(|e| die(&format!("cannot read {path}: {e}"))),
+        Some(path) => std::fs::read_to_string(&path)
+            .unwrap_or_else(|e| args.fail(format!("cannot read {path}: {e}"))),
         None => {
             eprintln!("(no input file given; using the built-in MDG sample)");
             cedar_workloads::perfect::mdg().source
         }
     };
 
-    let program = match cedar_ir::compile_source(&src) {
-        Ok(p) => p,
-        Err(e) => die(&format!("front end: {e}")),
-    };
+    let compiled = if free { cedar_ir::compile_free(&src) } else { cedar_ir::compile_source(&src) };
+    let program = compiled.unwrap_or_else(|e| die(&format!("front end: {e}")));
 
-    let mut cfg = if flags.contains(&"--manual") {
-        PassConfig::manual_improved()
-    } else {
-        PassConfig::automatic_1991()
-    };
-    if flags.contains(&"--fx80") {
+    let mut cfg = if manual { PassConfig::manual_improved() } else { PassConfig::automatic_1991() };
+    if fx80 {
         cfg = cfg.for_target(Target::Fx80);
     }
+    let emit = |restructured, report| {
+        backend.backend().emit(&EmitInput { original: &program, restructured, report })
+    };
 
-    if flags.contains(&"--validate") {
+    if validate {
         // Watch the arrays of the main program: its data. (Scalars are
         // mostly loop indices and temporaries, whose values after a
         // parallel loop are not defined.)
@@ -70,21 +79,21 @@ fn main() {
         let mc = MachineConfig::cedar_config1_scaled();
         let v = cedar_verify::restructure_validated(&program, &cfg, &mc, &watch, &vcfg)
             .unwrap_or_else(|e| die(&format!("serial reference: {e}")));
-        print!("{}", cedar_ir::print::print_program(&v.program));
+        print!("{}", emit(&v.program, &v.report));
         // `Debug` prints every cycle count and error bound exactly.
         println!("{:?}\n{:?}", v.report, v.validation);
         return;
     }
 
     let result = restructure(&program, &cfg);
-    if flags.contains(&"--report") {
+    if report {
         print!("{}", result.report);
     } else {
-        print!("{}", cedar_ir::print::print_program(&result.program));
+        print!("{}", emit(&result.program, &result.report));
     }
 
-    if flags.contains(&"--simulate") {
-        let mc = if flags.contains(&"--fx80") {
+    if simulate {
+        let mc = if fx80 {
             MachineConfig::fx80_scaled()
         } else {
             MachineConfig::cedar_config1_scaled()
@@ -104,5 +113,5 @@ fn main() {
 
 fn die(msg: &str) -> ! {
     eprintln!("parallelize_file: {msg}");
-    std::process::exit(1);
+    std::process::exit(exitcode::VALIDATION);
 }

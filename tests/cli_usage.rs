@@ -1,8 +1,9 @@
 //! The command line of every binary and of `parallelize_file`, as one
 //! table: binary, argv, environment → exit code, whether stdout is
 //! empty, a substring of stderr. Recorded from the binaries of the
-//! commit before `cedar_par::cli` (ISSUE 20); a row with a `// parent:`
-//! comment records a defect of those binaries as it behaved then.
+//! commit before `cedar_par::cli` (ISSUE 20), each with its own argument
+//! loop; the rows under a `// parent:` comment are the defects of those
+//! binaries, flipped when the loops went, and say what they did then.
 //!
 //! Cargo sets `CARGO_BIN_EXE_<name>` only while compiling the package
 //! that owns the binary, so this file is registered in each of the
@@ -57,11 +58,13 @@ fn locate(bin: &str) -> Option<PathBuf> {
 
 /// The directory the binaries run in (their `target/…` defaults land
 /// under it), one per package so that parallel runs do not collide.
-/// Holds `bad.f`, a program with a syntax error.
+/// Holds `bad.f`, a program with a syntax error, and `free.f`, one in
+/// free form.
 fn scratch() -> PathBuf {
     let dir = workspace().join("target/cli-usage").join(env!("CARGO_PKG_NAME"));
     std::fs::create_dir_all(&dir).unwrap();
     std::fs::write(dir.join("bad.f"), "      PROGRAM T\n      X =\n      END\n").unwrap();
+    std::fs::write(dir.join("free.f"), "program t\nreal a(8)\ndo i = 1, 8\na(i) = i\nend do\nend\n").unwrap();
     dir
 }
 
@@ -102,46 +105,46 @@ const TABLE: &[Row] = &[
     ("all", &["--bogus"], &[], 2, true, "usage: all"),
     ("all", &["--json"], &[], 2, true, "usage: all"),
     ("all", &[], &[], 0, false, "wrote target/artifacts.json"),
-    // parent: `--help` is an unknown argument of six binaries.
-    ("all", &["--help"], &[], 2, true, "usage: all"),
-    // parent: a sweep whose report cannot be written exits 0.
-    ("all", &["--json", "/proc/nope/r.json"], &[], 0, false, "/proc/nope/r.json"),
+    // parent: `--help` was an unknown argument of six binaries, exit 2.
+    ("all", &["--help"], &[], 0, false, ""),
+    // parent: a sweep whose report could not be written exited 0.
+    ("all", &["--json", "/proc/nope/r.json"], &[], 2, false, "/proc/nope/r.json"),
     ("all", &[], &[("CEDAR_CHAOS", "1")], 2, false, "HARNESS ERROR: 4 cell(s) quarantined"),
 
     // ---- races
     ("races", &["--bogus"], &[], 2, true, "usage: races"),
     ("races", &["--json"], &[], 2, true, "usage: races"),
     ("races", &[], &[], 0, false, ""),
-    // parent: unknown argument.
-    ("races", &["--help"], &[], 2, true, "usage: races"),
+    // parent: unknown argument, exit 2.
+    ("races", &["--help"], &[], 0, false, ""),
     // parent: exit 0 with no report.
-    ("races", &["--json", "/proc/nope/r.json"], &[], 0, false, "/proc/nope/r.json"),
+    ("races", &["--json", "/proc/nope/r.json"], &[], 2, false, "/proc/nope/r.json"),
     // `CEDAR_CHAOS`: any non-empty string is hashed to a seed.
     ("races", &[], &[("CEDAR_CHAOS", "kaboom")], 2, false, "QUARANTINED `races/table2/BDNA`"),
     ("races", &[], &[("CEDAR_CELL_DEADLINE", "0")], 0, false, ""),
     ("races", &[], &[("CEDAR_CELL_DEADLINE", "2.5")], 0, false, ""),
-    // parent: `Duration::from_secs_f64` panics.
-    ("races", &[], &[("CEDAR_CELL_DEADLINE", "inf")], 101, true, "panicked"),
-    // parent: switches the watchdog off.
-    ("races", &[], &[("CEDAR_CELL_DEADLINE", "abc")], 0, false, ""),
-    // parent: means 64.
-    ("races", &[], &[("CEDAR_BUNDLE_CAP", "lots")], 0, false, ""),
-    // parent: a variable nobody reads is accepted in silence.
-    ("races", &[], &[("CEDAR_ENGINE", "interp")], 0, false, ""),
+    // parent: `Duration::from_secs_f64` panicked, exit 101.
+    ("races", &[], &[("CEDAR_CELL_DEADLINE", "inf")], 2, true, "CEDAR_CELL_DEADLINE=inf: expected seconds"),
+    // parent: switched the watchdog off, exit 0.
+    ("races", &[], &[("CEDAR_CELL_DEADLINE", "abc")], 2, true, "CEDAR_CELL_DEADLINE=abc: expected seconds"),
+    // parent: meant 64, exit 0.
+    ("races", &[], &[("CEDAR_BUNDLE_CAP", "lots")], 2, true, "CEDAR_BUNDLE_CAP=lots: expected a count"),
+    // parent: a variable nobody reads was accepted in silence, exit 0.
+    ("races", &[], &[("CEDAR_ENGINE", "interp")], 2, true, "CEDAR_ENGINE: no such variable"),
 
     // ---- robustness
     ("robustness", &["--sedes", "3"], &[], 2, true, "usage: robustness"),
     ("robustness", &["--json"], &[], 2, true, "usage: robustness"),
     ("robustness", &["x"], &[], 2, true, "usage: robustness"),
     ("robustness", &["1"], &[], 0, false, ""),
-    // parent: unknown argument.
-    ("robustness", &["--help"], &[], 2, true, "usage: robustness"),
-    // parent: perturbs nothing, "22 workloads x 0 seeds: 22 bit-identical".
-    ("robustness", &["0"], &[], 0, false, ""),
-    // parent: the last one wins.
-    ("robustness", &["1", "2"], &[], 0, false, ""),
+    // parent: unknown argument, exit 2.
+    ("robustness", &["--help"], &[], 0, false, ""),
+    // parent: perturbed nothing, "22 workloads x 0 seeds: 22 bit-identical", exit 0.
+    ("robustness", &["0"], &[], 2, true, "usage: robustness"),
+    // parent: the last one won, exit 0.
+    ("robustness", &["1", "2"], &[], 2, true, "usage: robustness"),
     // parent: exit 0 with no report.
-    ("robustness", &["1", "--json", "/proc/nope/r.json"], &[], 0, false, "/proc/nope/r.json"),
+    ("robustness", &["1", "--json", "/proc/nope/r.json"], &[], 2, false, "/proc/nope/r.json"),
 
     // ---- parallelize_file
     ("parallelize_file", &[], &[], 0, false, "using the built-in MDG sample"),
@@ -150,18 +153,21 @@ const TABLE: &[Row] = &[
     ("parallelize_file", &["{F}", "--manual", "--fx80", "--simulate"], &[], 0, false, "speedup"),
     ("parallelize_file", &["{F}", "--validate"], &[], 0, false, ""),
     ("parallelize_file", &["bad.f"], &[], 1, true, "syntax error"),
-    // parent: flags it does not know are ignored; CI `cmp`s two such outputs.
-    ("parallelize_file", &["{F}", "--validat"], &[], 0, false, ""),
-    // parent: ignored, the MDG sample is restructured.
-    ("parallelize_file", &["--help"], &[], 0, false, "using the built-in MDG sample"),
-    // parent: the second file is ignored.
-    ("parallelize_file", &["{F}", "bad.f"], &[], 0, false, ""),
-    // parent: exits 1 for everything (`emit`: 2).
-    ("parallelize_file", &["/nope.f"], &[], 1, true, "/nope.f"),
-    // parent: `--backend` and `--free` are flags of `emit`; here the
-    // one is ignored and its value is a second file.
-    ("parallelize_file", &["{F}", "--backend"], &[], 0, false, ""),
-    ("parallelize_file", &["{F}", "--backend", "x"], &[], 0, false, ""),
+    // parent: flags it did not know were ignored, exit 0; CI `cmp`s two such outputs.
+    ("parallelize_file", &["{F}", "--validat"], &[], 2, true, "usage: parallelize_file"),
+    // parent: ignored, the MDG sample was restructured (and said so on stderr).
+    ("parallelize_file", &["--help"], &[], 0, false, ""),
+    // parent: the second file was ignored, exit 0.
+    ("parallelize_file", &["{F}", "bad.f"], &[], 2, true, "usage: parallelize_file"),
+    // parent: exited 1 for everything (`emit`: 2).
+    ("parallelize_file", &["/nope.f"], &[], 2, true, "/nope.f"),
+    // parent: `--backend` and `--free` were flags of `emit`; here the
+    // one was ignored and its value was a second file, exit 0.
+    ("parallelize_file", &["{F}", "--backend"], &[], 2, true, "usage: parallelize_file"),
+    ("parallelize_file", &["{F}", "--backend", "x"], &[], 2, true, "usage: parallelize_file"),
+    ("parallelize_file", &["{F}", "--backend", "openmp"], &[], 0, false, ""),
+    ("parallelize_file", &["free.f", "--backend", "serial", "--free"], &[], 0, false, ""),
+    ("parallelize_file", &["free.f"], &[], 1, true, "front end"),
 
     // ---- fuzz
     ("fuzz", &["--bogus"], &[], 2, true, "usage: fuzz"),
@@ -183,11 +189,11 @@ const TABLE: &[Row] = &[
     ("fuzz", &["--seeds", "0..2", "--emit-corpus", "corpus"], &[], 0, true, "fuzz: wrote corpus/seed0001"),
     ("fuzz", &["--seeds", "0..1", "--no-bundles", "--json", "/proc/nope/r.json"], &[], 2, true, "/proc/nope/r.json"),
     ("fuzz", &["--seeds", "0..1", "--no-bundles", "--json", "f.json", "--det-json", "/proc/nope/r.json"], &[], 2, true, "/proc/nope/r.json"),
-    // parent: unknown argument.
-    ("fuzz", &["--help"], &[], 2, true, "usage: fuzz"),
-    // parent: `Duration::from_secs_f64` panics.
-    ("fuzz", &["--seeds", "0..1", "--budget", "-1"], &[], 101, true, "panicked"),
-    ("fuzz", &["--seeds", "0..1", "--budget", "nan"], &[], 101, true, "panicked"),
+    // parent: unknown argument, exit 2.
+    ("fuzz", &["--help"], &[], 0, false, ""),
+    // parent: `Duration::from_secs_f64` panicked, exit 101.
+    ("fuzz", &["--seeds", "0..1", "--budget", "-1"], &[], 2, true, "usage: fuzz"),
+    ("fuzz", &["--seeds", "0..1", "--budget", "nan"], &[], 2, true, "usage: fuzz"),
 
     // ---- compare
     ("compare", &["--bogus"], &[], 2, true, "usage: compare"),
@@ -203,15 +209,15 @@ const TABLE: &[Row] = &[
     ("compare", &["--seeds", "0..1"], &[], 0, false, ""),
     ("compare", &["--seeds", "0..1", "--json", "/proc/nope/r.json"], &[], 2, true, "/proc/nope/r.json"),
     ("compare", &["--seeds", "0..1"], &[("CEDAR_JOBS", "2")], 0, false, ""),
-    // parent: unknown argument.
-    ("compare", &["--help"], &[], 2, true, "usage: compare"),
-    // parent: nothing is `> NaN`, "all backends agree".
-    ("compare", &["--seeds", "0..1", "--rel-tol", "nan"], &[], 0, false, ""),
-    // parent: both mean "all cores".
-    ("compare", &["--seeds", "0..1"], &[("CEDAR_JOBS", "four")], 0, false, ""),
-    ("compare", &["--seeds", "0..1"], &[("CEDAR_JOBS", "0")], 0, false, ""),
-    // parent: a mistyped name is no variable at all.
-    ("compare", &["--seeds", "0..1"], &[("CEDAR_JOB", "4")], 0, false, ""),
+    // parent: unknown argument, exit 2.
+    ("compare", &["--help"], &[], 0, false, ""),
+    // parent: nothing is `> NaN`, "all backends agree", exit 0. The flag is gone.
+    ("compare", &["--seeds", "0..1", "--rel-tol", "nan"], &[], 2, true, "usage: compare"),
+    // parent: both meant "all cores", exit 0.
+    ("compare", &["--seeds", "0..1"], &[("CEDAR_JOBS", "four")], 2, true, "CEDAR_JOBS=four: expected a positive integer"),
+    ("compare", &["--seeds", "0..1"], &[("CEDAR_JOBS", "0")], 2, true, "CEDAR_JOBS=0: expected a positive integer"),
+    // parent: a mistyped name was no variable at all, exit 0.
+    ("compare", &["--seeds", "0..1"], &[("CEDAR_JOB", "4")], 2, true, "CEDAR_JOB: no such variable"),
 
     // ---- campaign
     ("campaign", &[], &[], 2, true, "campaign work --addr"),
@@ -242,12 +248,12 @@ const TABLE: &[Row] = &[
     ("campaign", &["work", "--corpus"], &[], 2, true, "campaign work --addr"),
     ("campaign", &["work", "--addr", NOWHERE, "--name", "w", "--budget", "x"], &[], 2, true, "campaign work --addr"),
     ("campaign", &["work", "--addr", NOWHERE, "--name", "w"], &[], 2, true, "coordinator unreachable"),
-    // parent: neither a subcommand nor an argument of one.
-    ("campaign", &["--help"], &[], 2, true, "campaign work --addr"),
-    ("campaign", &["coordinate", "--help"], &[], 2, true, "campaign coordinate --addr"),
-    ("campaign", &["work", "--help"], &[], 2, true, "campaign work --addr"),
-    // parent: `Duration::from_secs_f64` panics.
-    ("campaign", &["work", "--addr", NOWHERE, "--name", "w", "--budget", "-1"], &[], 101, true, "panicked"),
+    // parent: neither a subcommand nor an argument of one, exit 2.
+    ("campaign", &["--help"], &[], 0, false, ""),
+    ("campaign", &["coordinate", "--help"], &[], 0, false, ""),
+    ("campaign", &["work", "--help"], &[], 0, false, ""),
+    // parent: `Duration::from_secs_f64` panicked, exit 101.
+    ("campaign", &["work", "--addr", NOWHERE, "--name", "w", "--budget", "-1"], &[], 2, true, "campaign work --addr"),
 
     // ---- serve
     ("serve", &["--bogus"], &[], 2, true, "usage: serve"),
@@ -261,9 +267,9 @@ const TABLE: &[Row] = &[
     ("serve", &["--workers", "x"], &[], 2, true, "usage: serve"),
     ("serve", &["--queue", "0"], &[], 2, true, "usage: serve"),
     ("serve", &["--addr", NOWHERE], &[], 2, true, "invalid port value"),
-    // parent: one of four variables that duplicate a flag; it is read,
-    // and the bind fails as in the row above.
-    ("serve", &["--addr", NOWHERE], &[("CEDAR_SERVE_WORKERS", "8")], 2, true, "invalid port value"),
+    // parent: one of four variables that duplicated a flag; it was read,
+    // and the bind failed as in the row above.
+    ("serve", &["--addr", NOWHERE], &[("CEDAR_SERVE_WORKERS", "8")], 2, true, "CEDAR_SERVE_WORKERS: no such variable"),
 
     // ---- loadtest
     ("loadtest", &["--bogus"], &[], 2, true, "usage: loadtest"),
@@ -280,8 +286,8 @@ const TABLE: &[Row] = &[
     ("loadtest", &["--requests", "4", "--clients", "2", "--out", "lt.json"], &[], 0, true, "all gates passed; wrote lt.json"),
     ("loadtest", &["--requests", "4", "--clients", "2", "--out", "/proc/nope/lt.json"], &[], 2, true, "/proc/nope/lt.json"),
     ("loadtest", &["--requests", "100", "--out", "lt-chaos.json"], &[("CEDAR_CHAOS", "42")], 0, true, "chaos=42"),
-    // parent: a second spelling of `CEDAR_CHAOS`, for this binary only.
-    ("loadtest", &["--requests", "100", "--out", "lt-chaos.json", "--chaos", "42"], &[], 0, true, "chaos=42"),
+    // parent: a second spelling of `CEDAR_CHAOS`, for this binary only, exit 0.
+    ("loadtest", &["--requests", "100", "--out", "lt-chaos.json", "--chaos", "42"], &[], 2, true, "usage: loadtest"),
 ];
 
 #[test]
@@ -375,4 +381,139 @@ fn a_mistyped_config_name_is_usage_not_a_different_configuration() {
         assert!(err.contains("unknown config `atuo`") && err.contains("usage:"), "{name}: {err}");
     }
     assert!(!scratch().join("atuo").exists(), "nothing was journaled");
+}
+
+/// Every binary with the smallest command line that ends by itself,
+/// and its options that take a value.
+#[rustfmt::skip]
+const BINARIES: &[(&str, &[&str], &[&str])] = &[
+    ("all", &[], &["--json"]),
+    ("races", &[], &["--json"]),
+    ("robustness", &["1"], &["--json"]),
+    ("parallelize_file", &["{F}"], &["--backend"]),
+    ("fuzz", &["--seeds", "0..1", "--no-bundles", "--no-shrink"],
+        &["--seeds", "--budget", "--json", "--det-json", "--config", "--jobs-check", "--corpus", "--emit-corpus"]),
+    ("compare", &["--seeds", "0..1"], &["--seeds", "--config", "--json", "--bundle-dir"]),
+    ("campaign", &["coordinate", "--addr", NOWHERE, "--seeds", "0..4", "--dir", "hostile"],
+        &["--addr", "--seeds", "--dir", "--shard", "--lease-ms", "--retry-budget", "--jobs-check", "--config",
+          "--checkpoint-every"]),
+    ("campaign", &["work", "--addr", NOWHERE, "--name", "w"], &["--addr", "--name", "--budget", "--corpus"]),
+    ("serve", &["--addr", NOWHERE], &["--addr", "--workers", "--queue", "--store"]),
+    ("loadtest", &["--requests", "4", "--clients", "2", "--out", "hostile.json"],
+        &["--requests", "--clients", "--workers", "--queue", "--out"]),
+];
+
+const VARIABLES: [&str; 5] =
+    ["CEDAR_JOBS", "CEDAR_CHAOS", "CEDAR_CELL_DEADLINE", "CEDAR_BUNDLE_DIR", "CEDAR_BUNDLE_CAP"];
+
+/// No value of an option, of a positional argument or of a variable
+/// ends a binary in a Rust panic (exit 101) or a signal: 0, 1 or 2 only.
+/// (`--budget -1` and `CEDAR_CELL_DEADLINE=inf` did.)
+#[test]
+fn hostile_values_are_usage_errors_not_panics() {
+    const HOSTILE: [&str; 5] = ["-1", "nan", "inf", "1e400", ""];
+    let mut runs: Vec<(String, Command)> = Vec::new();
+    for &(bin, base, flags) in BINARIES {
+        let Some(exe) = locate(bin) else { continue };
+        for token in HOSTILE {
+            for &flag in flags {
+                // Replace the value the base gives the flag, or add both.
+                let mut argv = base.to_vec();
+                match argv.iter().position(|a| *a == flag) {
+                    Some(at) => argv[at + 1] = token,
+                    None => argv.extend([flag, token]),
+                }
+                runs.push((format!("{bin} {argv:?}"), command(&exe, &argv, &[])));
+            }
+            // As the positional argument: N_SEEDS, FILE.f, the subcommand.
+            if let "robustness" | "parallelize_file" | "campaign" = bin {
+                runs.push((format!("{bin} [{token:?}]"), command(&exe, &[token], &[])));
+            }
+            for var in VARIABLES {
+                runs.push((format!("{var}={token:?} {bin} {base:?}"), command(&exe, base, &[(var, token)])));
+            }
+        }
+    }
+    // An unreachable coordinator costs a worker 2 s of backoff: overlap them.
+    let runs = std::sync::Mutex::new(runs);
+    let ran = std::sync::atomic::AtomicUsize::new(0);
+    std::thread::scope(|scope| {
+        for _ in 0..4 {
+            scope.spawn(|| loop {
+                let Some((what, mut cmd)) = runs.lock().unwrap().pop() else { break };
+                let out = cmd.output().unwrap();
+                let err = String::from_utf8_lossy(&out.stderr);
+                assert!(matches!(out.status.code(), Some(0..=2)), "{what}: {:?}\n{err}", out.status);
+                ran.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            });
+        }
+    });
+    assert!(ran.into_inner() > 0, "this package owns no binary");
+}
+
+/// `--help` is the usage text on stdout and exit 0 for every binary (it
+/// was that for three, "unknown argument" for six and ignored by
+/// `parallelize_file`), and `Args::finish` has compared the `--option`
+/// words of that text with the options the parser asked for: a panic
+/// there is exit 101 here.
+#[test]
+fn help_is_the_usage_text_and_the_usage_text_is_the_parser() {
+    for &(bin, base, flags) in BINARIES {
+        let Some(exe) = locate(bin) else { continue };
+        let subcommand = if bin == "campaign" { &base[..1] } else { &[] };
+        for help in ["--help", "-h"] {
+            let out = command(&exe, subcommand, &[]).arg(help).output().unwrap();
+            let (text, err) = (String::from_utf8_lossy(&out.stdout), String::from_utf8_lossy(&out.stderr));
+            assert_eq!(out.status.code(), Some(0), "{bin} {subcommand:?} {help}: {err}");
+            assert!(text.starts_with(&format!("usage: {bin} ")) && err.is_empty(), "{bin}: {text}{err}");
+            for flag in flags {
+                assert!(text.contains(flag), "{bin} {help} does not mention {flag}: {text}");
+            }
+        }
+    }
+}
+
+fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
+    for entry in std::fs::read_dir(dir).unwrap() {
+        let entry = entry.unwrap().path();
+        if entry.is_dir() {
+            rust_files(&entry, out);
+        } else if entry.extension().is_some_and(|e| e == "rs") {
+            out.push(entry);
+        }
+    }
+}
+
+/// The seam: outside `crates/par/src/cli.rs`, no code above a test
+/// module under `crates/*/src`, `crates/*/examples` or `examples/` reads
+/// the argument vector or the environment, or exits with a number.
+#[test]
+fn arguments_variables_and_exit_codes_are_spelled_only_in_cli() {
+    let mut files = Vec::new();
+    rust_files(&workspace().join("crates"), &mut files);
+    files.retain(|f| f.components().any(|c| c.as_os_str() == "src" || c.as_os_str() == "examples"));
+    rust_files(&workspace().join("examples"), &mut files);
+    files.retain(|f| !f.ends_with("par/src/cli.rs"));
+    assert!(files.len() > 100, "crates/*/src was not found: {} files", files.len());
+    let mut findings = Vec::new();
+    for file in &files {
+        let text = std::fs::read_to_string(file).unwrap();
+        let code = text.split("\n#[cfg(test)]").next().unwrap();
+        for (n, line) in code.lines().enumerate() {
+            let literal_after = |call: &str| {
+                line.split(call).skip(1).any(|rest| rest.starts_with(|c: char| c.is_ascii_digit()))
+            };
+            let what = if line.contains("env::args") {
+                "reads the argument vector"
+            } else if line.contains("env::var") {
+                "reads the environment"
+            } else if literal_after("ExitCode::from(") || literal_after("exit(") {
+                "an exit code spelled as a number"
+            } else {
+                continue;
+            };
+            findings.push(format!("{}:{}: {what}: {}", file.display(), n + 1, line.trim()));
+        }
+    }
+    assert!(findings.is_empty(), "go through `cedar_par::cli`:\n{}", findings.join("\n"));
 }

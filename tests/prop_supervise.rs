@@ -133,7 +133,7 @@ fn clean_sweep_is_untouched() {
 /// error outranks a validation failure.
 #[test]
 fn exit_codes_follow_the_readme_taxonomy() {
-    use cedar_experiments::exitcode;
+    use cedar_par::cli::exitcode;
     assert_eq!(exitcode::classify(false, 0), exitcode::OK);
     assert_eq!(exitcode::classify(true, 0), exitcode::VALIDATION);
     assert_eq!(exitcode::classify(false, 3), exitcode::HARNESS);
