@@ -17,6 +17,17 @@ pub struct Outcome {
     pub results: Vec<(String, Vec<f64>)>,
 }
 
+/// The cycles a run reports: timer regions (`CALL TSTART` / `TSTOP`)
+/// give routine time, as the paper does for Table 1; a program without
+/// timers reports its whole run.
+pub fn timed_cycles(stats: &ExecStats) -> f64 {
+    if stats.region_cycles > 0.0 {
+        stats.region_cycles
+    } else {
+        stats.cycles
+    }
+}
+
 /// Run an already-lowered program (optionally restructuring first).
 /// Restructure results and whole outcomes are shared across calls via
 /// the process-wide [`crate::cache`], so sweeps that re-run the same
@@ -84,15 +95,7 @@ fn execute(program: &Program, mc: MachineConfig, watch: &[&str]) -> Outcome {
         .iter()
         .filter_map(|w| sim.read_f64(w).map(|v| (w.to_string(), v)))
         .collect();
-    // Timer regions (CALL TSTART/TSTOP) report routine time, as the
-    // paper does for Table 1; programs without timers report total
-    // time.
-    let cycles = if sim.stats.region_cycles > 0.0 {
-        sim.stats.region_cycles
-    } else {
-        sim.cycles()
-    };
-    Outcome { cycles, stats: sim.stats.clone(), results }
+    Outcome { cycles: timed_cycles(&sim.stats), stats: sim.stats, results }
 }
 
 /// Run one workload under a pass configuration, verifying semantic

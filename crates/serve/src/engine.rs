@@ -20,11 +20,12 @@
 use crate::breaker::Breaker;
 use crate::error::{self, kind};
 use crate::json::Json;
+use cedar_experiments::pipeline::{simulate, timed_cycles};
 use cedar_experiments::supervise::{self, CellError, Rung, Supervisor};
-use cedar_experiments::pipeline::simulate;
 use cedar_experiments::Writer;
-use cedar_restructure::{BackendKind, EmitInput, PassConfig, Target};
-use cedar_sim::{MachineConfig, SimError};
+use cedar_ir::Program;
+use cedar_restructure::{BackendKind, EmitInput, PassConfig, Report, Target};
+use cedar_sim::{ExecStats, MachineConfig, SimError};
 use cedar_verify::{restructure_validated, ValidationConfig, ValidationReport};
 use std::hash::{Hash, Hasher};
 use std::path::PathBuf;
@@ -173,10 +174,15 @@ impl ServeRequest {
         h.finish()
     }
 
+    /// The reply's `request_id`: [`ServeRequest::key`] as 16 hex digits.
+    pub fn id(&self) -> String {
+        format!("{:016x}", self.key())
+    }
+
     /// Supervision label: names the chaos-draw key and the crash-bundle
     /// cell for this request.
     pub fn label(&self) -> String {
-        format!("serve/{:016x}", self.key())
+        format!("serve/{}", self.id())
     }
 }
 
@@ -201,13 +207,24 @@ enum AttemptFail {
     Sim(SimError),
 }
 
+/// Where a successful attempt's time went; with the queue wait, the
+/// reply's `stages_ms`. `validate` is everything between the front end
+/// and emission: the verdict, or for `"validate": false` the
+/// restructurer and the two simulations.
+struct Stages {
+    compile: Duration,
+    validate: Duration,
+    emit: Duration,
+}
+
 struct Output {
     restructured: String,
     report: String,
     serial_cycles: f64,
     parallel_cycles: f64,
-    stats: cedar_sim::ExecStats,
+    stats: ExecStats,
     validation: Option<ValidationReport>,
+    stages: Stages,
 }
 
 fn pass_for(req: &ServeRequest) -> PassConfig {
@@ -228,6 +245,80 @@ fn machine_for(req: &ServeRequest) -> MachineConfig {
     }
 }
 
+/// The program a request is answered with, and the two runs behind the
+/// reply's cycle counts and counters.
+struct Checked {
+    program: Program,
+    report: Report,
+    serial: ExecStats,
+    candidate: ExecStats,
+    validation: Option<ValidationReport>,
+}
+
+/// One fault-free run outside a verdict (gates "simulate" internally).
+/// Nothing here is memoized: what outlives a request is the server's
+/// to hold.
+fn plain_run(program: &Program, mc: &MachineConfig, watch: &[&str]) -> ExecStats {
+    simulate(program, mc, watch).stats
+}
+
+/// `"validate": true`: the verdict runs the serial reference and the
+/// accepted program's base run itself (race-collecting, which charges
+/// nothing) and hands both back, so neither is simulated again — four
+/// simulations with the two seeds, where there were six.
+fn validated(
+    program: &Program,
+    pass: &PassConfig,
+    mc: &MachineConfig,
+    watch: &[&str],
+    cfg: &EngineConfig,
+) -> Result<Checked, AttemptFail> {
+    // Chaos draws are keyed by phase, not by call: one gate stands for
+    // every simulation of the path.
+    supervise::gate("simulate");
+    supervise::gate("validate");
+    let vcfg = ValidationConfig {
+        seeds: cfg.validate_seeds.clone(),
+        ..ValidationConfig::default()
+    };
+    let v = restructure_validated(
+        program,
+        &supervise::adjust_pass(pass),
+        &supervise::adjust_machine(mc),
+        watch,
+        &vcfg,
+    )
+    .map_err(AttemptFail::Sim)?;
+    let candidate = match v.base_stats {
+        Some(base) => base,
+        // Degraded to a serial program that failed its own check: the
+        // verdict has no completed run of what it returns.
+        None => plain_run(&v.program, mc, watch),
+    };
+    Ok(Checked {
+        program: v.program,
+        report: v.report,
+        serial: v.reference_stats,
+        candidate,
+        validation: Some(v.validation),
+    })
+}
+
+/// `"validate": false`: restructure, and simulate input and output.
+fn unvalidated(program: &Program, pass: &PassConfig, mc: &MachineConfig, watch: &[&str]) -> Checked {
+    let serial = plain_run(program, mc, watch);
+    supervise::gate("restructure");
+    let r = cedar_restructure::restructure(program, &supervise::adjust_pass(pass));
+    let candidate = plain_run(&r.program, mc, watch);
+    Checked {
+        program: r.program,
+        report: r.report,
+        serial,
+        candidate,
+        validation: None,
+    }
+}
+
 /// One attempt's real work; runs under the supervisor's cell context,
 /// so the phase gates, rung adjustment, and cancel token all apply.
 fn attempt_body(
@@ -236,6 +327,7 @@ fn attempt_body(
     mc: &MachineConfig,
     cfg: &EngineConfig,
 ) -> Result<Output, AttemptFail> {
+    let started = Instant::now();
     supervise::gate("compile");
     let compiled = if req.free_form {
         cedar_ir::compile_free(&req.source)
@@ -244,59 +336,35 @@ fn attempt_body(
     };
     let program = compiled.map_err(|e| AttemptFail::Compile(e.to_string()))?;
     let watch: Vec<&str> = req.watch.iter().map(String::as_str).collect();
+    let front_end = Instant::now();
 
-    // Serial reference (gates "simulate" internally). Nothing here is
-    // memoized: what outlives a request is the server's to hold.
-    let serial = simulate(&program, mc, &watch);
-
-    if req.validate {
-        supervise::gate("validate");
-        let vcfg = ValidationConfig {
-            seeds: cfg.validate_seeds.clone(),
-            ..ValidationConfig::default()
-        };
-        let v = restructure_validated(
-            &program,
-            &supervise::adjust_pass(pass),
-            &supervise::adjust_machine(mc),
-            &watch,
-            &vcfg,
-        )
-        .map_err(AttemptFail::Sim)?;
-        let out = simulate(&v.program, mc, &watch);
-        let emitted = req.backend.backend().emit(&EmitInput {
-            original: &program,
-            restructured: &v.program,
-            report: &v.report,
-        });
-        Ok(Output {
-            restructured: emitted,
-            report: v.report.to_string(),
-            serial_cycles: serial.cycles,
-            parallel_cycles: out.cycles,
-            stats: out.stats,
-            validation: Some(v.validation),
-        })
+    let checked = if req.validate {
+        validated(&program, pass, mc, &watch, cfg)?
     } else {
-        supervise::gate("restructure");
-        let r = cedar_restructure::restructure(&program, &supervise::adjust_pass(pass));
-        let out = simulate(&r.program, mc, &watch);
-        let emitted = req.backend.backend().emit(&EmitInput {
-            original: &program,
-            restructured: &r.program,
-            report: &r.report,
-        });
-        Ok(Output {
-            restructured: emitted,
-            report: r.report.to_string(),
-            serial_cycles: serial.cycles,
-            parallel_cycles: out.cycles,
-            stats: out.stats,
-            validation: None,
-        })
-    }
-}
+        unvalidated(&program, pass, mc, &watch)
+    };
+    let verdict = Instant::now();
 
+    let restructured = req.backend.backend().emit(&EmitInput {
+        original: &program,
+        restructured: &checked.program,
+        report: &checked.report,
+    });
+    let report = checked.report.to_string();
+    Ok(Output {
+        restructured,
+        report,
+        serial_cycles: timed_cycles(&checked.serial),
+        parallel_cycles: timed_cycles(&checked.candidate),
+        stats: checked.candidate,
+        validation: checked.validation,
+        stages: Stages {
+            compile: front_end - started,
+            validate: verdict - front_end,
+            emit: verdict.elapsed(),
+        },
+    })
+}
 
 fn success_body(
     out: &Output,
@@ -304,6 +372,8 @@ fn success_body(
     entry: Rung,
     retries: u32,
     duration: Duration,
+    request_id: &str,
+    queued: Duration,
 ) -> String {
     let speedup = if out.parallel_cycles > 0.0 {
         out.serial_cycles / out.parallel_cycles
@@ -333,7 +403,21 @@ fn success_body(
     w.key("retries").int(retries);
     w.key("coalesced").bool(false);
     let ms = duration.as_secs_f64() * 1e3;
-    w.key("duration_ms").float(ms, format_args!("{ms:.1}")).end();
+    w.key("duration_ms").float(ms, format_args!("{ms:.1}"));
+    // New members go here, after the duration: `json_bytes.txt` pins
+    // the body up to it, and `coalesced_copy` finds its needle before.
+    w.key("request_id").str(request_id);
+    w.key("stages_ms").obj();
+    for (stage, took) in [
+        ("queue", queued),
+        ("compile", out.stages.compile),
+        ("validate", out.stages.validate),
+        ("emit", out.stages.emit),
+    ] {
+        let ms = took.as_secs_f64() * 1e3;
+        w.key(stage).float(ms, format_args!("{ms:.3}"));
+    }
+    w.end().end();
     w.finish()
 }
 
@@ -353,6 +437,18 @@ pub(crate) fn coalesced_copy(body: &str) -> String {
 /// Run one request through the retry ladder. Never panics: every
 /// failure mode becomes a structured response.
 pub fn handle(req: &ServeRequest, cfg: &EngineConfig, breaker: &Breaker) -> Handled {
+    handle_queued(req, cfg, breaker, Duration::ZERO)
+}
+
+/// [`handle`] for a request that waited `queued` between admission and
+/// a worker picking it up (the server's entry point; the wait is
+/// reported in the reply, it does not count against any deadline).
+pub fn handle_queued(
+    req: &ServeRequest,
+    cfg: &EngineConfig,
+    breaker: &Breaker,
+    queued: Duration,
+) -> Handled {
     let started = Instant::now();
     let pass = pass_for(req);
     let mc = machine_for(req);
@@ -360,7 +456,7 @@ pub fn handle(req: &ServeRequest, cfg: &EngineConfig, breaker: &Breaker) -> Hand
     if let Some(ms) = req.deadline_ms {
         sup.deadline = Some(Duration::from_millis(ms));
     }
-    let label = req.label();
+    let (request_id, label) = (req.id(), req.label());
     let entry = breaker.entry_rung(&req.config);
     let start = Rung::LADDER.iter().position(|r| *r == entry).unwrap_or(0);
 
@@ -375,9 +471,10 @@ pub fn handle(req: &ServeRequest, cfg: &EngineConfig, breaker: &Breaker) -> Hand
             Ok(Ok(out)) => {
                 breaker.record(&req.config, entry, Some(*rung));
                 let retries = attempts.len() as u32;
+                let took = started.elapsed();
                 return Handled {
                     status: 200,
-                    body: success_body(&out, *rung, entry, retries, started.elapsed()),
+                    body: success_body(&out, *rung, entry, retries, took, &request_id, queued),
                     retries,
                     quarantined: false,
                 };
@@ -449,6 +546,85 @@ mod tests {
         assert!(h.body.contains("\"all_bit_identical\""), "{}", h.body);
         let v = Json::parse(&h.body).expect("response is valid JSON");
         assert!(v.get("restructured").unwrap().as_str().unwrap().contains("doall"));
+    }
+
+    #[test]
+    fn a_long_cascade_is_answered_within_its_deadline() {
+        // A legal recurrence of 1 536 iterations, four simulations of
+        // 2 ms: while the race detector kept a clock per sibling
+        // iteration its one race-collecting run took 25 s, the request
+        // timed out at every rung of the ladder and the program was
+        // quarantined with a crash bundle.
+        let source = "program p\nparameter (n = 1536)\nreal a(n), b(n), c(n)\ndo i = 1, n\n\
+                      b(i) = i * 1.0\nc(i) = i * 0.5\nend do\na(1) = 1.0\ndo i = 2, n\n\
+                      t = sqrt(b(i)) + sqrt(c(i)) + sin(b(i)) * cos(c(i)) + exp(c(i) * 0.01)\n\
+                      a(i) = a(i - 1) * 0.5 + t\nend do\nx = a(n)\nend\n";
+        let mut req = ServeRequest::new(source);
+        req.watch.push("x".into());
+        req.deadline_ms = Some(2000);
+        let breaker = Breaker::new(3, Duration::from_secs(5));
+        let h = handle(&req, &quiet_engine("long-cascade"), &breaker);
+        assert_eq!(h.status, 200, "{}", h.body);
+        assert_eq!((h.retries, h.quarantined), (0, false));
+        let v = Json::parse(&h.body).unwrap();
+        let service = v.get("service").unwrap();
+        assert_eq!(service.get("rung").unwrap().as_str(), Some("normal"));
+        let verification = v.get("verification").unwrap();
+        assert_eq!(verification.get("degraded_to_serial").unwrap().as_bool(), Some(false));
+        assert_eq!(verification.u64_at("fallbacks"), Ok(0));
+        // Answered with the cascade, not with a serial loop.
+        assert!(v.str_at("restructured").unwrap().contains("await"), "{}", h.body);
+    }
+
+    #[test]
+    fn a_reply_says_where_its_time_went() {
+        let mut req = ServeRequest::new(CLEAN);
+        req.watch.push("a".into());
+        let cfg = quiet_engine("stages");
+        let breaker = Breaker::new(3, Duration::from_secs(5));
+        for (validate, queued_ms) in [(true, 0.0), (false, 7.0)] {
+            req.validate = validate;
+            let queued = Duration::from_secs_f64(queued_ms / 1e3);
+            let h = handle_queued(&req, &cfg, &breaker, queued);
+            assert_eq!(h.status, 200, "{}", h.body);
+            let v = Json::parse(&h.body).unwrap();
+            let service = v.get("service").unwrap();
+            assert_eq!(service.str_at("request_id").unwrap(), req.id());
+            let stages = service.get("stages_ms").unwrap();
+            let ms = |name: &str| stages.get(name).and_then(Json::as_f64).expect("a stage");
+            assert_eq!(ms("queue"), queued_ms);
+            // The stages are the successful attempt's share of the
+            // duration; the wait for a worker is outside it.
+            let attempt = ms("compile") + ms("validate") + ms("emit");
+            let duration = service.get("duration_ms").and_then(Json::as_f64).unwrap();
+            assert!(attempt > 0.0 && attempt <= duration + 0.1, "{attempt} of {duration}");
+        }
+        // An error body carries no timing.
+        let h = handle(&ServeRequest::new("program p\nx = = 1\nend\n"), &cfg, &breaker);
+        assert!(!h.body.contains("stages_ms") && !h.body.contains("request_id"), "{}", h.body);
+    }
+
+    /// Of the six simulations a validated request used to cost, the two
+    /// made only for the reply's cycle counts are the verdict's own
+    /// reference and base run: the validated arm asks for a run of its
+    /// own only when a degraded verdict has none to hand back, and the
+    /// one call of `pipeline::simulate` is the helper both arms share.
+    #[test]
+    fn the_validated_path_simulates_nothing_the_verdict_ran() {
+        let src = include_str!("engine.rs");
+        let src = &src[..src.find("#[cfg(test)]").unwrap()];
+        let body_of = |name: &str| {
+            let at = src.find(&format!("\nfn {name}(")).unwrap_or_else(|| panic!("fn {name}"));
+            &src[at..at + 1 + src[at + 1..].find("\nfn ").expect("a later function")]
+        };
+        assert_eq!(src.matches("simulate(").count(), 1, "one call, in `plain_run`");
+        assert!(body_of("plain_run").contains("simulate("));
+        let validated = body_of("validated");
+        assert_eq!(validated.matches("plain_run(").count(), 1);
+        assert!(validated.contains("None => plain_run("), "only for a verdict with no base run");
+        assert_eq!(validated.matches("gate(\"simulate\")").count(), 1);
+        assert_eq!(body_of("unvalidated").matches("plain_run(").count(), 2);
+        assert!(!body_of("attempt_body").contains("plain_run("));
     }
 
     #[test]

@@ -28,7 +28,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Server construction parameters.
 #[derive(Debug, Clone)]
@@ -114,7 +114,8 @@ struct Shared {
     cfg: ServerConfig,
     addr: SocketAddr,
     breaker: Breaker,
-    queue: Mutex<VecDeque<TcpStream>>,
+    /// Admitted connections, each with the instant it was admitted.
+    queue: Mutex<VecDeque<(TcpStream, Instant)>>,
     queue_cv: Condvar,
     draining: AtomicBool,
     counters: Counters,
@@ -255,7 +256,7 @@ fn accept_loop(listener: TcpListener, shared: &Shared) {
                 ),
             );
         } else {
-            queue.push_back(stream);
+            queue.push_back((stream, Instant::now()));
             shared.counters.accepted.fetch_add(1, Ordering::Relaxed);
             drop(queue);
             shared.queue_cv.notify_one();
@@ -283,13 +284,15 @@ fn worker_loop(shared: &Shared) {
             }
         };
         match stream {
-            Some(mut s) => handle_connection(shared, &mut s),
+            Some((mut s, admitted)) => handle_connection(shared, &mut s, admitted.elapsed()),
             None => return, // drained and draining: exit
         }
     }
 }
 
-fn handle_connection(shared: &Shared, stream: &mut TcpStream) {
+/// Answer one admitted connection; `queued` is how long it waited for
+/// this worker.
+fn handle_connection(shared: &Shared, stream: &mut TcpStream, queued: Duration) {
     let req = match http::read_request(stream) {
         Ok(r) => r,
         Err(e) => {
@@ -324,7 +327,7 @@ fn handle_connection(shared: &Shared, stream: &mut TcpStream) {
             begin_drain(shared);
             http::write_response(stream, 200, &flags(&[("ok", true), ("draining", true)]));
         }
-        ("POST", "/restructure") => restructure_endpoint(shared, stream, &req.body),
+        ("POST", "/restructure") => restructure_endpoint(shared, stream, &req.body, queued),
         _ => {
             shared.counters.client_errors.fetch_add(1, Ordering::Relaxed);
             http::write_response(
@@ -341,7 +344,7 @@ fn handle_connection(shared: &Shared, stream: &mut TcpStream) {
     }
 }
 
-fn restructure_endpoint(shared: &Shared, stream: &mut TcpStream, body: &str) {
+fn restructure_endpoint(shared: &Shared, stream: &mut TcpStream, body: &str, queued: Duration) {
     let parsed = match Json::parse(body) {
         Ok(v) => v,
         Err(e) => {
@@ -406,7 +409,7 @@ fn restructure_endpoint(shared: &Shared, stream: &mut TcpStream, body: &str) {
         }
     }
 
-    let handled = engine::handle(&sreq, &shared.cfg.engine, &shared.breaker);
+    let handled = engine::handle_queued(&sreq, &shared.cfg.engine, &shared.breaker, queued);
 
     let waiters = {
         let mut flights = shared.flights.lock().unwrap_or_else(|e| e.into_inner());
@@ -553,6 +556,43 @@ mod tests {
             .filter(|(_, b)| b.contains("\"coalesced\": true"))
             .count() as u64;
         assert_eq!(marked, coalesced, "followers carry the coalesced marker");
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_reply_reports_its_wait_for_a_worker() {
+        use std::io::{Read, Write};
+        use std::sync::atomic::Ordering;
+        // One worker, held by a connection that has not sent its request
+        // yet; a `/restructure` request admitted behind it stands in the
+        // queue until the first one speaks, 20 ms after the admission.
+        let mut cfg = test_config("queue-wait");
+        cfg.workers = 1;
+        let server = Server::start(cfg).unwrap();
+        let addr = server.addr();
+        let admitted = |n| {
+            while server.counters().accepted.load(Ordering::Relaxed) < n {
+                std::thread::yield_now();
+            }
+        };
+        let mut silent = TcpStream::connect(&addr).unwrap();
+        admitted(1);
+        let mut req = ServeRequest::new("program p\nreal x\nx = 1.0\nprint *, x\nend\n");
+        req.validate = false;
+        let (status, body) = std::thread::scope(|scope| {
+            let queued = scope.spawn(|| http::post(&addr, "/restructure", &req.to_json(), T).unwrap());
+            admitted(2);
+            std::thread::sleep(Duration::from_millis(20));
+            silent.write_all(b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n").unwrap();
+            silent.read_to_end(&mut Vec::new()).unwrap();
+            queued.join().unwrap()
+        });
+        assert_eq!(status, 200, "{body}");
+        let service = Json::parse(&body).unwrap().get("service").cloned().unwrap();
+        assert_eq!(service.str_at("request_id").unwrap(), req.id());
+        let stages = service.get("stages_ms").unwrap();
+        let queue = stages.get("queue").and_then(Json::as_f64).unwrap();
+        assert!(queue >= 20.0, "admitted 20 ms before the worker was free, waited {queue} ms");
         server.shutdown();
     }
 

@@ -25,16 +25,30 @@
 //! * **critical sections** — `lock(id)` synchronizes-with the previous
 //!   `unlock(id)`, chaining the lock's holders.
 //!
-//! Mechanically, each active parallel region keeps a frame with the
-//! current iteration's sparse **vector clock** (what segments of sibling
-//! iterations it has observed through sync). Every access snapshots the
-//! *path* of `(region instance, iteration, segment clock)` triples down
-//! the region stack; shadow memory stores, per element, the last write
-//! and the reads since. Two accesses are ordered iff their paths
-//! diverge at a joined region (host execution order implies the join
-//! barrier), stay on one logical thread, or the recorded segment is
-//! covered by the current iteration's vector clock; otherwise they are
-//! concurrent and a conflicting pair is a race.
+//! Mechanically, every access snapshots the *path* of `(region
+//! instance, iteration, segment clock)` triples down the region stack;
+//! shadow memory stores, per element, the last write and the reads
+//! since. Two accesses are ordered iff their paths diverge at a joined
+//! region (host execution order implies the join barrier), stay on one
+//! logical thread, or the current iteration has *observed* the recorded
+//! segment through synchronization; otherwise they are concurrent and a
+//! conflicting pair is a race.
+//!
+//! What an iteration has observed is indexed by **synchronization
+//! object, not by sibling iteration**. A region runs any number of
+//! iterations but has a handful of *channels* — its cascade points and
+//! its locks — and what a thread has seen of a channel is always a
+//! **prefix** of the channel's events: a cascade counter is monotone
+//! and iterations run in index order, and a lock's holders form a
+//! chain. Each channel is an append-only list of events (`advance`s or
+//! `unlock`s), each carrying the **running join** of what its publisher
+//! and every earlier publisher had observed; a thread's knowledge is
+//! one prefix length per channel. Publishing and learning are
+//! O(channels) whatever the trip count; the clock of sibling `j` is
+//! looked up on demand as the last event of `j` inside a known prefix
+//! (DESIGN.md §8 has the argument that this is the same partial order
+//! as an explicit per-iteration vector clock, which survives below as
+//! the test module's reference model).
 //!
 //! The detector charges **zero simulated cycles** and is only
 //! instantiated when [`crate::MachineConfig::detect_races`] is set, so
@@ -46,18 +60,6 @@ use cedar_ir::Span;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
-
-/// Sparse vector clock: iteration → highest observed segment clock.
-type Vc = BTreeMap<u32, u32>;
-
-fn vc_join(dst: &mut Vc, src: &Vc) {
-    for (&iter, &clock) in src {
-        let e = dst.entry(iter).or_insert(0);
-        if *e < clock {
-            *e = clock;
-        }
-    }
-}
 
 /// Conflict classification of a detected race.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -238,6 +240,63 @@ fn reads_iter(read0: AccessId, more: &MoreReads) -> impl Iterator<Item = AccessI
         .chain(more.iter().flat_map(|v| v.iter().copied()))
 }
 
+/// A synchronization object of one region.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum SyncObject {
+    /// A cascade point (`await` / `advance`).
+    Point(u32),
+    /// A lock id (`lock` / `unlock`).
+    Lock(u32),
+}
+
+/// One publication on a channel: an `advance` of the point or an
+/// `unlock` of the lock.
+struct Event {
+    /// The publishing iteration, and the segment its accesses so far
+    /// were recorded in.
+    iter: u32,
+    clock: u32,
+    /// Running join over this and every earlier publisher of the
+    /// channel: per channel of the frame, how many of its events they
+    /// had observed.
+    know: Vec<u32>,
+}
+
+/// The events of one synchronization object, in host order.
+struct Channel {
+    sync: SyncObject,
+    events: Vec<Event>,
+    /// Task groups only, whose threads interleave: thread → indices of
+    /// its events. Everywhere else iterations run in index order, so
+    /// `events` is sorted by iteration and is its own index.
+    by_iter: BTreeMap<u32, Vec<u32>>,
+}
+
+impl Channel {
+    /// Segment clock of the last event of `iter` among the first `n`
+    /// (clocks rise with the index, so the last visible is the highest).
+    fn last_visible(&self, iter: u32, n: usize, interleaved: bool) -> Option<u32> {
+        let at = if interleaved {
+            let own = self.by_iter.get(&iter)?;
+            own[..own.partition_point(|&i| (i as usize) < n)].last().copied()? as usize
+        } else {
+            self.events[..n].partition_point(|e| e.iter <= iter).checked_sub(1)?
+        };
+        let e = &self.events[at];
+        (e.iter == iter).then_some(e.clock)
+    }
+}
+
+/// Elementwise maximum of two prefix-length vectors (absent = 0).
+fn know_join(dst: &mut Vec<u32>, src: &[u32]) {
+    if dst.len() < src.len() {
+        dst.resize(src.len(), 0);
+    }
+    for (d, &s) in dst.iter_mut().zip(src) {
+        *d = (*d).max(s);
+    }
+}
+
 /// One active parallel region (or subroutine task group).
 struct RegionFrame {
     id: u64,
@@ -249,16 +308,55 @@ struct RegionFrame {
     cur_iter: u32,
     cur_clock: u32,
     cur_part: u16,
-    /// Current iteration's observations of sibling segments.
-    vc: Vc,
-    /// `advance` snapshots: point → iteration → (segment clock at the
-    /// advance, vector clock at the advance).
-    advances: BTreeMap<u32, BTreeMap<u32, (u32, Vc)>>,
-    /// Last `unlock` per lock id: (iteration, segment clock, vector
-    /// clock at release).
-    locks: BTreeMap<u32, (u32, u32, Vc)>,
-    /// Saved logical-thread state for task groups.
-    saved: BTreeMap<u32, (u32, Vc)>,
+    /// The region's synchronization objects, in order of first use.
+    channels: Vec<Channel>,
+    /// The current thread's observations: `know[c]` is how many events
+    /// of `channels[c]` it has seen — always a prefix (absent = 0).
+    know: Vec<u32>,
+    /// Saved logical-thread state for task groups: (clock, know).
+    saved: BTreeMap<u32, (u32, Vec<u32>)>,
+}
+
+impl RegionFrame {
+    /// Publish the current thread's knowledge on `sync` and open a new
+    /// segment (accesses after the event are not ordered by it).
+    fn publish(&mut self, sync: SyncObject) {
+        let c = self.channels.iter().position(|c| c.sync == sync).unwrap_or_else(|| {
+            self.channels.push(Channel { sync, events: Vec::new(), by_iter: BTreeMap::new() });
+            self.channels.len() - 1
+        });
+        let ch = &mut self.channels[c];
+        let mut know = self.know.clone();
+        if let Some(prev) = ch.events.last() {
+            know_join(&mut know, &prev.know);
+        }
+        if self.task_group {
+            ch.by_iter.entry(self.cur_iter).or_default().push(ch.events.len() as u32);
+        }
+        ch.events.push(Event { iter: self.cur_iter, clock: self.cur_clock, know });
+        self.cur_clock += 1;
+    }
+
+    /// Observe the events of `sync` that `visible` admits — a prefix —
+    /// and, through the running join, all that their publishers knew.
+    fn learn(&mut self, sync: SyncObject, visible: impl Fn(&[Event]) -> usize) {
+        let Some(c) = self.channels.iter().position(|c| c.sync == sync) else { return };
+        let events = &self.channels[c].events;
+        let n = visible(events);
+        let Some(last) = n.checked_sub(1) else { return };
+        know_join(&mut self.know, &events[last].know);
+        if self.know.len() <= c {
+            self.know.resize(c + 1, 0);
+        }
+        self.know[c] = self.know[c].max(n as u32);
+    }
+
+    /// Highest segment clock of sibling `iter` the current thread has
+    /// observed through any channel.
+    fn observed(&self, iter: u32) -> Option<u32> {
+        let seen = self.channels.iter().zip(&self.know);
+        seen.filter_map(|(ch, &n)| ch.last_visible(iter, n as usize, self.task_group)).max()
+    }
 }
 
 /// Cap on collected race reports (the total count keeps counting).
@@ -386,9 +484,8 @@ impl RaceDetector {
             cur_iter: 0,
             cur_clock: 0,
             cur_part: 0,
-            vc: Vc::new(),
-            advances: BTreeMap::new(),
-            locks: BTreeMap::new(),
+            channels: Vec::new(),
+            know: Vec::new(),
             saved: BTreeMap::new(),
         });
         self.path.push(PathEntry { region: id, iter: 0, clock: 0 });
@@ -417,7 +514,7 @@ impl RaceDetector {
             f.cur_iter = iter;
             f.cur_clock = 0;
             f.cur_part = part;
-            f.vc.clear();
+            f.know.clear();
         }
         self.refresh_path_top();
     }
@@ -428,12 +525,12 @@ impl RaceDetector {
     pub(crate) fn switch_task_thread(&mut self, iter: u32, part: u16) {
         if let Some(f) = self.stack.last_mut() {
             if f.cur_iter != iter {
-                let old_vc = std::mem::take(&mut f.vc);
-                f.saved.insert(f.cur_iter, (f.cur_clock, old_vc));
-                let (clock, vc) = f.saved.remove(&iter).unwrap_or((0, Vc::new()));
+                let know = std::mem::take(&mut f.know);
+                f.saved.insert(f.cur_iter, (f.cur_clock, know));
+                let (clock, know) = f.saved.remove(&iter).unwrap_or_default();
                 f.cur_iter = iter;
                 f.cur_clock = clock;
-                f.vc = vc;
+                f.know = know;
             }
             f.cur_part = part;
         }
@@ -442,9 +539,10 @@ impl RaceDetector {
 
     // ---- synchronization edges ----
 
-    /// `await(point, d)` satisfied in iteration `k`: join the advance
-    /// snapshots of every iteration `≤ upto = k − d` (monotone-counter
-    /// semantics). Applies to the innermost *ordered* region.
+    /// `await(point, d)` satisfied in iteration `k`: learn the advances
+    /// of every iteration `≤ upto = k − d` (monotone-counter semantics)
+    /// — a prefix, since iterations advance in index order. Applies to
+    /// the innermost *ordered* region.
     pub(crate) fn on_await(&mut self, point: u32, upto: i64) {
         if upto < 0 {
             return;
@@ -454,58 +552,36 @@ impl RaceDetector {
         let Some(f) = self.stack.iter_mut().rev().find(|f| f.ordered) else {
             return;
         };
-        if let Some(per_iter) = f.advances.get(&point) {
-            // Collect first: `advances` and `vc` live in the same frame.
-            let edges: Vec<(u32, u32, Vc)> = per_iter
-                .range(..=(upto.min(u32::MAX as i64) as u32))
-                .map(|(&j, (clk, vc))| (j, *clk, vc.clone()))
-                .collect();
-            for (j, clk, vc) in edges {
-                vc_join(&mut f.vc, &vc);
-                let e = f.vc.entry(j).or_insert(0);
-                if *e < clk {
-                    *e = clk;
-                }
-            }
-        }
+        let upto = upto.min(u32::MAX as i64) as u32;
+        f.learn(SyncObject::Point(point), |events| events.partition_point(|e| e.iter <= upto));
     }
 
-    /// `advance(point)`: snapshot the advancing iteration's knowledge
+    /// `advance(point)`: publish the advancing iteration's knowledge
     /// and open a new segment (accesses after the advance are not
     /// ordered by it).
     pub(crate) fn on_advance(&mut self, point: u32) {
         let Some(f) = self.stack.iter_mut().rev().find(|f| f.ordered) else {
             return;
         };
-        f.advances
-            .entry(point)
-            .or_default()
-            .insert(f.cur_iter, (f.cur_clock, f.vc.clone()));
-        f.cur_clock += 1;
+        f.publish(SyncObject::Point(point));
         self.refresh_path_top();
     }
 
-    /// `lock(id)`: synchronize-with the previous holder's release.
+    /// `lock(id)`: synchronize-with every earlier release — the
+    /// previous holder's, which had learnt its predecessors'.
     pub(crate) fn on_lock(&mut self, id: u32) {
         // The lock edge may add happens-before edges: cached verdicts
         // stale.
         self.memo = ConflictMemo::default();
         let Some(f) = self.stack.last_mut() else { return };
-        if let Some((iter, clock, vc)) = f.locks.get(&id).cloned() {
-            vc_join(&mut f.vc, &vc);
-            let e = f.vc.entry(iter).or_insert(0);
-            if *e < clock {
-                *e = clock;
-            }
-        }
+        f.learn(SyncObject::Lock(id), |events| events.len());
     }
 
     /// `unlock(id)`: publish this iteration's knowledge to the next
     /// holder and open a new segment.
     pub(crate) fn on_unlock(&mut self, id: u32) {
         let Some(f) = self.stack.last_mut() else { return };
-        f.locks.insert(id, (f.cur_iter, f.cur_clock, f.vc.clone()));
-        f.cur_clock += 1;
+        f.publish(SyncObject::Lock(id));
         self.refresh_path_top();
     }
 
@@ -543,10 +619,10 @@ impl RaceDetector {
 /// Small direct-mapped memo of [`path_conflict`] keyed by access id:
 /// equal ids share one interned record, hence one path, hence one
 /// verdict — and a verdict stays valid until the detector's context
-/// changes (new segment, region push/pop, or a sync edge joining the
-/// vector clock), which resets the memo. Cells of one vector statement
-/// (and the handful of scalars in a loop body) were typically last
-/// touched by a handful of records, so almost every test is a hit.
+/// changes (new segment, region push/pop, or a sync edge teaching the
+/// thread a longer prefix), which resets the memo. Cells of one vector
+/// statement (and the handful of scalars in a loop body) were typically
+/// last touched by a handful of records, so almost every test is a hit.
 struct ConflictMemo {
     entries: [(AccessId, Option<(u32, u32)>); 4],
 }
@@ -595,7 +671,7 @@ fn path_conflict(stack: &[RegionFrame], a: &[PathEntry]) -> Option<(u32, u32)> {
             }
             // Sibling iterations of a live region: ordered only when the
             // current iteration observed the recorded segment via sync.
-            if f.vc.get(&pa.iter).is_some_and(|&c| pa.clock <= c) {
+            if f.observed(pa.iter).is_some_and(|c| pa.clock <= c) {
                 return None;
             }
         return Some((pa.iter, f.cur_iter));
@@ -884,6 +960,164 @@ mod tests {
         d.on_lock(9);
         assert_eq!(d.conflict(&in_cs.path), None, "lock chain orders the CS");
         d.pop_region();
+    }
+
+    /// The explicit clock this file kept before channels, as the
+    /// reference model: per frame, the current thread's iteration →
+    /// highest observed segment clock. An await joins the snapshot of
+    /// every advance `≤ upto`, a lock the snapshot of the last unlock.
+    type Vc = BTreeMap<u32, u32>;
+
+    #[derive(Default)]
+    struct ModelFrame {
+        ordered: bool,
+        cur: (u32, u32),
+        vc: Vc,
+        advances: BTreeMap<u32, BTreeMap<u32, (u32, Vc)>>,
+        locks: BTreeMap<u32, (u32, u32, Vc)>,
+        saved: BTreeMap<u32, (u32, Vc)>,
+    }
+
+    impl ModelFrame {
+        fn join(&mut self, iter: u32, clock: u32, vc: &Vc) {
+            for (&i, &c) in vc.iter().chain([(&iter, &clock)]) {
+                let e = self.vc.entry(i).or_insert(0);
+                *e = (*e).max(c);
+            }
+        }
+        fn begin(&mut self, iter: u32) {
+            (self.cur, self.vc) = ((iter, 0), Vc::new());
+        }
+        fn switch(&mut self, iter: u32) {
+            if self.cur.0 != iter {
+                self.saved.insert(self.cur.0, (self.cur.1, std::mem::take(&mut self.vc)));
+                let (clock, vc) = self.saved.remove(&iter).unwrap_or_default();
+                (self.cur, self.vc) = ((iter, clock), vc);
+            }
+        }
+        fn advance(&mut self, point: u32) {
+            let snapshot = (self.cur.1, self.vc.clone());
+            self.advances.entry(point).or_default().insert(self.cur.0, snapshot);
+            self.cur.1 += 1;
+        }
+        fn await_(&mut self, point: u32, upto: u32) {
+            let edges = self.advances.get(&point).cloned().unwrap_or_default();
+            for (j, (clock, vc)) in edges.range(..=upto) {
+                self.join(*j, *clock, vc);
+            }
+        }
+        fn lock(&mut self, id: u32) {
+            if let Some((iter, clock, vc)) = self.locks.get(&id).cloned() {
+                self.join(iter, clock, &vc);
+            }
+        }
+        fn unlock(&mut self, id: u32) {
+            self.locks.insert(id, (self.cur.0, self.cur.1, self.vc.clone()));
+            self.cur.1 += 1;
+        }
+    }
+
+    /// Every sibling clock of every live frame, on both sides.
+    fn assert_same_clocks(d: &RaceDetector, model: &[ModelFrame], seed: u64, step: usize) {
+        for (depth, (f, m)) in d.stack.iter().zip(model).enumerate() {
+            assert_eq!((f.cur_iter, f.cur_clock), m.cur, "seed {seed} step {step} depth {depth}");
+            for iter in 0..MAX_ITER + 2 {
+                assert_eq!(
+                    f.observed(iter),
+                    m.vc.get(&iter).copied(),
+                    "seed {seed} step {step} depth {depth}: observed clock of iteration {iter}"
+                );
+            }
+        }
+    }
+
+    const MAX_ITER: u32 = 12;
+
+    /// Seeded event traces — regions ordered / plain / task group nested
+    /// two deep, iterations in index order, task threads interleaved,
+    /// cascades over 3 points at distances 0..=3, critical sections
+    /// over 2 locks — drive the model and the detector side by side.
+    #[test]
+    fn channels_order_what_the_per_iteration_clock_orders() {
+        for seed in 0..2000u64 {
+            let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+            let mut draw = |n: u32| {
+                // xorshift64*: any seeded stream will do.
+                state ^= state >> 12;
+                state ^= state << 25;
+                state ^= state >> 27;
+                ((state.wrapping_mul(0x2545_f491_4f6c_dd1d) >> 33) % n as u64) as u32
+            };
+            let mut d = RaceDetector::new(false);
+            let mut model: Vec<ModelFrame> = Vec::new();
+            // Per frame, the next iteration to begin.
+            let mut next: Vec<u32> = Vec::new();
+            for step in 0..120 {
+                let top_is_group = d.in_task_group();
+                match draw(10) {
+                    0 if model.len() < 2 => {
+                        let (ordered, group) = [(true, false), (false, false), (false, true)]
+                            [draw(3) as usize];
+                        d.push_region(ordered, group);
+                        model.push(ModelFrame { ordered, ..Default::default() });
+                        // A loop begins its first iteration at once;
+                        // a task group starts on its spawner, thread 0.
+                        next.push(1);
+                        if !group {
+                            d.begin_iteration(0, 0);
+                        }
+                    }
+                    1 if !model.is_empty() && draw(3) == 0 => {
+                        d.pop_region();
+                        model.pop();
+                        next.pop();
+                    }
+                    2 | 3 if top_is_group => {
+                        let thread = draw(4);
+                        d.switch_task_thread(thread, 0);
+                        model.last_mut().unwrap().switch(thread);
+                    }
+                    2 | 3 if !model.is_empty() => {
+                        // Index order, sometimes skipping an iteration.
+                        let iter = next.last().unwrap() + draw(2);
+                        if iter < MAX_ITER {
+                            d.begin_iteration(iter, 0);
+                            model.last_mut().unwrap().begin(iter);
+                            *next.last_mut().unwrap() = iter + 1;
+                        }
+                    }
+                    4 | 5 => {
+                        let point = draw(3);
+                        d.on_advance(point);
+                        if let Some(m) = model.iter_mut().rev().find(|m| m.ordered) {
+                            m.advance(point);
+                        }
+                    }
+                    6 | 7 => {
+                        let (point, dist) = (draw(3), draw(4));
+                        if let Some(m) = model.iter_mut().rev().find(|m| m.ordered) {
+                            let upto = m.cur.0 as i64 - dist as i64;
+                            d.on_await(point, upto);
+                            if upto >= 0 {
+                                m.await_(point, upto as u32);
+                            }
+                        }
+                    }
+                    8 | 9 if !model.is_empty() => {
+                        // A critical section: its holder learns the
+                        // chain before it extends it.
+                        let id = draw(2);
+                        d.on_lock(id);
+                        model.last_mut().unwrap().lock(id);
+                        assert_same_clocks(&d, &model, seed, step);
+                        d.on_unlock(id);
+                        model.last_mut().unwrap().unlock(id);
+                    }
+                    _ => {}
+                }
+                assert_same_clocks(&d, &model, seed, step);
+            }
+        }
     }
 
     #[test]

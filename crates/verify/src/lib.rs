@@ -30,7 +30,11 @@
 //!    from the base run).
 //!
 //! Later attempts reuse the reference's results and overlap base run
-//! and seeds the same way. A failing candidate's seed runs are spent
+//! and seeds the same way. The verdict hands back what it ran —
+//! [`Validated::reference_stats`] and [`Validated::base_stats`] are the
+//! counters of the serial reference and of the accepted program's base
+//! run — so a caller that reports cycles (the service) simulates
+//! neither again. A failing candidate's seed runs are spent
 //! for nothing; they are milliseconds, and bounded like every run by
 //! the simulator's statement budget and `MachineConfig::cancel`.
 //! Verdicts, reports and seed-run vectors do not depend on the worker
@@ -59,7 +63,9 @@ pub use comparator::{compare_backends, BackendComparison, BackendOutcome, Backen
 
 use cedar_ir::{Program, Stmt};
 use cedar_restructure::{restructure, LoopDecision, PassConfig, Report};
-use cedar_sim::{CompiledProgram, Engine, FaultConfig, MachineConfig, RaceInfo, SimError};
+use cedar_sim::{
+    CompiledProgram, Engine, ExecStats, FaultConfig, MachineConfig, RaceInfo, SimError,
+};
 use std::fmt;
 use std::sync::Arc;
 
@@ -291,6 +297,15 @@ pub struct Validated {
     pub report: Report,
     /// What validation observed.
     pub validation: ValidationReport,
+    /// Counters of the serial reference run every attempt was judged
+    /// against (the input as it stands, on the verdict's machine).
+    pub reference_stats: ExecStats,
+    /// Counters of the accepted program's unperturbed base run — the
+    /// race-collecting run when the detector was asked for, which
+    /// charges nothing, so they are a plain run's. `None` only when the
+    /// verdict degraded to a serial program that did not pass its own
+    /// check (there is no completed run of it to report).
+    pub base_stats: Option<ExecStats>,
 }
 
 /// Why a candidate program was rejected.
@@ -360,7 +375,7 @@ fn run_watched(
     faults: Option<FaultConfig>,
     watch: &[&str],
     artifact: Option<&Arc<CompiledProgram>>,
-) -> Result<(Watched, f64), SimError> {
+) -> Result<(Watched, ExecStats), SimError> {
     let mut sim = match artifact {
         // Compile-once/run-many: the K-seed sweep shares one immutable
         // bytecode artifact instead of re-lowering the program per run.
@@ -375,7 +390,7 @@ fn run_watched(
         .iter()
         .filter_map(|w| sim.read_f64(w).map(|v| (w.to_string(), v)))
         .collect();
-    Ok((results, sim.cycles()))
+    Ok((results, sim.stats))
 }
 
 /// Compare two watched-result sets; returns `(bit_identical,
@@ -408,9 +423,13 @@ enum Task {
     Seed(u64),
 }
 
-/// What one task observed: the watched results, the cycle count, and —
-/// from a race-collecting base run — the first race.
-type Observed = (Watched, f64, Option<RaceInfo>);
+/// What one task observed: the watched results, the run's counters
+/// (cycles among them), and — from a race-collecting base run — the
+/// first race.
+type Observed = (Watched, ExecStats, Option<RaceInfo>);
+
+/// The serial reference as the first attempt's task set ran it.
+type Reference = (Watched, ExecStats);
 
 /// Check one candidate program: unperturbed against the serial
 /// reference, then every seed against the unperturbed candidate.
@@ -431,8 +450,8 @@ fn check(
     mc: &MachineConfig,
     watch: &[&str],
     vcfg: &ValidationConfig,
-    reference: &mut Option<Watched>,
-) -> Result<Vec<SeedRun>, Failure> {
+    reference: &mut Option<Reference>,
+) -> Result<(Vec<SeedRun>, ExecStats), Failure> {
     // One lowering of the candidate serves the base run, the race run,
     // and every perturbed seed (compile is pure: config-independent).
     let artifact = (mc.engine == Engine::Vm).then(|| cedar_sim::compile(candidate));
@@ -450,7 +469,7 @@ fn check(
     tasks.extend(vcfg.seeds.iter().map(|&s| Task::Seed(s)));
     let mut ran = cedar_par::par_map(tasks, |task| -> Result<Observed, SimError> {
         let plain = |p: &Program, faults, artifact| {
-            run_watched(p, mc, faults, watch, artifact).map(|(got, cycles)| (got, cycles, None))
+            run_watched(p, mc, faults, watch, artifact).map(|(got, stats)| (got, stats, None))
         };
         match task {
             Task::Reference => plain(program, None, None),
@@ -472,7 +491,8 @@ fn check(
                     .iter()
                     .filter_map(|w| traced.read_f64(w).map(|v| (w.to_string(), v)))
                     .collect();
-                Ok((base, traced.cycles(), traced.race_report().first().cloned()))
+                let first_race = traced.race_report().first().cloned();
+                Ok((base, traced.stats, first_race))
             }
             Task::Base => plain(candidate, None, artifact),
             Task::Seed(s) => plain(candidate, Some(vcfg.profile(s)), artifact),
@@ -482,19 +502,19 @@ fn check(
 
     let base = ran.next().expect("the base task");
     if reference.is_none() {
-        let (serial, _, _) = ran
+        let (serial, stats, _) = ran
             .next()
             .expect("the reference task")
             .map_err(|err| Failure::Reference { err })?;
-        *reference = Some(serial);
+        *reference = Some((serial, stats));
     }
-    let reference = reference
+    let (reference, _) = reference
         .as_ref()
         .expect("set above or by an earlier attempt");
 
     // The divergence is reported before the race, as the more direct
     // failure; both come from the same run's outputs.
-    let (base, _, first_race) = base.map_err(|err| Failure::Sim { seed: None, err })?;
+    let (base, base_stats, first_race) = base.map_err(|err| Failure::Sim { seed: None, err })?;
     let (_, max_rel_err, diff) = compare(reference, &base, vcfg.rel_tol);
     if let Some(diff) = diff {
         return Err(Failure::Divergence { seed: None, diff, max_rel_err });
@@ -505,11 +525,12 @@ fn check(
 
     // Results are in seed order, so collecting into `Result` reports
     // the first failing seed, exactly as a serial loop would.
-    vcfg.seeds
+    let seed_runs: Result<Vec<SeedRun>, Failure> = vcfg
+        .seeds
         .iter()
         .zip(ran)
         .map(|(&s, run)| {
-            let (got, cycles, _) = run.map_err(|err| Failure::Sim { seed: Some(s), err })?;
+            let (got, stats, _) = run.map_err(|err| Failure::Sim { seed: Some(s), err })?;
             let (bit_identical, max_rel_err, diff) = compare(&base, &got, vcfg.rel_tol);
             if let Some(diff) = diff {
                 return Err(Failure::Divergence {
@@ -520,12 +541,13 @@ fn check(
             }
             Ok(SeedRun {
                 seed: s,
-                cycles,
+                cycles: stats.cycles,
                 bit_identical,
                 max_rel_err,
             })
         })
-        .collect()
+        .collect();
+    Ok((seed_runs?, base_stats))
 }
 
 /// Parallel nest headers `(unit, line)` eligible for suppression: the
@@ -610,7 +632,7 @@ pub fn restructure_validated(
         let rr = restructure(program, &cfg);
         match check(program, &rr.program, mc, watch, vcfg, &mut reference) {
             Err(Failure::Reference { err }) => return Err(err),
-            Ok(seed_runs) => {
+            Ok((seed_runs, base_stats)) => {
                 return Ok(Validated {
                     program: rr.program,
                     report: rr.report,
@@ -620,6 +642,8 @@ pub fn restructure_validated(
                         seed_runs,
                         degraded_to_serial: false,
                     },
+                    reference_stats: reference.expect("a passed check ran or found it").1,
+                    base_stats: Some(base_stats),
                 })
             }
             Err(failure) => {
@@ -651,17 +675,19 @@ pub fn restructure_validated(
                         reason: format!("degraded to fully serial: {failure}"),
                         diff: failure.diff(),
                     });
-                    let seed_runs = check(program, &rr.program, mc, watch, vcfg, &mut reference)
-                        .unwrap_or_default();
+                    let (seed_runs, base_stats) =
+                        check(program, &rr.program, mc, watch, vcfg, &mut reference).ok().unzip();
                     return Ok(Validated {
                         program: rr.program,
                         report,
                         validation: ValidationReport {
                             attempts,
                             fallbacks,
-                            seed_runs,
+                            seed_runs: seed_runs.unwrap_or_default(),
                             degraded_to_serial: true,
                         },
+                        reference_stats: reference.expect("a candidate failed against it").1,
+                        base_stats,
                     });
                 }
                 let (unit, line) = pick_nest(&candidates, &failure);
@@ -697,6 +723,14 @@ mod tests {
          b(i) = i * 1.0\nc(i) = i * 0.5\nend do\na(1) = 1.0\ndo i = 2, n\n\
          t = sqrt(b(i)) + sqrt(c(i)) + sin(b(i)) * cos(c(i)) + exp(c(i) * 0.01)\n\
          a(i) = a(i - 1) * 0.5 + t\nend do\nx = a(n)\nend\n"
+    }
+
+    /// The shared-temporary `CDOALL` the race detector alone can reject.
+    fn racy_directive_src() -> &'static str {
+        "program p\nparameter (n = 64)\nreal a(n), t\n\
+         do i = 1, n\na(i) = real(i)\nend do\n\
+         cdoall i = 1, n\nt = a(i) * 2.0\na(i) = t + 1.0\nend cdoall\n\
+         x = a(n)\nend\n"
     }
 
     #[test]
@@ -737,16 +771,78 @@ mod tests {
     }
 
     #[test]
+    fn a_long_cascade_validates_in_time_linear_in_its_trip_count() {
+        // 1 536 iterations of the recurrence: the race-collecting run
+        // alone took 25 s while the detector kept a clock per sibling
+        // iteration (cubic in the trip count), most of a service
+        // request's 30 s deadline — for a program whose simulations take
+        // 2 ms. The awaits prove the cascade ran: a serial fallback
+        // would pass in no time too.
+        let src = doacross_src().replace("n = 96", "n = 1536");
+        let p = compile_free(&src).unwrap();
+        let started = std::time::Instant::now();
+        let v = restructure_validated(
+            &p,
+            &PassConfig::automatic_1991(),
+            &MachineConfig::cedar_config1_scaled(),
+            &["x"],
+            &ValidationConfig { seeds: vec![1, 2], ..Default::default() },
+        )
+        .unwrap();
+        assert!(v.validation.fallbacks.is_empty(), "{}", v.validation);
+        assert_eq!(v.validation.attempts, 1);
+        let base = v.base_stats.expect("the accepted program's base run");
+        assert!(base.awaits >= 1535, "the cascade did not run: {} awaits", base.awaits);
+        // Advisory bound, three orders of magnitude above what it takes.
+        assert!(started.elapsed().as_secs() < 20, "{:?}", started.elapsed());
+    }
+
+    #[test]
+    fn the_verdict_hands_back_the_runs_it_made() {
+        // Counters of the reference and of the accepted program's base
+        // run equal a plain run's to the last field — the detector
+        // charges nothing — whether accepted at once (DOALL, cascade),
+        // on a later attempt (which finds the reference already run) or
+        // not at all (degraded, and the serial program fails its check:
+        // the task group races whatever is suppressed).
+        let racy_tasks = "program p\nreal s\ns = 0.0\ncall ctskstart(add, s, 1.0)\n\
+                          call ctskstart(add, s, 2.0)\ncall tskwait\nx = s\nend\n\
+                          subroutine add(s, v)\nreal s, v\ns = s + v\nend\n";
+        let mc = MachineConfig::cedar_config1_scaled();
+        let plain = |p: &Program| format!("{:?}", cedar_sim::run(p, mc.clone()).unwrap().stats);
+        for (src, attempts, degraded) in [
+            (doall_src(), 1, false),
+            (doacross_src(), 1, false),
+            (racy_directive_src(), 2, false),
+            (racy_tasks, 1, true),
+        ] {
+            let p = compile_free(src).unwrap();
+            let v = restructure_validated(
+                &p,
+                &PassConfig::automatic_1991(),
+                &mc,
+                &["x"],
+                &ValidationConfig { seeds: vec![1, 2], ..Default::default() },
+            )
+            .unwrap();
+            assert_eq!(v.validation.attempts, attempts, "{}", v.validation);
+            assert_eq!(v.validation.degraded_to_serial, degraded, "{}", v.validation);
+            assert_eq!(format!("{:?}", v.reference_stats), plain(&p));
+            match &v.base_stats {
+                Some(base) => assert_eq!(format!("{base:?}"), plain(&v.program)),
+                None => assert!(degraded && v.validation.seed_runs.is_empty()),
+            }
+            assert_eq!(v.base_stats.is_none(), degraded);
+        }
+    }
+
+    #[test]
     fn racy_directive_nest_is_demoted_with_a_cited_race() {
         // Hand-written Cedar Fortran with a classic bug: a shared
         // scalar temporary in a CDOALL. Host-order execution computes
         // the right answer, so only the race detector can reject it —
         // and the validator must then demote the directive nest.
-        let src = "program p\nparameter (n = 64)\nreal a(n), t\n\
-                   do i = 1, n\na(i) = real(i)\nend do\n\
-                   cdoall i = 1, n\nt = a(i) * 2.0\na(i) = t + 1.0\nend cdoall\n\
-                   x = a(n)\nend\n";
-        let p = compile_free(src).unwrap();
+        let p = compile_free(racy_directive_src()).unwrap();
         let v = restructure_validated(
             &p,
             &PassConfig::automatic_1991(),
@@ -933,7 +1029,11 @@ mod tests {
          w = w + sqrt(real(j))\nend do\na(i) = t * 1.0\nend cdoall\nend\n"
     }
 
-    fn judge(program: &str, candidate: &str, seeds: &[u64]) -> Result<Vec<SeedRun>, Failure> {
+    fn judge(
+        program: &str,
+        candidate: &str,
+        seeds: &[u64],
+    ) -> Result<(Vec<SeedRun>, ExecStats), Failure> {
         let vcfg = ValidationConfig {
             seeds: seeds.to_vec(),
             rel_tol: 1e-9,
@@ -1038,7 +1138,7 @@ mod tests {
             .clone()
             .expect("the first attempt ran the reference");
         // A reference that is already there is used, not run again.
-        reference.as_mut().unwrap()[0].1[0] += 1.0;
+        reference.as_mut().unwrap().0[0].1[0] += 1.0;
         let second = check(&p, &rr.program, &mc, &["x", "y"], &vcfg, &mut reference);
         assert!(matches!(
             second,

@@ -220,21 +220,28 @@ fn serve(e: &mut Entries) {
     engine.sup.deadline = None;
     engine.sup.bundle_dir = scratch("serve-bundles");
     let breaker = Breaker::new(3, Duration::from_secs(5));
-    let upto_duration = |body: String| {
+    // A success body in two entries: the bytes up to the duration, and
+    // from the duration on with every wall-clock number masked (the
+    // request id is the request's key: it stays in the clear).
+    let mut push_success = |name: &str, body: String| {
         let cut = body.find("\"duration_ms\": ").expect("a success body") + "\"duration_ms\": ".len();
-        body[..cut].to_string()
+        e.push(name, body[..cut].to_string());
+        let (duration, rest) = body[cut..].split_once(", ").expect("members after the duration");
+        let (id, stages) = rest.split_once("\"stages_ms\": ").expect("the stage timings");
+        let tail = format!("{}, {id}\"stages_ms\": {}", masked(duration), masked(stages));
+        e.push(&format!("{name} from the duration on"), tail);
     };
     let mut req = ServeRequest::new(CLEAN);
     req.watch = vec!["a".into()];
     let handled = cedar_serve::handle(&req, &engine, &breaker);
     assert_eq!(handled.status, 200, "{}", handled.body);
-    e.push("handle success validated", upto_duration(handled.body));
+    push_success("handle success validated", handled.body);
     req.validate = false;
     req.machine = "fx80".into();
     req.backend = "openmp".parse().unwrap();
     let handled = cedar_serve::handle(&req, &engine, &breaker);
     assert_eq!(handled.status, 200, "{}", handled.body);
-    e.push("handle success unvalidated fx80 openmp", upto_duration(handled.body));
+    push_success("handle success unvalidated fx80 openmp", handled.body);
     let handled = cedar_serve::handle(&ServeRequest::new("program p\nx = = 1\nend\n"), &engine, &breaker);
     e.push(&format!("handle compile error {}", handled.status), handled.body);
 
@@ -327,9 +334,14 @@ fn failure(seed: u64, bundle: Option<&str>) -> FailureLine {
 fn full_framing(det: &str, full: &str) -> String {
     let shared = det.len() - "\n}\n".len();
     assert_eq!(det[..shared], full[..shared], "to_json_full must extend to_json");
+    masked(&full[shared..])
+}
+
+/// `text` with every number replaced by `#`.
+fn masked(text: &str) -> String {
     let mut out = String::new();
     let mut in_number = false;
-    for c in full[shared..].chars() {
+    for c in text.chars() {
         if c.is_ascii_digit() || (in_number && c == '.') {
             if !in_number {
                 out.push('#');

@@ -17,7 +17,18 @@
 //!   ROADMAP item 4(b): toeplz 16 195, OCEAN 10 549, MG3D 9 756). The
 //!   ceilings are 1.25 × the totals at the commit that introduced this
 //!   test, so a later change can move them down and nothing moves them
-//!   up unnoticed.
+//!   up unnoticed;
+//! * the happens-before detector's clocks are indexed by
+//!   synchronization object (DESIGN.md §8), so a race-collecting run
+//!   allocates a constant number of times per sync edge, whatever the
+//!   trip count. With the per-iteration clock maps of the parent of
+//!   PR 22 the distance-1 cascade of `cedar-verify`'s tests allocated
+//!   25 136 / 1 566 072 / 100 200 539 times at 96 / 384 / 1 536
+//!   iterations (cubic; the 1 536 run took 29 s) and a DOALL whose body
+//!   is one critical section 2 396 / 36 896 / 588 987 times
+//!   (quadratic); the 22 pool candidates, which contain no cascade and
+//!   1 956 lock acquisitions, 828 139 times. The counts now are
+//!   asserted exactly below, with `4 · n + 200` as the linear bound.
 
 use cedar_restructure::{restructure, PassConfig};
 use cedar_sim::{Engine, MachineConfig};
@@ -92,6 +103,47 @@ const VECTOR_STMT: &str = "
 /// commit (16 500 serial originals, 75 336 candidates).
 const POOL_CEILINGS: (u64, u64) = (20_625, 94_170);
 
+/// 1.25 × the race-collecting total over the pool's 22 candidates at
+/// the commit that introduced the count (672 274).
+const POOL_RACE_CEILING: u64 = 840_342;
+
+/// Allocations of one race-collecting run of `p`, bytecode compilation
+/// included, and the sync edges (awaits + lock acquisitions) it met.
+fn race_run_allocs(p: &cedar_ir::Program) -> (u64, u64) {
+    let before = ALLOCS.load(Ordering::Relaxed);
+    let sim = cedar_sim::run_collecting_races(p, MachineConfig::cedar_config1()).expect("runs");
+    let edges = sim.stats.awaits + sim.stats.lock_acquisitions;
+    assert_eq!(sim.races_detected(), 0, "the program is race-free");
+    drop(sim);
+    (ALLOCS.load(Ordering::Relaxed) - before, edges)
+}
+
+/// Race-collecting allocations at 96 / 384 / 1 536 iterations.
+const CASCADE_ALLOCS: [u64; 3] = [413, 1_010, 3_362];
+const LOCK_CHAIN_ALLOCS: [u64; 3] = [297, 881, 3_193];
+
+/// `cedar-verify`'s distance-1 recurrence at trip count `n`, as the
+/// restructurer emits it: one `await` / `advance` cascade.
+fn cascade(n: usize) -> cedar_ir::Program {
+    let src = format!(
+        "program p\nparameter (n = {n})\nreal a(n), b(n), c(n)\ndo i = 1, n\n\
+         b(i) = i * 1.0\nc(i) = i * 0.5\nend do\na(1) = 1.0\ndo i = 2, n\n\
+         t = sqrt(b(i)) + sqrt(c(i)) + sin(b(i)) * cos(c(i)) + exp(c(i) * 0.01)\n\
+         a(i) = a(i - 1) * 0.5 + t\nend do\nx = a(n)\nend\n"
+    );
+    restructure(&cedar_ir::compile_free(&src).unwrap(), &PassConfig::automatic_1991()).program
+}
+
+/// A DOALL of `n` iterations whose body is one critical section: the
+/// lock's holders form a chain `n` long.
+fn lock_chain(n: usize) -> cedar_ir::Program {
+    let src = format!(
+        "program p\nparameter (n = {n})\nreal a(n), s\ndo i = 1, n\na(i) = real(i)\nend do\n\
+         s = 0.0\ncdoall i = 1, n\ncall lock(1)\ns = s + a(i)\ncall unlock(1)\nend cdoall\nend\n"
+    );
+    cedar_ir::compile_free(&src).unwrap()
+}
+
 #[test]
 fn simulator_run_allocations_stay_exact_and_small() {
     let scalar = cedar_ir::compile_source(SCALAR_NEST).unwrap();
@@ -112,20 +164,40 @@ fn simulator_run_allocations_stay_exact_and_small() {
         (cedar_workloads::table1_workloads(), PassConfig::automatic_1991()),
         (cedar_workloads::table2_workloads(), PassConfig::manual_improved()),
     ];
-    println!("{:<8} {:>10} {:>10}", "program", "serial", "candidate");
-    let (mut serial, mut candidate) = (0, 0);
+    println!("{:<8} {:>10} {:>10} {:>10}", "program", "serial", "candidate", "race run");
+    let (mut serial, mut candidate, mut raced) = (0, 0, 0u64);
     for (workloads, cfg) in &pool {
         for w in workloads {
             let p = w.compile();
             let r = restructure(&p, cfg).program;
             let (s, c) = (run_allocs(&p, Engine::Vm), run_allocs(&r, Engine::Vm));
-            println!("{:<8} {s:>10} {c:>10}", w.name);
+            let rc = race_run_allocs(&r).0;
+            println!("{:<8} {s:>10} {c:>10} {rc:>10}", w.name);
             serial += s;
             candidate += c;
+            raced += rc;
         }
     }
-    println!("{:<8} {serial:>10} {candidate:>10}", "total");
-    println!("{:<8} {:>10} {:>10}", "ceiling", POOL_CEILINGS.0, POOL_CEILINGS.1);
+    println!("{:<8} {serial:>10} {candidate:>10} {raced:>10}", "total");
+    let ceilings = (POOL_CEILINGS.0, POOL_CEILINGS.1, POOL_RACE_CEILING);
+    println!("{:<8} {:>10} {:>10} {:>10}", "ceiling", ceilings.0, ceilings.1, ceilings.2);
     assert!(serial <= POOL_CEILINGS.0, "serial originals: {serial} allocations");
     assert!(candidate <= POOL_CEILINGS.1, "candidates: {candidate} allocations");
+    assert!(raced <= POOL_RACE_CEILING, "race-collecting candidates: {raced} allocations");
+
+    // Sync edges: a constant number of allocations each.
+    type Shape = fn(usize) -> cedar_ir::Program;
+    let shapes: [(&str, Shape, [u64; 3]); 2] = [
+        ("cascade", cascade, CASCADE_ALLOCS),
+        ("lock chain", lock_chain, LOCK_CHAIN_ALLOCS),
+    ];
+    for (name, program, want) in shapes {
+        for (n, want) in [96, 384, 1536].into_iter().zip(want) {
+            let (got, edges) = race_run_allocs(&program(n));
+            println!("{name}, {n} iterations, {edges} sync edges: race-collecting run {got}");
+            assert!(edges as usize >= n - 1, "{name} {n}: the loop was not synchronized");
+            assert_eq!(got, want, "{name} {n}: race-collecting allocations");
+            assert!(got <= 4 * n as u64 + 200, "{name} {n}: more than linear");
+        }
+    }
 }
