@@ -269,18 +269,19 @@ struct Channel {
     /// Task groups only, whose threads interleave: thread → indices of
     /// its events. Everywhere else iterations run in index order, so
     /// `events` is sorted by iteration and is its own index.
-    by_iter: BTreeMap<u32, Vec<u32>>,
+    by_iter: Option<BTreeMap<u32, Vec<u32>>>,
 }
 
 impl Channel {
     /// Segment clock of the last event of `iter` among the first `n`
     /// (clocks rise with the index, so the last visible is the highest).
-    fn last_visible(&self, iter: u32, n: usize, interleaved: bool) -> Option<u32> {
-        let at = if interleaved {
-            let own = self.by_iter.get(&iter)?;
-            own[..own.partition_point(|&i| (i as usize) < n)].last().copied()? as usize
-        } else {
-            self.events[..n].partition_point(|e| e.iter <= iter).checked_sub(1)?
+    fn last_visible(&self, iter: u32, n: usize) -> Option<u32> {
+        let at = match &self.by_iter {
+            Some(index) => {
+                let own = index.get(&iter)?;
+                own[..own.partition_point(|&i| (i as usize) < n)].last().copied()? as usize
+            }
+            None => self.events[..n].partition_point(|e| e.iter <= iter).checked_sub(1)?,
         };
         let e = &self.events[at];
         (e.iter == iter).then_some(e.clock)
@@ -322,7 +323,8 @@ impl RegionFrame {
     /// segment (accesses after the event are not ordered by it).
     fn publish(&mut self, sync: SyncObject) {
         let c = self.channels.iter().position(|c| c.sync == sync).unwrap_or_else(|| {
-            self.channels.push(Channel { sync, events: Vec::new(), by_iter: BTreeMap::new() });
+            let by_iter = self.task_group.then(BTreeMap::new);
+            self.channels.push(Channel { sync, events: Vec::new(), by_iter });
             self.channels.len() - 1
         });
         let ch = &mut self.channels[c];
@@ -330,8 +332,8 @@ impl RegionFrame {
         if let Some(prev) = ch.events.last() {
             know_join(&mut know, &prev.know);
         }
-        if self.task_group {
-            ch.by_iter.entry(self.cur_iter).or_default().push(ch.events.len() as u32);
+        if let Some(index) = &mut ch.by_iter {
+            index.entry(self.cur_iter).or_default().push(ch.events.len() as u32);
         }
         ch.events.push(Event { iter: self.cur_iter, clock: self.cur_clock, know });
         self.cur_clock += 1;
@@ -355,7 +357,7 @@ impl RegionFrame {
     /// observed through any channel.
     fn observed(&self, iter: u32) -> Option<u32> {
         let seen = self.channels.iter().zip(&self.know);
-        seen.filter_map(|(ch, &n)| ch.last_visible(iter, n as usize, self.task_group)).max()
+        seen.filter_map(|(ch, &n)| ch.last_visible(iter, n as usize)).max()
     }
 }
 

@@ -525,7 +525,7 @@ fn check(
 
     // Results are in seed order, so collecting into `Result` reports
     // the first failing seed, exactly as a serial loop would.
-    let seed_runs: Result<Vec<SeedRun>, Failure> = vcfg
+    let seed_runs = vcfg
         .seeds
         .iter()
         .zip(ran)
@@ -546,8 +546,8 @@ fn check(
                 max_rel_err,
             })
         })
-        .collect();
-    Ok((seed_runs?, base_stats))
+        .collect::<Result<Vec<SeedRun>, Failure>>()?;
+    Ok((seed_runs, base_stats))
 }
 
 /// Parallel nest headers `(unit, line)` eligible for suppression: the
@@ -780,7 +780,6 @@ mod tests {
         // would pass in no time too.
         let src = doacross_src().replace("n = 96", "n = 1536");
         let p = compile_free(&src).unwrap();
-        let started = std::time::Instant::now();
         let v = restructure_validated(
             &p,
             &PassConfig::automatic_1991(),
@@ -793,8 +792,6 @@ mod tests {
         assert_eq!(v.validation.attempts, 1);
         let base = v.base_stats.expect("the accepted program's base run");
         assert!(base.awaits >= 1535, "the cascade did not run: {} awaits", base.awaits);
-        // Advisory bound, three orders of magnitude above what it takes.
-        assert!(started.elapsed().as_secs() < 20, "{:?}", started.elapsed());
     }
 
     #[test]
@@ -828,11 +825,10 @@ mod tests {
             assert_eq!(v.validation.attempts, attempts, "{}", v.validation);
             assert_eq!(v.validation.degraded_to_serial, degraded, "{}", v.validation);
             assert_eq!(format!("{:?}", v.reference_stats), plain(&p));
-            match &v.base_stats {
-                Some(base) => assert_eq!(format!("{base:?}"), plain(&v.program)),
-                None => assert!(degraded && v.validation.seed_runs.is_empty()),
-            }
             assert_eq!(v.base_stats.is_none(), degraded);
+            if let Some(base) = &v.base_stats {
+                assert_eq!(format!("{base:?}"), plain(&v.program));
+            }
         }
     }
 

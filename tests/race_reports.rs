@@ -164,16 +164,12 @@ const HEAD: &str = "program p\nparameter (n = 96)\nreal a(n), b(n), c(n), d(n), 
                     do i = 1, n\na(i) = real(i)\nb(i) = 1.0\nc(i) = 2.0\nd(i) = 3.0\nend do\n\
                     s = 0.0\ns2 = 0.0\n";
 
-/// A subroutine task group whose threads (and the spawner between the
-/// spawns) take a lock; the broken variant's tasks do not.
-const TASKS_CLEAN: &str = "program p\nreal s\ns = 0.0\ncall ctskstart(add, s, 1.0)\n\
+/// A subroutine task group whose spawner takes a lock between the
+/// spawns; the tasks' subroutine takes it in the clean variant only.
+const TASKS: &str = "program p\nreal s\ns = 0.0\ncall ctskstart(add, s, 1.0)\n\
      call lock(1)\ns = s + 0.5\ncall unlock(1)\ncall ctskstart(add, s, 2.0)\n\
      call ctskstart(add, s, 3.0)\ncall lock(1)\ns = s + 0.25\ncall unlock(1)\ncall tskwait\n\
-     x = s\nend\nsubroutine add(s, v)\nreal s, v\ncall lock(1)\ns = s + v\ncall unlock(1)\nend\n";
-const TASKS_BROKEN: &str = "program p\nreal s\ns = 0.0\ncall ctskstart(add, s, 1.0)\n\
-     call lock(1)\ns = s + 0.5\ncall unlock(1)\ncall ctskstart(add, s, 2.0)\n\
-     call ctskstart(add, s, 3.0)\ncall lock(1)\ns = s + 0.25\ncall unlock(1)\ncall tskwait\n\
-     x = s\nend\nsubroutine add(s, v)\nreal s, v\ns = s + v\nend\n";
+     x = s\nend\nsubroutine add(s, v)\nreal s, v\n";
 
 fn report_lines() -> Vec<String> {
     let mut pool = cedar_workloads::table1_workloads();
@@ -216,8 +212,9 @@ fn report_lines() -> Vec<String> {
         hand.push((format!("shape {name} clean"), format!("{HEAD}{clean}x = b(n) + s\nend\n")));
         hand.push((format!("shape {name} broken"), format!("{HEAD}{broken}x = b(n) + s\nend\n")));
     }
-    hand.push(("shape task-group-lock clean".into(), TASKS_CLEAN.into()));
-    hand.push(("shape task-group-lock broken".into(), TASKS_BROKEN.into()));
+    let locked = "call lock(1)\ns = s + v\ncall unlock(1)\nend\n";
+    hand.push(("shape task-group-lock clean".into(), format!("{TASKS}{locked}")));
+    hand.push(("shape task-group-lock broken".into(), format!("{TASKS}s = s + v\nend\n")));
     for (label, src) in &hand {
         lines.extend(report(label, &compiled(label, src)));
     }

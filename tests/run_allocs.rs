@@ -179,8 +179,8 @@ fn simulator_run_allocations_stay_exact_and_small() {
         }
     }
     println!("{:<8} {serial:>10} {candidate:>10} {raced:>10}", "total");
-    let ceilings = (POOL_CEILINGS.0, POOL_CEILINGS.1, POOL_RACE_CEILING);
-    println!("{:<8} {:>10} {:>10} {:>10}", "ceiling", ceilings.0, ceilings.1, ceilings.2);
+    let (serial_max, candidate_max) = POOL_CEILINGS;
+    println!("{:<8} {serial_max:>10} {candidate_max:>10} {POOL_RACE_CEILING:>10}", "ceiling");
     assert!(serial <= POOL_CEILINGS.0, "serial originals: {serial} allocations");
     assert!(candidate <= POOL_CEILINGS.1, "candidates: {candidate} allocations");
     assert!(raced <= POOL_RACE_CEILING, "race-collecting candidates: {raced} allocations");
