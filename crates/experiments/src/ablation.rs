@@ -133,7 +133,7 @@ pub fn global_streams() -> Sweep {
     let mut points = Vec::new();
     for streams in [4.0f64, 10.0, 32.0] {
         let mut mc = MachineConfig::cedar_config1();
-        mc.global_streams = streams;
+        mc.machine.global_streams = streams;
         let o = run_program(&prog, None, &mc, &w.watch);
         points.push((format!("streams={streams}"), o.cycles));
     }

@@ -26,6 +26,7 @@
 
 pub mod expr;
 pub mod lower;
+pub mod machine;
 pub mod print;
 pub mod program;
 pub mod stmt;
@@ -38,6 +39,7 @@ pub use cedar_f77::Span;
 
 pub use expr::{BinOp, Expr, Index, Intrinsic, ParMode, UnOp};
 pub use lower::{lower, LowerError};
+pub use machine::{Machine, Planning};
 pub use program::{CommonBlock, Program, Unit, UnitId, UnitKind};
 pub use stmt::{LValue, Loop, Stmt, SyncOp};
 pub use symbol::{Placement, SymKind, Symbol, SymbolId};

@@ -1,5 +1,6 @@
-//! Machine configurations and the cycle-cost model parameters.
+//! Run configurations: a [`Machine`] plus the settings of one run on it.
 
+use cedar_ir::Machine;
 use cedar_par::CancelToken;
 use std::time::Duration;
 
@@ -20,98 +21,18 @@ pub enum Engine {
     Vm,
 }
 
-/// All cost-model parameters of a simulated machine. The named
-/// constructors encode the two Cedar configurations the paper used plus
-/// the Alliant FX/80 baseline (one Cedar-like cluster).
+/// A machine and how to run on it. The model — topology, costs,
+/// capacities — is the [`Machine`] the restructurer also plans from;
+/// the rest says which engine runs, what stops a runaway program and
+/// what is observed on the way.
 ///
-/// Costs are in cycles; capacities in bytes. The `*_scaled`
-/// constructors divide capacities by [`MachineConfig::DEFAULT_SCALE`] so
-/// that reduced workload sizes keep the paper's working-set /
-/// capacity ratios (see DESIGN.md §2).
+/// The `*_scaled` constructors divide capacities by
+/// [`MachineConfig::DEFAULT_SCALE`] so that reduced workload sizes keep
+/// the paper's working-set / capacity ratios (see DESIGN.md §2).
 #[derive(Debug, Clone)]
 pub struct MachineConfig {
-    /// Label printed in harness output.
-    pub name: String,
-    // ---- topology ----
-    /// Number of clusters (Cedar: 4; FX/80: 1).
-    pub clusters: usize,
-    /// Computational elements per cluster (8).
-    pub ces_per_cluster: usize,
-
-    // ---- per-access memory costs (cycles per element) ----
-    /// Cluster cache / CE-local data (privatized loop locals).
-    pub cache_hit: f64,
-    /// Cluster memory behind the cluster switch.
-    pub cluster_mem: f64,
-    /// Global memory, scalar (non-pipelined) access.
-    pub global_scalar: f64,
-    /// Global memory, vector access without prefetch (partially
-    /// pipelined through the interconnect).
-    pub global_vector: f64,
-    /// Global memory, vector access with the prefetch unit engaged —
-    /// *faster per element than cluster memory*: Fig. 8's global-data
-    /// variant beats the cluster-memory baseline on one cluster "because
-    /// of the high transfer rate of global memory and prefetch".
-    pub global_prefetch: f64,
-    /// Is compiler-inserted prefetch enabled (§2.2.3)?
-    pub prefetch: bool,
-
-    // ---- computation costs ----
-    /// One scalar ALU/FPU operation.
-    pub scalar_op: f64,
-    /// Per-element cost of a vector operation once the pipe is full.
-    pub vector_op: f64,
-    /// Pipeline fill / vector instruction issue overhead per vector
-    /// statement.
-    pub vector_startup: f64,
-    /// Fixed cost of a CALL/RETURN pair.
-    pub call_overhead: f64,
-    /// Cost charged for an I/O statement (treated as buffered no-op).
-    pub io_cost: f64,
-
-    // ---- parallel loop startup / scheduling (§2.2.1) ----
-    /// CDOALL/CDOACROSS startup via the concurrency control bus.
-    pub cdo_start: f64,
-    /// Per-iteration dispatch cost on the concurrency bus.
-    pub cdo_dispatch: f64,
-    /// SDOALL startup through the runtime library (helper tasks).
-    pub sdo_start: f64,
-    /// XDOALL startup through the runtime library.
-    pub xdo_start: f64,
-    /// Per-iteration dispatch cost of library microtasking.
-    pub lib_dispatch: f64,
-    /// End-of-loop barrier cost per participant wave.
-    pub barrier: f64,
-
-    // ---- subroutine-level tasking (§2.2.2) ----
-    /// Starting a new OS cluster task (`ctskstart`): "much higher
-    /// overhead, but ... unrestricted forms of synchronization".
-    pub ctsk_start: f64,
-    /// Dispatching onto an existing helper task (`mtskstart`):
-    /// "a low-overhead mechanism ... a finer grain of parallelism".
-    pub mtsk_start: f64,
-
-    // ---- synchronization (§2.1, §4.1.6) ----
-    /// Cycles to test a cascade counter (excluding stall time).
-    pub await_cost: f64,
-    /// Cycles to bump a cascade counter.
-    pub advance_cost: f64,
-    /// Cycles to acquire/release a lock (excluding stall time).
-    pub lock_cost: f64,
-
-    // ---- global memory bandwidth / contention ----
-    /// Number of concurrent global-memory streams the interconnect
-    /// sustains at full speed; more simultaneous participants than this
-    /// scale access costs linearly (Fig. 8 saturation).
-    pub global_streams: f64,
-
-    // ---- capacity / paging model ----
-    /// Physical bytes of one cluster memory.
-    pub cluster_capacity: u64,
-    /// Physical bytes of global memory.
-    pub global_capacity: u64,
-    /// Surcharge (cycles, amortized per access) once a pool thrashes.
-    pub page_fault_cost: f64,
+    /// The simulated machine.
+    pub machine: Machine,
 
     // ---- interpreter safety ----
     /// DO WHILE iteration bound (runaway-loop backstop).
@@ -155,38 +76,10 @@ impl MachineConfig {
     /// pool — exactly the `mprove`/CG story of Table 1.
     pub const DEFAULT_SCALE: u64 = 128;
 
-    /// Common cost skeleton shared by all configurations.
-    fn base(name: &str, clusters: usize) -> MachineConfig {
+    /// `machine` under the default run settings.
+    pub fn on(machine: Machine) -> MachineConfig {
         MachineConfig {
-            name: name.to_string(),
-            clusters,
-            ces_per_cluster: 8,
-            cache_hit: 1.0,
-            cluster_mem: 3.0,
-            global_scalar: 40.0,
-            global_vector: 3.0,
-            global_prefetch: 0.75,
-            prefetch: true,
-            scalar_op: 1.0,
-            vector_op: 0.5,
-            vector_startup: 25.0,
-            call_overhead: 30.0,
-            io_cost: 50.0,
-            cdo_start: 60.0,
-            cdo_dispatch: 2.0,
-            sdo_start: 2200.0,
-            xdo_start: 2800.0,
-            lib_dispatch: 12.0,
-            barrier: 20.0,
-            ctsk_start: 12000.0,
-            mtsk_start: 400.0,
-            await_cost: 6.0,
-            advance_cost: 4.0,
-            lock_cost: 30.0,
-            global_streams: 10.0,
-            cluster_capacity: 16 << 20,
-            global_capacity: 64 << 20,
-            page_fault_cost: 400.0,
+            machine,
             max_while_iters: 50_000_000,
             watchdog_ops: 4_000_000_000,
             detect_races: false,
@@ -196,46 +89,28 @@ impl MachineConfig {
         }
     }
 
-    /// Cedar Configuration 1: 4 clusters × 8 CEs, 64 MB global,
-    /// 16 MB cluster memory each (the machine of Table 1 and the
-    /// "Automatically compiled" column of Table 2).
+    /// [`Machine::cedar_config1`].
     pub fn cedar_config1() -> MachineConfig {
-        Self::base("cedar-config1", 4)
+        Self::on(Machine::cedar_config1())
     }
 
-    /// Cedar Configuration 2: like Configuration 1 but 64 MB of cluster
-    /// memory per cluster (the "Manually improved" runs).
+    /// [`Machine::cedar_config2`].
     pub fn cedar_config2() -> MachineConfig {
-        let mut c = Self::base("cedar-config2", 4);
-        c.cluster_capacity = 64 << 20;
-        c
+        Self::on(Machine::cedar_config2())
     }
 
-    /// Alliant FX/80 baseline: a single Cedar-like cluster (8 CEs),
-    /// no global memory hierarchy — "global" placements behave like
-    /// cluster memory and cross-cluster loop classes degrade to their
-    /// cluster forms.
+    /// [`Machine::fx80`].
     pub fn fx80() -> MachineConfig {
-        let mut c = Self::base("fx80", 1);
-        // One memory level: global == cluster memory in cost.
-        c.global_scalar = c.cluster_mem;
-        c.global_vector = c.cluster_mem * 0.5;
-        c.global_prefetch = c.cluster_mem * 0.5;
-        c.global_streams = 32.0; // bus is not the bottleneck at 8 CEs
-        c.sdo_start = c.cdo_start; // no cross-cluster library path
-        c.xdo_start = c.cdo_start;
-        c.lib_dispatch = c.cdo_dispatch;
-        c.cluster_capacity = 32 << 20;
-        c.global_capacity = 32 << 20;
-        c
+        Self::on(Machine::fx80())
     }
 
     /// Scale both capacities down by `factor` (keeps working-set ratios
     /// when workloads shrink).
     pub fn scaled(mut self, factor: u64) -> MachineConfig {
-        self.cluster_capacity = (self.cluster_capacity / factor).max(1);
-        self.global_capacity = (self.global_capacity / factor).max(1);
-        self.name = format!("{}-scaled{factor}", self.name);
+        let m = &mut self.machine;
+        m.cluster_capacity = (m.cluster_capacity / factor).max(1);
+        m.global_capacity = (m.global_capacity / factor).max(1);
+        m.name = format!("{}-scaled{factor}", m.name);
         self
     }
 
@@ -256,21 +131,16 @@ impl MachineConfig {
         Self::fx80().scaled(Self::DEFAULT_SCALE)
     }
 
-    /// Total CE count.
-    pub fn total_ces(&self) -> usize {
-        self.clusters * self.ces_per_cluster
-    }
-
     /// Disable the prefetch unit (Fig. 6 ablation).
     pub fn without_prefetch(mut self) -> MachineConfig {
-        self.prefetch = false;
+        self.machine.prefetch = false;
         self
     }
 
     /// Restrict the machine to `n` clusters (Fig. 8 sweep).
     pub fn with_clusters(mut self, n: usize) -> MachineConfig {
         assert!(n >= 1);
-        self.clusters = n;
+        self.machine.clusters = n;
         self
     }
 
@@ -317,20 +187,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn configurations_differ_as_documented() {
-        let c1 = MachineConfig::cedar_config1();
-        let c2 = MachineConfig::cedar_config2();
-        assert_eq!(c1.total_ces(), 32);
-        assert_eq!(c1.cluster_capacity, 16 << 20);
-        assert_eq!(c2.cluster_capacity, 64 << 20);
-        let fx = MachineConfig::fx80();
-        assert_eq!(fx.total_ces(), 8);
-        assert_eq!(fx.global_scalar, fx.cluster_mem);
-    }
-
-    #[test]
     fn scaling_preserves_ratio() {
-        let c = MachineConfig::cedar_config1().scaled(1024);
+        let c = MachineConfig::cedar_config1().scaled(1024).machine;
         assert_eq!(c.cluster_capacity, (16 << 20) / 1024);
         assert_eq!(c.global_capacity, (64 << 20) / 1024);
         assert_eq!(
@@ -343,9 +201,9 @@ mod tests {
     #[test]
     fn ablation_helpers() {
         let c = MachineConfig::cedar_config1().without_prefetch();
-        assert!(!c.prefetch);
+        assert!(!c.machine.prefetch);
         let c = MachineConfig::cedar_config1().with_clusters(2);
-        assert_eq!(c.total_ces(), 16);
+        assert_eq!(c.machine.total_ces(), 16);
     }
 
     #[test]

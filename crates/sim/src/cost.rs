@@ -1,7 +1,7 @@
 //! The cost model: every simulated cycle is charged here.
 //!
-//! [`CostModel`] is built once per simulator from the [`MachineConfig`]
-//! and is the only reader of its cost fields: the executor keeps the
+//! [`CostModel`] is built once per simulator from the [`Machine`] and
+//! is the only reader of its cost fields: the executor keeps the
 //! machine's topology and run limits and no cost field, so tree-walker,
 //! VM dispatch loop and prepass all charge through these entry points
 //! by construction, not by convention.
@@ -31,11 +31,10 @@
 //! is one `mem_jitter` draw per memory level charged, in order.
 //! `tests/cycle_bits.rs` pins the result.
 
-use crate::config::MachineConfig;
 use crate::fault::FaultState;
 use crate::stats::ExecStats;
 use crate::store::Store;
-use cedar_ir::{LoopClass, ParMode, Placement};
+use cedar_ir::{LoopClass, Machine, ParMode, Placement};
 
 /// What `ctskstart` / `mtskstart` cost the *starter*: the dispatch
 /// handshake (the thread begins `ctsk_start` / `mtsk_start` later).
@@ -116,12 +115,12 @@ pub(crate) struct CostModel {
     /// Cycles per [`CostClass`].
     fixed: [f64; N_CLASSES],
     /// What the computed charges read.
-    cfg: MachineConfig,
+    cfg: Machine,
 }
 
 impl CostModel {
     /// Take over the cost fields of `cfg`.
-    pub(crate) fn build(cfg: MachineConfig) -> CostModel {
+    pub(crate) fn build(cfg: Machine) -> CostModel {
         use CostClass::*;
         let mut fixed = [0.0; N_CLASSES];
         let mut set = |class: CostClass, cycles: f64| fixed[class as usize] = cycles;
@@ -344,10 +343,11 @@ fn thrash_factor(allocated: u64, capacity: u64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::MachineConfig;
 
     #[test]
     fn table_entries_are_verbatim_config_bits() {
-        let cfg = MachineConfig::cedar_config1();
+        let cfg = Machine::cedar_config1();
         let t = CostModel::build(cfg.clone());
         assert_eq!(t.fixed(CostClass::ScalarOp).to_bits(), cfg.scalar_op.to_bits());
         assert_eq!(t.fixed(CostClass::CacheHit).to_bits(), cfg.cache_hit.to_bits());
@@ -396,20 +396,19 @@ mod tests {
         "program p\nreal a(65536), g(262144)\nglobal g\na(1) = 1.0\ng(1) = a(1)\nend\n",
     ];
 
-    /// The `f64` cost fields by name. Every field of the configuration
-    /// is named here: a new one does not compile until it is sorted
-    /// into the costs (and so scaled by the test below) or the rest.
-    fn cost_fields(cfg: &mut MachineConfig) -> Vec<(&'static str, &mut f64)> {
+    /// The `f64` cost fields by name. Every field of the machine is
+    /// named here: a new one does not compile until it is sorted into
+    /// the costs (and so scaled by the test below) or the rest.
+    fn cost_fields(cfg: &mut Machine) -> Vec<(&'static str, &mut f64)> {
         macro_rules! named {
             ($($f:ident),*) => { vec![$((stringify!($f), $f)),*] };
         }
-        let MachineConfig {
+        let Machine {
             name: _, clusters: _, ces_per_cluster: _, cache_hit, cluster_mem, global_scalar,
             global_vector, global_prefetch, prefetch: _, scalar_op, vector_op, vector_startup,
             call_overhead, io_cost, cdo_start, cdo_dispatch, sdo_start, xdo_start, lib_dispatch,
             barrier, ctsk_start, mtsk_start, await_cost, advance_cost, lock_cost, global_streams,
-            cluster_capacity: _, global_capacity: _, page_fault_cost, max_while_iters: _,
-            watchdog_ops: _, detect_races: _, fast_paths: _, cancel: _, engine: _,
+            cluster_capacity: _, global_capacity: _, page_fault_cost,
         } = cfg;
         named!(
             cache_hit, cluster_mem, global_scalar, global_vector, global_prefetch, scalar_op,
@@ -424,14 +423,14 @@ mod tests {
     #[test]
     fn every_cost_field_is_live() {
         let programs: Vec<_> = PROBES.iter().map(|src| cedar_ir::compile_free(src).unwrap()).collect();
-        let cycles = |cfg: &MachineConfig| -> Vec<u64> {
-            let run = |p| crate::run(p, cfg.clone()).unwrap().cycles().to_bits();
+        let cycles = |m: &Machine| -> Vec<u64> {
+            let run = |p| crate::run(p, MachineConfig::on(m.clone())).unwrap().cycles().to_bits();
             programs.iter().map(run).collect()
         };
-        let base = MachineConfig::cedar_config1_scaled();
+        let base = MachineConfig::cedar_config1_scaled().machine;
         let at_base = cycles(&base);
         let mut variants = vec![
-            ("prefetch", base.clone().without_prefetch()),
+            ("prefetch", Machine { prefetch: false, ..base.clone() }),
             ("cluster_capacity", base.clone()),
             ("global_capacity", base.clone()),
         ];

@@ -166,13 +166,13 @@ impl<'p> Simulator<'p> {
         let pre = Prepass::build(program, config.fast_paths);
         let mut sim = Simulator {
             program,
-            store: Store::new(config.clusters),
-            clusters: config.clusters,
-            ces_per_cluster: config.ces_per_cluster,
+            store: Store::new(config.machine.clusters),
+            clusters: config.machine.clusters,
+            ces_per_cluster: config.machine.ces_per_cluster,
             max_while_iters: config.max_while_iters,
             watchdog_ops: config.watchdog_ops,
             cancel: config.cancel.take(),
-            costs: CostModel::build(config),
+            costs: CostModel::build(config.machine),
             stats: ExecStats::default(),
             commons: BTreeMap::new(),
             entry_frame: None,
@@ -523,7 +523,7 @@ mod tests {
         let big = crate::run(p, MachineConfig::cedar_config1()).unwrap();
         // Shrink cluster memory below the array footprint.
         let mut small_cfg = MachineConfig::cedar_config1();
-        small_cfg.cluster_capacity = 1024;
+        small_cfg.machine.cluster_capacity = 1024;
         let small = crate::run(p, small_cfg).unwrap();
         assert!(small.cycles() > big.cycles() * 2.0);
         assert!(small.stats.paged_accesses > 0.0);

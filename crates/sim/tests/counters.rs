@@ -129,9 +129,9 @@ fn fewer_global_streams_cost_more_cycles() {
     let src = "program p\nprocess common /g/ a(4096), b(4096)\nreal a, b\n\
                b(1:4096) = 1.0\nxdoall i = 1, 32\na(1:4096) = b(1:4096)\nend xdoall\nend\n";
     let mut wide = MachineConfig::cedar_config2();
-    wide.global_streams = 32.0;
+    wide.machine.global_streams = 32.0;
     let mut narrow = MachineConfig::cedar_config2();
-    narrow.global_streams = 4.0;
+    narrow.machine.global_streams = 4.0;
     let fast = sim_on(src, wide);
     let slow = sim_on(src, narrow);
     assert!(
@@ -147,7 +147,7 @@ fn paging_surcharge_scales_with_overflow() {
     // Two cluster arrays: one fits, one overflows the (scaled-down)
     // cluster memory. Only the second run pays the thrash surcharge.
     let mut mc = MachineConfig::cedar_config1();
-    mc.cluster_capacity = 2048; // 512 REAL elements
+    mc.machine.cluster_capacity = 2048; // 512 REAL elements
     let fits = sim_on(
         "program p\nreal a(256)\ndo i = 1, 256\na(i) = 1.0\nend do\nend\n",
         mc.clone(),

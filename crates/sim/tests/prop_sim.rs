@@ -99,9 +99,9 @@ proptest! {
                    do i = 1, n\na(i) = real(i)\nend do\ns = a(n)\nend\n";
         let p = cedar_ir::compile_free(src).unwrap();
         let mut small = MachineConfig::cedar_config1();
-        small.cluster_capacity = cap_kb * 1024;
+        small.machine.cluster_capacity = cap_kb * 1024;
         let mut big = small.clone();
-        big.cluster_capacity = small.cluster_capacity * 2;
+        big.machine.cluster_capacity = small.machine.cluster_capacity * 2;
         let t_small = cedar_sim::run(&p, small).unwrap().cycles();
         let t_big = cedar_sim::run(&p, big).unwrap().cycles();
         prop_assert!(t_small >= t_big,

@@ -87,8 +87,8 @@ fn main() {
          helper-task pool skips building a full Fortran environment\n\
          (ctskstart start cost {:.0} vs mtskstart {:.0}).",
         ctsk - mtsk,
-        mc.ctsk_start,
-        mc.mtsk_start
+        mc.machine.ctsk_start,
+        mc.machine.mtsk_start
     );
 
     // The §2.2.2 deadlock rule: a task forked through the microtasking

@@ -62,11 +62,11 @@ fn pool_lines(w: &cedar_workloads::Workload) -> Vec<String> {
     let serial = w.compile();
     let mut out = Vec::new();
     for (mc, target, perturbed) in &machines {
-        let label = format!("pool {} serial {}", w.name, mc.name);
+        let label = format!("pool {} serial {}", w.name, mc.machine.name);
         out.push(line(&label, cedar_sim::run(&serial, mc.clone())));
         for (pname, pass) in &passes {
             let candidate: Program = restructure(&serial, &pass.clone().for_target(*target)).program;
-            let label = format!("pool {} {pname} {}", w.name, mc.name);
+            let label = format!("pool {} {pname} {}", w.name, mc.machine.name);
             out.push(line(&label, cedar_sim::run(&candidate, mc.clone())));
             if !perturbed {
                 continue;
