@@ -6,9 +6,9 @@
 //! program versions worth further consideration," capped at a
 //! user-settable limit (default 50).
 
-use crate::config::{PassConfig, Target};
+use crate::config::PassConfig;
 use cedar_ir::visit::walk_stmt_exprs;
-use cedar_ir::{Expr, Loop, LoopClass, Stmt, Unit};
+use cedar_ir::{Expr, Loop, Planning, Stmt, Unit};
 
 /// How a parallel (DOALL-legal) nest should be scheduled.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -31,17 +31,10 @@ pub enum NestPlan {
     CdoallScalar,
 }
 
-/// Machine constants the heuristic uses (kept in sync with
-/// `cedar-sim`'s defaults; they only need to be *relatively* right).
-const CDO_START: f64 = 60.0;
-const SDO_START: f64 = 2200.0;
-const XDO_START: f64 = 2800.0;
-const VEC_SPEEDUP: f64 = 2.5;
-const CES_PER_CLUSTER: f64 = 8.0;
-const CLUSTERS: f64 = 4.0;
-/// Total CEs of the Cedar model, used by granularity heuristics.
-pub const MACHINE_CES: i64 = (CLUSTERS * CES_PER_CLUSTER) as i64;
-const DEFAULT_TRIP: f64 = 100.0;
+/// Trip count assumed for a loop whose bounds are not constants. The
+/// machine's numbers come from [`PassConfig::machine`]; what is named
+/// in this module describes programs and policy.
+pub(crate) const DEFAULT_TRIP: f64 = 100.0;
 
 /// Rough per-iteration cost of a body: statements weighted by operation
 /// and reference counts. Only relative magnitudes matter.
@@ -110,46 +103,38 @@ pub fn choose_plan(
     let cost = body_cost(unit, &l.body).max(1.0);
     let mut candidates: Vec<(NestPlan, f64)> = Vec::new();
 
-    match cfg.target {
-        Target::Fx80 => {
-            if body_vectorizable && cfg.stripmine {
-                candidates.push((
-                    NestPlan::CdoallVector,
-                    CDO_START + trip * cost / (CES_PER_CLUSTER * VEC_SPEEDUP),
-                ));
-            }
-            candidates.push((NestPlan::CdoallScalar, CDO_START + trip * cost / CES_PER_CLUSTER));
-        }
-        Target::Cedar => {
-            if inner_parallel {
-                let iv = inner_vectorizable && cfg.stripmine;
-                let inner_gain = if iv { VEC_SPEEDUP } else { 1.0 };
-                candidates.push((
-                    NestPlan::SdoallCdoall { inner_vector: iv },
-                    SDO_START
-                        + CDO_START
-                        + trip * cost / (CLUSTERS * CES_PER_CLUSTER * inner_gain),
-                ));
-            }
-            if body_vectorizable && cfg.stripmine {
-                candidates.push((
-                    NestPlan::XdoallVector,
-                    XDO_START + trip * cost / (CLUSTERS * CES_PER_CLUSTER * VEC_SPEEDUP),
-                ));
-                // Small loops: one cluster with vector strips avoids the
-                // library startup.
-                candidates.push((
-                    NestPlan::CdoallVector,
-                    CDO_START + trip * cost / (CES_PER_CLUSTER * VEC_SPEEDUP),
-                ));
-            }
+    let m = &cfg.machine;
+    let ces = m.ces_per_cluster as f64;
+    let all_ces = m.total_ces() as f64;
+    let vector = body_vectorizable && cfg.stripmine;
+    // More than one cluster: the loop classes that leave it. On one
+    // (the FX/80) everything maps to CDOALL + vector.
+    if m.clusters > 1 {
+        if inner_parallel {
+            let iv = inner_vectorizable && cfg.stripmine;
+            let inner_gain = if iv { m.vector_gain } else { 1.0 };
             candidates.push((
-                NestPlan::XdoallScalar,
-                XDO_START + trip * cost / (CLUSTERS * CES_PER_CLUSTER),
+                NestPlan::SdoallCdoall { inner_vector: iv },
+                m.sdo_start + m.cdo_start + trip * cost / (all_ces * inner_gain),
             ));
-            candidates.push((NestPlan::CdoallScalar, CDO_START + trip * cost / CES_PER_CLUSTER));
+        }
+        if vector {
+            candidates.push((
+                NestPlan::XdoallVector,
+                m.xdo_start + trip * cost / (all_ces * m.vector_gain),
+            ));
         }
     }
+    // Small loops: one cluster with vector strips avoids the library
+    // startup.
+    if vector {
+        candidates
+            .push((NestPlan::CdoallVector, m.cdo_start + trip * cost / (ces * m.vector_gain)));
+    }
+    if m.clusters > 1 {
+        candidates.push((NestPlan::XdoallScalar, m.xdo_start + trip * cost / all_ces));
+    }
+    candidates.push((NestPlan::CdoallScalar, m.cdo_start + trip * cost / ces));
 
     let considered = candidates.len().min(cfg.max_versions);
     let best = candidates
@@ -166,19 +151,19 @@ pub fn choose_plan(
 /// the synchronized region (as a fraction of one iteration) divided by
 /// the number of processors that may be executing it concurrently."
 /// DOACROSS is worthwhile when the discounted speedup still beats 1.
-pub fn doacross_worthwhile(
-    unit: &Unit,
-    l: &Loop,
-    sync_region: &[Stmt],
-    processors: f64,
-) -> bool {
+pub fn doacross_worthwhile(unit: &Unit, l: &Loop, sync_region: &[Stmt], m: &Planning) -> bool {
     let total = body_cost(unit, &l.body).max(1.0);
     let region = body_cost(unit, sync_region).min(total);
-    // Ideal speedup P, discounted: effective = P / (1 + P * region/total).
-    // region == total → 1 (serial); region == 0 → P.
-    let p = processors.max(1.0);
-    let eff = p / (1.0 + p * (region / total));
-    eff > 1.5
+    discounted_speedup(m, region / total) > 1.5
+}
+
+/// The speedup of one cluster's CEs (the DOACROSS and critical-section
+/// forms are cluster classes: hardware sync is cheap, cross-cluster
+/// cascades rarely pay — §3.4) when `serial_share` of an iteration is
+/// serialized: P / (1 + P · share). All of it → 1; none → P.
+fn discounted_speedup(m: &Planning, serial_share: f64) -> f64 {
+    let p = (m.ces_per_cluster as f64).max(1.0);
+    p / (1.0 + p * serial_share)
 }
 
 /// Is interchanging a serial-outer/parallel-inner 2-nest profitable?
@@ -194,22 +179,22 @@ pub fn interchange_profitable(
     outer: &Loop,
     inner: &Loop,
     inner_vectorizable: bool,
+    m: &Planning,
 ) -> bool {
     let trip_out = const_trip(outer).map(|t| t as f64).unwrap_or(DEFAULT_TRIP);
     let trip_in = const_trip(inner).map(|t| t as f64).unwrap_or(DEFAULT_TRIP);
     let c = body_cost(unit, &inner.body).max(1.0);
     let work = trip_out * trip_in * c;
 
-    let inner_gain = if inner_vectorizable { VEC_SPEEDUP } else { 1.0 };
-    let est_noninter =
-        trip_out * (CDO_START + trip_in * c / (CES_PER_CLUSTER * inner_gain));
+    let ces = m.ces_per_cluster as f64;
+    let inner_gain = if inner_vectorizable { m.vector_gain } else { 1.0 };
+    let est_noninter = trip_out * (m.cdo_start + trip_in * c / (ces * inner_gain));
 
     // Interchanged: the serialized outer runs inside each iteration.
-    // Cross-cluster execution globalizes the data (≈4× dearer scalar
-    // traffic in the cost model); single-cluster stays cheap.
-    const GLOBAL_PENALTY: f64 = 4.0;
-    let est_xdo = XDO_START + work * GLOBAL_PENALTY / (CLUSTERS * CES_PER_CLUSTER);
-    let est_cdo = CDO_START + work / CES_PER_CLUSTER;
+    // Cross-cluster execution globalizes the data (dearer scalar
+    // traffic); single-cluster stays cheap.
+    let est_xdo = m.xdo_start + work * m.global_penalty / m.total_ces() as f64;
+    let est_cdo = m.cdo_start + work / ces;
     let est_inter = est_xdo.min(est_cdo);
 
     est_inter < est_noninter
@@ -217,31 +202,16 @@ pub fn interchange_profitable(
 
 /// Critical sections serialize their region *and* pay a lock per
 /// iteration; demand a clearly-positive discounted speedup.
-pub fn critical_worthwhile(
-    unit: &Unit,
-    l: &Loop,
-    locked_region: &[Stmt],
-    processors: f64,
-) -> bool {
+pub fn critical_worthwhile(unit: &Unit, l: &Loop, locked_region: &[Stmt], m: &Planning) -> bool {
     let total = body_cost(unit, &l.body).max(1.0);
-    let region = body_cost(unit, locked_region).min(total) + 15.0; // lock overhead
-    let p = processors.max(1.0);
-    let eff = p / (1.0 + p * (region / total));
-    eff > 3.0
-}
-
-/// The Cedar loop class for the DOACROSS form (cluster hardware sync is
-/// cheap; cross-cluster cascades rarely pay — §3.4).
-pub fn doacross_class(target: Target) -> LoopClass {
-    match target {
-        Target::Cedar | Target::Fx80 => LoopClass::CDoacross,
-    }
+    let region = body_cost(unit, locked_region).min(total) + m.lock_cost;
+    discounted_speedup(m, region / total) > 3.0
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cedar_ir::compile_free;
+    use cedar_ir::{compile_free, Machine};
 
     fn setup(src: &str) -> (cedar_ir::Program, Loop) {
         let p = compile_free(src).unwrap();
@@ -292,7 +262,7 @@ mod tests {
             "subroutine s(a, b)\nreal a(100000), b(100000)\ndo i = 1, 100000\n\
              a(i) = b(i)\nend do\nend\n",
         );
-        let cfg = PassConfig::automatic_1991().for_target(Target::Fx80);
+        let cfg = PassConfig::automatic_1991().for_machine(&Machine::fx80());
         let (plan, _) = choose_plan(&p.units[0], &l, false, true, false, &cfg);
         assert_eq!(plan, NestPlan::CdoallVector);
     }
@@ -303,10 +273,95 @@ mod tests {
             "subroutine s(a, b, c, n)\nreal a(n), b(n), c(n)\ndo i = 2, n\n\
              c(i) = a(i) * 2.0 + sqrt(a(i))\nb(i) = b(i - 1) + c(i)\nend do\nend\n",
         );
+        let m = Machine::cedar_config1().planning();
         // small sync region (one stmt of two) on 8 CEs: worthwhile
         let region = vec![l.body[1].clone()];
-        assert!(doacross_worthwhile(&p.units[0], &l, &region, 8.0));
+        assert!(doacross_worthwhile(&p.units[0], &l, &region, &m));
         // whole body synchronized: not worthwhile
-        assert!(!doacross_worthwhile(&p.units[0], &l, &l.body.clone(), 8.0));
+        assert!(!doacross_worthwhile(&p.units[0], &l, &l.body.clone(), &m));
+    }
+
+    /// The planner's `every_cost_field_is_live`: each of the eight
+    /// planning numbers, moved far, changes the decision on a probe
+    /// nest — so none of them can be a literal here, and a calibrated
+    /// machine reaches the heuristic.
+    #[test]
+    fn the_planner_follows_the_machine() {
+        let single = |trip: u32| {
+            setup(&format!(
+                "subroutine s(a, b)\nreal a({trip}), b({trip})\ndo i = 1, {trip}\n\
+                 a(i) = b(i)\nend do\nend\n"
+            ))
+        };
+        let nest = |outer: u32, inner: u32| {
+            setup(&format!(
+                "subroutine s(a, b)\nreal a({inner}, {outer}), b({inner}, {outer})\n\
+                 do j = 1, {outer}\ndo i = 1, {inner}\na(i, j) = b(i, j)\nend do\nend do\nend\n"
+            ))
+        };
+        let (short, long, tiny) = (single(64), single(100_000), single(8));
+        let (square, long_rows, short_rows) = (nest(1000, 1000), nest(100, 1000), nest(100, 8));
+        let cascade = setup(
+            "subroutine s(a, b, c, n)\nreal a(n), b(n), c(n)\ndo i = 2, n\n\
+             c(i) = a(i) * 2.0 + sqrt(a(i))\nb(i) = b(i - 1) + c(i)\nend do\nend\n",
+        );
+        let histogram = setup(
+            "subroutine s(h, idx, b, c, n)\nreal h(64), b(40, n), c(40)\ninteger idx(n)\n\
+             do i = 1, n\nt = 0.0\ndo k = 1, 40\nt = t + b(k, i) * c(k)\nend do\n\
+             h(idx(i)) = h(idx(i)) + t\nend do\nend\n",
+        );
+        let decide = |m: Planning| {
+            let cfg = PassConfig { machine: m, ..PassConfig::automatic_1991() };
+            let plan = |(p, l): &(cedar_ir::Program, Loop), inner_par, vec, inner_vec| {
+                format!("{:?}", choose_plan(&p.units[0], l, inner_par, vec, inner_vec, &cfg).0)
+            };
+            let interchange = |(p, l): &(cedar_ir::Program, Loop)| {
+                let inner = l.body[0].as_loop().unwrap();
+                interchange_profitable(&p.units[0], l, inner, true, &m).to_string()
+            };
+            let (cp, cl) = &cascade;
+            let (hp, hl) = &histogram;
+            vec![
+                plan(&short, false, true, false),
+                plan(&long, false, true, false),
+                plan(&tiny, false, false, false),
+                plan(&square, true, false, true),
+                interchange(&long_rows),
+                interchange(&short_rows),
+                doacross_worthwhile(&cp.units[0], cl, &cl.body[1..], &m).to_string(),
+                critical_worthwhile(&hp.units[0], hl, &hl.body[2..], &m).to_string(),
+            ]
+        };
+        let base = Machine::cedar_config1().planning();
+        let at_base = decide(base);
+        assert_eq!(
+            at_base,
+            ["CdoallVector", "XdoallVector", "CdoallScalar", "SdoallCdoall { inner_vector: true }",
+             "false", "true", "true", "true"]
+        );
+        // (number, moved far, the probe that has to notice)
+        let moved = [
+            ("clusters", Planning { clusters: 1, ..base }, 1),
+            ("ces_per_cluster", Planning { ces_per_cluster: 1, ..base }, 6),
+            ("ces_per_cluster", Planning { ces_per_cluster: 400, ..base }, 1),
+            ("cdo_start", Planning { cdo_start: base.cdo_start * 50.0, ..base }, 2),
+            ("sdo_start", Planning { sdo_start: base.sdo_start * 50.0, ..base }, 3),
+            ("xdo_start", Planning { xdo_start: base.xdo_start / 50.0, ..base }, 0),
+            ("vector_gain", Planning { vector_gain: base.vector_gain / 50.0, ..base }, 1),
+            ("global_penalty", Planning { global_penalty: base.global_penalty / 50.0, ..base }, 4),
+            ("lock_cost", Planning { lock_cost: base.lock_cost * 50.0, ..base }, 7),
+        ];
+        for (name, m, probe) in moved {
+            assert_ne!(decide(m)[probe], at_base[probe], "`{name}` does not move probe {probe}");
+        }
+        // A short vector loop leaves the cluster once XDOALL starts cheaply.
+        assert_eq!(decide(moved[5].1)[0], "XdoallVector");
+        // One cluster has no class that leaves it; neither has a machine
+        // whose library start-ups never pay.
+        let dear = Planning { sdo_start: 1e9, xdo_start: 1e9, ..base };
+        for m in [moved[0].1, dear] {
+            let plans = &decide(m)[..4];
+            assert!(plans.iter().all(|p| p.starts_with("Cdoall")), "{plans:?}");
+        }
     }
 }

@@ -1,20 +1,16 @@
 //! Pass configuration.
 
-/// Target machine shape — decides the loop-class strategy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Target {
-    /// Hierarchical Cedar: SDOALL/CDOALL nesting, XDOALL stripmining,
-    /// globalization matters.
-    Cedar,
-    /// Single-cluster Alliant FX/80: everything maps to CDOALL + vector.
-    Fx80,
-}
+use cedar_ir::{Machine, Planning};
 
 /// Which techniques the restructurer may apply.
 #[derive(Debug, Clone)]
 pub struct PassConfig {
-    /// Machine the output is tuned for (Cedar or Alliant FX/80).
-    pub target: Target,
+    /// What planning reads of the machine the output is tuned for
+    /// ([`PassConfig::for_machine`]; Cedar configuration 1 unless
+    /// said). One cluster means everything maps to CDOALL + vector;
+    /// more, SDOALL/CDOALL nesting, XDOALL stripmining and
+    /// globalization.
+    pub machine: Planning,
 
     // ---- §3 automatic techniques ----
     /// Dependence-based DOALL detection (master switch; off = serial
@@ -83,7 +79,7 @@ impl PassConfig {
     /// The serial identity configuration (baseline runs).
     pub fn serial() -> PassConfig {
         PassConfig {
-            target: Target::Cedar,
+            machine: Machine::cedar_config1().planning(),
             parallelize: false,
             scalar_privatization: false,
             scalar_reductions: false,
@@ -153,9 +149,10 @@ impl PassConfig {
         }
     }
 
-    /// Builder-style target override.
-    pub fn for_target(mut self, t: Target) -> PassConfig {
-        self.target = t;
+    /// Plan for `machine`: the description a simulator of it charges
+    /// from (`MachineConfig::machine`).
+    pub fn for_machine(mut self, machine: &Machine) -> PassConfig {
+        self.machine = machine.planning();
         self
     }
 
@@ -191,8 +188,9 @@ mod tests {
     }
 
     #[test]
-    fn target_override() {
-        let c = PassConfig::automatic_1991().for_target(Target::Fx80);
-        assert_eq!(c.target, Target::Fx80);
+    fn machine_override() {
+        let c = PassConfig::automatic_1991().for_machine(&Machine::fx80());
+        assert_eq!(c.machine, Machine::fx80().planning());
+        assert_ne!(c.machine, PassConfig::automatic_1991().machine);
     }
 }

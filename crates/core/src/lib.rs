@@ -42,7 +42,7 @@ pub mod sync_insert;
 pub mod vectorize;
 
 pub use backend::{emit_with, Backend, BackendKind, EmitInput};
-pub use config::{PassConfig, Target};
+pub use config::PassConfig;
 pub use driver::{restructure, RestructureResult};
 pub use report::{LoopDecision, Report, SyncAuditFinding, Technique};
 

@@ -3,7 +3,7 @@
 //! techniques as configured extensions.
 
 use crate::classes::{self, NestPlan};
-use crate::config::{PassConfig, Target};
+use crate::config::PassConfig;
 use crate::legality::{self, Verdict};
 use crate::passes::giv::apply_giv;
 use crate::passes::privatize::{privatize_arrays, privatize_scalars};
@@ -14,7 +14,7 @@ use crate::{coalesce, sync_insert, vectorize};
 use cedar_analysis::interproc::ProgramSummaries;
 use cedar_analysis::reduction::Reduction;
 use cedar_ir::{
-    BinOp, Expr, Intrinsic, LValue, Loop, LoopClass, ParMode, Stmt, SymbolId, Unit,
+    BinOp, Expr, Intrinsic, LValue, Loop, LoopClass, Machine, ParMode, Stmt, SymbolId, Unit,
 };
 
 /// Per-unit transform state: configuration, summaries, the shared
@@ -280,7 +280,7 @@ impl<'a> NestCtx<'a> {
                 if inner.class == LoopClass::Seq
                     && inner.locals.is_empty()
                     && l.locals.is_empty()
-                    && classes::interchange_profitable(unit, &l, inner, inner_vec)
+                    && classes::interchange_profitable(unit, &l, inner, inner_vec, &self.cfg.machine)
                     && cedar_analysis::depend::interchange_legal(unit, &l, inner)
                 {
                     let inner = inner.clone();
@@ -339,7 +339,7 @@ impl<'a> NestCtx<'a> {
                 })
                 .cloned()
                 .collect();
-            if classes::critical_worthwhile(unit, &l, &locked_region, 8.0) {
+            if classes::critical_worthwhile(unit, &l, &locked_region, &self.cfg.machine) {
                 let lock0 = self.next_lock;
                 self.next_lock += verdict.critical_arrays.len() as u32;
                 let locked =
@@ -361,9 +361,11 @@ impl<'a> NestCtx<'a> {
         // ---- DOACROSS (§3.3) ----
         if !verdict.doacross_deps.is_empty() {
             let point0 = self.next_sync_point;
+            // Cluster hardware sync is cheap; cross-cluster cascades
+            // rarely pay (§3.4).
             let (mut dl, spans) = sync_insert::insert_cascade(
                 &l,
-                classes::doacross_class(self.cfg.target),
+                LoopClass::CDoacross,
                 &verdict.doacross_deps,
                 point0,
             );
@@ -371,8 +373,7 @@ impl<'a> NestCtx<'a> {
                 .iter()
                 .flat_map(|&(f, t)| l.body[f..=t].to_vec())
                 .collect();
-            let procs = 8.0;
-            if classes::doacross_worthwhile(unit, &l, &region, procs) {
+            if classes::doacross_worthwhile(unit, &l, &region, &self.cfg.machine) {
                 self.next_sync_point += spans.len().max(1) as u32;
                 privatize_scalars(unit, &mut dl, &verdict.private_scalars);
                 self.report.record(
@@ -490,18 +491,19 @@ impl<'a> NestCtx<'a> {
         // ---- loop coalescing (§4.2.4) ----
         // A perfect DOALL×DOALL nest whose outer trip count under-fills
         // the machine becomes one flat XDOALL over the product space;
-        // the 32-CE self-scheduler then balances it.
+        // the machine-wide self-scheduler then balances it.
         // Gate on a non-vectorizable inner body: when the inner loop
         // vectorizes, SDOALL + vector strips beats the flat scalar loop
         // (the recovered subscripts defeat section form).
         if self.cfg.coalesce
-            && self.cfg.target == Target::Cedar
+            && self.cfg.machine.clusters > 1
             && !have_reductions
             && !have_priv_arrays
             && inner_info.as_ref().is_some_and(|i| !i.vectorizable)
         {
+            let ces = self.cfg.machine.total_ces() as i64;
             let fits = coalesce::perfect_inner(&l)
-                .is_some_and(|inner| coalesce::profitable(&l, inner, classes::MACHINE_CES));
+                .is_some_and(|inner| coalesce::profitable(&l, inner, ces));
             if fits {
                 if let Some(mut flat) = coalesce::coalesce(unit, &l) {
                     techniques.push(Technique::Coalescing);
@@ -656,21 +658,21 @@ impl<'a> NestCtx<'a> {
             Some(_) => ParMode::CedarParallel,
             None => ParMode::ClusterParallel,
         };
-        match (self.cfg.target, mode) {
-            (Target::Fx80, ParMode::CedarParallel) => ParMode::ClusterParallel,
-            (_, m) => m,
+        if self.cfg.machine.clusters == 1 && mode == ParMode::CedarParallel {
+            return ParMode::ClusterParallel;
         }
+        mode
     }
 
     /// Estimate whether per-participant reduction partials pay off.
     fn reductions_profitable(&self, unit: &Unit, l: &Loop, reds: &[Reduction]) -> bool {
-        let p = 32.0;
+        let p = Machine::cedar_config1().total_ces() as f64;
         let trip = l
             .start
             .as_const_int()
             .zip(l.end.as_const_int())
             .map(|(a, b)| ((b - a + 1).max(0)) as f64)
-            .unwrap_or(100.0);
+            .unwrap_or(classes::DEFAULT_TRIP);
         let body = classes::body_cost(unit, &l.body).max(1.0);
         let mut overhead = 0.0;
         for r in reds {

@@ -1,11 +1,11 @@
 //! End-to-end driver tests: restructure, simulate both versions, and
 //! compare watched variables (moved here from the monolithic driver).
 
-use crate::config::{PassConfig, Target};
+use crate::config::PassConfig;
 use crate::driver::restructure;
 use crate::report::{LoopDecision, Report, Technique};
 use cedar_ir::compile_free;
-use cedar_ir::LoopClass;
+use cedar_ir::{LoopClass, Machine};
 use cedar_sim::MachineConfig;
 
 /// Restructure `src`, run both versions, compare `watch` variables
@@ -291,7 +291,7 @@ fn fx80_target_uses_cluster_classes() {
                b(i) = i * 0.5\nend do\ndo i = 1, n\na(i) = b(i) * 2.0\nend do\n\
                s = a(n)\nend\n";
     let p0 = compile_free(src).unwrap();
-    let cfg = PassConfig::automatic_1991().for_target(Target::Fx80);
+    let cfg = PassConfig::automatic_1991().for_machine(&Machine::fx80());
     let r = restructure(&p0, &cfg);
     let text = cedar_ir::print::print_program(&r.program);
     assert!(!text.contains("xdoall") && !text.contains("sdoall"), "{text}");

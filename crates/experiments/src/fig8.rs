@@ -13,7 +13,7 @@
 //!   near-linear through four.
 
 use crate::pipeline::{assert_equivalent, run_program};
-use cedar_restructure::{PassConfig, Target};
+use cedar_restructure::PassConfig;
 use cedar_sim::MachineConfig;
 
 /// One placement strategy's scaling curve.
@@ -37,8 +37,10 @@ pub fn run() -> (Vec<Series>, f64) {
     let program = crate::cache::compiled(&w);
 
     // Baseline: 1-cluster-optimized, data in cluster memory (no
-    // globalization; cluster loop classes only).
-    let mut base_cfg = PassConfig::manual_improved().for_target(Target::Fx80);
+    // globalization; cluster loop classes only). On purpose the one
+    // pass not planned for the machine it runs on: the FX/80's
+    // description stands in for "Cedar with one cluster".
+    let mut base_cfg = PassConfig::manual_improved().for_machine(&cedar_ir::Machine::fx80());
     base_cfg.globalize = false;
     let base_prog = crate::cache::restructured(&program, &base_cfg);
     let base_mc = MachineConfig::cedar_config1().with_clusters(1);

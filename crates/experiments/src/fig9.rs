@@ -12,7 +12,7 @@
 //! SDO loops."
 
 use crate::pipeline::{assert_equivalent, run_program};
-use cedar_restructure::{PassConfig, Target};
+use cedar_restructure::PassConfig;
 use cedar_sim::MachineConfig;
 
 /// Figure 9 result for one machine.
@@ -28,15 +28,15 @@ pub struct Machine {
     pub c: f64,
 }
 
-fn variants(target: Target) -> [PassConfig; 3] {
+fn variants(machine: &cedar_ir::Machine) -> [PassConfig; 3] {
     // A: automatic — outer loops blocked by the work arrays, inner
     // loops parallelized.
-    let a = PassConfig::automatic_1991().for_target(target);
+    let a = PassConfig::automatic_1991().for_machine(machine);
     // B: outer loops parallel (array privatization) but no fusion.
-    let mut b = PassConfig::manual_improved().for_target(target);
+    let mut b = PassConfig::manual_improved().for_machine(machine);
     b.loop_fusion = false;
     // C: outer loops fused, then parallelized.
-    let c = PassConfig::manual_improved().for_target(target);
+    let c = PassConfig::manual_improved().for_machine(machine);
     [a, b, c]
 }
 
@@ -45,22 +45,22 @@ pub fn run() -> Vec<Machine> {
     let w = cedar_workloads::perfect::flo52();
     let program = crate::cache::compiled(&w);
     let machines = [
-        ("Alliant FX/80", Target::Fx80, MachineConfig::fx80_scaled()),
-        ("Cedar", Target::Cedar, MachineConfig::cedar_config1_scaled()),
+        ("Alliant FX/80", MachineConfig::fx80_scaled()),
+        ("Cedar", MachineConfig::cedar_config1_scaled()),
     ];
     // 2 machines × 3 variants = 6 independent cells.
     let cells: Vec<(usize, usize)> =
         (0..machines.len()).flat_map(|m| (0..3).map(move |v| (m, v))).collect();
     let outs = cedar_par::par_map(cells, |(m, v)| {
-        let (_, target, mc) = &machines[m];
-        let cfg = &variants(*target)[v];
+        let (_, mc) = &machines[m];
+        let cfg = &variants(&mc.machine)[v];
         let p = crate::cache::restructured(&program, cfg);
         run_program(&p, None, mc, &w.watch)
     });
     machines
         .iter()
         .enumerate()
-        .map(|(m, (mname, _, _))| {
+        .map(|(m, (mname, _))| {
             let (oa, ob, oc) = (&outs[m * 3], &outs[m * 3 + 1], &outs[m * 3 + 2]);
             assert_equivalent("fig9-b", oa, ob);
             assert_equivalent("fig9-c", oa, oc);

@@ -3,7 +3,7 @@
 //! QCD random-number footnote.
 
 use crate::pipeline::{fmt_speedup, run_program, run_workload};
-use cedar_restructure::{PassConfig, Target};
+use cedar_restructure::PassConfig;
 use cedar_sim::MachineConfig;
 use cedar_workloads::perfect::{qcd_variant, QcdRng};
 
@@ -39,42 +39,28 @@ pub struct Row {
     pub manual_cedar: f64,
 }
 
-/// The four machine/pass pairings of a Table-2 row, in column order.
-struct Setup {
-    fx: MachineConfig,
-    cedar1: MachineConfig,
-    cedar2: MachineConfig,
-    auto_fx: PassConfig,
-    auto_cd: PassConfig,
-    man_fx: PassConfig,
-    man_cd: PassConfig,
-}
+/// The four pass/machine pairings of a Table-2 row, in column order:
+/// each pass plans for the machine its program runs on.
+type Setup = [(PassConfig, MachineConfig); 4];
 
 /// Column labels, cell order (used for supervised cell labels).
 const COLUMNS: [&str; 4] = ["auto-fx80", "auto-cedar", "manual-fx80", "manual-cedar"];
 
+/// The paper ran the manual versions on Cedar Configuration 2 (more
+/// cluster memory); we do the same.
 fn setup() -> Setup {
-    Setup {
-        fx: MachineConfig::fx80_scaled(),
-        cedar1: MachineConfig::cedar_config1_scaled(),
-        cedar2: MachineConfig::cedar_config2_scaled(),
-        auto_fx: PassConfig::automatic_1991().for_target(Target::Fx80),
-        auto_cd: PassConfig::automatic_1991(),
-        man_fx: PassConfig::manual_improved().for_target(Target::Fx80),
-        man_cd: PassConfig::manual_improved(),
-    }
+    let on = |pass: PassConfig, mc: MachineConfig| (pass.for_machine(&mc.machine), mc);
+    [
+        on(PassConfig::automatic_1991(), MachineConfig::fx80_scaled()),
+        on(PassConfig::automatic_1991(), MachineConfig::cedar_config1_scaled()),
+        on(PassConfig::manual_improved(), MachineConfig::fx80_scaled()),
+        on(PassConfig::manual_improved(), MachineConfig::cedar_config2_scaled()),
+    ]
 }
 
-/// Speedup of column `c` for workload `w`. The paper ran the manual
-/// versions on Cedar Configuration 2 (more cluster memory); we do the
-/// same.
+/// Speedup of column `c` for workload `w`.
 fn cell_speedup(w: &cedar_workloads::Workload, c: usize, s: &Setup) -> f64 {
-    let (cfg, mc) = match c {
-        0 => (&s.auto_fx, &s.fx),
-        1 => (&s.auto_cd, &s.cedar1),
-        2 => (&s.man_fx, &s.fx),
-        _ => (&s.man_cd, &s.cedar2),
-    };
+    let (cfg, mc) = &s[c];
     let (ser, var) = run_workload(w, cfg, mc);
     ser.cycles / var.cycles
 }

@@ -24,7 +24,7 @@ use cedar_experiments::pipeline::{simulate, timed_cycles};
 use cedar_experiments::supervise::{self, CellError, Rung, Supervisor};
 use cedar_experiments::Writer;
 use cedar_ir::Program;
-use cedar_restructure::{BackendKind, EmitInput, PassConfig, Report, Target};
+use cedar_restructure::{BackendKind, EmitInput, PassConfig, Report};
 use cedar_sim::{ExecStats, MachineConfig, SimError};
 use cedar_verify::{restructure_validated, ValidationConfig, ValidationReport};
 use std::hash::{Hash, Hasher};
@@ -227,17 +227,8 @@ struct Output {
     stages: Stages,
 }
 
-fn pass_for(req: &ServeRequest) -> PassConfig {
-    // `from_json` admits only named configurations; a hand-built
-    // request with any other name runs the default.
-    let base = PassConfig::named(&req.config).unwrap_or_else(PassConfig::automatic_1991);
-    if req.machine == "fx80" {
-        base.for_target(Target::Fx80)
-    } else {
-        base
-    }
-}
-
+/// The machine a request names: the one its pass plans for and its
+/// programs run on.
 fn machine_for(req: &ServeRequest) -> MachineConfig {
     match req.machine.as_str() {
         "fx80" => MachineConfig::fx80_scaled(),
@@ -450,8 +441,12 @@ pub fn handle_queued(
     queued: Duration,
 ) -> Handled {
     let started = Instant::now();
-    let pass = pass_for(req);
     let mc = machine_for(req);
+    // `from_json` admits only named configurations; a hand-built
+    // request with any other name runs the default.
+    let pass = PassConfig::named(&req.config)
+        .unwrap_or_else(PassConfig::automatic_1991)
+        .for_machine(&mc.machine);
     let mut sup = cfg.sup.clone();
     if let Some(ms) = req.deadline_ms {
         sup.deadline = Some(Duration::from_millis(ms));

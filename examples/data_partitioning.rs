@@ -5,15 +5,16 @@
 //!
 //! Run with: `cargo run --release --example data_partitioning`
 
-use cedar_restructure::{restructure, PassConfig, Target};
+use cedar_restructure::{restructure, PassConfig};
 use cedar_sim::MachineConfig;
 
 fn main() {
     let w = cedar_workloads::linalg::cg(384);
     let program = w.compile();
 
-    // Reference: optimized for one cluster, data in cluster memory.
-    let mut base_cfg = PassConfig::manual_improved().for_target(Target::Fx80);
+    // Reference: optimized for one cluster (the FX/80's description),
+    // data in cluster memory.
+    let mut base_cfg = PassConfig::manual_improved().for_machine(&cedar_ir::Machine::fx80());
     base_cfg.globalize = false;
     let base = restructure(&program, &base_cfg).program;
     let base_sim = cedar_sim::run(&base, MachineConfig::cedar_config1().with_clusters(1))

@@ -10,7 +10,7 @@
 //! input that cannot be read.
 
 use cedar_par::cli::{exitcode, Args};
-use cedar_restructure::{restructure, BackendKind, EmitInput, PassConfig, Target};
+use cedar_restructure::{restructure, BackendKind, EmitInput, PassConfig};
 use cedar_sim::MachineConfig;
 
 const USAGE: &str = "usage: parallelize_file [FILE.f] [--free] [--manual] [--fx80] \
@@ -49,10 +49,9 @@ fn main() {
     let compiled = if free { cedar_ir::compile_free(&src) } else { cedar_ir::compile_source(&src) };
     let program = compiled.unwrap_or_else(|e| die(&format!("front end: {e}")));
 
-    let mut cfg = if manual { PassConfig::manual_improved() } else { PassConfig::automatic_1991() };
-    if fx80 {
-        cfg = cfg.for_target(Target::Fx80);
-    }
+    let mc = if fx80 { MachineConfig::fx80_scaled() } else { MachineConfig::cedar_config1_scaled() };
+    let cfg = if manual { PassConfig::manual_improved() } else { PassConfig::automatic_1991() }
+        .for_machine(&mc.machine);
     let emit = |restructured, report| {
         backend.backend().emit(&EmitInput { original: &program, restructured, report })
     };
@@ -93,11 +92,6 @@ fn main() {
     }
 
     if simulate {
-        let mc = if fx80 {
-            MachineConfig::fx80_scaled()
-        } else {
-            MachineConfig::cedar_config1_scaled()
-        };
         let serial = cedar_sim::run(&program, mc.clone())
             .unwrap_or_else(|e| die(&format!("serial simulation: {e}")));
         let par = cedar_sim::run(&result.program, mc)

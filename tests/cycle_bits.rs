@@ -9,7 +9,7 @@
 //!
 //! * the 22 pool workloads × {serial original, `automatic_1991`,
 //!   `manual_improved`} × {Cedar configuration 1, configuration 2,
-//!   FX/80 (restructured `for_target(Fx80)`)}, capacities scaled;
+//!   FX/80}, each restructured `for_machine` of it, capacities scaled;
 //! * for each Cedar-1 candidate one `FaultConfig::legal(1)` run and one
 //!   race-collecting run (the jitter draw sits inside the memory
 //!   charge; the detector must charge nothing);
@@ -25,7 +25,7 @@
 
 use cedar_fuzz::GenProgram;
 use cedar_ir::Program;
-use cedar_restructure::{restructure, PassConfig, Target};
+use cedar_restructure::{restructure, PassConfig};
 use cedar_sim::{FaultConfig, MachineConfig, SimError, Simulator};
 use std::path::{Path, PathBuf};
 
@@ -49,11 +49,11 @@ fn line(label: &str, run: Result<Simulator<'_>, SimError>) -> String {
 
 /// The lines of one pool workload.
 fn pool_lines(w: &cedar_workloads::Workload) -> Vec<String> {
-    // (machine, restructuring target, also run faulted and race-collecting)
+    // (machine, also run faulted and race-collecting)
     let machines = [
-        (MachineConfig::cedar_config1_scaled(), Target::Cedar, true),
-        (MachineConfig::cedar_config2_scaled(), Target::Cedar, false),
-        (MachineConfig::fx80_scaled(), Target::Fx80, false),
+        (MachineConfig::cedar_config1_scaled(), true),
+        (MachineConfig::cedar_config2_scaled(), false),
+        (MachineConfig::fx80_scaled(), false),
     ];
     let passes = [
         ("automatic_1991", PassConfig::automatic_1991()),
@@ -61,11 +61,11 @@ fn pool_lines(w: &cedar_workloads::Workload) -> Vec<String> {
     ];
     let serial = w.compile();
     let mut out = Vec::new();
-    for (mc, target, perturbed) in &machines {
+    for (mc, perturbed) in &machines {
         let label = format!("pool {} serial {}", w.name, mc.machine.name);
         out.push(line(&label, cedar_sim::run(&serial, mc.clone())));
         for (pname, pass) in &passes {
-            let candidate: Program = restructure(&serial, &pass.clone().for_target(*target)).program;
+            let candidate: Program = restructure(&serial, &pass.clone().for_machine(&mc.machine)).program;
             let label = format!("pool {} {pname} {}", w.name, mc.machine.name);
             out.push(line(&label, cedar_sim::run(&candidate, mc.clone())));
             if !perturbed {

@@ -612,3 +612,57 @@ fn json_is_spelled_only_in_jsonio() {
     }
     assert!(findings.is_empty(), "write and read JSON through `jsonio`:\n{}", findings.join("\n"));
 }
+
+/// The machine of §2.2 is described in `cedar_ir::machine` and nowhere
+/// else: the restructurer keeps no enum that names it and no literal of
+/// its start-ups or CE counts, and the simulator reads its loop
+/// start-ups from the description.
+#[test]
+fn the_machine_is_described_only_in_ir_machine() {
+    let mut files = Vec::new();
+    rust_files(&Path::new(env!("CARGO_MANIFEST_DIR")).join(".."), &mut files);
+    files.retain(|f| f.components().any(|c| c.as_os_str() == "src") && !f.ends_with("ir/src/machine.rs"));
+    files.sort();
+    assert!(files.len() > 100, "crates/*/src was not found: {} files", files.len());
+    // `number` as a whole literal of `code`: not the tail of 128.0, not the head of 8.05.
+    let spells = |code: &str, number: &str| {
+        code.match_indices(number).any(|(at, _)| {
+            let before = code[..at].chars().next_back();
+            let after = code[at + number.len()..].chars().next();
+            !before.is_some_and(|c| c.is_ascii_digit() || c == '.')
+                && !after.is_some_and(|c| c.is_ascii_digit())
+        })
+    };
+    let mut findings = Vec::new();
+    for file in &files {
+        let planner = file.components().any(|c| c.as_os_str() == "core");
+        let text = std::fs::read_to_string(file).unwrap();
+        let above_tests = text.split("\n#[cfg(test)]").next().unwrap();
+        for (n, line) in above_tests.lines().enumerate() {
+            let code = line.split("//").next().unwrap();
+            let mut found = |what: &str| {
+                findings.push(format!("{}:{}: {what}: {}", file.display(), n + 1, line.trim()))
+            };
+            for start_up in ["2200.0", "2800.0"] {
+                if spells(code, start_up) {
+                    found("a loop start-up spelled outside the description");
+                }
+            }
+            if !planner {
+                continue;
+            }
+            if code.contains("enum Target") || code.contains("for_target") {
+                found("the machine as an enum someone sets");
+            }
+            if code.contains("_START") {
+                found("a start-up constant");
+            }
+            for count in ["8.0", "32.0"] {
+                if spells(code, count) {
+                    found("a CE count spelled as a literal");
+                }
+            }
+        }
+    }
+    assert!(findings.is_empty(), "plan from `PassConfig::machine`:\n{}", findings.join("\n"));
+}

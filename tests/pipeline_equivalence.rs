@@ -5,7 +5,7 @@
 //! This is the repository's strongest end-to-end guarantee: the
 //! restructurer may only ever change *time*, never *values*.
 
-use cedar_restructure::{restructure, PassConfig, Target};
+use cedar_restructure::{restructure, PassConfig};
 use cedar_sim::MachineConfig;
 use cedar_workloads::Workload;
 
@@ -74,7 +74,7 @@ fn linalg_manual_on_cedar() {
 #[test]
 fn linalg_automatic_on_fx80() {
     let mc = MachineConfig::fx80_scaled();
-    let cfg = PassConfig::automatic_1991().for_target(Target::Fx80);
+    let cfg = PassConfig::automatic_1991().for_machine(&mc.machine);
     for w in small_linalg() {
         check(&w, &cfg, &mc, "auto/fx80");
     }
@@ -87,18 +87,8 @@ fn perfect_all_configs() {
     for w in cedar_workloads::table2_workloads() {
         check(&w, &PassConfig::automatic_1991(), &cedar, "auto/cedar");
         check(&w, &PassConfig::manual_improved(), &cedar, "manual/cedar");
-        check(
-            &w,
-            &PassConfig::automatic_1991().for_target(Target::Fx80),
-            &fx,
-            "auto/fx80",
-        );
-        check(
-            &w,
-            &PassConfig::manual_improved().for_target(Target::Fx80),
-            &fx,
-            "manual/fx80",
-        );
+        check(&w, &PassConfig::automatic_1991().for_machine(&fx.machine), &fx, "auto/fx80");
+        check(&w, &PassConfig::manual_improved().for_machine(&fx.machine), &fx, "manual/fx80");
     }
 }
 
