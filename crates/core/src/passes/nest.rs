@@ -14,7 +14,7 @@ use crate::{coalesce, sync_insert, vectorize};
 use cedar_analysis::interproc::ProgramSummaries;
 use cedar_analysis::reduction::Reduction;
 use cedar_ir::{
-    BinOp, Expr, Intrinsic, LValue, Loop, LoopClass, Machine, ParMode, Stmt, SymbolId, Unit,
+    BinOp, Expr, Intrinsic, LValue, Loop, LoopClass, ParMode, Stmt, SymbolId, Unit,
 };
 
 /// Per-unit transform state: configuration, summaries, the shared
@@ -666,7 +666,7 @@ impl<'a> NestCtx<'a> {
 
     /// Estimate whether per-participant reduction partials pay off.
     fn reductions_profitable(&self, unit: &Unit, l: &Loop, reds: &[Reduction]) -> bool {
-        let p = Machine::cedar_config1().total_ces() as f64;
+        let p = self.cfg.machine.total_ces() as f64;
         let trip = l
             .start
             .as_const_int()

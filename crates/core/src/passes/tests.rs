@@ -298,6 +298,28 @@ fn fx80_target_uses_cluster_classes() {
     assert!(text.contains("cdoall"), "{text}");
 }
 
+/// toeplz's inner loop: two scalar reductions over a trip count the
+/// restructurer cannot see. Partials for 32 participants cost more than
+/// the loop saves; for the FX/80's 8 they pay.
+#[test]
+fn reduction_partials_are_planned_for_the_machines_ces() {
+    let src = "program p\nparameter (n = 64)\nreal tr(2 * n), x(n), g(n)\n\
+               do i = 1, n\nx(i) = i * 0.5\ng(i) = i * 0.25\nend do\n\
+               do i = 1, 2 * n\ntr(i) = i * 0.125\nend do\nm = n / 2\nsxn = 0.0\nsgn = 0.0\n\
+               do j = 1, m - 1\nsxn = sxn + tr(n + m - j) * x(j)\n\
+               sgn = sgn + tr(n + m - j) * g(j)\nend do\ns = sxn + sgn\nend\n";
+    let decision = |cfg: &PassConfig| {
+        let r = restructure(&compile_free(src).unwrap(), cfg);
+        r.report.loops.last().unwrap().decision.clone()
+    };
+    let on_cedar = decision(&PassConfig::automatic_1991());
+    assert!(matches!(&on_cedar, LoopDecision::Serial { reason } if reason.contains("overhead")), "{on_cedar:?}");
+    let fx80 = PassConfig::automatic_1991().for_machine(&Machine::fx80());
+    let on_fx80 = decision(&fx80);
+    assert!(matches!(on_fx80, LoopDecision::Doall { .. }), "{on_fx80:?}");
+    check_equiv(src, &["s"], &fx80);
+}
+
 #[test]
 fn if_converts_to_where_in_vector_loop() {
     let src = "program p\nparameter (n = 1024)\nreal a(n)\nc = 10.0\n\
