@@ -18,7 +18,8 @@ const USAGE: &str = "usage: parallelize_file [FILE.f] [--free] [--manual] [--fx8
   FILE.f        fixed-form Fortran 77 source (a built-in MDG sample when omitted)
   --free        FILE.f is free-form source
   --manual      enable the §4.1 \"manually improved\" technique set
-  --fx80        target the Alliant FX/80 (cluster classes only)
+  --fx80        plan for, validate and simulate on the Alliant FX/80
+                (one cluster) instead of Cedar configuration 1
   --backend B   emission dialect (default cedar)
   --report      print per-loop decisions instead of the output code
   --simulate    also run serial vs. restructured on the machine model
@@ -49,6 +50,8 @@ fn main() {
     let compiled = if free { cedar_ir::compile_free(&src) } else { cedar_ir::compile_source(&src) };
     let program = compiled.unwrap_or_else(|e| die(&format!("front end: {e}")));
 
+    // One machine: what the pass plans for, `--validate` checks on and
+    // `--simulate` runs on.
     let mc = if fx80 { MachineConfig::fx80_scaled() } else { MachineConfig::cedar_config1_scaled() };
     let cfg = if manual { PassConfig::manual_improved() } else { PassConfig::automatic_1991() }
         .for_machine(&mc.machine);
@@ -75,12 +78,12 @@ fn main() {
             seeds: (1..=4).collect(),
             ..Default::default()
         };
-        let mc = MachineConfig::cedar_config1_scaled();
         let v = cedar_verify::restructure_validated(&program, &cfg, &mc, &watch, &vcfg)
             .unwrap_or_else(|e| die(&format!("serial reference: {e}")));
         print!("{}", emit(&v.program, &v.report));
         // `Debug` prints every cycle count and error bound exactly.
         println!("{:?}\n{:?}", v.report, v.validation);
+        eprintln!("validated on {}", mc.machine.name);
         return;
     }
 

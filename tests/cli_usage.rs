@@ -151,7 +151,9 @@ const TABLE: &[Row] = &[
     ("parallelize_file", &["{F}"], &[], 0, false, ""),
     ("parallelize_file", &["{F}", "--report"], &[], 0, false, ""),
     ("parallelize_file", &["{F}", "--manual", "--fx80", "--simulate"], &[], 0, false, "speedup"),
-    ("parallelize_file", &["{F}", "--validate"], &[], 0, false, ""),
+    ("parallelize_file", &["{F}", "--validate"], &[], 0, false, "validated on cedar-config1-scaled128"),
+    // parent: restructured for the FX/80 and validated on Cedar configuration 1.
+    ("parallelize_file", &["{F}", "--fx80", "--validate"], &[], 0, false, "validated on fx80-scaled128"),
     ("parallelize_file", &["bad.f"], &[], 1, true, "syntax error"),
     // parent: flags it did not know were ignored, exit 0; CI `cmp`s two such outputs.
     ("parallelize_file", &["{F}", "--validat"], &[], 2, true, "usage: parallelize_file"),
