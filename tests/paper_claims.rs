@@ -126,3 +126,35 @@ fn qcd_footnote_variants() {
         "parallel {parallel_rng:.2} vs critical {critical_rng:.2}"
     );
 }
+
+/// The paper's 58 cells exist once in effect: `benchmark/`'s frozen
+/// transcription (which scores `paper_log_err`) and the tables the
+/// experiments print beside their measurements hold the same numbers.
+#[test]
+fn the_frozen_transcription_equals_the_paper_tables() {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../benchmark/reference/paper_tables.tsv");
+    let text = std::fs::read_to_string(path).unwrap();
+    let frozen: Vec<(String, f64)> = text
+        .lines()
+        .filter(|l| !l.starts_with('#') && !l.trim().is_empty())
+        .map(|l| {
+            let f: Vec<&str> = l.split('\t').collect();
+            assert_eq!(f.len(), 4, "{path}: not four fields: {l}");
+            (f[..3].join(" "), f[3].parse().unwrap_or_else(|e| panic!("{path}: {l}: {e}")))
+        })
+        .collect();
+    let mut ours: Vec<(String, f64)> = cedar_experiments::table1::PAPER
+        .iter()
+        .map(|(name, _, v)| (format!("table1 {name} speedup"), *v))
+        .collect();
+    for (name, auto_fx, auto_cd, man_fx, man_cd) in cedar_experiments::table2::PAPER {
+        let columns = ["auto_fx80", "auto_cedar", "manual_fx80", "manual_cedar"];
+        for (column, v) in columns.iter().zip([auto_fx, auto_cd, man_fx, man_cd]) {
+            ours.push((format!("table2 {name} {column}"), *v));
+        }
+    }
+    assert_eq!((frozen.len(), ours.len()), (58, 58), "10 + 48 cells");
+    if let Some((f, o)) = frozen.iter().zip(&ours).find(|(f, o)| f != o) {
+        panic!("{path} says `{}` = {}, the experiments say `{}` = {}", f.0, f.1, o.0, o.1);
+    }
+}
