@@ -31,9 +31,8 @@ pub enum NestPlan {
     CdoallScalar,
 }
 
-/// Trip count assumed for a loop whose bounds are not constants. The
-/// machine's numbers come from [`PassConfig::machine`]; what is named
-/// in this module describes programs and policy.
+/// Trip count assumed for a loop whose bounds are not constants (the
+/// machine's numbers come from [`PassConfig::machine`]).
 pub(crate) const DEFAULT_TRIP: f64 = 100.0;
 
 /// Rough per-iteration cost of a body: statements weighted by operation
@@ -101,40 +100,29 @@ pub fn choose_plan(
 ) -> (NestPlan, usize) {
     let trip = const_trip(l).map(|t| t as f64).unwrap_or(DEFAULT_TRIP);
     let cost = body_cost(unit, &l.body).max(1.0);
-    let mut candidates: Vec<(NestPlan, f64)> = Vec::new();
-
     let m = &cfg.machine;
-    let ces = m.ces_per_cluster as f64;
-    let all_ces = m.total_ces() as f64;
-    let vector = body_vectorizable && cfg.stripmine;
-    // More than one cluster: the loop classes that leave it. On one
+    let (ces, all_ces) = (m.ces_per_cluster as f64, m.total_ces() as f64);
+    // More than one cluster: the classes that leave it exist. On one
     // (the FX/80) everything maps to CDOALL + vector.
-    if m.clusters > 1 {
-        if inner_parallel {
-            let iv = inner_vectorizable && cfg.stripmine;
-            let inner_gain = if iv { m.vector_gain } else { 1.0 };
-            candidates.push((
-                NestPlan::SdoallCdoall { inner_vector: iv },
-                m.sdo_start + m.cdo_start + trip * cost / (all_ces * inner_gain),
-            ));
-        }
-        if vector {
-            candidates.push((
-                NestPlan::XdoallVector,
-                m.xdo_start + trip * cost / (all_ces * m.vector_gain),
-            ));
-        }
-    }
-    // Small loops: one cluster with vector strips avoids the library
-    // startup.
-    if vector {
-        candidates
-            .push((NestPlan::CdoallVector, m.cdo_start + trip * cost / (ces * m.vector_gain)));
-    }
-    if m.clusters > 1 {
-        candidates.push((NestPlan::XdoallScalar, m.xdo_start + trip * cost / all_ces));
-    }
-    candidates.push((NestPlan::CdoallScalar, m.cdo_start + trip * cost / ces));
+    let many = m.clusters > 1;
+    let vector = body_vectorizable && cfg.stripmine;
+    let iv = inner_vectorizable && cfg.stripmine;
+    let inner_gain = if iv { m.vector_gain } else { 1.0 };
+    let nested = NestPlan::SdoallCdoall { inner_vector: iv };
+    // (applies, plan, start-up, iterations in flight). Small loops: one
+    // cluster with vector strips avoids the library start-up.
+    let plans = [
+        (many && inner_parallel, nested, m.sdo_start + m.cdo_start, all_ces * inner_gain),
+        (many && vector, NestPlan::XdoallVector, m.xdo_start, all_ces * m.vector_gain),
+        (vector, NestPlan::CdoallVector, m.cdo_start, ces * m.vector_gain),
+        (many, NestPlan::XdoallScalar, m.xdo_start, all_ces),
+        (true, NestPlan::CdoallScalar, m.cdo_start, ces),
+    ];
+    let candidates: Vec<(NestPlan, f64)> = plans
+        .into_iter()
+        .filter(|p| p.0)
+        .map(|(_, plan, start, in_flight)| (plan, start + trip * cost / in_flight))
+        .collect();
 
     let considered = candidates.len().min(cfg.max_versions);
     let best = candidates
@@ -157,9 +145,8 @@ pub fn doacross_worthwhile(unit: &Unit, l: &Loop, sync_region: &[Stmt], m: &Plan
     discounted_speedup(m, region / total) > 1.5
 }
 
-/// The speedup of one cluster's CEs (the DOACROSS and critical-section
-/// forms are cluster classes: hardware sync is cheap, cross-cluster
-/// cascades rarely pay — §3.4) when `serial_share` of an iteration is
+/// The speedup of one cluster's CEs (DOACROSS and critical sections
+/// are cluster classes) when `serial_share` of an iteration is
 /// serialized: P / (1 + P · share). All of it → 1; none → P.
 fn discounted_speedup(m: &Planning, serial_share: f64) -> f64 {
     let p = (m.ces_per_cluster as f64).max(1.0);

@@ -645,34 +645,20 @@ impl<'a> NestCtx<'a> {
     }
 
     /// Pick the execution mode of a library reduction from the trip
-    /// count: the two-level Cedar scheme only pays for long vectors.
+    /// count: the two-level Cedar scheme only pays for long vectors, and
+    /// needs a second cluster.
     fn reduction_mode(&self, l: &Loop) -> ParMode {
-        let trip = l
-            .start
-            .as_const_int()
-            .zip(l.end.as_const_int())
-            .map(|(a, b)| (b - a + 1).max(0));
-        let mode = match trip {
+        match unit_step_trip(l) {
             Some(t) if t < 96 => ParMode::Vector,
-            Some(t) if t < 2048 => ParMode::ClusterParallel,
-            Some(_) => ParMode::CedarParallel,
-            None => ParMode::ClusterParallel,
-        };
-        if self.cfg.machine.clusters == 1 && mode == ParMode::CedarParallel {
-            return ParMode::ClusterParallel;
+            Some(t) if t >= 2048 && self.cfg.machine.clusters > 1 => ParMode::CedarParallel,
+            _ => ParMode::ClusterParallel,
         }
-        mode
     }
 
     /// Estimate whether per-participant reduction partials pay off.
     fn reductions_profitable(&self, unit: &Unit, l: &Loop, reds: &[Reduction]) -> bool {
         let p = self.cfg.machine.total_ces() as f64;
-        let trip = l
-            .start
-            .as_const_int()
-            .zip(l.end.as_const_int())
-            .map(|(a, b)| ((b - a + 1).max(0)) as f64)
-            .unwrap_or(classes::DEFAULT_TRIP);
+        let trip = unit_step_trip(l).map_or(classes::DEFAULT_TRIP, |t| t as f64);
         let body = classes::body_cost(unit, &l.body).max(1.0);
         let mut overhead = 0.0;
         for r in reds {
@@ -806,4 +792,10 @@ impl<'a> NestCtx<'a> {
         let vectorizable = vectorize::body_vectorizable(unit, inner, &v.private_scalars);
         Some(InnerInfo { pos, vectorizable, private_scalars: v.private_scalars })
     }
+}
+
+/// Trip count of a loop with constant bounds, its step taken as 1.
+fn unit_step_trip(l: &Loop) -> Option<i64> {
+    let (a, b) = l.start.as_const_int().zip(l.end.as_const_int())?;
+    Some((b - a + 1).max(0))
 }

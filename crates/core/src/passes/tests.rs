@@ -308,15 +308,12 @@ fn reduction_partials_are_planned_for_the_machines_ces() {
                do i = 1, 2 * n\ntr(i) = i * 0.125\nend do\nm = n / 2\nsxn = 0.0\nsgn = 0.0\n\
                do j = 1, m - 1\nsxn = sxn + tr(n + m - j) * x(j)\n\
                sgn = sgn + tr(n + m - j) * g(j)\nend do\ns = sxn + sgn\nend\n";
-    let decision = |cfg: &PassConfig| {
-        let r = restructure(&compile_free(src).unwrap(), cfg);
-        r.report.loops.last().unwrap().decision.clone()
+    let last = |cfg: &PassConfig| {
+        restructure(&compile_free(src).unwrap(), cfg).report.loops.pop().unwrap().decision
     };
-    let on_cedar = decision(&PassConfig::automatic_1991());
-    assert!(matches!(&on_cedar, LoopDecision::Serial { reason } if reason.contains("overhead")), "{on_cedar:?}");
     let fx80 = PassConfig::automatic_1991().for_machine(&Machine::fx80());
-    let on_fx80 = decision(&fx80);
-    assert!(matches!(on_fx80, LoopDecision::Doall { .. }), "{on_fx80:?}");
+    assert!(matches!(last(&PassConfig::automatic_1991()), LoopDecision::Serial { .. }));
+    assert!(matches!(last(&fx80), LoopDecision::Doall { .. }));
     check_equiv(src, &["s"], &fx80);
 }
 
