@@ -149,7 +149,7 @@ pub fn doacross_worthwhile(unit: &Unit, l: &Loop, sync_region: &[Stmt], m: &Plan
 /// are cluster classes) when `serial_share` of an iteration is
 /// serialized: P / (1 + P · share). All of it → 1; none → P.
 fn discounted_speedup(m: &Planning, serial_share: f64) -> f64 {
-    let p = (m.ces_per_cluster as f64).max(1.0);
+    let p = m.ces_per_cluster as f64;
     p / (1.0 + p * serial_share)
 }
 

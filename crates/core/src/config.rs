@@ -6,10 +6,7 @@ use cedar_ir::{Machine, Planning};
 #[derive(Debug, Clone)]
 pub struct PassConfig {
     /// What planning reads of the machine the output is tuned for
-    /// ([`PassConfig::for_machine`]; Cedar configuration 1 unless
-    /// said). One cluster means everything maps to CDOALL + vector;
-    /// more, SDOALL/CDOALL nesting, XDOALL stripmining and
-    /// globalization.
+    /// ([`PassConfig::for_machine`]; Cedar configuration 1 unless said).
     pub machine: Planning,
 
     // ---- §3 automatic techniques ----
