@@ -99,6 +99,66 @@ fn warm_restart_replays_byte_identical_responses() {
     server.shutdown();
 }
 
+/// `N` requests with distinct keys (the trip count is in the source).
+fn distinct_requests(n: usize) -> Vec<ServeRequest> {
+    (0..n)
+        .map(|i| {
+            let mut req = ServeRequest::new(SOURCE.replace("64", &(32 + i).to_string()));
+            req.watch.push("s".into());
+            req
+        })
+        .collect()
+}
+
+#[test]
+fn shutdown_leaves_one_verifying_entry_per_reply() {
+    let cfg = config("drain");
+    let store_root = cfg.store_dir.clone().unwrap();
+    let server = Server::start(cfg).unwrap();
+    let addr = server.addr();
+    let requests = distinct_requests(6);
+    let replies: Vec<String> = requests
+        .iter()
+        .map(|req| {
+            let (status, body) = http::post(&addr, "/restructure", &req.to_json(), T).unwrap();
+            assert_eq!(status, 200, "{body}");
+            body
+        })
+        .collect();
+    // No wait between the last reply and the shutdown: whatever the
+    // server still owes the disk, `shutdown` returns after it is paid.
+    server.shutdown();
+
+    let store = cedar_store::Store::open(&store_root).expect("the server released its store");
+    assert_eq!(store.len(), requests.len(), "one entry per 200");
+    for (req, reply) in requests.iter().zip(&replies) {
+        let entry = store.get(req.key()).expect("every reply is on disk after shutdown");
+        assert_eq!(entry, reply.as_bytes(), "the entry is the reply");
+    }
+    assert_eq!(store.stats().corrupt_recovered, 0, "every entry verifies");
+}
+
+#[test]
+fn a_repeat_right_after_the_reply_is_the_reply() {
+    let server = Server::start(config("read-your-writes")).unwrap();
+    let addr = server.addr();
+    // The repeat leaves as soon as the first reply has arrived, with no
+    // look at `/metrics` in between: wherever the first body is by then,
+    // the second answer is that body and nothing is computed twice.
+    for req in distinct_requests(8) {
+        let body = req.to_json();
+        let (status, first) = http::post(&addr, "/restructure", &body, T).unwrap();
+        assert_eq!(status, 200, "{first}");
+        let (status, repeat) = http::post(&addr, "/restructure", &body, T).unwrap();
+        assert_eq!(status, 200, "{repeat}");
+        assert_eq!(repeat, first, "a reply that went out is not recomputed");
+    }
+    let (_, metrics) = http::get(&addr, "/metrics", T).unwrap();
+    let served = Json::parse(&metrics).unwrap().u64_at("served").unwrap();
+    assert_eq!(served, 16, "{metrics}");
+    server.shutdown();
+}
+
 #[test]
 fn corrupt_entries_recompute_and_repersist() {
     let cfg = config("corrupt");
