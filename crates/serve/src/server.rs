@@ -11,11 +11,17 @@
 //! leader's flight record and receive a copy of its response, so a
 //! thundering herd of one hot source costs one restructure.
 //!
+//! **Write-behind persistence**: a 200 goes out first and is handed to
+//! the one store-writer thread afterwards, so no client waits for an
+//! fsync. Until the durable put has returned, the body stays on the
+//! request's flight record and a repeat is answered from there.
+//!
 //! **Graceful shutdown**: `POST /shutdown` (or
 //! [`Server::initiate_shutdown`]) flips the draining flag, pokes the
 //! acceptor awake, and lets the workers finish everything already
 //! admitted before they exit — queued work is drained, never dropped;
-//! new arrivals get `503 shutting-down`.
+//! new arrivals get `503 shutting-down`. The store writer exits last,
+//! after every reply handed to it is on disk.
 
 use crate::breaker::Breaker;
 use crate::engine::{self, EngineConfig, ServeRequest};
@@ -26,7 +32,8 @@ use cedar_experiments::jsonio::{flags, Writer};
 use std::collections::{HashMap, VecDeque};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -88,7 +95,13 @@ pub struct Counters {
 }
 
 impl Counters {
-    fn json(&self, draining: bool, breaker: &Breaker, store: Option<&cedar_store::Store>) -> String {
+    fn json(
+        &self,
+        draining: bool,
+        breaker: &Breaker,
+        store: Option<&cedar_store::Store>,
+        pending: usize,
+    ) -> String {
         let mut w = Writer::new();
         w.obj().key("schema").str("cedar-serve-metrics-v1");
         w.key("accepted").int(self.accepted.load(Ordering::Relaxed));
@@ -104,7 +117,8 @@ impl Counters {
             let st = s.stats();
             w.obj().key("hits").int(st.hits).key("misses").int(st.misses);
             w.key("corrupt_recovered").int(st.corrupt_recovered);
-            w.key("puts").int(st.puts).key("entries").int(s.len()).end()
+            w.key("puts").int(st.puts).key("entries").int(s.len());
+            w.key("pending").int(pending).end()
         });
         w.finish()
     }
@@ -119,13 +133,40 @@ struct Shared {
     queue_cv: Condvar,
     draining: AtomicBool,
     counters: Counters,
-    /// In-flight `/restructure` computations by request key; the value
-    /// holds follower connections awaiting the leader's response.
-    flights: Mutex<HashMap<u64, Vec<TcpStream>>>,
+    /// `/restructure` requests between admission and the store, by
+    /// request key.
+    flights: Mutex<HashMap<u64, Flight>>,
     /// Optional persistent result store: 200 responses keyed by
     /// [`ServeRequest::key`] survive restarts and are replayed
     /// byte-identically.
     store: Option<cedar_store::Store>,
+}
+
+/// What the server holds for a request key the store cannot answer yet.
+enum Flight {
+    /// The leader is in the engine; these follower connections get a
+    /// copy of its response.
+    Computing(Vec<TcpStream>),
+    /// The 200 went out with this body and its durable put has not
+    /// returned. A repeat is answered from here, so a reply is never
+    /// recomputed and the first body is the one that reaches the disk.
+    /// The hand-off queue bounds how many of these exist.
+    Persisting(Arc<str>),
+}
+
+/// One reply on its way to the store writer.
+type Put = (u64, Arc<str>);
+
+impl Shared {
+    fn flights(&self) -> MutexGuard<'_, HashMap<u64, Flight>> {
+        self.flights.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Replies sent whose put has not returned.
+    fn pending(&self) -> usize {
+        let flights = self.flights();
+        flights.values().filter(|f| matches!(f, Flight::Persisting(_))).count()
+    }
 }
 
 /// A running server; dropping it does **not** stop it — call
@@ -135,6 +176,8 @@ pub struct Server {
     shared: Arc<Shared>,
     acceptor: JoinHandle<()>,
     workers: Vec<JoinHandle<()>>,
+    /// The store writer, when there is a store.
+    writer: Option<JoinHandle<()>>,
 }
 
 impl Server {
@@ -169,13 +212,27 @@ impl Server {
             let shared = Arc::clone(&shared);
             std::thread::spawn(move || accept_loop(listener, &shared))
         };
-        let workers = (0..shared.cfg.workers.max(1))
-            .map(|_| {
+        let workers = shared.cfg.workers.max(1);
+        // The hand-off to the store writer holds one reply per worker: a
+        // disk slower than the engine fills it, and the worker that finds
+        // it full waits as it did when it ran the put itself. Each worker
+        // owns a sender, so the writer's loop ends when the last worker
+        // has exited and the queue is empty.
+        let (persist, writer) = match shared.store {
+            None => (None, None),
+            Some(_) => {
+                let (tx, rx) = sync_channel(workers);
                 let shared = Arc::clone(&shared);
-                std::thread::spawn(move || worker_loop(&shared))
+                (Some(tx), Some(std::thread::spawn(move || store_writer(&shared, rx))))
+            }
+        };
+        let workers = (0..workers)
+            .map(|_| {
+                let (shared, persist) = (Arc::clone(&shared), persist.clone());
+                std::thread::spawn(move || worker_loop(&shared, persist.as_ref()))
             })
             .collect();
-        Ok(Server { addr, shared, acceptor, workers })
+        Ok(Server { addr, shared, acceptor, workers, writer })
     }
 
     /// `host:port` the server is listening on.
@@ -194,10 +251,15 @@ impl Server {
     }
 
     /// Wait for the acceptor and workers to exit (after a drain was
-    /// initiated via [`Server::initiate_shutdown`] or `POST /shutdown`).
+    /// initiated via [`Server::initiate_shutdown`] or `POST /shutdown`),
+    /// then for the store writer: every 200 this server answered is on
+    /// disk, or its put was logged as failed, when `join` returns.
     pub fn join(self) {
         let _ = self.acceptor.join();
         for w in self.workers {
+            let _ = w.join();
+        }
+        if let Some(w) = self.writer {
             let _ = w.join();
         }
     }
@@ -266,7 +328,23 @@ fn accept_loop(listener: TcpListener, shared: &Shared) {
     shared.queue_cv.notify_all();
 }
 
-fn worker_loop(shared: &Shared) {
+/// The one thread that writes the store. The put is `Store::put` as it
+/// always was — tmp file, fsync, rename, directory fsync — and
+/// best-effort as it always was: a full disk or an injected fault
+/// degrades the server to recompute-on-restart. The flight record goes
+/// only after the put has returned, so the entry is visible in the
+/// store before the body stops being answered from memory.
+fn store_writer(shared: &Shared, replies: Receiver<Put>) {
+    let Some(store) = &shared.store else { return };
+    for (key, body) in replies {
+        if let Err(e) = store.put(key, body.as_bytes()) {
+            eprintln!("cedar-serve: result store put failed: {e}");
+        }
+        shared.flights().remove(&key);
+    }
+}
+
+fn worker_loop(shared: &Shared, persist: Option<&SyncSender<Put>>) {
     loop {
         let stream = {
             let mut queue = shared.queue.lock().unwrap_or_else(|e| e.into_inner());
@@ -284,7 +362,7 @@ fn worker_loop(shared: &Shared) {
             }
         };
         match stream {
-            Some((mut s, admitted)) => handle_connection(shared, &mut s, admitted.elapsed()),
+            Some((s, admitted)) => handle_connection(shared, persist, s, admitted.elapsed()),
             None => return, // drained and draining: exit
         }
     }
@@ -292,13 +370,18 @@ fn worker_loop(shared: &Shared) {
 
 /// Answer one admitted connection; `queued` is how long it waited for
 /// this worker.
-fn handle_connection(shared: &Shared, stream: &mut TcpStream, queued: Duration) {
-    let req = match http::read_request(stream) {
+fn handle_connection(
+    shared: &Shared,
+    persist: Option<&SyncSender<Put>>,
+    mut stream: TcpStream,
+    queued: Duration,
+) {
+    let req = match http::read_request(&mut stream) {
         Ok(r) => r,
         Err(e) => {
             shared.counters.client_errors.fetch_add(1, Ordering::Relaxed);
             http::write_response(
-                stream,
+                &mut stream,
                 400,
                 &error::error_json(kind::BAD_REQUEST, &format!("malformed request: {e}"), None, &[]),
             );
@@ -307,31 +390,36 @@ fn handle_connection(shared: &Shared, stream: &mut TcpStream, queued: Duration) 
     };
     let draining = shared.draining.load(Ordering::SeqCst);
     match (req.method.as_str(), req.path.as_str()) {
-        ("GET", "/healthz") => http::write_response(stream, 200, &flags(&[("ok", true)])),
+        ("GET", "/healthz") => http::write_response(&mut stream, 200, &flags(&[("ok", true)])),
         ("GET", "/readyz") => {
             if draining {
                 http::write_response(
-                    stream,
+                    &mut stream,
                     error::status_for(kind::SHUTTING_DOWN),
                     &error::error_json(kind::SHUTTING_DOWN, "draining", None, &[]),
                 );
             } else {
-                http::write_response(stream, 200, &flags(&[("ready", true)]));
+                http::write_response(&mut stream, 200, &flags(&[("ready", true)]));
             }
         }
         ("GET", "/metrics") => {
-            let body = shared.counters.json(draining, &shared.breaker, shared.store.as_ref());
-            http::write_response(stream, 200, &body);
+            let body = shared.counters.json(
+                draining,
+                &shared.breaker,
+                shared.store.as_ref(),
+                shared.pending(),
+            );
+            http::write_response(&mut stream, 200, &body);
         }
         ("POST", "/shutdown") => {
             begin_drain(shared);
-            http::write_response(stream, 200, &flags(&[("ok", true), ("draining", true)]));
+            http::write_response(&mut stream, 200, &flags(&[("ok", true), ("draining", true)]));
         }
-        ("POST", "/restructure") => restructure_endpoint(shared, stream, &req.body, queued),
+        ("POST", "/restructure") => restructure_endpoint(shared, persist, stream, &req.body, queued),
         _ => {
             shared.counters.client_errors.fetch_add(1, Ordering::Relaxed);
             http::write_response(
-                stream,
+                &mut stream,
                 error::status_for(kind::NOT_FOUND),
                 &error::error_json(
                     kind::NOT_FOUND,
@@ -344,13 +432,19 @@ fn handle_connection(shared: &Shared, stream: &mut TcpStream, queued: Duration) 
     }
 }
 
-fn restructure_endpoint(shared: &Shared, stream: &mut TcpStream, body: &str, queued: Duration) {
+fn restructure_endpoint(
+    shared: &Shared,
+    persist: Option<&SyncSender<Put>>,
+    mut stream: TcpStream,
+    body: &str,
+    queued: Duration,
+) {
     let parsed = match Json::parse(body) {
         Ok(v) => v,
         Err(e) => {
             shared.counters.client_errors.fetch_add(1, Ordering::Relaxed);
             http::write_response(
-                stream,
+                &mut stream,
                 error::status_for(kind::PARSE_ERROR),
                 &error::error_json(kind::PARSE_ERROR, &format!("body is not JSON: {e}"), None, &[]),
             );
@@ -362,7 +456,7 @@ fn restructure_endpoint(shared: &Shared, stream: &mut TcpStream, body: &str, que
         Err(e) => {
             shared.counters.client_errors.fetch_add(1, Ordering::Relaxed);
             http::write_response(
-                stream,
+                &mut stream,
                 error::status_for(kind::BAD_REQUEST),
                 &error::error_json(kind::BAD_REQUEST, &e, None, &[]),
             );
@@ -370,19 +464,34 @@ fn restructure_endpoint(shared: &Shared, stream: &mut TcpStream, body: &str, que
         }
     };
 
-    // Persistent store first: a previous run (or a previous process —
-    // this is the warm-restart path) may have the finished response on
-    // disk. A verified entry is replayed **verbatim**, so a restarted
-    // server is byte-identical to the one that computed the result; a
-    // torn or corrupt entry is quarantined by `get` and falls through
-    // to recomputation, which re-persists a fresh copy below.
     let key = sreq.key();
+    let replay = |stream: &mut TcpStream, body: &str| {
+        shared.counters.served.fetch_add(1, Ordering::Relaxed);
+        http::write_response(stream, 200, body);
+    };
+
+    // A reply that went out is never recomputed. Until its put has
+    // returned the store may not have it, so the flight record is asked
+    // before the store; the writer drops the record only after the put,
+    // and a key missing here is either on disk or was never answered.
+    let replied = match shared.flights().get(&key) {
+        Some(Flight::Persisting(body)) => Some(Arc::clone(body)),
+        _ => None,
+    };
+    if let Some(body) = replied {
+        return replay(&mut stream, &body);
+    }
+
+    // Then the store: a previous request (or a previous process — this
+    // is the warm-restart path) may have the finished response on disk.
+    // A verified entry is replayed **verbatim**, so a restarted server
+    // is byte-identical to the one that computed the result; a torn or
+    // corrupt entry is quarantined by `get` and falls through to
+    // recomputation, which re-persists a fresh copy below.
     if let Some(store) = &shared.store {
         if let Some(bytes) = store.get(key) {
             if let Ok(body) = String::from_utf8(bytes) {
-                shared.counters.served.fetch_add(1, Ordering::Relaxed);
-                http::write_response(stream, 200, &body);
-                return;
+                return replay(&mut stream, &body);
             }
         }
     }
@@ -390,49 +499,55 @@ fn restructure_endpoint(shared: &Shared, stream: &mut TcpStream, body: &str, que
     // Coalescing: if an identical request is already being computed,
     // park this connection on its flight record — the leader answers
     // it. Registration happens under the flights lock, and the leader
-    // removes the record and collects waiters under the same lock, so
-    // no follower can be orphaned between check and park.
+    // collects waiters under the same lock, so no follower can be
+    // orphaned between check and park.
     {
-        let mut flights = shared.flights.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(waiters) = flights.get_mut(&key) {
-            let parked = stream.try_clone();
-            match parked {
-                Ok(s) => {
-                    waiters.push(s);
-                    shared.counters.coalesced.fetch_add(1, Ordering::Relaxed);
-                    return;
-                }
-                Err(_) => { /* fall through: compute independently */ }
+        let mut flights = shared.flights();
+        match flights.get_mut(&key) {
+            Some(Flight::Computing(waiters)) => {
+                waiters.push(stream);
+                shared.counters.coalesced.fetch_add(1, Ordering::Relaxed);
+                return;
             }
-        } else {
-            flights.insert(key, Vec::new());
+            // The leader answered while this request was at the store.
+            Some(Flight::Persisting(body)) => {
+                let body = Arc::clone(body);
+                drop(flights);
+                return replay(&mut stream, &body);
+            }
+            None => {
+                flights.insert(key, Flight::Computing(Vec::new()));
+            }
         }
     }
 
     let handled = engine::handle_queued(&sreq, &shared.cfg.engine, &shared.breaker, queued);
+    let body: Arc<str> = handled.body.into();
 
+    // Only a 200 is persisted. In the step that collects the followers
+    // the record becomes the body (the leader's, with `"coalesced":
+    // false`, so a replay after restart matches what its client saw):
+    // no request for this key finds neither a leader nor a reply.
+    let persist = persist.filter(|_| handled.status == 200);
     let waiters = {
-        let mut flights = shared.flights.lock().unwrap_or_else(|e| e.into_inner());
-        flights.remove(&key).unwrap_or_default()
+        let mut flights = shared.flights();
+        let record = match persist {
+            Some(_) => flights.insert(key, Flight::Persisting(Arc::clone(&body))),
+            None => flights.remove(&key),
+        };
+        match record {
+            Some(Flight::Computing(waiters)) => waiters,
+            _ => Vec::new(),
+        }
     };
-    let follower_count = waiters.len() as u64;
 
     if handled.status == 200 {
         shared
             .counters
             .served
-            .fetch_add(1 + follower_count, Ordering::Relaxed);
+            .fetch_add(1 + waiters.len() as u64, Ordering::Relaxed);
         if handled.retries > 0 {
             shared.counters.recovered.fetch_add(1, Ordering::Relaxed);
-        }
-        // Persist the leader's body (with `"coalesced": false`) so a
-        // replay after restart matches what the leader's client saw.
-        // Best-effort: a full disk or injected fault degrades the
-        // server to recompute-on-restart, never to a failed response.
-        if let Some(store) = &shared.store {
-            if let Err(e) = store.put(key, handled.body.as_bytes()) {
-                eprintln!("cedar-serve: result store put failed: {e}");
-            }
         }
     } else if handled.quarantined {
         shared.counters.quarantined.fetch_add(1, Ordering::Relaxed);
@@ -440,11 +555,24 @@ fn restructure_endpoint(shared: &Shared, stream: &mut TcpStream, body: &str, que
         shared.counters.client_errors.fetch_add(1, Ordering::Relaxed);
     }
 
-    http::write_response(stream, handled.status, &handled.body);
+    http::write_response(&mut stream, handled.status, &body);
+    // One request per connection: the client has its reply when the
+    // connection closes, which must not wait for the hand-off below.
+    drop(stream);
     if !waiters.is_empty() {
-        let body = engine::coalesced_copy(&handled.body);
+        let copy = engine::coalesced_copy(&body);
         for mut w in waiters {
-            http::write_response(&mut w, handled.status, &body);
+            http::write_response(&mut w, handled.status, &copy);
+        }
+    }
+
+    // Every client has its answer; now the disk. A full queue makes this
+    // worker wait for the writer, as it waited for its own put before:
+    // nothing is dropped. A writer that is gone is a failed put.
+    if let Some(writer) = persist {
+        if writer.send((key, body)).is_err() {
+            eprintln!("cedar-serve: result store writer is gone; reply not persisted");
+            shared.flights().remove(&key);
         }
     }
 }

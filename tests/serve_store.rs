@@ -50,6 +50,21 @@ fn store_metrics(addr: &str) -> Json {
     store.clone()
 }
 
+/// [`store_metrics`] once no reply is waiting for its put: the server
+/// answers before it writes, so what `puts` and `entries` say about a
+/// reply already received is settled when `pending` is 0.
+fn settled_store_metrics(addr: &str) -> Json {
+    let start = std::time::Instant::now();
+    loop {
+        let m = store_metrics(addr);
+        if count(&m, "pending") == 0 {
+            return m;
+        }
+        assert!(start.elapsed() < T, "the store writer never caught up: {m:?}");
+        std::thread::yield_now();
+    }
+}
+
 fn count(m: &Json, field: &str) -> u64 {
     m.get(field).and_then(Json::as_f64).unwrap_or_else(|| panic!("no {field} in {m:?}")) as u64
 }
@@ -64,7 +79,7 @@ fn warm_restart_replays_byte_identical_responses() {
     let addr = server.addr();
     let (status, cold) = http::post(&addr, "/restructure", &body, T).unwrap();
     assert_eq!(status, 200, "{cold}");
-    let m = store_metrics(&addr);
+    let m = settled_store_metrics(&addr);
     assert_eq!(count(&m, "misses"), 1, "cold request misses the store: {m:?}");
     assert_eq!(count(&m, "puts"), 1, "cold response is persisted: {m:?}");
     // A repeat within the same process is already a store hit.
@@ -93,7 +108,7 @@ fn warm_restart_replays_byte_identical_responses() {
     other.config = "manual".into();
     let (status, fresh) = http::post(&addr, "/restructure", &other.to_json(), T).unwrap();
     assert_eq!(status, 200, "{fresh}");
-    let m = store_metrics(&addr);
+    let m = settled_store_metrics(&addr);
     assert_eq!(count(&m, "misses"), 1, "new key misses the store: {m:?}");
     assert_eq!(count(&m, "entries"), 2, "new result persisted: {m:?}");
     server.shutdown();
@@ -183,7 +198,7 @@ fn corrupt_entries_recompute_and_repersist() {
     let addr = server.addr();
     let (status, healed) = http::post(&addr, "/restructure", &body, T).unwrap();
     assert_eq!(status, 200, "{healed}");
-    let m = store_metrics(&addr);
+    let m = settled_store_metrics(&addr);
     assert_eq!(count(&m, "corrupt_recovered"), 1, "torn entry detected: {m:?}");
     assert_eq!(count(&m, "puts"), 1, "recomputed response re-persisted: {m:?}");
     // The quarantined copy is preserved for forensics…
