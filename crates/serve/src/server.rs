@@ -195,6 +195,12 @@ impl Server {
                 std::io::Error::other(format!("result store {}: {e}", dir.display()))
             })?),
         };
+        Server::start_on(cfg, store)
+    }
+
+    /// [`Server::start`] on a store the caller opened: how this module's
+    /// tests give the server one with a fault hook.
+    fn start_on(cfg: ServerConfig, store: Option<cedar_store::Store>) -> std::io::Result<Server> {
         let listener = TcpListener::bind(&cfg.addr)?;
         let addr = listener.local_addr()?;
         let shared = Arc::new(Shared {
@@ -722,6 +728,149 @@ mod tests {
         let queue = stages.get("queue").and_then(Json::as_f64).unwrap();
         assert!(queue >= 20.0, "admitted 20 ms before the worker was free, waited {queue} ms");
         server.shutdown();
+    }
+
+    use cedar_store::{FaultHook, FsFault, FsStage, Store};
+    use std::sync::mpsc;
+
+    /// A two-worker server on a fresh store whose puts ask `hook` first.
+    fn start_with_hook(tag: &str, hook: FaultHook) -> (Server, PathBuf) {
+        let dir = PathBuf::from(format!("target/test-serve-writer/{tag}"));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = Store::open(&dir).unwrap().with_fault_hook(hook);
+        (Server::start_on(test_config(tag), Some(store)).unwrap(), dir)
+    }
+
+    /// A hook that holds every put at its first stage for as long as the
+    /// sender it comes with is alive.
+    fn gate() -> (mpsc::Sender<()>, FaultHook) {
+        let (open, held) = mpsc::channel::<()>();
+        let held = Mutex::new(held);
+        let hook: FaultHook = Arc::new(move |stage, _| {
+            if stage == FsStage::Write {
+                let _ = held.lock().unwrap().recv();
+            }
+            None
+        });
+        (open, hook)
+    }
+
+    /// Unvalidated requests with distinct keys.
+    fn distinct(n: usize) -> Vec<ServeRequest> {
+        (0..n)
+            .map(|i| {
+                let mut req = ServeRequest::new(format!(
+                    "program p\nreal a({0})\ninteger i\ndo 10 i = 1, {0}\n  a(i) = real(i)\n10 continue\nprint *, a({0})\nend\n",
+                    16 + i
+                ));
+                req.validate = false;
+                req
+            })
+            .collect()
+    }
+
+    fn post_ok(addr: &str, req: &ServeRequest) -> String {
+        let (status, body) = http::post(addr, "/restructure", &req.to_json(), T).unwrap();
+        assert_eq!(status, 200, "{body}");
+        body
+    }
+
+    /// `(pending, puts, hits, misses)` of `/metrics`' store block.
+    fn store_counts(addr: &str) -> (u64, u64, u64, u64) {
+        let (_, body) = http::get(addr, "/metrics", T).unwrap();
+        let store = Json::parse(&body).unwrap().get("store").cloned().unwrap();
+        let n = |field| store.u64_at(field).unwrap();
+        (n("pending"), n("puts"), n("hits"), n("misses"))
+    }
+
+    /// [`store_counts`] once the writer owes the disk nothing.
+    fn settled_store_counts(addr: &str) -> (u64, u64, u64, u64) {
+        let start = Instant::now();
+        loop {
+            let counts = store_counts(addr);
+            if counts.0 == 0 {
+                return counts;
+            }
+            assert!(start.elapsed() < T, "the store writer never caught up: {counts:?}");
+            std::thread::yield_now();
+        }
+    }
+
+    /// Every reply is in the store at `dir`, whole, and nothing else is.
+    fn assert_on_disk(dir: &std::path::Path, requests: &[ServeRequest], replies: &[String]) {
+        let store = Store::open(dir).expect("the server released its store");
+        assert_eq!(store.len(), requests.len(), "one entry per 200");
+        for (req, reply) in requests.iter().zip(replies) {
+            assert_eq!(store.get(req.key()).as_deref(), Some(reply.as_bytes()));
+        }
+        assert_eq!(store.stats().corrupt_recovered, 0, "every entry verifies");
+    }
+
+    #[test]
+    fn a_repeat_before_the_put_returns_is_answered_from_the_flight_record() {
+        let (open, hook) = gate();
+        let (server, _) = start_with_hook("read-your-writes", hook);
+        let addr = server.addr();
+        let req = &distinct(1)[0];
+        let first = post_ok(&addr, req);
+        assert_eq!(post_ok(&addr, req), first, "the repeat is the first reply");
+        // One miss: the repeat reached neither the store nor the engine.
+        assert_eq!(store_counts(&addr), (1, 0, 0, 1), "(pending, puts, hits, misses)");
+        drop(open);
+        assert_eq!(settled_store_counts(&addr), (0, 1, 0, 1));
+        assert_eq!(post_ok(&addr, req), first, "and so is the store's copy");
+        assert_eq!(store_counts(&addr), (0, 1, 1, 1));
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_full_hand_off_holds_the_worker_and_shutdown_waits_for_every_put() {
+        let (open, hook) = gate();
+        let (server, dir) = start_with_hook("back-pressure", hook);
+        let addr = server.addr();
+        // The writer holds the first put and the queue the next two (one
+        // per worker); the worker that answered the fourth waits to hand
+        // it over. All four clients have their answer.
+        let requests = distinct(4);
+        let replies: Vec<String> = requests.iter().map(|r| post_ok(&addr, r)).collect();
+        assert_eq!(store_counts(&addr), (4, 0, 0, 4), "(pending, puts, hits, misses)");
+        server.initiate_shutdown();
+        drop(open);
+        server.join();
+        assert_on_disk(&dir, &requests, &replies);
+    }
+
+    #[test]
+    fn a_failed_put_at_any_stage_costs_no_reply_and_tears_nothing() {
+        for stage in FsStage::ALL {
+            let hook: FaultHook = Arc::new(move |st, _| (st == stage).then_some(FsFault::Eio));
+            let (server, dir) = start_with_hook(&format!("failed-put-{}", stage.tag()), hook);
+            let addr = server.addr();
+            let requests = distinct(2);
+            let replies: Vec<String> = requests.iter().map(|r| post_ok(&addr, r)).collect();
+            assert_eq!(settled_store_counts(&addr), (0, 0, 0, 2), "{stage:?}: the records are dropped");
+            server.shutdown();
+            // A rename that happened stands (the failure is the directory
+            // fsync after it); before it, the entry is absent.
+            if stage == FsStage::DirSync {
+                assert_on_disk(&dir, &requests, &replies);
+            } else {
+                assert_on_disk(&dir, &[], &[]);
+            }
+        }
+    }
+
+    #[test]
+    fn a_dead_writer_costs_no_reply_and_shutdown_returns() {
+        let hook: FaultHook = Arc::new(|_, _| panic!("the store writer dies in its first put"));
+        let (server, dir) = start_with_hook("dead-writer", hook);
+        let addr = server.addr();
+        let requests = distinct(4);
+        for req in &requests {
+            post_ok(&addr, req);
+        }
+        server.shutdown();
+        assert_on_disk(&dir, &[], &[]);
     }
 
     #[test]
