@@ -461,12 +461,15 @@ impl Parser<'_> {
                     }
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (multi-byte safe).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
+                    // Copy the run up to the next `"` or `\`. Both are
+                    // ASCII, so a run of what arrived as `&str` ends on
+                    // a character boundary.
+                    let rest = &self.bytes[self.pos..];
+                    let len = rest.iter().position(|b| matches!(b, b'"' | b'\\')).unwrap_or(rest.len());
+                    let run = std::str::from_utf8(&rest[..len])
                         .map_err(|e| format!("invalid UTF-8 in string: {e}"))?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    out.push_str(run);
+                    self.pos += len;
                 }
             }
         }
@@ -556,6 +559,39 @@ mod tests {
         assert!(body.contains("\\u0009\\\"quoted\\\" \\\\ \\u0001\\u000d \u{1F980}"), "{body}");
         let v = Json::parse(&body).unwrap();
         assert_eq!(v.get(original).unwrap().as_str().unwrap(), original);
+    }
+
+    #[test]
+    fn multi_byte_scalars_round_trip_beside_escapes_and_at_the_end() {
+        // Two, three and four bytes, each next to an escape and each as
+        // the last thing in the string and in the document.
+        for original in [
+            "\"é\\é\né",
+            "\n€\"€\\€",
+            "\\\u{1F980}\n\u{1F980}\"\u{1F980}",
+            "é€\u{1F980}\u{1}é€\u{1F980}",
+        ] {
+            let mut w = Writer::new();
+            w.str(original);
+            let body = w.finish();
+            assert!(body.ends_with(&format!("{}\"", original.chars().last().unwrap())), "{body}");
+            assert_eq!(Json::parse(&body).unwrap().as_str(), Some(original), "{body}");
+        }
+        assert!(Json::parse("\"é").is_err(), "unterminated after a two-byte scalar");
+    }
+
+    #[test]
+    fn a_long_string_parses_in_one_pass() {
+        // 2 MB of source text in one member. Validating the rest of the
+        // document once per character made this 10^12 bytes of UTF-8
+        // checks; that this test finishes is the gate.
+        let line = "      a(i) = b(i) + 1.5 ! é\n";
+        let source = line.repeat((2 << 20) / line.len() + 1);
+        let mut w = Writer::new();
+        w.obj().key("source").str(&source).key("validate").bool(true);
+        let v = Json::parse(&w.finish()).unwrap();
+        assert_eq!(v.str_at("source").unwrap(), source);
+        assert_eq!(v.get("validate").and_then(Json::as_bool), Some(true));
     }
 
     #[test]
