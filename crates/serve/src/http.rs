@@ -99,17 +99,18 @@ fn reason(status: u16) -> &'static str {
     }
 }
 
-/// Write a complete JSON response and flush. Failures are swallowed —
-/// a client that hung up mid-response is its own problem, never the
-/// server's.
-pub fn write_response(stream: &mut TcpStream, status: u16, body: &str) {
-    let head = format!(
-        "HTTP/1.1 {status} {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
+/// Write a complete JSON response and flush. Head and body leave in one
+/// write, as a request does: two would be two segments, and the second
+/// can sit behind Nagle's algorithm until the first is acknowledged.
+/// Failures are swallowed — a client that hung up mid-response is its
+/// own problem, never the server's.
+pub fn write_response(stream: &mut impl Write, status: u16, body: &str) {
+    let response = format!(
+        "HTTP/1.1 {status} {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
         reason(status),
         body.len(),
     );
-    let _ = stream.write_all(head.as_bytes());
-    let _ = stream.write_all(body.as_bytes());
+    let _ = stream.write_all(response.as_bytes());
     let _ = stream.flush();
 }
 
@@ -192,6 +193,29 @@ mod tests {
         assert_eq!(status, 200);
         assert_eq!(resp, "{\"len\": 10000}");
         server.join().unwrap();
+    }
+
+    #[test]
+    fn a_response_is_one_write() {
+        /// Takes whatever it is given whole and keeps the pieces apart.
+        struct Pieces(Vec<Vec<u8>>);
+        impl Write for Pieces {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                self.0.push(buf.to_vec());
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut out = Pieces(Vec::new());
+        write_response(&mut out, 429, "{\"ok\": false}");
+        assert_eq!(out.0.len(), 1, "head and body in one write");
+        assert_eq!(
+            String::from_utf8(out.0.remove(0)).unwrap(),
+            "HTTP/1.1 429 Too Many Requests\r\nContent-Type: application/json\r\n\
+             Content-Length: 13\r\nConnection: close\r\n\r\n{\"ok\": false}"
+        );
     }
 
     #[test]
