@@ -151,11 +151,11 @@ enum Flight {
     /// returned. A repeat is answered from here, so a reply is never
     /// recomputed and the first body is the one that reaches the disk.
     /// The hand-off queue bounds how many of these exist.
-    Persisting(Arc<str>),
+    Persisting(Arc<String>),
 }
 
 /// One reply on its way to the store writer.
-type Put = (u64, Arc<str>);
+type Put = (u64, Arc<String>);
 
 impl Shared {
     fn flights(&self) -> MutexGuard<'_, HashMap<u64, Flight>> {
@@ -528,7 +528,7 @@ fn restructure_endpoint(
     }
 
     let handled = engine::handle_queued(&sreq, &shared.cfg.engine, &shared.breaker, queued);
-    let body: Arc<str> = handled.body.into();
+    let body = Arc::new(handled.body);
 
     // Only a 200 is persisted. In the step that collects the followers
     // the record becomes the body (the leader's, with `"coalesced":
