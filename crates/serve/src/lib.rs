@@ -25,8 +25,12 @@
 //!   computation ([`server`]); a later repeat is answered by the store
 //!   when one is configured and recomputed when not — the service holds
 //!   no unbounded memo;
+//! * **write-behind persistence** — with a store, a 200 goes out before
+//!   its durable put, which one writer thread performs; until then a
+//!   repeat is answered from the flight record ([`server`]);
 //! * **graceful shutdown** — draining finishes admitted work, new
-//!   arrivals get 503 ([`server`]);
+//!   arrivals get 503, and the process leaves with every reply it
+//!   answered on disk ([`server`]);
 //! * **structured errors** — the full `SimError` taxonomy and the
 //!   repo's exit classes map to stable `error.kind` strings; panic
 //!   payloads never leak to clients ([`error`]).
