@@ -64,7 +64,7 @@ use std::collections::HashMap;
 /// subscript buffer holds 8 so the *9th* push reports the violation.
 /// Subscript lists longer than the buffer fall back to the interpreter
 /// to reproduce that error (including its partial charge sequence).
-const MAX_RANK: usize = 8;
+pub(crate) const MAX_RANK: usize = 8;
 
 /// Longest argument list of a natively compiled intrinsic (the VM boxes
 /// the operands into a buffer of this size).
@@ -95,6 +95,14 @@ pub(crate) enum Instr {
     ElemB { d: Reg, arr: SymbolId, sub: u32, rank: u8 },
     /// Charge one subscript's address arithmetic (after its value ops).
     ChargeIdx,
+    /// A subscript that is an INTEGER variable: `LoadI` then `ChargeIdx`.
+    LoadIdx { d: Reg, sym: SymbolId },
+    /// An element load whose subscripts are the INTEGER variables
+    /// `idx_vars[sub..sub + rank]`: each one's `LoadIdx`, then the
+    /// element's access — without registers between them.
+    ElemVarR { d: Reg, arr: SymbolId, sub: u32, rank: u8 },
+    ElemVarI { d: Reg, arr: SymbolId, sub: u32, rank: u8 },
+    ElemVarB { d: Reg, arr: SymbolId, sub: u32, rank: u8 },
 
     // ---- arithmetic ----
     AddR { d: Reg, a: Reg, b: Reg },
@@ -174,6 +182,16 @@ pub(crate) enum Instr {
     /// Run side-table loop `loops[i]` (bound registers, schedule, body
     /// ranges), then continue at its `end_pc`.
     LoopStmt(u32),
+    /// Enter side-table loop `loops[i]`, a sequential loop without
+    /// locals, preamble or postamble, whose body follows inline: keep
+    /// its value, iterations left and step in integer registers
+    /// `at..at + 3`, store the loop variable and charge the step — or,
+    /// with no iteration, continue at `end_pc`.
+    SeqLoop { li: u32, at: Reg },
+    /// Close the body of the [`Instr::SeqLoop`] whose state is at `at`:
+    /// while iterations are left, advance `var`, charge the step and
+    /// jump back to `body`.
+    LoopBack { var: SymbolId, body: u32, at: Reg },
     /// Run side-table DO WHILE `whiles[i]`, then continue at `end_pc`.
     WhileStmt(u32),
     /// CALL side-table site `calls[i]` (known callee, pre-resolved).
@@ -268,6 +286,9 @@ pub(crate) struct CompiledUnit {
     /// Integer registers holding subscript lists, addressed by the
     /// `sub`/`rank` fields of the element ops.
     pub subs: Vec<Reg>,
+    /// INTEGER variables subscripting the `ElemVar*` ops, addressed by
+    /// their `sub`/`rank` fields.
+    pub idx_vars: Vec<SymbolId>,
     /// Operands of the intrinsic ops, addressed by their `args`/`n`.
     pub intr_args: Vec<(Class, Reg)>,
     pub loops: Vec<VmLoop>,
@@ -308,6 +329,22 @@ impl CompiledProgram {
     /// ([`Instr::EvalTree`]), across all units (introspection/tests).
     pub fn eval_tree_count(&self) -> usize {
         self.units.iter().map(|u| u.exprs.len()).sum()
+    }
+
+    /// Each unit's instructions by name (`"LoadIdx"`, `"SeqLoop"`, …),
+    /// in code order (introspection/tests).
+    pub fn op_names(&self) -> Vec<Vec<String>> {
+        let name = |i| {
+            format!("{i:?}")
+                .split([' ', '('])
+                .next()
+                .unwrap_or_default()
+                .to_string()
+        };
+        self.units
+            .iter()
+            .map(|u| u.code.iter().map(name).collect())
+            .collect()
     }
 }
 
@@ -360,7 +397,8 @@ struct Compiler<'a> {
     /// Next free register per class (indexed by `Class as usize`).
     next: [Reg; 3],
     /// Where a statement's temporaries start: the registers below hold
-    /// the unit's constants. No value lives across statements, so every
+    /// the unit's constants and the state of the enclosing inline
+    /// loops. No other value lives across statements, so every
     /// statement starts allocating here again.
     base: [Reg; 3],
     fconst: HashMap<u64, Reg>,
@@ -487,6 +525,7 @@ impl Compiler<'_> {
         let mark = (
             cu.code.len(),
             cu.subs.len(),
+            cu.idx_vars.len(),
             cu.intr_args.len(),
             cu.exprs.len(),
             self.next,
@@ -496,9 +535,10 @@ impl Compiler<'_> {
         }
         self.cu.code.truncate(mark.0);
         self.cu.subs.truncate(mark.1);
-        self.cu.intr_args.truncate(mark.2);
-        self.cu.exprs.truncate(mark.3);
-        self.next = mark.4;
+        self.cu.idx_vars.truncate(mark.2);
+        self.cu.intr_args.truncate(mark.3);
+        self.cu.exprs.truncate(mark.4);
+        self.next = mark.5;
         let i = self.cu.exprs.len() as u32;
         self.cu.exprs.push(e.clone());
         self.push(Instr::EvalTree(i));
@@ -556,6 +596,11 @@ impl Compiler<'_> {
         let regs: Vec<Reg> = idx
             .iter()
             .map(|e| {
+                if let Some(sym) = self.index_var(e) {
+                    let d = self.fresh(Class::I);
+                    self.push(Instr::LoadIdx { d, sym });
+                    return d;
+                }
                 let r = self.emit_int(e);
                 self.push(Instr::ChargeIdx);
                 r
@@ -564,6 +609,14 @@ impl Compiler<'_> {
         let at = self.cu.subs.len() as u32;
         self.cu.subs.extend(regs);
         at
+    }
+
+    /// The subscript is an INTEGER variable.
+    fn index_var(&self, e: &Expr) -> Option<SymbolId> {
+        match e {
+            Expr::Scalar(s) if self.class(*s) == Class::I => Some(*s),
+            _ => None,
+        }
     }
 
     /// Emit typed ops for `e` when they reproduce its evaluation
@@ -589,13 +642,26 @@ impl Compiler<'_> {
             // and a rank mismatch after the whole list — only the tree
             // walk gets those sequences right.
             Expr::Elem { arr, idx } if self.elem_ok(*arr, idx.len()) => {
-                let sub = self.emit_subs(idx);
+                // Subscripts that are all INTEGER variables are loaded
+                // by the element op itself.
+                let fused = idx.iter().all(|e| self.index_var(e).is_some());
+                let sub = if fused {
+                    for e in idx {
+                        self.cu.idx_vars.extend(self.index_var(e));
+                    }
+                    (self.cu.idx_vars.len() - idx.len()) as u32
+                } else {
+                    self.emit_subs(idx)
+                };
                 let (c, arr, rank) = (self.class(*arr), *arr, idx.len() as u8);
                 let d = self.fresh(c);
-                self.push(match c {
-                    Class::R => Instr::ElemR { d, arr, sub, rank },
-                    Class::I => Instr::ElemI { d, arr, sub, rank },
-                    Class::B => Instr::ElemB { d, arr, sub, rank },
+                self.push(match (c, fused) {
+                    (Class::R, true) => Instr::ElemVarR { d, arr, sub, rank },
+                    (Class::I, true) => Instr::ElemVarI { d, arr, sub, rank },
+                    (Class::B, true) => Instr::ElemVarB { d, arr, sub, rank },
+                    (Class::R, false) => Instr::ElemR { d, arr, sub, rank },
+                    (Class::I, false) => Instr::ElemI { d, arr, sub, rank },
+                    (Class::B, false) => Instr::ElemB { d, arr, sub, rank },
                 });
                 (c, d)
             }
@@ -855,17 +921,45 @@ impl Compiler<'_> {
             span: l.span,
             end_pc: 0,
         });
-        self.push(Instr::LoopStmt(li as u32));
-        // The loop's blocks live inline after the LoopStmt; straight-
-        // line execution continues at end_pc, and only the schedulers
-        // enter the ranges (per participant / per iteration).
-        let pre = self.emit_range(&l.preamble);
-        let body = self.emit_range(&l.body);
-        let post = self.emit_range(&l.postamble);
+        let (pre, body, post) = if inline_loop(l) {
+            // The dispatch loop runs it itself: the trip state sits in
+            // three registers the body's temporaries start above.
+            let at = self.fresh(Class::I);
+            self.fresh(Class::I);
+            self.fresh(Class::I);
+            self.push(Instr::SeqLoop { li: li as u32, at });
+            let outer = self.base;
+            self.base = self.next;
+            let body = self.emit_range(&l.body);
+            self.base = outer;
+            self.push(Instr::LoopBack {
+                var: l.var,
+                body: body.0,
+                at,
+            });
+            ((0, 0), body, (0, 0))
+        } else {
+            self.push(Instr::LoopStmt(li as u32));
+            // The loop's blocks live inline after the LoopStmt; straight-
+            // line execution continues at end_pc, and only the schedulers
+            // enter the ranges (per participant / per iteration).
+            let pre = self.emit_range(&l.preamble);
+            let body = self.emit_range(&l.body);
+            (pre, body, self.emit_range(&l.postamble))
+        };
         let end_pc = self.pc();
         let lp = &mut self.cu.loops[li];
         (lp.pre, lp.body, lp.post, lp.end_pc) = (pre, body, post, end_pc);
     }
+}
+
+/// A sequential loop the dispatch loop runs itself ([`Instr::SeqLoop`]):
+/// one that binds no locals and has no once-per-participant blocks.
+fn inline_loop(l: &Loop) -> bool {
+    l.class == LoopClass::Seq
+        && l.locals.is_empty()
+        && l.preamble.is_empty()
+        && l.postamble.is_empty()
 }
 
 #[cfg(test)]

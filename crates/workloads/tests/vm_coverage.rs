@@ -17,11 +17,15 @@
 //! runs pin that neither the fast paths nor the engine moves a cycle
 //! of any of the 22 restructured programs.
 //!
+//! The serial originals' static instruction mix is pinned as well, and
+//! searched for the two shapes the compiler fuses: an INTEGER variable
+//! as a subscript, and a sequential loop the dispatch loop runs itself.
+//!
 //! `cargo test -p cedar-workloads --test vm_coverage -- --nocapture`
 //! prints the tables (CI's vm-smoke job does).
 
 use cedar_ir::visit::{walk_expr, walk_stmts};
-use cedar_ir::{Expr, Intrinsic, Stmt};
+use cedar_ir::{Expr, Intrinsic, LoopClass, Stmt};
 use cedar_sim::{Engine, MachineConfig};
 use cedar_workloads::{table1_workloads, table2_workloads};
 
@@ -107,6 +111,104 @@ fn serial_originals_compile_and_run_as_typed_code() {
             w.name
         );
     }
+}
+
+/// The columns of the instruction-mix table: `ElemVar` and `Elem`
+/// count all three classes.
+const MIX: [&str; 8] = [
+    "LoadIdx",
+    "ElemVar",
+    "Elem",
+    "LoadI",
+    "ChargeIdx",
+    "SeqLoop",
+    "LoopBack",
+    "LoopStmt",
+];
+
+#[test]
+fn serial_originals_address_through_the_fused_forms() {
+    // Static counts: instructions, then `MIX`. A subscript that is an
+    // INTEGER variable is one `LoadIdx` (or part of an `ElemVar` load),
+    // never `LoadI` + `ChargeIdx`; a sequential loop without locals, a
+    // preamble or a postamble is a `SeqLoop` whose body ends in
+    // `LoopBack`, every other loop a `LoopStmt`.
+    let line = |name: &str, cells: Vec<String>| println!("{name:<8} {}", cells.join(" "));
+    let counts = |row: &[usize]| row.iter().map(|n| format!("{n:>9}")).collect();
+    line(
+        "program",
+        ["instrs"]
+            .iter()
+            .chain(&MIX)
+            .map(|m| format!("{m:>9}"))
+            .collect(),
+    );
+    let mut totals = [0; MIX.len() + 1];
+    for w in table1_workloads().into_iter().chain(table2_workloads()) {
+        let p = w.compile();
+        let names = cedar_sim::compile(&p).op_names();
+        let mut row = [0; MIX.len() + 1];
+        for (unit, ops) in p.units.iter().zip(&names) {
+            row[0] += ops.len();
+            for op in ops {
+                let op = if op.starts_with("Elem") {
+                    &op[..op.len() - 1]
+                } else {
+                    op.as_str()
+                };
+                if let Some(k) = MIX.iter().position(|&m| m == op) {
+                    row[k + 1] += 1;
+                }
+            }
+            for pair in ops.windows(2) {
+                assert!(
+                    pair != ["LoadI", "ChargeIdx"],
+                    "{}: a subscript variable unfused",
+                    w.name
+                );
+            }
+            let mut inline = Vec::new();
+            walk_stmts(&unit.body, &mut |s| {
+                if let Stmt::Loop(l) = s {
+                    inline.push(
+                        l.class == LoopClass::Seq
+                            && l.locals.is_empty()
+                            && l.preamble.is_empty()
+                            && l.postamble.is_empty(),
+                    );
+                }
+            });
+            // Loops compile in the order the walk visits them.
+            let entries: Vec<bool> = ops
+                .iter()
+                .filter(|op| *op == "SeqLoop" || *op == "LoopStmt")
+                .map(|op| op == "SeqLoop")
+                .collect();
+            assert_eq!(entries, inline, "{}: {}", w.name, unit.name);
+            let mut open = 0usize;
+            for op in ops {
+                match op.as_str() {
+                    "SeqLoop" => open += 1,
+                    "LoopBack" => open = open.checked_sub(1).expect("a LoopBack closes a SeqLoop"),
+                    _ => {}
+                }
+            }
+            assert_eq!(
+                open, 0,
+                "{}: {}: a SeqLoop without its LoopBack",
+                w.name, unit.name
+            );
+        }
+        line(w.name, counts(&row));
+        for (t, n) in totals.iter_mut().zip(row) {
+            *t += n;
+        }
+    }
+    line("total", counts(&totals));
+    // The pin. A workload or a compiler change that moves it updates the
+    // number here and the table in EXPERIMENTS.md ("Fused scalar
+    // addressing").
+    assert_eq!(totals, [2368, 172, 184, 48, 174, 61, 188, 188, 0]);
 }
 
 #[test]

@@ -119,7 +119,7 @@ fn race_run_allocs(p: &cedar_ir::Program) -> (u64, u64) {
 }
 
 /// Race-collecting allocations at 96 / 384 / 1 536 iterations.
-const CASCADE_ALLOCS: [u64; 3] = [413, 1_010, 3_362];
+const CASCADE_ALLOCS: [u64; 3] = [407, 1_004, 3_356];
 const LOCK_CHAIN_ALLOCS: [u64; 3] = [297, 881, 3_193];
 
 /// `cedar-verify`'s distance-1 recurrence at trip count `n`, as the
