@@ -49,11 +49,6 @@ impl Affine {
         self.coeffs.iter().all(|&c| c == 0) && self.sym.is_empty()
     }
 
-    /// True if no index variable appears (may still have symbolic terms).
-    pub fn is_loop_invariant(&self) -> bool {
-        self.coeffs.iter().all(|&c| c == 0)
-    }
-
     /// Indices of variables with nonzero coefficient.
     pub fn vars(&self) -> Vec<usize> {
         self.coeffs
@@ -262,7 +257,7 @@ mod tests {
         // m1 * m2 is nonlinear but invariant: one opaque term.
         let e = Expr::bin(BinOp::Mul, Expr::Scalar(s(7)), Expr::Scalar(s(8)));
         let a = extract(&e, &[s(0)], &always).unwrap();
-        assert!(a.is_loop_invariant());
+        assert!(a.vars().is_empty());
         assert_eq!(a.sym.len(), 1);
         // And it cancels against an identical occurrence.
         let plus_j = a.add(&Affine::var(1, 0));

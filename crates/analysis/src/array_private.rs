@@ -21,7 +21,6 @@
 
 use crate::affine::extract;
 use cedar_ir::{Expr, LValue, Loop, Stmt, SymKind, SymbolId, Unit};
-use std::collections::{BTreeMap, BTreeSet};
 
 /// Verdict for one array.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -33,21 +32,6 @@ pub enum ArrayPrivStatus {
     NotProven,
     /// Needs the value after the loop (copy-out unsupported).
     LiveOut,
-}
-
-/// Classify every array written in the body of `l`.
-pub fn classify_arrays(unit: &Unit, l: &Loop) -> BTreeMap<SymbolId, ArrayPrivStatus> {
-    let refs = crate::refs::collect(unit, l, None);
-    let mut written_arrays: BTreeSet<SymbolId> = BTreeSet::new();
-    for a in &refs.accesses {
-        if a.kind == crate::refs::AccessKind::Write {
-            written_arrays.insert(a.arr);
-        }
-    }
-    written_arrays
-        .into_iter()
-        .map(|arr| (arr, classify_array(unit, l, arr)))
-        .collect()
 }
 
 /// Is array `arr` privatizable with respect to loop `l`?
@@ -487,22 +471,5 @@ mod tests {
         // The scalar first-element write w(1) = 0.0 is an unrecognized
         // top-level write shape: conservatively not proven.
         assert_eq!(st, ArrayPrivStatus::NotProven);
-    }
-
-    #[test]
-    fn classify_arrays_reports_all_written() {
-        let p = compile_free(
-            "subroutine s(a, b, n, m)\nreal a(n), b(n, m), w(100)\ndo i = 1, n\n\
-             do j = 1, m\nw(j) = b(i, j)\nend do\n\
-             do j = 1, m\na(i) = a(i) + w(j)\nend do\nend do\nend\n",
-        )
-        .unwrap();
-        let u = &p.units[0];
-        let l = u.body.iter().find_map(|s| s.as_loop()).unwrap().clone();
-        let m = classify_arrays(u, &l);
-        let w = u.find_symbol("w").unwrap();
-        let a = u.find_symbol("a").unwrap();
-        assert_eq!(m[&w], ArrayPrivStatus::Privatizable);
-        assert_eq!(m[&a], ArrayPrivStatus::LiveOut);
     }
 }

@@ -41,13 +41,6 @@ impl ProgramSummaries {
     pub fn get(&self, unit: &str) -> Option<&UnitSummary> {
         self.map.get(unit)
     }
-
-    /// A routine is side-effect free if it writes no arguments and no
-    /// COMMON storage (it may still read anything).
-    pub fn is_side_effect_free(&self, unit: &str) -> bool {
-        self.get(unit)
-            .is_some_and(|s| s.arg_writes.is_empty() && s.common_writes.is_empty() && !s.opaque)
-    }
 }
 
 /// Compute summaries with a fixpoint over the call graph (handles
@@ -254,7 +247,6 @@ mod tests {
         .unwrap();
         let s = summarize(&p);
         assert!(s.get("top").unwrap().common_writes.contains("blk"));
-        assert!(!s.is_side_effect_free("top"));
     }
 
     #[test]
@@ -263,8 +255,8 @@ mod tests {
             "real function f(x)\nf = x * 2.0\nend\n",
         )
         .unwrap();
-        let s = summarize(&p);
-        assert!(s.is_side_effect_free("f"));
+        let sm = summarize(&p).get("f").unwrap().clone();
+        assert!(sm.arg_writes.is_empty() && sm.common_writes.is_empty() && !sm.opaque);
     }
 
     #[test]

@@ -39,5 +39,5 @@ pub mod scalar;
 
 pub use affine::Affine;
 pub use depend::{DepKind, Dependence, Direction, LoopDeps};
-pub use nest::{LoopLevel, NestInfo};
+pub use nest::LoopLevel;
 pub use refs::{AccessKind, ArrayAccess, BodyRefs};

@@ -48,20 +48,12 @@ impl LinearizedPattern {
 /// handled statically), `i` is the tested loop variable, and `g` is
 /// affine in the inner loop variables with constant coefficients.
 ///
+/// With `targets`, only accesses of those arrays are scanned (read-only
+/// arrays outside the set cannot carry the dependence and are ignored).
+///
 /// Returns one pattern per array (the widest inner extent seen), or
 /// `None` for arrays accessed any other way — callers then keep the
 /// loop serial.
-pub fn find_linearized(
-    unit: &cedar_ir::Unit,
-    l: &Loop,
-    invariant: &dyn Fn(SymbolId) -> bool,
-) -> Option<LinearizedPattern> {
-    find_linearized_for(unit, l, invariant, None)
-}
-
-/// As [`find_linearized`] but restricted to accesses of the arrays in
-/// `targets` (read-only arrays outside the set cannot carry the
-/// dependence and are ignored).
 pub fn find_linearized_for(
     unit: &cedar_ir::Unit,
     l: &Loop,
@@ -292,9 +284,8 @@ mod tests {
         let written = refs.scalar_writes.clone();
         let inner = refs.inner_ivars.clone();
         let lv = l.var;
-        find_linearized(u, &l, &move |s| {
-            s != lv && !written.contains(&s) && !inner.contains(&s)
-        })
+        let invariant = move |s| s != lv && !written.contains(&s) && !inner.contains(&s);
+        find_linearized_for(u, &l, &invariant, None)
     }
 
     #[test]

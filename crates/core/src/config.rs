@@ -66,10 +66,6 @@ pub struct PassConfig {
     /// schedules, then re-restructures with the nest degraded to its
     /// serial form.
     pub suppress_nests: Vec<(String, u32)>,
-    /// Run the post-transformation synchronization audit
-    /// ([`crate::sync_audit`]) and record uncovered dependences in the
-    /// report.
-    pub audit_sync: bool,
 }
 
 impl PassConfig {
@@ -97,7 +93,6 @@ impl PassConfig {
             loop_fusion: false,
             data_partitioning: false,
             suppress_nests: Vec::new(),
-            audit_sync: true,
         }
     }
 
@@ -156,13 +151,6 @@ impl PassConfig {
     /// True when the nest headed at `(unit, line)` must stay serial.
     pub fn is_suppressed(&self, unit: &str, line: u32) -> bool {
         self.suppress_nests.iter().any(|(u, l)| u == unit && *l == line)
-    }
-
-    /// Builder-style suppression of one nest (see
-    /// [`PassConfig::suppress_nests`]).
-    pub fn suppressing(mut self, unit: &str, line: u32) -> PassConfig {
-        self.suppress_nests.push((unit.to_string(), line));
-        self
     }
 }
 

@@ -59,9 +59,7 @@ pub fn pipeline(cfg: &PassConfig) -> Vec<Box<dyn ProgramPass>> {
         if !cfg.suppress_nests.is_empty() {
             v.push(Box::new(DemoteSuppressed));
         }
-        if cfg.audit_sync {
-            v.push(Box::new(AuditSync));
-        }
+        v.push(Box::new(AuditSync));
         return v;
     }
     let mut v: Vec<Box<dyn ProgramPass>> = Vec::new();
@@ -75,9 +73,7 @@ pub fn pipeline(cfg: &PassConfig) -> Vec<Box<dyn ProgramPass>> {
     if cfg.globalize {
         v.push(Box::new(Globalize));
     }
-    if cfg.audit_sync {
-        v.push(Box::new(AuditSync));
-    }
+    v.push(Box::new(AuditSync));
     v
 }
 

@@ -116,22 +116,6 @@ const PARALLEL_DO_KEYWORDS: &[(&str, &str, LoopClass)] = &[
     ("doacross", "enddoacross", LoopClass::CDoacross),
 ];
 
-/// Parse the full statement stream into program units.
-pub fn parse_units(raw: Vec<RawStmt>) -> Result<SourceFile> {
-    let raw = rewrite_labeled_dos(raw)?;
-    let mut p = Units {
-        stmts: raw.into_iter(),
-        recover: false,
-        errors: Vec::new(),
-        reported_eof: false,
-    };
-    let mut units = Vec::new();
-    while !p.at_end() {
-        units.push(p.parse_unit()?);
-    }
-    Ok(SourceFile { units })
-}
-
 /// Parse the full statement stream with **statement-boundary recovery**:
 /// instead of stopping at the first error, record a diagnostic, skip the
 /// offending statement (the token stream is one `RawStmt` per logical
@@ -140,11 +124,10 @@ pub fn parse_units(raw: Vec<RawStmt>) -> Result<SourceFile> {
 /// the unit's `END`.
 ///
 /// Returns every unit that could be built plus all diagnostics in the
-/// order they were detected. An empty error list means the result is
-/// identical to what [`parse_units`] would return.
+/// order they were detected.
 pub fn parse_units_recovering(raw: Vec<RawStmt>) -> (SourceFile, Vec<Error>) {
-    let (raw, errors) = rewrite_labeled_dos_recovering(raw);
-    let mut p = Units { stmts: raw.into_iter(), recover: true, errors, reported_eof: false };
+    let (raw, errors) = rewrite_labeled_dos(raw);
+    let mut p = Units { stmts: raw.into_iter(), errors, reported_eof: false };
     let mut units = Vec::new();
     while !p.at_end() {
         let left = p.stmts.len();
@@ -171,21 +154,12 @@ pub fn parse_units_recovering(raw: Vec<RawStmt>) -> (SourceFile, Vec<Error>) {
 /// Stage 2: turn `DO <label> v = ...` + terminator-labeled statement into
 /// `DO v = ...` ... stmt ... `END DO`(s). Loops sharing one terminator
 /// close together, the terminating statement executing inside the
-/// innermost loop (F77 semantics).
-fn rewrite_labeled_dos(raw: Vec<RawStmt>) -> Result<Vec<RawStmt>> {
-    let (out, mut errors) = rewrite_labeled_dos_recovering(raw);
-    match errors.is_empty() {
-        true => Ok(out),
-        false => Err(errors.remove(0)),
-    }
-}
-
-/// Label-rewrite core shared by the strict and recovering parsers: every
-/// structural problem becomes a diagnostic and the rewrite keeps going —
-/// an out-of-range label is dropped, a `DO`-terminates-`DO` keeps both
-/// loops open, and loops still open at end of file are closed with
-/// synthesized `END DO`s so the statement parser sees balanced blocks.
-fn rewrite_labeled_dos_recovering(raw: Vec<RawStmt>) -> (Vec<RawStmt>, Vec<Error>) {
+/// innermost loop (F77 semantics). Every structural problem becomes a
+/// diagnostic and the rewrite keeps going — an out-of-range label is
+/// dropped, a `DO`-terminates-`DO` keeps both loops open, and loops
+/// still open at end of file are closed with synthesized `END DO`s so
+/// the statement parser sees balanced blocks.
+fn rewrite_labeled_dos(raw: Vec<RawStmt>) -> (Vec<RawStmt>, Vec<Error>) {
     let mut out = Vec::with_capacity(raw.len());
     let mut errors = Vec::new();
     let mut stack: Vec<u32> = Vec::new();
@@ -254,9 +228,8 @@ fn rewrite_labeled_dos_recovering(raw: Vec<RawStmt>) -> (Vec<RawStmt>, Vec<Error
 struct Units {
     /// The statements not yet consumed.
     stmts: std::vec::IntoIter<RawStmt>,
-    /// Statement-boundary recovery: record diagnostics in `errors` and
-    /// keep parsing instead of propagating the first failure.
-    recover: bool,
+    /// Diagnostics recorded so far; a failed statement is recorded here
+    /// and parsing carries on instead of propagating the failure.
     errors: Vec<Error>,
     /// An unexpected end of file is reported once, not once per open block.
     reported_eof: bool,
@@ -322,62 +295,40 @@ impl Units {
                     let st = self.next().unwrap();
                     match parse_decl(st) {
                         Ok(d) => decls.push(d),
-                        Err(e) if self.recover => self.errors.push(e),
-                        Err(e) => return Err(e),
+                        Err(e) => self.errors.push(e),
                     }
                 }
                 _ => break,
             }
         }
 
-        let body = self.parse_block(&["end"])?;
-        match self.next() {
-            Some(st) if st.keyword().as_deref() == Some("end") => {}
-            Some(st) => {
-                let e = Error::structure(st.span(), "expected END of program unit");
-                if !self.recover {
-                    return Err(e);
-                }
-                self.errors.push(e);
-            }
-            None => {
-                let e = Error::structure(span, "program unit not terminated by END");
-                if !self.recover {
-                    return Err(e);
-                }
-                // parse_block already reported the unexpected EOF.
-                if !self.reported_eof {
-                    self.errors.push(e);
-                }
-            }
-        }
+        let body = self.parse_block(&["end"]);
+        // parse_block stops only at the END, consumed here, or at the end
+        // of the file, which it has already reported.
+        self.next();
         Ok(ProgramUnit { kind, name, args, decls, body, span })
     }
 
     /// Parse statements until one whose keyword is in `terminators`
     /// (left unconsumed).
-    fn parse_block(&mut self, terminators: &[&str]) -> Result<Vec<Stmt>> {
+    fn parse_block(&mut self, terminators: &[&str]) -> Vec<Stmt> {
         let mut out = Vec::new();
         loop {
             let Some(st) = self.peek() else {
-                let e = Error::structure(
-                    Span::NONE,
-                    format!("unexpected end of file; expected one of {terminators:?}"),
-                );
-                if !self.recover {
-                    return Err(e);
-                }
                 // Report the truncation once, then hand back whatever the
                 // block held so the enclosing construct can finish.
                 if !self.reported_eof {
                     self.reported_eof = true;
-                    self.errors.push(e);
+                    self.errors.push(Error::structure(
+                        Span::NONE,
+                        format!("unexpected end of file; expected one of {terminators:?}"),
+                    ));
                 }
-                return Ok(out);
+                return out;
             };
             if let Some(kw) = st.keyword() {
                 if terminators.contains(&&*kw) {
-                    return Ok(out);
+                    return out;
                 }
                 if kw == "format" {
                     self.next();
@@ -389,8 +340,7 @@ impl Units {
             // record the diagnostic and carry on from there.
             match self.parse_stmt() {
                 Ok(s) => out.push(s),
-                Err(e) if self.recover => self.errors.push(e),
-                Err(e) => return Err(e),
+                Err(e) => self.errors.push(e),
             }
         }
     }
@@ -437,7 +387,7 @@ impl Units {
         t.expect(&Tok::RParen)?;
         if t.eat_kw("then") {
             t.expect_end()?;
-            let then_body = self.parse_block(&["elseif", "else", "endif"])?;
+            let then_body = self.parse_block(&["elseif", "else", "endif"]);
             let mut elifs = Vec::new();
             let mut else_body = Vec::new();
             loop {
@@ -452,13 +402,13 @@ impl Units {
                         t2.expect(&Tok::RParen)?;
                         t2.expect_kw("then")?;
                         t2.expect_end()?;
-                        let b = self.parse_block(&["elseif", "else", "endif"])?;
+                        let b = self.parse_block(&["elseif", "else", "endif"]);
                         elifs.push((c, b));
                     }
                     Some("else") => {
-                        else_body = self.parse_block(&["endif"])?;
-                        // In recovery mode a truncated file can end inside
-                        // the ELSE block: parse_block already reported the
+                        else_body = self.parse_block(&["endif"]);
+                        // A truncated file can end inside the ELSE
+                        // block: parse_block already reported the
                         // EOF, so just close the IF with what we salvaged.
                         if let Some(endif) = self.next() {
                             debug_assert_eq!(endif.keyword().as_deref(), Some("endif"));
@@ -530,18 +480,18 @@ impl Units {
             }
             // Statements before an explicit LOOP marker form the preamble.
             if self.block_contains_marker("loop", end_kws) {
-                preamble = self.parse_block(&["loop"])?;
+                preamble = self.parse_block(&["loop"]);
                 self.next(); // consume LOOP
             }
         }
 
         let (body, postamble);
         if class.is_parallel() && self.block_contains_marker("endloop", end_kws) {
-            body = self.parse_block(&["endloop"])?;
+            body = self.parse_block(&["endloop"]);
             self.next(); // consume ENDLOOP
-            postamble = self.parse_block(end_kws)?;
+            postamble = self.parse_block(end_kws);
         } else {
-            body = self.parse_block(end_kws)?;
+            body = self.parse_block(end_kws);
             postamble = Vec::new();
         }
         self.next(); // consume END DO / END CDOALL / ...
@@ -647,7 +597,7 @@ impl Units {
         let cond = t.expr()?;
         t.expect(&Tok::RParen)?;
         t.expect_end()?;
-        let body = self.parse_block(&["enddo"])?;
+        let body = self.parse_block(&["enddo"]);
         self.next();
         Ok(StmtKind::DoWhile { cond, body })
     }

@@ -99,12 +99,6 @@ pub const FIXED_FORM_WIDTH: usize = 72;
 /// Columns 1–5 of an ordinary statement card.
 const BLANK: &str = "     ";
 
-/// Emit one fixed-form statement, wrapping text that would extend past
-/// column 72 onto `&`-continuation cards.
-pub fn push_card(out: &mut String, indent: usize, text: &str) {
-    wrap(out, BLANK, indent, text);
-}
-
 /// The one wrapping loop: `sentinel` fills columns 1–5 of every card
 /// (blank for a statement, `!$omp` for a directive), column 6 is blank
 /// on the first card and `&` on continuations, which sit one indent
@@ -549,21 +543,6 @@ impl<'a> Writer<'a> {
     }
 }
 
-/// Render an expression with minimal parenthesization.
-pub fn expr_text(u: &Unit, e: &Expr) -> String {
-    let mut out = String::new();
-    let mut w = Writer::new(u, Dialect::Cedar, &mut out);
-    w.expr(e, 0);
-    w.stmt
-}
-
-/// Render a DATA / PARAMETER value.
-pub fn value_text(v: &Value) -> String {
-    let mut s = String::new();
-    write_value(&mut s, v);
-    s
-}
-
 fn write_value(buf: &mut String, v: &Value) {
     match v {
         Value::I(i) => {
@@ -718,18 +697,18 @@ mod tests {
     fn overlong_single_token_is_not_split() {
         let mut out = String::new();
         let token = "x".repeat(90);
-        push_card(&mut out, 1, &token);
+        wrap(&mut out, BLANK, 1, &token);
         assert_eq!(out, format!("        {token}\n"));
         // A long token after a short head lands alone on its own card.
         out.clear();
-        push_card(&mut out, 0, &format!("y = {token}"));
+        wrap(&mut out, BLANK, 0, &format!("y = {token}"));
         assert_eq!(out, format!("      y =\n     &  {token}\n"));
     }
 
-    /// `push_card` output, one card per line, without the final newline.
+    /// A statement's cards, one per line, without the final newline.
     fn cards(indent: usize, text: &str) -> String {
         let mut out = String::new();
-        push_card(&mut out, indent, text);
+        wrap(&mut out, BLANK, indent, text);
         assert!(out.ends_with('\n'));
         out.trim_end_matches('\n').to_string()
     }
@@ -782,6 +761,21 @@ mod tests {
         );
         assert!(out.contains("          a(i) = 1.0\n        end do\n      end\n"), "got:\n{out}");
         assert!(!out.contains("xdoall") && !out.contains("real work1"), "got:\n{out}");
+    }
+
+    /// An expression with minimal parenthesization.
+    fn expr_text(u: &Unit, e: &Expr) -> String {
+        let mut out = String::new();
+        let mut w = Writer::new(u, Dialect::Cedar, &mut out);
+        w.expr(e, 0);
+        w.stmt
+    }
+
+    /// A DATA / PARAMETER value.
+    fn value_text(v: &Value) -> String {
+        let mut s = String::new();
+        write_value(&mut s, v);
+        s
     }
 
     #[test]

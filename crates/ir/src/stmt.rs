@@ -73,24 +73,6 @@ pub struct Loop {
     pub span: Span,
 }
 
-impl Loop {
-    /// A plain sequential loop with unit step and no locals.
-    pub fn new_seq(var: SymbolId, start: Expr, end: Expr, body: Vec<Stmt>) -> Self {
-        Loop {
-            class: LoopClass::Seq,
-            var,
-            start,
-            end,
-            step: None,
-            locals: Vec::new(),
-            preamble: Vec::new(),
-            body,
-            postamble: Vec::new(),
-            span: Span::NONE,
-        }
-    }
-}
-
 /// Executable statements of the IR.
 #[derive(Debug, Clone, PartialEq)]
 #[allow(missing_docs)] // payload fields are described by the variant docs
@@ -160,6 +142,24 @@ impl Stmt {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Loop {
+        /// A plain sequential loop with unit step and no locals.
+        pub(crate) fn new_seq(var: SymbolId, start: Expr, end: Expr, body: Vec<Stmt>) -> Self {
+            Loop {
+                class: LoopClass::Seq,
+                var,
+                start,
+                end,
+                step: None,
+                locals: Vec::new(),
+                preamble: Vec::new(),
+                body,
+                postamble: Vec::new(),
+                span: Span::NONE,
+            }
+        }
+    }
 
     #[test]
     fn lvalue_base_symbol() {

@@ -55,12 +55,10 @@
 //! longer aborts the scoped join mid-sweep: every other item still runs
 //! to completion, and the *first panic in index order* is then resumed
 //! on the calling thread — the same panic the serial map would have
-//! surfaced, with its payload intact. [`try_par_map`] goes further and
-//! returns a structured [`TryCell`] per item (`Ok` / `Panicked` /
-//! `TimedOut`), handing each worker a [`CancelToken`] carrying an
-//! optional per-item wall-clock budget that cooperative workloads (the
-//! simulator watchdog) poll. Supervisors build on these primitives; see
-//! `cedar-experiments::supervise`.
+//! surfaced, with its payload intact. Per-item outcomes and wall-clock
+//! budgets are the supervisor's (`cedar-experiments::supervise`): it
+//! contains each attempt itself and hands it a [`CancelToken`] that
+//! cooperative workloads (the simulator watchdog) poll.
 //!
 //! ## The shared front door
 //!
@@ -83,7 +81,6 @@ use std::cell::RefCell;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
 
 /// Global override installed by [`with_jobs`]; 0 = no override.
 static JOBS_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
@@ -98,16 +95,16 @@ thread_local! {
     static CONTEXT: RefCell<Option<Context>> = const { RefCell::new(None) };
 }
 
-/// Ambient context handle inherited by [`par_map`]/[`try_par_map`]
-/// worker threads; see [`set_context`].
+/// Ambient context handle inherited by [`par_map`] worker threads; see
+/// [`set_context`].
 pub type Context = Arc<dyn Any + Send + Sync>;
 
 /// Install an ambient context on the current thread and return the
-/// previous one. Worker threads spawned by [`par_map`]/[`try_par_map`]
-/// inherit a clone of the calling thread's context, so thread-local
-/// state that must follow the work across the pool (the experiment
-/// supervisor's per-cell record: rung, chaos profile, cancel token)
-/// can ride along without every closure threading it explicitly.
+/// previous one. Worker threads spawned by [`par_map`] inherit a clone
+/// of the calling thread's context, so thread-local state that must
+/// follow the work across the pool (the experiment supervisor's
+/// per-cell record: rung, chaos profile, cancel token) can ride along
+/// without every closure threading it explicitly.
 pub fn set_context(ctx: Option<Context>) -> Option<Context> {
     CONTEXT.with(|c| std::mem::replace(&mut *c.borrow_mut(), ctx))
 }
@@ -157,10 +154,6 @@ pub fn with_jobs<R>(n: usize, f: impl FnOnce() -> R) -> R {
 /// A worker panic's payload, preserved across the join.
 type PanicPayload = Box<dyn Any + Send + 'static>;
 
-/// One supervised item's raw outcome: the closure's result (or its
-/// panic payload) plus the token the item ran under.
-type Supervised<R> = (Result<R, PanicPayload>, CancelToken);
-
 /// Render a panic payload as text: the `&str` / `String` message when
 /// the panic carried one (the overwhelmingly common case — `panic!`,
 /// `assert!`, `expect`), a placeholder otherwise.
@@ -174,75 +167,23 @@ pub fn panic_message(payload: &(dyn Any + Send)) -> String {
     }
 }
 
-/// Outcome of one [`try_par_map`] item.
-#[derive(Debug)]
-pub enum TryCell<R> {
-    /// The closure returned normally.
-    Ok(R),
-    /// The closure panicked; the rendered payload message.
-    Panicked(String),
-    /// The closure panicked *after its token expired* — the cooperative
-    /// deadline fired (e.g. the simulator watchdog's wall-clock abort
-    /// surfacing through a harness `panic!`). Carries the budget the
-    /// item was given, if any.
-    TimedOut {
-        /// Wall-clock budget the item's token was created with.
-        budget: Option<Duration>,
-    },
-}
-
-impl<R> TryCell<R> {
-    /// The value, if the item completed.
-    pub fn ok(self) -> Option<R> {
-        match self {
-            TryCell::Ok(r) => Some(r),
-            _ => None,
-        }
-    }
-
-    /// Did the item complete?
-    pub fn is_ok(&self) -> bool {
-        matches!(self, TryCell::Ok(_))
-    }
-}
-
-/// Core supervised engine shared by [`par_map`] and [`try_par_map`]:
-/// map `f` over `items` on up to [`jobs`] workers — the calling thread
-/// and scoped threads for the rest — catching
-/// per-item panics so a failing item can never abort the scoped join,
-/// and handing each item a fresh [`CancelToken`] (with `budget` as its
-/// wall-clock deadline when given). Results come back in input order.
-fn supervised_map<T, R, F>(
-    items: Vec<T>,
-    budget: Option<Duration>,
-    f: &F,
-) -> Vec<Supervised<R>>
+/// The engine of [`par_map`]: map `f` over `items` on `workers`
+/// workers — the calling thread and scoped threads for the rest —
+/// catching per-item panics so a failing item can never abort the
+/// scoped join. Results come back in input order.
+fn supervised_map<T, R, F>(items: Vec<T>, workers: usize, f: &F) -> Vec<Result<R, PanicPayload>>
 where
     T: Send,
     R: Send,
-    F: Fn(T, &CancelToken) -> R + Sync,
+    F: Fn(T) -> R + Sync,
 {
-    let run_one = |item: T| {
-        let token = match budget {
-            Some(b) => CancelToken::with_budget(b),
-            None => CancelToken::new(),
-        };
-        let r = catch_unwind(AssertUnwindSafe(|| f(item, &token)));
-        (r, token)
-    };
-
     let n = items.len();
-    let workers = jobs().min(n);
-    if workers <= 1 || in_worker() {
-        return items.into_iter().map(run_one).collect();
-    }
-
     // Each input and each output slot gets its own mutex so workers
     // never contend except on the claim counter; `take()` moves the
     // item into the worker, and results land in index order.
     let input: Vec<Mutex<Option<T>>> =
         items.into_iter().map(|t| Mutex::new(Some(t))).collect();
-    let output: Vec<Mutex<Option<Supervised<R>>>> =
+    let output: Vec<Mutex<Option<Result<R, PanicPayload>>>> =
         (0..n).map(|_| Mutex::new(None)).collect();
     let next = AtomicUsize::new(0);
     let inherited = context();
@@ -256,7 +197,7 @@ where
                 .expect("par_map input slot poisoned")
                 .take()
                 .expect("par_map slot claimed twice");
-            let r = run_one(item);
+            let r = catch_unwind(AssertUnwindSafe(|| f(item)));
             *output[k].lock().expect("par_map output slot poisoned") = Some(r);
             k = next.fetch_add(1, Ordering::Relaxed);
         }
@@ -314,8 +255,7 @@ where
 /// still run, and after the pool joins, the first panic *in index
 /// order* is resumed on the calling thread with its original payload —
 /// matching the serial path's panic (the serial path itself propagates
-/// immediately, unchanged). Callers that need per-item outcomes instead
-/// of a sweep-level panic use [`try_par_map`].
+/// immediately, unchanged).
 pub fn par_map<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
 where
     T: Send,
@@ -328,10 +268,9 @@ where
         return items.into_iter().map(f).collect();
     }
 
-    let results = supervised_map(items, None, &|t, _token: &CancelToken| f(t));
     let mut out = Vec::with_capacity(n);
     let mut first_panic: Option<PanicPayload> = None;
-    for (r, _) in results {
+    for r in supervised_map(items, workers, &f) {
         match r {
             Ok(v) => out.push(v),
             Err(p) => {
@@ -345,34 +284,6 @@ where
         resume_unwind(p);
     }
     out
-}
-
-/// Supervised variant of [`par_map`]: every item yields a [`TryCell`]
-/// instead of the sweep sharing one panic. Each item's closure receives
-/// a fresh [`CancelToken`]; when `budget` is given the token carries
-/// that wall-clock deadline, which cooperative workloads poll (thread
-/// it into `cedar_sim::MachineConfig::cancel` and the simulator's
-/// watchdog aborts the run with a structured timeout once it fires).
-///
-/// Classification: a normal return is [`TryCell::Ok`] even if the
-/// deadline lapsed (completed work is kept); a panic on an item whose
-/// token has expired is [`TryCell::TimedOut`] (the cooperative abort
-/// surfaces as a panic in harness glue); any other panic is
-/// [`TryCell::Panicked`] with the rendered payload.
-pub fn try_par_map<T, R, F>(items: Vec<T>, budget: Option<Duration>, f: F) -> Vec<TryCell<R>>
-where
-    T: Send,
-    R: Send,
-    F: Fn(T, &CancelToken) -> R + Sync,
-{
-    supervised_map(items, budget, &f)
-        .into_iter()
-        .map(|(r, token)| match r {
-            Ok(v) => TryCell::Ok(v),
-            Err(_) if token.expired() => TryCell::TimedOut { budget: token.budget() },
-            Err(p) => TryCell::Panicked(panic_message(p.as_ref())),
-        })
-        .collect()
 }
 
 /// [`par_map`] over an index range: `par_map_range(n, f)[k] == f(k)`.
@@ -500,70 +411,6 @@ mod tests {
     }
 
     #[test]
-    fn try_par_map_returns_structured_outcomes() {
-        let cells = with_jobs(4, || {
-            try_par_map((0..8usize).collect(), None, |k, _token| {
-                if k == 2 {
-                    panic!("injected failure in cell {k}");
-                }
-                k * 10
-            })
-        });
-        assert_eq!(cells.len(), 8);
-        for (k, c) in cells.iter().enumerate() {
-            match c {
-                TryCell::Ok(v) => {
-                    assert_ne!(k, 2);
-                    assert_eq!(*v, k * 10);
-                }
-                TryCell::Panicked(msg) => {
-                    assert_eq!(k, 2);
-                    assert_eq!(msg, "injected failure in cell 2");
-                }
-                TryCell::TimedOut { .. } => panic!("no deadline was set"),
-            }
-        }
-    }
-
-    #[test]
-    fn try_par_map_catches_on_the_serial_path_too() {
-        let cells = with_jobs(1, || {
-            try_par_map(vec![1u32, 2, 3], None, |x, _| {
-                if x == 2 {
-                    panic!("serial cell panic");
-                }
-                x
-            })
-        });
-        assert!(cells[0].is_ok() && cells[2].is_ok());
-        assert!(matches!(&cells[1], TryCell::Panicked(m) if m == "serial cell panic"));
-    }
-
-    #[test]
-    fn expired_budget_classifies_as_timeout() {
-        // A cooperative worker: polls its token and aborts by panicking,
-        // exactly as harness glue over the simulator watchdog does.
-        let cells = with_jobs(2, || {
-            try_par_map(
-                vec![0u32, 1],
-                Some(Duration::ZERO),
-                |_, token: &CancelToken| {
-                    if token.expired() {
-                        panic!("cooperative abort");
-                    }
-                    0u32
-                },
-            )
-        });
-        for c in &cells {
-            assert!(
-                matches!(c, TryCell::TimedOut { budget: Some(b) } if *b == Duration::ZERO),
-                "expected TimedOut, got {c:?}"
-            );
-        }
-    }
-
-    #[test]
     fn workers_inherit_the_callers_context() {
         let prev = set_context(Some(Arc::new(42usize)));
         let seen = with_jobs(4, || {
@@ -620,32 +467,25 @@ mod tests {
     #[test]
     fn a_panicking_item_leaves_the_caller_unmarked_and_its_context_in_place() {
         let prev = set_context(Some(Arc::new("ambient")));
-        // Item 0 — the caller's own — panics; `try_par_map` contains it.
-        let cells = with_jobs(2, || {
-            try_par_map(vec![0u32, 1, 2, 3], None, |k, _| {
-                if k == 0 {
-                    panic!("the caller's item");
-                }
-                context().and_then(|c| c.downcast_ref::<&str>().copied())
+        let seen = Mutex::new(Vec::new());
+        // Item 0 — the caller's own — panics; `par_map` resumes it on the caller.
+        let resumed = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            with_jobs(2, || {
+                par_map(vec![0u32, 1, 2, 3], |k| {
+                    assert_ne!(k, 0, "the caller's item");
+                    let ambient = context().and_then(|c| c.downcast_ref::<&str>().copied());
+                    seen.lock().unwrap().push(ambient);
+                })
             })
-        });
-        assert!(matches!(&cells[0], TryCell::Panicked(m) if m == "the caller's item"));
-        for c in &cells[1..] {
-            assert!(matches!(c, TryCell::Ok(Some("ambient"))), "{c:?}");
-        }
+        }));
+        assert!(resumed.is_err());
+        assert_eq!(seen.into_inner().unwrap(), vec![Some("ambient"); 3]);
         assert!(
             !in_worker(),
             "the flag is restored after a sweep whose item panicked"
         );
         let ambient = context().and_then(|c| c.downcast_ref::<&str>().copied());
         assert_eq!(ambient, Some("ambient"), "the caller keeps its context");
-        // `par_map` resumes the panic on the caller; the flag is restored then too.
-        let resumed = std::panic::catch_unwind(|| {
-            with_jobs(2, || {
-                par_map(vec![0u32, 1], |k| assert_ne!(k, 0, "resumed"))
-            })
-        });
-        assert!(resumed.is_err() && !in_worker());
         set_context(prev);
     }
 }

@@ -232,6 +232,6 @@ mod tests {
         assert!(text.contains("`force`"), "{text}");
         assert!(text.contains("element 2"), "{text}");
         let info = e.race.as_ref().expect("race details attached");
-        assert_eq!(info.statement_pair(), (Span::new(14), Span::new(14)));
+        assert_eq!((info.writer_span, info.other_span), (Span::new(14), Span::new(14)));
     }
 }

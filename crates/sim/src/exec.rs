@@ -499,7 +499,7 @@ mod tests {
         let c = run_src(src_cluster);
         let g = run_src(src_global);
         assert!(g.cycles() > c.cycles());
-        assert!(g.stats.global_traffic() > 0);
+        assert!(g.stats.global_scalar_accesses + g.stats.global_vector_elems > 0);
     }
 
     #[test]

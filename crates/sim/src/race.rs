@@ -115,14 +115,6 @@ pub struct RaceInfo {
     pub other_span: Span,
 }
 
-impl RaceInfo {
-    /// The racing statement pair, for fallback notes: `(write line,
-    /// other line)`.
-    pub fn statement_pair(&self) -> (Span, Span) {
-        (self.writer_span, self.other_span)
-    }
-}
-
 impl fmt::Display for RaceInfo {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let name = match &self.var {

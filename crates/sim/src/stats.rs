@@ -61,38 +61,3 @@ pub struct ExecStats {
     /// Open-region start time (internal bookkeeping).
     pub region_open: Option<f64>,
 }
-
-impl ExecStats {
-    /// Total global-memory element traffic.
-    pub fn global_traffic(&self) -> u64 {
-        self.global_scalar_accesses + self.global_vector_elems
-    }
-
-    /// Fraction of global vector traffic that was prefetched.
-    pub fn prefetch_coverage(&self) -> f64 {
-        if self.global_vector_elems == 0 {
-            0.0
-        } else {
-            self.prefetched_elems as f64 / self.global_vector_elems as f64
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn derived_metrics() {
-        let s = ExecStats {
-            global_scalar_accesses: 10,
-            global_vector_elems: 90,
-            prefetched_elems: 45,
-            ..Default::default()
-        };
-        assert_eq!(s.global_traffic(), 100);
-        assert!((s.prefetch_coverage() - 0.5).abs() < 1e-12);
-        let empty = ExecStats::default();
-        assert_eq!(empty.prefetch_coverage(), 0.0);
-    }
-}

@@ -20,7 +20,9 @@
 //!
 //! The second test keeps the seam the documents are written through:
 //! outside `jsonio.rs`, no code under `crates/*/src` spells a JSON key,
-//! an escape, a `null` or an inexact integer read by hand.
+//! an escape, a `null` or an inexact integer read by hand. The third
+//! keeps out paths no caller runs: every `pub fn` of `crates/*/src` has
+//! a caller outside its own unit tests.
 
 use cedar_campaign::triage::{triage_json, QuarantinedShard};
 use cedar_campaign::wal::{Record, ShardSnap};
@@ -611,6 +613,96 @@ fn json_is_spelled_only_in_jsonio() {
         }
     }
     assert!(findings.is_empty(), "write and read JSON through `jsonio`:\n{}", findings.join("\n"));
+}
+
+/// A source file's code above its test module, comments blanked, and the
+/// files it pulls in as test modules (`#[cfg(test)] mod tests;`), which
+/// are test code whole. Only a column-0 `#[cfg(test)]` on a block ends
+/// the code; one on a `;`-terminated item, or an indented one, is
+/// stepped over.
+fn above_tests(file: &Path, text: &str) -> (Vec<String>, Vec<PathBuf>) {
+    let (mut code, mut test_files) = (Vec::new(), Vec::new());
+    let mut lines = text.lines();
+    while let Some(line) = lines.next() {
+        if !line.starts_with("#[cfg(test)]") {
+            // Comments name functions without calling them.
+            code.push(line.split("//").next().unwrap().to_string());
+            continue;
+        }
+        let Some(item) = lines.next().and_then(|l| l.trim_end().strip_suffix(';')) else {
+            break;
+        };
+        if let Some((_, name)) = item.rsplit_once("mod ") {
+            let dir = match file.file_stem().unwrap().to_str() {
+                Some("mod" | "lib" | "main") => file.parent().unwrap().to_path_buf(),
+                _ => file.with_extension(""),
+            };
+            test_files.push(dir.join(format!("{name}.rs")));
+        }
+        code.extend([String::new(), String::new()]);
+    }
+    (code, test_files)
+}
+
+/// Every `pub fn` above the test modules of `crates/*/src` is named by
+/// non-test code other than a definition, or by an integration test, the
+/// benchmark or an example. A function only its own unit tests call
+/// belongs in those tests.
+#[test]
+fn every_public_function_has_a_caller() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let mut files = Vec::new();
+    for dir in ["crates", "tests", "examples", "benchmark/src"] {
+        rust_files(&root.join(dir), &mut files);
+    }
+    let is_src = |f: &Path| {
+        f.starts_with(root.join("crates")) && f.components().any(|c| c.as_os_str() == "src")
+    };
+    let (mut sources, mut test_files) = (Vec::new(), Vec::new());
+    for file in &files {
+        let text = std::fs::read_to_string(file).unwrap();
+        let code = if is_src(file) {
+            let (code, mut tests) = above_tests(file, &text);
+            test_files.append(&mut tests);
+            code
+        } else {
+            text.lines().map(str::to_string).collect()
+        };
+        sources.push((file, code));
+    }
+    sources.retain(|(file, _)| !test_files.contains(file));
+    assert!(sources.len() > 150, "the workspace was not found: {} files", sources.len());
+
+    let is_ident = |c: char| c.is_alphanumeric() || c == '_';
+    let mut defined = Vec::new();
+    let mut named = std::collections::BTreeSet::new();
+    for (file, code) in &sources {
+        for (n, line) in code.iter().enumerate() {
+            let signature = line.trim_start().strip_prefix("pub fn ").filter(|_| is_src(file));
+            if let Some(rest) = signature {
+                let name: String = rest.chars().take_while(|&c| is_ident(c)).collect();
+                let at = file.strip_prefix(&root).unwrap().display();
+                defined.push((format!("{at}:{}", n + 1), name));
+            }
+            let mut prev = "";
+            for word in line.split(|c| !is_ident(c)).filter(|w| !w.is_empty()) {
+                if prev != "fn" {
+                    named.insert(word);
+                }
+                prev = word;
+            }
+        }
+    }
+    let uncalled: Vec<String> = defined
+        .iter()
+        .filter(|(_, name)| !named.contains(name.as_str()))
+        .map(|(at, name)| format!("{at}: {name}"))
+        .collect();
+    assert!(
+        uncalled.is_empty(),
+        "no caller outside unit tests names these (delete each, or move it into its tests):\n{}",
+        uncalled.join("\n")
+    );
 }
 
 /// The machine of §2.2 is described in `cedar_ir::machine` and nowhere
