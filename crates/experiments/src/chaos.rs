@@ -123,10 +123,10 @@ pub mod fs {
     use std::sync::Arc;
 
     /// One in `FS_MOD` `(stage, entry)` pairs suffers an injected
-    /// fault. Deliberately hot (a store write makes four draws, so
+    /// fault. Deliberately hot (a store write makes two draws, so
     /// roughly one write in three is hit somewhere) — the lane only
     /// exists inside fault tests, where coverage beats realism.
-    const FS_MOD: u64 = 12;
+    const FS_MOD: u64 = 6;
 
     /// Map a firing draw's hash to a fault. Divisions decorrelate the
     /// shape from the `% FS_MOD == 0` firing decision, mirroring the

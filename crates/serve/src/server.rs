@@ -334,12 +334,12 @@ fn accept_loop(listener: TcpListener, shared: &Shared) {
     shared.queue_cv.notify_all();
 }
 
-/// The one thread that writes the store. The put is `Store::put` as it
-/// always was — tmp file, fsync, rename, directory fsync — and
-/// best-effort as it always was: a full disk or an injected fault
-/// degrades the server to recompute-on-restart. The flight record goes
-/// only after the put has returned, so the entry is visible in the
-/// store before the body stops being answered from memory.
+/// The one thread that writes the store. The put is `Store::put` — one
+/// append to the log and its `fdatasync` — and best-effort: a full disk
+/// or an injected fault degrades the server to recompute-on-restart.
+/// The flight record goes only after the put has returned, so the entry
+/// is visible in the store before the body stops being answered from
+/// memory.
 fn store_writer(shared: &Shared, replies: Receiver<Put>) {
     let Some(store) = &shared.store else { return };
     for (key, body) in replies {
@@ -846,17 +846,12 @@ mod tests {
             let hook: FaultHook = Arc::new(move |st, _| (st == stage).then_some(FsFault::Eio));
             let (server, dir) = start_with_hook(&format!("failed-put-{}", stage.tag()), hook);
             let addr = server.addr();
-            let requests = distinct(2);
-            let replies: Vec<String> = requests.iter().map(|r| post_ok(&addr, r)).collect();
+            for req in &distinct(2) {
+                post_ok(&addr, req);
+            }
             assert_eq!(settled_store_counts(&addr), (0, 0, 0, 2), "{stage:?}: the records are dropped");
             server.shutdown();
-            // A rename that happened stands (the failure is the directory
-            // fsync after it); before it, the entry is absent.
-            if stage == FsStage::DirSync {
-                assert_on_disk(&dir, &requests, &replies);
-            } else {
-                assert_on_disk(&dir, &[], &[]);
-            }
+            assert_on_disk(&dir, &[], &[]);
         }
     }
 

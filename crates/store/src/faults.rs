@@ -1,12 +1,12 @@
 //! Filesystem fault injection points for the store's durable writes.
 //!
-//! Every [`Store::put`](crate::Store::put) walks a fixed sequence of
-//! stages — write the tmp file, fsync it, rename it into place, fsync
-//! the directory — and consults an optional [`FaultHook`] immediately
-//! before each real syscall. The hook decides, purely from the stage
-//! and the entry name, whether that syscall "fails" and how. The store
-//! itself stays dependency-free: seeded draw policies (the
-//! `CEDAR_CHAOS` fs lane) live upstream and plug in through the hook.
+//! Every [`Store::put`](crate::Store::put) walks a fixed sequence of two
+//! stages — write the record at the end of the log, `fdatasync` it —
+//! and consults an optional [`FaultHook`] immediately before each real
+//! syscall. The hook decides, purely from the stage and the entry
+//! name, whether that syscall "fails" and how. The store itself stays
+//! dependency-free: seeded draw policies (the `chaos::fs` lane) live
+//! upstream and plug in through the hook.
 //!
 //! The injected faults are the honest ones a real filesystem produces:
 //!
@@ -15,23 +15,23 @@
 //! * [`FsFault::Eio`] — the syscall fails outright, leaving whatever
 //!   state it already created;
 //! * [`FsFault::Crash`] — the process "dies" at this point: nothing
-//!   after the stage happens. At [`FsStage::Rename`] this is the
-//!   classic crash window — the tmp file is fully written and synced
-//!   but the entry never appears.
+//!   after the stage happens. At [`FsStage::Sync`] this is the crash
+//!   window — the record is whole in the log but not known to be on
+//!   disk, and the index never learns it.
+//!
+//! Whatever fails, the put then cuts the log back to its last good
+//! record; a process that really dies leaves that tail for the next
+//! writable open to cut.
 
 use std::sync::Arc;
 
 /// A stage of the durable-write sequence, in execution order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FsStage {
-    /// Writing the entry bytes to the tmp file.
+    /// Writing the record at the end of the log.
     Write,
-    /// `fsync` of the tmp file.
+    /// `fdatasync` of the log.
     Sync,
-    /// Atomic rename of the tmp file onto the entry path.
-    Rename,
-    /// `fsync` of the entries directory (persists the rename).
-    DirSync,
 }
 
 impl FsStage {
@@ -40,13 +40,11 @@ impl FsStage {
         match self {
             FsStage::Write => "write",
             FsStage::Sync => "sync",
-            FsStage::Rename => "rename",
-            FsStage::DirSync => "dir-sync",
         }
     }
 
     /// Every stage, in the order a put executes them.
-    pub const ALL: [FsStage; 4] = [FsStage::Write, FsStage::Sync, FsStage::Rename, FsStage::DirSync];
+    pub const ALL: [FsStage; 2] = [FsStage::Write, FsStage::Sync];
 }
 
 /// How an injected stage fails.

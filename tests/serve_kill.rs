@@ -3,9 +3,9 @@
 //! re-executed with `SERVE_KILL_CHILD` set) runs a server on a store;
 //! the parent posts a stream of distinct requests and sends SIGKILL the
 //! moment the last reply has arrived — when the server has answered and
-//! may not have renamed yet. The window is the one DESIGN.md §15.2
-//! already allows a failed put: the entry is absent and the restarted
-//! server recomputes. What may never happen is a torn entry, an entry
+//! may not have appended or synced yet. The window is the one DESIGN.md
+//! §15.2 already allows a failed put: the entry is absent (or whole) and
+//! the restarted server recomputes (or replays). What may never happen is a torn entry, an entry
 //! nobody was sent, or a survivor that differs from its reply.
 
 use cedar_serve::{http, Json, ServeRequest, Server, ServerConfig};
@@ -92,10 +92,11 @@ fn sigkill_right_after_a_reply_leaves_no_torn_entry() {
         child.kill().unwrap();
         child.wait().unwrap();
 
-        // Reopening reclaims the dead child's lock and sweeps the tmp
-        // file of a put the kill interrupted.
+        // The dead child's lock went with it; reopening cuts the torn
+        // tail of a put the kill interrupted.
         let store = Store::open(root.join("store")).unwrap();
-        assert_eq!(std::fs::read_dir(root.join("store/tmp")).unwrap().count(), 0);
+        let log = std::fs::metadata(root.join("store/log")).unwrap().len();
+        assert_eq!(log, store.total_bytes(), "after {n}: the log ends on a record");
         let survived: Vec<bool> = requests
             .iter()
             .zip(&replies)

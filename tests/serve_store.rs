@@ -187,12 +187,13 @@ fn corrupt_entries_recompute_and_repersist() {
     assert_eq!(status, 200, "{cold}");
     server.shutdown();
 
-    // Flip one payload byte on disk: the checksum trailer must catch it.
-    let entry = store_root.join("entries").join(format!("{:016x}", req.key()));
-    let mut bytes = std::fs::read(&entry).unwrap();
-    assert!(bytes.len() > cold.len(), "entry carries payload + trailer");
-    bytes[0] ^= 0x40;
-    std::fs::write(&entry, &bytes).unwrap();
+    // Flip the last payload byte on disk: the record's checksum must
+    // catch it.
+    let log = store_root.join("log");
+    let mut bytes = std::fs::read(&log).unwrap();
+    assert!(bytes.len() > cold.len(), "the record carries header + payload");
+    *bytes.last_mut().unwrap() ^= 0x40;
+    std::fs::write(&log, &bytes).unwrap();
 
     let server = Server::start(config_reopen("corrupt")).unwrap();
     let addr = server.addr();
