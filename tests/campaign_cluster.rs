@@ -47,6 +47,14 @@ fn complete_body(worker: &str, shard: u64, seed_start: u64, seed_end: u64) -> St
     w.finish()
 }
 
+/// Triage's `shards` block and `quarantined` rows: what the
+/// coordinator's durable state decides, as against the worker tallies,
+/// which a restarted coordinator begins again.
+fn shards_and_quarantined(triage: &str) -> &str {
+    let from = triage.find("\"shards\": ").expect("a shards block");
+    &triage[from..triage.find("\"clusters\": ").expect("a clusters block")]
+}
+
 #[test]
 fn crashed_worker_loses_no_seeds_and_the_merge_is_byte_identical() {
     let reference = reference_json(0, 60, 2);
@@ -142,7 +150,12 @@ fn coordinator_restart_resumes_from_the_journal_without_rerunning_shards() {
         assert!(reply.contains("\"shard\": 0"), "{reply}");
         let (status, _) = c1.handle("POST", "/complete", &complete_body("w1", 0, 0, 8), now);
         assert_eq!(status, 200);
-        // Lease shard 1 and "crash" with it in flight.
+        // A reported failure reassigns shard 1 once.
+        let (_, reply) = c1.handle("POST", "/lease", "{\"worker\": \"w1\"}", now);
+        assert!(reply.contains("\"shard\": 1"), "{reply}");
+        let fail = "{\"worker\": \"w1\", \"shard\": 1, \"error\": \"flaky\"}";
+        assert_eq!(c1.handle("POST", "/fail", fail, now).0, 200);
+        // Lease shard 1 again and "crash" with it in flight.
         let (_, reply) = c1.handle("POST", "/lease", "{\"worker\": \"w1\"}", now);
         assert!(reply.contains("\"shard\": 1"), "{reply}");
     } // coordinator killed here
@@ -164,6 +177,12 @@ fn coordinator_restart_resumes_from_the_journal_without_rerunning_shards() {
         outcome.merged.unwrap().to_json(),
         reference_json(0, 24, 2),
         "a resumed campaign still merges byte-identically"
+    );
+    // The reassignment before the crash is still counted after it.
+    let triage = std::fs::read_to_string(outcome.triage_path).unwrap();
+    assert_eq!(
+        shards_and_quarantined(&triage),
+        "\"shards\": {\"total\": 3, \"completed\": 3, \"quarantined\": 0, \"reassignments\": 1},\n  \"quarantined\": [],\n  "
     );
 }
 
@@ -238,7 +257,7 @@ fn poison_shards_are_quarantined_and_triaged_without_wedging_the_campaign() {
         checkpoint_every: 0,
         dir: fresh_dir("poison"),
     };
-    let mut c = Coordinator::new(cfg).unwrap();
+    let mut c = Coordinator::new(cfg.clone()).unwrap();
     let now = Instant::now();
     for (worker, error) in [("w1", "panic: shard is cursed"), ("w2", "panic: still cursed")] {
         let (_, reply) = c.handle("POST", "/lease", &format!("{{\"worker\": \"{worker}\"}}"), now);
@@ -249,7 +268,10 @@ fn poison_shards_are_quarantined_and_triaged_without_wedging_the_campaign() {
         let (status, _) = c.handle("POST", "/fail", &body, now);
         assert_eq!(status, 200);
     }
-    // Two healthy workers failed it: quarantined, campaign moves on.
+    // Two healthy workers failed it: quarantined, and still so after a
+    // restart. The campaign moves on.
+    drop(c);
+    let mut c = Coordinator::new(cfg).unwrap();
     let (_, reply) = c.handle("POST", "/lease", "{\"worker\": \"w3\"}", now);
     assert!(reply.contains("\"shard\": 1"), "shard 0 must be quarantined, got {reply}");
     let (status, _) = c.handle("POST", "/complete", &complete_body("w3", 1, 8, 16), now);
@@ -274,6 +296,10 @@ fn poison_shards_are_quarantined_and_triaged_without_wedging_the_campaign() {
     assert!(
         errors.iter().any(|e| e.as_str().unwrap().contains("w1: panic: shard is cursed")),
         "{triage}"
+    );
+    assert_eq!(
+        shards_and_quarantined(&triage),
+        "\"shards\": {\"total\": 2, \"completed\": 1, \"quarantined\": 1, \"reassignments\": 1},\n  \"quarantined\": [\n    {\"shard\": 0, \"seed_start\": 0, \"seed_end\": 8, \"attempts\": 2, \"errors\": [\"w1: panic: shard is cursed\", \"w2: panic: still cursed\"]}\n  ],\n  "
     );
 }
 
