@@ -23,7 +23,7 @@ use std::time::Duration;
 
 const COORDINATE: &str = "usage: campaign coordinate --addr H:P --seeds A..B --dir DIR [--shard N]
                            [--lease-ms N] [--retry-budget N] [--jobs-check N]
-                           [--config manual|auto|serial] [--checkpoint-every N]";
+                           [--config manual|auto|serial]";
 const WORK: &str = "usage: campaign work --addr H:P --name NAME [--budget SECS] [--no-shrink]
                      [--corpus DIR]";
 
@@ -42,7 +42,6 @@ fn coordinate(args: &mut Args) -> Result<i32, String> {
     cfg.retry_budget = args.value("--retry-budget").unwrap_or(cfg.retry_budget);
     cfg.jobs_check = args.value("--jobs-check").unwrap_or(cfg.jobs_check);
     cfg.config_name = args.value("--config").unwrap_or(cfg.config_name);
-    cfg.checkpoint_every = args.value("--checkpoint-every").unwrap_or(cfg.checkpoint_every);
     args.finish();
     let addr = addr.unwrap_or_else(|| args.fail("--addr is required"));
     (cfg.seed_start, cfg.seed_end) = seeds.unwrap_or_else(|| args.fail("--seeds A..B is required"));

@@ -1,15 +1,24 @@
 //! The campaign coordinator: shards a seed range, leases shards to
 //! workers, survives worker crashes (lease expiry → reassignment) and
-//! its own (journal replay → resume), quarantines poison shards, and
-//! folds completed shards into the byte-deterministic merged report.
+//! its own (one row per shard in a `cedar-store` → resume), quarantines
+//! poison shards, and folds completed shards into the byte-deterministic
+//! merged report.
 //!
 //! The coordinator is a state machine over HTTP
 //! ([`Coordinator::handle`] maps one request to one reply), wrapped in
 //! a tiny single-threaded server loop ([`Coordinator::serve`]) — the
 //! requests are all sub-millisecond lookups, so the serve stack's
-//! worker pool and admission queue would be dead weight here. Every
-//! state transition is journaled (see [`crate::wal`]) *before* the
-//! reply is sent.
+//! worker pool and admission queue would be dead weight here.
+//!
+//! Its only durable state is the store at `dir/state/`. Key `k` holds
+//! shard `k`'s row — state, attempts, reassignments, errors and, once
+//! completed, the summary — and key `u64::MAX` the campaign's seed
+//! range, shard size and configuration. A completion, a reassignment
+//! and a quarantine are each one `put` of the shard's row, made before
+//! the reply is sent; a lease writes nothing, so a lease in flight when
+//! the coordinator dies is pending again after the restart. Resume is
+//! one `get` per shard: a row the store has not got, or counts corrupt,
+//! leaves its shard pending to be run again.
 //!
 //! Protocol (JSON over `cedar-serve`'s HTTP):
 //!
@@ -22,11 +31,10 @@
 //! | `GET /status`           | shard-state counts                           |
 
 use crate::triage;
-use crate::wal::{self, replay, Record, Wal};
 use cedar_experiments::jsonio::{flags, Json, Writer};
 use cedar_fuzz::shard::{merge_shards, MergedCampaign, ShardSummary, LEAD_DIGESTS};
 use cedar_fuzz::OracleConfig;
-use cedar_store::fnv1a;
+use cedar_store::Store;
 use std::collections::BTreeMap;
 use std::io::ErrorKind;
 use std::net::{TcpListener, TcpStream};
@@ -54,15 +62,9 @@ pub struct CoordinatorConfig {
     /// Oracle configuration name (`manual` / `auto`) — echoed to
     /// workers in every lease so the whole fleet judges identically.
     pub config_name: String,
-    /// Campaign directory: `journal.jsonl`, `shards/`, `results/`
-    /// (the crash-safe shard-result store), `merged.json`,
-    /// `triage.json`.
+    /// Campaign directory: `state/` (the store of shard rows),
+    /// `merged.json`, `triage.json`.
     pub dir: PathBuf,
-    /// Checkpoint-compact the journal after this many shard
-    /// completions (`0` disables): a snapshot record replaces the
-    /// replayed history, so a resumed campaign folds `campaign` +
-    /// `checkpoint` + a short tail instead of the full journal.
-    pub checkpoint_every: usize,
 }
 
 impl Default for CoordinatorConfig {
@@ -76,7 +78,6 @@ impl Default for CoordinatorConfig {
             jobs_check: 4,
             config_name: "manual".into(),
             dir: PathBuf::from("target/campaign"),
-            checkpoint_every: 8,
         }
     }
 }
@@ -114,8 +115,14 @@ struct Shard {
     end: u64,
     state: ShardState,
     attempts: u32,
+    /// Revocations that returned the shard to pending; the campaign's
+    /// count is the sum over its shards.
+    reassignments: u64,
     errors: Vec<String>,
 }
+
+/// The state store's key of the campaign's identity; shard `k` is key `k`.
+const IDENTITY: u64 = u64::MAX;
 
 /// Per-worker bookkeeping for the triage report.
 #[derive(Debug, Default, Clone)]
@@ -148,23 +155,18 @@ pub struct Outcome {
 pub struct Coordinator {
     cfg: CoordinatorConfig,
     shards: Vec<Shard>,
-    wal: Wal,
     workers: BTreeMap<String, WorkerStats>,
-    reassignments: u64,
-    /// Crash-safe copy of every accepted shard result, keyed by shard
-    /// index (`dir/results/`). A torn `shards/*.json` file no longer
-    /// re-runs the shard: resume restores the bytes from here.
-    results: cedar_store::Store,
-    completions_since_checkpoint: usize,
+    /// Every shard's row and the campaign's identity (`dir/state/`).
+    state: Store,
 }
 
 impl Coordinator {
-    /// Create a coordinator, resuming from `dir/journal.jsonl` when one
-    /// exists: completed shards (with checksum-verified files) stay
-    /// completed, quarantines stick, in-flight leases revert to
-    /// pending. A journal whose campaign line disagrees with `cfg` is
-    /// refused — resuming a different campaign into this directory
-    /// would corrupt both.
+    /// Create a coordinator, resuming from `dir/state/` when it holds
+    /// this campaign: completed shards stay completed, quarantines
+    /// stick, everything else is pending. A store that holds another
+    /// campaign, or shard rows without a readable identity, is refused —
+    /// resuming a different campaign into this directory would corrupt
+    /// both.
     pub fn new(cfg: CoordinatorConfig) -> Result<Coordinator, String> {
         if cfg.seed_end <= cfg.seed_start {
             return Err(format!("empty seed range {}..{}", cfg.seed_start, cfg.seed_end));
@@ -179,8 +181,6 @@ impl Coordinator {
                 cfg.jobs_check
             ));
         }
-        std::fs::create_dir_all(cfg.dir.join("shards"))
-            .map_err(|e| format!("create {}: {e}", cfg.dir.display()))?;
         let mut shards = Vec::new();
         let mut start = cfg.seed_start;
         while start < cfg.seed_end {
@@ -190,180 +190,85 @@ impl Coordinator {
                 end,
                 state: ShardState::Pending,
                 attempts: 0,
+                reassignments: 0,
                 errors: Vec::new(),
             });
             start = end;
         }
 
-        let results = cedar_store::Store::open(cfg.dir.join("results"))
-            .map_err(|e| format!("open shard-result store: {e}"))?;
-        let journal = cfg.dir.join("journal.jsonl");
-        let fresh = !journal.exists();
-        let mut me = Coordinator {
-            wal: Wal::open(&journal).map_err(|e| format!("open journal: {e}"))?,
-            cfg,
-            shards,
-            workers: BTreeMap::new(),
-            reassignments: 0,
-            results,
-            completions_since_checkpoint: 0,
-        };
-        if fresh {
-            me.append(Record::Campaign {
-                seed_start: me.cfg.seed_start,
-                seed_end: me.cfg.seed_end,
-                shard_size: me.cfg.shard_size,
-                config: me.cfg.config_name.clone(),
-                jobs_check: me.cfg.jobs_check as u64,
-                retry_budget: u64::from(me.cfg.retry_budget),
-            })?;
-        } else {
-            me.resume(&journal)?;
+        let root = cfg.dir.join("state");
+        let state = Store::open(&root).map_err(|e| format!("open campaign state: {e}"))?;
+        let mut w = Writer::new();
+        w.obj().key("seed_start").int(cfg.seed_start).key("seed_end").int(cfg.seed_end);
+        w.key("shard_size").int(cfg.shard_size).key("config").str(&cfg.config_name);
+        let identity = w.finish();
+        let mut me = Coordinator { cfg, shards, workers: BTreeMap::new(), state };
+        match me.state.get(IDENTITY) {
+            Some(held) if held == identity.as_bytes() => me.resume()?,
+            Some(held) => {
+                return Err(format!(
+                    "{} holds campaign {}; refusing to resume it as {identity}",
+                    root.display(),
+                    String::from_utf8_lossy(&held)
+                ))
+            }
+            None if !me.state.is_empty() => {
+                return Err(format!(
+                    "{} holds shard rows but no readable campaign identity; refusing to adopt them",
+                    root.display()
+                ))
+            }
+            None => me.state.put(IDENTITY, identity.as_bytes()).map_err(|e| e.to_string())?,
         }
         Ok(me)
     }
 
-    fn resume(&mut self, journal: &std::path::Path) -> Result<(), String> {
-        let records = replay(journal)?;
-        let Some(Record::Campaign { seed_start, seed_end, shard_size, config, .. }) =
-            records.first()
-        else {
-            return Err("journal does not start with a campaign record".into());
-        };
-        if (*seed_start, *seed_end, *shard_size, config.as_str())
-            != (self.cfg.seed_start, self.cfg.seed_end, self.cfg.shard_size, self.cfg.config_name.as_str())
-        {
-            return Err(format!(
-                "journal is for campaign {seed_start}..{seed_end} shard {shard_size} config {config}; refusing to resume it as {}..{} shard {} config {}",
-                self.cfg.seed_start, self.cfg.seed_end, self.cfg.shard_size, self.cfg.config_name
-            ));
+    fn resume(&mut self) -> Result<(), String> {
+        for k in 0..self.shards.len() {
+            let Some(row) = self.row(k)? else { continue };
+            let shard = &mut self.shards[k];
+            shard.attempts = row.u64_at("attempts")?.try_into().unwrap_or(u32::MAX);
+            shard.reassignments = row.u64_at("reassignments")?;
+            shard.errors = row.strs_at("errors")?;
+            shard.state = match row.str_at("state")? {
+                "completed" => ShardState::Completed,
+                "quarantined" => ShardState::Quarantined,
+                _ => ShardState::Pending,
+            };
         }
-        let mut resumed = 0usize;
-        for rec in &records[1..] {
-            match rec {
-                Record::Campaign { .. } => return Err("duplicate campaign record".into()),
-                // A lease in flight at the crash: its timer died with
-                // the coordinator, so the shard is simply pending again
-                // (unless a later record resolved it).
-                Record::Leased { .. } => {}
-                Record::Completed { shard, file, checksum } => {
-                    let k = self.shard_index(*shard)?;
-                    if self.restore_completed(k, file, checksum) {
-                        resumed += 1;
-                    }
-                }
-                Record::Checkpoint { reassignments, shards: snaps } => {
-                    // The checkpoint *is* the folded history up to its
-                    // append: reset the table and re-fold from the
-                    // snapshot, then keep walking the tail.
-                    for s in &mut self.shards {
-                        s.state = ShardState::Pending;
-                        s.attempts = 0;
-                        s.errors.clear();
-                    }
-                    resumed = 0;
-                    self.reassignments = *reassignments;
-                    for snap in snaps {
-                        let k = self.shard_index(snap.shard)?;
-                        self.shards[k].attempts =
-                            snap.attempts.try_into().unwrap_or(u32::MAX);
-                        self.shards[k].errors = snap.errors.clone();
-                        match snap.state.as_str() {
-                            "completed" => {
-                                let (Some(file), Some(checksum)) =
-                                    (&snap.file, &snap.checksum)
-                                else {
-                                    return Err(format!(
-                                        "checkpoint marks shard {} completed without file/checksum",
-                                        snap.shard
-                                    ));
-                                };
-                                if self.restore_completed(k, file, checksum) {
-                                    resumed += 1;
-                                }
-                            }
-                            "quarantined" => {
-                                self.shards[k].state = ShardState::Quarantined
-                            }
-                            _ => self.shards[k].state = ShardState::Pending,
-                        }
-                    }
-                }
-                Record::Reassigned { shard, attempts, reason } => {
-                    let k = self.shard_index(*shard)?;
-                    self.shards[k].attempts = (*attempts).try_into().unwrap_or(u32::MAX);
-                    self.shards[k].errors.push(reason.clone());
-                    self.shards[k].state = ShardState::Pending;
-                    self.reassignments += 1;
-                }
-                Record::Quarantined { shard, attempts, reason } => {
-                    let k = self.shard_index(*shard)?;
-                    self.shards[k].attempts = (*attempts).try_into().unwrap_or(u32::MAX);
-                    self.shards[k].errors.push(reason.clone());
-                    self.shards[k].state = ShardState::Quarantined;
-                }
-            }
-        }
+        let resumed = self.shards.iter().filter(|s| matches!(s.state, ShardState::Completed));
         eprintln!(
-            "campaign: resumed from journal — {resumed} of {} shards already complete",
-            self.shards.len()
+            "campaign: resumed — {} of {} shards already complete, {} corrupt rows to re-run",
+            resumed.count(),
+            self.shards.len(),
+            self.state.stats().corrupt_recovered
         );
         Ok(())
     }
 
-    /// Re-establish a completed shard from durable state: the
-    /// `shards/` file when it verifies against the journaled checksum,
-    /// else the crash-safe result store — healing the file back from
-    /// the store copy. Only when **both** copies are gone or torn does
-    /// the shard revert to pending and re-run: losing work is
-    /// recoverable, merging garbage is not.
-    fn restore_completed(&mut self, k: usize, file: &str, checksum: &str) -> bool {
-        let path = self.cfg.dir.join(file);
-        let file_ok = std::fs::read_to_string(&path)
-            .is_ok_and(|text| format!("{:016x}", fnv1a(text.as_bytes())) == checksum);
-        if file_ok {
-            self.shards[k].state = ShardState::Completed;
-            return true;
-        }
-        match self.results.get(k as u64) {
-            Some(bytes) if format!("{:016x}", fnv1a(&bytes)) == checksum => {
-                match cedar_store::atomic_write(&path, &bytes) {
-                    Ok(()) => {
-                        eprintln!(
-                            "campaign: shard {k} file {} was missing/torn; healed from the result store",
-                            path.display()
-                        );
-                        self.shards[k].state = ShardState::Completed;
-                        true
-                    }
-                    Err(e) => {
-                        eprintln!("campaign: shard {k}: could not heal {}: {e}; re-running", path.display());
-                        self.shards[k].state = ShardState::Pending;
-                        false
-                    }
-                }
-            }
-            _ => {
-                eprintln!(
-                    "campaign: shard {k} file {} failed verification and the result store has no good copy; re-running",
-                    path.display()
-                );
-                self.shards[k].state = ShardState::Pending;
-                false
-            }
-        }
+    /// Shard `k`'s row, `None` when the store has no whole copy of it.
+    fn row(&self, k: usize) -> Result<Option<Json>, String> {
+        let Some(bytes) = self.state.get(k as u64) else { return Ok(None) };
+        let text = String::from_utf8(bytes).map_err(|e| format!("shard {k}'s row: {e}"))?;
+        Json::parse(&text).map(Some).map_err(|e| format!("shard {k}'s row: {e}"))
     }
 
-    fn shard_index(&self, shard: u64) -> Result<usize, String> {
-        let k = shard as usize;
-        if k >= self.shards.len() {
-            return Err(format!("journal references shard {shard} of {}", self.shards.len()));
+    /// Make shard `k`'s row durable as `state`, with the summary of a
+    /// completed shard: one `put`, synced before it returns.
+    fn put_row(&self, k: usize, state: &str, summary: Option<&str>) -> Result<(), String> {
+        let shard = &self.shards[k];
+        let mut w = Writer::new();
+        w.obj().key("state").str(state).key("attempts").int(shard.attempts);
+        w.key("reassignments").int(shard.reassignments).key("errors").strs(&shard.errors);
+        if let Some(summary) = summary {
+            w.key("summary").str(summary);
         }
-        Ok(k)
+        let row = w.finish();
+        self.state.put(k as u64, row.as_bytes()).map_err(|e| format!("shard {k}: {e}"))
     }
 
-    fn append(&mut self, rec: Record) -> Result<(), String> {
-        self.wal.append(&rec).map_err(|e| format!("journal append: {e}"))
+    fn reassignments(&self) -> u64 {
+        self.shards.iter().map(|s| s.reassignments).sum()
     }
 
     /// Revoke expired leases; quarantine shards past their budget.
@@ -380,19 +285,24 @@ impl Coordinator {
     }
 
     /// Common failure path: bump attempts, then reassign or quarantine.
+    /// A row that cannot be written is reported; the transition stands
+    /// in memory, and a restart runs the shard again.
     fn revoke(&mut self, k: usize, reason: String) {
-        self.shards[k].attempts += 1;
-        self.shards[k].errors.push(reason.clone());
-        let attempts = u64::from(self.shards[k].attempts);
-        let shard = k as u64;
-        if self.shards[k].attempts > self.cfg.retry_budget {
-            self.shards[k].state = ShardState::Quarantined;
-            let _ = self.append(Record::Quarantined { shard, attempts, reason });
-            eprintln!("campaign: shard {k} quarantined after {attempts} attempts: last failure: {}", self.shards[k].errors.last().map(String::as_str).unwrap_or(""));
+        let shard = &mut self.shards[k];
+        shard.attempts += 1;
+        let state = if shard.attempts > self.cfg.retry_budget {
+            shard.state = ShardState::Quarantined;
+            let attempts = shard.attempts;
+            eprintln!("campaign: shard {k} quarantined after {attempts} attempts: last failure: {reason}");
+            "quarantined"
         } else {
-            self.shards[k].state = ShardState::Pending;
-            self.reassignments += 1;
-            let _ = self.append(Record::Reassigned { shard, attempts, reason });
+            shard.state = ShardState::Pending;
+            shard.reassignments += 1;
+            "pending"
+        };
+        shard.errors.push(reason);
+        if let Err(e) = self.put_row(k, state, None) {
+            eprintln!("campaign: cannot persist {e}; a restart runs the shard again");
         }
     }
 
@@ -453,13 +363,7 @@ impl Coordinator {
             Some(k) => {
                 self.shards[k].state =
                     ShardState::Leased { worker: worker.clone(), expires: now + self.cfg.lease };
-                self.workers.entry(worker.clone()).or_default().leased += 1;
-                if let Err(e) = self.append(Record::Leased { shard: k as u64, worker }) {
-                    // Couldn't journal the lease: revert and make the
-                    // worker retry rather than hand out unrecorded work.
-                    self.shards[k].state = ShardState::Pending;
-                    return error(500, e);
-                }
+                self.workers.entry(worker).or_default().leased += 1;
                 let mut w = Writer::new();
                 w.obj().key("done").bool(false).key("shard").int(k);
                 w.key("seed_start").int(self.shards[k].start);
@@ -558,100 +462,12 @@ impl Coordinator {
             );
             return error(422, "summary does not cover the shard");
         }
-        let file = format!("shards/shard{k:04}.json");
-        let bytes = summary.to_json();
-        // Two durable copies, both crash-safe: the checksummed result
-        // store (resume's healing source) and the plain shards/ file
-        // (what merge and downstream tooling read), written atomically
-        // so neither can be observed torn.
-        if let Err(e) = self.results.put(k as u64, bytes.as_bytes()) {
+        if let Err(e) = self.put_row(k, "completed", Some(&summary.to_json())) {
             return error(500, format_args!("persist shard result: {e}"));
-        }
-        if let Err(e) = cedar_store::atomic_write(&self.cfg.dir.join(&file), bytes.as_bytes()) {
-            return error(500, format_args!("persist shard: {e}"));
-        }
-        let checksum = format!("{:016x}", fnv1a(bytes.as_bytes()));
-        if let Err(e) = self.append(Record::Completed { shard: k as u64, file, checksum }) {
-            return error(500, e);
         }
         self.shards[k].state = ShardState::Completed;
         self.workers.entry(worker).or_default().completed += 1;
-        self.completions_since_checkpoint += 1;
-        if self.cfg.checkpoint_every > 0
-            && self.completions_since_checkpoint >= self.cfg.checkpoint_every
-        {
-            // Compaction is best-effort: a failure leaves the plain
-            // append-only journal, which replays fine.
-            if let Err(e) = self.checkpoint_compact() {
-                eprintln!("campaign: journal compaction failed (continuing uncompacted): {e}");
-            } else {
-                self.completions_since_checkpoint = 0;
-            }
-        }
         (200, flags(&[("ok", true)]))
-    }
-
-    /// Snapshot the shard table into a [`Record::Checkpoint`] and
-    /// atomically rewrite the journal as `campaign` + `checkpoint`.
-    /// The write goes through [`cedar_store::atomic_write`]
-    /// (tmp + fsync + rename), so a crash mid-compaction leaves either
-    /// the old journal or the new one — never a truncated hybrid — and
-    /// the torn-final-line tolerance of replay still covers an append
-    /// that dies later.
-    fn checkpoint_compact(&mut self) -> Result<(), String> {
-        let snaps: Vec<wal::ShardSnap> = self
-            .shards
-            .iter()
-            .enumerate()
-            .filter_map(|(k, s)| {
-                let state = match s.state {
-                    ShardState::Completed => "completed",
-                    ShardState::Quarantined => "quarantined",
-                    // An in-flight lease snapshots as pending — its
-                    // timer would not survive a restart anyway.
-                    ShardState::Pending | ShardState::Leased { .. } => "pending",
-                };
-                if state == "pending" && s.attempts == 0 && s.errors.is_empty() {
-                    return None;
-                }
-                let (file, checksum) = if state == "completed" {
-                    let file = format!("shards/shard{k:04}.json");
-                    let sum = std::fs::read(self.cfg.dir.join(&file))
-                        .map(|b| format!("{:016x}", fnv1a(&b)))
-                        .ok()?;
-                    (Some(file), Some(sum))
-                } else {
-                    (None, None)
-                };
-                Some(wal::ShardSnap {
-                    shard: k as u64,
-                    state: state.into(),
-                    attempts: u64::from(s.attempts),
-                    file,
-                    checksum,
-                    errors: s.errors.clone(),
-                })
-            })
-            .collect();
-        let mut text = Record::Campaign {
-            seed_start: self.cfg.seed_start,
-            seed_end: self.cfg.seed_end,
-            shard_size: self.cfg.shard_size,
-            config: self.cfg.config_name.clone(),
-            jobs_check: self.cfg.jobs_check as u64,
-            retry_budget: u64::from(self.cfg.retry_budget),
-        }
-        .to_line();
-        text.push_str(
-            &Record::Checkpoint { reassignments: self.reassignments, shards: snaps }.to_line(),
-        );
-        let path = self.wal.path().to_path_buf();
-        cedar_store::atomic_write(&path, text.as_bytes())
-            .map_err(|e| format!("compact journal: {e}"))?;
-        // The old appender's handle points at the renamed-away inode;
-        // reopen so future appends land in the compacted journal.
-        self.wal = Wal::open(&path).map_err(|e| format!("reopen journal: {e}"))?;
-        Ok(())
     }
 
     fn fail(&mut self, body: &str) -> (u16, String) {
@@ -691,7 +507,7 @@ impl Coordinator {
         w.key("shards").int(self.shards.len());
         w.key("pending").int(pending).key("leased").int(leased);
         w.key("completed").int(completed).key("quarantined").int(quarantined);
-        w.key("reassignments").int(self.reassignments);
+        w.key("reassignments").int(self.reassignments());
         w.key("done").bool(self.finished());
         w.finish()
     }
@@ -704,10 +520,8 @@ impl Coordinator {
         let mut summaries = Vec::new();
         for (k, s) in self.shards.iter().enumerate() {
             if matches!(s.state, ShardState::Completed) {
-                let path = self.cfg.dir.join(format!("shards/shard{k:04}.json"));
-                let text = std::fs::read_to_string(&path)
-                    .map_err(|e| format!("read {}: {e}", path.display()))?;
-                summaries.push(ShardSummary::parse(&text)?);
+                let row = self.row(k)?.ok_or_else(|| format!("shard {k}'s row left the store"))?;
+                summaries.push(ShardSummary::parse(row.str_at("summary")?)?);
             }
         }
         let quarantined: Vec<triage::QuarantinedShard> = self
@@ -742,7 +556,7 @@ impl Coordinator {
         let report = triage::triage_json(
             &self.cfg,
             self.shards.len() as u64,
-            self.reassignments,
+            self.reassignments(),
             &quarantined,
             merged.as_ref(),
             &self.workers,
@@ -754,7 +568,7 @@ impl Coordinator {
             merged_path,
             triage_path,
             quarantined: quarantined.len(),
-            reassignments: self.reassignments,
+            reassignments: self.reassignments(),
         })
     }
 

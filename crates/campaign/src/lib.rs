@@ -6,10 +6,10 @@
 //! machines without giving up one bit of its determinism. A
 //! **coordinator** ([`coordinator`]) shards the range and leases
 //! shards to **workers** ([`worker`]) over the `cedar-serve` HTTP
-//! stack; every coordinator state transition hits a crash-safe
-//! append-only journal first ([`wal`]), so killing the coordinator and
-//! restarting it resumes exactly where it was — completed shards are
-//! never re-run, in-flight leases simply expire and reassign.
+//! stack; every coordinator state transition is one `put` of the
+//! shard's row into a `cedar-store` before the reply, so killing the
+//! coordinator and restarting it resumes where it was — completed
+//! shards are never re-run, in-flight leases are simply pending again.
 //!
 //! The fault model, and the answer to each fault:
 //!
@@ -23,11 +23,12 @@
 //!   wins; a slow worker finishing a reassigned shard is harmless
 //!   because shard content is a pure function of the seed range;
 //! * **corrupt uploads** — shard summaries are validated against the
-//!   lease, checksummed on disk, and the merged jobs-invariance check
-//!   re-judges lead seeds from scratch, catching digest corruption
-//!   end to end;
-//! * **coordinator crash** — journal replay ([`wal::replay`]),
-//!   tolerating a torn final line.
+//!   lease, stored in checksummed records, and the merged
+//!   jobs-invariance check re-judges lead seeds from scratch, catching
+//!   digest corruption end to end;
+//! * **coordinator crash** — one `get` per shard row: the store cuts a
+//!   torn tail, and a row that is missing or fails its checksum leaves
+//!   its shard pending, to be run again.
 //!
 //! The payoff is the merge guarantee (tested in
 //! `tests/campaign_cluster.rs` and gated in CI): the merged
@@ -39,7 +40,6 @@
 
 pub mod coordinator;
 pub mod triage;
-pub mod wal;
 pub mod worker;
 
 pub use coordinator::{Coordinator, CoordinatorConfig, Outcome, WorkerStats};

@@ -4,8 +4,8 @@
 //! The build is fully offline (no registry crates), so both sides are
 //! sized to their consumers. Every JSON document the workspace produces
 //! — the sweep reports, `cedar-fuzz-v1` and its shards, crash bundles,
-//! the `cedar-serve` and campaign wire replies, the campaign journal
-//! (DESIGN.md, "JSON documents", lists them) — is written through
+//! the `cedar-serve` and campaign wire replies, the campaign's state
+//! rows (DESIGN.md, "JSON documents", lists them) — is written through
 //! [`Writer`], and every one it consumes is read through [`Json`]. This
 //! module is therefore the only place that knows how a string is
 //! escaped, where a comma goes, that `None` and a non-finite float are
@@ -128,7 +128,7 @@ impl Json {
     }
 }
 
-/// Streaming JSON writer: every document, wire reply and journal line
+/// Streaming JSON writer: every document, wire reply and stored row
 /// of the workspace is written through one, piece by piece into one
 /// `String`. It owns the comma, the quoting and the spelling of absence
 /// (`None` and a non-finite float are `null`), in two layouts chosen by

@@ -214,21 +214,17 @@ pub struct Supervisor {
     /// Crash-bundle root (`CEDAR_BUNDLE_DIR`, default
     /// `target/crash-bundles`).
     pub bundle_dir: PathBuf,
-    /// Cap on retained bundle directories under `bundle_dir`
-    /// (`CEDAR_BUNDLE_CAP`, default [`DEFAULT_BUNDLE_CAP`]; `0`
-    /// disables). When a quarantine pushes the count over the cap, the
-    /// least-recently-hit bundles are evicted — their hit counts
-    /// survive in the `evicted.txt` ledger, which [`bundle_hits`]
-    /// folds back in, so a long chaos campaign can't fill the disk
-    /// with stale reproducers but also never *forgets* how often a
-    /// failure fired.
-    pub bundle_cap: usize,
 }
 
-/// Default [`Supervisor::bundle_cap`]: enough to hold every distinct
-/// failure a realistic chaos sweep produces, small enough that an
-/// unattended fuzz campaign stays bounded on disk.
-pub const DEFAULT_BUNDLE_CAP: usize = 64;
+/// Bundle directories kept under a bundle root: enough to hold every
+/// distinct failure a realistic chaos sweep produces, small enough that
+/// an unattended fuzz campaign stays bounded on disk. When a quarantine
+/// pushes the count over it, the least-recently-hit bundles are evicted
+/// — their hit counts survive in the `evicted.txt` ledger, which
+/// [`bundle_hits`] folds back in, so a long chaos campaign can't fill
+/// the disk with stale reproducers but also never *forgets* how often a
+/// failure fired.
+const BUNDLE_CAP: usize = 64;
 
 impl Supervisor {
     /// The sweep binaries' supervisor (120 s a cell) under the
@@ -236,10 +232,10 @@ impl Supervisor {
     pub fn from_env() -> Supervisor {
         let deadline = Some(Duration::from_secs(120));
         let bundle_dir = PathBuf::from("target/crash-bundles");
-        Supervisor { chaos: None, deadline, bundle_dir, bundle_cap: DEFAULT_BUNDLE_CAP }.overlay_env()
+        Supervisor { chaos: None, deadline, bundle_dir }.overlay_env()
     }
 
-    /// `self` with each of the four supervisor variables that is set
+    /// `self` with each of the three supervisor variables that is set
     /// laid over it (DESIGN.md §18.2).
     pub fn overlay_env(self) -> Supervisor {
         let deadline = cli::env_secs("CEDAR_CELL_DEADLINE").map(|d| (!d.is_zero()).then_some(d));
@@ -247,7 +243,6 @@ impl Supervisor {
             chaos: cli::env::<String>("CEDAR_CHAOS").map_or(self.chaos, |s| chaos::parse_seed(&s)),
             deadline: deadline.unwrap_or(self.deadline),
             bundle_dir: cli::env("CEDAR_BUNDLE_DIR").unwrap_or(self.bundle_dir),
-            bundle_cap: cli::env("CEDAR_BUNDLE_CAP").unwrap_or(self.bundle_cap),
         }
     }
 }
@@ -659,9 +654,7 @@ pub fn write_quarantine_bundle(
     // bundle's hit count is the line count of this file. Appended
     // `O_APPEND` so concurrent processes never lose counts.
     append_hit(&dir, label)?;
-    if sup.bundle_cap > 0 {
-        enforce_bundle_cap(&sup.bundle_dir, sup.bundle_cap, digest);
-    }
+    enforce_bundle_cap(&sup.bundle_dir, BUNDLE_CAP, digest);
     Some(dir.to_string_lossy().into_owned())
 }
 
@@ -735,7 +728,7 @@ fn enforce_bundle_cap(root: &std::path::Path, cap: usize, keep: u64) {
 /// Number of quarantines that have landed in a bundle directory: the
 /// line count of its `hits.txt`, **plus** any counts recorded for the
 /// same digest in the root `evicted.txt` ledger — so evicting a bundle
-/// under [`Supervisor::bundle_cap`] and later recreating it never
+/// under [`BUNDLE_CAP`] and later recreating it never
 /// resets how often the failure has fired. 0 when nothing is recorded.
 pub fn bundle_hits(bundle_dir: &str) -> usize {
     let dir = PathBuf::from(bundle_dir);
@@ -798,7 +791,6 @@ mod tests {
             chaos: None,
             deadline: None,
             bundle_dir: PathBuf::from(format!("target/test-crash-bundles/{tag}")),
-            bundle_cap: DEFAULT_BUNDLE_CAP,
         }
     }
 
@@ -928,7 +920,7 @@ mod tests {
 
     #[test]
     fn bundle_cap_evicts_lru_and_the_ledger_preserves_hit_counts() {
-        let s = Supervisor { bundle_cap: 2, ..sup("cap") };
+        let s = sup("cap");
         let _ = std::fs::remove_dir_all(&s.bundle_dir);
         let err = || {
             vec![(
@@ -943,7 +935,7 @@ mod tests {
         };
         // Three distinct failures (distinct sources → distinct digests);
         // the first is hit three times, then falls LRU when the other
-        // two arrive under a cap of 2.
+        // two arrive and a cap of 2 is enforced.
         let first =
             write_quarantine_bundle(&s, "t/a", Some("x = 1\nend\n"), &err()).unwrap();
         write_quarantine_bundle(&s, "t/a2", Some("x = 1\nend\n"), &err()).unwrap();
@@ -960,6 +952,7 @@ mod tests {
             .unwrap();
         write_quarantine_bundle(&s, "t/b", Some("y = 2\nend\n"), &err()).unwrap();
         write_quarantine_bundle(&s, "t/c", Some("z = 3\nend\n"), &err()).unwrap();
+        enforce_bundle_cap(&s.bundle_dir, 2, bundle_digest("t/c", Some("z = 3\nend\n")));
 
         let live: Vec<_> = std::fs::read_dir(&s.bundle_dir)
             .unwrap()
@@ -978,6 +971,9 @@ mod tests {
             write_quarantine_bundle(&s, "t/a4", Some("x = 1\nend\n"), &err()).unwrap();
         assert_eq!(again, first, "same minimized source → same digest → same dir");
         assert_eq!(bundle_hits(&again), 4, "ledger + fresh hit");
+        // By itself a quarantine evicts only past `BUNDLE_CAP`.
+        let live = std::fs::read_dir(&s.bundle_dir).unwrap().flatten().filter(|e| e.path().is_dir());
+        assert_eq!(live.count(), 3);
     }
 
     #[test]

@@ -38,20 +38,19 @@ fn parse_secs(v: &str) -> Option<Duration> {
     Duration::try_from_secs_f64(v.parse().ok()?).ok()
 }
 
-/// The five process-wide settings, which every binary honours, and what
+/// The four process-wide settings, which every binary honours, and what
 /// a non-empty value of each has to be. All else is a flag of a binary.
 fn check(name: &str, v: &str) -> Result<(), String> {
     let (ok, want) = match name {
         "CEDAR_JOBS" => (v.parse().is_ok_and(|n: usize| n > 0), "a positive integer"),
         "CEDAR_CELL_DEADLINE" => (parse_secs(v).is_some(), "seconds, finite and not negative"),
-        "CEDAR_BUNDLE_CAP" => (v.parse::<usize>().is_ok(), "a count"),
         "CEDAR_CHAOS" | "CEDAR_BUNDLE_DIR" => (true, ""),
         _ => return Err(format!("{name}: no such variable")),
     };
     (ok || v.is_empty()).then_some(()).ok_or_else(|| format!("{name}={v}: expected {want}"))
 }
 
-/// The value of one of the five variables; unset or empty is `None`.
+/// The value of one of the four variables; unset or empty is `None`.
 /// A malformed value panics with the message a binary prints for it at
 /// start-up, so that a library reader under `cargo test` (`jobs()`,
 /// `Supervisor::from_env`) does not quietly run under a default.
@@ -206,7 +205,7 @@ mod tests {
     }
 
     #[test]
-    fn the_five_variables_and_what_each_may_hold() {
+    fn the_four_variables_and_what_each_may_hold() {
         for (name, value) in [
             ("CEDAR_JOBS", "4"),
             ("CEDAR_JOBS", ""),
@@ -214,7 +213,6 @@ mod tests {
             ("CEDAR_CELL_DEADLINE", "0"),
             ("CEDAR_CELL_DEADLINE", "2.5"),
             ("CEDAR_BUNDLE_DIR", "-1"),
-            ("CEDAR_BUNDLE_CAP", "0"),
         ] {
             assert_eq!(check(name, value), Ok(()), "{name}={value}");
         }
@@ -227,7 +225,7 @@ mod tests {
             ("CEDAR_CELL_DEADLINE", "nan", "CEDAR_CELL_DEADLINE=nan: expected seconds, finite and not negative"),
             ("CEDAR_CELL_DEADLINE", "inf", "CEDAR_CELL_DEADLINE=inf: expected seconds, finite and not negative"),
             ("CEDAR_CELL_DEADLINE", "1e400", "CEDAR_CELL_DEADLINE=1e400: expected seconds, finite and not negative"),
-            ("CEDAR_BUNDLE_CAP", "lots", "CEDAR_BUNDLE_CAP=lots: expected a count"),
+            ("CEDAR_BUNDLE_CAP", "64", "CEDAR_BUNDLE_CAP: no such variable"),
             ("CEDAR_JOB", "4", "CEDAR_JOB: no such variable"),
             ("CEDAR_ENGINE", "interp", "CEDAR_ENGINE: no such variable"),
             ("CEDAR_SERVE_WORKERS", "", "CEDAR_SERVE_WORKERS: no such variable"),

@@ -1,8 +1,8 @@
 //! `serve` — run the restructurer service until told to drain.
 //!
 //! Deployment settings are flags; the supervisor's `CEDAR_CHAOS`,
-//! `CEDAR_CELL_DEADLINE`, `CEDAR_BUNDLE_DIR` and `CEDAR_BUNDLE_CAP`
-//! are laid over [`ServerConfig::default`], so an attempt's deadline is
+//! `CEDAR_CELL_DEADLINE` and `CEDAR_BUNDLE_DIR` are laid over
+//! [`ServerConfig::default`], so an attempt's deadline is
 //! the 30 s of every in-process server unless the variable says
 //! otherwise. The process exits when a client POSTs `/shutdown` and the
 //! drain completes.

@@ -53,7 +53,6 @@ impl Default for EngineConfig {
                 chaos: None,
                 deadline: Some(Duration::from_secs(30)),
                 bundle_dir: PathBuf::from("target/crash-bundles"),
-                bundle_cap: supervise::DEFAULT_BUNDLE_CAP,
             },
             backoff_base: Duration::from_millis(10),
             validate_seeds: vec![1, 2],
@@ -520,7 +519,6 @@ mod tests {
                 chaos: None,
                 deadline: None,
                 bundle_dir: PathBuf::from(format!("target/test-serve-bundles/{tag}")),
-                bundle_cap: 64,
             },
             backoff_base: Duration::from_millis(1),
             validate_seeds: vec![1],

@@ -61,8 +61,8 @@ const MAGIC: &[u8; 4] = b"cdl1";
 const HEADER: usize = 24;
 
 /// FNV-1a over raw bytes: the record checksum, and the workspace's one
-/// copy of the digest for the crates above the store — the campaign
-/// journal's shard checksums and the crash-bundle directory names are
+/// copy of the digest for the crates above the store — the crash-bundle
+/// directory names and the digests of the byte-pinned test fixtures are
 /// this function.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h = 0xcbf29ce484222325u64;
@@ -450,8 +450,9 @@ impl Store {
 
 /// Write `bytes` to `path` atomically: private tmp file in the same
 /// directory, fsync, rename. Callers elsewhere in the workspace use
-/// this for documents that must never be read torn (merged campaign
-/// reports, compacted journals) without adopting the full store.
+/// this for documents a person or a tool opens by name and must never
+/// read torn (a campaign's `merged.json` and `triage.json`), where a
+/// record in the store would not do.
 pub fn atomic_write(path: &Path, bytes: &[u8]) -> Result<(), StoreError> {
     let dir = path.parent().filter(|p| !p.as_os_str().is_empty()).unwrap_or(Path::new("."));
     let stem = path.file_name().map(|n| n.to_string_lossy().into_owned()).unwrap_or_default();

@@ -4,8 +4,8 @@
 //! The headline guarantee under test: a distributed campaign — workers
 //! crashing mid-shard, leases expiring, shards reassigned — merges to
 //! the **byte-identical** `cedar-fuzz-v1` report of one process running
-//! the whole range, and a coordinator restart resumes from its journal
-//! without re-running completed shards.
+//! the whole range, and a coordinator restart resumes from its store of
+//! shard rows without re-running completed shards.
 
 use cedar_campaign::{run_worker, Coordinator, CoordinatorConfig, WorkerConfig};
 use cedar_experiments::jsonio::{Json, Writer};
@@ -66,7 +66,6 @@ fn crashed_worker_loses_no_seeds_and_the_merge_is_byte_identical() {
         retry_budget: 2,
         jobs_check: 2,
         config_name: "manual".into(),
-        checkpoint_every: 0,
         dir: fresh_dir("crash"),
     };
     let dir = cfg.dir.clone();
@@ -122,14 +121,17 @@ fn crashed_worker_loses_no_seeds_and_the_merge_is_byte_identical() {
     let workers = v.get("workers").unwrap().as_arr().unwrap();
     assert_eq!(workers.len(), 2, "both workers appear in triage: {triage}");
 
-    // And the journal tells the same story durably.
-    let journal = std::fs::read_to_string(dir.join("journal.jsonl")).unwrap();
-    assert!(journal.contains("\"rec\": \"reassigned\""), "{journal}");
-    assert_eq!(journal.matches("\"rec\": \"completed\"").count(), 9);
+    // And the state store tells the same story durably: every row is
+    // completed, and the rows carry the reassignments between them.
+    let state = cedar_store::Store::open_read_only(dir.join("state"));
+    let rows: Vec<Json> = (0..9).map(|k| parse_row(state.get(k).expect("a row"))).collect();
+    assert!(rows.iter().all(|r| r.str_at("state") == Ok("completed")));
+    let reassignments: u64 = rows.iter().map(|r| r.u64_at("reassignments").unwrap()).sum();
+    assert_eq!(reassignments, outcome.reassignments);
 }
 
 #[test]
-fn coordinator_restart_resumes_from_the_journal_without_rerunning_shards() {
+fn coordinator_restart_resumes_from_the_store_without_rerunning_shards() {
     let dir = fresh_dir("resume");
     let cfg = CoordinatorConfig {
         seed_start: 0,
@@ -139,7 +141,6 @@ fn coordinator_restart_resumes_from_the_journal_without_rerunning_shards() {
         retry_budget: 2,
         jobs_check: 2,
         config_name: "manual".into(),
-        checkpoint_every: 0,
         dir: dir.clone(),
     };
     let now = Instant::now();
@@ -186,62 +187,154 @@ fn coordinator_restart_resumes_from_the_journal_without_rerunning_shards() {
     );
 }
 
-#[test]
-fn checkpoint_compaction_shrinks_the_journal_and_the_result_store_heals_torn_shards() {
-    let dir = fresh_dir("checkpoint");
-    let cfg = CoordinatorConfig {
+/// A shard's row in the state store, parsed.
+fn parse_row(bytes: Vec<u8>) -> Json {
+    Json::parse(&String::from_utf8(bytes).unwrap()).unwrap()
+}
+
+/// The records of a state store's log, as `(header offset, key, payload
+/// length)`, found through their headers as CI's `store-smoke` finds
+/// them: 24 bytes of magic, checksum, payload length (u32 LE at 12) and
+/// key (u64 LE at 16), then the payload.
+fn records(log: &[u8]) -> Vec<(usize, u64, usize)> {
+    let mut out = Vec::new();
+    let mut at = 0;
+    while at < log.len() {
+        let len = u32::from_le_bytes(log[at + 12..at + 16].try_into().unwrap()) as usize;
+        out.push((at, u64::from_le_bytes(log[at + 16..at + 24].try_into().unwrap()), len));
+        at += 24 + len;
+    }
+    assert_eq!(at, log.len(), "the log ends on a record boundary");
+    out
+}
+
+/// Flip one payload byte of the last record of `key` in `dir`'s state log.
+fn flip_payload_byte(dir: &std::path::Path, key: u64) {
+    let path = dir.join("state/log");
+    let mut log = std::fs::read(&path).unwrap();
+    let (at, _, len) = *records(&log).iter().rev().find(|r| r.1 == key).expect("a record of the key");
+    log[at + 24 + len / 2] ^= 0x40;
+    std::fs::write(&path, log).unwrap();
+}
+
+/// Three shards of eight seeds in `dir`.
+fn three_shards(dir: PathBuf) -> CoordinatorConfig {
+    CoordinatorConfig {
         seed_start: 0,
         seed_end: 24,
-        shard_size: 8, // 3 shards
+        shard_size: 8,
         lease: Duration::from_secs(30),
         retry_budget: 2,
         jobs_check: 2,
         config_name: "manual".into(),
-        checkpoint_every: 2,
-        dir: dir.clone(),
-    };
+        dir,
+    }
+}
+
+/// Lease the next shard to `worker`, which must be `shard`.
+fn lease(c: &mut Coordinator, worker: &str, shard: u64, now: Instant) {
+    let (_, reply) = c.handle("POST", "/lease", &format!("{{\"worker\": \"{worker}\"}}"), now);
+    assert!(reply.contains(&format!("\"shard\": {shard},")), "expected shard {shard}: {reply}");
+}
+
+/// Lease shard `k` of [`three_shards`] and complete it.
+fn run_shard(c: &mut Coordinator, k: u64, now: Instant) {
+    lease(c, "w1", k, now);
+    let (status, reply) = c.handle("POST", "/complete", &complete_body("w1", k, 8 * k, 8 * k + 8), now);
+    assert_eq!(status, 200, "{reply}");
+}
+
+#[test]
+fn a_flipped_byte_in_a_completed_row_reruns_only_that_shard() {
+    let dir = fresh_dir("flip");
+    let cfg = three_shards(dir.clone());
     let now = Instant::now();
     {
         let mut c1 = Coordinator::new(cfg.clone()).unwrap();
-        for (shard, range) in [(0u64, (0u64, 8u64)), (1, (8, 16)), (2, (16, 24))] {
-            let (_, reply) = c1.handle("POST", "/lease", "{\"worker\": \"w1\"}", now);
-            assert!(reply.contains(&format!("\"shard\": {shard}")), "{reply}");
-            let body = complete_body("w1", shard, range.0, range.1);
-            let (status, _) = c1.handle("POST", "/complete", &body, now);
-            assert_eq!(status, 200);
+        for k in 0..3 {
+            run_shard(&mut c1, k, now);
         }
-    } // coordinator killed here
+        assert!(c1.finished());
+    } // coordinator killed here, before it merged
+    flip_payload_byte(&dir, 1);
 
-    // Two completions triggered a checkpoint-compaction; only shard
-    // 2's completion (and its lease) postdate it, so the journal is
-    // campaign + checkpoint + a short tail instead of the full
-    // history.
-    let journal = std::fs::read_to_string(dir.join("journal.jsonl")).unwrap();
-    assert!(journal.starts_with("{\"rec\": \"campaign\""), "{journal}");
-    assert_eq!(journal.matches("\"rec\": \"checkpoint\"").count(), 1, "{journal}");
-    assert_eq!(journal.matches("\"rec\": \"completed\"").count(), 1, "{journal}");
-    assert_eq!(journal.matches("\"rec\": \"leased\"").count(), 1, "{journal}");
-
-    // Maul the plain shard files behind the coordinator's back: one
-    // torn mid-write, one deleted outright. The checksummed result
-    // store still holds both.
-    let shard0 = dir.join("shards/shard0000.json");
-    let full = std::fs::read_to_string(&shard0).unwrap();
-    std::fs::write(&shard0, &full[..full.len() / 2]).unwrap();
-    std::fs::remove_file(dir.join("shards/shard0001.json")).unwrap();
-
-    // Restart: resume folds the checkpoint, heals both files from the
-    // store instead of re-running the shards, and the merge is still
-    // byte-identical to the single-process reference.
     let mut c2 = Coordinator::new(cfg).unwrap();
-    assert!(
-        c2.finished(),
-        "every shard must resume completed — torn files heal from the result store"
-    );
-    assert_eq!(std::fs::read_to_string(&shard0).unwrap(), full, "healed byte-identically");
+    let (_, status) = c2.handle("GET", "/status", "", now);
+    assert!(status.contains("\"pending\": 1, \"leased\": 0, \"completed\": 2"), "{status}");
+    // The store counted the one corrupt record and set it aside.
+    let corrupt: Vec<_> = std::fs::read_dir(dir.join("state/corrupt")).unwrap().flatten().collect();
+    assert_eq!(corrupt.len(), 1);
+    assert_eq!(corrupt[0].file_name(), format!("{:016x}.0", 1).as_str());
+    run_shard(&mut c2, 1, now);
     let outcome = c2.finish().unwrap();
-    assert_eq!(outcome.quarantined, 0);
     assert_eq!(outcome.merged.unwrap().to_json(), reference_json(0, 24, 2));
+}
+
+#[test]
+fn a_log_cut_inside_its_last_record_loses_only_the_last_transition() {
+    let dir = fresh_dir("cut");
+    let cfg = three_shards(dir.clone());
+    let now = Instant::now();
+    {
+        let mut c1 = Coordinator::new(cfg.clone()).unwrap();
+        run_shard(&mut c1, 0, now);
+        lease(&mut c1, "w1", 1, now);
+        let fail = "{\"worker\": \"w1\", \"shard\": 1, \"error\": \"flaky\"}";
+        assert_eq!(c1.handle("POST", "/fail", fail, now).0, 200);
+        lease(&mut c1, "w1", 1, now);
+        run_shard(&mut c1, 2, now);
+    } // killed with shard 1 in flight
+    let path = dir.join("state/log");
+    let log = std::fs::read(&path).unwrap();
+    let &(at, key, len) = records(&log).last().unwrap();
+    assert_eq!(key, 2, "shard 2's completion is the last record");
+    std::fs::write(&path, &log[..at + 24 + len / 2]).unwrap();
+
+    let mut c2 = Coordinator::new(cfg).unwrap();
+    let (_, status) = c2.handle("GET", "/status", "", now);
+    assert!(status.contains("\"pending\": 2, \"leased\": 0, \"completed\": 1"), "{status}");
+    assert!(status.contains("\"reassignments\": 1"), "{status}");
+    assert!(!dir.join("state/corrupt").exists(), "a torn tail is not corruption");
+    run_shard(&mut c2, 1, now);
+    run_shard(&mut c2, 2, now);
+    let outcome = c2.finish().unwrap();
+    assert_eq!(outcome.reassignments, 1);
+    assert_eq!(outcome.merged.unwrap().to_json(), reference_json(0, 24, 2));
+}
+
+#[test]
+fn a_directory_holding_another_campaign_is_refused() {
+    let dir = fresh_dir("another");
+    let cfg = three_shards(dir.clone());
+    let now = Instant::now();
+    run_shard(&mut Coordinator::new(cfg.clone()).unwrap(), 0, now);
+
+    let others = [
+        CoordinatorConfig { seed_end: 32, ..cfg.clone() },
+        CoordinatorConfig { seed_start: 8, ..cfg.clone() },
+        CoordinatorConfig { shard_size: 4, ..cfg.clone() },
+        CoordinatorConfig { config_name: "auto".into(), ..cfg.clone() },
+    ];
+    for other in others {
+        let e = Coordinator::new(other.clone()).err().expect("another campaign");
+        assert!(e.contains("refusing to resume it as"), "{other:?}: {e}");
+    }
+    // What the identity does not name may change, as it always could.
+    let mut c = Coordinator::new(CoordinatorConfig { retry_budget: 5, jobs_check: 0, ..cfg.clone() }).unwrap();
+    lease(&mut c, "w1", 1, now);
+    drop(c);
+
+    // Rows without a readable identity are not adopted.
+    flip_payload_byte(&dir, u64::MAX);
+    let e = Coordinator::new(cfg).err().expect("no identity");
+    assert!(e.contains("no readable campaign identity"), "{e}");
+
+    // A directory an older build left is not read: its campaign starts over.
+    let old = fresh_dir("older-build");
+    std::fs::create_dir_all(old.join("shards")).unwrap();
+    std::fs::write(old.join("journal.jsonl"), "{\"rec\": \"completed\", \"shard\": 0}\n").unwrap();
+    std::fs::write(old.join("shards/shard0000.json"), "{}").unwrap();
+    lease(&mut Coordinator::new(three_shards(old)).unwrap(), "w1", 0, now);
 }
 
 #[test]
@@ -254,7 +347,6 @@ fn poison_shards_are_quarantined_and_triaged_without_wedging_the_campaign() {
         retry_budget: 1, // second failure quarantines
         jobs_check: 0,
         config_name: "manual".into(),
-        checkpoint_every: 0,
         dir: fresh_dir("poison"),
     };
     let mut c = Coordinator::new(cfg.clone()).unwrap();
@@ -313,7 +405,6 @@ fn an_inexact_shard_index_is_a_bad_request_not_a_neighbouring_shard() {
         retry_budget: 0, // one burnt attempt would quarantine shard 0
         jobs_check: 0,
         config_name: "manual".into(),
-        checkpoint_every: 0,
         dir: fresh_dir("inexact"),
     };
     let mut c = Coordinator::new(cfg).unwrap();
@@ -347,7 +438,7 @@ fn a_mistyped_config_name_is_refused_not_judged_under_another() {
     let dir = cfg.dir.clone();
     let e = Coordinator::new(cfg).err().expect("`atuo` names no configuration");
     assert!(e.contains("unknown config `atuo`"), "{e}");
-    assert!(!dir.exists(), "nothing is journaled under a name that judges nothing");
+    assert!(!dir.exists(), "nothing is written under a name that judges nothing");
 }
 
 #[test]
@@ -360,7 +451,6 @@ fn heartbeats_extend_leases_and_silence_expires_them() {
         retry_budget: 2,
         jobs_check: 0,
         config_name: "manual".into(),
-        checkpoint_every: 0,
         dir: fresh_dir("heartbeat"),
     };
     let mut c = Coordinator::new(cfg).unwrap();
@@ -411,7 +501,6 @@ fn chaos_injects_worker_crashes_deterministically() {
         retry_budget: 2,
         jobs_check: 0,
         config_name: "manual".into(),
-        checkpoint_every: 0,
         dir: fresh_dir("chaos"),
     };
     let coordinator = Coordinator::new(cfg).unwrap();

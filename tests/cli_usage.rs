@@ -127,8 +127,6 @@ const TABLE: &[Row] = &[
     ("races", &[], &[("CEDAR_CELL_DEADLINE", "inf")], 2, true, "CEDAR_CELL_DEADLINE=inf: expected seconds"),
     // parent: switched the watchdog off, exit 0.
     ("races", &[], &[("CEDAR_CELL_DEADLINE", "abc")], 2, true, "CEDAR_CELL_DEADLINE=abc: expected seconds"),
-    // parent: meant 64, exit 0.
-    ("races", &[], &[("CEDAR_BUNDLE_CAP", "lots")], 2, true, "CEDAR_BUNDLE_CAP=lots: expected a count"),
     // parent: a variable nobody reads was accepted in silence, exit 0.
     ("races", &[], &[("CEDAR_ENGINE", "interp")], 2, true, "CEDAR_ENGINE: no such variable"),
 
@@ -235,7 +233,6 @@ const TABLE: &[Row] = &[
     ("campaign", &["coordinate", "--jobs-check"], &[], 2, true, "campaign coordinate --addr"),
     ("campaign", &["coordinate", "--config"], &[], 2, true, "campaign coordinate --addr"),
     ("campaign", &["coordinate", "--linger-ms"], &[], 2, true, "campaign coordinate --addr"),
-    ("campaign", &["coordinate", "--checkpoint-every"], &[], 2, true, "campaign coordinate --addr"),
     ("campaign", &["coordinate", "--addr", NOWHERE, "--dir", "c-empty", "--seeds", "5..5"], &[], 2, true, "campaign coordinate --addr"),
     ("campaign", &["coordinate", "--addr", NOWHERE, "--dir", "c-x", "--seeds", "x"], &[], 2, true, "campaign coordinate --addr"),
     ("campaign", &["coordinate", "--addr", NOWHERE, "--dir", "c-shard", "--seeds", "0..4", "--shard", "x"], &[], 2, true, "campaign coordinate --addr"),
@@ -382,7 +379,7 @@ fn a_mistyped_config_name_is_usage_not_a_different_configuration() {
         let err = String::from_utf8_lossy(&out.stderr);
         assert!(err.contains("unknown config `atuo`") && err.contains("usage:"), "{name}: {err}");
     }
-    assert!(!scratch().join("atuo").exists(), "nothing was journaled");
+    assert!(!scratch().join("atuo").exists(), "nothing was written");
 }
 
 /// Every binary with the smallest command line that ends by itself,
@@ -397,16 +394,14 @@ const BINARIES: &[(&str, &[&str], &[&str])] = &[
         &["--seeds", "--budget", "--json", "--det-json", "--config", "--jobs-check", "--corpus", "--emit-corpus"]),
     ("compare", &["--seeds", "0..1"], &["--seeds", "--config", "--json", "--bundle-dir"]),
     ("campaign", &["coordinate", "--addr", NOWHERE, "--seeds", "0..4", "--dir", "hostile"],
-        &["--addr", "--seeds", "--dir", "--shard", "--lease-ms", "--retry-budget", "--jobs-check", "--config",
-          "--checkpoint-every"]),
+        &["--addr", "--seeds", "--dir", "--shard", "--lease-ms", "--retry-budget", "--jobs-check", "--config"]),
     ("campaign", &["work", "--addr", NOWHERE, "--name", "w"], &["--addr", "--name", "--budget", "--corpus"]),
     ("serve", &["--addr", NOWHERE], &["--addr", "--workers", "--queue", "--store"]),
     ("loadtest", &["--requests", "4", "--clients", "2", "--out", "hostile.json"],
         &["--requests", "--clients", "--workers", "--queue", "--out"]),
 ];
 
-const VARIABLES: [&str; 5] =
-    ["CEDAR_JOBS", "CEDAR_CHAOS", "CEDAR_CELL_DEADLINE", "CEDAR_BUNDLE_DIR", "CEDAR_BUNDLE_CAP"];
+const VARIABLES: [&str; 4] = ["CEDAR_JOBS", "CEDAR_CHAOS", "CEDAR_CELL_DEADLINE", "CEDAR_BUNDLE_DIR"];
 
 /// No value of an option, of a positional argument or of a variable
 /// ends a binary in a Rust panic (exit 101) or a signal: 0, 1 or 2 only.

@@ -1,7 +1,7 @@
 //! Every JSON document the workspace writes, pinned byte for byte.
 //!
 //! The sweeps' reports, the fuzz and campaign reports, crash bundles,
-//! the `cedar-serve` wire protocol and the campaign journal are all
+//! the `cedar-serve` wire protocol and the campaign's state rows are all
 //! compared byte for byte by some gate (`determinism`,
 //! `campaign_cluster`, `serve_store`, the CI `cmp` steps), but each of
 //! those compares two runs of the *same* writer: a comma that moves in
@@ -25,7 +25,6 @@
 //! a caller outside its own unit tests.
 
 use cedar_campaign::triage::{triage_json, QuarantinedShard};
-use cedar_campaign::wal::{Record, ShardSnap};
 use cedar_campaign::{Coordinator, CoordinatorConfig, WorkerStats};
 use cedar_experiments::supervise::{
     self, CellError, CellErrorKind, Quarantine, Recovery, Rung, Supervisor,
@@ -144,7 +143,6 @@ fn bundles(e: &mut Entries) {
         chaos: Some(7),
         deadline: Some(Duration::from_millis(1500)),
         bundle_dir: dir.clone(),
-        bundle_cap: 0,
     };
     let attempts = [
         ("normal", error(CellErrorKind::Panicked, NASTY, Some("frame 0\nframe 1\n"))),
@@ -156,7 +154,7 @@ fn bundles(e: &mut Entries) {
         "bundle.json with source, backtrace, chaos, deadline",
         read(supervise::write_quarantine_bundle(&sup, NASTY, Some(source), &attempts)),
     );
-    let sup = Supervisor { chaos: None, deadline: None, bundle_dir: dir, bundle_cap: 0 };
+    let sup = Supervisor { chaos: None, deadline: None, bundle_dir: dir };
     e.push(
         "bundle.json bare",
         read(supervise::write_quarantine_bundle(&sup, "fig7", None, &attempts[2..])),
@@ -276,48 +274,55 @@ fn serve(e: &mut Entries) {
     }
 }
 
-fn journal(e: &mut Entries) {
-    let snap = |shard, state: &str, file: Option<&str>, checksum: Option<&str>, errors: &[&str]| ShardSnap {
-        shard,
-        state: state.into(),
-        attempts: errors.len() as u64,
-        file: file.map(str::to_string),
-        checksum: checksum.map(str::to_string),
-        errors: errors.iter().map(|s| s.to_string()).collect(),
+/// A `/complete` body from worker `w1`.
+fn complete_body(shard: u64, summary: &str) -> String {
+    let mut w = cedar_experiments::Writer::new();
+    w.obj().key("worker").str("w1").key("shard").int(shard).key("summary").str(summary);
+    w.finish()
+}
+
+/// The deterministic summary of seeds `a..b`, as a worker uploads it.
+fn shard_summary(a: u64, b: u64) -> String {
+    let s = run_campaign(&CampaignConfig {
+        seed_start: a,
+        seed_end: b,
+        bundles: false,
+        jobs_check: 0,
+        ..CampaignConfig::default()
+    });
+    ShardSummary::from_summary(&s).to_json()
+}
+
+/// The coordinator's durable documents — the campaign's identity and a
+/// shard's row in each state — as its store holds them.
+fn state(e: &mut Entries) {
+    let dir = scratch("state");
+    let mut c = Coordinator::new(CoordinatorConfig {
+        seed_start: 0,
+        seed_end: 4,
+        shard_size: 2,
+        lease: Duration::from_secs(30),
+        retry_budget: 1,
+        jobs_check: 0,
+        config_name: "manual".into(),
+        dir: dir.clone(),
+    })
+    .unwrap();
+    let now = Instant::now();
+    let mut step = |name: &str, path: &str, body: String, key: u64| {
+        c.handle("POST", "/lease", "{\"worker\": \"w1\"}", now);
+        assert_eq!(c.handle("POST", path, &body, now).0, 200, "{name}");
+        // A fresh view: one opened earlier would hand out the superseded row.
+        let row = cedar_store::Store::open_read_only(dir.join("state")).get(key).unwrap();
+        e.push(&format!("state row {name}"), String::from_utf8(row).unwrap());
     };
-    let records = [
-        Record::Campaign {
-            seed_start: 0,
-            seed_end: 3000,
-            shard_size: 250,
-            config: "manual".into(),
-            jobs_check: 4,
-            retry_budget: 2,
-        },
-        Record::Leased { shard: 3, worker: NASTY.into() },
-        Record::Completed {
-            shard: 3,
-            file: "shards/shard0003.json".into(),
-            checksum: "00000000deadbeef".into(),
-        },
-        Record::Reassigned { shard: 4, attempts: 1, reason: NASTY.into() },
-        Record::Quarantined { shard: 4, attempts: 3, reason: "lease-expired (w2)".into() },
-        Record::Checkpoint { reassignments: 0, shards: Vec::new() },
-        Record::Checkpoint {
-            reassignments: 5,
-            shards: vec![
-                snap(0, "completed", Some("shards/shard0000.json"), Some("0123456789abcdef"), &[]),
-                snap(1, "pending", None, None, &[NASTY, "w1: boom"]),
-                snap(2, "quarantined", None, None, &["a", "b", "c"]),
-                snap(7, "pending", None, None, &[]),
-            ],
-        },
-    ];
-    for (k, r) in records.iter().enumerate() {
-        let line = r.to_line();
-        assert_eq!(Record::parse(&line).as_ref(), Ok(r), "{line}");
-        e.push(&format!("journal record {k}"), line);
-    }
+    let mut fail = cedar_experiments::Writer::new();
+    fail.obj().key("worker").str("w1").key("shard").int(0).key("error").str(NASTY);
+    step("pending", "/fail", fail.finish(), 0);
+    step("quarantined", "/fail", "{\"worker\": \"w1\", \"shard\": 0, \"error\": \"boom\"}".into(), 0);
+    step("completed", "/complete", complete_body(1, &shard_summary(2, 4)), 1);
+    let identity = cedar_store::Store::open_read_only(dir.join("state")).get(u64::MAX).unwrap();
+    e.push("state identity", String::from_utf8(identity).unwrap());
 }
 
 fn failure(seed: u64, bundle: Option<&str>) -> FailureLine {
@@ -451,24 +456,9 @@ fn coordinator(e: &mut Entries) {
         jobs_check: 0,
         config_name: "manual".into(),
         dir: scratch("coordinator"),
-        checkpoint_every: 0,
     })
     .unwrap();
-    let summary = |a, b| {
-        let s = run_campaign(&CampaignConfig {
-            seed_start: a,
-            seed_end: b,
-            bundles: false,
-            jobs_check: 0,
-            ..CampaignConfig::default()
-        });
-        ShardSummary::from_summary(&s).to_json()
-    };
-    let complete = |shard: u64, summary: &str| {
-        let mut w = cedar_experiments::Writer::new();
-        w.obj().key("worker").str("w1").key("shard").int(shard).key("summary").str(summary);
-        w.finish()
-    };
+    let (summary, complete) = (shard_summary, complete_body);
     let now = Instant::now();
     let script: Vec<(&str, &str, &str, String)> = vec![
         ("lease", "POST", "/lease", "{\"worker\": \"w1\"}".into()),
@@ -506,7 +496,7 @@ fn entries() -> Vec<(String, String)> {
     bundles(&mut e);
     fragments(&mut e);
     serve(&mut e);
-    journal(&mut e);
+    state(&mut e);
     campaigns(&mut e);
     coordinator(&mut e);
     e.0
@@ -757,4 +747,28 @@ fn the_machine_is_described_only_in_ir_machine() {
         }
     }
     assert!(findings.is_empty(), "plan from `PassConfig::machine`:\n{}", findings.join("\n"));
+}
+
+/// The coordinator's durable state goes through `cedar_store` and
+/// nothing else: `crates/campaign/src` opens, syncs and checksums no
+/// file of its own, and keeps no journal or per-shard files beside the
+/// store.
+#[test]
+fn campaign_state_is_kept_only_in_cedar_store() {
+    let mut files = Vec::new();
+    rust_files(&Path::new(env!("CARGO_MANIFEST_DIR")).join("src"), &mut files);
+    files.sort();
+    assert!(files.len() >= 5, "crates/campaign/src was not found: {} files", files.len());
+    let mut findings = Vec::new();
+    for file in &files {
+        let text = std::fs::read_to_string(file).unwrap();
+        for (n, line) in text.lines().enumerate() {
+            for word in ["sync_data", "OpenOptions", "fnv1a", "journal", "shards/"] {
+                if line.contains(word) {
+                    findings.push(format!("{}:{}: `{word}`: {}", file.display(), n + 1, line.trim()));
+                }
+            }
+        }
+    }
+    assert!(findings.is_empty(), "keep campaign state in `cedar_store`:\n{}", findings.join("\n"));
 }

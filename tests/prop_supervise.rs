@@ -23,7 +23,6 @@ fn supervisor(tag: &str, chaos: Option<u64>) -> Supervisor {
         chaos,
         deadline: Some(Duration::from_secs(60)),
         bundle_dir: PathBuf::from(format!("target/chaos-prop/{tag}-{seed}")),
-        bundle_cap: 64,
     }
 }
 

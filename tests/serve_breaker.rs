@@ -37,7 +37,6 @@ fn chaos_engine(tag: &str) -> EngineConfig {
             chaos: Some(CHAOS),
             deadline: None,
             bundle_dir: PathBuf::from(format!("target/test-serve-bundles/{tag}")),
-            bundle_cap: 64,
         },
         backoff_base: Duration::from_millis(1),
         validate_seeds: vec![1],
