@@ -458,7 +458,6 @@ fn coordinator(e: &mut Entries) {
         dir: scratch("coordinator"),
     })
     .unwrap();
-    let (summary, complete) = (shard_summary, complete_body);
     let now = Instant::now();
     let script: Vec<(&str, &str, &str, String)> = vec![
         ("lease", "POST", "/lease", "{\"worker\": \"w1\"}".into()),
@@ -472,14 +471,14 @@ fn coordinator(e: &mut Entries) {
         ("lease wait", "POST", "/lease", "{\"worker\": \"w3\"}".into()),
         ("status busy", "GET", "/status", String::new()),
         ("complete no summary", "POST", "/complete", "{\"worker\": \"w1\", \"shard\": 0}".into()),
-        ("complete bad summary", "POST", "/complete", complete(0, "garbage")),
-        ("complete wrong range", "POST", "/complete", complete(0, &summary(2, 4))),
-        ("complete", "POST", "/complete", complete(0, &summary(0, 2))),
-        ("complete duplicate", "POST", "/complete", complete(0, &summary(0, 2))),
+        ("complete bad summary", "POST", "/complete", complete_body(0, "garbage")),
+        ("complete wrong range", "POST", "/complete", complete_body(0, &shard_summary(2, 4))),
+        ("complete", "POST", "/complete", complete_body(0, &shard_summary(0, 2))),
+        ("complete duplicate", "POST", "/complete", complete_body(0, &shard_summary(0, 2))),
         ("fail", "POST", "/fail", "{\"worker\": \"w2\", \"shard\": 1, \"error\": \"boom\"}".into()),
         ("fail stale", "POST", "/fail", "{\"worker\": \"w2\", \"shard\": 0}".into()),
         ("no such endpoint", "GET", "/nope", String::new()),
-        ("complete last", "POST", "/complete", complete(1, &summary(2, 4))),
+        ("complete last", "POST", "/complete", complete_body(1, &shard_summary(2, 4))),
         ("lease done", "POST", "/lease", "{\"worker\": \"w1\"}".into()),
         ("status done", "GET", "/status", String::new()),
     ];
