@@ -20,6 +20,9 @@ use cedar_experiments::supervise::{run_cells, Cell, Supervisor};
 use cedar_experiments::Writer;
 use std::time::{Duration, Instant};
 
+/// Oracle-evaluation budget per shrink run.
+const MAX_SHRINK_CHECKS: usize = 128;
+
 /// Campaign parameters.
 #[derive(Debug, Clone)]
 pub struct CampaignConfig {
@@ -34,8 +37,6 @@ pub struct CampaignConfig {
     pub oracle: OracleConfig,
     /// Minimize failures before reporting/bundling.
     pub shrink: bool,
-    /// Oracle-evaluation budget per shrink run.
-    pub max_shrink_checks: usize,
     /// Write crash bundles for failures via the supervised engine.
     pub bundles: bool,
     /// How many seeds to re-judge under `with_jobs(1)` for the
@@ -59,7 +60,6 @@ impl Default for CampaignConfig {
             budget: None,
             oracle: OracleConfig::default(),
             shrink: true,
-            max_shrink_checks: 128,
             bundles: true,
             jobs_check: 4,
             corpus_dir: None,
@@ -444,7 +444,7 @@ pub fn run_campaign(cfg: &CampaignConfig) -> CampaignSummary {
         .into_iter()
         .map(|(seed, gp, original)| {
             let (minimized, failure) = if cfg.shrink {
-                let out = shrink(&gp, &original, &cfg.oracle, cfg.max_shrink_checks);
+                let out = shrink(&gp, &original, &cfg.oracle, MAX_SHRINK_CHECKS);
                 (out.program, out.failure)
             } else {
                 (gp, original.clone())

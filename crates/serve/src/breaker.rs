@@ -27,6 +27,11 @@ use std::collections::HashMap;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
+/// Consecutive escalations before the server's breaker opens.
+pub(crate) const THRESHOLD: u32 = 3;
+/// How long the server's open breaker skips straight to its rescue rung.
+pub(crate) const COOLDOWN: Duration = Duration::from_secs(5);
+
 #[derive(Debug, Clone)]
 struct PassState {
     /// Consecutive requests that needed escalation beyond `normal`.

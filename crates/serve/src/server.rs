@@ -23,7 +23,7 @@
 //! new arrivals get `503 shutting-down`. The store writer exits last,
 //! after every reply handed to it is on disk.
 
-use crate::breaker::Breaker;
+use crate::breaker::{self, Breaker};
 use crate::engine::{self, EngineConfig, ServeRequest};
 use crate::error::{self, kind};
 use crate::http;
@@ -48,10 +48,6 @@ pub struct ServerConfig {
     pub queue_cap: usize,
     /// Engine knobs (chaos, deadlines, backoff, bundles).
     pub engine: EngineConfig,
-    /// Consecutive escalations before the circuit breaker opens.
-    pub breaker_threshold: u32,
-    /// How long an open breaker skips straight to its rescue rung.
-    pub breaker_cooldown: Duration,
     /// Root of a crash-safe result store ([`cedar_store::Store`]).
     /// When set, every 200 `/restructure` response is persisted keyed
     /// by [`ServeRequest::key`], and a restarted server replays stored
@@ -67,8 +63,6 @@ impl Default for ServerConfig {
             workers: 4,
             queue_cap: 64,
             engine: EngineConfig::default(),
-            breaker_threshold: 3,
-            breaker_cooldown: Duration::from_secs(5),
             store_dir: None,
         }
     }
@@ -204,7 +198,7 @@ impl Server {
         let listener = TcpListener::bind(&cfg.addr)?;
         let addr = listener.local_addr()?;
         let shared = Arc::new(Shared {
-            breaker: Breaker::new(cfg.breaker_threshold, cfg.breaker_cooldown),
+            breaker: Breaker::new(breaker::THRESHOLD, breaker::COOLDOWN),
             cfg,
             addr,
             queue: Mutex::new(VecDeque::new()),

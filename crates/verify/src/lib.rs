@@ -69,6 +69,9 @@ use cedar_sim::{
 use std::fmt;
 use std::sync::Arc;
 
+/// Maximum nests to revert to serial before degrading the whole program.
+const MAX_FALLBACKS: usize = 8;
+
 /// How hard to shake the program.
 #[derive(Debug, Clone)]
 pub struct ValidationConfig {
@@ -78,9 +81,6 @@ pub struct ValidationConfig {
     /// reassociate under perturbed schedules, so exact equality is only
     /// expected of reduction-free nests).
     pub rel_tol: f64,
-    /// Maximum nests to revert to serial before degrading the whole
-    /// program.
-    pub max_fallbacks: usize,
     /// Probability of dropping `advance` signals (chaos knob). Zero for
     /// real validation; nonzero deliberately breaks DOACROSS cascades
     /// to exercise the deadlock-watchdog fallback path.
@@ -97,7 +97,6 @@ impl Default for ValidationConfig {
         ValidationConfig {
             seeds: (1..=8).collect(),
             rel_tol: 1e-3,
-            max_fallbacks: 8,
             drop_advance: 0.0,
             detect_races: true,
         }
@@ -652,7 +651,7 @@ pub fn restructure_validated(
                     .into_iter()
                     .filter(|c| !suppressed.contains(c))
                     .collect();
-                if candidates.is_empty() || fallbacks.len() >= vcfg.max_fallbacks {
+                if candidates.is_empty() || fallbacks.len() >= MAX_FALLBACKS {
                     // Out of suspects (or budget): abandon all
                     // parallelism. The serial identity always validates
                     // — perturbations only reorder parallel schedules.
