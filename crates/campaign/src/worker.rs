@@ -204,7 +204,6 @@ pub fn run_worker(cfg: &WorkerConfig) -> Result<WorkerReport, String> {
             jobs_check: 0,
             corpus_dir: cfg.corpus_dir.clone(),
             corpus_config: config_name.into(),
-            ..CampaignConfig::default()
         });
         stop.store(true, Ordering::Relaxed);
         let _ = beat.join();

@@ -105,8 +105,8 @@ pub fn choose_plan(
     // More than one cluster: the classes that leave it exist. On one
     // (the FX/80) everything maps to CDOALL + vector.
     let many = m.clusters > 1;
-    let vector = body_vectorizable && cfg.stripmine;
-    let iv = inner_vectorizable && cfg.stripmine;
+    // Stripmining (§3.2) is on at every parallelizing level.
+    let (vector, iv) = (body_vectorizable, inner_vectorizable);
     let inner_gain = if iv { m.vector_gain } else { 1.0 };
     let nested = NestPlan::SdoallCdoall { inner_vector: iv };
     // (applies, plan, start-up, iterations in flight). Small loops: one

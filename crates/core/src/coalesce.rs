@@ -29,7 +29,7 @@
 
 use cedar_ir::{BinOp, Expr, Intrinsic, LValue, Loop, ParMode, Stmt, SymbolId, Ty, Unit};
 
-use crate::driver::remap_symbol_in_stmts;
+use crate::passes::privatize::remap_symbol_in_stmts;
 
 /// Constant trip count of a step-1 loop, if both bounds are literals.
 fn const_trip_step1(l: &Loop) -> Option<i64> {

@@ -2,55 +2,49 @@
 
 use cedar_ir::{Machine, Planning};
 
+/// How much of the paper's technique set the restructurer applies: the
+/// three columns of Table 2.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Level {
+    /// No restructuring: the serial identity (baselines, and the
+    /// validation pass-through that only demotes suppressed directive
+    /// nests).
+    Serial,
+    /// What the 1991 restructurer applied automatically (§3):
+    /// dependence-based DOALL detection, scalar privatization, simple
+    /// scalar reductions, stripmining and DOACROSS synchronization.
+    Automatic,
+    /// Automatic plus the §4.1 techniques the authors applied by hand:
+    /// interprocedural summaries (§4.1.1), array privatization
+    /// (§4.1.2), array-element and multi-statement reductions (§4.1.3),
+    /// generalized induction variables (§4.1.4), the run-time
+    /// dependence test (§4.1.5) and unordered critical sections
+    /// (§4.1.6).
+    Manual,
+}
+
 /// Which techniques the restructurer may apply.
 #[derive(Debug, Clone)]
 pub struct PassConfig {
     /// What planning reads of the machine the output is tuned for
     /// ([`PassConfig::for_machine`]; Cedar configuration 1 unless said).
     pub machine: Planning,
+    /// The technique set: serial, §3 automatic, or §4.1 manual.
+    pub level: Level,
 
-    // ---- §3 automatic techniques ----
-    /// Dependence-based DOALL detection (master switch; off = serial
-    /// pass-through used for baselines).
-    pub parallelize: bool,
-    /// Scalar privatization (§3.2).
-    pub scalar_privatization: bool,
-    /// Simple scalar reductions (`s = s + a(i)`) via the runtime library
-    /// or partial accumulators (§3.3).
-    pub scalar_reductions: bool,
-    /// Stripmining single parallel loops into XDOALL + vector strips
-    /// (§3.2).
-    pub stripmine: bool,
+    // ---- settings a single experiment varies ----
     /// Default strip length when trip counts are unknown.
     pub strip_len: usize,
     /// Globalization pass (§3.2): data used by cross-cluster loops is
     /// marked GLOBAL; the rest stays CLUSTER.
     pub globalize: bool,
-    /// DOACROSS with cascade synchronization for constant-distance
-    /// dependences (§3.3).
-    pub doacross: bool,
     /// Candidate-version cap (§3.4; the paper's default is 50).
     pub max_versions: usize,
     /// Loop interchange to move a parallel loop outward (§3.4: "loops
     /// in a nest might be interchanged").
     pub interchange: bool,
-
-    // ---- §4.1 techniques ("manually improved") ----
-    /// Array privatization (§4.1.2).
-    pub array_privatization: bool,
-    /// Array-element and multi-statement reductions (§4.1.3).
-    pub array_reductions: bool,
-    /// Generalized induction variable substitution (§4.1.4).
-    pub giv_substitution: bool,
-    /// Run-time dependence test / two-version loops (§4.1.5).
-    pub runtime_dep_test: bool,
-    /// Interprocedural use/def summaries for call-containing loops
-    /// (§4.1.1).
-    pub interprocedural: bool,
     /// Inline expansion of small subroutines (§3.2/§4.1.1).
     pub inline_expansion: bool,
-    /// Unordered critical sections for commutative updates (§4.1.6).
-    pub critical_sections: bool,
     /// Loop coalescing: collapse a perfect DOALL×DOALL nest whose outer
     /// trip count under-fills the machine into one flat XDOALL (§4.2.4).
     pub coalesce: bool,
@@ -73,22 +67,12 @@ impl PassConfig {
     pub fn serial() -> PassConfig {
         PassConfig {
             machine: Machine::cedar_config1().planning(),
-            parallelize: false,
-            scalar_privatization: false,
-            scalar_reductions: false,
-            stripmine: false,
+            level: Level::Serial,
             strip_len: 32,
             globalize: false,
-            doacross: false,
             max_versions: 50,
             interchange: false,
-            array_privatization: false,
-            array_reductions: false,
-            giv_substitution: false,
-            runtime_dep_test: false,
-            interprocedural: false,
             inline_expansion: false,
-            critical_sections: false,
             coalesce: false,
             loop_fusion: false,
             data_partitioning: false,
@@ -99,12 +83,8 @@ impl PassConfig {
     /// The techniques the 1991 restructurer applied automatically (§3).
     pub fn automatic_1991() -> PassConfig {
         PassConfig {
-            parallelize: true,
-            scalar_privatization: true,
-            scalar_reductions: true,
-            stripmine: true,
+            level: Level::Automatic,
             globalize: true,
-            doacross: true,
             interchange: true,
             ..Self::serial()
         }
@@ -114,13 +94,8 @@ impl PassConfig {
     /// hand.
     pub fn manual_improved() -> PassConfig {
         PassConfig {
-            array_privatization: true,
-            array_reductions: true,
-            giv_substitution: true,
-            runtime_dep_test: true,
-            interprocedural: true,
+            level: Level::Manual,
             inline_expansion: true,
-            critical_sections: true,
             coalesce: true,
             loop_fusion: true,
             data_partitioning: false, // opt-in per experiment (Fig. 8)
@@ -161,14 +136,14 @@ mod tests {
     #[test]
     fn serial_is_identity_config() {
         let s = PassConfig::serial();
-        assert!(!s.parallelize && !s.globalize && !s.stripmine);
+        assert!(s.level == Level::Serial && !s.globalize && !s.interchange);
     }
 
     #[test]
     fn manual_includes_automatic() {
         let m = PassConfig::manual_improved();
-        assert!(m.parallelize && m.scalar_privatization && m.stripmine);
-        assert!(m.runtime_dep_test && m.critical_sections && m.loop_fusion);
+        assert_eq!(m.level, Level::Manual);
+        assert!(m.globalize && m.interchange && m.loop_fusion);
         assert_eq!(m.max_versions, 50);
     }
 
@@ -177,5 +152,98 @@ mod tests {
         let c = PassConfig::automatic_1991().for_machine(&Machine::fx80());
         assert_eq!(c.machine, Machine::fx80().planning());
         assert_ne!(c.machine, PassConfig::automatic_1991().machine);
+    }
+
+    /// Probe programs of [`every_pass_config_field_is_live`], each with
+    /// the fields it is there for. Every probe's first loop heads line 3.
+    const PROBES: [&str; 7] = [
+        // machine, strip_len, globalize, max_versions, data_partitioning,
+        // suppress_nests
+        "program p\nreal a(1000), b(1000)\ndo i = 1, 1000\na(i) = b(i) * 2.0\nend do\n\
+         s = a(1)\nend\n",
+        // interchange
+        "program p\nreal a(64, 96)\ndo i = 2, 64\ndo j = 1, 96\n\
+         a(i, j) = a(i - 1, j) * 0.99 + 0.0001\nend do\nend do\nend\n",
+        // inline_expansion
+        "program p\nreal a(100)\ndo i = 1, 100\ncall f(a, i)\nend do\nend\n\
+         subroutine f(a, i)\nreal a(100)\na(i) = 1.0\nend\n",
+        // coalesce
+        "program p\nreal a(64, 3), t\ndo i = 1, 3\ndo j = 1, 64\n\
+         t = real(i) * 10.0 + real(j)\ndo k = 1, 6\nt = 0.5 * t + 1.0\nend do\n\
+         a(j, i) = t\nend do\nend do\nend\n",
+        // loop_fusion
+        "program p\nreal a(500), b(500)\ndo i = 1, 500\na(i) = 1.0\nend do\n\
+         do i = 1, 500\nb(i) = a(i) + 2.0\nend do\nend\n",
+        // level (§4.1.2 array privatization)
+        "program p\nreal a(256), b(256, 16), w(16)\ndo i = 1, 256\ndo j = 1, 16\n\
+         w(j) = b(i, j) * 2.0\nend do\ndo j = 1, 16\na(i) = a(i) + w(j)\nend do\nend do\nend\n",
+        // suppress_nests at the serial level
+        "program p\nreal a(64)\nxdoall i = 1, 64\na(i) = 1.0\nend xdoall\nend\n",
+    ];
+
+    /// Every field of `cfg`, each moved off its value. The pattern is
+    /// exhaustive, so a new field does not compile until it is sorted
+    /// here.
+    fn moved(cfg: &PassConfig) -> Vec<(&'static str, PassConfig)> {
+        let PassConfig {
+            machine,
+            level,
+            strip_len,
+            globalize,
+            max_versions,
+            interchange,
+            inline_expansion,
+            coalesce,
+            loop_fusion,
+            data_partitioning,
+            suppress_nests,
+        } = cfg.clone();
+        let fx80 = Machine::fx80().planning();
+        let cedar = Machine::cedar_config1().planning();
+        let level = if level == Level::Manual { Level::Automatic } else { Level::Manual };
+        let suppress_nests = [suppress_nests, vec![("p".to_string(), 3)]].concat();
+        let c = || cfg.clone();
+        vec![
+            ("machine", PassConfig { machine: if machine == fx80 { cedar } else { fx80 }, ..c() }),
+            ("level", PassConfig { level, ..c() }),
+            ("strip_len", PassConfig { strip_len: strip_len * 2, ..c() }),
+            ("globalize", PassConfig { globalize: !globalize, ..c() }),
+            ("max_versions", PassConfig { max_versions: max_versions.min(1), ..c() }),
+            ("interchange", PassConfig { interchange: !interchange, ..c() }),
+            ("inline_expansion", PassConfig { inline_expansion: !inline_expansion, ..c() }),
+            ("coalesce", PassConfig { coalesce: !coalesce, ..c() }),
+            ("loop_fusion", PassConfig { loop_fusion: !loop_fusion, ..c() }),
+            ("data_partitioning", PassConfig { data_partitioning: !data_partitioning, ..c() }),
+            ("suppress_nests", PassConfig { suppress_nests, ..c() }),
+        ]
+    }
+
+    /// Each field of [`PassConfig`], moved off its preset value, changes
+    /// the restructured text or the report of some probe at the
+    /// automatic and the manual level. At the serial level only `level`
+    /// and `suppress_nests` are read; every other field is inert there.
+    #[test]
+    fn every_pass_config_field_is_live() {
+        let programs: Vec<_> =
+            PROBES.iter().map(|src| cedar_ir::compile_free(src).unwrap()).collect();
+        let outputs = |cfg: &PassConfig| -> Vec<String> {
+            let run = |p| {
+                let r = crate::restructure(p, cfg);
+                format!("{}{:?}", cedar_ir::print::print_program(&r.program), r.report)
+            };
+            programs.iter().map(run).collect()
+        };
+        for preset in [PassConfig::automatic_1991(), PassConfig::manual_improved()] {
+            let at_preset = outputs(&preset);
+            for (name, cfg) in moved(&preset) {
+                assert_ne!(outputs(&cfg), at_preset, "`{name}` is dead at {:?}", preset.level);
+            }
+        }
+        let serial = PassConfig::serial();
+        let at_serial = outputs(&serial);
+        for (name, cfg) in moved(&serial) {
+            let live = matches!(name, "level" | "suppress_nests");
+            assert_eq!(outputs(&cfg) != at_serial, live, "`{name}` at the serial level");
+        }
     }
 }

@@ -8,9 +8,10 @@
 //! reductions, cascade synchronization, and two-version run-time
 //! dependence tests.
 //!
-//! The pass set is controlled by [`PassConfig`]. Two presets mirror the
-//! paper's evaluation axis:
+//! The pass set is controlled by [`PassConfig`], whose
+//! [`config::Level`] is the paper's evaluation axis, one preset each:
 //!
+//! * [`PassConfig::serial`] — the serial identity (the baseline).
 //! * [`PassConfig::automatic_1991`] — the techniques the 1991 KAP-based
 //!   restructurer applied automatically (§3): dependence-based DOALL
 //!   detection, scalar privatization, simple scalar reductions,
@@ -55,9 +56,9 @@ mod tests {
     fn presets_differ() {
         let auto = PassConfig::automatic_1991();
         let manual = PassConfig::manual_improved();
-        assert!(!auto.array_privatization && manual.array_privatization);
-        assert!(!auto.giv_substitution && manual.giv_substitution);
-        assert!(auto.scalar_privatization && manual.scalar_privatization);
+        assert_eq!((auto.level, manual.level), (config::Level::Automatic, config::Level::Manual));
+        assert!(!auto.loop_fusion && manual.loop_fusion);
+        assert!(!auto.coalesce && manual.coalesce);
     }
 
     #[test]

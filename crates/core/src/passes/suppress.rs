@@ -28,8 +28,8 @@ pub fn strip_cascades(body: &mut Vec<Stmt>) {
 }
 
 /// Demote every suppressed hand-written parallel loop to serial (see
-/// the directive branch of the nest transform); used by the
-/// `!parallelize` pass-through, where no nest context exists.
+/// the directive branch of the nest transform); used by the serial
+/// level's pass-through, where no nest context exists.
 pub fn demote_suppressed_directives(
     unit_name: &str,
     body: &mut Vec<Stmt>,

@@ -403,25 +403,3 @@ fn triangular_giv_substitutes() {
         "{rep}"
     );
 }
-
-#[test]
-fn pipeline_pass_list_matches_config() {
-    use crate::passes::pipeline;
-    let names = |cfg: &PassConfig| -> Vec<&'static str> {
-        pipeline(cfg).iter().map(|p| p.name()).collect()
-    };
-    let serial = names(&PassConfig::serial());
-    assert!(!serial.contains(&"restructure-nests"), "{serial:?}");
-    let auto = names(&PassConfig::automatic_1991());
-    assert!(auto.contains(&"restructure-nests"));
-    assert!(auto.contains(&"globalize"));
-    assert!(!auto.contains(&"summarize"), "{auto:?}");
-    let manual = names(&PassConfig::manual_improved());
-    assert!(manual.contains(&"summarize"), "{manual:?}");
-    assert!(manual.contains(&"inline-expand"), "{manual:?}");
-    // Order: restructure-nests strictly after summarize/inline, before
-    // globalize and the audit.
-    let pos = |v: &[&str], n: &str| v.iter().position(|x| *x == n);
-    assert!(pos(&manual, "inline-expand") < pos(&manual, "restructure-nests"));
-    assert!(pos(&manual, "restructure-nests") < pos(&manual, "globalize"));
-}
