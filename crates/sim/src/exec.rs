@@ -17,7 +17,7 @@ use crate::stats::ExecStats;
 use crate::store::{Store, VarBind};
 use cedar_ir::{Placement, Program, UnitKind, Value};
 use cedar_par::CancelToken;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 pub use self::types::SectionCounts;
@@ -127,6 +127,14 @@ pub struct Simulator<'p> {
     /// Register files and operand tables of returned activations, for
     /// the next ones to reuse.
     retired: Vec<vm::VmState>,
+    /// Locals of exited loops by site (the address of the loop's locals
+    /// list), for the site's next entry to reuse. Never iterated and no
+    /// key removed, so what it allocates repeats exactly.
+    site_locals: HashMap<usize, loops::SiteLocals>,
+    /// Participant clocks of the parallel loops not running now.
+    spare_clocks: Vec<Vec<f64>>,
+    /// Tie-break salts of a randomized participant pick.
+    salts: Vec<u64>,
     /// See [`Simulator::tree_walked_activations`].
     tree_walked: u64,
 }
@@ -188,6 +196,9 @@ impl<'p> Simulator<'p> {
             sections: SectionCounts::default(),
             compiled,
             retired: Vec::new(),
+            site_locals: HashMap::new(),
+            spare_clocks: Vec::new(),
+            salts: Vec::new(),
             tree_walked: 0,
         };
         sim.allocate_commons()?;

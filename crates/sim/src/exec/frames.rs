@@ -214,7 +214,7 @@ impl Simulator<'_> {
                             p => p,
                         };
                         let dims = match self.cached_dims(idx, si, ctx) {
-                            Some(d) => d,
+                            Some(d) => d.to_vec(),
                             None => self.eval_dims(&frame, unit, si, ctx)?,
                         };
                         let total: usize =
@@ -264,7 +264,7 @@ impl Simulator<'_> {
     /// return the dims. `None` = take the slow path. Bypassed under race
     /// detection: the slow path's PARAMETER reads go through the
     /// detector's shadow memory and must not be skipped.
-    pub(super) fn cached_dims(&mut self, unit_idx: usize, si: usize, ctx: &mut Ctx) -> Option<Vec<(i64, i64)>> {
+    pub(super) fn cached_dims(&mut self, unit_idx: usize, si: usize, ctx: &mut Ctx) -> Option<&[(i64, i64)]> {
         if self.races.is_some() {
             return None;
         }
@@ -272,7 +272,7 @@ impl Simulator<'_> {
         for &c in &cd.charges {
             self.costs.charge(c, &mut self.stats, &mut ctx.time);
         }
-        Some(cd.dims.clone())
+        Some(&cd.dims)
     }
 
     #[inline]
@@ -430,7 +430,7 @@ impl Simulator<'_> {
         // Fully-constant declared dims (never assumed-size: the fold
         // requires every upper bound) replay from the prepass cache.
         if let Some(d) = self.cached_dims(ridx, dummy.index(), ctx) {
-            return Ok(d);
+            return Ok(d.to_vec());
         }
         let unit = &{ self.program }.units[ridx];
         let sym = unit.symbol(dummy);

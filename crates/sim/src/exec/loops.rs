@@ -26,6 +26,21 @@ pub(super) fn trip_count(start: i64, end: i64, step: i64, span: Span) -> Result<
     }
 }
 
+/// One loop site's locals: per local, its binding on each participant.
+#[derive(Default)]
+pub(super) struct SiteLocals {
+    binds: Vec<(SymbolId, Vec<VarBind>)>,
+    /// Call depth of the activation that bound them.
+    depth: usize,
+}
+
+/// A loop site's key among the parked locals: the address of its locals
+/// list, which the loop (IR or compiled) holds for the whole run. An
+/// engine's loop and its compiled form are two sites.
+fn site(loop_locals: &[SymbolId]) -> usize {
+    loop_locals.as_ptr() as usize
+}
+
 impl Simulator<'_> {
     pub(super) fn exec_loop(&mut self, frame: &mut Frame, l: &Loop, ctx: &mut Ctx) -> Result<Flow> {
         let start = self.eval_scalar(frame, &l.start, ctx)?.as_i64();
@@ -143,16 +158,25 @@ impl Simulator<'_> {
         if lr.has_post() && matches!(flow, Flow::Normal) {
             self.run_loop_block(frame, lr, Blk::Post, ctx)?;
         }
-        for (_, per_part) in &locals {
+        for (_, per_part) in &locals.binds {
             for b in per_part {
                 self.release_binding(b, ctx.cluster);
             }
         }
+        self.park_locals(lr.locals, locals);
         Ok(flow)
     }
 
-    /// Bind per-participant storage for loop locals. Returns the slots
-    /// per local so the scheduler can rebind per participant.
+    /// Bind per-participant storage for a loop's locals. Returns the
+    /// bindings per local so the scheduler can rebind per participant.
+    ///
+    /// The site's last exit parked its locals ([`Self::park_locals`]):
+    /// a slot of the same type and length is zeroed in place and charged
+    /// as a fresh one is, anything else is allocated. Only this site
+    /// writes those slots, and it rebinds every local before its body
+    /// runs, so a reused slot is observably fresh. Deeper in the call
+    /// stack than that exit, the parking activation may be live
+    /// (recursion) and read its locals after the loop: allocate.
     fn bind_locals(
         &mut self,
         frame: &mut Frame,
@@ -160,22 +184,34 @@ impl Simulator<'_> {
         class: LoopClass,
         participants: usize,
         ctx: &mut Ctx,
-    ) -> Result<Vec<(SymbolId, Vec<VarBind>)>> {
+    ) -> Result<SiteLocals> {
+        if loop_locals.is_empty() {
+            return Ok(SiteLocals::default());
+        }
+        let parked = self.site_locals.get_mut(&site(loop_locals));
+        let mut out = parked.map(std::mem::take).unwrap_or_default();
+        let reuse = out.depth >= self.call_depth;
+        out.depth = self.call_depth;
         let unit_idx = frame.unit;
         let program = self.program;
-        let mut out = Vec::with_capacity(loop_locals.len());
-        for &loc in loop_locals {
+        for (k, &loc) in loop_locals.iter().enumerate() {
             let sym = program.units[unit_idx].symbol(loc);
-            let mut per_part = Vec::with_capacity(participants);
+            if out.binds.len() == k {
+                out.binds.push((loc, Vec::with_capacity(participants)));
+            }
+            let per_part = &mut out.binds[k].1;
+            per_part.truncate(participants);
             for p in 0..participants {
                 let home = self.participant_cluster(class, p, ctx);
+                let mut dims =
+                    per_part.get_mut(p).map(|b| std::mem::take(&mut b.dims)).unwrap_or_default();
+                dims.clear();
                 // Dims may reference outer scalars (e.g. strip length).
                 // Constant declared dims replay from the prepass cache —
                 // once per participant, like the slow walk.
-                let dims = match self.cached_dims(unit_idx, loc.index(), ctx) {
-                    Some(d) => d,
+                match self.cached_dims(unit_idx, loc.index(), ctx) {
+                    Some(d) => dims.extend_from_slice(d),
                     None => {
-                        let mut dims = Vec::with_capacity(sym.dims.len());
                         for d in &sym.dims {
                             let lo = self.eval_scalar(frame, &d.lower, ctx)?.as_i64();
                             let hi = match &d.upper {
@@ -184,19 +220,24 @@ impl Simulator<'_> {
                             };
                             dims.push((lo, hi));
                         }
-                        dims
                     }
-                };
+                }
                 let total: usize =
                     dims.iter().map(|&(lo, hi)| ((hi - lo + 1).max(0)) as usize).product();
-                let sref = self.alloc_storage(sym.ty, total.max(1), Placement::Private, home);
-                per_part.push(VarBind {
-                    sref,
-                    offset: 0,
-                    dims,
-                    ty: sym.ty,
-                    placement: Placement::Private,
-                });
+                let len = total.max(1);
+                let sref = match per_part.get(p).map(|b| &b.sref) {
+                    Some(&StorageRef::One(s)) if reuse && self.store.rezero(s, sym.ty, len) => {
+                        // The charge `alloc_storage` makes for a private slot.
+                        self.store.charge_cluster(home, len as u64 * sym.ty.size_bytes());
+                        StorageRef::One(s)
+                    }
+                    _ => self.alloc_storage(sym.ty, len, Placement::Private, home),
+                };
+                let b = VarBind { sref, offset: 0, dims, ty: sym.ty, placement: Placement::Private };
+                match per_part.get_mut(p) {
+                    Some(slot) => *slot = b,
+                    None => per_part.push(b),
+                }
             }
             // Privatized loop locals are per-CE storage: iterations that
             // share a participant reuse the slot sequentially, which is
@@ -204,7 +245,7 @@ impl Simulator<'_> {
             // them from detection; an unprivatized shared temp keeps its
             // ordinary placement and stays visible to the detector.
             if let Some(rd) = self.races.as_mut() {
-                for b in &per_part {
+                for b in per_part.iter() {
                     if let StorageRef::One(s) = &b.sref {
                         rd.exempt_slot(*s);
                     }
@@ -212,9 +253,16 @@ impl Simulator<'_> {
             }
             // Bind participant 0 by default.
             self.rebind(frame, loc, &per_part[0]);
-            out.push((loc, per_part));
         }
         Ok(out)
+    }
+
+    /// Keep an exited loop's locals, released already, for the site's
+    /// next entry ([`Self::bind_locals`]).
+    fn park_locals(&mut self, loop_locals: &[SymbolId], locals: SiteLocals) {
+        if !loop_locals.is_empty() {
+            *self.site_locals.entry(site(loop_locals)).or_default() = locals;
+        }
     }
 
     /// Cluster a participant executes on.
@@ -233,21 +281,21 @@ impl Simulator<'_> {
     /// seeded shuffle when fault injection randomizes tie-breaks (a
     /// legal perturbation — any tied participant is a valid choice).
     fn pick_participant(&mut self, clocks: &[f64]) -> usize {
+        let salts = &mut self.salts;
         let salted = match self.faults.as_mut() {
             Some(f) if f.cfg.random_tie_break => {
-                Some((0..clocks.len()).map(|_| f.rng.next_u64()).collect::<Vec<_>>())
+                salts.clear();
+                salts.extend((0..clocks.len()).map(|_| f.rng.next_u64()));
+                true
             }
-            _ => None,
+            _ => false,
         };
         (0..clocks.len())
             .min_by(|&a, &b| {
                 clocks[a]
                     .partial_cmp(&clocks[b])
                     .unwrap_or(std::cmp::Ordering::Equal)
-                    .then_with(|| match &salted {
-                        Some(s) => s[a].cmp(&s[b]),
-                        None => a.cmp(&b),
-                    })
+                    .then_with(|| if salted { salts[a].cmp(&salts[b]) } else { a.cmp(&b) })
             })
             .unwrap_or(0)
     }
@@ -282,7 +330,9 @@ impl Simulator<'_> {
         // Per-participant clocks begin after startup.
         let mut t0 = ctx.time;
         self.costs.charge(startup, &mut self.stats, &mut t0);
-        let mut clocks = vec![t0; participants];
+        let mut clocks = self.spare_clocks.pop().unwrap_or_default();
+        clocks.clear();
+        clocks.resize(participants, t0);
         if let Some(f) = self.faults.as_mut() {
             if f.cfg.clock_jitter > 0.0 {
                 // Legal perturbation: skew each participant's start
@@ -297,7 +347,7 @@ impl Simulator<'_> {
         // Preamble: once per participant.
         if lr.has_pre() {
             for p in 0..participants {
-                for (loc, per_part) in &locals {
+                for (loc, per_part) in &locals.binds {
                     self.rebind(frame, *loc, &per_part[p]);
                 }
                 let mut cctx = Ctx {
@@ -326,7 +376,7 @@ impl Simulator<'_> {
             // shuffle under fault injection).
             let p = self.pick_participant(&clocks);
             if p != bound_p {
-                for (loc, per_part) in &locals {
+                for (loc, per_part) in &locals.binds {
                     self.rebind(frame, *loc, &per_part[p]);
                 }
                 bound_p = p;
@@ -361,7 +411,7 @@ impl Simulator<'_> {
         // Postamble: once per participant.
         if lr.has_post() {
             for p in 0..participants {
-                for (loc, per_part) in &locals {
+                for (loc, per_part) in &locals.binds {
                     self.rebind(frame, *loc, &per_part[p]);
                 }
                 let mut cctx = Ctx {
@@ -378,14 +428,16 @@ impl Simulator<'_> {
             self.doacross.pop();
         }
         // Locals go out of scope.
-        for (_, per_part) in &locals {
+        for (_, per_part) in &locals.binds {
             for (p, b) in per_part.iter().enumerate() {
                 let home = self.participant_cluster(lr.class, p, ctx);
                 self.release_binding(b, home);
             }
         }
+        self.park_locals(lr.locals, locals);
         // Join barrier.
         ctx.time = clocks.iter().cloned().fold(t0, f64::max);
+        self.spare_clocks.push(clocks);
         self.costs.charge(CostClass::Barrier, &mut self.stats, &mut ctx.time);
         Ok(flow)
     }

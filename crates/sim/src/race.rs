@@ -436,7 +436,9 @@ impl RaceDetector {
     }
 
     /// Mark a slot as per-CE private (not subject to race checks).
-    /// Slot ids are never reused, so exemptions cannot go stale.
+    /// A slot is reused only as the same loop site's private local
+    /// (`bind_locals`), so an exemption never reaches a shared
+    /// variable's slot and cannot go stale.
     pub(crate) fn exempt_slot(&mut self, slot: SlotId) {
         let si = slot.0 as usize;
         if self.exempt.len() <= si {

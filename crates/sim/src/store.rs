@@ -305,6 +305,22 @@ impl Store {
         id
     }
 
+    /// Zero slot `id` in place, as [`Store::alloc`] would leave a fresh
+    /// one, when it holds `len` elements of `ty`'s payload class;
+    /// `false`, with the slot untouched, otherwise.
+    pub(crate) fn rezero(&mut self, id: SlotId, ty: Ty, len: usize) -> bool {
+        let slot = &mut self.slots[id.0 as usize];
+        if slot.len() != len || slot.class() != Class::of(ty) {
+            return false;
+        }
+        match slot {
+            ArrayData::R(v) => v.fill(0.0),
+            ArrayData::I(v) => v.fill(0),
+            ArrayData::B(v) => v.fill(false),
+        }
+        true
+    }
+
     /// Read access to a slot.
     pub fn slot(&self, id: SlotId) -> &ArrayData {
         &self.slots[id.0 as usize]
@@ -422,6 +438,18 @@ mod tests {
         let r = st.alloc(Ty::Real, 1);
         st.slot_mut(r).set(0, Value::I(3));
         assert_eq!(st.slot(r).get(0), Value::R(3.0));
+    }
+
+    #[test]
+    fn rezero_takes_only_a_slot_of_the_same_class_and_length() {
+        let mut st = Store::new(1);
+        let s = st.alloc(Ty::Double, 3);
+        st.slot_mut(s).set(1, Value::R(-2.5));
+        assert!(!st.rezero(s, Ty::Int, 3));
+        assert!(!st.rezero(s, Ty::Real, 4));
+        assert_eq!(st.slot(s).get(1), Value::R(-2.5));
+        assert!(st.rezero(s, Ty::Real, 3));
+        assert_eq!(st.slot(s).get(1).as_f64().to_bits(), 0.0f64.to_bits());
     }
 
     #[test]

@@ -256,7 +256,16 @@ impl Simulator<'_> {
     /// `frame.binds` changes after [`Simulator::seal_frame`]), keeping
     /// the resolved-operand table in step.
     pub(super) fn rebind(&self, frame: &mut Frame, sym: SymbolId, bind: &VarBind) {
-        frame.binds[sym.index()] = Some(bind.clone());
+        match &mut frame.binds[sym.index()] {
+            // Keep the `dims` buffer: a loop local is rebound whenever
+            // the participant changes.
+            Some(b) => {
+                b.sref.clone_from(&bind.sref);
+                b.dims.clone_from(&bind.dims);
+                (b.offset, b.ty, b.placement) = (bind.offset, bind.ty, bind.placement);
+            }
+            unbound => *unbound = Some(bind.clone()),
+        }
         if frame.vm.live {
             // Loop locals are allocated from their own declaration.
             let agrees = frame.vm.resolve(sym.index(), bind, &self.store);

@@ -70,6 +70,33 @@ end
     assert!(cycles > 0.0);
 }
 
+/// A loop entered again takes back its locals' storage, and with it
+/// their exemption — never a shared temporary's: the unprivatized `s`
+/// beside the privatized `t` is reported on every entry, as often as on
+/// the first, and `t` never.
+#[test]
+fn reentered_loop_reports_its_shared_temporary_on_every_entry() {
+    let entries = |k: usize| {
+        collect(&format!(
+            "program p\nparameter (n = 64)\nreal a(n, 3), s\ndo k = 1, {k}\ncdoall i = 1, n\n\
+             real t\nt = real(i) * k\ns = t + 1.0\na(i, k) = s\nend cdoall\nend do\nend\n"
+        ))
+    };
+    let (once, thrice) = (entries(1), entries(3));
+    assert!(once.races_detected() > 0, "the shared temporary races");
+    assert_eq!(thrice.races_detected(), 3 * once.races_detected());
+    for sim in [&once, &thrice] {
+        assert!(sim.race_report().iter().all(|r| r.var.as_deref() == Some("s")));
+    }
+    let per_entry = |sim: &cedar_sim::Simulator<'_>| {
+        let mut iters: Vec<u32> = sim.race_report().iter().map(|r| r.writer_iter).collect();
+        iters.sort_unstable();
+        iters
+    };
+    let (first, all) = (per_entry(&once), per_entry(&thrice));
+    assert_eq!(all, first.iter().flat_map(|&i| [i; 3]).collect::<Vec<_>>());
+}
+
 /// A first-order recurrence in a DOALL without any cascade: iteration i
 /// reads what iteration i-1 wrote, unordered — a write-read race.
 #[test]

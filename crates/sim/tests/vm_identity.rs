@@ -1525,3 +1525,218 @@ fn a_trip_count_outside_the_step_range_is_one_error() {
     assert_eq!(e.kind, cedar_sim::SimErrorKind::Limit, "{e}");
     assert!(e.msg.contains("statement budget"), "{e}");
 }
+
+// ---------------------------------------------------------------------
+// Loop locals reused per site: a loop's next entry takes back the
+// storage its last entry bound, zeroed and charged as fresh storage is.
+// Each scenario agrees between the engines under every configuration
+// and race-collecting, also with a cluster memory so small that every
+// byte the pools account moves the paging cost; and entering one site
+// again costs what entering as many fresh sites does.
+// ---------------------------------------------------------------------
+
+/// A cluster memory of 64 bytes: loop locals page, and the paging cost
+/// follows every byte charged to the pool or released from it.
+fn tiny_cluster_memory(mut c: MachineConfig) -> MachineConfig {
+    c.machine.cluster_capacity = 64;
+    c
+}
+
+const MEMORIES: [(&str, Tweak); 2] = [("", |c| c), (" tiny memory", tiny_cluster_memory)];
+
+/// Both engines alike under every configuration and memory, and
+/// race-collecting with identical reports; the clean VM run.
+fn reuse_identical(p: &'static cedar_ir::Program, vars: &[&str], label: &str) -> Simulator<'static> {
+    for (memory, tweak) in MEMORIES {
+        let label = format!("{label}{memory}");
+        identical_everywhere(p, tweak, vars, &label);
+        let collect = |engine| {
+            cedar_sim::run_collecting_races(p, tweak(cfg(engine)))
+                .unwrap_or_else(|e| panic!("{label} [collecting]: {engine:?} failed: {e}"))
+        };
+        let (i, v) = (collect(Engine::Interp), collect(Engine::Vm));
+        assert_eq!(format!("{:?}", i.race_report()), format!("{:?}", v.race_report()), "{label}");
+        assert_same_sim(&i, &v, vars, &format!("{label} [collecting]"));
+    }
+    cedar_sim::run(p, cfg(Engine::Vm)).unwrap()
+}
+
+/// [`same_error_everywhere`] under every memory, and race-collecting.
+fn reuse_same_error(p: &'static cedar_ir::Program, label: &str) -> SimError {
+    for (memory, tweak) in MEMORIES {
+        let label = format!("{label}{memory}");
+        same_error_everywhere(p, tweak, &label);
+        let collect = |engine| match cedar_sim::run_collecting_races(p, tweak(cfg(engine))) {
+            Err(e) => e,
+            Ok(_) => panic!("{label} [collecting]: {engine:?} unexpectedly succeeded"),
+        };
+        assert_errors_equal(&collect(Engine::Interp), &collect(Engine::Vm), &label);
+    }
+    cedar_sim::run(p, cfg(Engine::Vm)).err().expect("fails")
+}
+
+/// Column `k` (1-based) of an `n`-row array read back by `read_f64`.
+fn column(sim: &Simulator<'_>, var: &str, n: usize, k: usize) -> Vec<f64> {
+    sim.read_f64(var).unwrap()[(k - 1) * n..k * n].to_vec()
+}
+
+#[test]
+fn reentered_private_array_follows_its_bound() {
+    // The bound comes from an outer scalar: 8, 16, 8. A pooled slot of
+    // another length is not reused, and every element is written.
+    let p = leak(
+        "program p\nparameter (n = 24)\nreal a(n, 3)\ninteger ms(3)\nglobal a\n\
+         ms(1) = 8\nms(2) = 16\nms(3) = 8\ndo k = 1, 3\nm = ms(k)\n\
+         cdoall i = 1, n\nreal w(m)\ndo j = 1, m\nw(j) = i * j\nend do\n\
+         a(i, k) = w(m) + w(1)\nend cdoall\nend do\nend\n",
+    );
+    let sim = reuse_identical(p, &["a", "m"], "bound 8, 16, 8");
+    for (k, m) in [(1, 8.0), (2, 16.0), (3, 8.0)] {
+        let want: Vec<f64> = (1..=24).map(|i| f64::from(i) * (m + 1.0)).collect();
+        assert_eq!(column(&sim, "a", 24, k), want, "entry {k}");
+    }
+}
+
+#[test]
+fn reentered_locals_read_zero_before_their_first_write() {
+    // Each participant's first iteration of every entry reads a private
+    // scalar and an array element before writing them: 0, as on fresh
+    // storage, never what the last entry left.
+    let p = leak(
+        "program p\nparameter (n = 24)\nreal r(n, 3), q(n, 3)\nglobal r, q\ndo k = 1, 3\n\
+         cdoall i = 1, n\nreal t, w(2)\nr(i, k) = t\nq(i, k) = w(2)\nt = 1.0\nw(2) = 2.0\n\
+         end cdoall\nend do\nend\n",
+    );
+    let sim = reuse_identical(p, &["r", "q"], "read before write");
+    let zeros = |v: Vec<f64>| v.iter().filter(|&&x| x == 0.0).count();
+    let first = zeros(column(&sim, "r", 24, 1));
+    assert!(first > 0 && first < 24, "{first} participants");
+    for k in 1..=3 {
+        assert_eq!(zeros(column(&sim, "r", 24, k)), first, "scalar, entry {k}");
+        assert_eq!(zeros(column(&sim, "q", 24, k)), first, "array, entry {k}");
+    }
+}
+
+#[test]
+fn reentered_private_scalar_read_after_the_loop() {
+    // `private(x)` makes `x` a loop local; after each entry it reads as
+    // the last-bound participant's copy.
+    let p = leak(
+        "program p\nparameter (n = 24)\nreal a(n), y(3), x\nglobal a\ndo k = 1, 3\n\
+         !$omp parallel do private(x)\ndo i = 1, n\nx = i * k * 1.0\na(i) = x\nend do\n\
+         y(k) = x\nend do\nend\n",
+    );
+    let sim = reuse_identical(p, &["a", "y", "x"], "read after the loop");
+    let y = sim.read_f64("y").unwrap();
+    for (k, y) in (1..=3).zip(y) {
+        let i = y / f64::from(k);
+        assert!(i.fract() == 0.0 && (1.0..=24.0).contains(&i), "y({k}) = {y}");
+    }
+}
+
+#[test]
+fn reentered_by_recursion_allocates_afresh() {
+    // The outer activation reads its `private(x)` after a recursive call
+    // entered the same loop: the inner entry must not take the outer's
+    // storage, which is still bound in a live frame.
+    let p = leak(
+        "program p\nreal y(2)\ncall r(1, y)\nend\nsubroutine r(d, y)\ninteger d\nreal y(2), x\n\
+         !$omp parallel do private(x)\ndo i = 1, 4\nx = i * d * 1.0\nend do\n\
+         if (d .eq. 1) call r(10, y)\nif (d .eq. 1) y(1) = x\nif (d .eq. 10) y(2) = x\nend\n",
+    );
+    let sim = reuse_identical(p, &["y"], "recursion");
+    let y = sim.read_f64("y").unwrap();
+    assert!((1.0..=4.0).contains(&y[0]) && (10.0..=40.0).contains(&y[1]), "{y:?}");
+}
+
+#[test]
+fn reentered_loop_in_a_subroutine_called_from_a_doall() {
+    // Every call enters the subroutine's CDOALL again, from another
+    // participant of the SDOALL and so on another cluster. Four
+    // iterations on eight CEs: each iteration has a fresh participant.
+    let p = leak(
+        "program p\nparameter (n = 16)\nreal a(4, n)\nglobal a\n\
+         sdoall i = 1, n\ncall f(a, i)\nend sdoall\nend\n\
+         subroutine f(a, i)\nreal a(4, 16)\ncdoall j = 1, 4\nreal t, w(3)\n\
+         t = t + j\nw(1) = t * i\na(j, i) = w(1) + w(3)\nend cdoall\nend\n",
+    );
+    let sim = reuse_identical(p, &["a"], "subroutine loop");
+    let want: Vec<f64> =
+        (1..=16).flat_map(|i| (1..=4).map(move |j| f64::from(i * j))).collect();
+    assert_eq!(sim.read_f64("a").unwrap(), want);
+}
+
+/// A subroutine whose CDOALL is entered once per call, `k` = 1..4,
+/// and whose body ends with `exit`.
+fn leaving(exit: &str) -> &'static cedar_ir::Program {
+    leak(&format!(
+        "program p\nparameter (n = 24)\nreal r(n, 4)\nglobal r\ndo k = 1, 4\ndo i = 1, n\n\
+         r(i, k) = 5.0\nend do\nend do\ndo k = 1, 4\ncall g(r, n, k)\nend do\nend\n\
+         subroutine g(r, n, k)\nreal r(n, 4)\ncdoall i = 1, n\nreal t\nr(i, k) = t\nt = 1.0\n\
+         {exit}\nend cdoall\nr(n, k) = -1.0\nend\n"
+    ))
+}
+
+#[test]
+fn reentered_after_return_stop_and_an_error() {
+    // RETURN leaves every entry at its tenth iteration; the next call
+    // enters again and reads zeros.
+    let sim = reuse_identical(leaving("if (i .eq. 10) return"), &["r"], "return");
+    for k in 1..=4 {
+        let col = column(&sim, "r", 24, k);
+        assert!(col[..10].contains(&0.0), "entry {k}: {col:?}");
+        assert!(col[10..].iter().all(|&x| x == 5.0), "entry {k}: {col:?}");
+    }
+    // STOP and an out-of-bounds store in the third entry, after two
+    // entries that returned normally.
+    let sim = reuse_identical(leaving("if (k .eq. 3 .and. i .eq. 7) stop"), &["r"], "stop");
+    let col = column(&sim, "r", 24, 3);
+    assert!(col[..7].contains(&0.0) && col[7..].iter().all(|&x| x == 5.0), "{col:?}");
+    let e = reuse_same_error(leaving("if (k .eq. 3 .and. i .eq. 7) r(i + n, k) = 1.0"), "error");
+    assert_eq!(e.kind, cedar_sim::SimErrorKind::OutOfBounds, "{e}");
+}
+
+#[test]
+fn reentered_site_costs_what_fresh_sites_cost() {
+    // Five calls of one subroutine (one site, entered five times) and
+    // five calls of five copies of it (five sites, each entered once)
+    // are the same computation at the same cost: the reused storage is
+    // zeroed and charged to the pools as fresh storage is (under the
+    // tiny memory, the accesses to the cluster array `c` page by what
+    // the pool holds). The bound runs 8, 8, 16, 16, 8, so entries two
+    // and four reuse.
+    let body = |name: &str| {
+        format!(
+            "subroutine {name}(a, m, k)\nreal a(16, 5), c(16)\ncdoall i = 1, 16\nreal t, w(m)\n\
+             t = t + i\nw(m) = w(m) + t\ndo j = 1, m - 1\nw(j) = j\nend do\nc(i) = t\n\
+             a(i, k) = w(m) + w(1) + c(i)\nend cdoall\nend\n"
+        )
+    };
+    let bounds = [8, 8, 16, 16, 8];
+    let program = |names: [&str; 5]| {
+        let mut src = String::from("program p\nreal a(16, 5)\nglobal a\n");
+        for (k, (name, m)) in names.iter().zip(bounds).enumerate() {
+            src += &format!("call {name}(a, {m}, {})\n", k + 1);
+        }
+        src += "end\n";
+        let mut units: Vec<&str> = names.to_vec();
+        units.dedup();
+        for name in units {
+            src += &body(name);
+        }
+        leak(&src)
+    };
+    let reused = program(["s"; 5]);
+    let fresh = program(["s1", "s2", "s3", "s4", "s5"]);
+    for (memory, tweak) in MEMORIES {
+        for (name, config, faults) in CONFIGS {
+            let label = format!("one site against five [{name}]{memory}");
+            for engine in [Engine::Interp, Engine::Vm] {
+                let run = |p| run_under(p, tweak(config(cfg(engine))), faults).unwrap();
+                assert_same_sim(&run(reused), &run(fresh), &["a"], &format!("{label} {engine:?}"));
+            }
+        }
+        let collect = |p| cedar_sim::run_collecting_races(p, tweak(cfg(Engine::Vm))).unwrap();
+        assert_same_sim(&collect(reused), &collect(fresh), &["a"], &format!("collecting{memory}"));
+    }
+}

@@ -13,11 +13,16 @@
 //!   engine (DESIGN.md §14; the lanes come from a pool): 8 128
 //!   executions of the 64-lane `ludcmp` statement cost 68 allocations
 //!   on the VM and 39 on the tree-walker, set-up included;
-//! * what is left of a pool run is per-loop-entry work (`bind_locals`,
-//!   ROADMAP item 4(b): toeplz 16 195, OCEAN 10 549, MG3D 9 756). The
-//!   ceilings are 1.25 × the totals at the commit that introduced this
-//!   test, so a later change can move them down and nothing moves them
-//!   up unnoticed;
+//! * a loop site keeps its locals' storage after it exits and reuses it
+//!   on its next entry (DESIGN.md §14), and a seeded tie-break draws its
+//!   salts into one buffer, so a DOALL with a private scalar and a
+//!   private array re-entered 1, 10 or 100 times allocates the same
+//!   number of times, and so does a fault-perturbed DOALL of 96, 384 or
+//!   1 536 iterations. When every entry allocated its locals afresh the
+//!   22 candidates took 75 297 allocations (toeplz 16 192, OCEAN 10 548,
+//!   MG3D 9 755); now 10 434, the largest sparse 2 312. The ceilings are
+//!   1.25 × the totals, so a later change can move them down and nothing
+//!   moves them up unnoticed;
 //! * the happens-before detector's clocks are indexed by
 //!   synchronization object (DESIGN.md §8), so a race-collecting run
 //!   allocates a constant number of times per sync edge, whatever the
@@ -99,13 +104,14 @@ const VECTOR_STMT: &str = "
       END
 ";
 
-/// 1.25 × the totals over the 22 pool programs at the introducing
-/// commit (16 500 serial originals, 75 336 candidates).
-const POOL_CEILINGS: (u64, u64) = (20_625, 94_170);
+/// 1.25 × the totals over the 22 pool programs: 16 500 serial
+/// originals at the commit that introduced the count, 10 434
+/// candidates once loop locals were reused per site.
+const POOL_CEILINGS: (u64, u64) = (20_625, 13_043);
 
-/// 1.25 × the race-collecting total over the pool's 22 candidates at
-/// the commit that introduced the count (672 274).
-const POOL_RACE_CEILING: u64 = 840_342;
+/// 1.25 × the race-collecting total over the pool's 22 candidates
+/// once loop locals were reused per site (607 311).
+const POOL_RACE_CEILING: u64 = 759_139;
 
 /// Allocations of one race-collecting run of `p`, bytecode compilation
 /// included, and the sync edges (awaits + lock acquisitions) it met.
@@ -119,8 +125,8 @@ fn race_run_allocs(p: &cedar_ir::Program) -> (u64, u64) {
 }
 
 /// Race-collecting allocations at 96 / 384 / 1 536 iterations.
-const CASCADE_ALLOCS: [u64; 3] = [407, 1_004, 3_356];
-const LOCK_CHAIN_ALLOCS: [u64; 3] = [297, 881, 3_193];
+const CASCADE_ALLOCS: [u64; 3] = [408, 1_005, 3_357];
+const LOCK_CHAIN_ALLOCS: [u64; 3] = [298, 882, 3_194];
 
 /// `cedar-verify`'s distance-1 recurrence at trip count `n`, as the
 /// restructurer emits it: one `await` / `advance` cascade.
@@ -144,8 +150,56 @@ fn lock_chain(n: usize) -> cedar_ir::Program {
     cedar_ir::compile_free(&src).unwrap()
 }
 
+/// A DOALL with a private scalar and a private array, entered `trips`
+/// times from a serial loop.
+fn reentered_doall(trips: usize) -> cedar_ir::Program {
+    let src = format!(
+        "program p\nparameter (n = 64)\nreal a(n), b(n)\nglobal a, b\ndo i = 1, n\n\
+         b(i) = i * 1.0\nend do\ndo k = 1, {trips}\ncdoall i = 1, n\nreal t, w(4)\n\
+         t = b(i) * k\nw(1:4) = t\nw(2) = w(1) + w(3)\na(i) = w(2) + t\nend cdoall\nend do\nend\n"
+    );
+    cedar_ir::compile_free(&src).unwrap()
+}
+
+/// One DOALL of `n` iterations, run under a legal fault profile: every
+/// pick of a participant draws a salt per participant.
+fn seeded_doall(n: usize) -> cedar_ir::Program {
+    let src = format!(
+        "program p\nparameter (n = {n})\nreal a(n), b(n)\nglobal a, b\ndo i = 1, n\n\
+         b(i) = i * 1.0\nend do\ncdoall i = 1, n\na(i) = sqrt(b(i)) + b(i)\nend cdoall\nend\n"
+    );
+    cedar_ir::compile_free(&src).unwrap()
+}
+
+/// Allocations of [`reentered_doall`] at every number of entries, on
+/// the VM and on the tree-walker.
+const REENTRY_ALLOCS: [(Engine, u64); 2] = [(Engine::Vm, 97), (Engine::Interp, 63)];
+
+/// Allocations of a fault-perturbed [`seeded_doall`] at every trip
+/// count.
+const SEED_RUN_ALLOCS: u64 = 50;
+
 #[test]
 fn simulator_run_allocations_stay_exact_and_small() {
+    // Loop locals come back from their site, whatever the entry count.
+    for (engine, want) in REENTRY_ALLOCS {
+        for trips in [1, 10, 100] {
+            let got = run_allocs(&reentered_doall(trips), engine);
+            println!("re-entered doall, {trips} entries: {engine:?} {got}");
+            assert_eq!(got, want, "{engine:?}, {trips} entries: allocations");
+        }
+    }
+    // A seeded tie-break draws its salts into one buffer.
+    for n in [96, 384, 1536] {
+        let p = seeded_doall(n);
+        let before = ALLOCS.load(Ordering::Relaxed);
+        let faults = cedar_sim::FaultConfig::legal(3);
+        cedar_sim::run_with_faults(&p, MachineConfig::cedar_config1(), faults).expect("runs");
+        let got = ALLOCS.load(Ordering::Relaxed) - before;
+        println!("fault-perturbed doall, {n} iterations: {got}");
+        assert_eq!(got, SEED_RUN_ALLOCS, "fault-perturbed doall {n}: allocations");
+    }
+
     let scalar = cedar_ir::compile_source(SCALAR_NEST).unwrap();
     let (vm, tree) = (run_allocs(&scalar, Engine::Vm), run_allocs(&scalar, Engine::Interp));
     println!("scalar nest, 65536 statements: vm {vm}, tree-walker {tree}");
