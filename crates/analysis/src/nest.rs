@@ -36,11 +36,7 @@ impl LoopLevel {
     /// Constant trip count if bounds and step are literals.
     pub fn const_trip(&self) -> Option<i64> {
         let (a, b) = self.const_range?;
-        let s = self.step?;
-        if s == 0 {
-            return None;
-        }
-        Some(((b - a + s) / s).max(0))
+        cedar_ir::trip(a, b, self.step?)
     }
 }
 
@@ -53,15 +49,6 @@ mod tests {
         let p = compile_free(src).unwrap();
         let u = p.units.into_iter().next().unwrap();
         LoopLevel::of(u.body.iter().find_map(|s| s.as_loop()).expect("no loop"))
-    }
-
-    #[test]
-    fn const_trip_counts() {
-        let l = first_level(
-            "subroutine s(a)\nreal a(100)\ndo i = 1, 100\na(i) = 0.\nend do\nend\n",
-        );
-        assert_eq!(l.const_range, Some((1, 100)));
-        assert_eq!(l.const_trip(), Some(100));
     }
 
     #[test]

@@ -127,7 +127,7 @@ fn fold_reductions(
         return false;
     }
     for (op, target, partial) in pairs {
-        crate::passes::privatize::remap_symbol_in_stmts(&mut l.body, partial, target);
+        cedar_ir::visit::rename_symbols(&mut l.body, &mut |x| if x == partial { target } else { x });
         l.locals.retain(|x| *x != partial);
         clauses.push(OmpReduction { directive, op, target });
     }

@@ -52,7 +52,7 @@ pub fn body_cost(_unit: &Unit, body: &[Stmt]) -> f64 {
         });
         match s {
             Stmt::Loop(inner) => {
-                let trip = const_trip(inner).unwrap_or(DEFAULT_TRIP as i64).max(1) as f64;
+                let trip = inner.const_trip().unwrap_or(DEFAULT_TRIP as i64).max(1) as f64;
                 cost += trip * block_cost(&inner.body)
                     + block_cost(&inner.preamble)
                     + block_cost(&inner.postamble);
@@ -78,16 +78,6 @@ pub fn body_cost(_unit: &Unit, body: &[Stmt]) -> f64 {
     block_cost(body)
 }
 
-fn const_trip(l: &Loop) -> Option<i64> {
-    let a = l.start.as_const_int()?;
-    let b = l.end.as_const_int()?;
-    let s = l.step.as_ref().map_or(Some(1), |e| e.as_const_int())?;
-    if s == 0 {
-        return None;
-    }
-    Some(((b - a + s) / s).max(0))
-}
-
 /// Candidate plans with estimated execution times; the driver takes the
 /// cheapest and accounts versions against `max_versions`.
 pub fn choose_plan(
@@ -98,7 +88,7 @@ pub fn choose_plan(
     inner_vectorizable: bool,
     cfg: &PassConfig,
 ) -> (NestPlan, usize) {
-    let trip = const_trip(l).map(|t| t as f64).unwrap_or(DEFAULT_TRIP);
+    let trip = l.const_trip().map(|t| t as f64).unwrap_or(DEFAULT_TRIP);
     let cost = body_cost(unit, &l.body).max(1.0);
     let m = &cfg.machine;
     let (ces, all_ces) = (m.ces_per_cluster as f64, m.total_ces() as f64);
@@ -168,8 +158,8 @@ pub fn interchange_profitable(
     inner_vectorizable: bool,
     m: &Planning,
 ) -> bool {
-    let trip_out = const_trip(outer).map(|t| t as f64).unwrap_or(DEFAULT_TRIP);
-    let trip_in = const_trip(inner).map(|t| t as f64).unwrap_or(DEFAULT_TRIP);
+    let trip_out = outer.const_trip().map(|t| t as f64).unwrap_or(DEFAULT_TRIP);
+    let trip_in = inner.const_trip().map(|t| t as f64).unwrap_or(DEFAULT_TRIP);
     let c = body_cost(unit, &inner.body).max(1.0);
     let work = trip_out * trip_in * c;
 

@@ -27,20 +27,15 @@
 //! why the driver only coalesces when the outer trip count actually
 //! under-fills the machine (see [`profitable`]).
 
+use cedar_ir::visit::rename_symbols;
 use cedar_ir::{BinOp, Expr, Intrinsic, LValue, Loop, ParMode, Stmt, SymbolId, Ty, Unit};
-
-use crate::passes::privatize::remap_symbol_in_stmts;
 
 /// Constant trip count of a step-1 loop, if both bounds are literals.
 fn const_trip_step1(l: &Loop) -> Option<i64> {
-    if let Some(step) = &l.step {
-        if step.as_const_int() != Some(1) {
-            return None;
-        }
+    if l.step.as_ref().is_some_and(|step| step.as_const_int() != Some(1)) {
+        return None;
     }
-    let lo = l.start.as_const_int()?;
-    let hi = l.end.as_const_int()?;
-    Some((hi - lo + 1).max(0))
+    l.const_trip()
 }
 
 /// Is `outer` a *perfect* 2-nest — its body exactly one serial loop?
@@ -56,7 +51,7 @@ pub fn perfect_inner(outer: &Loop) -> Option<&Loop> {
 /// combined space would fill it (§4.2.4's granularity argument).
 pub fn profitable(outer: &Loop, inner: &Loop, machine_ces: i64) -> bool {
     match (const_trip_step1(outer), const_trip_step1(inner)) {
-        (Some(n1), Some(n2)) => n1 < machine_ces && n1 * n2 >= machine_ces,
+        (Some(n1), Some(n2)) => n1 < machine_ces && n1.saturating_mul(n2) >= machine_ces,
         _ => false,
     }
 }
@@ -97,8 +92,15 @@ pub fn coalesce(unit: &mut Unit, outer: &Loop) -> Option<Loop> {
     );
 
     let mut body = inner.body.clone();
-    remap_symbol_in_stmts(&mut body, outer.var, iv);
-    remap_symbol_in_stmts(&mut body, inner.var, jv);
+    rename_symbols(&mut body, &mut |s| {
+        if s == outer.var {
+            iv
+        } else if s == inner.var {
+            jv
+        } else {
+            s
+        }
+    });
 
     let span = outer.span;
     let recover = |target: SymbolId, value: Expr| Stmt::Assign {
@@ -134,7 +136,7 @@ pub fn coalesce(unit: &mut Unit, outer: &Loop) -> Option<Loop> {
         class: cedar_ir::LoopClass::Seq,
         var: k,
         start: Expr::ConstI(0),
-        end: Expr::ConstI(n1 * n2 - 1),
+        end: Expr::ConstI(n1.checked_mul(n2)? - 1),
         step: None,
         locals,
         preamble: outer.preamble.clone(),

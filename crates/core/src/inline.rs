@@ -12,7 +12,7 @@
 //! inliner failed on deep nests and array reshaping, which we likewise
 //! refuse.
 
-use cedar_ir::visit::map_stmt_exprs;
+use cedar_ir::visit::{rename_expr, rename_symbols, walk_stmts_mut};
 use cedar_ir::{Expr, LValue, Program, Stmt, SymKind, SymbolId, Unit, UnitKind};
 use std::collections::BTreeMap;
 
@@ -190,6 +190,7 @@ fn try_inline(caller: &mut Unit, callee: &Unit, args: &[Expr]) -> Option<Vec<Stm
         }
     }
 
+    let mut rename = |s: SymbolId| *map.get(&s).unwrap_or(&s);
     // Fix up dim expressions of the cloned symbols.
     let cloned: Vec<(SymbolId, SymbolId)> = map.iter().map(|(a, b)| (*a, *b)).collect();
     for (callee_id, caller_id) in &cloned {
@@ -202,8 +203,8 @@ fn try_inline(caller: &mut Unit, callee: &Unit, args: &[Expr]) -> Option<Vec<Stm
                 .dims
                 .iter()
                 .map(|d| cedar_ir::symbol::Dim {
-                    lower: remap_expr(&d.lower, &map),
-                    upper: d.upper.as_ref().map(|u| remap_expr(u, &map)),
+                    lower: rename_expr(&d.lower, &mut rename),
+                    upper: d.upper.as_ref().map(|u| rename_expr(u, &mut rename)),
                 })
                 .collect();
             caller.symbol_mut(*caller_id).dims = new_dims;
@@ -219,14 +220,15 @@ fn try_inline(caller: &mut Unit, callee: &Unit, args: &[Expr]) -> Option<Vec<Stm
             span: cedar_ir::Span::NONE,
         });
     }
-    for s in &callee.body {
-        if matches!(s, Stmt::Return) {
-            continue; // trailing return
+    let body = out.len();
+    out.extend(callee.body.iter().filter(|s| !matches!(s, Stmt::Return)).cloned());
+    rename_symbols(&mut out[body..], &mut rename);
+    walk_stmts_mut(&mut out[body..], &mut |s| {
+        if let Stmt::Loop(l) = s {
+            l.var = rename(l.var);
+            l.locals.iter_mut().for_each(|v| *v = rename(*v));
         }
-        let mut ns = s.clone();
-        remap_stmt(&mut ns, &map);
-        out.push(ns);
-    }
+    });
     Some(out)
 }
 
@@ -256,67 +258,6 @@ fn has_inner_return(body: &[Stmt]) -> bool {
         return inner > 0;
     }
     seen_non_trailing
-}
-
-fn remap_expr(e: &Expr, map: &BTreeMap<SymbolId, SymbolId>) -> Expr {
-    cedar_ir::visit::map_expr(e, &mut |x| remap_one(x, map))
-}
-
-fn remap_one(e: Expr, map: &BTreeMap<SymbolId, SymbolId>) -> Expr {
-    match e {
-        Expr::Scalar(s) => Expr::Scalar(*map.get(&s).unwrap_or(&s)),
-        Expr::Elem { arr, idx } => Expr::Elem { arr: *map.get(&arr).unwrap_or(&arr), idx },
-        Expr::Section { arr, idx } => {
-            Expr::Section { arr: *map.get(&arr).unwrap_or(&arr), idx }
-        }
-        other => other,
-    }
-}
-
-fn remap_stmt(s: &mut Stmt, map: &BTreeMap<SymbolId, SymbolId>) {
-    map_stmt_exprs(s, &mut |e| remap_one(e, map));
-    fn remap_lv(lv: &mut LValue, map: &BTreeMap<SymbolId, SymbolId>) {
-        match lv {
-            LValue::Scalar(v) => *v = *map.get(v).unwrap_or(v),
-            LValue::Elem { arr, .. } | LValue::Section { arr, .. } => {
-                *arr = *map.get(arr).unwrap_or(arr)
-            }
-        }
-    }
-    fn walk(s: &mut Stmt, map: &BTreeMap<SymbolId, SymbolId>) {
-        match s {
-            Stmt::Assign { lhs, .. } | Stmt::WhereAssign { lhs, .. } => remap_lv(lhs, map),
-            Stmt::Loop(l) => {
-                l.var = *map.get(&l.var).unwrap_or(&l.var);
-                l.locals = l.locals.iter().map(|v| *map.get(v).unwrap_or(v)).collect();
-                for st in l
-                    .preamble
-                    .iter_mut()
-                    .chain(l.body.iter_mut())
-                    .chain(l.postamble.iter_mut())
-                {
-                    walk(st, map);
-                }
-            }
-            Stmt::If { then_body, elifs, else_body, .. } => {
-                for st in then_body.iter_mut().chain(else_body.iter_mut()) {
-                    walk(st, map);
-                }
-                for (_, b) in elifs.iter_mut() {
-                    for st in b {
-                        walk(st, map);
-                    }
-                }
-            }
-            Stmt::DoWhile { body, .. } => {
-                for st in body {
-                    walk(st, map);
-                }
-            }
-            _ => {}
-        }
-    }
-    walk(s, map);
 }
 
 #[cfg(test)]

@@ -1,7 +1,7 @@
 //! Generalized induction-variable substitution (§4.1.4).
 
 use cedar_analysis::induction::{Giv, GivKind, UpdateSite};
-use cedar_ir::visit::{map_stmt_exprs, substitute_scalar};
+use cedar_ir::visit::map_stmt_exprs;
 use cedar_ir::{BinOp, Expr, LValue, Loop, Placement, Stmt, SymKind, SymbolId, Unit};
 
 /// Apply one GIV substitution: returns (pre, post) statements or `None`
@@ -149,5 +149,4 @@ fn subst_in_stmt(s: &mut Stmt, var: SymbolId, replacement: &Expr) {
     // Nested statements are covered by map_stmt_exprs' recursion; LHS
     // bases can never be the substituted scalar (a GIV has exactly one
     // defining statement, which the caller removes).
-    let _ = substitute_scalar; // (kept for symmetry with other passes)
 }

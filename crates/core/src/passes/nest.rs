@@ -796,6 +796,5 @@ impl<'a> NestCtx<'a> {
 
 /// Trip count of a loop with constant bounds, its step taken as 1.
 fn unit_step_trip(l: &Loop) -> Option<i64> {
-    let (a, b) = l.start.as_const_int().zip(l.end.as_const_int())?;
-    Some((b - a + 1).max(0))
+    cedar_ir::trip(l.start.as_const_int()?, l.end.as_const_int()?, 1)
 }

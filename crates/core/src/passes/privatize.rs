@@ -1,8 +1,8 @@
 //! Scalar and array privatization: replace per-iteration temporaries
 //! with fresh loop-local copies (§3.1, §4.1.2).
 
-use cedar_ir::visit::map_stmt_exprs;
-use cedar_ir::{Expr, LValue, Loop, Placement, Stmt, SymKind, SymbolId, Unit};
+use cedar_ir::visit::rename_symbols;
+use cedar_ir::{Loop, Placement, SymKind, SymbolId, Unit};
 
 /// Replace references to each scalar with a fresh loop-local.
 pub fn privatize_scalars(unit: &mut Unit, l: &mut Loop, scalars: &[SymbolId]) {
@@ -19,7 +19,7 @@ pub fn privatize_scalars(unit: &mut Unit, l: &mut Loop, scalars: &[SymbolId]) {
             init: Vec::new(),
             span: sym.span,
         });
-        remap_symbol_in_stmts(&mut l.body, s, local);
+        rename_symbols(&mut l.body, &mut |x| if x == s { local } else { x });
         l.locals.push(local);
     }
 }
@@ -41,46 +41,7 @@ pub fn privatize_arrays(unit: &mut Unit, l: &mut Loop, arrays: &[SymbolId]) {
             init: Vec::new(),
             span: sym.span,
         });
-        remap_symbol_in_stmts(&mut l.body, a, local);
+        rename_symbols(&mut l.body, &mut |x| if x == a { local } else { x });
         l.locals.push(local);
-    }
-}
-
-/// Rewrite all references (reads and writes) of symbol `from` to `to`
-/// within the given statements.
-pub fn remap_symbol_in_stmts(body: &mut [Stmt], from: SymbolId, to: SymbolId) {
-    fn remap_lv(lv: &mut LValue, from: SymbolId, to: SymbolId) {
-        match lv {
-            LValue::Scalar(v) if *v == from => *v = to,
-            LValue::Elem { arr, .. } | LValue::Section { arr, .. } if *arr == from => {
-                *arr = to
-            }
-            _ => {}
-        }
-    }
-    for s in body.iter_mut() {
-        map_stmt_exprs(s, &mut |e| match e {
-            Expr::Scalar(v) if v == from => Expr::Scalar(to),
-            Expr::Elem { arr, idx } if arr == from => Expr::Elem { arr: to, idx },
-            Expr::Section { arr, idx } if arr == from => Expr::Section { arr: to, idx },
-            other => other,
-        });
-        match s {
-            Stmt::Assign { lhs, .. } | Stmt::WhereAssign { lhs, .. } => remap_lv(lhs, from, to),
-            Stmt::Loop(l) => {
-                remap_symbol_in_stmts(&mut l.preamble, from, to);
-                remap_symbol_in_stmts(&mut l.body, from, to);
-                remap_symbol_in_stmts(&mut l.postamble, from, to);
-            }
-            Stmt::If { then_body, elifs, else_body, .. } => {
-                remap_symbol_in_stmts(then_body, from, to);
-                for (_, b) in elifs.iter_mut() {
-                    remap_symbol_in_stmts(b, from, to);
-                }
-                remap_symbol_in_stmts(else_body, from, to);
-            }
-            Stmt::DoWhile { body, .. } => remap_symbol_in_stmts(body, from, to),
-            _ => {}
-        }
     }
 }

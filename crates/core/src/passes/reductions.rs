@@ -1,8 +1,8 @@
 //! Reduction rewriting: per-participant partials with a lock-protected
 //! merge (§3.3).
 
-use crate::passes::privatize::remap_symbol_in_stmts;
 use cedar_analysis::reduction::{RedOp, Reduction};
+use cedar_ir::visit::rename_symbols;
 use cedar_ir::{
     BinOp, Expr, Index, Intrinsic, LValue, Loop, ParMode, Placement, Stmt, SymKind, SymbolId,
     SyncOp, Ty, Unit,
@@ -52,7 +52,7 @@ pub fn reduction_partials(unit: &mut Unit, l: &mut Loop, r: &Reduction, lock: u3
         init: Vec::new(),
         span: sym.span,
     });
-    remap_symbol_in_stmts(&mut l.body, r.target, partial);
+    rename_symbols(&mut l.body, &mut |x| if x == r.target { partial } else { x });
     l.locals.push(partial);
 
     let identity = reduction_identity(sym.ty, r.op);

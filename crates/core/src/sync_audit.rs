@@ -19,7 +19,7 @@
 
 use crate::report::{LoopDecision, Report, SyncAuditFinding};
 use cedar_analysis::depend::{self, DepKind, Direction};
-use cedar_ir::visit::walk_expr;
+use cedar_ir::visit::{walk_expr, walk_stmts};
 use cedar_ir::{Expr, Loop, Program, Stmt, SymbolId, SyncOp, Unit};
 use std::collections::BTreeSet;
 
@@ -27,31 +27,12 @@ use std::collections::BTreeSet;
 /// `report.sync_audit`.
 pub fn audit(program: &Program, report: &mut Report) {
     for unit in &program.units {
-        audit_block(unit, &unit.body, report);
-    }
-}
-
-fn audit_block(unit: &Unit, body: &[Stmt], report: &mut Report) {
-    for s in body {
-        match s {
-            Stmt::Loop(l) => {
-                if l.class.is_parallel() && !is_two_version(unit, l, report) {
-                    audit_parallel(unit, l, report);
-                }
-                audit_block(unit, &l.preamble, report);
-                audit_block(unit, &l.body, report);
-                audit_block(unit, &l.postamble, report);
+        walk_stmts(&unit.body, &mut |s| match s {
+            Stmt::Loop(l) if l.class.is_parallel() && !is_two_version(unit, l, report) => {
+                audit_parallel(unit, l, report)
             }
-            Stmt::If { then_body, elifs, else_body, .. } => {
-                audit_block(unit, then_body, report);
-                for (_, b) in elifs {
-                    audit_block(unit, b, report);
-                }
-                audit_block(unit, else_body, report);
-            }
-            Stmt::DoWhile { body, .. } => audit_block(unit, body, report),
             _ => {}
-        }
+        });
     }
 }
 

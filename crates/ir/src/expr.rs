@@ -227,7 +227,7 @@ impl Expr {
     pub fn as_const_int(&self) -> Option<i64> {
         match self {
             Expr::ConstI(v) => Some(*v),
-            Expr::Un(UnOp::Neg, e) => e.as_const_int().map(|v| -v),
+            Expr::Un(UnOp::Neg, e) => e.as_const_int()?.checked_neg(),
             _ => None,
         }
     }

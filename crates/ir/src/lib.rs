@@ -41,7 +41,7 @@ pub use expr::{BinOp, Expr, Index, Intrinsic, ParMode, UnOp};
 pub use lower::{lower, LowerError};
 pub use machine::{Machine, Planning};
 pub use program::{CommonBlock, Program, Unit, UnitId, UnitKind};
-pub use stmt::{LValue, Loop, Stmt, SyncOp};
+pub use stmt::{trip, trip_wide, LValue, Loop, Stmt, SyncOp};
 pub use symbol::{Placement, SymKind, Symbol, SymbolId};
 pub use types::{Ty, Value};
 

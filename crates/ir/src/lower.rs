@@ -121,25 +121,6 @@ fn ast_has_omp(body: &[ast::Stmt]) -> bool {
     })
 }
 
-/// Redirect every read and write of scalar `from` to `to` in a lowered
-/// statement list (nested bodies included).
-fn redirect_scalar(body: &mut [Stmt], from: SymbolId, to: SymbolId) {
-    use crate::visit::{map_stmt_exprs, walk_stmts_mut};
-    for s in body.iter_mut() {
-        map_stmt_exprs(s, &mut |e| match e {
-            Expr::Scalar(id) if id == from => Expr::Scalar(to),
-            other => other,
-        });
-    }
-    walk_stmts_mut(body, &mut |s| {
-        if let Stmt::Assign { lhs, .. } | Stmt::WhereAssign { lhs, .. } = s {
-            if *lhs == LValue::Scalar(from) {
-                *lhs = LValue::Scalar(to);
-            }
-        }
-    });
-}
-
 /// Declaration info accumulated before symbol finalization.
 #[derive(Default, Clone)]
 struct NameInfo {
@@ -468,7 +449,7 @@ impl<'a> UnitLowerer<'a> {
             }
             if let Some(pe) = &info.param_expr {
                 let e = self.lower_expr(pe, info.span)?;
-                let v = self.const_eval(&e).ok_or_else(|| LowerError {
+                let v = self.unit.const_value(&e).ok_or_else(|| LowerError {
                     span: info.span,
                     msg: format!("PARAMETER `{name}` is not a constant expression"),
                 })?;
@@ -483,7 +464,7 @@ impl<'a> UnitLowerer<'a> {
                 let mut flat = Vec::new();
                 for (count, e) in &info.data {
                     let le = self.lower_expr(e, info.span)?;
-                    let v = self.const_eval(&le).ok_or_else(|| LowerError {
+                    let v = self.unit.const_value(&le).ok_or_else(|| LowerError {
                         span: info.span,
                         msg: format!("DATA value for `{name}` is not constant"),
                     })?;
@@ -693,51 +674,6 @@ impl<'a> UnitLowerer<'a> {
             Expr::Section { arr, idx } => Ok(LValue::Section { arr, idx }),
             _ => err(span, "assignment target must be a variable or array reference"),
         }
-    }
-
-    /// Constant evaluation over PARAMETER symbols and literals.
-    fn const_eval(&self, e: &Expr) -> Option<Value> {
-        Some(match e {
-            Expr::ConstI(v) => Value::I(*v),
-            Expr::ConstR { value, .. } => Value::R(*value),
-            Expr::ConstB(b) => Value::B(*b),
-            Expr::Scalar(s) => match &self.unit.symbol(*s).kind {
-                SymKind::Param(v) => *v,
-                _ => return None,
-            },
-            Expr::Un(UnOp::Neg, inner) => match self.const_eval(inner)? {
-                Value::I(v) => Value::I(-v),
-                Value::R(v) => Value::R(-v),
-                Value::B(_) => return None,
-            },
-            Expr::Un(UnOp::Not, inner) => Value::B(!self.const_eval(inner)?.as_bool()),
-            Expr::Bin(op, l, r) => {
-                let l = self.const_eval(l)?;
-                let r = self.const_eval(r)?;
-                match (l, r) {
-                    (Value::I(a), Value::I(b)) => match op {
-                        BinOp::Add => Value::I(a + b),
-                        BinOp::Sub => Value::I(a - b),
-                        BinOp::Mul => Value::I(a * b),
-                        BinOp::Div => Value::I(a.checked_div(b)?),
-                        BinOp::Pow => Value::I(a.checked_pow(u32::try_from(b).ok()?)?),
-                        _ => return None,
-                    },
-                    (a, b) => {
-                        let (a, b) = (a.as_f64(), b.as_f64());
-                        match op {
-                            BinOp::Add => Value::R(a + b),
-                            BinOp::Sub => Value::R(a - b),
-                            BinOp::Mul => Value::R(a * b),
-                            BinOp::Div => Value::R(a / b),
-                            BinOp::Pow => Value::R(a.powf(b)),
-                            _ => return None,
-                        }
-                    }
-                }
-            }
-            _ => return None,
-        })
     }
 
     // ----- statement lowering -----
@@ -1003,7 +939,7 @@ impl<'a> UnitLowerer<'a> {
                 span,
             });
             l.locals.push(partial);
-            redirect_scalar(&mut l.body, target, partial);
+            crate::visit::rename_symbols(&mut l.body, &mut |s| if s == target { partial } else { s });
             let identity = match (ty, op) {
                 (Ty::Int, R::Add) => Expr::ConstI(0),
                 (Ty::Int, R::Mul) => Expr::ConstI(1),
@@ -1041,7 +977,7 @@ impl<'a> UnitLowerer<'a> {
 
     fn sync_point(&mut self, e: &ast::Expr, span: Span) -> Result<u32> {
         let le = self.lower_expr(e, span)?;
-        self.const_eval(&le)
+        self.unit.const_value(&le)
             .and_then(|v| u32::try_from(v.as_i64()).ok())
             .ok_or_else(|| LowerError {
                 span,
@@ -1217,20 +1153,6 @@ mod tests {
         assert_eq!(implicit_ty("n2"), Ty::Int);
         assert_eq!(implicit_ty("x"), Ty::Real);
         assert_eq!(implicit_ty("alpha"), Ty::Real);
-    }
-
-    #[test]
-    fn parameter_becomes_constant() {
-        let p = compile_free(
-            "subroutine s\nparameter (n = 10, m = n * 2)\nreal a(m)\na(1) = n\nend\n",
-        )
-        .unwrap();
-        let u = p.unit("s").unwrap();
-        let m = u.find_symbol("m").unwrap();
-        assert_eq!(u.symbol(m).kind, SymKind::Param(Value::I(20)));
-        let a = u.find_symbol("a").unwrap();
-        // Parameter references fold at use sites, so the bound is const.
-        assert_eq!(u.symbol(a).const_len(), Some(20));
     }
 
     #[test]

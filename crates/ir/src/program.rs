@@ -1,9 +1,9 @@
 //! Program units and whole-program structure.
 
-use crate::expr::Expr;
+use crate::expr::{BinOp, Expr, UnOp};
 use crate::stmt::Stmt;
 use crate::symbol::{Dim, Placement, SymKind, Symbol, SymbolId};
-use crate::types::Ty;
+use crate::types::{Ty, Value};
 use cedar_f77::ast::Visibility;
 use cedar_f77::Span;
 use std::collections::BTreeMap;
@@ -59,6 +59,50 @@ impl Unit {
             .iter()
             .position(|s| s.name == name)
             .map(|i| SymbolId(i as u32))
+    }
+
+    /// The value of `e` if it is a constant expression: literals and
+    /// PARAMETER symbols under the arithmetic operators. Integer
+    /// arithmetic is checked, so an overflow, a division by zero or a
+    /// negative exponent is not a constant.
+    pub fn const_value(&self, e: &Expr) -> Option<Value> {
+        Some(match e {
+            Expr::ConstI(v) => Value::I(*v),
+            Expr::ConstR { value, .. } => Value::R(*value),
+            Expr::ConstB(b) => Value::B(*b),
+            Expr::Scalar(s) => match &self.symbol(*s).kind {
+                SymKind::Param(v) => *v,
+                _ => return None,
+            },
+            Expr::Un(UnOp::Neg, inner) => match self.const_value(inner)? {
+                Value::I(v) => Value::I(v.checked_neg()?),
+                Value::R(v) => Value::R(-v),
+                Value::B(_) => return None,
+            },
+            Expr::Un(UnOp::Not, inner) => Value::B(!self.const_value(inner)?.as_bool()),
+            Expr::Bin(op, l, r) => match (self.const_value(l)?, self.const_value(r)?) {
+                (Value::I(a), Value::I(b)) => Value::I(match op {
+                    BinOp::Add => a.checked_add(b)?,
+                    BinOp::Sub => a.checked_sub(b)?,
+                    BinOp::Mul => a.checked_mul(b)?,
+                    BinOp::Div => a.checked_div(b)?,
+                    BinOp::Pow => a.checked_pow(u32::try_from(b).ok()?)?,
+                    _ => return None,
+                }),
+                (a, b) => {
+                    let (a, b) = (a.as_f64(), b.as_f64());
+                    Value::R(match op {
+                        BinOp::Add => a + b,
+                        BinOp::Sub => a - b,
+                        BinOp::Mul => a * b,
+                        BinOp::Div => a / b,
+                        BinOp::Pow => a.powf(b),
+                        _ => return None,
+                    })
+                }
+            },
+            _ => return None,
+        })
     }
 
     /// Add a symbol, returning its id. Callers must keep names unique;
@@ -178,6 +222,48 @@ mod tests {
         assert_ne!(u.symbol(a).name, u.symbol(b).name);
         assert_eq!(u.symbol(a).name, "t");
         assert_eq!(u.symbol(b).name, "t$1");
+    }
+
+    #[test]
+    fn parameter_becomes_constant() {
+        let p = crate::compile_free(
+            "subroutine s\nparameter (n = 10, m = n * 2)\nreal a(m)\na(1) = n\nend\n",
+        )
+        .unwrap();
+        let u = p.unit("s").unwrap();
+        let m = u.find_symbol("m").unwrap();
+        assert_eq!(u.symbol(m).kind, SymKind::Param(Value::I(20)));
+        let a = u.find_symbol("a").unwrap();
+        // Parameter references fold at use sites, so the bound is const.
+        assert_eq!(u.symbol(a).const_len(), Some(20));
+    }
+
+    #[test]
+    fn integer_constants_are_checked() {
+        let mut u = empty_unit();
+        let n = u.add_scalar("n", Ty::Int, Placement::Default);
+        u.symbol_mut(n).kind = SymKind::Param(Value::I(i64::MAX));
+        let k = u.add_scalar("k", Ty::Int, Placement::Default);
+        let (i, n) = (Expr::ConstI, Expr::Scalar(n));
+        assert_eq!(u.const_value(&Expr::Scalar(k)), None);
+        let value = |op, l, r| u.const_value(&Expr::bin(op, l, r));
+        assert_eq!(u.const_value(&n), Some(Value::I(i64::MAX)));
+        assert_eq!(value(BinOp::Sub, n.clone(), i(1)), Some(Value::I(i64::MAX - 1)));
+        assert_eq!(value(BinOp::Add, n.clone(), i(1)), None);
+        assert_eq!(value(BinOp::Sub, i(i64::MIN), i(1)), None);
+        assert_eq!(value(BinOp::Mul, Expr::bin(BinOp::Pow, i(2), i(62)), i(4)), None);
+        assert_eq!(value(BinOp::Pow, i(-2), i(63)), Some(Value::I(i64::MIN)));
+        assert_eq!(value(BinOp::Pow, i(2), i(63)), None);
+        assert_eq!(value(BinOp::Pow, i(2), i(-1)), None);
+        assert_eq!(value(BinOp::Div, i(1), i(0)), None);
+        assert_eq!(value(BinOp::Div, i(i64::MIN), i(-1)), None);
+        assert_eq!(u.const_value(&Expr::Un(UnOp::Neg, Box::new(i(i64::MIN)))), None);
+        assert_eq!(
+            u.const_value(&Expr::Un(UnOp::Neg, Box::new(i(i64::MAX)))),
+            Some(Value::I(-i64::MAX))
+        );
+        // Mixed arithmetic is real, where overflow is infinity.
+        assert_eq!(value(BinOp::Mul, n, Expr::real(2.0)), Some(Value::R(i64::MAX as f64 * 2.0)));
     }
 
     #[test]

@@ -139,6 +139,34 @@ impl Stmt {
     }
 }
 
+/// Iterations of `DO var = start, end, step`: none when `end` is behind
+/// `start`, `None` for a zero step or a count outside `i64`. Every trip
+/// count of the pipeline (planner, dependence tests, simulator) is this
+/// rule.
+#[inline]
+pub fn trip(start: i64, end: i64, step: i64) -> Option<i64> {
+    i64::try_from(trip_wide(start, end, step)?).ok()
+}
+
+/// [`trip`] before it is narrowed to `i64`. Every count fits `i128`, so
+/// `None` means a zero step.
+#[inline]
+pub fn trip_wide(start: i64, end: i64, step: i64) -> Option<i128> {
+    if step == 0 {
+        return None;
+    }
+    Some(((end as i128 - start as i128 + step as i128) / step as i128).max(0))
+}
+
+impl Loop {
+    /// [`trip`] of the header when its bounds and step are integer
+    /// literals.
+    pub fn const_trip(&self) -> Option<i64> {
+        let step = self.step.as_ref().map_or(Some(1), Expr::as_const_int)?;
+        trip(self.start.as_const_int()?, self.end.as_const_int()?, step)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -168,6 +196,49 @@ mod tests {
         assert!(!lv.is_vector());
         let lv = LValue::Section { arr: SymbolId(2), idx: vec![] };
         assert!(lv.is_vector());
+    }
+
+    #[test]
+    fn trip_counts_at_the_ends_of_i64() {
+        assert_eq!(trip(1, 10, 1), Some(10));
+        assert_eq!(trip(10, 1, -1), Some(10));
+        assert_eq!(trip(100, 1, -2), Some(50));
+        assert_eq!(trip(10, 1, 1), Some(0));
+        assert_eq!(trip(1, 10, -1), Some(0));
+        assert_eq!(trip(1, 10, 0), None);
+        assert_eq!(trip(1, i64::MAX, 1), Some(i64::MAX));
+        assert_eq!(trip(0, i64::MAX, 1), None);
+        assert_eq!(trip(-5, i64::MAX, 1), None);
+        assert_eq!(trip(i64::MAX, -5, -1), None);
+        assert_eq!(trip(i64::MIN, i64::MAX, 1), None);
+        assert_eq!(trip(i64::MAX, i64::MIN, 1), Some(0));
+        assert_eq!(trip(i64::MIN, i64::MIN, -1), Some(1));
+        assert_eq!(trip(i64::MAX, i64::MAX, i64::MAX), Some(1));
+        assert_eq!(trip(i64::MIN, i64::MAX, i64::MIN), Some(0));
+        // The simulator's count of `DO I = 1, 9223372036854775807, 3`.
+        assert_eq!(trip(1, i64::MAX, 3), Some(3_074_457_345_618_258_603));
+    }
+
+    fn first_loop(src: &str) -> Loop {
+        let p = crate::compile_free(src).unwrap();
+        let u = p.units.into_iter().next().unwrap();
+        u.body.iter().find_map(Stmt::as_loop).expect("no loop").clone()
+    }
+
+    #[test]
+    fn const_trip_counts() {
+        let l = first_loop("subroutine s(a)\nreal a(100)\ndo i = 1, 100\na(i) = 0.\nend do\nend\n");
+        assert_eq!(l.const_trip(), Some(100));
+        let l = first_loop("subroutine s(a)\nreal a(100)\ndo i = 100, 1, -2\na(i) = 0.\nend do\nend\n");
+        assert_eq!(l.const_trip(), Some(50));
+        let l = first_loop("subroutine s(a, n)\nreal a(n)\ndo i = 1, n\na(i) = 0.\nend do\nend\n");
+        assert_eq!(l.const_trip(), None);
+        let l = first_loop("subroutine s(a)\nreal a(9)\ndo i = 1, 9, 0\na(1) = 0.\nend do\nend\n");
+        assert_eq!(l.const_trip(), None);
+        let l = first_loop(
+            "subroutine s(a)\nreal a(9)\ndo i = -5, 9223372036854775807\na(1) = 0.\nend do\nend\n",
+        );
+        assert_eq!(l.const_trip(), None);
     }
 
     #[test]

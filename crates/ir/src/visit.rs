@@ -3,6 +3,7 @@
 
 use crate::expr::{Expr, Index};
 use crate::stmt::{LValue, Stmt, SyncOp};
+use crate::symbol::SymbolId;
 
 /// Visit `e` and every sub-expression, outermost first.
 pub fn walk_expr(e: &Expr, f: &mut impl FnMut(&Expr)) {
@@ -279,9 +280,41 @@ pub fn map_stmt_exprs(s: &mut Stmt, f: &mut impl FnMut(Expr) -> Expr) {
     }
 }
 
+/// `e` with every symbol it reads (scalar, element or section base)
+/// passed through `f`.
+pub fn rename_expr(e: &Expr, f: &mut impl FnMut(SymbolId) -> SymbolId) -> Expr {
+    map_expr(e, &mut |x| renamed(x, f))
+}
+
+fn renamed(e: Expr, f: &mut impl FnMut(SymbolId) -> SymbolId) -> Expr {
+    match e {
+        Expr::Scalar(s) => Expr::Scalar(f(s)),
+        Expr::Elem { arr, idx } => Expr::Elem { arr: f(arr), idx },
+        Expr::Section { arr, idx } => Expr::Section { arr: f(arr), idx },
+        other => other,
+    }
+}
+
+/// Pass every symbol that the statements of `body` (nested bodies
+/// included) read or assign through `f`: each expression and each
+/// assignment target is rewritten once. Loop heads (`var`, `locals`)
+/// are left alone.
+pub fn rename_symbols(body: &mut [Stmt], f: &mut impl FnMut(SymbolId) -> SymbolId) {
+    for s in body.iter_mut() {
+        map_stmt_exprs(s, &mut |e| renamed(e, f));
+    }
+    walk_stmts_mut(body, &mut |s| {
+        if let Stmt::Assign { lhs, .. } | Stmt::WhereAssign { lhs, .. } = s {
+            let (LValue::Scalar(v) | LValue::Elem { arr: v, .. } | LValue::Section { arr: v, .. }) =
+                lhs;
+            *v = f(*v);
+        }
+    });
+}
+
 /// Substitute scalar reads of `var` by `replacement` throughout an
 /// expression (the workhorse of stripmining and GIV rewriting).
-pub fn substitute_scalar(e: &Expr, var: crate::SymbolId, replacement: &Expr) -> Expr {
+pub fn substitute_scalar(e: &Expr, var: SymbolId, replacement: &Expr) -> Expr {
     map_expr(e, &mut |x| match x {
         Expr::Scalar(s) if s == var => replacement.clone(),
         other => other,
@@ -292,7 +325,6 @@ pub fn substitute_scalar(e: &Expr, var: crate::SymbolId, replacement: &Expr) -> 
 mod tests {
     use super::*;
     use crate::expr::BinOp;
-    use crate::SymbolId;
 
     #[test]
     fn map_expr_rewrites_bottom_up() {

@@ -7,7 +7,7 @@ use super::{err, kerr, Ctx, Frame, Result, SimError, SimErrorKind, Simulator};
 use crate::cost::CostClass;
 use crate::store::{SlotId, StorageRef, VarBind};
 use crate::value_ops;
-use cedar_ir::{BinOp, Expr, Placement, SymKind, SymbolId, Ty, Unit, Value, Visibility};
+use cedar_ir::{Expr, Placement, SymKind, SymbolId, Ty, Unit, Value, Visibility};
 
 impl Simulator<'_> {
     pub(super) fn allocate_commons(&mut self) -> Result<()> {
@@ -38,7 +38,18 @@ impl Simulator<'_> {
             for (_, sym, ui) in members {
                 // COMMON dims must be compile-time constant.
                 let dims = self.const_dims(&self.program.units[ui], sym)?;
-                let total: usize = dims.iter().map(|&(lo, hi)| (hi - lo + 1) as usize).product();
+                let total = dims
+                    .iter()
+                    .try_fold(1usize, |n, &(lo, hi)| {
+                        n.checked_mul(usize::try_from(cedar_ir::trip(lo, hi, 1)?).ok()?)
+                    })
+                    .ok_or_else(|| {
+                        SimError::new(
+                            SimErrorKind::Limit,
+                            sym.span,
+                            format!("COMMON array `{}` is too large", sym.name),
+                        )
+                    })?;
                 let placement = match vis {
                     Visibility::Global => Placement::Global,
                     Visibility::Cluster => Placement::Cluster,
@@ -56,28 +67,18 @@ impl Simulator<'_> {
     }
 
     fn const_dims(&self, unit: &Unit, sym: &cedar_ir::Symbol) -> Result<Vec<(i64, i64)>> {
+        let bound = |e| unit.const_value(e).map(Value::as_i64);
         let mut dims = Vec::new();
         for d in &sym.dims {
-            let lo = const_eval_static(unit, &d.lower).ok_or_else(|| {
-                SimError::new(
-                    SimErrorKind::BadProgram,
-                    sym.span,
-                    format!("COMMON array `{}` has non-constant bounds", sym.name),
-                )
-            })?;
-            let hi = match &d.upper {
-                Some(e) => const_eval_static(unit, e).ok_or_else(|| {
-                    SimError::new(
-                        SimErrorKind::BadProgram,
-                        sym.span,
-                        format!("COMMON array `{}` has non-constant bounds", sym.name),
-                    )
-                })?,
-                None => {
+            match (bound(&d.lower), d.upper.as_ref().map(bound)) {
+                (Some(lo), Some(Some(hi))) => dims.push((lo, hi)),
+                (Some(_), None) => {
                     return err(sym.span, format!("COMMON array `{}` is assumed-size", sym.name))
                 }
-            };
-            dims.push((lo, hi));
+                _ => {
+                    return err(sym.span, format!("COMMON array `{}` has non-constant bounds", sym.name))
+                }
+            }
         }
         Ok(dims)
     }
@@ -506,30 +507,5 @@ impl Simulator<'_> {
                 Ok(bind)
             }
         }
-    }
-}
-
-/// Static constant evaluation against PARAMETER symbols only (used for
-/// COMMON dims before any frame exists).
-fn const_eval_static(unit: &Unit, e: &Expr) -> Option<i64> {
-    match e {
-        Expr::ConstI(v) => Some(*v),
-        Expr::Scalar(s) => match &unit.symbol(*s).kind {
-            SymKind::Param(v) => Some(v.as_i64()),
-            _ => None,
-        },
-        Expr::Un(cedar_ir::UnOp::Neg, inner) => Some(-const_eval_static(unit, inner)?),
-        Expr::Bin(op, l, r) => {
-            let a = const_eval_static(unit, l)?;
-            let b = const_eval_static(unit, r)?;
-            Some(match op {
-                BinOp::Add => a + b,
-                BinOp::Sub => a - b,
-                BinOp::Mul => a * b,
-                BinOp::Div => a.checked_div(b)?,
-                _ => return None,
-            })
-        }
-        _ => None,
     }
 }

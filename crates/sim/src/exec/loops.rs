@@ -8,14 +8,13 @@ use crate::cost::CostClass;
 use crate::store::{StorageRef, VarBind};
 use cedar_ir::{Loop, LoopClass, Placement, Span, SymbolId, Value};
 
-/// Iterations of `DO var = start, end, step`, for both engines: none
-/// when `end` is behind `start`, an error for a zero step or a count
-/// outside the `i64` range the loop variable is stepped in.
+/// [`cedar_ir::trip`] of `DO var = start, end, step`, for both engines:
+/// an error for a zero step or a count outside the `i64` range the loop
+/// variable is stepped in.
 pub(super) fn trip_count(start: i64, end: i64, step: i64, span: Span) -> Result<usize> {
-    if step == 0 {
+    let Some(trip) = cedar_ir::trip_wide(start, end, step) else {
         return err(span, "DO step of zero");
-    }
-    let trip = ((end as i128 - start as i128 + step as i128) / step as i128).max(0);
+    };
     match i64::try_from(trip) {
         Ok(trip) => Ok(trip as usize),
         Err(_) => kerr(

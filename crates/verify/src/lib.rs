@@ -61,6 +61,7 @@ pub mod comparator;
 
 pub use comparator::{compare_backends, BackendComparison, BackendOutcome, BackendRun};
 
+use cedar_ir::visit::walk_stmts;
 use cedar_ir::{Program, Stmt};
 use cedar_restructure::{restructure, LoopDecision, PassConfig, Report};
 use cedar_sim::{
@@ -562,36 +563,17 @@ fn parallel_nests(report: &Report, candidate: &Program) -> Vec<(String, u32)> {
         .map(|l| (l.unit.clone(), l.span.line))
         .collect();
     for unit in &candidate.units {
-        collect_directive_loops(&unit.name, &unit.body, &mut out);
+        walk_stmts(&unit.body, &mut |s| match s {
+            Stmt::Loop(l) if l.class.is_parallel() => {
+                let key = (unit.name.clone(), l.span.line);
+                if !out.contains(&key) {
+                    out.push(key);
+                }
+            }
+            _ => {}
+        });
     }
     out
-}
-
-/// Append headers of parallel loops found in `body` (recursively) that
-/// are not yet listed.
-fn collect_directive_loops(unit: &str, body: &[Stmt], out: &mut Vec<(String, u32)>) {
-    for s in body {
-        match s {
-            Stmt::Loop(l) => {
-                if l.class.is_parallel() {
-                    let key = (unit.to_string(), l.span.line);
-                    if !out.contains(&key) {
-                        out.push(key);
-                    }
-                }
-                collect_directive_loops(unit, &l.body, out);
-            }
-            Stmt::If { then_body, elifs, else_body, .. } => {
-                collect_directive_loops(unit, then_body, out);
-                for (_, b) in elifs {
-                    collect_directive_loops(unit, b, out);
-                }
-                collect_directive_loops(unit, else_body, out);
-            }
-            Stmt::DoWhile { body, .. } => collect_directive_loops(unit, body, out),
-            _ => {}
-        }
-    }
 }
 
 /// Pick the nest to revert for a failure: the parallelized nest whose

@@ -6,9 +6,17 @@
 //! Inputs are generator programs (`cedar_fuzz::gen`) put through seeded
 //! syntactic mutations (`cedar_fuzz::mutate`), so every crash this test
 //! could find replays from `(seed, mutation index)` alone.
+//!
+//! Past the parser, a table of well-formed programs with constants at
+//! the ends of `i64` pins what lowering, restructuring and simulation
+//! make of each: a diagnostic with a span or a definite outcome, never
+//! a panic and never a wrapped value.
 
 use cedar_f77::{parse_free_recovering, parse_source_recovering};
 use cedar_fuzz::{mutations, GenProgram};
+use cedar_ir::{compile_source, CompileError, Program};
+use cedar_restructure::{restructure, PassConfig};
+use cedar_sim::{MachineConfig, SimErrorKind};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 fn must_not_panic(what: &str, src: &str) {
@@ -69,4 +77,93 @@ fn recovery_still_reports_diagnostics_not_silence() {
         saw_diagnostic |= !out.errors.is_empty();
     }
     assert!(saw_diagnostic, "20 mutations of a valid program produced zero diagnostics");
+}
+
+/// What a program with extreme constants must come to.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Outcome {
+    /// Lowering refuses it with the span of this (1-based) line.
+    CompileError(u32),
+    /// Both restructurer configurations return; it is not simulated,
+    /// because it would run for about 3e18 iterations.
+    Restructures,
+    /// Both configurations return, and the simulator stops the serial
+    /// program with this kind of error before its first iteration.
+    SerialFails(SimErrorKind),
+    /// Both configurations return, and the original and both
+    /// restructured programs simulate to this: `None` runs.
+    AllSimulate(Option<SimErrorKind>),
+}
+
+/// Fixed-form source: every line is a statement starting in column 7.
+const EXTREME_CONSTANTS: &[(&[&str], Outcome)] = &[
+    (
+        &["program p", "parameter (n = 9223372036854775807)", "parameter (m = n + 1)", "k = m", "end"],
+        Outcome::CompileError(3),
+    ),
+    (
+        &["program p", "parameter (n = 2**62)", "parameter (m = n * 4)", "k = m", "end"],
+        Outcome::CompileError(3),
+    ),
+    (
+        &["program p", "parameter (n = (-2)**63)", "parameter (m = -n)", "k = m", "end"],
+        Outcome::CompileError(3),
+    ),
+    (
+        &["program p", "real a(10)", "do i = -5, 9223372036854775807", "a(1) = a(1) + 1.0", "end do", "end"],
+        Outcome::SerialFails(SimErrorKind::Limit),
+    ),
+    (
+        &["program p", "real a(10)", "do i = 9223372036854775807, -5, -1", "a(1) = a(1) + 1.0", "end do", "end"],
+        Outcome::SerialFails(SimErrorKind::Limit),
+    ),
+    (
+        &["program p", "real a(10)", "do i = 1, 9223372036854775807, 3", "a(1) = a(1) + 1.0", "end do", "end"],
+        Outcome::Restructures,
+    ),
+    (&["program p", "common /c/ a(5:1)", "x = 1.0", "end"], Outcome::AllSimulate(None)),
+    // The local array a COMMON member with the same empty bounds matches.
+    (&["program p", "real a(5:1)", "x = 1.0", "end"], Outcome::AllSimulate(None)),
+    (
+        &["program p", "parameter (n = 9223372036854775807)", "common /c/ a(n + 1)", "x = 1.0", "end"],
+        Outcome::AllSimulate(Some(SimErrorKind::BadProgram)),
+    ),
+    // 2^64 elements: each extent folds, their product does not fit.
+    (
+        &["program p", "common /c/ a(4294967296, 4294967296)", "x = 1.0", "end"],
+        Outcome::AllSimulate(Some(SimErrorKind::Limit)),
+    ),
+];
+
+fn simulated(p: &Program) -> Option<SimErrorKind> {
+    cedar_sim::run(p, MachineConfig::cedar_config1()).err().map(|e| e.kind)
+}
+
+#[test]
+fn extreme_constants_end_in_diagnostics_or_definite_outcomes() {
+    for &(lines, expected) in EXTREME_CONSTANTS {
+        let src: String = lines.iter().map(|l| format!("      {l}\n")).collect();
+        let original = match compile_source(&src) {
+            Ok(p) => p,
+            Err(CompileError::Lower(e)) => {
+                assert_eq!(Outcome::CompileError(e.span.line), expected, "{e}:\n{src}");
+                continue;
+            }
+            Err(e) => panic!("{e}:\n{src}"),
+        };
+        let restructured: Vec<Program> = [PassConfig::automatic_1991(), PassConfig::manual_improved()]
+            .iter()
+            .map(|cfg| restructure(&original, cfg).program)
+            .collect();
+        match expected {
+            Outcome::CompileError(_) => panic!("compiles:\n{src}"),
+            Outcome::Restructures => {}
+            Outcome::SerialFails(kind) => assert_eq!(simulated(&original), Some(kind), "{src}"),
+            Outcome::AllSimulate(kind) => {
+                for p in std::iter::once(&original).chain(&restructured) {
+                    assert_eq!(simulated(p), kind, "{src}");
+                }
+            }
+        }
+    }
 }

@@ -694,6 +694,92 @@ fn every_public_function_has_a_caller() {
     );
 }
 
+/// Does `code` count iterations from a range: `(x - y + z) / z` or
+/// `(x - y + 1).max(0)`, in any integer width?
+fn counts_iterations(code: &str) -> bool {
+    let flat: String = code.replace(" as i128", "").split_whitespace().collect();
+    let is_ident = |c: char| c.is_alphanumeric() || c == '_';
+    flat.match_indices(')').any(|(at, _)| {
+        let after = &flat[at + 1..];
+        // Back over `y+z` from the parenthesis to the `-` after `x`.
+        let Some(y) = flat[..at].trim_end_matches(is_ident).strip_suffix('+') else {
+            return false;
+        };
+        let x = y.trim_end_matches(is_ident);
+        (after.starts_with('/') || after.starts_with(".max(0)"))
+            && x.len() < y.len()
+            && x.strip_suffix('-').is_some_and(|x| x.ends_with(is_ident))
+    })
+}
+
+/// `cedar-ir` owns constant folding (`Unit::const_value`) and the trip
+/// count of a DO loop (`cedar_ir::trip`, `Loop::const_trip`). Outside
+/// `crates/ir/src`, no function that reads a loop's bounds counts its
+/// iterations, and no code folds the value of a `SymKind::Param`. Two
+/// exceptions: the simulator binding a PARAMETER's slot in a new frame,
+/// and the prepass, which mirrors the engines' wrapping arithmetic for
+/// cycle identity.
+#[test]
+fn constants_and_trip_counts_are_computed_only_in_ir() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("..");
+    let mut files = Vec::new();
+    rust_files(&root, &mut files);
+    files.retain(|f| {
+        f.components().any(|c| c.as_os_str() == "src")
+            && !f.starts_with(root.join("ir/src"))
+            && !f.ends_with("sim/src/prepass.rs")
+    });
+    files.sort();
+    assert!(files.len() > 100, "crates/*/src was not found: {} files", files.len());
+    let is_ident = |c: char| c.is_alphanumeric() || c == '_';
+    // `word` as a whole identifier of `code`.
+    let names = |code: &str, word: &str| {
+        code.match_indices(word).any(|(at, _)| {
+            !code[..at].ends_with(is_ident) && !code[at + word.len()..].starts_with(is_ident)
+        })
+    };
+    let mut findings = Vec::new();
+    for file in &files {
+        let text = std::fs::read_to_string(file).unwrap();
+        let (code, _) = above_tests(file, &text);
+        // Each function: its name, first line and lines.
+        let mut functions: Vec<(String, usize, Vec<&str>)> = vec![(String::new(), 0, Vec::new())];
+        for (n, line) in code.iter().enumerate() {
+            let head = line.trim_start().split("fn ").next().unwrap();
+            if line.contains("fn ")
+                && head.split_whitespace().all(|w| w == "const" || w.starts_with("pub"))
+            {
+                let name = line.split("fn ").nth(1).unwrap().split(|c| !is_ident(c)).next();
+                functions.push((name.unwrap().to_string(), n, Vec::new()));
+            }
+            functions.last_mut().unwrap().2.push(line);
+        }
+        let at = file.strip_prefix(&root).unwrap().display();
+        for (name, first, lines) in &functions {
+            let reads_bounds = lines.iter().any(|l| names(l, "start") || names(l, "const_range"));
+            for (k, line) in lines.iter().enumerate() {
+                let mut found = |what: &str| {
+                    findings.push(format!("crates/{at}:{}: fn {name}: {what}: {}", first + k + 1, line.trim()))
+                };
+                if reads_bounds && counts_iterations(line) {
+                    found("a trip count (use `cedar_ir::trip` or `Loop::const_trip`)");
+                }
+                let binds_param = line
+                    .match_indices("SymKind::Param(")
+                    .any(|(i, p)| !line[i + p.len()..].starts_with("_)"));
+                if binds_param && !(file.ends_with("sim/src/exec/frames.rs") && name == "new_frame") {
+                    found("a PARAMETER's value folded (use `Unit::const_value`)");
+                }
+            }
+        }
+    }
+    assert!(
+        findings.is_empty(),
+        "fold constants and count trips in `cedar-ir`:\n{}",
+        findings.join("\n")
+    );
+}
+
 /// The machine of §2.2 is described in `cedar_ir::machine` and nowhere
 /// else: the restructurer keeps no enum that names it and no literal of
 /// its start-ups or CE counts, and the simulator reads its loop
