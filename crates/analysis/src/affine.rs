@@ -14,7 +14,7 @@ use cedar_ir::visit::walk_expr;
 use cedar_ir::{BinOp, Expr, SymbolId, UnOp};
 
 /// Affine expression over a fixed list of index variables.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Affine {
     /// Coefficient of each nest index variable (outermost first).
     /// Per-index-variable coefficients, one per enclosing loop.
@@ -100,6 +100,25 @@ impl Affine {
             konst: self.konst * k,
         }
         .normalize()
+    }
+
+    /// `self + k · other` in place: `self.add(&other.scale(k))` without
+    /// the two intermediate forms.
+    pub(crate) fn add_scaled(&mut self, other: &Affine, k: i64) {
+        for (c, o) in self.coeffs.iter_mut().zip(&other.coeffs) {
+            *c += o * k;
+        }
+        self.konst += other.konst * k;
+        if !other.sym.is_empty() {
+            self.sym.extend(other.sym.iter().map(|(c, s)| (c * k, s.clone())));
+            *self = std::mem::take(self).normalize();
+        }
+    }
+
+    /// Do the symbolic terms of `self - other` cancel? Allocates only
+    /// when the two term lists differ.
+    pub(crate) fn terms_cancel(&self, other: &Affine) -> bool {
+        self.sym == other.sym || self.sub(other).sym.is_empty()
     }
 }
 
@@ -327,6 +346,22 @@ mod tests {
             Expr::ConstI(2),
         );
         assert!(extract(&e, &[s(0)], &always).is_none());
+    }
+
+    #[test]
+    fn in_place_scaled_add_is_add_of_a_scale() {
+        // x = i + m, y = 2*i - m + k over ivars [i]
+        let (i, m, k) = (Expr::Scalar(s(0)), Expr::Scalar(s(5)), Expr::Scalar(s(6)));
+        let x = extract(&Expr::bin(BinOp::Add, i.clone(), m.clone()), &[s(0)], &always).unwrap();
+        let y = Expr::bin(BinOp::Sub, Expr::mul(Expr::ConstI(2), i), m);
+        let y = extract(&Expr::bin(BinOp::Add, y, k), &[s(0)], &always).unwrap();
+        for c in [-2, 1, 3] {
+            let mut z = x.clone();
+            z.add_scaled(&y, c);
+            assert_eq!(z, x.add(&y.scale(c)));
+        }
+        assert!(x.terms_cancel(&x) && y.terms_cancel(&y));
+        assert!(!x.terms_cancel(&y));
     }
 
     #[test]

@@ -12,7 +12,9 @@
 //! forms outermost-in (which makes triangular inner loops — `DO j = 1, i`
 //! — exact rather than conservative). The two accesses get disjoint
 //! `k`-variables; the carried-dependence constraint is `k₂ = k₁ + d`,
-//! `d ≥ 1`.
+//! `d ≥ 1`. Each access is normalized once, into the loop's reference
+//! table (`crate::reftable`), and a pair's equations are composed from
+//! its two rows.
 //!
 //! Per dimension the tests are, in order: exact strong-SIV distance,
 //! the GCD test, and Banerjee-style interval bounds. Anything the
@@ -21,10 +23,11 @@
 //! (§4.1.5: "traditional dependence tests ... conservatively assume that
 //! a dependence exists").
 
-use crate::affine::{extract, Affine};
+use crate::affine::Affine;
 use crate::interproc::ProgramSummaries;
 use crate::nest::LoopLevel;
 use crate::refs::{self, AccessKind, ArrayAccess, BodyRefs};
+use crate::reftable::RefTable;
 use cedar_ir::visit::walk_stmts;
 use cedar_ir::{Expr, Loop, Stmt, SymbolId, Unit};
 use std::collections::BTreeSet;
@@ -134,29 +137,12 @@ pub fn analyze_from_refs(l: &Loop, refs: BodyRefs) -> LoopDeps {
     });
 
     // Scalars written in the body are not loop-invariant symbols.
-    let written = refs.scalar_writes.clone();
-    let inner_ivars = refs.inner_ivars.clone();
-    let invariant = move |s: SymbolId| !written.contains(&s) && !inner_ivars.contains(&s);
+    let invariant = |s: SymbolId| !refs.scalar_writes.contains(&s) && !refs.inner_ivars.contains(&s);
+    // Accesses with non-affine subscripts poison their (written) array.
+    let table = RefTable::new(&refs, &levels, &invariant);
+    unanalyzable_written.extend(&table.nonaffine);
 
-    // Pre-scan: accesses with non-affine subscripts poison their array.
-    let mut nonaffine: BTreeSet<SymbolId> = BTreeSet::new();
-    for a in &refs.accesses {
-        for sub in &a.subs {
-            if crate::affine::extract(sub, &a.ivars, &invariant).is_none() {
-                nonaffine.insert(a.arr);
-            }
-        }
-    }
-    for arr in &nonaffine {
-        let written_any = refs
-            .accesses
-            .iter()
-            .any(|a| a.arr == *arr && a.kind == AccessKind::Write);
-        if written_any {
-            unanalyzable_written.insert(*arr);
-        }
-    }
-
+    let (mut ranges, mut joint) = (Vec::new(), Vec::new());
     let mut deps = Vec::new();
     let n = refs.accesses.len();
     for i in 0..n {
@@ -168,11 +154,12 @@ pub fn analyze_from_refs(l: &Loop, refs: BodyRefs) -> LoopDeps {
             if a.kind != AccessKind::Write && b.kind != AccessKind::Write {
                 continue;
             }
-            if refs.unanalyzable.contains(&a.arr) || nonaffine.contains(&a.arr) {
+            if refs.unanalyzable.contains(&a.arr) || table.nonaffine.contains(&a.arr) {
                 continue; // already handled wholesale
             }
             // Test: `a` in iteration k1, `b` in iteration k2 = k1 + d, d>=1.
-            if let Some(distance) = test_pair(a, b, &levels, &invariant) {
+            let (fa, fb) = (table.forms[i].as_deref(), table.forms[j].as_deref());
+            if let Some(distance) = test_pair(a, b, fa, fb, &levels, &mut ranges, &mut joint) {
                 deps.push(Dependence {
                     arr: a.arr,
                     kind: match (a.kind, b.kind) {
@@ -206,37 +193,42 @@ fn written_via_section(l: &Loop, arr: SymbolId) -> bool {
     found
 }
 
-/// Result of testing one ordered access pair for a carried dependence.
-/// `None` = provably independent; `Some(d)` = dependent with exact
-/// distance `d` when `d.is_some()`.
+/// Result of testing one ordered access pair, with its rows `fa` and
+/// `fb` of the reference table, for a carried dependence. `None` =
+/// provably independent; `Some(d)` = dependent with exact distance `d`
+/// when `d.is_some()`. `ranges` and `joint` are buffers reused from
+/// pair to pair.
 fn test_pair(
     a: &ArrayAccess,
     b: &ArrayAccess,
+    fa: Option<&[Affine]>,
+    fb: Option<&[Affine]>,
     levels: &[(SymbolId, LoopLevel)],
-    invariant: &dyn Fn(SymbolId) -> bool,
+    ranges: &mut Vec<(i128, i128)>,
+    joint: &mut Vec<i64>,
 ) -> Option<Option<i64>> {
     // Accesses with unknown subscripts are handled by the caller.
     if a.subs.is_empty() || b.subs.is_empty() || a.subs.len() != b.subs.len() {
         return Some(None);
     }
-
-    // Joint k-space layout: [k1, d, inner-a ks..., inner-b ks...].
-    // k2 is represented implicitly as k1 + d.
-    let inner_a = &a.ivars[1..];
-    let inner_b = &b.ivars[1..];
-    let nvars = 2 + inner_a.len() + inner_b.len();
-
-    // Per-variable ranges in k-space.
     let trip = levels[0].1.const_trip();
     if let Some(t) = trip {
         if t <= 1 {
             return None; // no two distinct iterations exist
         }
     }
-    let mut ranges: Vec<(i128, i128)> = Vec::with_capacity(nvars);
-    ranges.push((0, trip.map_or(BIG, |t| (t - 1) as i128))); // k1
-    ranges.push((1, trip.map_or(BIG, |t| (t - 1) as i128))); // d >= 1
-    for v in inner_a.iter().chain(inner_b) {
+    // A subscript or a loop the normalization rejects is conservative:
+    // assume a dependence.
+    let (Some(norm_a), Some(norm_b)) = (fa, fb) else {
+        return Some(None);
+    };
+
+    // Joint k-space layout: [k1, d, inner-a ks..., inner-b ks...].
+    // k2 is represented implicitly as k1 + d.
+    let k1 = trip.map_or(BIG, |t| (t - 1) as i128);
+    ranges.clear();
+    ranges.extend([(0, k1), (1, k1)]); // k1, d >= 1
+    for v in a.ivars[1..].iter().chain(&b.ivars[1..]) {
         let lt = levels
             .iter()
             .find(|(x, _)| x == v)
@@ -244,25 +236,14 @@ fn test_pair(
         ranges.push((0, lt.map_or(BIG, |t| ((t - 1).max(0)) as i128)));
     }
 
-    // Normalized affine of each subscript dim, in joint k-space.
-    // Extraction failure is conservative: assume a dependence.
-    let Some(norm_a) = normalize_access(a, levels, invariant, false, nvars, 2) else {
-        return Some(None);
-    };
-    let Some(norm_b) = normalize_access(b, levels, invariant, true, nvars, 2 + inner_a.len())
-    else {
-        return Some(None);
-    };
-
     let mut exact_distance: Option<i64> = None;
-    for (fa, fb) in norm_a.iter().zip(&norm_b) {
-        let diff = fa.sub(fb); // = 0 required
-        if !diff.sym.is_empty() {
+    for (x, y) in norm_a.iter().zip(norm_b) {
+        let Some(konst) = carried_difference(x, y, joint) else {
             // Un-cancelled symbolic terms: cannot disprove. Dependence
             // assumed for this dim; no distance info.
             continue;
-        }
-        match test_dim(&diff, &ranges) {
+        };
+        match test_dim(joint, konst, ranges) {
             DimResult::Independent => return None,
             DimResult::Distance(d) => match exact_distance {
                 None => exact_distance = Some(d),
@@ -285,6 +266,21 @@ fn test_pair(
     Some(exact_distance)
 }
 
+/// The equation `fa − fb = 0` of one subscript dimension over the joint
+/// k-space `[k1, d, inner-a…, inner-b…]`, the sink `fb` in iteration
+/// `k1 + d`: its coefficients into `joint`, its constant returned.
+/// `None` when symbolic terms do not cancel.
+fn carried_difference(fa: &Affine, fb: &Affine, joint: &mut Vec<i64>) -> Option<i64> {
+    if !fa.terms_cancel(fb) {
+        return None;
+    }
+    joint.clear();
+    joint.extend([fa.coeffs[0] - fb.coeffs[0], -fb.coeffs[0]]);
+    joint.extend_from_slice(&fa.coeffs[2..]);
+    joint.extend(fb.coeffs[2..].iter().map(|c| -c));
+    Some(fa.konst - fb.konst)
+}
+
 enum DimResult {
     Independent,
     Dependent,
@@ -292,11 +288,10 @@ enum DimResult {
     Distance(i64),
 }
 
-/// Test one subscript-dimension equation `Σ c_v · v + konst = 0` over the
-/// given k-space ranges (v[1] is the distance variable `d`).
-fn test_dim(diff: &Affine, ranges: &[(i128, i128)]) -> DimResult {
-    let coeffs = &diff.coeffs;
-    let c = diff.konst as i128;
+/// Test one subscript-dimension equation `Σ coeffs_v · v + konst = 0`
+/// over the given k-space ranges (v[1] is the distance variable `d`).
+fn test_dim(coeffs: &[i64], konst: i64, ranges: &[(i128, i128)]) -> DimResult {
+    let c = konst as i128;
 
     // ZIV: no variables at all.
     if coeffs.iter().all(|&x| x == 0) {
@@ -364,70 +359,6 @@ fn gcd(a: i128, b: i128) -> i128 {
     }
 }
 
-/// Normalize every subscript of an access into the joint k-space.
-///
-/// * `use_d`: the access's tested-loop variable maps to `k1 + d`
-///   (positions 0 and 1) instead of `k1` alone.
-/// * `inner_pos0`: the joint position of the access's first inner
-///   variable.
-fn normalize_access(
-    acc: &ArrayAccess,
-    levels: &[(SymbolId, LoopLevel)],
-    invariant: &dyn Fn(SymbolId) -> bool,
-    use_d: bool,
-    nvars: usize,
-    inner_pos0: usize,
-) -> Option<Vec<Affine>> {
-    // Build the normalized affine of each enclosing ivar, outermost-in:
-    // v = start_v(normalized outer vars) + step_v * k_v.
-    let ivars = &acc.ivars;
-    let mut var_forms: Vec<Affine> = Vec::with_capacity(ivars.len());
-    for (depth, v) in ivars.iter().enumerate() {
-        let (_, lv) = levels.iter().find(|(x, _)| x == v)?;
-        let step = lv.step?;
-        // start over the *outer* ivars of this access.
-        let outer = &ivars[..depth];
-        let start_raw = extract(&lv.start, outer, invariant)?;
-        // Compose: replace each outer-var coefficient with its
-        // normalized form.
-        let mut form = Affine {
-            coeffs: vec![0; nvars],
-            sym: start_raw.sym.clone(),
-            konst: start_raw.konst,
-        };
-        for (oi, &cf) in start_raw.coeffs.iter().enumerate() {
-            if cf != 0 {
-                form = form.add(&var_forms[oi].scale(cf));
-            }
-        }
-        // + step * k_v
-        let kpos = if depth == 0 {
-            0
-        } else {
-            inner_pos0 + depth - 1
-        };
-        form.coeffs[kpos] += step;
-        if depth == 0 && use_d {
-            form.coeffs[1] += step;
-        }
-        var_forms.push(form);
-    }
-
-    // Now each subscript: affine over ivars, composed through var_forms.
-    let mut out = Vec::with_capacity(acc.subs.len());
-    for sub in &acc.subs {
-        let raw = extract(sub, ivars, invariant)?;
-        let mut form = Affine { coeffs: vec![0; nvars], sym: raw.sym.clone(), konst: raw.konst };
-        for (oi, &cf) in raw.coeffs.iter().enumerate() {
-            if cf != 0 {
-                form = form.add(&var_forms[oi].scale(cf));
-            }
-        }
-        out.push(form);
-    }
-    Some(out)
-}
-
 /// Is interchanging the perfect 2-nest `outer{inner{body}}` legal?
 ///
 /// Classical criterion: interchange is illegal iff some dependence has
@@ -449,9 +380,9 @@ pub fn interchange_legal(unit: &Unit, outer: &Loop, inner: &Loop) -> bool {
     }
     let lv_out = LoopLevel::of(outer);
     let lv_in = LoopLevel::of(inner);
-    let (Some(step_out), Some(step_in)) = (lv_out.step, lv_in.step) else {
+    if lv_out.step.is_none() || lv_in.step.is_none() {
         return false;
-    };
+    }
     // The inner bounds must not depend on the outer variable (otherwise
     // the interchanged iteration space differs).
     let mut inner_bounds_use_outer = false;
@@ -466,14 +397,11 @@ pub fn interchange_legal(unit: &Unit, outer: &Loop, inner: &Loop) -> bool {
         return false;
     }
 
-    let written = refs.scalar_writes.clone();
-    let iv_in = inner.var;
-    let iv_out = outer.var;
-    let invariant =
-        move |s: SymbolId| s != iv_in && s != iv_out && !written.contains(&s);
+    let (iv_out, iv_in) = (outer.var, inner.var);
+    let invariant = |s: SymbolId| s != iv_in && s != iv_out && !refs.scalar_writes.contains(&s);
+    let (trip_out, trip_in) = (lv_out.const_trip(), lv_in.const_trip());
+    let table = RefTable::new(&refs, &[(iv_out, lv_out), (iv_in, lv_in)], &invariant);
 
-    let trip_out = lv_out.const_trip();
-    let trip_in = lv_in.const_trip();
     let big = BIG;
     // k-space: [k_out, d_out, k_in, d_in]
     let ranges: Vec<(i128, i128)> = vec![
@@ -482,46 +410,15 @@ pub fn interchange_legal(unit: &Unit, outer: &Loop, inner: &Loop) -> bool {
         (0, trip_in.map_or(big, |t| (t - 1).max(0) as i128)),
         (trip_in.map_or(-big, |t| -((t - 1).max(1) as i128)), -1),
     ];
-
-    // Normalize one access: subscripts as affine over
-    // [k_out, d_out, k_in, d_in]; `second` selects the (k+d) copy.
-    let normalize = |acc: &ArrayAccess, second: bool| -> Option<Vec<Affine>> {
-        // Only accesses nested exactly under (outer, inner) qualify —
-        // anything else (deeper nests) is conservative.
-        if acc.ivars.len() != 2 || acc.ivars[0] != outer.var || acc.ivars[1] != inner.var {
-            return None;
-        }
-        let mut out = Vec::with_capacity(acc.subs.len());
-        for sub in &acc.subs {
-            let raw = extract(sub, &[outer.var, inner.var], &invariant)?;
-            // v_out = start_out + step_out*(k_out [+ d_out])
-            // v_in  = start_in  + step_in *(k_in  [+ d_in])
-            let so = extract(&outer.start, &[], &invariant)?;
-            let si = extract(&inner.start, &[], &invariant)?;
-            let mut f = Affine { coeffs: vec![0; 4], sym: Vec::new(), konst: raw.konst };
-            f = f.add(&Affine { coeffs: vec![0; 4], sym: raw.sym.clone(), konst: 0 });
-            // outer coefficient
-            let co = raw.coeffs[0];
-            if co != 0 {
-                f = f.add(&Affine {
-                    coeffs: vec![co * step_out, if second { co * step_out } else { 0 }, 0, 0],
-                    sym: so.sym.iter().map(|(c, e)| (c * co, e.clone())).collect(),
-                    konst: so.konst * co,
-                });
-            }
-            let ci = raw.coeffs[1];
-            if ci != 0 {
-                f = f.add(&Affine {
-                    coeffs: vec![0, 0, ci * step_in, if second { ci * step_in } else { 0 }],
-                    sym: si.sym.iter().map(|(c, e)| (c * ci, e.clone())).collect(),
-                    konst: si.konst * ci,
-                });
-            }
-            out.push(f);
-        }
-        Some(out)
+    // The subscripts of access `i` in its own k-space [k_out, 0, k_in].
+    // Only accesses nested exactly under (outer, inner) qualify —
+    // anything else (deeper nests) is conservative.
+    let form = |i: usize| {
+        let ivars = &refs.accesses[i].ivars;
+        table.forms[i].as_deref().filter(|_| *ivars == [iv_out, iv_in])
     };
 
+    let mut joint = Vec::with_capacity(4);
     let n = refs.accesses.len();
     for i in 0..n {
         for j in 0..n {
@@ -532,17 +429,20 @@ pub fn interchange_legal(unit: &Unit, outer: &Loop, inner: &Loop) -> bool {
             if a.kind != AccessKind::Write && b.kind != AccessKind::Write {
                 continue;
             }
-            let (Some(fa), Some(fb)) = (normalize(a, false), normalize(b, true)) else {
+            let (Some(fa), Some(fb)) = (form(i), form(j)) else {
                 return false; // conservative
             };
-            // Does a (<, >)-direction solution exist?
+            // Does a (<, >)-direction solution exist? `b` runs at
+            // (k_out + d_out, k_in + d_in).
             let mut solvable = true;
-            for (x, y) in fa.iter().zip(&fb) {
-                let diff = x.sub(y);
-                if !diff.sym.is_empty() {
+            for (x, y) in fa.iter().zip(fb) {
+                if !x.terms_cancel(y) {
                     continue; // cannot disprove this dim
                 }
-                match test_dim(&diff, &ranges) {
+                joint.clear();
+                joint.extend([x.coeffs[0] - y.coeffs[0], -y.coeffs[0]]);
+                joint.extend([x.coeffs[2] - y.coeffs[2], -y.coeffs[2]]);
+                match test_dim(&joint, x.konst - y.konst, &ranges) {
                     DimResult::Independent => {
                         solvable = false;
                         break;
@@ -644,6 +544,18 @@ mod tests {
              a(i + m) = a(i + m) * 2.0\nend do\nend\n",
         );
         assert!(!d.has_carried_array_dep());
+    }
+
+    #[test]
+    fn symbolic_loop_start_cancels_with_an_exact_distance() {
+        // Both accesses carry the start `m` in their normal form; it
+        // cancels and the distance is exact.
+        let d = deps_of(
+            "subroutine s(a, n, m)\nreal a(*)\ndo i = m, n\n\
+             a(i) = a(i - 2) + 1.0\nend do\nend\n",
+        );
+        assert_eq!(d.deps.len(), 1);
+        assert_eq!((d.deps[0].kind, d.deps[0].distance), (DepKind::Flow, Some(2)));
     }
 
     #[test]

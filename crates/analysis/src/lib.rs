@@ -8,7 +8,8 @@
 //! * [`nest`] — loop-nest views over the IR with normalized bounds;
 //! * [`refs`] — memory-reference collection (array and scalar use/def);
 //! * [`depend`] — data-dependence testing: ZIV / strong & weak SIV /
-//!   MIV GCD + Banerjee bounds, hierarchical direction vectors;
+//!   MIV GCD + Banerjee bounds, hierarchical direction vectors, over a
+//!   per-loop reference table that normalizes each access once;
 //! * [`scalar`] — scalar use/def, live-out approximation, and scalar
 //!   privatization legality (§3.2);
 //! * [`array_private`] — array privatization legality (§4.1.2);
@@ -34,6 +35,7 @@ pub mod interproc;
 pub mod nest;
 pub mod reduction;
 pub mod refs;
+mod reftable;
 pub mod runtime_test;
 pub mod scalar;
 

@@ -33,11 +33,6 @@ pub struct ArrayAccess {
     pub kind: AccessKind,
     /// Loop index variables enclosing the access, tested loop first.
     pub ivars: Vec<SymbolId>,
-    /// Statement sequence number (pre-order within the tested loop body)
-    /// — used to order flow vs. anti dependences within an iteration.
-    pub stmt_seq: usize,
-    /// True when the access appears under an IF (control-dependent).
-    pub conditional: bool,
 }
 
 /// All references of a loop body.
@@ -65,7 +60,7 @@ pub struct BodyRefs {
 pub fn collect(unit: &Unit, l: &Loop, summaries: Option<&ProgramSummaries>) -> BodyRefs {
     let mut out = BodyRefs::default();
     let _ = unit;
-    let mut ctx = Collector { out: &mut out, ivars: vec![l.var], seq: 0, cond_depth: 0, summaries };
+    let mut ctx = Collector { out: &mut out, ivars: vec![l.var], summaries };
     ctx.block(&l.body);
     out
 }
@@ -73,8 +68,6 @@ pub fn collect(unit: &Unit, l: &Loop, summaries: Option<&ProgramSummaries>) -> B
 struct Collector<'a> {
     out: &'a mut BodyRefs,
     ivars: Vec<SymbolId>,
-    seq: usize,
-    cond_depth: usize,
     summaries: Option<&'a ProgramSummaries>,
 }
 
@@ -86,35 +79,31 @@ impl Collector<'_> {
     }
 
     fn stmt(&mut self, s: &Stmt) {
-        self.seq += 1;
-        let seq = self.seq;
         match s {
             Stmt::Assign { lhs, rhs, .. } => {
-                self.lvalue(lhs, seq);
-                self.expr(rhs, AccessKind::Read, seq);
+                self.lvalue(lhs);
+                self.expr(rhs);
             }
             Stmt::WhereAssign { mask, lhs, rhs, .. } => {
-                self.expr(mask, AccessKind::Read, seq);
-                self.lvalue(lhs, seq);
-                self.expr(rhs, AccessKind::Read, seq);
+                self.expr(mask);
+                self.lvalue(lhs);
+                self.expr(rhs);
             }
             Stmt::If { cond, then_body, elifs, else_body, .. } => {
-                self.expr(cond, AccessKind::Read, seq);
-                self.cond_depth += 1;
+                self.expr(cond);
                 self.block(then_body);
                 for (c, b) in elifs {
-                    self.expr(c, AccessKind::Read, seq);
+                    self.expr(c);
                     self.block(b);
                 }
                 self.block(else_body);
-                self.cond_depth -= 1;
             }
             Stmt::Loop(inner) => {
                 self.out.inner_ivars.insert(inner.var);
-                self.expr(&inner.start, AccessKind::Read, seq);
-                self.expr(&inner.end, AccessKind::Read, seq);
+                self.expr(&inner.start);
+                self.expr(&inner.end);
                 if let Some(st) = &inner.step {
-                    self.expr(st, AccessKind::Read, seq);
+                    self.expr(st);
                 }
                 self.ivars.push(inner.var);
                 self.block(&inner.preamble);
@@ -123,17 +112,15 @@ impl Collector<'_> {
                 self.ivars.pop();
             }
             Stmt::DoWhile { cond, body, .. } => {
-                self.expr(cond, AccessKind::Read, seq);
-                self.cond_depth += 1;
+                self.expr(cond);
                 self.block(body);
-                self.cond_depth -= 1;
             }
             Stmt::Call { callee, args, .. } => {
-                self.call(callee, args, seq);
+                self.call(callee, args);
             }
             Stmt::Sync(op) => {
                 if let cedar_ir::SyncOp::Await { dist, .. } = op {
-                    self.expr(dist, AccessKind::Read, seq);
+                    self.expr(dist);
                 }
             }
             Stmt::TaskStart { args, .. } => {
@@ -141,7 +128,7 @@ impl Collector<'_> {
                 // interleaving: treat everything reachable as opaque.
                 self.out.has_opaque_calls = true;
                 for a in args {
-                    self.expr(a, AccessKind::Read, seq);
+                    self.expr(a);
                     if let Expr::Section { arr, .. } | Expr::Elem { arr, .. } = a {
                         self.out.unanalyzable.insert(*arr);
                         self.out.call_written.insert(*arr);
@@ -153,15 +140,15 @@ impl Collector<'_> {
         }
     }
 
-    fn lvalue(&mut self, lhs: &LValue, seq: usize) {
+    fn lvalue(&mut self, lhs: &LValue) {
         match lhs {
             LValue::Scalar(s) => {
                 self.out.scalar_writes.insert(*s);
             }
             LValue::Elem { arr, idx } => {
-                self.push_access(*arr, idx.clone(), AccessKind::Write, seq);
+                self.push_access(*arr, idx.clone(), AccessKind::Write);
                 for e in idx {
-                    self.expr(e, AccessKind::Read, seq);
+                    self.expr(e);
                 }
             }
             LValue::Section { arr, .. } => {
@@ -172,13 +159,13 @@ impl Collector<'_> {
         }
     }
 
-    fn expr(&mut self, e: &Expr, _kind: AccessKind, seq: usize) {
+    fn expr(&mut self, e: &Expr) {
         walk_expr(e, &mut |x| match x {
             Expr::Scalar(s) => {
                 self.out.scalar_reads.insert(*s);
             }
             Expr::Elem { arr, idx } => {
-                self.push_access(*arr, idx.clone(), AccessKind::Read, seq);
+                self.push_access(*arr, idx.clone(), AccessKind::Read);
             }
             Expr::Section { arr, .. } => {
                 self.out.unanalyzable.insert(*arr);
@@ -190,25 +177,18 @@ impl Collector<'_> {
         });
     }
 
-    fn push_access(&mut self, arr: SymbolId, subs: Vec<Expr>, kind: AccessKind, seq: usize) {
-        self.out.accesses.push(ArrayAccess {
-            arr,
-            subs,
-            kind,
-            ivars: self.ivars.clone(),
-            stmt_seq: seq,
-            conditional: self.cond_depth > 0,
-        });
+    fn push_access(&mut self, arr: SymbolId, subs: Vec<Expr>, kind: AccessKind) {
+        self.out.accesses.push(ArrayAccess { arr, subs, kind, ivars: self.ivars.clone() });
     }
 
     /// A CALL statement: consult summaries; without one, every array
     /// argument becomes unanalyzable and the call is opaque.
-    fn call(&mut self, callee: &str, args: &[Expr], seq: usize) {
+    fn call(&mut self, callee: &str, args: &[Expr]) {
         if cedar_ir::is_timer_call(callee) {
             return; // simulator timing no-op
         }
         for a in args {
-            self.expr(a, AccessKind::Read, seq);
+            self.expr(a);
         }
         let summary = self.summaries.and_then(|s| s.get(callee));
         match summary {
@@ -312,16 +292,6 @@ mod tests {
         assert_eq!(r.accesses.len(), 1);
         assert_eq!(r.accesses[0].ivars.len(), 2);
         assert_eq!(r.inner_ivars.len(), 1);
-    }
-
-    #[test]
-    fn conditional_accesses_flagged() {
-        let (_, r) = refs_of(
-            "subroutine s(a, n, t)\nreal a(n), t\ndo i = 1, n\n\
-             if (a(i) .gt. t) a(i) = t\nend do\nend\n",
-        );
-        let w = r.accesses.iter().find(|a| a.kind == AccessKind::Write).unwrap();
-        assert!(w.conditional);
     }
 
     #[test]

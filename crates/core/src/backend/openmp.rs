@@ -32,9 +32,9 @@
 //! machine-wide `XDOALL`. Cross-backend comparison is about *values*,
 //! not cycle counts, and DOALL semantics are identical across classes.
 
-use super::serial::{emit_units, without_furniture};
+use super::serial::without_furniture;
 use super::{Backend, BackendKind, EmitInput};
-use cedar_ir::print::{print_unit_as, Dialect, OmpReduction};
+use cedar_ir::print::{print_unit_as, program_text, Dialect, OmpReduction};
 use cedar_ir::{BinOp, Expr, Intrinsic, LValue, Loop, Stmt, SymbolId, SyncOp, Unit};
 
 /// The OpenMP backend.
@@ -46,7 +46,7 @@ impl Backend for OpenMp {
     }
 
     fn emit(&self, input: &EmitInput<'_>) -> String {
-        emit_units(input.restructured, |u, out| {
+        program_text(input.restructured, |u, out| {
             // The writer numbers directive loops as it prints them; this
             // numbers them in the same order, outer before inner.
             let mut reductions = Vec::new();

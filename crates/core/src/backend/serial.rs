@@ -21,9 +21,9 @@
 //! A sequential input has no such unit and is printed as it stands.
 
 use super::{Backend, BackendKind, EmitInput};
-use cedar_ir::print::{print_unit_as, Dialect};
+use cedar_ir::print::{print_unit_as, program_text, Dialect};
 use cedar_ir::visit::walk_stmts;
-use cedar_ir::{Loop, LoopClass, Program, Stmt, SymKind, SymbolId, Unit};
+use cedar_ir::{Loop, LoopClass, Stmt, SymKind, SymbolId, Unit};
 use std::borrow::Cow;
 
 /// The serial-F77 backend.
@@ -35,21 +35,11 @@ impl Backend for SerialF77 {
     }
 
     fn emit(&self, input: &EmitInput<'_>) -> String {
-        emit_units(input.original, |u, out| {
+        program_text(input.original, |u, out| {
             let u = without_furniture(u, &mut |_, _| false);
             print_unit_as(&u, Dialect::Serial, out);
         })
     }
-}
-
-/// Print every unit of the program with `print`, a blank line after each.
-pub(super) fn emit_units(p: &Program, mut print: impl FnMut(&Unit, &mut String)) -> String {
-    let mut out = String::new();
-    for u in &p.units {
-        print(u, &mut out);
-        out.push('\n');
-    }
-    out
 }
 
 /// The unit itself if none of its loops has locals, a preamble or a

@@ -567,12 +567,12 @@ impl GenProgram {
         for (k, shape) in self.shapes.iter().enumerate() {
             shape.emit(k + 1, &mut e);
         }
-        let mut src = String::from("program fz\n");
-        for d in &e.decls {
-            src.push_str(d);
-            src.push('\n');
-        }
-        for l in &e.body {
+        // Sized exactly: a corpus keeps thousands of these.
+        let lines = || e.decls.iter().chain(&e.body);
+        let len = "program fz\n".len() + lines().map(|l| l.len() + 1).sum::<usize>() + "end\n".len();
+        let mut src = String::with_capacity(len);
+        src.push_str("program fz\n");
+        for l in lines() {
             src.push_str(l);
             src.push('\n');
         }

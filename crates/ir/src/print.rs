@@ -65,11 +65,20 @@ pub enum Dialect<'a> {
 
 /// Render the whole program as Cedar Fortran source.
 pub fn print_program(p: &Program) -> String {
+    program_text(p, print_unit)
+}
+
+/// The one assembler of program text, for every dialect: `print`
+/// writes each unit and a blank line follows it. The text is returned
+/// with its capacity equal to its length, so an emission that is kept
+/// holds no more memory than it has bytes.
+pub fn program_text(p: &Program, mut print: impl FnMut(&Unit, &mut String)) -> String {
     let mut out = String::new();
     for u in &p.units {
-        print_unit(u, &mut out);
+        print(u, &mut out);
         out.push('\n');
     }
+    out.shrink_to_fit();
     out
 }
 

@@ -299,9 +299,21 @@ where
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicU32;
+    use std::sync::MutexGuard;
+
+    /// `with_jobs` installs one process-wide override, which every
+    /// `jobs()` and so every `par_map` reads: each test here holds this
+    /// lock throughout, so no sibling's override is seen. A failed test
+    /// poisons it; the next one takes it all the same.
+    static JOBS: Mutex<()> = Mutex::new(());
+
+    fn hold_jobs() -> MutexGuard<'static, ()> {
+        JOBS.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
 
     #[test]
     fn results_are_index_ordered() {
+        let _jobs = hold_jobs();
         let items: Vec<u64> = (0..100).collect();
         let serial: Vec<u64> = items.iter().map(|x| x * x).collect();
         let par = with_jobs(8, || par_map(items, |x| x * x));
@@ -310,6 +322,7 @@ mod tests {
 
     #[test]
     fn serial_mode_spawns_no_threads() {
+        let _jobs = hold_jobs();
         // With jobs forced to 1 the map runs on the calling thread, so
         // thread-local state is visible across items.
         thread_local! {
@@ -326,6 +339,7 @@ mod tests {
 
     #[test]
     fn nested_calls_degrade_to_serial() {
+        let _jobs = hold_jobs();
         let depth_two_workers = with_jobs(4, || {
             par_map(vec![0usize; 4], |_| {
                 // Inner call must not spawn: in_worker() is set.
@@ -339,6 +353,7 @@ mod tests {
 
     #[test]
     fn every_item_runs_exactly_once() {
+        let _jobs = hold_jobs();
         static CALLS: AtomicU32 = AtomicU32::new(0);
         CALLS.store(0, Ordering::SeqCst);
         let out = with_jobs(3, || {
@@ -353,12 +368,14 @@ mod tests {
 
     #[test]
     fn range_helper_matches_direct() {
+        let _jobs = hold_jobs();
         let a = par_map_range(10, |k| k * 3);
         assert_eq!(a, (0..10).map(|k| k * 3).collect::<Vec<_>>());
     }
 
     #[test]
     fn with_jobs_restores_on_exit() {
+        let _jobs = hold_jobs();
         let before = jobs();
         with_jobs(7, || assert_eq!(jobs(), 7));
         assert_eq!(jobs(), before);
@@ -370,6 +387,7 @@ mod tests {
     /// item completes and the original payload is resumed afterwards.
     #[test]
     fn worker_panic_is_contained_and_payload_preserved() {
+        let _jobs = hold_jobs();
         static RAN: AtomicU32 = AtomicU32::new(0);
         RAN.store(0, Ordering::SeqCst);
         let result = std::panic::catch_unwind(|| {
@@ -394,6 +412,7 @@ mod tests {
 
     #[test]
     fn first_panic_in_index_order_wins() {
+        let _jobs = hold_jobs();
         // Items 3 and 20 both panic; the resumed payload must be item
         // 3's regardless of which worker finished first.
         let result = std::panic::catch_unwind(|| {
@@ -412,6 +431,7 @@ mod tests {
 
     #[test]
     fn workers_inherit_the_callers_context() {
+        let _jobs = hold_jobs();
         let prev = set_context(Some(Arc::new(42usize)));
         let seen = with_jobs(4, || {
             par_map((0..16usize).collect(), |_| {
@@ -428,6 +448,7 @@ mod tests {
 
     #[test]
     fn the_caller_runs_the_first_item_and_one_thread_fewer_is_spawned() {
+        let _jobs = hold_jobs();
         let caller = std::thread::current().id();
         let ran_on = with_jobs(3, || {
             par_map((0..24usize).collect(), |_| std::thread::current().id())
@@ -446,6 +467,7 @@ mod tests {
 
     #[test]
     fn a_nested_call_from_the_callers_own_item_stays_serial() {
+        let _jobs = hold_jobs();
         let caller = std::thread::current().id();
         let inner_threads = with_jobs(4, || {
             par_map(vec![0usize, 1], |k| {
@@ -466,6 +488,7 @@ mod tests {
 
     #[test]
     fn a_panicking_item_leaves_the_caller_unmarked_and_its_context_in_place() {
+        let _jobs = hold_jobs();
         let prev = set_context(Some(Arc::new("ambient")));
         let seen = Mutex::new(Vec::new());
         // Item 0 — the caller's own — panics; `par_map` resumes it on the caller.

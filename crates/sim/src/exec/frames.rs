@@ -5,9 +5,20 @@
 use super::types::{Section, SectionDim, Subs, MAX_SECTION_RANK};
 use super::{err, kerr, Ctx, Frame, Result, SimError, SimErrorKind, Simulator};
 use crate::cost::CostClass;
-use crate::store::{SlotId, StorageRef, VarBind};
+use crate::store::{element_count, SlotId, StorageRef, VarBind};
 use crate::value_ops;
-use cedar_ir::{Expr, Placement, SymKind, SymbolId, Ty, Unit, Value, Visibility};
+use cedar_ir::{Expr, Placement, SymKind, Symbol, SymbolId, Ty, Unit, Value, Visibility};
+
+/// Elements of the storage of `sym` with the bound dims `dims`, at
+/// least one: `Limit` when the count or its bytes do not fit.
+pub(super) fn storage_len(what: &str, sym: &Symbol, dims: &[(i64, i64)]) -> Result<usize> {
+    element_count(dims)
+        .filter(|&n| (n as u64).checked_mul(sym.ty.size_bytes()).is_some())
+        .map(|n| n.max(1))
+        .ok_or_else(|| {
+            SimError::new(SimErrorKind::Limit, sym.span, format!("{what} `{}` is too large", sym.name))
+        })
+}
 
 impl Simulator<'_> {
     pub(super) fn allocate_commons(&mut self) -> Result<()> {
@@ -16,9 +27,9 @@ impl Simulator<'_> {
         for bname in block_names {
             let vis = self.program.commons[&bname].visibility;
             // Find the first declaring unit and its member symbols.
-            let mut members: Vec<(usize, &cedar_ir::Symbol, usize)> = Vec::new(); // (member, sym, unit idx)
+            let mut members: Vec<(usize, &Symbol, usize)> = Vec::new(); // (member, sym, unit idx)
             'outer: for (ui, u) in self.program.units.iter().enumerate() {
-                let mut found: Vec<(usize, &cedar_ir::Symbol)> = u
+                let mut found: Vec<(usize, &Symbol)> = u
                     .symbols
                     .iter()
                     .filter_map(|s| match &s.kind {
@@ -38,23 +49,12 @@ impl Simulator<'_> {
             for (_, sym, ui) in members {
                 // COMMON dims must be compile-time constant.
                 let dims = self.const_dims(&self.program.units[ui], sym)?;
-                let total = dims
-                    .iter()
-                    .try_fold(1usize, |n, &(lo, hi)| {
-                        n.checked_mul(usize::try_from(cedar_ir::trip(lo, hi, 1)?).ok()?)
-                    })
-                    .ok_or_else(|| {
-                        SimError::new(
-                            SimErrorKind::Limit,
-                            sym.span,
-                            format!("COMMON array `{}` is too large", sym.name),
-                        )
-                    })?;
+                let len = storage_len("COMMON array", sym, &dims)?;
                 let placement = match vis {
                     Visibility::Global => Placement::Global,
                     Visibility::Cluster => Placement::Cluster,
                 };
-                let sref = self.alloc_storage(sym.ty, total.max(1), placement, 0);
+                let sref = self.alloc_storage(sym.ty, len, placement, 0);
                 let bind = VarBind { sref, offset: 0, dims, ty: sym.ty, placement };
                 // DATA initializers.
                 self.apply_init(&bind, &sym.init);
@@ -66,7 +66,7 @@ impl Simulator<'_> {
         Ok(())
     }
 
-    fn const_dims(&self, unit: &Unit, sym: &cedar_ir::Symbol) -> Result<Vec<(i64, i64)>> {
+    fn const_dims(&self, unit: &Unit, sym: &Symbol) -> Result<Vec<(i64, i64)>> {
         let bound = |e| unit.const_value(e).map(Value::as_i64);
         let mut dims = Vec::new();
         for d in &sym.dims {
@@ -218,10 +218,8 @@ impl Simulator<'_> {
                             Some(d) => d.to_vec(),
                             None => self.eval_dims(&frame, unit, si, ctx)?,
                         };
-                        let total: usize =
-                            dims.iter().map(|&(lo, hi)| ((hi - lo + 1).max(0)) as usize).product();
-                        let sref =
-                            self.alloc_storage(sym.ty, total.max(1), placement, ctx.cluster);
+                        let len = storage_len("array", sym, &dims)?;
+                        let sref = self.alloc_storage(sym.ty, len, placement, ctx.cluster);
                         let bind = VarBind { sref, offset: 0, dims, ty: sym.ty, placement };
                         self.apply_init(&bind, &sym.init);
                         self.note_bind_name(&sym.name, &bind);

@@ -70,16 +70,15 @@ impl Simulator<'_> {
                     if step == 0 {
                         return err(cedar_ir::Span::NONE, "section stride of zero");
                     }
-                    let len = ((hi - lo + step) / step).max(0) as usize;
                     // Multiple range dims form a cartesian product in
                     // column-major order; checked_mul bounds the total.
-                    sec.lanes = sec.lanes.checked_mul(len).ok_or_else(|| {
-                        SimError::new(
-                            SimErrorKind::Limit,
-                            cedar_ir::Span::NONE,
-                            "section too large",
-                        )
-                    })?;
+                    let too_large = || {
+                        SimError::new(SimErrorKind::Limit, cedar_ir::Span::NONE, "section too large")
+                    };
+                    let len = cedar_ir::trip(lo, hi, step)
+                        .and_then(|n| usize::try_from(n).ok())
+                        .ok_or_else(too_large)?;
+                    sec.lanes = sec.lanes.checked_mul(len).ok_or_else(too_large)?;
                     sec.push(SectionDim::RangeLen { lo, step, len });
                 }
             }
@@ -155,8 +154,19 @@ impl Simulator<'_> {
             // An end lane is out of bounds: fall through to the general
             // walk, which raises the usual error.
         }
+        // Every lane of a range lies between its end lanes. With an end
+        // outside its dimension the walk only looks for the first lane
+        // out of bounds and writes no index down: a section far past its
+        // array fails before any memory is set aside for its lanes.
+        let ends_in_bounds = dims.iter().zip(&bind.dims).all(|(d, &(dlo, dhi))| match *d {
+            SectionDim::RangeLen { lo, step, len } => {
+                let last = lo + (len as i64 - 1) * step;
+                (dlo..=dhi).contains(&lo) && (dlo..=dhi).contains(&last)
+            }
+            _ => true,
+        });
         // Odometer over range dims (column-major: leftmost fastest).
-        let mut out = self.pool.lin(lanes);
+        let mut out = if ends_in_bounds { self.pool.lin(lanes) } else { Vec::new() };
         let mut counters = [0usize; MAX_SECTION_RANK];
         let counters = &mut counters[..dims.len()];
         let mut subs = Subs::new();
@@ -185,7 +195,9 @@ impl Simulator<'_> {
                     ),
                 )
             })?;
-            out.push(lin);
+            if ends_in_bounds {
+                out.push(lin);
+            }
             // increment odometer (leftmost range dim fastest)
             for (k, d) in dims.iter().enumerate() {
                 let lim = match d {
@@ -320,7 +332,10 @@ impl Simulator<'_> {
             Expr::Intr { f: Intrinsic::Iota, args, .. } => {
                 let lo = self.eval_scalar(frame, &args[0], ctx)?.as_i64();
                 let hi = self.eval_scalar(frame, &args[1], ctx)?.as_i64();
-                Ok(Some(usize::try_from((hi - lo + 1).max(0)).unwrap_or(0)))
+                let lanes = cedar_ir::trip(lo, hi, 1).and_then(|n| usize::try_from(n).ok());
+                lanes.map(Some).ok_or_else(|| {
+                    SimError::new(SimErrorKind::Limit, cedar_ir::Span::NONE, "iota too large")
+                })
             }
             Expr::Section { arr, idx } => {
                 let mut sec = Section::new();

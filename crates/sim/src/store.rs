@@ -235,7 +235,9 @@ pub struct VarBind {
 impl VarBind {
     /// Column-major linearization of a subscript list against the bound
     /// dims; `None` when out of declared bounds (the last dimension of
-    /// assumed-size arrays is unchecked).
+    /// assumed-size arrays is unchecked). Wrapping arithmetic, as the
+    /// VM's: only a dummy argument's declared dims can overflow it, and
+    /// such an element is then refused by its storage.
     pub fn linearize(&self, subs: &[i64], assumed_last: bool) -> Option<usize> {
         debug_assert_eq!(subs.len(), self.dims.len());
         let mut lin: i64 = 0;
@@ -245,8 +247,8 @@ impl VarBind {
             if s < lo || (!last || !assumed_last) && s > hi {
                 return None;
             }
-            lin += (s - lo) * stride;
-            stride *= hi - lo + 1;
+            lin = lin.wrapping_add(s.wrapping_sub(lo).wrapping_mul(stride));
+            stride = stride.wrapping_mul(hi.wrapping_sub(lo).wrapping_add(1));
         }
         usize::try_from(lin).ok().map(|l| l + self.offset)
     }
@@ -265,21 +267,27 @@ impl VarBind {
             if j == k {
                 stride_k = stride;
             }
-            lin += (s - lo) * stride;
-            stride *= hi - lo + 1;
+            lin = lin.wrapping_add(s.wrapping_sub(lo).wrapping_mul(stride));
+            stride = stride.wrapping_mul(hi.wrapping_sub(lo).wrapping_add(1));
         }
         usize::try_from(lin)
             .ok()
             .map(|l| (l + self.offset, stride_k))
     }
 
-    /// Element count implied by the bound dimensions.
+    /// Element count implied by the bound dimensions, `usize::MAX` when
+    /// it does not fit (storage was never allocated for such a count).
     pub fn total_len(&self) -> usize {
-        self.dims
-            .iter()
-            .map(|&(lo, hi)| (hi - lo + 1).max(0) as usize)
-            .product()
+        element_count(&self.dims).unwrap_or(usize::MAX)
     }
+}
+
+/// Elements of an array with the bound dimensions `dims`; `None` when
+/// the count does not fit in a `usize`.
+pub(crate) fn element_count(dims: &[(i64, i64)]) -> Option<usize> {
+    dims.iter().try_fold(1usize, |n, &(lo, hi)| {
+        n.checked_mul(usize::try_from(cedar_ir::trip(lo, hi, 1)?).ok()?)
+    })
 }
 
 /// The slot arena plus the capacity pools of the paging model.

@@ -16,7 +16,7 @@ use cedar_f77::{parse_free_recovering, parse_source_recovering};
 use cedar_fuzz::{mutations, GenProgram};
 use cedar_ir::{compile_source, CompileError, Program};
 use cedar_restructure::{restructure, PassConfig};
-use cedar_sim::{MachineConfig, SimErrorKind};
+use cedar_sim::{Engine, MachineConfig, SimErrorKind};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 fn must_not_panic(what: &str, src: &str) {
@@ -133,10 +133,28 @@ const EXTREME_CONSTANTS: &[(&[&str], Outcome)] = &[
         &["program p", "common /c/ a(4294967296, 4294967296)", "x = 1.0", "end"],
         Outcome::AllSimulate(Some(SimErrorKind::Limit)),
     ),
+    // A local array whose element count fits but whose byte count does
+    // not: the same limit as COMMON.
+    (
+        &["program p", "real a(9223372036854775807)", "x = 1.0", "end"],
+        Outcome::AllSimulate(Some(SimErrorKind::Limit)),
+    ),
+    // A section past the declared bounds is refused before its lanes
+    // are allocated.
+    (
+        &["program p", "real a(10)", "a(1:9223372036854775807:1) = 1.0", "end"],
+        Outcome::AllSimulate(Some(SimErrorKind::OutOfBounds)),
+    ),
 ];
 
+/// The outcome of a run, the same on both engines.
 fn simulated(p: &Program) -> Option<SimErrorKind> {
-    cedar_sim::run(p, MachineConfig::cedar_config1()).err().map(|e| e.kind)
+    let [vm, interp] = [Engine::Vm, Engine::Interp].map(|engine| {
+        let mc = MachineConfig::cedar_config1().with_engine(engine);
+        cedar_sim::run(p, mc).err().map(|e| e.kind)
+    });
+    assert_eq!(vm, interp, "the engines disagree");
+    vm
 }
 
 #[test]
