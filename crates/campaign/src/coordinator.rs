@@ -32,8 +32,7 @@
 
 use crate::triage;
 use cedar_experiments::jsonio::{flags, Json, Writer};
-use cedar_fuzz::shard::{merge_shards, MergedCampaign, ShardSummary, LEAD_DIGESTS};
-use cedar_fuzz::OracleConfig;
+use cedar_fuzz::{check_jobs_depth, merge_shards, CampaignSummary, OracleConfig};
 use cedar_store::Store;
 use std::collections::BTreeMap;
 use std::io::ErrorKind;
@@ -57,7 +56,7 @@ pub struct CoordinatorConfig {
     /// is quarantined on failure `retry_budget + 1`.
     pub retry_budget: u32,
     /// Clean seeds the *coordinator* re-judges single-threaded after
-    /// the merge (capped at [`LEAD_DIGESTS`]).
+    /// the merge (at most [`cedar_fuzz::LEAD_DIGESTS`]).
     pub jobs_check: usize,
     /// Oracle configuration name (`manual` / `auto`) — echoed to
     /// workers in every lease so the whole fleet judges identically.
@@ -140,7 +139,7 @@ pub struct WorkerStats {
 pub struct Outcome {
     /// The merged campaign — `None` when quarantined shards left holes
     /// in the range (a merge around holes would silently lose seeds).
-    pub merged: Option<MergedCampaign>,
+    pub merged: Option<CampaignSummary>,
     /// Where `merged.json` was written, when it was.
     pub merged_path: Option<PathBuf>,
     /// Where `triage.json` was written (always).
@@ -175,12 +174,7 @@ impl Coordinator {
             return Err("shard size must be positive".into());
         }
         cfg.oracle()?;
-        if cfg.jobs_check > LEAD_DIGESTS {
-            return Err(format!(
-                "jobs_check {} exceeds the {LEAD_DIGESTS} lead digests shards carry",
-                cfg.jobs_check
-            ));
-        }
+        check_jobs_depth(cfg.jobs_check)?;
         let mut shards = Vec::new();
         let mut start = cfg.seed_start;
         while start < cfg.seed_end {
@@ -433,7 +427,7 @@ impl Coordinator {
         let Ok(text) = v.str_at("summary") else {
             return error(400, "missing summary");
         };
-        let summary = match ShardSummary::parse(text) {
+        let summary = match CampaignSummary::parse(text) {
             Ok(s) => s,
             Err(e) => {
                 // A worker uploading garbage counts as a failed attempt
@@ -462,7 +456,7 @@ impl Coordinator {
             );
             return error(422, "summary does not cover the shard");
         }
-        if let Err(e) = self.put_row(k, "completed", Some(&summary.to_json())) {
+        if let Err(e) = self.put_row(k, "completed", Some(&summary.to_shard_json())) {
             return error(500, format_args!("persist shard result: {e}"));
         }
         self.shards[k].state = ShardState::Completed;
@@ -521,7 +515,7 @@ impl Coordinator {
         for (k, s) in self.shards.iter().enumerate() {
             if matches!(s.state, ShardState::Completed) {
                 let row = self.row(k)?.ok_or_else(|| format!("shard {k}'s row left the store"))?;
-                summaries.push(ShardSummary::parse(row.str_at("summary")?)?);
+                summaries.push(CampaignSummary::parse(row.str_at("summary")?)?);
             }
         }
         let quarantined: Vec<triage::QuarantinedShard> = self
@@ -539,7 +533,9 @@ impl Coordinator {
             .collect();
 
         let merged = if quarantined.is_empty() && !summaries.is_empty() {
-            Some(merge_shards(&summaries, self.cfg.jobs_check, &self.cfg.oracle()?)?)
+            let mut merged = merge_shards(&summaries)?;
+            merged.check_jobs(self.cfg.jobs_check, &self.cfg.oracle()?);
+            Some(merged)
         } else {
             None
         };

@@ -13,7 +13,7 @@
 
 use crate::coordinator::{CoordinatorConfig, WorkerStats};
 use cedar_experiments::Writer;
-use cedar_fuzz::shard::MergedCampaign;
+use cedar_fuzz::CampaignSummary;
 use std::collections::BTreeMap;
 
 /// A shard that exhausted its retry budget.
@@ -37,7 +37,7 @@ pub fn triage_json(
     total_shards: u64,
     reassignments: u64,
     quarantined: &[QuarantinedShard],
-    merged: Option<&MergedCampaign>,
+    merged: Option<&CampaignSummary>,
     workers: &BTreeMap<String, WorkerStats>,
 ) -> String {
     let mut w = Writer::document();

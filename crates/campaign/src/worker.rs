@@ -2,10 +2,9 @@
 //! flaky coordinator and owning up to its own failures.
 //!
 //! Each granted lease runs a normal [`cedar_fuzz::run_campaign`] over
-//! the shard's seed range with the distributed-protocol settings (no
-//! local crash bundles, no local jobs check — see
-//! [`ShardSummary::from_summary`]) while a heartbeat thread keeps the
-//! lease alive, then uploads the `cedar-fuzz-shard-v1` summary. A
+//! the shard's seed range without local crash bundles (their paths are
+//! worker-local) while a heartbeat thread keeps the lease alive, then
+//! uploads the summary as `cedar-fuzz-shard-v1`. A
 //! budget-truncated run is reported as a *failure* (`POST /fail`), not
 //! uploaded: the merge refuses partial shards, so the coordinator
 //! reassigns instead.
@@ -24,7 +23,6 @@
 //! paths.
 
 use cedar_experiments::jsonio::{Json, Writer};
-use cedar_fuzz::shard::ShardSummary;
 use cedar_fuzz::{run_campaign, CampaignConfig, OracleConfig};
 use cedar_serve::http;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -201,9 +199,7 @@ pub fn run_worker(cfg: &WorkerConfig) -> Result<WorkerReport, String> {
             oracle,
             shrink: cfg.shrink,
             bundles: false,
-            jobs_check: 0,
             corpus_dir: cfg.corpus_dir.clone(),
-            corpus_config: config_name.into(),
         });
         stop.store(true, Ordering::Relaxed);
         let _ = beat.join();
@@ -216,7 +212,7 @@ pub fn run_worker(cfg: &WorkerConfig) -> Result<WorkerReport, String> {
             report.failed += 1;
             continue;
         }
-        let shard_json = ShardSummary::from_summary(&summary).to_json();
+        let shard_json = summary.to_shard_json();
         let body = request(Some(shard), Some(("summary", &shard_json)));
         match http::post(&cfg.addr, "/complete", &body, T) {
             Ok((200, _)) => report.completed += 1,

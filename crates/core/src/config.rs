@@ -23,6 +23,17 @@ pub enum Level {
     Manual,
 }
 
+impl Level {
+    /// The name [`PassConfig::named`] gives this level.
+    pub fn name(self) -> &'static str {
+        match self {
+            Level::Serial => "serial",
+            Level::Automatic => "auto",
+            Level::Manual => "manual",
+        }
+    }
+}
+
 /// Which techniques the restructurer may apply.
 #[derive(Debug, Clone)]
 pub struct PassConfig {
@@ -145,6 +156,13 @@ mod tests {
         assert_eq!(m.level, Level::Manual);
         assert!(m.globalize && m.interchange && m.loop_fusion);
         assert_eq!(m.max_versions, 50);
+    }
+
+    #[test]
+    fn a_level_names_its_preset() {
+        for name in ["serial", "auto", "manual"] {
+            assert_eq!(PassConfig::named(name).unwrap().level.name(), name);
+        }
     }
 
     #[test]

@@ -11,24 +11,24 @@
 //! passes on a complete run, or a jobs-invariance break), `2` usage or
 //! harness error.
 
-use cedar_fuzz::{run_campaign, CampaignConfig, OracleConfig};
+use cedar_fuzz::{check_jobs_depth, run_campaign, CampaignConfig, OracleConfig};
 use cedar_par::cli::{exitcode, Args};
 
-const USAGE: &str = "usage: fuzz --seeds A..B [--budget SECS] [--json PATH] [--det-json PATH] \
+const USAGE: &str = "usage: fuzz --seeds A..B [--budget SECS] [--json PATH] \
                      [--config manual|auto|serial] [--no-shrink] [--no-bundles] [--jobs-check N] \
                      [--corpus DIR] [--emit-corpus DIR]";
 
 /// `--emit-corpus DIR`: pin every seed in the range as a corpus entry
 /// (a self-describing `.f` file, see `cedar_fuzz::corpus`) instead of
 /// running a campaign.
-fn emit_corpus(dir: &str, cfg: &CampaignConfig, config_name: &str) -> Result<(), String> {
+fn emit_corpus(dir: &str, cfg: &CampaignConfig) -> Result<(), String> {
     std::fs::create_dir_all(dir).map_err(|e| format!("create {dir}: {e}"))?;
     for seed in cfg.seed_start..cfg.seed_end {
         let gp = cedar_fuzz::GenProgram::generate(seed);
         let r = gp.render();
         let name = format!("seed{seed:04}_{}", gp.tags().join("_").replace('-', ""));
         let path = format!("{dir}/{name}.f");
-        std::fs::write(&path, cedar_fuzz::format_entry(seed, config_name, &r))
+        std::fs::write(&path, cedar_fuzz::format_entry(seed, cfg.oracle.pass.level.name(), &r))
             .map_err(|e| format!("write {path}: {e}"))?;
         eprintln!("fuzz: wrote {path}");
     }
@@ -41,20 +41,19 @@ fn main() {
     let seeds = args.seeds("--seeds");
     cfg.budget = args.secs("--budget");
     let json_path: Option<String> = args.value("--json");
-    let det_json: Option<String> = args.value("--det-json");
     let config_name = args.value("--config").unwrap_or_else(|| String::from("manual"));
     cfg.shrink = !args.flag("--no-shrink");
     cfg.bundles = !args.flag("--no-bundles");
-    cfg.jobs_check = args.value("--jobs-check").unwrap_or(cfg.jobs_check);
+    let jobs_check = args.value("--jobs-check").unwrap_or(4);
     cfg.corpus_dir = args.value("--corpus");
     let emit_dir: Option<String> = args.value("--emit-corpus");
     args.finish();
     (cfg.seed_start, cfg.seed_end) = seeds.unwrap_or_else(|| args.fail("--seeds A..B is required"));
     cfg.oracle = OracleConfig::named(&config_name)
         .unwrap_or_else(|| args.fail(format!("unknown config `{config_name}`")));
-    cfg.corpus_config = config_name.clone();
+    check_jobs_depth(jobs_check).unwrap_or_else(|e| args.fail(e));
     if let Some(dir) = emit_dir {
-        emit_corpus(&dir, &cfg, &config_name).unwrap_or_else(|e| args.fail(e));
+        emit_corpus(&dir, &cfg).unwrap_or_else(|e| args.fail(e));
         return;
     }
 
@@ -67,21 +66,14 @@ fn main() {
         cfg.shrink,
         cfg.bundles,
     );
-    let summary = run_campaign(&cfg);
-    // The file/stdout artifact carries the wall-clock section (latency
-    // summary + slowest seeds); determinism tests use `to_json()`.
-    let json = summary.to_json_full();
+    let mut summary = run_campaign(&cfg);
+    summary.check_jobs(jobs_check, &cfg.oracle);
+    let json = summary.to_json();
     if let Some(path) = json_path {
         args.write_report(&path, &json);
         eprintln!("fuzz: summary written to {path}");
     } else {
         println!("{json}");
-    }
-    // `--det-json` writes the timing-free form — the byte-deterministic
-    // reference a distributed campaign's merged report is diffed against.
-    if let Some(path) = det_json {
-        args.write_report(&path, &summary.to_json());
-        eprintln!("fuzz: deterministic summary written to {path}");
     }
 
     eprintln!(
@@ -92,37 +84,22 @@ fn main() {
         summary.skipped_for_budget,
         summary.known_gaps,
     );
-    if let Some((lo, mean, hi)) = summary.speedup {
+    if let Some((lo, mean, hi)) = summary.speedup() {
         eprintln!("fuzz: speedup over serial min {lo:.2}x mean {mean:.2}x max {hi:.2}x");
-    }
-    if !summary.latency.is_empty() {
-        eprintln!(
-            "fuzz: per-seed latency p50 {:.1}ms p99 {:.1}ms max {:.1}ms; slowest: {}",
-            summary.latency.percentile(50.0),
-            summary.latency.percentile(99.0),
-            summary.latency.max(),
-            summary
-                .latency
-                .slowest(5)
-                .iter()
-                .map(|(l, m)| format!("seed {l} ({m:.1}ms)"))
-                .collect::<Vec<_>>()
-                .join(", "),
-        );
     }
     for f in &summary.failures {
         eprintln!(
             "fuzz: FAILURE seed {} [{}] {}{}",
             f.seed,
-            f.failure.phase.tag(),
-            f.failure.detail,
+            f.phase,
+            f.detail,
             match &f.bundle {
                 Some(b) => format!(" (bundle: {b})"),
                 None => String::new(),
             },
         );
     }
-    let unreachable = summary.unreachable();
+    let unreachable = summary.coverage.unreachable();
     if !unreachable.is_empty() {
         if summary.skipped_for_budget == 0 {
             eprintln!("fuzz: UNREACHABLE passes: {}", unreachable.join(", "));

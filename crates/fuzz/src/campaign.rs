@@ -6,9 +6,15 @@
 //! A campaign is deterministic in its *findings*: which seeds fail,
 //! what they shrink to, and what the coverage ledger reads depend only
 //! on the seed range and oracle configuration, never on worker count or
-//! scheduling. The CEDAR_JOBS invariance check enforces a slice of that
-//! promise on every run by re-judging a sample of seeds single-threaded
-//! and comparing result digests.
+//! scheduling. [`CampaignSummary::check_jobs`] enforces a slice of that
+//! promise on the final summary by re-judging its lead seeds
+//! single-threaded and comparing result digests.
+//!
+//! One type carries the result everywhere: [`run_campaign`] returns a
+//! [`CampaignSummary`], a worker uploads one as `cedar-fuzz-shard-v1`
+//! ([`crate::shard`]), and [`crate::merge_shards`] folds a set of them
+//! into another. [`CampaignSummary::to_json`] is the one writer of the
+//! `cedar-fuzz-v1` document.
 
 use crate::coverage::Coverage;
 use crate::gen::GenProgram;
@@ -16,12 +22,18 @@ use crate::latency::Latency;
 use crate::oracle::{run_oracles, OracleConfig, OracleFailure, OracleStats};
 use crate::persist::PersistentCorpus;
 use crate::shrink::shrink;
-use cedar_experiments::supervise::{run_cells, Cell, Supervisor};
+use cedar_experiments::supervise::{bundle_digest, run_cells, Cell, Supervisor};
 use cedar_experiments::Writer;
 use std::time::{Duration, Instant};
 
 /// Oracle-evaluation budget per shrink run.
 const MAX_SHRINK_CHECKS: usize = 128;
+
+/// Clean-seed digests a summary carries, in seed order, for the
+/// jobs-invariance check: a run and a merge keep the same first
+/// `LEAD_DIGESTS`, so a check at most this deep re-judges the same seeds
+/// on both paths, and a deeper one is refused ([`check_jobs_depth`]).
+pub const LEAD_DIGESTS: usize = 8;
 
 /// Campaign parameters.
 #[derive(Debug, Clone)]
@@ -33,23 +45,17 @@ pub struct CampaignConfig {
     /// Wall-clock budget; seeds not started when it lapses are counted
     /// as skipped, never silently dropped. `None` = run them all.
     pub budget: Option<Duration>,
-    /// Pipeline/oracle configuration shared by every seed.
+    /// Pipeline/oracle configuration shared by every seed; kept corpus
+    /// entries are stamped with the name of its level.
     pub oracle: OracleConfig,
     /// Minimize failures before reporting/bundling.
     pub shrink: bool,
     /// Write crash bundles for failures via the supervised engine.
     pub bundles: bool,
-    /// How many seeds to re-judge under `with_jobs(1)` for the
-    /// CEDAR_JOBS invariance check (0 disables).
-    pub jobs_check: usize,
     /// Persistent corpus directory ([`crate::persist`]): clean seeds
     /// with rare transform combinations are kept there across runs,
     /// and the coverage ledger accumulates. `None` (default) disables.
     pub corpus_dir: Option<std::path::PathBuf>,
-    /// Config name stamped into kept corpus entries (`manual`/`auto`);
-    /// must match [`CampaignConfig::oracle`] so replays use the same
-    /// pipeline.
-    pub corpus_config: String,
 }
 
 impl Default for CampaignConfig {
@@ -61,35 +67,30 @@ impl Default for CampaignConfig {
             oracle: OracleConfig::default(),
             shrink: true,
             bundles: true,
-            jobs_check: 4,
             corpus_dir: None,
-            corpus_config: "manual".into(),
         }
     }
 }
 
-/// One failing seed, minimized.
-#[derive(Debug, Clone)]
-pub struct SeedFailure {
+/// One failing seed, minimized: what the shrink and bundle phases of
+/// [`run_campaign`] work on before it becomes a [`FailureLine`].
+#[derive(Debug)]
+pub(crate) struct SeedFailure {
     /// The generator seed.
-    pub seed: u64,
-    /// Failure of the original (unshrunk) program.
-    pub original: OracleFailure,
+    seed: u64,
     /// Minimized reproducer (equals the original program when shrinking
     /// is off or found nothing smaller).
-    pub minimized: GenProgram,
+    minimized: GenProgram,
     /// Failure the minimized program exhibits.
-    pub failure: OracleFailure,
+    failure: OracleFailure,
     /// Rendered source of the minimized reproducer.
-    pub source: String,
+    source: String,
     /// Crash-bundle directory, when one was written.
-    pub bundle: Option<String>,
+    bundle: Option<String>,
 }
 
 impl SeedFailure {
-    /// The serialization-friendly view of this failure — exactly what
-    /// the JSON report prints for it.
-    pub fn line(&self) -> FailureLine {
+    fn line(&self) -> FailureLine {
         FailureLine {
             seed: self.seed,
             phase: self.failure.phase.tag().to_string(),
@@ -121,37 +122,6 @@ pub struct FailureLine {
     pub bundle: Option<String>,
 }
 
-/// The content every `cedar-fuzz-v1` report prints, independent of
-/// where it came from: a live [`CampaignSummary`] borrows itself into
-/// this view; a merged set of shards reconstructs one. Both go through
-/// the same writer ([`render_report`]), which is what makes
-/// "distributed run merges to the byte-identical report" a structural
-/// guarantee instead of a convention.
-pub struct ReportView<'a> {
-    /// Echo of the requested range.
-    pub seed_start: u64,
-    /// Echo of the requested range.
-    pub seed_end: u64,
-    /// Seeds actually judged.
-    pub executed: u64,
-    /// Seeds skipped because the wall-clock budget lapsed.
-    pub skipped_for_budget: u64,
-    /// Failing seeds, ascending.
-    pub failures: &'a [FailureLine],
-    /// Transform-coverage ledger over all clean seeds.
-    pub coverage: &'a Coverage,
-    /// Total sync-audit findings with no confirming dynamic race.
-    pub known_gaps: u64,
-    /// Up to three example gap findings.
-    pub gap_examples: &'a [String],
-    /// `(min, mean, max)` speedup triple.
-    pub speedup: Option<(f64, f64, f64)>,
-    /// Seeds re-judged for the jobs-invariance check.
-    pub jobs_checked: u64,
-    /// Digest mismatch detail, if the invariance check failed.
-    pub jobs_mismatch: Option<&'a str>,
-}
-
 /// Write the `failures` member shared by `cedar-fuzz-v1` and
 /// `cedar-fuzz-shard-v1`: one row per failing seed.
 pub(crate) fn write_failures(w: &mut Writer, failures: &[FailureLine]) {
@@ -165,186 +135,133 @@ pub(crate) fn write_failures(w: &mut Writer, failures: &[FailureLine]) {
     w.end();
 }
 
-/// Write the `cedar-fuzz-v1` document for a report view. `latency`
-/// appends the wall-clock section; `None` keeps the byte-deterministic
-/// form.
-pub fn render_report(v: &ReportView<'_>, latency: Option<&Latency>) -> String {
-    let mut w = Writer::document();
-    w.key("schema").str("cedar-fuzz-v1");
-    w.key("seed_start").int(v.seed_start).and_key("seed_end").int(v.seed_end);
-    w.key("executed").int(v.executed).and_key("skipped_for_budget").int(v.skipped_for_budget);
-    w.and_key("clean").int(v.executed - v.failures.len() as u64);
-    write_failures(&mut w, v.failures);
-    w.key("coverage").raw(v.coverage.to_json());
-    w.key("unreachable").strs(v.coverage.unreachable());
-    w.key("known_gaps").int(v.known_gaps).and_key("gap_examples").strs(v.gap_examples);
-    w.key("speedup").opt(v.speedup, |w, (lo, mean, hi)| {
-        w.obj();
-        for (key, x) in [("min", lo), ("mean", mean), ("max", hi)] {
-            w.key(key).float(x, format_args!("{x:.3}"));
-        }
-        w.end()
-    });
-    w.key("jobs_invariance").obj().key("checked").int(v.jobs_checked);
-    w.key("ok").bool(v.jobs_mismatch.is_none());
-    w.key("detail").opt(v.jobs_mismatch, Writer::str).end();
-    if let Some(latency) = latency {
-        w.key("latency_ms").raw(latency.summary_json());
-        w.key("slowest_seeds").raw(latency.slowest_json(5));
+/// Refuse a jobs-invariance check deeper than the [`LEAD_DIGESTS`] a
+/// summary carries: the one rule for `fuzz --jobs-check` and the
+/// coordinator's `jobs_check`.
+pub fn check_jobs_depth(k: usize) -> Result<(), String> {
+    if k > LEAD_DIGESTS {
+        return Err(format!(
+            "jobs_check {k} exceeds the {LEAD_DIGESTS} lead digests a summary carries"
+        ));
     }
-    w.finish()
+    Ok(())
 }
 
-/// `(min, mean, max)` over per-seed speedup samples. The mean is the
-/// ordered left fold `sum / len`; because every caller (live campaign,
-/// shard merge) folds the samples in seed order through this one
-/// function, a distributed run reproduces the single-process mean to
-/// the bit.
-pub fn speedup_triple(samples: &[f64]) -> Option<(f64, f64, f64)> {
-    if samples.is_empty() {
-        return None;
-    }
-    let lo = samples.iter().cloned().fold(f64::INFINITY, f64::min);
-    let hi = samples.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-    let mean = samples.iter().sum::<f64>() / samples.len() as f64;
-    Some((lo, mean, hi))
-}
-
-/// Re-judge the first `k` of `digests` under `with_jobs(1)` and compare
-/// result digests bit-for-bit. Returns `(seeds checked, mismatch)`.
-/// Shared by [`run_campaign`] and the shard merge so a coordinator
-/// checking merged lead digests produces the exact messages (and
-/// verdict) a single-process run over the same range would.
-pub fn jobs_invariance(
-    digests: &[(u64, u64)],
-    k: usize,
-    oracle: &OracleConfig,
-) -> (u64, Option<String>) {
-    let mut checked = 0u64;
-    for &(seed, want) in digests.iter().take(k) {
-        checked += 1;
-        let got = cedar_par::with_jobs(1, || judge(seed, oracle));
-        match got {
-            Ok(stats) if stats.digest == want => {}
-            Ok(stats) => {
-                return (
-                    checked,
-                    Some(format!(
-                        "seed {seed}: digest {want:#018x} with ambient jobs vs {:#018x} single-threaded",
-                        stats.digest
-                    )),
-                );
-            }
-            Err((_, f)) => {
-                return (
-                    checked,
-                    Some(format!(
-                        "seed {seed}: clean with ambient jobs but failed single-threaded: {f}"
-                    )),
-                );
-            }
-        }
-    }
-    (checked, None)
-}
-
-/// Everything a campaign observed; renders to the `cedar-fuzz-v1` JSON
-/// summary.
-#[derive(Debug)]
+/// Everything a campaign over a contiguous seed range observed, as
+/// plain data: one process's run, a worker's shard and a coordinator's
+/// merge of shards are all this type.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct CampaignSummary {
-    /// Echo of the requested range.
+    /// First seed (inclusive).
     pub seed_start: u64,
-    /// Echo of the requested range.
+    /// Last seed (exclusive).
     pub seed_end: u64,
     /// Seeds actually judged.
     pub executed: u64,
-    /// Seeds skipped because the wall-clock budget lapsed.
+    /// Seeds skipped because the wall-clock budget lapsed; a shard
+    /// with any is incomplete, and a coordinator reassigns it.
     pub skipped_for_budget: u64,
-    /// Failing seeds, ascending.
-    pub failures: Vec<SeedFailure>,
+    /// Failing seeds as report lines, ascending.
+    pub failures: Vec<FailureLine>,
     /// Transform-coverage ledger over all clean seeds.
     pub coverage: Coverage,
     /// Total sync-audit findings with no confirming dynamic race.
     pub known_gaps: u64,
-    /// Up to three example gap findings (deduplicated text).
+    /// The first ≤ 3 distinct gap findings, in seed order.
     pub gap_examples: Vec<String>,
-    /// `(min, mean, max)` serial/parallel cycle ratio over clean seeds
-    /// (always [`speedup_triple`] of [`speedup_samples`]).
-    ///
-    /// [`speedup_samples`]: CampaignSummary::speedup_samples
-    pub speedup: Option<(f64, f64, f64)>,
-    /// Per-seed speedup samples in seed order — what campaign shards
-    /// carry so a merge can refold the exact mean.
+    /// Serial/parallel cycle ratio of every clean seed, in seed order;
+    /// shards carry them as bit patterns so a merge refolds the exact
+    /// mean ([`CampaignSummary::speedup`]).
     pub speedup_samples: Vec<f64>,
-    /// `(seed, result digest)` for every clean seed, in seed order.
-    /// Shards carry a prefix of these so the coordinator can run the
-    /// jobs-invariance check over the same seeds a single-process run
-    /// would have picked.
-    pub digests: Vec<(u64, u64)>,
-    /// Seeds re-judged single-threaded for the jobs-invariance check.
+    /// `(seed, result digest)` of the first ≤ [`LEAD_DIGESTS`] clean
+    /// seeds, in seed order.
+    pub lead_digests: Vec<(u64, u64)>,
+    /// Deduplicated crash-bundle digests of the failures (minimized
+    /// source FNV, the key the supervised engine files bundles under),
+    /// sorted.
+    pub bundle_digests: Vec<String>,
+    /// Seeds re-judged single-threaded by [`CampaignSummary::check_jobs`].
     pub jobs_checked: u64,
-    /// Digest mismatch detail, if the invariance check failed.
+    /// Digest mismatch detail, if the invariance check failed — also
+    /// when a worker uploaded a corrupted digest, since the check
+    /// re-judges from the seed alone.
     pub jobs_mismatch: Option<String>,
-    /// Per-seed judge wall-clock samples (label = decimal seed). Only
-    /// [`CampaignSummary::to_json_full`] reports these — [`to_json`]
-    /// stays byte-deterministic across runs.
-    ///
-    /// [`to_json`]: CampaignSummary::to_json
-    pub latency: Latency,
 }
 
 impl CampaignSummary {
-    /// Required passes that never fired (only meaningful when the whole
-    /// range ran; a budget-truncated campaign may legitimately miss
-    /// some).
-    pub fn unreachable(&self) -> Vec<&'static str> {
-        self.coverage.unreachable()
-    }
-
     /// Did the campaign find anything (oracle failures, unreachable
-    /// passes on a complete run, or a jobs-invariance break)?
+    /// passes on a complete run, or a jobs-invariance break)? A
+    /// budget-truncated campaign may legitimately miss some passes.
     pub fn failed(&self) -> bool {
         !self.failures.is_empty()
             || self.jobs_mismatch.is_some()
-            || (self.skipped_for_budget == 0 && !self.unreachable().is_empty())
+            || (self.skipped_for_budget == 0 && !self.coverage.unreachable().is_empty())
     }
 
-    /// The `cedar-fuzz-v1` JSON document. Byte-deterministic: two runs
-    /// over the same seed range produce identical text (no wall-clock
-    /// fields) — the determinism and jobs-invariance tests diff this
-    /// form directly.
+    /// `(min, mean, max)` over the speedup samples. The mean is the
+    /// ordered left fold `sum / len` over samples in seed order, so a
+    /// merge reproduces a single run's mean to the bit.
+    pub fn speedup(&self) -> Option<(f64, f64, f64)> {
+        let samples = &self.speedup_samples;
+        if samples.is_empty() {
+            return None;
+        }
+        let lo = samples.iter().cloned().fold(f64::INFINITY, f64::min);
+        let hi = samples.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+        let mean = samples.iter().sum::<f64>() / samples.len() as f64;
+        Some((lo, mean, hi))
+    }
+
+    /// The CEDAR_JOBS invariance check: re-judge the first `k` lead
+    /// digests under `with_jobs(1)` and compare result digests bit for
+    /// bit, recording how many were checked and the first mismatch.
+    /// Run once, on the final summary: the `fuzz` binary's run or the
+    /// coordinator's merge, each of which refuses `k` past
+    /// [`check_jobs_depth`] before its campaign starts.
+    pub fn check_jobs(&mut self, k: usize, oracle: &OracleConfig) {
+        (self.jobs_checked, self.jobs_mismatch) = (0, None);
+        for i in 0..k.min(self.lead_digests.len()) {
+            let (seed, want) = self.lead_digests[i];
+            self.jobs_checked += 1;
+            self.jobs_mismatch = match cedar_par::with_jobs(1, || judge(seed, oracle)) {
+                Ok(stats) if stats.digest == want => continue,
+                Ok(stats) => Some(format!(
+                    "seed {seed}: digest {want:#018x} with ambient jobs vs {:#018x} single-threaded",
+                    stats.digest
+                )),
+                Err((_, f)) => Some(format!(
+                    "seed {seed}: clean with ambient jobs but failed single-threaded: {f}"
+                )),
+            };
+            break;
+        }
+    }
+
+    /// The `cedar-fuzz-v1` document. Byte-deterministic: two runs over
+    /// the same seed range, and any merge of shards tiling it, write
+    /// identical text.
     pub fn to_json(&self) -> String {
-        self.render_json(None)
-    }
-
-    /// [`to_json`] plus the wall-clock section: a `"latency_ms"`
-    /// summary and the top-5 `"slowest_seeds"` outliers. Timing varies
-    /// run to run, so this form is for human-facing artifacts (the
-    /// `fuzz` binary's campaign report), never for determinism diffs.
-    ///
-    /// [`to_json`]: CampaignSummary::to_json
-    pub fn to_json_full(&self) -> String {
-        self.render_json(Some(&self.latency))
-    }
-
-    fn render_json(&self, latency: Option<&Latency>) -> String {
-        let failures: Vec<FailureLine> = self.failures.iter().map(SeedFailure::line).collect();
-        render_report(
-            &ReportView {
-                seed_start: self.seed_start,
-                seed_end: self.seed_end,
-                executed: self.executed,
-                skipped_for_budget: self.skipped_for_budget,
-                failures: &failures,
-                coverage: &self.coverage,
-                known_gaps: self.known_gaps,
-                gap_examples: &self.gap_examples,
-                speedup: self.speedup,
-                jobs_checked: self.jobs_checked,
-                jobs_mismatch: self.jobs_mismatch.as_deref(),
-            },
-            latency,
-        )
+        let mut w = Writer::document();
+        w.key("schema").str("cedar-fuzz-v1");
+        w.key("seed_start").int(self.seed_start).and_key("seed_end").int(self.seed_end);
+        w.key("executed").int(self.executed);
+        w.and_key("skipped_for_budget").int(self.skipped_for_budget);
+        w.and_key("clean").int(self.executed - self.failures.len() as u64);
+        write_failures(&mut w, &self.failures);
+        w.key("coverage").raw(self.coverage.to_json());
+        w.key("unreachable").strs(self.coverage.unreachable());
+        w.key("known_gaps").int(self.known_gaps).and_key("gap_examples").strs(&self.gap_examples);
+        w.key("speedup").opt(self.speedup(), |w, (lo, mean, hi)| {
+            w.obj();
+            for (key, x) in [("min", lo), ("mean", mean), ("max", hi)] {
+                w.key(key).float(x, format_args!("{x:.3}"));
+            }
+            w.end()
+        });
+        w.key("jobs_invariance").obj().key("checked").int(self.jobs_checked);
+        w.key("ok").bool(self.jobs_mismatch.is_none());
+        w.key("detail").opt(self.jobs_mismatch.as_deref(), Writer::str).end();
+        w.finish()
     }
 }
 
@@ -355,19 +272,27 @@ fn judge(seed: u64, cfg: &OracleConfig) -> Result<OracleStats, (GenProgram, Orac
     run_oracles(&gp.render(), cfg).map_err(|f| (gp, f))
 }
 
-/// Run a campaign over `[seed_start, seed_end)`.
+/// Run a campaign over `[seed_start, seed_end)`. The per-seed judge
+/// times go to stderr (p50, p99, the five slowest), never into the
+/// summary.
 pub fn run_campaign(cfg: &CampaignConfig) -> CampaignSummary {
+    run_with_failures(cfg).0
+}
+
+/// [`run_campaign`], also returning the minimized failures its lines
+/// were made from.
+pub(crate) fn run_with_failures(cfg: &CampaignConfig) -> (CampaignSummary, Vec<SeedFailure>) {
     const CHUNK: u64 = 32;
     let started = Instant::now();
-    let mut coverage = Coverage::default();
+    let mut s = CampaignSummary {
+        seed_start: cfg.seed_start,
+        seed_end: cfg.seed_end,
+        ..CampaignSummary::default()
+    };
     let mut raw_failures: Vec<(u64, GenProgram, OracleFailure)> = Vec::new();
-    let mut digests: Vec<(u64, u64)> = Vec::new(); // (seed, digest)
-    let mut known_gaps = 0u64;
-    let mut gap_examples: Vec<String> = Vec::new();
-    let mut speedups: Vec<f64> = Vec::new();
-    let mut executed = 0u64;
     let mut next = cfg.seed_start;
     let mut latency = Latency::new();
+    let config_name = cfg.oracle.pass.level.name();
     // Persistent corpus: best-effort — a corpus that cannot be opened
     // degrades the campaign to non-persistent, it never fails it.
     let mut corpus = cfg.corpus_dir.as_ref().and_then(|dir| {
@@ -388,7 +313,7 @@ pub fn run_campaign(cfg: &CampaignConfig) -> CampaignSummary {
         let hi = (next + CHUNK).min(cfg.seed_end);
         let seeds: Vec<u64> = (next..hi).collect();
         next = hi;
-        executed += seeds.len() as u64;
+        s.executed += seeds.len() as u64;
         let results = cedar_par::par_map(seeds, |seed| {
             let t = Instant::now();
             let r = judge(seed, &cfg.oracle);
@@ -398,31 +323,45 @@ pub fn run_campaign(cfg: &CampaignConfig) -> CampaignSummary {
             latency.record_duration(seed.to_string(), took);
             match r {
                 Ok(stats) => {
-                    coverage.absorb(&stats.report);
+                    s.coverage.absorb(&stats.report);
                     if let Some(pc) = corpus.as_mut() {
                         let rendered = GenProgram::generate(seed).render();
-                        if let Err(e) =
-                            pc.observe(seed, &cfg.corpus_config, &rendered, &stats.report)
-                        {
+                        if let Err(e) = pc.observe(seed, config_name, &rendered, &stats.report) {
                             eprintln!("fuzz: corpus observe failed: {e}");
                         }
                     }
-                    known_gaps += stats.known_gaps.len() as u64;
+                    s.known_gaps += stats.known_gaps.len() as u64;
                     for g in stats.known_gaps {
-                        if gap_examples.len() < 3 && !gap_examples.contains(&g) {
-                            gap_examples.push(g);
+                        if s.gap_examples.len() < 3 && !s.gap_examples.contains(&g) {
+                            s.gap_examples.push(g);
                         }
                     }
                     if stats.parallel_cycles > 0.0 {
-                        speedups.push(stats.serial_cycles / stats.parallel_cycles);
+                        s.speedup_samples.push(stats.serial_cycles / stats.parallel_cycles);
                     }
-                    digests.push((seed, stats.digest));
+                    if s.lead_digests.len() < LEAD_DIGESTS {
+                        s.lead_digests.push((seed, stats.digest));
+                    }
                 }
                 Err((gp, f)) => raw_failures.push((seed, gp, f)),
             }
         }
     }
-    let skipped_for_budget = cfg.seed_end - next;
+    s.skipped_for_budget = cfg.seed_end - next;
+    if !latency.is_empty() {
+        eprintln!(
+            "fuzz: per-seed latency p50 {:.1}ms p99 {:.1}ms max {:.1}ms; slowest: {}",
+            latency.percentile(50.0),
+            latency.percentile(99.0),
+            latency.max(),
+            latency
+                .slowest(5)
+                .iter()
+                .map(|(l, m)| format!("seed {l} ({m:.1}ms)"))
+                .collect::<Vec<_>>()
+                .join(", "),
+        );
+    }
     if let Some(pc) = &corpus {
         match pc.save() {
             Ok(()) => {
@@ -447,13 +386,20 @@ pub fn run_campaign(cfg: &CampaignConfig) -> CampaignSummary {
                 let out = shrink(&gp, &original, &cfg.oracle, MAX_SHRINK_CHECKS);
                 (out.program, out.failure)
             } else {
-                (gp, original.clone())
+                (gp, original)
             };
             let source = minimized.render().source;
-            SeedFailure { seed, original, minimized, failure, source, bundle: None }
+            SeedFailure { seed, minimized, failure, source, bundle: None }
         })
         .collect();
     failures.sort_by_key(|f| f.seed);
+    s.bundle_digests = failures
+        .iter()
+        .map(|f| bundle_digest(&format!("fuzz/seed{}", f.seed), Some(&f.source)))
+        .map(|d| format!("{d:016x}"))
+        .collect();
+    s.bundle_digests.sort();
+    s.bundle_digests.dedup();
 
     // ---- phase 3: crash bundles via the supervised engine. The cell
     // deliberately re-raises the oracle verdict as a panic; it fails at
@@ -483,29 +429,8 @@ pub fn run_campaign(cfg: &CampaignConfig) -> CampaignSummary {
             }
         }
     }
-
-    // ---- phase 4: CEDAR_JOBS invariance — re-judge a sample of clean
-    // seeds single-threaded; digests must match bit-for-bit ----
-    let (jobs_checked, jobs_mismatch) = jobs_invariance(&digests, cfg.jobs_check, &cfg.oracle);
-
-    let speedup = speedup_triple(&speedups);
-
-    CampaignSummary {
-        seed_start: cfg.seed_start,
-        seed_end: cfg.seed_end,
-        executed,
-        skipped_for_budget,
-        failures,
-        coverage,
-        known_gaps,
-        gap_examples,
-        speedup,
-        speedup_samples: speedups,
-        digests,
-        jobs_checked,
-        jobs_mismatch,
-        latency,
-    }
+    s.failures = failures.iter().map(SeedFailure::line).collect();
+    (s, failures)
 }
 
 #[cfg(test)]
@@ -513,20 +438,14 @@ mod tests {
     use super::*;
 
     fn small() -> CampaignConfig {
-        CampaignConfig {
-            seed_start: 0,
-            seed_end: 12,
-            bundles: false,
-            jobs_check: 2,
-            ..Default::default()
-        }
+        CampaignConfig { seed_start: 0, seed_end: 12, bundles: false, ..Default::default() }
     }
 
     #[test]
     fn small_campaign_is_deterministic() {
         let a = run_campaign(&small());
         let b = run_campaign(&small());
-        assert_eq!(a.to_json(), b.to_json());
+        assert_eq!(a, b);
         assert_eq!(a.executed, 12);
         assert_eq!(a.skipped_for_budget, 0);
     }
@@ -536,20 +455,8 @@ mod tests {
         let s = run_campaign(&small()).to_json();
         assert!(s.contains("\"schema\": \"cedar-fuzz-v1\""));
         assert!(s.contains("\"coverage\": {\"doall\": "));
+        assert!(!s.contains("latency"), "the document is timing-free");
         assert_eq!(s.matches('{').count(), s.matches('}').count(), "{s}");
-    }
-
-    #[test]
-    fn full_json_adds_latency_without_touching_the_deterministic_form() {
-        let s = run_campaign(&small());
-        assert_eq!(s.latency.len() as u64, s.executed, "one sample per judged seed");
-        let det = s.to_json();
-        assert!(!det.contains("latency_ms"), "to_json must stay timing-free");
-        let full = s.to_json_full();
-        assert!(full.contains("\"latency_ms\": {\"p50\": "), "{full}");
-        assert!(full.contains("\"slowest_seeds\": [{\"label\": "), "{full}");
-        assert!(full.starts_with(det.trim_end_matches("\n}\n")), "full extends to_json");
-        assert_eq!(full.matches('{').count(), full.matches('}').count(), "{full}");
     }
 
     #[test]
@@ -563,13 +470,13 @@ mod tests {
             seed_end: 24,
             oracle: crate::oracle::OracleConfig { rel_tol: 0.0, ..Default::default() },
             bundles: false,
-            jobs_check: 0,
             ..Default::default()
         };
-        let s = run_campaign(&cfg);
-        assert!(!s.failures.is_empty(), "rel_tol 0 found nothing in 24 seeds");
+        let (s, failures) = run_with_failures(&cfg);
+        assert!(!failures.is_empty(), "rel_tol 0 found nothing in 24 seeds");
         assert!(s.failed());
-        for f in &s.failures {
+        assert_eq!(s.failures, failures.iter().map(SeedFailure::line).collect::<Vec<_>>());
+        for f in &failures {
             assert_eq!(f.failure.phase.tag(), "differential");
             assert!(f.failure.diff.is_some(), "divergence without a cell: {}", f.failure);
             assert!(
@@ -579,6 +486,7 @@ mod tests {
             );
             assert!(f.source.contains("program fz"));
         }
+        assert!(!s.bundle_digests.is_empty());
         let json = s.to_json();
         assert!(json.contains("\"phase\": \"differential\""));
     }
@@ -590,7 +498,6 @@ mod tests {
             seed_end: 10_000,
             budget: Some(Duration::from_millis(1)),
             bundles: false,
-            jobs_check: 0,
             ..Default::default()
         };
         let s = run_campaign(&cfg);
@@ -600,5 +507,13 @@ mod tests {
         if s.failures.is_empty() && s.jobs_mismatch.is_none() {
             assert!(!s.failed());
         }
+    }
+
+    #[test]
+    fn a_run_keeps_the_lead_digests_the_jobs_check_rejudges() {
+        let mut s = run_campaign(&small());
+        assert_eq!(s.lead_digests.len(), LEAD_DIGESTS, "12 default seeds are clean");
+        s.check_jobs(2, &OracleConfig::default());
+        assert_eq!((s.jobs_checked, s.jobs_mismatch), (2, None));
     }
 }

@@ -1,8 +1,8 @@
 //! Shared wall-clock latency accounting.
 //!
 //! One accumulator serves two consumers that must agree on definitions:
-//! fuzz campaigns record per-seed judge times so the summary can
-//! surface outlier seeds (a seed that takes 50× the median is a
+//! fuzz campaigns record per-seed judge times and print the outlier
+//! seeds on stderr (a seed that takes 50× the median is a
 //! generator or simulator pathology worth a look even when its oracles
 //! pass), and the `cedar-serve` load-test harness records per-request
 //! service times for its `target/BENCH_serve.json` report. Percentiles are

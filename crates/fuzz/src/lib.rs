@@ -34,7 +34,9 @@ pub mod rng;
 pub mod shard;
 pub mod shrink;
 
-pub use campaign::{run_campaign, CampaignConfig, CampaignSummary, FailureLine, SeedFailure};
+pub use campaign::{
+    check_jobs_depth, run_campaign, CampaignConfig, CampaignSummary, FailureLine, LEAD_DIGESTS,
+};
 pub use corpus::{format_entry, load_dir, parse_entry, CorpusEntry};
 pub use coverage::{Coverage, REQUIRED};
 pub use gen::{GenProgram, Rendered, Shape, WatchVar};
@@ -43,5 +45,5 @@ pub use mutate::{mutate, mutations};
 pub use oracle::{run_oracles, OracleConfig, OracleFailure, OracleStats, Phase};
 pub use persist::{combo, ComboStats, PersistentCorpus};
 pub use rng::Rng;
-pub use shard::{merge_shards, MergedCampaign, ShardSummary};
+pub use shard::merge_shards;
 pub use shrink::{shrink, ShrinkOutcome};

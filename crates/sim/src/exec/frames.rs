@@ -9,18 +9,36 @@ use crate::store::{element_count, SlotId, StorageRef, VarBind};
 use crate::value_ops;
 use cedar_ir::{Expr, Placement, SymKind, Symbol, SymbolId, Ty, Unit, Value, Visibility};
 
-/// Elements of the storage of `sym` with the bound dims `dims`, at
-/// least one: `Limit` when the count or its bytes do not fit.
-pub(super) fn storage_len(what: &str, sym: &Symbol, dims: &[(i64, i64)]) -> Result<usize> {
-    element_count(dims)
-        .filter(|&n| (n as u64).checked_mul(sym.ty.size_bytes()).is_some())
-        .map(|n| n.max(1))
-        .ok_or_else(|| {
-            SimError::new(SimErrorKind::Limit, sym.span, format!("{what} `{}` is too large", sym.name))
-        })
-}
-
 impl Simulator<'_> {
+    /// Elements of the storage of `sym` with the bound dims `dims`, at
+    /// least one: `Limit` when the count or its bytes do not fit, or
+    /// when its copies under `placement` would take the run past
+    /// [`STORAGE_CAP`](crate::store::STORAGE_CAP). A reused loop-local
+    /// slot is checked as if it were new.
+    pub(super) fn storage_len(
+        &self,
+        what: &str,
+        sym: &Symbol,
+        dims: &[(i64, i64)],
+        placement: Placement,
+    ) -> Result<usize> {
+        let copies = match placement {
+            Placement::Cluster | Placement::Default => self.clusters as u64,
+            _ => 1,
+        };
+        element_count(dims)
+            .map(|n| n.max(1))
+            .filter(|&n| {
+                (n as u64)
+                    .checked_mul(sym.ty.size_bytes() * copies)
+                    .is_some_and(|bytes| self.store.fits(bytes))
+            })
+            .ok_or_else(|| {
+                let msg = format!("{what} `{}` is too large", sym.name);
+                SimError::new(SimErrorKind::Limit, sym.span, msg)
+            })
+    }
+
     pub(super) fn allocate_commons(&mut self) -> Result<()> {
         // Take member shapes from the first unit that declares each block.
         let block_names: Vec<String> = self.program.commons.keys().cloned().collect();
@@ -49,11 +67,11 @@ impl Simulator<'_> {
             for (_, sym, ui) in members {
                 // COMMON dims must be compile-time constant.
                 let dims = self.const_dims(&self.program.units[ui], sym)?;
-                let len = storage_len("COMMON array", sym, &dims)?;
                 let placement = match vis {
                     Visibility::Global => Placement::Global,
                     Visibility::Cluster => Placement::Cluster,
                 };
+                let len = self.storage_len("COMMON array", sym, &dims, placement)?;
                 let sref = self.alloc_storage(sym.ty, len, placement, 0);
                 let bind = VarBind { sref, offset: 0, dims, ty: sym.ty, placement };
                 // DATA initializers.
@@ -218,7 +236,7 @@ impl Simulator<'_> {
                             Some(d) => d.to_vec(),
                             None => self.eval_dims(&frame, unit, si, ctx)?,
                         };
-                        let len = storage_len("array", sym, &dims)?;
+                        let len = self.storage_len("array", sym, &dims, placement)?;
                         let sref = self.alloc_storage(sym.ty, len, placement, ctx.cluster);
                         let bind = VarBind { sref, offset: 0, dims, ty: sym.ty, placement };
                         self.apply_init(&bind, &sym.init);

@@ -1,7 +1,6 @@
 //! Loop scheduling: sequential loops, self-scheduled parallel loops on
 //! per-participant clocks, and per-participant loop locals.
 
-use super::frames::storage_len;
 use super::sync::DoacrossState;
 use super::types::{Blk, Flow, LoopBlocks, LoopRef};
 use super::{err, kerr, Ctx, Frame, Result, SimErrorKind, Simulator};
@@ -222,7 +221,7 @@ impl Simulator<'_> {
                         }
                     }
                 }
-                let len = storage_len("loop local", sym, &dims)?;
+                let len = self.storage_len("loop local", sym, &dims, Placement::Private)?;
                 let sref = match per_part.get(p).map(|b| &b.sref) {
                     Some(&StorageRef::One(s)) if reuse && self.store.rezero(s, sym.ty, len) => {
                         // The charge `alloc_storage` makes for a private slot.

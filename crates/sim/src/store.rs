@@ -290,10 +290,20 @@ pub(crate) fn element_count(dims: &[(i64, i64)]) -> Option<usize> {
     })
 }
 
+/// Simulated bytes one run may allocate over all its slots. A slot
+/// lives until the run ends (a scope exit returns its bytes to the
+/// paging model's pools, not to the host), so this bounds what a run
+/// takes from the host allocator, which aborts the process on a request
+/// it cannot meet. A declaration past it is `limit-exceeded` before
+/// anything is allocated (EXPERIMENTS.md: the largest workload's total).
+pub const STORAGE_CAP: u64 = 1 << 28;
+
 /// The slot arena plus the capacity pools of the paging model.
 #[derive(Debug, Default)]
 pub struct Store {
     slots: Vec<ArrayData>,
+    /// Simulated bytes of every slot allocated so far.
+    allocated: u64,
     /// Bytes allocated per cluster memory pool.
     pub cluster_pool: Vec<u64>,
     /// Bytes allocated in the global pool.
@@ -303,11 +313,17 @@ pub struct Store {
 impl Store {
     /// Empty store with one capacity pool per cluster.
     pub fn new(clusters: usize) -> Store {
-        Store { slots: Vec::new(), cluster_pool: vec![0; clusters], global_pool: 0 }
+        Store { cluster_pool: vec![0; clusters], ..Store::default() }
+    }
+
+    /// Would `bytes` more keep the run within [`STORAGE_CAP`]?
+    pub(crate) fn fits(&self, bytes: u64) -> bool {
+        self.allocated.checked_add(bytes).is_some_and(|total| total <= STORAGE_CAP)
     }
 
     /// Allocate a zeroed slot.
     pub fn alloc(&mut self, ty: Ty, len: usize) -> SlotId {
+        self.allocated += len as u64 * ty.size_bytes();
         let id = SlotId(self.slots.len() as u32);
         self.slots.push(ArrayData::new(ty, len));
         id
@@ -458,6 +474,16 @@ mod tests {
         assert_eq!(st.slot(s).get(1), Value::R(-2.5));
         assert!(st.rezero(s, Ty::Real, 3));
         assert_eq!(st.slot(s).get(1).as_f64().to_bits(), 0.0f64.to_bits());
+    }
+
+    #[test]
+    fn the_storage_cap_counts_every_slot_ever_allocated() {
+        let mut st = Store::new(1);
+        let s = st.alloc(Ty::Double, 500);
+        assert!(st.rezero(s, Ty::Double, 500), "a reused slot allocates nothing");
+        assert!(st.fits(STORAGE_CAP - 4000));
+        assert!(!st.fits(STORAGE_CAP - 3999));
+        assert!(!st.fits(u64::MAX));
     }
 
     #[test]

@@ -9,8 +9,7 @@
 
 use cedar_campaign::{run_worker, Coordinator, CoordinatorConfig, WorkerConfig};
 use cedar_experiments::jsonio::{Json, Writer};
-use cedar_fuzz::shard::ShardSummary;
-use cedar_fuzz::{run_campaign, CampaignConfig};
+use cedar_fuzz::{run_campaign, CampaignConfig, OracleConfig};
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
@@ -22,14 +21,14 @@ fn fresh_dir(tag: &str) -> PathBuf {
 
 /// The single-process reference a distributed run must reproduce.
 fn reference_json(seed_start: u64, seed_end: u64, jobs_check: usize) -> String {
-    run_campaign(&CampaignConfig {
+    let mut summary = run_campaign(&CampaignConfig {
         seed_start,
         seed_end,
         bundles: false,
-        jobs_check,
         ..CampaignConfig::default()
-    })
-    .to_json()
+    });
+    summary.check_jobs(jobs_check, &OracleConfig::default());
+    summary.to_json()
 }
 
 /// Run one seed range worker-style and wrap it as a `/complete` body.
@@ -38,12 +37,11 @@ fn complete_body(worker: &str, shard: u64, seed_start: u64, seed_end: u64) -> St
         seed_start,
         seed_end,
         bundles: false,
-        jobs_check: 0,
         ..CampaignConfig::default()
     });
     let mut w = Writer::new();
     w.obj().key("worker").str(worker).key("shard").int(shard);
-    w.key("summary").str(ShardSummary::from_summary(&summary).to_json());
+    w.key("summary").str(summary.to_shard_json());
     w.finish()
 }
 

@@ -175,7 +175,6 @@ const TABLE: &[Row] = &[
     ("fuzz", &["--seeds"], &[], 2, true, "usage: fuzz"),
     ("fuzz", &["--seeds", "0..1", "--budget"], &[], 2, true, "usage: fuzz"),
     ("fuzz", &["--seeds", "0..1", "--json"], &[], 2, true, "usage: fuzz"),
-    ("fuzz", &["--seeds", "0..1", "--det-json"], &[], 2, true, "usage: fuzz"),
     ("fuzz", &["--seeds", "0..1", "--config"], &[], 2, true, "usage: fuzz"),
     ("fuzz", &["--seeds", "0..1", "--jobs-check"], &[], 2, true, "usage: fuzz"),
     ("fuzz", &["--seeds", "0..1", "--corpus"], &[], 2, true, "usage: fuzz"),
@@ -188,7 +187,6 @@ const TABLE: &[Row] = &[
     ("fuzz", &["--seeds", "0..1", "--no-bundles", "--no-shrink"], &[], 1, false, "fuzz: 1 executed, 1 clean"),
     ("fuzz", &["--seeds", "0..2", "--emit-corpus", "corpus"], &[], 0, true, "fuzz: wrote corpus/seed0001"),
     ("fuzz", &["--seeds", "0..1", "--no-bundles", "--json", "/proc/nope/r.json"], &[], 2, true, "/proc/nope/r.json"),
-    ("fuzz", &["--seeds", "0..1", "--no-bundles", "--json", "f.json", "--det-json", "/proc/nope/r.json"], &[], 2, true, "/proc/nope/r.json"),
     // parent: unknown argument, exit 2.
     ("fuzz", &["--help"], &[], 0, false, ""),
     // parent: `Duration::from_secs_f64` panicked, exit 101.
@@ -391,7 +389,7 @@ const BINARIES: &[(&str, &[&str], &[&str])] = &[
     ("robustness", &["1"], &["--json"]),
     ("parallelize_file", &["{F}"], &["--backend"]),
     ("fuzz", &["--seeds", "0..1", "--no-bundles", "--no-shrink"],
-        &["--seeds", "--budget", "--json", "--det-json", "--config", "--jobs-check", "--corpus", "--emit-corpus"]),
+        &["--seeds", "--budget", "--json", "--config", "--jobs-check", "--corpus", "--emit-corpus"]),
     ("compare", &["--seeds", "0..1"], &["--seeds", "--config", "--json", "--bundle-dir"]),
     ("campaign", &["coordinate", "--addr", NOWHERE, "--seeds", "0..4", "--dir", "hostile"],
         &["--addr", "--seeds", "--dir", "--shard", "--lease-ms", "--retry-budget", "--jobs-check", "--config"]),

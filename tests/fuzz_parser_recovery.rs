@@ -139,6 +139,16 @@ const EXTREME_CONSTANTS: &[(&[&str], Outcome)] = &[
         &["program p", "real a(9223372036854775807)", "x = 1.0", "end"],
         Outcome::AllSimulate(Some(SimErrorKind::Limit)),
     ),
+    // 2^40 elements (4 TB): count and bytes fit, the run's storage cap
+    // does not; a local array and a COMMON block alike.
+    (
+        &["program p", "real a(1099511627776)", "x = 1.0", "end"],
+        Outcome::AllSimulate(Some(SimErrorKind::Limit)),
+    ),
+    (
+        &["program p", "common /c/ a(1099511627776)", "x = 1.0", "end"],
+        Outcome::AllSimulate(Some(SimErrorKind::Limit)),
+    ),
     // A section past the declared bounds is refused before its lanes
     // are allocated.
     (

@@ -15,38 +15,39 @@ fn smoke_config() -> CampaignConfig {
         seed_start: 0,
         seed_end: 40,
         bundles: false, // no artifacts from a test run
-        jobs_check: 2,
         ..Default::default()
     }
 }
 
 #[test]
 fn fixed_seed_campaign_is_clean_and_covers_every_pass() {
-    let s = run_campaign(&smoke_config());
+    let cfg = smoke_config();
+    let mut s = run_campaign(&cfg);
+    s.check_jobs(2, &cfg.oracle);
     assert_eq!(s.executed, 40);
     assert_eq!(s.skipped_for_budget, 0);
     assert!(
         s.failures.is_empty(),
         "oracle failures: {:?}",
-        s.failures.iter().map(|f| (f.seed, f.failure.to_string())).collect::<Vec<_>>()
+        s.failures.iter().map(|f| (f.seed, &f.phase, &f.detail)).collect::<Vec<_>>()
     );
     assert!(
-        s.unreachable().is_empty(),
+        s.coverage.unreachable().is_empty(),
         "passes never reached in seeds 0..40: {:?}\ncoverage: {}",
-        s.unreachable(),
+        s.coverage.unreachable(),
         s.coverage.to_json()
     );
     assert!(s.jobs_mismatch.is_none(), "{:?}", s.jobs_mismatch);
     assert!(!s.failed());
     // Restructuring should actually be winning on generated programs.
-    let (_, mean, _) = s.speedup.expect("clean seeds must report speedups");
+    let (_, mean, _) = s.speedup().expect("clean seeds must report speedups");
     assert!(mean > 1.0, "mean speedup {mean}");
 }
 
 #[test]
 fn campaign_summary_is_deterministic() {
-    let a = run_campaign(&smoke_config()).to_json();
-    let b = run_campaign(&smoke_config()).to_json();
+    let a = run_campaign(&smoke_config());
+    let b = run_campaign(&smoke_config());
     assert_eq!(a, b);
 }
 

@@ -30,8 +30,9 @@ use cedar_experiments::supervise::{
     self, CellError, CellErrorKind, Quarantine, Recovery, Rung, Supervisor,
 };
 use cedar_experiments::{races, robustness};
-use cedar_fuzz::shard::{MergedCampaign, ShardSummary};
-use cedar_fuzz::{run_campaign, CampaignConfig, Coverage, FailureLine, Latency, OracleConfig};
+use cedar_fuzz::{
+    run_campaign, CampaignConfig, CampaignSummary, Coverage, FailureLine, Latency, OracleConfig,
+};
 use cedar_serve::{http, Breaker, EngineConfig, ServeRequest, Server, ServerConfig};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -283,14 +284,13 @@ fn complete_body(shard: u64, summary: &str) -> String {
 
 /// The deterministic summary of seeds `a..b`, as a worker uploads it.
 fn shard_summary(a: u64, b: u64) -> String {
-    let s = run_campaign(&CampaignConfig {
+    run_campaign(&CampaignConfig {
         seed_start: a,
         seed_end: b,
         bundles: false,
-        jobs_check: 0,
         ..CampaignConfig::default()
-    });
-    ShardSummary::from_summary(&s).to_json()
+    })
+    .to_shard_json()
 }
 
 /// The coordinator's durable documents — the campaign's identity and a
@@ -336,14 +336,6 @@ fn failure(seed: u64, bundle: Option<&str>) -> FailureLine {
     }
 }
 
-/// A report's wall-clock section with every number masked: the part
-/// `to_json_full` adds to `to_json`, whose digits vary run to run.
-fn full_framing(det: &str, full: &str) -> String {
-    let shared = det.len() - "\n}\n".len();
-    assert_eq!(det[..shared], full[..shared], "to_json_full must extend to_json");
-    masked(&full[shared..])
-}
-
 /// `text` with every number replaced by `#`.
 fn masked(text: &str) -> String {
     let mut out = String::new();
@@ -365,23 +357,20 @@ fn masked(text: &str) -> String {
 fn campaigns(e: &mut Entries) {
     let corpus = scratch("corpus");
     for (tag, rel_tol) in [("clean", 1e-3), ("rel_tol 0", 0.0)] {
-        let summary = run_campaign(&CampaignConfig {
+        let oracle = OracleConfig { rel_tol, ..OracleConfig::default() };
+        let mut summary = run_campaign(&CampaignConfig {
             seed_start: 0,
             seed_end: 48,
-            oracle: OracleConfig { rel_tol, ..OracleConfig::default() },
+            oracle: oracle.clone(),
             bundles: false,
-            jobs_check: 2,
             corpus_dir: (tag == "clean").then(|| corpus.clone()),
             ..CampaignConfig::default()
         });
+        let shard = summary.to_shard_json();
+        summary.check_jobs(2, &oracle);
         assert_eq!(summary.failures.is_empty(), tag == "clean", "{tag}");
-        let det = summary.to_json();
-        e.push(&format!("CampaignSummary to_json_full framing 0..48 {tag}"), full_framing(&det, &summary.to_json_full()));
-        e.push(&format!("CampaignSummary to_json 0..48 {tag}"), det);
-        e.push(
-            &format!("ShardSummary to_json 0..48 {tag}"),
-            ShardSummary::from_summary(&summary).to_json(),
-        );
+        e.push(&format!("CampaignSummary to_json 0..48 {tag}"), summary.to_json());
+        e.push(&format!("ShardSummary to_json 0..48 {tag}"), shard);
     }
     e.push(
         "corpus ledger.json 0..48",
@@ -390,35 +379,29 @@ fn campaigns(e: &mut Entries) {
 
     let mut coverage = Coverage::default();
     coverage.add("doall", 5).unwrap();
-    let shard = ShardSummary {
+    let shard = CampaignSummary {
         seed_start: 10,
         seed_end: 14,
         executed: 4,
         skipped_for_budget: 0,
         failures: vec![failure(11, None), failure(13, Some(NASTY))],
-        coverage: coverage.clone(),
+        coverage,
         known_gaps: 2,
         gap_examples: vec![NASTY.into(), "gap two".into()],
         speedup_samples: vec![1.5, 0.1 + 0.2],
         lead_digests: vec![(10, 0xdead_beef), (12, u64::MAX)],
         bundle_digests: vec!["00000000000000aa".into(), "00000000000000bb".into()],
+        jobs_checked: 0,
+        jobs_mismatch: None,
     };
-    let text = shard.to_json();
-    assert_eq!(ShardSummary::parse(&text).as_ref(), Ok(&shard));
+    let text = shard.to_shard_json();
+    assert_eq!(CampaignSummary::parse(&text).as_ref(), Ok(&shard));
     e.push("ShardSummary to_json synthetic", text);
-    let merged = MergedCampaign {
-        seed_start: 10,
-        seed_end: 14,
-        executed: 4,
-        skipped_for_budget: 0,
-        failures: shard.failures.clone(),
-        coverage,
-        known_gaps: 2,
-        gap_examples: shard.gap_examples.clone(),
-        speedup: Some((0.5, 1.25, 2.0)),
+    let merged = CampaignSummary {
+        speedup_samples: vec![0.5, 2.0],
         jobs_checked: 2,
         jobs_mismatch: Some(NASTY.into()),
-        bundle_digests: shard.bundle_digests.clone(),
+        ..shard
     };
     e.push("MergedCampaign to_json synthetic", merged.to_json());
 
@@ -856,4 +839,40 @@ fn campaign_state_is_kept_only_in_cedar_store() {
         }
     }
     assert!(findings.is_empty(), "keep campaign state in `cedar_store`:\n{}", findings.join("\n"));
+}
+
+/// One campaign result: a fuzz run, a shard and a merge are all
+/// `CampaignSummary`, written by one renderer. `crates/fuzz/src` and
+/// `crates/campaign/src` declare one struct with a `skipped_for_budget`
+/// field and name none of the shapes and converters it replaced.
+#[test]
+fn a_campaign_result_has_one_shape() {
+    let crates = Path::new(env!("CARGO_MANIFEST_DIR")).join("..");
+    let mut files = Vec::new();
+    rust_files(&crates.join("fuzz/src"), &mut files);
+    rust_files(&crates.join("campaign/src"), &mut files);
+    files.sort();
+    assert!(files.len() >= 15, "crates/{{fuzz,campaign}}/src were not found: {} files", files.len());
+    let (mut shapes, mut findings) = (Vec::new(), Vec::new());
+    for file in &files {
+        let text = std::fs::read_to_string(file).unwrap();
+        let mut declaring: Option<&str> = None;
+        for (n, line) in text.lines().enumerate() {
+            let item = line.trim_start().trim_start_matches("pub(crate) ").trim_start_matches("pub ");
+            if let Some(name) = item.strip_prefix("struct ").filter(|_| line.ends_with('{')) {
+                declaring = name.split([' ', '<', '{']).next();
+            } else if line.trim() == "}" {
+                declaring = None;
+            } else if let Some(name) = declaring.filter(|_| item.starts_with("skipped_for_budget:")) {
+                shapes.push(format!("{}:{}: {name}", file.display(), n + 1));
+            }
+            for word in ["ReportView", "MergedCampaign", "from_summary", "to_json_full"] {
+                if line.contains(word) {
+                    findings.push(format!("{}:{}: `{word}`: {}", file.display(), n + 1, line.trim()));
+                }
+            }
+        }
+    }
+    assert_eq!(shapes.len(), 1, "one struct carries a campaign's result:\n{}", shapes.join("\n"));
+    assert!(findings.is_empty(), "a campaign's result has one shape:\n{}", findings.join("\n"));
 }

@@ -148,3 +148,28 @@ fn sticky_faults_quarantine_into_one_deduped_bundle() {
     assert_eq!(dirs, 1, "exactly one bundle directory under {}", root.display());
     server.shutdown();
 }
+
+#[test]
+fn a_program_past_the_storage_cap_gets_an_error_and_the_server_keeps_answering() {
+    // 2^40 REALs: a request the host allocator cannot meet aborted the
+    // whole process before the simulator capped a run's storage.
+    let mut cfg = ServerConfig { workers: 2, ..ServerConfig::default() };
+    cfg.engine.sup.bundle_dir = PathBuf::from("target/test-serve-bundles/storage-cap");
+    let _ = std::fs::remove_dir_all(&cfg.engine.sup.bundle_dir);
+    let server = Server::start(cfg).expect("bind in-process server");
+    let addr = server.addr();
+    let big = "      program p\n      real a(1099511627776)\n      a(1) = 1.0\n      end\n";
+    let (status, body) = http::post(&addr, "/restructure", &ServeRequest::new(big).to_json(), T)
+        .expect("the server answers");
+    assert_eq!(status, 422, "{body}");
+    let v = Json::parse(&body).unwrap();
+    let err = v.get("error").unwrap_or_else(|| panic!("an error body: {body}"));
+    assert_eq!(err.str_at("kind"), Ok("limit-exceeded"), "{body}");
+    let message = err.str_at("message").unwrap();
+    assert!(message.contains("line 2") && message.contains("array `a` is too large"), "{body}");
+
+    let (status, body) = http::post(&addr, "/restructure", &request_for(0).to_json(), T)
+        .expect("the server still answers");
+    assert_eq!(status, 200, "{body}");
+    server.shutdown();
+}
