@@ -17,7 +17,10 @@
 //!   one point advanced twice, a critical section inside a DOACROSS, a
 //!   lock in a DOALL nested in a DOACROSS, two locks in one DOALL, a
 //!   cascade that reaches back through a second point, more races than
-//!   the report's cap, and a subroutine task group taking a lock.
+//!   the report's cap, and a subroutine task group taking a lock;
+//! * shadow cells that outlive a join: each racy negative inside a
+//!   serial loop of 3 trips, and one shared element read in 1 000
+//!   successive DOALLs.
 //!
 //! A change of the detector's clocks leaves the fixture byte-unchanged:
 //! the happens-before order is the machine's, not the representation's.
@@ -218,7 +221,33 @@ fn report_lines() -> Vec<String> {
     for (label, src) in &hand {
         lines.extend(report(label, &compiled(label, src)));
     }
+
+    for (label, src) in outlived_joins() {
+        lines.extend(report(&label, &compiled(&label, &src)));
+    }
     lines
+}
+
+/// Programs whose shadow cells outlive the join of the region that
+/// recorded them: each negative's parallel loop re-entered by a serial
+/// loop of 3 trips, and one element read in 1 000 successive DOALLs.
+fn outlived_joins() -> Vec<(String, String)> {
+    let mut out: Vec<(String, String)> = cedar_experiments::races::negatives()
+        .into_iter()
+        .map(|(name, src)| {
+            let fork = src.find("\ncdo").expect("a parallel loop") + 1;
+            let body = src[fork..].strip_suffix("end\n").expect("ends the program");
+            let wrapped = format!("{}do k = 1, 3\n{body}end do\nend\n", &src[..fork]);
+            (format!("outlived negative {name}"), wrapped)
+        })
+        .collect();
+    out.push((
+        "outlived successive-doalls".into(),
+        "program p\nparameter (n = 8)\nreal a(n), s\ns = 2.0\ndo k = 1, 1000\n\
+         cdoall i = 1, n\na(i) = s * real(i)\nend cdoall\nend do\nx = a(n)\nend\n"
+            .into(),
+    ));
+    out
 }
 
 #[test]
