@@ -172,9 +172,13 @@ impl<'p> Simulator<'p> {
             .detect_races
             .then(|| Box::new(RaceDetector::new(true)));
         let pre = Prepass::build(program, config.fast_paths);
+        let mut store = Store::new(config.machine.clusters);
+        if races.is_some() {
+            store.charge_shadow();
+        }
         let mut sim = Simulator {
             program,
-            store: Store::new(config.machine.clusters),
+            store,
             clusters: config.machine.clusters,
             ces_per_cluster: config.machine.ces_per_cluster,
             max_while_iters: config.max_while_iters,
@@ -213,11 +217,15 @@ impl<'p> Simulator<'p> {
 
     /// Switch the race detector to **collect-all** mode: races are
     /// recorded (see [`Simulator::race_report`]) instead of aborting the
-    /// run. Enables the detector if the config did not.
+    /// run. Enables the detector if the config did not, charging the
+    /// storage allocated so far for its shadow.
     pub fn collect_races(&mut self) {
         match self.races.as_mut() {
             Some(rd) => rd.fail_fast = false,
-            None => self.races = Some(Box::new(RaceDetector::new(false))),
+            None => {
+                self.store.charge_shadow();
+                self.races = Some(Box::new(RaceDetector::new(false)));
+            }
         }
     }
 

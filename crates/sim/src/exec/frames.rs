@@ -13,8 +13,9 @@ impl Simulator<'_> {
     /// Elements of the storage of `sym` with the bound dims `dims`, at
     /// least one: `Limit` when the count or its bytes do not fit, or
     /// when its copies under `placement` would take the run past
-    /// [`STORAGE_CAP`](crate::store::STORAGE_CAP). A reused loop-local
-    /// slot is checked as if it were new.
+    /// [`STORAGE_CAP`](crate::store::STORAGE_CAP), shadow cells included
+    /// under the race detector. A reused loop-local slot is checked as if
+    /// it were new.
     pub(super) fn storage_len(
         &self,
         what: &str,
@@ -30,7 +31,7 @@ impl Simulator<'_> {
             .map(|n| n.max(1))
             .filter(|&n| {
                 (n as u64)
-                    .checked_mul(sym.ty.size_bytes() * copies)
+                    .checked_mul(self.store.elem_bytes(sym.ty) * copies)
                     .is_some_and(|bytes| self.store.fits(bytes))
             })
             .ok_or_else(|| {

@@ -32,7 +32,10 @@
 //! region (host execution order implies the join barrier), stay on one
 //! logical thread, or the current iteration has *observed* the recorded
 //! segment through synchronization; otherwise they are concurrent and a
-//! conflicting pair is a race.
+//! conflicting pair is a race. The detector keeps only what can still
+//! race: once the outermost region joins, everything recorded under it
+//! is ordered before all that follows, and is released (DESIGN.md §8
+//! item 3).
 //!
 //! What an iteration has observed is indexed by **synchronization
 //! object, not by sibling iteration**. A region runs any number of
@@ -59,7 +62,6 @@ use crate::store::SlotId;
 use cedar_ir::Span;
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::Arc;
 
 /// Conflict classification of a detected race.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -153,83 +155,99 @@ struct PathEntry {
     clock: u32,
 }
 
-/// A recorded access: its region path plus reporting metadata. The
-/// detector **interns** these: every access recorded under one (sync
-/// segment, statement) pair shares a single table entry, and shadow
-/// cells store the entry's index instead of the record itself. The
-/// detector records one access per *element* of vector statements, so
-/// the per-cell footprint (4 bytes vs a path snapshot) is what makes a
-/// race-collecting run affordable.
-#[derive(Debug)]
+/// A recorded access: its region path, `paths[at .. at + len]` of
+/// [`RaceDetector::paths`], plus reporting metadata. The detector
+/// **interns** these: every access recorded under one (sync segment,
+/// statement) pair shares a single table entry, and shadow cells store
+/// the entry's id instead of the record itself. The detector records one
+/// access per *element* of vector statements, so the per-cell footprint
+/// (4 bytes vs a path snapshot) is what makes a race-collecting run
+/// affordable.
+#[derive(Debug, Clone, Copy)]
 struct Access {
-    path: Arc<[PathEntry]>,
+    at: u32,
+    len: u32,
     part: u16,
     span: Span,
 }
 
-/// Index into [`RaceDetector::accesses`]; `NO_ACCESS` means "none".
+/// Id of an interned access: `RaceDetector::first_id` plus its index in
+/// [`RaceDetector::accesses`]. An id below `first_id` was recorded in an
+/// outermost region that has since joined, so it is ordered before
+/// everything that runs now and reads as "none".
 type AccessId = u32;
-const NO_ACCESS: AccessId = u32::MAX;
-
-/// Path equality with the `Arc` identity fast path (pointer-equal ⇒
-/// value-equal; distinct snapshots can still compare equal, e.g. a
-/// task-group thread resumed after a switch rebuilds the same path).
-fn paths_equal(a: &Arc<[PathEntry]>, b: &Arc<[PathEntry]>) -> bool {
-    Arc::ptr_eq(a, b) || a == b
-}
-
-/// Overflow reader list: boxed so the `None` common case keeps `Cell`
-/// at 16 bytes (an inline `Vec` would be 24 bytes of always-resident
-/// header per cell, and the shadow is sized to the largest array).
-#[allow(clippy::box_collection)]
-type MoreReads = Option<Box<Vec<AccessId>>>;
+/// Below every live id (ids start at 1).
+const NO_ACCESS: AccessId = 0;
+/// Tag of a cell's read word that holds a reader-list number.
+const LIST: u32 = 1 << 31;
+/// Once ids or list numbers reach this, the next outermost join resets
+/// the shadow and numbers from the start again, so both stay below
+/// [`LIST`].
+const RENUMBER_AT: u32 = 1 << 30;
 
 /// Shadow state of one storage element: the last write and the readers
-/// since. Most cells see at most one reader between writes, so the
-/// first reader is stored inline — a `Vec` here would cost a heap
-/// allocation per cell, and vector statements touch millions of cells.
-#[derive(Debug, Clone)]
+/// since. Most cells see at most one reader between writes, so `reads`
+/// is that reader's id, or `LIST | n` for list `n` of [`Readers`] once
+/// there are more — a `Vec` here would cost a heap allocation per cell,
+/// and vector statements touch millions of cells.
+#[derive(Debug, Clone, Copy, Default)]
 struct Cell {
     write: AccessId,
-    read0: AccessId,
-    more_reads: MoreReads,
+    reads: u32,
 }
 
-impl Default for Cell {
-    fn default() -> Cell {
-        Cell { write: NO_ACCESS, read0: NO_ACCESS, more_reads: None }
+/// Simulated bytes a run is charged per element for its shadow cell
+/// when the detector is live ([`crate::store::Store::charge_shadow`]).
+pub(crate) const CELL_BYTES: u64 = std::mem::size_of::<Cell>() as u64;
+
+const _: () = assert!(std::mem::size_of::<Cell>() == 8);
+
+/// The reader lists of cells read more than once since their last
+/// write, pooled: list number `base + k` is `lists[k]`, and a number
+/// below `base` belongs to a joined outermost region. A list a write
+/// empties goes to `free` for the next cell; at the outermost join all
+/// are released at once, and every buffer keeps its capacity, so a
+/// re-entered region allocates no list it had before.
+#[derive(Debug, Default)]
+struct Readers {
+    lists: Vec<Vec<AccessId>>,
+    /// Lists handed out since the last outermost join: `lists[..used]`.
+    used: u32,
+    /// Of those, the ones a write has emptied.
+    free: Vec<u32>,
+    base: u32,
+}
+
+impl Readers {
+    /// A new list `[first, second]`, as a cell's tagged read word.
+    fn open(&mut self, first: AccessId, second: AccessId) -> u32 {
+        let k = self.free.pop().unwrap_or_else(|| {
+            if self.used as usize == self.lists.len() {
+                self.lists.push(Vec::new());
+            }
+            self.used += 1;
+            self.used - 1
+        });
+        let list = &mut self.lists[k as usize];
+        list.clear();
+        list.extend([first, second]);
+        LIST | (self.base + k)
+    }
+
+    /// Every list handed out is dead: the outermost region joined.
+    fn release_all(&mut self) {
+        self.base += self.used;
+        self.used = 0;
+        self.free.clear();
     }
 }
 
-impl Cell {
-    fn last_read(&self) -> AccessId {
-        match &self.more_reads {
-            Some(v) => v.last().copied().unwrap_or(self.read0),
-            None => self.read0,
-        }
-    }
-
-    fn push_read(&mut self, id: AccessId) {
-        if self.read0 == NO_ACCESS {
-            self.read0 = id;
-        } else {
-            self.more_reads.get_or_insert_with(Default::default).push(id);
-        }
-    }
-
-    /// Clear the reader set, returning it for conflict checks.
-    fn take_reads(&mut self) -> (AccessId, MoreReads) {
-        (std::mem::replace(&mut self.read0, NO_ACCESS), self.more_reads.take())
-    }
-}
-
-/// Iterate a reader set returned by [`Cell::take_reads`] in record
-/// order.
-fn reads_iter(read0: AccessId, more: &MoreReads) -> impl Iterator<Item = AccessId> + '_ {
-    (read0 != NO_ACCESS)
-        .then_some(read0)
-        .into_iter()
-        .chain(more.iter().flat_map(|v| v.iter().copied()))
+/// What a cell's read word names, read against the live numbering.
+enum Reads {
+    None,
+    One(AccessId),
+    /// Index into [`Readers::lists`].
+    Many(usize),
 }
 
 /// A synchronization object of one region.
@@ -358,16 +376,29 @@ const REPORT_CAP: usize = 256;
 
 /// The happens-before detector. Owned by [`crate::Simulator`] when
 /// [`crate::MachineConfig::detect_races`] is set.
+///
+/// It holds only state that can still race. The join barrier of the
+/// outermost region orders every access recorded under it before all
+/// that follows, so when [`RaceDetector::pop_region`] empties the stack
+/// the access records, their paths and the reader lists are released,
+/// and advancing `first_id` and the list base turns every cell's
+/// references dead at once: the cost is the region's own records, never
+/// a pass over the shadow.
 pub struct RaceDetector {
     stack: Vec<RegionFrame>,
-    /// Cached path mirror of `stack` (cloned into each access record).
+    /// Cached path mirror of `stack` (copied into `paths` per access
+    /// record).
     path: Vec<PathEntry>,
-    /// Shared snapshot of `path` handed to access records; rebuilt
-    /// lazily after any path mutation (region push/pop, new iteration,
-    /// new sync segment).
-    path_arc: Option<Arc<[PathEntry]>>,
-    /// Interned access records; shadow cells index into this table.
+    /// Where `path` was last copied into `paths`; cleared after any path
+    /// mutation (region push/pop, new iteration, new sync segment).
+    path_at: Option<u32>,
+    /// The paths of the access records, one after another.
+    paths: Vec<PathEntry>,
+    /// Interned access records of the live outermost region; shadow
+    /// cells name them by id.
     accesses: Vec<Access>,
+    /// Id of `accesses[0]`.
+    first_id: AccessId,
     /// Interned record for the current (segment, statement); rebuilt
     /// lazily after a path or span change.
     cur_id: Option<AccessId>,
@@ -375,7 +406,8 @@ pub struct RaceDetector {
     /// context or a sync edge changes.
     memo: ConflictMemo,
     /// Shadow memory, indexed by slot id then linear element.
-    shadow: Vec<Option<Vec<Cell>>>,
+    shadow: Vec<Vec<Cell>>,
+    readers: Readers,
     /// Best-effort slot → source-name map for reports.
     slot_names: BTreeMap<u32, String>,
     /// Per-CE private slots (privatized loop locals): iterations that
@@ -398,11 +430,14 @@ impl RaceDetector {
         RaceDetector {
             stack: Vec::new(),
             path: Vec::new(),
-            path_arc: None,
+            path_at: None,
+            paths: Vec::new(),
             accesses: Vec::new(),
+            first_id: NO_ACCESS + 1,
             cur_id: None,
             memo: ConflictMemo::default(),
             shadow: Vec::new(),
+            readers: Readers::default(),
             slot_names: BTreeMap::new(),
             exempt: Vec::new(),
             next_region: 0,
@@ -465,7 +500,7 @@ impl RaceDetector {
         if let (Some(f), Some(p)) = (self.stack.last(), self.path.last_mut()) {
             *p = PathEntry { region: f.id, iter: f.cur_iter, clock: f.cur_clock };
         }
-        self.path_arc = None;
+        self.path_at = None;
         self.cur_id = None;
         self.memo = ConflictMemo::default();
     }
@@ -485,7 +520,7 @@ impl RaceDetector {
             saved: BTreeMap::new(),
         });
         self.path.push(PathEntry { region: id, iter: 0, clock: 0 });
-        self.path_arc = None;
+        self.path_at = None;
         self.cur_id = None;
         self.memo = ConflictMemo::default();
     }
@@ -493,9 +528,29 @@ impl RaceDetector {
     pub(crate) fn pop_region(&mut self) {
         self.stack.pop();
         self.path.pop();
-        self.path_arc = None;
+        self.path_at = None;
         self.cur_id = None;
         self.memo = ConflictMemo::default();
+        if self.stack.is_empty() {
+            self.release_joined();
+        }
+    }
+
+    /// The outermost region joined: drop its records and reader lists,
+    /// keeping every buffer for the next region.
+    fn release_joined(&mut self) {
+        self.first_id += self.accesses.len() as AccessId;
+        self.accesses.clear();
+        self.paths.clear();
+        self.readers.release_all();
+        if self.first_id >= RENUMBER_AT || self.readers.base >= RENUMBER_AT {
+            // Once per 2^30 records or lists: cheaper than wider cells.
+            for cells in &mut self.shadow {
+                cells.fill(Cell::default());
+            }
+            self.first_id = NO_ACCESS + 1;
+            self.readers.base = 0;
+        }
     }
 
     /// True when the innermost region is a subroutine task group.
@@ -598,15 +653,19 @@ impl RaceDetector {
         if let Some(id) = self.cur_id {
             return id;
         }
-        if self.path_arc.is_none() {
-            self.path_arc = Some(self.path.as_slice().into());
-        }
+        let at = *self.path_at.get_or_insert_with(|| {
+            let at = u32::try_from(self.paths.len()).expect("paths fit the access ids' range");
+            self.paths.extend_from_slice(&self.path);
+            at
+        });
         self.accesses.push(Access {
-            path: Arc::clone(self.path_arc.as_ref().expect("just set")),
+            at,
+            len: self.path.len() as u32,
             part: self.stack.last().map_or(0, |f| f.cur_part),
             span: self.cur_span,
         });
-        let id = (self.accesses.len() - 1) as AccessId;
+        let id = self.first_id + (self.accesses.len() - 1) as AccessId;
+        assert!(id < LIST, "more than 2^30 access records in one outermost region");
         self.cur_id = Some(id);
         id
     }
@@ -629,52 +688,133 @@ impl Default for ConflictMemo {
     }
 }
 
-impl ConflictMemo {
-    fn check(
-        &mut self,
-        stack: &[RegionFrame],
-        accesses: &[Access],
-        id: AccessId,
-    ) -> Option<(u32, u32)> {
-        let e = &mut self.entries[(id & 3) as usize];
-        if e.0 == id {
-            return e.1;
-        }
-        let verdict = path_conflict(stack, &accesses[id as usize].path);
-        *e = (id, verdict);
-        verdict
-    }
-}
-
 /// The happens-before test of [`RaceDetector::conflict`], as a free
-/// function so the bulk range recorders can run it while holding a
-/// mutable borrow of the shadow cells.
+/// function so the recorders can run it while holding a mutable borrow
+/// of the shadow cells.
 fn path_conflict(stack: &[RegionFrame], a: &[PathEntry]) -> Option<(u32, u32)> {
     for (d, pa) in a.iter().enumerate() {
-            let Some(f) = stack.get(d) else {
-                // `a` ran inside a region that has since joined: the
-                // join barrier orders it before the current context.
-                return None;
-            };
-            if pa.region != f.id {
-                // A different instance at this depth also joined before
-                // the current one forked (host order is program order).
-                return None;
-            }
-            if pa.iter == f.cur_iter {
-                // Same logical thread at this level; compare deeper.
-                continue;
-            }
-            // Sibling iterations of a live region: ordered only when the
-            // current iteration observed the recorded segment via sync.
-            if f.observed(pa.iter).is_some_and(|c| pa.clock <= c) {
-                return None;
-            }
+        let Some(f) = stack.get(d) else {
+            // `a` ran inside a region that has since joined: the
+            // join barrier orders it before the current context.
+            return None;
+        };
+        if pa.region != f.id {
+            // A different instance at this depth also joined before
+            // the current one forked (host order is program order).
+            return None;
+        }
+        if pa.iter == f.cur_iter {
+            // Same logical thread at this level; compare deeper.
+            continue;
+        }
+        // Sibling iterations of a live region: ordered only when the
+        // current iteration observed the recorded segment via sync.
+        if f.observed(pa.iter).is_some_and(|c| pa.clock <= c) {
+            return None;
+        }
         return Some((pa.iter, f.cur_iter));
     }
     // `a` is a prefix of the current path: same thread, earlier in
     // program order (e.g. before a nested region forked).
     None
+}
+
+/// The detector's state a recorder reads while it holds the cells of
+/// one slot (split borrows), with the per-cell read and write rules.
+struct Live<'a> {
+    stack: &'a [RegionFrame],
+    accesses: &'a [Access],
+    paths: &'a [PathEntry],
+    first_id: AccessId,
+    memo: &'a mut ConflictMemo,
+    readers: &'a mut Readers,
+}
+
+impl Live<'_> {
+    fn path(&self, id: AccessId) -> &[PathEntry] {
+        let a = &self.accesses[(id - self.first_id) as usize];
+        &self.paths[a.at as usize..(a.at + a.len) as usize]
+    }
+
+    /// The two diverging iterations when access `id` is not ordered
+    /// before the current context; `None` for a dead or absent id.
+    fn conflict(&mut self, id: AccessId) -> Option<(u32, u32)> {
+        if id < self.first_id {
+            return None;
+        }
+        let at = (id & 3) as usize;
+        if self.memo.entries[at].0 != id {
+            self.memo.entries[at] = (id, path_conflict(self.stack, self.path(id)));
+        }
+        self.memo.entries[at].1
+    }
+
+    fn reads(&self, word: u32) -> Reads {
+        if word & LIST != 0 {
+            match (word & !LIST).checked_sub(self.readers.base) {
+                Some(k) => Reads::Many(k as usize),
+                None => Reads::None,
+            }
+        } else if word >= self.first_id {
+            Reads::One(word)
+        } else {
+            Reads::None
+        }
+    }
+
+    /// Same interned record, or the same path (a task-group thread
+    /// resumed after a switch rebuilds the same path).
+    fn same_path(&self, a: AccessId, b: AccessId) -> bool {
+        a == b || self.path(a) == self.path(b)
+    }
+
+    /// Record a read by `cur`; the race with the prior write it
+    /// completes, if any, with the diverging iterations.
+    fn read(&mut self, cell: &mut Cell, cur: AccessId) -> Option<(RaceKind, AccessId, u32, u32)> {
+        let w = cell.write;
+        let hit = self.conflict(w).map(|(wi, ci)| (RaceKind::WriteRead, w, wi, ci));
+        // The host runs one iteration at a time, so consecutive reads of
+        // a cell from the same path dedupe with a last-entry check.
+        match self.reads(cell.reads) {
+            Reads::None => cell.reads = cur,
+            Reads::One(last) => {
+                if !self.same_path(last, cur) {
+                    cell.reads = self.readers.open(last, cur);
+                }
+            }
+            Reads::Many(k) => {
+                let last = *self.readers.lists[k].last().expect("a list holds two or more");
+                if !self.same_path(last, cur) {
+                    self.readers.lists[k].push(cur);
+                }
+            }
+        }
+        hit
+    }
+
+    /// Record a write by `cur`; the first race it completes against the
+    /// prior write or, in record order, a reader since.
+    fn write(&mut self, cell: &mut Cell, cur: AccessId) -> Option<(RaceKind, AccessId, u32, u32)> {
+        let prior = std::mem::replace(&mut cell.write, cur);
+        let reads = self.reads(std::mem::take(&mut cell.reads));
+        let mut hit = self.conflict(prior).map(|(wi, ci)| (RaceKind::WriteWrite, prior, wi, ci));
+        let mut check = |live: &mut Self, r| {
+            if hit.is_none() {
+                hit = live.conflict(r).map(|(ri, ci)| (RaceKind::ReadWrite, r, ri, ci));
+            }
+        };
+        match reads {
+            Reads::None => {}
+            Reads::One(r) => check(self, r),
+            Reads::Many(k) => {
+                for i in 0..self.readers.lists[k].len() {
+                    check(self, self.readers.lists[k][i]);
+                }
+                self.readers.free.push(k as u32);
+            }
+        }
+        hit
+    }
 }
 
 impl RaceDetector {
@@ -687,7 +827,7 @@ impl RaceDetector {
         slot: SlotId,
         lin: usize,
     ) -> RaceInfo {
-        let prior = &self.accesses[prior as usize];
+        let prior = &self.accesses[(prior - self.first_id) as usize];
         let cur_part = self.stack.last().map_or(0, |f| f.cur_part) as usize;
         let (writer_iter, writer_ce, writer_span, other_iter, other_ce, other_span) = match kind {
             // Prior access is the write.
@@ -723,80 +863,41 @@ impl RaceDetector {
         }
     }
 
+    /// Make sure the shadow cells `slot[0..len]` exist, returning the
+    /// cell slice alongside the rest of the state a recorder reads.
+    /// `len` never passes the slot's length, and a cell vector grows at
+    /// most to twice what it holds, so a slot's cells take at most twice
+    /// the [`CELL_BYTES`] per element its declaration was charged.
+    fn cells(&mut self, slot: SlotId, len: usize) -> (&mut [Cell], Live<'_>) {
+        let si = slot.0 as usize;
+        if self.shadow.len() <= si {
+            self.shadow.resize_with(si + 1, Vec::new);
+        }
+        let cells = &mut self.shadow[si];
+        if cells.len() < len {
+            cells.resize(len, Cell::default());
+        }
+        let live = Live {
+            stack: &self.stack,
+            accesses: &self.accesses,
+            paths: &self.paths,
+            first_id: self.first_id,
+            memo: &mut self.memo,
+            readers: &mut self.readers,
+        };
+        (&mut cells[..], live)
+    }
+
     /// Record a read of `slot[lin]`; returns the race it completes, if
-    /// any. Serial-context accesses are ordered with everything and are
-    /// neither checked nor recorded.
+    /// any.
     pub(crate) fn record_read(&mut self, slot: SlotId, lin: usize) -> Option<RaceInfo> {
-        if self.suspend > 0 || self.stack.is_empty() || self.is_exempt(slot) {
-            return None;
-        }
-        let cur = self.cur_access_id();
-        let (cells, stack, accesses, memo) = self.cells_stack_accesses(slot, lin + 1);
-        let cell = &mut cells[lin];
-        let mut hit = None;
-        if cell.write != NO_ACCESS {
-            if let Some((wi, ci)) = memo.check(stack, accesses, cell.write) {
-                hit = Some((cell.write, wi, ci));
-            }
-        }
-        // The host runs one iteration at a time, so consecutive reads of
-        // a cell from the same path dedupe with a last-entry check.
-        let last = cell.last_read();
-        let dup = last == cur
-            || (last != NO_ACCESS
-                && paths_equal(&accesses[last as usize].path, &accesses[cur as usize].path));
-        if !dup {
-            cell.push_read(cur);
-        }
-        hit.map(|(w, wi, ci)| self.make_race(RaceKind::WriteRead, w, wi, ci, slot, lin))
+        self.record(slot, lin + 1, std::iter::once(lin), false).pop()
     }
 
     /// Record a write of `slot[lin]`; returns the first race it
     /// completes against the prior write or any unordered reader.
     pub(crate) fn record_write(&mut self, slot: SlotId, lin: usize) -> Option<RaceInfo> {
-        if self.suspend > 0 || self.stack.is_empty() || self.is_exempt(slot) {
-            return None;
-        }
-        let cur = self.cur_access_id();
-        let (cells, stack, accesses, memo) = self.cells_stack_accesses(slot, lin + 1);
-        let cell = &mut cells[lin];
-        let prior_write = std::mem::replace(&mut cell.write, cur);
-        let (read0, more) = cell.take_reads();
-        let mut hit = None;
-        if prior_write != NO_ACCESS {
-            if let Some((wi, ci)) = memo.check(stack, accesses, prior_write) {
-                hit = Some((RaceKind::WriteWrite, prior_write, wi, ci));
-            }
-        }
-        if hit.is_none() {
-            for r in reads_iter(read0, &more) {
-                if let Some((ri, ci)) = memo.check(stack, accesses, r) {
-                    hit = Some((RaceKind::ReadWrite, r, ri, ci));
-                    break;
-                }
-            }
-        }
-        hit.map(|(kind, id, pi, ci)| self.make_race(kind, id, pi, ci, slot, lin))
-    }
-
-    /// Make sure the shadow cells `slot[0..len]` exist, returning the
-    /// cell slice alongside the region stack and the access table
-    /// (split borrows so the recorders can test [`path_conflict`]
-    /// while mutating cells).
-    fn cells_stack_accesses(
-        &mut self,
-        slot: SlotId,
-        len: usize,
-    ) -> (&mut [Cell], &[RegionFrame], &[Access], &mut ConflictMemo) {
-        let si = slot.0 as usize;
-        if self.shadow.len() <= si {
-            self.shadow.resize_with(si + 1, || None);
-        }
-        let cells = self.shadow[si].get_or_insert_with(Vec::new);
-        if cells.len() < len {
-            cells.resize_with(len, Cell::default);
-        }
-        (&mut cells[..], &self.stack, &self.accesses, &mut self.memo)
+        self.record(slot, lin + 1, std::iter::once(lin), true).pop()
     }
 
     /// Record reads of the elements `lins` of `slot` — a contiguous run,
@@ -814,34 +915,7 @@ impl RaceDetector {
         len: usize,
         lins: impl Iterator<Item = usize>,
     ) -> Vec<RaceInfo> {
-        if self.suspend > 0 || self.stack.is_empty() || self.is_exempt(slot) || len == 0 {
-            return Vec::new();
-        }
-        let cur = self.cur_access_id();
-        let (cells, stack, accesses, memo) = self.cells_stack_accesses(slot, len);
-        let cur_path = &accesses[cur as usize].path;
-        let mut pending: Vec<(usize, AccessId, u32, u32)> = Vec::new();
-        // Consecutive cells were typically last written by one vector
-        // statement sharing a single interned record, so the
-        // happens-before test is memoized by access id.
-        for lin in lins {
-            let cell = &mut cells[lin];
-            if cell.write != NO_ACCESS {
-                if let Some((wi, ci)) = memo.check(stack, accesses, cell.write) {
-                    pending.push((lin, cell.write, wi, ci));
-                }
-            }
-            let last = cell.last_read();
-            let dup = last == cur
-                || (last != NO_ACCESS && paths_equal(&accesses[last as usize].path, cur_path));
-            if !dup {
-                cell.push_read(cur);
-            }
-        }
-        pending
-            .into_iter()
-            .map(|(lin, w, wi, ci)| self.make_race(RaceKind::WriteRead, w, wi, ci, slot, lin))
-            .collect()
+        self.record(slot, len, lins, false)
     }
 
     /// Write-side counterpart of [`RaceDetector::record_reads`]:
@@ -853,37 +927,36 @@ impl RaceDetector {
         len: usize,
         lins: impl Iterator<Item = usize>,
     ) -> Vec<RaceInfo> {
+        self.record(slot, len, lins, true)
+    }
+
+    /// The recorders' one body. Serial-context accesses are ordered with
+    /// everything and are neither checked nor recorded.
+    fn record(
+        &mut self,
+        slot: SlotId,
+        len: usize,
+        lins: impl Iterator<Item = usize>,
+        write: bool,
+    ) -> Vec<RaceInfo> {
         if self.suspend > 0 || self.stack.is_empty() || self.is_exempt(slot) || len == 0 {
             return Vec::new();
         }
         let cur = self.cur_access_id();
-        let (cells, stack, accesses, memo) = self.cells_stack_accesses(slot, len);
-        let mut pending: Vec<(usize, RaceKind, AccessId, u32, u32)> = Vec::new();
-        for lin in lins {
-            let cell = &mut cells[lin];
-            let prior_write = std::mem::replace(&mut cell.write, cur);
-            let (read0, more) = cell.take_reads();
-            let mut hit = None;
-            if prior_write != NO_ACCESS {
-                if let Some((wi, ci)) = memo.check(stack, accesses, prior_write) {
-                    hit = Some((lin, RaceKind::WriteWrite, prior_write, wi, ci));
-                }
-            }
-            if hit.is_none() {
-                for r in reads_iter(read0, &more) {
-                    if let Some((ri, ci)) = memo.check(stack, accesses, r) {
-                        hit = Some((lin, RaceKind::ReadWrite, r, ri, ci));
-                        break;
-                    }
-                }
-            }
-            if let Some(h) = hit {
-                pending.push(h);
-            }
-        }
+        let (cells, mut live) = self.cells(slot, len);
+        // Consecutive cells were typically last written by one vector
+        // statement sharing a single interned record, so the
+        // happens-before test is memoized by access id.
+        let pending: Vec<(usize, (RaceKind, AccessId, u32, u32))> = lins
+            .filter_map(|lin| {
+                let cell = &mut cells[lin];
+                let hit = if write { live.write(cell, cur) } else { live.read(cell, cur) };
+                hit.map(|h| (lin, h))
+            })
+            .collect();
         pending
             .into_iter()
-            .map(|(lin, kind, a, pi, ci)| self.make_race(kind, a, pi, ci, slot, lin))
+            .map(|(lin, (kind, a, pi, ci))| self.make_race(kind, a, pi, ci, slot, lin))
             .collect()
     }
 
@@ -905,23 +978,19 @@ impl RaceDetector {
 mod tests {
     use super::*;
 
-    fn access(path: &[PathEntry]) -> Access {
-        Access { path: path.into(), part: 0, span: Span::NONE }
-    }
-
     #[test]
     fn joined_regions_are_ordered() {
         let mut d = RaceDetector::new(true);
         d.push_region(false, false);
         d.begin_iteration(3, 1);
-        let rec = access(&[PathEntry { region: 0, iter: 1, clock: 0 }]);
+        let rec = [PathEntry { region: 0, iter: 1, clock: 0 }];
         // Same live region, different iteration, no sync: concurrent.
-        assert_eq!(d.conflict(&rec.path), Some((1, 3)));
+        assert_eq!(d.conflict(&rec), Some((1, 3)));
         d.pop_region();
         d.push_region(false, false);
         d.begin_iteration(0, 0);
         // The first region joined before the second forked.
-        assert_eq!(d.conflict(&rec.path), None);
+        assert_eq!(d.conflict(&rec), None);
     }
 
     #[test]
@@ -932,15 +1001,15 @@ mod tests {
         // Iteration 1 advances point 7 after its clock-0 segment,
         // then keeps running in segment 1.
         d.on_advance(7);
-        let after_advance = access(&[PathEntry { region: 0, iter: 1, clock: 1 }]);
-        let before_advance = access(&[PathEntry { region: 0, iter: 1, clock: 0 }]);
+        let after_advance = [PathEntry { region: 0, iter: 1, clock: 1 }];
+        let before_advance = [PathEntry { region: 0, iter: 1, clock: 0 }];
         d.begin_iteration(2, 1);
         // Without the await, both segments are concurrent with iter 2.
-        assert!(d.conflict(&before_advance.path).is_some());
+        assert!(d.conflict(&before_advance).is_some());
         d.on_await(7, 1);
         // The await orders the pre-advance segment, not the post one.
-        assert_eq!(d.conflict(&before_advance.path), None);
-        assert!(d.conflict(&after_advance.path).is_some());
+        assert_eq!(d.conflict(&before_advance), None);
+        assert!(d.conflict(&after_advance).is_some());
     }
 
     #[test]
@@ -949,12 +1018,12 @@ mod tests {
         d.push_region(false, false);
         d.begin_iteration(0, 0);
         d.on_lock(9);
-        let in_cs = access(&[PathEntry { region: 0, iter: 0, clock: 0 }]);
+        let in_cs = [PathEntry { region: 0, iter: 0, clock: 0 }];
         d.on_unlock(9);
         d.begin_iteration(5, 2);
-        assert!(d.conflict(&in_cs.path).is_some(), "no lock yet: concurrent");
+        assert!(d.conflict(&in_cs).is_some(), "no lock yet: concurrent");
         d.on_lock(9);
-        assert_eq!(d.conflict(&in_cs.path), None, "lock chain orders the CS");
+        assert_eq!(d.conflict(&in_cs), None, "lock chain orders the CS");
         d.pop_region();
     }
 
@@ -966,6 +1035,7 @@ mod tests {
 
     #[derive(Default)]
     struct ModelFrame {
+        id: u64,
         ordered: bool,
         cur: (u32, u32),
         vc: Vc,
@@ -1029,12 +1099,76 @@ mod tests {
 
     const MAX_ITER: u32 = 12;
 
+    /// A recorded access in the model: `(region, iteration, clock)` per
+    /// live frame.
+    type ModelPath = Vec<(u64, u32, u32)>;
+
+    /// The model's shadow cell: the last write and *every* read since,
+    /// kept across joins (nothing released, nothing deduplicated).
+    #[derive(Default)]
+    struct ModelCell {
+        write: Option<ModelPath>,
+        reads: Vec<ModelPath>,
+    }
+
+    /// The happens-before test over the model's clocks.
+    fn model_conflict(model: &[ModelFrame], a: &ModelPath) -> Option<(u32, u32)> {
+        for (d, &(region, iter, clock)) in a.iter().enumerate() {
+            let m = model.get(d).filter(|m| m.id == region)?;
+            if iter == m.cur.0 {
+                continue;
+            }
+            if m.vc.get(&iter).is_some_and(|&c| clock <= c) {
+                return None;
+            }
+            return Some((iter, m.cur.0));
+        }
+        None
+    }
+
+    /// The model's verdict on one access of `cell`, as `(kind, prior
+    /// iteration, current iteration)`.
+    fn model_access(
+        model: &[ModelFrame],
+        cell: &mut ModelCell,
+        write: bool,
+    ) -> Option<(RaceKind, u32, u32)> {
+        let cur: ModelPath = model.iter().map(|m| (m.id, m.cur.0, m.cur.1)).collect();
+        let race = |kind, a: &ModelPath| model_conflict(model, a).map(|(p, c)| (kind, p, c));
+        if !write {
+            let hit = cell.write.as_ref().and_then(|w| race(RaceKind::WriteRead, w));
+            cell.reads.push(cur);
+            return hit;
+        }
+        let prior = cell.write.replace(cur);
+        let reads = std::mem::take(&mut cell.reads);
+        prior
+            .as_ref()
+            .and_then(|w| race(RaceKind::WriteWrite, w))
+            .or_else(|| reads.iter().find_map(|r| race(RaceKind::ReadWrite, r)))
+    }
+
+    /// A detector race as `(kind, prior iteration, current iteration)`.
+    fn verdict(r: RaceInfo) -> (RaceKind, u32, u32) {
+        match r.kind {
+            RaceKind::ReadWrite => (r.kind, r.other_iter, r.writer_iter),
+            _ => (r.kind, r.writer_iter, r.other_iter),
+        }
+    }
+
     /// Seeded event traces — regions ordered / plain / task group nested
     /// two deep, iterations in index order, task threads interleaved,
     /// cascades over 3 points at distances 0..=3, critical sections
-    /// over 2 locks — drive the model and the detector side by side.
+    /// over 2 locks, reads and writes of 6 cells in 2 slots — drive the
+    /// model and the detector side by side. Most traces run several
+    /// top-level regions over the same cells, so the detector's release
+    /// at the outermost join is checked against a model that keeps
+    /// every access; a fifth start with ids past the renumbering mark.
     #[test]
     fn channels_order_what_the_per_iteration_clock_orders() {
+        // Traces whose top-level regions share cells, traces
+        // renumbered, verdicts compared (ordered, racing).
+        let (mut shared, mut renumbered, mut verdicts) = (0, 0, [0; 2]);
         for seed in 0..2000u64 {
             let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
             let mut draw = |n: u32| {
@@ -1045,17 +1179,31 @@ mod tests {
                 ((state.wrapping_mul(0x2545_f491_4f6c_dd1d) >> 33) % n as u64) as u32
             };
             let mut d = RaceDetector::new(false);
+            if seed % 5 == 0 {
+                // Numbered past the mark: the first outermost join resets.
+                (d.first_id, d.readers.base) = (RENUMBER_AT, RENUMBER_AT);
+            }
             let mut model: Vec<ModelFrame> = Vec::new();
+            let mut cells: BTreeMap<(u32, usize), ModelCell> = BTreeMap::new();
+            let mut regions = 0u64;
+            // Top-level regions that accessed a cell.
+            let mut accessed: Vec<u64> = Vec::new();
+            // An advance of an ordered frame below the top moves its
+            // clock but not its entry in the detector's path mirror,
+            // which refreshes the top entry only: verdicts are compared
+            // again after the outermost join.
+            let mut skewed = false;
             // Per frame, the next iteration to begin.
             let mut next: Vec<u32> = Vec::new();
-            for step in 0..120 {
+            for step in 0..160 {
                 let top_is_group = d.in_task_group();
-                match draw(10) {
+                match draw(12) {
                     0 if model.len() < 2 => {
                         let (ordered, group) = [(true, false), (false, false), (false, true)]
                             [draw(3) as usize];
                         d.push_region(ordered, group);
-                        model.push(ModelFrame { ordered, ..Default::default() });
+                        model.push(ModelFrame { id: regions, ordered, ..Default::default() });
+                        regions += 1;
                         // A loop begins its first iteration at once;
                         // a task group starts on its spawner, thread 0.
                         next.push(1);
@@ -1067,6 +1215,7 @@ mod tests {
                         d.pop_region();
                         model.pop();
                         next.pop();
+                        skewed &= !model.is_empty();
                     }
                     2 | 3 if top_is_group => {
                         let thread = draw(4);
@@ -1085,6 +1234,8 @@ mod tests {
                     4 | 5 => {
                         let point = draw(3);
                         d.on_advance(point);
+                        skewed |= model.last().is_some_and(|m| !m.ordered)
+                            && model.iter().any(|m| m.ordered);
                         if let Some(m) = model.iter_mut().rev().find(|m| m.ordered) {
                             m.advance(point);
                         }
@@ -1109,11 +1260,40 @@ mod tests {
                         d.on_unlock(id);
                         model.last_mut().unwrap().unlock(id);
                     }
+                    10 | 11 if !model.is_empty() => {
+                        let (slot, lin, write, bulk) =
+                            (draw(2), draw(3) as usize, draw(2) == 0, draw(2) == 0);
+                        d.set_span(Span { line: draw(3) });
+                        let s = SlotId(slot);
+                        let one = std::iter::once(lin);
+                        let got = match (write, bulk) {
+                            (false, false) => d.record_read(s, lin),
+                            (true, false) => d.record_write(s, lin),
+                            (false, true) => d.record_reads(s, lin + 1, one).pop(),
+                            (true, true) => d.record_writes(s, lin + 1, one).pop(),
+                        };
+                        let cell = cells.entry((slot, lin)).or_default();
+                        let want = model_access(&model, cell, write);
+                        if !skewed {
+                            let got = got.map(verdict);
+                            assert_eq!(got, want, "seed {seed} step {step}: race verdict");
+                            verdicts[want.is_some() as usize] += 1;
+                        }
+                        if !accessed.contains(&model[0].id) {
+                            accessed.push(model[0].id);
+                        }
+                    }
                     _ => {}
                 }
                 assert_same_clocks(&d, &model, seed, step);
             }
+            shared += (accessed.len() >= 2) as u32;
+            renumbered += (seed % 5 == 0 && d.first_id < RENUMBER_AT) as u32;
         }
+        println!("{shared} share cells across regions, {renumbered} renumbered; {verdicts:?}");
+        assert!(shared >= 1000, "{shared} traces share cells across regions");
+        assert!(renumbered >= 200, "{renumbered} traces renumbered");
+        assert!(verdicts[1] >= 1000, "{verdicts:?}: too few races to judge");
     }
 
     #[test]
@@ -1133,6 +1313,33 @@ mod tests {
         let r = d.record_write(s, 3).expect("write after unordered read");
         assert_eq!(r.kind, RaceKind::ReadWrite);
         assert_eq!(r.writer_iter, 3);
+    }
+
+    #[test]
+    fn nothing_recorded_outlives_the_outermost_join() {
+        let mut d = RaceDetector::new(false);
+        let (s, t) = (SlotId(0), SlotId(1));
+        for _ in 0..3 {
+            d.push_region(false, false);
+            for i in 0..4 {
+                d.begin_iteration(i, i as u16);
+                // Element 0 gets a reader list; element 1 gets one from
+                // the nested regions.
+                assert!(d.record_read(s, 0).is_none());
+                assert!(d.record_write(t, i as usize).is_none());
+                d.push_region(false, false);
+                d.begin_iteration(0, 0);
+                assert!(d.record_read(s, 1).is_none());
+                d.pop_region();
+                assert!(!d.accesses.is_empty(), "a nested join releases nothing");
+            }
+            assert_eq!(d.readers.used, 2);
+            d.pop_region();
+            assert!(d.accesses.is_empty() && d.paths.is_empty(), "no access records");
+            assert_eq!((d.readers.used, d.readers.free.len()), (0, 0), "no reader lists");
+            assert_eq!(d.readers.lists.len(), 2, "the lists' buffers stay for reuse");
+        }
+        assert_eq!(d.total(), 0);
     }
 
     #[test]

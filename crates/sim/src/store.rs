@@ -296,6 +296,8 @@ pub(crate) fn element_count(dims: &[(i64, i64)]) -> Option<usize> {
 /// takes from the host allocator, which aborts the process on a request
 /// it cannot meet. A declaration past it is `limit-exceeded` before
 /// anything is allocated (EXPERIMENTS.md: the largest workload's total).
+/// Under the race detector each element is charged its shadow cell too
+/// ([`Store::charge_shadow`]).
 pub const STORAGE_CAP: u64 = 1 << 28;
 
 /// The slot arena plus the capacity pools of the paging model.
@@ -304,6 +306,9 @@ pub struct Store {
     slots: Vec<ArrayData>,
     /// Simulated bytes of every slot allocated so far.
     allocated: u64,
+    /// Bytes charged per element on top of its own: the race detector's
+    /// shadow cell, or nothing without a detector.
+    shadow_bytes: u64,
     /// Bytes allocated per cluster memory pool.
     pub cluster_pool: Vec<u64>,
     /// Bytes allocated in the global pool.
@@ -316,6 +321,22 @@ impl Store {
         Store { cluster_pool: vec![0; clusters], ..Store::default() }
     }
 
+    /// Charge every element, allocated so far and from now on, for a
+    /// shadow cell of the race detector, so that storage and shadow
+    /// together stay within [`STORAGE_CAP`].
+    pub(crate) fn charge_shadow(&mut self) {
+        if self.shadow_bytes == 0 {
+            self.shadow_bytes = crate::race::CELL_BYTES;
+            let elems: u64 = self.slots.iter().map(|s| s.len() as u64).sum();
+            self.allocated = self.allocated.saturating_add(elems * self.shadow_bytes);
+        }
+    }
+
+    /// Simulated bytes charged per element of `ty`, shadow included.
+    pub(crate) fn elem_bytes(&self, ty: Ty) -> u64 {
+        ty.size_bytes() + self.shadow_bytes
+    }
+
     /// Would `bytes` more keep the run within [`STORAGE_CAP`]?
     pub(crate) fn fits(&self, bytes: u64) -> bool {
         self.allocated.checked_add(bytes).is_some_and(|total| total <= STORAGE_CAP)
@@ -323,7 +344,7 @@ impl Store {
 
     /// Allocate a zeroed slot.
     pub fn alloc(&mut self, ty: Ty, len: usize) -> SlotId {
-        self.allocated += len as u64 * ty.size_bytes();
+        self.allocated += len as u64 * self.elem_bytes(ty);
         let id = SlotId(self.slots.len() as u32);
         self.slots.push(ArrayData::new(ty, len));
         id
@@ -484,6 +505,18 @@ mod tests {
         assert!(st.fits(STORAGE_CAP - 4000));
         assert!(!st.fits(STORAGE_CAP - 3999));
         assert!(!st.fits(u64::MAX));
+    }
+
+    #[test]
+    fn the_shadow_is_charged_for_every_slot_before_and_after() {
+        let mut st = Store::new(1);
+        st.alloc(Ty::Real, 100);
+        st.charge_shadow();
+        st.charge_shadow();
+        st.alloc(Ty::Double, 10);
+        let used = 100 * (4 + 8) + 10 * (8 + 8);
+        assert!(st.fits(STORAGE_CAP - used));
+        assert!(!st.fits(STORAGE_CAP - used + 1));
     }
 
     #[test]

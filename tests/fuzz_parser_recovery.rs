@@ -157,6 +157,32 @@ const EXTREME_CONSTANTS: &[(&[&str], Outcome)] = &[
     ),
 ];
 
+/// 60 000 000 REALs. The restructured programs declare the array GLOBAL:
+/// 240 MB of simulated storage, within `STORAGE_CAP` for a plain run,
+/// past it once each element is charged its race detector's shadow cell
+/// (the original's per-cluster copies are past it either way). Their
+/// race-collecting runs took 1.6 GB from the host and aborted the
+/// process under `ulimit -v 1600000`.
+const PAST_THE_CAP_WITH_SHADOW: &[&str] =
+    &["program p", "real a(60000000)", "do i = 1, 60000000", "a(i) = 1.0", "end do", "end"];
+
+#[test]
+fn a_race_collecting_run_past_the_storage_cap_ends_in_limit_exceeded() {
+    let src: String = PAST_THE_CAP_WITH_SHADOW.iter().map(|l| format!("      {l}\n")).collect();
+    let original = compile_source(&src).unwrap();
+    let restructured = [PassConfig::automatic_1991(), PassConfig::manual_improved()]
+        .map(|cfg| restructure(&original, &cfg).program);
+    for p in std::iter::once(&original).chain(&restructured) {
+        for engine in [Engine::Vm, Engine::Interp] {
+            let mc = MachineConfig::cedar_config1().with_engine(engine);
+            let err = cedar_sim::run_collecting_races(p, mc).err().expect("refused");
+            assert_eq!(err.kind, SimErrorKind::Limit, "{engine:?}: {err}");
+            assert_eq!(err.span.line, 2, "{engine:?}: the array's declaration");
+            assert!(err.msg.contains("array `a` is too large"), "{engine:?}: {err}");
+        }
+    }
+}
+
 /// The outcome of a run, the same on both engines.
 fn simulated(p: &Program) -> Option<SimErrorKind> {
     let [vm, interp] = [Engine::Vm, Engine::Interp].map(|engine| {

@@ -33,7 +33,15 @@
 //!   is one critical section 2 396 / 36 896 / 588 987 times
 //!   (quadratic); the 22 pool candidates, which contain no cascade and
 //!   1 956 lock acquisitions, 828 139 times. The counts now are
-//!   asserted exactly below, with `4 · n + 200` as the linear bound.
+//!   asserted exactly below, with `4 · n + 200` as the linear bound;
+//! * the detector keeps only state that can still race (DESIGN.md §8):
+//!   access paths go into one arena, and what a region recorded is
+//!   released at the outermost join into buffers the next region
+//!   reuses. A DOALL re-entered 1, 10 or 100 times then allocates the
+//!   same number of times (1 114 / 10 130 / 100 142 with an `Arc` path
+//!   per iteration), and the 22 candidates' race-collecting runs take
+//!   31 613 allocations (607 311 before) and peak at 8.0 MB of heap
+//!   together (26.1 MB), against a ceiling of 11 MB.
 
 use cedar_restructure::{restructure, PassConfig};
 use cedar_sim::{Engine, MachineConfig};
@@ -43,19 +51,32 @@ use std::sync::atomic::{AtomicU64, Ordering};
 struct Counting;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
+/// Bytes allocated and not yet freed, and the most there have been
+/// since [`PEAK`] was last reset.
+static LIVE: AtomicU64 = AtomicU64::new(0);
+static PEAK: AtomicU64 = AtomicU64::new(0);
 
-// SAFETY: every call is forwarded unchanged to `System`; the counter is
-// a statistic and publishes no other data.
+fn grow(bytes: usize) {
+    let live = LIVE.fetch_add(bytes as u64, Ordering::Relaxed) + bytes as u64;
+    PEAK.fetch_max(live, Ordering::Relaxed);
+}
+
+// SAFETY: every call is forwarded unchanged to `System`; the counters
+// are statistics and publish no other data.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, l: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        grow(l.size());
         System.alloc(l)
     }
     unsafe fn dealloc(&self, p: *mut u8, l: Layout) {
+        LIVE.fetch_sub(l.size() as u64, Ordering::Relaxed);
         System.dealloc(p, l)
     }
     unsafe fn realloc(&self, p: *mut u8, l: Layout, n: usize) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        LIVE.fetch_sub(l.size() as u64, Ordering::Relaxed);
+        grow(n);
         System.realloc(p, l, n)
     }
 }
@@ -110,23 +131,33 @@ const VECTOR_STMT: &str = "
 const POOL_CEILINGS: (u64, u64) = (20_625, 13_043);
 
 /// 1.25 × the race-collecting total over the pool's 22 candidates
-/// once loop locals were reused per site (607 311).
-const POOL_RACE_CEILING: u64 = 759_139;
+/// once the detector kept only live state (31 613; 607 311 when every
+/// access record had its own path snapshot and nothing was released).
+const POOL_RACE_CEILING: u64 = 39_516;
+
+/// The summed heap peaks of those runs, in bytes, each above what was
+/// live before it: 8 000 585 once the detector kept only live state,
+/// 26 060 593 before.
+const POOL_RACE_PEAK_CEILING: u64 = 11_000_000;
 
 /// Allocations of one race-collecting run of `p`, bytecode compilation
-/// included, and the sync edges (awaits + lock acquisitions) it met.
-fn race_run_allocs(p: &cedar_ir::Program) -> (u64, u64) {
+/// included, the sync edges (awaits + lock acquisitions) it met, and
+/// its heap peak in bytes above what was live before it.
+fn race_run_allocs(p: &cedar_ir::Program) -> (u64, u64, u64) {
     let before = ALLOCS.load(Ordering::Relaxed);
+    let live = LIVE.load(Ordering::Relaxed);
+    PEAK.store(live, Ordering::Relaxed);
     let sim = cedar_sim::run_collecting_races(p, MachineConfig::cedar_config1()).expect("runs");
     let edges = sim.stats.awaits + sim.stats.lock_acquisitions;
     assert_eq!(sim.races_detected(), 0, "the program is race-free");
     drop(sim);
-    (ALLOCS.load(Ordering::Relaxed) - before, edges)
+    let peak = PEAK.load(Ordering::Relaxed) - live;
+    (ALLOCS.load(Ordering::Relaxed) - before, edges, peak)
 }
 
 /// Race-collecting allocations at 96 / 384 / 1 536 iterations.
-const CASCADE_ALLOCS: [u64; 3] = [408, 1_005, 3_357];
-const LOCK_CHAIN_ALLOCS: [u64; 3] = [298, 882, 3_194];
+const CASCADE_ALLOCS: [u64; 3] = [316, 618, 1_784];
+const LOCK_CHAIN_ALLOCS: [u64; 3] = [208, 506, 1_668];
 
 /// `cedar-verify`'s distance-1 recurrence at trip count `n`, as the
 /// restructurer emits it: one `await` / `advance` cascade.
@@ -161,6 +192,19 @@ fn reentered_doall(trips: usize) -> cedar_ir::Program {
     cedar_ir::compile_free(&src).unwrap()
 }
 
+/// A DOALL entered `trips` times from a serial loop, every iteration
+/// reading the shared `s` and writing its `a(i)`, across all of a
+/// 10^6-element array: what a region records is released at its join,
+/// and the next entry reuses the buffers.
+fn reentered_race_doall(trips: usize) -> cedar_ir::Program {
+    let src = format!(
+        "program p\nparameter (n = 1000000)\nreal a(n), s\nglobal a, s\ns = 2.0\n\
+         do k = 1, {trips}\ncdoall i = 1, n, 1000\na(i) = s * k\nend cdoall\nend do\n\
+         x = a(n)\nend\n"
+    );
+    cedar_ir::compile_free(&src).unwrap()
+}
+
 /// One DOALL of `n` iterations, run under a legal fault profile: every
 /// pick of a participant draws a salt per participant.
 fn seeded_doall(n: usize) -> cedar_ir::Program {
@@ -175,6 +219,10 @@ fn seeded_doall(n: usize) -> cedar_ir::Program {
 /// the VM and on the tree-walker.
 const REENTRY_ALLOCS: [(Engine, u64); 2] = [(Engine::Vm, 97), (Engine::Interp, 63)];
 
+/// Allocations of a race-collecting [`reentered_race_doall`] at every
+/// number of entries.
+const REENTRY_RACE_ALLOCS: u64 = 121;
+
 /// Allocations of a fault-perturbed [`seeded_doall`] at every trip
 /// count.
 const SEED_RUN_ALLOCS: u64 = 50;
@@ -188,6 +236,22 @@ fn simulator_run_allocations_stay_exact_and_small() {
             println!("re-entered doall, {trips} entries: {engine:?} {got}");
             assert_eq!(got, want, "{engine:?}, {trips} entries: allocations");
         }
+    }
+    // A race-collecting run keeps no state past the outermost join.
+    // The bytecode is compiled outside the count: the entry count is a
+    // literal, and at 1 entry it shares the loop's lower bound's
+    // constant register.
+    for trips in [1, 10, 100] {
+        let p = reentered_race_doall(trips);
+        let artifact = cedar_sim::compile(&p);
+        let before = ALLOCS.load(Ordering::Relaxed);
+        let mc = MachineConfig::cedar_config1();
+        let sim = cedar_sim::run_collecting_races_precompiled(&p, mc, &artifact).expect("runs");
+        assert_eq!(sim.races_detected(), 0, "the program is race-free");
+        drop(sim);
+        let got = ALLOCS.load(Ordering::Relaxed) - before;
+        println!("re-entered race-collecting doall, {trips} entries: {got}");
+        assert_eq!(got, REENTRY_RACE_ALLOCS, "race-collecting, {trips} entries: allocations");
     }
     // A seeded tie-break draws its salts into one buffer.
     for n in [96, 384, 1536] {
@@ -218,26 +282,33 @@ fn simulator_run_allocations_stay_exact_and_small() {
         (cedar_workloads::table1_workloads(), PassConfig::automatic_1991()),
         (cedar_workloads::table2_workloads(), PassConfig::manual_improved()),
     ];
-    println!("{:<8} {:>10} {:>10} {:>10}", "program", "serial", "candidate", "race run");
-    let (mut serial, mut candidate, mut raced) = (0, 0, 0u64);
+    let head = ("program", "serial", "candidate", "race run", "race peak B");
+    println!("{:<8} {:>10} {:>10} {:>10} {:>12}", head.0, head.1, head.2, head.3, head.4);
+    let (mut serial, mut candidate, mut raced, mut race_peaks) = (0, 0, 0u64, 0u64);
     for (workloads, cfg) in &pool {
         for w in workloads {
             let p = w.compile();
             let r = restructure(&p, cfg).program;
             let (s, c) = (run_allocs(&p, Engine::Vm), run_allocs(&r, Engine::Vm));
-            let rc = race_run_allocs(&r).0;
-            println!("{:<8} {s:>10} {c:>10} {rc:>10}", w.name);
+            let (rc, _, peak) = race_run_allocs(&r);
+            println!("{:<8} {s:>10} {c:>10} {rc:>10} {peak:>12}", w.name);
             serial += s;
             candidate += c;
             raced += rc;
+            race_peaks += peak;
         }
     }
-    println!("{:<8} {serial:>10} {candidate:>10} {raced:>10}", "total");
+    println!("{:<8} {serial:>10} {candidate:>10} {raced:>10} {race_peaks:>12}", "total");
     let (serial_max, candidate_max) = POOL_CEILINGS;
-    println!("{:<8} {serial_max:>10} {candidate_max:>10} {POOL_RACE_CEILING:>10}", "ceiling");
+    let race_max = (POOL_RACE_CEILING, POOL_RACE_PEAK_CEILING);
+    println!(
+        "{:<8} {serial_max:>10} {candidate_max:>10} {:>10} {:>12}",
+        "ceiling", race_max.0, race_max.1
+    );
     assert!(serial <= POOL_CEILINGS.0, "serial originals: {serial} allocations");
     assert!(candidate <= POOL_CEILINGS.1, "candidates: {candidate} allocations");
     assert!(raced <= POOL_RACE_CEILING, "race-collecting candidates: {raced} allocations");
+    assert!(race_peaks <= POOL_RACE_PEAK_CEILING, "race-collecting candidates: {race_peaks} bytes");
 
     // Sync edges: a constant number of allocations each.
     type Shape = fn(usize) -> cedar_ir::Program;
@@ -247,7 +318,7 @@ fn simulator_run_allocations_stay_exact_and_small() {
     ];
     for (name, program, want) in shapes {
         for (n, want) in [96, 384, 1536].into_iter().zip(want) {
-            let (got, edges) = race_run_allocs(&program(n));
+            let (got, edges, _) = race_run_allocs(&program(n));
             println!("{name}, {n} iterations, {edges} sync edges: race-collecting run {got}");
             assert!(edges as usize >= n - 1, "{name} {n}: the loop was not synchronized");
             assert_eq!(got, want, "{name} {n}: race-collecting allocations");

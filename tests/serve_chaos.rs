@@ -173,3 +173,30 @@ fn a_program_past_the_storage_cap_gets_an_error_and_the_server_keeps_answering()
     assert_eq!(status, 200, "{body}");
     server.shutdown();
 }
+
+#[test]
+fn a_validated_program_whose_shadow_passes_the_storage_cap_gets_a_reply() {
+    // 60 000 000 REALs: the candidate's GLOBAL array fits the cap, its
+    // race-collecting run's shadow cells do not. That run took 1.6 GB
+    // from the host before the shadow was charged to the run's storage.
+    let mut cfg = ServerConfig { workers: 2, ..ServerConfig::default() };
+    cfg.engine.sup.bundle_dir = PathBuf::from("target/test-serve-bundles/shadow-cap");
+    let _ = std::fs::remove_dir_all(&cfg.engine.sup.bundle_dir);
+    let server = Server::start(cfg).expect("bind in-process server");
+    let addr = server.addr();
+    let big = "      program p\n      real a(60000000)\n      do i = 1, 60000000\n\
+               \x20     a(i) = 1.0\n      end do\n      end\n";
+    let req = ServeRequest::new(big);
+    assert!(req.validate);
+    let (status, body) =
+        http::post(&addr, "/restructure", &req.to_json(), T).expect("the server answers");
+    assert_eq!(status, 422, "{body}");
+    let v = Json::parse(&body).unwrap();
+    let err = v.get("error").unwrap_or_else(|| panic!("an error body: {body}"));
+    assert_eq!(err.str_at("kind"), Ok("limit-exceeded"), "{body}");
+
+    let (status, body) = http::post(&addr, "/restructure", &request_for(0).to_json(), T)
+        .expect("the server still answers");
+    assert_eq!(status, 200, "{body}");
+    server.shutdown();
+}
