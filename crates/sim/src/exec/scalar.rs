@@ -43,7 +43,7 @@ impl Simulator<'_> {
     #[inline]
     pub(super) fn note_read(&mut self, slot: SlotId, lin: usize) -> Result<()> {
         if let Some(rd) = self.races.as_mut() {
-            if let Some(race) = rd.record_read(slot, lin) {
+            if let Some(race) = rd.record_read(slot, lin)? {
                 if let Some(e) = rd.flag(race) {
                     return Err(e);
                 }
@@ -55,7 +55,7 @@ impl Simulator<'_> {
     /// Show the race detector (when live) one element write.
     pub(super) fn note_write(&mut self, slot: SlotId, lin: usize) -> Result<()> {
         if let Some(rd) = self.races.as_mut() {
-            if let Some(race) = rd.record_write(slot, lin) {
+            if let Some(race) = rd.record_write(slot, lin)? {
                 if let Some(e) = rd.flag(race) {
                     return Err(e);
                 }

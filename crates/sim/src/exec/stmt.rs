@@ -257,7 +257,7 @@ impl Simulator<'_> {
                         }
                         if let Some(rd) = self.races.as_mut() {
                             let races =
-                                each_index!(&at, lins => rd.record_writes(slot, at.upper(), lins));
+                                each_index!(&at, lins => rd.record_writes(slot, at.upper(), lins))?;
                             flag_all(rd, races)?;
                         }
                     }

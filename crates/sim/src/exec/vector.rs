@@ -244,7 +244,7 @@ impl Simulator<'_> {
                 .map_err(|lin| self.storage_error(slot, lin))?,
         };
         if let Some(rd) = self.races.as_mut() {
-            let races = each_index!(at, lins => rd.record_reads(slot, at.upper(), lins));
+            let races = each_index!(at, lins => rd.record_reads(slot, at.upper(), lins))?;
             flag_all(rd, races)?;
         }
         Ok(out)

@@ -58,7 +58,8 @@
 //! the hot path pays nothing when disabled and cycle counts are
 //! bit-identical either way.
 
-use crate::store::SlotId;
+use crate::store::{SlotId, STORAGE_CAP};
+use crate::{SimError, SimErrorKind};
 use cedar_ir::Span;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -216,6 +217,15 @@ struct Readers {
     /// Of those, the ones a write has emptied.
     free: Vec<u32>,
     base: u32,
+    /// Bytes of the lists and their buffers, which are kept across
+    /// regions.
+    bytes: u64,
+    /// What the lists may hold beside the detector's records
+    /// ([`RaceDetector::records_bytes`]) within its cap, and whether they
+    /// or the records passed it; kept by the few paths that grow a
+    /// buffer, so that a recorded access only tests `over`.
+    room: u64,
+    over: bool,
 }
 
 impl Readers {
@@ -223,15 +233,33 @@ impl Readers {
     fn open(&mut self, first: AccessId, second: AccessId) -> u32 {
         let k = self.free.pop().unwrap_or_else(|| {
             if self.used as usize == self.lists.len() {
+                let before = self.lists.capacity();
                 self.lists.push(Vec::new());
+                self.grew((self.lists.capacity() - before) * std::mem::size_of::<Vec<AccessId>>());
             }
             self.used += 1;
             self.used - 1
         });
-        let list = &mut self.lists[k as usize];
-        list.clear();
-        list.extend([first, second]);
+        self.lists[k as usize].clear();
+        self.push(k as usize, first);
+        self.push(k as usize, second);
         LIST | (self.base + k)
+    }
+
+    /// Append `id` to list `k`, counting what its buffer grows by.
+    fn push(&mut self, k: usize, id: AccessId) {
+        let list = &mut self.lists[k];
+        let before = list.capacity();
+        list.push(id);
+        let grown = list.capacity() - before;
+        if grown > 0 {
+            self.grew(grown * std::mem::size_of::<AccessId>());
+        }
+    }
+
+    fn grew(&mut self, bytes: usize) {
+        self.bytes += bytes as u64;
+        self.over |= self.bytes > self.room;
     }
 
     /// Every list handed out is dead: the outermost region joined.
@@ -374,6 +402,10 @@ impl RegionFrame {
 /// Cap on collected race reports (the total count keeps counting).
 const REPORT_CAP: usize = 256;
 
+/// What a recorder returns: `Err` (`limit-exceeded`) once the records
+/// of the live outermost region outgrow [`STORAGE_CAP`].
+type Recorded<T> = Result<T, SimError>;
+
 /// The happens-before detector. Owned by [`crate::Simulator`] when
 /// [`crate::MachineConfig::detect_races`] is set.
 ///
@@ -422,6 +454,9 @@ pub struct RaceDetector {
     races: Vec<RaceInfo>,
     total: u64,
     cur_span: Span,
+    /// Most bytes the records, paths and reader lists may hold:
+    /// [`STORAGE_CAP`] (smaller in tests).
+    held_cap: u64,
 }
 
 impl RaceDetector {
@@ -437,7 +472,7 @@ impl RaceDetector {
             cur_id: None,
             memo: ConflictMemo::default(),
             shadow: Vec::new(),
-            readers: Readers::default(),
+            readers: Readers { room: STORAGE_CAP, ..Readers::default() },
             slot_names: BTreeMap::new(),
             exempt: Vec::new(),
             next_region: 0,
@@ -446,6 +481,7 @@ impl RaceDetector {
             races: Vec::new(),
             total: 0,
             cur_span: Span::NONE,
+            held_cap: STORAGE_CAP,
         }
     }
 
@@ -666,6 +702,10 @@ impl RaceDetector {
         });
         let id = self.first_id + (self.accesses.len() - 1) as AccessId;
         assert!(id < LIST, "more than 2^30 access records in one outermost region");
+        // The records may have grown, leaving the lists less room.
+        let records = self.records_bytes();
+        self.readers.room = self.held_cap.saturating_sub(records);
+        self.readers.over |= records > self.held_cap || self.readers.bytes > self.readers.room;
         self.cur_id = Some(id);
         id
     }
@@ -736,6 +776,10 @@ impl Live<'_> {
         &self.paths[a.at as usize..(a.at + a.len) as usize]
     }
 
+    fn path_start(&self, id: AccessId) -> u32 {
+        self.accesses[(id - self.first_id) as usize].at
+    }
+
     /// The two diverging iterations when access `id` is not ordered
     /// before the current context; `None` for a dead or absent id.
     fn conflict(&mut self, id: AccessId) -> Option<(u32, u32)> {
@@ -765,7 +809,7 @@ impl Live<'_> {
     /// Same interned record, or the same path (a task-group thread
     /// resumed after a switch rebuilds the same path).
     fn same_path(&self, a: AccessId, b: AccessId) -> bool {
-        a == b || self.path(a) == self.path(b)
+        a == b || self.path_start(a) == self.path_start(b) || self.path(a) == self.path(b)
     }
 
     /// Record a read by `cur`; the race with the prior write it
@@ -785,7 +829,7 @@ impl Live<'_> {
             Reads::Many(k) => {
                 let last = *self.readers.lists[k].last().expect("a list holds two or more");
                 if !self.same_path(last, cur) {
-                    self.readers.lists[k].push(cur);
+                    self.readers.push(k, cur);
                 }
             }
         }
@@ -890,14 +934,25 @@ impl RaceDetector {
 
     /// Record a read of `slot[lin]`; returns the race it completes, if
     /// any.
-    pub(crate) fn record_read(&mut self, slot: SlotId, lin: usize) -> Option<RaceInfo> {
-        self.record(slot, lin + 1, std::iter::once(lin), false).pop()
+    pub(crate) fn record_read(&mut self, slot: SlotId, lin: usize) -> Recorded<Option<RaceInfo>> {
+        self.record_one(slot, lin, false)
     }
 
     /// Record a write of `slot[lin]`; returns the first race it
     /// completes against the prior write or any unordered reader.
-    pub(crate) fn record_write(&mut self, slot: SlotId, lin: usize) -> Option<RaceInfo> {
-        self.record(slot, lin + 1, std::iter::once(lin), true).pop()
+    pub(crate) fn record_write(&mut self, slot: SlotId, lin: usize) -> Recorded<Option<RaceInfo>> {
+        self.record_one(slot, lin, true)
+    }
+
+    /// [`RaceDetector::record`] for one element, with nothing collected
+    /// (scalar accesses are the most frequent).
+    fn record_one(&mut self, slot: SlotId, lin: usize, write: bool) -> Recorded<Option<RaceInfo>> {
+        let Some(cur) = self.recorded(slot) else { return Ok(None) };
+        let (cells, mut live) = self.cells(slot, lin + 1);
+        let cell = &mut cells[lin];
+        let hit = if write { live.write(cell, cur) } else { live.read(cell, cur) };
+        self.check_held()?;
+        Ok(hit.map(|(kind, a, pi, ci)| self.make_race(kind, a, pi, ci, slot, lin)))
     }
 
     /// Record reads of the elements `lins` of `slot` — a contiguous run,
@@ -914,7 +969,7 @@ impl RaceDetector {
         slot: SlotId,
         len: usize,
         lins: impl Iterator<Item = usize>,
-    ) -> Vec<RaceInfo> {
+    ) -> Recorded<Vec<RaceInfo>> {
         self.record(slot, len, lins, false)
     }
 
@@ -926,23 +981,19 @@ impl RaceDetector {
         slot: SlotId,
         len: usize,
         lins: impl Iterator<Item = usize>,
-    ) -> Vec<RaceInfo> {
+    ) -> Recorded<Vec<RaceInfo>> {
         self.record(slot, len, lins, true)
     }
 
-    /// The recorders' one body. Serial-context accesses are ordered with
-    /// everything and are neither checked nor recorded.
+    /// The bulk recorders' body.
     fn record(
         &mut self,
         slot: SlotId,
         len: usize,
         lins: impl Iterator<Item = usize>,
         write: bool,
-    ) -> Vec<RaceInfo> {
-        if self.suspend > 0 || self.stack.is_empty() || self.is_exempt(slot) || len == 0 {
-            return Vec::new();
-        }
-        let cur = self.cur_access_id();
+    ) -> Recorded<Vec<RaceInfo>> {
+        let Some(cur) = self.recorded(slot).filter(|_| len > 0) else { return Ok(Vec::new()) };
         let (cells, mut live) = self.cells(slot, len);
         // Consecutive cells were typically last written by one vector
         // statement sharing a single interned record, so the
@@ -954,10 +1005,43 @@ impl RaceDetector {
                 hit.map(|h| (lin, h))
             })
             .collect();
-        pending
+        self.check_held()?;
+        Ok(pending
             .into_iter()
             .map(|(lin, (kind, a, pi, ci))| self.make_race(kind, a, pi, ci, slot, lin))
-            .collect()
+            .collect())
+    }
+
+    /// The current access id, when an access of `slot` is recorded:
+    /// serial-context accesses are ordered with everything and are
+    /// neither checked nor recorded.
+    fn recorded(&mut self, slot: SlotId) -> Option<AccessId> {
+        let skip = self.suspend > 0 || self.stack.is_empty() || self.is_exempt(slot);
+        (!skip).then(|| self.cur_access_id())
+    }
+
+    /// `Err` once the records and reader lists have passed their cap.
+    fn check_held(&self) -> Recorded<()> {
+        if self.readers.over {
+            return Err(self.over_cap());
+        }
+        Ok(())
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn over_cap(&self) -> SimError {
+        let msg = "the race detector's records of one parallel region passed the storage cap";
+        SimError::new(SimErrorKind::Limit, self.cur_span, msg)
+    }
+
+    /// Host bytes of the access records and their paths: the buffers'
+    /// capacities. With [`Readers::bytes`] it is what the detector holds
+    /// beside the shadow cells, which are charged to the store.
+    fn records_bytes(&self) -> u64 {
+        let records = self.accesses.capacity() * std::mem::size_of::<Access>()
+            + self.paths.capacity() * std::mem::size_of::<PathEntry>();
+        records as u64
     }
 
     /// Count a detected race; in fail-fast mode produce the error that
@@ -1267,10 +1351,10 @@ mod tests {
                         let s = SlotId(slot);
                         let one = std::iter::once(lin);
                         let got = match (write, bulk) {
-                            (false, false) => d.record_read(s, lin),
-                            (true, false) => d.record_write(s, lin),
-                            (false, true) => d.record_reads(s, lin + 1, one).pop(),
-                            (true, true) => d.record_writes(s, lin + 1, one).pop(),
+                            (false, false) => d.record_read(s, lin).unwrap(),
+                            (true, false) => d.record_write(s, lin).unwrap(),
+                            (false, true) => d.record_reads(s, lin + 1, one).unwrap().pop(),
+                            (true, true) => d.record_writes(s, lin + 1, one).unwrap().pop(),
                         };
                         let cell = cells.entry((slot, lin)).or_default();
                         let want = model_access(&model, cell, write);
@@ -1302,15 +1386,15 @@ mod tests {
         let s = SlotId(4);
         d.push_region(false, false);
         d.begin_iteration(0, 0);
-        assert!(d.record_write(s, 2).is_none(), "first write races with nothing");
+        assert!(d.record_write(s, 2).unwrap().is_none(), "first write races with nothing");
         d.begin_iteration(1, 1);
-        let r = d.record_write(s, 2).expect("unordered second write");
+        let r = d.record_write(s, 2).unwrap().expect("unordered second write");
         assert_eq!(r.kind, RaceKind::WriteWrite);
         assert_eq!((r.writer_iter, r.other_iter), (0, 1));
         d.begin_iteration(2, 0);
-        assert!(d.record_read(s, 3).is_none(), "different element");
+        assert!(d.record_read(s, 3).unwrap().is_none(), "different element");
         d.begin_iteration(3, 1);
-        let r = d.record_write(s, 3).expect("write after unordered read");
+        let r = d.record_write(s, 3).unwrap().expect("write after unordered read");
         assert_eq!(r.kind, RaceKind::ReadWrite);
         assert_eq!(r.writer_iter, 3);
     }
@@ -1325,11 +1409,11 @@ mod tests {
                 d.begin_iteration(i, i as u16);
                 // Element 0 gets a reader list; element 1 gets one from
                 // the nested regions.
-                assert!(d.record_read(s, 0).is_none());
-                assert!(d.record_write(t, i as usize).is_none());
+                assert!(d.record_read(s, 0).unwrap().is_none());
+                assert!(d.record_write(t, i as usize).unwrap().is_none());
                 d.push_region(false, false);
                 d.begin_iteration(0, 0);
-                assert!(d.record_read(s, 1).is_none());
+                assert!(d.record_read(s, 1).unwrap().is_none());
                 d.pop_region();
                 assert!(!d.accesses.is_empty(), "a nested join releases nothing");
             }
@@ -1343,11 +1427,29 @@ mod tests {
     }
 
     #[test]
+    fn records_past_the_cap_end_the_run_in_limit_exceeded() {
+        let mut d = RaceDetector::new(false);
+        d.held_cap = 4096;
+        d.push_region(false, false);
+        d.set_span(Span { line: 7 });
+        // Each iteration adds a record, its path and a reader.
+        let stop = (0..1000).find_map(|i| {
+            d.begin_iteration(i, 0);
+            d.record_read(SlotId(0), 0).err().map(|e| (i, e))
+        });
+        let (i, e) = stop.expect("the records outgrow the cap");
+        assert!(i > 50, "stopped after {i} iterations");
+        assert_eq!((e.kind, e.span.line), (SimErrorKind::Limit, 7), "{e}");
+        let held = d.records_bytes() + d.readers.bytes;
+        assert!(held > d.held_cap && held <= 2 * d.held_cap, "{held}");
+    }
+
+    #[test]
     fn serial_context_is_never_racy() {
         let mut d = RaceDetector::new(true);
         let s = SlotId(0);
-        assert!(d.record_write(s, 0).is_none());
-        assert!(d.record_write(s, 0).is_none());
-        assert!(d.record_read(s, 0).is_none());
+        assert!(d.record_write(s, 0).unwrap().is_none());
+        assert!(d.record_write(s, 0).unwrap().is_none());
+        assert!(d.record_read(s, 0).unwrap().is_none());
     }
 }
