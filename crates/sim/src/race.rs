@@ -993,7 +993,10 @@ impl RaceDetector {
         lins: impl Iterator<Item = usize>,
         write: bool,
     ) -> Recorded<Vec<RaceInfo>> {
-        let Some(cur) = self.recorded(slot).filter(|_| len > 0) else { return Ok(Vec::new()) };
+        if len == 0 {
+            return Ok(Vec::new());
+        }
+        let Some(cur) = self.recorded(slot) else { return Ok(Vec::new()) };
         let (cells, mut live) = self.cells(slot, len);
         // Consecutive cells were typically last written by one vector
         // statement sharing a single interned record, so the
