@@ -24,6 +24,11 @@
 
 use std::fmt::{self, Display, Write as _};
 
+/// Most arrays and objects a parsed document may nest. The parser
+/// recurses once per level, on a server worker's 2 MiB stack; every
+/// document this repository reads nests under ten deep.
+pub const MAX_DEPTH: usize = 128;
+
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
@@ -45,7 +50,7 @@ impl Json {
     /// Parse a complete JSON document; trailing non-whitespace is an
     /// error.
     pub fn parse(text: &str) -> Result<Json, String> {
-        let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
+        let mut p = Parser { bytes: text.as_bytes(), pos: 0, depth: 0 };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
@@ -352,6 +357,8 @@ impl fmt::Write for Escaped<'_> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around the cursor.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -380,8 +387,11 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') if self.depth == MAX_DEPTH => {
+                Err(format!("nested more than {MAX_DEPTH} deep at byte {}", self.pos))
+            }
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -390,6 +400,13 @@ impl Parser<'_> {
             Some(c) => Err(format!("unexpected `{}` at byte {}", c as char, self.pos)),
             None => Err("unexpected end of input".into()),
         }
+    }
+
+    fn nested(&mut self, f: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        self.depth += 1;
+        let v = f(self);
+        self.depth -= 1;
+        v
     }
 
     fn literal(&mut self, word: &str, value: Json) -> Result<Json, String> {
@@ -548,6 +565,27 @@ mod tests {
             v.get("watch").unwrap().as_arr().unwrap().iter().filter_map(Json::as_str).collect();
         assert_eq!(watch, vec!["a1", "s2"]);
         assert!(v.get("missing").is_none());
+    }
+
+    #[test]
+    fn nesting_past_the_limit_is_an_error_with_its_offset() {
+        let deep = |n: usize, open: &str, close: &str| open.repeat(n) + &close.repeat(n);
+        // At the limit a document parses on a server worker's stack, and
+        // ten times past it is refused there, at the first byte too deep.
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || {
+                assert!(Json::parse(&deep(MAX_DEPTH, "[", "]")).is_ok());
+                assert!(Json::parse(&deep(MAX_DEPTH / 2, "{\"k\": [", "]}")).is_ok());
+                for (open, close, width) in [("[", "]", 1), ("{\"k\":", "}", 5)] {
+                    let err = Json::parse(&deep(10 * MAX_DEPTH, open, close)).unwrap_err();
+                    let at = MAX_DEPTH * width;
+                    assert_eq!(err, format!("nested more than {MAX_DEPTH} deep at byte {at}"));
+                }
+            })
+            .unwrap()
+            .join()
+            .unwrap();
     }
 
     #[test]

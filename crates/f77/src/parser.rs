@@ -104,6 +104,21 @@ const DECL_KEYWORDS: &[&str] = &[
     "equivalence",
 ];
 
+/// Most blocks (`DO`, block `IF`, `DO WHILE`, concurrent loops) one
+/// statement may sit inside. Every stage after the parser walks the
+/// block structure recursively, and a server worker has a 2 MiB stack:
+/// a construct past this is a diagnostic, and the parser skips it whole.
+pub const MAX_BLOCK_DEPTH: usize = 48;
+
+/// Most levels the expression grammar recurses through for one
+/// operand: parentheses, argument lists, `.NOT.` and `**` chains.
+pub const MAX_EXPR_DEPTH: usize = 64;
+
+/// Greatest height of one expression's operator tree. A chain such as
+/// `1.0 + 1.0 + ...` is parsed by a loop, but lowering, analysis,
+/// emission and both engines recurse once per level of the tree.
+pub const MAX_EXPR_HEIGHT: usize = 256;
+
 /// Concurrent loop keyword, the joined keyword of its `END`, and class.
 const PARALLEL_DO_KEYWORDS: &[(&str, &str, LoopClass)] = &[
     ("cdoall", "endcdoall", LoopClass::CDoall),
@@ -127,7 +142,7 @@ const PARALLEL_DO_KEYWORDS: &[(&str, &str, LoopClass)] = &[
 /// order they were detected.
 pub fn parse_units_recovering(raw: Vec<RawStmt>) -> (SourceFile, Vec<Error>) {
     let (raw, errors) = rewrite_labeled_dos(raw);
-    let mut p = Units { stmts: raw.into_iter(), errors, reported_eof: false };
+    let mut p = Units { stmts: raw.into_iter(), errors, reported_eof: false, depth: 0 };
     let mut units = Vec::new();
     while !p.at_end() {
         let left = p.stmts.len();
@@ -233,6 +248,8 @@ struct Units {
     errors: Vec<Error>,
     /// An unexpected end of file is reported once, not once per open block.
     reported_eof: bool,
+    /// Constructs open around the statement being parsed.
+    depth: usize,
 }
 
 impl Units {
@@ -354,9 +371,9 @@ impl Units {
         // statement keywords are not supported (documented restriction).
         let kw = st.keyword().unwrap_or_default();
         let kind = match &*kw {
-            "if" => self.parse_if(st)?,
-            "do" => self.parse_do(st, LoopClass::Seq, "enddo")?,
-            "dowhile" => self.parse_do_while(st)?,
+            "if" => self.nest(st, Self::parse_if)?,
+            "do" => self.nest(st, |p, st| p.parse_do(st, LoopClass::Seq, "enddo"))?,
+            "dowhile" => self.nest(st, Self::parse_do_while)?,
             "$omp" => self.parse_omp(st)?,
             "continue" | "return" | "stop" | "call" | "goto" | "where" | "print"
             | "write" | "read" | "assign" => parse_simple_stmt(st)?,
@@ -364,7 +381,7 @@ impl Units {
                 if let Some(&(_, end_kw, class)) =
                     PARALLEL_DO_KEYWORDS.iter().find(|(k, ..)| *k == kw)
                 {
-                    self.parse_do(st, class, end_kw)?
+                    self.nest(st, |p, st| p.parse_do(st, class, end_kw))?
                 } else if st.looks_like_assignment() {
                     parse_simple_stmt(st)?
                 } else {
@@ -376,6 +393,47 @@ impl Units {
             }
         };
         Ok(Stmt { span, label, kind })
+    }
+
+    /// Parse construct `st` one block deeper, or, past
+    /// [`MAX_BLOCK_DEPTH`], skip it through its closing statement and
+    /// report it.
+    fn nest(
+        &mut self,
+        st: RawStmt,
+        parse: impl FnOnce(&mut Self, RawStmt) -> Result<StmtKind>,
+    ) -> Result<StmtKind> {
+        if self.depth == MAX_BLOCK_DEPTH && opens_block(&st) {
+            let span = st.span();
+            self.skip_construct();
+            return Err(Error::structure(
+                span,
+                format!("blocks nested more than {MAX_BLOCK_DEPTH} deep"),
+            ));
+        }
+        self.depth += 1;
+        let kind = parse(self, st);
+        self.depth -= 1;
+        kind
+    }
+
+    /// Skip the statements of a construct whose opening statement was
+    /// just consumed, through its closing one; a unit's `END` stops the
+    /// skip unconsumed.
+    fn skip_construct(&mut self) {
+        let mut open = 1usize;
+        while let Some(st) = self.peek() {
+            match st.keyword().as_deref() {
+                Some("end") => return,
+                Some(kw) if closes_block(kw) => open -= 1,
+                _ if opens_block(st) => open += 1,
+                _ => {}
+            }
+            self.next();
+            if open == 0 {
+                return;
+            }
+        }
     }
 
     /// `IF (cond) THEN` block form, or `IF (cond) stmt` logical form.
@@ -601,6 +659,21 @@ impl Units {
         self.next();
         Ok(StmtKind::DoWhile { cond, body })
     }
+}
+
+/// Does `st` open a block: a `DO` of any class, `DO WHILE`, or a block `IF`?
+fn opens_block(st: &RawStmt) -> bool {
+    match st.keyword().as_deref() {
+        Some("do" | "dowhile") => true,
+        Some("if") => st.tokens.last().is_some_and(|t| t.is_kw("then")),
+        Some(kw) => PARALLEL_DO_KEYWORDS.iter().any(|(k, ..)| *k == kw),
+        None => false,
+    }
+}
+
+/// Does keyword `kw` close a block (`END DO`, `END IF`, `END CDOALL`, ...)?
+fn closes_block(kw: &str) -> bool {
+    kw == "enddo" || kw == "endif" || PARALLEL_DO_KEYWORDS.iter().any(|(_, end, _)| *end == kw)
 }
 
 fn is_typed_function(st: &RawStmt) -> bool {
@@ -886,6 +959,10 @@ fn parse_decl(st: RawStmt) -> Result<Decl> {
 struct TokParser {
     toks: std::vec::IntoIter<Tok>,
     span: Span,
+    /// Levels of the expression grammar's recursion now open.
+    depth: usize,
+    /// Operator-tree height of the expression parsed last.
+    height: usize,
 }
 
 impl TokParser {
@@ -895,7 +972,7 @@ impl TokParser {
         if skip > 0 {
             toks.nth(skip - 1);
         }
-        TokParser { toks, span }
+        TokParser { toks, span, depth: 0, height: 0 }
     }
     fn peek(&self) -> Option<&Tok> {
         self.toks.as_slice().first()
@@ -1072,6 +1149,46 @@ impl TokParser {
         Ok(if neg { Expr::Un(UnOp::Neg, Box::new(e)) } else { e })
     }
 
+    /// Run `f` one level deeper in the expression grammar, refused past
+    /// [`MAX_EXPR_DEPTH`].
+    fn nested<T>(&mut self, f: impl FnOnce(&mut Self) -> Result<T>) -> Result<T> {
+        if self.depth == MAX_EXPR_DEPTH {
+            return Err(Error::parse(
+                self.span,
+                format!("expression nested more than {MAX_EXPR_DEPTH} deep"),
+            ));
+        }
+        self.depth += 1;
+        let r = f(self);
+        self.depth -= 1;
+        r
+    }
+
+    /// Note a node over operands of height at most `below`, refused past
+    /// [`MAX_EXPR_HEIGHT`].
+    fn grow(&mut self, below: usize) -> Result<()> {
+        if below >= MAX_EXPR_HEIGHT {
+            return Err(Error::parse(
+                self.span,
+                format!("expression tree higher than {MAX_EXPR_HEIGHT} operators"),
+            ));
+        }
+        self.height = below + 1;
+        Ok(())
+    }
+
+    /// `l op r`, where `lh` is the height of `l` and `r` was parsed last.
+    fn bin(&mut self, op: BinOp, l: Expr, lh: usize, r: Expr) -> Result<Expr> {
+        self.grow(lh.max(self.height))?;
+        Ok(Expr::bin(op, l, r))
+    }
+
+    /// `op e`, where `e` was parsed last.
+    fn un(&mut self, op: UnOp, e: Expr) -> Result<Expr> {
+        self.grow(self.height)?;
+        Ok(Expr::Un(op, Box::new(e)))
+    }
+
     /// A designator: `name` or `name(args)` — the only valid assignment
     /// targets and DATA/EQUIVALENCE items.
     fn designator(&mut self) -> Result<Expr> {
@@ -1106,8 +1223,9 @@ impl TokParser {
                 _ => break,
             };
             self.next();
+            let lh = self.height;
             let r = self.disj()?;
-            l = Expr::bin(op, l, r);
+            l = self.bin(op, l, lh, r)?;
         }
         Ok(l)
     }
@@ -1115,8 +1233,9 @@ impl TokParser {
     fn disj(&mut self) -> Result<Expr> {
         let mut l = self.conj()?;
         while self.eat(&Tok::Or) {
+            let lh = self.height;
             let r = self.conj()?;
-            l = Expr::bin(BinOp::Or, l, r);
+            l = self.bin(BinOp::Or, l, lh, r)?;
         }
         Ok(l)
     }
@@ -1124,16 +1243,17 @@ impl TokParser {
     fn conj(&mut self) -> Result<Expr> {
         let mut l = self.negation()?;
         while self.eat(&Tok::And) {
+            let lh = self.height;
             let r = self.negation()?;
-            l = Expr::bin(BinOp::And, l, r);
+            l = self.bin(BinOp::And, l, lh, r)?;
         }
         Ok(l)
     }
 
     fn negation(&mut self) -> Result<Expr> {
         if self.eat(&Tok::Not) {
-            let e = self.negation()?;
-            return Ok(Expr::Un(UnOp::Not, Box::new(e)));
+            let e = self.nested(Self::negation)?;
+            return self.un(UnOp::Not, e);
         }
         self.relation()
     }
@@ -1150,24 +1270,28 @@ impl TokParser {
             _ => return Ok(l),
         };
         self.next();
+        let lh = self.height;
         let r = self.concat()?;
-        Ok(Expr::bin(op, l, r))
+        self.bin(op, l, lh, r)
     }
 
     fn concat(&mut self) -> Result<Expr> {
         let mut l = self.additive()?;
         while self.eat(&Tok::Concat) {
+            let lh = self.height;
             let r = self.additive()?;
-            l = Expr::bin(BinOp::Concat, l, r);
+            l = self.bin(BinOp::Concat, l, lh, r)?;
         }
         Ok(l)
     }
 
     fn additive(&mut self) -> Result<Expr> {
         let mut l = if self.eat(&Tok::Minus) {
-            Expr::Un(UnOp::Neg, Box::new(self.term()?))
+            let t = self.term()?;
+            self.un(UnOp::Neg, t)?
         } else if self.eat(&Tok::Plus) {
-            Expr::Un(UnOp::Plus, Box::new(self.term()?))
+            let t = self.term()?;
+            self.un(UnOp::Plus, t)?
         } else {
             self.term()?
         };
@@ -1178,8 +1302,9 @@ impl TokParser {
                 _ => break,
             };
             self.next();
+            let lh = self.height;
             let r = self.term()?;
-            l = Expr::bin(op, l, r);
+            l = self.bin(op, l, lh, r)?;
         }
         Ok(l)
     }
@@ -1193,8 +1318,9 @@ impl TokParser {
                 _ => break,
             };
             self.next();
+            let lh = self.height;
             let r = self.factor()?;
-            l = Expr::bin(op, l, r);
+            l = self.bin(op, l, lh, r)?;
         }
         Ok(l)
     }
@@ -1202,33 +1328,37 @@ impl TokParser {
     fn factor(&mut self) -> Result<Expr> {
         let base = self.primary()?;
         if self.eat(&Tok::Pow) {
+            let bh = self.height;
             // `**` is right-associative; `-` binds the exponent:
             // `a ** -b` is legal in most F77 compilers' extension set.
             let exp = if self.eat(&Tok::Minus) {
-                Expr::Un(UnOp::Neg, Box::new(self.factor()?))
+                let e = self.nested(Self::factor)?;
+                self.un(UnOp::Neg, e)?
             } else {
-                self.factor()?
+                self.nested(Self::factor)?
             };
-            return Ok(Expr::bin(BinOp::Pow, base, exp));
+            return self.bin(BinOp::Pow, base, bh, exp);
         }
         Ok(base)
     }
 
     fn primary(&mut self) -> Result<Expr> {
+        self.height = 0;
         match self.next() {
             Some(Tok::Int(v)) => Ok(Expr::Int(v)),
             Some(Tok::Real { value, is_double }) => Ok(Expr::Real { value, is_double }),
             Some(Tok::Logical(b)) => Ok(Expr::Logical(b)),
             Some(Tok::Str(s)) => Ok(Expr::Str(s)),
-            Some(Tok::LParen) => {
-                let e = self.expr()?;
-                self.expect(&Tok::RParen)?;
+            Some(Tok::LParen) => self.nested(|p| {
+                let e = p.expr()?;
+                p.expect(&Tok::RParen)?;
                 Ok(e)
-            }
+            }),
             Some(Tok::Ident(name)) => {
                 if self.peek() == Some(&Tok::LParen) {
                     self.next();
                     let args = self.arg_list()?;
+                    self.grow(self.height)?;
                     Ok(Expr::NameArgs { name, args })
                 } else {
                     Ok(Expr::Name(name))
@@ -1245,42 +1375,50 @@ impl TokParser {
     }
 
     /// Argument list after a consumed `(`; consumes the closing `)`.
-    /// Items may be expressions or array sections.
+    /// Items may be expressions or array sections. Leaves `height` at
+    /// that of the highest expression among them.
     fn arg_list(&mut self) -> Result<Vec<ArgExpr>> {
-        let mut args = Vec::new();
-        if self.eat(&Tok::RParen) {
-            return Ok(args);
-        }
-        loop {
-            args.push(self.arg_item()?);
-            if self.eat(&Tok::Comma) {
-                continue;
+        self.nested(|p| {
+            let mut args = Vec::new();
+            let mut height = 0;
+            if !p.eat(&Tok::RParen) {
+                loop {
+                    args.push(p.arg_item(&mut height)?);
+                    if p.eat(&Tok::Comma) {
+                        continue;
+                    }
+                    p.expect(&Tok::RParen)?;
+                    break;
+                }
             }
-            self.expect(&Tok::RParen)?;
-            break;
-        }
-        Ok(args)
+            p.height = height;
+            Ok(args)
+        })
     }
 
-    fn arg_item(&mut self) -> Result<ArgExpr> {
+    /// One argument; raises `height` to that of each expression in it.
+    fn arg_item(&mut self, height: &mut usize) -> Result<ArgExpr> {
+        let mut part = |p: &mut Self| {
+            let e = p.expr()?;
+            *height = (*height).max(p.height);
+            Ok(e)
+        };
         // `:`-led section.
-        if self.eat(&Tok::Colon) {
-            return self.finish_section(None);
-        }
-        let first = self.expr()?;
-        if self.eat(&Tok::Colon) {
-            return self.finish_section(Some(first));
-        }
-        Ok(ArgExpr::Expr(first))
-    }
-
-    /// After `lower? :` — parse optional upper and optional `: stride`.
-    fn finish_section(&mut self, lower: Option<Expr>) -> Result<ArgExpr> {
+        let lower = if self.eat(&Tok::Colon) {
+            None
+        } else {
+            let first = part(self)?;
+            if !self.eat(&Tok::Colon) {
+                return Ok(ArgExpr::Expr(first));
+            }
+            Some(first)
+        };
+        // After `lower? :` — an optional upper and an optional `: stride`.
         let upper = match self.peek() {
             Some(Tok::Comma) | Some(Tok::RParen) | Some(Tok::Colon) | None => None,
-            _ => Some(self.expr()?),
+            _ => Some(part(self)?),
         };
-        let stride = if self.eat(&Tok::Colon) { Some(self.expr()?) } else { None };
+        let stride = if self.eat(&Tok::Colon) { Some(part(self)?) } else { None };
         Ok(ArgExpr::Section { lower, upper, stride })
     }
 }
@@ -1642,5 +1780,63 @@ end
         // label list as a statement.
         let src = "subroutine s(x)\nif (x) 10, 20, 30\nend\n";
         assert!(parse_free(src).is_err());
+    }
+
+    #[test]
+    fn a_block_past_the_limit_is_skipped_whole_and_parsing_resumes() {
+        // Three levels past the limit, a sibling loop, then more code.
+        let n = MAX_BLOCK_DEPTH + 3;
+        let mut src = "program p\n".to_string();
+        for k in 0..n {
+            src += &format!("do i{k} = 1, 1\nif (x .lt. 1.0) then\n");
+            src += if k + 1 == n { "x = 1.0\n" } else { "" };
+        }
+        src += &"end if\nend do\n".repeat(n);
+        src += "y = 2.0\nend\n";
+        let out = crate::parse_free_recovering(&src);
+        let [e] = &out.errors[..] else { panic!("{:?}", out.errors) };
+        let first_too_deep = 2 + MAX_BLOCK_DEPTH;
+        let message = format!("blocks nested more than {MAX_BLOCK_DEPTH} deep");
+        assert_eq!(e.to_string(), format!("line {first_too_deep}: structure error: {message}"));
+        // The nest keeps its first MAX_BLOCK_DEPTH levels, and the
+        // statement after it parses.
+        let body = &out.file.units[0].body;
+        assert_eq!(body.len(), 2);
+        assert!(matches!(body[1].kind, StmtKind::Assign { .. }), "{:?}", body[1]);
+        let mut depth = 0;
+        let mut level = &body[..1];
+        while let [stmt] = level {
+            depth += 1;
+            level = match &stmt.kind {
+                StmtKind::Do { body, .. } => body,
+                StmtKind::If { then_body, .. } => then_body,
+                _ => break,
+            };
+        }
+        assert_eq!(depth, MAX_BLOCK_DEPTH);
+    }
+
+    #[test]
+    fn expression_limits_count_nesting_and_tree_height() {
+        let parse = |rhs: String| crate::parse_free(&format!("x = {rhs}\nend\n"));
+        let n = MAX_EXPR_DEPTH;
+        // Parentheses, argument lists, `.NOT.` and `**` chains all nest.
+        assert!(parse(format!("{}1{}", "(".repeat(n), ")".repeat(n))).is_ok());
+        assert!(parse(format!("{}1{}", "(".repeat(n + 1), ")".repeat(n + 1))).is_err());
+        assert!(parse(format!("{}1{}", "f(".repeat(n), ")".repeat(n))).is_ok());
+        assert!(parse(format!("{}1{}", "f(".repeat(n + 1), ")".repeat(n + 1))).is_err());
+        assert!(parse(format!("{}.true.", ".not. ".repeat(n))).is_ok());
+        assert!(parse(format!("{}.true.", ".not. ".repeat(n + 1))).is_err());
+        assert!(parse(format!("2{}", " ** 2".repeat(n))).is_ok());
+        assert!(parse(format!("2{}", " ** 2".repeat(n + 1))).is_err());
+        // A left-deep chain nests nothing but grows one level per operator.
+        let h = MAX_EXPR_HEIGHT;
+        assert!(parse(format!("1{}", " + 1".repeat(h))).is_ok());
+        let e = parse(format!("1{}", " + 1".repeat(h + 1))).unwrap_err();
+        assert!(e.to_string().contains("expression tree higher than"), "{e}");
+        // Both operands of a node count: the taller one sets its height.
+        let tall = format!("1{}", " * 1".repeat(h - 1));
+        assert!(parse(format!("2 + ({tall})")).is_ok());
+        assert!(parse(format!("({tall}) + 2 - 3")).is_err());
     }
 }

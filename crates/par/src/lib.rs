@@ -25,10 +25,21 @@
 //!    by the binary at start-up and by [`jobs`] with a panic),
 //! 3. `std::thread::available_parallelism()`.
 //!
+//! **One budget of [`jobs`] cores per process.** A thread holds a core
+//! while it runs sweep items, and a server request holds one for as
+//! long as [`occupy`] runs it. A sweep spawns a helper only for a core
+//! that no thread holds, and each helper gives its core back as soon as
+//! it runs out of items. So a `par_map` issued from inside a worker
+//! (cedar-verify's per-seed sweep under the robustness binary's
+//! per-workload sweep, or a verdict on a busy server's worker) runs
+//! serially while every core is held, and takes the cores that finished
+//! helpers have released. This is Cedar's own rule (§2.2): nested
+//! loops share one fixed set of processors instead of adding threads.
+//!
 //! **The caller is the first worker.** A sweep on `n` workers spawns
 //! `n − 1` scoped threads; the calling thread claims item 0 before any
-//! of them exists and then keeps claiming like the others, marked as a
-//! worker for as long as it does (a drop guard unmarks it, also when an
+//! of them exists and then keeps claiming like the others, holding a
+//! core for as long as it does (a drop guard releases it, also when an
 //! item's panic is resumed). It already holds the ambient context, so
 //! nothing is installed or restored on it. Besides saving a spawn per
 //! sweep this keeps memory where it was: glibc gives each thread its
@@ -43,11 +54,6 @@
 //! that run always on the caller. Hence the second half of the rule:
 //! which item lands on the caller is fixed (item 0), so a sweep can put
 //! its largest item there.
-//!
-//! Nested calls run serially: a `par_map` issued from inside a worker
-//! (e.g. cedar-verify's per-seed sweep under the robustness binary's
-//! per-workload sweep) degrades to the serial path instead of
-//! oversubscribing the host. The outermost call owns the threads.
 //!
 //! ## Failure containment
 //!
@@ -77,7 +83,7 @@ pub use cancel::CancelToken;
 pub use hash::sip_parts;
 
 use std::any::Any;
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -85,10 +91,14 @@ use std::sync::{Arc, Mutex};
 /// Global override installed by [`with_jobs`]; 0 = no override.
 static JOBS_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 
+/// Cores held process-wide, out of a budget of [`jobs`]: one per thread
+/// running sweep items or inside [`occupy`].
+static HELD: AtomicUsize = AtomicUsize::new(0);
+
 thread_local! {
-    /// Set inside worker threads so nested `par_map` calls degrade to
-    /// the serial path instead of spawning a second tier of threads.
-    static IN_WORKER: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+    /// Set while this thread holds one of the [`HELD`] cores, so that a
+    /// nested sweep or `occupy` on it takes no second one.
+    static HOLDS: Cell<bool> = const { Cell::new(false) };
 
     /// Caller-provided ambient context, inherited by worker threads
     /// (see [`set_context`]).
@@ -129,9 +139,66 @@ pub fn jobs() -> usize {
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
 }
 
-/// True when called from inside a `par_map` worker thread.
-pub fn in_worker() -> bool {
-    IN_WORKER.with(|f| f.get())
+/// One of the [`HELD`] cores, given back on drop.
+struct Core;
+
+impl Core {
+    /// Take a core that no thread holds, if one of the `budget` is free.
+    fn reserve(budget: usize) -> Option<Core> {
+        HELD.fetch_update(Ordering::SeqCst, Ordering::SeqCst, |held| {
+            (held < budget).then_some(held + 1)
+        })
+        .ok()
+        .map(|_| Core)
+    }
+}
+
+impl Drop for Core {
+    fn drop(&mut self) {
+        HELD.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
+/// The calling thread's hold on a core, released on drop (also when a
+/// panic unwinds past it). A thread holds at most one: a second hold
+/// takes nothing.
+struct Holding(Option<Core>);
+
+impl Holding {
+    /// Hold a core for the calling thread, counted even past the budget:
+    /// the thread runs either way, and helpers are spawned only below it.
+    fn take() -> Holding {
+        if HOLDS.with(|h| h.replace(true)) {
+            return Holding(None);
+        }
+        HELD.fetch_add(1, Ordering::SeqCst);
+        Holding(Some(Core))
+    }
+
+    /// Hold `core`, reserved for the calling thread by its spawner.
+    fn adopt(core: Core) -> Holding {
+        HOLDS.with(|h| h.set(true));
+        Holding(Some(core))
+    }
+}
+
+impl Drop for Holding {
+    fn drop(&mut self) {
+        if self.0.is_some() {
+            HOLDS.with(|h| h.set(false));
+        }
+    }
+}
+
+/// Run `f` holding one of the process's [`jobs`] cores, so that sweeps
+/// elsewhere spawn no helper for it. `cedar-serve`'s workers answer each
+/// request inside it: a lone request's verdict still spreads over the
+/// idle cores, and concurrent requests on a busy machine run theirs
+/// serially. Nested in a sweep item or another `occupy`, it takes no
+/// second core.
+pub fn occupy<R>(f: impl FnOnce() -> R) -> R {
+    let _hold = Holding::take();
+    f()
 }
 
 /// Run `f` with the worker count forced to `n`, restoring the previous
@@ -167,11 +234,11 @@ pub fn panic_message(payload: &(dyn Any + Send)) -> String {
     }
 }
 
-/// The engine of [`par_map`]: map `f` over `items` on `workers`
-/// workers — the calling thread and scoped threads for the rest —
-/// catching per-item panics so a failing item can never abort the
-/// scoped join. Results come back in input order.
-fn supervised_map<T, R, F>(items: Vec<T>, workers: usize, f: &F) -> Vec<Result<R, PanicPayload>>
+/// The engine of [`par_map`]: map `f` over `items` on the calling
+/// thread and one scoped helper per reserved core in `cores`, catching
+/// per-item panics so a failing item can never abort the scoped join.
+/// Results come back in input order.
+fn supervised_map<T, R, F>(items: Vec<T>, cores: Vec<Core>, f: &F) -> Vec<Result<R, PanicPayload>>
 where
     T: Send,
     R: Send,
@@ -211,24 +278,18 @@ where
     // runs does not depend on how fast a thread starts.
     let first = next.fetch_add(1, Ordering::Relaxed);
     std::thread::scope(|scope| {
-        for _ in 1..workers {
+        for core in cores {
             let inherited = inherited.clone();
+            // A helper gives its core back when it runs out of items,
+            // not at the join, so a nested sweep still running elsewhere
+            // can take it.
             scope.spawn(move || {
-                IN_WORKER.with(|flag| flag.set(true));
+                let _hold = Holding::adopt(core);
                 set_context(inherited);
                 work(next.fetch_add(1, Ordering::Relaxed));
             });
         }
-        // The caller already has the context, and is marked a worker
-        // for as long as it runs items, so that a nested call from one
-        // of them stays serial.
-        struct Unmark(bool);
-        impl Drop for Unmark {
-            fn drop(&mut self) {
-                IN_WORKER.with(|flag| flag.set(self.0));
-            }
-        }
-        let _unmark = Unmark(IN_WORKER.with(|flag| flag.replace(true)));
+        // The caller already has the context and its core.
         work(first);
     });
 
@@ -242,8 +303,9 @@ where
         .collect()
 }
 
-/// Map `f` over `items` on up to [`jobs`] scoped threads, returning
-/// results in input order (slot `k` of the output is `f(items[k])`,
+/// Map `f` over `items` on the calling thread and a helper for each
+/// free core of the [`jobs`] budget (at most one fewer than the items),
+/// returning results in input order (slot `k` of the output is `f(items[k])`,
 /// exactly as the serial `items.into_iter().map(f).collect()` would
 /// produce).
 ///
@@ -263,14 +325,16 @@ where
     F: Fn(T) -> R + Sync,
 {
     let n = items.len();
-    let workers = jobs().min(n);
-    if workers <= 1 || in_worker() {
+    let _hold = Holding::take();
+    let budget = jobs();
+    let cores: Vec<Core> = (1..budget.min(n)).map_while(|_| Core::reserve(budget)).collect();
+    if cores.is_empty() {
         return items.into_iter().map(f).collect();
     }
 
     let mut out = Vec::with_capacity(n);
     let mut first_panic: Option<PanicPayload> = None;
-    for r in supervised_map(items, workers, &f) {
+    for r in supervised_map(items, cores, &f) {
         match r {
             Ok(v) => out.push(v),
             Err(p) => {
@@ -299,7 +363,7 @@ where
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicU32;
-    use std::sync::MutexGuard;
+    use std::sync::{Barrier, MutexGuard};
 
     /// `with_jobs` installs one process-wide override, which every
     /// `jobs()` and so every `par_map` reads: each test here holds this
@@ -337,18 +401,89 @@ mod tests {
         assert_eq!(out, vec![1, 3, 6]);
     }
 
+    /// Cores held right now, out of the budget.
+    fn held() -> usize {
+        HELD.load(Ordering::SeqCst)
+    }
+
     #[test]
     fn nested_calls_degrade_to_serial() {
         let _jobs = hold_jobs();
-        let depth_two_workers = with_jobs(4, || {
+        // All four outer items run at once, each on its own thread (the
+        // barrier lets none through until four have arrived), and none
+        // leaves before every inner sweep is done: all four cores are
+        // held throughout, so no inner sweep may spawn.
+        let (arrive, leave) = (Barrier::new(4), Barrier::new(4));
+        let inner_on_own_thread = with_jobs(4, || {
             par_map(vec![0usize; 4], |_| {
-                // Inner call must not spawn: in_worker() is set.
-                assert!(in_worker());
-                par_map(vec![1usize, 2, 3], |x| x).len()
+                arrive.wait();
+                assert_eq!(held(), 4);
+                let me = std::thread::current().id();
+                let inner = par_map(vec![1usize, 2, 3], |_| std::thread::current().id());
+                leave.wait();
+                inner.iter().all(|&id| id == me)
             })
         });
-        assert_eq!(depth_two_workers, vec![3, 3, 3, 3]);
-        assert!(!in_worker(), "flag must not leak to the caller");
+        assert_eq!(inner_on_own_thread, vec![true; 4]);
+        assert_eq!(held(), 0, "every core is given back");
+    }
+
+    #[test]
+    fn a_busy_budget_runs_a_sweep_on_its_caller() {
+        let _jobs = hold_jobs();
+        // Two occupied threads hold both cores of a budget of two, so
+        // the second one's sweep runs every item itself.
+        let (entered, done) = (Barrier::new(2), Barrier::new(2));
+        let ran_here = with_jobs(2, || {
+            std::thread::scope(|scope| {
+                scope.spawn(|| {
+                    occupy(|| {
+                        entered.wait();
+                        done.wait();
+                    })
+                });
+                let ran_here = occupy(|| {
+                    entered.wait();
+                    assert_eq!(held(), 2);
+                    let me = std::thread::current().id();
+                    let ran = par_map((0..8usize).collect(), |_| std::thread::current().id());
+                    ran.iter().all(|&id| id == me)
+                });
+                done.wait();
+                ran_here
+            })
+        });
+        assert!(ran_here, "a sweep under a full budget spawned a helper");
+        assert_eq!(held(), 0);
+    }
+
+    #[test]
+    fn an_occupied_thread_still_spreads_a_lone_sweep() {
+        let _jobs = hold_jobs();
+        // The request holds one core of two; its sweep takes the other,
+        // so two items that wait for each other finish.
+        let both_in = Barrier::new(2);
+        let during = with_jobs(2, || {
+            occupy(|| {
+                let during = par_map(vec![0usize; 2], |_| {
+                    let held = held();
+                    both_in.wait();
+                    held
+                });
+                assert_eq!(held(), 1, "the helper's core is back");
+                during
+            })
+        });
+        assert_eq!(during, vec![2, 2]);
+        assert_eq!(held(), 0);
+    }
+
+    #[test]
+    fn occupy_nested_in_a_sweep_takes_no_second_core() {
+        let _jobs = hold_jobs();
+        let seen = with_jobs(1, || par_map(vec![0usize], |_| occupy(held)));
+        assert_eq!(seen, vec![1]);
+        assert_eq!(held(), 0);
     }
 
     #[test]
@@ -463,27 +598,83 @@ mod tests {
             spawned.len() <= 2,
             "3 workers are the caller and at most 2 threads: {spawned:?}"
         );
+        // And a lone sweep does get both: three items that wait for each
+        // other can only finish on three threads.
+        let all_in = Barrier::new(3);
+        let held_by = with_jobs(3, || {
+            par_map(vec![0usize; 3], |_| {
+                // Read before anyone may leave and give a core back.
+                let held = held();
+                all_in.wait();
+                held
+            })
+        });
+        assert_eq!(held_by, vec![3; 3]);
     }
 
     #[test]
     fn a_nested_call_from_the_callers_own_item_stays_serial() {
         let _jobs = hold_jobs();
         let caller = std::thread::current().id();
-        let inner_threads = with_jobs(4, || {
+        // Budget 2: the caller and one helper hold both cores, and the
+        // helper's item waits for the caller's inner sweep to finish.
+        let (both, inner_done) = (Barrier::new(2), Barrier::new(2));
+        let inner_threads = with_jobs(2, || {
             par_map(vec![0usize, 1], |k| {
-                assert!(
-                    in_worker(),
-                    "item {k}: the caller counts as a worker while it works"
-                );
+                both.wait();
+                if k == 1 {
+                    inner_done.wait();
+                    return (std::thread::current().id(), true);
+                }
                 // Serial: every inner item runs on the thread of the outer one.
                 let me = std::thread::current().id();
                 let inner = par_map(vec![0usize; 6], |_| std::thread::current().id());
+                inner_done.wait();
                 (me, inner.iter().all(|&id| id == me))
             })
         });
         assert_eq!(inner_threads[0].0, caller);
         assert!(inner_threads.iter().all(|&(_, serial)| serial));
-        assert!(!in_worker(), "and is the caller again afterwards");
+        assert_eq!(held(), 0, "and holds no core afterwards");
+    }
+
+    #[test]
+    fn a_nested_sweep_takes_the_core_a_finished_helper_gave_back() {
+        let _jobs = hold_jobs();
+        let caller = std::thread::current().id();
+        // Budget 2, two outer items: the caller runs item 0 and a helper
+        // item 1. While the helper works, the caller's inner sweep is
+        // serial; once the helper has run out of items and given its
+        // core back, the next inner sweep spawns one.
+        let helper_working = Barrier::new(2);
+        let helper_finish = Barrier::new(2);
+        let inner_both = Barrier::new(2);
+        let (busy, free) = with_jobs(2, || {
+            let out = par_map(vec![0usize, 1], |k| {
+                helper_working.wait();
+                if k == 1 {
+                    helper_finish.wait();
+                    return (0, 0);
+                }
+                let busy = par_map(vec![0usize; 4], |_| held());
+                helper_finish.wait();
+                // The helper leaves its work loop and drops its core.
+                while held() > 1 {
+                    std::thread::yield_now();
+                }
+                let free = par_map(vec![0usize; 2], |_| {
+                    let held = held();
+                    inner_both.wait();
+                    held
+                });
+                (busy.iter().copied().max().unwrap(), free[0])
+            });
+            out[0]
+        });
+        assert_eq!(busy, 2, "caller and helper held both cores");
+        assert_eq!(free, 2, "the inner sweep reserved the released core");
+        assert_eq!(std::thread::current().id(), caller);
+        assert_eq!(held(), 0);
     }
 
     #[test]
@@ -503,12 +694,24 @@ mod tests {
         }));
         assert!(resumed.is_err());
         assert_eq!(seen.into_inner().unwrap(), vec![Some("ambient"); 3]);
-        assert!(
-            !in_worker(),
-            "the flag is restored after a sweep whose item panicked"
-        );
+        assert_eq!(held(), 0, "the budget is whole after a sweep whose item panicked");
+        assert!(!HOLDS.with(Cell::get), "and the caller holds no core");
         let ambient = context().and_then(|c| c.downcast_ref::<&str>().copied());
         assert_eq!(ambient, Some("ambient"), "the caller keeps its context");
         set_context(prev);
+    }
+
+    #[test]
+    fn occupy_gives_its_core_back_when_it_unwinds() {
+        let _jobs = hold_jobs();
+        let unwound = std::panic::catch_unwind(|| {
+            occupy(|| {
+                assert_eq!(held(), 1);
+                panic!("request failed")
+            })
+        });
+        assert!(unwound.is_err());
+        assert_eq!(held(), 0);
+        assert!(!HOLDS.with(Cell::get));
     }
 }

@@ -362,7 +362,11 @@ fn worker_loop(shared: &Shared, persist: Option<&SyncSender<Put>>) {
             }
         };
         match stream {
-            Some((s, admitted)) => handle_connection(shared, persist, s, admitted.elapsed()),
+            // The request holds a core of the process's budget while it
+            // is answered, so concurrent verdicts run on their workers.
+            Some((s, admitted)) => cedar_par::occupy(|| {
+                handle_connection(shared, persist, s, admitted.elapsed())
+            }),
             None => return, // drained and draining: exit
         }
     }

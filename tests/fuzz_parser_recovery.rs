@@ -10,12 +10,15 @@
 //! Past the parser, a table of well-formed programs with constants at
 //! the ends of `i64` pins what lowering, restructuring and simulation
 //! make of each: a diagnostic with a span or a definite outcome, never
-//! a panic and never a wrapped value.
+//! a panic and never a wrapped value. Programs nested to the parser's
+//! limits run through the whole pipeline on a server worker's stack,
+//! and programs nested ten times deeper end in a diagnostic there.
 
+use cedar_f77::parser::{MAX_BLOCK_DEPTH, MAX_EXPR_DEPTH, MAX_EXPR_HEIGHT};
 use cedar_f77::{parse_free_recovering, parse_source_recovering};
 use cedar_fuzz::{mutations, GenProgram};
 use cedar_ir::{compile_source, CompileError, Program};
-use cedar_restructure::{restructure, PassConfig};
+use cedar_restructure::{restructure, BackendKind, EmitInput, PassConfig};
 use cedar_sim::{Engine, MachineConfig, SimErrorKind};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -220,4 +223,86 @@ fn extreme_constants_end_in_diagnostics_or_definite_outcomes() {
             }
         }
     }
+}
+
+/// A program whose one construct nests `n` deep, by shape: parentheses
+/// around an operand, a chain of `n` additions, `n` DO loops, or `n`
+/// block IFs.
+fn nested(shape: &str, n: usize) -> String {
+    let mut lines = vec!["program p".to_string(), "real x".into(), "x = 0.0".into()];
+    match shape {
+        "parentheses" => lines.push(format!("x = {}x + 1.0{}", "(".repeat(n), ")".repeat(n))),
+        "additions" => lines.push(format!("x = x{}", " + 1.0".repeat(n))),
+        _ => {
+            let (open, close) = match shape {
+                "do" => ("do i{} = 1, 1", "end do"),
+                _ => ("if (x .lt. 1.0) then", "end if"),
+            };
+            lines.extend((0..n).map(|k| open.replace("{}", &k.to_string())));
+            lines.push("x = x + 1.0".into());
+            lines.extend((0..n).map(|_| close.to_string()));
+        }
+    }
+    lines.push("end".into());
+    lines.iter().map(|l| format!("      {l}\n")).collect()
+}
+
+/// Each shape with the limit that bounds it and the diagnostic past it.
+const NESTING_LIMITS: [(&str, usize, &str); 4] = [
+    ("parentheses", MAX_EXPR_DEPTH, "expression nested more than"),
+    ("additions", MAX_EXPR_HEIGHT, "expression tree higher than"),
+    ("do", MAX_BLOCK_DEPTH, "blocks nested more than"),
+    ("if", MAX_BLOCK_DEPTH, "blocks nested more than"),
+];
+
+/// Run `f` on a thread with a `cedar-serve` worker's 2 MiB stack.
+fn on_a_worker_stack(f: impl FnOnce() + Send) {
+    std::thread::scope(|s| {
+        std::thread::Builder::new().stack_size(2 << 20).spawn_scoped(s, f).unwrap().join().unwrap()
+    });
+}
+
+#[test]
+fn programs_nested_to_the_limits_run_through_the_whole_pipeline() {
+    on_a_worker_stack(|| {
+        for (shape, limit, _) in NESTING_LIMITS {
+            let src = nested(shape, limit);
+            let original = compile_source(&src).unwrap_or_else(|e| panic!("{shape}: {e}"));
+            for cfg in [PassConfig::automatic_1991(), PassConfig::manual_improved()] {
+                let r = restructure(&original, &cfg);
+                let (restructured, report) = (&r.program, &r.report);
+                let input = EmitInput { original: &original, restructured, report };
+                for kind in [BackendKind::Cedar, BackendKind::OpenMp, BackendKind::Serial] {
+                    assert!(!kind.backend().emit(&input).is_empty());
+                }
+                for p in [&original, &r.program] {
+                    assert_eq!(simulated(p), None, "{shape}");
+                    for engine in [Engine::Vm, Engine::Interp] {
+                        let mc = MachineConfig::cedar_config1().with_engine(engine);
+                        let races = cedar_sim::run_collecting_races(p, mc);
+                        assert!(races.is_ok(), "{shape} {engine:?}: {:?}", races.err());
+                    }
+                }
+            }
+        }
+    });
+}
+
+#[test]
+fn nesting_past_the_limits_is_a_diagnostic_with_a_span() {
+    on_a_worker_stack(|| {
+        for (shape, limit, message) in NESTING_LIMITS {
+            for n in [limit + 1, 10 * limit] {
+                let src = nested(shape, n);
+                let out = parse_source_recovering(&src);
+                let [e] = &out.errors[..] else { panic!("{shape} {n}: {:?}", out.errors) };
+                assert!(e.to_string().contains(message), "{shape} {n}: {e}");
+                // The construct starts on line 4, and its first level past
+                // the limit on that line plus the limit for a block.
+                let line = if shape == "do" || shape == "if" { 4 + limit } else { 4 };
+                assert_eq!(e.span.line as usize, line, "{shape} {n}: {e}");
+                assert!(matches!(compile_source(&src), Err(CompileError::Parse(_))), "{shape} {n}");
+            }
+        }
+    });
 }

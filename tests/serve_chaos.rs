@@ -15,8 +15,14 @@
 //! the tests *predict* which generated program recovers and which
 //! quarantines using the public probes, then assert the service does
 //! exactly that.
+//!
+//! Inputs that used to abort the process get an error reply, and the
+//! server keeps answering: programs past the storage cap, and bodies
+//! nested past the parsers' limits.
 
 use cedar_experiments::chaos;
+use cedar_experiments::jsonio::MAX_DEPTH;
+use cedar_f77::parser::{MAX_BLOCK_DEPTH, MAX_EXPR_DEPTH, MAX_EXPR_HEIGHT};
 use cedar_experiments::supervise::{self, Rung};
 use cedar_fuzz::GenProgram;
 use cedar_serve::{http, Json, ServeRequest, Server, ServerConfig};
@@ -198,5 +204,38 @@ fn a_validated_program_whose_shadow_passes_the_storage_cap_gets_a_reply() {
     let (status, body) = http::post(&addr, "/restructure", &request_for(0).to_json(), T)
         .expect("the server still answers");
     assert_eq!(status, 200, "{body}");
+    server.shutdown();
+}
+
+#[test]
+fn bodies_nested_past_the_limits_get_a_client_error_and_the_server_keeps_answering() {
+    let mut cfg = ServerConfig { workers: 2, ..ServerConfig::default() };
+    cfg.engine.sup.bundle_dir = PathBuf::from("target/test-serve-bundles/nesting");
+    let _ = std::fs::remove_dir_all(&cfg.engine.sup.bundle_dir);
+    let server = Server::start(cfg).expect("bind in-process server");
+    let addr = server.addr();
+    let program = |body: String| format!("      program p\n      real x\n{body}      end\n");
+    let nest = |n: usize, open: &str, close: &str| {
+        program(format!("      {}\n      x = 1.0\n      {}\n", open.repeat(n), close.repeat(n)))
+    };
+    let parens = 10 * MAX_EXPR_DEPTH;
+    let sources = [
+        program(format!("      x = {}1.0{}\n", "(".repeat(parens), ")".repeat(parens))),
+        program(format!("      x = 1.0{}\n", " + 1.0".repeat(10 * MAX_EXPR_HEIGHT))),
+        nest(10 * MAX_BLOCK_DEPTH, "do i = 1, 1\n      ", "end do\n      "),
+        nest(10 * MAX_BLOCK_DEPTH, "if (x .lt. 1.0) then\n      ", "end if\n      "),
+    ];
+    let bodies = sources
+        .iter()
+        .map(|src| ServeRequest::new(src.as_str()).to_json())
+        .chain(["[".repeat(10 * MAX_DEPTH) + &"]".repeat(10 * MAX_DEPTH)]);
+    for body in bodies {
+        let (status, reply) =
+            http::post(&addr, "/restructure", &body, T).expect("the server answers");
+        assert_eq!(status, 400, "{reply}");
+        let (status, reply) = http::post(&addr, "/restructure", &request_for(0).to_json(), T)
+            .expect("the server still answers");
+        assert_eq!(status, 200, "{reply}");
+    }
     server.shutdown();
 }
