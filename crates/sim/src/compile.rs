@@ -53,6 +53,7 @@
 //! op. Elemental intrinsics are typed ([`intrinsic_class`]) and run
 //! through `value_ops::intrinsic`, the interpreter's own.
 
+use crate::cost::{Access, CostClass};
 use crate::value_ops::{bin_class, cmp_mask, intrinsic_class, un_class, Class};
 use cedar_ir::{
     BinOp, Expr, Intrinsic, LValue, Loop, LoopClass, Program, Span, Stmt, SymbolId, SyncOp, UnOp,
@@ -213,6 +214,69 @@ pub(crate) enum Instr {
     Interp(u32),
 }
 
+/// One charge an op makes, in order: a fixed one, a scalar access to
+/// a symbol (a cache hit), or an element access to a symbol's storage
+/// (priced by the placement it is bound to).
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Charge {
+    Fixed(CostClass),
+    Scalar(SymbolId),
+    Elem(SymbolId, Access),
+}
+
+impl Instr {
+    /// An op a loop kernel runs: it neither jumps, calls, allocates nor
+    /// boxes, so what it charges does not depend on what it computes.
+    pub(crate) fn in_kernel(&self) -> bool {
+        use Instr::*;
+        !matches!(
+            self,
+            EvalTree(_) | CvtVI { .. } | CvtVB { .. } | Branch | JumpIfFalse { .. } | Jump(_)
+                | StoreV { .. } | SetElemV { .. } | LoopStmt(_) | SeqLoop { .. }
+                | LoopBack { .. } | WhileStmt(_) | CallSub(_) | Timer { .. } | SyncStmt(_)
+                | TaskWait | Io | Return | Stop | Interp(_)
+        )
+    }
+
+    /// The charges of a kernel op that does not fault, in the order its
+    /// arm of the dispatch loop makes them.
+    pub(crate) fn charges(&self, cu: &CompiledUnit, mut f: impl FnMut(Charge)) {
+        use Charge::{Elem, Fixed, Scalar};
+        use CostClass::{Intrinsic, ScalarOp};
+        use Instr::*;
+        match *self {
+            Gate { .. } | CvtIR { .. } | CvtBR { .. } | CvtRI { .. } | CvtBI { .. }
+            | CvtRB { .. } | CvtIB { .. } => {}
+            LoadR { sym, .. } | LoadI { sym, .. } | LoadB { sym, .. } | StoreR { sym, .. }
+            | StoreI { sym, .. } | StoreB { sym, .. } => f(Scalar(sym)),
+            LoadIdx { sym, .. } => {
+                f(Scalar(sym));
+                f(Fixed(ScalarOp));
+            }
+            ElemR { arr, .. } | ElemI { arr, .. } | ElemB { arr, .. } => {
+                f(Elem(arr, Access::ScalarRead))
+            }
+            ElemVarR { arr, sub, rank, .. }
+            | ElemVarI { arr, sub, rank, .. }
+            | ElemVarB { arr, sub, rank, .. } => {
+                for &v in &cu.idx_vars[sub as usize..][..rank as usize] {
+                    f(Scalar(v));
+                    f(Fixed(ScalarOp));
+                }
+                f(Elem(arr, Access::ScalarRead));
+            }
+            SetElemR { arr, .. } | SetElemI { arr, .. } | SetElemB { arr, .. } => {
+                f(Elem(arr, Access::ScalarWrite))
+            }
+            IntrR { .. } | IntrI { .. } => f(Fixed(Intrinsic)),
+            ref other => {
+                debug_assert!(other.in_kernel(), "{other:?} is not a kernel op");
+                f(Fixed(ScalarOp))
+            }
+        }
+    }
+}
+
 /// A pre-resolved CALL site.
 #[derive(Debug, Clone)]
 pub(crate) struct CallSite {
@@ -246,7 +310,20 @@ pub(crate) struct VmLoop {
     pub span: Span,
     /// Straight-line continuation after the loop's inline ranges.
     pub end_pc: u32,
+    /// An [`Instr::SeqLoop`] whose body is kernel ops only
+    /// ([`Instr::in_kernel`]) and within [`MAX_CHARGES`] and
+    /// [`MAX_ACCESSES`].
+    pub kernel: bool,
 }
+
+/// The most charges one iteration of a loop kernel makes, its step's
+/// included, and the most accesses: a body that makes more runs on the
+/// dispatch loop. A kernel's prices and resolved accesses are arrays of
+/// these lengths on the stack, so that entering one allocates nothing.
+/// The serial originals' largest kernels make 51 charges and 28
+/// accesses.
+pub(crate) const MAX_CHARGES: usize = 64;
+pub(crate) const MAX_ACCESSES: usize = 32;
 
 /// Compiled form of a DO WHILE: a code range leaving the condition in
 /// logical register `cond_reg`, and the compiled body range.
@@ -920,6 +997,7 @@ impl Compiler<'_> {
             post: (0, 0),
             span: l.span,
             end_pc: 0,
+            kernel: false,
         });
         let (pre, body, post) = if inline_loop(l) {
             // The dispatch loop runs it itself: the trip state sits in
@@ -932,6 +1010,7 @@ impl Compiler<'_> {
             self.base = self.next;
             let body = self.emit_range(&l.body);
             self.base = outer;
+            self.cu.loops[li].kernel = self.is_kernel(body);
             self.push(Instr::LoopBack {
                 var: l.var,
                 body: body.0,
@@ -950,6 +1029,23 @@ impl Compiler<'_> {
         let end_pc = self.pc();
         let lp = &mut self.cu.loops[li];
         (lp.pre, lp.body, lp.post, lp.end_pc) = (pre, body, post, end_pc);
+    }
+
+    /// An inline loop's `body` is a kernel's: kernel ops only, within
+    /// the kernel's arrays — one charge for the step, then the body's.
+    fn is_kernel(&self, body: (u32, u32)) -> bool {
+        let ops = &self.cu.code[body.0 as usize..body.1 as usize];
+        if !ops.iter().all(Instr::in_kernel) {
+            return false;
+        }
+        let (mut charges, mut accesses) = (1, 0);
+        for op in ops {
+            op.charges(&self.cu, |c| {
+                charges += 1;
+                accesses += !matches!(c, Charge::Fixed(_)) as usize;
+            });
+        }
+        charges <= MAX_CHARGES && accesses <= MAX_ACCESSES
     }
 }
 

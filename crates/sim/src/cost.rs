@@ -15,6 +15,10 @@
 //!   vector-expression nodes by lane count, reductions by [`ParMode`].
 //! * [`CostModel::loop_shape`] — participants, start-up and dispatch
 //!   of a loop class, for the scheduler and parallel reductions alike.
+//! * [`CostModel::price`] and [`CostModel::count`] — a loop kernel's
+//!   iteration priced once through the entry points above, and its
+//!   counts added for many iterations at once (DESIGN.md §14, "Loop
+//!   kernels").
 //!
 //! DESIGN.md §14.1 tabulates every class (trigger, formula, fields and
 //! constants read, counter bumped) and lists the clock moves that are
@@ -326,6 +330,48 @@ impl CostModel {
                 stats.parallel_loops += 1;
             }
         }
+    }
+}
+
+/// One charge of a loop kernel's iteration, its placement resolved.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Priced {
+    Fixed(CostClass),
+    Access(Placement, Access),
+}
+
+impl CostModel {
+    /// Price one charge of a loop kernel's iteration, once: its clock
+    /// addition and its addition to `paged_accesses` (0 for none); its
+    /// counts go to `at.stats`, whose `paged_accesses` it overwrites.
+    /// The charge is made through its entry point against a zero clock,
+    /// so a price has the bits of the addition it stands for. Kernels
+    /// run without a fault profile, so no jitter is drawn. `None` for a
+    /// partitioned access that pages: it adds to `paged_accesses` twice.
+    pub(crate) fn price(&self, charge: Priced, at: &mut Site) -> Option<(f64, f64)> {
+        debug_assert!(at.faults.is_none(), "kernels run without a fault profile");
+        at.stats.paged_accesses = 0.0;
+        let mut clock = 0.0;
+        match charge {
+            Priced::Fixed(class) => self.charge(class, at.stats, &mut clock),
+            Priced::Access(placement, how) => {
+                clock = self.access(placement, 1, how, at);
+                if placement == Placement::Partitioned && at.stats.paged_accesses > 0.0 {
+                    return None;
+                }
+            }
+        }
+        Some((clock, at.stats.paged_accesses))
+    }
+
+    /// Add the counts of `per` (of one iteration, from
+    /// [`CostModel::price`]) `times` over to `stats`: what the charges a
+    /// kernel makes count, scalar ops and scalar accesses.
+    pub(crate) fn count(per: &ExecStats, times: u64, stats: &mut ExecStats) {
+        stats.scalar_ops += per.scalar_ops * times;
+        stats.private_accesses += per.private_accesses * times;
+        stats.cluster_accesses += per.cluster_accesses * times;
+        stats.global_scalar_accesses += per.global_scalar_accesses * times;
     }
 }
 

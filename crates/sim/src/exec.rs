@@ -27,6 +27,8 @@ pub use crate::error::{SimError, SimErrorKind};
 // modules, so that they reach the simulator's private state. What one
 // needs of another is `pub(super)`.
 mod frames;
+#[path = "kernel.rs"]
+mod kernel;
 mod loops;
 mod scalar;
 mod stmt;
@@ -108,6 +110,9 @@ pub struct Simulator<'p> {
     faults: Option<FaultState>,
     /// Statements executed so far (watchdog budget).
     ops_executed: u64,
+    /// Section elements worked on since the cancel token was last
+    /// polled for them ([`Simulator::element_work`]).
+    elements_since_poll: u64,
     /// Happens-before race detector (None unless
     /// [`MachineConfig::detect_races`] is set — the hot path pays one
     /// `Option` test per access when disabled, and no simulated cycles
@@ -137,6 +142,14 @@ pub struct Simulator<'p> {
     salts: Vec<u64>,
     /// See [`Simulator::tree_walked_activations`].
     tree_walked: u64,
+    /// See [`Simulator::kernel_iterations`].
+    inline_iterations: u64,
+    kernel_iterations: u64,
+    /// Resolved-operand tables filled or changed so far: the next
+    /// one's generation.
+    tables_resolved: u64,
+    /// The loop kernels planned last.
+    plans: kernel::Plans,
 }
 
 impl<'p> Simulator<'p> {
@@ -194,6 +207,7 @@ impl<'p> Simulator<'p> {
             call_depth: 0,
             faults: None,
             ops_executed: 0,
+            elements_since_poll: 0,
             races,
             pre,
             pool: LanePool::default(),
@@ -204,6 +218,10 @@ impl<'p> Simulator<'p> {
             spare_clocks: Vec::new(),
             salts: Vec::new(),
             tree_walked: 0,
+            inline_iterations: 0,
+            kernel_iterations: 0,
+            tables_resolved: 0,
+            plans: kernel::Plans::default(),
         };
         sim.allocate_commons()?;
         Ok(sim)
@@ -247,6 +265,15 @@ impl<'p> Simulator<'p> {
     /// by design.
     pub fn tree_walked_activations(&self) -> u64 {
         self.tree_walked
+    }
+
+    /// Iterations of the sequential loops the VM runs inline
+    /// ([`Instr::SeqLoop`](crate::compile::Instr::SeqLoop)) and how many
+    /// of them ran as loop kernels, in that order (DESIGN.md §14, "Loop
+    /// kernels"). Not part of [`ExecStats`]: kernels run only on the VM,
+    /// with the fast paths and without a race detector or faults.
+    pub fn kernel_iterations(&self) -> (u64, u64) {
+        (self.inline_iterations, self.kernel_iterations)
     }
 
     /// How the run's vector sections were resolved to element indices

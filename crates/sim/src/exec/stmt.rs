@@ -6,6 +6,15 @@ use super::{kerr, Ctx, Frame, Result, SimError, SimErrorKind, Simulator};
 use crate::cost::{Access, CostClass};
 use cedar_ir::{Expr, LValue, Stmt};
 
+/// Statements between two polls of the cancel token; the first
+/// statement of each window polls.
+const POLL_STATEMENTS: u64 = 1024;
+
+/// Elements of section work between two polls of the cancel token, as
+/// [`POLL_STATEMENTS`] statements are: a poll costs about what a few
+/// elements do.
+const POLL_ELEMENTS: u64 = 1 << 16;
+
 impl Simulator<'_> {
     pub(super) fn exec_block(&mut self, frame: &mut Frame, body: &[Stmt], ctx: &mut Ctx) -> Result<Flow> {
         for s in body {
@@ -28,13 +37,15 @@ impl Simulator<'_> {
     /// adversarial inputs terminate with a structured error instead of
     /// wedging the harness. The wall-clock companion polls the
     /// supervisor's cancel token every 1024 statements (and on the very
-    /// first, so a pre-expired token aborts before any work). One
-    /// `Instant::now()` per window keeps the host cost invisible; the
-    /// abort is cooperative, so no simulator state tears.
+    /// first, so a pre-expired token aborts before any work), and after
+    /// every [`POLL_ELEMENTS`] section elements
+    /// ([`Simulator::element_work`]). One `Instant::now()` per window
+    /// keeps the host cost invisible; the abort is cooperative, so no
+    /// simulator state tears.
     #[inline]
     pub(super) fn statement_gate(&mut self, span: cedar_ir::Span) -> Result<()> {
         self.ops_executed += 1;
-        if self.ops_executed > self.watchdog_ops || self.ops_executed & 0x3FF == 1 {
+        if self.ops_executed > self.watchdog_ops || self.ops_executed % POLL_STATEMENTS == 1 {
             self.watchdog(span)?;
         }
         if let Some(rd) = self.races.as_mut() {
@@ -42,6 +53,19 @@ impl Simulator<'_> {
             rd.set_span(span);
         }
         Ok(())
+    }
+
+    /// How many more statements pass their gate before one the watchdog
+    /// looks at — the budget's last, or one that opens a cancel-poll
+    /// window: what a loop kernel may count without gating them.
+    pub(super) fn quiet_statements(&self) -> u64 {
+        let ops = self.ops_executed;
+        // The first count above `ops` that opens a window.
+        let mut poll = ops - ops % POLL_STATEMENTS + 1;
+        if poll <= ops {
+            poll += POLL_STATEMENTS;
+        }
+        (poll - 1).min(self.watchdog_ops).saturating_sub(ops)
     }
 
     /// The rare part of [`Simulator::statement_gate`]: the budget is
@@ -55,29 +79,47 @@ impl Simulator<'_> {
                 format!("watchdog: statement budget of {} exceeded", self.watchdog_ops),
             );
         }
-        if self.ops_executed & 0x3FF == 1 {
-            if let Some(token) = &self.cancel {
-                if token.expired() {
-                    return kerr(
-                        SimErrorKind::Timeout,
-                        span,
-                        match token.budget() {
-                            Some(b) => format!(
-                                "watchdog: wall-clock budget of {:.3}s exceeded \
-                                 after {} statements",
-                                b.as_secs_f64(),
-                                self.ops_executed
-                            ),
-                            None => format!(
-                                "watchdog: run cancelled by supervisor after {} statements",
-                                self.ops_executed
-                            ),
-                        },
-                    );
-                }
-            }
+        if self.ops_executed % POLL_STATEMENTS == 1 {
+            self.poll_cancel(span)?;
         }
         Ok(())
+    }
+
+    /// Count the elements of a section a statement works on. A window
+    /// also opens after [`POLL_ELEMENTS`] of them, whatever the number
+    /// of statements: a few statements over long sections would
+    /// otherwise run for minutes between two polls.
+    #[inline]
+    pub(super) fn element_work(&mut self, elements: usize) -> Result<()> {
+        self.elements_since_poll += elements as u64;
+        if self.elements_since_poll < POLL_ELEMENTS {
+            return Ok(());
+        }
+        self.elements_since_poll = 0;
+        self.poll_cancel(cedar_ir::Span::NONE)
+    }
+
+    /// Fail when the supervisor's cancel token has expired.
+    #[cold]
+    fn poll_cancel(&self, span: cedar_ir::Span) -> Result<()> {
+        let Some(token) = self.cancel.as_ref().filter(|t| t.expired()) else {
+            return Ok(());
+        };
+        kerr(
+            SimErrorKind::Timeout,
+            span,
+            match token.budget() {
+                Some(b) => format!(
+                    "watchdog: wall-clock budget of {:.3}s exceeded after {} statements",
+                    b.as_secs_f64(),
+                    self.ops_executed
+                ),
+                None => format!(
+                    "watchdog: run cancelled by supervisor after {} statements",
+                    self.ops_executed
+                ),
+            },
+        )
     }
 
     pub(super) fn exec_stmt(&mut self, frame: &mut Frame, s: &Stmt, ctx: &mut Ctx) -> Result<Flow> {

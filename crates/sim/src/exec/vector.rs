@@ -83,7 +83,7 @@ impl Simulator<'_> {
                 }
             }
         }
-        Ok(())
+        self.element_work(sec.lanes)
     }
 
     /// Return a section's gather vectors to the pool.

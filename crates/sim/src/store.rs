@@ -4,6 +4,7 @@
 use crate::lanes::{LanePool, Lanes};
 use crate::value_ops::Class;
 use cedar_ir::{Placement, Ty, Value};
+use std::cell::Cell;
 
 /// One contiguous storage slot (column-major array or scalar cell).
 #[derive(Debug, Clone)]
@@ -290,6 +291,14 @@ pub(crate) fn element_count(dims: &[(i64, i64)]) -> Option<usize> {
     })
 }
 
+/// A slot's elements as cells ([`Store::cells`]).
+#[derive(Clone, Copy)]
+pub(crate) enum Cells<'s> {
+    R(&'s [Cell<f64>]),
+    I(&'s [Cell<i64>]),
+    B(&'s [Cell<bool>]),
+}
+
 /// Simulated bytes one run may allocate over all its slots. A slot
 /// lives until the run ends (a scope exit returns its bytes to the
 /// paging model's pools, not to the host), so this bounds what a run
@@ -374,6 +383,25 @@ impl Store {
     /// Write access to a slot.
     pub fn slot_mut(&mut self, id: SlotId) -> &mut ArrayData {
         &mut self.slots[id.0 as usize]
+    }
+
+    /// The slots `ids`, ascending and distinct, as cells: views that
+    /// may be held together and written through, for operands that
+    /// share one slot. `view(id, cells)` receives each one's.
+    pub(crate) fn cells<'s>(&'s mut self, ids: &[SlotId], mut view: impl FnMut(SlotId, Cells<'s>)) {
+        let (mut slots, mut next) = (self.slots.iter_mut(), 0);
+        for &id in ids {
+            let data = slots.nth(id.0 as usize - next).expect("a slot of this store");
+            next = id.0 as usize + 1;
+            view(
+                id,
+                match data {
+                    ArrayData::R(v) => Cells::R(Cell::from_mut(&mut v[..]).as_slice_of_cells()),
+                    ArrayData::I(v) => Cells::I(Cell::from_mut(&mut v[..]).as_slice_of_cells()),
+                    ArrayData::B(v) => Cells::B(Cell::from_mut(&mut v[..]).as_slice_of_cells()),
+                },
+            );
+        }
     }
 
     /// Account `bytes` to a pool; returns nothing — thrash factors are

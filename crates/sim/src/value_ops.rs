@@ -147,22 +147,8 @@ pub fn bin(op: BinOp, l: Value, r: Value) -> Result<Value, OpError> {
             }
         },
         Pow => match (l, r) {
-            (Value::I(a), Value::I(b)) => {
-                if b >= 0 {
-                    let mut acc: i64 = 1;
-                    for _ in 0..b.min(63) {
-                        acc = acc.wrapping_mul(a);
-                    }
-                    Value::I(acc)
-                } else if a.abs() == 1 {
-                    Value::I(if b % 2 == 0 { 1 } else { a })
-                } else if a == 0 {
-                    return Err(div_zero("0 ** negative"));
-                } else {
-                    Value::I(0)
-                }
-            }
-            (a, Value::I(b)) => Value::R(a.as_f64().powi(b as i32)),
+            (Value::I(a), Value::I(b)) => Value::I(pow_ii(a, b)?),
+            (a, Value::I(b)) => Value::R(pow_ri(a.as_f64(), b)),
             (a, b) => Value::R(a.as_f64().powf(b.as_f64())),
         },
         Eq | Ne | Lt | Le | Gt | Ge => {
@@ -174,6 +160,49 @@ pub fn bin(op: BinOp, l: Value, r: Value) -> Result<Value, OpError> {
         Eqv => Value::B(l.as_bool() == r.as_bool()),
         Neqv => Value::B(l.as_bool() != r.as_bool()),
     })
+}
+
+/// `a ** b` of two integers. For `b ≥ 0` the power wraps, as every
+/// integer op does: it is the exact power modulo 2^64, whatever the
+/// exponent. For `b < 0` it is `1 / a ** -b` truncated: ±1 for a base
+/// of ±1, 0 for any other, and `0 ** -k` divides by zero.
+pub fn pow_ii(a: i64, b: i64) -> Result<i64, OpError> {
+    if b < 0 {
+        return match a {
+            0 => Err(div_zero("0 ** negative")),
+            1 => Ok(1),
+            -1 => Ok(if b % 2 == 0 { 1 } else { -1 }),
+            _ => Ok(0),
+        };
+    }
+    // Square and multiply, over every bit of the exponent.
+    let (mut base, mut e, mut acc) = (a, b as u64, 1i64);
+    while e > 0 {
+        if e & 1 == 1 {
+            acc = acc.wrapping_mul(base);
+        }
+        base = base.wrapping_mul(base);
+        e >>= 1;
+    }
+    Ok(acc)
+}
+
+/// `x ** n`, a real base and an integer exponent: `powi` while the
+/// exponent fits its `i32`. Past that the power is 0, 1 or infinite
+/// in magnitude, `|x| ** n` as reals, and negative for a negative
+/// base and an odd exponent (a real exponent that large is even).
+pub fn pow_ri(x: f64, n: i64) -> f64 {
+    match i32::try_from(n) {
+        Ok(n) => x.powi(n),
+        Err(_) => {
+            let m = x.abs().powf(n as f64);
+            if x.is_sign_negative() && n % 2 != 0 {
+                -m
+            } else {
+                m
+            }
+        }
+    }
 }
 
 fn cmp(l: Value, r: Value) -> Ordering {
@@ -297,6 +326,67 @@ pub fn coerce(v: Value, ty: Ty) -> Value {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn integer_powers_are_exact_modulo_two_to_the_64() {
+        let pow = |a, b| bin(BinOp::Pow, Value::I(a), Value::I(b)).unwrap();
+        // Every exponent counts, not only the first 63.
+        assert_eq!(pow(-1, 64), Value::I(1));
+        assert_eq!(pow(-1, 65), Value::I(-1));
+        assert_eq!(pow(-1, i64::MAX), Value::I(-1));
+        assert_eq!(pow(1, i64::MAX), Value::I(1));
+        assert_eq!(pow(2, 64), Value::I(0));
+        assert_eq!(pow(3, 64), Value::I(3i64.wrapping_pow(64)));
+        assert_eq!(pow(3, 1 << 40), Value::I(pow_by_loop(3, 1 << 40)));
+        assert_eq!(pow(0, 0), Value::I(1));
+        assert_eq!(pow(7, 5), Value::I(16807));
+        assert_eq!(pow(-2, 63), Value::I(i64::MIN));
+        // Negative exponents truncate toward zero; 0 ** -k divides by 0.
+        assert_eq!(pow(-1, -3), Value::I(-1));
+        assert_eq!(pow(-1, -4), Value::I(1));
+        assert_eq!(pow(1, i64::MIN), Value::I(1));
+        assert_eq!(pow(2, -1), Value::I(0));
+        assert_eq!(pow(i64::MIN, -1), Value::I(0));
+        let e = bin(BinOp::Pow, Value::I(0), Value::I(-2)).unwrap_err();
+        assert_eq!(e.kind, SimErrorKind::DivByZero);
+    }
+
+    /// `a ** b` modulo 2^64 by halving `b`, the long way.
+    fn pow_by_loop(a: i64, mut b: u64) -> i64 {
+        let mut square = a;
+        let mut acc = 1i64;
+        while b > 0 {
+            if b % 2 == 1 {
+                acc = acc.wrapping_mul(square);
+            }
+            square = square.wrapping_mul(square);
+            b /= 2;
+        }
+        acc
+    }
+
+    #[test]
+    fn real_powers_keep_an_exponent_past_i32() {
+        let pow = |x: f64, n| bin(BinOp::Pow, Value::R(x), Value::I(n)).unwrap().as_f64();
+        assert_eq!(pow(2.0, 4_294_967_296), f64::INFINITY);
+        assert_eq!(pow(2.0, -4_294_967_296), 0.0);
+        assert_eq!(pow(0.5, 4_294_967_296), 0.0);
+        assert_eq!(pow(-1.0, 4_294_967_297), -1.0);
+        assert_eq!(pow(-1.0, (1 << 53) + 1), -1.0);
+        assert_eq!(pow(-2.0, (1 << 53) + 1), f64::NEG_INFINITY);
+        assert_eq!(pow(-2.0, 1 << 53), f64::INFINITY);
+        assert_eq!(pow(1.0, i64::MIN), 1.0);
+        assert_eq!(pow(-0.0, -4_294_967_297).to_bits(), f64::NEG_INFINITY.to_bits());
+        // Within `i32` the bits are `powi`'s at run time (which folding
+        // it as a constant need not give).
+        for (x, n) in [(1.1f64, 7), (-3.5, 3), (0.9, -12), (2.0, i32::MAX as i64)] {
+            let powi = std::hint::black_box(x).powi(n as i32);
+            assert_eq!(pow(x, n).to_bits(), powi.to_bits(), "{x} ** {n}");
+        }
+        // A logical or an integer base reads as a real.
+        let b = bin(BinOp::Pow, Value::B(true), Value::I(1 << 40)).unwrap();
+        assert_eq!(b, Value::R(1.0));
+    }
 
     #[test]
     fn integer_division_truncates() {

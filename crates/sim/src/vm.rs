@@ -61,7 +61,7 @@ use std::sync::Arc;
 
 /// One dimension of a resolved array operand.
 #[derive(Clone, Copy, Default)]
-struct DimStride {
+pub(super) struct DimStride {
     lo: i64,
     hi: i64,
     stride: i64,
@@ -69,16 +69,16 @@ struct DimStride {
 
 /// One symbol's entry in the resolved-operand table.
 #[derive(Clone, Copy)]
-struct Operand {
-    bound: bool,
+pub(super) struct Operand {
+    pub(super) bound: bool,
     /// Declared class; a bound operand's storage has the same one.
     class: Class,
-    placement: Placement,
+    pub(super) placement: Placement,
     /// Declared rank; a bound operand's dims have the same one.
     rank: u32,
-    /// First of this symbol's `rank` entries in [`VmState::dims`].
-    dims: u32,
-    offset: usize,
+    /// First of this symbol's `rank` entries in [`Operands::dims`].
+    pub(super) dims: u32,
+    pub(super) offset: usize,
 }
 
 /// What compiled code needs of an activation besides `frame.binds`.
@@ -87,21 +87,29 @@ struct Operand {
 pub(super) struct VmState {
     /// The activation runs compiled code.
     pub(super) live: bool,
-    ops: Vec<Operand>,
-    /// Slot per (symbol, cluster): `slots[sym * width + cluster]`.
-    slots: Vec<SlotId>,
-    width: usize,
-    dims: Vec<DimStride>,
-    f: Vec<f64>,
-    i: Vec<i64>,
-    b: Vec<bool>,
+    pub(super) table: Operands,
+    pub(super) f: Vec<f64>,
+    pub(super) i: Vec<i64>,
+    pub(super) b: Vec<bool>,
     /// Result of the last [`Instr::EvalTree`].
     v: Option<Value>,
 }
 
-impl VmState {
+/// The resolved-operand table.
+#[derive(Default)]
+pub(super) struct Operands {
+    /// Changes whenever an entry does: unique within a run.
+    pub(super) generation: u64,
+    pub(super) ops: Vec<Operand>,
+    /// Slot per (symbol, cluster): `slots[sym * width + cluster]`.
+    slots: Vec<SlotId>,
+    width: usize,
+    dims: Vec<DimStride>,
+}
+
+impl Operands {
     #[inline(always)]
-    fn slot(&self, sym: usize, cluster: usize) -> SlotId {
+    pub(super) fn slot(&self, sym: usize, cluster: usize) -> SlotId {
         self.slots[sym * self.width + cluster.min(self.width - 1)]
     }
 
@@ -112,15 +120,13 @@ impl VmState {
         if !op.bound {
             return None;
         }
-        let dims = &self.dims[op.dims as usize..][..subs.len()];
-        let mut lin: i64 = 0;
-        for (s, d) in subs.zip(dims) {
-            if s < d.lo || s > d.hi {
-                return None;
-            }
-            lin = lin.wrapping_add((s - d.lo).wrapping_mul(d.stride));
-        }
-        usize::try_from(lin).ok().map(|l| l + op.offset)
+        linearize(self.dims(op), op.offset, subs)
+    }
+
+    /// A bound operand's dims.
+    #[inline(always)]
+    pub(super) fn dims(&self, op: &Operand) -> &[DimStride] {
+        &self.dims[op.dims as usize..][..op.rank as usize]
     }
 
     /// Fill symbol `si`'s entry from `bind`; `false` (entry left
@@ -160,7 +166,9 @@ impl VmState {
         op.bound = true;
         true
     }
+}
 
+impl VmState {
     /// A DO loop's start, end and step, left in registers by its bound
     /// code.
     fn bounds(&self, lp: &VmLoop) -> (i64, i64, i64) {
@@ -180,8 +188,26 @@ impl VmState {
     }
 }
 
+/// The element `subs` of storage at `offset` with `dims`; `None` out of
+/// bounds.
+#[inline(always)]
+pub(super) fn linearize(
+    dims: &[DimStride],
+    offset: usize,
+    subs: impl Iterator<Item = i64>,
+) -> Option<usize> {
+    let mut lin: i64 = 0;
+    for (s, d) in subs.zip(dims) {
+        if s < d.lo || s > d.hi {
+            return None;
+        }
+        lin = lin.wrapping_add((s - d.lo).wrapping_mul(d.stride));
+    }
+    usize::try_from(lin).ok().map(|l| l + offset)
+}
+
 #[cold]
-fn class_bug() -> ! {
+pub(super) fn class_bug() -> ! {
     unreachable!("a value of another class than the compiler typed it")
 }
 
@@ -201,9 +227,12 @@ impl Simulator<'_> {
         // Buffers of a finished activation (see `retire_frame`): a call
         // in an inner loop seals without allocating.
         let mut vm = self.retired.pop().unwrap_or_default();
-        vm.width = self.clusters.max(1);
-        vm.ops.clear();
-        vm.ops.extend(cu.shapes.iter().map(|s| Operand {
+        self.tables_resolved += 1;
+        let table = &mut vm.table;
+        table.generation = self.tables_resolved;
+        table.width = self.clusters.max(1);
+        table.ops.clear();
+        table.ops.extend(cu.shapes.iter().map(|s| Operand {
             bound: false,
             class: s.class,
             placement: Placement::Default,
@@ -211,16 +240,16 @@ impl Simulator<'_> {
             dims: s.dims,
             offset: 0,
         }));
-        vm.slots.clear();
-        vm.slots.resize(cu.shapes.len() * vm.width, SlotId(0));
-        vm.dims.clear();
-        vm.dims.resize(
+        table.slots.clear();
+        table.slots.resize(cu.shapes.len() * table.width, SlotId(0));
+        table.dims.clear();
+        table.dims.resize(
             cu.shapes.last().map_or(0, |s| (s.dims + s.rank) as usize),
             DimStride::default(),
         );
         for (si, bind) in frame.binds.iter().enumerate() {
             if let Some(bind) = bind {
-                if !vm.resolve(si, bind, &self.store) {
+                if !vm.table.resolve(si, bind, &self.store) {
                     self.retired.push(vm);
                     return;
                 }
@@ -255,7 +284,7 @@ impl Simulator<'_> {
     /// Change one binding of a sealed activation (the only way
     /// `frame.binds` changes after [`Simulator::seal_frame`]), keeping
     /// the resolved-operand table in step.
-    pub(super) fn rebind(&self, frame: &mut Frame, sym: SymbolId, bind: &VarBind) {
+    pub(super) fn rebind(&mut self, frame: &mut Frame, sym: SymbolId, bind: &VarBind) {
         match &mut frame.binds[sym.index()] {
             // Keep the `dims` buffer: a loop local is rebound whenever
             // the participant changes.
@@ -268,8 +297,10 @@ impl Simulator<'_> {
         }
         if frame.vm.live {
             // Loop locals are allocated from their own declaration.
-            let agrees = frame.vm.resolve(sym.index(), bind, &self.store);
+            let agrees = frame.vm.table.resolve(sym.index(), bind, &self.store);
             debug_assert!(agrees, "loop local bound to storage of another class");
+            self.tables_resolved += 1;
+            frame.vm.table.generation = self.tables_resolved;
         }
     }
 
@@ -287,11 +318,11 @@ impl Simulator<'_> {
         if !vm.live || self.races.is_some() {
             return false;
         }
-        let op = vm.ops[var.index()];
+        let op = vm.table.ops[var.index()];
         if !op.bound {
             return false;
         }
-        let stored = match self.store.slot_mut(vm.slot(var.index(), cluster)) {
+        let stored = match self.store.slot_mut(vm.table.slot(var.index(), cluster)) {
             ArrayData::I(d) => d.get_mut(op.offset).map(|x| *x = value),
             ArrayData::R(d) => d.get_mut(op.offset).map(|x| *x = value as f64),
             ArrayData::B(d) => d.get_mut(op.offset).map(|x| *x = value != 0),
@@ -411,7 +442,7 @@ impl Simulator<'_> {
             };
             ($instr:ident, $op:ident, elem $sub:ident $rank:ident) => {{
                 let regs = &cu.subs[*$sub as usize..][..*$rank as usize];
-                frame.vm.linearize(&$op, regs.iter().map(|&r| frame.vm.i[r as usize]))
+                frame.vm.table.linearize(&$op, regs.iter().map(|&r| frame.vm.i[r as usize]))
             }};
             ($instr:ident, $op:ident, vars $sub:ident $rank:ident) => {{
                 let vars = &cu.idx_vars[*$sub as usize..][..*$rank as usize];
@@ -420,7 +451,7 @@ impl Simulator<'_> {
                     *s = read!($instr, I, v, scalar);
                     charge!(ScalarOp);
                 }
-                frame.vm.linearize(&$op, subs[..vars.len()].iter().copied())
+                frame.vm.table.linearize(&$op, subs[..vars.len()].iter().copied())
             }};
         }
         macro_rules! charge_access {
@@ -435,10 +466,10 @@ impl Simulator<'_> {
         macro_rules! read {
             ($instr:ident, $V:ident, $sym:ident, $($how:tt)+) => {{
                 let si = $sym.index();
-                let op = frame.vm.ops[si];
+                let op = frame.vm.table.ops[si];
                 let Some(lin) = address!($instr, op, $($how)+) else { fault!($instr) };
                 charge_access!(op, ScalarRead, $($how)+);
-                let slot = frame.vm.slot(si, ctx.cluster);
+                let slot = frame.vm.table.slot(si, ctx.cluster);
                 let ArrayData::$V(data) = self.store.slot(slot) else { class_bug() };
                 let Some(&x) = data.get(lin) else { fault!($instr) };
                 note!(note_read, slot, lin);
@@ -454,10 +485,10 @@ impl Simulator<'_> {
         macro_rules! store {
             ($instr:ident, $V:ident, $file:ident, $s:ident, $sym:ident, $($how:tt)+) => {{
                 let si = $sym.index();
-                let op = frame.vm.ops[si];
+                let op = frame.vm.table.ops[si];
                 let Some(lin) = address!($instr, op, $($how)+) else { fault!($instr) };
                 charge_access!(op, ScalarWrite, $($how)+);
-                let slot = frame.vm.slot(si, ctx.cluster);
+                let slot = frame.vm.table.slot(si, ctx.cluster);
                 let x = frame.vm.$file[*$s as usize];
                 let ArrayData::$V(data) = self.store.slot_mut(slot) else { class_bug() };
                 let Some(cell) = data.get_mut(lin) else { fault!($instr) };
@@ -499,7 +530,7 @@ impl Simulator<'_> {
                 Instr::PowRI { d, a, b } => {
                     charge!(ScalarOp);
                     let vm = &mut frame.vm;
-                    vm.f[*d as usize] = vm.f[*a as usize].powi(vm.i[*b as usize] as i32);
+                    vm.f[*d as usize] = value_ops::pow_ri(vm.f[*a as usize], vm.i[*b as usize]);
                 }
                 Instr::AddI { d, a, b } => bin!(i <- i, d, a, b, |x, y| x.wrapping_add(y)),
                 Instr::SubI { d, a, b } => bin!(i <- i, d, a, b, |x, y| x.wrapping_sub(y)),
@@ -516,8 +547,7 @@ impl Simulator<'_> {
                 Instr::PowI { d, a, b } => {
                     charge!(ScalarOp);
                     let vm = &mut frame.vm;
-                    let (x, y) = (Value::I(vm.i[*a as usize]), Value::I(vm.i[*b as usize]));
-                    let Ok(Value::I(p)) = value_ops::bin(BinOp::Pow, x, y) else {
+                    let Ok(p) = value_ops::pow_ii(vm.i[*a as usize], vm.i[*b as usize]) else {
                         fault!(instr)
                     };
                     vm.i[*d as usize] = p;
@@ -665,6 +695,16 @@ impl Simulator<'_> {
                     match tri!(trip_count(start, end, step, lp.span)) {
                         0 => pc = lp.end_pc as usize,
                         trip => {
+                            self.inline_iterations += trip as u64;
+                            let kernel = (lp.kernel && self.kernels_on()).then(|| {
+                                let bounds = (start, step, trip);
+                                self.run_kernel(frame, cu, lp, bounds, time, ctx)
+                            });
+                            if let Some(run) = kernel.flatten() {
+                                time = tri!(run);
+                                pc = lp.end_pc as usize;
+                                continue;
+                            }
                             let state = [start, trip as i64, step];
                             frame.vm.i[*at as usize..][..3].copy_from_slice(&state);
                             tri!(self.set_loop_var(frame, lp.var, start, ctx));

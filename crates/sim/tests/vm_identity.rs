@@ -525,7 +525,8 @@ fn power_operator_families() {
          k(5) = (-1) ** j\nk(6) = (-1) ** (j - 1)\nk(7) = i ** 70\nk(8) = j ** 3\n\
          r(1) = x ** i\nr(2) = x ** j\nr(3) = x ** y\nr(4) = i ** x\nr(5) = i ** y\n\
          r(6) = y ** 2\nr(7) = y ** 0.5\nr(8) = l ** i\nr(9) = x ** l\nr(10) = i ** l\n\
-         k(9) = x ** 2\nend\n"
+         k(9) = x ** 2\nk(10) = (-1) ** (i * 10 - 6)\nk(11) = j ** (i * 1000000000)\n\
+         r(11) = y ** (i * 1000000001)\nr(12) = x ** (j * 1000000000)\nend\n"
     );
     identical_everywhere(leak(&src), |c| c, &["k", "r"], "power");
     let e = same_error_everywhere(
@@ -1739,4 +1740,141 @@ fn reentered_site_costs_what_fresh_sites_cost() {
         let collect = |p| cedar_sim::run_collecting_races(p, tweak(cfg(Engine::Vm))).unwrap();
         assert_same_sim(&collect(reused), &collect(fresh), &["a"], &format!("collecting{memory}"));
     }
+}
+
+// ---------------------------------------------------------------------
+// Loop kernels (DESIGN.md §14, "Loop kernels"): on the fast paths, and
+// without a race detector or faults, the VM runs a straight-line inner
+// loop as a kernel. The tree-walker never does, nor does the VM without
+// the fast paths; the three agree on cycles, every counter, every
+// output and every error, also one raised in the middle of a loop.
+// ---------------------------------------------------------------------
+
+/// Run `p` on `config`, keeping the simulator on error.
+fn kernel_run(
+    p: &'static cedar_ir::Program,
+    config: MachineConfig,
+) -> (Simulator<'static>, Result<(), SimError>) {
+    let mut sim = Simulator::new(p, config).expect("allocates");
+    let r = sim.run_main();
+    (sim, r)
+}
+
+/// The kernel run of `src` on `config` against the tree-walker and the
+/// VM without the fast paths: the same cycles, counters, `vars` and
+/// error. Returns the kernel run and the iterations it ran as kernels,
+/// which are some.
+fn kernel_identical(
+    src: &str,
+    config: MachineConfig,
+    vars: &[&str],
+    label: &str,
+) -> (Simulator<'static>, Result<(), SimError>) {
+    let p = leak(src);
+    let (kernel, kr) = kernel_run(p, config.clone().with_engine(Engine::Vm));
+    let others = [
+        ("tree-walker", config.clone().with_engine(Engine::Interp)),
+        ("no fast paths", config.without_fast_paths().with_engine(Engine::Vm)),
+    ];
+    for (name, config) in others {
+        let label = format!("{label} [{name}]");
+        let (other, or) = kernel_run(p, config);
+        assert_eq!(other.kernel_iterations().1, 0, "{label}: ran kernels");
+        assert_same_sim(&other, &kernel, vars, &label);
+        match (&or, &kr) {
+            (Ok(()), Ok(())) => {}
+            (Err(o), Err(k)) => assert_errors_equal(o, k, &label),
+            _ => panic!("{label}: {or:?} against the kernel's {kr:?}"),
+        }
+    }
+    let (inline, kernels) = kernel.kernel_iterations();
+    assert!(kernels > 0 && kernels <= inline, "{label}: {kernels} of {inline} as kernels");
+    (kernel, kr)
+}
+
+#[test]
+fn a_kernel_accumulates_a_scalar_and_steps_downwards() {
+    let src = "program p\nparameter (n = 300)\nreal a(n), b(n)\ninteger k(n)\n\
+               do i = 1, n\na(i) = i * 0.5\nb(i) = 1.0 / i\nk(i) = mod(i * 7, 13)\nend do\n\
+               s = 0.0\nt = 1.0\nm = 0\ndo i = n, 1, -1\ns = s + a(i) * b(i)\nt = t * 1.0001\n\
+               m = m + k(i) ** 2\nend do\ndo i = n - 1, 2, -3\na(i) = a(i + 1) - a(i - 1)\n\
+               end do\nend\n";
+    let (sim, r) = kernel_identical(src, cfg(Engine::Vm), &["a", "s", "t", "m"], "accumulator");
+    r.expect("runs");
+    // One iteration would open a cancel-poll window: the dispatch loop
+    // runs it.
+    assert_eq!(sim.kernel_iterations(), (700, 699));
+}
+
+#[test]
+fn a_kernel_leaves_the_loop_variable_at_its_last_value() {
+    // Stores to the loop variable last until the next iteration's.
+    let src = "program p\ninteger k\nreal a(20)\nk = 0\ndo i = 1, 10\nk = k + i\ni = i * 2\n\
+               a(i) = k\nend do\nj = i\nend\n";
+    kernel_identical(src, cfg(Engine::Vm), &["a", "k", "i", "j"], "loop variable")
+        .1
+        .expect("runs");
+}
+
+#[test]
+fn a_fault_in_mid_loop_is_raised_where_the_dispatch_loop_raises_it() {
+    let cases = [
+        ("store out of bounds", "real a(10)\ndo i = 1, 20\nx = x + 1.0\na(i) = x\nend do\n"),
+        ("load out of bounds", "real a(10)\ndo i = 1, 20\nx = a(i) + x\nend do\n"),
+        ("subscript variable", "real a(5, 5)\nj = 3\ndo i = 1, 9\nx = x + a(j, i)\nend do\n"),
+        ("division by zero", "integer k\ndo i = -3, 3\nx = x + 1.0\nk = 12 / i\nend do\n"),
+        ("zero to a negative power", "integer k\ndo i = 9, 0, -1\nk = (i - 2) ** (-1)\nend do\n"),
+        ("intrinsic", "integer k\ndo i = 1, 6\nx = x + 2.0\nk = mod(10, i - 3)\nend do\n"),
+    ];
+    for (label, body) in cases {
+        let src = format!("program p\n{body}end\n");
+        let (sim, r) = kernel_identical(&src, cfg(Engine::Vm), &[], label);
+        assert!(r.is_err(), "{label}: ran");
+        assert!(sim.stats.scalar_ops > 0, "{label}");
+    }
+}
+
+#[test]
+fn the_statement_budget_runs_out_in_mid_loop_at_the_same_statement() {
+    // Two statements an iteration: the budget ends inside one, on each
+    // side of a cancel-poll window.
+    let src = "program p\nreal a(3000)\ndo i = 1, 3000\nx = x + 1.0\na(i) = x\nend do\nend\n";
+    for budget in [7, 1023, 1024, 1025, 2049, 4001] {
+        let config = MachineConfig { watchdog_ops: budget, ..cfg(Engine::Vm) };
+        let (sim, r) = kernel_identical(src, config, &["a", "x"], &format!("budget {budget}"));
+        let e = r.expect_err("the budget runs out");
+        assert!(e.msg.contains("statement budget"), "{e}");
+        assert!(sim.kernel_iterations().1 < 3000);
+    }
+}
+
+#[test]
+fn a_paging_serial_loop_runs_as_a_kernel() {
+    // 40 000 REALs in a cluster memory of 128 KB: every access pages.
+    let src = "program p\nparameter (n = 40000)\nreal a(n)\ns = 0.0\ndo i = 1, n\n\
+               a(i) = i * 0.25\nend do\ndo i = 1, n, 3\ns = s + a(i)\nend do\nend\n";
+    let config = MachineConfig::cedar_config1_scaled();
+    let (sim, r) = kernel_identical(src, config, &["s"], "paging");
+    r.expect("runs");
+    assert!(sim.stats.paged_accesses > 0.0);
+}
+
+#[test]
+fn a_kernel_over_aliased_actual_arguments() {
+    // `x` and `y` are one slot, one element apart.
+    let src = "program p\nparameter (n = 50)\nreal a(n + 1)\ndo i = 1, n + 1\na(i) = i\nend do\n\
+               call shift(a, a(2), n)\nend\nsubroutine shift(x, y, m)\nreal x(m), y(m)\n\
+               do i = 1, m\nx(i) = y(i) * 2.0 + x(i)\ny(i) = x(i) - 1.0\nend do\nend\n";
+    kernel_identical(src, cfg(Engine::Vm), &["a"], "aliased").1.expect("runs");
+}
+
+#[test]
+fn a_kernel_inside_a_parallel_participant() {
+    let src = "program p\nparameter (n = 64)\nreal a(n), b(n, 8)\nglobal a, b\n\
+               do i = 1, n\na(i) = i\nend do\ncdoall j = 1, 8\ndo i = 1, n\n\
+               b(i, j) = a(i) * j + b(i, j)\nend do\nend cdoall\n\
+               xdoall j = 1, 8\ndo i = n, 1, -1\nb(i, j) = b(i, j) - a(i)\nend do\nend xdoall\nend\n";
+    let (sim, r) = kernel_identical(src, cfg(Engine::Vm), &["b"], "participant");
+    r.expect("runs");
+    assert_eq!(sim.kernel_iterations(), (1088, 1087));
 }

@@ -77,22 +77,28 @@ fn boxable_sites(p: &cedar_ir::Program) -> usize {
 #[test]
 fn serial_originals_compile_and_run_as_typed_code() {
     println!(
-        "{:<8} {:>6} {:>10} {:>12} {:>12}",
-        "program", "instrs", "eval-trees", "interp-stmts", "tree-walked"
+        "{:<8} {:>6} {:>10} {:>12} {:>12} {:>10} {:>10}",
+        "program", "instrs", "eval-trees", "interp-stmts", "tree-walked", "iters", "kernel"
     );
+    let (mut iterations, mut kernels) = (0, 0);
     for w in table1_workloads().into_iter().chain(table2_workloads()) {
         let p = w.compile();
         let art = cedar_sim::compile(&p);
         let mc = MachineConfig::cedar_config1().with_engine(Engine::Vm);
         let sim = cedar_sim::run_precompiled(&p, mc, &art).expect("serial original runs");
+        let (inline, kernel) = sim.kernel_iterations();
         println!(
-            "{:<8} {:>6} {:>10} {:>12} {:>12}",
+            "{:<8} {:>6} {:>10} {:>12} {:>12} {:>10} {:>10}",
             w.name,
             art.instr_count(),
             art.eval_tree_count(),
             art.fallback_count(),
-            sim.tree_walked_activations()
+            sim.tree_walked_activations(),
+            inline,
+            kernel
         );
+        iterations += inline;
+        kernels += kernel;
         assert!(
             art.eval_tree_count() <= boxable_sites(&p),
             "{}: an expression over plain scalars, constants, elements and elemental \
@@ -111,6 +117,14 @@ fn serial_originals_compile_and_run_as_typed_code() {
             w.name
         );
     }
+    // Iterations of the sequential loops the VM runs inline, and how
+    // many of them ran as loop kernels (DESIGN.md §14, "Loop kernels").
+    // A change that knocks loops off the kernel moves the second; one
+    // that moves either updates them here and in EXPERIMENTS.md
+    // ("Straight-line loops as kernels").
+    let share = kernels as f64 / iterations as f64;
+    println!("{:<8} {iterations:>55} {kernels:>10} ({:.1} % as kernels)", "total", 100.0 * share);
+    assert_eq!((iterations, kernels), (3_934_056, 3_884_568));
 }
 
 /// The columns of the instruction-mix table: `ElemVar` and `Elem`

@@ -239,3 +239,30 @@ fn bodies_nested_past_the_limits_get_a_client_error_and_the_server_keeps_answeri
     }
     server.shutdown();
 }
+
+#[test]
+fn a_few_statements_over_long_sections_keep_the_deadline() {
+    // 100 000 statements of 4 000 000 elements each: polled once per
+    // 1 024 statements, each rung timed out after the 1 025th, and the
+    // request was answered after 228.6 s.
+    let mut cfg = ServerConfig { workers: 2, ..ServerConfig::default() };
+    cfg.engine.sup.bundle_dir = PathBuf::from("target/test-serve-bundles/long-sections");
+    let _ = std::fs::remove_dir_all(&cfg.engine.sup.bundle_dir);
+    let server = Server::start(cfg).expect("bind in-process server");
+    let addr = server.addr();
+    let src = "      program p\n      real a(4000000), b(4000000)\n      do i = 1, 100000\n\
+               \x20     a(1:4000000) = b(1:4000000) + 1.0\n      end do\n      end\n";
+    let mut req = ServeRequest::new(src);
+    req.deadline_ms = Some(1000);
+    let started = std::time::Instant::now();
+    let (status, body) =
+        http::post(&addr, "/restructure", &req.to_json(), T).expect("the server answers");
+    let took = started.elapsed();
+    assert!(took < Duration::from_secs(10), "answered after {took:?}: {body}");
+    assert_eq!(status, 504, "{body}");
+
+    let (status, body) = http::post(&addr, "/restructure", &request_for(0).to_json(), T)
+        .expect("the server still answers");
+    assert_eq!(status, 200, "{body}");
+    server.shutdown();
+}
