@@ -20,7 +20,10 @@
 //!   the report's cap, and a subroutine task group taking a lock;
 //! * shadow cells that outlive a join: each racy negative inside a
 //!   serial loop of 3 trips, and one shared element read in 1 000
-//!   successive DOALLs.
+//!   successive DOALLs;
+//! * shared readers, clean and broken: a section read by every
+//!   iteration of a DOACROSS and written by one, and rounds of two
+//!   readers and a writer of one section in a DOALL.
 //!
 //! A change of the detector's clocks leaves the fixture byte-unchanged:
 //! the happens-before order is the machine's, not the representation's.
@@ -225,7 +228,44 @@ fn report_lines() -> Vec<String> {
     for (label, src) in outlived_joins() {
         lines.extend(report(&label, &compiled(&label, &src)));
     }
+    for (label, src) in shared_readers() {
+        lines.extend(report(&label, &compiled(&label, &src)));
+    }
     lines
+}
+
+/// Sections whose cells share their readers. Every iteration of a
+/// DOACROSS reads `a(1:n)` before it advances, and the last writes it:
+/// after `await(1, 1)` it has learnt every reader, after `await(1, 4)`
+/// only those four or more back, and the three since race with each
+/// element's write. Then rounds in a DOALL: two iterations read
+/// `a(1:8)` (one element also as a scalar) and the third writes it,
+/// under one lock, or with the writer outside it.
+fn shared_readers() -> Vec<(String, String)> {
+    let section = |dist: u32| {
+        format!(
+            "cdoacross j = 1, 16\nc(j) = sum(a(1:n)) * real(j)\ncall advance(1)\n\
+             call await(1, {dist})\nif (j .eq. 16) then\na(1:n) = 0.0\nend if\nend cdoacross\n"
+        )
+    };
+    let read = "b(1:8) = a(1:8) + c(1:8)\ns = s + a(mod(j, 8) + 1)\n";
+    let write = "a(1:8) = b(1:8) * 0.5\n";
+    let rounds = |locked_writer: bool| {
+        let (lock, unlock) = ("call lock(1)\n", "call unlock(1)\n");
+        let writer = if locked_writer { format!("{lock}{write}{unlock}") } else { write.into() };
+        format!(
+            "cdoall j = 1, 60\nif (mod(j, 3) .eq. 0) then\n{writer}else\n{lock}{read}{unlock}\
+             end if\nend cdoall\n"
+        )
+    };
+    let shapes = [
+        ("shared-section clean", section(1)),
+        ("shared-section broken", section(4)),
+        ("reader-rounds clean", rounds(true)),
+        ("reader-rounds broken", rounds(false)),
+    ];
+    let tail = "x = b(n) + s\nend\n";
+    shapes.into_iter().map(|(name, body)| (format!("shared {name}"), format!("{HEAD}{body}{tail}"))).collect()
 }
 
 /// Programs whose shadow cells outlive the join of the region that
