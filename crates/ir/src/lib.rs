@@ -43,7 +43,7 @@ pub use machine::{Machine, Planning};
 pub use program::{CommonBlock, Program, Unit, UnitId, UnitKind};
 pub use stmt::{trip, trip_wide, LValue, Loop, Stmt, SyncOp};
 pub use symbol::{Placement, SymKind, Symbol, SymbolId};
-pub use types::{Ty, Value};
+pub use types::{pow_ii, pow_ri, Ty, Value};
 
 /// Timer pseudo-calls recognized by the simulator: `CALL TSTART` /
 /// `CALL TSTOP` bracket the measured region (the paper reports routine

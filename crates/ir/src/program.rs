@@ -89,6 +89,8 @@ impl Unit {
                     BinOp::Pow => a.checked_pow(u32::try_from(b).ok()?)?,
                     _ => return None,
                 }),
+                // As the engines compute it, not as `powf` would.
+                (a, Value::I(n)) if *op == BinOp::Pow => Value::R(crate::pow_ri(a.as_f64(), n)),
                 (a, b) => {
                     let (a, b) = (a.as_f64(), b.as_f64());
                     Value::R(match op {

@@ -124,6 +124,51 @@ impl fmt::Display for Value {
     }
 }
 
+/// `a ** b` of two integers, as the engines compute it. For `b ≥ 0`
+/// the power wraps, as every integer op does: it is the exact power
+/// modulo 2^64, whatever the exponent. For `b < 0` it is `1 / a ** -b`
+/// truncated: ±1 for a base of ±1, 0 for any other, and `None` for
+/// `0 ** -k`, which divides by zero.
+pub fn pow_ii(a: i64, b: i64) -> Option<i64> {
+    if b < 0 {
+        return match a {
+            0 => None,
+            1 => Some(1),
+            -1 => Some(if b % 2 == 0 { 1 } else { -1 }),
+            _ => Some(0),
+        };
+    }
+    // Square and multiply, over every bit of the exponent.
+    let (mut base, mut e, mut acc) = (a, b as u64, 1i64);
+    while e > 0 {
+        if e & 1 == 1 {
+            acc = acc.wrapping_mul(base);
+        }
+        base = base.wrapping_mul(base);
+        e >>= 1;
+    }
+    Some(acc)
+}
+
+/// `x ** n`, a real base and an integer exponent, as the engines and
+/// the `PARAMETER` folder compute it: `powi` while the exponent fits
+/// its `i32`. Past that the power is 0, 1 or infinite in magnitude,
+/// `|x| ** n` as reals, and negative for a negative base and an odd
+/// exponent (a real exponent that large is even).
+pub fn pow_ri(x: f64, n: i64) -> f64 {
+    match i32::try_from(n) {
+        Ok(n) => x.powi(n),
+        Err(_) => {
+            let m = x.abs().powf(n as f64);
+            if x.is_sign_negative() && n % 2 != 0 {
+                -m
+            } else {
+                m
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -509,7 +509,7 @@ fn pass(
             Instr::DivR { d, a, b } => op!(f <- f, d, a, b, |x, y| x / y),
             Instr::PowR { d, a, b } => op!(f <- f, d, a, b, |x, y| x.powf(y)),
             Instr::PowRI { d, a, b: e } => {
-                f[*d as usize] = value_ops::pow_ri(f[*a as usize], i[*e as usize])
+                f[*d as usize] = cedar_ir::pow_ri(f[*a as usize], i[*e as usize])
             }
             Instr::AddI { d, a, b } => op!(i <- i, d, a, b, |x, y| x.wrapping_add(y)),
             Instr::SubI { d, a, b } => op!(i <- i, d, a, b, |x, y| x.wrapping_sub(y)),
@@ -519,10 +519,10 @@ fn pass(
                 if y == 0 {
                     return Some(k);
                 }
-                i[*d as usize] = x / y;
+                i[*d as usize] = x.wrapping_div(y);
             }
             Instr::PowI { d, a, b } => {
-                let Ok(p) = value_ops::pow_ii(i[*a as usize], i[*b as usize]) else {
+                let Some(p) = cedar_ir::pow_ii(i[*a as usize], i[*b as usize]) else {
                     return Some(k);
                 };
                 i[*d as usize] = p;

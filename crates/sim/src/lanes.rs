@@ -315,7 +315,7 @@ impl LanePool {
                 let mut a = self.reals(l);
                 a.iter_mut()
                     .zip(&b)
-                    .for_each(|(x, &y)| *x = value_ops::pow_ri(*x, y));
+                    .for_each(|(x, &y)| *x = cedar_ir::pow_ri(*x, y));
                 self.put_i(b);
                 Lanes::R(a)
             }

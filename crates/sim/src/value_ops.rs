@@ -5,7 +5,7 @@
 //! (`crate::lanes`) tag a whole operand buffer with it once.
 
 use crate::error::{OpError, SimErrorKind};
-use cedar_ir::{BinOp, Intrinsic, Ty, UnOp, Value};
+use cedar_ir::{pow_ii, pow_ri, BinOp, Intrinsic, Ty, UnOp, Value};
 use std::cmp::Ordering;
 
 /// Static type of a value, and the payload type of a storage slot.
@@ -131,7 +131,7 @@ pub fn bin(op: BinOp, l: Value, r: Value) -> Result<Value, OpError> {
                     if b == 0 {
                         return Err(div_zero("integer division by zero"));
                     }
-                    a / b
+                    a.wrapping_div(b)
                 }
                 _ => unreachable!(),
             }),
@@ -147,7 +147,9 @@ pub fn bin(op: BinOp, l: Value, r: Value) -> Result<Value, OpError> {
             }
         },
         Pow => match (l, r) {
-            (Value::I(a), Value::I(b)) => Value::I(pow_ii(a, b)?),
+            (Value::I(a), Value::I(b)) => {
+                Value::I(pow_ii(a, b).ok_or_else(|| div_zero("0 ** negative"))?)
+            }
             (a, Value::I(b)) => Value::R(pow_ri(a.as_f64(), b)),
             (a, b) => Value::R(a.as_f64().powf(b.as_f64())),
         },
@@ -160,49 +162,6 @@ pub fn bin(op: BinOp, l: Value, r: Value) -> Result<Value, OpError> {
         Eqv => Value::B(l.as_bool() == r.as_bool()),
         Neqv => Value::B(l.as_bool() != r.as_bool()),
     })
-}
-
-/// `a ** b` of two integers. For `b ≥ 0` the power wraps, as every
-/// integer op does: it is the exact power modulo 2^64, whatever the
-/// exponent. For `b < 0` it is `1 / a ** -b` truncated: ±1 for a base
-/// of ±1, 0 for any other, and `0 ** -k` divides by zero.
-pub fn pow_ii(a: i64, b: i64) -> Result<i64, OpError> {
-    if b < 0 {
-        return match a {
-            0 => Err(div_zero("0 ** negative")),
-            1 => Ok(1),
-            -1 => Ok(if b % 2 == 0 { 1 } else { -1 }),
-            _ => Ok(0),
-        };
-    }
-    // Square and multiply, over every bit of the exponent.
-    let (mut base, mut e, mut acc) = (a, b as u64, 1i64);
-    while e > 0 {
-        if e & 1 == 1 {
-            acc = acc.wrapping_mul(base);
-        }
-        base = base.wrapping_mul(base);
-        e >>= 1;
-    }
-    Ok(acc)
-}
-
-/// `x ** n`, a real base and an integer exponent: `powi` while the
-/// exponent fits its `i32`. Past that the power is 0, 1 or infinite
-/// in magnitude, `|x| ** n` as reals, and negative for a negative
-/// base and an odd exponent (a real exponent that large is even).
-pub fn pow_ri(x: f64, n: i64) -> f64 {
-    match i32::try_from(n) {
-        Ok(n) => x.powi(n),
-        Err(_) => {
-            let m = x.abs().powf(n as f64);
-            if x.is_sign_negative() && n % 2 != 0 {
-                -m
-            } else {
-                m
-            }
-        }
-    }
 }
 
 fn cmp(l: Value, r: Value) -> Ordering {
@@ -281,7 +240,7 @@ pub fn intrinsic(f: Intrinsic, args: &[Value]) -> Result<Value, OpError> {
                 if b == 0 {
                     return Err(div_zero("mod by zero"));
                 }
-                Value::I(a % b)
+                Value::I(a.wrapping_rem(b))
             }
             (a, b) => Value::R(a.as_f64() % b.as_f64()),
         },
@@ -388,11 +347,38 @@ mod tests {
         assert_eq!(b, Value::R(1.0));
     }
 
+    /// A `PARAMETER` folds `REAL ** INTEGER` as both engines compute it
+    /// at run time, bit for bit (`powf` differs in the last bits on all
+    /// four).
+    #[test]
+    fn real_powers_fold_as_they_run() {
+        let cases = [("0.9", -12), ("1.7", 13), ("0.3", 9), ("1.01", 100)];
+        let mut src = String::from("program p\ndouble precision f(4), r(4), x\n");
+        for (k, (x, n)) in cases.iter().enumerate() {
+            src += &format!("parameter (p{k} = {x} ** ({n}))\n");
+        }
+        for (k, (x, n)) in cases.iter().enumerate() {
+            src += &format!("f({}) = p{k}\nx = {x}\nn = {n}\nr({}) = x ** n\n", k + 1, k + 1);
+        }
+        src += "end\n";
+        let p = cedar_ir::compile_free(&src).unwrap();
+        for engine in [crate::Engine::Vm, crate::Engine::Interp] {
+            let sim = crate::run(&p, crate::MachineConfig::cedar_config1().with_engine(engine)).unwrap();
+            let bits = |v: &str| sim.read_var(v).unwrap().iter().map(|v| v.as_f64().to_bits()).collect();
+            let (folded, ran): (Vec<u64>, Vec<u64>) = (bits("f"), bits("r"));
+            assert_eq!(folded, ran, "{engine:?}");
+        }
+    }
+
     #[test]
     fn integer_division_truncates() {
         assert_eq!(bin(BinOp::Div, Value::I(7), Value::I(2)).unwrap(), Value::I(3));
         assert_eq!(bin(BinOp::Div, Value::I(-7), Value::I(2)).unwrap(), Value::I(-3));
         assert!(bin(BinOp::Div, Value::I(1), Value::I(0)).is_err());
+        // The one quotient past `i64` wraps, as every integer op does.
+        assert_eq!(bin(BinOp::Div, Value::I(i64::MIN), Value::I(-1)).unwrap(), Value::I(i64::MIN));
+        let m = intrinsic(Intrinsic::Mod, &[Value::I(i64::MIN), Value::I(-1)]).unwrap();
+        assert_eq!(m, Value::I(0));
     }
 
     #[test]

@@ -530,7 +530,7 @@ impl Simulator<'_> {
                 Instr::PowRI { d, a, b } => {
                     charge!(ScalarOp);
                     let vm = &mut frame.vm;
-                    vm.f[*d as usize] = value_ops::pow_ri(vm.f[*a as usize], vm.i[*b as usize]);
+                    vm.f[*d as usize] = cedar_ir::pow_ri(vm.f[*a as usize], vm.i[*b as usize]);
                 }
                 Instr::AddI { d, a, b } => bin!(i <- i, d, a, b, |x, y| x.wrapping_add(y)),
                 Instr::SubI { d, a, b } => bin!(i <- i, d, a, b, |x, y| x.wrapping_sub(y)),
@@ -542,12 +542,12 @@ impl Simulator<'_> {
                     if y == 0 {
                         fault!(instr);
                     }
-                    vm.i[*d as usize] = x / y;
+                    vm.i[*d as usize] = x.wrapping_div(y);
                 }
                 Instr::PowI { d, a, b } => {
                     charge!(ScalarOp);
                     let vm = &mut frame.vm;
-                    let Ok(p) = value_ops::pow_ii(vm.i[*a as usize], vm.i[*b as usize]) else {
+                    let Some(p) = cedar_ir::pow_ii(vm.i[*a as usize], vm.i[*b as usize]) else {
                         fault!(instr)
                     };
                     vm.i[*d as usize] = p;

@@ -518,6 +518,36 @@ fn integer_division_truncates_toward_zero_and_faults_on_zero() {
     identical_everywhere(leak(&src), |c| c, &["r"], "real division by zero");
 }
 
+/// The most negative integer over -1 wraps, as every other integer
+/// operation does: the quotient is itself and `mod` is 0. In a scalar
+/// statement, in a loop the VM runs as a kernel, and over vector lanes.
+#[test]
+fn the_most_negative_integer_over_minus_one_wraps() {
+    const HEAD: &str = "program p\ninteger i, m, k(8), v(8)\ni = -9223372036854775807\n\
+                        i = i - 1\nm = -1\n";
+    let want = |k: [i64; 4]| {
+        move |sim: &Simulator<'_>, label: &str| {
+            let got = sim.read_var("k").expect("k is an array")[..4].to_vec();
+            assert_eq!(got, k.map(cedar_ir::Value::I), "{label}");
+        }
+    };
+    let min = i64::MIN;
+    let scalar = format!("{HEAD}k(1) = i / (-1)\nk(2) = mod(i, -1)\nk(3) = i / m\nk(4) = mod(i, m)\nend\n");
+    identical_everywhere(leak(&scalar), |c| c, &["k"], "scalar");
+    want([min, 0, min, 0])(&run_with(&scalar, cfg(Engine::Vm)).unwrap(), "scalar");
+
+    let kernel = format!("{HEAD}do j = 1, 8\nk(j) = i / m + mod(i, m) * j + j\nend do\nend\n");
+    let (sim, r) = kernel_identical(&kernel, cfg(Engine::Vm), &["k"], "kernel");
+    r.expect("runs");
+    want([min + 1, min + 2, min + 3, min + 4])(&sim, "kernel");
+
+    let lanes = format!("{HEAD}v(1:8) = i\nk(1:4) = v(1:4) / m\nk(5:8) = mod(v(5:8), m)\nend\n");
+    identical_everywhere(leak(&lanes), |c| c, &["k", "v"], "lanes");
+    let sim = run_with(&lanes, cfg(Engine::Vm)).unwrap();
+    want([min; 4])(&sim, "lanes");
+    assert_eq!(sim.read_var("k").unwrap()[4..], [cedar_ir::Value::I(0); 4]);
+}
+
 #[test]
 fn power_operator_families() {
     let src = format!(

@@ -158,6 +158,12 @@ const EXTREME_CONSTANTS: &[(&[&str], Outcome)] = &[
         &["program p", "real a(10)", "a(1:9223372036854775807:1) = 1.0", "end"],
         Outcome::AllSimulate(Some(SimErrorKind::OutOfBounds)),
     ),
+    // The most negative integer over -1 wraps, in a quotient and in
+    // `mod`, as every other integer operation does.
+    (
+        &["program p", "i = -9223372036854775807", "i = i - 1", "j = i / (-1)", "k = mod(i, -1)", "end"],
+        Outcome::AllSimulate(None),
+    ),
 ];
 
 /// 60 000 000 REALs. The restructured programs declare the array GLOBAL:
