@@ -31,9 +31,13 @@
 //! that order. A table entry is a *verbatim copy* of a config field, or
 //! a product that would otherwise be computed identically on every
 //! charge (`scalar_op * 2.0` has the same bits computed once or per
-//! iteration); nothing folds two charges into one addition, and there
-//! is one `mem_jitter` draw per memory level charged, in order.
-//! `tests/cycle_bits.rs` pins the result.
+//! iteration), and there is one `mem_jitter` draw per memory level
+//! charged, in order. Charges are folded into one addition in a single
+//! place, where the fold provably has the bits of the additions it
+//! replaces: [`ExactSum`] adds `n` iterations of a loop kernel's prices
+//! as `t + n·S` only when every partial sum of the in-order additions
+//! is a representable multiple of one power of two, so that each of
+//! them is exact. `tests/cycle_bits.rs` pins the result.
 
 use crate::fault::FaultState;
 use crate::stats::ExecStats;
@@ -375,6 +379,75 @@ impl CostModel {
     }
 }
 
+/// The prices of a loop kernel's iteration, summed, for adding `n`
+/// iterations of them to a clock in one multiply-add where that is
+/// exact (DESIGN.md §14, "Loop kernels").
+///
+/// Every price is finite and ≥ 0, `grain` is the lowest exponent `g`
+/// such that each nonzero price is a multiple of `2^g`, and `sum` their
+/// sum `S`. On a clock `T` whose lowest set bit is `2^b`, every partial
+/// sum of the in-order additions of `n` iterations is a multiple of
+/// `2^q`, `q = min(g, b)`, and at most `T + n·S`. Below `2^(53+q)` each
+/// such multiple is representable, so each addition is exact and so are
+/// `n·S` and `T + n·S`: one multiply-add has the bits of the additions.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ExactSum {
+    sum: f64,
+    grain: i32,
+}
+
+impl ExactSum {
+    /// The sum of `prices`; `None` when one is negative, `-0.0`, or not
+    /// finite.
+    pub(crate) fn of(prices: &[f64]) -> Option<ExactSum> {
+        let (mut sum, mut grain) = (0.0, i32::MAX);
+        for &p in prices {
+            if !(p.is_finite() && p.is_sign_positive()) {
+                return None;
+            }
+            sum += p;
+            grain = grain.min(lowest_bit(p));
+        }
+        Some(ExactSum { sum, grain })
+    }
+
+    /// The clock `t` after `n` iterations' prices are added to it one
+    /// at a time and in order; `None` when `T + n·S` reaches `2^(53+q)`,
+    /// or `t` is negative or not finite: the caller adds them so.
+    pub(crate) fn after(self, t: f64, n: u64) -> Option<f64> {
+        if n == 0 {
+            return Some(t);
+        }
+        if !(t.is_finite() && t >= 0.0) {
+            return None;
+        }
+        let q = self.grain.min(lowest_bit(t));
+        let end = t + n as f64 * self.sum;
+        (end < pow2(53_i32.saturating_add(q))).then_some(end)
+    }
+}
+
+/// The exponent of the lowest set bit of a finite `x`: `x` is an odd
+/// multiple of `2^e`. `i32::MAX` for zero.
+fn lowest_bit(x: f64) -> i32 {
+    let bits = x.to_bits();
+    let (exp, frac) = (((bits >> 52) & 0x7ff) as i32, bits & ((1 << 52) - 1));
+    match (exp, frac) {
+        (0, 0) => i32::MAX,
+        (0, _) => -1074 + frac.trailing_zeros() as i32,
+        _ => exp - 1075 + (frac | 1 << 52).trailing_zeros() as i32,
+    }
+}
+
+/// `2^k` for `k ≥ -1022`; infinity past the largest finite power.
+fn pow2(k: i32) -> f64 {
+    debug_assert!(k >= -1022, "a clock or a price below 2^-1074");
+    match k {
+        ..=1023 => f64::from_bits(((k + 1023) as u64) << 52),
+        _ => f64::INFINITY,
+    }
+}
+
 /// Thrashing probability of a pool: 0 while the working set fits,
 /// then the probability an access misses physical memory,
 /// `1 − capacity/allocated`.
@@ -404,6 +477,86 @@ mod tests {
             (cfg.scalar_op * 2.0).to_bits(),
             "loop step must be the same product the interpreter computes"
         );
+    }
+
+    /// Add `n` iterations of `prices` to `t` one at a time, in order.
+    fn in_order(prices: &[f64], mut t: f64, n: u64) -> f64 {
+        for _ in 0..n {
+            for &p in prices {
+                t += p;
+            }
+        }
+        t
+    }
+
+    #[test]
+    fn exact_sums_have_the_bits_of_in_order_additions() {
+        let mut state = 0x9e37_79b9_7f4a_7c15_u64;
+        let mut next = move || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            state >> 33
+        };
+        let (mut folded, mut refused) = (0, 0);
+        for _ in 0..20_000 {
+            // Dyadic prices at a few grains, some zero; a clock that
+            // sometimes has a finer grain than the prices.
+            let grain = next() % 12;
+            let prices: Vec<f64> = (0..1 + next() % 12)
+                .map(|_| (next() % 4096) as f64 / (1u64 << grain) as f64)
+                .collect();
+            let scale = [1.0, 1e9, 2f64.powi(40), 3.0 * 2f64.powi(48)][next() as usize % 4];
+            let t = (next() % 1_000_000) as f64 / (1u64 << (next() % 20)) as f64 * scale;
+            let n = next() % 5_000;
+            let sum = ExactSum::of(&prices).expect("finite prices >= 0");
+            match sum.after(t, n) {
+                Some(end) => {
+                    assert_eq!(end.to_bits(), in_order(&prices, t, n).to_bits(), "{prices:?} {t} {n}");
+                    folded += 1;
+                }
+                None => refused += 1,
+            }
+        }
+        assert!(folded > 10_000 && refused > 100, "{folded} folded, {refused} refused");
+    }
+
+    #[test]
+    fn exact_sums_are_refused_at_and_across_2_to_the_53() {
+        let big = 2f64.powi(53);
+        let sum = ExactSum::of(&[1.0]).unwrap();
+        // 2^53 - 10 is even, the price odd: q = 0, the bound 2^53.
+        assert_eq!(sum.after(big - 10.0, 9), Some(big - 1.0));
+        assert_eq!(in_order(&[1.0], big - 10.0, 9), big - 1.0);
+        assert_eq!(sum.after(big - 10.0, 10), None);
+        // Past 2^53 each addition of 1 rounds back to 2^53.
+        assert_eq!(sum.after(big - 10.0, 13), None);
+        assert_eq!(in_order(&[1.0], big - 10.0, 13), big);
+        assert_ne!(big - 10.0 + 13.0, big);
+        // A price of 2 on an even clock may go on to 2^54.
+        let two = ExactSum::of(&[2.0]).unwrap();
+        assert_eq!(two.after(big, 4), Some(big + 8.0));
+        assert_eq!(sum.after(big + 2.0, 1), None, "an odd price past 2^53");
+        assert_eq!(ExactSum::of(&[0.5]).unwrap().after(2f64.powi(52) - 1.0, 2), None);
+        // Nothing but zeros adds nothing.
+        assert_eq!(ExactSum::of(&[0.0, 0.0]).unwrap().after(-0.0, 3).map(f64::to_bits), Some(0));
+        assert_eq!(sum.after(-0.0, 0).map(f64::to_bits), Some((-0.0f64).to_bits()));
+        for bad in [-1.0, -0.0, f64::NAN, f64::INFINITY] {
+            assert!(ExactSum::of(&[1.0, bad]).is_none(), "{bad}");
+        }
+        assert_eq!(sum.after(f64::INFINITY, 1), None);
+        assert_eq!(sum.after(-1.0, 1), None);
+    }
+
+    #[test]
+    fn exact_sums_are_refused_for_a_contention_scaled_price() {
+        // 0.75 × 3.2 has its lowest set bit at 2^-49: from a clock of
+        // 2^4 on, the in-order additions may round.
+        let prices = [2.0, 0.75 * 3.2];
+        assert_eq!(lowest_bit(prices[1]), -49);
+        let sum = ExactSum::of(&prices).unwrap();
+        assert_eq!(sum.after(0.0, 3), Some(in_order(&prices, 0.0, 3)), "13.2 < 16");
+        assert_eq!(sum.after(0.0, 4), None);
+        assert_eq!(sum.after(1000.0, 1), None);
+        assert_ne!(in_order(&prices, 1000.0, 100), 1000.0 + 100.0 * sum.sum);
     }
 
     #[test]

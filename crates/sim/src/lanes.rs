@@ -232,7 +232,7 @@ impl LanePool {
             }
             (UnOp::Neg, v) => {
                 let mut a = self.ints(v);
-                a.iter_mut().for_each(|x| *x = -*x);
+                a.iter_mut().for_each(|x| *x = x.wrapping_neg());
                 Lanes::I(a)
             }
             (UnOp::Not, v) => {
@@ -371,7 +371,7 @@ impl LanePool {
                 let Lanes::I(mut a) = cols.swap_remove(0) else {
                     unreachable!("abs of a non-integer column is a REAL function")
                 };
-                a.iter_mut().for_each(|x| *x = x.abs());
+                a.iter_mut().for_each(|x| *x = x.wrapping_abs());
                 Lanes::I(a)
             }
             _ => {

@@ -175,7 +175,7 @@ fn cmp(l: Value, r: Value) -> Ordering {
 pub fn un(op: UnOp, v: Value) -> Value {
     match op {
         UnOp::Neg => match v {
-            Value::I(a) => Value::I(-a),
+            Value::I(a) => Value::I(a.wrapping_neg()),
             Value::R(a) => Value::R(-a),
             Value::B(b) => Value::I(-(b as i64)),
         },
@@ -194,7 +194,7 @@ pub fn intrinsic(f: Intrinsic, args: &[Value]) -> Result<Value, OpError> {
     let r0 = || a0().map(|v| v.as_f64());
     Ok(match f {
         Abs => match a0()? {
-            Value::I(v) => Value::I(v.abs()),
+            Value::I(v) => Value::I(v.wrapping_abs()),
             v => Value::R(v.as_f64().abs()),
         },
         // Domain violations follow IEEE semantics (NaN) rather than
@@ -221,15 +221,21 @@ pub fn intrinsic(f: Intrinsic, args: &[Value]) -> Result<Value, OpError> {
         Cosh => Value::R(r0()?.cosh()),
         Tanh => Value::R(r0()?.tanh()),
         Sign => {
-            let a = r0()?;
             let b = args
                 .get(1)
                 .map(|v| v.as_f64())
                 .ok_or_else(|| type_err("sign needs 2 args".into()))?;
-            let m = a.abs();
             match a0()? {
-                Value::I(_) => Value::I(if b >= 0.0 { m as i64 } else { -(m as i64) }),
-                _ => Value::R(if b >= 0.0 { m } else { -m }),
+                // In integers, so every bit of `a` is kept; `i64::MIN`
+                // wraps as negation does.
+                Value::I(a) => {
+                    let m = a.wrapping_abs();
+                    Value::I(if b >= 0.0 { m } else { m.wrapping_neg() })
+                }
+                a => {
+                    let m = a.as_f64().abs();
+                    Value::R(if b >= 0.0 { m } else { -m })
+                }
             }
         }
         Mod => match (

@@ -62,9 +62,9 @@ use std::sync::Arc;
 /// One dimension of a resolved array operand.
 #[derive(Clone, Copy, Default)]
 pub(super) struct DimStride {
-    lo: i64,
-    hi: i64,
-    stride: i64,
+    pub(super) lo: i64,
+    pub(super) hi: i64,
+    pub(super) stride: i64,
 }
 
 /// One symbol's entry in the resolved-operand table.
@@ -558,7 +558,7 @@ impl Simulator<'_> {
                 }
                 Instr::NegI { d, a } => {
                     charge!(ScalarOp);
-                    cvt!(i <- i, d, a, |x| -x);
+                    cvt!(i <- i, d, a, |x| x.wrapping_neg());
                 }
                 Instr::IntrR { f, n, d, args } | Instr::IntrI { f, n, d, args } => {
                     let vm = &mut frame.vm;

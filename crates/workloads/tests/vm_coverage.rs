@@ -77,28 +77,30 @@ fn boxable_sites(p: &cedar_ir::Program) -> usize {
 #[test]
 fn serial_originals_compile_and_run_as_typed_code() {
     println!(
-        "{:<8} {:>6} {:>10} {:>12} {:>12} {:>10} {:>10}",
-        "program", "instrs", "eval-trees", "interp-stmts", "tree-walked", "iters", "kernel"
+        "{:<8} {:>6} {:>10} {:>12} {:>12} {:>10} {:>10} {:>10}",
+        "program", "instrs", "eval-trees", "interp-stmts", "tree-walked", "iters", "kernel", "lanes"
     );
-    let (mut iterations, mut kernels) = (0, 0);
+    let (mut iterations, mut kernels, mut lanes) = (0, 0, 0);
     for w in table1_workloads().into_iter().chain(table2_workloads()) {
         let p = w.compile();
         let art = cedar_sim::compile(&p);
         let mc = MachineConfig::cedar_config1().with_engine(Engine::Vm);
         let sim = cedar_sim::run_precompiled(&p, mc, &art).expect("serial original runs");
-        let (inline, kernel) = sim.kernel_iterations();
+        let (inline, kernel, lane) = sim.kernel_iterations();
         println!(
-            "{:<8} {:>6} {:>10} {:>12} {:>12} {:>10} {:>10}",
+            "{:<8} {:>6} {:>10} {:>12} {:>12} {:>10} {:>10} {:>10}",
             w.name,
             art.instr_count(),
             art.eval_tree_count(),
             art.fallback_count(),
             sim.tree_walked_activations(),
             inline,
-            kernel
+            kernel,
+            lane
         );
         iterations += inline;
         kernels += kernel;
+        lanes += lane;
         assert!(
             art.eval_tree_count() <= boxable_sites(&p),
             "{}: an expression over plain scalars, constants, elements and elemental \
@@ -117,14 +119,21 @@ fn serial_originals_compile_and_run_as_typed_code() {
             w.name
         );
     }
-    // Iterations of the sequential loops the VM runs inline, and how
-    // many of them ran as loop kernels (DESIGN.md §14, "Loop kernels").
-    // A change that knocks loops off the kernel moves the second; one
-    // that moves either updates them here and in EXPERIMENTS.md
-    // ("Straight-line loops as kernels").
+    // Iterations of the sequential loops the VM runs inline, how many
+    // of them ran as loop kernels, and how many of those as lanes
+    // (DESIGN.md §14, "Loop kernels"). A change that knocks loops off
+    // the kernel moves the second, one that refuses batches as lanes the
+    // third; one that moves any updates them here and in EXPERIMENTS.md
+    // ("Straight-line loops as kernels", "Lane batches").
     let share = kernels as f64 / iterations as f64;
-    println!("{:<8} {iterations:>55} {kernels:>10} ({:.1} % as kernels)", "total", 100.0 * share);
-    assert_eq!((iterations, kernels), (3_934_056, 3_884_568));
+    let lane_share = lanes as f64 / kernels as f64;
+    println!(
+        "{:<8} {iterations:>55} {kernels:>10} {lanes:>10} ({:.1} % as kernels, {:.1} % of them as lanes)",
+        "total",
+        100.0 * share,
+        100.0 * lane_share
+    );
+    assert_eq!((iterations, kernels, lanes), (3_934_056, 3_884_568, 2_337_281));
 }
 
 /// The columns of the instruction-mix table: `ElemVar` and `Elem`

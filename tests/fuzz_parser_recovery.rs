@@ -164,6 +164,13 @@ const EXTREME_CONSTANTS: &[(&[&str], Outcome)] = &[
         &["program p", "i = -9223372036854775807", "i = i - 1", "j = i / (-1)", "k = mod(i, -1)", "end"],
         Outcome::AllSimulate(None),
     ),
+    // And negated, as a scalar, through `abs`, and as a vector.
+    (&["program p", "i = -9223372036854775807", "i = i - 1", "j = -i", "end"], Outcome::AllSimulate(None)),
+    (&["program p", "i = -9223372036854775807", "i = i - 1", "j = abs(i)", "end"], Outcome::AllSimulate(None)),
+    (
+        &["program p", "integer v(8)", "i = -9223372036854775807", "i = i - 1", "v(1:8) = i", "v(1:8) = -v(1:8)", "end"],
+        Outcome::AllSimulate(None),
+    ),
 ];
 
 /// 60 000 000 REALs. The restructured programs declare the array GLOBAL:
