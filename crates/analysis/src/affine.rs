@@ -51,12 +51,7 @@ impl Affine {
 
     /// Indices of variables with nonzero coefficient.
     pub fn vars(&self) -> Vec<usize> {
-        self.coeffs
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c != 0)
-            .map(|(i, _)| i)
-            .collect()
+        self.coeffs.iter().enumerate().filter(|(_, &c)| c != 0).map(|(i, _)| i).collect()
     }
 
     fn normalize(mut self) -> Self {
@@ -76,12 +71,7 @@ impl Affine {
 
     /// Sum of two forms over the same variable space.
     pub fn add(&self, other: &Affine) -> Affine {
-        let coeffs = self
-            .coeffs
-            .iter()
-            .zip(&other.coeffs)
-            .map(|(a, b)| a + b)
-            .collect();
+        let coeffs = self.coeffs.iter().zip(&other.coeffs).map(|(a, b)| a + b).collect();
         let mut sym = self.sym.clone();
         sym.extend(other.sym.iter().cloned());
         Affine { coeffs, sym, konst: self.konst + other.konst }.normalize()
@@ -139,11 +129,7 @@ pub fn extract(
     opaque(e, ivars, invariant)
 }
 
-fn linear(
-    e: &Expr,
-    ivars: &[SymbolId],
-    invariant: &dyn Fn(SymbolId) -> bool,
-) -> Option<Affine> {
+fn linear(e: &Expr, ivars: &[SymbolId], invariant: &dyn Fn(SymbolId) -> bool) -> Option<Affine> {
     let n = ivars.len();
     match e {
         Expr::ConstI(v) => Some(Affine::constant(n, *v)),
@@ -191,11 +177,7 @@ fn linear(
                         {
                             return Some(Affine {
                                 coeffs: lf.coeffs.iter().map(|c| c / k).collect(),
-                                sym: lf
-                                    .sym
-                                    .iter()
-                                    .map(|(c, s)| (c / k, s.clone()))
-                                    .collect(),
+                                sym: lf.sym.iter().map(|(c, s)| (c / k, s.clone())).collect(),
                                 konst: lf.konst / k,
                             });
                         }
@@ -212,11 +194,7 @@ fn linear(
 }
 
 /// Whole-expression opaque fallback: invariant scalar arithmetic only.
-fn opaque(
-    e: &Expr,
-    ivars: &[SymbolId],
-    invariant: &dyn Fn(SymbolId) -> bool,
-) -> Option<Affine> {
+fn opaque(e: &Expr, ivars: &[SymbolId], invariant: &dyn Fn(SymbolId) -> bool) -> Option<Affine> {
     let mut ok = true;
     walk_expr(e, &mut |x| match x {
         Expr::Scalar(s) if ivars.contains(s) || !invariant(*s) => ok = false,
@@ -291,11 +269,7 @@ mod tests {
         let i = Expr::Scalar(s(3));
         let t = Expr::bin(
             BinOp::Div,
-            Expr::bin(
-                BinOp::Mul,
-                i.clone(),
-                Expr::bin(BinOp::Sub, i.clone(), Expr::ConstI(1)),
-            ),
+            Expr::bin(BinOp::Mul, i.clone(), Expr::bin(BinOp::Sub, i.clone(), Expr::ConstI(1))),
             Expr::ConstI(2),
         );
         let e = Expr::bin(BinOp::Add, t, Expr::Scalar(s(0)));
@@ -329,11 +303,7 @@ mod tests {
     fn exact_division_folds() {
         let e = Expr::bin(
             BinOp::Div,
-            Expr::bin(
-                BinOp::Add,
-                Expr::mul(Expr::ConstI(4), Expr::Scalar(s(0))),
-                Expr::ConstI(8),
-            ),
+            Expr::bin(BinOp::Add, Expr::mul(Expr::ConstI(4), Expr::Scalar(s(0))), Expr::ConstI(8)),
             Expr::ConstI(4),
         );
         let a = extract(&e, &[s(0)], &always).unwrap();

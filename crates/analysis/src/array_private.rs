@@ -99,9 +99,7 @@ fn read_shape(s: &Stmt, arr: SymbolId, ivar: SymbolId) -> ReadShape {
                         return;
                     }
                     match extract(&idx[0], &[ivar], &inv) {
-                        Some(f) if f.coeffs[0] == 1 && f.sym.is_empty() => {
-                            offsets.push(f.konst)
-                        }
+                        Some(f) if f.coeffs[0] == 1 && f.sym.is_empty() => offsets.push(f.konst),
                         _ => bad = true,
                     }
                 }
@@ -130,9 +128,7 @@ fn stmt_ok(s: &Stmt, arr: SymbolId, covered: &mut Vec<(Expr, Expr)>) -> bool {
             let mut defines_here = false;
             for st in &inner.body {
                 match st {
-                    Stmt::Assign { lhs: LValue::Elem { arr: a, idx }, rhs, .. }
-                        if *a == arr =>
-                    {
+                    Stmt::Assign { lhs: LValue::Elem { arr: a, idx }, rhs, .. } if *a == arr => {
                         // write a(j) with j == inner.var exactly.
                         let leading_is_ivar = idx.len() == 1
                             && matches!(idx.first(), Some(Expr::Scalar(v)) if *v == inner.var);
@@ -146,12 +142,7 @@ fn stmt_ok(s: &Stmt, arr: SymbolId, covered: &mut Vec<(Expr, Expr)>) -> bool {
                             ReadShape::Offsets(offs) => {
                                 let self_ok = defines_here && offs.iter().all(|&c| c <= 0);
                                 if !self_ok
-                                    && !reads_within(
-                                        covered,
-                                        &inner.start,
-                                        &inner.end,
-                                        &offs,
-                                    )
+                                    && !reads_within(covered, &inner.start, &inner.end, &offs)
                                 {
                                     return false;
                                 }
@@ -222,9 +213,7 @@ fn stmt_ok(s: &Stmt, arr: SymbolId, covered: &mut Vec<(Expr, Expr)>) -> bool {
                 cedar_ir::visit::walk_expr(e, &mut |x| {
                     if let Expr::Elem { arr: a, idx } = x {
                         if *a == arr {
-                            if idx.len() == 1
-                                && range_covered(covered, &idx[0], &idx[0])
-                            {
+                            if idx.len() == 1 && range_covered(covered, &idx[0], &idx[0]) {
                                 // fine
                             } else {
                                 ok = false;

@@ -95,11 +95,7 @@ impl LoopDeps {
 const BIG: i128 = 1 << 40;
 
 /// Analyze carried dependences of loop `l` within `unit`.
-pub fn analyze_loop(
-    unit: &Unit,
-    l: &Loop,
-    summaries: Option<&ProgramSummaries>,
-) -> LoopDeps {
+pub fn analyze_loop(unit: &Unit, l: &Loop, summaries: Option<&ProgramSummaries>) -> LoopDeps {
     let refs = refs::collect(unit, l, summaries);
     analyze_from_refs(l, refs)
 }
@@ -110,10 +106,8 @@ pub fn analyze_from_refs(l: &Loop, refs: BodyRefs) -> LoopDeps {
     // serialize the loop.
     let mut unanalyzable_written: BTreeSet<SymbolId> = BTreeSet::new();
     for arr in &refs.unanalyzable {
-        let written_direct = refs
-            .accesses
-            .iter()
-            .any(|a| a.arr == *arr && a.kind == AccessKind::Write);
+        let written_direct =
+            refs.accesses.iter().any(|a| a.arr == *arr && a.kind == AccessKind::Write);
         // Call-poisoned arrays are assumed written (collector inserted
         // them exactly because the callee may write them).
         if written_direct
@@ -137,7 +131,8 @@ pub fn analyze_from_refs(l: &Loop, refs: BodyRefs) -> LoopDeps {
     });
 
     // Scalars written in the body are not loop-invariant symbols.
-    let invariant = |s: SymbolId| !refs.scalar_writes.contains(&s) && !refs.inner_ivars.contains(&s);
+    let invariant =
+        |s: SymbolId| !refs.scalar_writes.contains(&s) && !refs.inner_ivars.contains(&s);
     // Accesses with non-affine subscripts poison their (written) array.
     let table = RefTable::new(&refs, &levels, &invariant);
     unanalyzable_written.extend(&table.nonaffine);
@@ -229,10 +224,7 @@ fn test_pair(
     ranges.clear();
     ranges.extend([(0, k1), (1, k1)]); // k1, d >= 1
     for v in a.ivars[1..].iter().chain(&b.ivars[1..]) {
-        let lt = levels
-            .iter()
-            .find(|(x, _)| x == v)
-            .and_then(|(_, lv)| lv.const_trip());
+        let lt = levels.iter().find(|(x, _)| x == v).and_then(|(_, lv)| lv.const_trip());
         ranges.push((0, lt.map_or(BIG, |t| ((t - 1).max(0)) as i128)));
     }
 
@@ -299,10 +291,7 @@ fn test_dim(coeffs: &[i64], konst: i64, ranges: &[(i128, i128)]) -> DimResult {
     }
 
     // Exact distance: only `d` appears.
-    let only_d = coeffs
-        .iter()
-        .enumerate()
-        .all(|(i, &x)| i == 1 || x == 0);
+    let only_d = coeffs.iter().enumerate().all(|(i, &x)| i == 1 || x == 0);
     if only_d {
         let a = coeffs[1] as i128;
         if a == 0 {
@@ -498,9 +487,8 @@ mod tests {
 
     #[test]
     fn distance_k_recurrence() {
-        let d = deps_of(
-            "subroutine s(a, n)\nreal a(n)\ndo i = 6, n\na(i) = a(i - 5)\nend do\nend\n",
-        );
+        let d =
+            deps_of("subroutine s(a, n)\nreal a(n)\ndo i = 6, n\na(i) = a(i - 5)\nend do\nend\n");
         assert_eq!(d.deps.len(), 1);
         assert_eq!(d.deps[0].distance, Some(5));
     }
@@ -529,9 +517,8 @@ mod tests {
     #[test]
     fn banerjee_range_separation() {
         // writes a(i), reads a(i+100), i in 1..50: ranges never overlap.
-        let d = deps_of(
-            "subroutine s(a)\nreal a(200)\ndo i = 1, 50\na(i) = a(i + 100)\nend do\nend\n",
-        );
+        let d =
+            deps_of("subroutine s(a)\nreal a(200)\ndo i = 1, 50\na(i) = a(i + 100)\nend do\nend\n");
         assert!(!d.has_carried_array_dep());
     }
 
@@ -646,12 +633,7 @@ mod tests {
         let p = compile_free(src).unwrap();
         let u = &p.units[0];
         let outer = u.body.iter().find_map(|s| s.as_loop()).unwrap().clone();
-        let inner = outer
-            .body
-            .iter()
-            .find_map(|s| s.as_loop())
-            .unwrap()
-            .clone();
+        let inner = outer.body.iter().find_map(|s| s.as_loop()).unwrap().clone();
         (p, outer, inner)
     }
 

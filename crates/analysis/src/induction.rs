@@ -62,27 +62,17 @@ impl Giv {
     /// inner loop runs.
     pub fn closed_form_at(&self, v0: Expr, k: Expr) -> Expr {
         match &self.kind {
-            GivKind::Additive { step } => {
-                Expr::add(v0, Expr::mul(k, step.clone()))
-            }
-            GivKind::Geometric { ratio } => Expr::mul(
-                v0,
-                Expr::bin(BinOp::Pow, ratio.clone(), k),
-            ),
+            GivKind::Additive { step } => Expr::add(v0, Expr::mul(k, step.clone())),
+            GivKind::Geometric { ratio } => Expr::mul(v0, Expr::bin(BinOp::Pow, ratio.clone(), k)),
             GivKind::Triangular { step, a, b, .. } => {
                 // v0 + step * (a*k*(k-1)/2 + b*k)
                 let k2 = Expr::bin(
                     BinOp::Div,
-                    Expr::mul(
-                        k.clone(),
-                        Expr::sub(k.clone(), Expr::ConstI(1)),
-                    ),
+                    Expr::mul(k.clone(), Expr::sub(k.clone(), Expr::ConstI(1))),
                     Expr::ConstI(2),
                 );
-                let tri = Expr::add(
-                    Expr::mul(Expr::ConstI(*a), k2),
-                    Expr::mul(Expr::ConstI(*b), k),
-                );
+                let tri =
+                    Expr::add(Expr::mul(Expr::ConstI(*a), k2), Expr::mul(Expr::ConstI(*b), k));
                 Expr::add(v0, Expr::mul(step.clone(), tri))
             }
         }
@@ -120,10 +110,9 @@ pub fn find_givs(l: &Loop, invariant: &dyn Fn(SymbolId) -> bool) -> Vec<Giv> {
             }
             let ivars = [l.var];
             let inv = |x: SymbolId| invariant(x);
-            let (Some(sa), Some(ea)) = (
-                extract(&inner.start, &ivars, &inv),
-                extract(&inner.end, &ivars, &inv),
-            ) else {
+            let (Some(sa), Some(ea)) =
+                (extract(&inner.start, &ivars, &inv), extract(&inner.end, &ivars, &inv))
+            else {
                 continue;
             };
             let trip = ea.sub(&sa); // + 1 handled below
@@ -175,9 +164,12 @@ fn match_update(s: &Stmt, invariant: &dyn Fn(SymbolId) -> bool) -> Option<(Symbo
         }
         Expr::Bin(BinOp::Sub, l, r) => {
             if matches!(&**l, Expr::Scalar(x) if *x == v) && is_invariant_expr(r) {
-                Some((v, GivKind::Additive {
-                    step: Expr::Un(cedar_ir::UnOp::Neg, Box::new((**r).clone())),
-                }))
+                Some((
+                    v,
+                    GivKind::Additive {
+                        step: Expr::Un(cedar_ir::UnOp::Neg, Box::new((**r).clone())),
+                    },
+                ))
             } else {
                 None
             }

@@ -140,7 +140,8 @@ fn propagate_calls(u: &Unit, sums: &ProgramSummaries, acc: &mut UnitSummary) {
             acc.opaque = true;
             // Unknown callee: anything passed may be read and written.
             for a in args {
-                if let Expr::Scalar(x) | Expr::Elem { arr: x, .. } | Expr::Section { arr: x, .. } = a
+                if let Expr::Scalar(x) | Expr::Elem { arr: x, .. } | Expr::Section { arr: x, .. } =
+                    a
                 {
                     match classify(*x) {
                         Some(Iface::Arg(p)) => {
@@ -251,10 +252,7 @@ mod tests {
 
     #[test]
     fn pure_function_detected() {
-        let p = compile_free(
-            "real function f(x)\nf = x * 2.0\nend\n",
-        )
-        .unwrap();
+        let p = compile_free("real function f(x)\nf = x * 2.0\nend\n").unwrap();
         let sm = summarize(&p).get("f").unwrap().clone();
         assert!(sm.arg_writes.is_empty() && sm.common_writes.is_empty() && !sm.opaque);
     }

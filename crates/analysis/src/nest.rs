@@ -62,9 +62,7 @@ mod tests {
 
     #[test]
     fn symbolic_bounds_or_step_have_no_trip_count() {
-        let l = first_level(
-            "subroutine s(a, n)\nreal a(n)\ndo i = 1, n\na(i) = 0.\nend do\nend\n",
-        );
+        let l = first_level("subroutine s(a, n)\nreal a(n)\ndo i = 1, n\na(i) = 0.\nend do\nend\n");
         assert_eq!((l.step, l.const_range, l.const_trip()), (Some(1), None, None));
         let l = first_level(
             "subroutine s(a, k)\nreal a(100)\ndo i = 1, 100, k\na(i) = 0.\nend do\nend\n",
@@ -74,9 +72,7 @@ mod tests {
 
     #[test]
     fn an_empty_range_runs_zero_times() {
-        let l = first_level(
-            "subroutine s(a)\nreal a(100)\ndo i = 10, 1\na(i) = 0.\nend do\nend\n",
-        );
+        let l = first_level("subroutine s(a)\nreal a(100)\ndo i = 10, 1\na(i) = 0.\nend do\nend\n");
         assert_eq!(l.const_range, Some((10, 1)));
         assert_eq!(l.const_trip(), Some(0));
     }

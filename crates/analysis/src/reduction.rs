@@ -137,9 +137,7 @@ pub fn accumulation_statement_indices(l: &Loop, target: SymbolId) -> Vec<usize> 
     l.body
         .iter()
         .enumerate()
-        .filter(|(_, s)| {
-            matches!(recognize_accum(s, l.var), Some((t, _, _, false)) if t == target)
-        })
+        .filter(|(_, s)| matches!(recognize_accum(s, l.var), Some((t, _, _, false)) if t == target))
         .map(|(k, _)| k)
         .collect()
 }
@@ -290,10 +288,7 @@ fn match_accum_rhs(
             if count_sym_refs(other, target) != 0 {
                 return None;
             }
-            Some((
-                if *f == Intrinsic::Min { RedOp::Min } else { RedOp::Max },
-                1,
-            ))
+            Some((if *f == Intrinsic::Min { RedOp::Min } else { RedOp::Max }, 1))
         }
         _ => None,
     }
@@ -302,10 +297,7 @@ fn match_accum_rhs(
 /// "Is this leaf the reduction target itself?" — a plain scalar read for
 /// scalar reductions, or the same-element read `a(idx)` for array
 /// reductions.
-fn self_test(
-    target: SymbolId,
-    lhs_idx: Option<&Vec<Expr>>,
-) -> impl Fn(&Expr) -> bool + '_ {
+fn self_test(target: SymbolId, lhs_idx: Option<&Vec<Expr>>) -> impl Fn(&Expr) -> bool + '_ {
     move |e: &Expr| match (e, lhs_idx) {
         (Expr::Scalar(v), None) => *v == target,
         (Expr::Elem { arr, idx }, Some(li)) => *arr == target && idx == li,
@@ -352,28 +344,18 @@ fn chain_matches(
     target: SymbolId,
     is_self: &impl Fn(&Expr) -> bool,
 ) -> bool {
-    let selfs: Vec<bool> = leaves
-        .iter()
-        .filter(|(e, _)| is_self(e))
-        .map(|&(_, positive)| positive)
-        .collect();
+    let selfs: Vec<bool> =
+        leaves.iter().filter(|(e, _)| is_self(e)).map(|&(_, positive)| positive).collect();
     selfs.len() == 1
         && selfs[0]
-        && leaves
-            .iter()
-            .filter(|(e, _)| !is_self(e))
-            .all(|(e, _)| count_sym_refs(e, target) == 0)
+        && leaves.iter().filter(|(e, _)| !is_self(e)).all(|(e, _)| count_sym_refs(e, target) == 0)
 }
 
 /// Rebuild `rhs` with the reduction target's single positive/numerator
 /// occurrence removed — the expression the loop accumulates each
 /// iteration (signs baked in, so `s = s - x + y` yields `-x + y`).
 /// Returns `None` when `rhs` is not a matched accumulation chain.
-pub fn accumulated_expr(
-    rhs: &Expr,
-    target: SymbolId,
-    lhs_idx: Option<&Vec<Expr>>,
-) -> Option<Expr> {
+pub fn accumulated_expr(rhs: &Expr, target: SymbolId, lhs_idx: Option<&Vec<Expr>>) -> Option<Expr> {
     let is_self = self_test(target, lhs_idx);
     let (mut leaves, product) = match rhs {
         Expr::Bin(BinOp::Add, ..) | Expr::Bin(BinOp::Sub, ..) => {
@@ -526,9 +508,8 @@ mod tests {
 
     #[test]
     fn subtraction_accumulates() {
-        let (_, r) = reds(
-            "subroutine s(a, n, t)\nreal a(n), t\ndo i = 1, n\nt = t - a(i)\nend do\nend\n",
-        );
+        let (_, r) =
+            reds("subroutine s(a, n, t)\nreal a(n), t\ndo i = 1, n\nt = t - a(i)\nend do\nend\n");
         assert_eq!(r.len(), 1);
         assert_eq!(r[0].op, RedOp::Sum);
     }
@@ -558,17 +539,15 @@ mod tests {
     #[test]
     fn negated_target_is_not_a_sum() {
         // t = a(i) - t flips the accumulator's sign each iteration.
-        let (_, r) = reds(
-            "subroutine s(a, n, t)\nreal a(n), t\ndo i = 1, n\nt = a(i) - t\nend do\nend\n",
-        );
+        let (_, r) =
+            reds("subroutine s(a, n, t)\nreal a(n), t\ndo i = 1, n\nt = a(i) - t\nend do\nend\n");
         assert!(r.is_empty());
     }
 
     #[test]
     fn target_in_denominator_is_not_a_product() {
-        let (_, r) = reds(
-            "subroutine s(a, n, t)\nreal a(n), t\ndo i = 1, n\nt = a(i) / t\nend do\nend\n",
-        );
+        let (_, r) =
+            reds("subroutine s(a, n, t)\nreal a(n), t\ndo i = 1, n\nt = a(i) / t\nend do\nend\n");
         assert!(r.is_empty());
     }
 

@@ -250,10 +250,7 @@ impl Collector<'_> {
 impl BodyRefs {
     /// Scalars written in the body excluding inner-loop index variables.
     pub fn written_non_ivar_scalars(&self) -> impl Iterator<Item = SymbolId> + '_ {
-        self.scalar_writes
-            .iter()
-            .copied()
-            .filter(move |s| !self.inner_ivars.contains(s))
+        self.scalar_writes.iter().copied().filter(move |s| !self.inner_ivars.contains(s))
     }
 }
 

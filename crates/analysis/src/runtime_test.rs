@@ -63,10 +63,8 @@ pub fn find_linearized_for(
     let mut inner_vars: Vec<(SymbolId, Expr)> = Vec::new(); // (var, trip expr)
     cedar_ir::visit::walk_stmts(&l.body, &mut |s: &Stmt| {
         if let Stmt::Loop(inner) = s {
-            let trip = Expr::add(
-                Expr::sub(inner.end.clone(), inner.start.clone()),
-                Expr::ConstI(1),
-            );
+            let trip =
+                Expr::add(Expr::sub(inner.end.clone(), inner.start.clone()), Expr::ConstI(1));
             inner_vars.push((inner.var, trip));
         }
     });
@@ -82,9 +80,7 @@ pub fn find_linearized_for(
         }
         match match_linearized(unit, sub, l.var, &inner_vars, invariant) {
             Some((stride, extent)) => match &mut pattern {
-                None => {
-                    pattern = Some(LinearizedPattern { arr, stride, inner_extent: extent })
-                }
+                None => pattern = Some(LinearizedPattern { arr, stride, inner_extent: extent }),
                 Some(p) => {
                     if p.arr != arr || p.stride != stride {
                         ok = false; // mixed arrays/strides: give up
@@ -199,10 +195,7 @@ fn match_linearized(
         if coeff_sum > 0 {
             extent = Expr::add(
                 extent,
-                Expr::mul(
-                    Expr::ConstI(coeff_sum),
-                    Expr::sub(trip.clone(), Expr::ConstI(1)),
-                ),
+                Expr::mul(Expr::ConstI(coeff_sum), Expr::sub(trip.clone(), Expr::ConstI(1))),
             );
         }
     }
@@ -241,11 +234,7 @@ fn match_stride_times_outer(
     invariant: &dyn Fn(SymbolId) -> bool,
 ) -> Option<Expr> {
     let Expr::Bin(BinOp::Mul, l, r) = t else { return None };
-    let (stride, idx) = if expr_uses(l, outer) {
-        (&**r, &**l)
-    } else {
-        (&**l, &**r)
-    };
+    let (stride, idx) = if expr_uses(l, outer) { (&**r, &**l) } else { (&**l, &**r) };
     if expr_uses(stride, outer) {
         return None;
     }
@@ -254,9 +243,10 @@ fn match_stride_times_outer(
     let mut inv_ok = true;
     cedar_ir::visit::walk_expr(stride, &mut |x| match x {
         Expr::Scalar(s) if !invariant(*s) => inv_ok = false,
-        Expr::Elem { .. } | Expr::Section { .. } | Expr::Call { .. } | Expr::Intr { f: Intrinsic::Sum, .. } => {
-            inv_ok = false
-        }
+        Expr::Elem { .. }
+        | Expr::Section { .. }
+        | Expr::Call { .. }
+        | Expr::Intr { f: Intrinsic::Sum, .. } => inv_ok = false,
         _ => {}
     });
     if !inv_ok {

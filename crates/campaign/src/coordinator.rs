@@ -287,7 +287,9 @@ impl Coordinator {
         let state = if shard.attempts > self.cfg.retry_budget {
             shard.state = ShardState::Quarantined;
             let attempts = shard.attempts;
-            eprintln!("campaign: shard {k} quarantined after {attempts} attempts: last failure: {reason}");
+            eprintln!(
+                "campaign: shard {k} quarantined after {attempts} attempts: last failure: {reason}"
+            );
             "quarantined"
         } else {
             shard.state = ShardState::Pending;
@@ -349,10 +351,7 @@ impl Coordinator {
         if self.finished() {
             return (200, flags(&[("done", true)]));
         }
-        let next = self
-            .shards
-            .iter()
-            .position(|s| matches!(s.state, ShardState::Pending));
+        let next = self.shards.iter().position(|s| matches!(s.state, ShardState::Pending));
         match next {
             Some(k) => {
                 self.shards[k].state =
@@ -600,8 +599,7 @@ impl Coordinator {
     fn answer(&mut self, stream: &mut TcpStream) {
         match cedar_serve::http::read_request(stream) {
             Ok(req) => {
-                let (status, body) =
-                    self.handle(&req.method, &req.path, &req.body, Instant::now());
+                let (status, body) = self.handle(&req.method, &req.path, &req.body, Instant::now());
                 cedar_serve::http::write_response(stream, status, &body);
             }
             Err(e) => {

@@ -114,10 +114,7 @@ mod tests {
         workers.insert("w1".to_string(), WorkerStats { leased: 3, completed: 2, failed: 1 });
         let text = triage_json(&cfg, 4, 2, &quarantined, None, &workers);
         let v = Json::parse(&text).expect("triage must be parseable JSON");
-        assert_eq!(
-            v.get("schema").and_then(Json::as_str),
-            Some("cedar-campaign-triage-v1")
-        );
+        assert_eq!(v.get("schema").and_then(Json::as_str), Some("cedar-campaign-triage-v1"));
         assert_eq!(v.get("shards").unwrap().get("quarantined").unwrap().as_f64(), Some(1.0));
         let q = &v.get("quarantined").unwrap().as_arr().unwrap()[0];
         assert_eq!(q.get("shard").unwrap().as_f64(), Some(2.0));

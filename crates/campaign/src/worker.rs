@@ -205,8 +205,11 @@ pub fn run_worker(cfg: &WorkerConfig) -> Result<WorkerReport, String> {
         let _ = beat.join();
 
         if summary.skipped_for_budget > 0 {
-            let lapsed =
-                format!("budget lapsed after {} of {} seeds", summary.executed, seed_end - seed_start);
+            let lapsed = format!(
+                "budget lapsed after {} of {} seeds",
+                summary.executed,
+                seed_end - seed_start
+            );
             let body = request(Some(shard), Some(("error", &lapsed)));
             let _ = http::post(&cfg.addr, "/fail", &body, T);
             report.failed += 1;

@@ -95,9 +95,7 @@ impl std::str::FromStr for BackendKind {
             "cedar" => Ok(BackendKind::Cedar),
             "openmp" => Ok(BackendKind::OpenMp),
             "serial" => Ok(BackendKind::Serial),
-            other => Err(format!(
-                "unknown backend `{other}` (expected cedar, openmp or serial)"
-            )),
+            other => Err(format!("unknown backend `{other}` (expected cedar, openmp or serial)")),
         }
     }
 }
@@ -132,11 +130,7 @@ pub fn emit_with(
     cfg: &crate::config::PassConfig,
 ) -> (String, Report) {
     let r = crate::driver::restructure(original, cfg);
-    let input = EmitInput {
-        original,
-        restructured: &r.program,
-        report: &r.report,
-    };
+    let input = EmitInput { original, restructured: &r.program, report: &r.report };
     (kind.backend().emit(&input), r.report)
 }
 
@@ -163,10 +157,7 @@ mod tests {
         .unwrap();
         let r = crate::driver::restructure(&p, &PassConfig::automatic_1991());
         let input = EmitInput { original: &p, restructured: &r.program, report: &r.report };
-        assert_eq!(
-            CedarFortran.emit(&input),
-            cedar_ir::print::print_program(&r.program)
-        );
+        assert_eq!(CedarFortran.emit(&input), cedar_ir::print::print_program(&r.program));
     }
 
     #[test]
@@ -206,7 +197,8 @@ mod tests {
         .unwrap();
         let r = crate::driver::restructure(&p, &PassConfig::serial());
         let input = EmitInput { original: &p, restructured: &r.program, report: &r.report };
-        let decls = "      program t\n      real a(10)\n      real s\n      integer i\n      real s$1\n";
+        let decls =
+            "      program t\n      real a(10)\n      real s\n      integer i\n      real s$1\n";
         let loops = "        do i = 2, 10\n          if (i .gt. 3) then\n            \
                      a(i) = a(i - 1)\n          end if\n        end do\n        s$1 = 2.0\n        \
                      do i = 1, 10\n          a(i) = s$1\n        end do\n";

@@ -127,7 +127,13 @@ fn fold_reductions(
         return false;
     }
     for (op, target, partial) in pairs {
-        cedar_ir::visit::rename_symbols(&mut l.body, &mut |x| if x == partial { target } else { x });
+        cedar_ir::visit::rename_symbols(&mut l.body, &mut |x| {
+            if x == partial {
+                target
+            } else {
+                x
+            }
+        });
         l.locals.retain(|x| *x != partial);
         clauses.push(OmpReduction { directive, op, target });
     }

@@ -40,7 +40,7 @@ pub(crate) const DEFAULT_TRIP: f64 = 100.0;
 pub fn body_cost(_unit: &Unit, body: &[Stmt]) -> f64 {
     fn stmt_cost(s: &Stmt) -> f64 {
         let mut cost = 2.0; // statement overhead
-        // walk_stmt_exprs already visits every sub-expression node.
+                            // walk_stmt_exprs already visits every sub-expression node.
         walk_stmt_exprs(s, false, &mut |e: &Expr| {
             cost += match e {
                 Expr::Bin(..) | Expr::Un(..) => 1.0,
@@ -192,12 +192,7 @@ mod tests {
 
     fn setup(src: &str) -> (cedar_ir::Program, Loop) {
         let p = compile_free(src).unwrap();
-        let l = p.units[0]
-            .body
-            .iter()
-            .find_map(|s| s.as_loop())
-            .unwrap()
-            .clone();
+        let l = p.units[0].body.iter().find_map(|s| s.as_loop()).unwrap().clone();
         (p, l)
     }
 
@@ -207,16 +202,16 @@ mod tests {
             "subroutine s(a, b)\nreal a(100000), b(100000)\ndo i = 1, 100000\n\
              a(i) = b(i)\nend do\nend\n",
         );
-        let (plan, n) = choose_plan(&p.units[0], &l, false, true, false, &PassConfig::automatic_1991());
+        let (plan, n) =
+            choose_plan(&p.units[0], &l, false, true, false, &PassConfig::automatic_1991());
         assert_eq!(plan, NestPlan::XdoallVector);
         assert!(n >= 2);
     }
 
     #[test]
     fn tiny_trip_prefers_cheap_startup() {
-        let (p, l) = setup(
-            "subroutine s(a, b)\nreal a(8), b(8)\ndo i = 1, 8\na(i) = b(i)\nend do\nend\n",
-        );
+        let (p, l) =
+            setup("subroutine s(a, b)\nreal a(8), b(8)\ndo i = 1, 8\na(i) = b(i)\nend do\nend\n");
         let (plan, _) =
             choose_plan(&p.units[0], &l, false, false, false, &PassConfig::automatic_1991());
         assert_eq!(plan, NestPlan::CdoallScalar);
@@ -313,8 +308,16 @@ mod tests {
         let at_base = decide(base);
         assert_eq!(
             at_base,
-            ["CdoallVector", "XdoallVector", "CdoallScalar", "SdoallCdoall { inner_vector: true }",
-             "false", "true", "true", "true"]
+            [
+                "CdoallVector",
+                "XdoallVector",
+                "CdoallScalar",
+                "SdoallCdoall { inner_vector: true }",
+                "false",
+                "true",
+                "true",
+                "true"
+            ]
         );
         // (number, moved far, the probe that has to notice)
         let moved = [

@@ -171,12 +171,7 @@ mod tests {
 
     fn nest(src: &str) -> (cedar_ir::Program, Loop) {
         let p = compile_free(src).unwrap();
-        let l = p.units[0]
-            .body
-            .iter()
-            .find_map(|s| s.as_loop())
-            .unwrap()
-            .clone();
+        let l = p.units[0].body.iter().find_map(|s| s.as_loop()).unwrap().clone();
         (p, l)
     }
 

@@ -93,12 +93,7 @@ impl PassConfig {
 
     /// The techniques the 1991 restructurer applied automatically (§3).
     pub fn automatic_1991() -> PassConfig {
-        PassConfig {
-            level: Level::Automatic,
-            globalize: true,
-            interchange: true,
-            ..Self::serial()
-        }
+        PassConfig { level: Level::Automatic, globalize: true, interchange: true, ..Self::serial() }
     }
 
     /// Automatic plus every §4.1/§4.2 technique the authors applied by

@@ -127,8 +127,7 @@ fn can_fuse(a: &Loop, b: &Loop) -> bool {
         let _ = b_sigs;
         array_signatures(&renamed, a.var)
     };
-    let all_arrays: BTreeSet<SymbolId> =
-        a_sigs.keys().chain(b_sigs.keys()).copied().collect();
+    let all_arrays: BTreeSet<SymbolId> = a_sigs.keys().chain(b_sigs.keys()).copied().collect();
     for arr in all_arrays {
         let (Some(sa), Some(sb)) = (a_sigs.get(&arr), b_sigs.get(&arr)) else {
             continue; // touched by one loop only

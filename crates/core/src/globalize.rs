@@ -21,9 +21,7 @@
 
 use crate::config::PassConfig;
 use cedar_ir::visit::{walk_expr, walk_stmt_exprs, walk_stmts};
-use cedar_ir::{
-    Expr, LoopClass, Placement, Program, Stmt, SymKind, SymbolId, Unit, Visibility,
-};
+use cedar_ir::{Expr, LoopClass, Placement, Program, Stmt, SymKind, SymbolId, Unit, Visibility};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Run globalization over the whole program.
@@ -35,11 +33,8 @@ pub fn run(program: &mut Program, cfg: &PassConfig) {
         .filter(|u| has_cross_cluster_loops(u))
         .map(|u| u.name.clone())
         .collect();
-    let call_graph: BTreeMap<String, BTreeSet<String>> = program
-        .units
-        .iter()
-        .map(|u| (u.name.clone(), callees_of(u)))
-        .collect();
+    let call_graph: BTreeMap<String, BTreeSet<String>> =
+        program.units.iter().map(|u| (u.name.clone(), callees_of(u))).collect();
     loop {
         let mut changed = false;
         for (caller, callees) in &call_graph {

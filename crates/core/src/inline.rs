@@ -318,10 +318,9 @@ mod tests {
 
     #[test]
     fn functions_are_not_inlined() {
-        let mut p = compile_free(
-            "program p\nx = g(1.0)\nend\nreal function g(v)\ng = v + 1.0\nend\n",
-        )
-        .unwrap();
+        let mut p =
+            compile_free("program p\nx = g(1.0)\nend\nreal function g(v)\ng = v + 1.0\nend\n")
+                .unwrap();
         assert_eq!(expand(&mut p), 0);
     }
 

@@ -66,9 +66,7 @@ pub fn analyze(
         // Array accumulations with *unanalyzable* subscripts (MDG/TRACK
         // histograms) go to the critical-section path (§4.1.6) rather
         // than the private-copy reduction transform.
-        .filter(|r| {
-            !(r.is_array && manual && deps.unanalyzable_written.contains(&r.target))
-        })
+        .filter(|r| !(r.is_array && manual && deps.unanalyzable_written.contains(&r.target)))
         // A "reduction" whose target carries no actual cross-iteration
         // dependence (e.g. `x(i) = x(i) + t` — each iteration touches
         // its own element) needs no transform: plain DOALL handles it
@@ -87,8 +85,7 @@ pub fn analyze(
     let written = deps.refs.scalar_writes.clone();
     let inner = deps.refs.inner_ivars.clone();
     let lvar = l.var;
-    let invariant =
-        move |s: SymbolId| s != lvar && !written.contains(&s) && !inner.contains(&s);
+    let invariant = move |s: SymbolId| s != lvar && !written.contains(&s) && !inner.contains(&s);
     let givs: Vec<Giv> = find_givs(l, &invariant)
         .into_iter()
         .filter(|g| match g.kind {
@@ -113,10 +110,8 @@ pub fn analyze(
         match classify_scalar(unit, l, s) {
             ScalarStatus::Privatizable { needs_last_value: false } => private_scalars.push(s),
             ScalarStatus::Privatizable { needs_last_value: true } => {
-                blockers.push(format!(
-                    "scalar `{}` needs last-value assignment",
-                    unit.symbol(s).name
-                ));
+                blockers
+                    .push(format!("scalar `{}` needs last-value assignment", unit.symbol(s).name));
             }
             ScalarStatus::CrossIteration => {
                 blockers.push(format!(
@@ -181,16 +176,11 @@ pub fn analyze(
         .all(|d| d.distance.is_some());
 
     for arr in dep_arrays.iter().filter(|a| !private_arrays.contains(a)) {
-        blockers.push(format!(
-            "carried dependence on array `{}`",
-            unit.symbol(*arr).name
-        ));
+        blockers.push(format!("carried dependence on array `{}`", unit.symbol(*arr).name));
     }
     for arr in &hard_unanalyzable {
-        blockers.push(format!(
-            "unanalyzable subscripts on written array `{}`",
-            unit.symbol(*arr).name
-        ));
+        blockers
+            .push(format!("unanalyzable subscripts on written array `{}`", unit.symbol(*arr).name));
     }
     if deps.refs.has_opaque_calls {
         blockers.push("loop body contains calls with unknown side effects".into());
@@ -258,8 +248,7 @@ fn all_refs_are_accumulations(l: &Loop, arr: SymbolId) -> bool {
         for s in body {
             match s {
                 Stmt::Assign { lhs, rhs, .. } => {
-                    let lhs_is_target =
-                        matches!(lhs, LValue::Elem { arr: a, .. } if *a == arr);
+                    let lhs_is_target = matches!(lhs, LValue::Elem { arr: a, .. } if *a == arr);
                     let rhs_refs = count_refs(rhs, arr);
                     if lhs_is_target {
                         // Must be a(e) = a(e) op x with matching e.

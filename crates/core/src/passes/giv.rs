@@ -21,11 +21,8 @@ pub fn apply_giv(unit: &mut Unit, l: &mut Loop, g: &Giv) -> Option<(Vec<Stmt>, V
         init: Vec::new(),
         span: l.span,
     });
-    let pre = vec![Stmt::Assign {
-        lhs: LValue::Scalar(v0),
-        rhs: Expr::Scalar(g.var),
-        span: l.span,
-    }];
+    let pre =
+        vec![Stmt::Assign { lhs: LValue::Scalar(v0), rhs: Expr::Scalar(g.var), span: l.span }];
 
     // Outer normalized index k = i - start.
     let k = Expr::sub(Expr::Scalar(l.var), l.start.clone());
@@ -68,21 +65,13 @@ pub fn apply_giv(unit: &mut Unit, l: &mut Loop, g: &Giv) -> Option<(Vec<Stmt>, V
                     Expr::mul(k.clone(), Expr::sub(k.clone(), Expr::ConstI(1))),
                     Expr::ConstI(2),
                 );
-                let b_corr = Expr::add(
-                    Expr::ConstI(b),
-                    Expr::mul(Expr::ConstI(a), outer_start.clone()),
-                );
-                Expr::add(
-                    Expr::mul(Expr::ConstI(a), k2),
-                    Expr::mul(b_corr, k),
-                )
+                let b_corr =
+                    Expr::add(Expr::ConstI(b), Expr::mul(Expr::ConstI(a), outer_start.clone()));
+                Expr::add(Expr::mul(Expr::ConstI(a), k2), Expr::mul(b_corr, k))
             };
             let step_for_value = step.clone();
             let value_at = move |k: Expr| -> Expr {
-                Expr::add(
-                    Expr::Scalar(v0),
-                    Expr::mul(step_for_value.clone(), sum_at(k)),
-                )
+                Expr::add(Expr::Scalar(v0), Expr::mul(step_for_value.clone(), sum_at(k)))
             };
             // Value before/after the inner loop of iteration k.
             let cf_outer_before = value_at(k.clone());
@@ -103,15 +92,11 @@ pub fn apply_giv(unit: &mut Unit, l: &mut Loop, g: &Giv) -> Option<(Vec<Stmt>, V
                 GivKind::Triangular { step, .. } => step.clone(),
                 _ => unreachable!(),
             };
-            let upos = inner
-                .body
-                .iter()
-                .position(|s| matches!(s, Stmt::Assign { lhs: LValue::Scalar(v), .. } if *v == g.var))?;
+            let upos = inner.body.iter().position(
+                |s| matches!(s, Stmt::Assign { lhs: LValue::Scalar(v), .. } if *v == g.var),
+            )?;
             let cf_in = |m: &Expr| {
-                Expr::add(
-                    cf_outer_before.clone(),
-                    Expr::mul(step_expr.clone(), m.clone()),
-                )
+                Expr::add(cf_outer_before.clone(), Expr::mul(step_expr.clone(), m.clone()))
             };
             for (idx, s) in inner.body.iter_mut().enumerate() {
                 if idx == upos {

@@ -13,9 +13,7 @@ use crate::report::{LoopDecision, Report, Technique};
 use crate::{coalesce, sync_insert, vectorize};
 use cedar_analysis::interproc::ProgramSummaries;
 use cedar_analysis::reduction::Reduction;
-use cedar_ir::{
-    BinOp, Expr, Intrinsic, LValue, Loop, LoopClass, ParMode, Stmt, SymbolId, Unit,
-};
+use cedar_ir::{BinOp, Expr, Intrinsic, LValue, Loop, LoopClass, ParMode, Stmt, SymbolId, Unit};
 
 /// Per-unit transform state: configuration, summaries, the shared
 /// report, and the sync-point/lock allocators (reset per unit).
@@ -62,11 +60,7 @@ impl<'a> NestCtx<'a> {
                     });
                 }
                 Stmt::DoWhile { cond, body, span } => {
-                    out.push(Stmt::DoWhile {
-                        cond,
-                        body: self.transform_block(unit, body),
-                        span,
-                    });
+                    out.push(Stmt::DoWhile { cond, body: self.transform_block(unit, body), span });
                 }
                 other => out.push(other),
             }
@@ -193,12 +187,7 @@ impl<'a> NestCtx<'a> {
         if verdict.doall && verdict.reductions.len() == 1 && l.body.len() == 1 {
             let mode = self.reduction_mode(&l);
             if let Some(stmt) = self.library_reduction(unit, &l, &verdict.reductions[0], mode) {
-                self.report.record(
-                    &unit.name,
-                    l.span,
-                    LoopDecision::LibraryReduction,
-                    techniques,
-                );
+                self.report.record(&unit.name, l.span, LoopDecision::LibraryReduction, techniques);
                 pre.push(stmt);
                 pre.extend(post);
                 return pre;
@@ -222,9 +211,7 @@ impl<'a> NestCtx<'a> {
                 self.report.record(
                     &unit.name,
                     l.span,
-                    LoopDecision::Distributed {
-                        parts: red_loops.len() + rest.is_some() as usize,
-                    },
+                    LoopDecision::Distributed { parts: red_loops.len() + rest.is_some() as usize },
                     techniques,
                 );
                 if let Some(rl) = rest {
@@ -275,12 +262,18 @@ impl<'a> NestCtx<'a> {
         // dependence exists.
         if self.cfg.interchange && l.body.len() == 1 {
             if let Some(Stmt::Loop(inner)) = l.body.first() {
-                let inner_vec = inner.class == LoopClass::Seq
-                    && vectorize::body_vectorizable(unit, inner, &[]);
+                let inner_vec =
+                    inner.class == LoopClass::Seq && vectorize::body_vectorizable(unit, inner, &[]);
                 if inner.class == LoopClass::Seq
                     && inner.locals.is_empty()
                     && l.locals.is_empty()
-                    && classes::interchange_profitable(unit, &l, inner, inner_vec, &self.cfg.machine)
+                    && classes::interchange_profitable(
+                        unit,
+                        &l,
+                        inner,
+                        inner_vec,
+                        &self.cfg.machine,
+                    )
                     && cedar_analysis::depend::interchange_legal(unit, &l, inner)
                 {
                     let inner = inner.clone();
@@ -308,8 +301,7 @@ impl<'a> NestCtx<'a> {
                 let serial = Stmt::Loop(l.clone());
                 let par = self.forced_parallel(unit, l.clone(), &verdict, LoopClass::XDoall);
                 techniques.push(Technique::RuntimeDepTest);
-                self.report
-                    .record(&unit.name, l.span, LoopDecision::TwoVersion, techniques);
+                self.report.record(&unit.name, l.span, LoopDecision::TwoVersion, techniques);
                 let mut out = pre;
                 out.push(Stmt::If {
                     cond: guard,
@@ -345,12 +337,7 @@ impl<'a> NestCtx<'a> {
                 let locked =
                     sync_insert::insert_critical_sections(&l, &verdict.critical_arrays, lock0);
                 let stmt = self.forced_parallel(unit, locked, &verdict, LoopClass::CDoall);
-                self.report.record(
-                    &unit.name,
-                    l.span,
-                    LoopDecision::CriticalSection,
-                    techniques,
-                );
+                self.report.record(&unit.name, l.span, LoopDecision::CriticalSection, techniques);
                 let mut out = pre;
                 out.push(stmt);
                 out.extend(post);
@@ -369,10 +356,8 @@ impl<'a> NestCtx<'a> {
                 &verdict.doacross_deps,
                 point0,
             );
-            let region: Vec<Stmt> = spans
-                .iter()
-                .flat_map(|&(f, t)| l.body[f..=t].to_vec())
-                .collect();
+            let region: Vec<Stmt> =
+                spans.iter().flat_map(|&(f, t)| l.body[f..=t].to_vec()).collect();
             if classes::doacross_worthwhile(unit, &l, &region, &self.cfg.machine) {
                 self.next_sync_point += spans.len().max(1) as u32;
                 privatize_scalars(unit, &mut dl, &verdict.private_scalars);
@@ -395,8 +380,7 @@ impl<'a> NestCtx<'a> {
             .first()
             .cloned()
             .unwrap_or_else(|| "no profitable parallel form".to_string());
-        self.report
-            .record(&unit.name, l.span, LoopDecision::Serial { reason }, techniques);
+        self.report.record(&unit.name, l.span, LoopDecision::Serial { reason }, techniques);
         let body = std::mem::take(&mut l.body);
         l.body = self.transform_block(unit, body);
         let mut out = pre;
@@ -421,16 +405,14 @@ impl<'a> NestCtx<'a> {
         let mut red_idx: Vec<Vec<usize>> = Vec::new();
         let mut taken: BTreeSet<usize> = BTreeSet::new();
         for r in &verdict.reductions {
-            let idx =
-                cedar_analysis::reduction::accumulation_statement_indices(l, r.target);
+            let idx = cedar_analysis::reduction::accumulation_statement_indices(l, r.target);
             if idx.len() != r.n_statements {
                 return None; // some accumulation is nested
             }
             taken.extend(idx.iter().copied());
             red_idx.push(idx);
         }
-        let rest_idx: Vec<usize> =
-            (0..l.body.len()).filter(|k| !taken.contains(k)).collect();
+        let rest_idx: Vec<usize> = (0..l.body.len()).filter(|k| !taken.contains(k)).collect();
         if rest_idx.is_empty() || taken.is_empty() {
             return None; // nothing to isolate
         }
@@ -512,10 +494,7 @@ impl<'a> NestCtx<'a> {
                     self.report.record(
                         &unit.name,
                         l.span,
-                        LoopDecision::Doall {
-                            classes: vec![LoopClass::XDoall],
-                            vectorized: false,
-                        },
+                        LoopDecision::Doall { classes: vec![LoopClass::XDoall], vectorized: false },
                         std::mem::take(techniques),
                     );
                     return Stmt::Loop(flat);
@@ -773,11 +752,8 @@ impl<'a> NestCtx<'a> {
 
     /// Detect a unique inner loop that is itself DOALL-legal.
     fn inner_parallel_info(&self, unit: &Unit, l: &Loop) -> Option<InnerInfo> {
-        let mut loops = l
-            .body
-            .iter()
-            .enumerate()
-            .filter_map(|(k, s)| s.as_loop().map(|il| (k, il)));
+        let mut loops =
+            l.body.iter().enumerate().filter_map(|(k, s)| s.as_loop().map(|il| (k, il)));
         let (pos, inner) = loops.next()?;
         if loops.next().is_some() {
             return None; // multiple inner loops: keep the simple plan

@@ -24,16 +24,12 @@ pub fn combine(op: RedOp, target: Expr, partial: Expr) -> Expr {
     match op {
         RedOp::Sum => Expr::bin(BinOp::Add, target, partial),
         RedOp::Product => Expr::bin(BinOp::Mul, target, partial),
-        RedOp::Min => Expr::Intr {
-            f: Intrinsic::Min,
-            args: vec![target, partial],
-            par: ParMode::Serial,
-        },
-        RedOp::Max => Expr::Intr {
-            f: Intrinsic::Max,
-            args: vec![target, partial],
-            par: ParMode::Serial,
-        },
+        RedOp::Min => {
+            Expr::Intr { f: Intrinsic::Min, args: vec![target, partial], par: ParMode::Serial }
+        }
+        RedOp::Max => {
+            Expr::Intr { f: Intrinsic::Max, args: vec![target, partial], par: ParMode::Serial }
+        }
     }
 }
 
@@ -59,15 +55,9 @@ pub fn reduction_partials(unit: &mut Unit, l: &mut Loop, r: &Reduction, lock: u3
 
     if r.is_array {
         let full = |arr: SymbolId| -> (LValue, Expr) {
-            let idx: Vec<Index> = sym
-                .dims
-                .iter()
-                .map(|_| Index::Range { lo: None, hi: None, step: None })
-                .collect();
-            (
-                LValue::Section { arr, idx: idx.clone() },
-                Expr::Section { arr, idx },
-            )
+            let idx: Vec<Index> =
+                sym.dims.iter().map(|_| Index::Range { lo: None, hi: None, step: None }).collect();
+            (LValue::Section { arr, idx: idx.clone() }, Expr::Section { arr, idx })
         };
         let (p_lv, p_rd) = full(partial);
         let (t_lv, t_rd) = full(r.target);
@@ -77,18 +67,10 @@ pub fn reduction_partials(unit: &mut Unit, l: &mut Loop, r: &Reduction, lock: u3
         l.postamble.push(Stmt::Assign { lhs: t_lv, rhs: merged, span: l.span });
         l.postamble.push(Stmt::Sync(SyncOp::Unlock { id: lock }));
     } else {
-        l.preamble.push(Stmt::Assign {
-            lhs: LValue::Scalar(partial),
-            rhs: identity,
-            span: l.span,
-        });
+        l.preamble.push(Stmt::Assign { lhs: LValue::Scalar(partial), rhs: identity, span: l.span });
         let merged = combine(r.op, Expr::Scalar(r.target), Expr::Scalar(partial));
         l.postamble.push(Stmt::Sync(SyncOp::Lock { id: lock }));
-        l.postamble.push(Stmt::Assign {
-            lhs: LValue::Scalar(r.target),
-            rhs: merged,
-            span: l.span,
-        });
+        l.postamble.push(Stmt::Assign { lhs: LValue::Scalar(r.target), rhs: merged, span: l.span });
         l.postamble.push(Stmt::Sync(SyncOp::Unlock { id: lock }));
     }
 }

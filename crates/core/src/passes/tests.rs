@@ -16,10 +16,7 @@ fn check_equiv(src: &str, watch: &[&str], cfg: &PassConfig) -> (f64, f64, Report
     let mc = MachineConfig::cedar_config1();
     let s0 = cedar_sim::run(&p0, mc.clone()).unwrap_or_else(|e| panic!("serial: {e}"));
     let s1 = cedar_sim::run(&r.program, mc).unwrap_or_else(|e| {
-        panic!(
-            "restructured: {e}\n---\n{}",
-            cedar_ir::print::print_program(&r.program)
-        )
+        panic!("restructured: {e}\n---\n{}", cedar_ir::print::print_program(&r.program))
     });
     for w in watch {
         let a = s0.read_f64(w).unwrap();
@@ -75,19 +72,13 @@ fn short_outer_nest_is_coalesced() {
     let mut cfg = PassConfig::manual_improved();
     cfg.coalesce = true;
     let (ser, par, rep) = check_equiv(src, &["s", "a"], &cfg);
-    assert!(
-        rep.loops.iter().any(|l| l.techniques.contains(&Technique::Coalescing)),
-        "{rep}"
-    );
+    assert!(rep.loops.iter().any(|l| l.techniques.contains(&Technique::Coalescing)), "{rep}");
     assert!(par < ser);
 
     // Without coalescing the same nest runs as SDOALL×CDOALL.
     cfg.coalesce = false;
     let (_, _, rep2) = check_equiv(src, &["s", "a"], &cfg);
-    assert!(
-        !rep2.loops.iter().any(|l| l.techniques.contains(&Technique::Coalescing)),
-        "{rep2}"
-    );
+    assert!(!rep2.loops.iter().any(|l| l.techniques.contains(&Technique::Coalescing)), "{rep2}");
 }
 
 #[test]
@@ -97,10 +88,7 @@ fn wide_outer_nest_is_not_coalesced() {
                t = real(i) + real(j)\ndo k = 1, 6\nt = 0.5 * t + 1.0\nend do\n\
                a(j, i) = t\nend do\nend do\ns = a(8, 64)\nend\n";
     let (_, _, rep) = check_equiv(src, &["s", "a"], &PassConfig::manual_improved());
-    assert!(
-        !rep.loops.iter().any(|l| l.techniques.contains(&Technique::Coalescing)),
-        "{rep}"
-    );
+    assert!(!rep.loops.iter().any(|l| l.techniques.contains(&Technique::Coalescing)), "{rep}");
 }
 
 #[test]
@@ -113,11 +101,7 @@ fn hand_written_parallel_loops_are_kept_as_directives() {
                a(i) = 1.0\nend xdoall\nend\n";
     let program = compile_free(src).unwrap();
     let r = restructure(&program, &PassConfig::automatic_1991());
-    let l = r.program.units[0]
-        .body
-        .iter()
-        .find_map(|s| s.as_loop())
-        .expect("loop survives");
+    let l = r.program.units[0].body.iter().find_map(|s| s.as_loop()).expect("loop survives");
     assert_eq!(l.class, LoopClass::XDoall, "class must be preserved");
     // The lock/unlock body must still be there (no rewriting).
     let printed = cedar_ir::print::print_program(&r.program);
@@ -133,10 +117,7 @@ fn chained_accumulation_uses_library_reduction() {
                a(i) = 1.0\nb(i) = i * 0.001\nend do\ns = 0.0\ndo i = 1, n\n\
                s = s + a(i) + b(i)\nend do\nend\n";
     let (ser, par, rep) = check_equiv(src, &["s"], &PassConfig::automatic_1991());
-    assert!(rep
-        .loops
-        .iter()
-        .any(|l| matches!(l.decision, LoopDecision::LibraryReduction)));
+    assert!(rep.loops.iter().any(|l| matches!(l.decision, LoopDecision::LibraryReduction)));
     assert!(par < ser);
 }
 
@@ -146,10 +127,7 @@ fn dot_product_uses_library_reduction() {
                a(i) = 1.0\nb(i) = i * 0.001\nend do\ns = 0.0\ndo i = 1, n\n\
                s = s + a(i) * b(i)\nend do\nend\n";
     let (ser, par, rep) = check_equiv(src, &["s"], &PassConfig::automatic_1991());
-    assert!(rep
-        .loops
-        .iter()
-        .any(|l| matches!(l.decision, LoopDecision::LibraryReduction)));
+    assert!(rep.loops.iter().any(|l| matches!(l.decision, LoopDecision::LibraryReduction)));
     assert!(par < ser);
 }
 
@@ -160,12 +138,7 @@ fn recurrence_becomes_doacross() {
                do i = 2, n\nc(i) = sqrt(a(i)) + a(i) * 2.0 + cos(a(i))\n\
                b(i) = b(i - 1) + a(i)\nend do\ns = b(n) + c(n)\nend\n";
     let (_, _, rep) = check_equiv(src, &["s", "b", "c"], &PassConfig::automatic_1991());
-    assert!(
-        rep.loops
-            .iter()
-            .any(|l| matches!(l.decision, LoopDecision::Doacross { .. })),
-        "{rep}"
-    );
+    assert!(rep.loops.iter().any(|l| matches!(l.decision, LoopDecision::Doacross { .. })), "{rep}");
 }
 
 #[test]
@@ -203,9 +176,7 @@ fn array_privatization_unlocks_mdg_pattern() {
     // Manual: parallelized with array privatization.
     let (ser, par, rep) = check_equiv(src, &["s", "a"], &PassConfig::manual_improved());
     assert!(
-        rep.loops
-            .iter()
-            .any(|l| l.techniques.contains(&Technique::ArrayPrivatization)),
+        rep.loops.iter().any(|l| l.techniques.contains(&Technique::ArrayPrivatization)),
         "{rep}"
     );
     assert!(par < ser);
@@ -216,12 +187,7 @@ fn giv_substitution_parallelizes_ocean_pattern() {
     let src = "program p\nparameter (n = 512)\nreal a(n)\nw = 1.0\n\
                do i = 1, n\nw = w * 1.001\na(i) = w * 2.0\nend do\ns = a(n) + w\nend\n";
     let (_, _, rep) = check_equiv(src, &["s", "a"], &PassConfig::manual_improved());
-    assert!(
-        rep.loops
-            .iter()
-            .any(|l| l.techniques.contains(&Technique::GivSubstitution)),
-        "{rep}"
-    );
+    assert!(rep.loops.iter().any(|l| l.techniques.contains(&Technique::GivSubstitution)), "{rep}");
     assert!(rep.parallelized() >= 1, "{rep}");
 }
 
@@ -233,12 +199,7 @@ fn multi_statement_array_reduction_parallelizes() {
                do i = 1, n\ndo j = 1, m\na(j) = a(j) + b(i, j)\n\
                a(j) = a(j) + c(i, j)\nend do\nend do\ns = a(1) + a(m)\nend\n";
     let (ser, par, rep) = check_equiv(src, &["s", "a"], &PassConfig::manual_improved());
-    assert!(
-        rep.loops
-            .iter()
-            .any(|l| l.techniques.contains(&Technique::ArrayReduction)),
-        "{rep}"
-    );
+    assert!(rep.loops.iter().any(|l| l.techniques.contains(&Technique::ArrayReduction)), "{rep}");
     assert!(par < ser, "par {par} ser {ser}");
 }
 
@@ -248,12 +209,7 @@ fn runtime_test_produces_two_versions() {
                do j = 1, n\ndo i = 1, m\na((j - 1) * mstr + i) = j * 100.0 + i\nend do\nend do\n\
                s = a(5) + a(n * m)\nend\n";
     let (_, _, rep) = check_equiv(src, &["s", "a"], &PassConfig::manual_improved());
-    assert!(
-        rep.loops
-            .iter()
-            .any(|l| matches!(l.decision, LoopDecision::TwoVersion)),
-        "{rep}"
-    );
+    assert!(rep.loops.iter().any(|l| matches!(l.decision, LoopDecision::TwoVersion)), "{rep}");
 }
 
 #[test]
@@ -266,12 +222,7 @@ fn critical_sections_for_histogram() {
                h(idx(i)) = h(idx(i)) + t\nend do\n\
                s = h(1) + h(m)\nend\n";
     let (_, _, rep) = check_equiv(src, &["s", "h"], &PassConfig::manual_improved());
-    assert!(
-        rep.loops
-            .iter()
-            .any(|l| matches!(l.decision, LoopDecision::CriticalSection)),
-        "{rep}"
-    );
+    assert!(rep.loops.iter().any(|l| matches!(l.decision, LoopDecision::CriticalSection)), "{rep}");
 }
 
 #[test]
@@ -279,10 +230,7 @@ fn serial_config_is_identity() {
     let src = "program p\nreal a(10)\ndo i = 1, 10\na(i) = 1.0\nend do\nend\n";
     let p0 = compile_free(src).unwrap();
     let r = restructure(&p0, &PassConfig::serial());
-    assert_eq!(
-        cedar_ir::print::print_program(&p0),
-        cedar_ir::print::print_program(&r.program)
-    );
+    assert_eq!(cedar_ir::print::print_program(&p0), cedar_ir::print::print_program(&r.program));
 }
 
 #[test]
@@ -339,12 +287,7 @@ fn interchange_moves_parallel_loop_outward() {
                a(i, j) = a(i - 1, j) * 0.99 + 0.0001\nend do\nend do\n\
                s = a(n, 1) + a(n, m)\nend\n";
     let (ser, par, rep) = check_equiv(src, &["s", "a"], &PassConfig::automatic_1991());
-    assert!(
-        rep.loops
-            .iter()
-            .any(|l| l.techniques.contains(&Technique::Interchange)),
-        "{rep}"
-    );
+    assert!(rep.loops.iter().any(|l| l.techniques.contains(&Technique::Interchange)), "{rep}");
     assert!(par < ser, "interchanged nest must speed up: {par} vs {ser}");
 }
 
@@ -358,12 +301,7 @@ fn illegal_interchange_is_refused() {
                a(i + 1, j - 1) = a(i, j) + 1.0\nend do\nend do\n\
                s = a(n, 2) + a(2, m)\nend\n";
     let (_, _, rep) = check_equiv(src, &["s", "a"], &PassConfig::automatic_1991());
-    assert!(
-        !rep.loops
-            .iter()
-            .any(|l| l.techniques.contains(&Technique::Interchange)),
-        "{rep}"
-    );
+    assert!(!rep.loops.iter().any(|l| l.techniques.contains(&Technique::Interchange)), "{rep}");
 }
 
 #[test]
@@ -376,15 +314,11 @@ fn mixed_reduction_loop_distributes() {
                pq = pq + p1(i) * q(i)\nend do\ns = pq + q(n)\nend\n";
     let (ser, par, rep) = check_equiv(src, &["s", "q"], &PassConfig::automatic_1991());
     assert!(
-        rep.loops
-            .iter()
-            .any(|l| matches!(l.decision, LoopDecision::Distributed { .. })),
+        rep.loops.iter().any(|l| matches!(l.decision, LoopDecision::Distributed { .. })),
         "{rep}"
     );
     assert!(
-        rep.loops
-            .iter()
-            .any(|l| matches!(l.decision, LoopDecision::LibraryReduction)),
+        rep.loops.iter().any(|l| matches!(l.decision, LoopDecision::LibraryReduction)),
         "distribution must expose the library reduction: {rep}"
     );
     assert!(par < ser);
@@ -396,10 +330,5 @@ fn triangular_giv_substitutes() {
                do i = 1, n\ndo j = 1, i\nk = k + 1\na(k) = i * 100.0 + j\nend do\nend do\n\
                s = a(1) + a(k)\nend\n";
     let (_, _, rep) = check_equiv(src, &["s"], &PassConfig::manual_improved());
-    assert!(
-        rep.loops
-            .iter()
-            .any(|l| l.techniques.contains(&Technique::GivSubstitution)),
-        "{rep}"
-    );
+    assert!(rep.loops.iter().any(|l| l.techniques.contains(&Technique::GivSubstitution)), "{rep}");
 }

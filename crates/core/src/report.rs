@@ -157,10 +157,7 @@ impl Report {
 
     /// Count of loops parallelized in any form.
     pub fn parallelized(&self) -> usize {
-        self.loops
-            .iter()
-            .filter(|l| !matches!(l.decision, LoopDecision::Serial { .. }))
-            .count()
+        self.loops.iter().filter(|l| !matches!(l.decision, LoopDecision::Serial { .. })).count()
     }
 
     /// Count of loops left sequential.
@@ -170,11 +167,7 @@ impl Report {
 
     /// Record a validation-driven serial fallback.
     pub fn record_fallback(&mut self, unit: &str, span: Span, reason: impl Into<String>) {
-        self.fallbacks.push(FallbackRecord {
-            unit: unit.to_string(),
-            span,
-            reason: reason.into(),
-        });
+        self.fallbacks.push(FallbackRecord { unit: unit.to_string(), span, reason: reason.into() });
     }
 }
 
@@ -192,7 +185,12 @@ impl fmt::Display for Report {
             match &l.decision {
                 LoopDecision::Doall { classes, vectorized } => {
                     let cs: Vec<&str> = classes.iter().map(|c| c.keyword()).collect();
-                    write!(f, "DOALL ({}){}", cs.join("/"), if *vectorized { " +vector" } else { "" })?;
+                    write!(
+                        f,
+                        "DOALL ({}){}",
+                        cs.join("/"),
+                        if *vectorized { " +vector" } else { "" }
+                    )?;
                 }
                 LoopDecision::Doacross { sync_points } => {
                     write!(f, "DOACROSS ({sync_points} sync point(s))")?;
@@ -200,9 +198,7 @@ impl fmt::Display for Report {
                 LoopDecision::TwoVersion => write!(f, "two-version (run-time test)")?,
                 LoopDecision::CriticalSection => write!(f, "parallel + critical section")?,
                 LoopDecision::LibraryReduction => write!(f, "library reduction")?,
-                LoopDecision::Distributed { parts } => {
-                    write!(f, "distributed into {parts} loops")?
-                }
+                LoopDecision::Distributed { parts } => write!(f, "distributed into {parts} loops")?,
                 LoopDecision::Serial { reason } => write!(f, "serial: {reason}")?,
             }
             if !l.techniques.is_empty() {

@@ -140,11 +140,7 @@ fn cascade_cover(body: &[Stmt]) -> Option<i64> {
     let mut awaits: Vec<(u32, i64)> = Vec::new();
     let mut advanced: BTreeSet<u32> = BTreeSet::new();
     collect_cascade(body, &mut awaits, &mut advanced);
-    awaits
-        .iter()
-        .filter(|(p, d)| advanced.contains(p) && *d >= 1)
-        .map(|&(_, d)| d)
-        .min()
+    awaits.iter().filter(|(p, d)| advanced.contains(p) && *d >= 1).map(|&(_, d)| d).min()
 }
 
 fn collect_cascade(body: &[Stmt], awaits: &mut Vec<(u32, i64)>, advanced: &mut BTreeSet<u32>) {
@@ -320,7 +316,11 @@ mod tests {
              s = s + a(i)\nend cdoall\nend\n",
         );
         assert_eq!(racy.sync_audit.len(), 1, "{:?}", racy.sync_audit);
-        assert!(racy.sync_audit[0].detail.contains("shared scalar"), "{}", racy.sync_audit[0].detail);
+        assert!(
+            racy.sync_audit[0].detail.contains("shared scalar"),
+            "{}",
+            racy.sync_audit[0].detail
+        );
 
         let locked = audit_src(
             "program p\nparameter (n = 16)\nreal a(n), s\ns = 0.0\ncdoall i = 1, n\n\

@@ -52,10 +52,7 @@ pub fn insert_cascade(
     for (pi, (_, d, f, t)) in regions.iter().enumerate() {
         let point = first_point + pi as u32;
         body.insert(t + 1, Stmt::Sync(SyncOp::Advance { point }));
-        body.insert(
-            *f,
-            Stmt::Sync(SyncOp::Await { point, dist: Expr::ConstI(*d) }),
-        );
+        body.insert(*f, Stmt::Sync(SyncOp::Await { point, dist: Expr::ConstI(*d) }));
         spans.push((*f, *t));
         // Adjust remaining regions for the two inserted statements.
         for (_, _, f2, t2) in regions.iter().skip(pi + 1).cloned().collect::<Vec<_>>() {
@@ -72,10 +69,7 @@ pub fn insert_cascade(
         let mut inserts: Vec<(usize, Stmt)> = Vec::new();
         for (pi, (_, d, f, t)) in regions.iter().enumerate() {
             let point = first_point + pi as u32;
-            inserts.push((
-                *f,
-                Stmt::Sync(SyncOp::Await { point, dist: Expr::ConstI(*d) }),
-            ));
+            inserts.push((*f, Stmt::Sync(SyncOp::Await { point, dist: Expr::ConstI(*d) })));
             inserts.push((t + 1, Stmt::Sync(SyncOp::Advance { point })));
         }
         // Stable: insert descending by position; awaits before advances
@@ -176,12 +170,7 @@ mod tests {
 
     fn first_loop(src: &str) -> (cedar_ir::Program, Loop) {
         let p = compile_free(src).unwrap();
-        let l = p.units[0]
-            .body
-            .iter()
-            .find_map(|s| s.as_loop())
-            .unwrap()
-            .clone();
+        let l = p.units[0].body.iter().find_map(|s| s.as_loop()).unwrap().clone();
         (p, l)
     }
 
@@ -196,8 +185,7 @@ mod tests {
              b(i) = a(i) + b(i - 1)\nend do\nend\n",
         );
         let b = p.units[0].find_symbol("b").unwrap();
-        let (nl, spans) =
-            insert_cascade(&l, LoopClass::CDoacross, &[(b, 1)], 1);
+        let (nl, spans) = insert_cascade(&l, LoopClass::CDoacross, &[(b, 1)], 1);
         assert_eq!(nl.class, LoopClass::CDoacross);
         assert_eq!(nl.body.len(), 5);
         // await directly before the recurrence, advance directly after.

@@ -18,8 +18,7 @@
 use cedar_analysis::affine::extract;
 use cedar_ir::visit::substitute_scalar;
 use cedar_ir::{
-    Expr, Index, Intrinsic, LValue, Loop, LoopClass, ParMode, Placement, Stmt, SymbolId, Ty,
-    Unit,
+    Expr, Index, Intrinsic, LValue, Loop, LoopClass, ParMode, Placement, Stmt, SymbolId, Ty, Unit,
 };
 use std::collections::BTreeSet;
 
@@ -34,12 +33,7 @@ pub fn body_vectorizable(unit: &Unit, l: &Loop, private_scalars: &[SymbolId]) ->
     l.body.iter().all(|s| stmt_vectorizable(unit, s, l.var, &privates))
 }
 
-fn stmt_vectorizable(
-    unit: &Unit,
-    s: &Stmt,
-    ivar: SymbolId,
-    privates: &BTreeSet<SymbolId>,
-) -> bool {
+fn stmt_vectorizable(unit: &Unit, s: &Stmt, ivar: SymbolId, privates: &BTreeSet<SymbolId>) -> bool {
     match s {
         Stmt::Assign { lhs, rhs, .. } => {
             lvalue_vectorizable(unit, lhs, ivar, privates)
@@ -96,12 +90,7 @@ fn vector_dims(
     Some(n)
 }
 
-fn expr_vectorizable(
-    unit: &Unit,
-    e: &Expr,
-    ivar: SymbolId,
-    privates: &BTreeSet<SymbolId>,
-) -> bool {
+fn expr_vectorizable(unit: &Unit, e: &Expr, ivar: SymbolId, privates: &BTreeSet<SymbolId>) -> bool {
     match e {
         Expr::ConstI(_) | Expr::ConstR { .. } | Expr::ConstB(_) => true,
         Expr::Scalar(_) => {
@@ -111,10 +100,7 @@ fn expr_vectorizable(
             true
         }
         Expr::Elem { idx, .. } => {
-            matches!(
-                vector_dims(unit, idx, ivar, privates, true),
-                Some(0) | Some(1)
-            )
+            matches!(vector_dims(unit, idx, ivar, privates, true), Some(0) | Some(1))
         }
         Expr::Section { .. } => false,
         Expr::Un(_, inner) => expr_vectorizable(unit, inner, ivar, privates),
@@ -214,10 +200,7 @@ pub fn stripmine(
                 f: Intrinsic::Min,
                 args: vec![
                     Expr::ConstI(strip as i64),
-                    Expr::add(
-                        Expr::sub(l.end.clone(), Expr::Scalar(l.var)),
-                        Expr::ConstI(1),
-                    ),
+                    Expr::add(Expr::sub(l.end.clone(), Expr::Scalar(l.var)), Expr::ConstI(1)),
                 ],
                 par: ParMode::Serial,
             },
@@ -225,10 +208,7 @@ pub fn stripmine(
         },
         Stmt::Assign {
             lhs: LValue::Scalar(upper),
-            rhs: Expr::sub(
-                Expr::add(Expr::Scalar(l.var), Expr::Scalar(i3)),
-                Expr::ConstI(1),
-            ),
+            rhs: Expr::sub(Expr::add(Expr::Scalar(l.var), Expr::Scalar(i3)), Expr::ConstI(1)),
             span: l.span,
         },
     ];
@@ -259,10 +239,7 @@ pub fn stripmine(
 pub fn vectorize_whole(l: &Loop) -> Vec<Stmt> {
     // Each statement becomes a full-range vector statement: subscripts
     // e(i) → e(start) : e(end).
-    l.body
-        .iter()
-        .map(|s| vectorize_stmt_range(s, l.var, &l.start, &l.end))
-        .collect()
+    l.body.iter().map(|s| vectorize_stmt_range(s, l.var, &l.start, &l.end)).collect()
 }
 
 /// Rewrite one statement into strip form: unit-stride subscripts `e(i)`
@@ -481,12 +458,7 @@ mod tests {
 
     fn setup(src: &str) -> (cedar_ir::Program, Loop) {
         let p = compile_free(src).unwrap();
-        let l = p.units[0]
-            .body
-            .iter()
-            .find_map(|s| s.as_loop())
-            .unwrap()
-            .clone();
+        let l = p.units[0].body.iter().find_map(|s| s.as_loop()).unwrap().clone();
         (p, l)
     }
 
@@ -504,7 +476,7 @@ mod tests {
         assert_eq!(nl.class, LoopClass::XDoall);
         assert_eq!(nl.step.as_ref().unwrap().as_const_int(), Some(32));
         assert_eq!(nl.locals.len(), 3); // i3, upper, t$v
-        // Body: i3 =, upper =, t$v(1:i3) = b(i:upper), a(i:upper) = sqrt(t$v(1:i3))
+                                        // Body: i3 =, upper =, t$v(1:i3) = b(i:upper), a(i:upper) = sqrt(t$v(1:i3))
         assert_eq!(nl.body.len(), 4);
         let text = {
             let mut s = String::new();
@@ -517,9 +489,8 @@ mod tests {
 
     #[test]
     fn loop_var_as_value_vectorizes_via_iota() {
-        let (mut p, l) = setup(
-            "subroutine s(a, n)\nreal a(n)\ndo i = 1, n\na(i) = i * 2.0\nend do\nend\n",
-        );
+        let (mut p, l) =
+            setup("subroutine s(a, n)\nreal a(n)\ndo i = 1, n\na(i) = i * 2.0\nend do\nend\n");
         let u = &mut p.units[0];
         assert!(body_vectorizable(u, &l, &[]));
         let new = stripmine(u, &l, LoopClass::XDoall, 16, &[]);
@@ -599,9 +570,7 @@ mod tests {
         );
         let stmts = vectorize_whole(&l);
         assert_eq!(stmts.len(), 1);
-        let Stmt::Assign { lhs: LValue::Section { idx, .. }, .. } = &stmts[0] else {
-            panic!()
-        };
+        let Stmt::Assign { lhs: LValue::Section { idx, .. }, .. } = &stmts[0] else { panic!() };
         assert!(matches!(&idx[0], Index::Range { .. }));
         let _ = p;
     }
@@ -622,10 +591,7 @@ mod tests {
             ParMode::CedarParallel,
         )
         .unwrap();
-        assert!(matches!(
-            lib,
-            Expr::Intr { f: Intrinsic::DotProduct, .. }
-        ));
+        assert!(matches!(lib, Expr::Intr { f: Intrinsic::DotProduct, .. }));
         let _ = p;
     }
 }

@@ -28,11 +28,7 @@ fn check(n1: i64, n2: i64, lo1: i64, lo2: i64) {
     cfg.coalesce = true;
     let r = restructure(&program, &cfg);
 
-    let coalesced = r
-        .report
-        .loops
-        .iter()
-        .any(|l| l.techniques.contains(&Technique::Coalescing));
+    let coalesced = r.report.loops.iter().any(|l| l.techniques.contains(&Technique::Coalescing));
     // The gate: coalesce exactly when the outer trip under-fills the
     // machine while the product fills it.
     let expect = n1 < 32 && n1 * n2 >= 32;
@@ -42,13 +38,12 @@ fn check(n1: i64, n2: i64, lo1: i64, lo2: i64) {
         r.report
     );
 
-    let sim = cedar_sim::run(&r.program, MachineConfig::cedar_config1())
-        .unwrap_or_else(|e| {
-            panic!(
-                "n1={n1} n2={n2} lo1={lo1} lo2={lo2}: {e}\n{}",
-                cedar_ir::print::print_program(&r.program)
-            )
-        });
+    let sim = cedar_sim::run(&r.program, MachineConfig::cedar_config1()).unwrap_or_else(|e| {
+        panic!(
+            "n1={n1} n2={n2} lo1={lo1} lo2={lo2}: {e}\n{}",
+            cedar_ir::print::print_program(&r.program)
+        )
+    });
     let a = sim.read_f64("a").unwrap();
     assert_eq!(a.len(), (n1 * n2) as usize);
     // Column-major: a[(col-1)*n2 + (row-1)] with col = i-lo1+1, row = j-lo2+1.

@@ -40,8 +40,11 @@ enum LoopKind {
 
 fn loop_kind() -> impl Strategy<Value = LoopKind> {
     prop_oneof![
-        (0usize..3, 0usize..3, -2i64..3)
-            .prop_map(|(dst, src, shift)| LoopKind::Map { dst, src, shift }),
+        (0usize..3, 0usize..3, -2i64..3).prop_map(|(dst, src, shift)| LoopKind::Map {
+            dst,
+            src,
+            shift
+        }),
         Just(LoopKind::Dot),
         Just(LoopKind::Recurrence),
         (0usize..3).prop_map(|dst| LoopKind::Temp { dst }),
@@ -122,16 +125,13 @@ fn program_src(kinds: &[LoopKind]) -> String {
 
 fn check(kinds: &[LoopKind], cfg: &PassConfig, tag: &str) {
     let src = program_src(kinds);
-    let program = cedar_ir::compile_free(&src)
-        .unwrap_or_else(|e| panic!("[{tag}] compile: {e}\n{src}"));
+    let program =
+        cedar_ir::compile_free(&src).unwrap_or_else(|e| panic!("[{tag}] compile: {e}\n{src}"));
     let mc = MachineConfig::cedar_config1();
     let serial = cedar_sim::run(&program, mc.clone()).expect("serial");
     let r = restructure(&program, cfg);
     let par = cedar_sim::run(&r.program, mc).unwrap_or_else(|e| {
-        panic!(
-            "[{tag}] {kinds:?}: {e}\n{}",
-            cedar_ir::print::print_program(&r.program)
-        )
+        panic!("[{tag}] {kinds:?}: {e}\n{}", cedar_ir::print::print_program(&r.program))
     });
     let x = serial.read_f64("chksum").unwrap()[0];
     let y = par.read_f64("chksum").unwrap()[0];

@@ -196,14 +196,8 @@ pub fn coalescing() -> Sweep {
 /// [`cedar_par::par_map`]; points within a sweep stay serial (they are
 /// few, and nested parallelism degrades to serial anyway).
 pub fn run_all() -> Vec<Sweep> {
-    let sweeps: Vec<fn() -> Sweep> = vec![
-        strip_length,
-        version_cap,
-        interchange,
-        coalescing,
-        inlining,
-        global_streams,
-    ];
+    let sweeps: Vec<fn() -> Sweep> =
+        vec![strip_length, version_cap, interchange, coalescing, inlining, global_streams];
     cedar_par::par_map(sweeps, |f| f())
 }
 
@@ -212,11 +206,7 @@ pub fn render(sweeps: &[Sweep]) -> String {
     let mut out = String::from("Ablation studies\n================\n");
     for s in sweeps {
         out.push_str(&format!("\n{}\n  ({})\n", s.title, s.note));
-        let best = s
-            .points
-            .iter()
-            .map(|(_, c)| *c)
-            .fold(f64::INFINITY, f64::min);
+        let best = s.points.iter().map(|(_, c)| *c).fold(f64::INFINITY, f64::min);
         for (label, cycles) in &s.points {
             out.push_str(&format!(
                 "  {label:<40} {cycles:>14.0} cycles   ({:.2}x of best)\n",
@@ -253,11 +243,7 @@ mod tests {
     #[test]
     fn inlining_ablation_shows_gain() {
         let s = inlining();
-        assert!(
-            s.points[1].1 < s.points[0].1,
-            "inlining must unlock ADM: {:?}",
-            s.points
-        );
+        assert!(s.points[1].1 < s.points[0].1, "inlining must unlock ADM: {:?}", s.points);
     }
 
     #[test]

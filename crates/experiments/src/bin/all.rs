@@ -109,10 +109,7 @@ fn main() {
                 q.cell,
                 q.kind,
                 q.attempts.last().map(|(_, _, m)| robustness_trim(m)).unwrap_or_default(),
-                q.bundle
-                    .as_ref()
-                    .map(|b| format!(" [bundle: {b}]"))
-                    .unwrap_or_default()
+                q.bundle.as_ref().map(|b| format!(" [bundle: {b}]")).unwrap_or_default()
             );
         }
         eprintln!(

@@ -65,8 +65,5 @@ fn main() {
         }
         eprintln!("HARNESS ERROR: {} cell(s) quarantined", quarantined.len());
     }
-    std::process::exit(exitcode::classify(
-        fallbacks > 0 || degraded > 0,
-        quarantined.len(),
-    ));
+    std::process::exit(exitcode::classify(fallbacks > 0 || degraded > 0, quarantined.len()));
 }

@@ -82,9 +82,7 @@ pub(crate) fn restructured_printed(
     printed: &str,
     cfg: &PassConfig,
 ) -> Arc<Program> {
-    RESTRUCTURED.get_or(&[printed, &format!("{cfg:?}")], || {
-        restructure(program, cfg).program
-    })
+    RESTRUCTURED.get_or(&[printed, &format!("{cfg:?}")], || restructure(program, cfg).program)
 }
 
 /// Memoize a deterministic simulation outcome keyed by the full cell

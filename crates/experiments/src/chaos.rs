@@ -160,7 +160,10 @@ pub mod fs {
         fn fs_draws_are_deterministic_and_stage_sensitive() {
             for seed in 0..50u64 {
                 for stage in FsStage::ALL {
-                    assert_eq!(draw(seed, stage, "0000000000000007"), draw(seed, stage, "0000000000000007"));
+                    assert_eq!(
+                        draw(seed, stage, "0000000000000007"),
+                        draw(seed, stage, "0000000000000007")
+                    );
                 }
             }
             // Stages must draw independently: find a seed where one
@@ -242,8 +245,7 @@ mod tests {
         let mut found = 0;
         for seed in 0..500u64 {
             let rungs = ["normal", "no-fast-paths", "races-on", "serial"];
-            let hits: Vec<_> =
-                rungs.iter().map(|r| draw(seed, "cell-x", r, "compile")).collect();
+            let hits: Vec<_> = rungs.iter().map(|r| draw(seed, "cell-x", r, "compile")).collect();
             let seed_s = seed.to_string();
             if sip_parts(&["sticky", &seed_s, "cell-x", "compile"]).is_multiple_of(STICKY_MOD) {
                 assert!(hits.iter().all(|h| h == &hits[0]), "seed {seed}: {hits:?}");

@@ -30,22 +30,11 @@ pub struct Bar {
 /// each program is shared between its two cells via [`crate::cache`].
 pub fn run() -> Vec<Bar> {
     let specs: Vec<(&'static str, cedar_workloads::Workload, PassConfig, f64)> = vec![
-        (
-            "Conjugate Gradient",
-            cedar_workloads::linalg::cg(192),
-            PassConfig::automatic_1991(),
-            2.0,
-        ),
-        (
-            "TRFD",
-            cedar_workloads::perfect::trfd(),
-            PassConfig::manual_improved(),
-            1.15,
-        ),
+        ("Conjugate Gradient", cedar_workloads::linalg::cg(192), PassConfig::automatic_1991(), 2.0),
+        ("TRFD", cedar_workloads::perfect::trfd(), PassConfig::manual_improved(), 1.15),
     ];
-    let cells: Vec<(usize, bool)> = (0..specs.len())
-        .flat_map(|k| [(k, true), (k, false)])
-        .collect();
+    let cells: Vec<(usize, bool)> =
+        (0..specs.len()).flat_map(|k| [(k, true), (k, false)]).collect();
     let runs = cedar_par::par_map(cells, |(k, prefetch)| {
         let (_, w, cfg, _) = &specs[k];
         let program = crate::cache::restructured(&crate::cache::compiled(w), cfg);

@@ -115,11 +115,7 @@ mod tests {
         // Global placement beats the cluster baseline on one cluster.
         assert!(global[0] > 1.0, "global 1-cluster: {:.2}", global[0]);
         // Global saturates: 4-cluster gain over 2-cluster is limited.
-        assert!(
-            global[3] / global[1] < 1.6,
-            "global should flatten: {:?}",
-            global
-        );
+        assert!(global[3] / global[1] < 1.6, "global should flatten: {:?}", global);
         // Distribution starts slower than global...
         assert!(
             part[0] < global[0],
@@ -134,10 +130,6 @@ mod tests {
             part,
             global
         );
-        assert!(
-            part[3] / part[0] > 2.0,
-            "partitioned should scale near-linearly: {:?}",
-            part
-        );
+        assert!(part[3] / part[0] > 2.0, "partitioned should scale near-linearly: {:?}", part);
     }
 }

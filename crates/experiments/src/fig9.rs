@@ -64,12 +64,7 @@ pub fn run() -> Vec<Machine> {
             let (oa, ob, oc) = (&outs[m * 3], &outs[m * 3 + 1], &outs[m * 3 + 2]);
             assert_equivalent("fig9-b", oa, ob);
             assert_equivalent("fig9-c", oa, oc);
-            Machine {
-                machine: mname,
-                a: 1.0,
-                b: oa.cycles / ob.cycles,
-                c: oa.cycles / oc.cycles,
-            }
+            Machine { machine: mname, a: 1.0, b: oa.cycles / ob.cycles, c: oa.cycles / oc.cycles }
         })
         .collect()
 }
@@ -105,13 +100,7 @@ mod tests {
     fn ordering_c_over_b_over_a() {
         for m in run() {
             assert!(m.b > m.a, "{}: B ({:.2}) must beat A", m.machine, m.b);
-            assert!(
-                m.c >= m.b,
-                "{}: C ({:.2}) must be at least B ({:.2})",
-                m.machine,
-                m.c,
-                m.b
-            );
+            assert!(m.c >= m.b, "{}: C ({:.2}) must be at least B ({:.2})", m.machine, m.c, m.b);
         }
     }
 

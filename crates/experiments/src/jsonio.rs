@@ -118,7 +118,9 @@ impl Json {
         let n = self.get(key).and_then(Json::as_f64);
         let n = n.ok_or_else(|| format!("`{key}` (unsigned integer) is required"))?;
         let exact = n >= 0.0 && n.fract() == 0.0 && n <= (1u64 << 53) as f64;
-        exact.then_some(n as u64).ok_or_else(|| format!("`{key}` = {n} is not an exact unsigned integer"))
+        exact
+            .then_some(n as u64)
+            .ok_or_else(|| format!("`{key}` = {n} is not an exact unsigned integer"))
     }
 
     /// Member `key` as an array.
@@ -291,7 +293,11 @@ impl Writer {
     /// A float `x` as the caller spells it (`format_args!("{x:.3}")`),
     /// or `null` when it is not finite.
     pub fn float(&mut self, x: f64, spelled: fmt::Arguments<'_>) -> &mut Self {
-        if x.is_finite() { self.raw(spelled) } else { self.raw("null") }
+        if x.is_finite() {
+            self.raw(spelled)
+        } else {
+            self.raw("null")
+        }
     }
 
     /// `null` for `None`, else the value as `write` writes it:
@@ -472,9 +478,7 @@ impl Parser<'_> {
                                     .ok_or(format!("\\u{hex} is not a scalar value"))?,
                             );
                         }
-                        other => {
-                            return Err(format!("bad escape `\\{}`", other as char))
-                        }
+                        other => return Err(format!("bad escape `\\{}`", other as char)),
                     }
                 }
                 Some(_) => {
@@ -482,7 +486,8 @@ impl Parser<'_> {
                     // ASCII, so a run of what arrived as `&str` ends on
                     // a character boundary.
                     let rest = &self.bytes[self.pos..];
-                    let len = rest.iter().position(|b| matches!(b, b'"' | b'\\')).unwrap_or(rest.len());
+                    let len =
+                        rest.iter().position(|b| matches!(b, b'"' | b'\\')).unwrap_or(rest.len());
                     let run = std::str::from_utf8(&rest[..len])
                         .map_err(|e| format!("invalid UTF-8 in string: {e}"))?;
                     out.push_str(run);
@@ -655,8 +660,10 @@ mod tests {
 
     #[test]
     fn integers_from_outside_are_exact_or_refused() {
-        let v = Json::parse(r#"{"a": 7, "b": -1, "c": 1.9, "d": 1e30, "e": "7", "f": 9007199254740992}"#)
-            .unwrap();
+        let v = Json::parse(
+            r#"{"a": 7, "b": -1, "c": 1.9, "d": 1e30, "e": "7", "f": 9007199254740992}"#,
+        )
+        .unwrap();
         assert_eq!(v.u64_at("a"), Ok(7));
         assert_eq!(v.u64_at("f"), Ok(1 << 53));
         for key in ["b", "c", "d"] {

@@ -75,10 +75,7 @@ pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
         out.push('\n');
     };
     line(&mut out, &headers.iter().map(|s| s.to_string()).collect::<Vec<_>>());
-    line(
-        &mut out,
-        &widths.iter().map(|w| "-".repeat(*w)).collect::<Vec<_>>(),
-    );
+    line(&mut out, &widths.iter().map(|w| "-".repeat(*w)).collect::<Vec<_>>());
     for row in rows {
         line(&mut out, row);
     }
@@ -93,10 +90,7 @@ mod tests {
     fn table_renders_aligned() {
         let t = render_table(
             &["name", "x"],
-            &[
-                vec!["cg".into(), "163".into()],
-                vec!["mprove".into(), "1079".into()],
-            ],
+            &[vec!["cg".into(), "163".into()], vec!["mprove".into(), "1079".into()]],
         );
         let lines: Vec<&str> = t.lines().collect();
         assert_eq!(lines.len(), 4);

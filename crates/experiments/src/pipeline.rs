@@ -86,26 +86,17 @@ fn execute(program: &Program, mc: MachineConfig, watch: &[&str]) -> Outcome {
         // active) before the harness panic, so the failure is
         // classified as a sim-error/timeout rather than a panic.
         crate::supervise::note_sim_error(&e);
-        panic!(
-            "simulation failed: {e}\n---\n{}",
-            cedar_ir::print::print_program(program)
-        )
+        panic!("simulation failed: {e}\n---\n{}", cedar_ir::print::print_program(program))
     });
-    let results = watch
-        .iter()
-        .filter_map(|w| sim.read_f64(w).map(|v| (w.to_string(), v)))
-        .collect();
+    let results =
+        watch.iter().filter_map(|w| sim.read_f64(w).map(|v| (w.to_string(), v))).collect();
     Outcome { cycles: timed_cycles(&sim.stats), stats: sim.stats, results }
 }
 
 /// Run one workload under a pass configuration, verifying semantic
 /// equivalence against the serial execution on the same machine.
 /// Returns `(serial, variant)` outcomes.
-pub fn run_workload(
-    w: &Workload,
-    cfg: &PassConfig,
-    mc: &MachineConfig,
-) -> (Outcome, Outcome) {
+pub fn run_workload(w: &Workload, cfg: &PassConfig, mc: &MachineConfig) -> (Outcome, Outcome) {
     let program = crate::cache::compiled(w);
     let serial = run_program(&program, None, mc, &w.watch);
     let variant = run_program(&program, Some(cfg), mc, &w.watch);

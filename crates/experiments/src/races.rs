@@ -83,7 +83,13 @@ pub fn confusion(rows: &[Row]) -> Confusion {
     c
 }
 
-fn examine(name: &str, suite: &'static str, expect_race: bool, program: &cedar_ir::Program, audit_findings: usize) -> Row {
+fn examine(
+    name: &str,
+    suite: &'static str,
+    expect_race: bool,
+    program: &cedar_ir::Program,
+    audit_findings: usize,
+) -> Row {
     // This sweep calls the simulator directly (it needs both detector
     // modes), so the chaos gate is applied here rather than in
     // `pipeline::run_program`. The ladder's config rewrites are *not*:
@@ -250,11 +256,7 @@ pub fn run_supervised(
         })
         .collect();
     let sweep = crate::supervise::run_cells(sup, cells, |job: &Job| job.examine());
-    (
-        sweep.results.into_iter().flatten().collect(),
-        sweep.recovered,
-        sweep.quarantined,
-    )
+    (sweep.results.into_iter().flatten().collect(), sweep.recovered, sweep.quarantined)
 }
 
 /// Text rendering.
@@ -313,15 +315,10 @@ mod tests {
 
     #[test]
     fn negatives_are_all_flagged_and_one_workload_is_clean() {
-        let mut rows: Vec<Row> =
-            negatives().iter().map(|(n, s)| examine_negative(n, s)).collect();
+        let mut rows: Vec<Row> = negatives().iter().map(|(n, s)| examine_negative(n, s)).collect();
         for r in &rows {
             assert!(r.flagged(), "negative `{}` must be flagged: {r:?}", r.name);
-            assert!(
-                r.audit_findings > 0,
-                "static audit must agree on `{}`: {r:?}",
-                r.name
-            );
+            assert!(r.audit_findings > 0, "static audit must agree on `{}`: {r:?}", r.name);
             assert!(r.cycles_identical, "detector changed cycles on `{}`", r.name);
         }
         let w = cedar_workloads::linalg::tridag(48);

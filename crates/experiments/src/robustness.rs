@@ -7,7 +7,7 @@
 //! serial — emitted both as a text table and as a JSON report.
 
 use cedar_sim::MachineConfig;
-use cedar_verify::{restructure_validated, ValidationConfig, Validated};
+use cedar_verify::{restructure_validated, Validated, ValidationConfig};
 use cedar_workloads::Workload;
 
 /// One validated workload.
@@ -51,12 +51,7 @@ fn validate(w: &Workload, suite: &'static str, config: &'static str, seeds: &[u6
     let vcfg = ValidationConfig { seeds: seeds.to_vec(), ..Default::default() };
     let v: Validated = restructure_validated(&program, &cfg, &mc, &w.watch, &vcfg)
         .unwrap_or_else(|e| panic!("workload `{}`: serial reference failed: {e}", w.name));
-    let max_rel_err = v
-        .validation
-        .seed_runs
-        .iter()
-        .map(|r| r.max_rel_err)
-        .fold(0.0f64, f64::max);
+    let max_rel_err = v.validation.seed_runs.iter().map(|r| r.max_rel_err).fold(0.0f64, f64::max);
     // Sort both lists before emission so the JSON report is byte-stable
     // regardless of the order the validator discovered things in.
     let mut seed_runs: Vec<(u64, f64, bool, f64)> = v
@@ -106,11 +101,7 @@ fn jobs(only: Option<&[&str]>) -> Vec<(Workload, &'static str, &'static str)> {
     cedar_workloads::table1_workloads()
         .into_iter()
         .map(|w| (w, "table1", "automatic"))
-        .chain(
-            cedar_workloads::table2_workloads()
-                .into_iter()
-                .map(|w| (w, "table2", "manual")),
-        )
+        .chain(cedar_workloads::table2_workloads().into_iter().map(|w| (w, "table2", "manual")))
         .filter(|(w, ..)| only.is_none_or(|names| names.contains(&w.name)))
         .collect()
 }
@@ -137,11 +128,7 @@ pub fn run_supervised(
     let sweep = crate::supervise::run_cells(sup, cells, |(w, suite, config)| {
         validate(w, suite, config, &seeds)
     });
-    (
-        sweep.results.into_iter().flatten().collect(),
-        sweep.recovered,
-        sweep.quarantined,
-    )
+    (sweep.results.into_iter().flatten().collect(), sweep.recovered, sweep.quarantined)
 }
 
 /// Text rendering.
@@ -163,8 +150,14 @@ pub fn render(rows: &[Row]) -> String {
         .collect();
     crate::render_table(
         &[
-            "workload", "suite", "config", "attempts", "fallbacks", "degraded",
-            "bit-identical", "max-rel-err",
+            "workload",
+            "suite",
+            "config",
+            "attempts",
+            "fallbacks",
+            "degraded",
+            "bit-identical",
+            "max-rel-err",
         ],
         &body,
     )
@@ -172,11 +165,7 @@ pub fn render(rows: &[Row]) -> String {
 
 /// JSON rendering. Quarantined cells — jobs the supervisor gave up on
 /// — are first-class report citizens, not silently missing rows.
-pub fn to_json(
-    rows: &[Row],
-    n_seeds: u64,
-    quarantined: &[crate::supervise::Quarantine],
-) -> String {
+pub fn to_json(rows: &[Row], n_seeds: u64, quarantined: &[crate::supervise::Quarantine]) -> String {
     let mut w = crate::Writer::document();
     w.key("seeds").int(n_seeds);
     w.key("quarantined").raw(crate::supervise::quarantined_json(quarantined));

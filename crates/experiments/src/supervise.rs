@@ -62,8 +62,7 @@ pub enum Rung {
 
 impl Rung {
     /// The ladder, safest rung last.
-    pub const LADDER: [Rung; 4] =
-        [Rung::Normal, Rung::NoFastPaths, Rung::RacesOn, Rung::Serial];
+    pub const LADDER: [Rung; 4] = [Rung::Normal, Rung::NoFastPaths, Rung::RacesOn, Rung::Serial];
 
     /// Stable lower-case tag (used in JSON reports and bundle files).
     pub fn label(self) -> &'static str {
@@ -193,11 +192,7 @@ impl<T> Cell<T> {
     }
 
     /// A cell carrying the Fortran source it exercises.
-    pub fn with_source(
-        label: impl Into<String>,
-        source: impl Into<String>,
-        input: T,
-    ) -> Cell<T> {
+    pub fn with_source(label: impl Into<String>, source: impl Into<String>, input: T) -> Cell<T> {
         Cell { label: label.into(), source: Some(source.into()), input }
     }
 }
@@ -347,10 +342,7 @@ pub fn adjust_pass(cfg: &PassConfig) -> PassConfig {
 
 /// [`adjust_pass`] + [`adjust_machine`] in one step, preserving a
 /// `None` pass config (serial reference runs are already serial).
-pub fn adjust(
-    cfg: Option<&PassConfig>,
-    mc: &MachineConfig,
-) -> (Option<PassConfig>, MachineConfig) {
+pub fn adjust(cfg: Option<&PassConfig>, mc: &MachineConfig) -> (Option<PassConfig>, MachineConfig) {
     (cfg.map(adjust_pass), adjust_machine(mc))
 }
 
@@ -365,8 +357,7 @@ fn install_hook() {
         std::panic::set_hook(Box::new(move |info| {
             if let Some(ctx) = current() {
                 let bt = std::backtrace::Backtrace::force_capture();
-                *lock(&ctx.backtrace) =
-                    Some(format!("{info}\n\nstack backtrace:\n{bt}"));
+                *lock(&ctx.backtrace) = Some(format!("{info}\n\nstack backtrace:\n{bt}"));
             } else {
                 prev(info);
             }
@@ -444,10 +435,9 @@ where
     let n = cells.len();
     let cells = &cells;
     let f = &f;
-    let first: Vec<Result<R, CellError>> =
-        cedar_par::par_map((0..n).collect(), |k| {
-            run_attempt(sup, &cells[k].label, Rung::Normal, || f(&cells[k].input))
-        });
+    let first: Vec<Result<R, CellError>> = cedar_par::par_map((0..n).collect(), |k| {
+        run_attempt(sup, &cells[k].label, Rung::Normal, || f(&cells[k].input))
+    });
 
     let mut sweep =
         Sweep { results: Vec::with_capacity(n), recovered: Vec::new(), quarantined: Vec::new() };
@@ -456,8 +446,7 @@ where
         match outcome {
             Ok(v) => sweep.results.push(Some(v)),
             Err(e0) => {
-                let mut errors: Vec<(&'static str, CellError)> =
-                    vec![(Rung::Normal.label(), e0)];
+                let mut errors: Vec<(&'static str, CellError)> = vec![(Rung::Normal.label(), e0)];
                 let mut rescued: Option<(R, Rung)> = None;
                 for rung in &Rung::LADDER[1..] {
                     match run_attempt(sup, &cell.label, *rung, || f(&cell.input)) {
@@ -473,10 +462,7 @@ where
                         sweep.recovered.push(Recovery {
                             cell: cell.label.clone(),
                             rung: rung.label(),
-                            errors: errors
-                                .iter()
-                                .map(|(r, e)| (*r, e.msg.clone()))
-                                .collect(),
+                            errors: errors.iter().map(|(r, e)| (*r, e.msg.clone())).collect(),
                         });
                         sweep.results.push(Some(v));
                     }
@@ -578,11 +564,8 @@ fn hit_stamp() -> u64 {
 /// whose `hits.txt` mtimes tie in [`enforce_bundle_cap`].
 fn append_hit(dir: &std::path::Path, label: &str) -> Option<()> {
     use std::io::Write;
-    let mut f = std::fs::OpenOptions::new()
-        .append(true)
-        .create(true)
-        .open(dir.join("hits.txt"))
-        .ok()?;
+    let mut f =
+        std::fs::OpenOptions::new().append(true).create(true).open(dir.join("hits.txt")).ok()?;
     f.write_all(format!("{label}\t{}\n", hit_stamp()).as_bytes()).ok()
 }
 
@@ -616,10 +599,8 @@ pub fn write_quarantine_bundle(
     // processes: exactly one quarantine writes the bundle metadata, the
     // rest only append their hit. (The in-process mutex alone cannot
     // arbitrate two campaign workers racing on a shared bundle dir.)
-    let claim = std::fs::OpenOptions::new()
-        .write(true)
-        .create_new(true)
-        .open(dir.join("bundle.json"));
+    let claim =
+        std::fs::OpenOptions::new().write(true).create_new(true).open(dir.join("bundle.json"));
 
     if let Ok(mut bundle_file) = claim {
         use std::io::Write;
@@ -677,8 +658,7 @@ fn enforce_bundle_cap(root: &std::path::Path, cap: usize, keep: u64) {
             let name = ent.file_name().to_string_lossy().into_owned();
             // Only 16-hex bundle directories participate; the ledger
             // and any stray files are never eviction candidates.
-            let is_digest =
-                name.len() == 16 && name.bytes().all(|b| b.is_ascii_hexdigit());
+            let is_digest = name.len() == 16 && name.bytes().all(|b| b.is_ascii_hexdigit());
             (is_digest && ent.path().is_dir()).then(|| (ent.path(), name))
         })
         .collect();
@@ -708,14 +688,11 @@ fn enforce_bundle_cap(root: &std::path::Path, cap: usize, keep: u64) {
         if name == keep_name {
             continue;
         }
-        let hits = std::fs::read_to_string(path.join("hits.txt"))
-            .map(|s| s.lines().count())
-            .unwrap_or(0);
+        let hits =
+            std::fs::read_to_string(path.join("hits.txt")).map(|s| s.lines().count()).unwrap_or(0);
         use std::io::Write;
-        if let Ok(mut ledger) = std::fs::OpenOptions::new()
-            .append(true)
-            .create(true)
-            .open(root.join("evicted.txt"))
+        if let Ok(mut ledger) =
+            std::fs::OpenOptions::new().append(true).create(true).open(root.join("evicted.txt"))
         {
             let _ = ledger.write_all(format!("{name} {hits}\n").as_bytes());
         }
@@ -732,9 +709,8 @@ fn enforce_bundle_cap(root: &std::path::Path, cap: usize, keep: u64) {
 /// resets how often the failure has fired. 0 when nothing is recorded.
 pub fn bundle_hits(bundle_dir: &str) -> usize {
     let dir = PathBuf::from(bundle_dir);
-    let live = std::fs::read_to_string(dir.join("hits.txt"))
-        .map(|s| s.lines().count())
-        .unwrap_or(0);
+    let live =
+        std::fs::read_to_string(dir.join("hits.txt")).map(|s| s.lines().count()).unwrap_or(0);
     let evicted = match (dir.file_name(), dir.parent()) {
         (Some(name), Some(root)) => {
             let name = name.to_string_lossy();
@@ -861,10 +837,8 @@ mod tests {
         // in one bundle directory and `hits.txt` counts them.
         let src_a = "program q\nreal y\ny = 2.0\nend\n";
         let src_b = "program q\n! different comment\nreal y\ny = 2.0\nend\n";
-        let cells = vec![
-            Cell::with_source("t/dup-a", src_a, ()),
-            Cell::with_source("t/dup-b", src_b, ()),
-        ];
+        let cells =
+            vec![Cell::with_source("t/dup-a", src_a, ()), Cell::with_source("t/dup-b", src_b, ())];
         let sweep = run_cells(&s, cells, |_: &()| -> u32 { panic!("shared failure") });
         assert_eq!(sweep.quarantined.len(), 2);
         let a = sweep.quarantined[0].bundle.as_ref().unwrap();
@@ -911,8 +885,7 @@ mod tests {
             let sweep = run_cells(&s, cells, |_: &()| -> u32 { panic!("boom") });
             assert_eq!(sweep.quarantined.len(), 1);
         }
-        let dir =
-            std::fs::read_dir(&s.bundle_dir).unwrap().next().unwrap().unwrap().path();
+        let dir = std::fs::read_dir(&s.bundle_dir).unwrap().next().unwrap().unwrap().path();
         assert_eq!(bundle_hits(dir.to_str().unwrap()), 3);
         let bundle = std::fs::read_to_string(dir.join("bundle.json")).unwrap();
         assert!(bundle.ends_with("}\n"), "metadata written exactly once, intact");
@@ -936,8 +909,7 @@ mod tests {
         // Three distinct failures (distinct sources → distinct digests);
         // the first is hit three times, then falls LRU when the other
         // two arrive and a cap of 2 is enforced.
-        let first =
-            write_quarantine_bundle(&s, "t/a", Some("x = 1\nend\n"), &err()).unwrap();
+        let first = write_quarantine_bundle(&s, "t/a", Some("x = 1\nend\n"), &err()).unwrap();
         write_quarantine_bundle(&s, "t/a2", Some("x = 1\nend\n"), &err()).unwrap();
         write_quarantine_bundle(&s, "t/a3", Some("x = 1\nend\n"), &err()).unwrap();
         assert_eq!(bundle_hits(&first), 3);
@@ -967,12 +939,12 @@ mod tests {
         // The ledger keeps the evicted digest's count — both directly
         // and through a recreated bundle for the same failure.
         assert_eq!(bundle_hits(&first), 3, "evicted counts must survive in the ledger");
-        let again =
-            write_quarantine_bundle(&s, "t/a4", Some("x = 1\nend\n"), &err()).unwrap();
+        let again = write_quarantine_bundle(&s, "t/a4", Some("x = 1\nend\n"), &err()).unwrap();
         assert_eq!(again, first, "same minimized source → same digest → same dir");
         assert_eq!(bundle_hits(&again), 4, "ledger + fresh hit");
         // By itself a quarantine evicts only past `BUNDLE_CAP`.
-        let live = std::fs::read_dir(&s.bundle_dir).unwrap().flatten().filter(|e| e.path().is_dir());
+        let live =
+            std::fs::read_dir(&s.bundle_dir).unwrap().flatten().filter(|e| e.path().is_dir());
         assert_eq!(live.count(), 3);
     }
 
@@ -1013,11 +985,7 @@ mod tests {
     #[test]
     fn sim_errors_are_classified_not_panicked() {
         let sweep = run_cell(&sup("simerr"), "t/simfail", || -> u32 {
-            let e = SimError::new(
-                SimErrorKind::Deadlock,
-                cedar_ir::Span::new(3),
-                "await(1) stuck",
-            );
+            let e = SimError::new(SimErrorKind::Deadlock, cedar_ir::Span::new(3), "await(1) stuck");
             note_sim_error(&e);
             panic!("{e}");
         });
@@ -1028,10 +996,7 @@ mod tests {
 
     #[test]
     fn expired_deadline_is_classified_as_timeout() {
-        let s = Supervisor {
-            deadline: Some(Duration::from_millis(1)),
-            ..sup("deadline")
-        };
+        let s = Supervisor { deadline: Some(Duration::from_millis(1)), ..sup("deadline") };
         let sweep = run_cell(&s, "t/slowpoke", || -> u32 {
             let token = current().expect("supervised cell has a context").token.clone();
             while !token.expired() {
@@ -1058,14 +1023,9 @@ mod tests {
 
     #[test]
     fn a_panic_inside_the_deadline_is_panicked_with_its_backtrace() {
-        let s = Supervisor {
-            deadline: Some(Duration::from_secs(600)),
-            ..sup("attempt-panic")
-        };
-        let e = run_attempt(&s, "t/boom", Rung::Normal, || -> u32 {
-            panic!("boom in attempt")
-        })
-        .unwrap_err();
+        let s = Supervisor { deadline: Some(Duration::from_secs(600)), ..sup("attempt-panic") };
+        let e = run_attempt(&s, "t/boom", Rung::Normal, || -> u32 { panic!("boom in attempt") })
+            .unwrap_err();
         assert_eq!(e.kind, CellErrorKind::Panicked);
         assert_eq!(e.msg, "boom in attempt");
         assert_eq!(e.sim, None);
@@ -1077,15 +1037,10 @@ mod tests {
     #[test]
     fn a_panic_past_the_deadline_times_out_and_keeps_the_panic_text() {
         let s = Supervisor { deadline: Some(Duration::ZERO), ..sup("attempt-late") };
-        let e = run_attempt(&s, "t/late", Rung::Normal, || -> u32 {
-            panic!("cooperative abort")
-        })
-        .unwrap_err();
+        let e = run_attempt(&s, "t/late", Rung::Normal, || -> u32 { panic!("cooperative abort") })
+            .unwrap_err();
         assert_eq!(e.kind, CellErrorKind::TimedOut);
-        assert_eq!(
-            e.msg,
-            "cell exceeded its wall-clock budget; final panic: cooperative abort"
-        );
+        assert_eq!(e.msg, "cell exceeded its wall-clock budget; final panic: cooperative abort");
     }
 
     #[test]

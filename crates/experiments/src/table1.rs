@@ -41,10 +41,7 @@ pub struct Row {
 /// Measure one row.
 fn measure(w: &cedar_workloads::Workload, cfg: &PassConfig, mc: &MachineConfig) -> Row {
     let (ser, par) = run_workload(w, cfg, mc);
-    let paper = PAPER
-        .iter()
-        .find(|(n, _, _)| *n == w.name)
-        .expect("registry order matches PAPER");
+    let paper = PAPER.iter().find(|(n, _, _)| *n == w.name).expect("registry order matches PAPER");
     Row {
         name: w.name,
         paper_size: paper.1,
@@ -76,19 +73,11 @@ pub fn run_supervised(
     let cells = cedar_workloads::table1_workloads()
         .into_iter()
         .map(|w| {
-            crate::supervise::Cell::with_source(
-                format!("table1/{}", w.name),
-                w.source.clone(),
-                w,
-            )
+            crate::supervise::Cell::with_source(format!("table1/{}", w.name), w.source.clone(), w)
         })
         .collect();
     let sweep = crate::supervise::run_cells(sup, cells, |w| measure(w, &cfg, &mc));
-    (
-        sweep.results.into_iter().flatten().collect(),
-        sweep.recovered,
-        sweep.quarantined,
-    )
+    (sweep.results.into_iter().flatten().collect(), sweep.recovered, sweep.quarantined)
 }
 
 /// Render in the paper's layout plus our columns.
@@ -128,19 +117,12 @@ mod tests {
         let cfg = PassConfig::automatic_1991();
         let fast = run_one(&cedar_workloads::linalg::sparse(96), &cfg, &mc);
         let slow = run_one(&cedar_workloads::linalg::tridag(128), &cfg, &mc);
-        assert!(
-            fast > slow,
-            "sparse ({fast:.1}) must outrun tridag ({slow:.1})"
-        );
+        assert!(fast > slow, "sparse ({fast:.1}) must outrun tridag ({slow:.1})");
         assert!(fast > 3.0, "sparse speedup too small: {fast:.2}");
         assert!(slow < 4.0, "tridag speedup too large: {slow:.2}");
     }
 
-    fn run_one(
-        w: &cedar_workloads::Workload,
-        cfg: &PassConfig,
-        mc: &MachineConfig,
-    ) -> f64 {
+    fn run_one(w: &cedar_workloads::Workload, cfg: &PassConfig, mc: &MachineConfig) -> f64 {
         let (ser, par) = run_workload(w, cfg, mc);
         ser.cycles / par.cycles
     }

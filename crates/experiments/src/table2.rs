@@ -72,11 +72,9 @@ pub fn run() -> Vec<Row> {
     // of a row are themselves independent runs, and splitting them keeps
     // the expensive benchmarks (ADM, MG3D) from serializing a worker.
     let workloads = cedar_workloads::table2_workloads();
-    let cells: Vec<(usize, usize)> = (0..workloads.len())
-        .flat_map(|wi| (0..4).map(move |c| (wi, c)))
-        .collect();
-    let speedups =
-        cedar_par::par_map(cells, |(wi, c)| cell_speedup(&workloads[wi], c, &s));
+    let cells: Vec<(usize, usize)> =
+        (0..workloads.len()).flat_map(|wi| (0..4).map(move |c| (wi, c))).collect();
+    let speedups = cedar_par::par_map(cells, |(wi, c)| cell_speedup(&workloads[wi], c, &s));
     workloads
         .iter()
         .enumerate()
@@ -108,9 +106,8 @@ pub fn run_supervised(
             )
         })
         .collect();
-    let sweep = crate::supervise::run_cells(sup, cells, |&(wi, c)| {
-        cell_speedup(&workloads[wi], c, &s)
-    });
+    let sweep =
+        crate::supervise::run_cells(sup, cells, |&(wi, c)| cell_speedup(&workloads[wi], c, &s));
     let rows = workloads
         .iter()
         .enumerate()
@@ -157,15 +154,10 @@ pub fn qcd_footnote() -> (f64, f64, f64) {
         0 => sp(QcdRng::Serial),
         1 => {
             let base_w = qcd_variant(QcdRng::Serial);
-            let baseline =
-                run_program(&crate::cache::compiled(&base_w), None, &cedar, &["chksum"]);
+            let baseline = run_program(&crate::cache::compiled(&base_w), None, &cedar, &["chksum"]);
             let critical_w = qcd_variant(QcdRng::Critical);
-            let critical = run_program(
-                &crate::cache::compiled(&critical_w),
-                Some(&man),
-                &cedar,
-                &["chksum"],
-            );
+            let critical =
+                run_program(&crate::cache::compiled(&critical_w), Some(&man), &cedar, &["chksum"]);
             let (a, b) = (baseline.results[0].1[0], critical.results[0].1[0]);
             assert!(
                 (a - b).abs() <= 0.05 * a.abs(),

@@ -170,10 +170,7 @@ impl LoopClass {
     }
     /// A DOACROSS class (iterations start in order).
     pub fn is_ordered(self) -> bool {
-        matches!(
-            self,
-            LoopClass::CDoacross | LoopClass::SDoacross | LoopClass::XDoacross
-        )
+        matches!(self, LoopClass::CDoacross | LoopClass::SDoacross | LoopClass::XDoacross)
     }
     /// The Cedar Fortran keyword for this class.
     pub fn keyword(self) -> &'static str {
@@ -216,12 +213,7 @@ pub enum StmtKind {
     /// assignment (fortran90 subset used by the restructurer).
     Where { mask: Expr, lhs: Expr, rhs: Expr },
     /// Block IF / ELSE IF / ELSE.
-    If {
-        cond: Expr,
-        then_body: Vec<Stmt>,
-        elifs: Vec<(Expr, Vec<Stmt>)>,
-        else_body: Vec<Stmt>,
-    },
+    If { cond: Expr, then_body: Vec<Stmt>, elifs: Vec<(Expr, Vec<Stmt>)>, else_body: Vec<Stmt> },
     /// DO in any scheduling class, including Cedar concurrent loops with
     /// loop-local declarations and pre/postambles (Figure 3).
     Do {
@@ -244,11 +236,7 @@ pub enum StmtKind {
     /// the sequential `DO` that follows it. Produced by the OpenMP
     /// emission backend; lowering rewrites it into an `XDOALL` with
     /// synthesized privatization and reduction machinery.
-    OmpParallelDo {
-        privates: Vec<String>,
-        reductions: Vec<(OmpRedOp, String)>,
-        body: Box<Stmt>,
-    },
+    OmpParallelDo { privates: Vec<String>, reductions: Vec<(OmpRedOp, String)>, body: Box<Stmt> },
     /// `CALL name(args)`.
     Call { name: String, args: Vec<Expr> },
     /// `GOTO label` (parsed; rejected at lowering).

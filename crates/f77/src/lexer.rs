@@ -101,10 +101,7 @@ pub fn assemble_fixed_form(src: &str) -> Result<Vec<LogicalLine>> {
             None
         } else {
             Some(label_txt.parse::<u32>().map_err(|_| {
-                Error::lex(
-                    Span::new(lineno),
-                    format!("label field `{label_txt}` is not a number"),
-                )
+                Error::lex(Span::new(lineno), format!("label field `{label_txt}` is not a number"))
             })?)
         };
         let text = strip_inline_comment(stmt_field).trim().to_string();
@@ -126,13 +123,12 @@ pub fn assemble_free_form(src: &str) -> Result<Vec<LogicalLine>> {
         let t = raw.trim_start();
         // `!$omp` sentinel (directive, not comment) — same as fixed form;
         // a trailing `&` continues it through the ordinary mechanism.
-        let line: Cow<'_, str> = if t.get(..5).is_some_and(|p| p.eq_ignore_ascii_case("!$omp"))
-            && t.len() > 5
-        {
-            format!("$omp {}", strip_inline_comment(&t[5..]).trim()).into()
-        } else {
-            strip_inline_comment(raw).trim().into()
-        };
+        let line: Cow<'_, str> =
+            if t.get(..5).is_some_and(|p| p.eq_ignore_ascii_case("!$omp")) && t.len() > 5 {
+                format!("$omp {}", strip_inline_comment(&t[5..]).trim()).into()
+            } else {
+                strip_inline_comment(raw).trim().into()
+            };
         if line.is_empty() {
             pending_cont = false;
             continue;
@@ -151,9 +147,11 @@ pub fn assemble_free_form(src: &str) -> Result<Vec<LogicalLine>> {
             let digits = trimmed.bytes().take_while(u8::is_ascii_digit).count();
             let (label, text) = if digits > 0 && trimmed[digits..].starts_with([' ', '\t']) {
                 (
-                    Some(trimmed[..digits].parse::<u32>().map_err(|_| {
-                        Error::lex(Span::new(lineno), "label too large")
-                    })?),
+                    Some(
+                        trimmed[..digits]
+                            .parse::<u32>()
+                            .map_err(|_| Error::lex(Span::new(lineno), "label too large"))?,
+                    ),
                     trimmed[digits..].trim(),
                 )
             } else {
@@ -249,9 +247,7 @@ pub fn tokenize(text: &str, line: u32) -> Result<Vec<Tok>> {
                 let mut j = i + 1;
                 loop {
                     match b.get(j) {
-                        None => {
-                            return Err(Error::lex(span, "unterminated character literal"))
-                        }
+                        None => return Err(Error::lex(span, "unterminated character literal")),
                         Some(&q) if q as char == quote => {
                             if b.get(j + 1) == Some(&(quote as u8)) {
                                 s.push(quote);
@@ -380,9 +376,8 @@ fn lex_number(s: &str, span: Span) -> Result<(Tok, usize)> {
     let text = &s[..j];
     if is_real {
         let norm = text.replace(['d', 'D'], "e");
-        let value: f64 = norm
-            .parse()
-            .map_err(|_| Error::lex(span, format!("bad real literal `{text}`")))?;
+        let value: f64 =
+            norm.parse().map_err(|_| Error::lex(span, format!("bad real literal `{text}`")))?;
         Ok((Tok::Real { value, is_double }, j))
     } else {
         let value: i64 = text

@@ -165,7 +165,7 @@ end
         // The unit survives with the statements that did parse.
         assert_eq!(out.file.units.len(), 1);
         assert_eq!(out.file.units[0].body.len(), 1); // only `z = 3.0` survives
-        // Strict parsing reports only the first problem.
+                                                     // Strict parsing reports only the first problem.
         let strict = parse_free(src).unwrap_err();
         assert_eq!(strict.span.line, 3);
     }

@@ -182,10 +182,7 @@ fn rewrite_labeled_dos(raw: Vec<RawStmt>) -> (Vec<RawStmt>, Vec<Error>) {
     for mut st in raw {
         last_line = st.line;
         // `DO 100 I = ...` / `DO 100 WHILE (...)`?
-        let is_do = st
-            .tokens
-            .first()
-            .is_some_and(|t| t.is_kw("do"));
+        let is_do = st.tokens.first().is_some_and(|t| t.is_kw("do"));
         if is_do {
             if let Some(Tok::Int(lbl)) = st.tokens.get(1) {
                 match u32::try_from(*lbl) {
@@ -294,8 +291,7 @@ impl Units {
                     t.expect_kw("function")?;
                 }
                 let name = t.expect_ident(what)?;
-                let args =
-                    if kind == UnitKind::Program { Vec::new() } else { t.opt_dummy_args()? };
+                let args = if kind == UnitKind::Program { Vec::new() } else { t.opt_dummy_args()? };
                 t.expect_end()?;
                 (kind, name, args)
             }
@@ -375,8 +371,8 @@ impl Units {
             "do" => self.nest(st, |p, st| p.parse_do(st, LoopClass::Seq, "enddo"))?,
             "dowhile" => self.nest(st, Self::parse_do_while)?,
             "$omp" => self.parse_omp(st)?,
-            "continue" | "return" | "stop" | "call" | "goto" | "where" | "print"
-            | "write" | "read" | "assign" => parse_simple_stmt(st)?,
+            "continue" | "return" | "stop" | "call" | "goto" | "where" | "print" | "write"
+            | "read" | "assign" => parse_simple_stmt(st)?,
             _ => {
                 if let Some(&(_, end_kw, class)) =
                     PARALLEL_DO_KEYWORDS.iter().find(|(k, ..)| *k == kw)
@@ -449,9 +445,9 @@ impl Units {
             let mut elifs = Vec::new();
             let mut else_body = Vec::new();
             loop {
-                let nxt = self.next().ok_or_else(|| {
-                    Error::structure(span, "block IF not terminated by END IF")
-                })?;
+                let nxt = self
+                    .next()
+                    .ok_or_else(|| Error::structure(span, "block IF not terminated by END IF"))?;
                 match nxt.keyword().as_deref() {
                     Some("elseif") => {
                         let mut t2 = TokParser::new(nxt.tokens, 2, Span::new(nxt.line));
@@ -488,10 +484,7 @@ impl Units {
                 rest.keyword().as_deref(),
                 Some("if" | "do" | "dowhile" | "else" | "endif" | "end")
             ) {
-                return Err(Error::parse(
-                    span,
-                    "logical IF may only control a simple statement",
-                ));
+                return Err(Error::parse(span, "logical IF may only control a simple statement"));
             }
             let inner = parse_simple_stmt(rest)?;
             Ok(StmtKind::If {
@@ -601,10 +594,7 @@ impl Units {
                     t.expect(&Tok::RParen)?;
                 }
                 other => {
-                    return Err(Error::parse(
-                        span,
-                        format!("unsupported OpenMP clause `{other}`"),
-                    ));
+                    return Err(Error::parse(span, format!("unsupported OpenMP clause `{other}`")));
                 }
             }
         }
@@ -636,13 +626,10 @@ impl Units {
                     return false;
                 }
             }
-            if kw == "do"
-                || kw == "dowhile"
-                || PARALLEL_DO_KEYWORDS.iter().any(|(k, ..)| *k == kw)
+            if kw == "do" || kw == "dowhile" || PARALLEL_DO_KEYWORDS.iter().any(|(k, ..)| *k == kw)
             {
                 depth += 1;
-            } else if kw.starts_with("end") && kw != "end" && kw != "endif" && kw != "endwhere"
-            {
+            } else if kw.starts_with("end") && kw != "end" && kw != "endif" && kw != "endwhere" {
                 depth = depth.saturating_sub(1);
             }
         }
@@ -703,8 +690,16 @@ fn parse_simple_stmt(st: RawStmt) -> Result<StmtKind> {
     let is_simple_kw = matches!(
         st.keyword().as_deref(),
         Some(
-            "continue" | "return" | "stop" | "call" | "goto" | "where" | "print" | "write"
-                | "read" | "assign"
+            "continue"
+                | "return"
+                | "stop"
+                | "call"
+                | "goto"
+                | "where"
+                | "print"
+                | "write"
+                | "read"
+                | "assign"
         )
     );
     if !is_simple_kw && st.looks_like_assignment() {
@@ -742,8 +737,8 @@ fn parse_simple_stmt(st: RawStmt) -> Result<StmtKind> {
             let mut t = TokParser::new(st.tokens, skip, span);
             let target = t.expect_int("statement label")?;
             t.expect_end()?;
-            let target = u32::try_from(target)
-                .map_err(|_| Error::parse(span, "label out of range"))?;
+            let target =
+                u32::try_from(target).map_err(|_| Error::parse(span, "label out of range"))?;
             Ok(StmtKind::Goto(target))
         }
         "where" => {
@@ -773,9 +768,7 @@ fn parse_simple_stmt(st: RawStmt) -> Result<StmtKind> {
                         Some(Tok::LParen) => depth += 1,
                         Some(Tok::RParen) => depth -= 1,
                         Some(_) => {}
-                        None => {
-                            return Err(Error::parse(span, "unterminated I/O control list"))
-                        }
+                        None => return Err(Error::parse(span, "unterminated I/O control list")),
                     }
                 }
             } else {
@@ -899,8 +892,7 @@ fn parse_decl(st: RawStmt) -> Result<Decl> {
                     break;
                 }
                 t.expect(&Tok::Slash)?;
-                if t.eat(&Tok::Comma) || (!t.at_end() && matches!(t.peek(), Some(Tok::Ident(_))))
-                {
+                if t.eat(&Tok::Comma) || (!t.at_end() && matches!(t.peek(), Some(Tok::Ident(_)))) {
                     continue;
                 }
                 break;
@@ -1004,20 +996,14 @@ impl TokParser {
         if self.eat(t) {
             Ok(())
         } else {
-            Err(Error::parse(
-                self.span,
-                format!("expected `{t}`, found {}", self.describe_next()),
-            ))
+            Err(Error::parse(self.span, format!("expected `{t}`, found {}", self.describe_next())))
         }
     }
     fn expect_kw(&mut self, kw: &str) -> Result<()> {
         if self.eat_kw(kw) {
             Ok(())
         } else {
-            Err(Error::parse(
-                self.span,
-                format!("expected `{kw}`, found {}", self.describe_next()),
-            ))
+            Err(Error::parse(self.span, format!("expected `{kw}`, found {}", self.describe_next())))
         }
     }
     fn expect_ident(&mut self, what: &str) -> Result<String> {
@@ -1036,10 +1022,7 @@ impl TokParser {
         if self.at_end() {
             Ok(())
         } else {
-            Err(Error::parse(
-                self.span,
-                format!("trailing tokens: {}", self.describe_next()),
-            ))
+            Err(Error::parse(self.span, format!("trailing tokens: {}", self.describe_next())))
         }
     }
     fn describe_next(&self) -> String {
@@ -1440,8 +1423,7 @@ mod tests {
                    \x20     do i = 1, n\n      t = t + a(i)\n\
                    \x20     end do\n      end\n";
         let f = parse_source(src).unwrap();
-        let StmtKind::OmpParallelDo { privates, reductions, body } =
-            &f.units[0].body[0].kind
+        let StmtKind::OmpParallelDo { privates, reductions, body } = &f.units[0].body[0].kind
         else {
             panic!("{:?}", f.units[0].body[0].kind)
         };
@@ -1457,16 +1439,12 @@ mod tests {
              a(i) = 0.0\nend do\nend\n",
         )
         .unwrap();
-        assert!(matches!(
-            f.units[0].body[0].kind,
-            StmtKind::OmpParallelDo { .. }
-        ));
+        assert!(matches!(f.units[0].body[0].kind, StmtKind::OmpParallelDo { .. }));
     }
 
     #[test]
     fn omp_reduction_operators() {
-        for (spelling, op) in
-            [("*", OmpRedOp::Mul), ("min", OmpRedOp::Min), ("max", OmpRedOp::Max)]
+        for (spelling, op) in [("*", OmpRedOp::Mul), ("min", OmpRedOp::Min), ("max", OmpRedOp::Max)]
         {
             let f = parse_free(&format!(
                 "subroutine s(a, n, t)\nreal a(n), t\n\
@@ -1474,8 +1452,7 @@ mod tests {
                  t = t + a(i)\nend do\nend\n"
             ))
             .unwrap();
-            let StmtKind::OmpParallelDo { reductions, .. } = &f.units[0].body[0].kind
-            else {
+            let StmtKind::OmpParallelDo { reductions, .. } = &f.units[0].body[0].kind else {
                 panic!()
             };
             assert_eq!(reductions, &[(op, "t".to_string())]);
@@ -1484,9 +1461,7 @@ mod tests {
 
     #[test]
     fn omp_without_do_is_an_error() {
-        let e = parse_free(
-            "subroutine s(x)\n!$omp parallel do\nx = 1.0\nend\n",
-        );
+        let e = parse_free("subroutine s(x)\n!$omp parallel do\nx = 1.0\nend\n");
         assert!(e.is_err());
     }
 
@@ -1535,9 +1510,7 @@ a(i) = 0.0
 end
 ";
         let f = parse_free(src).unwrap();
-        let StmtKind::Do { body, class, var, .. } = &f.units[0].body[0].kind else {
-            panic!()
-        };
+        let StmtKind::Do { body, class, var, .. } = &f.units[0].body[0].kind else { panic!() };
         assert_eq!(*class, LoopClass::Seq);
         assert_eq!(var, "i");
         // body = assignment + the terminating CONTINUE
@@ -1577,8 +1550,7 @@ end if
 end
 ";
         let f = parse_free(src).unwrap();
-        let StmtKind::If { then_body, elifs, else_body, .. } = &f.units[0].body[0].kind
-        else {
+        let StmtKind::If { then_body, elifs, else_body, .. } = &f.units[0].body[0].kind else {
             panic!()
         };
         assert_eq!(then_body.len(), 1);
@@ -1612,12 +1584,8 @@ end
 ";
         let f = parse_free(src).unwrap();
         let unit = &f.units[0];
-        assert!(matches!(
-            unit.decls[0].kind,
-            DeclKind::Visibility { vis: Visibility::Global, .. }
-        ));
-        let StmtKind::Do { class, decls, preamble, body, postamble, step, .. } =
-            &unit.body[0].kind
+        assert!(matches!(unit.decls[0].kind, DeclKind::Visibility { vis: Visibility::Global, .. }));
+        let StmtKind::Do { class, decls, preamble, body, postamble, step, .. } = &unit.body[0].kind
         else {
             panic!()
         };
@@ -1710,14 +1678,8 @@ end
     fn io_statements_parse_loosely() {
         let src = "program p\nwrite (6, 100) x, y\nprint *, z\nend\n";
         let f = parse_free(src).unwrap();
-        assert!(matches!(
-            f.units[0].body[0].kind,
-            StmtKind::Io { kind: IoKind::Write, .. }
-        ));
-        assert!(matches!(
-            f.units[0].body[1].kind,
-            StmtKind::Io { kind: IoKind::Print, .. }
-        ));
+        assert!(matches!(f.units[0].body[0].kind, StmtKind::Io { kind: IoKind::Write, .. }));
+        assert!(matches!(f.units[0].body[1].kind, StmtKind::Io { kind: IoKind::Print, .. }));
     }
 
     #[test]
@@ -1738,10 +1700,7 @@ end
             ArgExpr::Section { lower: Some(_), upper: Some(_), stride: Some(_) }
         ));
         let Expr::NameArgs { args, .. } = rhs else { panic!() };
-        assert!(matches!(
-            &args[0],
-            ArgExpr::Section { lower: None, upper: None, stride: None }
-        ));
+        assert!(matches!(&args[0], ArgExpr::Section { lower: None, upper: None, stride: None }));
         assert!(matches!(&args[1], ArgExpr::Expr(_)));
     }
 

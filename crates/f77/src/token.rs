@@ -37,7 +37,7 @@ pub enum Tok {
     /// `/`
     Slash,
     /// `**`
-    Pow,    // **
+    Pow, // **
     /// `//` (character concatenation)
     Concat, // //
     /// `:`

@@ -39,9 +39,7 @@ fn continuation_lines_join_statements() {
       END
 ";
     let f = parse_source(src).expect("continuations must join");
-    let StmtKind::Assign { rhs, .. } = &f.units[0].body[0].kind else {
-        panic!()
-    };
+    let StmtKind::Assign { rhs, .. } = &f.units[0].body[0].kind else { panic!() };
     // ((1 + 2) + 3): two Add nodes.
     let Expr::Bin(_, l, _) = rhs else { panic!("{rhs:?}") };
     assert!(matches!(&**l, Expr::Bin(..)));
@@ -111,8 +109,7 @@ fn cdoall_with_locals_preamble_and_loop_marker() {
       END
 ";
     let f = parse_source(src).expect("cdoall with preamble");
-    let StmtKind::Do { class, decls, preamble, body, .. } = &f.units[0].body[0].kind
-    else {
+    let StmtKind::Do { class, decls, preamble, body, .. } = &f.units[0].body[0].kind else {
         panic!()
     };
     assert_eq!(*class, LoopClass::CDoall);
@@ -137,9 +134,7 @@ fn sdoall_with_postamble_after_endloop() {
       END
 ";
     let f = parse_source(src).expect("sdoall with postamble");
-    let StmtKind::Do { class, postamble, .. } = &f.units[0].body[0].kind else {
-        panic!()
-    };
+    let StmtKind::Do { class, postamble, .. } = &f.units[0].body[0].kind else { panic!() };
     assert_eq!(*class, LoopClass::SDoall);
     assert_eq!(postamble.len(), 1);
 }
@@ -185,8 +180,8 @@ fn do_with_explicit_step() {
 
 #[test]
 fn dowhile_parses() {
-    let f = parse_free("subroutine s(x)\ndo while (x .gt. 1.0)\nx = x * 0.5\nend do\nend\n")
-        .unwrap();
+    let f =
+        parse_free("subroutine s(x)\ndo while (x .gt. 1.0)\nx = x * 0.5\nend do\nend\n").unwrap();
     assert!(matches!(f.units[0].body[0].kind, StmtKind::DoWhile { .. }));
 }
 
@@ -243,9 +238,10 @@ fn blank_common_forms() {
     for decl in ["COMMON X, Y", "COMMON // X, Y"] {
         let src = format!("\n      SUBROUTINE S\n      {decl}\n      X = 1.0\n      END\n");
         let f = parse_source(&src).unwrap_or_else(|e| panic!("{decl}: {e}"));
-        let is_blank = f.units[0].decls.iter().any(|d| {
-            matches!(&d.kind, DeclKind::Common { block: None, .. })
-        });
+        let is_blank = f.units[0]
+            .decls
+            .iter()
+            .any(|d| matches!(&d.kind, DeclKind::Common { block: None, .. }));
         assert!(is_blank, "{decl} should be blank common");
     }
 }
@@ -278,8 +274,8 @@ fn where_statement_parses() {
 
 #[test]
 fn unclosed_do_is_an_error() {
-    let err = parse_free("subroutine s(a, n)\nreal a(n)\ndo 10 i = 1, n\na(i) = 0.0\nend\n")
-        .unwrap_err();
+    let err =
+        parse_free("subroutine s(a, n)\nreal a(n)\ndo 10 i = 1, n\na(i) = 0.0\nend\n").unwrap_err();
     let msg = err.to_string();
     assert!(msg.contains("10"), "should name the missing label: {msg}");
 }
@@ -291,8 +287,7 @@ fn mismatched_end_do_is_an_error() {
 
 #[test]
 fn assign_statement_is_rejected_with_unsupported() {
-    let err =
-        parse_free("subroutine s\nassign 10 to k\n10 continue\nend\n").unwrap_err();
+    let err = parse_free("subroutine s\nassign 10 to k\n10 continue\nend\n").unwrap_err();
     assert!(err.to_string().to_lowercase().contains("assign"));
 }
 

@@ -7,14 +7,25 @@ use proptest::prelude::*;
 /// Generate a random token that has an unambiguous textual rendering.
 fn token_strategy() -> impl Strategy<Value = Tok> {
     prop_oneof![
-        "[a-z][a-z0-9]{0,6}".prop_filter("avoid dot-operator words", |s| {
-            !matches!(
-                s.as_str(),
-                "eq" | "ne" | "lt" | "le" | "gt" | "ge" | "and" | "or" | "not" | "eqv"
-                    | "neqv" | "true" | "false"
-            )
-        })
-        .prop_map(Tok::Ident),
+        "[a-z][a-z0-9]{0,6}"
+            .prop_filter("avoid dot-operator words", |s| {
+                !matches!(
+                    s.as_str(),
+                    "eq" | "ne"
+                        | "lt"
+                        | "le"
+                        | "gt"
+                        | "ge"
+                        | "and"
+                        | "or"
+                        | "not"
+                        | "eqv"
+                        | "neqv"
+                        | "true"
+                        | "false"
+                )
+            })
+            .prop_map(Tok::Ident),
         (0i64..1_000_000).prop_map(Tok::Int),
         Just(Tok::LParen),
         Just(Tok::RParen),

@@ -118,11 +118,12 @@ fn main() {
         }
     }
 
-    let cases: Vec<(Case, String)> = cedar_par::par_map(inputs, |(name, source, program, watch)| {
-        let watch_refs: Vec<&str> = watch.iter().map(String::as_str).collect();
-        let comparison = compare_backends(&program, &pass, &mc, &watch_refs, REL_TOL);
-        (Case { name, comparison }, source)
-    });
+    let cases: Vec<(Case, String)> =
+        cedar_par::par_map(inputs, |(name, source, program, watch)| {
+            let watch_refs: Vec<&str> = watch.iter().map(String::as_str).collect();
+            let comparison = compare_backends(&program, &pass, &mc, &watch_refs, REL_TOL);
+            (Case { name, comparison }, source)
+        });
 
     let mut failures = 0usize;
     for (case, source) in &cases {

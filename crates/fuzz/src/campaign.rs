@@ -296,9 +296,7 @@ pub(crate) fn run_with_failures(cfg: &CampaignConfig) -> (CampaignSummary, Vec<S
     // Persistent corpus: best-effort — a corpus that cannot be opened
     // degrades the campaign to non-persistent, it never fails it.
     let mut corpus = cfg.corpus_dir.as_ref().and_then(|dir| {
-        PersistentCorpus::open(dir)
-            .map_err(|e| eprintln!("fuzz: corpus disabled: {e}"))
-            .ok()
+        PersistentCorpus::open(dir).map_err(|e| eprintln!("fuzz: corpus disabled: {e}")).ok()
     });
 
     // ---- phase 1: parallel sweep, chunked so the wall-clock budget is
@@ -421,9 +419,7 @@ pub(crate) fn run_with_failures(cfg: &CampaignConfig) -> (CampaignSummary, Vec<S
             panic!("fuzz oracle failure: {verdict}");
         });
         for q in &sweep.quarantined {
-            if let Some(f) = failures
-                .iter_mut()
-                .find(|f| q.cell == format!("fuzz/seed{}", f.seed))
+            if let Some(f) = failures.iter_mut().find(|f| q.cell == format!("fuzz/seed{}", f.seed))
             {
                 f.bundle = q.bundle.clone();
             }

@@ -48,11 +48,7 @@ impl CorpusEntry {
 pub fn format_entry(seed: u64, config: &str, rendered: &Rendered) -> String {
     let mut out = format!("! cedar-fuzz seed={seed} config={config}\n");
     for w in &rendered.watch {
-        out.push_str(&format!(
-            "! watch {} {}\n",
-            w.name,
-            if w.exact { "exact" } else { "approx" }
-        ));
+        out.push_str(&format!("! watch {} {}\n", w.name, if w.exact { "exact" } else { "approx" }));
     }
     out.push_str(&rendered.source);
     out

@@ -15,16 +15,8 @@ use cedar_restructure::{LoopDecision, Report, Technique};
 use std::collections::BTreeMap;
 
 /// Passes every campaign must reach at least once.
-pub const REQUIRED: [&str; 8] = [
-    "doall",
-    "doacross",
-    "stripmine",
-    "privatize",
-    "reduce",
-    "fuse",
-    "coalesce",
-    "vectorize",
-];
+pub const REQUIRED: [&str; 8] =
+    ["doall", "doacross", "stripmine", "privatize", "reduce", "fuse", "coalesce", "vectorize"];
 
 /// Pass-hit counts across a campaign.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -88,8 +80,7 @@ impl Coverage {
     /// Add `n` hits for a pass named at runtime (shard deserialization);
     /// errors on a name no version of the ledger ever emits.
     pub fn add(&mut self, pass: &str, n: u64) -> Result<(), String> {
-        let interned =
-            intern(pass).ok_or_else(|| format!("unknown coverage pass `{pass}`"))?;
+        let interned = intern(pass).ok_or_else(|| format!("unknown coverage pass `{pass}`"))?;
         if n > 0 {
             *self.counts.entry(interned).or_insert(0) += n;
         }

@@ -232,10 +232,7 @@ impl Shape {
                 dot: rng.chance(50),
                 extra: rng.chance(40),
             },
-            3 => Shape::Recurrence {
-                n: *rng.pick(&[96, 128]),
-                decay: rng.below(3) as usize,
-            },
+            3 => Shape::Recurrence { n: *rng.pick(&[96, 128]), decay: rng.below(3) as usize },
             4 => Shape::CoalesceNest {
                 outer: rng.range(2, 4) as u32,
                 inner: *rng.pick(&[48, 64]),
@@ -246,14 +243,8 @@ impl Shape {
                 c1: rng.below(6) as usize,
                 c2: rng.below(6) as usize,
             },
-            6 => Shape::Nest2D {
-                m: *rng.pick(&[32, 48, 64]),
-                f: rng.below(5) as usize,
-            },
-            7 => Shape::ArrayPrivate {
-                n: *rng.pick(&[64, 96]),
-                m: *rng.pick(&[8, 12, 16]),
-            },
+            6 => Shape::Nest2D { m: *rng.pick(&[32, 48, 64]), f: rng.below(5) as usize },
+            7 => Shape::ArrayPrivate { n: *rng.pick(&[64, 96]), m: *rng.pick(&[8, 12, 16]) },
             8 => Shape::Conditional {
                 n: *rng.pick(&[96, 128, 192]),
                 thr: rng.below(3) as usize,
@@ -295,10 +286,7 @@ impl Shape {
                 out.init_1d(&format!("b{k}"), n);
                 out.line(format!("do i = 1, {n}"));
                 out.line(format!("t{k} = b{k}(i) * {}", COEF[c1 % COEF.len()]));
-                out.line(format!(
-                    "a{k}(i) = sqrt(t{k}) + t{k} * {}",
-                    COEF[c2 % COEF.len()]
-                ));
+                out.line(format!("a{k}(i) = sqrt(t{k}) + t{k} * {}", COEF[c2 % COEF.len()]));
                 out.line("end do".to_string());
                 // t{k} is dead after the loop: privatization may leave
                 // it stale, so it is deliberately not watched.
@@ -317,8 +305,7 @@ impl Shape {
                 if product {
                     out.line(format!("s{k} = s{k} * (1.0 + 0.0001 * a{k}(i))"));
                 } else {
-                    let lead =
-                        if dot { format!("a{k}(i) * b{k}(i)") } else { format!("a{k}(i)") };
+                    let lead = if dot { format!("a{k}(i) * b{k}(i)") } else { format!("a{k}(i)") };
                     let tail = if extra { format!(" + a{k}(i) * 0.25") } else { String::new() };
                     out.line(format!("s{k} = s{k} + {lead}{tail}"));
                 }
@@ -336,10 +323,7 @@ impl Shape {
                     "t{k} = sqrt(b{k}(i)) + sqrt(c{k}(i)) + sin(b{k}(i)) * cos(c{k}(i)) \
                      + exp(c{k}(i) * 0.01)"
                 ));
-                out.line(format!(
-                    "a{k}(i) = a{k}(i - 1) * {} + t{k}",
-                    DECAY[decay % DECAY.len()]
-                ));
+                out.line(format!("a{k}(i) = a{k}(i - 1) * {} + t{k}", DECAY[decay % DECAY.len()]));
                 out.line("end do".to_string());
                 // The cascade preserves iteration order of the carried
                 // value, so even DOACROSS output must be bit-identical.
@@ -363,16 +347,10 @@ impl Shape {
                 out.decls.push(format!("real a{k}({n}), b{k}({n}), c{k}({n})"));
                 out.init_1d(&format!("b{k}"), n);
                 out.line(format!("do i = 1, {n}"));
-                out.line(format!(
-                    "a{k}(i) = b{k}(i) * {} + 0.5",
-                    COEF[c1 % COEF.len()]
-                ));
+                out.line(format!("a{k}(i) = b{k}(i) * {} + 0.5", COEF[c1 % COEF.len()]));
                 out.line("end do".to_string());
                 out.line(format!("do i = 1, {n}"));
-                out.line(format!(
-                    "c{k}(i) = a{k}(i) * {} + b{k}(i)",
-                    COEF[c2 % COEF.len()]
-                ));
+                out.line(format!("c{k}(i) = a{k}(i) * {} + b{k}(i)", COEF[c2 % COEF.len()]));
                 out.line("end do".to_string());
                 out.watch_exact(&format!("a{k}"));
                 out.watch_exact(&format!("c{k}"));
@@ -390,8 +368,7 @@ impl Shape {
                 out.watch_exact(&format!("a{k}"));
             }
             Shape::ArrayPrivate { n, m } => {
-                out.decls
-                    .push(format!("real a{k}({n}), b{k}({n}, {m}), w{k}({m})"));
+                out.decls.push(format!("real a{k}({n}), b{k}({n}, {m}), w{k}({m})"));
                 out.line(format!("do i = 1, {n}"));
                 out.line(format!("do j = 1, {m}"));
                 out.line(format!("b{k}(i, j) = real(i) * 0.1 + real(j)"));
@@ -418,10 +395,7 @@ impl Shape {
                 out.line(format!("if (b{k}(i) .gt. {}) then", THR[thr % THR.len()]));
                 out.line(format!("a{k}(i) = b{k}(i) * 2.0"));
                 out.line("else".to_string());
-                out.line(format!(
-                    "a{k}(i) = {} + 1.0",
-                    unary(f1, &format!("b{k}(i)"))
-                ));
+                out.line(format!("a{k}(i) = {} + 1.0", unary(f1, &format!("b{k}(i)"))));
                 out.line("end if".to_string());
                 out.line("end do".to_string());
                 out.watch_exact(&format!("a{k}"));
@@ -450,14 +424,7 @@ impl Shape {
         match *self {
             Shape::Elementwise { n, two_outputs, f1, f2, c1, c2 } => {
                 if two_outputs {
-                    out.push(Shape::Elementwise {
-                        n,
-                        two_outputs: false,
-                        f1,
-                        f2,
-                        c1,
-                        c2,
-                    });
+                    out.push(Shape::Elementwise { n, two_outputs: false, f1, f2, c1, c2 });
                 }
                 if let Some(n) = halve(n) {
                     out.push(Shape::Elementwise { n, two_outputs, f1, f2, c1, c2 });
@@ -569,7 +536,8 @@ impl GenProgram {
         }
         // Sized exactly: a corpus keeps thousands of these.
         let lines = || e.decls.iter().chain(&e.body);
-        let len = "program fz\n".len() + lines().map(|l| l.len() + 1).sum::<usize>() + "end\n".len();
+        let len =
+            "program fz\n".len() + lines().map(|l| l.len() + 1).sum::<usize>() + "end\n".len();
         let mut src = String::with_capacity(len);
         src.push_str("program fz\n");
         for l in lines() {

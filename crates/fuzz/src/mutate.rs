@@ -12,8 +12,7 @@
 use crate::rng::Rng;
 
 /// All mutation kinds, in the order [`mutations`] cycles through them.
-pub const KINDS: [&str; 5] =
-    ["truncate", "drop-token", "drop-line", "garble-char", "dup-line"];
+pub const KINDS: [&str; 5] = ["truncate", "drop-token", "drop-line", "garble-char", "dup-line"];
 
 /// Apply one seeded mutation of the given kind. Returns `None` when the
 /// mutation has nothing to chew on (e.g. token deletion on an empty
@@ -31,21 +30,13 @@ pub fn mutate(source: &str, kind: &str, rng: &mut Rng) -> Option<String> {
         }
         "drop-token" => {
             let tokens: Vec<&str> = source.split_inclusive(char::is_whitespace).collect();
-            let candidates: Vec<usize> = (0..tokens.len())
-                .filter(|&i| !tokens[i].trim().is_empty())
-                .collect();
+            let candidates: Vec<usize> =
+                (0..tokens.len()).filter(|&i| !tokens[i].trim().is_empty()).collect();
             if candidates.is_empty() {
                 return None;
             }
             let victim = *rng.pick(&candidates);
-            Some(
-                tokens
-                    .iter()
-                    .enumerate()
-                    .filter(|(i, _)| *i != victim)
-                    .map(|(_, t)| *t)
-                    .collect(),
-            )
+            Some(tokens.iter().enumerate().filter(|(i, _)| *i != victim).map(|(_, t)| *t).collect())
         }
         "drop-line" => {
             let lines: Vec<&str> = source.lines().collect();

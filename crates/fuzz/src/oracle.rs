@@ -204,8 +204,7 @@ fn differential(
     watch: &[WatchVar],
     rel_tol: f64,
 ) -> Result<(), OracleFailure> {
-    if let Some(diff) = first_bit_diff(&subset(reference, watch, true), &subset(got, watch, true))
-    {
+    if let Some(diff) = first_bit_diff(&subset(reference, watch, true), &subset(got, watch, true)) {
         return Err(OracleFailure {
             phase,
             detail: "exact watch variable not bit-identical to serial reference".into(),
@@ -263,8 +262,7 @@ pub fn run_oracles(r: &Rendered, cfg: &OracleConfig) -> Result<OracleStats, Orac
         .map_err(|e| OracleFailure::new(Phase::Compile, e.to_string()))?;
 
     // ---- serial reference ----
-    let (reference, serial_cycles) =
-        run_snapshot(Phase::Reference, &program, &cfg.mc, &r.watch)?;
+    let (reference, serial_cycles) = run_snapshot(Phase::Reference, &program, &cfg.mc, &r.watch)?;
 
     // ---- restructure → parallel run ----
     let rr = guard(Phase::Restructure, || restructure(&program, &cfg.pass))?;
@@ -349,8 +347,7 @@ pub fn run_oracles(r: &Rendered, cfg: &OracleConfig) -> Result<OracleStats, Orac
             ),
         ));
     };
-    let (suppressed, _) =
-        run_snapshot(Phase::Suppress, &serial_rr.program, &cfg.mc, &r.watch)?;
+    let (suppressed, _) = run_snapshot(Phase::Suppress, &serial_rr.program, &cfg.mc, &r.watch)?;
     if let Some(diff) = first_bit_diff(&reference, &suppressed) {
         return Err(OracleFailure {
             phase: Phase::Suppress,
@@ -360,13 +357,18 @@ pub fn run_oracles(r: &Rendered, cfg: &OracleConfig) -> Result<OracleStats, Orac
     }
 
     // ---- oracle 3: race detector vs sync audit ----
-    let traced = guard(Phase::RaceAudit, || {
-        cedar_sim::run_collecting_races(&rr.program, cfg.mc.clone())
-    })?
-    .map_err(|e| OracleFailure::new(Phase::RaceAudit, format!("race-collecting run failed: {e}")))?;
+    let traced =
+        guard(Phase::RaceAudit, || cedar_sim::run_collecting_races(&rr.program, cfg.mc.clone()))?
+            .map_err(|e| {
+            OracleFailure::new(Phase::RaceAudit, format!("race-collecting run failed: {e}"))
+        })?;
     let audit = &rr.report.sync_audit;
     if let Some(race) = traced.race_report().first() {
-        let confirmed = if audit.is_empty() { "the sync audit missed it" } else { "the sync audit flagged it too" };
+        let confirmed = if audit.is_empty() {
+            "the sync audit missed it"
+        } else {
+            "the sync audit flagged it too"
+        };
         return Err(OracleFailure::new(
             Phase::RaceAudit,
             format!(
@@ -381,14 +383,8 @@ pub fn run_oracles(r: &Rendered, cfg: &OracleConfig) -> Result<OracleStats, Orac
     // with the serial reference emission ----
     {
         let watch: Vec<&str> = r.watch.iter().map(|w| w.name.as_str()).collect();
-        let cmp = cedar_verify::compare_backends(
-            &program,
-            &cfg.pass,
-            &cfg.mc,
-            &watch,
-            cfg.rel_tol,
-        )
-        .map_err(|e| OracleFailure::new(Phase::BackendDiff, e))?;
+        let cmp = cedar_verify::compare_backends(&program, &cfg.pass, &cfg.mc, &watch, cfg.rel_tol)
+            .map_err(|e| OracleFailure::new(Phase::BackendDiff, e))?;
         if let Some(bad) = cmp.first_failure() {
             let diff = match &bad.outcome {
                 cedar_verify::BackendOutcome::Divergence(d) => Some(d.clone()),
@@ -403,13 +399,7 @@ pub fn run_oracles(r: &Rendered, cfg: &OracleConfig) -> Result<OracleStats, Orac
     }
 
     let d = digest(&parallel, serial_cycles, parallel_cycles);
-    Ok(OracleStats {
-        report: rr.report,
-        serial_cycles,
-        parallel_cycles,
-        known_gaps,
-        digest: d,
-    })
+    Ok(OracleStats { report: rr.report, serial_cycles, parallel_cycles, known_gaps, digest: d })
 }
 
 #[cfg(test)]
@@ -463,10 +453,7 @@ mod tests {
 
     #[test]
     fn compile_failures_are_reported_not_panicked() {
-        let r = Rendered {
-            source: "program fz\nthis is not fortran\nend\n".into(),
-            watch: vec![],
-        };
+        let r = Rendered { source: "program fz\nthis is not fortran\nend\n".into(), watch: vec![] };
         let err = run_oracles(&r, &OracleConfig::default()).expect_err("must fail");
         assert_eq!(err.phase, Phase::Compile);
     }

@@ -79,13 +79,11 @@ impl PersistentCorpus {
     pub fn open(dir: impl Into<PathBuf>) -> Result<PersistentCorpus, String> {
         let dir = dir.into();
         let seeds = dir.join("seeds");
-        std::fs::create_dir_all(&seeds)
-            .map_err(|e| format!("create {}: {e}", seeds.display()))?;
+        std::fs::create_dir_all(&seeds).map_err(|e| format!("create {}: {e}", seeds.display()))?;
         let mut combos: BTreeMap<String, ComboStats> = BTreeMap::new();
         let ledger = dir.join("ledger.json");
         if let Ok(text) = std::fs::read_to_string(&ledger) {
-            let v = Json::parse(&text)
-                .map_err(|e| format!("{}: {e}", ledger.display()))?;
+            let v = Json::parse(&text).map_err(|e| format!("{}: {e}", ledger.display()))?;
             if let Some(Json::Obj(members)) = v.get("combos") {
                 for (name, row) in members {
                     let seen = row.u64_at("seen").unwrap_or(0);
@@ -176,9 +174,7 @@ impl PersistentCorpus {
     fn seed_path(&self, seed: u64, combo: &str) -> PathBuf {
         // The combo rides in the file name (sanitized `+` → `_`) so a
         // lost ledger can rebuild `kept` counts without re-judging.
-        self.dir
-            .join("seeds")
-            .join(format!("seed{seed:06}_{}.f", combo.replace('+', "_")))
+        self.dir.join("seeds").join(format!("seed{seed:06}_{}.f", combo.replace('+', "_")))
     }
 }
 
@@ -260,8 +256,7 @@ mod tests {
         let dir = fresh("retention");
         let mut pc = PersistentCorpus::open(&dir).unwrap();
         let clean = observe_range(&mut pc, 0..16);
-        let rows: Vec<(String, ComboStats)> =
-            pc.rows().map(|(c, s)| (c.to_string(), s)).collect();
+        let rows: Vec<(String, ComboStats)> = pc.rows().map(|(c, s)| (c.to_string(), s)).collect();
         assert!(
             rows.iter().any(|(_, s)| s.seen > KEEP_PER_COMBO),
             "no combo in 0..16 outgrew the cap: {rows:?}"

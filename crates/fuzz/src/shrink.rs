@@ -78,11 +78,8 @@ mod tests {
     #[test]
     fn clean_program_shrinks_to_itself() {
         let gp = GenProgram::generate(3);
-        let fake = OracleFailure {
-            phase: Phase::Differential,
-            detail: "synthetic".into(),
-            diff: None,
-        };
+        let fake =
+            OracleFailure { phase: Phase::Differential, detail: "synthetic".into(), diff: None };
         let out = shrink(&gp, &fake, &OracleConfig::default(), 10);
         assert_eq!(out.steps, 0);
         assert_eq!(out.program, gp);

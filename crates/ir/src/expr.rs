@@ -184,11 +184,7 @@ pub enum Index {
     At(Expr),
     /// Section `lo:hi:step` (step defaults to 1). `lo`/`hi` default to
     /// the declared bounds when `None`.
-    Range {
-        lo: Option<Expr>,
-        hi: Option<Expr>,
-        step: Option<Expr>,
-    },
+    Range { lo: Option<Expr>, hi: Option<Expr>, step: Option<Expr> },
 }
 
 /// A resolved expression.
@@ -198,22 +194,38 @@ pub enum Expr {
     /// Integer literal.
     ConstI(i64),
     /// Real literal (`double` from a `D` exponent).
-    ConstR { value: f64, double: bool },
+    ConstR {
+        value: f64,
+        double: bool,
+    },
     /// Logical literal.
     ConstB(bool),
     /// Scalar variable (or PARAMETER) read.
     Scalar(SymbolId),
     /// Array element read.
-    Elem { arr: SymbolId, idx: Vec<Expr> },
+    Elem {
+        arr: SymbolId,
+        idx: Vec<Expr>,
+    },
     /// Array section read (vector context) — whole arrays lower to a
     /// section covering every dimension.
-    Section { arr: SymbolId, idx: Vec<Index> },
+    Section {
+        arr: SymbolId,
+        idx: Vec<Index>,
+    },
     Un(UnOp, Box<Expr>),
     Bin(BinOp, Box<Expr>, Box<Expr>),
     /// Intrinsic call; reductions carry their execution mode.
-    Intr { f: Intrinsic, args: Vec<Expr>, par: ParMode },
+    Intr {
+        f: Intrinsic,
+        args: Vec<Expr>,
+        par: ParMode,
+    },
     /// User function call (resolved by name at program level).
-    Call { unit: String, args: Vec<Expr> },
+    Call {
+        unit: String,
+        args: Vec<Expr>,
+    },
 }
 
 impl Expr {
@@ -295,20 +307,24 @@ impl Expr {
                 }
             }
             Expr::Intr { f, args, .. } => match f {
-                Intrinsic::Int | Intrinsic::Nint | Intrinsic::MaxLoc | Intrinsic::MinLoc
-                | Intrinsic::Iota => {
-                    Ty::Int
-                }
+                Intrinsic::Int
+                | Intrinsic::Nint
+                | Intrinsic::MaxLoc
+                | Intrinsic::MinLoc
+                | Intrinsic::Iota => Ty::Int,
                 Intrinsic::Real => Ty::Real,
                 Intrinsic::Dble => Ty::Double,
-                Intrinsic::Mod | Intrinsic::Abs | Intrinsic::Sign | Intrinsic::Min
-                | Intrinsic::Max | Intrinsic::Sum | Intrinsic::Product | Intrinsic::MaxVal
-                | Intrinsic::MinVal | Intrinsic::DotProduct => args
-                    .first()
-                    .map_or(Ty::Real, |a| a.ty(unit)),
-                _ => args
-                    .first()
-                    .map_or(Ty::Real, |a| a.ty(unit).promote(Ty::Real)),
+                Intrinsic::Mod
+                | Intrinsic::Abs
+                | Intrinsic::Sign
+                | Intrinsic::Min
+                | Intrinsic::Max
+                | Intrinsic::Sum
+                | Intrinsic::Product
+                | Intrinsic::MaxVal
+                | Intrinsic::MinVal
+                | Intrinsic::DotProduct => args.first().map_or(Ty::Real, |a| a.ty(unit)),
+                _ => args.first().map_or(Ty::Real, |a| a.ty(unit).promote(Ty::Real)),
             },
             Expr::Call { unit: name, .. } => {
                 // Function result types are resolved during lowering; the
@@ -336,10 +352,7 @@ impl Expr {
     pub fn is_vector_valued(&self) -> bool {
         let mut found = false;
         crate::visit::walk_expr(self, &mut |e| {
-            if matches!(
-                e,
-                Expr::Section { .. } | Expr::Intr { f: Intrinsic::Iota, .. }
-            ) {
+            if matches!(e, Expr::Section { .. } | Expr::Intr { f: Intrinsic::Iota, .. }) {
                 found = true;
             }
         });
@@ -354,12 +367,15 @@ mod tests {
     #[test]
     fn const_folding_helpers() {
         assert_eq!(Expr::add(Expr::ConstI(2), Expr::ConstI(3)), Expr::ConstI(5));
-        assert_eq!(Expr::add(Expr::Scalar(SymbolId(0)), Expr::ConstI(0)), Expr::Scalar(SymbolId(0)));
-        assert_eq!(Expr::mul(Expr::ConstI(1), Expr::Scalar(SymbolId(1))), Expr::Scalar(SymbolId(1)));
         assert_eq!(
-            Expr::sub(Expr::ConstI(2), Expr::ConstI(7)).as_const_int(),
-            Some(-5)
+            Expr::add(Expr::Scalar(SymbolId(0)), Expr::ConstI(0)),
+            Expr::Scalar(SymbolId(0))
         );
+        assert_eq!(
+            Expr::mul(Expr::ConstI(1), Expr::Scalar(SymbolId(1))),
+            Expr::Scalar(SymbolId(1))
+        );
+        assert_eq!(Expr::sub(Expr::ConstI(2), Expr::ConstI(7)).as_const_int(), Some(-5));
     }
 
     #[test]

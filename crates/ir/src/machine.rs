@@ -188,7 +188,7 @@ impl Machine {
             global_scalar: c.cluster_mem,
             global_vector: c.cluster_mem * 0.5,
             global_prefetch: c.cluster_mem * 0.5,
-            global_streams: 32.0, // bus is not the bottleneck at 8 CEs
+            global_streams: 32.0,   // bus is not the bottleneck at 8 CEs
             sdo_start: c.cdo_start, // no cross-cluster library path
             xdo_start: c.cdo_start,
             lib_dispatch: c.cdo_dispatch,

@@ -666,15 +666,10 @@ mod tests {
 
     #[test]
     fn precedence_printing_is_minimal_and_correct() {
-        let p = compile_free(
-            "subroutine s(a, b, c, x)\nx = (a + b) * c - a / (b - c) ** 2\nend\n",
-        )
-        .unwrap();
+        let p = compile_free("subroutine s(a, b, c, x)\nx = (a + b) * c - a / (b - c) ** 2\nend\n")
+            .unwrap();
         let text = print_program(&p);
-        assert!(
-            text.contains("x = (a + b) * c - a / (b - c) ** 2"),
-            "got: {text}"
-        );
+        assert!(text.contains("x = (a + b) * c - a / (b - c) ** 2"), "got: {text}");
     }
 
     #[test]
@@ -737,10 +732,7 @@ mod tests {
     #[test]
     fn a_lead_past_column_72_puts_one_token_on_each_card() {
         let (first, cont) = (" ".repeat(6 + 80), format!("     &{}", " ".repeat(82)));
-        assert_eq!(
-            cards(40, "x = y + z"),
-            format!("{first}x\n{cont}=\n{cont}y\n{cont}+\n{cont}z")
-        );
+        assert_eq!(cards(40, "x = y + z"), format!("{first}x\n{cont}=\n{cont}y\n{cont}+\n{cont}z"));
         // Four columns left on the first card, two on the others.
         let (first, cont) = (" ".repeat(6 + 62), format!("     &{}", " ".repeat(64)));
         assert_eq!(cards(31, "x = y + zed"), format!("{first}x =\n{cont}y\n{cont}+\n{cont}zed"));

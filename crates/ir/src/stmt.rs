@@ -11,17 +11,21 @@ use cedar_f77::Span;
 pub enum LValue {
     /// Scalar variable.
     Scalar(SymbolId),
-    Elem { arr: SymbolId, idx: Vec<Expr> },
-    Section { arr: SymbolId, idx: Vec<Index> },
+    Elem {
+        arr: SymbolId,
+        idx: Vec<Expr>,
+    },
+    Section {
+        arr: SymbolId,
+        idx: Vec<Index>,
+    },
 }
 
 impl LValue {
     /// The assigned symbol.
     pub fn base(&self) -> SymbolId {
         match self {
-            LValue::Scalar(s) | LValue::Elem { arr: s, .. } | LValue::Section { arr: s, .. } => {
-                *s
-            }
+            LValue::Scalar(s) | LValue::Elem { arr: s, .. } | LValue::Section { arr: s, .. } => *s,
         }
     }
     /// Is this a vector (section) target?
@@ -38,12 +42,21 @@ impl LValue {
 pub enum SyncOp {
     /// Wait until iteration `i - dist` has executed `Advance(point)`.
     /// Legal only inside a DOACROSS body.
-    Await { point: u32, dist: Expr },
+    Await {
+        point: u32,
+        dist: Expr,
+    },
     /// Signal this iteration's passage of `point`.
-    Advance { point: u32 },
+    Advance {
+        point: u32,
+    },
     /// Enter an unordered critical section.
-    Lock { id: u32 },
-    Unlock { id: u32 },
+    Lock {
+        id: u32,
+    },
+    Unlock {
+        id: u32,
+    },
 }
 
 /// A DO loop of any scheduling class with the Cedar Fortran extras
@@ -229,7 +242,8 @@ mod tests {
     fn const_trip_counts() {
         let l = first_loop("subroutine s(a)\nreal a(100)\ndo i = 1, 100\na(i) = 0.\nend do\nend\n");
         assert_eq!(l.const_trip(), Some(100));
-        let l = first_loop("subroutine s(a)\nreal a(100)\ndo i = 100, 1, -2\na(i) = 0.\nend do\nend\n");
+        let l =
+            first_loop("subroutine s(a)\nreal a(100)\ndo i = 100, 1, -2\na(i) = 0.\nend do\nend\n");
         assert_eq!(l.const_trip(), Some(50));
         let l = first_loop("subroutine s(a, n)\nreal a(n)\ndo i = 1, n\na(i) = 0.\nend do\nend\n");
         assert_eq!(l.const_trip(), None);

@@ -49,26 +49,19 @@ fn walk_index(i: &Index, f: &mut impl FnMut(&Expr)) {
 pub fn map_expr(e: &Expr, f: &mut impl FnMut(Expr) -> Expr) -> Expr {
     let rebuilt = match e {
         Expr::Un(op, inner) => Expr::Un(*op, Box::new(map_expr(inner, f))),
-        Expr::Bin(op, l, r) => {
-            Expr::Bin(*op, Box::new(map_expr(l, f)), Box::new(map_expr(r, f)))
+        Expr::Bin(op, l, r) => Expr::Bin(*op, Box::new(map_expr(l, f)), Box::new(map_expr(r, f))),
+        Expr::Elem { arr, idx } => {
+            Expr::Elem { arr: *arr, idx: idx.iter().map(|i| map_expr(i, f)).collect() }
         }
-        Expr::Elem { arr, idx } => Expr::Elem {
-            arr: *arr,
-            idx: idx.iter().map(|i| map_expr(i, f)).collect(),
-        },
-        Expr::Section { arr, idx } => Expr::Section {
-            arr: *arr,
-            idx: idx.iter().map(|i| map_index(i, f)).collect(),
-        },
-        Expr::Intr { f: intr, args, par } => Expr::Intr {
-            f: *intr,
-            args: args.iter().map(|a| map_expr(a, f)).collect(),
-            par: *par,
-        },
-        Expr::Call { unit, args } => Expr::Call {
-            unit: unit.clone(),
-            args: args.iter().map(|a| map_expr(a, f)).collect(),
-        },
+        Expr::Section { arr, idx } => {
+            Expr::Section { arr: *arr, idx: idx.iter().map(|i| map_index(i, f)).collect() }
+        }
+        Expr::Intr { f: intr, args, par } => {
+            Expr::Intr { f: *intr, args: args.iter().map(|a| map_expr(a, f)).collect(), par: *par }
+        }
+        Expr::Call { unit, args } => {
+            Expr::Call { unit: unit.clone(), args: args.iter().map(|a| map_expr(a, f)).collect() }
+        }
         other => other.clone(),
     };
     f(rebuilt)
@@ -255,12 +248,7 @@ pub fn map_stmt_exprs(s: &mut Stmt, f: &mut impl FnMut(Expr) -> Expr) {
             if let Some(st) = &mut l.step {
                 *st = map_expr(st, f);
             }
-            for st in l
-                .preamble
-                .iter_mut()
-                .chain(l.body.iter_mut())
-                .chain(l.postamble.iter_mut())
-            {
+            for st in l.preamble.iter_mut().chain(l.body.iter_mut()).chain(l.postamble.iter_mut()) {
                 map_stmt_exprs(st, f);
             }
         }
@@ -336,10 +324,7 @@ mod tests {
 
     #[test]
     fn walk_expr_sees_subscripts() {
-        let e = Expr::Elem {
-            arr: SymbolId(1),
-            idx: vec![Expr::Scalar(SymbolId(2))],
-        };
+        let e = Expr::Elem { arr: SymbolId(1), idx: vec![Expr::Scalar(SymbolId(2))] };
         let mut seen = Vec::new();
         walk_expr(&e, &mut |x| {
             if let Expr::Scalar(s) = x {
@@ -352,7 +337,8 @@ mod tests {
     #[test]
     fn walk_stmts_depth_first() {
         let inner = Stmt::Return;
-        let l = crate::stmt::Loop::new_seq(SymbolId(0), Expr::ConstI(1), Expr::ConstI(2), vec![inner]);
+        let l =
+            crate::stmt::Loop::new_seq(SymbolId(0), Expr::ConstI(1), Expr::ConstI(2), vec![inner]);
         let body = vec![Stmt::Loop(l), Stmt::Stop];
         let mut kinds = Vec::new();
         walk_stmts(&body, &mut |s| {

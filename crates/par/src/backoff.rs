@@ -49,9 +49,8 @@ mod tests {
         let base = Duration::from_millis(100);
         // Not all labels may differ at every k, but across a handful of
         // labels the jitter must not collapse to one value.
-        let distinct: std::collections::HashSet<Duration> = (0..8)
-            .map(|i| backoff(base, &format!("worker-{i}"), 1))
-            .collect();
+        let distinct: std::collections::HashSet<Duration> =
+            (0..8).map(|i| backoff(base, &format!("worker-{i}"), 1)).collect();
         assert!(distinct.len() > 1, "jitter ignored the label");
     }
 }

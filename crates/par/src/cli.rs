@@ -190,7 +190,9 @@ mod tests {
 
     #[test]
     fn options_come_out_by_name_wherever_they_stand() {
-        let mut a = args(&["in.f", "--seeds", "3..9", "--quiet", "--n", "7", "--budget", "0.5", "--to", "-1"]);
+        let mut a = args(&[
+            "in.f", "--seeds", "3..9", "--quiet", "--n", "7", "--budget", "0.5", "--to", "-1",
+        ]);
         assert_eq!(a.seeds("--seeds"), Some((3, 9)));
         assert!(a.flag("--quiet") && !a.flag("--loud"));
         assert_eq!(a.value::<u32>("--n"), Some(7));
@@ -220,11 +222,31 @@ mod tests {
             ("CEDAR_JOBS", "four", "CEDAR_JOBS=four: expected a positive integer"),
             ("CEDAR_JOBS", "0", "CEDAR_JOBS=0: expected a positive integer"),
             ("CEDAR_JOBS", "-1", "CEDAR_JOBS=-1: expected a positive integer"),
-            ("CEDAR_CELL_DEADLINE", "abc", "CEDAR_CELL_DEADLINE=abc: expected seconds, finite and not negative"),
-            ("CEDAR_CELL_DEADLINE", "-1", "CEDAR_CELL_DEADLINE=-1: expected seconds, finite and not negative"),
-            ("CEDAR_CELL_DEADLINE", "nan", "CEDAR_CELL_DEADLINE=nan: expected seconds, finite and not negative"),
-            ("CEDAR_CELL_DEADLINE", "inf", "CEDAR_CELL_DEADLINE=inf: expected seconds, finite and not negative"),
-            ("CEDAR_CELL_DEADLINE", "1e400", "CEDAR_CELL_DEADLINE=1e400: expected seconds, finite and not negative"),
+            (
+                "CEDAR_CELL_DEADLINE",
+                "abc",
+                "CEDAR_CELL_DEADLINE=abc: expected seconds, finite and not negative",
+            ),
+            (
+                "CEDAR_CELL_DEADLINE",
+                "-1",
+                "CEDAR_CELL_DEADLINE=-1: expected seconds, finite and not negative",
+            ),
+            (
+                "CEDAR_CELL_DEADLINE",
+                "nan",
+                "CEDAR_CELL_DEADLINE=nan: expected seconds, finite and not negative",
+            ),
+            (
+                "CEDAR_CELL_DEADLINE",
+                "inf",
+                "CEDAR_CELL_DEADLINE=inf: expected seconds, finite and not negative",
+            ),
+            (
+                "CEDAR_CELL_DEADLINE",
+                "1e400",
+                "CEDAR_CELL_DEADLINE=1e400: expected seconds, finite and not negative",
+            ),
             ("CEDAR_BUNDLE_CAP", "64", "CEDAR_BUNDLE_CAP: no such variable"),
             ("CEDAR_JOB", "4", "CEDAR_JOB: no such variable"),
             ("CEDAR_ENGINE", "interp", "CEDAR_ENGINE: no such variable"),

@@ -248,8 +248,7 @@ where
     // Each input and each output slot gets its own mutex so workers
     // never contend except on the claim counter; `take()` moves the
     // item into the worker, and results land in index order.
-    let input: Vec<Mutex<Option<T>>> =
-        items.into_iter().map(|t| Mutex::new(Some(t))).collect();
+    let input: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
     let output: Vec<Mutex<Option<Result<R, PanicPayload>>>> =
         (0..n).map(|_| Mutex::new(None)).collect();
     let next = AtomicUsize::new(0);
@@ -538,11 +537,7 @@ mod tests {
         });
         let payload = result.expect_err("panic must still propagate");
         assert_eq!(panic_message(payload.as_ref()), "cell 5 exploded");
-        assert_eq!(
-            RAN.load(Ordering::SeqCst),
-            31,
-            "every non-panicking item must still run"
-        );
+        assert_eq!(RAN.load(Ordering::SeqCst), 31, "every non-panicking item must still run");
     }
 
     #[test]
@@ -570,9 +565,7 @@ mod tests {
         let prev = set_context(Some(Arc::new(42usize)));
         let seen = with_jobs(4, || {
             par_map((0..16usize).collect(), |_| {
-                context()
-                    .and_then(|c| c.downcast_ref::<usize>().copied())
-                    .unwrap_or(0)
+                context().and_then(|c| c.downcast_ref::<usize>().copied()).unwrap_or(0)
             })
         });
         set_context(prev);
@@ -585,19 +578,12 @@ mod tests {
     fn the_caller_runs_the_first_item_and_one_thread_fewer_is_spawned() {
         let _jobs = hold_jobs();
         let caller = std::thread::current().id();
-        let ran_on = with_jobs(3, || {
-            par_map((0..24usize).collect(), |_| std::thread::current().id())
-        });
-        assert_eq!(
-            ran_on[0], caller,
-            "item 0 is claimed before any thread is spawned"
-        );
+        let ran_on =
+            with_jobs(3, || par_map((0..24usize).collect(), |_| std::thread::current().id()));
+        assert_eq!(ran_on[0], caller, "item 0 is claimed before any thread is spawned");
         let spawned: std::collections::HashSet<_> =
             ran_on.iter().filter(|&&id| id != caller).collect();
-        assert!(
-            spawned.len() <= 2,
-            "3 workers are the caller and at most 2 threads: {spawned:?}"
-        );
+        assert!(spawned.len() <= 2, "3 workers are the caller and at most 2 threads: {spawned:?}");
         // And a lone sweep does get both: three items that wait for each
         // other can only finish on three threads.
         let all_in = Barrier::new(3);

@@ -69,10 +69,7 @@ fn main() {
     // the sweeps, none for the service").
     let unique = (requests * 2 / 5).max(1);
     let seed_of = |i: usize| ((i / 2) % unique) as u64;
-    eprintln!(
-        "loadtest: generating {} requests ({} unique programs) ...",
-        requests, unique
-    );
+    eprintln!("loadtest: generating {} requests ({} unique programs) ...", requests, unique);
     let bodies: Vec<String> = (0..requests)
         .map(|i| {
             let seed = seed_of(i);
@@ -166,19 +163,13 @@ fn main() {
 
     let (_, metrics_body) = http::get(&addr, "/metrics", Duration::from_secs(10))
         .unwrap_or_else(|e| args.fail(format!("metrics fetch failed: {e}")));
-    let metrics = Json::parse(&metrics_body)
-        .unwrap_or_else(|e| args.fail(format!("metrics not JSON: {e}")));
+    let metrics =
+        Json::parse(&metrics_body).unwrap_or_else(|e| args.fail(format!("metrics not JSON: {e}")));
     let counter = |name: &str| {
-        metrics
-            .u64_at(name)
-            .unwrap_or_else(|e| args.fail(format!("metrics: {e}: {metrics_body}")))
+        metrics.u64_at(name).unwrap_or_else(|e| args.fail(format!("metrics: {e}: {metrics_body}")))
     };
-    let (shed, recovered, quarantined_srv, coalesced) = (
-        counter("shed"),
-        counter("recovered"),
-        counter("quarantined"),
-        counter("coalesced"),
-    );
+    let (shed, recovered, quarantined_srv, coalesced) =
+        (counter("shed"), counter("recovered"), counter("quarantined"), counter("coalesced"));
 
     // Graceful shutdown must drain: the server joins without force.
     match http::post(&addr, "/shutdown", "", Duration::from_secs(10)) {

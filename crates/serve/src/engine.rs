@@ -267,10 +267,8 @@ fn validated(
     // every simulation of the path.
     supervise::gate("simulate");
     supervise::gate("validate");
-    let vcfg = ValidationConfig {
-        seeds: cfg.validate_seeds.clone(),
-        ..ValidationConfig::default()
-    };
+    let vcfg =
+        ValidationConfig { seeds: cfg.validate_seeds.clone(), ..ValidationConfig::default() };
     let v = restructure_validated(
         program,
         &supervise::adjust_pass(pass),
@@ -295,18 +293,17 @@ fn validated(
 }
 
 /// `"validate": false`: restructure, and simulate input and output.
-fn unvalidated(program: &Program, pass: &PassConfig, mc: &MachineConfig, watch: &[&str]) -> Checked {
+fn unvalidated(
+    program: &Program,
+    pass: &PassConfig,
+    mc: &MachineConfig,
+    watch: &[&str],
+) -> Checked {
     let serial = plain_run(program, mc, watch);
     supervise::gate("restructure");
     let r = cedar_restructure::restructure(program, &supervise::adjust_pass(pass));
     let candidate = plain_run(&r.program, mc, watch);
-    Checked {
-        program: r.program,
-        report: r.report,
-        serial,
-        candidate,
-        validation: None,
-    }
+    Checked { program: r.program, report: r.report, serial, candidate, validation: None }
 }
 
 /// One attempt's real work; runs under the supervisor's cell context,
@@ -365,11 +362,8 @@ fn success_body(
     request_id: &str,
     queued: Duration,
 ) -> String {
-    let speedup = if out.parallel_cycles > 0.0 {
-        out.serial_cycles / out.parallel_cycles
-    } else {
-        0.0
-    };
+    let speedup =
+        if out.parallel_cycles > 0.0 { out.serial_cycles / out.parallel_cycles } else { 0.0 };
     let mut w = Writer::new();
     w.obj().key("schema").str("cedar-serve-v1");
     w.key("restructured").str(&out.restructured);

@@ -14,8 +14,8 @@
 //!    fixed message, and the gory details go to the crash bundle the
 //!    response references instead.
 
-use cedar_experiments::Writer;
 use cedar_experiments::supervise::{CellError, CellErrorKind};
+use cedar_experiments::Writer;
 
 /// Service-side error kinds (program/simulator kinds come from
 /// [`cedar_sim::SimErrorKind::as_str`]).

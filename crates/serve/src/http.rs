@@ -44,8 +44,8 @@ pub fn read_request(stream: &mut TcpStream) -> Result<Request, String> {
         buf.extend_from_slice(&chunk[..n]);
     };
 
-    let head = std::str::from_utf8(&buf[..header_end])
-        .map_err(|e| format!("non-UTF-8 headers: {e}"))?;
+    let head =
+        std::str::from_utf8(&buf[..header_end]).map_err(|e| format!("non-UTF-8 headers: {e}"))?;
     let mut lines = head.split("\r\n");
     let request_line = lines.next().unwrap_or("");
     let mut parts = request_line.split_whitespace();
@@ -56,10 +56,8 @@ pub fn read_request(stream: &mut TcpStream) -> Result<Request, String> {
     for line in lines {
         if let Some((name, value)) = line.split_once(':') {
             if name.trim().eq_ignore_ascii_case("content-length") {
-                content_length = value
-                    .trim()
-                    .parse()
-                    .map_err(|e| format!("bad content-length: {e}"))?;
+                content_length =
+                    value.trim().parse().map_err(|e| format!("bad content-length: {e}"))?;
             }
         }
     }
@@ -116,26 +114,16 @@ pub fn write_response(stream: &mut impl Write, status: u16, body: &str) {
 
 /// Client: one round trip, returning `(status, body)`. `timeout` bounds
 /// each socket operation, not the whole exchange.
-fn round_trip(
-    addr: &str,
-    request: &str,
-    timeout: Duration,
-) -> Result<(u16, String), String> {
-    let mut stream =
-        TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
+fn round_trip(addr: &str, request: &str, timeout: Duration) -> Result<(u16, String), String> {
+    let mut stream = TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
     stream.set_read_timeout(Some(timeout)).ok();
     stream.set_write_timeout(Some(timeout)).ok();
-    stream
-        .write_all(request.as_bytes())
-        .map_err(|e| format!("send: {e}"))?;
+    stream.write_all(request.as_bytes()).map_err(|e| format!("send: {e}"))?;
     let mut response = Vec::new();
-    stream
-        .read_to_end(&mut response)
-        .map_err(|e| format!("receive: {e}"))?;
+    stream.read_to_end(&mut response).map_err(|e| format!("receive: {e}"))?;
     let text = String::from_utf8(response).map_err(|e| format!("non-UTF-8 response: {e}"))?;
-    let (head, body) = text
-        .split_once("\r\n\r\n")
-        .ok_or("response has no header/body separator")?;
+    let (head, body) =
+        text.split_once("\r\n\r\n").ok_or("response has no header/body separator")?;
     let status: u16 = head
         .split_whitespace()
         .nth(1)
@@ -188,8 +176,7 @@ mod tests {
             write_response(&mut s, 200, &format!("{{\"len\": {}}}", req.body.len()));
         });
         let body = "x".repeat(10_000); // bigger than one read chunk
-        let (status, resp) =
-            post(&addr, "/echo", &body, Duration::from_secs(5)).unwrap();
+        let (status, resp) = post(&addr, "/echo", &body, Duration::from_secs(5)).unwrap();
         assert_eq!(status, 200);
         assert_eq!(resp, "{\"len\": 10000}");
         server.join().unwrap();
@@ -230,11 +217,7 @@ mod tests {
         let mut stream = TcpStream::connect(&addr).unwrap();
         stream
             .write_all(
-                format!(
-                    "POST /x HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
-                    MAX_BODY + 1
-                )
-                .as_bytes(),
+                format!("POST /x HTTP/1.1\r\nContent-Length: {}\r\n\r\n", MAX_BODY + 1).as_bytes(),
             )
             .unwrap();
         let mut out = Vec::new();

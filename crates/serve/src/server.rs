@@ -355,18 +355,15 @@ fn worker_loop(shared: &Shared, persist: Option<&SyncSender<Put>>) {
                 if shared.draining.load(Ordering::SeqCst) {
                     break None;
                 }
-                queue = shared
-                    .queue_cv
-                    .wait(queue)
-                    .unwrap_or_else(|e| e.into_inner());
+                queue = shared.queue_cv.wait(queue).unwrap_or_else(|e| e.into_inner());
             }
         };
         match stream {
             // The request holds a core of the process's budget while it
             // is answered, so concurrent verdicts run on their workers.
-            Some((s, admitted)) => cedar_par::occupy(|| {
-                handle_connection(shared, persist, s, admitted.elapsed())
-            }),
+            Some((s, admitted)) => {
+                cedar_par::occupy(|| handle_connection(shared, persist, s, admitted.elapsed()))
+            }
             None => return, // drained and draining: exit
         }
     }
@@ -387,7 +384,12 @@ fn handle_connection(
             http::write_response(
                 &mut stream,
                 400,
-                &error::error_json(kind::BAD_REQUEST, &format!("malformed request: {e}"), None, &[]),
+                &error::error_json(
+                    kind::BAD_REQUEST,
+                    &format!("malformed request: {e}"),
+                    None,
+                    &[],
+                ),
             );
             return;
         }
@@ -419,7 +421,9 @@ fn handle_connection(
             begin_drain(shared);
             http::write_response(&mut stream, 200, &flags(&[("ok", true), ("draining", true)]));
         }
-        ("POST", "/restructure") => restructure_endpoint(shared, persist, stream, &req.body, queued),
+        ("POST", "/restructure") => {
+            restructure_endpoint(shared, persist, stream, &req.body, queued)
+        }
         _ => {
             shared.counters.client_errors.fetch_add(1, Ordering::Relaxed);
             http::write_response(
@@ -546,10 +550,7 @@ fn restructure_endpoint(
     };
 
     if handled.status == 200 {
-        shared
-            .counters
-            .served
-            .fetch_add(1 + waiters.len() as u64, Ordering::Relaxed);
+        shared.counters.served.fetch_add(1 + waiters.len() as u64, Ordering::Relaxed);
         if handled.retries > 0 {
             shared.counters.recovered.fetch_add(1, Ordering::Relaxed);
         }
@@ -587,10 +588,7 @@ mod tests {
     use std::path::PathBuf;
 
     fn test_config(tag: &str) -> ServerConfig {
-        let mut cfg = ServerConfig {
-            workers: 2,
-            ..ServerConfig::default()
-        };
+        let mut cfg = ServerConfig { workers: 2, ..ServerConfig::default() };
         cfg.engine.sup.chaos = None;
         cfg.engine.sup.deadline = None;
         cfg.engine.sup.bundle_dir = PathBuf::from(format!("target/test-serve-bundles/{tag}"));
@@ -683,10 +681,8 @@ mod tests {
             })
             .collect();
         assert!(reports.windows(2).all(|w| w[0] == w[1]), "answers must agree");
-        let marked = bodies
-            .iter()
-            .filter(|(_, b)| b.contains("\"coalesced\": true"))
-            .count() as u64;
+        let marked =
+            bodies.iter().filter(|(_, b)| b.contains("\"coalesced\": true")).count() as u64;
         assert_eq!(marked, coalesced, "followers carry the coalesced marker");
         server.shutdown();
     }
@@ -712,7 +708,8 @@ mod tests {
         let mut req = ServeRequest::new("program p\nreal x\nx = 1.0\nprint *, x\nend\n");
         req.validate = false;
         let (status, body) = std::thread::scope(|scope| {
-            let queued = scope.spawn(|| http::post(&addr, "/restructure", &req.to_json(), T).unwrap());
+            let queued =
+                scope.spawn(|| http::post(&addr, "/restructure", &req.to_json(), T).unwrap());
             admitted(2);
             std::thread::sleep(Duration::from_millis(20));
             silent.write_all(b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n").unwrap();
@@ -847,7 +844,11 @@ mod tests {
             for req in &distinct(2) {
                 post_ok(&addr, req);
             }
-            assert_eq!(settled_store_counts(&addr), (0, 0, 0, 2), "{stage:?}: the records are dropped");
+            assert_eq!(
+                settled_store_counts(&addr),
+                (0, 0, 0, 2),
+                "{stage:?}: the records are dropped"
+            );
             server.shutdown();
             assert_on_disk(&dir, &[], &[]);
         }

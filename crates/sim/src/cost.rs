@@ -191,7 +191,9 @@ impl CostModel {
         use CostClass::*;
         let cfg = &self.cfg;
         Some(match class {
-            LoopClass::CDoall | LoopClass::CDoacross => (cfg.ces_per_cluster, CdoStart, CdoDispatch),
+            LoopClass::CDoall | LoopClass::CDoacross => {
+                (cfg.ces_per_cluster, CdoStart, CdoDispatch)
+            }
             LoopClass::SDoall | LoopClass::SDoacross => (cfg.clusters, SdoStart, LibDispatch),
             LoopClass::XDoall | LoopClass::XDoacross => (cfg.total_ces(), XdoStart, LibDispatch),
             LoopClass::Seq => return None,
@@ -510,7 +512,11 @@ mod tests {
             let sum = ExactSum::of(&prices).expect("finite prices >= 0");
             match sum.after(t, n) {
                 Some(end) => {
-                    assert_eq!(end.to_bits(), in_order(&prices, t, n).to_bits(), "{prices:?} {t} {n}");
+                    assert_eq!(
+                        end.to_bits(),
+                        in_order(&prices, t, n).to_bits(),
+                        "{prices:?} {t} {n}"
+                    );
                     folded += 1;
                 }
                 None => refused += 1,
@@ -603,17 +609,60 @@ mod tests {
             ($($f:ident),*) => { vec![$((stringify!($f), $f)),*] };
         }
         let Machine {
-            name: _, clusters: _, ces_per_cluster: _, cache_hit, cluster_mem, global_scalar,
-            global_vector, global_prefetch, prefetch: _, scalar_op, vector_op, vector_startup,
-            call_overhead, io_cost, cdo_start, cdo_dispatch, sdo_start, xdo_start, lib_dispatch,
-            barrier, ctsk_start, mtsk_start, await_cost, advance_cost, lock_cost, global_streams,
-            cluster_capacity: _, global_capacity: _, page_fault_cost,
+            name: _,
+            clusters: _,
+            ces_per_cluster: _,
+            cache_hit,
+            cluster_mem,
+            global_scalar,
+            global_vector,
+            global_prefetch,
+            prefetch: _,
+            scalar_op,
+            vector_op,
+            vector_startup,
+            call_overhead,
+            io_cost,
+            cdo_start,
+            cdo_dispatch,
+            sdo_start,
+            xdo_start,
+            lib_dispatch,
+            barrier,
+            ctsk_start,
+            mtsk_start,
+            await_cost,
+            advance_cost,
+            lock_cost,
+            global_streams,
+            cluster_capacity: _,
+            global_capacity: _,
+            page_fault_cost,
         } = cfg;
         named!(
-            cache_hit, cluster_mem, global_scalar, global_vector, global_prefetch, scalar_op,
-            vector_op, vector_startup, call_overhead, io_cost, cdo_start, cdo_dispatch, sdo_start,
-            xdo_start, lib_dispatch, barrier, ctsk_start, mtsk_start, await_cost, advance_cost,
-            lock_cost, global_streams, page_fault_cost
+            cache_hit,
+            cluster_mem,
+            global_scalar,
+            global_vector,
+            global_prefetch,
+            scalar_op,
+            vector_op,
+            vector_startup,
+            call_overhead,
+            io_cost,
+            cdo_start,
+            cdo_dispatch,
+            sdo_start,
+            xdo_start,
+            lib_dispatch,
+            barrier,
+            ctsk_start,
+            mtsk_start,
+            await_cost,
+            advance_cost,
+            lock_cost,
+            global_streams,
+            page_fault_cost
         )
     }
 
@@ -621,7 +670,8 @@ mod tests {
     /// `prefetch_block`, which nothing read, was once listed as one).
     #[test]
     fn every_cost_field_is_live() {
-        let programs: Vec<_> = PROBES.iter().map(|src| cedar_ir::compile_free(src).unwrap()).collect();
+        let programs: Vec<_> =
+            PROBES.iter().map(|src| cedar_ir::compile_free(src).unwrap()).collect();
         let cycles = |m: &Machine| -> Vec<u64> {
             let run = |p| crate::run(p, MachineConfig::on(m.clone())).unwrap().cycles().to_bits();
             programs.iter().map(run).collect()

@@ -182,9 +182,7 @@ impl<'p> Simulator<'p> {
         mut config: MachineConfig,
         compiled: Option<Arc<CompiledProgram>>,
     ) -> Result<Simulator<'p>> {
-        let races = config
-            .detect_races
-            .then(|| Box::new(RaceDetector::new(true)));
+        let races = config.detect_races.then(|| Box::new(RaceDetector::new(true)));
         let pre = Prepass::build(program, config.fast_paths);
         let mut store = Store::new(config.machine.clusters);
         if races.is_some() {
@@ -297,11 +295,8 @@ impl<'p> Simulator<'p> {
         // Copy the `&'p Program` out of `self` so the body borrow is
         // independent of `&mut self` (no per-run body clone).
         let program = self.program;
-        let idx = program
-            .units
-            .iter()
-            .position(|u| u.kind == UnitKind::Program)
-            .ok_or_else(|| {
+        let idx =
+            program.units.iter().position(|u| u.kind == UnitKind::Program).ok_or_else(|| {
                 SimError::new(
                     SimErrorKind::BadProgram,
                     cedar_ir::Span::NONE,
@@ -328,17 +323,12 @@ impl<'p> Simulator<'p> {
         let data = self.store.slot(slot);
         let len = if bind.dims.is_empty() { 1 } else { bind.total_len() };
         let avail = data.len().saturating_sub(bind.offset);
-        Some(
-            (bind.offset..bind.offset + len.min(avail))
-                .map(|i| data.get(i))
-                .collect(),
-        )
+        Some((bind.offset..bind.offset + len.min(avail)).map(|i| data.get(i)).collect())
     }
 
     /// As [`Simulator::read_var`] but coerced to f64.
     pub fn read_f64(&self, name: &str) -> Option<Vec<f64>> {
-        self.read_var(name)
-            .map(|v| v.into_iter().map(|x| x.as_f64()).collect())
+        self.read_var(name).map(|v| v.into_iter().map(|x| x.as_f64()).collect())
     }
 
     /// [`CostModel::access`] with this run's pools, counters and fault
@@ -365,9 +355,7 @@ mod tests {
 
     #[test]
     fn scalar_arithmetic_and_assignment() {
-        let sim = run_src(
-            "program p\nreal x, y\nx = 3.0\ny = x * 2.0 + 1.0\nend\n",
-        );
+        let sim = run_src("program p\nreal x, y\nx = 3.0\ny = x * 2.0 + 1.0\nend\n");
         assert_eq!(sim.read_f64("y").unwrap(), vec![7.0]);
         assert!(sim.cycles() > 0.0);
     }
@@ -531,10 +519,8 @@ mod tests {
 
     #[test]
     fn out_of_bounds_is_reported() {
-        let p = compile_free(
-            "program p\nreal a(3)\ndo i = 1, 5\na(i) = 0.0\nend do\nend\n",
-        )
-        .unwrap();
+        let p =
+            compile_free("program p\nreal a(3)\ndo i = 1, 5\na(i) = 0.0\nend do\nend\n").unwrap();
         let e = crate::run(&p, MachineConfig::cedar_config1());
         assert!(e.is_err());
     }
@@ -557,8 +543,7 @@ mod tests {
              do i = 1, n\nb(i) = 1.0\nend do\na(1:n) = b(1:n) * 2.0\nend\n";
         let p = Box::leak(Box::new(compile_free(src).unwrap()));
         let with = crate::run(p, MachineConfig::cedar_config1()).unwrap();
-        let without =
-            crate::run(p, MachineConfig::cedar_config1().without_prefetch()).unwrap();
+        let without = crate::run(p, MachineConfig::cedar_config1().without_prefetch()).unwrap();
         assert!(without.cycles() > with.cycles());
         assert!(with.stats.prefetched_elems > 0);
         assert_eq!(without.stats.prefetched_elems, 0);
@@ -640,10 +625,8 @@ mod tests {
     fn watchdog_statement_budget_trips() {
         let mut cfg = MachineConfig::cedar_config1();
         cfg.watchdog_ops = 100;
-        let p = compile_free(
-            "program p\ns = 0.0\ndo i = 1, 1000\ns = s + 1.0\nend do\nend\n",
-        )
-        .unwrap();
+        let p =
+            compile_free("program p\ns = 0.0\ndo i = 1, 1000\ns = s + 1.0\nend do\nend\n").unwrap();
         let err = match crate::run(&p, cfg) {
             Err(e) => e,
             Ok(_) => panic!("watchdog budget of 100 statements should trip"),

@@ -52,9 +52,7 @@ impl Simulator<'_> {
                     .symbols
                     .iter()
                     .filter_map(|s| match &s.kind {
-                        SymKind::Common { block, member } if *block == bname => {
-                            Some((*member, s))
-                        }
+                        SymKind::Common { block, member } if *block == bname => Some((*member, s)),
                         _ => None,
                     })
                     .collect();
@@ -95,7 +93,10 @@ impl Simulator<'_> {
                     return err(sym.span, format!("COMMON array `{}` is assumed-size", sym.name))
                 }
                 _ => {
-                    return err(sym.span, format!("COMMON array `{}` has non-constant bounds", sym.name))
+                    return err(
+                        sym.span,
+                        format!("COMMON array `{}` has non-constant bounds", sym.name),
+                    )
                 }
             }
         }
@@ -282,7 +283,12 @@ impl Simulator<'_> {
     /// return the dims. `None` = take the slow path. Bypassed under race
     /// detection: the slow path's PARAMETER reads go through the
     /// detector's shadow memory and must not be skipped.
-    pub(super) fn cached_dims(&mut self, unit_idx: usize, si: usize, ctx: &mut Ctx) -> Option<&[(i64, i64)]> {
+    pub(super) fn cached_dims(
+        &mut self,
+        unit_idx: usize,
+        si: usize,
+        ctx: &mut Ctx,
+    ) -> Option<&[(i64, i64)]> {
         if self.races.is_some() {
             return None;
         }
@@ -409,10 +415,7 @@ impl Simulator<'_> {
         // paging model tracks the live working set. Argument aliases and
         // COMMON bindings are the caller's / program's storage.
         for (si, sym) in callee_unit.symbols.iter().enumerate() {
-            if matches!(
-                sym.kind,
-                SymKind::Local | SymKind::FuncResult | SymKind::Param(_)
-            ) {
+            if matches!(sym.kind, SymKind::Local | SymKind::FuncResult | SymKind::Param(_)) {
                 if let Some(b) = frame.binds[si].take() {
                     self.release_binding(&b, ctx.cluster);
                 }
@@ -519,7 +522,8 @@ impl Simulator<'_> {
                 let v = self.eval_scalar(caller, other, ctx)?;
                 let ty = v.ty();
                 let sref = self.alloc_storage(ty, 1, Placement::Private, ctx.cluster);
-                let bind = VarBind { sref, offset: 0, dims: vec![], ty, placement: Placement::Private };
+                let bind =
+                    VarBind { sref, offset: 0, dims: vec![], ty, placement: Placement::Private };
                 self.apply_init(&bind, &[v]);
                 Ok(bind)
             }

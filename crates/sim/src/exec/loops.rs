@@ -55,11 +55,7 @@ impl Simulator<'_> {
             var: l.var,
             locals: &l.locals,
             span: l.span,
-            blocks: LoopBlocks::Tree {
-                pre: &l.preamble,
-                body: &l.body,
-                post: &l.postamble,
-            },
+            blocks: LoopBlocks::Tree { pre: &l.preamble, body: &l.body, post: &l.postamble },
         };
         if l.class == LoopClass::Seq {
             return self.exec_seq_loop(frame, &lr, start, step, trip, ctx);
@@ -230,7 +226,8 @@ impl Simulator<'_> {
                     }
                     _ => self.alloc_storage(sym.ty, len, Placement::Private, home),
                 };
-                let b = VarBind { sref, offset: 0, dims, ty: sym.ty, placement: Placement::Private };
+                let b =
+                    VarBind { sref, offset: 0, dims, ty: sym.ty, placement: Placement::Private };
                 match per_part.get_mut(p) {
                     Some(slot) => *slot = b,
                     None => per_part.push(b),
@@ -267,9 +264,7 @@ impl Simulator<'_> {
         match class {
             LoopClass::CDoall | LoopClass::CDoacross | LoopClass::Seq => ctx.cluster,
             LoopClass::SDoall | LoopClass::SDoacross => p % self.clusters,
-            LoopClass::XDoall | LoopClass::XDoacross => {
-                (p / self.ces_per_cluster) % self.clusters
-            }
+            LoopClass::XDoall | LoopClass::XDoacross => (p / self.ces_per_cluster) % self.clusters,
         }
     }
 

@@ -16,7 +16,12 @@ const POLL_STATEMENTS: u64 = 1024;
 const POLL_ELEMENTS: u64 = 1 << 16;
 
 impl Simulator<'_> {
-    pub(super) fn exec_block(&mut self, frame: &mut Frame, body: &[Stmt], ctx: &mut Ctx) -> Result<Flow> {
+    pub(super) fn exec_block(
+        &mut self,
+        frame: &mut Frame,
+        body: &[Stmt],
+        ctx: &mut Ctx,
+    ) -> Result<Flow> {
         for s in body {
             match self.exec_stmt(frame, s, ctx)? {
                 Flow::Normal => {}
@@ -126,8 +131,7 @@ impl Simulator<'_> {
         self.statement_gate(s.span())?;
         match s {
             Stmt::Assign { lhs, rhs, span } => {
-                self.exec_assign(frame, lhs, rhs, None, ctx)
-                    .map_err(|e| with_span(e, *span))?;
+                self.exec_assign(frame, lhs, rhs, None, ctx).map_err(|e| with_span(e, *span))?;
                 Ok(Flow::Normal)
             }
             Stmt::WhereAssign { mask, lhs, rhs, span } => {
@@ -136,17 +140,13 @@ impl Simulator<'_> {
                 Ok(Flow::Normal)
             }
             Stmt::If { cond, then_body, elifs, else_body, span } => {
-                let c = self
-                    .eval_scalar(frame, cond, ctx)
-                    .map_err(|e| with_span(e, *span))?;
+                let c = self.eval_scalar(frame, cond, ctx).map_err(|e| with_span(e, *span))?;
                 self.costs.charge(CostClass::Branch, &mut self.stats, &mut ctx.time);
                 if c.as_bool() {
                     return self.exec_block(frame, then_body, ctx);
                 }
                 for (ec, eb) in elifs {
-                    let v = self
-                        .eval_scalar(frame, ec, ctx)
-                        .map_err(|e| with_span(e, *span))?;
+                    let v = self.eval_scalar(frame, ec, ctx).map_err(|e| with_span(e, *span))?;
                     if v.as_bool() {
                         return self.exec_block(frame, eb, ctx);
                     }
@@ -157,9 +157,7 @@ impl Simulator<'_> {
             Stmt::DoWhile { cond, body, span } => {
                 let mut iters = 0u64;
                 loop {
-                    let c = self
-                        .eval_scalar(frame, cond, ctx)
-                        .map_err(|e| with_span(e, *span))?;
+                    let c = self.eval_scalar(frame, cond, ctx).map_err(|e| with_span(e, *span))?;
                     if !c.as_bool() {
                         return Ok(Flow::Normal);
                     }
@@ -196,8 +194,7 @@ impl Simulator<'_> {
                         format!("CALL to unknown subroutine `{callee}`"),
                     )
                 })?;
-                self.invoke(frame, ridx, args, ctx)
-                    .map_err(|e| with_span(e, *span))?;
+                self.invoke(frame, ridx, args, ctx).map_err(|e| with_span(e, *span))?;
                 Ok(Flow::Normal)
             }
             Stmt::TaskStart { callee, args, lib, span } => {
@@ -290,9 +287,8 @@ impl Simulator<'_> {
                     // per-element writes in lane order.
                     None => {
                         let data = self.store.slot_mut(slot);
-                        let bulk = at
-                            .run()
-                            .is_some_and(|(first, _)| data.store_run(first, &vals, ty));
+                        let bulk =
+                            at.run().is_some_and(|(first, _)| data.store_run(first, &vals, ty));
                         if !bulk {
                             each_index!(&at, lins => data.store_at(lins, &vals, ty))
                                 .map_err(|lin| self.storage_error(slot, lin))?;

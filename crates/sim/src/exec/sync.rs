@@ -171,9 +171,7 @@ impl Simulator<'_> {
                                 .iter()
                                 .flatten()
                                 .copied()
-                                .fold(None, |m: Option<f64>, x| {
-                                    Some(m.map_or(x, |m| m.min(x)))
-                                })
+                                .fold(None, |m: Option<f64>, x| Some(m.map_or(x, |m| m.min(x))))
                         });
                         match t {
                             Some(t) => {

@@ -49,7 +49,11 @@ pub(super) const MAX_SECTION_RANK: usize = 8;
 #[derive(Debug, Clone, Copy)]
 pub(super) enum SectionDim {
     Fixed(i64),
-    RangeLen { lo: i64, step: i64, len: usize },
+    RangeLen {
+        lo: i64,
+        step: i64,
+        len: usize,
+    },
     /// Vector-valued subscript (gather/scatter through an index
     /// vector): which of [`Section::gathers`].
     Gather(usize),
@@ -95,11 +99,7 @@ impl Section {
 pub(super) enum LaneIdx {
     /// `first + k * stride` for `k < len`, every one inside the
     /// binding's declared shape.
-    Prog {
-        first: usize,
-        stride: isize,
-        len: usize,
-    },
+    Prog { first: usize, stride: isize, len: usize },
     /// One index per lane.
     List(Vec<usize>),
 }
@@ -110,7 +110,11 @@ fn progression_at(first: usize, stride: isize, k: usize) -> usize {
 }
 
 /// The indices of [`LaneIdx::Prog`].
-pub(super) fn progression(first: usize, stride: isize, len: usize) -> impl ExactSizeIterator<Item = usize> {
+pub(super) fn progression(
+    first: usize,
+    stride: isize,
+    len: usize,
+) -> impl ExactSizeIterator<Item = usize> {
     (0..len).map(move |k| progression_at(first, stride, k))
 }
 
@@ -200,15 +204,8 @@ pub(super) struct LoopRef<'a> {
 }
 
 pub(super) enum LoopBlocks<'a> {
-    Tree {
-        pre: &'a [Stmt],
-        body: &'a [Stmt],
-        post: &'a [Stmt],
-    },
-    Vm {
-        cu: &'a CompiledUnit,
-        lp: &'a VmLoop,
-    },
+    Tree { pre: &'a [Stmt], body: &'a [Stmt], post: &'a [Stmt] },
+    Vm { cu: &'a CompiledUnit, lp: &'a VmLoop },
 }
 
 /// Which loop block to run (see [`Simulator::run_loop_block`]).

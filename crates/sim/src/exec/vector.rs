@@ -73,7 +73,11 @@ impl Simulator<'_> {
                     // Multiple range dims form a cartesian product in
                     // column-major order; checked_mul bounds the total.
                     let too_large = || {
-                        SimError::new(SimErrorKind::Limit, cedar_ir::Span::NONE, "section too large")
+                        SimError::new(
+                            SimErrorKind::Limit,
+                            cedar_ir::Span::NONE,
+                            "section too large",
+                        )
                     };
                     let len = cedar_ir::trip(lo, hi, step)
                         .and_then(|n| usize::try_from(n).ok())
@@ -115,11 +119,7 @@ impl Simulator<'_> {
         }
         let (dims, lanes) = (&sec.dims[..sec.rank], sec.lanes);
         if lanes == 0 {
-            return Ok(LaneIdx::Prog {
-                first: 0,
-                stride: 0,
-                len: 0,
-            });
+            return Ok(LaneIdx::Prog { first: 0, stride: 0, len: 0 });
         }
         let mut range: Option<(usize, i64, i64, usize)> = None;
         let only_fixed_otherwise = dims.iter().enumerate().all(|(k, d)| match d {
@@ -143,11 +143,7 @@ impl Simulator<'_> {
             }
             let last = lo + (len as i64 - 1) * step;
             if let Some((first, dim_stride)) = bind.linearize_ends(&subs[..dims.len()], k, last) {
-                let stride = if len > 1 {
-                    (step * dim_stride) as isize
-                } else {
-                    0
-                };
+                let stride = if len > 1 { (step * dim_stride) as isize } else { 0 };
                 self.sections.progressions += 1;
                 return Ok(LaneIdx::Prog { first, stride, len });
             }
@@ -175,9 +171,7 @@ impl Simulator<'_> {
             for (d, &c) in dims.iter().zip(counters.iter()) {
                 match d {
                     SectionDim::Fixed(v) => subs.push(*v)?,
-                    SectionDim::RangeLen { lo, step, .. } => {
-                        subs.push(lo + (c as i64) * step)?
-                    }
+                    SectionDim::RangeLen { lo, step, .. } => subs.push(lo + (c as i64) * step)?,
                     SectionDim::Gather(g) => {
                         let vals = &sec.gathers[*g];
                         subs.push(vals.get(lane).or_else(|| vals.last()).copied().unwrap_or(0))?
@@ -235,9 +229,7 @@ impl Simulator<'_> {
     /// live, observes the same per-element reads in lane order.
     fn load_section(&mut self, slot: SlotId, at: &LaneIdx) -> Result<Lanes> {
         let data = self.store.slot(slot);
-        let bulk = at
-            .run()
-            .and_then(|(first, n)| data.load_run(first, n, &mut self.pool));
+        let bulk = at.run().and_then(|(first, n)| data.load_run(first, n, &mut self.pool));
         let out = match bulk {
             Some(out) => out,
             None => each_index!(at, lins => data.load_at(lins, &mut self.pool))
@@ -252,7 +244,13 @@ impl Simulator<'_> {
 
     /// Evaluate an expression as `lanes` lanes of one class. Sections
     /// load; scalars broadcast (evaluated once).
-    pub(super) fn eval_vec(&mut self, frame: &Frame, e: &Expr, lanes: usize, ctx: &mut Ctx) -> Result<Lanes> {
+    pub(super) fn eval_vec(
+        &mut self,
+        frame: &Frame,
+        e: &Expr,
+        lanes: usize,
+        ctx: &mut Ctx,
+    ) -> Result<Lanes> {
         let op_err = |e| SimError::from_op(e, cedar_ir::Span::NONE);
         match e {
             Expr::Section { arr, idx } => {
@@ -408,9 +406,7 @@ impl Simulator<'_> {
         let mem_cost = ctx.time - mem_t0;
 
         // Value: the lanes read through `as_f64`, folded in lane order.
-        let a = self
-            .pool
-            .reals(first.expect("a reduction has a first operand"));
+        let a = self.pool.reals(first.expect("a reduction has a first operand"));
         let value = match f {
             Intrinsic::Sum => Value::R(a.iter().copied().sum()),
             Intrinsic::Product => Value::R(a.iter().copied().product()),
@@ -432,11 +428,7 @@ impl Simulator<'_> {
             Intrinsic::MaxLoc | Intrinsic::MinLoc => {
                 let mut best = 0usize;
                 for (i, &v) in a.iter().enumerate() {
-                    let better = if f == Intrinsic::MaxLoc {
-                        v > a[best]
-                    } else {
-                        v < a[best]
-                    };
+                    let better = if f == Intrinsic::MaxLoc { v > a[best] } else { v < a[best] };
                     if better {
                         best = i;
                     }

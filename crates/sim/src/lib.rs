@@ -152,4 +152,3 @@ pub fn run_collecting_races_precompiled<'p>(
     sim.run_main()?;
     Ok(sim)
 }
-

@@ -951,23 +951,13 @@ impl RaceDetector {
         let cur_part = self.stack.last().map_or(0, |f| f.cur_part) as usize;
         let (writer_iter, writer_ce, writer_span, other_iter, other_ce, other_span) = match kind {
             // Prior access is the write.
-            RaceKind::WriteWrite | RaceKind::WriteRead => (
-                prior_iter,
-                prior.part as usize,
-                prior.span,
-                cur_iter,
-                cur_part,
-                self.cur_span,
-            ),
+            RaceKind::WriteWrite | RaceKind::WriteRead => {
+                (prior_iter, prior.part as usize, prior.span, cur_iter, cur_part, self.cur_span)
+            }
             // Current access is the write.
-            RaceKind::ReadWrite => (
-                cur_iter,
-                cur_part,
-                self.cur_span,
-                prior_iter,
-                prior.part as usize,
-                prior.span,
-            ),
+            RaceKind::ReadWrite => {
+                (cur_iter, cur_part, self.cur_span, prior_iter, prior.part as usize, prior.span)
+            }
         };
         RaceInfo {
             slot: slot.0,
@@ -1375,8 +1365,8 @@ mod tests {
                 let top_is_group = d.in_task_group();
                 match draw(12) {
                     0 if model.len() < 2 => {
-                        let (ordered, group) = [(true, false), (false, false), (false, true)]
-                            [draw(3) as usize];
+                        let (ordered, group) =
+                            [(true, false), (false, false), (false, true)][draw(3) as usize];
                         d.push_region(ordered, group);
                         model.push(ModelFrame { id: regions, ordered, ..Default::default() });
                         regions += 1;
@@ -1449,8 +1439,12 @@ mod tests {
                         };
                         let len = lins[lins.len() - 1] + 1;
                         let got = match (write, bulk) {
-                            (false, false) => d.record_read(s, lins[0]).unwrap().into_iter().collect(),
-                            (true, false) => d.record_write(s, lins[0]).unwrap().into_iter().collect(),
+                            (false, false) => {
+                                d.record_read(s, lins[0]).unwrap().into_iter().collect()
+                            }
+                            (true, false) => {
+                                d.record_write(s, lins[0]).unwrap().into_iter().collect()
+                            }
                             (false, true) => d.record_reads(s, len, lins.iter().copied()).unwrap(),
                             (true, true) => d.record_writes(s, len, lins.iter().copied()).unwrap(),
                         };
@@ -1531,7 +1525,8 @@ mod tests {
                     races.extend(got.unwrap());
                 } else {
                     for lin in lins {
-                        let got = if write { d.record_write(s, lin) } else { d.record_read(s, lin) };
+                        let got =
+                            if write { d.record_write(s, lin) } else { d.record_read(s, lin) };
                         races.extend(got.unwrap());
                     }
                 }

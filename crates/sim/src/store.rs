@@ -271,9 +271,7 @@ impl VarBind {
             lin = lin.wrapping_add(s.wrapping_sub(lo).wrapping_mul(stride));
             stride = stride.wrapping_mul(hi.wrapping_sub(lo).wrapping_add(1));
         }
-        usize::try_from(lin)
-            .ok()
-            .map(|l| (l + self.offset, stride_k))
+        usize::try_from(lin).ok().map(|l| (l + self.offset, stride_k))
     }
 
     /// Element count implied by the bound dimensions, `usize::MAX` when

@@ -21,9 +21,7 @@ fn sim_on(src: &str, mc: MachineConfig) -> cedar_sim::Simulator<'_> {
 
 #[test]
 fn parallel_loop_counters() {
-    let s = sim(
-        "program p\nreal a(64)\ncdoall i = 1, 64\na(i) = 1.0\nend cdoall\nend\n",
-    );
+    let s = sim("program p\nreal a(64)\ncdoall i = 1, 64\na(i) = 1.0\nend cdoall\nend\n");
     assert_eq!(s.stats.parallel_loops, 1);
     assert_eq!(s.stats.parallel_iterations, 64);
 }
@@ -37,10 +35,8 @@ fn serial_loop_is_not_a_parallel_loop() {
 
 #[test]
 fn call_and_io_counters() {
-    let s = sim(
-        "program p\nreal x\ncall f(x)\ncall f(x)\nprint *, x\nend\n\
-         subroutine f(y)\nreal y\ny = y + 1.0\nend\n",
-    );
+    let s = sim("program p\nreal x\ncall f(x)\ncall f(x)\nprint *, x\nend\n\
+         subroutine f(y)\nreal y\ny = y + 1.0\nend\n");
     assert_eq!(s.stats.calls, 2);
     assert_eq!(s.stats.io_statements, 1);
     assert_eq!(s.read_f64("x").unwrap(), vec![2.0]);
@@ -48,20 +44,16 @@ fn call_and_io_counters() {
 
 #[test]
 fn lock_counter_counts_acquisitions() {
-    let s = sim(
-        "program p\nreal t\nt = 0.0\ncdoall i = 1, 32\ncall lock(1)\nt = t + 1.0\n\
-         call unlock(1)\nend cdoall\nend\n",
-    );
+    let s = sim("program p\nreal t\nt = 0.0\ncdoall i = 1, 32\ncall lock(1)\nt = t + 1.0\n\
+         call unlock(1)\nend cdoall\nend\n");
     assert_eq!(s.stats.lock_acquisitions, 32);
     assert_eq!(s.read_f64("t").unwrap(), vec![32.0]);
 }
 
 #[test]
 fn cascade_counters_match_loop_shape() {
-    let s = sim(
-        "program p\nreal a(65)\na(1) = 1.0\ncdoacross i = 2, 65\ncall await(1, i - 1)\n\
-         a(i) = a(i-1) + 1.0\ncall advance(1)\nend cdoacross\nend\n",
-    );
+    let s = sim("program p\nreal a(65)\na(1) = 1.0\ncdoacross i = 2, 65\ncall await(1, i - 1)\n\
+         a(i) = a(i-1) + 1.0\ncall advance(1)\nend cdoacross\nend\n");
     assert_eq!(s.stats.awaits, 64);
     assert_eq!(s.stats.advances, 64);
     assert_eq!(s.read_f64("a").unwrap()[64], 65.0);
@@ -73,10 +65,8 @@ fn cascade_counters_match_loop_shape() {
 
 #[test]
 fn timer_regions_exclude_untimed_work() {
-    let timed = sim(
-        "program p\nreal a(256), b(256)\ndo i = 1, 256\nb(i) = 1.0\nend do\n\
-         call tstart\ndo i = 1, 256\na(i) = b(i)\nend do\ncall tstop\nend\n",
-    );
+    let timed = sim("program p\nreal a(256), b(256)\ndo i = 1, 256\nb(i) = 1.0\nend do\n\
+         call tstart\ndo i = 1, 256\na(i) = b(i)\nend do\ncall tstop\nend\n");
     assert!(timed.stats.region_cycles > 0.0);
     assert!(
         timed.stats.region_cycles < timed.cycles(),
@@ -100,10 +90,8 @@ fn without_timers_region_cycles_stay_zero() {
 fn global_vector_traffic_is_counted_separately() {
     // PROCESS COMMON places the arrays in global memory; a vector
     // assignment between them must move elements across the network.
-    let s = sim(
-        "program p\nprocess common /g/ a(512), b(512)\nreal a, b\n\
-         b(1:512) = 1.0\na(1:512) = b(1:512)\nend\n",
-    );
+    let s = sim("program p\nprocess common /g/ a(512), b(512)\nreal a, b\n\
+         b(1:512) = 1.0\na(1:512) = b(1:512)\nend\n");
     assert!(
         s.stats.global_vector_elems >= 1024,
         "read + write = {} elems",
@@ -114,9 +102,7 @@ fn global_vector_traffic_is_counted_separately() {
 
 #[test]
 fn cluster_data_generates_no_global_traffic() {
-    let s = sim(
-        "program p\nreal a(512), b(512)\nb(1:512) = 1.0\na(1:512) = b(1:512)\nend\n",
-    );
+    let s = sim("program p\nreal a(512), b(512)\nb(1:512) = 1.0\na(1:512) = b(1:512)\nend\n");
     assert_eq!(s.stats.global_vector_elems, 0);
     assert_eq!(s.stats.global_scalar_accesses, 0);
 }
@@ -148,14 +134,9 @@ fn paging_surcharge_scales_with_overflow() {
     // cluster memory. Only the second run pays the thrash surcharge.
     let mut mc = MachineConfig::cedar_config1();
     mc.machine.cluster_capacity = 2048; // 512 REAL elements
-    let fits = sim_on(
-        "program p\nreal a(256)\ndo i = 1, 256\na(i) = 1.0\nend do\nend\n",
-        mc.clone(),
-    );
-    let thrashes = sim_on(
-        "program p\nreal a(1024)\ndo i = 1, 1024\na(i) = 1.0\nend do\nend\n",
-        mc,
-    );
+    let fits =
+        sim_on("program p\nreal a(256)\ndo i = 1, 256\na(i) = 1.0\nend do\nend\n", mc.clone());
+    let thrashes = sim_on("program p\nreal a(1024)\ndo i = 1, 1024\na(i) = 1.0\nend do\nend\n", mc);
     assert_eq!(fits.stats.paged_accesses, 0.0);
     assert!(thrashes.stats.paged_accesses > 0.0);
 }
@@ -168,10 +149,8 @@ fn paging_surcharge_scales_with_overflow() {
 fn gather_subscript_reads_through_index_vector() {
     // b(i) = a(idx(i)) in section form exercises the hardware-gather
     // path (§4.2.2): idx reverses the order.
-    let s = sim(
-        "program p\nreal a(8), b(8)\ninteger idx(8)\ndo i = 1, 8\na(i) = real(i)\n\
-         idx(i) = 9 - i\nend do\nb(1:8) = a(idx(1:8))\nend\n",
-    );
+    let s = sim("program p\nreal a(8), b(8)\ninteger idx(8)\ndo i = 1, 8\na(i) = real(i)\n\
+         idx(i) = 9 - i\nend do\nb(1:8) = a(idx(1:8))\nend\n");
     let b = s.read_f64("b").unwrap();
     assert_eq!(b, vec![8.0, 7.0, 6.0, 5.0, 4.0, 3.0, 2.0, 1.0]);
 

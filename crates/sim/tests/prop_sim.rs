@@ -218,11 +218,9 @@ fn over_arrays(expr: &str, vector: bool) -> String {
         ("l1", "la(1:n)", "la(i)"),
         ("l2", "lb(1:n)", "lb(i)"),
     ];
-    leaves
-        .iter()
-        .fold(expr.to_string(), |e, (leaf, section, elem)| {
-            e.replace(leaf, if vector { section } else { elem })
-        })
+    leaves.iter().fold(expr.to_string(), |e, (leaf, section, elem)| {
+        e.replace(leaf, if vector { section } else { elem })
+    })
 }
 
 proptest! {
@@ -344,12 +342,7 @@ fn ctskstart_tasks_overlap_and_tskwait_joins() {
         .replace("CALL TSKWAIT\n", "");
     let p2 = cedar_ir::compile_source(&seq_src).unwrap();
     let seq = cedar_sim::run(&p2, MachineConfig::cedar_config1()).unwrap();
-    assert!(
-        sim.cycles() < seq.cycles(),
-        "tasked {} !< sequential {}",
-        sim.cycles(),
-        seq.cycles()
-    );
+    assert!(sim.cycles() < seq.cycles(), "tasked {} !< sequential {}", sim.cycles(), seq.cycles());
 }
 
 #[test]

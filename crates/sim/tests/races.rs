@@ -171,10 +171,7 @@ end
     assert!(err.is_race(), "unlocked reduction must race, got {err}");
     assert_eq!(err.race.as_deref().unwrap().var.as_deref(), Some("s"));
 
-    let locked = unlocked.replace(
-        "s = s + a(i)",
-        "call lock(1)\ns = s + a(i)\ncall unlock(1)",
-    );
+    let locked = unlocked.replace("s = s + a(i)", "call lock(1)\ns = s + a(i)\ncall unlock(1)");
     let sim = collect(&locked);
     assert_eq!(sim.races_detected(), 0, "locked reduction is ordered");
     let s = sim.read_f64("s").unwrap();

@@ -38,10 +38,7 @@ fn expired_deadline_aborts_mid_run_with_timeout() {
     let mc = MachineConfig::cedar_config1().with_time_budget(Duration::from_millis(1));
     let err = run(&p, mc).err().expect("1ms budget must trip on a multi-M-statement run");
     assert_eq!(err.kind, SimErrorKind::Timeout);
-    assert!(
-        err.msg.contains("wall-clock budget"),
-        "deadline expiry must cite the budget: {err}"
-    );
+    assert!(err.msg.contains("wall-clock budget"), "deadline expiry must cite the budget: {err}");
     assert!(err.to_string().contains("timeout"), "{err}");
 }
 
@@ -51,11 +48,9 @@ fn generous_deadline_is_invisible() {
     // results must be bit-identical — the deadline can only abort.
     let p = compile_free(long_program()).unwrap();
     let plain = run(&p, MachineConfig::cedar_config1()).expect("plain run");
-    let guarded = run(
-        &p,
-        MachineConfig::cedar_config1().with_time_budget(Duration::from_secs(3600)),
-    )
-    .expect("guarded run");
+    let guarded =
+        run(&p, MachineConfig::cedar_config1().with_time_budget(Duration::from_secs(3600)))
+            .expect("guarded run");
     assert_eq!(plain.cycles().to_bits(), guarded.cycles().to_bits());
     assert_eq!(plain.read_f64("s"), guarded.read_f64("s"));
 }

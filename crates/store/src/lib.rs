@@ -223,7 +223,8 @@ impl Store {
     /// crash.
     pub fn open(root: impl Into<PathBuf>) -> Result<Store, StoreError> {
         let store = Store::new(root.into(), true);
-        fs::create_dir_all(&store.root).map_err(|e| StoreError::io("create-dir", &store.root, e))?;
+        fs::create_dir_all(&store.root)
+            .map_err(|e| StoreError::io("create-dir", &store.root, e))?;
         let path = store.root.join(LOG);
         let io = |op, e| StoreError::io(op, &path, e);
         let log = OpenOptions::new()
@@ -569,8 +570,16 @@ mod tests {
             for k in 0..2 {
                 assert_eq!(s.get(k), Some(payload(k)), "cut at {cut}: key {k}");
             }
-            assert_eq!(s.stats().corrupt_recovered, 0, "cut at {cut}: a torn tail is not corruption");
-            assert_eq!(log_len(&root), last as u64, "cut at {cut}: the log ends on a record boundary");
+            assert_eq!(
+                s.stats().corrupt_recovered,
+                0,
+                "cut at {cut}: a torn tail is not corruption"
+            );
+            assert_eq!(
+                log_len(&root),
+                last as u64,
+                "cut at {cut}: the log ends on a record boundary"
+            );
         }
     }
 
@@ -633,7 +642,10 @@ mod tests {
         let log = OpenOptions::new().append(true).open(root.join(LOG)).unwrap();
         (&log).write_all(&MAGIC[..]).unwrap();
         let r = Store::open_read_only(&root);
-        assert_eq!((r.get(1).as_deref(), r.get(2).as_deref()), (Some(&b"one"[..]), Some(&b"two"[..])));
+        assert_eq!(
+            (r.get(1).as_deref(), r.get(2).as_deref()),
+            (Some(&b"one"[..]), Some(&b"two"[..]))
+        );
         assert_eq!((r.total_bytes(), r.stats().corrupt_recovered), (whole, 0));
         assert_eq!(log_len(&root), whole + 4, "a view leaves the tail for the writer");
     }

@@ -100,10 +100,7 @@ impl BackendComparison {
 
     /// The run for one backend (all backends are always present).
     pub fn run(&self, kind: BackendKind) -> &BackendRun {
-        self.runs
-            .iter()
-            .find(|r| r.backend == kind)
-            .expect("comparison covers every backend")
+        self.runs.iter().find(|r| r.backend == kind).expect("comparison covers every backend")
     }
 }
 
@@ -121,18 +118,11 @@ fn failure(backend: BackendKind, emission: String, outcome: BackendOutcome) -> B
 }
 
 /// Simulate `p` on `mc` and snapshot the watch variables.
-fn run_watch(
-    p: &Program,
-    mc: &MachineConfig,
-    watch: &[&str],
-) -> Result<(Snapshot, f64), String> {
+fn run_watch(p: &Program, mc: &MachineConfig, watch: &[&str]) -> Result<(Snapshot, f64), String> {
     let sim = catch_unwind(AssertUnwindSafe(|| cedar_sim::run(p, mc.clone())))
         .map_err(|p| format!("panic: {}", cedar_par::panic_message(p.as_ref())))?
         .map_err(|e| e.to_string())?;
-    let snap = watch
-        .iter()
-        .filter_map(|w| sim.read_f64(w).map(|v| (w.to_string(), v)))
-        .collect();
+    let snap = watch.iter().filter_map(|w| sim.read_f64(w).map(|v| (w.to_string(), v))).collect();
     Ok((snap, sim.cycles()))
 }
 
@@ -166,14 +156,8 @@ pub fn compare_backends(
     rel_tol: f64,
 ) -> Result<BackendComparison, String> {
     let rr = catch_unwind(AssertUnwindSafe(|| cedar_restructure::restructure(original, cfg)))
-        .map_err(|p| {
-            format!("restructure panicked: {}", cedar_par::panic_message(p.as_ref()))
-        })?;
-    let input = EmitInput {
-        original,
-        restructured: &rr.program,
-        report: &rr.report,
-    };
+        .map_err(|p| format!("restructure panicked: {}", cedar_par::panic_message(p.as_ref())))?;
+    let input = EmitInput { original, restructured: &rr.program, report: &rr.report };
 
     // The input program's own simulation anchors the serial reference.
     let (anchor, _) = run_watch(original, mc, watch)
@@ -187,21 +171,20 @@ pub fn compare_backends(
     kinds.sort_by_key(|k| *k != BackendKind::Serial);
 
     for kind in kinds {
-        let emission =
-            match catch_unwind(AssertUnwindSafe(|| kind.backend().emit(&input))) {
-                Ok(t) => t,
-                Err(p) => {
-                    runs.push(failure(
-                        kind,
-                        String::new(),
-                        BackendOutcome::ParseError(format!(
-                            "emitter panicked: {}",
-                            cedar_par::panic_message(p.as_ref())
-                        )),
-                    ));
-                    continue;
-                }
-            };
+        let emission = match catch_unwind(AssertUnwindSafe(|| kind.backend().emit(&input))) {
+            Ok(t) => t,
+            Err(p) => {
+                runs.push(failure(
+                    kind,
+                    String::new(),
+                    BackendOutcome::ParseError(format!(
+                        "emitter panicked: {}",
+                        cedar_par::panic_message(p.as_ref())
+                    )),
+                ));
+                continue;
+            }
+        };
         let reparsed = match cedar_ir::compile_source(&emission) {
             Ok(p) => p,
             Err(e) => {
@@ -240,14 +223,7 @@ mod tests {
 
     fn compare_src(src: &str, cfg: &PassConfig) -> BackendComparison {
         let p = cedar_ir::compile_free(src).unwrap();
-        compare_backends(
-            &p,
-            cfg,
-            &MachineConfig::cedar_config1_scaled(),
-            &["chk"],
-            1e-9,
-        )
-        .unwrap()
+        compare_backends(&p, cfg, &MachineConfig::cedar_config1_scaled(), &["chk"], 1e-9).unwrap()
     }
 
     #[test]

@@ -204,10 +204,8 @@ fn scan_diff(
             });
         };
         for k in 0..sv.len().max(pv.len()) {
-            let (s, p) = (
-                sv.get(k).copied().unwrap_or(f64::NAN),
-                pv.get(k).copied().unwrap_or(f64::NAN),
-            );
+            let (s, p) =
+                (sv.get(k).copied().unwrap_or(f64::NAN), pv.get(k).copied().unwrap_or(f64::NAN));
             if sv.get(k).is_none() || pv.get(k).is_none() || differs(s, p) {
                 return Some(CellDiff {
                     var: name.clone(),
@@ -331,11 +329,9 @@ impl fmt::Display for Failure {
         match self {
             Failure::Reference { err } => write!(f, "serial reference failed: {err}"),
             Failure::Sim { seed: s, err } => write!(f, "{} failed: {}", seed(s), err),
-            Failure::Divergence { seed: s, diff, max_rel_err } => write!(
-                f,
-                "{} diverged at {diff}, max rel err {max_rel_err:.2e}",
-                seed(s)
-            ),
+            Failure::Divergence { seed: s, diff, max_rel_err } => {
+                write!(f, "{} diverged at {diff}, max rel err {max_rel_err:.2e}", seed(s))
+            }
             Failure::Race { info } => write!(f, "race detector: {info}"),
         }
     }
@@ -349,9 +345,7 @@ impl Failure {
             Failure::Race { info } => {
                 // Both racing statements sit under the offending nest's
                 // header; either line locates it.
-                [info.other_span.line, info.writer_span.line]
-                    .into_iter()
-                    .find(|&l| l > 0)
+                [info.other_span.line, info.writer_span.line].into_iter().find(|&l| l > 0)
             }
             _ => None,
         }
@@ -386,10 +380,8 @@ fn run_watched(
         sim.set_faults(f);
     }
     sim.run_main()?;
-    let results = watch
-        .iter()
-        .filter_map(|w| sim.read_f64(w).map(|v| (w.to_string(), v)))
-        .collect();
+    let results =
+        watch.iter().filter_map(|w| sim.read_f64(w).map(|v| (w.to_string(), v))).collect();
     Ok((results, sim.stats))
 }
 
@@ -502,15 +494,11 @@ fn check(
 
     let base = ran.next().expect("the base task");
     if reference.is_none() {
-        let (serial, stats, _) = ran
-            .next()
-            .expect("the reference task")
-            .map_err(|err| Failure::Reference { err })?;
+        let (serial, stats, _) =
+            ran.next().expect("the reference task").map_err(|err| Failure::Reference { err })?;
         *reference = Some((serial, stats));
     }
-    let (reference, _) = reference
-        .as_ref()
-        .expect("set above or by an earlier attempt");
+    let (reference, _) = reference.as_ref().expect("set above or by an earlier attempt");
 
     // The divergence is reported before the race, as the more direct
     // failure; both come from the same run's outputs.
@@ -533,18 +521,9 @@ fn check(
             let (got, stats, _) = run.map_err(|err| Failure::Sim { seed: Some(s), err })?;
             let (bit_identical, max_rel_err, diff) = compare(&base, &got, vcfg.rel_tol);
             if let Some(diff) = diff {
-                return Err(Failure::Divergence {
-                    seed: Some(s),
-                    diff,
-                    max_rel_err,
-                });
+                return Err(Failure::Divergence { seed: Some(s), diff, max_rel_err });
             }
-            Ok(SeedRun {
-                seed: s,
-                cycles: stats.cycles,
-                bit_identical,
-                max_rel_err,
-            })
+            Ok(SeedRun { seed: s, cycles: stats.cycles, bit_identical, max_rel_err })
         })
         .collect::<Result<Vec<SeedRun>, Failure>>()?;
     Ok((seed_runs, base_stats))
@@ -581,11 +560,7 @@ fn parallel_nests(report: &Report, candidate: &Program) -> Vec<(String, u32)> {
 /// (greedy — the loop keeps reverting until validation passes).
 fn pick_nest(candidates: &[(String, u32)], failure: &Failure) -> (String, u32) {
     if let Some(line) = failure.line() {
-        if let Some(best) = candidates
-            .iter()
-            .filter(|(_, l)| *l <= line)
-            .max_by_key(|(_, l)| *l)
-        {
+        if let Some(best) = candidates.iter().filter(|(_, l)| *l <= line).max_by_key(|(_, l)| *l) {
             return best.clone();
         }
     }
@@ -838,11 +813,9 @@ mod tests {
             note.reason
         );
         // The demoted program is race-free and still correct.
-        let traced = cedar_sim::run_collecting_races(
-            &v.program,
-            MachineConfig::cedar_config1_scaled(),
-        )
-        .unwrap();
+        let traced =
+            cedar_sim::run_collecting_races(&v.program, MachineConfig::cedar_config1_scaled())
+                .unwrap();
         assert_eq!(traced.races_detected(), 0);
         assert!(!v.validation.degraded_to_serial, "one nest demotion suffices:\n{}", v.validation);
     }
@@ -868,11 +841,9 @@ mod tests {
         .unwrap();
         assert!(!v.validation.fallbacks.is_empty(), "{}", v.validation);
         assert!(v.validation.fallbacks[0].reason.contains("race detector"));
-        let traced = cedar_sim::run_collecting_races(
-            &v.program,
-            MachineConfig::cedar_config1_scaled(),
-        )
-        .unwrap();
+        let traced =
+            cedar_sim::run_collecting_races(&v.program, MachineConfig::cedar_config1_scaled())
+                .unwrap();
         assert_eq!(traced.races_detected(), 0, "demoted program must be race-free");
     }
 
@@ -898,8 +869,7 @@ mod tests {
 
     #[test]
     fn first_diff_pinpoints_the_cell() {
-        let serial: Snapshot =
-            vec![("a".into(), vec![1.0, 2.0, 3.0]), ("s".into(), vec![10.0])];
+        let serial: Snapshot = vec![("a".into(), vec![1.0, 2.0, 3.0]), ("s".into(), vec![10.0])];
         let mut parallel = serial.clone();
         assert_eq!(first_diff(&serial, &parallel, 0.0), None);
         assert_eq!(first_bit_diff(&serial, &parallel), None);
@@ -960,11 +930,7 @@ mod tests {
         // Dropping every advance makes any emitted DOACROSS deadlock
         // under perturbation; validation must detect it via the
         // watchdog and revert the nest rather than hang or panic.
-        let vcfg = ValidationConfig {
-            seeds: vec![1, 2],
-            drop_advance: 1.0,
-            ..Default::default()
-        };
+        let vcfg = ValidationConfig { seeds: vec![1, 2], drop_advance: 1.0, ..Default::default() };
         let v = restructure_validated(
             &p,
             &PassConfig::automatic_1991(),
@@ -973,11 +939,7 @@ mod tests {
             &vcfg,
         )
         .unwrap();
-        assert!(
-            !v.validation.fallbacks.is_empty(),
-            "expected a fallback, got:\n{}",
-            v.validation
-        );
+        assert!(!v.validation.fallbacks.is_empty(), "expected a fallback, got:\n{}", v.validation);
         assert!(
             v.validation.fallbacks[0].reason.contains("deadlock"),
             "fallback should be deadlock-triggered: {}",
@@ -1011,11 +973,7 @@ mod tests {
         candidate: &str,
         seeds: &[u64],
     ) -> Result<(Vec<SeedRun>, ExecStats), Failure> {
-        let vcfg = ValidationConfig {
-            seeds: seeds.to_vec(),
-            rel_tol: 1e-9,
-            ..Default::default()
-        };
+        let vcfg = ValidationConfig { seeds: seeds.to_vec(), rel_tol: 1e-9, ..Default::default() };
         check(
             &compile_free(program).unwrap(),
             &compile_free(candidate).unwrap(),
@@ -1036,24 +994,16 @@ mod tests {
                    do i = 1, n + 1\na(i) = a(i) + 1.0\nend do\nend\n";
         let p = compile_free(src).unwrap();
         let mc = MachineConfig::cedar_config1();
-        let want = cedar_sim::run(&p, mc.clone())
-            .err()
-            .expect("the input cannot run");
+        let want = cedar_sim::run(&p, mc.clone()).err().expect("the input cannot run");
         let got = restructure_validated(
             &p,
             &PassConfig::automatic_1991(),
             &mc,
             &["a"],
-            &ValidationConfig {
-                seeds: vec![1, 2],
-                ..Default::default()
-            },
+            &ValidationConfig { seeds: vec![1, 2], ..Default::default() },
         )
         .expect_err("a broken input is refused");
-        assert_eq!(
-            (got.kind, &got.msg, got.span),
-            (want.kind, &want.msg, want.span)
-        );
+        assert_eq!((got.kind, &got.msg, got.span), (want.kind, &want.msg, want.span));
         assert!(matches!(
             judge(src, src, &[1, 2]),
             Err(Failure::Reference { err }) if err.kind == want.kind
@@ -1066,10 +1016,7 @@ mod tests {
         let seeds = [5u64, 1, 9, 4, 3, 7, 2];
         // Against itself the base run matches the reference, so what
         // fails are the seeds — which ones, found one run at a time.
-        let (p, mc) = (
-            compile_free(racing).unwrap(),
-            MachineConfig::cedar_config1(),
-        );
+        let (p, mc) = (compile_free(racing).unwrap(), MachineConfig::cedar_config1());
         let (base, _) = run_watched(&p, &mc, None, &["a"], None).unwrap();
         let failing: Vec<u64> = seeds
             .iter()
@@ -1108,22 +1055,13 @@ mod tests {
         let rr = restructure(&p, &PassConfig::automatic_1991());
         let (mc, vcfg) = (MachineConfig::cedar_config1(), ValidationConfig::default());
         let mut reference = None;
-        let first = check(&p, &rr.program, &mc, &["x", "y"], &vcfg, &mut reference)
-            .ok()
-            .unwrap();
-        let kept = reference
-            .clone()
-            .expect("the first attempt ran the reference");
+        let first = check(&p, &rr.program, &mc, &["x", "y"], &vcfg, &mut reference).ok().unwrap();
+        let kept = reference.clone().expect("the first attempt ran the reference");
         // A reference that is already there is used, not run again.
         reference.as_mut().unwrap().0[0].1[0] += 1.0;
         let second = check(&p, &rr.program, &mc, &["x", "y"], &vcfg, &mut reference);
-        assert!(matches!(
-            second,
-            Err(Failure::Divergence { seed: None, .. })
-        ));
-        let third = check(&p, &rr.program, &mc, &["x", "y"], &vcfg, &mut Some(kept))
-            .ok()
-            .unwrap();
+        assert!(matches!(second, Err(Failure::Divergence { seed: None, .. })));
+        let third = check(&p, &rr.program, &mc, &["x", "y"], &vcfg, &mut Some(kept)).ok().unwrap();
         assert_eq!(format!("{first:?}"), format!("{third:?}"));
     }
 }

@@ -49,22 +49,13 @@ fn check_bit_identical(src: &str, seeds: &[u64]) {
     let program = cedar_ir::compile_free(src).unwrap();
     let mc = MachineConfig::cedar_config1_scaled();
     let r = restructure(&program, &PassConfig::automatic_1991());
-    assert!(
-        r.report.parallelized() >= 1,
-        "generated program must parallelize:\n{}",
-        r.report
-    );
+    assert!(r.report.parallelized() >= 1, "generated program must parallelize:\n{}", r.report);
 
     let base = cedar_sim::run(&r.program, mc.clone()).unwrap_or_else(|e| {
-        panic!(
-            "unperturbed run failed: {e}\n{}",
-            cedar_ir::print::print_program(&r.program)
-        )
+        panic!("unperturbed run failed: {e}\n{}", cedar_ir::print::print_program(&r.program))
     });
-    let base_vals: Vec<Vec<f64>> = ["a", "x", "y", "z"]
-        .iter()
-        .map(|v| base.read_f64(v).unwrap())
-        .collect();
+    let base_vals: Vec<Vec<f64>> =
+        ["a", "x", "y", "z"].iter().map(|v| base.read_f64(v).unwrap()).collect();
 
     for &s in seeds {
         let sim = cedar_sim::run_with_faults(&r.program, mc.clone(), FaultConfig::legal(s))

@@ -16,10 +16,7 @@ use cedar_workloads::{table1_workloads, table2_workloads};
 /// `Debug` for the rest (it prints `f64` exactly, so equal text means
 /// equal cycle counts and error bounds bit for bit).
 fn verdict(p: &cedar_ir::Program, watch: &[&str], jobs: usize) -> String {
-    let vcfg = ValidationConfig {
-        seeds: vec![11, 12, 13],
-        ..Default::default()
-    };
+    let vcfg = ValidationConfig { seeds: vec![11, 12, 13], ..Default::default() };
     let mc = MachineConfig::cedar_config1_scaled();
     cedar_par::with_jobs(jobs, || {
         match restructure_validated(p, &PassConfig::automatic_1991(), &mc, watch, &vcfg) {
@@ -39,11 +36,7 @@ fn pool_verdicts_do_not_depend_on_the_worker_count() {
     for w in table1_workloads().into_iter().chain(table2_workloads()) {
         let p = w.compile();
         let serial = verdict(&p, &w.watch, 1);
-        assert!(
-            serial.contains("attempts: 1"),
-            "{}: validates at the first attempt",
-            w.name
-        );
+        assert!(serial.contains("attempts: 1"), "{}: validates at the first attempt", w.name);
         assert!(
             serial == verdict(&p, &w.watch, 4),
             "{}: verdict differs between 1 and 4 workers",
@@ -64,11 +57,7 @@ fn demotions_and_refusals_do_not_depend_on_the_worker_count() {
             "real a(n), t\n",
             "cdoall i = 1, n\nt = a(i) * 2.0\na(i) = t + 1.0\nend cdoall\n",
         ),
-        (
-            "unlocked-reduction",
-            "real a(n), s\n",
-            "cdoall i = 1, n\ns = s + a(i)\nend cdoall\n",
-        ),
+        ("unlocked-reduction", "real a(n), s\n", "cdoall i = 1, n\ns = s + a(i)\nend cdoall\n"),
         (
             "missing-cascade",
             "real a(n)\n",
@@ -87,10 +76,7 @@ fn demotions_and_refusals_do_not_depend_on_the_worker_count() {
         if name == "missing-advance" {
             assert!(serial.starts_with("refused:"), "{name}: {serial}");
         } else {
-            assert!(
-                serial.contains("race detector"),
-                "{name}: demoted for its race"
-            );
+            assert!(serial.contains("race detector"), "{name}: demoted for its race");
         }
         assert!(
             serial == verdict(&p, &["a"], 4),

@@ -84,16 +84,16 @@ mod tests {
         assert_eq!(
             t1,
             vec![
-                "CG", "ludcmp", "lubksb", "sparse", "gaussj", "svbksb", "svdcmp",
-                "mprove", "toeplz", "tridag"
+                "CG", "ludcmp", "lubksb", "sparse", "gaussj", "svbksb", "svdcmp", "mprove",
+                "toeplz", "tridag"
             ]
         );
         let t2: Vec<&str> = table2_workloads().iter().map(|w| w.name).collect();
         assert_eq!(
             t2,
             vec![
-                "ARC2D", "FLO52", "BDNA", "DYFESM", "ADM", "MDG", "MG3D", "OCEAN",
-                "TRACK", "TRFD", "QCD", "SPEC77"
+                "ARC2D", "FLO52", "BDNA", "DYFESM", "ADM", "MDG", "MG3D", "OCEAN", "TRACK", "TRFD",
+                "QCD", "SPEC77"
             ]
         );
     }

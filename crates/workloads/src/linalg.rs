@@ -641,24 +641,16 @@ mod tests {
         let p0 = w.compile();
         let r = restructure(&p0, &PassConfig::automatic_1991());
         let mc = MachineConfig::cedar_config1_scaled();
-        let s0 = cedar_sim::run(&p0, mc.clone())
-            .unwrap_or_else(|e| panic!("{} serial: {e}", w.name));
+        let s0 =
+            cedar_sim::run(&p0, mc.clone()).unwrap_or_else(|e| panic!("{} serial: {e}", w.name));
         let s1 = cedar_sim::run(&r.program, mc).unwrap_or_else(|e| {
-            panic!(
-                "{} restructured: {e}\n{}",
-                w.name,
-                cedar_ir::print::print_program(&r.program)
-            )
+            panic!("{} restructured: {e}\n{}", w.name, cedar_ir::print::print_program(&r.program))
         });
         for v in &w.watch {
             let a = s0.read_f64(v).unwrap_or_else(|| panic!("{}: no {v}", w.name));
             let b = s1.read_f64(v).unwrap_or_else(|| panic!("{}: no {v} (par)", w.name));
             for (x, y) in a.iter().zip(&b) {
-                assert!(
-                    (x - y).abs() <= 1e-4 * x.abs().max(1.0),
-                    "{}: {v}: {x} vs {y}",
-                    w.name
-                );
+                assert!((x - y).abs() <= 1e-4 * x.abs().max(1.0), "{}: {v}: {x} vs {y}", w.name);
             }
         }
         (s0.cycles(), s1.cycles())

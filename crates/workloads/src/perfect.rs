@@ -694,25 +694,16 @@ mod tests {
         let p0 = w.compile();
         let r = restructure(&p0, cfg);
         let mc = MachineConfig::cedar_config1_scaled();
-        let s0 = cedar_sim::run(&p0, mc.clone())
-            .unwrap_or_else(|e| panic!("{} serial: {e}", w.name));
+        let s0 =
+            cedar_sim::run(&p0, mc.clone()).unwrap_or_else(|e| panic!("{} serial: {e}", w.name));
         let s1 = cedar_sim::run(&r.program, mc).unwrap_or_else(|e| {
-            panic!(
-                "{} restructured: {e}\n{}",
-                w.name,
-                cedar_ir::print::print_program(&r.program)
-            )
+            panic!("{} restructured: {e}\n{}", w.name, cedar_ir::print::print_program(&r.program))
         });
         for v in &w.watch {
             let a = s0.read_f64(v).unwrap();
             let b = s1.read_f64(v).unwrap();
             for (x, y) in a.iter().zip(&b) {
-                assert!(
-                    (x - y).abs() <= 1e-3 * x.abs().max(1.0),
-                    "{} [{}]: {x} vs {y}",
-                    w.name,
-                    v
-                );
+                assert!((x - y).abs() <= 1e-3 * x.abs().max(1.0), "{} [{}]: {x} vs {y}", w.name, v);
             }
         }
         (s0.cycles(), s1.cycles())
@@ -739,10 +730,7 @@ mod tests {
             let w = all().into_iter().find(|w| w.name == name).unwrap();
             let (_, auto) = check(&w, &PassConfig::automatic_1991());
             let (_, manual) = check(&w, &PassConfig::manual_improved());
-            assert!(
-                manual < auto,
-                "{name}: manual {manual} !< auto {auto}"
-            );
+            assert!(manual < auto, "{name}: manual {manual} !< auto {auto}");
         }
     }
 

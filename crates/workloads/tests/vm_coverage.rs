@@ -78,7 +78,14 @@ fn boxable_sites(p: &cedar_ir::Program) -> usize {
 fn serial_originals_compile_and_run_as_typed_code() {
     println!(
         "{:<8} {:>6} {:>10} {:>12} {:>12} {:>10} {:>10} {:>10}",
-        "program", "instrs", "eval-trees", "interp-stmts", "tree-walked", "iters", "kernel", "lanes"
+        "program",
+        "instrs",
+        "eval-trees",
+        "interp-stmts",
+        "tree-walked",
+        "iters",
+        "kernel",
+        "lanes"
     );
     let (mut iterations, mut kernels, mut lanes) = (0, 0, 0);
     for w in table1_workloads().into_iter().chain(table2_workloads()) {
@@ -112,12 +119,7 @@ fn serial_originals_compile_and_run_as_typed_code() {
         // the table in EXPERIMENTS.md ("Engine split").
         assert_eq!(art.eval_tree_count(), 0, "{}: EvalTree sites", w.name);
         assert_eq!(art.fallback_count(), 0, "{}: Interp statements", w.name);
-        assert_eq!(
-            sim.tree_walked_activations(),
-            0,
-            "{}: tree-walked activations",
-            w.name
-        );
+        assert_eq!(sim.tree_walked_activations(), 0, "{}: tree-walked activations", w.name);
     }
     // Iterations of the sequential loops the VM runs inline, how many
     // of them ran as loop kernels, and how many of those as lanes
@@ -138,16 +140,8 @@ fn serial_originals_compile_and_run_as_typed_code() {
 
 /// The columns of the instruction-mix table: `ElemVar` and `Elem`
 /// count all three classes.
-const MIX: [&str; 8] = [
-    "LoadIdx",
-    "ElemVar",
-    "Elem",
-    "LoadI",
-    "ChargeIdx",
-    "SeqLoop",
-    "LoopBack",
-    "LoopStmt",
-];
+const MIX: [&str; 8] =
+    ["LoadIdx", "ElemVar", "Elem", "LoadI", "ChargeIdx", "SeqLoop", "LoopBack", "LoopStmt"];
 
 #[test]
 fn serial_originals_address_through_the_fused_forms() {
@@ -158,14 +152,7 @@ fn serial_originals_address_through_the_fused_forms() {
     // `LoopBack`, every other loop a `LoopStmt`.
     let line = |name: &str, cells: Vec<String>| println!("{name:<8} {}", cells.join(" "));
     let counts = |row: &[usize]| row.iter().map(|n| format!("{n:>9}")).collect();
-    line(
-        "program",
-        ["instrs"]
-            .iter()
-            .chain(&MIX)
-            .map(|m| format!("{m:>9}"))
-            .collect(),
-    );
+    line("program", ["instrs"].iter().chain(&MIX).map(|m| format!("{m:>9}")).collect());
     let mut totals = [0; MIX.len() + 1];
     for w in table1_workloads().into_iter().chain(table2_workloads()) {
         let p = w.compile();
@@ -174,21 +161,13 @@ fn serial_originals_address_through_the_fused_forms() {
         for (unit, ops) in p.units.iter().zip(&names) {
             row[0] += ops.len();
             for op in ops {
-                let op = if op.starts_with("Elem") {
-                    &op[..op.len() - 1]
-                } else {
-                    op.as_str()
-                };
+                let op = if op.starts_with("Elem") { &op[..op.len() - 1] } else { op.as_str() };
                 if let Some(k) = MIX.iter().position(|&m| m == op) {
                     row[k + 1] += 1;
                 }
             }
             for pair in ops.windows(2) {
-                assert!(
-                    pair != ["LoadI", "ChargeIdx"],
-                    "{}: a subscript variable unfused",
-                    w.name
-                );
+                assert!(pair != ["LoadI", "ChargeIdx"], "{}: a subscript variable unfused", w.name);
             }
             let mut inline = Vec::new();
             walk_stmts(&unit.body, &mut |s| {
@@ -216,11 +195,7 @@ fn serial_originals_address_through_the_fused_forms() {
                     _ => {}
                 }
             }
-            assert_eq!(
-                open, 0,
-                "{}: {}: a SeqLoop without its LoopBack",
-                w.name, unit.name
-            );
+            assert_eq!(open, 0, "{}: {}: a SeqLoop without its LoopBack", w.name, unit.name);
         }
         line(w.name, counts(&row));
         for (t, n) in totals.iter_mut().zip(row) {
@@ -284,10 +259,7 @@ fn restructured_programs_resolve_one_range_sections_without_an_index_list() {
         }
     }
     println!("{:<18} {progressions:>12} {:>18} {other:>11}", "total", 0);
-    assert!(
-        progressions > 0,
-        "the pool's candidates are vector statements"
-    );
+    assert!(progressions > 0, "the pool's candidates are vector statements");
 }
 
 #[test]
@@ -303,11 +275,7 @@ fn the_counts_see_what_falls_back() {
     .unwrap();
     let art = cedar_sim::compile(&p);
     assert_eq!((art.eval_tree_count(), art.fallback_count()), (1, 1));
-    assert_eq!(
-        boxable_sites(&p),
-        1,
-        "only the call; the vector statement's sides are plain"
-    );
+    assert_eq!(boxable_sites(&p), 1, "only the call; the vector statement's sides are plain");
     let mc = MachineConfig::cedar_config1();
     let vm = cedar_sim::run_precompiled(&p, mc.clone().with_engine(Engine::Vm), &art).unwrap();
     assert_eq!(vm.tree_walked_activations(), 1);

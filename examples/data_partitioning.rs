@@ -17,8 +17,8 @@ fn main() {
     let mut base_cfg = PassConfig::manual_improved().for_machine(&cedar_ir::Machine::fx80());
     base_cfg.globalize = false;
     let base = restructure(&program, &base_cfg).program;
-    let base_sim = cedar_sim::run(&base, MachineConfig::cedar_config1().with_clusters(1))
-        .expect("baseline");
+    let base_sim =
+        cedar_sim::run(&base, MachineConfig::cedar_config1().with_clusters(1)).expect("baseline");
     let t0 = region(&base_sim);
     println!("baseline (1 cluster, cluster memory): {t0:.0} cycles\n");
     println!("{:<28} {:>9} {:>9} {:>9} {:>9}", "strategy", "1 cl", "2 cl", "3 cl", "4 cl");

@@ -64,10 +64,7 @@ fn main() {
         .iter()
         .find(|l| matches!(l.decision, LoopDecision::Doacross { .. }))
         .expect("the recurrence loop should run as a DOACROSS");
-    println!(
-        "recurrence loop at line {} -> {:?}\n",
-        doacross.span.line, doacross.decision
-    );
+    println!("recurrence loop at line {} -> {:?}\n", doacross.span.line, doacross.decision);
 
     println!("=== Cedar Fortran output ===");
     println!("{}", cedar_ir::print::print_program(&result.program));
@@ -78,18 +75,12 @@ fn main() {
 
     let s = serial.read_f64("chksum").unwrap()[0];
     let p = parallel.read_f64("chksum").unwrap()[0];
-    assert!(
-        (s - p).abs() < 1e-3 * s.abs(),
-        "results must agree: {s} vs {p}"
-    );
+    assert!((s - p).abs() < 1e-3 * s.abs(), "results must agree: {s} vs {p}");
 
     println!("=== simulation (Cedar, 1 cluster x 8 CEs) ===");
     println!("serial:      {:>12.0} cycles", serial.cycles());
     println!("doacross:    {:>12.0} cycles", parallel.cycles());
-    println!(
-        "speedup:     {:>12.2}x",
-        serial.cycles() / parallel.cycles()
-    );
+    println!("speedup:     {:>12.2}x", serial.cycles() / parallel.cycles());
     println!(
         "cascade ops: {} awaits, {} advances, {:.0} cycles stalled",
         parallel.stats.awaits, parallel.stats.advances, parallel.stats.await_stall_cycles

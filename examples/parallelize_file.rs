@@ -52,7 +52,8 @@ fn main() {
 
     // One machine: what the pass plans for, `--validate` checks on and
     // `--simulate` runs on.
-    let mc = if fx80 { MachineConfig::fx80_scaled() } else { MachineConfig::cedar_config1_scaled() };
+    let mc =
+        if fx80 { MachineConfig::fx80_scaled() } else { MachineConfig::cedar_config1_scaled() };
     let cfg = if manual { PassConfig::manual_improved() } else { PassConfig::automatic_1991() }
         .for_machine(&mc.machine);
     let emit = |restructured, report| {
@@ -67,17 +68,10 @@ fn main() {
             .units
             .iter()
             .filter(|u| u.kind == cedar_ir::UnitKind::Program)
-            .flat_map(|u| {
-                u.symbols
-                    .iter()
-                    .filter(|s| s.is_array())
-                    .map(|s| s.name.as_str())
-            })
+            .flat_map(|u| u.symbols.iter().filter(|s| s.is_array()).map(|s| s.name.as_str()))
             .collect();
-        let vcfg = cedar_verify::ValidationConfig {
-            seeds: (1..=4).collect(),
-            ..Default::default()
-        };
+        let vcfg =
+            cedar_verify::ValidationConfig { seeds: (1..=4).collect(), ..Default::default() };
         let v = cedar_verify::restructure_validated(&program, &cfg, &mc, &watch, &vcfg)
             .unwrap_or_else(|e| die(&format!("serial reference: {e}")));
         print!("{}", emit(&v.program, &v.report));

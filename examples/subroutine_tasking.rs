@@ -70,10 +70,7 @@ fn main() {
     // All three must compute the same values (tasks write disjoint arrays).
     let base = results[0].2;
     for (fork, _, chk) in &results {
-        assert!(
-            (chk - base).abs() <= 1e-6 * base.abs(),
-            "{fork}: {chk} vs {base}"
-        );
+        assert!((chk - base).abs() <= 1e-6 * base.abs(), "{fork}: {chk} vs {base}");
     }
 
     println!("two independent smoothing passes, forked three ways:");

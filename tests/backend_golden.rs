@@ -120,11 +120,7 @@ fn golden_directory_has_no_strays() {
         strays.is_empty(),
         "stale files in tests/golden (workload renamed or backend removed?): {strays:?}"
     );
-    assert_eq!(
-        present.len(),
-        expected.len(),
-        "expected one golden per workload per backend"
-    );
+    assert_eq!(present.len(), expected.len(), "expected one golden per workload per backend");
 }
 
 #[test]
@@ -137,9 +133,8 @@ fn goldens_reparse_through_the_front_end() {
             let Ok(text) = fs::read_to_string(&path) else {
                 continue; // the mismatch test already reports missing files
             };
-            cedar_ir::compile_source(&text).unwrap_or_else(|e| {
-                panic!("golden {} does not re-parse: {e}", path.display())
-            });
+            cedar_ir::compile_source(&text)
+                .unwrap_or_else(|e| panic!("golden {} does not re-parse: {e}", path.display()));
         }
     }
 }

@@ -210,7 +210,8 @@ fn records(log: &[u8]) -> Vec<(usize, u64, usize)> {
 fn flip_payload_byte(dir: &std::path::Path, key: u64) {
     let path = dir.join("state/log");
     let mut log = std::fs::read(&path).unwrap();
-    let (at, _, len) = *records(&log).iter().rev().find(|r| r.1 == key).expect("a record of the key");
+    let (at, _, len) =
+        *records(&log).iter().rev().find(|r| r.1 == key).expect("a record of the key");
     log[at + 24 + len / 2] ^= 0x40;
     std::fs::write(&path, log).unwrap();
 }
@@ -238,7 +239,8 @@ fn lease(c: &mut Coordinator, worker: &str, shard: u64, now: Instant) {
 /// Lease shard `k` of [`three_shards`] and complete it.
 fn run_shard(c: &mut Coordinator, k: u64, now: Instant) {
     lease(c, "w1", k, now);
-    let (status, reply) = c.handle("POST", "/complete", &complete_body("w1", k, 8 * k, 8 * k + 8), now);
+    let (status, reply) =
+        c.handle("POST", "/complete", &complete_body("w1", k, 8 * k, 8 * k + 8), now);
     assert_eq!(status, 200, "{reply}");
 }
 
@@ -318,7 +320,9 @@ fn a_directory_holding_another_campaign_is_refused() {
         assert!(e.contains("refusing to resume it as"), "{other:?}: {e}");
     }
     // What the identity does not name may change, as it always could.
-    let mut c = Coordinator::new(CoordinatorConfig { retry_budget: 5, jobs_check: 0, ..cfg.clone() }).unwrap();
+    let mut c =
+        Coordinator::new(CoordinatorConfig { retry_budget: 5, jobs_check: 0, ..cfg.clone() })
+            .unwrap();
     lease(&mut c, "w1", 1, now);
     drop(c);
 
@@ -352,9 +356,7 @@ fn poison_shards_are_quarantined_and_triaged_without_wedging_the_campaign() {
     for (worker, error) in [("w1", "panic: shard is cursed"), ("w2", "panic: still cursed")] {
         let (_, reply) = c.handle("POST", "/lease", &format!("{{\"worker\": \"{worker}\"}}"), now);
         assert!(reply.contains("\"shard\": 0"), "{reply}");
-        let body = format!(
-            "{{\"worker\": \"{worker}\", \"shard\": 0, \"error\": \"{error}\"}}"
-        );
+        let body = format!("{{\"worker\": \"{worker}\", \"shard\": 0, \"error\": \"{error}\"}}");
         let (status, _) = c.handle("POST", "/fail", &body, now);
         assert_eq!(status, 200);
     }

@@ -12,8 +12,9 @@ use cedar_sim::MachineConfig;
 
 fn round_trip(name: &str, program: &cedar_ir::Program, watch: &[&str]) {
     let text1 = cedar_ir::print::print_program(program);
-    let reparsed = cedar_ir::compile_source(&text1)
-        .unwrap_or_else(|e| panic!("{name}: emitted Cedar Fortran failed to re-parse: {e}\n{text1}"));
+    let reparsed = cedar_ir::compile_source(&text1).unwrap_or_else(|e| {
+        panic!("{name}: emitted Cedar Fortran failed to re-parse: {e}\n{text1}")
+    });
     let text2 = cedar_ir::print::print_program(&reparsed);
     assert_eq!(text1, text2, "{name}: print→parse→print must be a fixpoint");
 
@@ -22,11 +23,7 @@ fn round_trip(name: &str, program: &cedar_ir::Program, watch: &[&str]) {
     let b = cedar_sim::run(&reparsed, mc).unwrap_or_else(|e| panic!("{name} reparsed: {e}"));
     assert_eq!(a.cycles(), b.cycles(), "{name}: cycle counts must survive the text");
     for v in watch {
-        assert_eq!(
-            a.read_f64(v),
-            b.read_f64(v),
-            "{name}: results must survive the text"
-        );
+        assert_eq!(a.read_f64(v), b.read_f64(v), "{name}: results must survive the text");
     }
 }
 
@@ -34,10 +31,9 @@ fn round_trip(name: &str, program: &cedar_ir::Program, watch: &[&str]) {
 fn all_perfect_proxies_round_trip_both_configs() {
     for w in cedar_workloads::table2_workloads() {
         let p = w.compile();
-        for (tag, cfg) in [
-            ("auto", PassConfig::automatic_1991()),
-            ("manual", PassConfig::manual_improved()),
-        ] {
+        for (tag, cfg) in
+            [("auto", PassConfig::automatic_1991()), ("manual", PassConfig::manual_improved())]
+        {
             let r = restructure(&p, &cfg);
             round_trip(&format!("{}/{tag}", w.name), &r.program, &w.watch);
         }

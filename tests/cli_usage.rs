@@ -64,7 +64,11 @@ fn scratch() -> PathBuf {
     let dir = workspace().join("target/cli-usage").join(env!("CARGO_PKG_NAME"));
     std::fs::create_dir_all(&dir).unwrap();
     std::fs::write(dir.join("bad.f"), "      PROGRAM T\n      X =\n      END\n").unwrap();
-    std::fs::write(dir.join("free.f"), "program t\nreal a(8)\ndo i = 1, 8\na(i) = i\nend do\nend\n").unwrap();
+    std::fs::write(
+        dir.join("free.f"),
+        "program t\nreal a(8)\ndo i = 1, 8\na(i) = i\nend do\nend\n",
+    )
+    .unwrap();
     dir
 }
 
@@ -296,7 +300,10 @@ fn every_row_of_the_table_holds() {
         ran += 1;
         let out = command(&exe, argv, env).output().unwrap();
         let err = String::from_utf8_lossy(&out.stderr);
-        if out.status.code() != Some(code) || out.stdout.is_empty() != quiet || !err.contains(needle) {
+        if out.status.code() != Some(code)
+            || out.stdout.is_empty() != quiet
+            || !err.contains(needle)
+        {
             wrong.push(format!(
                 "{env:?} {bin} {argv:?}: wanted exit {code}, stdout empty {quiet}, stderr with {needle:?}; \
                  got exit {:?}, {} bytes of stdout, stderr:\n{err}",
@@ -315,17 +322,21 @@ fn every_row_of_the_table_holds() {
 #[test]
 fn serve_starts_on_a_free_port_and_drains_on_shutdown() {
     let Some(exe) = locate("serve") else { return };
-    let mut child = command(&exe, &["--addr", "127.0.0.1:0", "--workers", "1", "--queue", "1"], &[])
-        .stderr(Stdio::piped())
-        .spawn()
-        .unwrap();
+    let mut child =
+        command(&exe, &["--addr", "127.0.0.1:0", "--workers", "1", "--queue", "1"], &[])
+            .stderr(Stdio::piped())
+            .spawn()
+            .unwrap();
     let mut stderr = BufReader::new(child.stderr.take().unwrap());
     let mut line = String::new();
     stderr.read_line(&mut line).unwrap();
     let addr = line.trim().strip_prefix("cedar-serve listening on ").expect(&line).to_string();
     let mut conn = std::net::TcpStream::connect(&addr).unwrap();
-    write!(conn, "POST /shutdown HTTP/1.1\r\nHost: {addr}\r\nContent-Length: 0\r\nConnection: close\r\n\r\n")
-        .unwrap();
+    write!(
+        conn,
+        "POST /shutdown HTTP/1.1\r\nHost: {addr}\r\nContent-Length: 0\r\nConnection: close\r\n\r\n"
+    )
+    .unwrap();
     let mut reply = String::new();
     conn.read_to_string(&mut reply).unwrap();
     assert!(reply.starts_with("HTTP/1.1 200"), "{reply}");
@@ -345,14 +356,27 @@ fn a_coordinator_and_a_worker_finish_a_campaign() {
     let _ = std::fs::remove_dir_all(&dir);
     let port = std::net::TcpListener::bind("127.0.0.1:0").unwrap().local_addr().unwrap().port();
     let addr = format!("127.0.0.1:{port}");
-    let coordinate =
-        ["coordinate", "--addr", &addr, "--seeds", "0..4", "--dir", "pair", "--shard", "2", "--lease-ms", "300"];
+    let coordinate = [
+        "coordinate",
+        "--addr",
+        &addr,
+        "--seeds",
+        "0..4",
+        "--dir",
+        "pair",
+        "--shard",
+        "2",
+        "--lease-ms",
+        "300",
+    ];
     let mut coordinator = command(&exe, &coordinate, &[]).stderr(Stdio::piped()).spawn().unwrap();
     let mut stderr = BufReader::new(coordinator.stderr.take().unwrap());
     let mut line = String::new();
     stderr.read_line(&mut line).unwrap();
     assert!(line.contains("coordinating on"), "{line}");
-    let worker = command(&exe, &["work", "--addr", &addr, "--name", "w1", "--no-shrink"], &[]).output().unwrap();
+    let worker = command(&exe, &["work", "--addr", &addr, "--name", "w1", "--no-shrink"], &[])
+        .output()
+        .unwrap();
     let said = String::from_utf8_lossy(&worker.stderr);
     assert_eq!(worker.status.code(), Some(0), "{said}");
     assert!(said.contains("campaign[w1]: done — 2 completed, 0 failed"), "{said}");
@@ -399,7 +423,8 @@ const BINARIES: &[(&str, &[&str], &[&str])] = &[
         &["--requests", "--clients", "--workers", "--queue", "--out"]),
 ];
 
-const VARIABLES: [&str; 4] = ["CEDAR_JOBS", "CEDAR_CHAOS", "CEDAR_CELL_DEADLINE", "CEDAR_BUNDLE_DIR"];
+const VARIABLES: [&str; 4] =
+    ["CEDAR_JOBS", "CEDAR_CHAOS", "CEDAR_CELL_DEADLINE", "CEDAR_BUNDLE_DIR"];
 
 /// No value of an option, of a positional argument or of a variable
 /// ends a binary in a Rust panic (exit 101) or a signal: 0, 1 or 2 only.
@@ -425,7 +450,10 @@ fn hostile_values_are_usage_errors_not_panics() {
                 runs.push((format!("{bin} [{token:?}]"), command(&exe, &[token], &[])));
             }
             for var in VARIABLES {
-                runs.push((format!("{var}={token:?} {bin} {base:?}"), command(&exe, base, &[(var, token)])));
+                runs.push((
+                    format!("{var}={token:?} {bin} {base:?}"),
+                    command(&exe, base, &[(var, token)]),
+                ));
             }
         }
     }
@@ -438,7 +466,11 @@ fn hostile_values_are_usage_errors_not_panics() {
                 let Some((what, mut cmd)) = runs.lock().unwrap().pop() else { break };
                 let out = cmd.output().unwrap();
                 let err = String::from_utf8_lossy(&out.stderr);
-                assert!(matches!(out.status.code(), Some(0..=2)), "{what}: {:?}\n{err}", out.status);
+                assert!(
+                    matches!(out.status.code(), Some(0..=2)),
+                    "{what}: {:?}\n{err}",
+                    out.status
+                );
                 ran.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
             });
         }
@@ -458,9 +490,13 @@ fn help_is_the_usage_text_and_the_usage_text_is_the_parser() {
         let subcommand = if bin == "campaign" { &base[..1] } else { &[] };
         for help in ["--help", "-h"] {
             let out = command(&exe, subcommand, &[]).arg(help).output().unwrap();
-            let (text, err) = (String::from_utf8_lossy(&out.stdout), String::from_utf8_lossy(&out.stderr));
+            let (text, err) =
+                (String::from_utf8_lossy(&out.stdout), String::from_utf8_lossy(&out.stderr));
             assert_eq!(out.status.code(), Some(0), "{bin} {subcommand:?} {help}: {err}");
-            assert!(text.starts_with(&format!("usage: {bin} ")) && err.is_empty(), "{bin}: {text}{err}");
+            assert!(
+                text.starts_with(&format!("usage: {bin} ")) && err.is_empty(),
+                "{bin}: {text}{err}"
+            );
             for flag in flags {
                 assert!(text.contains(flag), "{bin} {help} does not mention {flag}: {text}");
             }

@@ -65,7 +65,8 @@ fn pool_lines(w: &cedar_workloads::Workload) -> Vec<String> {
         let label = format!("pool {} serial {}", w.name, mc.machine.name);
         out.push(line(&label, cedar_sim::run(&serial, mc.clone())));
         for (pname, pass) in &passes {
-            let candidate: Program = restructure(&serial, &pass.clone().for_machine(&mc.machine)).program;
+            let candidate: Program =
+                restructure(&serial, &pass.clone().for_machine(&mc.machine)).program;
             let label = format!("pool {} {pname} {}", w.name, mc.machine.name);
             out.push(line(&label, cedar_sim::run(&candidate, mc.clone())));
             if !perturbed {
@@ -83,10 +84,8 @@ fn pool_lines(w: &cedar_workloads::Workload) -> Vec<String> {
 fn cycle_lines() -> Vec<String> {
     let mut pool = cedar_workloads::table1_workloads();
     pool.extend(cedar_workloads::table2_workloads());
-    let mut lines: Vec<String> = cedar_par::par_map(pool, |w| pool_lines(&w))
-        .into_iter()
-        .flatten()
-        .collect();
+    let mut lines: Vec<String> =
+        cedar_par::par_map(pool, |w| pool_lines(&w)).into_iter().flatten().collect();
     let auto = PassConfig::automatic_1991();
     lines.extend(cedar_par::par_map_range(SEEDS, |seed| {
         let src = GenProgram::generate(seed as u64).render().source;

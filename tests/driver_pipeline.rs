@@ -22,10 +22,7 @@ fn repo_root() -> PathBuf {
 }
 
 fn configs() -> Vec<(&'static str, PassConfig)> {
-    vec![
-        ("auto", PassConfig::automatic_1991()),
-        ("manual", PassConfig::manual_improved()),
-    ]
+    vec![("auto", PassConfig::automatic_1991()), ("manual", PassConfig::manual_improved())]
 }
 
 #[test]
@@ -53,11 +50,8 @@ fn pipeline_matches_prerefactor_fixtures_on_pinned_corpus() {
         let stem = path.file_stem().unwrap().to_string_lossy().to_string();
         for (tag, cfg) in configs() {
             let result = restructure(&program, &cfg);
-            let snap = format!(
-                "{}{REPORT_MARKER}{}",
-                print_program(&result.program),
-                result.report
-            );
+            let snap =
+                format!("{}{REPORT_MARKER}{}", print_program(&result.program), result.report);
             let fixture = fixtures.join(format!("{stem}.{tag}.snap"));
             if update {
                 fs::write(&fixture, &snap).unwrap();
@@ -69,8 +63,7 @@ fn pipeline_matches_prerefactor_fixtures_on_pinned_corpus() {
                     )
                 });
                 assert_eq!(
-                    snap,
-                    want,
+                    snap, want,
                     "driver output drifted from the pre-refactor fixture for {stem} ({tag})"
                 );
             }

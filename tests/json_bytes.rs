@@ -90,7 +90,11 @@ fn sweeps(e: &mut Entries) {
     e.push("supervise quarantined_json", supervise::quarantined_json(&q));
     e.push("supervise recovered_json empty", supervise::recovered_json(&[]));
     let recovered = [
-        Recovery { cell: NASTY.into(), rung: "no-fast-paths", errors: vec![("normal", "x".into())] },
+        Recovery {
+            cell: NASTY.into(),
+            rung: "no-fast-paths",
+            errors: vec![("normal", "x".into())],
+        },
         Recovery { cell: "fig9".into(), rung: "serial", errors: Vec::new() },
     ];
     e.push("supervise recovered_json", supervise::recovered_json(&recovered));
@@ -225,7 +229,8 @@ fn serve(e: &mut Entries) {
     // from the duration on with every wall-clock number masked (the
     // request id is the request's key: it stays in the clear).
     let mut push_success = |name: &str, body: String| {
-        let cut = body.find("\"duration_ms\": ").expect("a success body") + "\"duration_ms\": ".len();
+        let cut =
+            body.find("\"duration_ms\": ").expect("a success body") + "\"duration_ms\": ".len();
         e.push(name, body[..cut].to_string());
         let (duration, rest) = body[cut..].split_once(", ").expect("members after the duration");
         let (id, stages) = rest.split_once("\"stages_ms\": ").expect("the stage timings");
@@ -243,7 +248,8 @@ fn serve(e: &mut Entries) {
     let handled = cedar_serve::handle(&req, &engine, &breaker);
     assert_eq!(handled.status, 200, "{}", handled.body);
     push_success("handle success unvalidated fx80 openmp", handled.body);
-    let handled = cedar_serve::handle(&ServeRequest::new("program p\nx = = 1\nend\n"), &engine, &breaker);
+    let handled =
+        cedar_serve::handle(&ServeRequest::new("program p\nx = = 1\nend\n"), &engine, &breaker);
     e.push(&format!("handle compile error {}", handled.status), handled.body);
 
     for (tag, store_dir) in [("memory", None), ("store", Some(scratch("serve-store")))] {
@@ -319,7 +325,12 @@ fn state(e: &mut Entries) {
     let mut fail = cedar_experiments::Writer::new();
     fail.obj().key("worker").str("w1").key("shard").int(0).key("error").str(NASTY);
     step("pending", "/fail", fail.finish(), 0);
-    step("quarantined", "/fail", "{\"worker\": \"w1\", \"shard\": 0, \"error\": \"boom\"}".into(), 0);
+    step(
+        "quarantined",
+        "/fail",
+        "{\"worker\": \"w1\", \"shard\": 0, \"error\": \"boom\"}".into(),
+        0,
+    );
     step("completed", "/complete", complete_body(1, &shard_summary(2, 4)), 1);
     let identity = cedar_store::Store::open_read_only(dir.join("state")).get(u64::MAX).unwrap();
     e.push("state identity", String::from_utf8(identity).unwrap());
@@ -420,7 +431,13 @@ fn campaigns(e: &mut Entries) {
             attempts: 3,
             errors: vec![NASTY.into(), "lease-expired (w2)".into()],
         },
-        QuarantinedShard { shard: 3, seed_start: 75, seed_end: 100, attempts: 1, errors: Vec::new() },
+        QuarantinedShard {
+            shard: 3,
+            seed_start: 75,
+            seed_end: 100,
+            attempts: 1,
+            errors: Vec::new(),
+        },
     ];
     let mut workers = BTreeMap::new();
     workers.insert(NASTY.to_string(), WorkerStats { leased: 3, completed: 2, failed: 1 });
@@ -449,7 +466,12 @@ fn coordinator(e: &mut Entries) {
         ("heartbeat held", "POST", "/heartbeat", "{\"worker\": \"w1\", \"shard\": 0}".into()),
         ("heartbeat lost", "POST", "/heartbeat", "{\"worker\": \"w2\", \"shard\": 0}".into()),
         ("heartbeat no shard", "POST", "/heartbeat", "{\"worker\": \"w1\"}".into()),
-        ("heartbeat no such shard", "POST", "/heartbeat", "{\"worker\": \"w1\", \"shard\": 9}".into()),
+        (
+            "heartbeat no such shard",
+            "POST",
+            "/heartbeat",
+            "{\"worker\": \"w1\", \"shard\": 9}".into(),
+        ),
         ("lease second", "POST", "/lease", "{\"worker\": \"w2\"}".into()),
         ("lease wait", "POST", "/lease", "{\"worker\": \"w3\"}".into()),
         ("status busy", "GET", "/status", String::new()),
@@ -562,7 +584,8 @@ fn json_is_spelled_only_in_jsonio() {
         // Code above the file's test module: tests may spell what they expect.
         let code = text.split("\n#[cfg(test)]").next().unwrap();
         for (n, line) in code.lines().enumerate() {
-            let what = if line.contains("\\\":") || (line.contains("r#\"") && line.contains("\":")) {
+            let what = if line.contains("\\\":") || (line.contains("r#\"") && line.contains("\":"))
+            {
                 "a string literal spells a JSON key"
             } else if line.contains("json_escape") {
                 "an escape outside the writer"
@@ -742,7 +765,11 @@ fn constants_and_trip_counts_are_computed_only_in_ir() {
             let reads_bounds = lines.iter().any(|l| names(l, "start") || names(l, "const_range"));
             for (k, line) in lines.iter().enumerate() {
                 let mut found = |what: &str| {
-                    findings.push(format!("crates/{at}:{}: fn {name}: {what}: {}", first + k + 1, line.trim()))
+                    findings.push(format!(
+                        "crates/{at}:{}: fn {name}: {what}: {}",
+                        first + k + 1,
+                        line.trim()
+                    ))
                 };
                 if reads_bounds && counts_iterations(line) {
                     found("a trip count (use `cedar_ir::trip` or `Loop::const_trip`)");
@@ -750,7 +777,8 @@ fn constants_and_trip_counts_are_computed_only_in_ir() {
                 let binds_param = line
                     .match_indices("SymKind::Param(")
                     .any(|(i, p)| !line[i + p.len()..].starts_with("_)"));
-                if binds_param && !(file.ends_with("sim/src/exec/frames.rs") && name == "new_frame") {
+                if binds_param && !(file.ends_with("sim/src/exec/frames.rs") && name == "new_frame")
+                {
                     found("a PARAMETER's value folded (use `Unit::const_value`)");
                 }
             }
@@ -771,7 +799,9 @@ fn constants_and_trip_counts_are_computed_only_in_ir() {
 fn the_machine_is_described_only_in_ir_machine() {
     let mut files = Vec::new();
     rust_files(&Path::new(env!("CARGO_MANIFEST_DIR")).join(".."), &mut files);
-    files.retain(|f| f.components().any(|c| c.as_os_str() == "src") && !f.ends_with("ir/src/machine.rs"));
+    files.retain(|f| {
+        f.components().any(|c| c.as_os_str() == "src") && !f.ends_with("ir/src/machine.rs")
+    });
     files.sort();
     assert!(files.len() > 100, "crates/*/src was not found: {} files", files.len());
     // `number` as a whole literal of `code`: not the tail of 128.0, not the head of 8.05.
@@ -833,7 +863,12 @@ fn campaign_state_is_kept_only_in_cedar_store() {
         for (n, line) in text.lines().enumerate() {
             for word in ["sync_data", "OpenOptions", "fnv1a", "journal", "shards/"] {
                 if line.contains(word) {
-                    findings.push(format!("{}:{}: `{word}`: {}", file.display(), n + 1, line.trim()));
+                    findings.push(format!(
+                        "{}:{}: `{word}`: {}",
+                        file.display(),
+                        n + 1,
+                        line.trim()
+                    ));
                 }
             }
         }
@@ -852,23 +887,34 @@ fn a_campaign_result_has_one_shape() {
     rust_files(&crates.join("fuzz/src"), &mut files);
     rust_files(&crates.join("campaign/src"), &mut files);
     files.sort();
-    assert!(files.len() >= 15, "crates/{{fuzz,campaign}}/src were not found: {} files", files.len());
+    assert!(
+        files.len() >= 15,
+        "crates/{{fuzz,campaign}}/src were not found: {} files",
+        files.len()
+    );
     let (mut shapes, mut findings) = (Vec::new(), Vec::new());
     for file in &files {
         let text = std::fs::read_to_string(file).unwrap();
         let mut declaring: Option<&str> = None;
         for (n, line) in text.lines().enumerate() {
-            let item = line.trim_start().trim_start_matches("pub(crate) ").trim_start_matches("pub ");
+            let item =
+                line.trim_start().trim_start_matches("pub(crate) ").trim_start_matches("pub ");
             if let Some(name) = item.strip_prefix("struct ").filter(|_| line.ends_with('{')) {
                 declaring = name.split([' ', '<', '{']).next();
             } else if line.trim() == "}" {
                 declaring = None;
-            } else if let Some(name) = declaring.filter(|_| item.starts_with("skipped_for_budget:")) {
+            } else if let Some(name) = declaring.filter(|_| item.starts_with("skipped_for_budget:"))
+            {
                 shapes.push(format!("{}:{}: {name}", file.display(), n + 1));
             }
             for word in ["ReportView", "MergedCampaign", "from_summary", "to_json_full"] {
                 if line.contains(word) {
-                    findings.push(format!("{}:{}: `{word}`: {}", file.display(), n + 1, line.trim()));
+                    findings.push(format!(
+                        "{}:{}: `{word}`: {}",
+                        file.display(),
+                        n + 1,
+                        line.trim()
+                    ));
                 }
             }
         }

@@ -29,10 +29,7 @@ fn table1_stratification() {
     assert!(s_mprove > 32.0, "mprove must beat the CE count: {s_mprove:.0}");
     assert!(s_cg > 32.0, "CG must beat the CE count: {s_cg:.0}");
     assert!(s_mprove > s_ludcmp && s_cg > s_ludcmp);
-    assert!(
-        (2.0..32.0).contains(&s_ludcmp),
-        "ludcmp is mid-pack: {s_ludcmp:.1}"
-    );
+    assert!((2.0..32.0).contains(&s_ludcmp), "ludcmp is mid-pack: {s_ludcmp:.1}");
     assert!(s_tridag < 4.0, "tridag is recurrence-bound: {s_tridag:.1}");
     assert!(s_toeplz < 6.0, "toeplz is recurrence-bound: {s_toeplz:.1}");
 }
@@ -115,8 +112,7 @@ fn fig9_fusion_gain() {
 /// parallel generator turns the serialized ~1.4x into a large speedup.
 #[test]
 fn qcd_footnote_variants() {
-    let (serial_rng, critical_rng, parallel_rng) =
-        cedar_experiments::table2::qcd_footnote();
+    let (serial_rng, critical_rng, parallel_rng) = cedar_experiments::table2::qcd_footnote();
     assert!(
         critical_rng > 2.0 * serial_rng,
         "critical {critical_rng:.2} vs serialized {serial_rng:.2}"

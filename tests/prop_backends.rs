@@ -26,10 +26,7 @@ const SEEDS: u64 = 40;
 fn snapshot(p: &cedar_ir::Program, watch: &[String]) -> Snapshot {
     let sim = cedar_sim::run(p, MachineConfig::cedar_config1_scaled())
         .unwrap_or_else(|e| panic!("simulation failed: {e}"));
-    watch
-        .iter()
-        .filter_map(|w| sim.read_f64(w).map(|v| (w.clone(), v)))
-        .collect()
+    watch.iter().filter_map(|w| sim.read_f64(w).map(|v| (w.clone(), v))).collect()
 }
 
 #[test]

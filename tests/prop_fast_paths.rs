@@ -40,8 +40,7 @@ fn observe(
     let watched = watch
         .iter()
         .filter_map(|w| {
-            sim.read_f64(w)
-                .map(|v| (w.to_string(), v.iter().map(|x| x.to_bits()).collect()))
+            sim.read_f64(w).map(|v| (w.to_string(), v.iter().map(|x| x.to_bits()).collect()))
         })
         .collect();
     (format!("{:?}", sim.stats), sim.cycles().to_bits(), watched)

@@ -14,11 +14,8 @@ use cedar_restructure::{restructure, LoopDecision, PassConfig};
 use cedar_sim::MachineConfig;
 
 const SUM_LEAVES: &[&str] = &["A(I)", "B(I)", "C(I)", "0.25", "A(I) * B(I)"];
-const MUL_LEAVES: &[&str] = &[
-    "(1.0 + 0.0001 * A(I))",
-    "(1.0 + 0.00005 * B(I))",
-    "(1.0 - 0.0001 * C(I))",
-];
+const MUL_LEAVES: &[&str] =
+    &["(1.0 + 0.0001 * A(I))", "(1.0 + 0.00005 * B(I))", "(1.0 - 0.0001 * C(I))"];
 
 /// Build `t = <chain>` with the target inserted at `tpos` (always joined
 /// by the positive operator so the chain is a legal reduction).
@@ -64,8 +61,8 @@ fn check_equivalent(chain: &str, init: f64) {
     let src = source(chain, init);
     let program = cedar_ir::compile_source(&src)
         .unwrap_or_else(|e| panic!("compile failed for `{chain}`: {e}"));
-    let serial = cedar_sim::run(&program, MachineConfig::cedar_config1_scaled())
-        .expect("serial run");
+    let serial =
+        cedar_sim::run(&program, MachineConfig::cedar_config1_scaled()).expect("serial run");
 
     let r = restructure(&program, &PassConfig::manual_improved());
     // The accumulation loop is the one at source line 11 (1-based data
@@ -83,8 +80,8 @@ fn check_equivalent(chain: &str, init: f64) {
         rec.decision
     );
 
-    let par = cedar_sim::run(&r.program, MachineConfig::cedar_config1_scaled())
-        .unwrap_or_else(|e| {
+    let par =
+        cedar_sim::run(&r.program, MachineConfig::cedar_config1_scaled()).unwrap_or_else(|e| {
             panic!(
                 "restructured run failed for `{chain}`: {e}\n{}",
                 cedar_ir::print::print_program(&r.program)

@@ -54,10 +54,7 @@ type Shape = (Vec<Option<usize>>, Vec<(String, String)>, Vec<String>);
 fn shape(s: &Sweep<usize>) -> Shape {
     (
         s.results.clone(),
-        s.recovered
-            .iter()
-            .map(|r| (r.cell.clone(), r.rung.to_string()))
-            .collect(),
+        s.recovered.iter().map(|r| (r.cell.clone(), r.rung.to_string())).collect(),
         s.quarantined.iter().map(|q| q.cell.clone()).collect(),
     )
 }
@@ -119,10 +116,7 @@ proptest! {
 #[test]
 fn clean_sweep_is_untouched() {
     let s = sweep(&supervisor("clean", None));
-    assert_eq!(
-        s.results,
-        (0..N_CELLS).map(|k| Some(k * 3)).collect::<Vec<_>>()
-    );
+    assert_eq!(s.results, (0..N_CELLS).map(|k| Some(k * 3)).collect::<Vec<_>>());
     assert!(s.recovered.is_empty(), "clean run recovered: {:?}", s.recovered);
     assert!(s.quarantined.is_empty(), "clean run quarantined: {:?}", s.quarantined);
 }

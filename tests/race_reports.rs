@@ -265,7 +265,10 @@ fn shared_readers() -> Vec<(String, String)> {
         ("reader-rounds broken", rounds(false)),
     ];
     let tail = "x = b(n) + s\nend\n";
-    shapes.into_iter().map(|(name, body)| (format!("shared {name}"), format!("{HEAD}{body}{tail}"))).collect()
+    shapes
+        .into_iter()
+        .map(|(name, body)| (format!("shared {name}"), format!("{HEAD}{body}{tail}")))
+        .collect()
 }
 
 /// Programs whose shadow cells outlive the join of the region that

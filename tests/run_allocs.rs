@@ -360,10 +360,8 @@ fn simulator_run_allocations_stay_exact_and_small() {
 
     // Sync edges: a constant number of allocations each.
     type Shape = fn(usize) -> cedar_ir::Program;
-    let shapes: [(&str, Shape, [u64; 3]); 2] = [
-        ("cascade", cascade, CASCADE_ALLOCS),
-        ("lock chain", lock_chain, LOCK_CHAIN_ALLOCS),
-    ];
+    let shapes: [(&str, Shape, [u64; 3]); 2] =
+        [("cascade", cascade, CASCADE_ALLOCS), ("lock chain", lock_chain, LOCK_CHAIN_ALLOCS)];
     for (name, program, want) in shapes {
         for (n, want) in [96, 384, 1536].into_iter().zip(want) {
             let (got, edges, _) = race_run_allocs(&program(n));

@@ -54,16 +54,12 @@ fn request_for(seed: u64) -> ServeRequest {
 /// A sticky non-delay fault fires on some phase of this request — it
 /// will fail identically at every rung.
 fn sticky_faulty(label: &str) -> bool {
-    PHASES
-        .iter()
-        .any(|p| matches!(chaos::probe_sticky(CHAOS, label, p), Some(k) if k != "delay"))
+    PHASES.iter().any(|p| matches!(chaos::probe_sticky(CHAOS, label, p), Some(k) if k != "delay"))
 }
 
 /// A transient non-delay fault fires on some phase at this rung.
 fn rung_fails(label: &str, rung: &str) -> bool {
-    PHASES
-        .iter()
-        .any(|p| matches!(chaos::probe(CHAOS, label, rung, p), Some(k) if k != "delay"))
+    PHASES.iter().any(|p| matches!(chaos::probe(CHAOS, label, rung, p), Some(k) if k != "delay"))
 }
 
 /// Fails at `normal`, clean somewhere safer: the ladder will rescue it.

@@ -22,8 +22,8 @@
 
 use cedar_experiments::chaos;
 use cedar_experiments::jsonio::MAX_DEPTH;
-use cedar_f77::parser::{MAX_BLOCK_DEPTH, MAX_EXPR_DEPTH, MAX_EXPR_HEIGHT};
 use cedar_experiments::supervise::{self, Rung};
+use cedar_f77::parser::{MAX_BLOCK_DEPTH, MAX_EXPR_DEPTH, MAX_EXPR_HEIGHT};
 use cedar_fuzz::GenProgram;
 use cedar_serve::{http, Json, ServeRequest, Server, ServerConfig};
 use std::path::PathBuf;
@@ -35,10 +35,7 @@ const PHASES: [&str; 3] = ["compile", "restructure", "simulate"];
 const T: Duration = Duration::from_secs(120);
 
 fn chaos_server(tag: &str) -> Server {
-    let mut cfg = ServerConfig {
-        workers: 2,
-        ..ServerConfig::default()
-    };
+    let mut cfg = ServerConfig { workers: 2, ..ServerConfig::default() };
     cfg.engine.sup.chaos = Some(CHAOS);
     cfg.engine.sup.deadline = None;
     cfg.engine.sup.bundle_dir = PathBuf::from(format!("target/test-serve-bundles/{tag}"));
@@ -56,16 +53,12 @@ fn request_for(seed: u64) -> ServeRequest {
 /// A sticky non-delay fault fires on some phase of this request — it
 /// will fail identically at every rung.
 fn sticky_faulty(label: &str) -> bool {
-    PHASES
-        .iter()
-        .any(|p| matches!(chaos::probe_sticky(CHAOS, label, p), Some(k) if k != "delay"))
+    PHASES.iter().any(|p| matches!(chaos::probe_sticky(CHAOS, label, p), Some(k) if k != "delay"))
 }
 
 /// A transient non-delay fault fires on some phase at this rung.
 fn rung_fails(label: &str, rung: &str) -> bool {
-    PHASES
-        .iter()
-        .any(|p| matches!(chaos::probe(CHAOS, label, rung, p), Some(k) if k != "delay"))
+    PHASES.iter().any(|p| matches!(chaos::probe(CHAOS, label, rung, p), Some(k) if k != "delay"))
 }
 
 /// First generated program whose request satisfies `want`.
@@ -101,10 +94,7 @@ fn transient_faults_recover_via_the_retry_ladder() {
 
     let (_, metrics) = http::get(&addr, "/metrics", T).unwrap();
     let m = Json::parse(&metrics).unwrap();
-    assert!(
-        m.get("recovered").and_then(Json::as_f64).unwrap() >= 1.0,
-        "{metrics}"
-    );
+    assert!(m.get("recovered").and_then(Json::as_f64).unwrap() >= 1.0, "{metrics}");
     server.shutdown();
 }
 

@@ -17,10 +17,7 @@ fn corpus_dir() -> PathBuf {
 }
 
 fn quiet_server(tag: &str) -> Server {
-    let mut cfg = ServerConfig {
-        workers: 2,
-        ..ServerConfig::default()
-    };
+    let mut cfg = ServerConfig { workers: 2, ..ServerConfig::default() };
     cfg.engine.sup.chaos = None;
     cfg.engine.sup.deadline = None;
     cfg.engine.sup.bundle_dir = PathBuf::from(format!("target/test-serve-bundles/{tag}"));
@@ -74,11 +71,7 @@ fn corpus_reports_are_byte_identical_to_the_direct_driver() {
             "corpus entry {}: served program differs from the direct driver",
             e.name
         );
-        let speedup = v
-            .get("stats")
-            .and_then(|s| s.get("speedup"))
-            .and_then(Json::as_f64)
-            .unwrap();
+        let speedup = v.get("stats").and_then(|s| s.get("speedup")).and_then(Json::as_f64).unwrap();
         assert!(speedup > 0.0, "corpus entry {}: degenerate speedup", e.name);
     }
     server.shutdown();
@@ -102,11 +95,7 @@ fn validated_corpus_entry_verifies_clean() {
     assert_eq!(status, 200, "{body}");
     let v = Json::parse(&body).unwrap();
     let verification = v.get("verification").unwrap();
-    assert_eq!(
-        verification.get("fallbacks").and_then(Json::as_f64),
-        Some(0.0),
-        "{body}"
-    );
+    assert_eq!(verification.get("fallbacks").and_then(Json::as_f64), Some(0.0), "{body}");
     assert_eq!(
         verification.get("degraded_to_serial").and_then(Json::as_bool),
         Some(false),

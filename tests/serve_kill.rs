@@ -20,11 +20,8 @@ const T: Duration = Duration::from_secs(30);
 const READY: &str = "serve_kill child listening on ";
 
 fn config(root: &Path) -> ServerConfig {
-    let mut cfg = ServerConfig {
-        workers: 2,
-        store_dir: Some(root.join("store")),
-        ..ServerConfig::default()
-    };
+    let mut cfg =
+        ServerConfig { workers: 2, store_dir: Some(root.join("store")), ..ServerConfig::default() };
     cfg.engine.sup.chaos = None;
     cfg.engine.sup.deadline = None;
     cfg.engine.sup.bundle_dir = root.join("bundles");
@@ -103,13 +100,21 @@ fn sigkill_right_after_a_reply_leaves_no_torn_entry() {
             .map(|(req, reply)| match store.get(req.key()) {
                 None => false,
                 Some(entry) => {
-                    assert_eq!(entry, reply.as_bytes(), "after {n}: a surviving entry is its reply");
+                    assert_eq!(
+                        entry,
+                        reply.as_bytes(),
+                        "after {n}: a surviving entry is its reply"
+                    );
                     true
                 }
             })
             .collect();
         let survivors = survived.iter().filter(|s| **s).count();
-        assert_eq!(store.len(), survivors, "after {n}: no entry but of a request that was answered");
+        assert_eq!(
+            store.len(),
+            survivors,
+            "after {n}: no entry but of a request that was answered"
+        );
         assert_eq!(store.stats().corrupt_recovered, 0, "after {n}: nothing verifies as torn");
         drop(store);
 

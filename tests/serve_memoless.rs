@@ -17,10 +17,7 @@ const REQUESTS: u64 = 60;
 
 #[test]
 fn distinct_requests_leave_the_memo_empty() {
-    let mut cfg = ServerConfig {
-        workers: 2,
-        ..ServerConfig::default()
-    };
+    let mut cfg = ServerConfig { workers: 2, ..ServerConfig::default() };
     cfg.engine.sup.chaos = None;
     cfg.engine.sup.deadline = None;
     cfg.engine.sup.bundle_dir = PathBuf::from("target/test-serve-bundles/memoless");

@@ -45,8 +45,8 @@ fn requests() -> Vec<(String, ServeRequest)> {
     }
     for name in POOL {
         let path = root().join(format!("tests/golden/{name}.expected.serial.f"));
-        let source = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+        let source =
+            std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
         let mut req = ServeRequest::new(source);
         req.free_form = false;
         req.watch = vec!["chksum".into()];

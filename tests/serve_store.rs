@@ -16,11 +16,8 @@ const SOURCE: &str = "program p\nreal a(64), s\ninteger i\ns = 0.0\ndo 10 i = 1,
 /// left exactly as the previous run (if any) wrote it.
 fn config_reopen(tag: &str) -> ServerConfig {
     let dir = PathBuf::from(format!("target/test-serve-store/{tag}"));
-    let mut cfg = ServerConfig {
-        workers: 2,
-        store_dir: Some(dir.join("store")),
-        ..ServerConfig::default()
-    };
+    let mut cfg =
+        ServerConfig { workers: 2, store_dir: Some(dir.join("store")), ..ServerConfig::default() };
     cfg.engine.sup.chaos = None;
     cfg.engine.sup.deadline = None;
     cfg.engine.sup.bundle_dir = dir.join("bundles");

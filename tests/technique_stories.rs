@@ -62,9 +62,7 @@ fn track_needs_critical_sections() {
     let w = cedar_workloads::perfect::track();
     let r = manual_report(&w);
     assert!(
-        r.loops
-            .iter()
-            .any(|l| matches!(l.decision, LoopDecision::CriticalSection)),
+        r.loops.iter().any(|l| matches!(l.decision, LoopDecision::CriticalSection)),
         "TRACK's commutative updates need a critical section: {r}"
     );
 }
@@ -86,10 +84,7 @@ fn trfd_needs_triangular_givs() {
         matches!(&l.decision, LoopDecision::Serial { reason } if reason.contains("`ij`"))
             && !l.techniques.contains(&Technique::GivSubstitution)
     });
-    assert!(
-        outer_blocked_on_ij,
-        "automatic must be blocked by the triangular recurrence: {auto}"
-    );
+    assert!(outer_blocked_on_ij, "automatic must be blocked by the triangular recurrence: {auto}");
 }
 
 #[test]
@@ -98,9 +93,9 @@ fn qcd_stays_serialized_under_every_technique_set() {
     // and has no constant distance: nothing in §4.1 unlocks it.
     let w = cedar_workloads::perfect::qcd();
     let r = manual_report(&w);
-    let rng_loop_serial = r.loops.iter().any(|l| {
-        matches!(&l.decision, LoopDecision::Serial { reason } if reason.contains("iseed"))
-    });
+    let rng_loop_serial = r.loops.iter().any(
+        |l| matches!(&l.decision, LoopDecision::Serial { reason } if reason.contains("iseed")),
+    );
     assert!(rng_loop_serial, "the iseed recurrence must stay serial: {r}");
 }
 
