@@ -27,6 +27,7 @@
 pub mod expr;
 pub mod lower;
 pub mod machine;
+pub mod ops;
 pub mod print;
 pub mod program;
 pub mod stmt;
@@ -43,7 +44,7 @@ pub use machine::{Machine, Planning};
 pub use program::{CommonBlock, Program, Unit, UnitId, UnitKind};
 pub use stmt::{trip, trip_wide, LValue, Loop, Stmt, SyncOp};
 pub use symbol::{Placement, SymKind, Symbol, SymbolId};
-pub use types::{pow_ii, pow_ri, Ty, Value};
+pub use types::{Ty, Value};
 
 /// Timer pseudo-calls recognized by the simulator: `CALL TSTART` /
 /// `CALL TSTOP` bracket the measured region (the paper reports routine

@@ -1,5 +1,6 @@
 //! Value types of the dialect and runtime constant values.
 
+use crate::ops;
 use std::fmt;
 
 /// The four value types the pipeline computes with. `Real` and `Double`
@@ -80,35 +81,32 @@ impl Value {
 
     /// Numeric coercion to f64 (integers widen exactly up to 2^53, far
     /// beyond any workload constant).
+    #[inline]
     pub fn as_f64(self) -> f64 {
         match self {
-            Value::I(v) => v as f64,
+            Value::I(v) => ops::real_of_int(v),
             Value::R(v) => v,
-            Value::B(b) => {
-                if b {
-                    1.0
-                } else {
-                    0.0
-                }
-            }
+            Value::B(b) => ops::real_of_bool(b),
         }
     }
 
     /// Integer view with Fortran truncation semantics for reals.
+    #[inline]
     pub fn as_i64(self) -> i64 {
         match self {
             Value::I(v) => v,
-            Value::R(v) => v.trunc() as i64,
-            Value::B(b) => b as i64,
+            Value::R(v) => ops::trunc(v),
+            Value::B(b) => ops::int_of_bool(b),
         }
     }
 
     /// Logical view (nonzero numerics are true).
+    #[inline]
     pub fn as_bool(self) -> bool {
         match self {
             Value::B(b) => b,
-            Value::I(v) => v != 0,
-            Value::R(v) => v != 0.0,
+            Value::I(v) => ops::bool_of_int(v),
+            Value::R(v) => ops::bool_of_real(v),
         }
     }
 }
@@ -120,51 +118,6 @@ impl fmt::Display for Value {
             Value::R(v) => write!(f, "{v:?}"),
             Value::B(true) => write!(f, ".true."),
             Value::B(false) => write!(f, ".false."),
-        }
-    }
-}
-
-/// `a ** b` of two integers, as the engines compute it. For `b ≥ 0`
-/// the power wraps, as every integer op does: it is the exact power
-/// modulo 2^64, whatever the exponent. For `b < 0` it is `1 / a ** -b`
-/// truncated: ±1 for a base of ±1, 0 for any other, and `None` for
-/// `0 ** -k`, which divides by zero.
-pub fn pow_ii(a: i64, b: i64) -> Option<i64> {
-    if b < 0 {
-        return match a {
-            0 => None,
-            1 => Some(1),
-            -1 => Some(if b % 2 == 0 { 1 } else { -1 }),
-            _ => Some(0),
-        };
-    }
-    // Square and multiply, over every bit of the exponent.
-    let (mut base, mut e, mut acc) = (a, b as u64, 1i64);
-    while e > 0 {
-        if e & 1 == 1 {
-            acc = acc.wrapping_mul(base);
-        }
-        base = base.wrapping_mul(base);
-        e >>= 1;
-    }
-    Some(acc)
-}
-
-/// `x ** n`, a real base and an integer exponent, as the engines and
-/// the `PARAMETER` folder compute it: `powi` while the exponent fits
-/// its `i32`. Past that the power is 0, 1 or infinite in magnitude,
-/// `|x| ** n` as reals, and negative for a negative base and an odd
-/// exponent (a real exponent that large is even).
-pub fn pow_ri(x: f64, n: i64) -> f64 {
-    match i32::try_from(n) {
-        Ok(n) => x.powi(n),
-        Err(_) => {
-            let m = x.abs().powf(n as f64);
-            if x.is_sign_negative() && n % 2 != 0 {
-                -m
-            } else {
-                m
-            }
         }
     }
 }
