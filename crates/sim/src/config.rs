@@ -44,11 +44,12 @@ pub struct MachineConfig {
     /// Off by default: the detector charges no simulated cycles either
     /// way, but instrumenting every element access costs host time.
     pub detect_races: bool,
-    /// Use the interpreter's prepass caches (constant-folded declared
-    /// dims with recorded charge sequences; see `sim::prepass`).
-    /// Simulated behavior is bit-identical either way — the switch
-    /// exists so the fast-path equivalence property tests can compare
-    /// cached against uncached runs (DESIGN.md §9).
+    /// Run the VM's straight-line inner loops as loop kernels, and index
+    /// a one-range section as an arithmetic progression. Simulated
+    /// behavior is bit-identical either way — the switch exists so the
+    /// fast-path equivalence tests can compare the shortcuts against
+    /// the statement-by-statement and element-by-element paths
+    /// (DESIGN.md §9).
     pub fast_paths: bool,
     /// Cooperative cancellation handle the watchdog polls alongside its
     /// statement budget (every 1024 executed statements, so one clock
@@ -144,8 +145,9 @@ impl MachineConfig {
         self
     }
 
-    /// Disable the interpreter's prepass caches (fast-path equivalence
-    /// tests compare against this mode; see `sim::prepass`).
+    /// Switch off the loop kernels and the progression indexer
+    /// ([`MachineConfig::fast_paths`]); the fast-path equivalence tests
+    /// compare against this mode.
     pub fn without_fast_paths(mut self) -> MachineConfig {
         self.fast_paths = false;
         self

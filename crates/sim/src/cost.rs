@@ -3,8 +3,8 @@
 //! [`CostModel`] is built once per simulator from the [`Machine`] and
 //! is the only reader of its cost fields: the executor keeps the
 //! machine's topology and run limits and no cost field, so tree-walker,
-//! VM dispatch loop and prepass all charge through these entry points
-//! by construction, not by convention.
+//! VM dispatch loop and loop kernels all charge through these entry
+//! points by construction, not by convention.
 //!
 //! * [`CostModel::charge`] — a **fixed** charge. Its [`CostClass`]
 //!   selects the table entry *and* the [`ExecStats`] counter, bumped in

@@ -11,7 +11,6 @@ use crate::config::{Engine, MachineConfig};
 use crate::cost::{Access, CostModel, Site};
 use crate::fault::{FaultConfig, FaultState};
 use crate::lanes::LanePool;
-use crate::prepass::Prepass;
 use crate::race::{RaceDetector, RaceInfo};
 use crate::stats::ExecStats;
 use crate::store::{Store, VarBind};
@@ -118,9 +117,11 @@ pub struct Simulator<'p> {
     /// `Option` test per access when disabled, and no simulated cycles
     /// either way).
     races: Option<Box<RaceDetector>>,
-    /// One-time derived data (callee index, constant-folded dims); see
-    /// [`crate::prepass`].
-    pre: Prepass,
+    /// [`crate::compile::callee_index`] of the program.
+    callees: HashMap<&'p str, usize>,
+    /// [`MachineConfig::fast_paths`]: loop kernels and the progression
+    /// indexer of sections.
+    fast_paths: bool,
     /// Recycled lane and index buffers of vector statements.
     pool: LanePool,
     /// See [`Simulator::section_counts`].
@@ -183,7 +184,6 @@ impl<'p> Simulator<'p> {
         compiled: Option<Arc<CompiledProgram>>,
     ) -> Result<Simulator<'p>> {
         let races = config.detect_races.then(|| Box::new(RaceDetector::new(true)));
-        let pre = Prepass::build(program, config.fast_paths);
         let mut store = Store::new(config.machine.clusters);
         if races.is_some() {
             store.charge_shadow();
@@ -208,7 +208,8 @@ impl<'p> Simulator<'p> {
             ops_executed: 0,
             elements_since_poll: 0,
             races,
-            pre,
+            callees: crate::compile::callee_index(program),
+            fast_paths: config.fast_paths,
             pool: LanePool::default(),
             sections: SectionCounts::default(),
             compiled,

@@ -1,13 +1,12 @@
 //! Storage and frames: COMMON and local allocation, pool accounting,
-//! declared dims (and their prepass replay), and the activation
-//! protocol of a call.
+//! declared dims, and the activation protocol of a call.
 
 use super::types::{Section, SectionDim, Subs, MAX_SECTION_RANK};
 use super::{err, kerr, Ctx, Frame, Result, SimError, SimErrorKind, Simulator};
 use crate::cost::CostClass;
 use crate::store::{element_count, SlotId, StorageRef, VarBind};
 use crate::value_ops;
-use cedar_ir::{Expr, Placement, SymKind, Symbol, SymbolId, Ty, Unit, Value, Visibility};
+use cedar_ir::{Expr, Placement, SymKind, Symbol, Ty, Unit, Value, Visibility};
 
 impl Simulator<'_> {
     /// Elements of the storage of `sym` with the bound dims `dims`, at
@@ -234,10 +233,8 @@ impl Simulator<'_> {
                             Placement::Default => Placement::Cluster,
                             p => p,
                         };
-                        let dims = match self.cached_dims(idx, si, ctx) {
-                            Some(d) => d.to_vec(),
-                            None => self.eval_dims(&frame, unit, si, ctx)?,
-                        };
+                        let mut dims = Vec::with_capacity(sym.dims.len());
+                        self.declared_dims(&frame, sym, None, &mut dims, ctx)?;
                         let len = self.storage_len("array", sym, &dims, placement)?;
                         let sref = self.alloc_storage(sym.ty, len, placement, ctx.cluster);
                         let bind = VarBind { sref, offset: 0, dims, ty: sym.ty, placement };
@@ -251,21 +248,35 @@ impl Simulator<'_> {
         Ok(frame)
     }
 
-    /// Evaluate the declared dims of symbol `si` in the frame.
-    fn eval_dims(
+    /// The declared dims of `sym`, a symbol of the frame's unit,
+    /// evaluated in the frame into `dims` (lower bound, then upper, dim
+    /// by dim, charged as any expression is). `actual` is the storage a
+    /// dummy argument is bound to: an assumed-size last dimension takes
+    /// the elements left in it after the leading ones.
+    pub(super) fn declared_dims(
         &mut self,
         frame: &Frame,
-        unit: &Unit,
-        si: usize,
+        sym: &Symbol,
+        actual: Option<&VarBind>,
+        dims: &mut Vec<(i64, i64)>,
         ctx: &mut Ctx,
-    ) -> Result<Vec<(i64, i64)>> {
-        let sym = &unit.symbols[si];
-        let mut dims = Vec::with_capacity(sym.dims.len());
+    ) -> Result<()> {
+        dims.clear();
         for d in &sym.dims {
             let lo = self.eval_scalar(frame, &d.lower, ctx)?.as_i64();
-            let hi = match &d.upper {
-                Some(e) => self.eval_scalar(frame, e, ctx)?.as_i64(),
-                None => {
+            let hi = match (&d.upper, actual) {
+                (Some(e), _) => self.eval_scalar(frame, e, ctx)?.as_i64(),
+                (None, Some(bind)) => {
+                    debug_assert_eq!(dims.len() + 1, sym.dims.len());
+                    let slot = self.resolve_slot(bind, ctx.cluster);
+                    let total = self.store.slot(slot).len().saturating_sub(bind.offset);
+                    let rem = element_count(dims).and_then(|lead| total.checked_div(lead));
+                    lo.wrapping_add(rem.unwrap_or(0) as i64).wrapping_sub(1)
+                }
+                (None, None) if sym.kind == SymKind::LoopLocal => {
+                    return err(sym.span, "assumed-size loop local")
+                }
+                (None, None) => {
                     return err(
                         sym.span,
                         format!("assumed-size array `{}` without caller binding", sym.name),
@@ -274,29 +285,7 @@ impl Simulator<'_> {
             };
             dims.push((lo, hi));
         }
-        Ok(dims)
-    }
-
-    /// Prepass fast path for [`Self::eval_dims`]: when the declared dims
-    /// of `[unit_idx][si]` constant-folded, replay the recorded charge
-    /// sequence (bit-identical to the slow walk; see `prepass`) and
-    /// return the dims. `None` = take the slow path. Bypassed under race
-    /// detection: the slow path's PARAMETER reads go through the
-    /// detector's shadow memory and must not be skipped.
-    pub(super) fn cached_dims(
-        &mut self,
-        unit_idx: usize,
-        si: usize,
-        ctx: &mut Ctx,
-    ) -> Option<&[(i64, i64)]> {
-        if self.races.is_some() {
-            return None;
-        }
-        let cd = self.pre.dims(unit_idx, si)?;
-        for &c in &cd.charges {
-            self.costs.charge(c, &mut self.stats, &mut ctx.time);
-        }
-        Some(&cd.dims)
+        Ok(())
     }
 
     #[inline]
@@ -323,10 +312,9 @@ impl Simulator<'_> {
         }
     }
 
-    /// Resolve a callee name to its unit index via the prepass table
-    /// (first definition wins, matching the former linear scan).
+    /// The unit a callee name resolves to ([`crate::compile::callee_index`]).
     pub(super) fn unit_index(&self, callee: &str) -> Option<usize> {
-        self.pre.unit_index.get(callee).copied()
+        self.callees.get(callee).copied()
     }
 
     /// Invoke unit `ridx` with actual arguments; returns the function
@@ -385,9 +373,11 @@ impl Simulator<'_> {
                 let dummy = callee_unit.args[pos];
                 let sym = callee_unit.symbol(dummy);
                 if sym.is_array() {
-                    let declared = self.eval_dummy_dims(&f2, ridx, dummy, ctx)?;
+                    let mut dims = Vec::with_capacity(sym.dims.len());
+                    let actual = self.bind_of(&f2, dummy)?;
+                    self.declared_dims(&f2, sym, Some(actual), &mut dims, ctx)?;
                     if let Some(b) = f2.binds[dummy.index()].as_mut() {
-                        b.dims = declared;
+                        b.dims = dims;
                         b.ty = sym.ty;
                     }
                 } else if let Some(b) = f2.binds[dummy.index()].as_mut() {
@@ -439,47 +429,6 @@ impl Simulator<'_> {
         Ok(frame)
     }
 
-    /// Declared dims of a dummy argument, evaluated in the callee frame;
-    /// assumed-size last dimension resolves against the actual length.
-    fn eval_dummy_dims(
-        &mut self,
-        frame: &Frame,
-        ridx: usize,
-        dummy: SymbolId,
-        ctx: &mut Ctx,
-    ) -> Result<Vec<(i64, i64)>> {
-        // Fully-constant declared dims (never assumed-size: the fold
-        // requires every upper bound) replay from the prepass cache.
-        if let Some(d) = self.cached_dims(ridx, dummy.index(), ctx) {
-            return Ok(d.to_vec());
-        }
-        let unit = &{ self.program }.units[ridx];
-        let sym = unit.symbol(dummy);
-        let mut dims = Vec::with_capacity(sym.dims.len());
-        let bind = self.bind_of(frame, dummy)?;
-        for (k, d) in sym.dims.iter().enumerate() {
-            let lo = self.eval_scalar(frame, &d.lower, ctx)?.as_i64();
-            let hi = match &d.upper {
-                Some(e) => self.eval_scalar(frame, e, ctx)?.as_i64(),
-                None => {
-                    // Assumed size: fill from the actual's remaining
-                    // length.
-                    debug_assert_eq!(k + 1, sym.dims.len());
-                    let slot = self.resolve_slot(bind, ctx.cluster);
-                    let total = self.store.slot(slot).len().saturating_sub(bind.offset);
-                    let lead: usize = dims
-                        .iter()
-                        .map(|&(l, h): &(i64, i64)| ((h - l + 1).max(0)) as usize)
-                        .product();
-                    let rem = total.checked_div(lead).unwrap_or(0);
-                    lo + rem as i64 - 1
-                }
-            };
-            dims.push((lo, hi));
-        }
-        Ok(dims)
-    }
-
     /// Bind one actual argument: produce an aliasing VarBind (or a value
     /// temp for expression actuals).
     fn bind_actual(&mut self, caller: &Frame, actual: &Expr, ctx: &mut Ctx) -> Result<VarBind> {
@@ -501,7 +450,7 @@ impl Simulator<'_> {
                     .collect();
                 self.release_section(&mut sec);
                 let bind = self.bind_of(caller, *arr)?;
-                let lin = bind.linearize(&subs, false).unwrap_or(bind.offset);
+                let lin = bind.linearize(&subs).unwrap_or(bind.offset);
                 let mut nb = bind.clone();
                 nb.offset = lin;
                 Ok(nb)

@@ -198,25 +198,11 @@ impl Simulator<'_> {
             per_part.truncate(participants);
             for p in 0..participants {
                 let home = self.participant_cluster(class, p, ctx);
+                // Dims may reference outer scalars (e.g. strip length),
+                // and are evaluated once per participant.
                 let mut dims =
                     per_part.get_mut(p).map(|b| std::mem::take(&mut b.dims)).unwrap_or_default();
-                dims.clear();
-                // Dims may reference outer scalars (e.g. strip length).
-                // Constant declared dims replay from the prepass cache —
-                // once per participant, like the slow walk.
-                match self.cached_dims(unit_idx, loc.index(), ctx) {
-                    Some(d) => dims.extend_from_slice(d),
-                    None => {
-                        for d in &sym.dims {
-                            let lo = self.eval_scalar(frame, &d.lower, ctx)?.as_i64();
-                            let hi = match &d.upper {
-                                Some(e) => self.eval_scalar(frame, e, ctx)?.as_i64(),
-                                None => return err(sym.span, "assumed-size loop local"),
-                            };
-                            dims.push((lo, hi));
-                        }
-                    }
-                }
+                self.declared_dims(frame, sym, None, &mut dims, ctx)?;
                 let len = self.storage_len("loop local", sym, &dims, Placement::Private)?;
                 let sref = match per_part.get(p).map(|b| &b.sref) {
                     Some(&StorageRef::One(s)) if reuse && self.store.rezero(s, sym.ty, len) => {

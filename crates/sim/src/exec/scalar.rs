@@ -198,7 +198,7 @@ impl Simulator<'_> {
                 ),
             );
         }
-        bind.linearize(subs, false).ok_or_else(|| {
+        bind.linearize(subs).ok_or_else(|| {
             SimError::new(
                 SimErrorKind::OutOfBounds,
                 cedar_ir::Span::NONE,

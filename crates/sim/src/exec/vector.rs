@@ -131,7 +131,7 @@ impl Simulator<'_> {
             _ => false,
         });
         let single = range.filter(|_| only_fixed_otherwise);
-        if let (true, Some((k, lo, step, len))) = (self.pre.enabled, single) {
+        if let (true, Some((k, lo, step, len))) = (self.fast_paths, single) {
             debug_assert_eq!(len, lanes);
             let mut subs = [0i64; MAX_SECTION_RANK];
             for (j, d) in dims.iter().enumerate() {
@@ -178,7 +178,7 @@ impl Simulator<'_> {
                     }
                 }
             }
-            let lin = bind.linearize(subs.as_slice(), false).ok_or_else(|| {
+            let lin = bind.linearize(subs.as_slice()).ok_or_else(|| {
                 SimError::new(
                     SimErrorKind::OutOfBounds,
                     cedar_ir::Span::NONE,

@@ -176,7 +176,7 @@ impl LanePool {
     /// `lo, lo + 1, …` over `n` lanes.
     pub(crate) fn iota(&mut self, lo: i64, n: usize) -> Lanes {
         let mut b = self.i(n);
-        b.extend((0..n as i64).map(|k| lo + k));
+        b.extend((0..n as i64).map(|k| ops::add_i(lo, k)));
         Lanes::I(b)
     }
 

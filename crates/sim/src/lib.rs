@@ -48,7 +48,6 @@ pub mod error;
 pub mod exec;
 pub mod fault;
 pub(crate) mod lanes;
-pub(crate) mod prepass;
 pub mod race;
 pub mod stats;
 pub mod store;

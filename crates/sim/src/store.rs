@@ -235,23 +235,10 @@ pub struct VarBind {
 
 impl VarBind {
     /// Column-major linearization of a subscript list against the bound
-    /// dims; `None` when out of declared bounds (the last dimension of
-    /// assumed-size arrays is unchecked). Wrapping arithmetic, as the
-    /// VM's: only a dummy argument's declared dims can overflow it, and
-    /// such an element is then refused by its storage.
-    pub fn linearize(&self, subs: &[i64], assumed_last: bool) -> Option<usize> {
+    /// dims; `None` when out of declared bounds.
+    pub fn linearize(&self, subs: &[i64]) -> Option<usize> {
         debug_assert_eq!(subs.len(), self.dims.len());
-        let mut lin: i64 = 0;
-        let mut stride: i64 = 1;
-        for (k, (&s, &(lo, hi))) in subs.iter().zip(&self.dims).enumerate() {
-            let last = k + 1 == self.dims.len();
-            if s < lo || (!last || !assumed_last) && s > hi {
-                return None;
-            }
-            lin = lin.wrapping_add(s.wrapping_sub(lo).wrapping_mul(stride));
-            stride = stride.wrapping_mul(hi.wrapping_sub(lo).wrapping_add(1));
-        }
-        usize::try_from(lin).ok().map(|l| l + self.offset)
+        linearize(strides(&self.dims), self.offset, subs.iter().copied())
     }
 
     /// Both end lanes of a one-range section in one pass: the
@@ -279,6 +266,44 @@ impl VarBind {
     pub fn total_len(&self) -> usize {
         element_count(&self.dims).unwrap_or(usize::MAX)
     }
+}
+
+/// One bound dimension with its column-major element stride.
+#[derive(Clone, Copy, Default)]
+pub(crate) struct DimStride {
+    pub lo: i64,
+    pub hi: i64,
+    pub stride: i64,
+}
+
+/// `dims` with their strides: 1 for the first, and for each next one
+/// the stride before times the extent before, wrapping.
+pub(crate) fn strides(dims: &[(i64, i64)]) -> impl Iterator<Item = DimStride> + '_ {
+    dims.iter().scan(1i64, |stride, &(lo, hi)| {
+        let d = DimStride { lo, hi, stride: *stride };
+        *stride = stride.wrapping_mul(hi.wrapping_sub(lo).wrapping_add(1));
+        Some(d)
+    })
+}
+
+/// The element `subs` of storage at `offset` with `dims`, for every
+/// executor; `None` out of bounds. Wrapping arithmetic: only a dummy
+/// argument's declared dims can overflow it, and such an element is
+/// then refused by its storage.
+#[inline(always)]
+pub(crate) fn linearize(
+    dims: impl Iterator<Item = DimStride>,
+    offset: usize,
+    subs: impl Iterator<Item = i64>,
+) -> Option<usize> {
+    let mut lin: i64 = 0;
+    for (s, d) in subs.zip(dims) {
+        if s < d.lo || s > d.hi {
+            return None;
+        }
+        lin = lin.wrapping_add(s.wrapping_sub(d.lo).wrapping_mul(d.stride));
+    }
+    usize::try_from(lin).ok().map(|l| l + offset)
 }
 
 /// Elements of an array with the bound dimensions `dims`; `None` when
@@ -438,12 +463,12 @@ mod tests {
             placement: Placement::Default,
         };
         // a(i, j) → (i-1) + (j-1)*3
-        assert_eq!(b.linearize(&[1, 1], false), Some(0));
-        assert_eq!(b.linearize(&[3, 1], false), Some(2));
-        assert_eq!(b.linearize(&[1, 2], false), Some(3));
-        assert_eq!(b.linearize(&[3, 2], false), Some(5));
-        assert_eq!(b.linearize(&[4, 1], false), None);
-        assert_eq!(b.linearize(&[0, 1], false), None);
+        assert_eq!(b.linearize(&[1, 1]), Some(0));
+        assert_eq!(b.linearize(&[3, 1]), Some(2));
+        assert_eq!(b.linearize(&[1, 2]), Some(3));
+        assert_eq!(b.linearize(&[3, 2]), Some(5));
+        assert_eq!(b.linearize(&[4, 1]), None);
+        assert_eq!(b.linearize(&[0, 1]), None);
     }
 
     #[test]
@@ -462,7 +487,7 @@ mod tests {
                     subs[k] = first;
                     let mut ends = subs;
                     ends[k] = last;
-                    let want = b.linearize(&subs, false).zip(b.linearize(&ends, false));
+                    let want = b.linearize(&subs).zip(b.linearize(&ends));
                     let got = b.linearize_ends(&subs, k, last);
                     assert_eq!(got.is_some(), want.is_some(), "{subs:?} {k} {last}");
                     if let (Some((f, stride)), Some((wf, wl))) = (got, want) {
@@ -483,21 +508,8 @@ mod tests {
             ty: Ty::Real,
             placement: Placement::Default,
         };
-        assert_eq!(b.linearize(&[0], false), Some(10));
-        assert_eq!(b.linearize(&[4], false), Some(14));
-    }
-
-    #[test]
-    fn assumed_size_skips_last_bound_check() {
-        let b = VarBind {
-            sref: StorageRef::One(SlotId(0)),
-            offset: 0,
-            dims: vec![(1, 1)],
-            ty: Ty::Real,
-            placement: Placement::Default,
-        };
-        assert_eq!(b.linearize(&[5], true), Some(4));
-        assert_eq!(b.linearize(&[5], false), None);
+        assert_eq!(b.linearize(&[0]), Some(10));
+        assert_eq!(b.linearize(&[4]), Some(14));
     }
 
     #[test]

@@ -59,18 +59,10 @@ use crate::compile::{
 };
 use crate::cost::{Access, CostClass};
 use crate::error::{OpError, SimError, SimErrorKind};
-use crate::store::{ArrayData, SlotId, StorageRef, Store, VarBind};
+use crate::store::{linearize, strides, ArrayData, DimStride, SlotId, StorageRef, Store, VarBind};
 use crate::value_ops::{self, Class};
 use cedar_ir::{ops, BinOp, LoopClass, Placement, Span, SymbolId, Value};
 use std::sync::Arc;
-
-/// One dimension of a resolved array operand.
-#[derive(Clone, Copy, Default)]
-pub(super) struct DimStride {
-    pub(super) lo: i64,
-    pub(super) hi: i64,
-    pub(super) stride: i64,
-}
 
 /// One symbol's entry in the resolved-operand table.
 #[derive(Clone, Copy)]
@@ -125,7 +117,7 @@ impl Operands {
         if !op.bound {
             return None;
         }
-        linearize(self.dims(op), op.offset, subs)
+        linearize(self.dims(op).iter().copied(), op.offset, subs)
     }
 
     /// A bound operand's dims.
@@ -157,10 +149,8 @@ impl Operands {
             let k = if per_cluster { c.min(slots.len() - 1) } else { 0 };
             self.slots[si * self.width + c] = slots[k];
         }
-        let mut stride: i64 = 1;
-        for (d, &(lo, hi)) in self.dims[op.dims as usize..].iter_mut().zip(&bind.dims) {
-            *d = DimStride { lo, hi, stride };
-            stride = stride.wrapping_mul(hi.wrapping_sub(lo).wrapping_add(1));
+        for (d, s) in self.dims[op.dims as usize..].iter_mut().zip(strides(&bind.dims)) {
+            *d = s;
         }
         op.placement = bind.placement;
         op.offset = bind.offset;
@@ -186,24 +176,6 @@ impl VmState {
         }
         subs
     }
-}
-
-/// The element `subs` of storage at `offset` with `dims`; `None` out of
-/// bounds.
-#[inline(always)]
-pub(super) fn linearize(
-    dims: &[DimStride],
-    offset: usize,
-    subs: impl Iterator<Item = i64>,
-) -> Option<usize> {
-    let mut lin: i64 = 0;
-    for (s, d) in subs.zip(dims) {
-        if s < d.lo || s > d.hi {
-            return None;
-        }
-        lin = lin.wrapping_add((s - d.lo).wrapping_mul(d.stride));
-    }
-    usize::try_from(lin).ok().map(|l| l + offset)
 }
 
 #[cold]

@@ -237,6 +237,71 @@ const EXTREME_CONSTANTS: &[(&[&str], Outcome)] = &[
         ],
         Outcome::AllSimulate(None),
     ),
+    // Declared dims of a dummy at the ends of `i64`: its extents, the
+    // address of an element, and the fill of an assumed-size last
+    // dimension wrap as the engines' integers do. A subscript then lands
+    // outside the storage, or on an element of it.
+    (
+        &[
+            "program p",
+            "real x(4)",
+            "call s(x, -9223372036854775807 - 1, 9223372036854775807)",
+            "end",
+            "subroutine s(a, lo, hi)",
+            "integer lo, hi",
+            "real a(lo:hi)",
+            "a(hi) = 1.0",
+            "end",
+        ],
+        Outcome::AllSimulate(Some(SimErrorKind::OutOfBounds)),
+    ),
+    (
+        &[
+            "program p",
+            "real x(4)",
+            "call s(x, -9223372036854775807 - 1, 9223372036854775807)",
+            "end",
+            "subroutine s(a, lo, hi)",
+            "integer lo, hi",
+            "real a(lo:hi, *)",
+            "a(hi, 1) = 1.0",
+            "end",
+        ],
+        Outcome::AllSimulate(Some(SimErrorKind::OutOfBounds)),
+    ),
+    (
+        &[
+            "program p",
+            "real x(4)",
+            "call s(x, -9223372036854775807 - 1)",
+            "end",
+            "subroutine s(a, lo)",
+            "integer lo",
+            "real a(8, lo:*)",
+            "a(1, lo) = 1.0",
+            "end",
+        ],
+        Outcome::AllSimulate(None),
+    ),
+    (
+        &[
+            "program p",
+            "real x(4)",
+            "call s(x)",
+            "end",
+            "subroutine s(a)",
+            "parameter (n = 2**62)",
+            "real a(n, n, *)",
+            "a(1, 1, 1) = 1.0",
+            "end",
+        ],
+        Outcome::AllSimulate(Some(SimErrorKind::OutOfBounds)),
+    ),
+    // And the lanes of an `iota` past the largest integer.
+    (
+        &["program p", "integer k(4)", "n = 9223372036854775806", "k(1:4) = iota(n, n) + 0", "end"],
+        Outcome::AllSimulate(None),
+    ),
 ];
 
 /// 60 000 000 REALs. The restructured programs declare the array GLOBAL:

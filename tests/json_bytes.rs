@@ -721,19 +721,15 @@ fn counts_iterations(code: &str) -> bool {
 /// `cedar-ir` owns constant folding (`Unit::const_value`) and the trip
 /// count of a DO loop (`cedar_ir::trip`, `Loop::const_trip`). Outside
 /// `crates/ir/src`, no function that reads a loop's bounds counts its
-/// iterations, and no code folds the value of a `SymKind::Param`. Two
-/// exceptions: the simulator binding a PARAMETER's slot in a new frame,
-/// and the prepass, which mirrors the engines' wrapping arithmetic for
-/// cycle identity.
+/// iterations, and no code folds the value of a `SymKind::Param`. One
+/// exception: the simulator binding a PARAMETER's slot in a new frame.
 #[test]
 fn constants_and_trip_counts_are_computed_only_in_ir() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("..");
     let mut files = Vec::new();
     rust_files(&root, &mut files);
     files.retain(|f| {
-        f.components().any(|c| c.as_os_str() == "src")
-            && !f.starts_with(root.join("ir/src"))
-            && !f.ends_with("sim/src/prepass.rs")
+        f.components().any(|c| c.as_os_str() == "src") && !f.starts_with(root.join("ir/src"))
     });
     files.sort();
     assert!(files.len() > 100, "crates/*/src was not found: {} files", files.len());

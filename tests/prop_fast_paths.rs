@@ -1,4 +1,4 @@
-//! Property test for the interpreter fast paths: the extent prepass,
+//! Property test for the simulator's fast paths: the VM's loop kernels,
 //! the arithmetic-progression section indexer, and the contiguous bulk
 //! load/store are *observationally invisible*. Disabling all of them
 //! ([`MachineConfig::without_fast_paths`]) on any restructured Table 1

@@ -204,8 +204,8 @@ fn race_run_allocs(p: &cedar_ir::Program) -> (u64, u64, u64) {
 }
 
 /// Race-collecting allocations at 96 / 384 / 1 536 iterations.
-const CASCADE_ALLOCS: [u64; 3] = [311, 613, 1_779];
-const LOCK_CHAIN_ALLOCS: [u64; 3] = [203, 501, 1_663];
+const CASCADE_ALLOCS: [u64; 3] = [305, 607, 1_773];
+const LOCK_CHAIN_ALLOCS: [u64; 3] = [199, 497, 1_659];
 
 /// `cedar-verify`'s distance-1 recurrence at trip count `n`, as the
 /// restructurer emits it: one `await` / `advance` cascade.
@@ -265,15 +265,15 @@ fn seeded_doall(n: usize) -> cedar_ir::Program {
 
 /// Allocations of [`reentered_doall`] at every number of entries, on
 /// the VM and on the tree-walker.
-const REENTRY_ALLOCS: [(Engine, u64); 2] = [(Engine::Vm, 97), (Engine::Interp, 63)];
+const REENTRY_ALLOCS: [(Engine, u64); 2] = [(Engine::Vm, 91), (Engine::Interp, 57)];
 
 /// Allocations of a race-collecting [`reentered_race_doall`] at every
 /// number of entries.
-const REENTRY_RACE_ALLOCS: u64 = 98;
+const REENTRY_RACE_ALLOCS: u64 = 94;
 
 /// Allocations of a fault-perturbed [`seeded_doall`] at every trip
 /// count.
-const SEED_RUN_ALLOCS: u64 = 50;
+const SEED_RUN_ALLOCS: u64 = 45;
 
 #[test]
 fn simulator_run_allocations_stay_exact_and_small() {
