@@ -16,30 +16,7 @@ use cedar_ir::visit::walk_expr;
 use cedar_ir::{BinOp, Expr, Intrinsic, LValue, Loop, Stmt, SymbolId};
 use std::collections::{BTreeMap, BTreeSet};
 
-/// Reduction operation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RedOp {
-    /// `s = s + e`.
-    Sum,
-    /// `s = s * e`.
-    Product,
-    /// `s = min(s, e)`.
-    Min,
-    /// `s = max(s, e)`.
-    Max,
-}
-
-impl RedOp {
-    /// Identity element for partial accumulators.
-    pub fn identity(self) -> f64 {
-        match self {
-            RedOp::Sum => 0.0,
-            RedOp::Product => 1.0,
-            RedOp::Min => f64::INFINITY,
-            RedOp::Max => f64::NEG_INFINITY,
-        }
-    }
-}
+pub use cedar_ir::RedOp;
 
 /// One recognized reduction target.
 #[derive(Debug, Clone)]

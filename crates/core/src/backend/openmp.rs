@@ -6,18 +6,18 @@
 //!
 //! * DOALL nests (any Cedar class) become directive loops. Loop locals
 //!   hoist to unit scope and reappear in a `private(...)` clause; the
-//!   reduction-partials machinery (preamble identity assignment, body
-//!   accumulation into `x$r`, lock-protected postamble merge) is
-//!   pattern-matched back into `reduction(op:x)` clauses, with the
-//!   partial renamed to its target in the body. A pre/postamble that
-//!   is not reduction-shaped has no OpenMP spelling, so that loop falls
-//!   back to serial.
+//!   scalar reduction partials (identity preamble, body accumulation
+//!   into the partial, lock-protected postamble merge) that
+//!   `cedar_ir::furniture::scalar_reductions` reads back become
+//!   `reduction(op:x)` clauses, with the partial renamed to its target
+//!   in the body. A pre/postamble that is not reduction-shaped has no
+//!   OpenMP spelling, so that loop falls back to serial.
 //! * DOACROSS nests print as serial loops (our OpenMP subset has no
 //!   cross-iteration cascade analogue); `await`/`advance` calls are
 //!   dropped, which is exactly their one-participant meaning.
 //! * Critical sections print as `call omp_set_lock(id)` /
 //!   `call omp_unset_lock(id)`; the front end lowers those names back
-//!   to the same [`SyncOp`]s.
+//!   to the same [`SyncOp`](cedar_ir::SyncOp)s.
 //! * Cedar placement (`global`/`cluster`) lines are omitted: OpenMP
 //!   assumes flat shared memory. The front end restores that model when
 //!   it lowers a directive program, by placing shared data in global
@@ -34,8 +34,10 @@
 
 use super::serial::without_furniture;
 use super::{Backend, BackendKind, EmitInput};
+use cedar_ir::furniture::scalar_reductions;
 use cedar_ir::print::{print_unit_as, program_text, Dialect, OmpReduction};
-use cedar_ir::{BinOp, Expr, Intrinsic, LValue, Loop, Stmt, SymbolId, SyncOp, Unit};
+use cedar_ir::visit::rename_symbols;
+use cedar_ir::{Loop, Unit};
 
 /// The OpenMP backend.
 pub struct OpenMp;
@@ -63,77 +65,22 @@ impl Backend for OpenMp {
     }
 }
 
-/// `x op y` of a merge statement as (clause operator, `x`, `y`), both
-/// operands scalars.
-fn merge_operands(rhs: &Expr) -> Option<(&'static str, SymbolId, SymbolId)> {
-    let (op, x, y) = match rhs {
-        Expr::Bin(BinOp::Add, x, y) => ("+", &**x, &**y),
-        Expr::Bin(BinOp::Mul, x, y) => ("*", &**x, &**y),
-        Expr::Intr { f: Intrinsic::Min, args, .. } if args.len() == 2 => {
-            ("min", &args[0], &args[1])
-        }
-        Expr::Intr { f: Intrinsic::Max, args, .. } if args.len() == 2 => {
-            ("max", &args[0], &args[1])
-        }
-        _ => return None,
-    };
-    match (x, y) {
-        (Expr::Scalar(x), Expr::Scalar(y)) => Some((op, *x, *y)),
-        _ => None,
-    }
-}
-
-/// Recognize the reduction-partials shape produced by
-/// `crate::passes::reductions::reduction_partials` and fold it back
-/// into clause form: empty the pre/postamble, rename each partial to
-/// its target in the body, drop it from the locals and push one clause
-/// for it. `false` means the pre/postamble has some other shape (the
-/// loop is untouched and must become serial).
+/// Fold the partials [`scalar_reductions`] reads back into clause
+/// form: empty the pre/postamble, rename each partial to its target in
+/// the body, drop it from the locals and push one clause for it.
+/// `false` means the pre/postamble has some other shape (the loop is
+/// untouched and must become serial).
 fn fold_reductions(
     u: &Unit,
     l: &mut Loop,
     directive: usize,
     clauses: &mut Vec<OmpReduction>,
 ) -> bool {
-    if l.preamble.is_empty() && l.postamble.is_empty() {
-        return true;
-    }
-    if !l.postamble.len().is_multiple_of(3) {
+    let Some(reductions) = scalar_reductions(u, l) else {
         return false;
-    }
-    // (op, target, partial) per lock-protected merge triple.
-    let mut pairs: Vec<(&'static str, SymbolId, SymbolId)> = Vec::new();
-    for w in l.postamble.chunks(3) {
-        let [Stmt::Sync(SyncOp::Lock { id: a }), Stmt::Assign { lhs: LValue::Scalar(t), rhs, .. }, Stmt::Sync(SyncOp::Unlock { id: b })] =
-            w
-        else {
-            return false;
-        };
-        let Some((op, first, partial)) = merge_operands(rhs) else {
-            return false;
-        };
-        if a != b || first != *t || !l.locals.contains(&partial) || u.symbol(partial).is_array() {
-            return false;
-        }
-        pairs.push((op, *t, partial));
-    }
-    // The preamble must be exactly the identity assignments of those
-    // partials, nothing else.
-    let is_identity = |s: &Stmt| {
-        matches!(s, Stmt::Assign { lhs: LValue::Scalar(p), rhs: Expr::ConstI(_) | Expr::ConstR { .. }, .. }
-            if pairs.iter().any(|(_, _, partial)| partial == p))
     };
-    if l.preamble.len() != pairs.len() || !l.preamble.iter().all(is_identity) {
-        return false;
-    }
-    for (op, target, partial) in pairs {
-        cedar_ir::visit::rename_symbols(&mut l.body, &mut |x| {
-            if x == partial {
-                target
-            } else {
-                x
-            }
-        });
+    for (op, target, partial) in reductions {
+        rename_symbols(&mut l.body, &mut |x| if x == partial { target } else { x });
         l.locals.retain(|x| *x != partial);
         clauses.push(OmpReduction { directive, op, target });
     }

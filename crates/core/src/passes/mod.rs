@@ -6,8 +6,6 @@
 
 pub mod giv;
 pub mod nest;
-pub mod privatize;
-pub mod reductions;
 pub mod suppress;
 
 #[cfg(test)]

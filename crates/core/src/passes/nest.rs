@@ -6,13 +6,12 @@ use crate::classes::{self, NestPlan};
 use crate::config::PassConfig;
 use crate::legality::{self, Verdict};
 use crate::passes::giv::apply_giv;
-use crate::passes::privatize::{privatize_arrays, privatize_scalars};
-use crate::passes::reductions::{combine, reduction_partials};
-use crate::passes::suppress::strip_cascades;
+use crate::passes::suppress::demote_directive;
 use crate::report::{LoopDecision, Report, Technique};
 use crate::{coalesce, sync_insert, vectorize};
 use cedar_analysis::interproc::ProgramSummaries;
 use cedar_analysis::reduction::Reduction;
+use cedar_ir::furniture::{combine, privatize, reduction_partials};
 use cedar_ir::{BinOp, Expr, Intrinsic, LValue, Loop, LoopClass, ParMode, Stmt, SymbolId, Unit};
 
 /// Per-unit transform state: configuration, summaries, the shared
@@ -77,30 +76,13 @@ impl<'a> NestCtx<'a> {
         // directive (hand-written Cedar Fortran): keep it, but still
         // visit serial loops nested inside its body. A *suppressed*
         // directive nest (the validator implicated it in a race or a
-        // divergence) is demoted to serial instead: host order
-        // satisfies every dependence, so its cascades become no-ops —
-        // and must be stripped, since an `await` outside a DOACROSS
-        // schedule would stall.
+        // divergence) is demoted to serial instead.
         if l.class != LoopClass::Seq {
             if self.cfg.is_suppressed(&unit.name, l.span.line) {
-                l.class = LoopClass::Seq;
-                strip_cascades(&mut l.body);
-                self.report.record(
-                    &unit.name,
-                    l.span,
-                    LoopDecision::Serial {
-                        reason: "directive nest suppressed by differential validation".into(),
-                    },
-                    Vec::new(),
-                );
-                self.report.record_fallback(
-                    &unit.name,
-                    l.span,
-                    "directive nest demoted to serial (validation fallback)",
-                );
-                return vec![Stmt::Loop(l)];
+                demote_directive(&unit.name, &mut l, self.report);
+            } else {
+                l.body = self.transform_block(unit, std::mem::take(&mut l.body));
             }
-            l.body = self.transform_block(unit, std::mem::take(&mut l.body));
             return vec![Stmt::Loop(l)];
         }
 
@@ -360,7 +342,9 @@ impl<'a> NestCtx<'a> {
                 spans.iter().flat_map(|&(f, t)| l.body[f..=t].to_vec()).collect();
             if classes::doacross_worthwhile(unit, &l, &region, &self.cfg.machine) {
                 self.next_sync_point += spans.len().max(1) as u32;
-                privatize_scalars(unit, &mut dl, &verdict.private_scalars);
+                for &s in &verdict.private_scalars {
+                    privatize(unit, &mut dl, s, 'p');
+                }
                 self.report.record(
                     &unit.name,
                     l.span,
@@ -489,7 +473,9 @@ impl<'a> NestCtx<'a> {
             if fits {
                 if let Some(mut flat) = coalesce::coalesce(unit, &l) {
                     techniques.push(Technique::Coalescing);
-                    privatize_scalars(unit, &mut flat, &verdict.private_scalars);
+                    for &s in &verdict.private_scalars {
+                        privatize(unit, &mut flat, s, 'p');
+                    }
                     flat.class = LoopClass::XDoall;
                     self.report.record(
                         &unit.name,
@@ -543,8 +529,9 @@ impl<'a> NestCtx<'a> {
             NestPlan::SdoallCdoall { inner_vector } => {
                 let info = inner_info.expect("plan implies inner parallel");
                 // Outer: SDOALL with privatization.
-                privatize_scalars(unit, &mut l, &verdict.private_scalars);
-                privatize_arrays(unit, &mut l, &verdict.private_arrays);
+                for &s in verdict.private_scalars.iter().chain(&verdict.private_arrays) {
+                    privatize(unit, &mut l, s, 'p');
+                }
                 l.class = LoopClass::SDoall;
                 // Inner: replace at the recorded position.
                 let Stmt::Loop(inner) = l.body.remove(info.pos) else { unreachable!() };
@@ -556,7 +543,9 @@ impl<'a> NestCtx<'a> {
                     }
                 } else {
                     let mut cl = inner;
-                    privatize_scalars(unit, &mut cl, &info.private_scalars);
+                    for &s in &info.private_scalars {
+                        privatize(unit, &mut cl, s, 'p');
+                    }
                     cl.class = LoopClass::CDoall;
                     l.body.insert(info.pos, Stmt::Loop(cl));
                 }
@@ -583,12 +572,14 @@ impl<'a> NestCtx<'a> {
                 } else {
                     LoopClass::CDoall
                 };
-                privatize_scalars(unit, &mut l, &verdict.private_scalars);
-                privatize_arrays(unit, &mut l, &verdict.private_arrays);
+                for &s in verdict.private_scalars.iter().chain(&verdict.private_arrays) {
+                    privatize(unit, &mut l, s, 'p');
+                }
                 for r in &verdict.reductions {
                     let lock = self.next_lock;
                     self.next_lock += 1;
-                    reduction_partials(unit, &mut l, r, lock);
+                    let span = l.span;
+                    reduction_partials(unit, &mut l, (r.op, r.target), lock, span);
                 }
                 l.class = class;
                 // Inner serial loops over privatized/plain data still
@@ -616,8 +607,9 @@ impl<'a> NestCtx<'a> {
         verdict: &Verdict,
         class: LoopClass,
     ) -> Stmt {
-        privatize_scalars(unit, &mut l, &verdict.private_scalars);
-        privatize_arrays(unit, &mut l, &verdict.private_arrays);
+        for &s in verdict.private_scalars.iter().chain(&verdict.private_arrays) {
+            privatize(unit, &mut l, s, 'p');
+        }
         self.vectorize_children(unit, &mut l);
         l.class = class;
         Stmt::Loop(l)

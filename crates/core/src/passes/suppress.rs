@@ -3,13 +3,13 @@
 
 use crate::config::PassConfig;
 use crate::report::{LoopDecision, Report};
-use cedar_ir::{LoopClass, Stmt, SyncOp};
+use cedar_ir::{Loop, LoopClass, Stmt, SyncOp};
 
 /// Remove `await`/`advance` statements from a demoted loop body. Stops
 /// at nested *ordered* loops — their cascades still order their own
 /// iterations. Locks stay: serially they only cost cycles, and they may
 /// guard updates shared with other parallel loops.
-pub fn strip_cascades(body: &mut Vec<Stmt>) {
+fn strip_cascades(body: &mut Vec<Stmt>) {
     body.retain(|s| !matches!(s, Stmt::Sync(SyncOp::Await { .. } | SyncOp::Advance { .. })));
     for s in body {
         match s {
@@ -27,9 +27,30 @@ pub fn strip_cascades(body: &mut Vec<Stmt>) {
     }
 }
 
+/// Demote a suppressed hand-written parallel loop to serial: host order
+/// satisfies every dependence, so its cascades become no-ops and are
+/// stripped (an `await` outside a DOACROSS schedule would stall).
+pub fn demote_directive(unit_name: &str, l: &mut Loop, report: &mut Report) {
+    l.class = LoopClass::Seq;
+    strip_cascades(&mut l.body);
+    report.record(
+        unit_name,
+        l.span,
+        LoopDecision::Serial {
+            reason: "directive nest suppressed by differential validation".into(),
+        },
+        Vec::new(),
+    );
+    report.record_fallback(
+        unit_name,
+        l.span,
+        "directive nest demoted to serial (validation fallback)",
+    );
+}
+
 /// Demote every suppressed hand-written parallel loop to serial (see
-/// the directive branch of the nest transform); used by the serial
-/// level's pass-through, where no nest context exists.
+/// [`demote_directive`]); used by the serial level's pass-through,
+/// where no nest context exists.
 pub fn demote_suppressed_directives(
     unit_name: &str,
     body: &mut Vec<Stmt>,
@@ -40,21 +61,7 @@ pub fn demote_suppressed_directives(
         match s {
             Stmt::Loop(l) => {
                 if l.class != LoopClass::Seq && cfg.is_suppressed(unit_name, l.span.line) {
-                    l.class = LoopClass::Seq;
-                    strip_cascades(&mut l.body);
-                    report.record(
-                        unit_name,
-                        l.span,
-                        LoopDecision::Serial {
-                            reason: "directive nest suppressed by differential validation".into(),
-                        },
-                        Vec::new(),
-                    );
-                    report.record_fallback(
-                        unit_name,
-                        l.span,
-                        "directive nest demoted to serial (validation fallback)",
-                    );
+                    demote_directive(unit_name, l, report);
                 }
                 demote_suppressed_directives(unit_name, &mut l.body, cfg, report);
             }

@@ -236,7 +236,7 @@ pub enum StmtKind {
     /// the sequential `DO` that follows it. Produced by the OpenMP
     /// emission backend; lowering rewrites it into an `XDOALL` with
     /// synthesized privatization and reduction machinery.
-    OmpParallelDo { privates: Vec<String>, reductions: Vec<(OmpRedOp, String)>, body: Box<Stmt> },
+    OmpParallelDo { privates: Vec<String>, reductions: Vec<(RedOp, String)>, body: Box<Stmt> },
     /// `CALL name(args)`.
     Call { name: String, args: Vec<Expr> },
     /// `GOTO label` (parsed; rejected at lowering).
@@ -252,18 +252,41 @@ pub enum StmtKind {
     Io { kind: IoKind, args: Vec<Expr> },
 }
 
-/// Operator of an OpenMP `reduction(op:var)` clause — the subset our
-/// restructurer can synthesize partials for.
+/// Operator of a reduction (§3.3): what the analysis recognizes, what
+/// the restructurer merges partials with, and what an OpenMP
+/// `reduction(op:var)` clause names.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum OmpRedOp {
-    /// `reduction(+:x)`
-    Add,
-    /// `reduction(*:x)`
-    Mul,
-    /// `reduction(min:x)`
+pub enum RedOp {
+    /// `s = s + e`; `reduction(+:s)`.
+    Sum,
+    /// `s = s * e`; `reduction(*:s)`.
+    Product,
+    /// `s = min(s, e)`; `reduction(min:s)`.
     Min,
-    /// `reduction(max:x)`
+    /// `s = max(s, e)`; `reduction(max:s)`.
     Max,
+}
+
+impl RedOp {
+    /// Identity element for partial accumulators.
+    pub fn identity(self) -> f64 {
+        match self {
+            RedOp::Sum => 0.0,
+            RedOp::Product => 1.0,
+            RedOp::Min => f64::INFINITY,
+            RedOp::Max => f64::NEG_INFINITY,
+        }
+    }
+
+    /// The operator as an OpenMP `reduction` clause spells it.
+    pub fn clause(self) -> &'static str {
+        match self {
+            RedOp::Sum => "+",
+            RedOp::Product => "*",
+            RedOp::Min => "min",
+            RedOp::Max => "max",
+        }
+    }
 }
 
 /// Which I/O statement a loosely-parsed [`StmtKind::Io`] came from.

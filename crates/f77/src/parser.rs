@@ -576,13 +576,13 @@ impl Units {
                 "reduction" => {
                     t.expect(&Tok::LParen)?;
                     let op = if t.eat(&Tok::Plus) {
-                        OmpRedOp::Add
+                        RedOp::Sum
                     } else if t.eat(&Tok::Star) {
-                        OmpRedOp::Mul
+                        RedOp::Product
                     } else if t.eat_kw("min") {
-                        OmpRedOp::Min
+                        RedOp::Min
                     } else if t.eat_kw("max") {
-                        OmpRedOp::Max
+                        RedOp::Max
                     } else {
                         return Err(Error::parse(
                             span,
@@ -1428,7 +1428,7 @@ mod tests {
             panic!("{:?}", f.units[0].body[0].kind)
         };
         assert_eq!(privates, &["x"]);
-        assert_eq!(reductions, &[(OmpRedOp::Add, "t".to_string())]);
+        assert_eq!(reductions, &[(RedOp::Sum, "t".to_string())]);
         assert!(matches!(body.kind, StmtKind::Do { class: LoopClass::Seq, .. }));
     }
 
@@ -1444,8 +1444,7 @@ mod tests {
 
     #[test]
     fn omp_reduction_operators() {
-        for (spelling, op) in [("*", OmpRedOp::Mul), ("min", OmpRedOp::Min), ("max", OmpRedOp::Max)]
-        {
+        for (spelling, op) in [("*", RedOp::Product), ("min", RedOp::Min), ("max", RedOp::Max)] {
             let f = parse_free(&format!(
                 "subroutine s(a, n, t)\nreal a(n), t\n\
                  !$omp parallel do reduction({spelling}:t)\ndo i = 1, n\n\

@@ -1,39 +1,31 @@
 //! Minimal deterministic PRNG (SplitMix64).
 //!
 //! The fuzzer must be byte-for-byte reproducible from a `u64` seed with
-//! no external crates (the build is offline), so we carry our own
-//! generator instead of `rand`. SplitMix64 is the standard choice for
-//! this: tiny, fast, passes BigCrush, and — crucially for a fuzzer —
-//! every draw is a pure function of the seed and draw index, so a
-//! failing program can always be regenerated from its seed alone.
+//! no external crates (the build is offline), so it draws from the
+//! simulator's own SplitMix64, [`FaultRng`]: tiny, fast, passes
+//! BigCrush, and — crucially for a fuzzer — every draw is a pure
+//! function of the seed and draw index, so a failing program can
+//! always be regenerated from its seed alone.
+
+use cedar_sim::FaultRng;
 
 /// Deterministic 64-bit generator.
 #[derive(Debug, Clone)]
-pub struct Rng {
-    state: u64,
-}
+pub struct Rng(FaultRng);
 
 impl Rng {
     /// A generator for `seed`. Different seeds give uncorrelated
-    /// streams (the output function scrambles the weyl sequence).
+    /// streams (the output function scrambles the weyl sequence). The
+    /// constant keeps every seed drawing the program it always drew.
     pub fn new(seed: u64) -> Rng {
-        Rng { state: seed ^ 0x5bf0_3635_d1a4_86c9 }
-    }
-
-    /// Next raw 64-bit draw.
-    pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
+        Rng(FaultRng::new(seed ^ 0x5bf0_3635_d1a4_86c9))
     }
 
     /// Uniform draw in `0..n` (`n > 0`). Modulo bias is irrelevant at
     /// fuzzing-table sizes (`n` ≪ 2⁶⁴).
     pub fn below(&mut self, n: u64) -> u64 {
         debug_assert!(n > 0);
-        self.next_u64() % n
+        self.0.next_u64() % n
     }
 
     /// Uniform draw in the inclusive range `lo..=hi`.
@@ -58,11 +50,14 @@ mod tests {
 
     #[test]
     fn deterministic_per_seed() {
-        let a: Vec<u64> = (0..8).map(|_| 0).scan(Rng::new(42), |r, _| Some(r.next_u64())).collect();
-        let b: Vec<u64> = (0..8).map(|_| 0).scan(Rng::new(42), |r, _| Some(r.next_u64())).collect();
-        assert_eq!(a, b);
-        let c: Vec<u64> = (0..8).map(|_| 0).scan(Rng::new(43), |r, _| Some(r.next_u64())).collect();
-        assert_ne!(a, c);
+        let draws = |seed| {
+            let mut r = Rng::new(seed);
+            [(); 3].map(|_| r.0.next_u64())
+        };
+        // Seed 0's stream, as every recorded fuzz seed was drawn.
+        assert_eq!(draws(0), [0xe027_1aa7_c47d_fdf2, 0xf688_063b_055c_0c30, 0x960f_7a79_630f_c7a2]);
+        assert_eq!(draws(42), draws(42));
+        assert_ne!(draws(42), draws(43));
     }
 
     #[test]

@@ -25,6 +25,7 @@
 //!   solvers the restructurer substitutes for recognized loops.
 
 pub mod expr;
+pub mod furniture;
 pub mod lower;
 pub mod machine;
 pub mod ops;
@@ -35,7 +36,7 @@ pub mod symbol;
 pub mod types;
 pub mod visit;
 
-pub use cedar_f77::ast::{LoopClass, TypeSpec, Visibility};
+pub use cedar_f77::ast::{LoopClass, RedOp, TypeSpec, Visibility};
 pub use cedar_f77::Span;
 
 pub use expr::{BinOp, Expr, Index, Intrinsic, ParMode, UnOp};

@@ -8,11 +8,12 @@
 //! (`await`/`advance`/`lock`/`unlock`) as [`SyncOp`]s.
 
 use crate::expr::{BinOp, Expr, Index, Intrinsic, ParMode, UnOp};
+use crate::furniture;
 use crate::program::{CommonBlock, Program, Unit, UnitKind};
 use crate::stmt::{LValue, Loop, Stmt, SyncOp};
 use crate::symbol::{Dim, Placement, SymKind, Symbol, SymbolId};
 use crate::types::{Ty, Value};
-use cedar_f77::ast::{self, ArgExpr, DeclKind, StmtKind, TypeSpec, Visibility};
+use cedar_f77::ast::{self, ArgExpr, DeclKind, RedOp, StmtKind, TypeSpec, Visibility};
 use cedar_f77::Span;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;
@@ -866,15 +867,12 @@ impl<'a> UnitLowerer<'a> {
 
     /// Rewrite `!$omp parallel do` plus its DO into the equivalent
     /// `XDOALL`. Clause privates become loop locals; each `reduction`
-    /// clause re-synthesizes the per-participant partial, identity
-    /// preamble and lock-guarded merge postamble that the OpenMP
-    /// emission backend folded into the clause (the inverse of
-    /// `cedar-restructure`'s clause recovery — the identity and combine
-    /// expressions must agree with its `reduction_partials`).
+    /// clause gets the partial that the OpenMP emission backend folded
+    /// into it, built by [`furniture::reduction_partials`].
     fn lower_omp(
         &mut self,
         privates: &[String],
-        reductions: &[(ast::OmpRedOp, String)],
+        reductions: &[(RedOp, String)],
         body: &ast::Stmt,
         span: Span,
     ) -> Result<Stmt> {
@@ -883,10 +881,7 @@ impl<'a> UnitLowerer<'a> {
         };
         l.class = ast::LoopClass::XDoall;
         for name in privates {
-            let id = self.resolve(name).ok_or_else(|| LowerError {
-                span,
-                msg: format!("private({name}) names no visible variable"),
-            })?;
+            let id = self.clause_variable("private", name, span)?;
             if id == l.var {
                 // The control variable is per-participant already.
                 continue;
@@ -897,59 +892,37 @@ impl<'a> UnitLowerer<'a> {
             l.locals.push(id);
         }
         for (op, name) in reductions {
-            use ast::OmpRedOp as R;
-            let target = self.resolve(name).ok_or_else(|| LowerError {
-                span,
-                msg: format!("reduction({name}) names no visible variable"),
-            })?;
-            let sym = self.unit.symbol(target);
-            if sym.is_array() {
+            let target = self.clause_variable("reduction", name, span)?;
+            if target == l.var {
+                return err(span, format!("reduction({name}) names the loop's control variable"));
+            }
+            if privates.contains(name) {
+                return err(span, format!("`{name}` is both private and a reduction"));
+            }
+            if self.unit.symbol(target).is_array() {
                 return err(span, "reduction clause on an array is not supported");
             }
-            let ty = sym.ty;
-            let pname = self.unit.fresh_name(&format!("{name}$r"));
-            let partial = self.unit.add_symbol(Symbol {
-                name: pname,
-                ty,
-                dims: Vec::new(),
-                kind: SymKind::LoopLocal,
-                placement: Placement::Private,
-                init: Vec::new(),
+            furniture::reduction_partials(
+                &mut self.unit,
+                &mut l,
+                (*op, target),
+                self.omp_lock,
                 span,
-            });
-            l.locals.push(partial);
-            crate::visit::rename_symbols(&mut l.body, &mut |s| {
-                if s == target {
-                    partial
-                } else {
-                    s
-                }
-            });
-            let identity = match (ty, op) {
-                (Ty::Int, R::Add) => Expr::ConstI(0),
-                (Ty::Int, R::Mul) => Expr::ConstI(1),
-                (_, R::Add) => Expr::real(0.0),
-                (_, R::Mul) => Expr::real(1.0),
-                (_, R::Min) => Expr::real(f64::INFINITY),
-                (_, R::Max) => Expr::real(f64::NEG_INFINITY),
-            };
-            l.preamble.push(Stmt::Assign { lhs: LValue::Scalar(partial), rhs: identity, span });
-            let merged = match op {
-                R::Add => Expr::bin(BinOp::Add, Expr::Scalar(target), Expr::Scalar(partial)),
-                R::Mul => Expr::bin(BinOp::Mul, Expr::Scalar(target), Expr::Scalar(partial)),
-                R::Min | R::Max => Expr::Intr {
-                    f: if matches!(op, R::Min) { Intrinsic::Min } else { Intrinsic::Max },
-                    args: vec![Expr::Scalar(target), Expr::Scalar(partial)],
-                    par: ParMode::Serial,
-                },
-            };
-            let id = self.omp_lock;
+            );
             self.omp_lock += 1;
-            l.postamble.push(Stmt::Sync(SyncOp::Lock { id }));
-            l.postamble.push(Stmt::Assign { lhs: LValue::Scalar(target), rhs: merged, span });
-            l.postamble.push(Stmt::Sync(SyncOp::Unlock { id }));
         }
         Ok(Stmt::Loop(l))
+    }
+
+    /// The variable an OpenMP clause names: visible, and not a constant.
+    fn clause_variable(&self, clause: &str, name: &str, span: Span) -> Result<SymbolId> {
+        let Some(id) = self.resolve(name) else {
+            return err(span, format!("{clause}({name}) names no visible variable"));
+        };
+        if let SymKind::Param(_) = self.unit.symbol(id).kind {
+            return err(span, format!("{clause}({name}) names a PARAMETER constant"));
+        }
+        Ok(id)
     }
 
     fn sync_point(&mut self, e: &ast::Expr, span: Span) -> Result<u32> {
@@ -1074,6 +1047,48 @@ mod tests {
         // The body accumulates into the partial, not the target.
         let Stmt::Assign { lhs, .. } = &l.body[0] else { panic!() };
         assert_eq!(*lhs, LValue::Scalar(partial));
+    }
+
+    /// The lowering error of `src`: its line and message.
+    fn lower_error(src: &str) -> (u32, String) {
+        match compile_free(src) {
+            Err(crate::CompileError::Lower(e)) => (e.span.line, e.msg),
+            other => panic!("expected a lowering error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn omp_reduction_on_the_control_variable_is_refused() {
+        // Renaming the body's `i` to a partial would sum zeros into `s`.
+        let (line, msg) = lower_error(
+            "program p\nreal s\ns = 0.0\n!$omp parallel do reduction(+:i)\n\
+             do i = 1, 4\ns = s + i\nend do\nend\n",
+        );
+        assert_eq!((line, msg.as_str()), (4, "reduction(i) names the loop's control variable"));
+    }
+
+    #[test]
+    fn omp_clause_on_a_parameter_is_refused() {
+        // A reduction would merge into the constant; a private would
+        // turn it into a loop local.
+        for clause in ["reduction(+:s)", "private(s)"] {
+            let (line, msg) = lower_error(&format!(
+                "program p\nreal a(4)\nparameter (s = 2.0)\n!$omp parallel do {clause}\n\
+                 do i = 1, 4\na(i) = s\nend do\nend\n"
+            ));
+            let name = clause.split('(').next().unwrap();
+            assert_eq!((line, msg), (4, format!("{name}(s) names a PARAMETER constant")));
+        }
+    }
+
+    #[test]
+    fn omp_private_reduction_is_refused() {
+        // The merge would read a target that no participant bound.
+        let (line, msg) = lower_error(
+            "program p\nreal a(4), s\ns = 0.0\n!$omp parallel do private(s) reduction(+:s)\n\
+             do i = 1, 4\ns = s + a(i)\nend do\nend\n",
+        );
+        assert_eq!((line, msg.as_str()), (4, "`s` is both private and a reduction"));
     }
 
     #[test]

@@ -16,7 +16,7 @@ use crate::program::{Program, Unit, UnitKind};
 use crate::stmt::{LValue, Loop, Stmt, SyncOp};
 use crate::symbol::{Placement, SymKind, Symbol, SymbolId};
 use crate::types::{Ty, Value};
-use crate::ParMode;
+use crate::{ParMode, RedOp};
 use std::fmt::Write;
 
 /// One `reduction(op:target)` clause of an OpenMP directive, attached to
@@ -25,8 +25,8 @@ use std::fmt::Write;
 pub struct OmpReduction {
     /// Which directive loop of the unit, counting from 0 as printed.
     pub directive: usize,
-    /// `+`, `*`, `min` or `max`.
-    pub op: &'static str,
+    /// The clause's operator.
+    pub op: RedOp,
     /// The reduced variable.
     pub target: SymbolId,
 }
@@ -404,7 +404,7 @@ impl<'a> Writer<'a> {
                 }
                 let mine = reductions.iter().take_while(|r| r.directive == self.directives).count();
                 for r in &reductions[..mine] {
-                    let _ = write!(self.stmt, " reduction({}:", r.op);
+                    let _ = write!(self.stmt, " reduction({}:", r.op.clause());
                     self.name(r.target);
                     self.put(")");
                 }
@@ -749,7 +749,7 @@ mod tests {
         let p = compile_free(&src).unwrap();
         let u = &p.units[0];
         let total = u.find_symbol("total").unwrap();
-        let reductions = [OmpReduction { directive: 0, op: "+", target: total }];
+        let reductions = [OmpReduction { directive: 0, op: RedOp::Sum, target: total }];
         let mut out = String::new();
         print_unit_as(u, Dialect::OpenMp { reductions: &reductions }, &mut out);
         assert!(

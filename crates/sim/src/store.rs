@@ -246,19 +246,11 @@ impl VarBind {
     /// dimension `k` — `None` when `subs`, or `subs` with subscript `k`
     /// replaced by `last`, is out of declared bounds.
     pub fn linearize_ends(&self, subs: &[i64], k: usize, last: i64) -> Option<(usize, i64)> {
-        debug_assert_eq!(subs.len(), self.dims.len());
-        let (mut lin, mut stride, mut stride_k) = (0i64, 1i64, 0i64);
-        for (j, (&s, &(lo, hi))) in subs.iter().zip(&self.dims).enumerate() {
-            if s < lo || s > hi || (j == k && (last < lo || last > hi)) {
-                return None;
-            }
-            if j == k {
-                stride_k = stride;
-            }
-            lin = lin.wrapping_add(s.wrapping_sub(lo).wrapping_mul(stride));
-            stride = stride.wrapping_mul(hi.wrapping_sub(lo).wrapping_add(1));
+        let d = strides(&self.dims).nth(k)?;
+        if last < d.lo || last > d.hi {
+            return None;
         }
-        usize::try_from(lin).ok().map(|l| (l + self.offset, stride_k))
+        Some((self.linearize(subs)?, d.stride))
     }
 
     /// Element count implied by the bound dimensions, `usize::MAX` when

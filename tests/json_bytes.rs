@@ -787,6 +787,39 @@ fn constants_and_trip_counts_are_computed_only_in_ir() {
     );
 }
 
+/// A loop's furniture (§3.3's reduction partials, with their preamble
+/// and postamble, and the private copies of §3.1) is built in
+/// `cedar_ir::furniture` and nowhere else: outside it no code pushes a
+/// preamble or postamble statement or spells a `$r`/`$p` partial name.
+#[test]
+fn loop_furniture_is_built_only_in_ir_furniture() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("..");
+    let mut files = Vec::new();
+    rust_files(&root, &mut files);
+    files.retain(|f| {
+        f.components().any(|c| c.as_os_str() == "src") && !f.ends_with("ir/src/furniture.rs")
+    });
+    files.sort();
+    assert!(files.len() > 100, "crates/*/src was not found: {} files", files.len());
+    let mut findings = Vec::new();
+    for file in &files {
+        let text = std::fs::read_to_string(file).unwrap();
+        let (code, _) = above_tests(file, &text);
+        for (n, line) in code.iter().enumerate() {
+            let built = [".preamble.push(", ".postamble.push(", "$r\"", "$p\""];
+            if built.iter().any(|b| line.contains(b)) {
+                let at = file.strip_prefix(&root).unwrap().display();
+                findings.push(format!("crates/{at}:{}: {}", n + 1, line.trim()));
+            }
+        }
+    }
+    assert!(
+        findings.is_empty(),
+        "build loop furniture with `cedar_ir::furniture`:\n{}",
+        findings.join("\n")
+    );
+}
+
 /// The machine of §2.2 is described in `cedar_ir::machine` and nowhere
 /// else: the restructurer keeps no enum that names it and no literal of
 /// its start-ups or CE counts, and the simulator reads its loop
