@@ -2058,6 +2058,159 @@ fn the_most_negative_integer_negates_and_takes_its_sign_in_integers() {
 }
 
 // ---------------------------------------------------------------------
+// Lane batches over every kernel body: carried scalars (reductions,
+// temporaries, prefix sums), intrinsics that cannot fault and affine
+// subscripts. Each row is a kernel row, and runs on both engines under
+// every configuration (races and faults on, fast paths off); each pins
+// its lane count.
+// ---------------------------------------------------------------------
+
+/// The kernel run of `src` against its oracles, and `src` on both
+/// engines under every configuration: the same cycles, stats, `vars`
+/// and error everywhere.
+fn lane_row(src: &str, vars: &[&str], label: &str) -> (Simulator<'static>, Result<(), SimError>) {
+    let (sim, r) = kernel_identical(src, cfg(Engine::Vm), vars, label);
+    match r {
+        Ok(()) => identical_everywhere(leak(src), |c| c, vars, label),
+        Err(_) => drop(same_error_everywhere(leak(src), |c| c, label)),
+    }
+    (sim, r)
+}
+
+/// Operands `a`, `b` (REAL, with negatives and a zero) and `k`
+/// (INTEGER) of `n` elements, set by one lane loop of `n` iterations.
+fn operands(n: usize, body: &str) -> String {
+    format!(
+        "program p\nparameter (n = {n})\nreal a(n), b(n), c(n)\ninteger k(n), m\n\
+         do i = 1, n\na(i) = (i - 7) * 0.375\nb(i) = 1.0 / i\nk(i) = i * 7 - 60\nend do\n{body}end\n"
+    )
+}
+
+#[test]
+fn lane_batches_carry_real_and_integer_reductions() {
+    let body = "s = 0.5\nm = 3\ndo i = 1, n\ns = s + a(i) * b(i)\nend do\n\
+                do i = n, 1, -1\nm = m + k(i) * 3\nend do\n\
+                do i = 1, n, 2\nt = t * 1.0001 + a(i)\nend do\n";
+    let (sim, r) = lane_row(&operands(45, body), &["s", "m", "t"], "reductions");
+    r.expect("runs");
+    assert_eq!(lanes(&sim), 45, "only the setup loop");
+}
+
+#[test]
+fn lane_batches_carry_a_temporary_and_a_prefix_sum() {
+    let body = "do i = 1, n\nt = a(i) * 2.0\nc(i) = t + t * b(i)\nend do\n\
+                s = 1.0\ndo i = 1, n\ns = s + a(i)\nc(i) = s * b(i)\nm = m + k(i)\nk(i) = m\n\
+                end do\n";
+    let (sim, r) = lane_row(&operands(40, body), &["c", "k", "s", "t", "m"], "temporary");
+    r.expect("runs");
+    assert_eq!(lanes(&sim), 40, "only the setup loop");
+}
+
+#[test]
+fn lane_batches_end_a_chunk_in_the_middle_and_stop_at_a_budget() {
+    // 37 iterations: two chunks and five lanes.
+    let (sim, r) = lane_row(&operands(37, "do i = 1, n\ns = s - a(i)\nend do\n"), &["s"], "37");
+    r.expect("runs");
+    assert_eq!(lanes(&sim), 37, "only the setup loop");
+    // The statement budget runs out inside a reduction's batch.
+    let src = operands(300, "do i = 1, n\ns = s + a(i)\nb(i) = s\nend do\n");
+    for budget in [650, 1029, 1040] {
+        let config = MachineConfig { watchdog_ops: budget, ..cfg(Engine::Vm) };
+        let label = format!("budget {budget}");
+        let (_, r) = kernel_identical(&src, config, &["s", "b"], &label);
+        assert!(r.expect_err(&label).msg.contains("statement budget"));
+    }
+}
+
+#[test]
+fn lane_batches_leave_a_scalar_that_aliases_an_element_to_one_iteration_at_a_time() {
+    // `y` is `x(5)`, which the loop reads; then the cell past `x`.
+    let src = "program p\nparameter (n = 30)\nreal a(n + 1)\ndo i = 1, n + 1\na(i) = i\nend do\n\
+               call acc(a, a(5), n)\ncall acc(a, a(n + 1), n)\nend\n\
+               subroutine acc(x, y, m)\nreal x(m), y\ndo i = 1, m\ny = y + x(i)\nend do\nend\n";
+    let (sim, r) = lane_row(src, &["a"], "aliased scalar");
+    r.expect("runs");
+    assert_eq!(lanes(&sim), 31, "only the setup loop");
+    // A COMMON scalar beside the array it sums.
+    let src = "program p\ncommon /c/ s, x(24)\ndo i = 1, 24\nx(i) = i * 0.5\nend do\n\
+               do i = 1, 24\ns = s + x(i)\nend do\nend\n";
+    let (sim, r) = lane_row(src, &["s", "x"], "common scalar");
+    r.expect("runs");
+    assert_eq!(lanes(&sim), 24, "only the setup loop");
+}
+
+/// Every elemental intrinsic that cannot fault, over every class its
+/// arguments take, one lane loop each; `r` is REAL, `j` INTEGER.
+const INTRINSIC_ROWS: &[&str] = &[
+    "r(i) = abs(a(i))",
+    "j(i) = abs(k(i))",
+    "r(i) = abs(k(i) .gt. 0)",
+    "r(i) = sqrt(a(i))",
+    "r(i) = exp(a(i))",
+    "r(i) = log(a(i))",
+    "r(i) = log10(b(i))",
+    "r(i) = sin(a(i))",
+    "r(i) = cos(k(i))",
+    "r(i) = tan(a(i))",
+    "r(i) = atan(a(i))",
+    "r(i) = atan2(a(i), b(i) - 0.5)",
+    "r(i) = sinh(a(i))",
+    "r(i) = cosh(a(i))",
+    "r(i) = tanh(a(i))",
+    "r(i) = sign(a(i), b(i) - 0.1)",
+    "j(i) = sign(k(i), a(i))",
+    "j(i) = sign(k(i), -k(i))",
+    "r(i) = mod(a(i), b(i))",
+    "r(i) = mod(k(i), a(i))",
+    "r(i) = min(a(i), b(i))",
+    "j(i) = max(k(i), i, 3)",
+    "r(i) = max(k(i), a(i), b(i))",
+    "j(i) = int(a(i) * 3.0)",
+    "j(i) = int(k(i))",
+    "j(i) = nint(a(i) * 1.5)",
+    "r(i) = real(k(i))",
+    "r(i) = dble(a(i)) + 1.0",
+];
+
+#[test]
+fn lane_batches_run_every_intrinsic_that_cannot_fault() {
+    let n = 24;
+    let mut body = String::from("do i = 1, n\nb(i) = b(i) - 0.05\nend do\n");
+    for row in INTRINSIC_ROWS {
+        body += &format!("do i = 1, n\n{row}\nend do\n");
+    }
+    let src = operands(n, &body).replace("integer k(n)", "integer k(n), j(n)\nreal r(n)");
+    let (sim, r) = lane_row(&src, &["r", "j"], "intrinsics");
+    r.expect("runs");
+    assert_eq!(lanes(&sim), 2 * n as u64, "the setup loops");
+}
+
+#[test]
+fn lane_batches_run_affine_subscripts() {
+    let src = "program p\nparameter (n = 20)\nreal a(n * n), b(n, n), c(n + 1), d(n)\n\
+               do i = 1, n + 1\nc(i) = i * i * 0.5\nend do\n\
+               do j = 1, n\ndo i = 1, n\nb(i, j) = i - j * 0.25\nend do\nend do\n\
+               do i = 1, n\nd(i) = c(i + 1) - c(i)\nend do\n\
+               do j = 2, n\ndo i = 2, n\nb(i, j) = b(i - 1, j - 1) + b(i, j)\nend do\nend do\n\
+               do j = 1, n\ndo i = 1, n\na((j - 1) * n + i) = b(i, j) * 2.0\nend do\nend do\n\
+               do j = 1, n\ndo i = 1, n - 1\na(i * n + j) = a(i * n + j) + d(i)\nend do\nend do\n\
+               do i = 1, n\nc(i + 1) = c(i) + 1.0\nend do\nend\n";
+    let (sim, r) = lane_row(src, &["a", "b", "c", "d"], "affine subscripts");
+    r.expect("runs");
+    assert_eq!(lanes(&sim), 21 + 400, "the loops subscripted by the variable alone");
+}
+
+#[test]
+fn lane_batches_leave_an_affine_subscript_out_of_bounds_to_fault_where_it_faults() {
+    let src = "program p\nreal a(10), b(12)\ndo i = 1, 12\nb(i) = i\nend do\n\
+               do i = 1, 10\na(i + 1) = b(i) * 2.0\nend do\nend\n";
+    let (sim, r) = lane_row(src, &["a"], "affine out of bounds");
+    assert_eq!(lanes(&sim), 12, "only the setup loop");
+    let e = r.expect_err("the last iteration is out of bounds");
+    assert_eq!(e.kind, cedar_sim::SimErrorKind::OutOfBounds, "{e}");
+}
+
+// ---------------------------------------------------------------------
 // Edge values through every executor: each value op over NaN (of both
 // signs), ±0.0, ±inf, the ends of `i64` and zero divisors, computed by
 // scalar statements (the VM's dispatch loop, and the tree-walker), a
