@@ -46,11 +46,15 @@ pub fn combine(op: RedOp, target: Expr, partial: Expr) -> Expr {
     Expr::Intr { f, args: vec![target, partial], par: ParMode::Serial }
 }
 
-/// The value a partial starts from, typed as its target.
+/// The value a partial starts from, typed as its target: an INTEGER
+/// `min` or `max` starts from the end of `i64`, which a REAL store of
+/// the infinity saturates to.
 fn identity(ty: Ty, op: RedOp) -> Expr {
     match (ty, op) {
         (Ty::Int, RedOp::Sum) => Expr::ConstI(0),
         (Ty::Int, RedOp::Product) => Expr::ConstI(1),
+        (Ty::Int, RedOp::Min) => Expr::ConstI(i64::MAX),
+        (Ty::Int, RedOp::Max) => Expr::ConstI(i64::MIN),
         (_, op) => Expr::real(op.identity()),
     }
 }
@@ -151,6 +155,32 @@ mod tests {
             // An array partial has no clause.
             reduction_partials(&mut u, &mut l, (op, w), 9, serial.span);
             assert_eq!(scalar_reductions(&u, &l), None, "{op:?}");
+        }
+    }
+
+    #[test]
+    fn integer_min_and_max_partials_start_at_the_ends_of_i64_in_text_that_parses() {
+        let src = "subroutine s(a, n, m)\ninteger a(n), m\n!$omp parallel do reduction(OP:m)\n\
+                   do i = 1, n\nm = OP(m, a(i))\nend do\nend\n";
+        for (op, start) in [("min", i64::MAX), ("max", i64::MIN)] {
+            let p = compile_free(&src.replace("OP", op)).unwrap();
+            let Stmt::Loop(l) = &p.units[0].body[0] else { panic!() };
+            let Stmt::Assign { rhs, .. } = &l.preamble[0] else { panic!() };
+            assert_eq!(*rhs, Expr::ConstI(start), "{op}");
+            let reads = scalar_reductions(&p.units[0], l).expect("a partial");
+            assert_eq!(reads.len(), 1, "{op}");
+            let text = crate::print::print_program(&p);
+            assert!(
+                text.contains(&format!(
+                    "m$r = {}",
+                    match start {
+                        i64::MAX => "9223372036854775807",
+                        _ => "(-9223372036854775807 - 1)",
+                    }
+                )),
+                "{text}"
+            );
+            crate::compile_source(&text).unwrap_or_else(|e| panic!("{e}:\n{text}"));
         }
     }
 }

@@ -3,10 +3,12 @@
 //! simulator's executors (the tree-walker, the vector lanes, the VM, its
 //! kernels and lane batches) and the `PARAMETER` folder
 //! ([`Unit::const_value`](crate::Unit::const_value)) call these, so the
-//! next fix to one is made here. INTEGER arithmetic wraps modulo 2^64;
-//! a zero divisor is `None`, which an executor turns into its fault.
+//! next fix to one is made here, and so are the elemental intrinsics'
+//! ([`real_intrinsic`] and the functions after it). INTEGER arithmetic
+//! wraps modulo 2^64; a zero divisor is `None`, which an executor turns
+//! into its fault.
 
-use crate::{BinOp, UnOp, Value};
+use crate::{BinOp, Intrinsic, UnOp, Value};
 use std::cmp::Ordering;
 
 /// `a + b`, wrapping.
@@ -146,6 +148,100 @@ pub fn bool_of_real(x: f64) -> bool {
 #[inline]
 pub fn bool_of_int(a: i64) -> bool {
     a != 0
+}
+
+/// The elemental intrinsics of one REAL argument, each spelled once:
+/// `$on!(g)` with `g` the `f64 -> f64` function of `$f`'s row, and the
+/// arms `$rest` for every other intrinsic. The argument is read as a
+/// REAL and any other ignored; `abs` is this row only for a REAL
+/// argument ([`abs_i`] is the INTEGER one). A row macro, not a table of
+/// functions, so that each executor's lane loop keeps the function
+/// inline.
+#[macro_export]
+macro_rules! real_intrinsic {
+    ($f:expr, $on:ident, $($rest:tt)*) => {
+        match $f {
+            $crate::Intrinsic::Abs => $on!(f64::abs),
+            // Domain violations follow IEEE semantics (NaN) rather than
+            // trapping: masked WHERE assignments evaluate the full RHS
+            // vector and discard masked-off lanes, as the Cedar vector
+            // hardware does.
+            $crate::Intrinsic::Sqrt => $on!(f64::sqrt),
+            $crate::Intrinsic::Exp => $on!(f64::exp),
+            $crate::Intrinsic::Log => $on!(f64::ln),
+            $crate::Intrinsic::Log10 => $on!(f64::log10),
+            $crate::Intrinsic::Sin => $on!(f64::sin),
+            $crate::Intrinsic::Cos => $on!(f64::cos),
+            $crate::Intrinsic::Tan => $on!(f64::tan),
+            $crate::Intrinsic::Atan => $on!(f64::atan),
+            $crate::Intrinsic::Sinh => $on!(f64::sinh),
+            $crate::Intrinsic::Cosh => $on!(f64::cosh),
+            $crate::Intrinsic::Tanh => $on!(f64::tanh),
+            // The conversion is the function.
+            $crate::Intrinsic::Real | $crate::Intrinsic::Dble => $on!(|x: f64| x),
+            $($rest)*
+        }
+    };
+}
+pub use crate::real_intrinsic;
+
+/// `f` has a row in [`real_intrinsic`].
+pub fn is_real_intrinsic(f: Intrinsic) -> bool {
+    macro_rules! row {
+        ($g:expr) => {
+            true
+        };
+    }
+    real_intrinsic!(f, row, _ => false)
+}
+
+/// `atan2(a, b)`.
+#[inline]
+pub fn atan2(a: f64, b: f64) -> f64 {
+    a.atan2(b)
+}
+
+/// REAL `sign(a, b)`: `|a|` with the sign of `b`; -0.0 counts as
+/// positive.
+#[inline]
+pub fn sign_r(a: f64, b: f64) -> f64 {
+    if b >= 0.0 {
+        a.abs()
+    } else {
+        -a.abs()
+    }
+}
+
+/// REAL `mod(a, b)`, with the sign of `a`: NaN for a zero divisor.
+#[inline]
+pub fn mod_r(a: f64, b: f64) -> f64 {
+    a % b
+}
+
+/// `min` or `max` of two REALs: a number beats a NaN.
+#[inline]
+pub fn min_max_r(max: bool, a: f64, b: f64) -> f64 {
+    if max {
+        a.max(b)
+    } else {
+        a.min(b)
+    }
+}
+
+/// `min` or `max` of two INTEGERs.
+#[inline]
+pub fn min_max_i(max: bool, a: i64, b: i64) -> i64 {
+    if max {
+        a.max(b)
+    } else {
+        a.min(b)
+    }
+}
+
+/// `nint(x)`: rounded half away from zero, saturating, a NaN 0.
+#[inline]
+pub fn nint(x: f64) -> i64 {
+    x.round() as i64
 }
 
 /// Bit set of the `Ordering`s a comparison accepts (bit 0 `Less`, bit 1

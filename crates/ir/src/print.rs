@@ -500,6 +500,8 @@ impl<'a> Writer<'a> {
             self.put("(");
         }
         match e {
+            // The one INTEGER whose magnitude is no literal.
+            Expr::ConstI(i64::MIN) => self.put("-9223372036854775807 - 1"),
             Expr::ConstI(v) => {
                 let _ = write!(self.stmt, "{v}");
             }
@@ -798,6 +800,7 @@ mod tests {
         let u = &p.units[0];
         let real = |value, double| expr_text(u, &Expr::ConstR { value, double });
         assert_eq!(expr_text(u, &Expr::ConstI(-3)), "(-3)");
+        assert_eq!(expr_text(u, &Expr::ConstI(i64::MIN)), "(-9223372036854775807 - 1)");
         assert_eq!(real(-1.5, true), "(-1.5d0)");
         assert_eq!(real(1e-7, true), "1d-7");
         assert_eq!(real(1e21, true), "1d21");

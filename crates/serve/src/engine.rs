@@ -627,6 +627,24 @@ mod tests {
     }
 
     #[test]
+    fn an_iota_past_the_storage_cap_is_a_422_and_the_next_request_runs() {
+        // Its lanes once took 32 TB from the host allocator, which
+        // aborted the server.
+        let breaker = Breaker::new(3, Duration::from_secs(5));
+        let cfg = EngineConfig::default();
+        for source in [
+            "program p\ns = sum(iota(1, 4000000000000))\nend\n",
+            "program p\nreal rp(4), ra(4)\nrp(1:4) = ra(iota(1, 4000000000000))\nend\n",
+        ] {
+            let h = handle(&ServeRequest::new(source), &cfg, &breaker);
+            assert_eq!(h.status, 422, "{}", h.body);
+            assert!(h.body.contains("iota too large"), "{}", h.body);
+            let h = handle(&ServeRequest::new(CLEAN), &cfg, &breaker);
+            assert_eq!(h.status, 200, "{}", h.body);
+        }
+    }
+
+    #[test]
     fn backend_selects_the_emission_dialect() {
         let cfg = quiet_engine("backend");
         let breaker = Breaker::new(3, Duration::from_secs(5));

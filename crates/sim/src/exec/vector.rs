@@ -7,7 +7,7 @@ use super::types::{
 use super::{err, kerr, Ctx, Frame, Result, SimError, SimErrorKind, Simulator};
 use crate::cost::{Access, CostClass};
 use crate::lanes::Lanes;
-use crate::store::{SlotId, VarBind};
+use crate::store::{SlotId, VarBind, STORAGE_CAP};
 use cedar_ir::{Expr, Index, Intrinsic, ParMode, SymbolId, Value};
 
 impl Simulator<'_> {
@@ -289,14 +289,22 @@ impl Simulator<'_> {
                 self.pool.bin(*op, lv, rv).map_err(op_err)
             }
             Expr::Intr { f: Intrinsic::Iota, args, .. } => {
-                let first = args.first().ok_or_else(|| {
-                    SimError::new(
+                let (lo, hi) = iota_args(args)?;
+                let lo = self.eval_scalar(frame, lo, ctx)?.as_i64();
+                // `hi` only counts the lanes: it is read without a charge
+                // where it can be.
+                let hi = match self.peek(frame, hi, ctx.cluster) {
+                    Some(v) => v.as_i64(),
+                    None => self.eval_i64(frame, hi, ctx)?,
+                };
+                let n = iota_lanes(lo, hi)?;
+                if n != lanes {
+                    return kerr(
                         SimErrorKind::TypeError,
                         cedar_ir::Span::NONE,
-                        "iota needs (lo, hi)",
-                    )
-                })?;
-                let lo = self.eval_scalar(frame, first, ctx)?.as_i64();
+                        format!("vector length mismatch: {n} vs {lanes}"),
+                    );
+                }
                 self.costs.vector_node(false, lanes, &mut self.stats, &mut ctx.time);
                 Ok(self.pool.iota(lo, lanes))
             }
@@ -328,12 +336,10 @@ impl Simulator<'_> {
     fn infer_lanes(&mut self, frame: &Frame, e: &Expr, ctx: &mut Ctx) -> Result<Option<usize>> {
         match e {
             Expr::Intr { f: Intrinsic::Iota, args, .. } => {
-                let lo = self.eval_scalar(frame, &args[0], ctx)?.as_i64();
-                let hi = self.eval_scalar(frame, &args[1], ctx)?.as_i64();
-                let lanes = cedar_ir::trip(lo, hi, 1).and_then(|n| usize::try_from(n).ok());
-                lanes.map(Some).ok_or_else(|| {
-                    SimError::new(SimErrorKind::Limit, cedar_ir::Span::NONE, "iota too large")
-                })
+                let (lo, hi) = iota_args(args)?;
+                let lo = self.eval_scalar(frame, lo, ctx)?.as_i64();
+                let hi = self.eval_scalar(frame, hi, ctx)?.as_i64();
+                iota_lanes(lo, hi).map(Some)
             }
             Expr::Section { arr, idx } => {
                 let mut sec = Section::new();
@@ -358,6 +364,27 @@ impl Simulator<'_> {
                 Ok(None)
             }
             _ => Ok(None),
+        }
+    }
+
+    /// `e`'s value as it stands, read without a charge, a race note or
+    /// a fault: constants and variables, and the operators over them.
+    /// `None` for anything else, and for a read that would fail.
+    fn peek(&self, frame: &Frame, e: &Expr, cluster: usize) -> Option<Value> {
+        match e {
+            Expr::ConstI(v) => Some(Value::I(*v)),
+            Expr::ConstR { value, .. } => Some(Value::R(*value)),
+            Expr::ConstB(b) => Some(Value::B(*b)),
+            Expr::Scalar(s) => {
+                let bind = frame.binds[s.index()].as_ref()?;
+                self.store.slot(self.resolve_slot(bind, cluster)).try_get(bind.offset)
+            }
+            Expr::Un(op, inner) => Some(cedar_ir::ops::un(*op, self.peek(frame, inner, cluster)?)),
+            Expr::Bin(op, l, r) => {
+                let (l, r) = (self.peek(frame, l, cluster)?, self.peek(frame, r, cluster)?);
+                cedar_ir::ops::bin(*op, l, r).ok()
+            }
+            _ => None,
         }
     }
 
@@ -451,5 +478,23 @@ impl Simulator<'_> {
         let dot = f == Intrinsic::DotProduct;
         self.costs.reduction(par, dot, lanes, mem_cost, &mut self.stats, &mut ctx.time);
         Ok(value)
+    }
+}
+
+/// The bounds of `iota(lo, hi)`.
+fn iota_args(args: &[Expr]) -> Result<(&Expr, &Expr)> {
+    match args {
+        [lo, hi] => Ok((lo, hi)),
+        _ => kerr(SimErrorKind::TypeError, cedar_ir::Span::NONE, "iota needs (lo, hi)"),
+    }
+}
+
+/// The lanes of `iota(lo, hi)`, bounded as a declared array's elements
+/// are: [`STORAGE_CAP`] bytes of 8-byte lanes. Past that the run is
+/// `limit-exceeded` before any lane exists.
+fn iota_lanes(lo: i64, hi: i64) -> Result<usize> {
+    match cedar_ir::trip(lo, hi, 1) {
+        Some(n) if n as u64 <= STORAGE_CAP / 8 => Ok(n as usize),
+        _ => kerr(SimErrorKind::Limit, cedar_ir::Span::NONE, "iota too large"),
     }
 }

@@ -326,31 +326,17 @@ impl LanePool {
         use Intrinsic::*;
         // The one-argument REAL functions read their first argument
         // through `as_f64` and ignore any other.
-        let real = matches!(
-            f,
-            Sqrt | Exp | Log | Log10 | Sin | Cos | Tan | Atan | Sinh | Cosh | Tanh | Real | Dble
-        ) || (f == Abs && !matches!(cols.first(), Some(Lanes::I(_))));
+        let real =
+            ops::is_real_intrinsic(f) && !(f == Abs && matches!(cols.first(), Some(Lanes::I(_))));
         let out = match (real, f) {
             (true, _) if !cols.is_empty() => {
                 let mut a = self.reals(cols.swap_remove(0));
-                fn map(a: &mut [f64], g: impl Fn(f64) -> f64) {
-                    a.iter_mut().for_each(|x| *x = g(*x));
+                macro_rules! map {
+                    ($g:expr) => {
+                        a.iter_mut().for_each(|x| *x = $g(*x))
+                    };
                 }
-                match f {
-                    Sqrt => map(&mut a, f64::sqrt),
-                    Exp => map(&mut a, f64::exp),
-                    Log => map(&mut a, f64::ln),
-                    Log10 => map(&mut a, f64::log10),
-                    Sin => map(&mut a, f64::sin),
-                    Cos => map(&mut a, f64::cos),
-                    Tan => map(&mut a, f64::tan),
-                    Atan => map(&mut a, f64::atan),
-                    Sinh => map(&mut a, f64::sinh),
-                    Cosh => map(&mut a, f64::cosh),
-                    Tanh => map(&mut a, f64::tanh),
-                    Abs => map(&mut a, f64::abs),
-                    _ => {} // `real`, `dble`: the conversion is the function
-                }
+                ops::real_intrinsic!(f, map, _ => unreachable!("{f:?} is a REAL function"));
                 Lanes::R(a)
             }
             (false, Abs) => {

@@ -72,14 +72,12 @@ pub(crate) fn intrinsic_class(f: Intrinsic, args: &[Class]) -> Option<Class> {
     }
     Some(match f {
         Abs => int_if(int(0)),
-        Sqrt | Exp | Log | Log10 | Sin | Cos | Tan | Atan | Sinh | Cosh | Tanh | Real | Dble => {
-            Class::R
-        }
         Atan2 if args.len() >= 2 => Class::R,
         Sign if args.len() >= 2 => int_if(int(0)),
         Mod if args.len() >= 2 => int_if(int(0) && int(1)),
         Min | Max => int_if(args.iter().all(|&c| c == Class::I)),
         Int | Nint => Class::I,
+        f if ops::is_real_intrinsic(f) => Class::R,
         _ => return None,
     })
 }
@@ -97,7 +95,8 @@ pub fn bin(op: BinOp, l: Value, r: Value) -> Result<Value, OpError> {
     ops::bin(op, l, r).map_err(div_zero)
 }
 
-/// Evaluate an elemental (non-reduction) intrinsic on scalar arguments.
+/// Evaluate an elemental (non-reduction) intrinsic on scalar arguments;
+/// what each computes is [`ops`]'.
 pub fn intrinsic(f: Intrinsic, args: &[Value]) -> Result<Value, OpError> {
     use Intrinsic::*;
     let a0 = || -> Result<Value, OpError> {
@@ -105,59 +104,48 @@ pub fn intrinsic(f: Intrinsic, args: &[Value]) -> Result<Value, OpError> {
     };
     let r0 = || a0().map(|v| v.as_f64());
     let a1 = || args.get(1).copied().ok_or_else(|| type_err(format!("{} needs 2 args", f.name())));
+    macro_rules! real {
+        ($g:expr) => {
+            Value::R($g(r0()?))
+        };
+    }
     Ok(match f {
-        Abs => match a0()? {
-            Value::I(v) => Value::I(ops::abs_i(v)),
-            v => Value::R(v.as_f64().abs()),
-        },
-        // Domain violations follow IEEE semantics (NaN) rather than
-        // trapping: masked WHERE assignments evaluate the full RHS
-        // vector and discard masked-off lanes, exactly like the Cedar
-        // vector hardware.
-        Sqrt => Value::R(r0()?.sqrt()),
-        Exp => Value::R(r0()?.exp()),
-        Log => Value::R(r0()?.ln()),
-        Log10 => Value::R(r0()?.log10()),
-        Sin => Value::R(r0()?.sin()),
-        Cos => Value::R(r0()?.cos()),
-        Tan => Value::R(r0()?.tan()),
-        Atan => Value::R(r0()?.atan()),
-        Atan2 => Value::R(r0()?.atan2(a1()?.as_f64())),
-        Sinh => Value::R(r0()?.sinh()),
-        Cosh => Value::R(r0()?.cosh()),
-        Tanh => Value::R(r0()?.tanh()),
+        Abs if matches!(a0()?, Value::I(_)) => Value::I(ops::abs_i(a0()?.as_i64())),
+        Atan2 => Value::R(ops::atan2(r0()?, a1()?.as_f64())),
         Sign => {
             let b = a1()?.as_f64();
             match a0()? {
                 Value::I(a) => Value::I(ops::sign_i(a, b)),
-                a => Value::R(if b >= 0.0 { a.as_f64().abs() } else { -a.as_f64().abs() }),
+                a => Value::R(ops::sign_r(a.as_f64(), b)),
             }
         }
         Mod => match (a0()?, a1()?) {
             (Value::I(a), Value::I(b)) => {
                 Value::I(ops::mod_i(a, b).ok_or_else(|| div_zero("mod by zero"))?)
             }
-            (a, b) => Value::R(a.as_f64() % b.as_f64()),
+            (a, b) => Value::R(ops::mod_r(a.as_f64(), b.as_f64())),
         },
         Min | Max => {
             let first = a0().map_err(|_| type_err(format!("{} needs arguments", f.name())))?;
-            if args.iter().all(|v| matches!(v, Value::I(_))) {
-                let it = args.iter().map(|v| v.as_i64());
-                Value::I(if f == Min { it.min() } else { it.max() }.unwrap())
-            } else {
-                let pick = if f == Min { f64::min } else { f64::max };
-                Value::R(args[1..].iter().fold(first.as_f64(), |best, v| pick(best, v.as_f64())))
+            let max = f == Max;
+            let rest = args[1..].iter();
+            match args.iter().all(|v| matches!(v, Value::I(_))) {
+                true => {
+                    Value::I(rest.fold(first.as_i64(), |m, v| ops::min_max_i(max, m, v.as_i64())))
+                }
+                false => {
+                    Value::R(rest.fold(first.as_f64(), |m, v| ops::min_max_r(max, m, v.as_f64())))
+                }
             }
         }
         Int => Value::I(a0()?.as_i64()),
-        Nint => Value::I(r0()?.round() as i64),
-        Real | Dble => Value::R(r0()?),
-        other => {
+        Nint => Value::I(ops::nint(r0()?)),
+        f => ops::real_intrinsic!(f, real, other => {
             return Err(OpError::new(
                 SimErrorKind::Unsupported,
                 format!("{} is not elemental", other.name()),
             ))
-        }
+        }),
     })
 }
 

@@ -1102,6 +1102,8 @@ fn iota_gathers_and_scatters() {
         ("rp(1:4) = ra(ip(1:4) + 7)", "section lane out of bounds: [16]"),
         ("rp(ip(1:4) + 7) = ra(1:4)", "section lane out of bounds: [16]"),
         ("rp(1:4) = ra(iota(1, 3))", "vector length mismatch: 3 vs 4"),
+        ("rp(1:4) = iota(1, 2) + 0", "vector length mismatch: 2 vs 4"),
+        ("rp(1:4) = ra(iota(1, n * 999999999999))", "iota too large"),
     ] {
         let e = same_error_everywhere(leak(&format!("{LANES}{stmt}\nend\n")), |c| c, stmt);
         assert!(e.msg.contains(msg), "{stmt}: {e}");
@@ -2387,8 +2389,9 @@ fn zero_divisors_fault_alike_through_every_executor() {
 
 /// Each value op's body is written once, in `cedar_ir::ops`: no other
 /// source of `cedar-ir` or `cedar-sim` (test modules excluded) holds
-/// one of the bodies that decide an edge case, and the VM has no value
-/// arms of its own but the table's.
+/// one of the bodies that decide an edge case or an elemental
+/// intrinsic's value, and the VM has no value arms of its own but the
+/// table's.
 #[test]
 fn value_op_bodies_are_written_only_in_cedar_ir_ops() {
     let bodies = [
@@ -2399,6 +2402,16 @@ fn value_op_bodies_are_written_only_in_cedar_ir_ops() {
         ".powf(",
         ".powi(",
         "trunc() as i64",
+        "f64::sqrt",
+        "f64::exp",
+        "f64::ln",
+        "f64::log10",
+        "f64::sin",
+        "f64::cos",
+        "f64::tan",
+        "f64::atan",
+        ".atan2(",
+        ".round() as i64",
     ];
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("..");
     let mut files = Vec::new();

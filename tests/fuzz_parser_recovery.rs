@@ -297,10 +297,21 @@ const EXTREME_CONSTANTS: &[(&[&str], Outcome)] = &[
         ],
         Outcome::AllSimulate(Some(SimErrorKind::OutOfBounds)),
     ),
-    // And the lanes of an `iota` past the largest integer.
+    // And the lanes of an `iota` past the largest integer: one lane,
+    // which a section of four does not take.
     (
         &["program p", "integer k(4)", "n = 9223372036854775806", "k(1:4) = iota(n, n) + 0", "end"],
-        Outcome::AllSimulate(None),
+        Outcome::AllSimulate(Some(SimErrorKind::TypeError)),
+    ),
+    // And an `iota` of more lanes than `STORAGE_CAP` holds, reduced and
+    // gathered.
+    (
+        &["program p", "s = sum(iota(1, 4000000000000))", "end"],
+        Outcome::AllSimulate(Some(SimErrorKind::Limit)),
+    ),
+    (
+        &["program p", "real rp(4), ra(4)", "rp(1:4) = ra(iota(1, 4000000000000))", "end"],
+        Outcome::AllSimulate(Some(SimErrorKind::Limit)),
     ),
 ];
 
