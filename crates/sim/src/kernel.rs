@@ -42,14 +42,13 @@
 
 use super::vm::{class_bug, intrinsic, Operands, VmState};
 use super::{Ctx, Frame, Result, Simulator};
-use crate::compile::{by_class, value_op};
+use crate::compile::{by_class, value_op, MAX_INTR_ARGS};
 use crate::compile::{Charge, CompiledUnit, Instr, Reg, VmLoop, MAX_ACCESSES, MAX_CHARGES};
 use crate::cost::{CostClass, CostModel, ExactSum, Priced, Site};
 use crate::stats::ExecStats;
 use crate::store::{linearize, Cells, DimStride, SlotId, Store};
-use crate::value_ops::Class;
-use cedar_ir::{ops, Span};
-use std::array::from_fn;
+use crate::value_ops::{self, Class};
+use cedar_ir::{ops, Intrinsic, Span, Value};
 use std::cell::Cell;
 
 /// The fewest iterations a kernel runs: planning one costs about what
@@ -495,7 +494,7 @@ impl Plan {
         });
         let views = (&scalar_views[..self.scalars], &array_views[..self.arrays]);
         if n >= MIN_LANES {
-            let mut at = [(0, 0); MAX_ACCESSES];
+            let mut at = ([(0, 0); MAX_ACCESSES], [(0, 0); MAX_AFFINE]);
             if self.lanes.addresses(views, i, (value, step), n, &mut at) {
                 let regs = (&mut f[..], &mut i[..], &mut b[..]);
                 let value = self.lanes.run(body, views, var, regs, scratch, &at, (value, step), n);
@@ -613,8 +612,8 @@ fn store_var(var: Scalar, value: i64) {
 /// One of a lane batch's registers: a row of [`Scratch`].
 type Row = u8;
 
-/// The scratch a lane batch runs in: [`ROWS`] registers of each class,
-/// each [`LANES`] iterations wide.
+/// The scratch a lane batch runs in: [`ROWS`] rows of each class, each
+/// [`LANES`] iterations wide.
 pub(super) struct Scratch {
     f: [[f64; LANES]; ROWS],
     i: [[i64; LANES]; ROWS],
@@ -627,33 +626,52 @@ impl Default for Scratch {
     }
 }
 
-/// What a lane batch does for one op of the body, over a chunk.
+/// What a lane batch does for one op of the body, over a chunk's lanes.
 #[derive(Clone, Copy)]
 enum LaneOp {
-    /// Row `d` gets the loop variable, as its cell holds it.
+    /// Row `d` gets the loop variable, as its REAL or LOGICAL cell holds
+    /// it.
     Var(Row),
     /// Row `d` gets scalar view `p`'s value in every lane.
     Scalar(Row, u8),
+    /// INTEGER row `d` gets affine form `a`'s value.
+    Affine(Row, u8),
     /// Row `d` gets element access `e`'s cells; they get row `s`.
     Load(Row, u8),
     Store(Row, u8),
     /// Body op `k`'s value op, over rows `[d, a, b]`.
     Value(u8, [Row; 3]),
+    /// Body op `k`'s intrinsic into row `d`, over the arguments from
+    /// `args[at]` on.
+    Intr(u8, Row, u8),
+    /// Row `d` of class `c` gets row `s`: a scalar stored, or read after
+    /// the iteration stored it.
+    Copy(Class, Row, Row),
+    /// Row `d` gets stored scalar `x`'s value of the iteration before:
+    /// its last row one lane back, in a chunk's first lane its cell.
+    Carried(Row, u8),
 }
 
-/// Where one subscript of an element access comes from in a lane
-/// batch: the loop variable, or a value the same in every iteration —
-/// an INTEGER scalar's view, or the row of a register the body does not
-/// define.
+/// An INTEGER register the body builds from the loop variable `v`, the
+/// values the same in every iteration and `+ - *`, as `a·v + b`: a form
+/// over earlier forms, evaluated once at a batch's entry. The ring of
+/// wrapping integers makes it the value the body computes, bit for bit.
 #[derive(Clone, Copy)]
-enum Sub {
+enum Affine {
     Var,
+    /// Scalar view `p`'s value.
     Scalar(u8),
-    Input(Row),
+    /// A register the body does not define.
+    Input(Reg),
+    Add(u8, u8),
+    Sub(u8, u8),
+    /// Of two forms, at most one of which varies.
+    Mul(u8, u8),
 }
 
-/// An element access of a lane batch: its array view and slot, its
-/// subscripts `subs[at..at + rank]`, and whether it stores.
+/// An element access of a lane batch: its array view and slot, the
+/// affine forms of its subscripts `subs[at..at + rank]`, and whether it
+/// stores.
 #[derive(Clone, Copy)]
 struct Elem {
     view: u8,
@@ -663,39 +681,92 @@ struct Elem {
     write: bool,
 }
 
+/// A scalar the body stores: its cell, a view of it, and the row that
+/// holds its value at the end of an iteration.
+#[derive(Clone, Copy)]
+struct Stored {
+    cell: (SlotId, usize),
+    view: u8,
+    class: Class,
+    row: Row,
+}
+
+/// Where a register the body defines is after a batch: in a row's last
+/// lane, or an affine form's value.
+#[derive(Clone, Copy)]
+enum Out {
+    Row(Row),
+    Affine(u8),
+}
+
+/// A batch's element accesses' first cells and steps, and its affine
+/// forms' `(a, b)`.
+type Addresses = ([(i64, i64); MAX_ACCESSES], [(i64, i64); MAX_AFFINE]);
+
+/// The most affine forms, intrinsic arguments, stored scalars and
+/// registers (read before the body defines them, or defined) a lane
+/// batch plans.
+const MAX_AFFINE: usize = 32;
+const MAX_ARGS: usize = 16;
+const MAX_STORED: usize = 8;
+const MAX_REGS: usize = 32;
+
 /// A body's iterations as lanes, planned once with its kernel
-/// ([`LanePlan::plan`]): its ops over the body's registers renumbered
-/// into rows of the [`Scratch`], and its element accesses.
+/// ([`LanePlan::plan`]): its ops over rows of the [`Scratch`], and its
+/// element accesses, stored scalars and registers.
 struct LanePlan {
     /// The static rules hold: the body can run as lanes.
     ok: bool,
+    /// The ops run over a chunk's lanes at once, and (`chain`) the ops a
+    /// value carried from the iteration before reaches, run one lane
+    /// after another; each in the body's order.
     ops: [LaneOp; MAX_LANE_OPS],
     len: usize,
+    chain: [LaneOp; MAX_LANE_OPS],
+    chained: usize,
     elems: [Elem; MAX_ACCESSES],
     n_elems: usize,
-    subs: [Sub; MAX_SUBS],
+    subs: [u8; MAX_SUBS],
     n_subs: usize,
-    /// Per class, the register each row stands for and (`defined`)
-    /// whether the body defines it; one it does not define it only
-    /// reads, and it holds the same value in every iteration.
-    regs: [[Reg; ROWS]; 3],
-    defined: [[bool; ROWS]; 3],
+    affine: [Affine; MAX_AFFINE],
+    n_affine: usize,
+    args: [(Class, Row); MAX_ARGS],
+    n_args: usize,
+    stored: [Stored; MAX_STORED],
+    n_stored: usize,
+    /// The registers read before the body defines them, broadcast to
+    /// their rows at entry, and where the ones it defines end.
+    inputs: [(Class, Reg, Row); MAX_REGS],
+    n_inputs: usize,
+    outputs: [(Class, Reg, Out); MAX_REGS],
+    n_outputs: usize,
     rows: [usize; 3],
 }
 
 impl Default for LanePlan {
     fn default() -> LanePlan {
         let elem = Elem { view: 0, slot: SlotId(0), at: 0, rank: 0, write: false };
+        let stored = Stored { cell: (SlotId(0), 0), view: 0, class: Class::R, row: 0 };
         LanePlan {
             ok: false,
             ops: [LaneOp::Var(0); MAX_LANE_OPS],
             len: 0,
+            chain: [LaneOp::Var(0); MAX_LANE_OPS],
+            chained: 0,
             elems: [elem; MAX_ACCESSES],
             n_elems: 0,
-            subs: [Sub::Var; MAX_SUBS],
+            subs: [0; MAX_SUBS],
             n_subs: 0,
-            regs: [[0; ROWS]; 3],
-            defined: [[false; ROWS]; 3],
+            affine: [Affine::Var; MAX_AFFINE],
+            n_affine: 0,
+            args: [(Class::R, 0); MAX_ARGS],
+            n_args: 0,
+            stored: [stored; MAX_STORED],
+            n_stored: 0,
+            inputs: [(Class::R, 0, 0); MAX_REGS],
+            n_inputs: 0,
+            outputs: [(Class::R, 0, Out::Row(0)); MAX_REGS],
+            n_outputs: 0,
             rows: [0; 3],
         }
     }
@@ -708,110 +779,40 @@ fn accesses(op: &Instr, cu: &CompiledUnit) -> usize {
     n
 }
 
-/// A [`LanePlan`] being made: which rows the body read before defining
-/// them, and where the value of each INTEGER row came from.
-struct Renumber<'p> {
-    lanes: &'p mut LanePlan,
-    read_first: [[bool; ROWS]; 3],
-    from: [Option<Sub>; ROWS],
-}
-
-impl Renumber<'_> {
-    /// The row of register `r` of class `c`, given one if it has none.
-    fn row(&mut self, c: Class, r: Reg) -> Option<usize> {
-        let (regs, n) = (&mut self.lanes.regs[c as usize], &mut self.lanes.rows[c as usize]);
-        match regs[..*n].iter().position(|&reg| reg == r) {
-            Some(row) => Some(row),
-            None if *n < ROWS => {
-                regs[*n] = r;
-                *n += 1;
-                Some(*n - 1)
-            }
-            None => None,
-        }
-    }
-
-    fn read(&mut self, c: Class, r: Reg) -> Option<Row> {
-        let row = self.row(c, r)?;
-        if !self.lanes.defined[c as usize][row] {
-            self.read_first[c as usize][row] = true;
-        }
-        Some(row as Row)
-    }
-
-    /// Register `r` defined, its value (if INTEGER) from `from`. `None`
-    /// when the body read it before: an iteration would read the value
-    /// the one before it left.
-    fn def(&mut self, c: Class, r: Reg, from: Option<Sub>) -> Option<Row> {
-        let row = self.row(c, r)?;
-        if self.read_first[c as usize][row] {
-            return None;
-        }
-        self.lanes.defined[c as usize][row] = true;
-        if c == Class::I {
-            self.from[row] = from;
-        }
-        Some(row as Row)
-    }
-
-    /// Register `r` read as a subscript: where its value came from.
-    fn sub(&mut self, r: Reg) -> Option<Sub> {
-        let row = self.read(Class::I, r)?;
-        match self.lanes.defined[Class::I as usize][row as usize] {
-            true => self.from[row as usize],
-            false => Some(Sub::Input(row)),
-        }
-    }
-
-    fn push_sub(&mut self, sub: Sub) -> Option<()> {
-        let lanes = &mut *self.lanes;
-        *lanes.subs.get_mut(lanes.n_subs)? = sub;
-        lanes.n_subs += 1;
-        Some(())
-    }
-
-    /// The subscripts in the INTEGER registers `regs`; where they start.
-    fn reg_subs(&mut self, regs: &[Reg]) -> Option<usize> {
-        let at = self.lanes.n_subs;
-        for &r in regs {
-            let sub = self.sub(r)?;
-            self.push_sub(sub)?;
-        }
-        Some(at)
-    }
-
-    /// A new element access: view `view` of `slot`, with the subscripts
-    /// from `at` on.
-    fn elem(&mut self, (view, slot): (u8, SlotId), write: bool, at: usize) -> Option<u8> {
-        let lanes = &mut *self.lanes;
-        let (e, rank) = (lanes.n_elems, (lanes.n_subs - at) as u8);
-        lanes.elems[e] = Elem { view, slot, at: at as u8, rank, write };
-        lanes.n_elems += 1;
-        Some(e as u8)
-    }
-}
-
 /// The class of the value a load or a store moves.
 fn moved_class(op: &Instr) -> Class {
     use Instr::*;
     match op {
-        LoadR { .. } | ElemR { .. } | ElemVarR { .. } | SetElemR { .. } => Class::R,
-        LoadB { .. } | ElemB { .. } | ElemVarB { .. } | SetElemB { .. } => Class::B,
+        LoadR { .. } | ElemR { .. } | ElemVarR { .. } | SetElemR { .. } | StoreR { .. } => Class::R,
+        LoadB { .. } | ElemB { .. } | ElemVarB { .. } | SetElemB { .. } | StoreB { .. } => Class::B,
         _ => Class::I,
     }
+}
+
+/// What one chunk of a lane batch runs over: the views, the loop
+/// variable's cell, each element access's first cell and step, the
+/// affine forms' values, the variable's value in the chunk's first lane
+/// and the step, the iterations done before the chunk and its lanes.
+struct Chunk<'c, 's> {
+    views: (&'c [Scalar<'s>], &'c [Array<'s>]),
+    var: Scalar<'s>,
+    addresses: &'c Addresses,
+    first: i64,
+    step: i64,
+    done: u64,
+    len: usize,
 }
 
 impl LanePlan {
     /// Decide whether `body`, whose accesses land at `sites` (their
     /// views at `place`) and whose loop variable's cell is `var`, can
     /// run as lanes, and plan its ops. The static rules: only loads,
-    /// element stores and value ops that cannot fault (no scalar store,
-    /// which would carry a value into the next iteration, no division or
-    /// power of integers, no intrinsic); every scalar read is the loop
-    /// variable or in a slot no op of the body writes; every subscript
-    /// is the loop variable or the same in every iteration; no register
-    /// is read before the body defines it unless the body never does;
-    /// no element lands in the loop variable's slot.
+    /// stores and value ops that cannot fault (no division or power of
+    /// integers, no INTEGER `mod`); no store to the loop variable's
+    /// cell; every other scalar read is of a scalar the body stores, or
+    /// in a slot no element store writes; every subscript is an affine
+    /// form; no register is read before the body defines it unless the
+    /// body never does; no element lands in the loop variable's slot.
     fn plan(
         &mut self,
         (sites, place): (&[Resolved], &[u8]),
@@ -820,36 +821,67 @@ impl LanePlan {
         body: &[Instr],
         table: &Operands,
     ) {
-        let mut rn = Renumber { lanes: self, read_first: [[false; ROWS]; 3], from: [None; ROWS] };
+        let mut rn = Renumber {
+            lanes: self,
+            regs: [(Class::R, 0, Loc::default(), false); MAX_REGS],
+            n_regs: 0,
+            scalars: [None; MAX_STORED],
+            chain_owned: [[false; ROWS]; 3],
+            chain_read: [[false; ROWS]; 3],
+            varies: [false; MAX_AFFINE],
+            chain_slots: [SlotId(0); MAX_ACCESSES],
+            n_chain_slots: 0,
+        };
         rn.lanes.ok = rn.plan(sites, place, var, cu, body, table).is_some();
     }
 
-    /// Each element access's first cell and its step between iterations
-    /// in a batch of `n` from `value` on by `step`, into `at`. `false`
-    /// when the body cannot run as lanes, an iteration's access would be
-    /// out of bounds, or two accesses of a slot, one of them a store,
-    /// would touch one cell in different iterations.
+    /// Each affine form's `(a, b)` and each element access's first cell
+    /// and step between iterations in a batch of `n` from `value` on by
+    /// `step`, into `affine` and `at`. `false` when the body cannot run
+    /// as lanes, an iteration's access would be out of bounds, two
+    /// accesses of a slot, one of them a store, would touch one cell in
+    /// different iterations, or an access would touch a stored scalar.
     fn addresses(
         &self,
         (scalars, arrays): (&[Scalar], &[Array]),
         i: &[i64],
         (value, step): (i64, i64),
         n: u64,
-        at: &mut [(i64, i64); MAX_ACCESSES],
+        (at, affine): &mut Addresses,
     ) -> bool {
-        let last = i64::try_from(n - 1).ok();
-        let cells = |e: &Elem, last: i64| -> Option<(i64, i64)> {
+        let (Some(last), true) = (i64::try_from(n - 1).ok(), self.ok) else {
+            return false;
+        };
+        for (k, form) in self.affine[..self.n_affine].iter().enumerate() {
+            let pair = |x: u8, y: u8| (affine[x as usize], affine[y as usize]);
+            affine[k] = match *form {
+                Affine::Var => (1, 0),
+                Affine::Scalar(p) => match scalars[p as usize] {
+                    Scalar::I(c) => (0, c.get()),
+                    _ => class_bug(),
+                },
+                Affine::Input(r) => (0, i[r as usize]),
+                Affine::Add(x, y) => {
+                    let ((a, b), (c, d)) = pair(x, y);
+                    (ops::add_i(a, c), ops::add_i(b, d))
+                }
+                Affine::Sub(x, y) => {
+                    let ((a, b), (c, d)) = pair(x, y);
+                    (ops::sub_i(a, c), ops::sub_i(b, d))
+                }
+                Affine::Mul(x, y) => {
+                    let ((a, b), (c, d)) = pair(x, y);
+                    (ops::add_i(ops::mul_i(a, d), ops::mul_i(c, b)), ops::mul_i(b, d))
+                }
+            };
+        }
+        let cells = |e: &Elem| -> Option<(i64, i64)> {
             let array = &arrays[e.view as usize];
             let (mut lin, mut dl) = (0i64, 0i64);
-            for (sub, dim) in self.subs[e.at as usize..][..e.rank as usize].iter().zip(array.dims) {
-                let (s0, ds) = match *sub {
-                    Sub::Var => (value, step),
-                    Sub::Scalar(p) => match scalars[p as usize] {
-                        Scalar::I(c) => (c.get(), 0),
-                        _ => class_bug(),
-                    },
-                    Sub::Input(row) => (i[self.regs[Class::I as usize][row as usize] as usize], 0),
-                };
+            for (&sub, dim) in self.subs[e.at as usize..][..e.rank as usize].iter().zip(array.dims)
+            {
+                let (a, b) = affine[sub as usize];
+                let (s0, ds) = (ops::add_i(ops::mul_i(a, value), b), ops::mul_i(a, step));
                 let s1 = ds.checked_mul(last)?.checked_add(s0)?;
                 if s0.min(s1) < dim.lo || s0.max(s1) > dim.hi {
                     return None;
@@ -867,12 +899,9 @@ impl LanePlan {
             };
             (lin.min(lin1) >= 0 && (l0.max(l1) as u64) < len as u64).then_some((l0, dl))
         };
-        let (Some(last), true) = (last, self.ok) else {
-            return false;
-        };
         let elems = &self.elems[..self.n_elems];
         for (e, elem) in elems.iter().enumerate() {
-            match cells(elem, last) {
+            match cells(elem) {
                 Some(a) => at[e] = a,
                 None => return false,
             }
@@ -883,108 +912,487 @@ impl LanePlan {
                     return false;
                 }
             }
+            for s in &self.stored[..self.n_stored] {
+                if a.slot == s.cell.0 && !apart(at[e], (s.cell.1 as i64, 0), last) {
+                    return false;
+                }
+            }
         }
         true
     }
 
     /// Run `n` iterations of `body` from `value` on by `step`, chunk by
-    /// chunk and, within a chunk, op by op over its lanes: each lane
-    /// makes its iteration's accesses in the body's order, and
-    /// [`LanePlan::addresses`] has proved that no other iteration's come
-    /// between them. Then the registers the body defines and the loop
-    /// variable hold the last iteration's values, as after [`pass`].
-    /// The variable's value of the next iteration.
+    /// chunk. Within a chunk the ops run one by one over its lanes, and
+    /// then the carried ops lane by lane: each lane makes its
+    /// iteration's accesses in the body's order, [`LanePlan::addresses`]
+    /// has proved that no other iteration's come between them, and the
+    /// plan keeps every slot a carried op accesses to carried ops from
+    /// then on. After each chunk the stored scalars' cells hold its last
+    /// iteration's values; after the batch the registers the body
+    /// defines and the loop variable do too, as after [`pass`]. The
+    /// variable's value of the next iteration.
     #[allow(clippy::too_many_arguments)]
     fn run(
         &self,
         body: &[Instr],
-        (scalars, arrays): (&[Scalar], &[Array]),
+        views: (&[Scalar], &[Array]),
         var: Scalar,
         (f, i, b): (&mut [f64], &mut [i64], &mut [bool]),
         scratch: &mut Scratch,
-        at: &[(i64, i64); MAX_ACCESSES],
+        addresses: &Addresses,
         (value, step): (i64, i64),
         n: u64,
     ) -> i64 {
-        let [rf, ri, rb] = [0, 1, 2].map(|c| (&self.regs[c][..self.rows[c]], &self.defined[c]));
-        broadcast(rf, f, &mut scratch.f);
-        broadcast(ri, i, &mut scratch.i);
-        broadcast(rb, b, &mut scratch.b);
+        for &(c, r, row) in &self.inputs[..self.n_inputs] {
+            let (r, row) = (r as usize, row as usize);
+            match c {
+                Class::R => scratch.f[row] = [f[r]; LANES],
+                Class::I => scratch.i[row] = [i[r]; LANES],
+                Class::B => scratch.b[row] = [b[r]; LANES],
+            }
+        }
         let (mut done, mut len) = (0, 0);
         while done < n {
             len = (n - done).min(LANES as u64) as usize;
             let first = value.wrapping_add((done as i64).wrapping_mul(step));
-            let lane = |t: usize| first.wrapping_add((t as i64).wrapping_mul(step));
+            let chunk = Chunk { views, var, addresses, first, step, done, len };
             for op in &self.ops[..self.len] {
-                match *op {
-                    LaneOp::Var(d) => match var {
-                        Scalar::R(_) => {
-                            scratch.f[d as usize] = from_fn(|t| ops::real_of_int(lane(t)))
-                        }
-                        Scalar::I(_) => scratch.i[d as usize] = from_fn(lane),
-                        Scalar::B(_) => {
-                            scratch.b[d as usize] = from_fn(|t| ops::bool_of_int(lane(t)))
-                        }
-                    },
-                    LaneOp::Scalar(d, p) => match scalars[p as usize] {
-                        Scalar::R(c) => scratch.f[d as usize] = [c.get(); LANES],
-                        Scalar::I(c) => scratch.i[d as usize] = [c.get(); LANES],
-                        Scalar::B(c) => scratch.b[d as usize] = [c.get(); LANES],
-                    },
-                    LaneOp::Load(d, e) | LaneOp::Store(d, e) => {
-                        let (l0, dl) = at[e as usize];
-                        let base = l0 + done as i64 * dl;
-                        let cells = (0..len).map(|t| (base + t as i64 * dl) as usize);
-                        let (d, load) = (d as usize, matches!(op, LaneOp::Load(..)));
-                        match arrays[self.elems[e as usize].view as usize].cells {
-                            Cells::R(c) => move_lanes(c, cells, &mut scratch.f[d], load),
-                            Cells::I(c) => move_lanes(c, cells, &mut scratch.i[d], load),
-                            Cells::B(c) => move_lanes(c, cells, &mut scratch.b[d], load),
-                        }
-                    }
-                    LaneOp::Value(k, [rd, ra, rb]) => {
-                        let (sf, si, sb) = (&mut scratch.f, &mut scratch.i, &mut scratch.b);
-                        // The plan refuses an op that can fault.
-                        macro_rules! lanes {
-                            ($c:ident, $D:ident <- $A:ident $B:ident, $d:ident, $a:ident $b:ident,
-                             $f:expr, fallible) => {{
-                                let _ = ($d, $a, $b);
-                                unreachable!("an op that can fault in lanes")
-                            }};
-                            ($c:ident, $D:ident <- $A:ident $B:ident, $d:ident, $a:ident $b:ident,
-                             $f:expr) => {{
-                                let _ = ($d, $a, $b);
-                                let xs = by_class!($A; sf, si, sb)[ra as usize];
-                                let ys = by_class!($B; sf, si, sb)[rb as usize];
-                                let out = &mut by_class!($D; sf, si, sb)[rd as usize];
-                                for t in 0..LANES {
-                                    out[t] = $f(xs[t], ys[t]);
-                                }
-                            }};
-                            ($c:ident, $D:ident <- $A:ident, $d:ident, $a:ident, $f:expr) => {{
-                                let _ = ($d, $a);
-                                let xs = by_class!($A; sf, si, sb)[ra as usize];
-                                let out = &mut by_class!($D; sf, si, sb)[rd as usize];
-                                for t in 0..LANES {
-                                    out[t] = $f(xs[t]);
-                                }
-                            }};
-                        }
-                        value_op!(&body[k as usize], lanes, op => unreachable!("{op:?} in lanes"))
-                    }
+                self.exec(*op, body, &chunk, scratch, (0, LANES));
+            }
+            for t in 0..len {
+                for op in &self.chain[..self.chained] {
+                    self.exec(*op, body, &chunk, scratch, (t, t + 1));
+                }
+            }
+            for s in &self.stored[..self.n_stored] {
+                let row = s.row as usize;
+                match views.0[s.view as usize] {
+                    Scalar::R(c) => c.set(scratch.f[row][len - 1]),
+                    Scalar::I(c) => c.set(scratch.i[row][len - 1]),
+                    Scalar::B(c) => c.set(scratch.b[row][len - 1]),
                 }
             }
             done += len as u64;
         }
-        write_back(rf, &scratch.f, len - 1, f);
-        write_back(ri, &scratch.i, len - 1, i);
-        write_back(rb, &scratch.b, len - 1, b);
-        store_var(var, value.wrapping_add(((n - 1) as i64).wrapping_mul(step)));
+        let last = value.wrapping_add(((n - 1) as i64).wrapping_mul(step));
+        for &(c, r, out) in &self.outputs[..self.n_outputs] {
+            let r = r as usize;
+            match (out, c) {
+                (Out::Row(row), Class::R) => f[r] = scratch.f[row as usize][len - 1],
+                (Out::Row(row), Class::I) => i[r] = scratch.i[row as usize][len - 1],
+                (Out::Row(row), Class::B) => b[r] = scratch.b[row as usize][len - 1],
+                (Out::Affine(k), _) => {
+                    let (a, b) = addresses.1[k as usize];
+                    i[r] = ops::add_i(ops::mul_i(a, last), b);
+                }
+            }
+        }
+        store_var(var, last);
         value.wrapping_add((n as i64).wrapping_mul(step))
+    }
+
+    /// Run `op` over lanes `lo..hi` of `chunk` (its element accesses
+    /// over those of them it has).
+    #[inline(always)]
+    fn exec(
+        &self,
+        op: LaneOp,
+        body: &[Instr],
+        chunk: &Chunk,
+        scratch: &mut Scratch,
+        (lo, hi): (usize, usize),
+    ) {
+        let (scalars, arrays) = chunk.views;
+        let lane = |t: usize| chunk.first.wrapping_add((t as i64).wrapping_mul(chunk.step));
+        let (sf, si, sb) = (&mut scratch.f, &mut scratch.i, &mut scratch.b);
+        match op {
+            LaneOp::Var(d) => {
+                let d = d as usize;
+                match chunk.var {
+                    Scalar::R(_) => (lo..hi).for_each(|t| sf[d][t] = ops::real_of_int(lane(t))),
+                    Scalar::I(_) => (lo..hi).for_each(|t| si[d][t] = lane(t)),
+                    Scalar::B(_) => (lo..hi).for_each(|t| sb[d][t] = ops::bool_of_int(lane(t))),
+                }
+            }
+            LaneOp::Scalar(d, p) => {
+                let d = d as usize;
+                match scalars[p as usize] {
+                    Scalar::R(c) => sf[d][lo..hi].fill(c.get()),
+                    Scalar::I(c) => si[d][lo..hi].fill(c.get()),
+                    Scalar::B(c) => sb[d][lo..hi].fill(c.get()),
+                }
+            }
+            LaneOp::Affine(d, k) => {
+                let (a, b) = chunk.addresses.1[k as usize];
+                (lo..hi).for_each(|t| si[d as usize][t] = ops::add_i(ops::mul_i(a, lane(t)), b));
+            }
+            LaneOp::Load(d, e) | LaneOp::Store(d, e) => {
+                let (l0, dl) = chunk.addresses.0[e as usize];
+                let base = l0 + chunk.done as i64 * dl;
+                let cells = (lo..hi.min(chunk.len)).map(|t| (base + t as i64 * dl) as usize);
+                let (d, load) = (d as usize, matches!(op, LaneOp::Load(..)));
+                match arrays[self.elems[e as usize].view as usize].cells {
+                    Cells::R(c) => move_lanes(c, cells, &mut sf[d][lo..], load),
+                    Cells::I(c) => move_lanes(c, cells, &mut si[d][lo..], load),
+                    Cells::B(c) => move_lanes(c, cells, &mut sb[d][lo..], load),
+                }
+            }
+            LaneOp::Value(k, [rd, ra, rb]) => {
+                // The plan refuses an op that can fault.
+                macro_rules! lanes {
+                    ($c:ident, $D:ident <- $A:ident $B:ident, $d:ident, $a:ident $b:ident,
+                     $f:expr, fallible) => {{
+                        let _ = ($d, $a, $b);
+                        unreachable!("an op that can fault in lanes")
+                    }};
+                    ($c:ident, $D:ident <- $A:ident $B:ident, $d:ident, $a:ident $b:ident,
+                     $f:expr) => {{
+                        let _ = ($d, $a, $b);
+                        let xs = by_class!($A; sf, si, sb)[ra as usize];
+                        let ys = by_class!($B; sf, si, sb)[rb as usize];
+                        let out = &mut by_class!($D; sf, si, sb)[rd as usize];
+                        for t in lo..hi {
+                            out[t] = $f(xs[t], ys[t]);
+                        }
+                    }};
+                    ($c:ident, $D:ident <- $A:ident, $d:ident, $a:ident, $f:expr) => {{
+                        let _ = ($d, $a);
+                        let xs = by_class!($A; sf, si, sb)[ra as usize];
+                        let out = &mut by_class!($D; sf, si, sb)[rd as usize];
+                        for t in lo..hi {
+                            out[t] = $f(xs[t]);
+                        }
+                    }};
+                }
+                value_op!(&body[k as usize], lanes, op => unreachable!("{op:?} in lanes"))
+            }
+            LaneOp::Intr(k, d, at) => {
+                let (Instr::IntrR { f: g, n, .. } | Instr::IntrI { f: g, n, .. }) =
+                    body[k as usize]
+                else {
+                    class_bug()
+                };
+                let args = &self.args[at as usize..][..n as usize];
+                let (c0, r0) = (args[0].0, args[0].1 as usize);
+                let d = d as usize;
+                if c0 == Class::I && g == Intrinsic::Abs {
+                    let xs = si[r0];
+                    (lo..hi).for_each(|t| si[d][t] = ops::abs_i(xs[t]));
+                } else if ops::is_real_intrinsic(g) {
+                    // The argument read as a REAL; any other is ignored.
+                    let xs: [f64; LANES] = match c0 {
+                        Class::R => sf[r0],
+                        Class::I => si[r0].map(ops::real_of_int),
+                        Class::B => sb[r0].map(ops::real_of_bool),
+                    };
+                    macro_rules! apply {
+                        ($g:expr) => {
+                            (lo..hi).for_each(|t| sf[d][t] = $g(xs[t]))
+                        };
+                    }
+                    ops::real_intrinsic!(g, apply, _ => class_bug());
+                } else {
+                    // Lane by lane through the scalar operation.
+                    let mut argv = [Value::I(0); MAX_INTR_ARGS];
+                    for t in lo..hi {
+                        for (v, &(c, r)) in argv.iter_mut().zip(args) {
+                            let r = r as usize;
+                            *v = match c {
+                                Class::R => Value::R(sf[r][t]),
+                                Class::I => Value::I(si[r][t]),
+                                Class::B => Value::B(sb[r][t]),
+                            };
+                        }
+                        match value_ops::intrinsic(g, &argv[..args.len()]) {
+                            Ok(Value::R(x)) => sf[d][t] = x,
+                            Ok(Value::I(x)) => si[d][t] = x,
+                            _ => unreachable!("{g:?} cannot fault"),
+                        }
+                    }
+                }
+            }
+            LaneOp::Copy(c, d, s) => {
+                let (d, s) = (d as usize, s as usize);
+                macro_rules! copy {
+                    ($rows:expr) => {
+                        (lo..hi).for_each(|t| $rows[d][t] = $rows[s][t])
+                    };
+                }
+                match c {
+                    Class::R => copy!(sf),
+                    Class::I => copy!(si),
+                    Class::B => copy!(sb),
+                }
+            }
+            LaneOp::Carried(d, x) => {
+                let (d, x) = (d as usize, &self.stored[x as usize]);
+                let s = x.row as usize;
+                macro_rules! carried {
+                    ($rows:expr, $cell:expr) => {
+                        for t in lo..hi {
+                            $rows[d][t] = if t == 0 { $cell.get() } else { $rows[s][t - 1] };
+                        }
+                    };
+                }
+                match scalars[x.view as usize] {
+                    Scalar::R(c) => carried!(sf, c),
+                    Scalar::I(c) => carried!(si, c),
+                    Scalar::B(c) => carried!(sb, c),
+                }
+            }
+        }
     }
 }
 
+/// Where a register's or a stored scalar's value is while a lane plan is
+/// made: a row (`chain`: one the carried ops write), and for an INTEGER
+/// register an affine form.
+#[derive(Clone, Copy, Default)]
+struct Loc {
+    row: Option<Row>,
+    affine: Option<u8>,
+    chain: bool,
+}
+
+/// A scalar access of a lane body: the loop variable's cell, a cell the
+/// same in every iteration (its view), or a stored scalar's.
+enum Access {
+    Var,
+    Same(u8),
+    Stored(usize),
+}
+
+/// A [`LanePlan`] being made, one op after another in the body's order.
+struct Renumber<'p> {
+    lanes: &'p mut LanePlan,
+    /// Each register's class, number, place and whether the body read
+    /// it before defining it.
+    regs: [(Class, Reg, Loc, bool); MAX_REGS],
+    n_regs: usize,
+    /// Each stored scalar's place, from its first store on.
+    scalars: [Option<Loc>; MAX_STORED],
+    /// Per class and row: the carried ops write it; a carried op read it.
+    chain_owned: [[bool; ROWS]; 3],
+    chain_read: [[bool; ROWS]; 3],
+    /// The affine forms that vary with the loop variable.
+    varies: [bool; MAX_AFFINE],
+    /// The slots a carried op has accessed.
+    chain_slots: [SlotId; MAX_ACCESSES],
+    n_chain_slots: usize,
+}
+
 impl Renumber<'_> {
+    /// Register `r` of class `c`'s entry, made if it has none.
+    fn reg(&mut self, c: Class, r: Reg) -> Option<usize> {
+        let found = self.regs[..self.n_regs].iter().position(|e| (e.0, e.1) == (c, r));
+        found.or_else(|| {
+            *self.regs.get_mut(self.n_regs)? = (c, r, Loc::default(), false);
+            self.n_regs += 1;
+            Some(self.n_regs - 1)
+        })
+    }
+
+    /// A new row of class `c`, written by the carried ops or not.
+    fn fresh(&mut self, c: Class, chain: bool) -> Option<Row> {
+        let n = &mut self.lanes.rows[c as usize];
+        if *n == ROWS {
+            return None;
+        }
+        self.chain_owned[c as usize][*n] = chain;
+        *n += 1;
+        Some((*n - 1) as Row)
+    }
+
+    /// Where a new value of class `c` goes, written by a carried op or
+    /// not, when `old` held the one before: `old`'s row while ops of the
+    /// same kind write it and, for the others, no carried op has read
+    /// it (the ops over all lanes run first); else a new row.
+    fn place(&mut self, c: Class, old: Loc, chain: bool) -> Option<Loc> {
+        let (owned, read) = (&self.chain_owned[c as usize], &self.chain_read[c as usize]);
+        let row = match old.row {
+            Some(r) if owned[r as usize] == chain && (chain || !read[r as usize]) => r,
+            _ => self.fresh(c, chain)?,
+        };
+        Some(Loc { row: Some(row), affine: None, chain })
+    }
+
+    /// Register `r` defined by an op that is carried or not: its row.
+    /// `None` when the body read it before: an iteration would read the
+    /// value the one before it left.
+    fn def(&mut self, c: Class, r: Reg, chain: bool) -> Option<Row> {
+        let at = self.reg(c, r)?;
+        let (.., old, input) = self.regs[at];
+        let loc = if input { None } else { self.place(c, old, chain) }?;
+        self.regs[at].2 = loc;
+        loc.row
+    }
+
+    /// A new affine form.
+    fn push_affine(&mut self, form: Affine, varies: bool) -> Option<u8> {
+        let k = self.lanes.n_affine;
+        *self.lanes.affine.get_mut(k)? = form;
+        self.varies[k] = varies;
+        self.lanes.n_affine += 1;
+        Some(k as u8)
+    }
+
+    /// INTEGER register `r` defined as an affine form.
+    fn def_affine(&mut self, r: Reg, form: Affine, varies: bool) -> Option<()> {
+        let at = self.reg(Class::I, r)?;
+        if self.regs[at].3 {
+            return None;
+        }
+        let k = self.push_affine(form, varies)?;
+        self.regs[at].2 = Loc { row: None, affine: Some(k), chain: false };
+        Some(())
+    }
+
+    /// INTEGER register `r`'s affine form; `None` where the body computed
+    /// it otherwise.
+    fn affine(&mut self, r: Reg) -> Option<u8> {
+        let at = self.reg(Class::I, r)?;
+        let (.., loc, input) = self.regs[at];
+        match (loc.affine, loc.row) {
+            (Some(k), _) => Some(k),
+            (None, Some(_)) if !input => None,
+            _ => {
+                // Not defined by the body: the same in every iteration.
+                self.regs[at].3 = true;
+                let k = self.push_affine(Affine::Input(r), false)?;
+                self.regs[at].2.affine = Some(k);
+                Some(k)
+            }
+        }
+    }
+
+    /// Register `r` read by an op: its row (made from its affine form,
+    /// or broadcast from the register file where the body does not
+    /// define it), and whether the carried ops write it.
+    fn read(&mut self, c: Class, r: Reg) -> Option<(Row, bool)> {
+        let at = self.reg(c, r)?;
+        let (.., loc, input) = self.regs[at];
+        if let Some(row) = loc.row {
+            return Some((row, loc.chain));
+        }
+        let row = self.fresh(c, false)?;
+        match loc.affine {
+            Some(k) if !input => self.push(LaneOp::Affine(row, k), false)?,
+            _ => {
+                self.regs[at].3 = true;
+                let lanes = &mut *self.lanes;
+                *lanes.inputs.get_mut(lanes.n_inputs)? = (c, r, row);
+                lanes.n_inputs += 1;
+            }
+        }
+        self.regs[at].2.row = Some(row);
+        Some((row, false))
+    }
+
+    /// Whether an op that reads `rows` is carried: one of them is. A
+    /// carried op marks the rows it reads.
+    fn carried(&mut self, rows: &[(Class, (Row, bool))]) -> bool {
+        let chain = rows.iter().any(|&(_, (_, chain))| chain);
+        if chain {
+            for &(c, (row, _)) in rows {
+                self.chain_read[c as usize][row as usize] = true;
+            }
+        }
+        chain
+    }
+
+    /// Append `op` to the ops run over all lanes or to the carried ones.
+    fn push(&mut self, op: LaneOp, chain: bool) -> Option<()> {
+        let lanes = &mut *self.lanes;
+        let (ops, n) = match chain {
+            true => (&mut lanes.chain, &mut lanes.chained),
+            false => (&mut lanes.ops, &mut lanes.len),
+        };
+        *ops.get_mut(*n)? = op;
+        *n += 1;
+        Some(())
+    }
+
+    fn push_sub(&mut self, form: u8) -> Option<()> {
+        let lanes = &mut *self.lanes;
+        *lanes.subs.get_mut(lanes.n_subs)? = form;
+        lanes.n_subs += 1;
+        Some(())
+    }
+
+    /// The subscripts in the INTEGER registers `regs`, each an affine
+    /// form; where they start.
+    fn reg_subs(&mut self, regs: &[Reg]) -> Option<usize> {
+        let at = self.lanes.n_subs;
+        for &r in regs {
+            let form = self.affine(r)?;
+            self.push_sub(form)?;
+        }
+        Some(at)
+    }
+
+    /// A new element access: view `view` of `slot`, with the subscripts
+    /// from `at` on. Carried when `chain`, or when a carried op accessed
+    /// the slot before; a carried one keeps the slot's later accesses
+    /// carried.
+    fn elem(
+        &mut self,
+        (view, slot): (u8, SlotId),
+        write: bool,
+        at: usize,
+        chain: bool,
+    ) -> Option<(u8, bool)> {
+        let slots = &mut self.chain_slots;
+        let chain = chain || slots[..self.n_chain_slots].contains(&slot);
+        if chain && !slots[..self.n_chain_slots].contains(&slot) {
+            (slots[self.n_chain_slots], self.n_chain_slots) = (slot, self.n_chain_slots + 1);
+        }
+        let lanes = &mut *self.lanes;
+        let (e, rank) = (lanes.n_elems, (lanes.n_subs - at) as u8);
+        lanes.elems[e] = Elem { view, slot, at: at as u8, rank, write };
+        lanes.n_elems += 1;
+        Some((e as u8, chain))
+    }
+
+    /// `d = a ⊕ b` of two affine forms, as one; `false` (and nothing
+    /// planned) where an operand has no form, or both vary under `*`.
+    fn affine_op(&mut self, op: &Instr, d: Reg, (a, b): (Reg, Reg)) -> Option<bool> {
+        let (Some(x), Some(y)) = (self.affine(a), self.affine(b)) else {
+            return Some(false);
+        };
+        let (vx, vy) = (self.varies[x as usize], self.varies[y as usize]);
+        let form = match op {
+            Instr::AddI { .. } => Affine::Add(x, y),
+            Instr::SubI { .. } => Affine::Sub(x, y),
+            _ if vx && vy => return Some(false),
+            _ => Affine::Mul(x, y),
+        };
+        self.def_affine(d, form, vx || vy)?;
+        Some(true)
+    }
+
+    /// An elemental intrinsic, body op `j`; INTEGER `mod`, which faults
+    /// on a zero divisor, is refused.
+    fn intrinsic(&mut self, j: u8, op: &Instr, cu: &CompiledUnit) -> Option<()> {
+        let (Instr::IntrR { f, n, d, args } | Instr::IntrI { f, n, d, args }) = *op else {
+            return None;
+        };
+        let c = match op {
+            Instr::IntrI { .. } if f == Intrinsic::Mod => return None,
+            Instr::IntrI { .. } => Class::I,
+            _ => Class::R,
+        };
+        let (at, mut read) = (self.lanes.n_args, [(Class::R, (0, false)); MAX_INTR_ARGS]);
+        for (k, &(c, r)) in cu.intr_args[args as usize..][..n as usize].iter().enumerate() {
+            read[k] = (c, self.read(c, r)?);
+            let lanes = &mut *self.lanes;
+            *lanes.args.get_mut(lanes.n_args)? = (c, read[k].1 .0);
+            lanes.n_args += 1;
+        }
+        let chain = self.carried(&read[..n as usize]);
+        let d = self.def(c, d, chain)?;
+        self.push(LaneOp::Intr(j, d, at as u8), chain)
+    }
+
     /// [`LanePlan::plan`]'s rules, op by op; `None` where one fails.
     fn plan(
         &mut self,
@@ -995,25 +1403,43 @@ impl Renumber<'_> {
         body: &[Instr],
         table: &Operands,
     ) -> Option<()> {
-        // The slots the element stores write.
+        let cell = |k: usize| (sites[k].slot, table.ops[sites[k].op as usize].offset);
+        // The slots the element stores write, and the scalars the body
+        // stores.
         let (mut written, mut n_written, mut k) = ([SlotId(0); MAX_ACCESSES], 0, 0);
         for op in body {
             k += accesses(op, cu);
-            if let Instr::SetElemR { .. } | Instr::SetElemI { .. } | Instr::SetElemB { .. } = op {
-                (written[n_written], n_written) = (sites[k - 1].slot, n_written + 1);
+            match op {
+                Instr::SetElemR { .. } | Instr::SetElemI { .. } | Instr::SetElemB { .. } => {
+                    (written[n_written], n_written) = (sites[k - 1].slot, n_written + 1);
+                }
+                Instr::StoreR { .. } | Instr::StoreI { .. } | Instr::StoreB { .. } => {
+                    let lanes = &mut *self.lanes;
+                    let (cell, class) = (cell(k - 1), moved_class(op));
+                    match lanes.stored[..lanes.n_stored].iter().find(|s| s.cell == cell) {
+                        _ if cell == var => return None,
+                        Some(s) if s.class != class => return None,
+                        Some(_) => {}
+                        None => {
+                            let view = place[k - 1];
+                            *lanes.stored.get_mut(lanes.n_stored)? =
+                                Stored { cell, view, class, row: 0 };
+                            lanes.n_stored += 1;
+                        }
+                    }
+                }
+                _ => {}
             }
         }
-        let written = &written[..n_written];
-        // A scalar access: the loop variable, or one the same in every
-        // iteration.
-        let scalar = |k: usize| -> Option<Sub> {
-            let site = &sites[k];
-            if (site.slot, table.ops[site.op as usize].offset) == var {
-                Some(Sub::Var)
-            } else if written.contains(&site.slot) {
-                None
-            } else {
-                Some(Sub::Scalar(place[k]))
+        let (written, stored) = (&written[..n_written], self.lanes.stored);
+        let stored = &stored[..self.lanes.n_stored];
+        let access = |k: usize| -> Option<Access> {
+            let cell = cell(k);
+            match stored.iter().position(|s| s.cell == cell) {
+                _ if cell == var => Some(Access::Var),
+                Some(x) => Some(Access::Stored(x)),
+                None if written.contains(&cell.0) => None,
+                None => Some(Access::Same(place[k])),
             }
         };
         let elem = |k: usize| {
@@ -1023,43 +1449,82 @@ impl Renumber<'_> {
         let mut k = 0;
         for (j, op) in body.iter().enumerate() {
             let c = moved_class(op);
-            let lane = match op {
-                Instr::Gate { .. } | Instr::ChargeIdx => None,
+            match op {
+                Instr::Gate { .. } | Instr::ChargeIdx => {}
                 Instr::LoadR { d, .. }
                 | Instr::LoadI { d, .. }
                 | Instr::LoadB { d, .. }
-                | Instr::LoadIdx { d, .. } => {
-                    let from = scalar(k)?;
-                    let row = self.def(c, *d, Some(from))?;
-                    Some(match from {
-                        Sub::Var => LaneOp::Var(row),
-                        _ => LaneOp::Scalar(row, place[k]),
-                    })
-                }
+                | Instr::LoadIdx { d, .. } => match access(k)? {
+                    Access::Var if c == Class::I => self.def_affine(*d, Affine::Var, true)?,
+                    Access::Same(p) if c == Class::I => {
+                        self.def_affine(*d, Affine::Scalar(p), false)?
+                    }
+                    Access::Var => {
+                        let row = self.def(c, *d, false)?;
+                        self.push(LaneOp::Var(row), false)?;
+                    }
+                    Access::Same(p) => {
+                        let row = self.def(c, *d, false)?;
+                        self.push(LaneOp::Scalar(row, p), false)?;
+                    }
+                    Access::Stored(x) if stored[x].class != c => return None,
+                    // Before the body's first store: the value the
+                    // iteration before left.
+                    Access::Stored(x) => match self.scalars[x] {
+                        None => {
+                            let row = self.def(c, *d, true)?;
+                            self.push(LaneOp::Carried(row, x as u8), true)?;
+                        }
+                        Some(loc) => {
+                            let chain = self.carried(&[(c, (loc.row?, loc.chain))]);
+                            let row = self.def(c, *d, chain)?;
+                            self.push(LaneOp::Copy(c, row, loc.row?), chain)?;
+                        }
+                    },
+                },
                 Instr::ElemR { d, sub, rank, .. }
                 | Instr::ElemI { d, sub, rank, .. }
                 | Instr::ElemB { d, sub, rank, .. } => {
                     let at = self.reg_subs(&cu.subs[*sub as usize..][..*rank as usize])?;
-                    let e = self.elem(elem(k)?, false, at)?;
-                    Some(LaneOp::Load(self.def(c, *d, None)?, e))
+                    let (e, chain) = self.elem(elem(k)?, false, at, false)?;
+                    let row = self.def(c, *d, chain)?;
+                    self.push(LaneOp::Load(row, e), chain)?;
                 }
                 Instr::ElemVarR { d, rank, .. }
                 | Instr::ElemVarI { d, rank, .. }
                 | Instr::ElemVarB { d, rank, .. } => {
                     let (at, rank) = (self.lanes.n_subs, *rank as usize);
                     for k in k..k + rank {
-                        self.push_sub(scalar(k)?)?;
+                        let form = match access(k)? {
+                            Access::Var => self.push_affine(Affine::Var, true)?,
+                            Access::Same(p) => self.push_affine(Affine::Scalar(p), false)?,
+                            Access::Stored(_) => return None,
+                        };
+                        self.push_sub(form)?;
                     }
-                    let e = self.elem(elem(k + rank)?, false, at)?;
-                    Some(LaneOp::Load(self.def(c, *d, None)?, e))
+                    let (e, chain) = self.elem(elem(k + rank)?, false, at, false)?;
+                    let row = self.def(c, *d, chain)?;
+                    self.push(LaneOp::Load(row, e), chain)?;
                 }
                 Instr::SetElemR { sub, rank, s, .. }
                 | Instr::SetElemI { sub, rank, s, .. }
                 | Instr::SetElemB { sub, rank, s, .. } => {
-                    let row = self.read(c, *s)?;
+                    let from = self.read(c, *s)?;
                     let at = self.reg_subs(&cu.subs[*sub as usize..][..*rank as usize])?;
-                    Some(LaneOp::Store(row, self.elem(elem(k)?, true, at)?))
+                    let (e, chain) = self.elem(elem(k)?, true, at, from.1)?;
+                    self.carried(&[(c, (from.0, chain))]);
+                    self.push(LaneOp::Store(from.0, e), chain)?;
                 }
+                Instr::StoreR { s, .. } | Instr::StoreI { s, .. } | Instr::StoreB { s, .. } => {
+                    let Access::Stored(x) = access(k)? else { return None };
+                    let from = self.read(c, *s)?;
+                    let chain = self.carried(&[(c, from)]);
+                    let loc = self.place(c, self.scalars[x].unwrap_or_default(), chain)?;
+                    self.scalars[x] = Some(loc);
+                    self.push(LaneOp::Copy(c, loc.row?, from.0), chain)?;
+                }
+                Instr::AddI { d, a, b } | Instr::SubI { d, a, b } | Instr::MulI { d, a, b }
+                    if self.affine_op(op, *d, (*a, *b))? => {}
                 op => {
                     let j = u8::try_from(j).ok()?;
                     macro_rules! rows {
@@ -1070,27 +1535,41 @@ impl Renumber<'_> {
                         ($c:ident, $D:ident <- $A:ident $B:ident, $d:ident, $a:ident $b:ident,
                          $($_:tt)*) => {{
                             let (a, b) = (self.read(Class::$A, *$a)?, self.read(Class::$B, *$b)?);
-                            LaneOp::Value(j, [self.def(Class::$D, *$d, None)?, a, b])
+                            let chain = self.carried(&[(Class::$A, a), (Class::$B, b)]);
+                            let d = self.def(Class::$D, *$d, chain)?;
+                            self.push(LaneOp::Value(j, [d, a.0, b.0]), chain)?
                         }};
                         ($c:ident, $D:ident <- $A:ident, $d:ident, $a:ident, $($_:tt)*) => {{
                             let a = self.read(Class::$A, *$a)?;
-                            LaneOp::Value(j, [self.def(Class::$D, *$d, None)?, a, 0])
+                            let chain = self.carried(&[(Class::$A, a)]);
+                            let d = self.def(Class::$D, *$d, chain)?;
+                            self.push(LaneOp::Value(j, [d, a.0, 0]), chain)?
                         }};
                     }
-                    // Scalar stores, intrinsics and the ops that can
-                    // fault (integer division and powers) are refused
-                    // here. A compare's rows do not depend on its mask.
+                    // The ops that can fault (integer division and
+                    // powers) are refused here. A compare's rows do not
+                    // depend on its mask.
                     #[allow(unused_variables)]
-                    let value = value_op!(op, rows, _ => return None);
-                    Some(value)
+                    let () = value_op!(op, rows,
+                        Instr::IntrR { .. } | Instr::IntrI { .. } => self.intrinsic(j, op, cu)?,
+                        _ => return None);
                 }
-            };
-            k += accesses(op, cu);
-            if let Some(lane) = lane {
-                let lanes = &mut *self.lanes;
-                *lanes.ops.get_mut(lanes.len)? = lane;
-                lanes.len += 1;
             }
+            k += accesses(op, cu);
+        }
+        for (x, s) in self.lanes.stored[..self.lanes.n_stored].iter_mut().enumerate() {
+            s.row = self.scalars[x]?.row?;
+        }
+        for &(c, r, loc, input) in &self.regs[..self.n_regs] {
+            let out = match (loc.row, loc.affine) {
+                _ if input => continue,
+                (Some(row), _) => Out::Row(row),
+                (None, Some(k)) => Out::Affine(k),
+                (None, None) => continue,
+            };
+            let lanes = &mut *self.lanes;
+            lanes.outputs[lanes.n_outputs] = (c, r, out);
+            lanes.n_outputs += 1;
         }
         Some(())
     }
@@ -1102,7 +1581,7 @@ impl Renumber<'_> {
 fn move_lanes<T: Copy>(
     cells: &[Cell<T>],
     at: impl Iterator<Item = usize>,
-    row: &mut [T; LANES],
+    row: &mut [T],
     load: bool,
 ) {
     for (lane, k) in row.iter_mut().zip(at) {
@@ -1110,31 +1589,6 @@ fn move_lanes<T: Copy>(
             true => *lane = cells[k].get(),
             false => cells[k].set(*lane),
         }
-    }
-}
-
-/// Fill the rows of the registers `regs` the body only reads from the
-/// register file, the same value in every lane.
-fn broadcast<T: Copy>(
-    (regs, defined): (&[Reg], &[bool; ROWS]),
-    file: &[T],
-    rows: &mut [[T; LANES]],
-) {
-    for ((row, &r), _) in rows.iter_mut().zip(regs).zip(defined).filter(|(_, &d)| !d) {
-        *row = [file[r as usize]; LANES];
-    }
-}
-
-/// Write lane `lane` of the rows of the registers `regs` the body
-/// defines back to the register file.
-fn write_back<T: Copy>(
-    (regs, defined): (&[Reg], &[bool; ROWS]),
-    rows: &[[T; LANES]],
-    lane: usize,
-    file: &mut [T],
-) {
-    for ((row, &r), _) in rows.iter().zip(regs).zip(defined).filter(|(_, &d)| d) {
-        file[r as usize] = row[lane];
     }
 }
 

@@ -1948,9 +1948,8 @@ const GAUSSJ: &str = "program p\nparameter (n = 36)\nreal a(n, n), b(n), rowk(n)
 
 #[test]
 fn lane_batches_run_ludcmp_and_gaussj() {
-    // Batches under 8 iterations, and the setup loops' `abs`, run one
-    // iteration at a time.
-    let rows = [("ludcmp", LUDCMP, &["a"][..], 21_090), ("gaussj", GAUSSJ, &["a", "b"], 46_538)];
+    // Batches under 8 iterations run one iteration at a time.
+    let rows = [("ludcmp", LUDCMP, &["a"][..], 22_689), ("gaussj", GAUSSJ, &["a", "b"], 47_868)];
     for (label, src, vars, as_lanes) in rows {
         let (sim, r) = kernel_identical(src, cfg(Engine::Vm), vars, label);
         r.expect("runs");
@@ -1967,8 +1966,8 @@ fn lane_batches_step_downwards_end_mid_chunk_and_read_the_variable_as_a_real() {
                do i = 1, 29\nb(i + 8) = -a(i) * c(i)\nend do\nend\n";
     let (sim, r) = kernel_identical(src, cfg(Engine::Vm), &["a", "b", "c", "k"], "lane shapes");
     r.expect("runs");
-    // All but the last loop, whose subscript `i + 8` is computed.
-    assert_eq!(lanes(&sim), 37 + 37 + 11);
+    // Every loop, the last one subscripted by the affine `i + 8`.
+    assert_eq!(lanes(&sim), 37 + 37 + 11 + 29);
 }
 
 #[test]
@@ -2095,7 +2094,7 @@ fn lane_batches_carry_real_and_integer_reductions() {
                 do i = 1, n, 2\nt = t * 1.0001 + a(i)\nend do\n";
     let (sim, r) = lane_row(&operands(45, body), &["s", "m", "t"], "reductions");
     r.expect("runs");
-    assert_eq!(lanes(&sim), 45, "only the setup loop");
+    assert_eq!(lanes(&sim), 45 * 3 + 23);
 }
 
 #[test]
@@ -2105,7 +2104,7 @@ fn lane_batches_carry_a_temporary_and_a_prefix_sum() {
                 end do\n";
     let (sim, r) = lane_row(&operands(40, body), &["c", "k", "s", "t", "m"], "temporary");
     r.expect("runs");
-    assert_eq!(lanes(&sim), 40, "only the setup loop");
+    assert_eq!(lanes(&sim), 40 * 3);
 }
 
 #[test]
@@ -2113,7 +2112,7 @@ fn lane_batches_end_a_chunk_in_the_middle_and_stop_at_a_budget() {
     // 37 iterations: two chunks and five lanes.
     let (sim, r) = lane_row(&operands(37, "do i = 1, n\ns = s - a(i)\nend do\n"), &["s"], "37");
     r.expect("runs");
-    assert_eq!(lanes(&sim), 37, "only the setup loop");
+    assert_eq!(lanes(&sim), 37 * 2);
     // The statement budget runs out inside a reduction's batch.
     let src = operands(300, "do i = 1, n\ns = s + a(i)\nb(i) = s\nend do\n");
     for budget in [650, 1029, 1040] {
@@ -2132,13 +2131,13 @@ fn lane_batches_leave_a_scalar_that_aliases_an_element_to_one_iteration_at_a_tim
                subroutine acc(x, y, m)\nreal x(m), y\ndo i = 1, m\ny = y + x(i)\nend do\nend\n";
     let (sim, r) = lane_row(src, &["a"], "aliased scalar");
     r.expect("runs");
-    assert_eq!(lanes(&sim), 31, "only the setup loop");
+    assert_eq!(lanes(&sim), 31 + 30, "the setup loop and the sum past `x`");
     // A COMMON scalar beside the array it sums.
     let src = "program p\ncommon /c/ s, x(24)\ndo i = 1, 24\nx(i) = i * 0.5\nend do\n\
                do i = 1, 24\ns = s + x(i)\nend do\nend\n";
     let (sim, r) = lane_row(src, &["s", "x"], "common scalar");
     r.expect("runs");
-    assert_eq!(lanes(&sim), 24, "only the setup loop");
+    assert_eq!(lanes(&sim), 24 * 2);
 }
 
 /// Every elemental intrinsic that cannot fault, over every class its
@@ -2184,7 +2183,7 @@ fn lane_batches_run_every_intrinsic_that_cannot_fault() {
     let src = operands(n, &body).replace("integer k(n)", "integer k(n), j(n)\nreal r(n)");
     let (sim, r) = lane_row(&src, &["r", "j"], "intrinsics");
     r.expect("runs");
-    assert_eq!(lanes(&sim), 2 * n as u64, "the setup loops");
+    assert_eq!(lanes(&sim), (2 + INTRINSIC_ROWS.len() as u64) * n as u64);
 }
 
 #[test]
@@ -2199,7 +2198,9 @@ fn lane_batches_run_affine_subscripts() {
                do i = 1, n\nc(i + 1) = c(i) + 1.0\nend do\nend\n";
     let (sim, r) = lane_row(src, &["a", "b", "c", "d"], "affine subscripts");
     r.expect("runs");
-    assert_eq!(lanes(&sim), 21 + 400, "the loops subscripted by the variable alone");
+    // All but the recurrence `c(i + 1) = c(i) + 1.0`, and one iteration
+    // that opens a cancel-poll window.
+    assert_eq!(lanes(&sim), 21 + 400 + 20 + 19 * 19 + 400 + 19 * 20 - 1);
 }
 
 #[test]
@@ -2216,11 +2217,12 @@ fn lane_batches_leave_an_affine_subscript_out_of_bounds_to_fault_where_it_faults
 // Edge values through every executor: each value op over NaN (of both
 // signs), ±0.0, ±inf, the ends of `i64` and zero divisors, computed by
 // scalar statements (the VM's dispatch loop, and the tree-walker), a
-// vector statement (the lanes), a 16-trip loop the VM runs as a kernel
-// (its scalar store keeps it off lanes) and a 16-trip loop it runs as a
-// lane batch. The four results agree bit for bit, and each run agrees
-// with the tree-walker's and the VM's without fast paths. What each op
-// computes is defined once, in `cedar_ir::ops`.
+// vector statement (the lanes), and two 16-trip loops the VM runs as
+// lane batches, one through a stored temporary, or as kernels one
+// iteration at a time where an op can fault. The four results agree bit
+// for bit, and each run agrees with the tree-walker's and the VM's
+// without fast paths. What each op computes is defined once, in
+// `cedar_ir::ops`.
 // ---------------------------------------------------------------------
 
 /// Operand arrays `xa`, `xb` (REAL), `ia`, `ib` (INTEGER) and `la`,
@@ -2261,8 +2263,8 @@ const F: &str = ".false.";
 
 /// One op family per row: its label, the class of its result (`r`, `k`
 /// or `b`), the expression over the operands' lane `@`, and whether its
-/// lane loop runs as lanes (an op that can fault and an intrinsic keep
-/// a loop off lanes: it runs as a kernel).
+/// loops run as lanes (an op that can fault keeps a loop off lanes: it
+/// runs as a kernel).
 const EDGE_ROWS: &[(&str, char, &str, bool)] = &[
     ("real +", 'r', "xa(@) + xb(@)", true),
     ("real -", 'r', "xa(@) - xb(@)", true),
@@ -2273,9 +2275,9 @@ const EDGE_ROWS: &[(&str, char, &str, bool)] = &[
     ("real negation", 'r', "-xa(@)", true),
     ("integer as real", 'r', "ia(@)", true),
     ("logical as real", 'r', "la(@)", true),
-    ("real abs", 'r', "abs(xa(@))", false),
-    ("real sign", 'r', "sign(xa(@), xb(@))", false),
-    ("real mod", 'r', "mod(xa(@), xb(@))", false),
+    ("real abs", 'r', "abs(xa(@))", true),
+    ("real sign", 'r', "sign(xa(@), xb(@))", true),
+    ("real mod", 'r', "mod(xa(@), xb(@))", true),
     ("integer +", 'k', "ia(@) + ib(@)", true),
     ("integer -", 'k', "ia(@) - ib(@)", true),
     ("integer *", 'k', "ia(@) * ib(@)", true),
@@ -2284,8 +2286,8 @@ const EDGE_ROWS: &[(&str, char, &str, bool)] = &[
     ("integer negation", 'k', "-ia(@)", true),
     ("real truncated", 'k', "xa(@)", true),
     ("logical as integer", 'k', "la(@)", true),
-    ("integer abs", 'k', "abs(ia(@))", false),
-    ("integer sign", 'k', "sign(ia(@), ib(@))", false),
+    ("integer abs", 'k', "abs(ia(@))", true),
+    ("integer sign", 'k', "sign(ia(@), ib(@))", true),
     ("integer mod", 'k', "mod(ia(@), ib(@))", false),
     ("real .lt.", 'b', "xa(@) .lt. xb(@)", true),
     ("real .le.", 'b', "xa(@) .le. xb(@)", true),
@@ -2334,8 +2336,8 @@ fn edge_program(body: &str) -> String {
 }
 
 /// Row `expr`, of class `c`, into `c1` by scalar statements, `c2` by a
-/// vector statement, `c3` by a kernel and `c4` by a lane batch; any of
-/// the four shapes.
+/// vector statement, and `c3` and `c4` by loops, `c3`'s through a stored
+/// temporary; any of the four shapes.
 fn edge_shapes(c: char, expr: &str) -> [String; 4] {
     let at = |lane: &str| expr.replace('@', lane);
     let scalars = (1..=16).map(|t| format!("{c}1({t}) = {}\n", at(&t.to_string()))).collect();
@@ -2359,7 +2361,7 @@ fn edge_values_through_every_executor_bit_for_bit() {
         for v in &vars[1..] {
             assert_eq!(bit_patterns(sim.read_var(v)), scalars, "{label}: `{v}` against scalars");
         }
-        let lanes = if as_lanes { 16 } else { 0 };
+        let lanes = if as_lanes { 32 } else { 0 };
         assert_eq!(sim.kernel_iterations(), (32, 32, lanes), "{label}");
     }
 }
