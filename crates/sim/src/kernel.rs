@@ -49,6 +49,7 @@ use crate::stats::ExecStats;
 use crate::store::{linearize, Cells, DimStride, SlotId, Store};
 use crate::value_ops::{self, Class};
 use cedar_ir::{ops, Intrinsic, Span, Value};
+use std::array::from_fn;
 use std::cell::Cell;
 
 /// The fewest iterations a kernel runs: planning one costs about what
@@ -65,12 +66,13 @@ const MIN_LANES: u64 = 8;
 /// 22 serial originals, 8 and 32 were 4–9 % slower than 16.
 const LANES: usize = 16;
 
-/// Registers of each class a lane batch renumbers a body's into (the
-/// serial originals' lane bodies use at most 8), the longest body it
-/// runs and the most subscripts of its accesses. Each kilobyte these
-/// add to the simulator costs about ten of peak resident memory, in the
-/// simulator's copies on the stacks of the threads that run one.
-const ROWS: usize = 8;
+/// Rows of each class a lane batch gives a body's registers and stored
+/// scalars (the serial originals' lane bodies use at most 11), the
+/// longest body it runs and the most subscripts of its accesses. Each
+/// kilobyte these add to the simulator costs about ten of peak resident
+/// memory, in the simulator's copies on the stacks of the threads that
+/// run one.
+const ROWS: usize = 12;
 const MAX_LANE_OPS: usize = 48;
 const MAX_SUBS: usize = 2 * MAX_ACCESSES;
 
@@ -86,7 +88,9 @@ impl Simulator<'_> {
     /// on the clock `time`; the clock after them. `None` (and nothing
     /// done) for fewer than [`MIN_TRIP`] iterations, or when the loop
     /// variable's store, an access or a charge cannot be planned: the
-    /// dispatch loop runs the loop then.
+    /// dispatch loop runs the loop then. (Not inlined: its frame, and
+    /// the plans' on the stack, stay out of the dispatch loop's.)
+    #[inline(never)]
     pub(super) fn run_kernel(
         &mut self,
         frame: &mut Frame,
@@ -110,24 +114,7 @@ impl Simulator<'_> {
         };
         let kept = match self.plans.kept.iter().position(|k| k.key == Some(key)) {
             Some(at) => at,
-            None => {
-                let (mut plan, mut per) = (Plan::default(), ExecStats::default());
-                self.plan_kernel(&mut plan, frame, cu, body, ctx, &mut per)?;
-                let table = &frame.vm.table;
-                let (var, si) = (&table.ops[lp.var.index()], lp.var.index());
-                let var_slot = table.slot(si, ctx.cluster);
-                if !var.bound || var.offset >= self.store.slot(var_slot).len() {
-                    return None;
-                }
-                plan.var = (var_slot, var.offset);
-                plan.lay_out();
-                let sites = (&plan.sites[..plan.accesses], &plan.place[..]);
-                plan.lanes.plan(sites, plan.var, cu, body, table);
-                let at = self.plans.next;
-                self.plans.next = (at + 1) % KEPT_PLANS;
-                self.plans.kept[at] = KeptPlan { key: Some(key), plan, per };
-                at
-            }
+            None => self.plan(key, frame, cu, lp, body, ctx)?,
         };
         let gates = body.iter().filter(|op| matches!(op, Instr::Gate { .. })).count() as u64;
 
@@ -172,68 +159,35 @@ impl Simulator<'_> {
         Some(run)
     }
 
-    /// Price the step and then the charges of `ops` into `plan`, their
-    /// counts into `per`, and resolve where each access lands. `None`
-    /// when an access is to an unbound symbol, a charge cannot be
-    /// priced, or the arrays are too short.
-    fn plan_kernel(
-        &self,
-        plan: &mut Plan,
+    /// Plan the kernel of loop `lp` under `key` in place of the oldest
+    /// plan kept, which goes; where it is kept.
+    #[inline(never)]
+    fn plan(
+        &mut self,
+        key: PlanKey,
         frame: &Frame,
         cu: &CompiledUnit,
-        ops: &[Instr],
+        lp: &VmLoop,
+        body: &[Instr],
         ctx: &Ctx,
-        per: &mut ExecStats,
-    ) -> Option<()> {
+    ) -> Option<usize> {
+        let at = self.plans.next;
+        let KeptPlan { key: kept, plan, per } = &mut self.plans.kept[at];
+        (*kept, *plan, *per) = (None, Plan::default(), ExecStats::default());
+        plan_kernel((&self.store, &self.costs), plan, frame, cu, body, ctx, per)?;
         let table = &frame.vm.table;
-        let mut site = Site {
-            cluster: ctx.cluster,
-            active: ctx.active,
-            store: &self.store,
-            stats: per,
-            faults: None,
-        };
-        let mut exact = true;
-        let mut put = |charge: Charge| {
-            let priced = match charge {
-                Charge::Fixed(class) => Priced::Fixed(class),
-                Charge::Scalar(sym) | Charge::Elem(sym, _) => {
-                    let op = &table.ops[sym.index()];
-                    let slot = table.slot(sym.index(), ctx.cluster);
-                    let scalar = matches!(charge, Charge::Scalar(_));
-                    // A scalar out of its slot faults in the first
-                    // iteration: the dispatch loop runs the loop.
-                    let fits = !scalar || op.offset < self.store.slot(slot).len();
-                    exact &= op.bound && fits && plan.accesses < MAX_ACCESSES;
-                    if let Some(at) = plan.sites.get_mut(plan.accesses) {
-                        *at = Resolved { slot, op: sym.index() as u32, scalar };
-                        plan.accesses += 1;
-                    }
-                    match charge {
-                        Charge::Elem(_, how) => Priced::Access(op.placement, how),
-                        _ => Priced::Fixed(CostClass::CacheHit),
-                    }
-                }
-            };
-            match (self.costs.price(priced, &mut site), plan.charges < MAX_CHARGES) {
-                (Some((cycles, paged)), true) => {
-                    plan.cycles[plan.charges] = cycles;
-                    if paged > 0.0 {
-                        // Only an element access pages: the latest one.
-                        plan.paged[plan.accesses - 1] = paged;
-                        plan.paging = true;
-                    }
-                    plan.charges += 1;
-                }
-                _ => exact = false,
-            }
-        };
-        put(Charge::Fixed(CostClass::LoopStep));
-        for op in ops {
-            op.charges(cu, &mut put);
+        let (var, si) = (&table.ops[lp.var.index()], lp.var.index());
+        let var_slot = table.slot(si, ctx.cluster);
+        if !var.bound || var.offset >= self.store.slot(var_slot).len() {
+            return None;
         }
-        plan.sum = ExactSum::of(&plan.cycles[..plan.charges]);
-        exact.then_some(())
+        plan.var = (var_slot, var.offset);
+        plan.lay_out();
+        let sites = (&plan.sites[..plan.accesses], &plan.place[..]);
+        plan.lanes.plan(sites, plan.var, cu, body, table);
+        *kept = Some(key);
+        self.plans.next = (at + 1) % KEPT_PLANS;
+        Some(at)
     }
 
     /// Hand the current iteration, its variable stored, over to the
@@ -253,7 +207,7 @@ impl Simulator<'_> {
     ) -> Result<f64> {
         let done = &cu.code[lp.body.0 as usize..][..k];
         let (mut plan, mut per) = (Plan::default(), ExecStats::default());
-        self.plan_kernel(&mut plan, frame, cu, done, ctx, &mut per)
+        plan_kernel((&self.store, &self.costs), &mut plan, frame, cu, done, ctx, &mut per)
             .expect("the whole body was planned");
         (time, self.stats.paged_accesses) = plan.charge((time, self.stats.paged_accesses), 1);
         CostModel::count(&per, 1, &mut self.stats);
@@ -268,6 +222,65 @@ impl Simulator<'_> {
         self.vm_run_range(frame, cu, (lp.body.0 + k as u32, lp.body.1), stamp, ctx)?;
         Ok(ctx.time)
     }
+}
+
+/// Price the step and then the charges of `ops` into `plan`, their
+/// counts into `per`, and resolve where each access lands in `store`.
+/// `None` when an access is to an unbound symbol, a charge cannot be
+/// priced, or the arrays are too short.
+fn plan_kernel(
+    (store, costs): (&Store, &CostModel),
+    plan: &mut Plan,
+    frame: &Frame,
+    cu: &CompiledUnit,
+    ops: &[Instr],
+    ctx: &Ctx,
+    per: &mut ExecStats,
+) -> Option<()> {
+    let table = &frame.vm.table;
+    let mut site =
+        Site { cluster: ctx.cluster, active: ctx.active, store, stats: per, faults: None };
+    let mut exact = true;
+    let mut put = |charge: Charge| {
+        let priced = match charge {
+            Charge::Fixed(class) => Priced::Fixed(class),
+            Charge::Scalar(sym) | Charge::Elem(sym, _) => {
+                let op = &table.ops[sym.index()];
+                let slot = table.slot(sym.index(), ctx.cluster);
+                let scalar = matches!(charge, Charge::Scalar(_));
+                // A scalar out of its slot faults in the first
+                // iteration: the dispatch loop runs the loop.
+                let fits = !scalar || op.offset < store.slot(slot).len();
+                exact &= op.bound && fits && plan.accesses < MAX_ACCESSES;
+                if let Some(at) = plan.sites.get_mut(plan.accesses) {
+                    *at = Resolved { slot, op: sym.index() as u32, scalar };
+                    plan.accesses += 1;
+                }
+                match charge {
+                    Charge::Elem(_, how) => Priced::Access(op.placement, how),
+                    _ => Priced::Fixed(CostClass::CacheHit),
+                }
+            }
+        };
+        match (costs.price(priced, &mut site), plan.charges < MAX_CHARGES) {
+            (Some((cycles, paged)), true) => {
+                plan.cycles[plan.charges] = cycles;
+                if paged > 0.0 {
+                    // Only an element access pages: the latest one.
+                    plan.paged[plan.accesses - 1] = paged;
+                    plan.paging = true;
+                }
+                plan.charges += 1;
+            }
+            _ => exact = false,
+        }
+    };
+    put(Charge::Fixed(CostClass::LoopStep));
+    for op in ops {
+        op.charges(cu, &mut put);
+    }
+    plan.sum = ExactSum::of(&plan.cycles[..plan.charges]);
+    exact.then_some(())
 }
 
 /// What a kernel's plan depends on: the loop, the resolved-operand
@@ -493,7 +506,7 @@ impl Plan {
             }
         });
         let views = (&scalar_views[..self.scalars], &array_views[..self.arrays]);
-        if n >= MIN_LANES {
+        if n >= MIN_LANES && self.lanes.ok {
             let mut at = ([(0, 0); MAX_ACCESSES], [(0, 0); MAX_AFFINE]);
             if self.lanes.addresses(views, i, (value, step), n, &mut at) {
                 let regs = (&mut f[..], &mut i[..], &mut b[..]);
@@ -724,6 +737,8 @@ struct LanePlan {
     len: usize,
     chain: [LaneOp; MAX_LANE_OPS],
     chained: usize,
+    /// The carried ops are folds, three each ([`LanePlan::fold`]).
+    folds: bool,
     elems: [Elem; MAX_ACCESSES],
     n_elems: usize,
     subs: [u8; MAX_SUBS],
@@ -753,6 +768,7 @@ impl Default for LanePlan {
             len: 0,
             chain: [LaneOp::Var(0); MAX_LANE_OPS],
             chained: 0,
+            folds: false,
             elems: [elem; MAX_ACCESSES],
             n_elems: 0,
             subs: [0; MAX_SUBS],
@@ -779,6 +795,27 @@ fn accesses(op: &Instr, cu: &CompiledUnit) -> usize {
     n
 }
 
+/// Whether value op `op` maps two values of one class to that class.
+fn is_fold_step(op: &Instr) -> bool {
+    macro_rules! same {
+        ($c:ident, R <- R R, $d:ident, $a:ident $b:ident, $f:expr) => {
+            true
+        };
+        ($c:ident, I <- I I, $d:ident, $a:ident $b:ident, $f:expr) => {
+            true
+        };
+        ($c:ident, B <- B B, $d:ident, $a:ident $b:ident, $f:expr) => {
+            true
+        };
+        ($($_:tt)*) => {
+            false
+        };
+    }
+    #[allow(unused_variables)]
+    let same = value_op!(op, same, _ => false);
+    same
+}
+
 /// The class of the value a load or a store moves.
 fn moved_class(op: &Instr) -> Class {
     use Instr::*;
@@ -793,6 +830,7 @@ fn moved_class(op: &Instr) -> Class {
 /// variable's cell, each element access's first cell and step, the
 /// affine forms' values, the variable's value in the chunk's first lane
 /// and the step, the iterations done before the chunk and its lanes.
+#[derive(Clone, Copy)]
 struct Chunk<'c, 's> {
     views: (&'c [Scalar<'s>], &'c [Array<'s>]),
     var: Scalar<'s>,
@@ -957,12 +995,10 @@ impl LanePlan {
             let first = value.wrapping_add((done as i64).wrapping_mul(step));
             let chunk = Chunk { views, var, addresses, first, step, done, len };
             for op in &self.ops[..self.len] {
-                self.exec(*op, body, &chunk, scratch, (0, LANES));
+                self.exec::<true>(*op, body, chunk, scratch, 0);
             }
-            for t in 0..len {
-                for op in &self.chain[..self.chained] {
-                    self.exec(*op, body, &chunk, scratch, (t, t + 1));
-                }
+            if self.chained > 0 {
+                self.run_chain(body, &chunk, scratch);
             }
             for s in &self.stored[..self.n_stored] {
                 let row = s.row as usize;
@@ -991,50 +1027,37 @@ impl LanePlan {
         value.wrapping_add((n as i64).wrapping_mul(step))
     }
 
-    /// Run `op` over lanes `lo..hi` of `chunk` (its element accesses
-    /// over those of them it has).
+    /// Run `op` over every lane of `chunk` (`ALL`; its element accesses
+    /// over those it has), or over lane `t`.
     #[inline(always)]
-    fn exec(
+    fn exec<const ALL: bool>(
         &self,
         op: LaneOp,
         body: &[Instr],
-        chunk: &Chunk,
+        chunk: Chunk,
         scratch: &mut Scratch,
-        (lo, hi): (usize, usize),
+        t: usize,
     ) {
-        let (scalars, arrays) = chunk.views;
+        let (lo, hi) = if ALL { (0, LANES) } else { (t, t + 1) };
+        let arrays = chunk.views.1;
         let lane = |t: usize| chunk.first.wrapping_add((t as i64).wrapping_mul(chunk.step));
         let (sf, si, sb) = (&mut scratch.f, &mut scratch.i, &mut scratch.b);
         match op {
-            LaneOp::Var(d) => {
-                let d = d as usize;
-                match chunk.var {
-                    Scalar::R(_) => (lo..hi).for_each(|t| sf[d][t] = ops::real_of_int(lane(t))),
-                    Scalar::I(_) => (lo..hi).for_each(|t| si[d][t] = lane(t)),
-                    Scalar::B(_) => (lo..hi).for_each(|t| sb[d][t] = ops::bool_of_int(lane(t))),
-                }
-            }
-            LaneOp::Scalar(d, p) => {
-                let d = d as usize;
-                match scalars[p as usize] {
-                    Scalar::R(c) => sf[d][lo..hi].fill(c.get()),
-                    Scalar::I(c) => si[d][lo..hi].fill(c.get()),
-                    Scalar::B(c) => sb[d][lo..hi].fill(c.get()),
-                }
-            }
+            // An affine form is never carried.
             LaneOp::Affine(d, k) => {
                 let (a, b) = chunk.addresses.1[k as usize];
-                (lo..hi).for_each(|t| si[d as usize][t] = ops::add_i(ops::mul_i(a, lane(t)), b));
+                si[d as usize] = from_fn(|t| ops::add_i(ops::mul_i(a, lane(t)), b));
             }
             LaneOp::Load(d, e) | LaneOp::Store(d, e) => {
                 let (l0, dl) = chunk.addresses.0[e as usize];
                 let base = l0 + chunk.done as i64 * dl;
-                let cells = (lo..hi.min(chunk.len)).map(|t| (base + t as i64 * dl) as usize);
+                let (lanes, at) = if ALL { (0..chunk.len, 0) } else { (t..t + 1, t) };
+                let cells = lanes.map(|t| (base + t as i64 * dl) as usize);
                 let (d, load) = (d as usize, matches!(op, LaneOp::Load(..)));
                 match arrays[self.elems[e as usize].view as usize].cells {
-                    Cells::R(c) => move_lanes(c, cells, &mut sf[d][lo..], load),
-                    Cells::I(c) => move_lanes(c, cells, &mut si[d][lo..], load),
-                    Cells::B(c) => move_lanes(c, cells, &mut sb[d][lo..], load),
+                    Cells::R(c) => move_lanes(c, cells, &mut sf[d][at..], load),
+                    Cells::I(c) => move_lanes(c, cells, &mut si[d][at..], load),
+                    Cells::B(c) => move_lanes(c, cells, &mut sb[d][at..], load),
                 }
             }
             LaneOp::Value(k, [rd, ra, rb]) => {
@@ -1045,99 +1068,217 @@ impl LanePlan {
                         let _ = ($d, $a, $b);
                         unreachable!("an op that can fault in lanes")
                     }};
+                    // Over all lanes, from copies of the operand rows
+                    // (which may be the result's).
                     ($c:ident, $D:ident <- $A:ident $B:ident, $d:ident, $a:ident $b:ident,
                      $f:expr) => {{
                         let _ = ($d, $a, $b);
-                        let xs = by_class!($A; sf, si, sb)[ra as usize];
-                        let ys = by_class!($B; sf, si, sb)[rb as usize];
-                        let out = &mut by_class!($D; sf, si, sb)[rd as usize];
-                        for t in lo..hi {
-                            out[t] = $f(xs[t], ys[t]);
+                        let (x, y) = (ra as usize, rb as usize);
+                        if ALL {
+                            let (xs, ys) = (by_class!($A; sf, si, sb)[x], by_class!($B; sf, si, sb)[y]);
+                            let out = &mut by_class!($D; sf, si, sb)[rd as usize];
+                            for t in 0..LANES {
+                                out[t] = $f(xs[t], ys[t]);
+                            }
+                        } else {
+                            let v = $f(by_class!($A; sf, si, sb)[x][t], by_class!($B; sf, si, sb)[y][t]);
+                            by_class!($D; sf, si, sb)[rd as usize][t] = v;
                         }
                     }};
                     ($c:ident, $D:ident <- $A:ident, $d:ident, $a:ident, $f:expr) => {{
                         let _ = ($d, $a);
-                        let xs = by_class!($A; sf, si, sb)[ra as usize];
-                        let out = &mut by_class!($D; sf, si, sb)[rd as usize];
-                        for t in lo..hi {
-                            out[t] = $f(xs[t]);
+                        if ALL {
+                            let xs = by_class!($A; sf, si, sb)[ra as usize];
+                            let out = &mut by_class!($D; sf, si, sb)[rd as usize];
+                            for t in 0..LANES {
+                                out[t] = $f(xs[t]);
+                            }
+                        } else {
+                            let v = $f(by_class!($A; sf, si, sb)[ra as usize][t]);
+                            by_class!($D; sf, si, sb)[rd as usize][t] = v;
                         }
                     }};
                 }
                 value_op!(&body[k as usize], lanes, op => unreachable!("{op:?} in lanes"))
             }
-            LaneOp::Intr(k, d, at) => {
-                let (Instr::IntrR { f: g, n, .. } | Instr::IntrI { f: g, n, .. }) =
-                    body[k as usize]
-                else {
-                    class_bug()
-                };
-                let args = &self.args[at as usize..][..n as usize];
-                let (c0, r0) = (args[0].0, args[0].1 as usize);
-                let d = d as usize;
-                if c0 == Class::I && g == Intrinsic::Abs {
-                    let xs = si[r0];
-                    (lo..hi).for_each(|t| si[d][t] = ops::abs_i(xs[t]));
-                } else if ops::is_real_intrinsic(g) {
-                    // The argument read as a REAL; any other is ignored.
-                    let xs: [f64; LANES] = match c0 {
-                        Class::R => sf[r0],
-                        Class::I => si[r0].map(ops::real_of_int),
-                        Class::B => sb[r0].map(ops::real_of_bool),
-                    };
-                    macro_rules! apply {
-                        ($g:expr) => {
-                            (lo..hi).for_each(|t| sf[d][t] = $g(xs[t]))
-                        };
-                    }
-                    ops::real_intrinsic!(g, apply, _ => class_bug());
-                } else {
-                    // Lane by lane through the scalar operation.
-                    let mut argv = [Value::I(0); MAX_INTR_ARGS];
-                    for t in lo..hi {
-                        for (v, &(c, r)) in argv.iter_mut().zip(args) {
-                            let r = r as usize;
-                            *v = match c {
-                                Class::R => Value::R(sf[r][t]),
-                                Class::I => Value::I(si[r][t]),
-                                Class::B => Value::B(sb[r][t]),
-                            };
-                        }
-                        match value_ops::intrinsic(g, &argv[..args.len()]) {
-                            Ok(Value::R(x)) => sf[d][t] = x,
-                            Ok(Value::I(x)) => si[d][t] = x,
-                            _ => unreachable!("{g:?} cannot fault"),
-                        }
-                    }
-                }
-            }
             LaneOp::Copy(c, d, s) => {
                 let (d, s) = (d as usize, s as usize);
-                macro_rules! copy {
-                    ($rows:expr) => {
-                        (lo..hi).for_each(|t| $rows[d][t] = $rows[s][t])
-                    };
-                }
-                match c {
-                    Class::R => copy!(sf),
-                    Class::I => copy!(si),
-                    Class::B => copy!(sb),
+                match (c, ALL) {
+                    (Class::R, true) => sf[d] = sf[s],
+                    (Class::I, true) => si[d] = si[s],
+                    (Class::B, true) => sb[d] = sb[s],
+                    (Class::R, false) => sf[d][t] = sf[s][t],
+                    (Class::I, false) => si[d][t] = si[s][t],
+                    (Class::B, false) => sb[d][t] = sb[s][t],
                 }
             }
-            LaneOp::Carried(d, x) => {
+            op => self.rare(op, body, &chunk, scratch, (lo, hi)),
+        }
+    }
+
+    /// The other ops, over lanes `lo..hi`: the loop variable's and the
+    /// scalars' rows (never carried: every lane), intrinsics, copies and
+    /// carried values.
+    #[inline(never)]
+    fn rare(
+        &self,
+        op: LaneOp,
+        body: &[Instr],
+        chunk: &Chunk,
+        scratch: &mut Scratch,
+        (lo, hi): (usize, usize),
+    ) {
+        let lane = |t: usize| chunk.first.wrapping_add((t as i64).wrapping_mul(chunk.step));
+        let (sf, si, sb) = (&mut scratch.f, &mut scratch.i, &mut scratch.b);
+        match op {
+            LaneOp::Var(d) => {
+                let d = d as usize;
+                match chunk.var {
+                    Scalar::R(_) => sf[d] = from_fn(|t| ops::real_of_int(lane(t))),
+                    Scalar::I(_) => si[d] = from_fn(lane),
+                    Scalar::B(_) => sb[d] = from_fn(|t| ops::bool_of_int(lane(t))),
+                }
+            }
+            LaneOp::Scalar(d, p) => match chunk.views.0[p as usize] {
+                Scalar::R(c) => sf[d as usize] = [c.get(); LANES],
+                Scalar::I(c) => si[d as usize] = [c.get(); LANES],
+                Scalar::B(c) => sb[d as usize] = [c.get(); LANES],
+            },
+            LaneOp::Intr(k, d, at) => self.intrinsic(&body[k as usize], d, at, scratch, (lo, hi)),
+            _ => unreachable!("a common op"),
+        }
+    }
+
+    /// The carried ops of the body lane after lane, in the body's order
+    /// for each: or, where they are folds, each fold over the lanes.
+    #[inline(never)]
+    fn run_chain(&self, body: &[Instr], chunk: &Chunk, scratch: &mut Scratch) {
+        let chain = &self.chain[..self.chained];
+        if self.folds {
+            for fold in chain.chunks(3) {
+                self.fold(fold, body, chunk, scratch);
+            }
+            return;
+        }
+        for t in 0..chunk.len {
+            for op in chain {
+                let LaneOp::Carried(d, x) = *op else {
+                    self.exec::<false>(*op, body, *chunk, scratch, t);
+                    continue;
+                };
+                // The value of the lane before, or the cell's before the
+                // chunk's first.
                 let (d, x) = (d as usize, &self.stored[x as usize]);
                 let s = x.row as usize;
-                macro_rules! carried {
-                    ($rows:expr, $cell:expr) => {
-                        for t in lo..hi {
-                            $rows[d][t] = if t == 0 { $cell.get() } else { $rows[s][t - 1] };
-                        }
+                match chunk.views.0[x.view as usize] {
+                    Scalar::R(c) => {
+                        scratch.f[d][t] = if t == 0 { c.get() } else { scratch.f[s][t - 1] }
+                    }
+                    Scalar::I(c) => {
+                        scratch.i[d][t] = if t == 0 { c.get() } else { scratch.i[s][t - 1] }
+                    }
+                    Scalar::B(c) => {
+                        scratch.b[d][t] = if t == 0 { c.get() } else { scratch.b[s][t - 1] }
+                    }
+                }
+            }
+        }
+    }
+
+    /// A fold, over a chunk's lanes: `Carried(d, x)`, the value op `k`
+    /// of the row `d` and another that the ops over all lanes wrote,
+    /// into row `e`, and `e` copied to `x`'s row. The value op maps two
+    /// values of `x`'s class to one; the lane before each lane's is the
+    /// one it reads.
+    fn fold(&self, fold: &[LaneOp], body: &[Instr], chunk: &Chunk, scratch: &mut Scratch) {
+        let [LaneOp::Carried(d, x), LaneOp::Value(k, [e, a, b]), LaneOp::Copy(_, r, _)] = *fold
+        else {
+            unreachable!("a fold is three ops")
+        };
+        let (view, left) = (self.stored[x as usize].view as usize, a == d);
+        let (d, e, r, m) = (d as usize, e as usize, r as usize, if left { b } else { a } as usize);
+        let (sf, si, sb) = (&mut scratch.f, &mut scratch.i, &mut scratch.b);
+        macro_rules! rows {
+            ($rows:ident, $S:ident, $f:expr) => {{
+                let Scalar::$S(cell) = chunk.views.0[view] else { class_bug() };
+                let (m, mut acc) = ($rows[m], cell.get());
+                let (mut before, mut after) = ($rows[d], $rows[e]);
+                for t in 0..chunk.len {
+                    before[t] = acc;
+                    acc = if left { $f(acc, m[t]) } else { $f(m[t], acc) };
+                    after[t] = acc;
+                }
+                ($rows[d], $rows[e], $rows[r]) = (before, after, after);
+            }};
+        }
+        macro_rules! fold {
+            ($c:ident, R <- R R, $d:ident, $a:ident $b:ident, $f:expr) => {
+                rows!(sf, R, $f)
+            };
+            ($c:ident, I <- I I, $d:ident, $a:ident $b:ident, $f:expr) => {
+                rows!(si, I, $f)
+            };
+            ($c:ident, B <- B B, $d:ident, $a:ident $b:ident, $f:expr) => {
+                rows!(sb, B, $f)
+            };
+            ($($_:tt)*) => {
+                unreachable!("a fold of two classes")
+            };
+        }
+        #[allow(unused_variables)]
+        let () = value_op!(&body[k as usize], fold, op => unreachable!("{op:?} in a fold"));
+    }
+
+    /// Body op `op`'s intrinsic into row `d`, over the arguments from
+    /// `args[at]` on, in lanes `lo..hi`.
+    #[inline(never)]
+    fn intrinsic(
+        &self,
+        op: &Instr,
+        d: Row,
+        at: u8,
+        scratch: &mut Scratch,
+        (lo, hi): (usize, usize),
+    ) {
+        let (sf, si, sb) = (&mut scratch.f, &mut scratch.i, &mut scratch.b);
+        let (Instr::IntrR { f: g, n, .. } | Instr::IntrI { f: g, n, .. }) = *op else {
+            class_bug()
+        };
+        let args = &self.args[at as usize..][..n as usize];
+        let (c0, r0) = (args[0].0, args[0].1 as usize);
+        let d = d as usize;
+        if c0 == Class::I && g == Intrinsic::Abs {
+            let xs = si[r0];
+            (lo..hi).for_each(|t| si[d][t] = ops::abs_i(xs[t]));
+        } else if ops::is_real_intrinsic(g) {
+            // The argument read as a REAL; any other is ignored.
+            let xs: [f64; LANES] = match c0 {
+                Class::R => sf[r0],
+                Class::I => si[r0].map(ops::real_of_int),
+                Class::B => sb[r0].map(ops::real_of_bool),
+            };
+            macro_rules! apply {
+                ($g:expr) => {
+                    (lo..hi).for_each(|t| sf[d][t] = $g(xs[t]))
+                };
+            }
+            ops::real_intrinsic!(g, apply, _ => class_bug());
+        } else {
+            // Lane by lane through the scalar operation.
+            let mut argv = [Value::I(0); MAX_INTR_ARGS];
+            for t in lo..hi {
+                for (v, &(c, r)) in argv.iter_mut().zip(args) {
+                    let r = r as usize;
+                    *v = match c {
+                        Class::R => Value::R(sf[r][t]),
+                        Class::I => Value::I(si[r][t]),
+                        Class::B => Value::B(sb[r][t]),
                     };
                 }
-                match scalars[x.view as usize] {
-                    Scalar::R(c) => carried!(sf, c),
-                    Scalar::I(c) => carried!(si, c),
-                    Scalar::B(c) => carried!(sb, c),
+                match value_ops::intrinsic(g, &argv[..args.len()]) {
+                    Ok(Value::R(x)) => sf[d][t] = x,
+                    Ok(Value::I(x)) => si[d][t] = x,
+                    _ => unreachable!("{g:?} cannot fault"),
                 }
             }
         }
@@ -1560,6 +1701,21 @@ impl Renumber<'_> {
         for (x, s) in self.lanes.stored[..self.lanes.n_stored].iter_mut().enumerate() {
             s.row = self.scalars[x]?.row?;
         }
+        // Folds: each reads its scalar's last row, and the value op's
+        // other operand is a row the ops over all lanes wrote.
+        let (lanes, owned) = (&mut *self.lanes, &self.chain_owned);
+        let chain = &lanes.chain[..lanes.chained];
+        lanes.folds = chain.len() % 3 == 0
+            && chain.chunks(3).all(|fold| match *fold {
+                [LaneOp::Carried(d, x), LaneOp::Value(k, [e, a, b]), LaneOp::Copy(c, r, s)] => {
+                    let (x, other) = (&lanes.stored[x as usize], if a == d { b } else { a });
+                    (a == d) != (b == d)
+                        && (s, r, c) == (e, x.row, x.class)
+                        && is_fold_step(&body[k as usize])
+                        && !owned[c as usize][other as usize]
+                }
+                _ => false,
+            });
         for &(c, r, loc, input) in &self.regs[..self.n_regs] {
             let out = match (loc.row, loc.affine) {
                 _ if input => continue,

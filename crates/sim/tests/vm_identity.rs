@@ -2089,12 +2089,17 @@ fn operands(n: usize, body: &str) -> String {
 
 #[test]
 fn lane_batches_carry_real_and_integer_reductions() {
+    // Folds (the value before on either side, over REAL, INTEGER and
+    // LOGICAL values, three in one body) and a longer carried chain.
     let body = "s = 0.5\nm = 3\ndo i = 1, n\ns = s + a(i) * b(i)\nend do\n\
                 do i = n, 1, -1\nm = m + k(i) * 3\nend do\n\
-                do i = 1, n, 2\nt = t * 1.0001 + a(i)\nend do\n";
-    let (sim, r) = lane_row(&operands(45, body), &["s", "m", "t"], "reductions");
+                do i = 1, n, 2\nt = t * 1.0001 + a(i)\nend do\n\
+                q = 1.0\ndo i = 1, n\nu = a(i) - u\nl = l .neqv. (a(i) .gt. 0.0)\n\
+                q = q * 1.001\nend do\n";
+    let src = operands(45, body).replace("integer k(n), m", "integer k(n), m\nlogical l");
+    let (sim, r) = lane_row(&src, &["s", "m", "t", "u", "l", "q"], "reductions");
     r.expect("runs");
-    assert_eq!(lanes(&sim), 45 * 3 + 23);
+    assert_eq!(lanes(&sim), 45 * 4 + 23);
 }
 
 #[test]

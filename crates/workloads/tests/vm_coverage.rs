@@ -135,7 +135,7 @@ fn serial_originals_compile_and_run_as_typed_code() {
         100.0 * share,
         100.0 * lane_share
     );
-    assert_eq!((iterations, kernels, lanes), (3_934_056, 3_884_568, 3_663_472));
+    assert_eq!((iterations, kernels, lanes), (3_934_056, 3_884_568, 3_771_682));
 }
 
 /// The columns of the instruction-mix table: `ElemVar` and `Elem`

@@ -303,8 +303,13 @@ const EXTREME_CONSTANTS: &[(&[&str], Outcome)] = &[
         &["program p", "integer k(4)", "n = 9223372036854775806", "k(1:4) = iota(n, n) + 0", "end"],
         Outcome::AllSimulate(Some(SimErrorKind::TypeError)),
     ),
-    // And an `iota` of more lanes than `STORAGE_CAP` holds, reduced and
-    // gathered.
+    // And an `iota` without its upper bound, which indexed past its
+    // arguments (a panic), and one of more lanes than `STORAGE_CAP`
+    // holds, reduced and gathered.
+    (
+        &["program p", "s = sum(iota(3))", "end"],
+        Outcome::AllSimulate(Some(SimErrorKind::TypeError)),
+    ),
     (
         &["program p", "s = sum(iota(1, 4000000000000))", "end"],
         Outcome::AllSimulate(Some(SimErrorKind::Limit)),
