@@ -625,6 +625,39 @@ fn store_var(var: Scalar, value: i64) {
 /// One of a lane batch's registers: a row of [`Scratch`].
 type Row = u8;
 
+/// At most `N` items, in order: a list that allocates nothing.
+#[derive(Clone, Copy)]
+struct Few<T: Copy, const N: usize> {
+    items: [T; N],
+    len: usize,
+}
+
+impl<T: Copy, const N: usize> Few<T, N> {
+    fn new(fill: T) -> Self {
+        Few { items: [fill; N], len: 0 }
+    }
+
+    /// Append `x`: its index, `None` when the list is full.
+    fn push(&mut self, x: T) -> Option<usize> {
+        *self.items.get_mut(self.len)? = x;
+        self.len += 1;
+        Some(self.len - 1)
+    }
+}
+
+impl<T: Copy, const N: usize> std::ops::Deref for Few<T, N> {
+    type Target = [T];
+    fn deref(&self) -> &[T] {
+        &self.items[..self.len]
+    }
+}
+
+impl<T: Copy, const N: usize> std::ops::DerefMut for Few<T, N> {
+    fn deref_mut(&mut self) -> &mut [T] {
+        &mut self.items[..self.len]
+    }
+}
+
 /// The scratch a lane batch runs in: [`ROWS`] rows of each class, each
 /// [`LANES`] iterations wide.
 pub(super) struct Scratch {
@@ -733,28 +766,19 @@ struct LanePlan {
     /// The ops run over a chunk's lanes at once, and (`chain`) the ops a
     /// value carried from the iteration before reaches, run one lane
     /// after another; each in the body's order.
-    ops: [LaneOp; MAX_LANE_OPS],
-    len: usize,
-    chain: [LaneOp; MAX_LANE_OPS],
-    chained: usize,
+    ops: Few<LaneOp, MAX_LANE_OPS>,
+    chain: Few<LaneOp, MAX_LANE_OPS>,
     /// The carried ops are folds, three each ([`LanePlan::fold`]).
     folds: bool,
-    elems: [Elem; MAX_ACCESSES],
-    n_elems: usize,
-    subs: [u8; MAX_SUBS],
-    n_subs: usize,
-    affine: [Affine; MAX_AFFINE],
-    n_affine: usize,
-    args: [(Class, Row); MAX_ARGS],
-    n_args: usize,
-    stored: [Stored; MAX_STORED],
-    n_stored: usize,
+    elems: Few<Elem, MAX_ACCESSES>,
+    subs: Few<u8, MAX_SUBS>,
+    affine: Few<Affine, MAX_AFFINE>,
+    args: Few<(Class, Row), MAX_ARGS>,
+    stored: Few<Stored, MAX_STORED>,
     /// The registers read before the body defines them, broadcast to
     /// their rows at entry, and where the ones it defines end.
-    inputs: [(Class, Reg, Row); MAX_REGS],
-    n_inputs: usize,
-    outputs: [(Class, Reg, Out); MAX_REGS],
-    n_outputs: usize,
+    inputs: Few<(Class, Reg, Row), MAX_REGS>,
+    outputs: Few<(Class, Reg, Out), MAX_REGS>,
     rows: [usize; 3],
 }
 
@@ -764,25 +788,16 @@ impl Default for LanePlan {
         let stored = Stored { cell: (SlotId(0), 0), view: 0, class: Class::R, row: 0 };
         LanePlan {
             ok: false,
-            ops: [LaneOp::Var(0); MAX_LANE_OPS],
-            len: 0,
-            chain: [LaneOp::Var(0); MAX_LANE_OPS],
-            chained: 0,
+            ops: Few::new(LaneOp::Var(0)),
+            chain: Few::new(LaneOp::Var(0)),
             folds: false,
-            elems: [elem; MAX_ACCESSES],
-            n_elems: 0,
-            subs: [0; MAX_SUBS],
-            n_subs: 0,
-            affine: [Affine::Var; MAX_AFFINE],
-            n_affine: 0,
-            args: [(Class::R, 0); MAX_ARGS],
-            n_args: 0,
-            stored: [stored; MAX_STORED],
-            n_stored: 0,
-            inputs: [(Class::R, 0, 0); MAX_REGS],
-            n_inputs: 0,
-            outputs: [(Class::R, 0, Out::Row(0)); MAX_REGS],
-            n_outputs: 0,
+            elems: Few::new(elem),
+            subs: Few::new(0),
+            affine: Few::new(Affine::Var),
+            args: Few::new((Class::R, 0)),
+            stored: Few::new(stored),
+            inputs: Few::new((Class::R, 0, 0)),
+            outputs: Few::new((Class::R, 0, Out::Row(0))),
             rows: [0; 3],
         }
     }
@@ -793,27 +808,6 @@ fn accesses(op: &Instr, cu: &CompiledUnit) -> usize {
     let mut n = 0;
     op.charges(cu, |c| n += !matches!(c, Charge::Fixed(_)) as usize);
     n
-}
-
-/// Whether value op `op` maps two values of one class to that class.
-fn is_fold_step(op: &Instr) -> bool {
-    macro_rules! same {
-        ($c:ident, R <- R R, $d:ident, $a:ident $b:ident, $f:expr) => {
-            true
-        };
-        ($c:ident, I <- I I, $d:ident, $a:ident $b:ident, $f:expr) => {
-            true
-        };
-        ($c:ident, B <- B B, $d:ident, $a:ident $b:ident, $f:expr) => {
-            true
-        };
-        ($($_:tt)*) => {
-            false
-        };
-    }
-    #[allow(unused_variables)]
-    let same = value_op!(op, same, _ => false);
-    same
 }
 
 /// The class of the value a load or a store moves.
@@ -861,14 +855,12 @@ impl LanePlan {
     ) {
         let mut rn = Renumber {
             lanes: self,
-            regs: [(Class::R, 0, Loc::default(), false); MAX_REGS],
-            n_regs: 0,
+            regs: Few::new((Class::R, 0, Loc::default(), false)),
             scalars: [None; MAX_STORED],
             chain_owned: [[false; ROWS]; 3],
             chain_read: [[false; ROWS]; 3],
             varies: [false; MAX_AFFINE],
-            chain_slots: [SlotId(0); MAX_ACCESSES],
-            n_chain_slots: 0,
+            chain_slots: Few::new(SlotId(0)),
         };
         rn.lanes.ok = rn.plan(sites, place, var, cu, body, table).is_some();
     }
@@ -890,7 +882,7 @@ impl LanePlan {
         let (Some(last), true) = (i64::try_from(n - 1).ok(), self.ok) else {
             return false;
         };
-        for (k, form) in self.affine[..self.n_affine].iter().enumerate() {
+        for (k, form) in self.affine.iter().enumerate() {
             let pair = |x: u8, y: u8| (affine[x as usize], affine[y as usize]);
             affine[k] = match *form {
                 Affine::Var => (1, 0),
@@ -937,7 +929,7 @@ impl LanePlan {
             };
             (lin.min(lin1) >= 0 && (l0.max(l1) as u64) < len as u64).then_some((l0, dl))
         };
-        let elems = &self.elems[..self.n_elems];
+        let elems = &self.elems;
         for (e, elem) in elems.iter().enumerate() {
             match cells(elem) {
                 Some(a) => at[e] = a,
@@ -950,7 +942,7 @@ impl LanePlan {
                     return false;
                 }
             }
-            for s in &self.stored[..self.n_stored] {
+            for s in self.stored.iter() {
                 if a.slot == s.cell.0 && !apart(at[e], (s.cell.1 as i64, 0), last) {
                     return false;
                 }
@@ -981,7 +973,7 @@ impl LanePlan {
         (value, step): (i64, i64),
         n: u64,
     ) -> i64 {
-        for &(c, r, row) in &self.inputs[..self.n_inputs] {
+        for &(c, r, row) in self.inputs.iter() {
             let (r, row) = (r as usize, row as usize);
             match c {
                 Class::R => scratch.f[row] = [f[r]; LANES],
@@ -994,13 +986,13 @@ impl LanePlan {
             len = (n - done).min(LANES as u64) as usize;
             let first = value.wrapping_add((done as i64).wrapping_mul(step));
             let chunk = Chunk { views, var, addresses, first, step, done, len };
-            for op in &self.ops[..self.len] {
+            for op in self.ops.iter() {
                 self.exec::<true>(*op, body, chunk, scratch, 0);
             }
-            if self.chained > 0 {
+            if !self.chain.is_empty() {
                 self.run_chain(body, &chunk, scratch);
             }
-            for s in &self.stored[..self.n_stored] {
+            for s in self.stored.iter() {
                 let row = s.row as usize;
                 match views.0[s.view as usize] {
                     Scalar::R(c) => c.set(scratch.f[row][len - 1]),
@@ -1011,7 +1003,7 @@ impl LanePlan {
             done += len as u64;
         }
         let last = value.wrapping_add(((n - 1) as i64).wrapping_mul(step));
-        for &(c, r, out) in &self.outputs[..self.n_outputs] {
+        for &(c, r, out) in self.outputs.iter() {
             let r = r as usize;
             match (out, c) {
                 (Out::Row(row), Class::R) => f[r] = scratch.f[row as usize][len - 1],
@@ -1116,9 +1108,8 @@ impl LanePlan {
         }
     }
 
-    /// The other ops, over lanes `lo..hi`: the loop variable's and the
-    /// scalars' rows (never carried: every lane), intrinsics, copies and
-    /// carried values.
+    /// The other ops, over lanes `lo..hi` (out of the loop over a
+    /// chunk's ops, which keeps it fast).
     #[inline(never)]
     fn rare(
         &self,
@@ -1131,6 +1122,8 @@ impl LanePlan {
         let lane = |t: usize| chunk.first.wrapping_add((t as i64).wrapping_mul(chunk.step));
         let (sf, si, sb) = (&mut scratch.f, &mut scratch.i, &mut scratch.b);
         match op {
+            // The loop variable's and the scalars' rows are never
+            // carried: every lane.
             LaneOp::Var(d) => {
                 let d = d as usize;
                 match chunk.var {
@@ -1145,42 +1138,35 @@ impl LanePlan {
                 Scalar::B(c) => sb[d as usize] = [c.get(); LANES],
             },
             LaneOp::Intr(k, d, at) => self.intrinsic(&body[k as usize], d, at, scratch, (lo, hi)),
+            // Always carried: the lane before's value, or in a chunk's
+            // first lane the cell's.
+            LaneOp::Carried(d, x) => {
+                let (d, x) = (d as usize, &self.stored[x as usize]);
+                let s = x.row as usize;
+                match chunk.views.0[x.view as usize] {
+                    Scalar::R(c) => sf[d][lo] = if lo == 0 { c.get() } else { sf[s][lo - 1] },
+                    Scalar::I(c) => si[d][lo] = if lo == 0 { c.get() } else { si[s][lo - 1] },
+                    Scalar::B(c) => sb[d][lo] = if lo == 0 { c.get() } else { sb[s][lo - 1] },
+                }
+            }
             _ => unreachable!("a common op"),
         }
     }
 
-    /// The carried ops of the body lane after lane, in the body's order
-    /// for each: or, where they are folds, each fold over the lanes.
+    /// The carried ops: each fold over the lanes, or where they are not
+    /// folds, lane after lane, in the body's order for each.
     #[inline(never)]
     fn run_chain(&self, body: &[Instr], chunk: &Chunk, scratch: &mut Scratch) {
-        let chain = &self.chain[..self.chained];
-        if self.folds {
-            for fold in chain.chunks(3) {
-                self.fold(fold, body, chunk, scratch);
-            }
-            return;
+        match self.folds {
+            true => self.chain.chunks(3).for_each(|f| self.fold(f, body, chunk, scratch)),
+            false => self.lane_by_lane(&self.chain, body, chunk, scratch),
         }
+    }
+
+    fn lane_by_lane(&self, ops: &[LaneOp], body: &[Instr], chunk: &Chunk, scratch: &mut Scratch) {
         for t in 0..chunk.len {
-            for op in chain {
-                let LaneOp::Carried(d, x) = *op else {
-                    self.exec::<false>(*op, body, *chunk, scratch, t);
-                    continue;
-                };
-                // The value of the lane before, or the cell's before the
-                // chunk's first.
-                let (d, x) = (d as usize, &self.stored[x as usize]);
-                let s = x.row as usize;
-                match chunk.views.0[x.view as usize] {
-                    Scalar::R(c) => {
-                        scratch.f[d][t] = if t == 0 { c.get() } else { scratch.f[s][t - 1] }
-                    }
-                    Scalar::I(c) => {
-                        scratch.i[d][t] = if t == 0 { c.get() } else { scratch.i[s][t - 1] }
-                    }
-                    Scalar::B(c) => {
-                        scratch.b[d][t] = if t == 0 { c.get() } else { scratch.b[s][t - 1] }
-                    }
-                }
+            for op in ops {
+                self.exec::<false>(*op, body, *chunk, scratch, t);
             }
         }
     }
@@ -1222,7 +1208,7 @@ impl LanePlan {
                 rows!(sb, B, $f)
             };
             ($($_:tt)*) => {
-                unreachable!("a fold of two classes")
+                self.lane_by_lane(fold, body, chunk, scratch)
             };
         }
         #[allow(unused_variables)]
@@ -1308,8 +1294,7 @@ struct Renumber<'p> {
     lanes: &'p mut LanePlan,
     /// Each register's class, number, place and whether the body read
     /// it before defining it.
-    regs: [(Class, Reg, Loc, bool); MAX_REGS],
-    n_regs: usize,
+    regs: Few<(Class, Reg, Loc, bool), MAX_REGS>,
     /// Each stored scalar's place, from its first store on.
     scalars: [Option<Loc>; MAX_STORED],
     /// Per class and row: the carried ops write it; a carried op read it.
@@ -1318,19 +1303,14 @@ struct Renumber<'p> {
     /// The affine forms that vary with the loop variable.
     varies: [bool; MAX_AFFINE],
     /// The slots a carried op has accessed.
-    chain_slots: [SlotId; MAX_ACCESSES],
-    n_chain_slots: usize,
+    chain_slots: Few<SlotId, MAX_ACCESSES>,
 }
 
 impl Renumber<'_> {
     /// Register `r` of class `c`'s entry, made if it has none.
     fn reg(&mut self, c: Class, r: Reg) -> Option<usize> {
-        let found = self.regs[..self.n_regs].iter().position(|e| (e.0, e.1) == (c, r));
-        found.or_else(|| {
-            *self.regs.get_mut(self.n_regs)? = (c, r, Loc::default(), false);
-            self.n_regs += 1;
-            Some(self.n_regs - 1)
-        })
+        let found = self.regs.iter().position(|e| (e.0, e.1) == (c, r));
+        found.or_else(|| self.regs.push((c, r, Loc::default(), false)))
     }
 
     /// A new row of class `c`, written by the carried ops or not.
@@ -1370,10 +1350,8 @@ impl Renumber<'_> {
 
     /// A new affine form.
     fn push_affine(&mut self, form: Affine, varies: bool) -> Option<u8> {
-        let k = self.lanes.n_affine;
-        *self.lanes.affine.get_mut(k)? = form;
+        let k = self.lanes.affine.push(form)?;
         self.varies[k] = varies;
-        self.lanes.n_affine += 1;
         Some(k as u8)
     }
 
@@ -1420,9 +1398,7 @@ impl Renumber<'_> {
             Some(k) if !input => self.push(LaneOp::Affine(row, k), false)?,
             _ => {
                 self.regs[at].3 = true;
-                let lanes = &mut *self.lanes;
-                *lanes.inputs.get_mut(lanes.n_inputs)? = (c, r, row);
-                lanes.n_inputs += 1;
+                self.lanes.inputs.push((c, r, row))?;
             }
         }
         self.regs[at].2.row = Some(row);
@@ -1443,30 +1419,20 @@ impl Renumber<'_> {
 
     /// Append `op` to the ops run over all lanes or to the carried ones.
     fn push(&mut self, op: LaneOp, chain: bool) -> Option<()> {
-        let lanes = &mut *self.lanes;
-        let (ops, n) = match chain {
-            true => (&mut lanes.chain, &mut lanes.chained),
-            false => (&mut lanes.ops, &mut lanes.len),
-        };
-        *ops.get_mut(*n)? = op;
-        *n += 1;
-        Some(())
-    }
-
-    fn push_sub(&mut self, form: u8) -> Option<()> {
-        let lanes = &mut *self.lanes;
-        *lanes.subs.get_mut(lanes.n_subs)? = form;
-        lanes.n_subs += 1;
-        Some(())
+        match chain {
+            true => self.lanes.chain.push(op),
+            false => self.lanes.ops.push(op),
+        }
+        .map(drop)
     }
 
     /// The subscripts in the INTEGER registers `regs`, each an affine
     /// form; where they start.
     fn reg_subs(&mut self, regs: &[Reg]) -> Option<usize> {
-        let at = self.lanes.n_subs;
+        let at = self.lanes.subs.len();
         for &r in regs {
             let form = self.affine(r)?;
-            self.push_sub(form)?;
+            self.lanes.subs.push(form)?;
         }
         Some(at)
     }
@@ -1482,16 +1448,13 @@ impl Renumber<'_> {
         at: usize,
         chain: bool,
     ) -> Option<(u8, bool)> {
-        let slots = &mut self.chain_slots;
-        let chain = chain || slots[..self.n_chain_slots].contains(&slot);
-        if chain && !slots[..self.n_chain_slots].contains(&slot) {
-            (slots[self.n_chain_slots], self.n_chain_slots) = (slot, self.n_chain_slots + 1);
+        let marked = self.chain_slots.contains(&slot);
+        if chain && !marked {
+            self.chain_slots.push(slot)?;
         }
-        let lanes = &mut *self.lanes;
-        let (e, rank) = (lanes.n_elems, (lanes.n_subs - at) as u8);
-        lanes.elems[e] = Elem { view, slot, at: at as u8, rank, write };
-        lanes.n_elems += 1;
-        Some((e as u8, chain))
+        let rank = (self.lanes.subs.len() - at) as u8;
+        let e = self.lanes.elems.push(Elem { view, slot, at: at as u8, rank, write })?;
+        Some((e as u8, chain || marked))
     }
 
     /// `d = a ⊕ b` of two affine forms, as one; `false` (and nothing
@@ -1522,12 +1485,10 @@ impl Renumber<'_> {
             Instr::IntrI { .. } => Class::I,
             _ => Class::R,
         };
-        let (at, mut read) = (self.lanes.n_args, [(Class::R, (0, false)); MAX_INTR_ARGS]);
+        let (at, mut read) = (self.lanes.args.len(), [(Class::R, (0, false)); MAX_INTR_ARGS]);
         for (k, &(c, r)) in cu.intr_args[args as usize..][..n as usize].iter().enumerate() {
             read[k] = (c, self.read(c, r)?);
-            let lanes = &mut *self.lanes;
-            *lanes.args.get_mut(lanes.n_args)? = (c, read[k].1 .0);
-            lanes.n_args += 1;
+            self.lanes.args.push((c, read[k].1 .0))?;
         }
         let chain = self.carried(&read[..n as usize]);
         let d = self.def(c, d, chain)?;
@@ -1557,23 +1518,22 @@ impl Renumber<'_> {
                 Instr::StoreR { .. } | Instr::StoreI { .. } | Instr::StoreB { .. } => {
                     let lanes = &mut *self.lanes;
                     let (cell, class) = (cell(k - 1), moved_class(op));
-                    match lanes.stored[..lanes.n_stored].iter().find(|s| s.cell == cell) {
+                    match lanes.stored.iter().find(|s| s.cell == cell) {
                         _ if cell == var => return None,
                         Some(s) if s.class != class => return None,
                         Some(_) => {}
-                        None => {
-                            let view = place[k - 1];
-                            *lanes.stored.get_mut(lanes.n_stored)? =
-                                Stored { cell, view, class, row: 0 };
-                            lanes.n_stored += 1;
-                        }
+                        None => drop(lanes.stored.push(Stored {
+                            cell,
+                            view: place[k - 1],
+                            class,
+                            row: 0,
+                        })?),
                     }
                 }
                 _ => {}
             }
         }
         let (written, stored) = (&written[..n_written], self.lanes.stored);
-        let stored = &stored[..self.lanes.n_stored];
         let access = |k: usize| -> Option<Access> {
             let cell = cell(k);
             match stored.iter().position(|s| s.cell == cell) {
@@ -1634,14 +1594,14 @@ impl Renumber<'_> {
                 Instr::ElemVarR { d, rank, .. }
                 | Instr::ElemVarI { d, rank, .. }
                 | Instr::ElemVarB { d, rank, .. } => {
-                    let (at, rank) = (self.lanes.n_subs, *rank as usize);
+                    let (at, rank) = (self.lanes.subs.len(), *rank as usize);
                     for k in k..k + rank {
                         let form = match access(k)? {
                             Access::Var => self.push_affine(Affine::Var, true)?,
                             Access::Same(p) => self.push_affine(Affine::Scalar(p), false)?,
                             Access::Stored(_) => return None,
                         };
-                        self.push_sub(form)?;
+                        self.lanes.subs.push(form)?;
                     }
                     let (e, chain) = self.elem(elem(k + rank)?, false, at, false)?;
                     let row = self.def(c, *d, chain)?;
@@ -1698,34 +1658,29 @@ impl Renumber<'_> {
             }
             k += accesses(op, cu);
         }
-        for (x, s) in self.lanes.stored[..self.lanes.n_stored].iter_mut().enumerate() {
+        for (x, s) in self.lanes.stored.iter_mut().enumerate() {
             s.row = self.scalars[x]?.row?;
         }
-        // Folds: each reads its scalar's last row, and the value op's
-        // other operand is a row the ops over all lanes wrote.
-        let (lanes, owned) = (&mut *self.lanes, &self.chain_owned);
-        let chain = &lanes.chain[..lanes.chained];
-        lanes.folds = chain.len() % 3 == 0
-            && chain.chunks(3).all(|fold| match *fold {
-                [LaneOp::Carried(d, x), LaneOp::Value(k, [e, a, b]), LaneOp::Copy(c, r, s)] => {
-                    let (x, other) = (&lanes.stored[x as usize], if a == d { b } else { a });
-                    (a == d) != (b == d)
-                        && (s, r, c) == (e, x.row, x.class)
-                        && is_fold_step(&body[k as usize])
-                        && !owned[c as usize][other as usize]
+        // Folds: each stores its scalar's last row, and reads, besides
+        // the value before, only a row that an op before it wrote (a
+        // carried one of a fold before it, or one over all lanes).
+        let lanes = &mut *self.lanes;
+        lanes.folds = lanes.chain.len() % 3 == 0
+            && lanes.chain.chunks(3).all(|fold| match *fold {
+                [LaneOp::Carried(d, x), LaneOp::Value(_, [e, a, b]), LaneOp::Copy(c, r, s)] => {
+                    let x = &lanes.stored[x as usize];
+                    (a == d) != (b == d) && (s, r, c) == (e, x.row, x.class)
                 }
                 _ => false,
             });
-        for &(c, r, loc, input) in &self.regs[..self.n_regs] {
+        for &(c, r, loc, input) in self.regs.iter() {
             let out = match (loc.row, loc.affine) {
                 _ if input => continue,
                 (Some(row), _) => Out::Row(row),
                 (None, Some(k)) => Out::Affine(k),
                 (None, None) => continue,
             };
-            let lanes = &mut *self.lanes;
-            lanes.outputs[lanes.n_outputs] = (c, r, out);
-            lanes.n_outputs += 1;
+            self.lanes.outputs.push((c, r, out))?;
         }
         Some(())
     }
