@@ -1665,7 +1665,7 @@ impl Renumber<'_> {
         // the value before, only a row that an op before it wrote (a
         // carried one of a fold before it, or one over all lanes).
         let lanes = &mut *self.lanes;
-        lanes.folds = lanes.chain.len() % 3 == 0
+        lanes.folds = lanes.chain.len().is_multiple_of(3)
             && lanes.chain.chunks(3).all(|fold| match *fold {
                 [LaneOp::Carried(d, x), LaneOp::Value(_, [e, a, b]), LaneOp::Copy(c, r, s)] => {
                     let x = &lanes.stored[x as usize];
