@@ -301,12 +301,12 @@ const KEPT_PLANS: usize = 4;
 /// The plans made last, which the next entries of their loops under the
 /// same [`PlanKey`] reuse: an inner loop is entered once per iteration
 /// of the loops around it. The oldest goes first. With them, the one
-/// scratch every lane batch runs in.
+/// scratch every lane batch runs in, and its addresses.
 #[derive(Default)]
 pub(super) struct Plans {
     kept: [KeptPlan; KEPT_PLANS],
     next: usize,
-    scratch: Scratch,
+    scratch: (Scratch, Addresses),
 }
 
 #[derive(Default)]
@@ -473,7 +473,7 @@ impl Plan {
         &self,
         cu: &CompiledUnit,
         body: &[Instr],
-        (store, vm, scratch): (&mut Store, &mut VmState, &mut Scratch),
+        (store, vm, (scratch, at)): (&mut Store, &mut VmState, &mut (Scratch, Addresses)),
         (mut value, step): (i64, i64),
         n: u64,
         clock: (f64, f64),
@@ -506,14 +506,11 @@ impl Plan {
             }
         });
         let views = (&scalar_views[..self.scalars], &array_views[..self.arrays]);
-        if n >= MIN_LANES && self.lanes.ok {
-            let mut at = ([(0, 0); MAX_ACCESSES], [(0, 0); MAX_AFFINE]);
-            if self.lanes.addresses(views, i, (value, step), n, &mut at) {
-                let regs = (&mut f[..], &mut i[..], &mut b[..]);
-                let value = self.lanes.run(body, views, var, regs, scratch, &at, (value, step), n);
-                let (time, paged) = self.charge(clock, n);
-                return Batch { time, paged, value, iterations: n, stop: None, lanes: true };
-            }
+        if n >= MIN_LANES && self.lanes.addresses(views, i, (value, step), n, at) {
+            let regs = (&mut f[..], &mut i[..], &mut b[..]);
+            let value = self.lanes.run(body, views, var, regs, scratch, at, (value, step), n);
+            let (time, paged) = self.charge(clock, n);
+            return Batch { time, paged, value, iterations: n, stop: None, lanes: true };
         }
         let (mut iterations, mut stop) = (0, None);
         while iterations < n {
