@@ -20,16 +20,17 @@
 //!
 //! Lanes are the restructurer's two-version loop, in the simulator. When
 //! a kernel is planned, [`LanePlan::plan`] decides once whether its body
-//! could run op by op over many iterations at once: loads, element
-//! stores and value ops that cannot fault, scalars that do not change
-//! within the loop, and subscripts that are the loop variable or do not
-//! change either. At each batch's entry, [`LanePlan::addresses`] finds
-//! every element access's first cell and step, checks both ends of its
-//! range, and proves that no two accesses of a slot, one of them a
-//! store, touch one cell in different iterations; then
-//! [`LanePlan::run`] runs the batch chunk by chunk, each op over the
-//! chunk's lanes. Otherwise the batch runs per iteration, and faults
-//! where it always did.
+//! could run op by op over many iterations at once: loads, stores and
+//! value ops that cannot fault, scalars the loop does not change or
+//! stores itself, and subscripts affine in the loop variable. At each
+//! batch's entry, [`LanePlan::addresses`] finds every element access's
+//! first cell and step, checks both ends of its range, and proves that
+//! no two accesses of a slot, one of them a store, touch one cell in
+//! different iterations; then [`LanePlan::run`] runs the batch chunk by
+//! chunk, each op over the chunk's lanes, and the ops a stored scalar's
+//! value carries from one iteration to the next lane after lane.
+//! Otherwise the batch runs per iteration, and faults where it always
+//! did.
 //!
 //! The dispatch loop runs the rest of an iteration from its op `k` on
 //! in two cases. An op that would fault has changed nothing: the kernel
@@ -114,7 +115,15 @@ impl Simulator<'_> {
         };
         let kept = match self.plans.kept.iter().position(|k| k.key == Some(key)) {
             Some(at) => at,
-            None => self.plan(key, frame, cu, lp, body, ctx)?,
+            None if self.plans.refused.contains(&Some(key)) => return None,
+            None => match self.plan(key, frame, cu, lp, body, ctx) {
+                Some(at) => at,
+                None => {
+                    self.plans.refused.rotate_right(1);
+                    self.plans.refused[0] = Some(key);
+                    return None;
+                }
+            },
         };
         let gates = body.iter().filter(|op| matches!(op, Instr::Gate { .. })).count() as u64;
 
@@ -300,12 +309,16 @@ const KEPT_PLANS: usize = 4;
 
 /// The plans made last, which the next entries of their loops under the
 /// same [`PlanKey`] reuse: an inner loop is entered once per iteration
-/// of the loops around it. The oldest goes first. With them, the one
-/// scratch every lane batch runs in, and its addresses.
+/// of the loops around it. The oldest goes first. The keys of the loops
+/// that could not be planned last, whose next entries go to the dispatch
+/// loop without planning again: such a loop evicts a kept plan once,
+/// not on every entry. With them, the one scratch every lane batch runs
+/// in, and its addresses.
 #[derive(Default)]
 pub(super) struct Plans {
     kept: [KeptPlan; KEPT_PLANS],
     next: usize,
+    refused: [Option<PlanKey>; KEPT_PLANS],
     scratch: (Scratch, Addresses),
 }
 
@@ -765,8 +778,6 @@ struct LanePlan {
     /// after another; each in the body's order.
     ops: Few<LaneOp, MAX_LANE_OPS>,
     chain: Few<LaneOp, MAX_LANE_OPS>,
-    /// The carried ops are folds, three each ([`LanePlan::fold`]).
-    folds: bool,
     elems: Few<Elem, MAX_ACCESSES>,
     subs: Few<u8, MAX_SUBS>,
     affine: Few<Affine, MAX_AFFINE>,
@@ -787,7 +798,6 @@ impl Default for LanePlan {
             ok: false,
             ops: Few::new(LaneOp::Var(0)),
             chain: Few::new(LaneOp::Var(0)),
-            folds: false,
             elems: Few::new(elem),
             subs: Few::new(0),
             affine: Few::new(Affine::Var),
@@ -1150,66 +1160,14 @@ impl LanePlan {
         }
     }
 
-    /// The carried ops: each fold over the lanes, or where they are not
-    /// folds, lane after lane, in the body's order for each.
+    /// The carried ops, lane after lane, each lane's in the body's order.
     #[inline(never)]
     fn run_chain(&self, body: &[Instr], chunk: &Chunk, scratch: &mut Scratch) {
-        match self.folds {
-            true => self.chain.chunks(3).for_each(|f| self.fold(f, body, chunk, scratch)),
-            false => self.lane_by_lane(&self.chain, body, chunk, scratch),
-        }
-    }
-
-    fn lane_by_lane(&self, ops: &[LaneOp], body: &[Instr], chunk: &Chunk, scratch: &mut Scratch) {
         for t in 0..chunk.len {
-            for op in ops {
+            for op in self.chain.iter() {
                 self.exec::<false>(*op, body, *chunk, scratch, t);
             }
         }
-    }
-
-    /// A fold, over a chunk's lanes: `Carried(d, x)`, the value op `k`
-    /// of the row `d` and another that the ops over all lanes wrote,
-    /// into row `e`, and `e` copied to `x`'s row. The value op maps two
-    /// values of `x`'s class to one; the lane before each lane's is the
-    /// one it reads.
-    fn fold(&self, fold: &[LaneOp], body: &[Instr], chunk: &Chunk, scratch: &mut Scratch) {
-        let [LaneOp::Carried(d, x), LaneOp::Value(k, [e, a, b]), LaneOp::Copy(_, r, _)] = *fold
-        else {
-            unreachable!("a fold is three ops")
-        };
-        let (view, left) = (self.stored[x as usize].view as usize, a == d);
-        let (d, e, r, m) = (d as usize, e as usize, r as usize, if left { b } else { a } as usize);
-        let (sf, si, sb) = (&mut scratch.f, &mut scratch.i, &mut scratch.b);
-        macro_rules! rows {
-            ($rows:ident, $S:ident, $f:expr) => {{
-                let Scalar::$S(cell) = chunk.views.0[view] else { class_bug() };
-                let (m, mut acc) = ($rows[m], cell.get());
-                let (mut before, mut after) = ($rows[d], $rows[e]);
-                for t in 0..chunk.len {
-                    before[t] = acc;
-                    acc = if left { $f(acc, m[t]) } else { $f(m[t], acc) };
-                    after[t] = acc;
-                }
-                ($rows[d], $rows[e], $rows[r]) = (before, after, after);
-            }};
-        }
-        macro_rules! fold {
-            ($c:ident, R <- R R, $d:ident, $a:ident $b:ident, $f:expr) => {
-                rows!(sf, R, $f)
-            };
-            ($c:ident, I <- I I, $d:ident, $a:ident $b:ident, $f:expr) => {
-                rows!(si, I, $f)
-            };
-            ($c:ident, B <- B B, $d:ident, $a:ident $b:ident, $f:expr) => {
-                rows!(sb, B, $f)
-            };
-            ($($_:tt)*) => {
-                self.lane_by_lane(fold, body, chunk, scratch)
-            };
-        }
-        #[allow(unused_variables)]
-        let () = value_op!(&body[k as usize], fold, op => unreachable!("{op:?} in a fold"));
     }
 
     /// Body op `op`'s intrinsic into row `d`, over the arguments from
@@ -1658,18 +1616,6 @@ impl Renumber<'_> {
         for (x, s) in self.lanes.stored.iter_mut().enumerate() {
             s.row = self.scalars[x]?.row?;
         }
-        // Folds: each stores its scalar's last row, and reads, besides
-        // the value before, only a row that an op before it wrote (a
-        // carried one of a fold before it, or one over all lanes).
-        let lanes = &mut *self.lanes;
-        lanes.folds = lanes.chain.len().is_multiple_of(3)
-            && lanes.chain.chunks(3).all(|fold| match *fold {
-                [LaneOp::Carried(d, x), LaneOp::Value(_, [e, a, b]), LaneOp::Copy(c, r, s)] => {
-                    let x = &lanes.stored[x as usize];
-                    (a == d) != (b == d) && (s, r, c) == (e, x.row, x.class)
-                }
-                _ => false,
-            });
         for &(c, r, loc, input) in self.regs.iter() {
             let out = match (loc.row, loc.affine) {
                 _ if input => continue,
@@ -1720,5 +1666,38 @@ fn apart((l, d): (i64, i64), (m, e): (i64, i64), last: i64) -> bool {
             (Some((l0, l1)), Some((m0, m1))) => l0.max(l1) < m0.min(m1) || m0.max(m1) < l0.min(l1),
             _ => false,
         },
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::MachineConfig;
+    use cedar_ir::Placement;
+
+    /// A loop that cannot be planned (its partitioned array pages, which
+    /// a price cannot say), entered in a nest after four kernel loops,
+    /// is planned once: it evicts one of their plans once, not on every
+    /// entry, and at the end all four are kept.
+    #[test]
+    fn a_loop_that_cannot_be_planned_is_planned_once() {
+        let kernel = "do i = 1, 8\na(i) = b(i) + 1.0\nend do\n".repeat(KEPT_PLANS);
+        let src = format!(
+            "program p\nreal a(8), b(8), c(400000)\ndo k = 1, 3\n{kernel}\
+             do i = 1, 8\nc(i * 50000) = b(i)\nend do\nend do\nend\n"
+        );
+        let mut p = cedar_ir::compile_free(&src).unwrap();
+        let c = p.units[0].find_symbol("c").unwrap();
+        p.units[0].symbol_mut(c).placement = Placement::Partitioned;
+        let sim = crate::run(Box::leak(Box::new(p)), MachineConfig::cedar_config1_scaled());
+        let sim = sim.unwrap();
+        assert!(sim.stats.paged_accesses > 0.0);
+        let kept = sim.plans.kept.iter().filter(|k| k.key.is_some()).count();
+        assert_eq!(kept, KEPT_PLANS);
+        assert_eq!(sim.plans.refused.iter().flatten().count(), 1);
+        // The outer loop's 3 iterations and the inner loops' 120; the
+        // kernels' as lanes.
+        let kernels = KEPT_PLANS as u64 * 8 * 3;
+        assert_eq!(sim.kernel_iterations(), (3 + 5 * 8 * 3, kernels, kernels));
     }
 }

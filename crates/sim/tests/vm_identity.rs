@@ -2089,8 +2089,8 @@ fn operands(n: usize, body: &str) -> String {
 
 #[test]
 fn lane_batches_carry_real_and_integer_reductions() {
-    // Folds (the value before on either side, over REAL, INTEGER and
-    // LOGICAL values, three in one body) and a longer carried chain.
+    // Reductions (the value before on either side, over REAL, INTEGER
+    // and LOGICAL values, three in one body) and a longer carried chain.
     let body = "s = 0.5\nm = 3\ndo i = 1, n\ns = s + a(i) * b(i)\nend do\n\
                 do i = n, 1, -1\nm = m + k(i) * 3\nend do\n\
                 do i = 1, n, 2\nt = t * 1.0001 + a(i)\nend do\n\
@@ -2327,9 +2327,9 @@ const EDGE_FAULTS: &[(&str, &str)] = &[
 /// The declarations and operands of an edge row, then `body`.
 fn edge_program(body: &str) -> String {
     let mut src = String::from(
-        "program p\nreal xa(16), xb(16), r1(16), r2(16), r3(16), r4(16), sr\n\
-         integer ia(16), ib(16), k1(16), k2(16), k3(16), k4(16), sk\n\
-         logical la(16), lb(16), b1(16), b2(16), b3(16), b4(16), sb\n\
+        "program p\nreal xa(16), xb(16), r1(16), r2(16), r3(16), r4(16), r5(16), sr\n\
+         integer ia(16), ib(16), k1(16), k2(16), k3(16), k4(16), k5(16), sk, jx(16)\n\
+         logical la(16), lb(16), b1(16), b2(16), b3(16), b4(16), b5(16), sb\n\
          z = 0.0\nmx = 9223372036854775807\nmn = -mx - 1\n",
     );
     for (name, lanes) in EDGE_OPERANDS {
@@ -2337,29 +2337,36 @@ fn edge_program(body: &str) -> String {
             src += &format!("{name}({}) = {e}\n", t + 1);
         }
     }
+    for t in 1..=16 {
+        src += &format!("jx({t}) = {t}\n");
+    }
     src + body + "end\n"
 }
 
 /// Row `expr`, of class `c`, into `c1` by scalar statements, `c2` by a
-/// vector statement, and `c3` and `c4` by loops, `c3`'s through a stored
-/// temporary; any of the four shapes.
-fn edge_shapes(c: char, expr: &str) -> [String; 4] {
+/// vector statement, and `c3`, `c4` and `c5` by loops: `c3`'s stores
+/// through a gathered subscript, which keeps it off lanes (it runs one
+/// iteration at a time), `c4`'s run as lanes where the row's do, and
+/// `c5`'s through a stored temporary; any of the five shapes.
+fn edge_shapes(c: char, expr: &str) -> [String; 5] {
     let at = |lane: &str| expr.replace('@', lane);
     let scalars = (1..=16).map(|t| format!("{c}1({t}) = {}\n", at(&t.to_string()))).collect();
     [
         scalars,
         format!("{c}2(1:16) = {}\n", at("1:16")),
-        format!("do j = 1, 16\ns{c} = {}\n{c}3(j) = s{c}\nend do\n", at("j")),
+        format!("do j = 1, 16\n{c}3(jx(j)) = {}\nend do\n", at("j")),
         format!("do j = 1, 16\n{c}4(j) = {}\nend do\n", at("j")),
+        format!("do j = 1, 16\ns{c} = {}\n{c}5(j) = s{c}\nend do\n", at("j")),
     ]
 }
 
 #[test]
 fn edge_values_through_every_executor_bit_for_bit() {
     for &(label, c, expr, as_lanes) in EDGE_ROWS {
-        let vars = [1, 2, 3, 4].map(|k| format!("{c}{k}"));
+        let vars = [1, 2, 3, 4, 5].map(|k| format!("{c}{k}"));
         let vars = vars.each_ref().map(String::as_str);
-        let src = edge_program(&edge_shapes(c, expr).concat());
+        let shapes = edge_shapes(c, expr);
+        let src = edge_program(&shapes.concat());
         let (sim, r) = kernel_identical(&src, cfg(Engine::Vm), &vars, label);
         r.unwrap_or_else(|e| panic!("{label}: {e}"));
         let scalars = bit_patterns(sim.read_var(vars[0]));
@@ -2367,7 +2374,11 @@ fn edge_values_through_every_executor_bit_for_bit() {
             assert_eq!(bit_patterns(sim.read_var(v)), scalars, "{label}: `{v}` against scalars");
         }
         let lanes = if as_lanes { 32 } else { 0 };
-        assert_eq!(sim.kernel_iterations(), (32, 32, lanes), "{label}");
+        assert_eq!(sim.kernel_iterations(), (48, 48, lanes), "{label}");
+        // The gathered shape alone runs one iteration at a time.
+        let (sim, r) = kernel_identical(&edge_program(&shapes[2]), cfg(Engine::Vm), &[], label);
+        r.unwrap_or_else(|e| panic!("{label} [gathered]: {e}"));
+        assert_eq!(sim.kernel_iterations(), (16, 16, 0), "{label} [gathered]");
     }
 }
 
@@ -2377,14 +2388,14 @@ fn edge_values_through_every_executor_bit_for_bit() {
 fn zero_divisors_fault_alike_through_every_executor() {
     for &(label, set) in EDGE_FAULTS {
         let &(_, c, expr, _) = EDGE_ROWS.iter().find(|row| row.0 == label).expect("a row");
-        let [scalars, vector, kernel, lanes] = edge_shapes(c, expr);
+        let [scalars, vector, gathered, lanes, temporary] = edge_shapes(c, expr);
         let faulting = |body: &str| edge_program(&format!("{set}\n{body}"));
         for (shape, body) in [("scalars", scalars), ("vector", vector)] {
             let label = format!("{label} [{shape}]");
             let e = same_error_everywhere(leak(&faulting(&body)), |c| c, &label);
             assert_eq!(e.kind, cedar_sim::SimErrorKind::DivByZero, "{label}: {e}");
         }
-        for (shape, body) in [("kernel", kernel), ("lanes", lanes)] {
+        for (shape, body) in [("gathered", gathered), ("lanes", lanes), ("temporary", temporary)] {
             let label = format!("{label} [{shape}]");
             let (sim, r) = kernel_identical(&faulting(&body), cfg(Engine::Vm), &[], &label);
             let e = r.expect_err("lane 5 faults");
