@@ -146,7 +146,6 @@ pub struct Simulator<'p> {
     /// See [`Simulator::kernel_iterations`].
     inline_iterations: u64,
     kernel_iterations: u64,
-    lane_iterations: u64,
     /// Resolved-operand tables filled or changed so far: the next
     /// one's generation.
     tables_resolved: u64,
@@ -220,7 +219,6 @@ impl<'p> Simulator<'p> {
             tree_walked: 0,
             inline_iterations: 0,
             kernel_iterations: 0,
-            lane_iterations: 0,
             tables_resolved: 0,
             plans: kernel::Plans::default(),
         };
@@ -269,13 +267,13 @@ impl<'p> Simulator<'p> {
     }
 
     /// Iterations of the sequential loops the VM runs inline
-    /// ([`Instr::SeqLoop`](crate::compile::Instr::SeqLoop)), how many
-    /// of them ran as loop kernels, and how many of those as lanes, in
-    /// that order (DESIGN.md §14, "Loop kernels"). Not part of
-    /// [`ExecStats`]: kernels run only on the VM, with the fast paths
-    /// and without a race detector or faults.
-    pub fn kernel_iterations(&self) -> (u64, u64, u64) {
-        (self.inline_iterations, self.kernel_iterations, self.lane_iterations)
+    /// ([`Instr::SeqLoop`](crate::compile::Instr::SeqLoop)), and how
+    /// many of them ran as lanes in loop kernels, in that order
+    /// (DESIGN.md §14, "Loop kernels"). Not part of [`ExecStats`]:
+    /// kernels run only on the VM, with the fast paths and without a
+    /// race detector or faults.
+    pub fn kernel_iterations(&self) -> (u64, u64) {
+        (self.inline_iterations, self.kernel_iterations)
     }
 
     /// How the run's vector sections were resolved to element indices

@@ -611,19 +611,22 @@ impl Simulator<'_> {
                     match tri!(trip_count(start, end, step, lp.span)) {
                         0 => pc = lp.end_pc as usize,
                         trip => {
-                            self.inline_iterations += trip as u64;
-                            let kernel = (lp.kernel && self.kernels_on()).then(|| {
+                            let (trip, mut done) = (trip as u64, 0);
+                            self.inline_iterations += trip;
+                            if lp.kernel && self.kernels_on() {
                                 let bounds = (start, step, trip);
-                                self.run_kernel(frame, cu, lp, bounds, time, ctx)
-                            });
-                            if let Some(run) = kernel.flatten() {
-                                time = tri!(run);
+                                (time, done) =
+                                    tri!(self.run_kernel(frame, cu, lp, bounds, time, ctx));
+                            }
+                            if done == trip {
                                 pc = lp.end_pc as usize;
                                 continue;
                             }
-                            let state = [start, trip as i64, step];
+                            // The rest, from iteration `done` on.
+                            let value = start.wrapping_add((done as i64).wrapping_mul(step));
+                            let state = [value, (trip - done) as i64, step];
                             frame.vm.i[*at as usize..][..3].copy_from_slice(&state);
-                            tri!(self.set_loop_var(frame, lp.var, start, ctx));
+                            tri!(self.set_loop_var(frame, lp.var, value, ctx));
                             charge!(LoopStep);
                         }
                     }
