@@ -176,13 +176,6 @@ pub fn negatives() -> Vec<(&'static str, String)> {
     ]
 }
 
-/// Sweep both workload suites and every negative. Every program in the
-/// matrix is an independent detector run ([`cedar_par::par_map`]); row
-/// order matches the serial sweep (table1, table2, negatives).
-pub fn run() -> Vec<Row> {
-    run_filtered(None)
-}
-
 enum Job {
     Workload(Workload, &'static str, PassConfig),
     Negative(&'static str, String),
@@ -232,15 +225,16 @@ fn jobs(only: Option<&[&str]>) -> Vec<Job> {
         .collect()
 }
 
-/// [`run`] restricted to programs named in `only` (row order is the
-/// matrix order regardless of the filter's order). `None` sweeps the
-/// full matrix; determinism tests use small subsets to stay fast.
+/// Sweep the programs named in `only` of both workload suites and every
+/// negative; `None` sweeps the full matrix (determinism tests use small
+/// subsets to stay fast). Every program is an independent detector run
+/// ([`cedar_par::par_map`]); row order is the matrix order (table1,
+/// table2, negatives) regardless of the filter's order.
 pub fn run_filtered(only: Option<&[&str]>) -> Vec<Row> {
     cedar_par::par_map(jobs(only), |job| job.examine())
 }
 
-/// [`run`] under the supervised engine: one cell per program in the
-/// matrix. A quarantined program drops out of the confusion matrix and
+/// The full matrix under the supervised engine: one cell per program. A quarantined program drops out of the confusion matrix and
 /// is reported in the quarantine section instead.
 pub fn run_supervised(
     sup: &crate::supervise::Supervisor,

@@ -82,16 +82,12 @@ fn validate(w: &Workload, suite: &'static str, config: &'static str, seeds: &[u6
     }
 }
 
-/// Validate both suites under `n_seeds` perturbation seeds. Workloads
-/// are independent validation jobs ([`cedar_par::par_map`]); the
-/// validator's own per-seed sweep runs serially inside each worker.
-pub fn run(n_seeds: u64) -> Vec<Row> {
-    run_filtered(n_seeds, None)
-}
-
-/// [`run`] restricted to workloads named in `only` (row order is the
-/// suite order regardless of the filter's order). `None` sweeps
-/// everything; determinism tests use small subsets to stay fast.
+/// Validate the workloads named in `only` of both suites under `n_seeds`
+/// perturbation seeds; `None` validates everything (determinism tests
+/// use small subsets to stay fast). Row order is the suite order
+/// regardless of the filter's order. Workloads are independent
+/// validation jobs ([`cedar_par::par_map`]); the validator's own
+/// per-seed sweep runs serially inside each worker.
 pub fn run_filtered(n_seeds: u64, only: Option<&[&str]>) -> Vec<Row> {
     let seeds: Vec<u64> = (1..=n_seeds).collect();
     cedar_par::par_map(jobs(only), |(w, suite, config)| validate(&w, suite, config, &seeds))
@@ -106,7 +102,7 @@ fn jobs(only: Option<&[&str]>) -> Vec<(Workload, &'static str, &'static str)> {
         .collect()
 }
 
-/// [`run`] under the supervised engine: one cell per validation job.
+/// Both suites under the supervised engine: one cell per validation job.
 /// A quarantined workload drops out of the row list and is reported in
 /// the quarantine section (and the sweep JSON) instead of aborting the
 /// whole validation run.

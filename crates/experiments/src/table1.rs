@@ -2,8 +2,10 @@
 //! routines on Configuration 1 of the 32-processor Cedar.
 
 use crate::pipeline::{fmt_speedup, run_workload};
+use crate::supervise::{run_cells, Cell, Quarantine, Recovery, Supervisor};
 use cedar_restructure::PassConfig;
 use cedar_sim::MachineConfig;
+use cedar_workloads::Workload;
 
 /// Paper-reported speedups, in workload registry order.
 pub const PAPER: &[(&str, usize, f64)] = &[
@@ -38,9 +40,10 @@ pub struct Row {
     pub parallel_cycles: f64,
 }
 
-/// Measure one row.
-fn measure(w: &cedar_workloads::Workload, cfg: &PassConfig, mc: &MachineConfig) -> Row {
-    let (ser, par) = run_workload(w, cfg, mc);
+/// Measure one row, automatically restructured for Configuration 1.
+fn measure(w: &Workload) -> Row {
+    let (cfg, mc) = (PassConfig::automatic_1991(), MachineConfig::cedar_config1_scaled());
+    let (ser, par) = run_workload(w, &cfg, &mc);
     let paper = PAPER.iter().find(|(n, _, _)| *n == w.name).expect("registry order matches PAPER");
     Row {
         name: w.name,
@@ -57,27 +60,21 @@ fn measure(w: &cedar_workloads::Workload, cfg: &PassConfig, mc: &MachineConfig) 
 /// on [`cedar_par::par_map`] (index-ordered results; `CEDAR_JOBS=1`
 /// serializes).
 pub fn run() -> Vec<Row> {
-    let mc = MachineConfig::cedar_config1_scaled();
-    let cfg = PassConfig::automatic_1991();
-    cedar_par::par_map(cedar_workloads::table1_workloads(), |w| measure(&w, &cfg, &mc))
+    cedar_par::par_map(cells(), |cell| measure(&cell.input))
 }
 
-/// [`run`] under the supervised engine: one cell per routine. Failed
-/// cells climb the degradation ladder; cells quarantined at every rung
-/// are reported separately instead of aborting the table.
-pub fn run_supervised(
-    sup: &crate::supervise::Supervisor,
-) -> (Vec<Row>, Vec<crate::supervise::Recovery>, Vec<crate::supervise::Quarantine>) {
-    let mc = MachineConfig::cedar_config1_scaled();
-    let cfg = PassConfig::automatic_1991();
-    let cells = cedar_workloads::table1_workloads()
-        .into_iter()
-        .map(|w| {
-            crate::supervise::Cell::with_source(format!("table1/{}", w.name), w.source.clone(), w)
-        })
-        .collect();
-    let sweep = crate::supervise::run_cells(sup, cells, |w| measure(w, &cfg, &mc));
+/// [`run`] under the supervised engine. Failed cells climb the
+/// degradation ladder; cells quarantined at every rung are reported
+/// separately instead of aborting the table.
+pub fn run_supervised(sup: &Supervisor) -> (Vec<Row>, Vec<Recovery>, Vec<Quarantine>) {
+    let sweep = run_cells(sup, cells(), measure);
     (sweep.results.into_iter().flatten().collect(), sweep.recovered, sweep.quarantined)
+}
+
+/// The table's cells: one per routine.
+fn cells() -> Vec<Cell<Workload>> {
+    let cell = |w: Workload| Cell::with_source(format!("table1/{}", w.name), w.source.clone(), w);
+    cedar_workloads::table1_workloads().into_iter().map(cell).collect()
 }
 
 /// Render in the paper's layout plus our columns.
